@@ -4,12 +4,22 @@
 //! tensor (100%, 10% and 1% nonzero density) and the Sender/Receiver
 //! round-trip over the in-process loopback transport.
 //!
+//! It also drives the distributed trainer over loopback workers (P = 4,
+//! N = 2) to put numbers on the version-aware shard traffic: how many
+//! `FetchShard`s a steady-state step sends per method, how many bytes a
+//! PipeMare step moves, and how many heap allocations one shard costs
+//! on its way from a worker's weight history into the trainer's buffer.
+//!
 //! The run writes `bench_comms.json` with:
 //!
 //! * deterministic keys gated byte-for-byte by `scripts/check_bench.sh`
 //!   — exact wire sizes (`bytes.*`), the sparse-vs-dense byte-reduction
-//!   ratios (`wire.sparse_reduction_*`) and the framed control-message
-//!   sizes (`bytes.frame_*`), identical in smoke and full modes;
+//!   ratios (`wire.sparse_reduction_*`), the framed control-message
+//!   sizes (`bytes.frame_*`), the steady-state fetch counts
+//!   (`fetches_per_step.*`), the PipeMare step's wire bytes
+//!   (`bytes.wire_per_step_pipemare_p4n2`, worker telemetry excluded:
+//!   it carries timestamps as text) and `allocs.shard_roundtrip`,
+//!   identical in smoke and full modes;
 //! * informational `seconds.*` timings (codec encode/decode throughput,
 //!   loopback round-trip latency) that vary across hosts.
 //!
@@ -20,16 +30,29 @@
 //! Passing `--test` anywhere runs a seconds-long smoke version; the
 //! deterministic workload and keys are identical in both modes.
 
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pipemare_bench::report::ExperimentLog;
-use pipemare_comms::codec::{Reader, Writer};
-use pipemare_comms::protocol::Message;
-use pipemare_comms::{channel, loopback_pair, SparseMode, TensorPayload, Transport};
+use pipemare_comms::codec::{encode_dense, Reader, Writer};
+use pipemare_comms::protocol::{decode_shard_into, encode_message, Message, ShardHead};
+use pipemare_comms::{
+    channel, loopback_pair, spawn_loopback_workers, CommsError, DistributedTrainer, FrameRx,
+    FrameTx, PassKind, SparseMode, TensorPayload, Transport,
+};
+use pipemare_core::{dist_config, TrainConfig};
+use pipemare_nn::{ImageBatch, Mlp};
+use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};
+use pipemare_pipeline::Method;
+use pipemare_tensor::{CountingAlloc, Tensor};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Stated bound enforced by the bench: DropZeros at 1% density must cut
 /// wire bytes by at least this factor vs the dense encoding. The ideal
@@ -71,6 +94,128 @@ fn decode(b: &[u8]) -> TensorPayload {
     let p = TensorPayload::decode(&mut r).expect("bench payload decodes");
     r.finish().expect("no trailing bytes");
     p
+}
+
+/// A transport that counts the payload bytes crossing it in either
+/// direction, worker telemetry excluded (its JSON carries timestamps,
+/// so its size is not a deterministic count).
+struct Counted {
+    inner: Box<dyn Transport>,
+    bytes: Arc<AtomicU64>,
+}
+
+struct CountedTx(Box<dyn FrameTx>, Arc<AtomicU64>);
+
+struct CountedRx {
+    inner: Box<dyn FrameRx>,
+    bytes: Arc<AtomicU64>,
+    /// First payload byte of a `Telemetry` frame.
+    telemetry_tag: u8,
+}
+
+impl Transport for Counted {
+    fn split(self: Box<Self>) -> Result<(Box<dyn FrameTx>, Box<dyn FrameRx>), CommsError> {
+        let (tx, rx) = self.inner.split()?;
+        let telemetry_tag =
+            encode_message(&Message::Telemetry { stage: 0, jsonl: String::new() })[0];
+        Ok((
+            Box::new(CountedTx(tx, Arc::clone(&self.bytes))),
+            Box::new(CountedRx { inner: rx, bytes: self.bytes, telemetry_tag }),
+        ))
+    }
+}
+
+impl FrameTx for CountedTx {
+    fn send_frame(&mut self, payload: &[u8]) -> Result<(), CommsError> {
+        self.1.fetch_add(payload.len() as u64, Relaxed);
+        self.0.send_frame(payload)
+    }
+}
+
+impl FrameRx for CountedRx {
+    fn recv_frame(&mut self) -> Result<Vec<u8>, CommsError> {
+        let payload = self.inner.recv_frame()?;
+        if payload.first() != Some(&self.telemetry_tag) {
+            self.bytes.fetch_add(payload.len() as u64, Relaxed);
+        }
+        Ok(payload)
+    }
+
+    fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), CommsError> {
+        self.inner.set_timeout(timeout)
+    }
+}
+
+/// `(FetchShards, wire bytes)` of one steady-state step of `method` at
+/// P = 4, N = 2 over loopback workers: the ninth step of a seeded run on
+/// a small MLP, by which every stage's delay window has filled.
+fn steady_state_step(method: Method) -> (u64, u64) {
+    const STAGES: usize = 4;
+    const N_MICRO: usize = 2;
+    let opt = OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 };
+    let lr = || Box::new(ConstantLr(0.05));
+    let cfg = match method {
+        Method::GPipe => TrainConfig::gpipe(STAGES, N_MICRO, opt, lr()),
+        Method::PipeDream => TrainConfig::pipedream(STAGES, N_MICRO, opt, lr()),
+        Method::PipeMare => {
+            TrainConfig::pipemare(STAGES, N_MICRO, opt, lr(), T1Rescheduler::new(20), 0.9)
+        }
+    };
+    let bytes = Arc::new(AtomicU64::new(0));
+    let (transports, workers) = spawn_loopback_workers(STAGES);
+    let transports = transports
+        .into_iter()
+        .map(|inner| Box::new(Counted { inner, bytes: Arc::clone(&bytes) }) as Box<dyn Transport>)
+        .collect();
+    let model = Mlp::new(&[16, 64, 48, 32, 4]);
+    let dcfg = dist_config(cfg, SparseMode::Dense, None).expect("a pipeline method");
+    let mut trainer =
+        DistributedTrainer::connect(&model, dcfg, 7, transports).expect("loopback handshake");
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut step = |trainer: &mut DistributedTrainer<'_, Mlp>| {
+        let micro: Vec<ImageBatch> = (0..N_MICRO)
+            .map(|_| ImageBatch {
+                x: Tensor::randn(&[4, 16], &mut rng),
+                y: (0..4).map(|i| i % 4).collect(),
+            })
+            .collect();
+        let stats = trainer.train_minibatch(&micro, &[0.5, 0.5]).expect("a loopback step");
+        assert!(!stats.diverged, "the bench workload must train");
+    };
+    for _ in 0..8 {
+        step(&mut trainer);
+    }
+    let before = (trainer.shard_fetches(), bytes.load(Relaxed));
+    step(&mut trainer);
+    let after = (trainer.shard_fetches(), bytes.load(Relaxed));
+    trainer.shutdown().expect("workers shut down");
+    for w in workers {
+        w.join().expect("worker thread").expect("worker result");
+    }
+    (after.0 - before.0, after.1 - before.1)
+}
+
+/// Heap allocations one shard costs between a worker's weight history
+/// and the trainer's buffer, transport excluded: encoded straight from
+/// the stored values into the link's reused frame, decoded straight
+/// into the destination slice.
+fn shard_roundtrip_allocs(values: &[f32]) -> u64 {
+    let head = ShardHead { step: 3, micro: 1, pass: PassKind::Fwd, stage: 0, trace: 2 };
+    let mut frame = Vec::new();
+    let mut dst = vec![0.0f32; values.len()];
+    let mut roundtrip = |frame: &mut Vec<u8>| {
+        Writer::refill(frame, |w| {
+            head.encode(w);
+            encode_dense(w, values.iter().copied());
+        });
+        assert_eq!(decode_shard_into(frame, &mut dst), Ok(Some(head)));
+    };
+    roundtrip(&mut frame); // the first reply sizes the frame buffer
+    let before = ALLOC.calls();
+    roundtrip(&mut frame);
+    let allocs = ALLOC.calls() - before;
+    assert_eq!(dst, values, "the shard must arrive intact");
+    allocs
 }
 
 /// Median seconds of `reps` timed runs of `f`.
@@ -132,6 +277,21 @@ fn main() {
         "sparse encoding at 1% density only cut wire bytes {reduction_d1:.2}x \
          (stated bound {BOUND_SPARSE_REDUCTION_D1}x)"
     );
+
+    // --- Version-aware shard traffic (gated) ------------------------
+    println!("steady-state step at P=4, N=2 over loopback workers:");
+    for method in Method::ALL {
+        let (fetches, wire) = steady_state_step(method);
+        let name = method.name().to_lowercase();
+        println!("    {name:<10} {fetches:>3} FetchShards  {wire:>8} wire bytes");
+        log.push_scalar(&format!("fetches_per_step.{name}_p4n2"), fetches as f64);
+        if method == Method::PipeMare {
+            log.push_scalar("bytes.wire_per_step_pipemare_p4n2", wire as f64);
+        }
+    }
+    let allocs = shard_roundtrip_allocs(&dense_grad);
+    println!("heap allocations per shard round trip (reused frame, in-place decode): {allocs}");
+    log.push_scalar("allocs.shard_roundtrip", allocs as f64);
 
     // --- Criterion codec microbenches -------------------------------
     let mut criterion = Criterion::default().sample_size(if smoke { 10 } else { 20 });
@@ -214,9 +374,7 @@ fn main() {
     // The control-message overhead per round trip is deterministic
     // (framed bytes incl. the u32 length prefix) and gated.
     let framed = |m: &Message| {
-        pipemare_comms::codec::frame(&pipemare_comms::protocol::encode_message(m))
-            .expect("control frame fits")
-            .len() as f64
+        pipemare_comms::codec::frame(&encode_message(m)).expect("control frame fits").len() as f64
     };
     log.push_scalar("bytes.frame_flush", framed(&Message::Flush { id: u64::MAX }));
     log.push_scalar(

@@ -3,9 +3,17 @@
 //!
 //! A *frame* on the wire is a `u32` little-endian payload length followed
 //! by the payload; the payload's first byte is a message tag (see
-//! [`crate::protocol`]). All multi-byte integers are little-endian;
-//! floats travel as their IEEE-754 bit patterns, so encode→decode is
+//! [`crate::protocol`]). Byte order is little-endian everywhere, on
+//! every host: each integer goes through `to_le_bytes`/`from_le_bytes`
+//! and floats travel as their IEEE-754 bit patterns, so encode→decode is
 //! bit-exact including NaNs and signed zeros.
+//!
+//! Slices move in bulk: the writer reserves the whole run once and the
+//! per-element `to_le_bytes` loop compiles to a straight copy on
+//! little-endian targets; the reader decodes either into a fresh vector
+//! sized from the bytes actually present or straight into a caller's
+//! slice ([`Reader::get_f32s_into`], [`TensorPayload::decode_into`]), so
+//! a shard crosses each hop with one copy.
 //!
 //! Tensors travel either dense (`u32` count + raw f32 bits) or sparse
 //! (`u32` dense length, `u32` nnz, then nnz strictly-increasing `u32`
@@ -30,6 +38,22 @@ impl Writer {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Writer { buf: Vec::new() }
+    }
+
+    /// Encodes one frame into `frame`, replacing its contents but
+    /// keeping its storage — the way a link reuses one frame buffer for
+    /// every large frame it builds.
+    pub fn refill<R>(frame: &mut Vec<u8>, encode: impl FnOnce(&mut Writer) -> R) -> R {
+        frame.clear();
+        let mut w = Writer { buf: std::mem::take(frame) };
+        let out = encode(&mut w);
+        *frame = w.buf;
+        out
+    }
+
+    /// Makes room for `additional` more bytes in one allocation.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -90,26 +114,31 @@ impl Writer {
 
     /// Appends a length-prefixed f32 slice (bit patterns).
     pub fn put_f32s(&mut self, vs: &[f32]) {
-        self.put_u32(vs.len() as u32);
-        for &v in vs {
-            self.put_f32(v);
-        }
+        self.put_f32s_from(vs.iter().copied());
+    }
+
+    /// Appends a length-prefixed run of f32 values computed on the fly
+    /// — byte for byte what [`Writer::put_f32s`] writes for the
+    /// collected values, without materializing them (the worker fuses
+    /// the T2 extrapolation into the encode this way).
+    pub fn put_f32s_from(&mut self, values: impl ExactSizeIterator<Item = f32>) {
+        self.put_u32(values.len() as u32);
+        self.buf.reserve(4 * values.len());
+        self.buf.extend(values.flat_map(|v| v.to_le_bytes()));
     }
 
     /// Appends a length-prefixed u32 slice.
     pub fn put_u32s(&mut self, vs: &[u32]) {
         self.put_u32(vs.len() as u32);
-        for &v in vs {
-            self.put_u32(v);
-        }
+        self.buf.reserve(4 * vs.len());
+        self.buf.extend(vs.iter().flat_map(|v| v.to_le_bytes()));
     }
 
     /// Appends a length-prefixed u16 slice (bf16 bit patterns).
     pub fn put_u16s(&mut self, vs: &[u16]) {
         self.put_u32(vs.len() as u32);
-        for &v in vs {
-            self.put_u16(v);
-        }
+        self.buf.reserve(2 * vs.len());
+        self.buf.extend(vs.iter().flat_map(|v| v.to_le_bytes()));
     }
 
     /// Appends an optional `f64` as a presence byte + bits.
@@ -217,44 +246,44 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadValue("invalid UTF-8"))
     }
 
+    /// Reads a `u32` count and takes that many `width`-byte elements.
+    /// The count is checked against the bytes actually present before
+    /// anything is allocated for it.
+    fn take_run(&mut self, width: usize) -> Result<&'a [u8], CodecError> {
+        let n = self.get_u32()? as usize;
+        self.take(n.checked_mul(width).ok_or(CodecError::Truncated)?)
+    }
+
     /// Reads a length-prefixed f32 slice.
     pub fn get_f32s(&mut self) -> Result<Vec<f32>, CodecError> {
-        let n = self.get_u32()? as usize;
-        // Bound the allocation by what's actually present.
-        if self.remaining() < n.saturating_mul(4) {
-            return Err(CodecError::Truncated);
+        Ok(le_f32s(self.take_run(4)?).collect())
+    }
+
+    /// Reads a length-prefixed f32 slice straight into `dst`.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::LengthMismatch`] when the encoded count is not
+    /// `dst.len()`; `dst` is untouched in that case.
+    pub fn get_f32s_into(&mut self, dst: &mut [f32]) -> Result<(), CodecError> {
+        let bytes = self.take_run(4)?;
+        if bytes.len() != 4 * dst.len() {
+            return Err(CodecError::LengthMismatch { expected: dst.len(), got: bytes.len() / 4 });
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_f32()?);
+        for (d, v) in dst.iter_mut().zip(le_f32s(bytes)) {
+            *d = v;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Reads a length-prefixed u32 slice.
     pub fn get_u32s(&mut self) -> Result<Vec<u32>, CodecError> {
-        let n = self.get_u32()? as usize;
-        if self.remaining() < n.saturating_mul(4) {
-            return Err(CodecError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_u32()?);
-        }
-        Ok(out)
+        Ok(le_u32s(self.take_run(4)?).collect())
     }
 
     /// Reads a length-prefixed u16 slice.
     pub fn get_u16s(&mut self) -> Result<Vec<u16>, CodecError> {
-        let n = self.get_u32()? as usize;
-        if self.remaining() < n.saturating_mul(2) {
-            return Err(CodecError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_u16()?);
-        }
-        Ok(out)
+        Ok(le_u16s(self.take_run(2)?).collect())
     }
 
     /// Reads an optional `f64`.
@@ -266,6 +295,18 @@ impl<'a> Reader<'a> {
     pub fn get_opt_u32(&mut self) -> Result<Option<u32>, CodecError> {
         Ok(if self.get_bool()? { Some(self.get_u32()?) } else { None })
     }
+}
+
+fn le_u32s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+}
+
+fn le_f32s(bytes: &[u8]) -> impl ExactSizeIterator<Item = f32> + '_ {
+    le_u32s(bytes).map(f32::from_bits)
+}
+
+fn le_u16s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u16> + '_ {
+    bytes.chunks_exact(2).map(|c| u16::from_le_bytes(c.try_into().expect("2-byte chunk")))
 }
 
 /// How a tensor-carrying message encodes its values.
@@ -314,35 +355,28 @@ impl TensorPayload {
     /// Encodes `values` under `mode`. Sparse candidates fall back to
     /// dense when the index/value pairs would not actually save bytes.
     pub fn from_dense(values: &[f32], mode: SparseMode) -> TensorPayload {
-        let keep: Vec<u32> = match mode {
-            SparseMode::Dense => return TensorPayload::Dense(values.to_vec()),
-            SparseMode::DropZeros => {
-                (0..values.len() as u32).filter(|&i| values[i as usize].to_bits() != 0).collect()
+        match sparse_keep(values, mode) {
+            None => TensorPayload::Dense(values.to_vec()),
+            Some(idx) => {
+                let val = idx.iter().map(|&i| values[i as usize]).collect();
+                TensorPayload::Sparse { len: values.len() as u32, idx, val }
             }
-            SparseMode::Threshold(t) => {
-                (0..values.len() as u32).filter(|&i| values[i as usize].abs() > t).collect()
-            }
-            SparseMode::TopK(frac) => {
-                let k = ((frac.clamp(0.0, 1.0) as f64 * values.len() as f64).ceil() as usize)
-                    .min(values.len());
-                let mut order: Vec<u32> = (0..values.len() as u32).collect();
-                // total_cmp keeps the comparator a total order even with
-                // NaN entries (they sort above +inf, so they are kept).
-                order.sort_by(|&a, &b| {
-                    values[b as usize].abs().total_cmp(&values[a as usize].abs()).then(a.cmp(&b))
-                });
-                let mut kept = order[..k].to_vec();
-                kept.sort_unstable();
-                kept
-            }
-        };
-        // 8 bytes per sparse pair vs 4 per dense element: sparse only
-        // pays off below 50% density.
-        if keep.len() * 8 >= values.len() * 4 {
-            return TensorPayload::Dense(values.to_vec());
         }
-        let val = keep.iter().map(|&i| values[i as usize]).collect();
-        TensorPayload::Sparse { len: values.len() as u32, idx: keep, val }
+    }
+
+    /// Appends `values` under `mode` — the bytes
+    /// `from_dense(values, mode).encode(w)` writes, straight from the
+    /// borrowed slice.
+    pub fn encode_from_dense(w: &mut Writer, values: &[f32], mode: SparseMode) {
+        match sparse_keep(values, mode) {
+            None => encode_dense(w, values.iter().copied()),
+            Some(idx) => {
+                w.put_u8(PAYLOAD_SPARSE);
+                w.put_u32(values.len() as u32);
+                w.put_u32s(&idx);
+                w.put_f32s_from(idx.iter().map(|&i| values[i as usize]));
+            }
+        }
     }
 
     /// The dense length this payload expands to.
@@ -382,21 +416,16 @@ impl TensorPayload {
 
     /// Appends the payload to `w`.
     pub fn encode(&self, w: &mut Writer) {
+        w.reserve(self.wire_bytes());
         match self {
-            TensorPayload::Dense(v) => {
-                w.put_u8(PAYLOAD_DENSE);
-                w.put_f32s(v);
-            }
+            TensorPayload::Dense(v) => encode_dense(w, v.iter().copied()),
             TensorPayload::Sparse { len, idx, val } => {
                 w.put_u8(PAYLOAD_SPARSE);
                 w.put_u32(*len);
                 w.put_u32s(idx);
                 w.put_f32s(val);
             }
-            TensorPayload::DenseBf16(v) => {
-                w.put_u8(PAYLOAD_DENSE_BF16);
-                w.put_u16s(v);
-            }
+            TensorPayload::DenseBf16(v) => encode_dense_bf16(w, v),
         }
     }
 
@@ -432,6 +461,104 @@ impl TensorPayload {
             t => Err(CodecError::BadTag(t)),
         }
     }
+
+    /// Decodes a payload straight into `dst` — what
+    /// `decode(r)?.into_dense()` yields, without the intermediate
+    /// vectors. Validates exactly what [`TensorPayload::decode`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::LengthMismatch`] when the payload's dense length is
+    /// not `dst.len()`. On any error `dst` may be partly overwritten.
+    pub fn decode_into(r: &mut Reader<'_>, dst: &mut [f32]) -> Result<(), CodecError> {
+        let expected = dst.len();
+        let fits = |got: usize| {
+            (got == expected).then_some(()).ok_or(CodecError::LengthMismatch { expected, got })
+        };
+        match r.get_u8()? {
+            PAYLOAD_DENSE => r.get_f32s_into(dst),
+            PAYLOAD_SPARSE => {
+                let len = r.get_u32()?;
+                let (idx, val) = (r.take_run(4)?, r.take_run(4)?);
+                if idx.len() != val.len() {
+                    return Err(CodecError::LengthMismatch {
+                        expected: idx.len() / 4,
+                        got: val.len() / 4,
+                    });
+                }
+                if idx.len() / 4 > len as usize {
+                    return Err(CodecError::LengthMismatch {
+                        expected: len as usize,
+                        got: idx.len() / 4,
+                    });
+                }
+                fits(len as usize)?;
+                dst.fill(0.0);
+                let mut prev: Option<u32> = None;
+                for (i, v) in le_u32s(idx).zip(le_f32s(val)) {
+                    if i >= len || prev.is_some_and(|p| i <= p) {
+                        return Err(CodecError::BadIndex { index: i, len });
+                    }
+                    prev = Some(i);
+                    dst[i as usize] = v;
+                }
+                Ok(())
+            }
+            PAYLOAD_DENSE_BF16 => {
+                let bits = r.take_run(2)?;
+                fits(bits.len() / 2)?;
+                for (d, h) in dst.iter_mut().zip(le_u16s(bits)) {
+                    *d = pipemare_tensor::bf16::decode(h);
+                }
+                Ok(())
+            }
+            t => Err(CodecError::BadTag(t)),
+        }
+    }
+}
+
+/// Indices of `values` that `mode` keeps, or `None` when the dense form
+/// is at least as small (always, for [`SparseMode::Dense`]).
+fn sparse_keep(values: &[f32], mode: SparseMode) -> Option<Vec<u32>> {
+    let keep: Vec<u32> = match mode {
+        SparseMode::Dense => return None,
+        SparseMode::DropZeros => {
+            (0..values.len() as u32).filter(|&i| values[i as usize].to_bits() != 0).collect()
+        }
+        SparseMode::Threshold(t) => {
+            (0..values.len() as u32).filter(|&i| values[i as usize].abs() > t).collect()
+        }
+        SparseMode::TopK(frac) => {
+            let k = ((frac.clamp(0.0, 1.0) as f64 * values.len() as f64).ceil() as usize)
+                .min(values.len());
+            let mut order: Vec<u32> = (0..values.len() as u32).collect();
+            // total_cmp keeps the comparator a total order even with
+            // NaN entries (they sort above +inf, so they are kept).
+            order.sort_by(|&a, &b| {
+                values[b as usize].abs().total_cmp(&values[a as usize].abs()).then(a.cmp(&b))
+            });
+            let mut kept = order[..k].to_vec();
+            kept.sort_unstable();
+            kept
+        }
+    };
+    // 8 bytes per sparse pair vs 4 per dense element: sparse only
+    // pays off below 50% density.
+    (keep.len() * 8 < values.len() * 4).then_some(keep)
+}
+
+/// Appends a dense f32 payload of values computed on the fly — byte for
+/// byte `TensorPayload::Dense(collected).encode(w)`.
+pub fn encode_dense(w: &mut Writer, values: impl ExactSizeIterator<Item = f32>) {
+    w.put_u8(PAYLOAD_DENSE);
+    w.put_f32s_from(values);
+}
+
+/// Appends a dense bf16 payload from borrowed bits — byte for byte
+/// `TensorPayload::DenseBf16(bits.to_vec()).encode(w)`.
+pub fn encode_dense_bf16(w: &mut Writer, bits: &[u16]) {
+    w.put_u8(PAYLOAD_DENSE_BF16);
+    w.put_u16s(bits);
 }
 
 /// Prepends the `u32` length prefix to an encoded payload, producing the

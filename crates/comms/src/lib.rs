@@ -21,7 +21,10 @@
 //!   accounting ([`transport::WireStats`]).
 //! * [`stage`]: [`stage::ShardStage`] — one stage's weight shard,
 //!   optimizer state, weight-version history and T2 δ buffer, serving
-//!   exactly the versions the in-process trainer would read.
+//!   exactly the versions the in-process trainer would read — and
+//!   [`stage::plan`], the one version-selection function worker and
+//!   driver share, whose [`stage::ContentTag`] lets the driver fetch
+//!   each distinct weight version once.
 //! * [`worker`]: [`worker::run_stage_worker`] — the message-driven
 //!   stage loop (training and token modes).
 //! * [`orchestrator`]: [`orchestrator::DistributedTrainer`] (bit-identical
@@ -44,12 +47,14 @@ pub mod worker;
 pub use codec::{SparseMode, TensorPayload, MAX_FRAME};
 pub use error::{CodecError, CommsError};
 pub use orchestrator::{
-    handshake_worker, run_token_pipeline, spawn_loopback_workers, token_stage_config, DistConfig,
-    DistRecompute, DistRunReport, DistStepStats, DistributedTrainer, TokenPipelineReport,
-    WorkerHandle, WorkerLink,
+    gather_shards, handshake_worker, run_token_pipeline, spawn_loopback_workers,
+    token_stage_config, DistConfig, DistRecompute, DistRunReport, DistStepStats,
+    DistributedTrainer, TokenPipelineReport, WorkerHandle, WorkerLink, FETCH_WINDOW,
 };
-pub use protocol::{Message, PassKind, RejectReason, StageConfig, PROTOCOL_VERSION};
-pub use stage::ShardStage;
+pub use protocol::{
+    GradHead, Message, PassKind, RejectReason, ShardHead, StageConfig, PROTOCOL_VERSION,
+};
+pub use stage::{plan, ContentTag, ReadPlan, ShardStage};
 pub use transport::{
     channel, loopback_pair, FrameRx, FrameTx, LoopbackTransport, Receiver, Sender, TcpTransport,
     Transport, WireStats,

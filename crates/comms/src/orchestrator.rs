@@ -1,8 +1,7 @@
 //! The orchestrator: drives N stage workers over any transport.
 //!
-//! Topology is a star — the orchestrator holds one link per worker and
-//! every exchange on a link is strictly request/reply, so the protocol
-//! cannot deadlock. Two drivers live here:
+//! Topology is a star — the orchestrator holds one link per worker.
+//! Two drivers live here:
 //!
 //! * [`DistributedTrainer`] — the distributed counterpart of
 //!   `pipemare_core::PipelineTrainer`. Model compute (forward/backward)
@@ -16,11 +15,57 @@
 //!   workers through the hub, reproducing the latency pipeline (and its
 //!   telemetry span multiset) across real transports.
 //!
+//! # Version-aware shard traffic
+//!
+//! PipeMare's point (§2.2, Table 1) is that an asynchronous stage reads
+//! whatever weight version is in memory, so a step touches few distinct
+//! versions. The trainer keys its traffic on that. It keeps one
+//! parameter buffer per pass kind (forward, backward, recompute) for
+//! the whole run and remembers, per buffer and stage, the
+//! [`ContentTag`] of what the buffer holds. Every read of a step is
+//! resolved up front with the same [`plan`] the worker serves fetches
+//! with; a read whose tag its buffer already holds sends nothing, one
+//! whose tag another buffer holds is a local copy, and only a tag held
+//! nowhere becomes a `FetchShard`. In steady state that is one fetch
+//! per stage and step for GPipe and PipeDream and two for PipeMare
+//! (one new forward version, one T2-corrected backward read), however
+//! many microbatches the step has.
+//!
+//! # Scatter/gather, and why it cannot deadlock
+//!
+//! All of a step's `FetchShard`s go out before the first forward, so
+//! workers encode and write their replies while the driver computes;
+//! each reply is drained, straight into its buffer, at the read that
+//! needs it and no earlier (draining ahead would overwrite values an
+//! earlier read still uses). Gradient shards, commits and telemetry
+//! flushes are likewise sent to every stage before the first ack is
+//! read. A link is still FIFO both ways — the worker answers in request
+//! order — it is just no longer one-at-a-time. That is deadlock-free
+//! because of what each side may have in flight:
+//!
+//! * While replies are outstanding on a link the driver writes only
+//!   tiny frames to it (`FetchShard` 14 B, `Commit` 10 B, `Flush` 9 B),
+//!   at most [`FETCH_WINDOW`] of them unanswered, under 2 KiB — less
+//!   than any socket buffer, so the driver's writes never wait on the
+//!   worker reading.
+//! * The driver writes a large frame (`GradShard`) only when the link
+//!   is idle: every read of the step has been drained by then. The
+//!   worker is blocked in its receive, so it consumes the frame.
+//! * A worker blocked writing a large reply waits only for the driver
+//!   to read that link, and the driver always gets there: it never
+//!   blocks in a write (above) and reads links one after another,
+//!   waiting on one worker never depends on a different worker.
+//!
+//! A step that fails midway (a lost worker, a malformed reply) leaves
+//! replies in flight and buffers half written, so the trainer drops
+//! every held tag and refuses further steps instead of trusting them.
+//!
 //! Worker telemetry streams back in [`Message::Telemetry`] batches; the
 //! orchestrator re-tracks each worker onto its stage id, shifts its
 //! timestamps by the NTP-lite clock offset measured at handshake, and
 //! merges everything into one trace `pmtrace` can summarize.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,10 +82,19 @@ use pipemare_telemetry::{
 use pipemare_tensor::StoragePrecision;
 use pipemare_theory::gamma_from_d;
 
-use crate::codec::{SparseMode, TensorPayload};
+use crate::codec::{SparseMode, TensorPayload, Writer};
 use crate::error::CommsError;
-use crate::protocol::{Message, PassKind, StageConfig, PROTOCOL_VERSION};
+use crate::protocol::{
+    decode_message, decode_shard_into, GradHead, Message, PassKind, ShardHead, StageConfig,
+    PROTOCOL_VERSION,
+};
+use crate::stage::{plan, ContentTag};
 use crate::transport::{channel, Transport, WireStats};
+
+/// Most `FetchShard`s a link may have unanswered at once (see the
+/// module docs: it bounds what the driver writes while replies are
+/// outstanding). A step rarely needs more than two per stage.
+pub const FETCH_WINDOW: usize = 64;
 
 /// Recompute simulation settings for a distributed run (mirrors the
 /// core crate's `RecomputeCfg`, redeclared here to keep the dependency
@@ -181,7 +235,24 @@ pub struct WorkerLink {
     last_acked: Option<u64>,
     /// Worker clock minus driver clock, microseconds.
     offset_us: i64,
+    /// The current step's fetches on this link, in the order their
+    /// replies are needed (= sent = answered).
+    fetches: VecDeque<Fetch>,
+    /// How many of `fetches`, from the front, have been sent.
+    sent: usize,
 }
+
+/// One `FetchShard` of the current step: the read (index into the
+/// step's read order) whose buffer its reply fills.
+struct Fetch {
+    read: usize,
+    micro: u32,
+    pass: PassKind,
+}
+
+/// `(step, micro, pass)` — what a `FetchShard` asks for and its `Shard`
+/// echoes.
+type ShardKey = (u64, u32, PassKind);
 
 impl WorkerLink {
     fn lost(&self, cause: CommsError) -> CommsError {
@@ -206,6 +277,15 @@ impl WorkerLink {
         }
     }
 
+    /// Sends one already-encoded frame payload, failures wrapped as in
+    /// [`WorkerLink::send`].
+    fn send_frame(&mut self, payload: &[u8]) -> Result<(), CommsError> {
+        match self.sender.send_frame(payload) {
+            Ok(()) => Ok(()),
+            Err(e) => Err(self.lost(e)),
+        }
+    }
+
     /// Receives one message; a worker-side [`Message::Error`] surfaces
     /// as [`CommsError::Remote`], transport failures as `WorkerLost`.
     pub fn recv(&mut self) -> Result<Message, CommsError> {
@@ -215,6 +295,45 @@ impl WorkerLink {
             }
             Ok(msg) => Ok(msg),
             Err(e) => Err(self.lost(e)),
+        }
+    }
+
+    /// Receives the [`Message::Shard`] answering `fetch`, decoding its
+    /// tensor straight into `dst`; anything else is an error as in
+    /// [`WorkerLink::recv`].
+    fn recv_shard_into(&mut self, fetch: ShardKey, dst: &mut [f32]) -> Result<(), CommsError> {
+        let payload = self.receiver.recv_frame().map_err(|e| self.lost(e))?;
+        match decode_shard_into(&payload, dst) {
+            Ok(Some(ShardHead { step, micro, pass, .. })) if (step, micro, pass) == fetch => Ok(()),
+            Ok(Some(head)) => Err(CommsError::Protocol(format!(
+                "stage {}: expected the Shard for {fetch:?}, got {:?}",
+                self.stage,
+                (head.step, head.micro, head.pass)
+            ))),
+            Ok(None) => match decode_message(&payload) {
+                Ok(Message::Error { message, .. }) => {
+                    Err(CommsError::Remote { stage: self.stage, message })
+                }
+                Ok(other) => Err(self.protocol("Shard", &other)),
+                Err(e) => Err(self.lost(e.into())),
+            },
+            Err(e) => Err(self.lost(e.into())),
+        }
+    }
+
+    /// Receives the [`Message::Telemetry`] batch a flush or shutdown
+    /// request is answered with and merges it into `merged`, re-tracked
+    /// onto this link's stage and shifted into driver time.
+    fn recv_telemetry(&mut self, merged: &mut Vec<TraceEvent>) -> Result<(), CommsError> {
+        match self.recv()? {
+            Message::Telemetry { jsonl, .. } => {
+                let events = events_from_jsonl_string(&jsonl).map_err(|e| {
+                    CommsError::Protocol(format!("stage {}: bad telemetry: {e}", self.stage))
+                })?;
+                merge_worker_events(merged, &events, self.stage, self.offset_us);
+                Ok(())
+            }
+            other => Err(self.protocol("Telemetry", &other)),
         }
     }
 
@@ -235,7 +354,15 @@ pub fn handshake_worker(
     let stage = cfg.stage;
     let (sender, mut receiver) = channel(transport)?;
     receiver.set_timeout(recv_timeout)?;
-    let mut link = WorkerLink { sender, receiver, stage, last_acked: None, offset_us: 0 };
+    let mut link = WorkerLink {
+        sender,
+        receiver,
+        stage,
+        last_acked: None,
+        offset_us: 0,
+        fetches: VecDeque::new(),
+        sent: 0,
+    };
     let t_d0 = driver_clock.now_us();
     link.send(&Message::Hello(cfg))?;
     let ack = link.recv()?;
@@ -303,6 +430,76 @@ fn build_stage_config(
     }
 }
 
+/// Fetches one pass from every link at once — all requests out, then
+/// each reply decoded straight into its `ranges[s]` slice of `out`.
+/// Links must be idle (no step in flight).
+pub fn gather_shards(
+    links: &mut [WorkerLink],
+    ranges: &[(usize, usize)],
+    step: u64,
+    micro: u32,
+    pass: PassKind,
+    out: &mut [f32],
+) -> Result<(), CommsError> {
+    for link in links.iter_mut() {
+        link.send(&Message::FetchShard { step, micro, pass })?;
+    }
+    for (link, &(lo, hi)) in links.iter_mut().zip(ranges) {
+        link.recv_shard_into((step, micro, pass), &mut out[lo..hi])?;
+    }
+    Ok(())
+}
+
+const FWD: usize = 0;
+const BKWD: usize = 1;
+const RECOMP: usize = 2;
+
+/// Index of the trainer-owned buffer a pass reads into.
+fn buffer_of(pass: PassKind) -> usize {
+    match pass {
+        PassKind::Fwd => FWD,
+        PassKind::Bkwd => BKWD,
+        PassKind::Recomp => RECOMP,
+        PassKind::Latest => unreachable!("Latest reads are gathered, not buffered"),
+    }
+}
+
+/// The trainer's parameter buffers: one full-length vector per buffered
+/// pass kind, kept for the whole run, each remembering per stage the
+/// tag of the shard it holds (`None`: nothing trustworthy).
+struct ShardCache {
+    bufs: [Vec<f32>; 3],
+    held: [Vec<Option<ContentTag>>; 3],
+}
+
+impl ShardCache {
+    fn invalidate(&mut self) {
+        for held in &mut self.held {
+            held.fill(None);
+        }
+    }
+
+    /// Copies `[lo, hi)` of buffer `from` into buffer `to`.
+    fn copy(&mut self, from: usize, to: usize, lo: usize, hi: usize) {
+        let (src, dst) = if from < to {
+            let (head, tail) = self.bufs.split_at_mut(to);
+            (&head[from], &mut tail[0])
+        } else {
+            let (head, tail) = self.bufs.split_at_mut(from);
+            (&tail[0], &mut head[to])
+        };
+        dst[lo..hi].copy_from_slice(&src[lo..hi]);
+    }
+}
+
+/// A read served from another buffer that already holds its tag.
+struct LocalCopy {
+    read: usize,
+    stage: usize,
+    from: usize,
+    to: usize,
+}
+
 /// The distributed pipeline trainer: one worker per stage over any
 /// transport, driven by this struct on the orchestrator side.
 pub struct DistributedTrainer<'m, M: TrainModel> {
@@ -310,7 +507,18 @@ pub struct DistributedTrainer<'m, M: TrainModel> {
     cfg: DistConfig,
     partition: StagePartition,
     clock: PipelineClock,
+    /// What each worker was configured with at handshake — the driver
+    /// plans reads from the same values the worker serves them from.
+    stage_cfgs: Vec<StageConfig>,
     links: Vec<WorkerLink>,
+    cache: ShardCache,
+    /// The current step's local copies, in read order.
+    copies: VecDeque<LocalCopy>,
+    grad: Vec<f32>,
+    /// `FetchShard`s sent by training steps so far.
+    fetches: u64,
+    /// Set when a step failed midway; see [`Self::train_minibatch`].
+    failed: bool,
     recorder: Arc<TraceRecorder>,
     registry: Arc<MetricsRegistry>,
     live: Arc<LiveStore>,
@@ -352,9 +560,11 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         let recorder = Arc::new(TraceRecorder::with_tracks(cfg.stages + 1));
         let registry = Arc::new(MetricsRegistry::new());
         let mut links = Vec::with_capacity(cfg.stages);
+        let mut stage_cfgs = Vec::with_capacity(cfg.stages);
         for (s, transport) in transports.into_iter().enumerate() {
             let sc = build_stage_config(&cfg, &clock, &partition, total, s);
-            let mut link = handshake_worker(transport, sc, cfg.recv_timeout, &recorder)?;
+            let mut link = handshake_worker(transport, sc.clone(), cfg.recv_timeout, &recorder)?;
+            stage_cfgs.push(sc);
             // Mirror this link's wire counters into live gauges so a
             // stats scrape sees per-stage traffic without touching the
             // links themselves.
@@ -364,6 +574,15 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             link.send(&Message::InitShard { params: params[lo..hi].to_vec() })?;
             links.push(link);
         }
+        // The initial vector becomes the forward buffer: it is version
+        // 0, read as the f32 master, at every stage.
+        let mut held = [vec![None; cfg.stages], vec![None; cfg.stages], vec![None; cfg.stages]];
+        for (s, sc) in stage_cfgs.iter().enumerate() {
+            held[FWD][s] = Some(plan(sc, &clock, 0, 0, PassKind::Latest)?.tag(sc, 0));
+        }
+        let recomputes = cfg.recompute.is_some() && cfg.method == Method::PipeMare;
+        let recomp_buf = if recomputes { vec![0.0f32; total] } else { Vec::new() };
+        let cache = ShardCache { bufs: [params, vec![0.0f32; total], recomp_buf], held };
         let live = Arc::new(
             LiveStore::new("orchestrator", cfg.stages)
                 .with_registry(Arc::clone(&registry))
@@ -374,7 +593,13 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             cfg,
             partition,
             clock,
+            stage_cfgs,
             links,
+            cache,
+            copies: VecDeque::new(),
+            grad: vec![0.0f32; total],
+            fetches: 0,
+            failed: false,
             recorder,
             registry,
             live,
@@ -423,6 +648,19 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         &self.partition
     }
 
+    /// What each stage's worker was configured with at handshake, by
+    /// stage — with [`plan`], everything needed to say what any read of
+    /// the run returns.
+    pub fn stage_configs(&self) -> &[StageConfig] {
+        &self.stage_cfgs
+    }
+
+    /// `FetchShard` requests training steps have sent so far, over all
+    /// stages — one per distinct content tag the driver did not hold.
+    pub fn shard_fetches(&self) -> u64 {
+        self.fetches
+    }
+
     fn t1_scale(&self, s: usize, t_async: usize, sync_phase: bool) -> f32 {
         match (&self.cfg.t1, sync_phase, self.cfg.method) {
             (Some(t1), false, Method::PipeMare) => t1.scale(t_async, self.clock.nominal_tau_fwd(s)),
@@ -430,66 +668,124 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         }
     }
 
-    /// Fetches every stage's shard for one pass and assembles the full
-    /// parameter vector into `buf`.
-    fn fetch_into(
-        &mut self,
-        buf: &mut [f32],
-        step: u64,
-        micro: u32,
-        pass: PassKind,
-    ) -> Result<(), CommsError> {
-        for s in 0..self.cfg.stages {
-            let (lo, hi) = self.partition.range(s);
-            let link = &mut self.links[s];
+    /// Sends queued fetches on link `s` up to the window.
+    fn pump(&mut self, s: usize) -> Result<(), CommsError> {
+        let step = self.step as u64;
+        let link = &mut self.links[s];
+        while link.sent < link.fetches.len().min(FETCH_WINDOW) {
+            let Fetch { micro, pass, .. } = link.fetches[link.sent];
             link.send(&Message::FetchShard { step, micro, pass })?;
-            match link.recv()? {
-                Message::Shard { step: st, micro: mi, pass: pa, data, .. }
-                    if st == step && mi == micro && pa == pass =>
-                {
-                    if data.dense_len() != hi - lo {
-                        return Err(CommsError::Protocol(format!(
-                            "stage {s}: shard has {} values, expected {}",
-                            data.dense_len(),
-                            hi - lo
-                        )));
-                    }
-                    buf[lo..hi].copy_from_slice(&data.into_dense());
+            link.sent += 1;
+            self.fetches += 1;
+        }
+        Ok(())
+    }
+
+    /// Resolves every read of step `self.step`, in the order the step
+    /// needs them, against what the buffers will hold by then: held
+    /// tags cost nothing, tags another buffer holds become local
+    /// copies, the rest are fetched — and all fetches go out now.
+    ///
+    /// The held tags are advanced here, ahead of the data; until
+    /// [`Self::await_read`] has run for a read its buffer is not yet
+    /// what the tags say. A failure in between is why
+    /// [`Self::train_minibatch`] invalidates everything on error.
+    fn schedule_reads(&mut self, reads: &[(u32, PassKind)]) -> Result<(), CommsError> {
+        let step = self.step as u64;
+        for (read, &(micro, pass)) in reads.iter().enumerate() {
+            let to = buffer_of(pass);
+            for (s, sc) in self.stage_cfgs.iter().enumerate() {
+                let tag = Some(plan(sc, &self.clock, step, micro, pass)?.tag(sc, step));
+                if self.cache.held[to][s] == tag {
+                    continue;
                 }
-                other => return Err(self.links[s].protocol("matching Shard", &other)),
+                match (0..self.cache.held.len()).find(|&b| self.cache.held[b][s] == tag) {
+                    Some(from) => self.copies.push_back(LocalCopy { read, stage: s, from, to }),
+                    None => self.links[s].fetches.push_back(Fetch { read, micro, pass }),
+                }
+                self.cache.held[to][s] = tag;
             }
+        }
+        for s in 0..self.links.len() {
+            self.pump(s)?;
+        }
+        Ok(())
+    }
+
+    /// Brings the buffer of read `read` up to date: drains, per link,
+    /// the replies of every fetch up to and including that read — never
+    /// a later one, whose reply would overwrite values this read or a
+    /// copy still needs — then performs the read's local copies.
+    fn await_read(&mut self, read: usize) -> Result<(), CommsError> {
+        let step = self.step as u64;
+        for s in 0..self.links.len() {
+            let (lo, hi) = self.partition.range(s);
+            while self.links[s].fetches.front().is_some_and(|f| f.read <= read) {
+                let link = &mut self.links[s];
+                let Fetch { micro, pass, .. } = link.fetches.pop_front().expect("front exists");
+                link.sent -= 1;
+                let dst = &mut self.cache.bufs[buffer_of(pass)][lo..hi];
+                link.recv_shard_into((step, micro, pass), dst)?;
+                self.pump(s)?;
+            }
+        }
+        while self.copies.front().is_some_and(|c| c.read <= read) {
+            let LocalCopy { stage, from, to, .. } = self.copies.pop_front().expect("front exists");
+            let (lo, hi) = self.partition.range(stage);
+            self.cache.copy(from, to, lo, hi);
         }
         Ok(())
     }
 
     /// Drains every worker's telemetry and merges it into the combined
-    /// trace (a streaming flush barrier).
+    /// trace (a streaming flush barrier): every `Flush` goes out before
+    /// the first reply is read.
     fn flush_telemetry(&mut self) -> Result<(), CommsError> {
         self.flush_seq += 1;
         let id = self.flush_seq;
-        for s in 0..self.cfg.stages {
-            let link = &mut self.links[s];
+        for link in &mut self.links {
             link.send(&Message::Flush { id })?;
-            let (offset, stage) = (link.offset_us, link.stage);
+        }
+        for link in &mut self.links {
+            link.recv_telemetry(&mut self.merged)?;
             match link.recv()? {
-                Message::Telemetry { jsonl, .. } => {
-                    let events = events_from_jsonl_string(&jsonl).map_err(|e| {
-                        CommsError::Protocol(format!("stage {s}: bad telemetry: {e}"))
-                    })?;
-                    merge_worker_events(&mut self.merged, &events, stage, offset);
-                }
-                other => return Err(self.links[s].protocol("Telemetry", &other)),
-            }
-            match self.links[s].recv()? {
                 Message::FlushAck { id: got, .. } if got == id => {}
-                other => return Err(self.links[s].protocol("FlushAck", &other)),
+                other => return Err(link.protocol("FlushAck", &other)),
             }
+        }
+        Ok(())
+    }
+
+    /// After a failed exchange: replies may still be in flight and a
+    /// buffer half written, so nothing held is trusted again.
+    fn poison(&mut self) {
+        self.failed = true;
+        self.cache.invalidate();
+        self.copies.clear();
+        for link in &mut self.links {
+            link.fetches.clear();
+            link.sent = 0;
+        }
+    }
+
+    fn check_usable(&self) -> Result<(), CommsError> {
+        if self.failed {
+            return Err(CommsError::Protocol(
+                "trainer is unusable: an earlier exchange failed with replies in flight".into(),
+            ));
         }
         Ok(())
     }
 
     /// Runs one optimizer step on a minibatch of `n_micro` microbatches,
     /// mirroring `PipelineTrainer::train_minibatch` bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Any link failure. The links are then out of step with the
+    /// protocol, so the trainer drops every held tag and this and every
+    /// later call (and [`Self::gather_params`]) returns an error;
+    /// [`Self::shutdown`] still tries to stop the workers.
     ///
     /// # Panics
     ///
@@ -501,9 +797,21 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
     ) -> Result<DistStepStats, CommsError> {
         assert_eq!(micro.len(), self.cfg.n_micro, "microbatch count mismatch");
         assert_eq!(micro.len(), micro_weights.len());
+        self.check_usable()?;
+        let out = self.step_once(micro, micro_weights);
+        if out.is_err() {
+            self.poison();
+        }
+        out
+    }
+
+    fn step_once(
+        &mut self,
+        micro: &[M::Batch],
+        micro_weights: &[f32],
+    ) -> Result<DistStepStats, CommsError> {
         let t = self.step;
         let sync_phase = t < self.cfg.warmup_steps;
-        let total = self.partition.total_params();
         let base_lr = self.cfg.schedule.lr(t);
         let span_t0 = self.recorder.now_us();
 
@@ -518,65 +826,81 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             });
         }
 
-        let mut fwd_buf = vec![0.0f32; total];
-        let mut bkwd_buf = vec![0.0f32; total];
-        let mut grad = vec![0.0f32; total];
-        let mut loss_acc = 0.0f32;
         let recompute_pass =
             self.cfg.recompute.is_some() && !sync_phase && self.cfg.method == Method::PipeMare;
+        let mut reads = Vec::with_capacity(3 * micro.len());
+        for n in 0..micro.len() as u32 {
+            reads.push((n, PassKind::Fwd));
+            if recompute_pass {
+                reads.push((n, PassKind::Recomp));
+            }
+            reads.push((n, PassKind::Bkwd));
+        }
+        self.schedule_reads(&reads)?;
 
+        self.grad.fill(0.0);
+        let mut loss_acc = 0.0f32;
+        let mut read = 0;
         for (n, batch) in micro.iter().enumerate() {
-            self.fetch_into(&mut fwd_buf, t as u64, n as u32, PassKind::Fwd)?;
+            self.await_read(read)?;
+            read += 1;
             let (loss, cache) = if recompute_pass {
                 // Loss from the true forward; backward consumes the
                 // recompute-version activations (App. D), exactly like
                 // the in-process trainer's simulation.
-                let (loss, _) = self.model.forward_loss(&fwd_buf, batch);
-                let mut recomp_buf = vec![0.0f32; total];
-                self.fetch_into(&mut recomp_buf, t as u64, n as u32, PassKind::Recomp)?;
-                let (_, cache) = self.model.forward_loss(&recomp_buf, batch);
+                let (loss, _) = self.model.forward_loss(&self.cache.bufs[FWD], batch);
+                self.await_read(read)?;
+                read += 1;
+                let (_, cache) = self.model.forward_loss(&self.cache.bufs[RECOMP], batch);
                 (loss, cache)
             } else {
-                self.model.forward_loss(&fwd_buf, batch)
+                self.model.forward_loss(&self.cache.bufs[FWD], batch)
             };
             loss_acc += micro_weights[n] * loss;
-            self.fetch_into(&mut bkwd_buf, t as u64, n as u32, PassKind::Bkwd)?;
-            let g = self.model.backward(&bkwd_buf, &cache);
-            for (acc, &gi) in grad.iter_mut().zip(g.iter()) {
+            self.await_read(read)?;
+            read += 1;
+            let g = self.model.backward(&self.cache.bufs[BKWD], &cache);
+            for (acc, &gi) in self.grad.iter_mut().zip(g.iter()) {
                 *acc += micro_weights[n] * gi;
             }
         }
 
         if let Some(clip) = self.cfg.grad_clip {
-            clip_grad_norm(&mut grad, clip);
+            clip_grad_norm(&mut self.grad, clip);
         }
-        let grad_finite = grad.iter().all(|g| g.is_finite());
+        let grad_finite = self.grad.iter().all(|g| g.is_finite());
         let t_async = t.saturating_sub(self.cfg.warmup_steps);
 
-        // Phase 1: ship gradient shards; workers stage the update.
+        // Phase 1: ship gradient shards; workers stage the update. Each
+        // frame is encoded straight from the gradient's slice, into one
+        // scratch buffer that lives only for this phase.
+        let mut frame = Vec::new();
         for s in 0..self.cfg.stages {
             let (lo, hi) = self.partition.range(s);
-            let lr = base_lr * self.t1_scale(s, t_async, sync_phase);
-            let data = TensorPayload::from_dense(&grad[lo..hi], self.cfg.sparse_grads);
-            self.links[s].send(&Message::GradShard {
+            let head = GradHead {
                 step: t as u64,
-                lr,
+                lr: base_lr * self.t1_scale(s, t_async, sync_phase),
                 apply: grad_finite,
                 // The step's causal trace id (step is 0-based; trace 0
                 // means "absent"): the worker stamps its Step span with
                 // it, chaining the update across processes.
                 trace: t as u64 + 1,
-                data,
-            })?;
+            };
+            Writer::refill(&mut frame, |w| {
+                head.encode(w);
+                TensorPayload::encode_from_dense(w, &self.grad[lo..hi], self.cfg.sparse_grads);
+            });
+            self.links[s].send_frame(&frame)?;
         }
+        drop(frame);
         let mut finite = grad_finite;
-        for s in 0..self.cfg.stages {
-            match self.links[s].recv()? {
+        for link in &mut self.links {
+            match link.recv()? {
                 Message::StepAck { step, finite: f, .. } if step == t as u64 => {
-                    self.links[s].last_acked = Some(step);
+                    link.last_acked = Some(step);
                     finite &= f;
                 }
-                other => return Err(self.links[s].protocol("StepAck", &other)),
+                other => return Err(link.protocol("StepAck", &other)),
             }
         }
 
@@ -586,15 +910,15 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             self.diverged = true;
         }
         let mut sq_norm = 0.0f64;
-        for s in 0..self.cfg.stages {
-            self.links[s].send(&Message::Commit { step: t as u64, keep })?;
+        for link in &mut self.links {
+            link.send(&Message::Commit { step: t as u64, keep })?;
         }
-        for s in 0..self.cfg.stages {
-            match self.links[s].recv()? {
+        for link in &mut self.links {
+            match link.recv()? {
                 Message::CommitAck { step, sq_norm: sq, .. } if step == t as u64 => {
                     sq_norm += sq;
                 }
-                other => return Err(self.links[s].protocol("CommitAck", &other)),
+                other => return Err(link.protocol("CommitAck", &other)),
             }
         }
         self.step += 1;
@@ -619,32 +943,28 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
 
     /// Gathers the latest committed full parameter vector.
     pub fn gather_params(&mut self) -> Result<Vec<f32>, CommsError> {
+        self.check_usable()?;
         let mut out = vec![0.0f32; self.partition.total_params()];
-        self.fetch_into(&mut out, self.step as u64, 0, PassKind::Latest)?;
-        Ok(out)
+        let (step, ranges) = (self.step as u64, self.partition.ranges());
+        let got = gather_shards(&mut self.links, ranges, step, 0, PassKind::Latest, &mut out);
+        if got.is_err() {
+            self.poison();
+        }
+        got.map(|()| out)
     }
 
     /// Shuts every worker down, collects their final telemetry, and
     /// returns the merged run report.
     pub fn shutdown(mut self) -> Result<DistRunReport, CommsError> {
         let mut worker_steps = Vec::with_capacity(self.cfg.stages);
-        for s in 0..self.cfg.stages {
-            self.links[s].send(&Message::Shutdown)?;
+        for link in &mut self.links {
+            link.send(&Message::Shutdown)?;
         }
-        for s in 0..self.cfg.stages {
-            let (offset, stage) = (self.links[s].offset_us, self.links[s].stage);
-            match self.links[s].recv()? {
-                Message::Telemetry { jsonl, .. } => {
-                    let events = events_from_jsonl_string(&jsonl).map_err(|e| {
-                        CommsError::Protocol(format!("stage {s}: bad telemetry: {e}"))
-                    })?;
-                    merge_worker_events(&mut self.merged, &events, stage, offset);
-                }
-                other => return Err(self.links[s].protocol("Telemetry", &other)),
-            }
-            match self.links[s].recv()? {
+        for link in &mut self.links {
+            link.recv_telemetry(&mut self.merged)?;
+            match link.recv()? {
                 Message::ShutdownAck { last_step, .. } => worker_steps.push(last_step),
-                other => return Err(self.links[s].protocol("ShutdownAck", &other)),
+                other => return Err(link.protocol("ShutdownAck", &other)),
             }
         }
         let mut events = self.merged;

@@ -5,6 +5,14 @@
 //! [`PROTOCOL_VERSION`] travels in the handshake ([`Message::Hello`] /
 //! [`Message::HelloAck`]); a version or shape mismatch is rejected
 //! before any training traffic flows.
+//!
+//! The two frames that carry a weight shard have a borrowing form next
+//! to their [`Message`] variant: [`ShardHead`] / [`GradHead`] write the
+//! fixed-size head and leave the tensor to the caller (encoded straight
+//! from wherever the values live), and [`decode_shard_into`] lands a
+//! shard's tensor in a buffer the caller keeps. [`encode_message`] and
+//! [`decode_message`] go through the same heads, so both forms are one
+//! encoding.
 
 use crate::codec::{Reader, TensorPayload, Writer};
 use crate::error::CodecError;
@@ -260,6 +268,100 @@ impl StageConfig {
     }
 }
 
+/// Everything in a [`Message::Shard`] frame but the tensor.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShardHead {
+    /// Echoed step.
+    pub step: u64,
+    /// Echoed microbatch index.
+    pub micro: u32,
+    /// Echoed pass kind.
+    pub pass: PassKind,
+    /// Worker's stage id.
+    pub stage: u32,
+    /// Causal trace id (`0` = none).
+    pub trace: u64,
+}
+
+impl ShardHead {
+    /// Starts a `Shard` frame in `w`: tag and head. The caller appends
+    /// the tensor ([`TensorPayload::encode`],
+    /// [`crate::codec::encode_dense`], ...) to complete it.
+    pub fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG_SHARD);
+        w.put_u64(self.step);
+        w.put_u32(self.micro);
+        w.put_u8(self.pass.to_wire());
+        w.put_u32(self.stage);
+        w.put_u64(self.trace);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(ShardHead {
+            step: r.get_u64()?,
+            micro: r.get_u32()?,
+            pass: PassKind::from_wire(r.get_u8()?)?,
+            stage: r.get_u32()?,
+            trace: r.get_u64()?,
+        })
+    }
+}
+
+/// Everything in a [`Message::GradShard`] frame but the tensor.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GradHead {
+    /// Step being stepped.
+    pub step: u64,
+    /// Effective LR (base schedule × T1 rescale).
+    pub lr: f32,
+    /// Whether to run the optimizer (false on non-finite grads).
+    pub apply: bool,
+    /// Causal trace id (`0` = none).
+    pub trace: u64,
+}
+
+impl GradHead {
+    /// Starts a `GradShard` frame in `w`: tag and head. The caller
+    /// appends the tensor to complete it.
+    pub fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG_GRAD_SHARD);
+        w.put_u64(self.step);
+        w.put_f32(self.lr);
+        w.put_bool(self.apply);
+        w.put_u64(self.trace);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(GradHead {
+            step: r.get_u64()?,
+            lr: r.get_f32()?,
+            apply: r.get_bool()?,
+            trace: r.get_u64()?,
+        })
+    }
+}
+
+/// Decodes a [`Message::Shard`] frame, writing its tensor straight into
+/// `dst` (see [`TensorPayload::decode_into`]). `Ok(None)` means the
+/// frame is some other message and `dst` is untouched — hand the
+/// payload to [`decode_message`].
+///
+/// # Errors
+///
+/// As [`decode_message`], plus [`CodecError::LengthMismatch`] when the
+/// tensor is not `dst.len()` long. On an error `dst` may be partly
+/// overwritten.
+pub fn decode_shard_into(payload: &[u8], dst: &mut [f32]) -> Result<Option<ShardHead>, CodecError> {
+    if payload.first() != Some(&TAG_SHARD) {
+        return Ok(None);
+    }
+    let mut r = Reader::new(&payload[1..]);
+    let head = ShardHead::decode(&mut r)?;
+    TensorPayload::decode_into(&mut r, dst)?;
+    r.finish()?;
+    Ok(Some(head))
+}
+
 /// Every message that can cross a comms link.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Message {
@@ -512,6 +614,16 @@ impl Message {
 /// Encodes a message into a frame payload (no length prefix).
 pub fn encode_message(msg: &Message) -> Vec<u8> {
     let mut w = Writer::new();
+    // One allocation for the frames that carry a tensor; the rest are
+    // tens of bytes.
+    w.reserve(match msg {
+        Message::InitShard { params } => 8 + 4 * params.len(),
+        Message::Shard { data, .. }
+        | Message::GradShard { data, .. }
+        | Message::Infer { data, .. }
+        | Message::InferResult { data, .. } => 32 + data.wire_bytes(),
+        _ => 0,
+    });
     match msg {
         Message::Hello(cfg) => {
             w.put_u8(TAG_HELLO);
@@ -534,20 +646,13 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             w.put_u8(pass.to_wire());
         }
         Message::Shard { step, micro, pass, stage, trace, data } => {
-            w.put_u8(TAG_SHARD);
-            w.put_u64(*step);
-            w.put_u32(*micro);
-            w.put_u8(pass.to_wire());
-            w.put_u32(*stage);
-            w.put_u64(*trace);
+            let head =
+                ShardHead { step: *step, micro: *micro, pass: *pass, stage: *stage, trace: *trace };
+            head.encode(&mut w);
             data.encode(&mut w);
         }
         Message::GradShard { step, lr, apply, trace, data } => {
-            w.put_u8(TAG_GRAD_SHARD);
-            w.put_u64(*step);
-            w.put_f32(*lr);
-            w.put_bool(*apply);
-            w.put_u64(*trace);
+            GradHead { step: *step, lr: *lr, apply: *apply, trace: *trace }.encode(&mut w);
             data.encode(&mut w);
         }
         Message::StepAck { step, stage, sq_norm, finite } => {
@@ -655,21 +760,14 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
             micro: r.get_u32()?,
             pass: PassKind::from_wire(r.get_u8()?)?,
         },
-        TAG_SHARD => Message::Shard {
-            step: r.get_u64()?,
-            micro: r.get_u32()?,
-            pass: PassKind::from_wire(r.get_u8()?)?,
-            stage: r.get_u32()?,
-            trace: r.get_u64()?,
-            data: TensorPayload::decode(&mut r)?,
-        },
-        TAG_GRAD_SHARD => Message::GradShard {
-            step: r.get_u64()?,
-            lr: r.get_f32()?,
-            apply: r.get_bool()?,
-            trace: r.get_u64()?,
-            data: TensorPayload::decode(&mut r)?,
-        },
+        TAG_SHARD => {
+            let ShardHead { step, micro, pass, stage, trace } = ShardHead::decode(&mut r)?;
+            Message::Shard { step, micro, pass, stage, trace, data: TensorPayload::decode(&mut r)? }
+        }
+        TAG_GRAD_SHARD => {
+            let GradHead { step, lr, apply, trace } = GradHead::decode(&mut r)?;
+            Message::GradShard { step, lr, apply, trace, data: TensorPayload::decode(&mut r)? }
+        }
         TAG_STEP_ACK => Message::StepAck {
             step: r.get_u64()?,
             stage: r.get_u32()?,

@@ -1,4 +1,5 @@
-//! Worker-side weight-shard state machine.
+//! Worker-side weight-shard state machine, and the read plan both ends
+//! of a link share.
 //!
 //! A [`ShardStage`] owns one stage's slice of the parameter vector: its
 //! version history, optimizer slice, and T2 velocity buffer δ. It
@@ -8,6 +9,30 @@
 //! a stage-then-commit protocol so the orchestrator can revert a
 //! diverged step across all shards atomically.
 //!
+//! # One plan, two callers
+//!
+//! Which stored version a pass reads, and whether it is extrapolated
+//! along δ, is decided by [`plan`] — a pure function of the stage's
+//! config, the pipeline clock and `(step, micro, pass)`. The worker
+//! calls it to serve a fetch; the driver calls the same function to
+//! learn, without asking, *what* a fetch would return. That knowledge
+//! is the [`ContentTag`]:
+//!
+//! * `version` — weight versions are immutable once committed, and a
+//!   revert still advances the version, so a number never names two
+//!   vectors;
+//! * the T2 term, when the read is extrapolated: the gap's bits and the
+//!   step whose δ it is taken along (δ changes at every commit, so the
+//!   same version and gap read in a later step is different content);
+//! * `as_latest` — under bf16 storage version `v` read while it is the
+//!   f32 master differs from `v` read after its demotion to bf16, so
+//!   the tag records which side of the demotion the read fell on (it is
+//!   constant under f32 storage, where demotion changes nothing).
+//!
+//! Two reads of one stage with equal tags return equal bytes, so the
+//! driver keeps what it already holds and fetches each distinct tag
+//! once.
+//!
 //! Bit-identity contract: every floating-point operation here mirrors
 //! `pipemare_core::PipelineTrainer::train_minibatch` operation for
 //! operation (same f64→f32 casts, same element order), so a distributed
@@ -15,10 +40,106 @@
 
 use pipemare_optim::Optimizer;
 use pipemare_pipeline::{Method, PipelineClock, WeightHistory};
+use pipemare_tensor::{bf16, StoragePrecision};
 
-use crate::codec::TensorPayload;
+use crate::codec::{encode_dense, encode_dense_bf16, Writer};
 use crate::error::CommsError;
 use crate::protocol::{PassKind, StageConfig, PROTOCOL_VERSION};
+
+/// What one pass reads: a stored weight version, optionally
+/// extrapolated along δ by `gap` steps (T2). A `None` gap means the
+/// stored version is served untouched.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ReadPlan {
+    /// Stored weight version.
+    pub version: usize,
+    /// T2 extrapolation gap in optimizer steps.
+    pub gap: Option<f64>,
+}
+
+/// Identity of the values a fetch returns (see the module docs): equal
+/// tags on one stage mean equal bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ContentTag {
+    version: u64,
+    /// `(gap bits, step whose δ is used)` of an extrapolated read.
+    t2: Option<(u64, u64)>,
+    as_latest: bool,
+}
+
+impl ReadPlan {
+    /// The content tag of this read when served at `step` (the number
+    /// of steps the stage has committed).
+    pub fn tag(&self, cfg: &StageConfig, step: u64) -> ContentTag {
+        ContentTag {
+            version: self.version as u64,
+            t2: self.gap.map(|g| (g.to_bits(), step)),
+            as_latest: cfg.weight_storage == StoragePrecision::Bf16 && self.version as u64 == step,
+        }
+    }
+}
+
+/// Resolves one pass of `(step, micro)` at the stage `cfg` describes to
+/// the version and T2 correction the in-process trainer would use.
+/// `step` is the number of steps the stage has committed; for
+/// [`PassKind::Latest`] nothing else matters.
+///
+/// # Errors
+///
+/// [`CommsError::Protocol`] for a microbatch index out of range or a
+/// recompute read on a stage configured without recomputation.
+pub fn plan(
+    cfg: &StageConfig,
+    clock: &PipelineClock,
+    step: u64,
+    micro: u32,
+    pass: PassKind,
+) -> Result<ReadPlan, CommsError> {
+    if pass != PassKind::Latest && micro >= cfg.n_micro {
+        return Err(CommsError::Protocol(format!(
+            "stage {}: microbatch {micro} out of range ({} per step)",
+            cfg.stage, cfg.n_micro
+        )));
+    }
+    let t = step as usize;
+    let n = micro as usize;
+    let s = cfg.stage as usize;
+    let sync_phase = step < cfg.warmup_steps;
+    let t2_on = cfg.t2_decay.is_some();
+    match pass {
+        PassKind::Latest => Ok(ReadPlan { version: t, gap: None }),
+        PassKind::Fwd => {
+            let version = if sync_phase { t } else { clock.fwd_version(cfg.method, t, n, s) };
+            Ok(ReadPlan { version, gap: None })
+        }
+        PassKind::Bkwd => {
+            let version = if sync_phase { t } else { clock.bkwd_version(cfg.method, t, n, s) };
+            // T2: extrapolate toward the forward version along δ
+            // (τ_bkwd = 0 for PipeMare, so the gap is τ_fwd).
+            let gap = (!sync_phase && cfg.method == Method::PipeMare && t2_on)
+                .then(|| clock.nominal_tau_fwd(s));
+            Ok(ReadPlan { version, gap })
+        }
+        PassKind::Recomp => {
+            let slots = cfg.recomp_slots.ok_or_else(|| {
+                CommsError::Protocol(format!(
+                    "stage {}: recompute fetch but no recompute configured",
+                    cfg.stage
+                ))
+            })? as usize;
+            let n_micro = cfg.n_micro as usize;
+            let m = (t * n_micro + n) as i64 - slots as i64;
+            let version = m.div_euclid(n_micro as i64).clamp(0, t as i64) as usize;
+            let gap = if cfg.recomp_t2 && t2_on {
+                let g = clock.nominal_tau_fwd(s) - slots as f64 / n_micro as f64;
+                (g > 0.0).then_some(g)
+            } else {
+                None
+            };
+            Ok(ReadPlan { version, gap })
+        }
+    }
+}
 
 /// One pipeline stage's shard of the model: weight-version history,
 /// optimizer state, and T2 velocity, all shard-sized.
@@ -77,8 +198,19 @@ impl ShardStage {
             )));
         }
         let clock = PipelineClock::new(cfg.stages as usize, cfg.n_micro as usize);
-        let history =
-            WeightHistory::with_precision(clock.history_depth() + 1, init, cfg.weight_storage);
+        // This stage's own window, not the pipeline's deepest: the
+        // latest version plus as many whole steps back as its longest
+        // read delay reaches (Table 1 — the last stage keeps two
+        // versions where the first keeps `⌈(2P−1)/N⌉ + 1`). `plan`
+        // never asks for anything older; GPipe reads only the latest.
+        let slots = match cfg.method {
+            Method::GPipe => 0,
+            Method::PipeDream | Method::PipeMare => {
+                clock.delay_slots(cfg.stage as usize).max(cfg.recomp_slots.unwrap_or(0) as usize)
+            }
+        };
+        let window = slots.div_ceil(cfg.n_micro as usize) + 1;
+        let history = WeightHistory::with_precision(window, init, cfg.weight_storage);
         let opt = Optimizer::new(cfg.opt, shard_len);
         Ok(ShardStage {
             delta: vec![0.0; shard_len],
@@ -126,108 +258,40 @@ impl ShardStage {
         Ok(())
     }
 
-    /// Resolves one pass to `(weight version, T2 extrapolation gap)`:
-    /// the version selection and correction decision the in-process
-    /// trainer would make. A `None` gap means the stored version is
-    /// served untouched.
-    fn plan(
+    /// Appends the tensor payload answering one pass of `(step, micro)`
+    /// to `w`, straight from the stored version: bf16-stored versions
+    /// ship their stored bits verbatim when uncorrected (half the bytes;
+    /// widening on the far side is exact), everything else goes dense
+    /// f32 with the T2 extrapolation `w − gap·δ` computed in the same
+    /// pass that encodes it.
+    pub fn encode_fetch(
         &self,
         step: u64,
         micro: u32,
         pass: PassKind,
-    ) -> Result<(usize, Option<f64>), CommsError> {
+        w: &mut Writer,
+    ) -> Result<(), CommsError> {
         // Latest is step-free: a serving frontend fetches whatever is
         // committed right now without tracking the worker's step, so
-        // the step/micro echo is not validated for it.
+        // the step echo is not validated for it.
         if pass != PassKind::Latest {
             self.check_step(step, "fetch")?;
-            if micro >= self.cfg.n_micro {
-                return Err(CommsError::Protocol(format!(
-                    "stage {}: microbatch {micro} out of range ({} per step)",
-                    self.cfg.stage, self.cfg.n_micro
-                )));
-            }
         }
-        let t = step as usize;
-        let n = micro as usize;
-        let s = self.cfg.stage as usize;
-        let sync_phase = step < self.cfg.warmup_steps;
-        let t2_on = self.cfg.t2_decay.is_some();
-        match pass {
-            PassKind::Latest => Ok((self.history.latest_version(), None)),
-            PassKind::Fwd => {
-                let version =
-                    if sync_phase { t } else { self.clock.fwd_version(self.cfg.method, t, n, s) };
-                Ok((version, None))
-            }
-            PassKind::Bkwd => {
-                let version =
-                    if sync_phase { t } else { self.clock.bkwd_version(self.cfg.method, t, n, s) };
-                // T2: extrapolate toward the forward version along δ
-                // (τ_bkwd = 0 for PipeMare, so the gap is τ_fwd).
-                let gap = (!sync_phase && self.cfg.method == Method::PipeMare && t2_on)
-                    .then(|| self.clock.nominal_tau_fwd(s));
-                Ok((version, gap))
-            }
-            PassKind::Recomp => {
-                let slots = self.cfg.recomp_slots.ok_or_else(|| {
-                    CommsError::Protocol(format!(
-                        "stage {}: recompute fetch but no recompute configured",
-                        self.cfg.stage
-                    ))
-                })? as usize;
-                let n_micro = self.cfg.n_micro as usize;
-                let m = (t * n_micro + n) as i64 - slots as i64;
-                let version = m.div_euclid(n_micro as i64).clamp(0, t as i64) as usize;
-                let gap = if self.cfg.recomp_t2 && t2_on {
-                    let g = self.clock.nominal_tau_fwd(s) - slots as f64 / n_micro as f64;
-                    (g > 0.0).then_some(g)
-                } else {
-                    None
-                };
-                Ok((version, gap))
-            }
+        let ReadPlan { version, gap } = plan(&self.cfg, &self.clock, self.committed, micro, pass)?;
+        let scale = gap.map(|g| g as f32);
+        match (self.history.stored_bf16(version), scale) {
+            (Some(bits), None) => encode_dense_bf16(w, bits),
+            (Some(bits), Some(g)) => encode_dense(
+                w,
+                bits.iter().zip(&self.delta).map(|(&h, &d)| bf16::decode(h) - g * d),
+            ),
+            (None, None) => encode_dense(w, self.history.get(version).iter().copied()),
+            (None, Some(g)) => encode_dense(
+                w,
+                self.history.get(version).iter().zip(&self.delta).map(|(&b, &d)| b - g * d),
+            ),
         }
-    }
-
-    /// Serves the shard values for one pass of `(step, micro)`,
-    /// applying the version selection and T2 corrections the in-process
-    /// trainer would.
-    pub fn fetch(&self, step: u64, micro: u32, pass: PassKind) -> Result<Vec<f32>, CommsError> {
-        let (version, gap) = self.plan(step, micro, pass)?;
-        let mut out = self.history.get(version).into_owned();
-        if let Some(gap) = gap {
-            for (b, &d) in out.iter_mut().zip(self.delta.iter()) {
-                *b -= gap as f32 * d;
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`ShardStage::fetch`] as a wire payload. Uncorrected fetches of
-    /// bf16-stored versions ship the stored bits verbatim
-    /// ([`TensorPayload::DenseBf16`], half the bytes); widening on the
-    /// orchestrator side is exact, so the reply decodes to the identical
-    /// f32 vector [`ShardStage::fetch`] returns.
-    pub fn fetch_payload(
-        &self,
-        step: u64,
-        micro: u32,
-        pass: PassKind,
-    ) -> Result<TensorPayload, CommsError> {
-        let (version, gap) = self.plan(step, micro, pass)?;
-        if gap.is_none() {
-            if let Some(bits) = self.history.stored_bf16(version) {
-                return Ok(TensorPayload::DenseBf16(bits.to_vec()));
-            }
-        }
-        let mut out = self.history.get(version).into_owned();
-        if let Some(gap) = gap {
-            for (b, &d) in out.iter_mut().zip(self.delta.iter()) {
-                *b -= gap as f32 * d;
-            }
-        }
-        Ok(TensorPayload::Dense(out))
+        Ok(())
     }
 
     /// Runs the optimizer on this shard's slice of the minibatch
@@ -259,6 +323,8 @@ impl ShardStage {
                 self.len()
             )));
         }
+        // The one copy of the shard a step makes: it becomes the next
+        // version at commit, whichever way the vote goes.
         let mut w = self.history.latest().to_vec();
         if apply {
             self.opt.begin_step();
@@ -278,19 +344,21 @@ impl ShardStage {
     /// doesn't either). Returns the committed shard's Σx².
     pub fn commit(&mut self, step: u64, keep: bool) -> Result<f64, CommsError> {
         self.check_step(step, "commit")?;
-        let (staged_step, staged_w) = self.staged.take().ok_or_else(|| {
+        let (staged_step, mut pushed) = self.staged.take().ok_or_else(|| {
             CommsError::Protocol(format!(
                 "stage {}: commit for step {step} with nothing staged",
                 self.cfg.stage
             ))
         })?;
         debug_assert_eq!(staged_step, step);
-        let old = self.history.latest().to_vec();
-        let pushed = if keep { staged_w } else { old.clone() };
+        let old = self.history.latest();
+        if !keep {
+            pushed.copy_from_slice(old);
+        }
         if self.cfg.t2_decay.is_some() {
             let g = self.cfg.gamma as f32;
-            for i in 0..pushed.len() {
-                self.delta[i] = g * self.delta[i] + (1.0 - g) * (pushed[i] - old[i]);
+            for ((d, &new), &old) in self.delta.iter_mut().zip(&pushed).zip(old) {
+                *d = g * *d + (1.0 - g) * (new - old);
             }
         }
         let sq_norm = pushed.iter().map(|&x| x as f64 * x as f64).sum::<f64>();
@@ -303,7 +371,33 @@ impl ShardStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{Reader, TensorPayload};
     use pipemare_optim::OptimizerKind;
+
+    /// What the peer of `stage` decodes from one fetch.
+    fn fetch_payload(
+        stage: &ShardStage,
+        step: u64,
+        micro: u32,
+        pass: PassKind,
+    ) -> Result<TensorPayload, CommsError> {
+        let mut w = Writer::new();
+        stage.encode_fetch(step, micro, pass, &mut w)?;
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let payload = TensorPayload::decode(&mut r).expect("a stage encodes valid payloads");
+        r.finish().expect("and nothing after them");
+        Ok(payload)
+    }
+
+    fn fetch(
+        stage: &ShardStage,
+        step: u64,
+        micro: u32,
+        pass: PassKind,
+    ) -> Result<Vec<f32>, CommsError> {
+        fetch_payload(stage, step, micro, pass).map(TensorPayload::into_dense)
+    }
 
     fn cfg(stage: u32, warmup: u64) -> StageConfig {
         StageConfig {
@@ -362,7 +456,7 @@ mod tests {
     #[test]
     fn stale_step_and_double_stage_are_protocol_errors() {
         let mut st = ShardStage::new(cfg(0, 0), vec![1.0; 4]).unwrap();
-        assert!(matches!(st.fetch(3, 0, PassKind::Fwd), Err(CommsError::Protocol(_))));
+        assert!(matches!(fetch(&st, 3, 0, PassKind::Fwd), Err(CommsError::Protocol(_))));
         st.apply_grad(0, 0.1, true, &[0.0; 4]).unwrap();
         assert!(matches!(st.apply_grad(0, 0.1, true, &[0.0; 4]), Err(CommsError::Protocol(_))));
         assert!(matches!(st.commit(1, true), Err(CommsError::Protocol(_))));
@@ -375,8 +469,8 @@ mod tests {
         let mut st = ShardStage::new(cfg(0, 10), vec![1.0; 4]).unwrap();
         st.apply_grad(0, 0.5, true, &[1.0; 4]).unwrap();
         st.commit(0, true).unwrap();
-        let fwd = st.fetch(1, 0, PassKind::Fwd).unwrap();
-        let bkwd = st.fetch(1, 1, PassKind::Bkwd).unwrap();
+        let fwd = fetch(&st, 1, 0, PassKind::Fwd).unwrap();
+        let bkwd = fetch(&st, 1, 1, PassKind::Bkwd).unwrap();
         assert_eq!(fwd, vec![0.5; 4]);
         assert_eq!(fwd, bkwd);
     }
@@ -389,8 +483,8 @@ mod tests {
         let mut st = ShardStage::new(cfg(0, 0), vec![1.0; 4]).unwrap();
         st.apply_grad(0, 0.5, true, &[1.0; 4]).unwrap();
         st.commit(0, true).unwrap();
-        let fwd = st.fetch(1, 0, PassKind::Fwd).unwrap();
-        let bkwd = st.fetch(1, 0, PassKind::Bkwd).unwrap();
+        let fwd = fetch(&st, 1, 0, PassKind::Fwd).unwrap();
+        let bkwd = fetch(&st, 1, 0, PassKind::Bkwd).unwrap();
         assert_eq!(fwd, vec![1.0; 4], "stage 0 forward must lag");
         assert_eq!(bkwd, vec![0.5; 4], "PipeMare backward reads fresh weights");
     }
@@ -404,15 +498,15 @@ mod tests {
         st.apply_grad(0, 0.5, true, &[1.0; 4]).unwrap();
         st.commit(0, true).unwrap();
         // Latest is still the exact f32 master.
-        match st.fetch_payload(1, 0, PassKind::Latest).unwrap() {
+        match fetch_payload(&st, 1, 0, PassKind::Latest).unwrap() {
             TensorPayload::Dense(v) => assert_eq!(v, st.latest()),
             other => panic!("latest must be dense f32, got {other:?}"),
         }
         // Stage 0's forward at t=1 lags to version 0, which was demoted
         // to bf16 at commit — the payload carries the raw bits, and
         // widening reproduces fetch() exactly.
-        let fetched = st.fetch(1, 0, PassKind::Fwd).unwrap();
-        match st.fetch_payload(1, 0, PassKind::Fwd).unwrap() {
+        let fetched = fetch(&st, 1, 0, PassKind::Fwd).unwrap();
+        match fetch_payload(&st, 1, 0, PassKind::Fwd).unwrap() {
             TensorPayload::DenseBf16(bits) => {
                 assert_eq!(pipemare_tensor::bf16::decode_slice(&bits), fetched);
             }
@@ -433,7 +527,7 @@ mod tests {
         // δ = (1−γ)(0.5 − 1.0).
         let g = 0.5f64.powf(1.0 / tau) as f32;
         let expect_delta = (1.0 - g) * -0.5;
-        let bkwd = st.fetch(1, 0, PassKind::Bkwd).unwrap();
+        let bkwd = fetch(&st, 1, 0, PassKind::Bkwd).unwrap();
         // bkwd = latest − τ_fwd·δ (δ negative → correction pushes ahead).
         let expect = 0.5 - tau as f32 * expect_delta;
         assert!((bkwd[0] - expect).abs() < 1e-6, "{} vs {expect}", bkwd[0]);

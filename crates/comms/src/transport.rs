@@ -8,8 +8,13 @@
 //! networking. Splitting a transport yields independent send/receive
 //! halves, which the hub needs to read worker traffic from a dedicated
 //! thread while writing from another.
+//!
+//! A receive that times out is resumable on both transports: the TCP
+//! half keeps the partly read frame and the next `recv_frame` continues
+//! it, so callers that poll on [`CommsError::Timeout`] (the serving
+//! connection reader, the token-pipeline hub) never lose framing.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -47,8 +52,9 @@ pub trait Transport: Send {
 // TCP
 // ---------------------------------------------------------------------------
 
-/// TCP frame transport. Nagle is disabled (the protocol is strictly
-/// request/reply, so coalescing only adds latency).
+/// TCP frame transport. Nagle is disabled: every frame leaves in one
+/// vectored write (prefix and payload together), so there is nothing
+/// for the kernel to coalesce and waiting would only add latency.
 pub struct TcpTransport {
     stream: TcpStream,
 }
@@ -70,8 +76,18 @@ struct TcpTx {
     stream: TcpStream,
 }
 
+/// Receive half. The frame in progress lives here, not on the stack of
+/// `recv_frame`, so a receive that times out between (or inside) the
+/// prefix and the payload resumes where it stopped instead of reading
+/// payload bytes as the next length prefix.
 struct TcpRx {
     stream: TcpStream,
+    /// Length-prefix bytes of the frame in progress.
+    prefix: [u8; 4],
+    /// How many of them have arrived.
+    prefix_len: usize,
+    /// Payload bytes of the frame in progress.
+    payload: Vec<u8>,
 }
 
 impl FrameTx for TcpTx {
@@ -79,23 +95,53 @@ impl FrameTx for TcpTx {
         if payload.len() > MAX_FRAME {
             return Err(CodecError::FrameTooLarge(payload.len() as u64).into());
         }
-        self.stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.stream.write_all(payload)?;
+        // One write for prefix + payload: a peer never sees the prefix
+        // alone in a segment of its own, and a small frame costs one
+        // syscall.
+        let prefix = (payload.len() as u32).to_le_bytes();
+        let mut sent = 0;
+        while sent < 4 + payload.len() {
+            let n = if sent < 4 {
+                self.stream.write_vectored(&[IoSlice::new(&prefix[sent..]), IoSlice::new(payload)])
+            } else {
+                self.stream.write(&payload[sent - 4..])
+            };
+            match n {
+                Ok(0) => return Err(CommsError::Closed),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
         Ok(())
     }
 }
 
 impl FrameRx for TcpRx {
     fn recv_frame(&mut self) -> Result<Vec<u8>, CommsError> {
-        let mut len_bytes = [0u8; 4];
-        self.stream.read_exact(&mut len_bytes)?;
-        let len = u32::from_le_bytes(len_bytes) as usize;
+        while self.prefix_len < 4 {
+            match self.stream.read(&mut self.prefix[self.prefix_len..]) {
+                Ok(0) => return Err(CommsError::Closed),
+                Ok(n) => self.prefix_len += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        let len = u32::from_le_bytes(self.prefix) as usize;
         if len > MAX_FRAME {
             return Err(CodecError::FrameTooLarge(len as u64).into());
         }
-        let mut payload = vec![0u8; len];
-        self.stream.read_exact(&mut payload)?;
-        Ok(payload)
+        // `read_to_end` appends into spare capacity without zero-filling
+        // it and keeps what it read when it fails, which is exactly the
+        // resumable state a timeout needs.
+        let missing = len - self.payload.len();
+        self.payload.reserve_exact(missing);
+        (&self.stream).take(missing as u64).read_to_end(&mut self.payload)?;
+        if self.payload.len() < len {
+            return Err(CommsError::Closed);
+        }
+        self.prefix_len = 0;
+        Ok(std::mem::take(&mut self.payload))
     }
 
     fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), CommsError> {
@@ -107,7 +153,8 @@ impl FrameRx for TcpRx {
 impl Transport for TcpTransport {
     fn split(self: Box<Self>) -> Result<TransportHalves, CommsError> {
         let rx_stream = self.stream.try_clone()?;
-        Ok((Box::new(TcpTx { stream: self.stream }), Box::new(TcpRx { stream: rx_stream })))
+        let rx = TcpRx { stream: rx_stream, prefix: [0; 4], prefix_len: 0, payload: Vec::new() };
+        Ok((Box::new(TcpTx { stream: self.stream }), Box::new(rx)))
     }
 }
 
@@ -243,8 +290,14 @@ impl Sender {
 
     /// Encodes and sends one message.
     pub fn send(&mut self, msg: &Message) -> Result<(), CommsError> {
-        let payload = encode_message(msg);
-        self.tx.send_frame(&payload)?;
+        self.send_frame(&encode_message(msg))
+    }
+
+    /// Sends one already-encoded frame payload — for callers that
+    /// encode into a buffer they keep (see
+    /// [`crate::protocol::ShardHead::encode`]).
+    pub fn send_frame(&mut self, payload: &[u8]) -> Result<(), CommsError> {
+        self.tx.send_frame(payload)?;
         self.stats.add(payload.len());
         if let Some((bytes, frames)) = &self.gauges {
             bytes.set(self.stats.bytes as f64);
@@ -284,13 +337,20 @@ impl Receiver {
 
     /// Blocks for and decodes the next message.
     pub fn recv(&mut self) -> Result<Message, CommsError> {
+        Ok(decode_message(&self.recv_frame()?)?)
+    }
+
+    /// Blocks for the next frame payload, undecoded — for callers that
+    /// decode a tensor straight into a buffer they keep (see
+    /// [`crate::protocol::decode_shard_into`]).
+    pub fn recv_frame(&mut self) -> Result<Vec<u8>, CommsError> {
         let payload = self.rx.recv_frame()?;
         self.stats.add(payload.len());
         if let Some((bytes, frames)) = &self.gauges {
             bytes.set(self.stats.bytes as f64);
             frames.set(self.stats.msgs as f64);
         }
-        Ok(decode_message(&payload)?)
+        Ok(payload)
     }
 
     /// Sets (or clears) the receive timeout.
@@ -382,6 +442,44 @@ mod tests {
         server.join().unwrap();
         rx.set_timeout(Some(Duration::from_millis(500))).unwrap();
         assert!(matches!(rx.recv(), Err(CommsError::Closed)));
+    }
+
+    #[test]
+    fn tcp_receive_resumes_a_frame_across_timeouts() {
+        // The peer trickles one frame three bytes at a time, pausing
+        // longer than the read timeout between pieces, so timeouts fire
+        // inside the length prefix, between prefix and payload, and
+        // inside the payload. Polling through them must yield exactly
+        // that frame, then the next one.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let first = encode_message(&Message::StatsReply { id: 9, json: "trickle".repeat(3) });
+        let wire = crate::codec::frame(&first).unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_nodelay(true).unwrap();
+            for piece in wire.chunks(3) {
+                stream.write_all(piece).unwrap();
+                std::thread::sleep(Duration::from_millis(12));
+            }
+            let (mut tx, _rx) = channel(Box::new(TcpTransport::new(stream).unwrap())).unwrap();
+            tx.send(&Message::Flush { id: 1 }).unwrap();
+        });
+        let (_tx, mut rx) =
+            channel(Box::new(TcpTransport::connect(&addr.to_string()).unwrap())).unwrap();
+        rx.set_timeout(Some(Duration::from_millis(4))).unwrap();
+        let mut timeouts = 0;
+        let mut next = || loop {
+            match rx.recv() {
+                Ok(msg) => return msg,
+                Err(CommsError::Timeout) => timeouts += 1,
+                Err(e) => panic!("a slow peer is not a broken one: {e}"),
+            }
+        };
+        assert_eq!(next(), decode_message(&first).unwrap());
+        assert_eq!(next(), Message::Flush { id: 1 });
+        assert!(timeouts >= 3, "the trickle must outlast several timeouts, saw {timeouts}");
+        peer.join().unwrap();
     }
 
     #[test]

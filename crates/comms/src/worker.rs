@@ -30,8 +30,9 @@ use pipemare_telemetry::{
     NO_MICROBATCH,
 };
 
+use crate::codec::Writer;
 use crate::error::CommsError;
-use crate::protocol::{Message, PassKind, PROTOCOL_VERSION};
+use crate::protocol::{Message, PassKind, ShardHead, PROTOCOL_VERSION};
 use crate::stage::ShardStage;
 use crate::transport::{Receiver, Sender, WireStats};
 
@@ -218,16 +219,24 @@ fn run_training_loop(
     mut rx: Receiver,
 ) -> Result<StageWorkerReport, CommsError> {
     let stage_id = stage.stage();
+    // One reply frame per link, reused for the whole run: a shard is
+    // encoded straight from the weight history into it.
+    let mut frame = Vec::new();
     loop {
         match rx.recv()? {
             Message::FetchShard { step, micro, pass } => {
                 let t0 = recorder.now_us();
-                // bf16-stored versions ship their stored bits verbatim
-                // (lossless, half the bytes); everything else goes dense.
-                let data = match stage.fetch_payload(step, micro, pass) {
-                    Ok(d) => d,
-                    Err(e) => return Err(fail(&mut tx, e)),
-                };
+                // The microbatch's causal trace id (0-based id, trace 0
+                // means "absent") — stamped on the local span and on the
+                // Shard frame so merged traces keep the chain.
+                let trace = micro as u64 + 1;
+                let built = Writer::refill(&mut frame, |w| {
+                    ShardHead { step, micro, pass, stage: stage_id, trace }.encode(w);
+                    stage.encode_fetch(step, micro, pass, w)
+                });
+                if let Err(e) = built {
+                    return Err(fail(&mut tx, e));
+                }
                 let t1 = recorder.now_us();
                 let kind = match pass {
                     PassKind::Fwd => Some(SpanKind::Forward),
@@ -235,14 +244,10 @@ fn run_training_loop(
                     PassKind::Recomp => Some(SpanKind::Recompute),
                     PassKind::Latest => None,
                 };
-                // The microbatch's causal trace id (0-based id, trace 0
-                // means "absent") — stamped on the local span and on the
-                // Shard frame so merged traces keep the chain.
-                let trace = micro as u64 + 1;
                 if let Some(kind) = kind {
                     recorder.record_span_traced(kind, stage_id, stage_id, micro, trace, t0, t1);
                 }
-                tx.send(&Message::Shard { step, micro, pass, stage: stage_id, trace, data })?;
+                tx.send_frame(&frame)?;
             }
             Message::GradShard { step, lr, apply, trace, data } => {
                 let grad = data.into_dense();

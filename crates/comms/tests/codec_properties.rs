@@ -6,9 +6,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pipemare_comms::codec::{deframe, frame, Reader, SparseMode, TensorPayload, MAX_FRAME};
+use pipemare_comms::codec::{deframe, frame, Reader, SparseMode, TensorPayload, Writer, MAX_FRAME};
 use pipemare_comms::protocol::{
-    decode_message, encode_message, Message, PassKind, RejectReason, StageConfig, PROTOCOL_VERSION,
+    decode_message, decode_shard_into, encode_message, Message, PassKind, RejectReason, ShardHead,
+    StageConfig, PROTOCOL_VERSION,
 };
 use pipemare_comms::CodecError;
 
@@ -40,6 +41,23 @@ fn decode_payload(b: &[u8]) -> Result<TensorPayload, CodecError> {
     let p = TensorPayload::decode(&mut r)?;
     r.finish()?;
     Ok(p)
+}
+
+/// f32 values weighted toward the patterns a lossy copy would disturb:
+/// NaNs with arbitrary payloads, both zeros, subnormals, infinities.
+fn tricky_f32s(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|_| {
+            let any = rng.gen_range(0..=u32::MAX);
+            f32::from_bits(match rng.gen_range(0..6u8) {
+                0 => 0x7F80_0000 | (any & 0x807F_FFFF) | 1, // NaN, any sign and payload
+                1 => any & 0x8000_0000,                     // +0.0 or -0.0
+                2 => any & 0x807F_FFFF,                     // subnormal (or a zero)
+                3 => 0x7F80_0000 | (any & 0x8000_0000),     // ±inf
+                _ => any,
+            })
+        })
+        .collect()
 }
 
 /// Builds one message of each wire variant with rng-driven field values
@@ -189,6 +207,122 @@ proptest! {
         let back = decode_payload(&encode_payload(&p)).unwrap();
         prop_assert_eq!(payload_bits(&p), payload_bits(&back));
         prop_assert_eq!(bits(&back.into_dense()), bits(&v));
+    }
+
+    #[test]
+    fn bulk_slices_roundtrip_bit_exact_in_little_endian(seed in 0u64..u64::MAX, n in 0usize..300) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let fs = tricky_f32s(&mut rng, n);
+        let hs: Vec<u16> = (0..n).map(|_| rng.gen_range(0..=u16::MAX)).collect();
+        let us: Vec<u32> = (0..n).map(|_| rng.gen_range(0..=u32::MAX)).collect();
+        let mut w = Writer::new();
+        w.put_f32s(&fs);
+        w.put_u16s(&hs);
+        w.put_u32s(&us);
+        w.put_f32s_from(fs.iter().copied());
+        let bytes = w.into_bytes();
+        // The layout is the per-element one: a u32 count, then each
+        // element's bits, least significant byte first.
+        prop_assert_eq!(&bytes[..4], &(n as u32).to_le_bytes()[..]);
+        for (i, f) in fs.iter().enumerate() {
+            prop_assert_eq!(&bytes[4 + 4 * i..8 + 4 * i], &f.to_bits().to_le_bytes()[..]);
+        }
+        let mut r = Reader::new(&bytes);
+        prop_assert_eq!(bits(&r.get_f32s().unwrap()), bits(&fs));
+        prop_assert_eq!(r.get_u16s().unwrap(), hs);
+        prop_assert_eq!(r.get_u32s().unwrap(), us);
+        let mut into = vec![1.0f32; n];
+        r.get_f32s_into(&mut into).unwrap();
+        prop_assert_eq!(bits(&into), bits(&fs));
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn every_truncation_of_a_bulk_slice_is_a_typed_error(seed in 0u64..u64::MAX, n in 1usize..40) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let fs = tricky_f32s(&mut rng, n);
+        let hs: Vec<u16> = (0..n).map(|_| rng.gen_range(0..=u16::MAX)).collect();
+        let encoded = |put: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            put(&mut w);
+            w.into_bytes()
+        };
+        let f_bytes = encoded(&|w| w.put_f32s(&fs));
+        let h_bytes = encoded(&|w| w.put_u16s(&hs));
+        let u_bytes = encoded(&|w| w.put_u32s(&[7; 3]));
+        let mut into = vec![0.0f32; n];
+        for cut in 0..f_bytes.len() {
+            prop_assert_eq!(Reader::new(&f_bytes[..cut]).get_f32s(), Err(CodecError::Truncated));
+            prop_assert_eq!(
+                Reader::new(&f_bytes[..cut]).get_f32s_into(&mut into),
+                Err(CodecError::Truncated)
+            );
+        }
+        for cut in 0..h_bytes.len() {
+            prop_assert_eq!(Reader::new(&h_bytes[..cut]).get_u16s(), Err(CodecError::Truncated));
+        }
+        for cut in 0..u_bytes.len() {
+            prop_assert_eq!(Reader::new(&u_bytes[..cut]).get_u32s(), Err(CodecError::Truncated));
+        }
+        // A complete run of the wrong length is refused before a byte
+        // of the destination is written.
+        let mut short = vec![9.0f32; n - 1];
+        prop_assert_eq!(
+            Reader::new(&f_bytes).get_f32s_into(&mut short),
+            Err(CodecError::LengthMismatch { expected: n - 1, got: n })
+        );
+        prop_assert!(short.iter().all(|&x| x == 9.0));
+    }
+
+    #[test]
+    fn borrowed_and_in_place_forms_are_the_owned_encoding(
+        seed in 0u64..u64::MAX,
+        n in 0usize..200,
+        density in 0.0f64..1.0,
+        form in 0u8..3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let v: Vec<f32> = tricky_f32s(&mut rng, n)
+            .into_iter()
+            .map(|x| if rng.gen_bool(density) { x } else { 0.0 })
+            .collect();
+        let payload = match form {
+            0 => TensorPayload::Dense(v.clone()),
+            1 => TensorPayload::from_dense(&v, SparseMode::DropZeros),
+            _ => TensorPayload::DenseBf16(pipemare_tensor::bf16::encode_slice(&v)),
+        };
+        // Encoding from the borrowed slice writes the owned payload's bytes.
+        if form < 2 {
+            let mode = if form == 0 { SparseMode::Dense } else { SparseMode::DropZeros };
+            let mut w = Writer::new();
+            TensorPayload::encode_from_dense(&mut w, &v, mode);
+            prop_assert_eq!(w.into_bytes(), encode_payload(&payload));
+        }
+        // Decoding in place yields what decode + into_dense yields, and a
+        // Shard frame built from its head decodes both ways to the same.
+        let head = ShardHead { step: seed >> 16, micro: 3, pass: PassKind::Bkwd, stage: 2, trace: 4 };
+        let mut w = Writer::new();
+        head.encode(&mut w);
+        payload.encode(&mut w);
+        let frame = w.into_bytes();
+        let ShardHead { step, micro, pass, stage, trace } = head;
+        let msg = Message::Shard { step, micro, pass, stage, trace, data: payload.clone() };
+        prop_assert_eq!(&frame, &encode_message(&msg));
+        let mut dst = vec![5.0f32; n];
+        prop_assert_eq!(decode_shard_into(&frame, &mut dst), Ok(Some(head)));
+        prop_assert_eq!(bits(&dst), bits(&payload.into_dense()));
+        // Any other frame is left to the general decoder, untouched.
+        let other = encode_message(&Message::Flush { id: 1 });
+        prop_assert_eq!(decode_shard_into(&other, &mut dst), Ok(None));
+        // Every truncation of the frame is a typed error here too.
+        for cut in 1..frame.len() {
+            prop_assert!(decode_shard_into(&frame[..cut], &mut dst).is_err(), "cut at {cut}");
+        }
+        let mut wrong = vec![0.0f32; n + 1];
+        prop_assert!(matches!(
+            decode_shard_into(&frame, &mut wrong),
+            Err(CodecError::LengthMismatch { .. })
+        ));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use std::time::Duration;
 
 use pipemare_comms::{
-    handshake_worker, CommsError, Message, PassKind, StageConfig, Transport, WorkerLink,
-    PROTOCOL_VERSION,
+    gather_shards, handshake_worker, CommsError, Message, PassKind, StageConfig, Transport,
+    WorkerLink, PROTOCOL_VERSION,
 };
 use pipemare_nn::ServeSplit;
 use pipemare_optim::OptimizerKind;
@@ -39,7 +39,8 @@ impl WeightSource for StaticWeights {
 
 /// Live weights assembled from per-stage shard workers over comms
 /// links: each refresh sends a step-free `FetchShard { pass: Latest }`
-/// to every worker and splices the replies into the full vector.
+/// to every worker at once and decodes each reply into its slice of the
+/// full vector.
 pub struct ShardWeightSource {
     links: Vec<WorkerLink>,
     splits: Vec<ServeSplit>,
@@ -98,29 +99,9 @@ impl ShardWeightSource {
 
 impl WeightSource for ShardWeightSource {
     fn fetch_latest(&mut self, out: &mut [f32]) -> Result<(), CommsError> {
-        for (s, link) in self.links.iter_mut().enumerate() {
-            let (lo, hi) = (self.splits[s].param_lo, self.splits[s].param_hi);
-            link.send(&Message::FetchShard { step: 0, micro: 0, pass: PassKind::Latest })?;
-            match link.recv()? {
-                Message::Shard { pass: PassKind::Latest, data, .. } => {
-                    if data.dense_len() != hi - lo {
-                        return Err(CommsError::Protocol(format!(
-                            "stage {s}: latest shard has {} values, expected {}",
-                            data.dense_len(),
-                            hi - lo
-                        )));
-                    }
-                    out[lo..hi].copy_from_slice(&data.into_dense());
-                }
-                other => {
-                    return Err(CommsError::Protocol(format!(
-                        "stage {s}: expected latest Shard, got {}",
-                        other.name()
-                    )))
-                }
-            }
-        }
-        Ok(())
+        let ranges: Vec<(usize, usize)> =
+            self.splits.iter().map(|s| (s.param_lo, s.param_hi)).collect();
+        gather_shards(&mut self.links, &ranges, 0, 0, PassKind::Latest, out)
     }
 
     /// Sends `Shutdown` to every worker and drains the telemetry + ack

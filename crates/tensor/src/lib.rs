@@ -25,6 +25,7 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
+mod alloc_count;
 pub mod bf16;
 mod im2col;
 mod init;
@@ -37,6 +38,7 @@ mod shape;
 mod telemetry;
 mod tensor;
 
+pub use alloc_count::CountingAlloc;
 pub use bf16::{StoragePrecision, BF16_REL_EPS};
 pub use im2col::{col2im, im2col, Conv2dGeometry};
 pub use pool::ThreadPool;
