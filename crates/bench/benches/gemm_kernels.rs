@@ -10,6 +10,15 @@
 //! available (and not disabled via `PIPEMARE_SIMD=off`), the full run
 //! asserts the SIMD tier is ≥ 2× the scalar microkernel at 512³.
 //!
+//! A second section times the convolution layer built on those kernels
+//! (`metric.conv.{fwd,bwd}_us.*`, informational) and records what its
+//! data path is made of, which does not depend on the host and gates:
+//! the bytes a forward pass keeps for backward
+//! (`conv.cache_bytes_12x16x16_b10`), the allocator calls of one warm
+//! forward + backward (`conv.allocs_fwd_bwd`) and the `Tensor::permute`
+//! calls in it (`conv.permute_calls`, zero: the GEMMs read and write
+//! NCHW-ordered blocks directly).
+//!
 //! Passing `--test` anywhere on the command line runs a seconds-long
 //! smoke version (tiny shapes, correctness cross-check) for CI. The
 //! smoke run writes the JSON too — timing series for its own tiny
@@ -22,8 +31,13 @@ use std::time::Instant;
 use criterion::Criterion;
 
 use pipemare_bench::report::ExperimentLog;
+use pipemare_nn::{Conv2d, Layer};
+use pipemare_telemetry::MetricsRegistry;
 use pipemare_tensor::kernels::SimdLevel;
-use pipemare_tensor::{kernels, pool, Tensor, ThreadPool};
+use pipemare_tensor::{kernels, pool, CountingAlloc, KernelKind, Tensor, ThreadPool};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// `(label, m, k, n)` shapes: squares for the headline numbers, skinny
 /// shapes for the shapes transformer/conv layers actually produce.
@@ -117,25 +131,71 @@ fn run_variant(variant: &Variant, a: &Tensor, b: &Tensor, m: usize, k: usize, n:
     c
 }
 
-/// Median wall-clock seconds of `reps` timed runs.
-fn time_variant(
-    variant: &Variant,
-    a: &Tensor,
-    b: &Tensor,
-    m: usize,
-    k: usize,
-    n: usize,
-    reps: usize,
-) -> f64 {
+/// Median wall-clock seconds of `reps` timed runs of `f`.
+fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
             let start = Instant::now();
-            std::hint::black_box(run_variant(variant, a, b, m, k, n));
+            f();
             start.elapsed().as_secs_f64()
         })
         .collect();
     samples.sort_by(|x, y| x.partial_cmp(y).expect("finite timings"));
     samples[samples.len() / 2]
+}
+
+/// `(label, in_c, out_c, stride, height = width)` of the ResNet
+/// stand-in's 3×3 convolutions, all on microbatches of 10 images.
+const CONV_SHAPES: &[(&str, usize, usize, usize, usize)] = &[
+    ("12to12_16x16", 12, 12, 1, 16),
+    ("24to24_8x8", 24, 24, 1, 8),
+    ("48to48_4x4", 48, 48, 1, 4),
+    ("12to24_s2_16x16", 12, 24, 2, 16),
+];
+
+/// Times `Conv2d` forward and backward on [`CONV_SHAPES`] and records the
+/// deterministic facts of its data path, on a one-thread pool so that no
+/// pool job is boxed while allocations are being counted.
+fn conv_section(log: &mut ExperimentLog, reps: usize) {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
+    pool::with_pool(&ThreadPool::new(1), || {
+        for (i, &(label, in_c, out_c, stride, hw)) in CONV_SHAPES.iter().enumerate() {
+            let conv = Conv2d::new_no_bias(in_c, out_c, 3, stride, 1);
+            let mut params = vec![0.0f32; conv.param_len()];
+            conv.init_params(&mut params, &mut rng);
+            let x = Tensor::randn(&[10, in_c, hw, hw], &mut rng);
+            // Warm pass: grows the per-thread scratch and pack buffers.
+            let (y, cache) = conv.forward(&params, &x);
+            let dy = Tensor::randn(y.shape(), &mut rng);
+            std::hint::black_box(conv.backward(&params, &cache, &dy));
+            if i == 0 {
+                let registry = MetricsRegistry::new();
+                let kernel_metrics = pipemare_tensor::install_kernel_metrics(&registry);
+                let before = ALLOC.calls();
+                let (_, cache) = conv.forward(&params, &x);
+                std::hint::black_box(conv.backward(&params, &cache, &dy));
+                let allocs = ALLOC.calls() - before;
+                pipemare_tensor::uninstall_kernel_metrics();
+                log.push_scalar("conv.cache_bytes_12x16x16_b10", cache.activation_bytes() as f64);
+                log.push_scalar("conv.allocs_fwd_bwd", allocs as f64);
+                log.push_scalar(
+                    "conv.permute_calls",
+                    kernel_metrics.calls(KernelKind::Permute).get() as f64,
+                );
+            }
+            let fwd = 1e6
+                * median_secs(reps, || {
+                    std::hint::black_box(conv.forward(&params, &x));
+                });
+            let bwd = 1e6
+                * median_secs(reps, || {
+                    std::hint::black_box(conv.backward(&params, &cache, &dy));
+                });
+            println!("    conv {label:<16} fwd {fwd:>8.1} us  bwd {bwd:>8.1} us");
+            log.push_scalar(&format!("metric.conv.fwd_us.{label}"), fwd);
+            log.push_scalar(&format!("metric.conv.bwd_us.{label}"), bwd);
+        }
+    });
 }
 
 fn main() {
@@ -186,7 +246,9 @@ fn main() {
             group.bench_function(variant.name, |bench| {
                 bench.iter(|| std::hint::black_box(run_variant(variant, &a, &b, m, k, n)));
             });
-            let secs = time_variant(variant, &a, &b, m, k, n, reps);
+            let secs = median_secs(reps, || {
+                std::hint::black_box(run_variant(variant, &a, &b, m, k, n));
+            });
             let gflops = 2.0 * (m * k * n) as f64 / secs / 1e9;
             println!(
                 "    {:<10} median {:>9.3} ms  {:>7.2} GFLOP/s",
@@ -241,6 +303,7 @@ fn main() {
             );
         }
     }
+    conv_section(&mut log, if smoke { 9 } else { 51 });
     match log.save() {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nfailed to write experiment log: {e}"),

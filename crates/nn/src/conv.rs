@@ -2,16 +2,31 @@
 
 use rand::rngs::StdRng;
 
-use pipemare_tensor::{col2im, im2col, kernels, Conv2dGeometry, Tensor};
+use pipemare_tensor::{col2im, im2col, kernels, pool, Conv2dGeometry, Tensor};
 
 use crate::cache::Cache;
 use crate::layer::{Layer, WeightUnit};
 
+/// Copies `src` laid out `(a, b, run)` into `dst` laid out `(b, a, run)`:
+/// `a·b` block copies of `run` contiguous floats. This is the whole cost
+/// of going between NCHW `(B, out_c, oh·ow)` and the channel-major GEMM
+/// side `(out_c, B·oh·ow)`.
+fn swap_leading_axes(src: &[f32], dst: &mut [f32], a: usize, b: usize, run: usize) {
+    for i in 0..a {
+        for j in 0..b {
+            dst[(j * a + i) * run..][..run].copy_from_slice(&src[(i * b + j) * run..][..run]);
+        }
+    }
+}
+
 /// A 2-D convolution over `(B, C, H, W)` inputs with square kernels.
 ///
-/// Implemented as `im2col` followed by a matmul against the flattened
-/// kernel, which makes the forward/backward passes reuse the tensor
-/// crate's GEMM.
+/// Implemented as a channel-major `im2col` followed by one GEMM against
+/// the kernel in its stored `(out_c, C·k·k)` layout, so the output
+/// positions lie along the GEMM's wide axis and the result lands in
+/// channel-major order, one block copy away from NCHW. The forward pass
+/// caches the input, not the `k²`-times larger patch matrix; `backward`
+/// unfolds it again into the same per-thread scratch.
 #[derive(Clone, Copy, Debug)]
 pub struct Conv2d {
     /// Input channels.
@@ -91,66 +106,50 @@ impl Layer for Conv2d {
         let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         assert_eq!(c, self.in_channels, "Conv2d: channel mismatch");
         let geom = self.geometry(h, w);
-        let cols = im2col(x, &geom); // (B*oh*ow, patch_len)
-        let geom_rows = b * geom.out_h() * geom.out_w();
-        // y = cols · K^T with K in its stored (out_c, patch_len) layout:
-        // the NT kernel reads the transpose in place, so no kernel-matrix
-        // copy is needed.
-        let mut y = Tensor::zeros(&[geom_rows, self.out_channels]);
-        kernels::gemm_nt(
-            cols.data(),
-            &params[..self.weight_len()],
-            y.data_mut(),
-            geom_rows,
-            self.patch_len(),
-            self.out_channels,
-        );
-        if self.bias {
-            let bt = Tensor::from_vec(params[self.weight_len()..].to_vec(), &[self.out_channels]);
-            y = y.add(&bt);
-        }
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        // (B, oh, ow, out_c) -> (B, out_c, oh, ow)
-        let y = y.reshape(&[b, oh, ow, self.out_channels]).permute(&[0, 3, 1, 2]);
-        let mut cache = Cache::with_tensors(vec![cols]);
-        cache.indices = vec![b, h, w];
-        (y, cache)
+        let (oc, pl, plane) = (self.out_channels, self.patch_len(), geom.patches());
+        let rows = b * plane;
+        let mut y = Tensor::zeros(&[b, oc, geom.out_h(), geom.out_w()]);
+        pool::with_conv_scratch(pl * rows, oc * rows, |cols, yt| {
+            im2col(x, &geom, cols); // (patch_len, B*oh*ow)
+            yt.fill(0.0);
+            // y^T = K · cols with K in its stored (out_c, patch_len) layout.
+            kernels::gemm(&params[..self.weight_len()], cols, yt, oc, pl, rows);
+            if self.bias {
+                for (row, &bias) in yt.chunks_exact_mut(rows).zip(&params[self.weight_len()..]) {
+                    row.iter_mut().for_each(|v| *v += bias);
+                }
+            }
+            // (out_c, B, oh*ow) -> (B, out_c, oh*ow)
+            swap_leading_axes(yt, y.data_mut(), oc, b, plane);
+        });
+        (y, Cache::with_tensors(vec![x.clone()]))
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
-        let cols = cache.tensor(0);
-        let (b, h, w) = (cache.indices[0], cache.indices[1], cache.indices[2]);
+        let x = cache.tensor(0);
+        let (b, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let geom = self.geometry(h, w);
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        // dy: (B, out_c, oh, ow) -> (B*oh*ow, out_c)
-        let dy2 = dy.permute(&[0, 2, 3, 1]).reshape(&[b * oh * ow, self.out_channels]);
-        // dW = dy2^T @ cols — forward activations — written directly into
-        // the gradient buffer in its stored (out_c, patch_len) layout.
+        let (oc, pl, plane) = (self.out_channels, self.patch_len(), geom.patches());
+        let rows = b * plane;
         let mut grads = vec![0.0f32; self.param_len()];
-        kernels::gemm_tn(
-            dy2.data(),
-            cols.data(),
-            &mut grads[..self.weight_len()],
-            self.out_channels,
-            b * oh * ow,
-            self.patch_len(),
-        );
-        if self.bias {
-            let db = dy2.sum_axis(0);
-            grads[self.weight_len()..].copy_from_slice(db.data());
-        }
-        // dcols = dy2 @ K with K read in its stored (out_c, patch_len)
-        // layout — uses the backward-pass weights.
-        let mut dcols = Tensor::zeros(&[b * oh * ow, self.patch_len()]);
-        kernels::gemm(
-            dy2.data(),
-            &params[..self.weight_len()],
-            dcols.data_mut(),
-            b * oh * ow,
-            self.out_channels,
-            self.patch_len(),
-        );
-        let dx = col2im(&dcols, &geom, b);
+        let (dw, db) = grads.split_at_mut(self.weight_len());
+        let dx = pool::with_conv_scratch(pl * rows, oc * rows, |cols, dyt| {
+            // dy: (B, out_c, oh*ow) -> (out_c, B*oh*ow)
+            swap_leading_axes(dy.data(), dyt, b, oc, plane);
+            im2col(x, &geom, cols);
+            // dW = dy^T · cols^T — forward activations — written directly
+            // into the gradient buffer in its stored (out_c, patch_len)
+            // layout.
+            kernels::gemm_nt(dyt, cols, dw, oc, rows, pl);
+            for (g, row) in db.iter_mut().zip(dyt.chunks_exact(rows)) {
+                *g = row.iter().fold(0.0, |acc, &v| acc + v);
+            }
+            // dcols = K^T · dy^T with K read in its stored layout — uses
+            // the backward-pass weights — over the patches it replaces.
+            cols.fill(0.0);
+            kernels::gemm_tn(&params[..self.weight_len()], dyt, cols, pl, oc, rows);
+            col2im(cols, &geom, b)
+        });
         (dx, grads)
     }
 
@@ -169,6 +168,90 @@ mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
     use pipemare_tensor::assert_close;
+    use proptest::prelude::*;
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The data path `Conv2d` had before it went channel-major, kept as
+    /// the oracle: row-major patches `(B·oh·ow, C·k·k)`, `y = cols · Kᵀ`,
+    /// a broadcast bias add and an NHWC → NCHW `permute`; backward
+    /// permutes `dy` back, takes `dW = dyᵀ · cols` and `dcols = dy · K`.
+    /// The row-major patch matrix is the transpose of the channel-major
+    /// one and the fold is the same fold (both pinned by the tensor
+    /// crate's own oracle test), so what this checks is that re-orienting
+    /// the three products moved no bit of `y`, `dx`, `dW` or `db`.
+    fn row_major_oracle(
+        conv: &Conv2d,
+        params: &[f32],
+        x: &Tensor,
+        dy: &Tensor,
+    ) -> (Tensor, Tensor, Vec<f32>) {
+        let (b, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+        let geom = conv.geometry(h, w);
+        let (oh, ow, oc, pl) = (geom.out_h(), geom.out_w(), conv.out_channels, conv.patch_len());
+        let rows = b * oh * ow;
+        let kernel = &params[..conv.weight_len()];
+        let mut cols_t = Tensor::zeros(&[pl, rows]);
+        im2col(x, &geom, cols_t.data_mut());
+        let cols = cols_t.transpose();
+
+        let mut y = Tensor::zeros(&[rows, oc]);
+        kernels::gemm_nt(cols.data(), kernel, y.data_mut(), rows, pl, oc);
+        if conv.bias {
+            y = y.add(&Tensor::from_vec(params[conv.weight_len()..].to_vec(), &[oc]));
+        }
+        let y = y.reshape(&[b, oh, ow, oc]).permute(&[0, 3, 1, 2]);
+
+        let dy2 = dy.permute(&[0, 2, 3, 1]).reshape(&[rows, oc]);
+        let mut grads = vec![0.0f32; conv.param_len()];
+        kernels::gemm_tn(dy2.data(), cols.data(), &mut grads[..conv.weight_len()], oc, rows, pl);
+        if conv.bias {
+            grads[conv.weight_len()..].copy_from_slice(dy2.sum_axis(0).data());
+        }
+        let mut dcols = Tensor::zeros(&[rows, pl]);
+        kernels::gemm(dy2.data(), kernel, dcols.data_mut(), rows, oc, pl);
+        let dx = col2im(dcols.transpose().data_mut(), &geom, b);
+        (y, dx, grads)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Sizes straddle the scalar/blocked GEMM dispatch threshold and
+        /// sit off every register-tile multiple.
+        #[test]
+        fn forward_dx_and_gradients_keep_the_row_major_bits(
+            batch in 1usize..5,
+            in_c in 1usize..8,
+            out_c in 1usize..14,
+            h in 3usize..12,
+            w in 3usize..12,
+            k in (0usize..2).prop_map(|i| [1, 3][i]),
+            stride in 1usize..3,
+            padding in 0usize..2,
+            bias in (0usize..2).prop_map(|i| i == 1),
+            seed in 0u64..1000,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let conv = Conv2d { bias, ..Conv2d::new(in_c, out_c, k, stride, padding) };
+            let params = Tensor::randn(&[conv.param_len()], &mut rng).into_vec();
+            let x = Tensor::randn(&[batch, in_c, h, w], &mut rng);
+            let (y, cache) = conv.forward(&params, &x);
+            let dy = Tensor::randn(y.shape(), &mut rng);
+            let (dx, grads) = conv.backward(&params, &cache, &dy);
+            let (want_y, want_dx, want_grads) = row_major_oracle(&conv, &params, &x, &dy);
+            prop_assert_eq!(y.shape(), want_y.shape());
+            prop_assert_eq!(bits(y.data()), bits(want_y.data()));
+            prop_assert_eq!(dx.shape(), x.shape());
+            prop_assert_eq!(bits(dx.data()), bits(want_dx.data()));
+            prop_assert_eq!(bits(&grads), bits(&want_grads));
+            // The layer keeps its input, not the k²-times larger patches.
+            prop_assert_eq!(cache.activation_bytes(), x.len() * 4);
+        }
+    }
 
     #[test]
     fn identity_1x1_conv() {

@@ -62,6 +62,38 @@ fn normalize_backward_slice(
     }
 }
 
+/// Channels whose sums [`fold_channels`] advances together.
+const FOLD_LANES: usize = 16;
+
+/// Per-channel sequential sums over a `(B, C, H·W)` tensor: calls
+/// `f(channel, flat index, accumulators)` for every element and returns
+/// each channel's `N` accumulators, started at `init`.
+///
+/// A channel's elements are visited in `(b, h·w)` order and each of its
+/// accumulators is one dependency chain, so every sum has the bits of a
+/// plain loop over that channel. [`FOLD_LANES`] channels advance side by
+/// side only so that their chains overlap in the pipeline instead of each
+/// waiting out the adder's latency alone.
+fn fold_channels<const N: usize>(
+    (b, c, run): (usize, usize, usize),
+    init: [f32; N],
+    f: impl Fn(usize, usize, &mut [f32; N]),
+) -> Vec<[f32; N]> {
+    let mut sums = vec![init; c];
+    for (group, accs) in sums.chunks_mut(FOLD_LANES).enumerate() {
+        let first = group * FOLD_LANES;
+        for bi in 0..b {
+            for j in 0..run {
+                for (lane, acc) in accs.iter_mut().enumerate() {
+                    let ci = first + lane;
+                    f(ci, (bi * c + ci) * run + j, acc);
+                }
+            }
+        }
+    }
+    sums
+}
+
 /// Batch normalization over `(B, C, H, W)` inputs, per channel.
 ///
 /// This implementation always uses the statistics of the current batch
@@ -82,19 +114,10 @@ impl BatchNorm2d {
         BatchNorm2d { channels }
     }
 
-    fn slices(&self, shape: &[usize]) -> Vec<Vec<usize>> {
-        let (b, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        assert_eq!(c, self.channels, "BatchNorm2d: channel mismatch");
-        (0..c)
-            .map(|ci| {
-                let mut v = Vec::with_capacity(b * h * w);
-                for bi in 0..b {
-                    let base = (bi * c + ci) * h * w;
-                    v.extend(base..base + h * w);
-                }
-                v
-            })
-            .collect()
+    /// `(B, C, H·W)`: every `(b, c)` pair owns one contiguous run.
+    fn dims(&self, shape: &[usize]) -> (usize, usize, usize) {
+        assert_eq!(shape[1], self.channels, "BatchNorm2d: channel mismatch");
+        (shape[0], shape[1], shape[2] * shape[3])
     }
 }
 
@@ -110,38 +133,65 @@ impl Layer for BatchNorm2d {
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
         assert_eq!(x.ndim(), 4, "BatchNorm2d input must be (B,C,H,W)");
-        let slices = self.slices(x.shape());
-        let (xhat, inv_stds) = normalize_slices(x, &slices);
-        let mut y = xhat.clone();
-        for (ci, elems) in slices.iter().enumerate() {
-            let (g, b) = (params[ci], params[self.channels + ci]);
-            for &i in elems {
-                y.data_mut()[i] = g * xhat.data()[i] + b;
-            }
+        let dims @ (b, c, run) = self.dims(x.shape());
+        let n = (b * run) as f32;
+        let xd = x.data();
+        // −0.0 is the additive identity `Iterator::sum` starts from.
+        let sums = fold_channels(dims, [-0.0], |_, i, acc| acc[0] += xd[i]);
+        let means: Vec<f32> = sums.iter().map(|s| s[0] / n).collect();
+        let sq_devs = fold_channels(dims, [-0.0], |ci, i, acc| {
+            let d = xd[i] - means[ci];
+            acc[0] += d * d;
+        });
+        let inv_stds: Vec<f32> = sq_devs.iter().map(|s| 1.0 / (s[0] / n + EPS).sqrt()).collect();
+        let mut xhat = Vec::with_capacity(x.len());
+        let mut y = Vec::with_capacity(x.len());
+        for (k, x_run) in xd.chunks_exact(run).enumerate() {
+            let ci = k % c;
+            let (mean, inv_std) = (means[ci], inv_stds[ci]);
+            let (gamma, beta) = (params[ci], params[c + ci]);
+            xhat.extend(x_run.iter().map(|&v| (v - mean) * inv_std));
+            y.extend(xhat[k * run..].iter().map(|&h| gamma * h + beta));
         }
+        let (xhat, y) = (Tensor::from_vec(xhat, x.shape()), Tensor::from_vec(y, x.shape()));
         let mut cache = Cache::with_tensors(vec![xhat]);
         cache.scalars = inv_stds;
-        cache.indices = x.shape().to_vec();
         (y, cache)
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
-        let xhat = cache.tensor(0);
-        let slices = self.slices(&cache.indices);
+        let xhat = cache.tensor(0).data();
+        let dims @ (b, c, run) = self.dims(dy.shape());
+        let n = (b * run) as f32;
+        let dyd = dy.data();
+        // Per channel: [dγ, dβ, Σ dx̂, Σ dx̂·x̂] with dx̂ = dy·γ (backward-pass γ).
+        let sums = fold_channels(dims, [0.0; 4], |ci, i, acc| {
+            let (g, dxhat) = (dyd[i], dyd[i] * params[ci]);
+            acc[0] += g * xhat[i];
+            acc[1] += g;
+            acc[2] += dxhat;
+            acc[3] += dxhat * xhat[i];
+        });
         let mut grads = vec![0.0f32; self.param_len()];
-        let mut dx = vec![0.0f32; dy.len()];
-        for (ci, elems) in slices.iter().enumerate() {
-            let gamma = params[ci]; // backward-pass γ
-            let mut dxhat = Vec::with_capacity(elems.len());
-            for &i in elems {
-                let g = dy.data()[i];
-                grads[ci] += g * xhat.data()[i]; // dγ
-                grads[self.channels + ci] += g; // dβ
-                dxhat.push(g * gamma);
-            }
-            normalize_backward_slice(&dxhat, xhat.data(), elems, cache.scalars[ci], &mut dx);
+        for (ci, s) in sums.iter().enumerate() {
+            (grads[ci], grads[c + ci]) = (s[0], s[1]);
         }
-        (Tensor::from_vec(dx, dy.shape()), grads)
+        // dx = inv_std * (dx̂ - mean(dx̂) - x̂ * mean(dx̂·x̂))
+        let mut dx = Vec::with_capacity(dy.len());
+        for (k, (dy_run, xhat_run)) in dyd.chunks_exact(run).zip(xhat.chunks_exact(run)).enumerate()
+        {
+            let ci = k % c;
+            let (gamma, inv_std) = (params[ci], cache.scalars[ci]);
+            let (mean_d, mean_dx) = (sums[ci][2] / n, sums[ci][3] / n);
+            dx.extend(
+                dy_run
+                    .iter()
+                    .zip(xhat_run)
+                    .map(|(&g, &h)| inv_std * (g * gamma - mean_d - h * mean_dx)),
+            );
+        }
+        let dx = Tensor::from_vec(dx, dy.shape());
+        (dx, grads)
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {
@@ -361,6 +411,7 @@ impl Layer for GroupNorm {
 mod tests {
     use super::*;
     use crate::gradcheck::{check_layer_gradients, init_layer};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     #[test]
@@ -385,6 +436,63 @@ mod tests {
                 vals.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / vals.len() as f32;
             assert!(mean.abs() < 1e-4, "channel {ci} mean {mean}");
             assert!((var - 1.0).abs() < 1e-2, "channel {ci} var {var}");
+        }
+    }
+
+    /// `BatchNorm2d` as it was while it still gathered each channel
+    /// through an index list (the helpers `GroupNorm` keeps using).
+    fn batchnorm_by_index_lists(
+        params: &[f32],
+        x: &Tensor,
+        dy: &Tensor,
+    ) -> (Tensor, Tensor, Vec<f32>) {
+        let (b, c, run) = (x.shape()[0], x.shape()[1], x.shape()[2] * x.shape()[3]);
+        let slices: Vec<Vec<usize>> = (0..c)
+            .map(|ci| (0..b).flat_map(|bi| (bi * c + ci) * run..(bi * c + ci + 1) * run).collect())
+            .collect();
+        let (xhat, inv_stds) = normalize_slices(x, &slices);
+        let mut y = xhat.clone();
+        let mut grads = vec![0.0f32; 2 * c];
+        let mut dx = vec![0.0f32; dy.len()];
+        for (ci, elems) in slices.iter().enumerate() {
+            let mut dxhat = Vec::with_capacity(elems.len());
+            for &i in elems {
+                y.data_mut()[i] = params[ci] * xhat.data()[i] + params[c + ci];
+                let g = dy.data()[i];
+                grads[ci] += g * xhat.data()[i];
+                grads[c + ci] += g;
+                dxhat.push(g * params[ci]);
+            }
+            normalize_backward_slice(&dxhat, xhat.data(), elems, inv_stds[ci], &mut dx);
+        }
+        (y, Tensor::from_vec(dx, dy.shape()), grads)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Channel counts on both sides of `FOLD_LANES`, so full and
+        /// ragged lane groups are both exercised.
+        #[test]
+        fn batchnorm_keeps_the_index_list_bits(
+            b in 1usize..5,
+            c in 1usize..40,
+            h in 1usize..6,
+            w in 1usize..6,
+            seed in 0u64..1000,
+        ) {
+            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bn = BatchNorm2d::new(c);
+            let params = Tensor::randn(&[2 * c], &mut rng).into_vec();
+            let x = Tensor::randn(&[b, c, h, w], &mut rng).scale(2.0).add_scalar(0.5);
+            let dy = Tensor::randn(x.shape(), &mut rng);
+            let (y, cache) = bn.forward(&params, &x);
+            let (dx, grads) = bn.backward(&params, &cache, &dy);
+            let (want_y, want_dx, want_grads) = batchnorm_by_index_lists(&params, &x, &dy);
+            prop_assert_eq!(bits(y.data()), bits(want_y.data()));
+            prop_assert_eq!(bits(dx.data()), bits(want_dx.data()));
+            prop_assert_eq!(bits(&grads), bits(&want_grads));
         }
     }
 

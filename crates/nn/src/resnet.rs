@@ -84,16 +84,20 @@ impl Layer for BasicBlock {
         let (h2, c2) = self.bn1.forward(&params[o[1]..o[2]], &h1);
         let (h3, c3) = self.relu.forward(&[], &h2);
         let (h4, c4) = self.conv2.forward(&params[o[2]..o[3]], &h3);
-        let (h5, c5) = self.bn2.forward(&params[o[3]..o[4]], &h4);
-        let (shortcut, sc_caches) = match &self.down {
-            None => (x.clone(), Vec::new()),
+        let (mut pre, c5) = self.bn2.forward(&params[o[3]..o[4]], &h4);
+        // The residual sum lands in the main branch's own buffer.
+        let sc_caches = match &self.down {
+            None => {
+                pre.axpy(1.0, x);
+                Vec::new()
+            }
             Some((dc, db)) => {
                 let (s1, sc1) = dc.forward(&params[o[4]..o[5]], x);
                 let (s2, sc2) = db.forward(&params[o[5]..], &s1);
-                (s2, vec![sc1, sc2])
+                pre.axpy(1.0, &s2);
+                vec![sc1, sc2]
             }
         };
-        let pre = h5.add(&shortcut);
         let (y, c_out) = self.relu.forward(&[], &pre);
         let mut cache = Cache::new();
         cache.children = vec![c1, c2, c3, c4, c5, c_out];

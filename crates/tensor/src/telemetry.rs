@@ -25,6 +25,8 @@ pub enum KernelKind {
     Bmm,
     /// Convolution unfold.
     Im2col,
+    /// `Tensor::permute`: like the unfold, data movement with no flops.
+    Permute,
 }
 
 impl KernelKind {
@@ -35,6 +37,7 @@ impl KernelKind {
             KernelKind::GemmTn => "kernel.gemm_tn.us",
             KernelKind::Bmm => "kernel.bmm.us",
             KernelKind::Im2col => "kernel.im2col.us",
+            KernelKind::Permute => "kernel.permute.us",
         }
     }
 }
@@ -43,12 +46,13 @@ impl KernelKind {
 #[derive(Clone)]
 pub struct KernelMetrics {
     /// Cumulative floating-point operations issued by GEMM-family
-    /// kernels (2·m·k·n per product).
+    /// kernels (2·m·k·n per product). The data-movement kernels
+    /// (`Im2col`, `Permute`) count calls and latency, and zero flops.
     pub flops: Arc<Counter>,
     /// Kernel invocations by family, same order as [`KernelKind`].
-    calls: [Arc<Counter>; 5],
+    calls: [Arc<Counter>; 6],
     /// Latency histograms (µs) by family, same order as [`KernelKind`].
-    latency_us: [Arc<Histogram>; 5],
+    latency_us: [Arc<Histogram>; 6],
 }
 
 impl KernelMetrics {
@@ -82,6 +86,7 @@ pub fn install_kernel_metrics(registry: &MetricsRegistry) -> KernelMetrics {
         KernelKind::GemmTn,
         KernelKind::Bmm,
         KernelKind::Im2col,
+        KernelKind::Permute,
     ];
     let metrics = KernelMetrics {
         flops: registry.counter("kernel.flops"),

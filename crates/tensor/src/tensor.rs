@@ -192,24 +192,44 @@ impl Tensor {
     pub fn permute(&self, perm: &[usize]) -> Tensor {
         let nd = self.ndim();
         assert_eq!(perm.len(), nd, "permutation rank {} != tensor rank {nd}", perm.len());
-        let mut seen = vec![false; nd];
-        for &p in perm {
-            assert!(p < nd && !seen[p], "invalid permutation {perm:?} for rank {nd}");
-            seen[p] = true;
+        for (k, &p) in perm.iter().enumerate() {
+            let fresh = p < nd && !perm[..k].contains(&p);
+            assert!(fresh, "invalid permutation {perm:?} for rank {nd}");
         }
+        let timer = crate::telemetry::kernel_timer(crate::telemetry::KernelKind::Permute, 0);
         let src_dims = self.shape.dims();
-        let dst_dims: Vec<usize> = perm.iter().map(|&p| src_dims[p]).collect();
         let src_strides = self.shape.strides();
+        let dst_dims: Vec<usize> = perm.iter().map(|&p| src_dims[p]).collect();
+        // Source stride of every destination axis.
+        let strides: Vec<usize> = perm.iter().map(|&p| src_strides[p]).collect();
         let mut out = Tensor::zeros(&dst_dims);
-        let mut idx = vec![0usize; nd];
-        for (flat, slot) in out.data.iter_mut().enumerate() {
-            crate::shape::unravel(flat, &dst_dims, &mut idx);
-            let mut src_flat = 0;
-            for (k, &p) in perm.iter().enumerate() {
-                src_flat += idx[k] * src_strides[p];
+        // The destination is written front to back, one innermost run at
+        // a time, while an odometer over the outer axes keeps the source
+        // offset in step — additions only, no division per element.
+        let outer = nd.saturating_sub(1);
+        let (run, step) = if nd == 0 { (1, 1) } else { (dst_dims[outer], strides[outer]) };
+        let mut idx = vec![0usize; outer];
+        let mut src = 0usize;
+        // (`max(1)`: a zero-extent innermost axis leaves nothing to chunk.)
+        for dst_run in out.data.chunks_exact_mut(run.max(1)) {
+            if step == 1 {
+                dst_run.copy_from_slice(&self.data[src..src + run]);
+            } else {
+                for (d, &v) in dst_run.iter_mut().zip(self.data[src..].iter().step_by(step)) {
+                    *d = v;
+                }
             }
-            *slot = self.data[src_flat];
+            for k in (0..outer).rev() {
+                idx[k] += 1;
+                src += strides[k];
+                if idx[k] < dst_dims[k] {
+                    break;
+                }
+                src -= idx[k] * strides[k];
+                idx[k] = 0;
+            }
         }
+        crate::telemetry::kernel_record(timer);
         out
     }
 
@@ -325,6 +345,58 @@ mod tests {
         assert_eq!(p.at(&[3, 1, 2]), t.at(&[1, 2, 3]));
         let back = p.permute(&[1, 2, 0]);
         assert_eq!(back, t);
+    }
+
+    /// The formula `permute` used before the odometer: unravel every
+    /// destination index and dot it with the permuted source strides.
+    fn permute_by_unravel(t: &Tensor, perm: &[usize]) -> Tensor {
+        let dst_dims: Vec<usize> = perm.iter().map(|&p| t.shape()[p]).collect();
+        let src_strides = t.shape.strides();
+        let mut out = Tensor::zeros(&dst_dims);
+        let mut idx = vec![0usize; perm.len()];
+        for (flat, slot) in out.data.iter_mut().enumerate() {
+            crate::shape::unravel(flat, &dst_dims, &mut idx);
+            *slot = t.data[perm.iter().zip(&idx).map(|(&p, &i)| i * src_strides[p]).sum::<usize>()];
+        }
+        out
+    }
+
+    #[test]
+    fn permute_matches_the_unravel_formula_on_ranks_2_to_5() {
+        // Every permutation of every rank, over extents that include
+        // size-1 axes in the leading, middle and innermost positions.
+        fn permutations(n: usize) -> Vec<Vec<usize>> {
+            if n == 0 {
+                return vec![Vec::new()];
+            }
+            let mut out = Vec::new();
+            for rest in permutations(n - 1) {
+                for at in 0..n {
+                    let mut p = rest.clone();
+                    p.insert(at, n - 1);
+                    out.push(p);
+                }
+            }
+            out
+        }
+        for dims in [
+            vec![3, 4],
+            vec![1, 5],
+            vec![2, 3, 4],
+            vec![3, 1, 2],
+            vec![2, 3, 2, 5],
+            vec![1, 4, 3, 1],
+            vec![2, 1, 3, 2, 3],
+            vec![2, 3, 1, 1, 4],
+        ] {
+            let t = Tensor::arange(dims.iter().product()).reshape(&dims);
+            for perm in permutations(dims.len()) {
+                assert_eq!(t.permute(&perm), permute_by_unravel(&t, &perm), "{dims:?} {perm:?}");
+            }
+        }
+        assert_eq!(Tensor::scalar(2.0).permute(&[]), Tensor::scalar(2.0));
+        assert_eq!(Tensor::zeros(&[2, 0, 3]).permute(&[2, 0, 1]).shape(), &[3, 2, 0]);
+        assert_eq!(Tensor::zeros(&[2, 0, 3]).permute(&[1, 0, 2]).shape(), &[0, 2, 3]);
     }
 
     #[test]
