@@ -25,7 +25,7 @@ use rand::SeedableRng;
 
 use pipemare_comms::{
     channel, run_stage_worker_opts, spawn_loopback_workers, CommsError, DistConfig, DistRunReport,
-    DistributedTrainer, SparseMode, TcpTransport, Transport, WorkerOptions,
+    DistributedTrainer, SparseMode, TcpTransport, TrainConfig, Transport, WorkerOptions,
 };
 use pipemare_nn::{ImageBatch, Mlp};
 use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -191,7 +191,7 @@ fn blob_micro(seed: u64, n_micro: usize, per_micro: usize, features: usize) -> V
 }
 
 fn dist_config(a: &TrainArgs) -> DistConfig {
-    let mut cfg = DistConfig::pipemare(
+    let mut train = TrainConfig::pipemare(
         a.stages,
         a.n_micro,
         OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 },
@@ -199,10 +199,8 @@ fn dist_config(a: &TrainArgs) -> DistConfig {
         T1Rescheduler::new(24),
         0.9,
     );
-    cfg.warmup_steps = 2;
-    cfg.sparse_grads = a.sparse;
-    cfg.recv_timeout = Some(Duration::from_secs(30));
-    cfg
+    train.warmup_steps = 2;
+    DistConfig { train, sparse_grads: a.sparse, recv_timeout: Some(Duration::from_secs(30)) }
 }
 
 fn run_job(

@@ -1,8 +1,32 @@
-//! Training configuration.
+//! Training configuration: the one description of a run, and what it
+//! means for each stage. Both trainers take a [`TrainConfig`]; what a
+//! stage needs from it — shard bounds, γ, recompute slots — is derived
+//! here, once, as the [`StageConfig`] that [`crate::stage::ShardStage`]
+//! and [`crate::stage::plan`] work from.
 
+use pipemare_nn::TrainModel;
 use pipemare_optim::{LrSchedule, OptimizerKind, T1Rescheduler};
-use pipemare_pipeline::{HogwildDelays, Method};
+use pipemare_pipeline::{HogwildDelays, Method, PipelineClock, StagePartition};
 use pipemare_tensor::StoragePrecision;
+use pipemare_theory::gamma_from_d;
+
+use crate::protocol::{StageConfig, PROTOCOL_VERSION};
+
+/// Statistics of one optimizer step.
+#[derive(Clone, Copy, Debug)]
+pub struct StepStats {
+    /// Optimizer step index.
+    pub step: usize,
+    /// Mean training loss over the minibatch.
+    pub loss: f32,
+    /// L2 norm of the parameters after the step (Figure 7's diagnostic;
+    /// ∞ once diverged).
+    pub param_norm: f32,
+    /// Base learning rate used (before T1 per-stage scaling).
+    pub base_lr: f32,
+    /// Whether the trainer has diverged.
+    pub diverged: bool,
+}
 
 /// How weight versions are delayed during training.
 #[derive(Clone, Debug)]
@@ -67,7 +91,8 @@ impl RecomputeCfg {
     }
 }
 
-/// Full training configuration for a [`crate::PipelineTrainer`].
+/// Full training configuration, for the in-process and the distributed
+/// trainer alike.
 pub struct TrainConfig {
     /// Delay semantics.
     pub mode: TrainMode,
@@ -171,6 +196,85 @@ impl TrainConfig {
         TrainConfig {
             mode: TrainMode::Pipeline(Method::PipeMare),
             ..TrainConfig::gpipe(stages, n_micro, optimizer, schedule)
+        }
+    }
+
+    /// Splits `model`'s parameters into this run's stages.
+    pub fn partition<M: TrainModel>(&self, model: &M) -> StagePartition {
+        let total = model.param_len();
+        if self.partition_by_elements {
+            return StagePartition::by_elements(total, self.stages);
+        }
+        let units: Vec<(usize, usize)> =
+            model.weight_units().iter().map(|u| (u.offset, u.len)).collect();
+        StagePartition::from_units(&units, total, self.stages)
+    }
+
+    /// Nominal `(τ_fwd, τ_bkwd)` of stage `s` in optimizer steps: the
+    /// pipeline's Table 1 delays, or a Hogwild stage's mean for both.
+    pub fn nominal_taus(&self, clock: &PipelineClock, s: usize) -> (f64, f64) {
+        match &self.mode {
+            TrainMode::Pipeline(m) => {
+                (clock.nominal_tau_fwd_for(*m, s), clock.nominal_tau_bkwd(*m, s))
+            }
+            TrainMode::Hogwild(h) => (h.means[s], h.means[s]),
+        }
+    }
+
+    /// The T1 learning-rate multiplier of stage `s` at optimizer step
+    /// `step`: 1 during T3 warmup and for the synchronous methods,
+    /// otherwise rescheduled by the stage's nominal forward delay.
+    pub fn t1_scale(&self, clock: &PipelineClock, s: usize, step: usize) -> f32 {
+        let (Some(t1), false) = (&self.t1, step < self.warmup_steps) else { return 1.0 };
+        match &self.mode {
+            TrainMode::Pipeline(Method::PipeMare) | TrainMode::Hogwild(_) => {
+                t1.scale(step - self.warmup_steps, self.nominal_taus(clock, s).0)
+            }
+            TrainMode::Pipeline(_) => 1.0,
+        }
+    }
+
+    /// What stage `s` of this run is configured with — locally or over
+    /// the handshake. γ is `D^{1/gap}` with the gap τ_fwd − τ_bkwd =
+    /// τ_fwd under PipeMare; with recompute + T2 the backward also
+    /// consumes activations delayed by τ_recomp, so App. D widens the
+    /// gap to max(τ_fwd, τ_recomp), which at late stages genuinely
+    /// changes γ. A Hogwild stage reads through driver-drawn plans, so
+    /// its method only has to be one that reads the latest version
+    /// during warmup.
+    pub fn stage_config(
+        &self,
+        clock: &PipelineClock,
+        partition: &StagePartition,
+        s: usize,
+    ) -> StageConfig {
+        let method = self.mode.method();
+        let (lo, hi) = partition.range(s);
+        let seg = self.recompute.map(|rc| rc.segment_size(self.stages));
+        let recomp_t2 = self.recompute.is_some_and(|rc| rc.t2);
+        let gap = match (method, seg) {
+            (Some(Method::PipeMare), Some(seg)) if recomp_t2 => {
+                clock.nominal_tau_fwd(s).max(clock.nominal_tau_recomp(seg, s))
+            }
+            (Some(Method::PipeMare), _) => clock.nominal_tau_fwd(s),
+            _ => 0.0,
+        };
+        StageConfig {
+            protocol: PROTOCOL_VERSION,
+            stage: s as u32,
+            stages: self.stages as u32,
+            n_micro: self.n_micro as u32,
+            method: method.unwrap_or(Method::GPipe),
+            param_len: partition.total_params() as u64,
+            shard_lo: lo as u64,
+            shard_hi: hi as u64,
+            opt: self.optimizer,
+            t2_decay: self.t2_decay,
+            gamma: self.t2_decay.map_or(0.0, |d| gamma_from_d(d, gap)),
+            recomp_slots: seg.map(|seg| clock.recomp_delay_slots(seg, s) as u32),
+            recomp_t2,
+            warmup_steps: self.warmup_steps as u64,
+            weight_storage: self.weight_storage,
         }
     }
 }

@@ -1,10 +1,15 @@
 //! Multi-process distributed pipeline for the PipeMare stack, over a
 //! real transport.
 //!
-//! Everything the in-process trainer simulates with a [`pipemare_pipeline::PipelineClock`]
-//! — delayed weight versions, T2-corrected reads, two-phase commits —
-//! this crate runs across real process boundaries:
+//! One stage-update core — [`stage::ShardStage`] owns a stage's weights,
+//! δ and optimizer, [`driver::StepDriver`] runs a training step over
+//! shards wherever they live — and everything needed to put a process
+//! boundary between the two:
 //!
+//! * [`config`]: [`config::TrainConfig`], the one description of a run,
+//!   and what it means per stage (partition, γ, T1 scale).
+//! * [`driver`]: the step driver over [`driver::LocalShards`] (same
+//!   process) or [`orchestrator::RemoteShards`] (worker links).
 //! * [`codec`]: a hand-rolled length-prefixed binary wire format (the
 //!   workspace has no serde): framed [`codec::TensorPayload`]s carrying
 //!   dense or sparse-encoded (threshold / top-k index+value) tensors,
@@ -20,23 +25,24 @@
 //!   ([`transport::loopback_pair`]) implementations, plus wire-byte
 //!   accounting ([`transport::WireStats`]).
 //! * [`stage`]: [`stage::ShardStage`] — one stage's weight shard,
-//!   optimizer state, weight-version history and T2 δ buffer, serving
-//!   exactly the versions the in-process trainer would read — and
-//!   [`stage::plan`], the one version-selection function worker and
-//!   driver share, whose [`stage::ContentTag`] lets the driver fetch
-//!   each distinct weight version once.
-//! * [`worker`]: [`worker::run_stage_worker`] — the message-driven
+//!   optimizer state, weight-version window and T2 δ buffer — and
+//!   [`stage::plan`], the one version-selection function, whose
+//!   [`stage::ContentTag`] lets the driver read each distinct weight
+//!   version once.
+//! * [`worker`]: [`worker::run_stage_worker_opts`] — the message-driven
 //!   stage loop (training and token modes).
-//! * [`orchestrator`]: [`orchestrator::DistributedTrainer`] (bit-identical
-//!   to `PipelineTrainer` under pinned seeds), the token-pipeline hub,
-//!   and loopback worker spawning. The `orchestrator` binary wires it
-//!   all together end to end.
+//! * [`orchestrator`]: [`orchestrator::DistributedTrainer`] (the step
+//!   driver over worker links), the token-pipeline hub, and loopback
+//!   worker spawning. The `orchestrator` binary wires it all together
+//!   end to end.
 //!
 //! Failures are diagnosable by construction: a dead or wedged worker
 //! surfaces as [`error::CommsError::WorkerLost`] carrying the stage id
 //! and the last step that worker acknowledged.
 
 pub mod codec;
+pub mod config;
+pub mod driver;
 pub mod error;
 pub mod orchestrator;
 pub mod protocol;
@@ -45,21 +51,20 @@ pub mod transport;
 pub mod worker;
 
 pub use codec::{SparseMode, TensorPayload, MAX_FRAME};
+pub use config::{RecomputeCfg, StepStats, TrainConfig, TrainMode};
+pub use driver::{LocalShards, RunLayout, ShardAccess, StepDriver, FETCH_WINDOW};
 pub use error::{CodecError, CommsError};
 pub use orchestrator::{
     gather_shards, handshake_worker, run_token_pipeline, spawn_loopback_workers,
-    token_stage_config, DistConfig, DistRecompute, DistRunReport, DistStepStats,
-    DistributedTrainer, TokenPipelineReport, WorkerHandle, WorkerLink, FETCH_WINDOW,
+    token_stage_config, DistConfig, DistRunReport, DistributedTrainer, RemoteShards,
+    TokenPipelineReport, WorkerHandle, WorkerLink,
 };
 pub use protocol::{
     GradHead, Message, PassKind, RejectReason, ShardHead, StageConfig, PROTOCOL_VERSION,
 };
-pub use stage::{plan, ContentTag, ReadPlan, ShardStage};
+pub use stage::{plan, ContentTag, ReadPlan, ShardStage, StageState};
 pub use transport::{
     channel, loopback_pair, FrameRx, FrameTx, LoopbackTransport, Receiver, Sender, TcpTransport,
     Transport, WireStats,
 };
-pub use worker::{
-    run_stage_worker, run_stage_worker_opts, run_stage_worker_stats, StageWorkerReport,
-    WorkerOptions,
-};
+pub use worker::{run_stage_worker_opts, StageWorkerReport, WorkerOptions};

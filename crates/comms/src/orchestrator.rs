@@ -3,49 +3,28 @@
 //! Topology is a star — the orchestrator holds one link per worker.
 //! Two drivers live here:
 //!
-//! * [`DistributedTrainer`] — the distributed counterpart of
-//!   `pipemare_core::PipelineTrainer`. Model compute (forward/backward)
-//!   stays on the driver, exactly like the paper's App. C.4 simulation;
+//! * [`DistributedTrainer`] — the [`StepDriver`] over [`RemoteShards`]:
 //!   workers own their stage's weight shard, serve delayed/T2-corrected
-//!   versions of it, and run the optimizer. A two-phase stage/commit
-//!   step keeps all shards atomic under divergence. With pinned seeds
-//!   the final weights are bit-identical to the in-process trainer.
+//!   versions of it, and run the optimizer; everything else about a step
+//!   is the driver's, shared with the in-process trainer (see `driver`).
 //! * [`run_token_pipeline`] — the distributed counterpart of
 //!   `run_threaded_pipeline_traced`: microbatch tokens hop between
 //!   workers through the hub, reproducing the latency pipeline (and its
 //!   telemetry span multiset) across real transports.
 //!
-//! # Version-aware shard traffic
-//!
-//! PipeMare's point (§2.2, Table 1) is that an asynchronous stage reads
-//! whatever weight version is in memory, so a step touches few distinct
-//! versions. The trainer keys its traffic on that. It keeps one
-//! parameter buffer per pass kind (forward, backward, recompute) for
-//! the whole run and remembers, per buffer and stage, the
-//! [`ContentTag`] of what the buffer holds. Every read of a step is
-//! resolved up front with the same [`plan`] the worker serves fetches
-//! with; a read whose tag its buffer already holds sends nothing, one
-//! whose tag another buffer holds is a local copy, and only a tag held
-//! nowhere becomes a `FetchShard`. In steady state that is one fetch
-//! per stage and step for GPipe and PipeDream and two for PipeMare
-//! (one new forward version, one T2-corrected backward read), however
-//! many microbatches the step has.
-//!
 //! # Scatter/gather, and why it cannot deadlock
 //!
-//! All of a step's `FetchShard`s go out before the first forward, so
-//! workers encode and write their replies while the driver computes;
-//! each reply is drained, straight into its buffer, at the read that
-//! needs it and no earlier (draining ahead would overwrite values an
-//! earlier read still uses). Gradient shards, commits and telemetry
-//! flushes are likewise sent to every stage before the first ack is
-//! read. A link is still FIFO both ways — the worker answers in request
-//! order — it is just no longer one-at-a-time. That is deadlock-free
-//! because of what each side may have in flight:
+//! The driver sends all of a step's `FetchShard`s before the first
+//! forward, so workers encode and write their replies while it computes,
+//! and drains each reply at the read that needs it. Gradient shards,
+//! commits and telemetry flushes are likewise sent to every stage before
+//! the first ack is read. A link is still FIFO both ways — the worker
+//! answers in request order — it is just no longer one-at-a-time. That
+//! is deadlock-free because of what each side may have in flight:
 //!
 //! * While replies are outstanding on a link the driver writes only
 //!   tiny frames to it (`FetchShard` 14 B, `Commit` 10 B, `Flush` 9 B),
-//!   at most [`FETCH_WINDOW`] of them unanswered, under 2 KiB — less
+//!   at most [`crate::driver::FETCH_WINDOW`] of them unanswered, under 2 KiB — less
 //!   than any socket buffer, so the driver's writes never wait on the
 //!   worker reading.
 //! * The driver writes a large frame (`GradShard`) only when the link
@@ -65,83 +44,34 @@
 //! timestamps by the NTP-lite clock offset measured at handshake, and
 //! merges everything into one trace `pmtrace` can summarize.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use pipemare_nn::TrainModel;
-use pipemare_optim::{clip_grad_norm, LrSchedule, OptimizerKind, T1Rescheduler};
-use pipemare_pipeline::{Method, PipelineClock, StagePartition};
+use pipemare_optim::OptimizerKind;
+use pipemare_pipeline::Method;
 use pipemare_telemetry::{
     events_from_jsonl_string, merge_worker_events, sort_events, EventSource, LiveStore,
     MetricsRegistry, Recorder, SpanKind, TraceEvent, TraceRecorder, NO_MICROBATCH,
 };
 use pipemare_tensor::StoragePrecision;
-use pipemare_theory::gamma_from_d;
 
 use crate::codec::{SparseMode, TensorPayload, Writer};
+use crate::config::{StepStats, TrainConfig};
+use crate::driver::{Fetch, RunLayout, ShardAccess, StepDriver};
 use crate::error::CommsError;
 use crate::protocol::{
     decode_message, decode_shard_into, GradHead, Message, PassKind, ShardHead, StageConfig,
     PROTOCOL_VERSION,
 };
-use crate::stage::{plan, ContentTag};
 use crate::transport::{channel, Transport, WireStats};
+use crate::worker::WorkerOptions;
 
-/// Most `FetchShard`s a link may have unanswered at once (see the
-/// module docs: it bounds what the driver writes while replies are
-/// outstanding). A step rarely needs more than two per stage.
-pub const FETCH_WINDOW: usize = 64;
-
-/// Recompute simulation settings for a distributed run (mirrors the
-/// core crate's `RecomputeCfg`, redeclared here to keep the dependency
-/// graph acyclic: core depends on comms, not the reverse).
-#[derive(Clone, Copy, Debug)]
-pub struct DistRecompute {
-    /// Number of gradient-checkpoint segments.
-    pub segments: usize,
-    /// Whether the T2-for-recompute correction is applied.
-    pub t2: bool,
-}
-
-impl DistRecompute {
-    /// The stage-group size implied by the segment count.
-    pub fn segment_size(&self, stages: usize) -> usize {
-        stages.div_ceil(self.segments.max(1)).max(1)
-    }
-}
-
-/// Configuration for a [`DistributedTrainer`] run.
+/// Configuration for a [`DistributedTrainer`] run: the run itself plus
+/// what only a wire has.
 pub struct DistConfig {
-    /// Pipeline scheduling method.
-    pub method: Method,
-    /// Number of pipeline stages (= workers).
-    pub stages: usize,
-    /// Microbatches per minibatch.
-    pub n_micro: usize,
-    /// Optimizer update rule (run shard-locally on each worker).
-    pub optimizer: OptimizerKind,
-    /// Base learning-rate schedule (indexed by optimizer step).
-    pub schedule: Box<dyn LrSchedule>,
-    /// T1 learning-rate rescheduling (None disables).
-    pub t1: Option<T1Rescheduler>,
-    /// T2 discrepancy-correction decay `D` (None disables).
-    pub t2_decay: Option<f64>,
-    /// Synchronous (T3) warmup steps.
-    pub warmup_steps: usize,
-    /// Global gradient-norm clip, applied driver-side before sharding.
-    pub grad_clip: Option<f32>,
-    /// Recompute delay simulation (None disables).
-    pub recompute: Option<DistRecompute>,
-    /// Partition stages by equal element counts instead of weight units.
-    pub partition_by_elements: bool,
-    /// Storage precision of each worker's non-latest weight-history
-    /// versions ([`pipemare_tensor::StoragePrecision::Bf16`] halves both
-    /// the shard footprint and the delayed-fetch wire bytes).
-    pub weight_storage: StoragePrecision,
+    /// The training run — the configuration the in-process trainer takes.
+    pub train: TrainConfig,
     /// How gradients are encoded on the wire. [`SparseMode::Dense`] and
     /// [`SparseMode::DropZeros`] are bit-lossless; threshold/top-k trade
     /// fidelity for wire bytes.
@@ -151,63 +81,26 @@ pub struct DistConfig {
 }
 
 impl DistConfig {
-    /// A synchronous (GPipe) distributed baseline.
-    pub fn gpipe(
-        stages: usize,
-        n_micro: usize,
-        optimizer: OptimizerKind,
-        schedule: Box<dyn LrSchedule>,
-    ) -> Self {
-        DistConfig {
-            method: Method::GPipe,
-            stages,
-            n_micro,
-            optimizer,
-            schedule,
-            t1: None,
-            t2_decay: None,
-            warmup_steps: 0,
-            grad_clip: None,
-            recompute: None,
-            partition_by_elements: false,
-            weight_storage: StoragePrecision::F32,
-            sparse_grads: SparseMode::Dense,
-            recv_timeout: None,
-        }
+    /// `train` over the wire with dense gradients and no receive timeout.
+    pub fn new(train: TrainConfig) -> Self {
+        DistConfig { train, sparse_grads: SparseMode::Dense, recv_timeout: None }
     }
 
-    /// A full PipeMare (T1 + T2) distributed configuration.
-    pub fn pipemare(
-        stages: usize,
-        n_micro: usize,
-        optimizer: OptimizerKind,
-        schedule: Box<dyn LrSchedule>,
-        t1: T1Rescheduler,
-        t2_decay: f64,
-    ) -> Self {
-        DistConfig {
-            method: Method::PipeMare,
-            t1: Some(t1),
-            t2_decay: Some(t2_decay),
-            ..DistConfig::gpipe(stages, n_micro, optimizer, schedule)
-        }
+    /// The pipeline method of the run.
+    ///
+    /// # Errors
+    ///
+    /// [`CommsError::Unsupported`] for Hogwild mode, which has no
+    /// distributed counterpart: its delays are drawn driver-side per
+    /// step, and a worker serves only what [`crate::stage::plan`]
+    /// decides.
+    pub fn method(&self) -> Result<Method, CommsError> {
+        self.train.mode.method().ok_or_else(|| {
+            CommsError::Unsupported(
+                "Hogwild delays are not supported by the distributed trainer".to_string(),
+            )
+        })
     }
-}
-
-/// Per-step statistics from [`DistributedTrainer::train_minibatch`]
-/// (mirrors the core crate's `StepStats`).
-#[derive(Clone, Copy, Debug)]
-pub struct DistStepStats {
-    /// Step index this update corresponds to.
-    pub step: usize,
-    /// Microbatch-weighted training loss.
-    pub loss: f32,
-    /// ‖w‖₂ after the update (∞ once diverged).
-    pub param_norm: f32,
-    /// Base learning rate before T1 rescaling.
-    pub base_lr: f32,
-    /// Whether training has diverged.
-    pub diverged: bool,
 }
 
 /// Everything a finished distributed run hands back.
@@ -235,19 +128,6 @@ pub struct WorkerLink {
     last_acked: Option<u64>,
     /// Worker clock minus driver clock, microseconds.
     offset_us: i64,
-    /// The current step's fetches on this link, in the order their
-    /// replies are needed (= sent = answered).
-    fetches: VecDeque<Fetch>,
-    /// How many of `fetches`, from the front, have been sent.
-    sent: usize,
-}
-
-/// One `FetchShard` of the current step: the read (index into the
-/// step's read order) whose buffer its reply fills.
-struct Fetch {
-    read: usize,
-    micro: u32,
-    pass: PassKind,
 }
 
 /// `(step, micro, pass)` — what a `FetchShard` asks for and its `Shard`
@@ -261,11 +141,6 @@ impl WorkerLink {
             last_acked_step: self.last_acked,
             cause: Box::new(cause),
         }
-    }
-
-    /// The stage id this link talks to.
-    pub fn stage(&self) -> u32 {
-        self.stage
     }
 
     /// Sends one message, wrapping transport failures into
@@ -354,15 +229,7 @@ pub fn handshake_worker(
     let stage = cfg.stage;
     let (sender, mut receiver) = channel(transport)?;
     receiver.set_timeout(recv_timeout)?;
-    let mut link = WorkerLink {
-        sender,
-        receiver,
-        stage,
-        last_acked: None,
-        offset_us: 0,
-        fetches: VecDeque::new(),
-        sent: 0,
-    };
+    let mut link = WorkerLink { sender, receiver, stage, last_acked: None, offset_us: 0 };
     let t_d0 = driver_clock.now_us();
     link.send(&Message::Hello(cfg))?;
     let ack = link.recv()?;
@@ -388,48 +255,6 @@ pub fn handshake_worker(
     }
 }
 
-fn build_stage_config(
-    cfg: &DistConfig,
-    clock: &PipelineClock,
-    partition: &StagePartition,
-    param_len: usize,
-    s: usize,
-) -> StageConfig {
-    let (lo, hi) = partition.range(s);
-    let seg = cfg.recompute.map(|rc| rc.segment_size(cfg.stages));
-    // γ mirrors the in-process trainer: the delay gap is τ_fwd, widened
-    // to max(τ_fwd, τ_recomp) when the T2-for-recompute correction is on
-    // (App. D).
-    let gap = match cfg.method {
-        Method::PipeMare => {
-            let tau_fwd = clock.nominal_tau_fwd(s);
-            match (cfg.recompute, seg) {
-                (Some(rc), Some(seg)) if rc.t2 => tau_fwd.max(clock.nominal_tau_recomp(seg, s)),
-                _ => tau_fwd,
-            }
-        }
-        _ => 0.0,
-    };
-    let gamma = cfg.t2_decay.map_or(0.0, |d| gamma_from_d(d, gap));
-    StageConfig {
-        protocol: PROTOCOL_VERSION,
-        stage: s as u32,
-        stages: cfg.stages as u32,
-        n_micro: cfg.n_micro as u32,
-        method: cfg.method,
-        param_len: param_len as u64,
-        shard_lo: lo as u64,
-        shard_hi: hi as u64,
-        opt: cfg.optimizer,
-        t2_decay: cfg.t2_decay,
-        gamma,
-        recomp_slots: seg.map(|seg| clock.recomp_delay_slots(seg, s) as u32),
-        recomp_t2: cfg.recompute.is_some_and(|rc| rc.t2),
-        warmup_steps: cfg.warmup_steps as u64,
-        weight_storage: cfg.weight_storage,
-    }
-}
-
 /// Fetches one pass from every link at once — all requests out, then
 /// each reply decoded straight into its `ranges[s]` slice of `out`.
 /// Links must be idle (no step in flight).
@@ -450,81 +275,82 @@ pub fn gather_shards(
     Ok(())
 }
 
-const FWD: usize = 0;
-const BKWD: usize = 1;
-const RECOMP: usize = 2;
+/// Shards behind worker links: a request is a `FetchShard`, a fill
+/// decodes its reply, stage and commit are scatter-then-gather
+/// exchanges (see the module docs for the frame order's safety).
+pub struct RemoteShards {
+    links: Vec<WorkerLink>,
+    sparse_grads: SparseMode,
+}
 
-/// Index of the trainer-owned buffer a pass reads into.
-fn buffer_of(pass: PassKind) -> usize {
-    match pass {
-        PassKind::Fwd => FWD,
-        PassKind::Bkwd => BKWD,
-        PassKind::Recomp => RECOMP,
-        PassKind::Latest => unreachable!("Latest reads are gathered, not buffered"),
+impl ShardAccess for RemoteShards {
+    fn request(&mut self, s: usize, f: &Fetch) -> Result<(), CommsError> {
+        self.links[s].send(&Message::FetchShard { step: f.step, micro: f.micro, pass: f.pass })
     }
-}
 
-/// The trainer's parameter buffers: one full-length vector per buffered
-/// pass kind, kept for the whole run, each remembering per stage the
-/// tag of the shard it holds (`None`: nothing trustworthy).
-struct ShardCache {
-    bufs: [Vec<f32>; 3],
-    held: [Vec<Option<ContentTag>>; 3],
-}
+    fn fill(&mut self, s: usize, f: &Fetch, dst: &mut [f32]) -> Result<(), CommsError> {
+        self.links[s].recv_shard_into((f.step, f.micro, f.pass), dst)
+    }
 
-impl ShardCache {
-    fn invalidate(&mut self) {
-        for held in &mut self.held {
-            held.fill(None);
+    fn stage_update(
+        &mut self,
+        step: u64,
+        apply: bool,
+        lr: &dyn Fn(usize) -> f32,
+        grad: &[f32],
+        ranges: &[(usize, usize)],
+    ) -> Result<bool, CommsError> {
+        // Each frame is encoded straight from the gradient's slice, into
+        // one scratch buffer that lives only for this phase.
+        let mut frame = Vec::new();
+        for (s, (link, &(lo, hi))) in self.links.iter_mut().zip(ranges).enumerate() {
+            // The step's causal trace id (step is 0-based; trace 0 means
+            // "absent"): the worker stamps its Step span with it,
+            // chaining the update across processes.
+            let head = GradHead { step, lr: lr(s), apply, trace: step + 1 };
+            Writer::refill(&mut frame, |w| {
+                head.encode(w);
+                TensorPayload::encode_from_dense(w, &grad[lo..hi], self.sparse_grads);
+            });
+            link.send_frame(&frame)?;
         }
+        drop(frame);
+        let mut finite = true;
+        for link in &mut self.links {
+            match link.recv()? {
+                Message::StepAck { step: got, finite: f, .. } if got == step => {
+                    link.last_acked = Some(step);
+                    finite &= f;
+                }
+                other => return Err(link.protocol("StepAck", &other)),
+            }
+        }
+        Ok(finite)
     }
 
-    /// Copies `[lo, hi)` of buffer `from` into buffer `to`.
-    fn copy(&mut self, from: usize, to: usize, lo: usize, hi: usize) {
-        let (src, dst) = if from < to {
-            let (head, tail) = self.bufs.split_at_mut(to);
-            (&head[from], &mut tail[0])
-        } else {
-            let (head, tail) = self.bufs.split_at_mut(from);
-            (&tail[0], &mut head[to])
-        };
-        dst[lo..hi].copy_from_slice(&src[lo..hi]);
+    fn commit(&mut self, step: u64, keep: bool) -> Result<f64, CommsError> {
+        for link in &mut self.links {
+            link.send(&Message::Commit { step, keep })?;
+        }
+        let mut sq_norm = 0.0f64;
+        for link in &mut self.links {
+            match link.recv()? {
+                Message::CommitAck { step: got, sq_norm: sq, .. } if got == step => sq_norm += sq,
+                other => return Err(link.protocol("CommitAck", &other)),
+            }
+        }
+        Ok(sq_norm)
     }
-}
-
-/// A read served from another buffer that already holds its tag.
-struct LocalCopy {
-    read: usize,
-    stage: usize,
-    from: usize,
-    to: usize,
 }
 
 /// The distributed pipeline trainer: one worker per stage over any
 /// transport, driven by this struct on the orchestrator side.
 pub struct DistributedTrainer<'m, M: TrainModel> {
     model: &'m M,
-    cfg: DistConfig,
-    partition: StagePartition,
-    clock: PipelineClock,
-    /// What each worker was configured with at handshake — the driver
-    /// plans reads from the same values the worker serves them from.
-    stage_cfgs: Vec<StageConfig>,
-    links: Vec<WorkerLink>,
-    cache: ShardCache,
-    /// The current step's local copies, in read order.
-    copies: VecDeque<LocalCopy>,
-    grad: Vec<f32>,
-    /// `FetchShard`s sent by training steps so far.
-    fetches: u64,
-    /// Set when a step failed midway; see [`Self::train_minibatch`].
-    failed: bool,
+    driver: StepDriver<RemoteShards>,
     recorder: Arc<TraceRecorder>,
-    registry: Arc<MetricsRegistry>,
     live: Arc<LiveStore>,
     merged: Vec<TraceEvent>,
-    step: usize,
-    diverged: bool,
     flush_seq: u64,
 }
 
@@ -536,78 +362,40 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
     ///
     /// # Panics
     ///
-    /// Panics if `transports.len() != cfg.stages` or a dimension is zero.
+    /// Panics if `transports.len() != cfg.train.stages` or a dimension is
+    /// zero.
     pub fn connect(
         model: &'m M,
         cfg: DistConfig,
         init_seed: u64,
         transports: Vec<Box<dyn Transport>>,
     ) -> Result<Self, CommsError> {
-        assert_eq!(transports.len(), cfg.stages, "one transport per stage");
-        assert!(cfg.stages > 0 && cfg.n_micro > 0);
-        let units: Vec<(usize, usize)> =
-            model.weight_units().iter().map(|u| (u.offset, u.len)).collect();
-        let total = model.param_len();
-        let partition = if cfg.partition_by_elements {
-            StagePartition::by_elements(total, cfg.stages)
-        } else {
-            StagePartition::from_units(&units, total, cfg.stages)
-        };
-        let clock = PipelineClock::new(cfg.stages, cfg.n_micro);
-        let mut rng = StdRng::seed_from_u64(init_seed);
-        let mut params = vec![0.0f32; total];
-        model.init_params(&mut params, &mut rng);
-        let recorder = Arc::new(TraceRecorder::with_tracks(cfg.stages + 1));
+        cfg.method()?;
+        let DistConfig { train, sparse_grads, recv_timeout } = cfg;
+        assert_eq!(transports.len(), train.stages, "one transport per stage");
+        let layout = RunLayout::new(model, &train, init_seed);
+        let recorder = Arc::new(TraceRecorder::with_tracks(train.stages + 1));
         let registry = Arc::new(MetricsRegistry::new());
-        let mut links = Vec::with_capacity(cfg.stages);
-        let mut stage_cfgs = Vec::with_capacity(cfg.stages);
+        let mut links = Vec::with_capacity(train.stages);
         for (s, transport) in transports.into_iter().enumerate() {
-            let sc = build_stage_config(&cfg, &clock, &partition, total, s);
-            let mut link = handshake_worker(transport, sc.clone(), cfg.recv_timeout, &recorder)?;
-            stage_cfgs.push(sc);
+            let sc = layout.stage_cfgs[s].clone();
+            let mut link = handshake_worker(transport, sc, recv_timeout, &recorder)?;
             // Mirror this link's wire counters into live gauges so a
             // stats scrape sees per-stage traffic without touching the
             // links themselves.
             link.sender.bind_gauges(&registry, &format!("wire.stage{s}"));
             link.receiver.bind_gauges(&registry, &format!("wire.stage{s}"));
-            let (lo, hi) = partition.range(s);
-            link.send(&Message::InitShard { params: params[lo..hi].to_vec() })?;
+            let (lo, hi) = layout.partition.range(s);
+            link.send(&Message::InitShard { params: layout.params[lo..hi].to_vec() })?;
             links.push(link);
         }
-        // The initial vector becomes the forward buffer: it is version
-        // 0, read as the f32 master, at every stage.
-        let mut held = [vec![None; cfg.stages], vec![None; cfg.stages], vec![None; cfg.stages]];
-        for (s, sc) in stage_cfgs.iter().enumerate() {
-            held[FWD][s] = Some(plan(sc, &clock, 0, 0, PassKind::Latest)?.tag(sc, 0));
-        }
-        let recomputes = cfg.recompute.is_some() && cfg.method == Method::PipeMare;
-        let recomp_buf = if recomputes { vec![0.0f32; total] } else { Vec::new() };
-        let cache = ShardCache { bufs: [params, vec![0.0f32; total], recomp_buf], held };
         let live = Arc::new(
-            LiveStore::new("orchestrator", cfg.stages)
+            LiveStore::new("orchestrator", train.stages)
                 .with_registry(Arc::clone(&registry))
                 .with_events(Arc::clone(&recorder) as Arc<dyn EventSource + Send + Sync>),
         );
-        Ok(DistributedTrainer {
-            model,
-            cfg,
-            partition,
-            clock,
-            stage_cfgs,
-            links,
-            cache,
-            copies: VecDeque::new(),
-            grad: vec![0.0f32; total],
-            fetches: 0,
-            failed: false,
-            recorder,
-            registry,
-            live,
-            merged: Vec::new(),
-            step: 0,
-            diverged: false,
-            flush_seq: 0,
-        })
+        let driver = StepDriver::new(train, layout, RemoteShards { links, sparse_grads });
+        Ok(DistributedTrainer { model, driver, recorder, live, merged: Vec::new(), flush_seq: 0 })
     }
 
     /// The driver's live stats store (role `orchestrator`): driver-side
@@ -619,122 +407,26 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         Arc::clone(&self.live)
     }
 
-    /// The driver-side metrics registry backing [`Self::live_store`].
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.registry)
-    }
-
     /// Per-stage handshake clock offsets (worker clock µs minus driver
     /// clock µs, one per link). `pmquery` uses these — written as
     /// `OFFSET` files next to each worker's journal — to merge
     /// multi-process journals onto the driver timebase, the same
     /// convention `merge_worker_events` uses for traces.
     pub fn clock_offsets(&self) -> Vec<i64> {
-        self.links.iter().map(|l| l.offset_us).collect()
-    }
-
-    /// Optimizer steps completed.
-    pub fn steps_done(&self) -> usize {
-        self.step
-    }
-
-    /// Whether training has hit non-finite weights or gradients.
-    pub fn diverged(&self) -> bool {
-        self.diverged
-    }
-
-    /// The stage partition in use.
-    pub fn partition(&self) -> &StagePartition {
-        &self.partition
+        self.driver.access().links.iter().map(|l| l.offset_us).collect()
     }
 
     /// What each stage's worker was configured with at handshake, by
-    /// stage — with [`plan`], everything needed to say what any read of
-    /// the run returns.
+    /// stage — with [`crate::stage::plan`], everything needed to say
+    /// what any read of the run returns.
     pub fn stage_configs(&self) -> &[StageConfig] {
-        &self.stage_cfgs
+        &self.driver.layout().stage_cfgs
     }
 
     /// `FetchShard` requests training steps have sent so far, over all
     /// stages — one per distinct content tag the driver did not hold.
     pub fn shard_fetches(&self) -> u64 {
-        self.fetches
-    }
-
-    fn t1_scale(&self, s: usize, t_async: usize, sync_phase: bool) -> f32 {
-        match (&self.cfg.t1, sync_phase, self.cfg.method) {
-            (Some(t1), false, Method::PipeMare) => t1.scale(t_async, self.clock.nominal_tau_fwd(s)),
-            _ => 1.0,
-        }
-    }
-
-    /// Sends queued fetches on link `s` up to the window.
-    fn pump(&mut self, s: usize) -> Result<(), CommsError> {
-        let step = self.step as u64;
-        let link = &mut self.links[s];
-        while link.sent < link.fetches.len().min(FETCH_WINDOW) {
-            let Fetch { micro, pass, .. } = link.fetches[link.sent];
-            link.send(&Message::FetchShard { step, micro, pass })?;
-            link.sent += 1;
-            self.fetches += 1;
-        }
-        Ok(())
-    }
-
-    /// Resolves every read of step `self.step`, in the order the step
-    /// needs them, against what the buffers will hold by then: held
-    /// tags cost nothing, tags another buffer holds become local
-    /// copies, the rest are fetched — and all fetches go out now.
-    ///
-    /// The held tags are advanced here, ahead of the data; until
-    /// [`Self::await_read`] has run for a read its buffer is not yet
-    /// what the tags say. A failure in between is why
-    /// [`Self::train_minibatch`] invalidates everything on error.
-    fn schedule_reads(&mut self, reads: &[(u32, PassKind)]) -> Result<(), CommsError> {
-        let step = self.step as u64;
-        for (read, &(micro, pass)) in reads.iter().enumerate() {
-            let to = buffer_of(pass);
-            for (s, sc) in self.stage_cfgs.iter().enumerate() {
-                let tag = Some(plan(sc, &self.clock, step, micro, pass)?.tag(sc, step));
-                if self.cache.held[to][s] == tag {
-                    continue;
-                }
-                match (0..self.cache.held.len()).find(|&b| self.cache.held[b][s] == tag) {
-                    Some(from) => self.copies.push_back(LocalCopy { read, stage: s, from, to }),
-                    None => self.links[s].fetches.push_back(Fetch { read, micro, pass }),
-                }
-                self.cache.held[to][s] = tag;
-            }
-        }
-        for s in 0..self.links.len() {
-            self.pump(s)?;
-        }
-        Ok(())
-    }
-
-    /// Brings the buffer of read `read` up to date: drains, per link,
-    /// the replies of every fetch up to and including that read — never
-    /// a later one, whose reply would overwrite values this read or a
-    /// copy still needs — then performs the read's local copies.
-    fn await_read(&mut self, read: usize) -> Result<(), CommsError> {
-        let step = self.step as u64;
-        for s in 0..self.links.len() {
-            let (lo, hi) = self.partition.range(s);
-            while self.links[s].fetches.front().is_some_and(|f| f.read <= read) {
-                let link = &mut self.links[s];
-                let Fetch { micro, pass, .. } = link.fetches.pop_front().expect("front exists");
-                link.sent -= 1;
-                let dst = &mut self.cache.bufs[buffer_of(pass)][lo..hi];
-                link.recv_shard_into((step, micro, pass), dst)?;
-                self.pump(s)?;
-            }
-        }
-        while self.copies.front().is_some_and(|c| c.read <= read) {
-            let LocalCopy { stage, from, to, .. } = self.copies.pop_front().expect("front exists");
-            let (lo, hi) = self.partition.range(stage);
-            self.cache.copy(from, to, lo, hi);
-        }
-        Ok(())
+        self.driver.shard_requests()
     }
 
     /// Drains every worker's telemetry and merges it into the combined
@@ -743,10 +435,11 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
     fn flush_telemetry(&mut self) -> Result<(), CommsError> {
         self.flush_seq += 1;
         let id = self.flush_seq;
-        for link in &mut self.links {
+        let links = &mut self.driver.access_mut().links;
+        for link in links.iter_mut() {
             link.send(&Message::Flush { id })?;
         }
-        for link in &mut self.links {
+        for link in links.iter_mut() {
             link.recv_telemetry(&mut self.merged)?;
             match link.recv()? {
                 Message::FlushAck { id: got, .. } if got == id => {}
@@ -756,29 +449,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         Ok(())
     }
 
-    /// After a failed exchange: replies may still be in flight and a
-    /// buffer half written, so nothing held is trusted again.
-    fn poison(&mut self) {
-        self.failed = true;
-        self.cache.invalidate();
-        self.copies.clear();
-        for link in &mut self.links {
-            link.fetches.clear();
-            link.sent = 0;
-        }
-    }
-
-    fn check_usable(&self) -> Result<(), CommsError> {
-        if self.failed {
-            return Err(CommsError::Protocol(
-                "trainer is unusable: an earlier exchange failed with replies in flight".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Runs one optimizer step on a minibatch of `n_micro` microbatches,
-    /// mirroring `PipelineTrainer::train_minibatch` bit for bit.
+    /// Runs one optimizer step on a minibatch of `n_micro` microbatches.
     ///
     /// # Errors
     ///
@@ -794,161 +465,33 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         &mut self,
         micro: &[M::Batch],
         micro_weights: &[f32],
-    ) -> Result<DistStepStats, CommsError> {
-        assert_eq!(micro.len(), self.cfg.n_micro, "microbatch count mismatch");
-        assert_eq!(micro.len(), micro_weights.len());
-        self.check_usable()?;
-        let out = self.step_once(micro, micro_weights);
-        if out.is_err() {
-            self.poison();
-        }
-        out
-    }
-
-    fn step_once(
-        &mut self,
-        micro: &[M::Batch],
-        micro_weights: &[f32],
-    ) -> Result<DistStepStats, CommsError> {
-        let t = self.step;
-        let sync_phase = t < self.cfg.warmup_steps;
-        let base_lr = self.cfg.schedule.lr(t);
+    ) -> Result<StepStats, CommsError> {
+        let was_diverged = self.driver.diverged();
         let span_t0 = self.recorder.now_us();
-
-        if self.diverged {
-            self.step += 1;
-            return Ok(DistStepStats {
-                step: t,
-                loss: f32::NAN,
-                param_norm: f32::INFINITY,
-                base_lr,
-                diverged: true,
-            });
+        let stats = self.driver.step(self.model, micro, micro_weights, |_| {})?;
+        if was_diverged {
+            return Ok(stats);
         }
-
-        let recompute_pass =
-            self.cfg.recompute.is_some() && !sync_phase && self.cfg.method == Method::PipeMare;
-        let mut reads = Vec::with_capacity(3 * micro.len());
-        for n in 0..micro.len() as u32 {
-            reads.push((n, PassKind::Fwd));
-            if recompute_pass {
-                reads.push((n, PassKind::Recomp));
-            }
-            reads.push((n, PassKind::Bkwd));
+        let (stages, t) = (self.driver.config().stages as u32, stats.step);
+        let (trace, now) = (t as u64 + 1, self.recorder.now_us());
+        self.recorder.record_span_traced(SpanKind::Step, stages, 0, t as u32, trace, span_t0, now);
+        let flushed = self.flush_telemetry();
+        if flushed.is_err() {
+            self.driver.poison();
         }
-        self.schedule_reads(&reads)?;
-
-        self.grad.fill(0.0);
-        let mut loss_acc = 0.0f32;
-        let mut read = 0;
-        for (n, batch) in micro.iter().enumerate() {
-            self.await_read(read)?;
-            read += 1;
-            let (loss, cache) = if recompute_pass {
-                // Loss from the true forward; backward consumes the
-                // recompute-version activations (App. D), exactly like
-                // the in-process trainer's simulation.
-                let (loss, _) = self.model.forward_loss(&self.cache.bufs[FWD], batch);
-                self.await_read(read)?;
-                read += 1;
-                let (_, cache) = self.model.forward_loss(&self.cache.bufs[RECOMP], batch);
-                (loss, cache)
-            } else {
-                self.model.forward_loss(&self.cache.bufs[FWD], batch)
-            };
-            loss_acc += micro_weights[n] * loss;
-            self.await_read(read)?;
-            read += 1;
-            let g = self.model.backward(&self.cache.bufs[BKWD], &cache);
-            for (acc, &gi) in self.grad.iter_mut().zip(g.iter()) {
-                *acc += micro_weights[n] * gi;
-            }
-        }
-
-        if let Some(clip) = self.cfg.grad_clip {
-            clip_grad_norm(&mut self.grad, clip);
-        }
-        let grad_finite = self.grad.iter().all(|g| g.is_finite());
-        let t_async = t.saturating_sub(self.cfg.warmup_steps);
-
-        // Phase 1: ship gradient shards; workers stage the update. Each
-        // frame is encoded straight from the gradient's slice, into one
-        // scratch buffer that lives only for this phase.
-        let mut frame = Vec::new();
-        for s in 0..self.cfg.stages {
-            let (lo, hi) = self.partition.range(s);
-            let head = GradHead {
-                step: t as u64,
-                lr: base_lr * self.t1_scale(s, t_async, sync_phase),
-                apply: grad_finite,
-                // The step's causal trace id (step is 0-based; trace 0
-                // means "absent"): the worker stamps its Step span with
-                // it, chaining the update across processes.
-                trace: t as u64 + 1,
-            };
-            Writer::refill(&mut frame, |w| {
-                head.encode(w);
-                TensorPayload::encode_from_dense(w, &self.grad[lo..hi], self.cfg.sparse_grads);
-            });
-            self.links[s].send_frame(&frame)?;
-        }
-        drop(frame);
-        let mut finite = grad_finite;
-        for link in &mut self.links {
-            match link.recv()? {
-                Message::StepAck { step, finite: f, .. } if step == t as u64 => {
-                    link.last_acked = Some(step);
-                    finite &= f;
-                }
-                other => return Err(link.protocol("StepAck", &other)),
-            }
-        }
-
-        // Phase 2: commit or revert everywhere.
-        let keep = finite;
-        if !keep {
-            self.diverged = true;
-        }
-        let mut sq_norm = 0.0f64;
-        for link in &mut self.links {
-            link.send(&Message::Commit { step: t as u64, keep })?;
-        }
-        for link in &mut self.links {
-            match link.recv()? {
-                Message::CommitAck { step, sq_norm: sq, .. } if step == t as u64 => {
-                    sq_norm += sq;
-                }
-                other => return Err(link.protocol("CommitAck", &other)),
-            }
-        }
-        self.step += 1;
-        self.recorder.record_span_traced(
-            SpanKind::Step,
-            self.cfg.stages as u32,
-            0,
-            t as u32,
-            t as u64 + 1,
-            span_t0,
-            self.recorder.now_us(),
-        );
-        self.flush_telemetry()?;
-        Ok(DistStepStats {
-            step: t,
-            loss: loss_acc,
-            param_norm: sq_norm.sqrt() as f32,
-            base_lr,
-            diverged: self.diverged,
-        })
+        flushed.map(|()| stats)
     }
 
     /// Gathers the latest committed full parameter vector.
     pub fn gather_params(&mut self) -> Result<Vec<f32>, CommsError> {
-        self.check_usable()?;
-        let mut out = vec![0.0f32; self.partition.total_params()];
-        let (step, ranges) = (self.step as u64, self.partition.ranges());
-        let got = gather_shards(&mut self.links, ranges, step, 0, PassKind::Latest, &mut out);
+        self.driver.check_usable()?;
+        let step = self.driver.steps_done() as u64;
+        let ranges = self.driver.layout().partition.ranges().to_vec();
+        let mut out = vec![0.0f32; self.driver.layout().partition.total_params()];
+        let links = &mut self.driver.access_mut().links;
+        let got = gather_shards(links, &ranges, step, 0, PassKind::Latest, &mut out);
         if got.is_err() {
-            self.poison();
+            self.driver.poison();
         }
         got.map(|()| out)
     }
@@ -956,11 +499,12 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
     /// Shuts every worker down, collects their final telemetry, and
     /// returns the merged run report.
     pub fn shutdown(mut self) -> Result<DistRunReport, CommsError> {
-        let mut worker_steps = Vec::with_capacity(self.cfg.stages);
-        for link in &mut self.links {
+        let links = &mut self.driver.access_mut().links;
+        let mut worker_steps = Vec::with_capacity(links.len());
+        for link in links.iter_mut() {
             link.send(&Message::Shutdown)?;
         }
-        for link in &mut self.links {
+        for link in links.iter_mut() {
             link.recv_telemetry(&mut self.merged)?;
             match link.recv()? {
                 Message::ShutdownAck { last_step, .. } => worker_steps.push(last_step),
@@ -972,7 +516,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         sort_events(&mut events);
         let mut sent = WireStats::default();
         let mut recv = WireStats::default();
-        for link in &self.links {
+        for link in links.iter() {
             let s = link.sender.stats();
             let r = link.receiver.stats();
             sent.bytes += s.bytes;
@@ -1003,7 +547,7 @@ pub fn spawn_loopback_workers(stages: usize) -> (Vec<Box<dyn Transport>>, Vec<Wo
         transports.push(Box::new(driver_end));
         handles.push(std::thread::spawn(move || {
             let (tx, rx) = channel(Box::new(worker_end))?;
-            crate::worker::run_stage_worker(tx, rx)
+            crate::worker::run_stage_worker_opts(tx, rx, WorkerOptions::default())
         }));
     }
     (transports, handles)

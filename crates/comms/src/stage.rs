@@ -1,21 +1,21 @@
-//! Worker-side weight-shard state machine, and the read plan both ends
-//! of a link share.
+//! The one stage state, and the read plan every reader shares.
 //!
 //! A [`ShardStage`] owns one stage's slice of the parameter vector: its
-//! version history, optimizer slice, and T2 velocity buffer δ. It
-//! answers [`crate::protocol::PassKind`] fetches with exactly the
-//! delayed/corrected weight versions the in-process
-//! `PipelineTrainer` would assemble, and applies optimizer updates via
-//! a stage-then-commit protocol so the orchestrator can revert a
-//! diverged step across all shards atomically.
+//! version window, optimizer slice, and T2 velocity buffer δ. Nothing
+//! else in the workspace holds a stage's weights: the in-process trainer
+//! keeps a `Vec<ShardStage>` and calls it, a worker process keeps one and
+//! serves it over the wire ([`ShardStage::read_into`] and
+//! [`ShardStage::encode_fetch`] are the same read into two sinks), and
+//! both apply updates through the same stage-then-commit pair so a
+//! diverged step is reverted on every shard atomically.
 //!
-//! # One plan, two callers
+//! # One plan
 //!
 //! Which stored version a pass reads, and whether it is extrapolated
 //! along δ, is decided by [`plan`] — a pure function of the stage's
 //! config, the pipeline clock and `(step, micro, pass)`. The worker
-//! calls it to serve a fetch; the driver calls the same function to
-//! learn, without asking, *what* a fetch would return. That knowledge
+//! calls it to serve a fetch; the step driver calls the same function to
+//! learn, without asking, *what* a read would return. That knowledge
 //! is the [`ContentTag`]:
 //!
 //! * `version` — weight versions are immutable once committed, and a
@@ -29,14 +29,8 @@
 //!   the tag records which side of the demotion the read fell on (it is
 //!   constant under f32 storage, where demotion changes nothing).
 //!
-//! Two reads of one stage with equal tags return equal bytes, so the
-//! driver keeps what it already holds and fetches each distinct tag
-//! once.
-//!
-//! Bit-identity contract: every floating-point operation here mirrors
-//! `pipemare_core::PipelineTrainer::train_minibatch` operation for
-//! operation (same f64→f32 casts, same element order), so a distributed
-//! run with pinned seeds reproduces the in-process run bit for bit.
+//! Two reads of one stage with equal tags return equal values, so the
+//! driver keeps what it already holds and reads each distinct tag once.
 
 use pipemare_optim::Optimizer;
 use pipemare_pipeline::{Method, PipelineClock, WeightHistory};
@@ -80,7 +74,7 @@ impl ReadPlan {
 }
 
 /// Resolves one pass of `(step, micro)` at the stage `cfg` describes to
-/// the version and T2 correction the in-process trainer would use.
+/// the version and T2 correction it reads.
 /// `step` is the number of steps the stage has committed; for
 /// [`PassKind::Latest`] nothing else matters.
 ///
@@ -141,7 +135,63 @@ pub fn plan(
     }
 }
 
-/// One pipeline stage's shard of the model: weight-version history,
+/// Where a read's values go: a reply frame or a local buffer.
+trait ShardSink {
+    /// A version stored in bf16, served untouched.
+    fn bf16(self, bits: &[u16]);
+    /// f32 values, computed on the way out.
+    fn dense(self, values: impl ExactSizeIterator<Item = f32>);
+}
+
+/// bf16-stored versions ship their stored bits verbatim (half the
+/// bytes; widening on the far side is exact), everything else dense f32.
+impl ShardSink for &mut Writer {
+    fn bf16(self, bits: &[u16]) {
+        encode_dense_bf16(self, bits);
+    }
+    fn dense(self, values: impl ExactSizeIterator<Item = f32>) {
+        encode_dense(self, values);
+    }
+}
+
+impl ShardSink for &mut [f32] {
+    fn bf16(self, bits: &[u16]) {
+        bf16::decode_into(bits, self);
+    }
+    fn dense(self, values: impl ExactSizeIterator<Item = f32>) {
+        assert_eq!(self.len(), values.len(), "shard read length mismatch");
+        for (dst, v) in self.iter_mut().zip(values) {
+            *dst = v;
+        }
+    }
+}
+
+/// The T2 read: a stored weight extrapolated `gap` steps along its
+/// velocity estimate δ (§3.2).
+#[inline]
+fn t2_read(w: f32, gap: f32, delta: f32) -> f32 {
+    w - gap * delta
+}
+
+/// One stage's resumable state — the unit a checkpoint is made of.
+/// bf16-stored versions are widened to f32 (exact), so the state is
+/// precision-independent and a round trip is bit-lossless.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StageState {
+    /// The retained versions, oldest first, consecutively numbered
+    /// (delayed reads look backwards: the latest alone is not enough).
+    pub window: Vec<(usize, Vec<f32>)>,
+    /// T2 EWMA velocity δ.
+    pub delta: Vec<f32>,
+    /// Optimizer first-moment buffer (momentum `v` / Adam `m`).
+    pub opt_m: Vec<f32>,
+    /// Optimizer second-moment buffer (Adam `v`).
+    pub opt_v: Vec<f32>,
+    /// The optimizer's completed-step counter (Adam bias correction).
+    pub opt_steps: usize,
+}
+
+/// One pipeline stage's shard of the model: weight-version window,
 /// optimizer state, and T2 velocity, all shard-sized.
 pub struct ShardStage {
     cfg: StageConfig,
@@ -186,7 +236,12 @@ impl ShardStage {
     }
 
     /// Validates the handshake config and seeds the shard with its
-    /// initial weights (version 0).
+    /// initial weights (version 0), keeping this stage's own window, not
+    /// the pipeline's deepest: the latest version plus as many whole
+    /// steps back as its longest read delay reaches (Table 1 — the last
+    /// stage keeps two versions where the first keeps
+    /// `⌈(2P−1)/N⌉ + 1`). `plan` never asks for anything older; GPipe
+    /// reads only the latest.
     pub fn new(cfg: StageConfig, init: Vec<f32>) -> Result<Self, CommsError> {
         Self::validate(&cfg)?;
         let shard_len = (cfg.shard_hi - cfg.shard_lo) as usize;
@@ -198,11 +253,6 @@ impl ShardStage {
             )));
         }
         let clock = PipelineClock::new(cfg.stages as usize, cfg.n_micro as usize);
-        // This stage's own window, not the pipeline's deepest: the
-        // latest version plus as many whole steps back as its longest
-        // read delay reaches (Table 1 — the last stage keeps two
-        // versions where the first keeps `⌈(2P−1)/N⌉ + 1`). `plan`
-        // never asks for anything older; GPipe reads only the latest.
         let slots = match cfg.method {
             Method::GPipe => 0,
             Method::PipeDream | Method::PipeMare => {
@@ -221,6 +271,15 @@ impl ShardStage {
             history,
             opt,
         })
+    }
+
+    /// A freshly seeded stage keeping `window` versions instead — for a
+    /// caller whose reads [`plan`] does not decide (Hogwild keeps its
+    /// largest drawable delay plus the latest).
+    pub fn with_window(mut self, window: usize) -> Self {
+        let init = self.history.latest().to_vec();
+        self.history = WeightHistory::with_precision(window, init, self.cfg.weight_storage);
+        self
     }
 
     /// This shard's stage id.
@@ -258,12 +317,43 @@ impl ShardStage {
         Ok(())
     }
 
-    /// Appends the tensor payload answering one pass of `(step, micro)`
-    /// to `w`, straight from the stored version: bf16-stored versions
-    /// ship their stored bits verbatim when uncorrected (half the bytes;
-    /// widening on the far side is exact), everything else goes dense
-    /// f32 with the T2 extrapolation `w − gap·δ` computed in the same
-    /// pass that encodes it.
+    /// Sends the values of `read` to `sink`, the T2 extrapolation
+    /// `w − gap·δ` computed on the way out.
+    ///
+    /// # Errors
+    ///
+    /// [`CommsError::Protocol`] when the window does not hold the
+    /// version: a reader is handed the version its plan names or an
+    /// error, never the nearest one that happens to be retained.
+    fn serve(&self, read: ReadPlan, sink: impl ShardSink) -> Result<(), CommsError> {
+        let ReadPlan { version, gap } = read;
+        if !self.history.holds(version) {
+            return Err(CommsError::Protocol(format!(
+                "stage {}: version {version} is outside the {}-version window ending at {}",
+                self.cfg.stage,
+                self.history.len(),
+                self.committed
+            )));
+        }
+        match (self.history.stored_bf16(version), gap.map(|g| g as f32)) {
+            (Some(bits), None) => sink.bf16(bits),
+            (Some(bits), Some(g)) => sink
+                .dense(bits.iter().zip(&self.delta).map(|(&h, &d)| t2_read(bf16::decode(h), g, d))),
+            (None, None) => sink.dense(self.history.get(version).iter().copied()),
+            (None, Some(g)) => sink.dense(
+                self.history.get(version).iter().zip(&self.delta).map(|(&w, &d)| t2_read(w, g, d)),
+            ),
+        }
+        Ok(())
+    }
+
+    /// The local read: fills `dst` with what `read` names.
+    pub fn read_into(&self, read: ReadPlan, dst: &mut [f32]) -> Result<(), CommsError> {
+        self.serve(read, dst)
+    }
+
+    /// The remote read: appends the tensor payload answering one pass of
+    /// `(step, micro)` to `w`, straight from the stored version.
     pub fn encode_fetch(
         &self,
         step: u64,
@@ -277,30 +367,16 @@ impl ShardStage {
         if pass != PassKind::Latest {
             self.check_step(step, "fetch")?;
         }
-        let ReadPlan { version, gap } = plan(&self.cfg, &self.clock, self.committed, micro, pass)?;
-        let scale = gap.map(|g| g as f32);
-        match (self.history.stored_bf16(version), scale) {
-            (Some(bits), None) => encode_dense_bf16(w, bits),
-            (Some(bits), Some(g)) => encode_dense(
-                w,
-                bits.iter().zip(&self.delta).map(|(&h, &d)| bf16::decode(h) - g * d),
-            ),
-            (None, None) => encode_dense(w, self.history.get(version).iter().copied()),
-            (None, Some(g)) => encode_dense(
-                w,
-                self.history.get(version).iter().zip(&self.delta).map(|(&b, &d)| b - g * d),
-            ),
-        }
-        Ok(())
+        self.serve(plan(&self.cfg, &self.clock, self.committed, micro, pass)?, w)
     }
 
     /// Runs the optimizer on this shard's slice of the minibatch
     /// gradient and stages the result. Returns `(sq_norm, finite)`: the
     /// staged shard's Σx² and whether it is entirely finite.
     ///
-    /// `apply = false` (the orchestrator saw a non-finite gradient)
-    /// stages the old weights untouched and leaves the optimizer's step
-    /// counter alone, matching the in-process trainer's skip.
+    /// `apply = false` (the driver saw a non-finite gradient) stages the
+    /// old weights untouched and leaves the optimizer's step counter
+    /// alone.
     pub fn apply_grad(
         &mut self,
         step: u64,
@@ -324,8 +400,14 @@ impl ShardStage {
             )));
         }
         // The one copy of the shard a step makes: it becomes the next
-        // version at commit, whichever way the vote goes.
-        let mut w = self.history.latest().to_vec();
+        // version at commit, whichever way the vote goes. It is built in
+        // the buffer of the version that commit would evict — every read
+        // of this step precedes its update and no later step reaches
+        // back that far, so nothing can name it any more — or in a fresh
+        // one while the window is filling.
+        let mut w = self.history.recycle_oldest().unwrap_or_default();
+        w.clear();
+        w.extend_from_slice(self.history.latest());
         if apply {
             self.opt.begin_step();
             self.opt.step_range(&mut w, grad, 0, grad.len(), lr);
@@ -338,10 +420,9 @@ impl ShardStage {
 
     /// Commits (`keep = true`) or reverts (`keep = false`) the staged
     /// step, advancing the shard to version `step + 1` either way and
-    /// updating δ from the realized weight change — a revert therefore
-    /// decays δ by γ, exactly like the trainer's divergence path.
-    /// Optimizer moment buffers are never rolled back (the trainer
-    /// doesn't either). Returns the committed shard's Σx².
+    /// updating δ ← γδ + (1−γ)(w_new − w_old) from the realized weight
+    /// change — a revert therefore decays δ by γ. Optimizer moment
+    /// buffers are never rolled back. Returns the committed shard's Σx².
     pub fn commit(&mut self, step: u64, keep: bool) -> Result<f64, CommsError> {
         self.check_step(step, "commit")?;
         let (staged_step, mut pushed) = self.staged.take().ok_or_else(|| {
@@ -365,6 +446,59 @@ impl ShardStage {
         self.history.push(step as usize + 1, pushed);
         self.committed = step + 1;
         Ok(sq_norm)
+    }
+
+    /// The T2 velocity buffer δ (all zero while T2 is off).
+    pub fn delta(&self) -> &[f32] {
+        &self.delta
+    }
+
+    /// Snapshots everything needed to resume this stage exactly.
+    pub fn state(&self) -> StageState {
+        let (m, v, t) = self.opt.state();
+        StageState {
+            window: self.history.snapshot(),
+            delta: self.delta.clone(),
+            opt_m: m.to_vec(),
+            opt_v: v.to_vec(),
+            opt_steps: t,
+        }
+    }
+
+    /// Restores a [`ShardStage::state`] snapshot into a stage built from
+    /// the same configuration; the stage resumes at the window's newest
+    /// version.
+    ///
+    /// # Errors
+    ///
+    /// [`CommsError::Protocol`] when the state does not fit this shard
+    /// (another model, optimizer or pipeline): a checkpoint is input
+    /// from outside the program.
+    pub fn restore(&mut self, state: StageState) -> Result<(), CommsError> {
+        let (m, v, _) = self.opt.state();
+        let fits = state.window.len() <= self.history.capacity()
+            && state.window.windows(2).all(|w| w[1].0 == w[0].0 + 1)
+            && state.window.iter().all(|(_, w)| w.len() == self.len())
+            && state.delta.len() == self.len()
+            && (state.opt_m.len(), state.opt_v.len()) == (m.len(), v.len());
+        let Some(&(newest, _)) = state.window.last().filter(|_| fits) else {
+            return Err(CommsError::Protocol(format!(
+                "stage {}: saved state does not fit a shard of {} parameters keeping {} versions",
+                self.cfg.stage,
+                self.len(),
+                self.history.capacity()
+            )));
+        };
+        self.history = WeightHistory::from_versions_with_precision(
+            self.history.capacity(),
+            state.window,
+            self.cfg.weight_storage,
+        );
+        self.opt.restore_state(state.opt_m, state.opt_v, state.opt_steps);
+        self.delta = state.delta;
+        self.staged = None;
+        self.committed = newest as u64;
+        Ok(())
     }
 }
 
@@ -487,6 +621,54 @@ mod tests {
         let bkwd = fetch(&st, 1, 0, PassKind::Bkwd).unwrap();
         assert_eq!(fwd, vec![1.0; 4], "stage 0 forward must lag");
         assert_eq!(bkwd, vec![0.5; 4], "PipeMare backward reads fresh weights");
+    }
+
+    #[test]
+    fn a_fetch_outside_the_window_is_an_error_not_the_nearest_version() {
+        // Stage 0's forward at t = 1 reads version 0; a window of one
+        // keeps only version 1 by then.
+        let mut st = ShardStage::new(cfg(0, 0), vec![1.0; 4]).unwrap().with_window(1);
+        st.apply_grad(0, 0.5, true, &[1.0; 4]).unwrap();
+        st.commit(0, true).unwrap();
+        assert!(matches!(fetch(&st, 1, 0, PassKind::Fwd), Err(CommsError::Protocol(_))));
+        assert_eq!(fetch(&st, 1, 0, PassKind::Bkwd).unwrap(), vec![0.5; 4]);
+    }
+
+    #[test]
+    fn state_round_trips_and_misfits_are_errors() {
+        let mut c = cfg(0, 0);
+        c.t2_decay = Some(0.5);
+        c.gamma = 0.7;
+        c.opt = OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 };
+        let mut st = ShardStage::new(c.clone(), vec![1.0; 4]).unwrap();
+        for step in 0..3 {
+            st.apply_grad(step, 0.5, true, &[1.0, -1.0, 0.5, 0.0]).unwrap();
+            st.commit(step, true).unwrap();
+        }
+        let state = st.state();
+        assert_eq!(state.window.last().unwrap().0, 3);
+        let mut resumed = ShardStage::new(c.clone(), vec![0.0; 4]).unwrap();
+        resumed.restore(state.clone()).unwrap();
+        assert_eq!(resumed.committed_steps(), 3);
+        assert_eq!(resumed.state(), state);
+        for s in [&mut st, &mut resumed] {
+            s.apply_grad(3, 0.5, true, &[1.0; 4]).unwrap();
+            s.commit(3, true).unwrap();
+        }
+        assert_eq!(st.state(), resumed.state(), "the resumed stage continues bit for bit");
+        // Another shard length, optimizer, or a window with a hole.
+        let mut short = state.clone();
+        short.delta.pop();
+        assert!(matches!(resumed.restore(short), Err(CommsError::Protocol(_))));
+        let mut no_moments = state.clone();
+        no_moments.opt_m.clear();
+        assert!(matches!(resumed.restore(no_moments), Err(CommsError::Protocol(_))));
+        let mut holed = state.clone();
+        holed.window.remove(1);
+        assert!(matches!(resumed.restore(holed), Err(CommsError::Protocol(_))));
+        let mut empty = state;
+        empty.window.clear();
+        assert!(matches!(resumed.restore(empty), Err(CommsError::Protocol(_))));
     }
 
     #[test]

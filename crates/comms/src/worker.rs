@@ -7,9 +7,8 @@
 //!
 //! * **Training** (after [`Message::InitShard`]): the worker owns a
 //!   [`ShardStage`] and answers shard fetches, gradient applications and
-//!   commits — the distributed half of the App. C.4 simulation, where
-//!   model compute stays on the driver and workers serve versioned
-//!   weight shards.
+//!   commits — the same stage state the in-process trainer calls
+//!   directly, served over the wire.
 //! * **Token** (after [`Message::TokenMode`]): the worker replays the
 //!   threaded executor's latency pipeline over the wire, driven by the
 //!   same [`StageFlow`] the in-process executor uses, so both emit
@@ -80,29 +79,15 @@ fn telemetry_batch(recorder: &TraceRecorder, stage: u32) -> Message {
 /// The handshake validates protocol version and shard shapes; a
 /// mismatch is reported to the orchestrator as [`Message::Error`] and
 /// returned as [`CommsError::Handshake`].
-pub fn run_stage_worker(tx: Sender, rx: Receiver) -> Result<StageWorkerReport, CommsError> {
-    run_stage_worker_stats(tx, rx, None)
-}
-
-/// [`run_stage_worker`] with the live-stats plane enabled: wire gauges,
-/// a [`LiveStore`] over the worker's recorder answering in-band
-/// [`Message::StatsRequest`]s, and — when `stats_addr` is given — a
-/// plain-TCP scrape endpoint plus a 250 ms background ticker so `pmtop`
-/// and `nc` can poll the worker while it trains.
-pub fn run_stage_worker_stats(
-    tx: Sender,
-    rx: Receiver,
-    stats_addr: Option<&str>,
-) -> Result<StageWorkerReport, CommsError> {
-    let opts = WorkerOptions { stats_addr: stats_addr.map(str::to_string), journal_dir: None };
-    run_stage_worker_opts(tx, rx, opts)
-}
-
-/// [`run_stage_worker_stats`] plus the durable plane: when
-/// [`WorkerOptions::journal_dir`] is set, the background ticker's hook
-/// appends every sample to an on-disk [`JournalWriter`]. The default
-/// alert rule pack is always attached, so scrapes (TCP or in-band)
-/// carry an `alerts` array and transitions land on the flight track.
+///
+/// The live-stats plane is always on: wire gauges, a [`LiveStore`] over
+/// the worker's recorder answering in-band [`Message::StatsRequest`]s,
+/// and the default alert rule pack, so scrapes (TCP or in-band) carry an
+/// `alerts` array and transitions land on the flight track. With
+/// [`WorkerOptions::stats_addr`] a plain-TCP scrape endpoint plus a
+/// 250 ms background ticker let `pmtop` and `nc` poll the worker while
+/// it trains; with [`WorkerOptions::journal_dir`] the ticker's hook
+/// appends every sample to an on-disk [`JournalWriter`].
 pub fn run_stage_worker_opts(
     mut tx: Sender,
     mut rx: Receiver,

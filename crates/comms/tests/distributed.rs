@@ -182,12 +182,12 @@ fn connect_one_stage(
     recv_timeout: Option<Duration>,
 ) -> Result<Vec<f32>, CommsError> {
     let m = model();
-    let mut cfg = DistConfig::gpipe(
+    let mut cfg = DistConfig::new(TrainConfig::gpipe(
         1,
         2,
         OptimizerKind::Sgd { weight_decay: 0.0 },
         Box::new(ConstantLr(0.05)),
-    );
+    ));
     cfg.recv_timeout = recv_timeout;
     let mut trainer = DistributedTrainer::connect(&m, cfg, SEED, transports)?;
     let micro = blob_micro(SEED, 2, 4);

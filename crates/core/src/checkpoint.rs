@@ -1,24 +1,28 @@
-//! Checkpointing: flat parameter vectors (v1) and full trainer state (v2).
+//! Checkpointing: flat parameter vectors (v1) and full trainer state (v3).
 //!
 //! Two minimal binary formats with no external dependencies:
 //!
 //! - **v1** (`save_params`/`load_params`): magic + length + little-endian
 //!   f32s — just the weights, for handing them from a warmup phase to a
 //!   separate process.
-//! - **v2** (`save_state`/`load_state`): a versioned header followed by
-//!   everything an *asynchronous* run needs to resume bit-identically —
-//!   the whole weight-version window (delayed reads look backwards, the
-//!   latest vector alone is not enough), the optimizer's moment buffers
-//!   and step count, and the T2 EWMA velocity δ driving the discrepancy
-//!   correction.
+//! - **v3** (`save_state`/`load_state`): a versioned header followed,
+//!   stage by stage, by everything an *asynchronous* run needs to resume
+//!   bit-identically — the stage's weight-version window (delayed reads
+//!   look backwards, the latest vector alone is not enough), its
+//!   optimizer moment buffers and step count, and its T2 EWMA velocity δ
+//!   driving the discrepancy correction. (v2 stored one pipeline-deep
+//!   window of whole parameter vectors; such files are refused as
+//!   [`CheckpointError::UnsupportedVersion`].)
 
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
+use pipemare_comms::StageState;
+
 const MAGIC: &[u8; 8] = b"PIPEMARE";
 const STATE_MAGIC: &[u8; 8] = b"PIPEMAR2";
-const STATE_VERSION: u32 = 2;
+const STATE_VERSION: u32 = 3;
 
 /// Errors produced by checkpoint I/O.
 #[derive(Debug)]
@@ -36,6 +40,9 @@ pub enum CheckpointError {
     },
     /// A state checkpoint written by an unknown format revision.
     UnsupportedVersion(u32),
+    /// A well-formed state checkpoint that does not fit the trainer it
+    /// is restored into (another model, optimizer or pipeline).
+    Mismatch(String),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -49,6 +56,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::UnsupportedVersion(v) => {
                 write!(f, "state checkpoint version {v} is not supported")
             }
+            CheckpointError::Mismatch(why) => write!(f, "checkpoint does not fit: {why}"),
         }
     }
 }
@@ -119,17 +127,8 @@ pub struct TrainerState {
     pub step: usize,
     /// Whether training had hit non-finite weights.
     pub diverged: bool,
-    /// The optimizer's completed-step counter (Adam bias correction).
-    pub opt_steps: usize,
-    /// The retained weight-version window, oldest first, consecutively
-    /// numbered — the queue the delayed forward/backward reads slice.
-    pub history: Vec<(usize, Vec<f32>)>,
-    /// T2 EWMA velocity δ (empty when T2 is off).
-    pub delta: Vec<f32>,
-    /// Optimizer first-moment buffer (momentum `v` / Adam `m`).
-    pub opt_m: Vec<f32>,
-    /// Optimizer second-moment buffer (Adam `v`).
-    pub opt_v: Vec<f32>,
+    /// Each stage's window, δ and optimizer state, by stage.
+    pub stages: Vec<StageState>,
 }
 
 fn write_vec(f: &mut File, v: &[f32]) -> io::Result<()> {
@@ -154,7 +153,7 @@ fn read_vec(f: &mut File) -> io::Result<Vec<f32>> {
     Ok(buf.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
 }
 
-/// Writes a full trainer-state checkpoint (format v2) to `path`.
+/// Writes a full trainer-state checkpoint (format v3) to `path`.
 ///
 /// # Errors
 ///
@@ -165,15 +164,18 @@ pub fn save_state(path: &Path, state: &TrainerState) -> Result<(), CheckpointErr
     f.write_all(&STATE_VERSION.to_le_bytes())?;
     f.write_all(&(state.step as u64).to_le_bytes())?;
     f.write_all(&[state.diverged as u8])?;
-    f.write_all(&(state.opt_steps as u64).to_le_bytes())?;
-    f.write_all(&(state.history.len() as u64).to_le_bytes())?;
-    for (version, params) in &state.history {
-        f.write_all(&(*version as u64).to_le_bytes())?;
-        write_vec(&mut f, params)?;
+    f.write_all(&(state.stages.len() as u64).to_le_bytes())?;
+    for stage in &state.stages {
+        f.write_all(&(stage.opt_steps as u64).to_le_bytes())?;
+        f.write_all(&(stage.window.len() as u64).to_le_bytes())?;
+        for (version, params) in &stage.window {
+            f.write_all(&(*version as u64).to_le_bytes())?;
+            write_vec(&mut f, params)?;
+        }
+        write_vec(&mut f, &stage.delta)?;
+        write_vec(&mut f, &stage.opt_m)?;
+        write_vec(&mut f, &stage.opt_v)?;
     }
-    write_vec(&mut f, &state.delta)?;
-    write_vec(&mut f, &state.opt_m)?;
-    write_vec(&mut f, &state.opt_v)?;
     Ok(())
 }
 
@@ -182,7 +184,7 @@ pub fn save_state(path: &Path, state: &TrainerState) -> Result<(), CheckpointErr
 /// # Errors
 ///
 /// Returns an error on I/O failure (including truncation), bad magic, or
-/// an unknown format version.
+/// a format version other than the current one.
 pub fn load_state(path: &Path) -> Result<TrainerState, CheckpointError> {
     let mut f = File::open(path)?;
     let mut magic = [0u8; 8];
@@ -200,17 +202,22 @@ pub fn load_state(path: &Path) -> Result<TrainerState, CheckpointError> {
     let mut flag = [0u8; 1];
     f.read_exact(&mut flag)?;
     let diverged = flag[0] != 0;
-    let opt_steps = read_u64(&mut f)? as usize;
-    let n_versions = read_u64(&mut f)? as usize;
-    let mut history = Vec::with_capacity(n_versions);
-    for _ in 0..n_versions {
-        let version = read_u64(&mut f)? as usize;
-        history.push((version, read_vec(&mut f)?));
+    let n_stages = read_u64(&mut f)? as usize;
+    let mut stages = Vec::new();
+    for _ in 0..n_stages {
+        let opt_steps = read_u64(&mut f)? as usize;
+        let n_versions = read_u64(&mut f)? as usize;
+        let mut window = Vec::new();
+        for _ in 0..n_versions {
+            let version = read_u64(&mut f)? as usize;
+            window.push((version, read_vec(&mut f)?));
+        }
+        let delta = read_vec(&mut f)?;
+        let opt_m = read_vec(&mut f)?;
+        let opt_v = read_vec(&mut f)?;
+        stages.push(StageState { window, delta, opt_m, opt_v, opt_steps });
     }
-    let delta = read_vec(&mut f)?;
-    let opt_m = read_vec(&mut f)?;
-    let opt_v = read_vec(&mut f)?;
-    Ok(TrainerState { step, diverged, opt_steps, history, delta, opt_m, opt_v })
+    Ok(TrainerState { step, diverged, stages })
 }
 
 #[cfg(test)]
@@ -267,14 +274,17 @@ mod tests {
     }
 
     fn sample_state() -> TrainerState {
-        TrainerState {
-            step: 12,
-            diverged: false,
-            opt_steps: 12,
-            history: vec![(10, vec![1.0, 2.0]), (11, vec![3.0, 4.0]), (12, vec![5.0, 6.0])],
+        let stage = |first: f32, versions: std::ops::RangeInclusive<usize>| StageState {
+            window: versions.map(|v| (v, vec![first + v as f32, 2.0])).collect(),
             delta: vec![0.25, -0.5],
             opt_m: vec![0.1, 0.2],
             opt_v: Vec::new(),
+            opt_steps: 12,
+        };
+        TrainerState {
+            step: 12,
+            diverged: false,
+            stages: vec![stage(1.0, 10..=12), stage(7.0, 12..=12)],
         }
     }
 
@@ -305,6 +315,11 @@ mod tests {
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(load_state(&path), Err(CheckpointError::UnsupportedVersion(99))));
+        // The previous layout (one pipeline-deep window of whole vectors)
+        // is refused by its version, not misread.
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(load_state(&path), Err(CheckpointError::UnsupportedVersion(2))));
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,59 +1,26 @@
-//! Bridges [`TrainConfig`] onto the multi-process distributed trainer.
-//!
-//! `pipemare-comms` deliberately does not depend on this crate, so it
-//! carries its own [`DistConfig`]; this module is the glue that lets a
-//! config written for the in-process [`crate::PipelineTrainer`] drive
-//! the same training run across worker processes. With identical seeds
-//! the two paths produce bit-identical weights (asserted in the comms
-//! crate's integration tests and by the `orchestrator` binary's
-//! TCP-vs-loopback self-check).
+//! Entry points that run a [`TrainConfig`] on the multi-process
+//! distributed trainer: the same configuration, the same stage-update
+//! core, shards behind worker links instead of in this process.
 
 use std::time::Duration;
 
 use pipemare_comms::{
-    spawn_loopback_workers, CommsError, DistConfig, DistRecompute, DistRunReport, DistStepStats,
-    DistributedTrainer, SparseMode, TcpTransport, Transport,
+    spawn_loopback_workers, CommsError, DistConfig, DistRunReport, DistributedTrainer, SparseMode,
+    StepStats, TcpTransport, TrainConfig, Transport,
 };
 use pipemare_nn::TrainModel;
 
-use crate::config::{TrainConfig, TrainMode};
-
-/// Converts an in-process [`TrainConfig`] into the comms crate's
-/// [`DistConfig`]. Hogwild mode has no distributed counterpart (its
-/// stochastic delays are sampled driver-side per gradient, which the
-/// shard protocol does not model) and is rejected.
-///
-/// The conversion consumes the config because the boxed learning-rate
-/// schedule moves into the distributed trainer.
+/// Wraps a [`TrainConfig`] for a distributed run. Hogwild mode has no
+/// distributed counterpart (its stochastic delays are sampled driver-side
+/// per gradient, which the shard protocol does not model) and is
+/// rejected.
 pub fn dist_config(
     cfg: TrainConfig,
     sparse_grads: SparseMode,
     recv_timeout: Option<Duration>,
 ) -> Result<DistConfig, CommsError> {
-    let method = match &cfg.mode {
-        TrainMode::Pipeline(m) => *m,
-        TrainMode::Hogwild(_) => {
-            return Err(CommsError::Unsupported(
-                "Hogwild delays are not supported by the distributed trainer".to_string(),
-            ))
-        }
-    };
-    Ok(DistConfig {
-        method,
-        stages: cfg.stages,
-        n_micro: cfg.n_micro,
-        optimizer: cfg.optimizer,
-        schedule: cfg.schedule,
-        t1: cfg.t1,
-        t2_decay: cfg.t2_decay,
-        warmup_steps: cfg.warmup_steps,
-        grad_clip: cfg.grad_clip,
-        recompute: cfg.recompute.map(|rc| DistRecompute { segments: rc.segments, t2: rc.t2 }),
-        partition_by_elements: cfg.partition_by_elements,
-        weight_storage: cfg.weight_storage,
-        sparse_grads,
-        recv_timeout,
-    })
+    let cfg = DistConfig { train: cfg, sparse_grads, recv_timeout };
+    cfg.method().map(|_| cfg)
 }
 
 /// Runs `minibatches(step)` → microbatch sets through a distributed
@@ -63,7 +30,7 @@ fn drive<M: TrainModel>(
     mut trainer: DistributedTrainer<'_, M>,
     n_micro: usize,
     minibatches: &mut dyn Iterator<Item = Vec<M::Batch>>,
-) -> Result<(Vec<DistStepStats>, Vec<f32>, DistRunReport), CommsError> {
+) -> Result<(Vec<StepStats>, Vec<f32>, DistRunReport), CommsError> {
     let weights = vec![1.0 / n_micro as f32; n_micro];
     let mut stats = Vec::new();
     for micro in minibatches {
@@ -83,7 +50,7 @@ pub fn train_distributed_loopback<M: TrainModel>(
     init_seed: u64,
     sparse_grads: SparseMode,
     minibatches: &mut dyn Iterator<Item = Vec<M::Batch>>,
-) -> Result<(Vec<DistStepStats>, Vec<f32>, DistRunReport), CommsError> {
+) -> Result<(Vec<StepStats>, Vec<f32>, DistRunReport), CommsError> {
     let n_micro = cfg.n_micro;
     let stages = cfg.stages;
     let dcfg = dist_config(cfg, sparse_grads, None)?;
@@ -107,7 +74,7 @@ pub fn train_distributed_tcp<M: TrainModel>(
     recv_timeout: Option<Duration>,
     addrs: &[String],
     minibatches: &mut dyn Iterator<Item = Vec<M::Batch>>,
-) -> Result<(Vec<DistStepStats>, Vec<f32>, DistRunReport), CommsError> {
+) -> Result<(Vec<StepStats>, Vec<f32>, DistRunReport), CommsError> {
     assert_eq!(addrs.len(), cfg.stages, "one worker address per stage");
     let n_micro = cfg.n_micro;
     let dcfg = dist_config(cfg, sparse_grads, recv_timeout)?;

@@ -3,8 +3,11 @@
 //! This crate ties the substrates together: a [`PipelineTrainer`] takes
 //! any [`pipemare_nn::TrainModel`], partitions its weight units into `P`
 //! stages, and trains it under the delay semantics of GPipe, PipeDream,
-//! PipeMare, or Hogwild!-style stochastic asynchrony — with PipeMare's
-//! three techniques available à la carte:
+//! PipeMare, or Hogwild!-style stochastic asynchrony. The stage-update
+//! core — stage state, read plan, step driver, [`TrainConfig`] — lives in
+//! `pipemare_comms`, shared with the distributed trainer; this crate
+//! holds it in one process and adds runners, checkpoints, metrics and
+//! health. PipeMare's three techniques are available à la carte:
 //!
 //! * **T1** learning-rate rescheduling ([`pipemare_optim::T1Rescheduler`]),
 //! * **T2** discrepancy correction (the per-stage δ velocity buffer),
@@ -19,7 +22,6 @@
 //! normalized time model used for time-to-accuracy numbers.
 
 pub mod checkpoint;
-pub mod config;
 pub mod distributed;
 pub mod health;
 pub mod metrics;
@@ -31,15 +33,15 @@ pub mod trainer;
 pub use checkpoint::{
     load_params, load_state, save_params, save_state, CheckpointError, TrainerState,
 };
-pub use config::{RecomputeCfg, TrainConfig, TrainMode};
 pub use distributed::{dist_config, train_distributed_loopback, train_distributed_tcp};
 pub use health::{AnomalyPolicy, HealthHook};
 pub use metrics::TrainerMetrics;
+pub use pipemare_comms::{RecomputeCfg, StepStats, TrainConfig, TrainMode};
 pub use runners::{
     run_image_training, run_image_training_observed, run_image_training_with_metrics,
     run_regression_training, run_regression_training_observed, run_translation_training,
     ClassifierModel,
 };
 pub use serving::{serve_checkpoint, serve_live_loopback};
-pub use stats::{EpochRecord, RunHistory, StepStats};
+pub use stats::{EpochRecord, RunHistory};
 pub use trainer::{PipelineTrainer, StageInfo};

@@ -1,5 +1,6 @@
 //! End-to-end training loops with per-epoch evaluation.
 
+use pipemare_comms::{TrainConfig, TrainMode};
 use pipemare_data::{
     corpus_bleu, ImageDataset, MinibatchIter, RegressionDataset, TranslationDataset,
 };
@@ -9,7 +10,6 @@ use pipemare_nn::{
 };
 use pipemare_tensor::Tensor;
 
-use crate::config::{TrainConfig, TrainMode};
 use crate::health::HealthHook;
 use crate::metrics::TrainerMetrics;
 use crate::stats::{epoch_time, EpochRecord, RunHistory};
@@ -474,9 +474,9 @@ mod tests {
         );
         cfg.warmup_steps = 5;
         assert_eq!(run_label(&cfg), "PipeMare+T1+T2+T3");
-        cfg.recompute = Some(crate::config::RecomputeCfg::new(2));
+        cfg.recompute = Some(crate::RecomputeCfg::new(2));
         assert_eq!(run_label(&cfg), "PipeMare+T1+T2+T3+RC");
-        cfg.recompute = Some(crate::config::RecomputeCfg::new(2).with_t2());
+        cfg.recompute = Some(crate::RecomputeCfg::new(2).with_t2());
         assert_eq!(run_label(&cfg), "PipeMare+T1+T2+T3+RC*");
         let g = TrainConfig::gpipe(4, 2, sgd(), Box::new(ConstantLr(0.1)));
         assert_eq!(run_label(&g), "GPipe");

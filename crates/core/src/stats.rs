@@ -2,21 +2,6 @@
 
 use pipemare_pipeline::{gpipe_equal_budget_throughput, Method};
 
-/// Statistics of one optimizer step.
-#[derive(Clone, Copy, Debug)]
-pub struct StepStats {
-    /// Optimizer step index.
-    pub step: usize,
-    /// Mean training loss over the minibatch.
-    pub loss: f32,
-    /// L2 norm of the parameters after the step (Figure 7's diagnostic).
-    pub param_norm: f32,
-    /// Base learning rate used (before T1 per-stage scaling).
-    pub base_lr: f32,
-    /// Whether the trainer has diverged.
-    pub diverged: bool,
-}
-
 /// One epoch's record in a training run.
 #[derive(Clone, Copy, Debug)]
 pub struct EpochRecord {

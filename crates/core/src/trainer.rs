@@ -1,25 +1,17 @@
 //! The pipeline-parallel trainer.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use pipemare_nn::TrainModel;
-use pipemare_optim::{clip_grad_norm, Optimizer};
-use pipemare_pipeline::{Method, PipelineClock, StagePartition, WeightHistory};
-use pipemare_theory::gamma_from_d;
-
 use std::sync::Arc;
 
+use pipemare_comms::{LocalShards, RunLayout, StepDriver, StepStats, TrainConfig};
+use pipemare_nn::TrainModel;
+use pipemare_pipeline::{PipelineClock, StagePartition};
 use pipemare_telemetry::{
-    HealthEvent, HealthEventKind, HealthMonitor, Recorder, Severity, SpanKind, StageObservation,
-    StepObservation,
+    HealthEvent, HealthEventKind, Recorder, Severity, SpanKind, StageObservation, StepObservation,
 };
 
-use crate::checkpoint::TrainerState;
-use crate::config::{TrainConfig, TrainMode};
+use crate::checkpoint::{CheckpointError, TrainerState};
 use crate::health::{AnomalyPolicy, HealthHook};
 use crate::metrics::TrainerMetrics;
-use crate::stats::StepStats;
 
 /// Per-stage diagnostic record returned by
 /// [`PipelineTrainer::stage_report`].
@@ -39,28 +31,16 @@ pub struct StageInfo {
 
 /// Trains a [`TrainModel`] under pipeline-parallel delay semantics.
 ///
-/// The trainer owns the weight-version history and, per microbatch,
-/// assembles the forward parameter vector from each stage's delayed
-/// version, runs the model's forward pass on it, assembles the (possibly
-/// T2-corrected) backward parameter vector, and accumulates the
-/// two-argument gradient `∇f(u_fwd, u_bkwd)` — exactly the simulation
-/// strategy the paper describes in App. C.4.
+/// The step itself is [`StepDriver`]'s, over stage shards held in this
+/// process ([`LocalShards`]): per microbatch, each stage's delayed
+/// forward version, the forward pass, the (possibly T2-corrected)
+/// backward version, and the two-argument gradient `∇f(u_fwd, u_bkwd)` —
+/// the simulation strategy of the paper's App. C.4. This type adds what
+/// only an in-process run has: a contiguous view of the latest weights,
+/// metrics and health hooks, and checkpoints.
 pub struct PipelineTrainer<'m, M: TrainModel> {
     model: &'m M,
-    cfg: TrainConfig,
-    partition: StagePartition,
-    clock: PipelineClock,
-    history: WeightHistory,
-    opt: Optimizer,
-    /// T2 velocity buffer δ (one entry per parameter).
-    delta: Vec<f32>,
-    /// Per-stage T2 decay γ_i = D^{1/(τ_fwd,i − τ_bkwd,i)}.
-    gammas: Vec<f64>,
-    /// Per-stage recompute delay slots (when recompute is simulated).
-    recomp_slots: Vec<usize>,
-    step: usize,
-    diverged: bool,
-    hogwild_rng: StdRng,
+    driver: StepDriver<LocalShards>,
     metrics: Option<TrainerMetrics>,
     health: Option<HealthHook>,
     /// Latched by [`AnomalyPolicy::Halt`]; freezes further updates.
@@ -80,69 +60,13 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
     /// Panics if the configuration is inconsistent with the model (e.g.
     /// more stages than parameters).
     pub fn new(model: &'m M, cfg: TrainConfig, init_seed: u64) -> Self {
-        let units: Vec<(usize, usize)> =
-            model.weight_units().iter().map(|u| (u.offset, u.len)).collect();
-        let total = model.param_len();
-        let partition = if cfg.partition_by_elements {
-            StagePartition::by_elements(total, cfg.stages)
-        } else {
-            StagePartition::from_units(&units, total, cfg.stages)
-        };
-        let clock = PipelineClock::new(cfg.stages, cfg.n_micro);
-        let mut rng = StdRng::seed_from_u64(init_seed);
-        let mut params = vec![0.0f32; total];
-        model.init_params(&mut params, &mut rng);
-        let history =
-            WeightHistory::with_precision(clock.history_depth() + 1, params, cfg.weight_storage);
-        let opt = Optimizer::new(cfg.optimizer, total);
-        // Recompute delay slots: stages grouped into segments; stage j
-        // within a segment has its activations recomputed 2(S−j) slots
-        // before its backward pass (App. A.2/D).
-        let recomp_slots: Vec<usize> = match cfg.recompute {
-            None => vec![0; cfg.stages],
-            Some(rc) => {
-                let seg = rc.segment_size(cfg.stages);
-                (0..cfg.stages).map(|s| clock.recomp_delay_slots(seg, s)).collect()
-            }
-        };
-        // Per-stage T2 decay from the nominal fractional delay gap. With
-        // recompute + T2, the backward consumes activations delayed by
-        // τ_recomp as well, so App. D widens the gap to the slower of the
-        // two discrepancies, max(τ_fwd, τ_recomp) − τ_bkwd; at late
-        // stages τ_recomp dominates τ_fwd and γ genuinely changes.
-        let gammas: Vec<f64> = (0..cfg.stages)
-            .map(|s| {
-                let gap = match &cfg.mode {
-                    TrainMode::Pipeline(Method::PipeMare) => {
-                        let tau_fwd = clock.nominal_tau_fwd(s);
-                        match cfg.recompute {
-                            Some(rc) if rc.t2 => {
-                                let seg = rc.segment_size(cfg.stages);
-                                tau_fwd.max(clock.nominal_tau_recomp(seg, s))
-                            }
-                            _ => tau_fwd,
-                        }
-                    }
-                    TrainMode::Pipeline(_) => 0.0,
-                    TrainMode::Hogwild(_) => 0.0,
-                };
-                cfg.t2_decay.map_or(0.0, |d| gamma_from_d(d, gap))
-            })
-            .collect();
-        let hogwild_rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9);
+        let layout = RunLayout::new(model, &cfg, init_seed);
+        let shards = LocalShards::new(&cfg, &layout).expect("a layout yields valid stages");
+        let mut driver = StepDriver::new(cfg, layout, shards);
+        driver.gather_latest();
         PipelineTrainer {
             model,
-            cfg,
-            partition,
-            clock,
-            history,
-            opt,
-            delta: vec![0.0; total],
-            gammas,
-            recomp_slots,
-            step: 0,
-            diverged: false,
-            hogwild_rng,
+            driver,
             metrics: None,
             health: None,
             halted: false,
@@ -159,7 +83,7 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
 
     /// Attaches a health hook; every subsequent
     /// [`PipelineTrainer::train_minibatch`] feeds the hook's
-    /// [`HealthMonitor`] a per-stage [`StepObservation`] and applies the
+    /// [`pipemare_telemetry::HealthMonitor`] a per-stage [`StepObservation`] and applies the
     /// hook's snapshot/halt policy to the events that come back.
     ///
     /// # Panics
@@ -168,15 +92,10 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
     pub fn set_health(&mut self, hook: HealthHook) {
         assert_eq!(
             hook.monitor.n_stages(),
-            self.cfg.stages,
+            self.driver.config().stages,
             "health monitor stage count must match the trainer"
         );
         self.health = Some(hook);
-    }
-
-    /// The attached health monitor, if any.
-    pub fn health_monitor(&self) -> Option<&Arc<HealthMonitor>> {
-        self.health.as_ref().map(|h| &h.monitor)
     }
 
     /// Whether the anomaly policy has halted training.
@@ -184,56 +103,51 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         self.halted
     }
 
-    /// The latest (most up-to-date) parameter vector.
+    /// The latest parameter vector: the contiguous copy the driver
+    /// gathers from the stages after every step.
     pub fn params(&self) -> &[f32] {
-        self.history.latest()
+        self.driver.latest()
     }
 
     /// Optimizer steps completed.
     pub fn steps_done(&self) -> usize {
-        self.step
+        self.driver.steps_done()
     }
 
     /// Whether training has hit non-finite weights.
     pub fn diverged(&self) -> bool {
-        self.diverged
+        self.driver.diverged()
     }
 
     /// The stage partition in use.
     pub fn partition(&self) -> &StagePartition {
-        &self.partition
+        &self.driver.layout().partition
     }
 
     /// The pipeline clock in use.
     pub fn clock(&self) -> &PipelineClock {
-        &self.clock
+        &self.driver.layout().clock
     }
 
     /// Fraction of parameters on each stage (used by the memory model).
     pub fn stage_fracs(&self) -> Vec<f64> {
-        let total = self.partition.total_params() as f64;
-        (0..self.cfg.stages).map(|s| self.partition.stage_len(s) as f64 / total).collect()
+        let total = self.partition().total_params() as f64;
+        self.partition().ranges().iter().map(|&(lo, hi)| (hi - lo) as f64 / total).collect()
     }
 
     /// Whether step `t` is still in the synchronous (T3) warmup phase.
     pub fn in_warmup(&self) -> bool {
-        self.step < self.cfg.warmup_steps
+        self.steps_done() < self.driver.config().warmup_steps
     }
 
-    /// Snapshots everything needed to resume this run exactly: the whole
-    /// weight-version window (delayed reads look backwards), the
-    /// optimizer's moment buffers and step counter, and the T2 EWMA
-    /// velocity δ. Persist it with [`crate::checkpoint::save_state`].
+    /// Snapshots everything needed to resume this run exactly, stage by
+    /// stage (see [`pipemare_comms::StageState`]). Persist it with
+    /// [`crate::checkpoint::save_state`].
     pub fn state(&self) -> TrainerState {
-        let (m, v, t) = self.opt.state();
         TrainerState {
-            step: self.step,
-            diverged: self.diverged,
-            opt_steps: t,
-            history: self.history.snapshot(),
-            delta: self.delta.clone(),
-            opt_m: m.to_vec(),
-            opt_v: v.to_vec(),
+            step: self.steps_done(),
+            diverged: self.diverged(),
+            stages: self.driver.access().stages.iter().map(|stage| stage.state()).collect(),
         }
     }
 
@@ -242,84 +156,48 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
     /// pipeline modes continue bit-identically to the uninterrupted run;
     /// Hogwild mode restarts its delay-sampling stream.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the snapshot's shapes don't match this trainer (a
-    /// checkpoint from a different model, optimizer, or pipeline).
-    pub fn restore(&mut self, state: TrainerState) {
-        let total = self.partition.total_params();
-        assert_eq!(state.delta.len(), total, "restore: δ length mismatch");
-        for (_, p) in &state.history {
-            assert_eq!(p.len(), total, "restore: parameter length mismatch");
+    /// [`CheckpointError::Mismatch`] if the snapshot doesn't fit this
+    /// trainer (a checkpoint from a different model, optimizer, or
+    /// pipeline). Stages restored before the misfit was found keep the
+    /// snapshot's contents: build a new trainer rather than train on.
+    pub fn restore(&mut self, state: TrainerState) -> Result<(), CheckpointError> {
+        let misfit = |why: String| Err(CheckpointError::Mismatch(why));
+        let stages = &mut self.driver.access_mut().stages;
+        if state.stages.len() != stages.len() {
+            let (saved, own) = (state.stages.len(), stages.len());
+            return misfit(format!("checkpoint has {saved} stages, trainer has {own}"));
         }
-        self.history = WeightHistory::from_versions_with_precision(
-            self.clock.history_depth() + 1,
-            state.history,
-            self.cfg.weight_storage,
-        );
-        assert_eq!(
-            self.history.latest_version(),
-            state.step,
-            "restore: history is out of step with the step counter"
-        );
-        self.opt.restore_state(state.opt_m, state.opt_v, state.opt_steps);
-        self.delta = state.delta;
-        self.step = state.step;
-        self.diverged = state.diverged;
+        for (stage, saved) in stages.iter_mut().zip(state.stages) {
+            stage.restore(saved).or_else(|e| misfit(e.to_string()))?;
+            if stage.committed_steps() != state.step as u64 {
+                let (s, at) = (stage.stage(), stage.committed_steps());
+                return misfit(format!("stage {s} is at step {at}, header says {}", state.step));
+            }
+        }
+        self.driver.resume_at(state.step, state.diverged);
+        self.driver.gather_latest();
+        Ok(())
     }
 
     /// Per-stage diagnostics: `(params, τ_fwd, τ_bkwd, γ)` for each stage
     /// under the configured method. Useful for inspecting a pipeline
     /// before training.
     pub fn stage_report(&self) -> Vec<StageInfo> {
-        (0..self.cfg.stages)
+        let (cfg, layout) = (self.driver.config(), self.driver.layout());
+        (0..cfg.stages)
             .map(|s| {
-                let (tau_fwd, tau_bkwd) = match &self.cfg.mode {
-                    TrainMode::Pipeline(m) => (
-                        match m {
-                            Method::GPipe => 0.0,
-                            _ => self.clock.nominal_tau_fwd(s),
-                        },
-                        self.clock.nominal_tau_bkwd(*m, s),
-                    ),
-                    TrainMode::Hogwild(h) => (h.means[s], h.means[s]),
-                };
+                let (tau_fwd, tau_bkwd) = cfg.nominal_taus(&layout.clock, s);
                 StageInfo {
                     stage: s,
-                    params: self.partition.stage_len(s),
+                    params: layout.partition.stage_len(s),
                     tau_fwd,
                     tau_bkwd,
-                    gamma: self.gammas[s],
+                    gamma: layout.stage_cfgs[s].gamma,
                 }
             })
             .collect()
-    }
-
-    /// The T1 learning-rate multiplier for stage `s` at async step
-    /// `t_async` — shared by the update loop and the health observation
-    /// so the monitored α is exactly the α applied.
-    fn t1_scale(&self, s: usize, t_async: usize, sync_phase: bool) -> f32 {
-        match (&self.cfg.t1, sync_phase, self.cfg.mode.method()) {
-            (Some(t1), false, Some(Method::PipeMare)) => {
-                t1.scale(t_async, self.clock.nominal_tau_fwd(s))
-            }
-            (Some(t1), false, None) => {
-                // Hogwild: rescale by the stage's mean delay.
-                if let TrainMode::Hogwild(h) = &self.cfg.mode {
-                    t1.scale(t_async, h.means[s])
-                } else {
-                    1.0
-                }
-            }
-            _ => 1.0,
-        }
-    }
-
-    fn assemble(&self, buf: &mut [f32], version_of: impl Fn(usize) -> usize) {
-        for s in 0..self.cfg.stages {
-            let (lo, hi) = self.partition.range(s);
-            self.history.copy_range(version_of(s), lo, hi, &mut buf[lo..hi]);
-        }
     }
 
     /// Runs one optimizer step on a minibatch already split into
@@ -332,200 +210,56 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
     /// Panics if `micro.len()` differs from the configured `n_micro` or
     /// the weights don't match.
     pub fn train_minibatch(&mut self, micro: &[M::Batch], micro_weights: &[f32]) -> StepStats {
-        assert_eq!(
-            micro.len(),
-            self.cfg.n_micro,
-            "expected {} microbatches, got {}",
-            self.cfg.n_micro,
-            micro.len()
-        );
-        assert_eq!(micro.len(), micro_weights.len());
         // Clock read only when metrics are attached — the bare trainer's
         // hot path is unchanged.
         let started = self.metrics.as_ref().map(|_| std::time::Instant::now());
         // Flight-recorder step span: one clock read at the start, one at
         // the end — the ring write itself is lock-free.
         let flight_t0 = self.health.as_ref().and_then(|h| h.flight.as_ref()).map(|f| f.now_us());
-        let t = self.step;
-        let sync_phase = t < self.cfg.warmup_steps;
-        let total = self.partition.total_params();
-
-        if self.diverged || self.halted {
+        let t = self.steps_done();
+        let sync_phase = self.in_warmup();
+        if self.diverged() || self.halted {
             // Once diverged (or halted by the anomaly policy), report
-            // without updating (runners stop early).
-            self.step += 1;
-            let base_lr = self.cfg.schedule.lr(t);
-            let param_norm = if self.diverged {
+            // without updating.
+            let norm = if self.diverged() {
                 f32::INFINITY
             } else {
-                self.history.latest().iter().map(|&w| w as f64 * w as f64).sum::<f64>().sqrt()
-                    as f32
+                self.params().iter().map(|&w| w as f64 * w as f64).sum::<f64>().sqrt() as f32
             };
+            let stats = self.driver.skip_step(norm);
             if let (Some(m), Some(s)) = (&self.metrics, started) {
-                m.record_step(s, f32::NAN, base_lr, 0.0, 0.0, param_norm, false, self.diverged);
+                m.record_step(s, f32::NAN, stats.base_lr, 0.0, 0.0, norm, false, stats.diverged);
             }
-            return StepStats {
-                step: t,
-                loss: f32::NAN,
-                param_norm,
-                base_lr,
-                diverged: self.diverged,
-            };
+            return stats;
         }
-
-        // Hogwild: one sampled delay per stage per optimizer step.
-        let hog_delays: Option<Vec<usize>> = match (&self.cfg.mode, sync_phase) {
-            (TrainMode::Hogwild(h), false) => {
-                Some((0..self.cfg.stages).map(|s| h.sample(s, &mut self.hogwild_rng)).collect())
-            }
-            _ => None,
-        };
-
-        let mut fwd_buf = vec![0.0f32; total];
-        let mut bkwd_buf = vec![0.0f32; total];
-        let mut grad = vec![0.0f32; total];
-        let mut loss_acc = 0.0f32;
-        let method = self.cfg.mode.method();
-
-        for (n, batch) in micro.iter().enumerate() {
-            // Forward weight versions.
-            self.assemble(&mut fwd_buf, |s| {
-                if sync_phase {
-                    t
-                } else {
-                    match (&hog_delays, method) {
-                        (Some(d), _) => t.saturating_sub(d[s]),
-                        (None, Some(m)) => self.clock.fwd_version(m, t, n, s),
-                        (None, None) => t,
-                    }
-                }
-            });
-            let (loss, cache) = if let (Some(_rc), false, Some(Method::PipeMare)) =
-                (self.cfg.recompute, sync_phase, method)
-            {
-                // Recompute simulation: the loss comes from the true
-                // forward pass, but the activations the backward pass
-                // consumes are recomputed under a different (fresher)
-                // delayed version — optionally T2-corrected toward the
-                // forward version (App. D).
-                let (loss, _) = self.model.forward_loss(&fwd_buf, batch);
-                let mut recomp_buf = vec![0.0f32; total];
-                self.assemble(&mut recomp_buf, |s| {
-                    let m = (t * self.cfg.n_micro + n) as i64 - self.recomp_slots[s] as i64;
-                    m.div_euclid(self.cfg.n_micro as i64).clamp(0, t as i64) as usize
-                });
-                if self.cfg.recompute.unwrap().t2 && self.cfg.t2_decay.is_some() {
-                    // u_recomp ← u_recomp − (τ_fwd − τ_recomp)·δ.
-                    for s in 0..self.cfg.stages {
-                        let gap = self.clock.nominal_tau_fwd(s)
-                            - self.recomp_slots[s] as f64 / self.cfg.n_micro as f64;
-                        if gap > 0.0 {
-                            let (lo, hi) = self.partition.range(s);
-                            for (b, &d) in
-                                recomp_buf[lo..hi].iter_mut().zip(self.delta[lo..hi].iter())
-                            {
-                                *b -= gap as f32 * d;
-                            }
-                        }
-                    }
-                }
-                let (_, cache) = self.model.forward_loss(&recomp_buf, batch);
-                (loss, cache)
-            } else {
-                self.model.forward_loss(&fwd_buf, batch)
-            };
-            loss_acc += micro_weights[n] * loss;
-
-            // Backward weight versions.
-            self.assemble(&mut bkwd_buf, |s| {
-                if sync_phase {
-                    t
-                } else {
-                    match (&hog_delays, method) {
-                        (Some(d), _) => t.saturating_sub(d[s]),
-                        (None, Some(m)) => self.clock.bkwd_version(m, t, n, s),
-                        (None, None) => t,
-                    }
-                }
-            });
-            // T2: extrapolate the backward weights toward the forward
-            // version along the velocity estimate δ.
-            if !sync_phase && method == Some(Method::PipeMare) && self.cfg.t2_decay.is_some() {
-                for s in 0..self.cfg.stages {
-                    let gap = self.clock.nominal_tau_fwd(s); // τ_bkwd = 0
-                    let (lo, hi) = self.partition.range(s);
-                    for (b, &d) in bkwd_buf[lo..hi].iter_mut().zip(self.delta[lo..hi].iter()) {
-                        *b -= gap as f32 * d;
-                    }
-                }
-            }
-            let g = self.model.backward(&bkwd_buf, &cache);
-            for (acc, &gi) in grad.iter_mut().zip(g.iter()) {
-                *acc += micro_weights[n] * gi;
-            }
-        }
-
         // The health monitor's curvature secant wants the raw gradient of
         // the loss — clipping rescales it and would bias λ̂ — so capture
         // it before the clip. Only paid when a hook is attached.
-        let health_grad = self.health.as_ref().map(|_| grad.clone());
-
-        let mut clipped = false;
-        if let Some(clip) = self.cfg.grad_clip {
-            clipped = clip_grad_norm(&mut grad, clip) > clip;
-        }
-
-        let base_lr = self.cfg.schedule.lr(t);
-        let w_old = self.history.latest().to_vec();
-        let mut w_new = w_old.clone();
-        let grad_finite = grad.iter().all(|g| g.is_finite());
-        let mut stage0_lr = base_lr;
-        if grad_finite {
-            self.opt.begin_step();
-            let t_async = t.saturating_sub(self.cfg.warmup_steps);
-            for s in 0..self.cfg.stages {
-                let (lo, hi) = self.partition.range(s);
-                let scale = self.t1_scale(s, t_async, sync_phase);
-                if s == 0 {
-                    stage0_lr = base_lr * scale;
-                }
-                self.opt.step_range(&mut w_new, &grad, lo, hi, base_lr * scale);
-            }
-        }
-        let finite = w_new.iter().all(|w| w.is_finite());
-        if !finite || !grad_finite {
-            self.diverged = true;
-            // Keep the last finite weights in history.
-            w_new = w_old.clone();
-        }
-        // T2 velocity update: δ ← γδ + (1−γ)(w_new − w_old), per stage.
-        if self.cfg.t2_decay.is_some() {
-            for s in 0..self.cfg.stages {
-                let g = self.gammas[s] as f32;
-                let (lo, hi) = self.partition.range(s);
-                for i in lo..hi {
-                    self.delta[i] = g * self.delta[i] + (1.0 - g) * (w_new[i] - w_old[i]);
-                }
-            }
-        }
-        let param_norm = w_new.iter().map(|&w| w as f64 * w as f64).sum::<f64>().sqrt() as f32;
-        self.history.push(t + 1, w_new);
-        self.step += 1;
+        let mut raw_grad = None;
+        let observed = self.health.is_some();
+        let stats = self
+            .driver
+            .step(self.model, micro, micro_weights, |g| raw_grad = observed.then(|| g.to_vec()))
+            .expect("shards in this process cannot be lost");
+        self.driver.gather_latest();
         if let (Some(m), Some(s)) = (&self.metrics, started) {
-            let delta_norm = if self.cfg.t2_decay.is_some() {
-                self.delta.iter().map(|&d| d as f64 * d as f64).sum::<f64>().sqrt()
+            let cfg = self.driver.config();
+            let delta_norm = if cfg.t2_decay.is_some() {
+                let stages = self.driver.access().stages.iter();
+                stages.flat_map(|st| st.delta()).map(|&d| d as f64 * d as f64).sum::<f64>().sqrt()
             } else {
                 0.0
             };
+            let stage0_lr = stats.base_lr * cfg.t1_scale(self.clock(), 0, t);
             m.record_step(
                 s,
-                loss_acc,
-                base_lr,
+                stats.loss,
+                stats.base_lr,
                 stage0_lr as f64,
                 delta_norm,
-                param_norm,
-                clipped,
-                self.diverged,
+                stats.param_norm,
+                self.driver.clipped(),
+                stats.diverged,
             );
         }
         // Record the step span before observe_health so a black-box dump
@@ -535,20 +269,21 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
             let flight =
                 self.health.as_ref().and_then(|h| h.flight.as_ref()).expect("flight_t0 set");
             let t1 = flight.now_us();
-            flight.record_span(SpanKind::Step, self.cfg.stages as u32, 0, t as u32, t0, t1);
+            let track = self.driver.config().stages as u32;
+            flight.record_span(SpanKind::Step, track, 0, t as u32, t0, t1);
         }
-        if let Some(hg) = health_grad {
-            self.observe_health(t, sync_phase, loss_acc, &hg, &fwd_buf, base_lr);
+        if let Some(grad) = raw_grad {
+            self.observe_health(t, sync_phase, stats.loss, grad, stats.base_lr);
         }
-        StepStats { step: t, loss: loss_acc, param_norm, base_lr, diverged: self.diverged }
+        stats
     }
 
-    /// Feeds the attached [`HealthMonitor`] one observation for the step
+    /// Feeds the attached [`pipemare_telemetry::HealthMonitor`] one observation for the step
     /// just completed and applies the hook's snapshot/halt policy to the
     /// events it raises.
     ///
-    /// `grad` is the pre-clip minibatch gradient and `fwd` the last
-    /// microbatch's forward-assembled weights: successive differences of
+    /// `grad` is the pre-clip minibatch gradient; with the last
+    /// microbatch's forward-version weights, successive differences of
     /// the two give the monitor its curvature secant
     /// λ̂ ≈ ‖g_t − g_{t−1}‖ / ‖u_t − u_{t−1}‖ per stage. Using the
     /// forward version (rather than `w_new − w_old`) keeps the
@@ -560,13 +295,13 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         t: usize,
         sync_phase: bool,
         loss: f32,
-        grad: &[f32],
-        fwd: &[f32],
+        grad: Vec<f32>,
         base_lr: f32,
     ) {
         let Some(hook) = &self.health else { return };
         let monitor = Arc::clone(&hook.monitor);
-        let t_async = t.saturating_sub(self.cfg.warmup_steps);
+        let (cfg, layout) = (self.driver.config(), self.driver.layout());
+        let fwd = self.driver.fwd_weights();
         let slice_norm = |v: &[f32], lo: usize, hi: usize| -> f64 {
             v[lo..hi].iter().map(|&x| x as f64 * x as f64).sum::<f64>().sqrt()
         };
@@ -578,53 +313,40 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
                 .sum::<f64>()
                 .sqrt()
         };
-        let latest = self.history.latest();
-        let t2_on = self.cfg.t2_decay.is_some();
-        let mut stages = Vec::with_capacity(self.cfg.stages);
-        for s in 0..self.cfg.stages {
-            let (lo, hi) = self.partition.range(s);
+        let mut stages = Vec::with_capacity(cfg.stages);
+        for (s, stage) in self.driver.access().stages.iter().enumerate() {
+            let (lo, hi) = layout.partition.range(s);
             let (grad_diff_norm, fwd_diff_norm) = match (&self.prev_grad, &self.prev_fwd) {
-                (Some(pg), Some(pf)) => (diff_norm(grad, pg, lo, hi), diff_norm(fwd, pf, lo, hi)),
+                (Some(pg), Some(pf)) => (diff_norm(&grad, pg, lo, hi), diff_norm(fwd, pf, lo, hi)),
                 _ => (f64::NAN, f64::NAN),
             };
             // During T3 warmup every read is synchronous, so the margin
             // is judged at τ = 0; afterwards at the nominal delays.
-            let (tau_fwd, tau_bkwd) = if sync_phase {
-                (0.0, 0.0)
-            } else {
-                match &self.cfg.mode {
-                    TrainMode::Pipeline(m) => (
-                        match m {
-                            Method::GPipe => 0.0,
-                            _ => self.clock.nominal_tau_fwd(s),
-                        },
-                        self.clock.nominal_tau_bkwd(*m, s),
-                    ),
-                    TrainMode::Hogwild(h) => (h.means[s], h.means[s]),
-                }
-            };
+            let (tau_fwd, tau_bkwd) =
+                if sync_phase { (0.0, 0.0) } else { cfg.nominal_taus(&layout.clock, s) };
             stages.push(StageObservation {
-                grad_norm: slice_norm(grad, lo, hi),
+                grad_norm: slice_norm(&grad, lo, hi),
                 grad_diff_norm,
                 fwd_diff_norm,
-                weight_norm: slice_norm(latest, lo, hi),
-                delta_norm: if t2_on { slice_norm(&self.delta, lo, hi) } else { 0.0 },
-                alpha: base_lr as f64 * self.t1_scale(s, t_async, sync_phase) as f64,
+                weight_norm: slice_norm(stage.latest(), 0, hi - lo),
+                delta_norm: slice_norm(stage.delta(), 0, hi - lo),
+                // The α applied: the driver's own T1 scale.
+                alpha: base_lr as f64 * cfg.t1_scale(&layout.clock, s, t) as f64,
                 tau_fwd,
                 tau_bkwd,
-                gamma: self.gammas[s],
+                gamma: layout.stage_cfgs[s].gamma,
             });
         }
         let obs = StepObservation {
             step: t,
             loss: loss as f64,
-            grad_norm: slice_norm(grad, 0, grad.len()),
-            diverged: self.diverged,
+            grad_norm: slice_norm(&grad, 0, grad.len()),
+            diverged: self.driver.diverged(),
             stages,
         };
         let events = monitor.observe(&obs);
-        self.prev_grad = Some(grad.to_vec());
         self.prev_fwd = Some(fwd.to_vec());
+        self.prev_grad = Some(grad);
 
         let worst = events.iter().map(|e| e.severity).max();
         let hook = self.health.as_ref().expect("hook checked above");
@@ -712,9 +434,13 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipemare_comms::{RecomputeCfg, TrainMode};
     use pipemare_nn::{ImageBatch, Mlp};
     use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};
+    use pipemare_pipeline::Method;
     use pipemare_tensor::Tensor;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn blob_micro(seed: u64, n_micro: usize, per_micro: usize) -> (Vec<ImageBatch>, Vec<f32>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -953,8 +679,6 @@ mod tests {
     #[test]
     fn state_roundtrip_resumes_async_run_bit_identically() {
         use crate::checkpoint::{load_state, save_state};
-        use crate::config::RecomputeCfg;
-        use pipemare_optim::OptimizerKind;
         // Full feature load: PipeMare + T1 + T2 + recompute + momentum,
         // so the snapshot must carry δ and the moment buffer to resume.
         let model = Mlp::new(&[4, 6, 2]);
@@ -980,11 +704,14 @@ mod tests {
         save_state(&path, &full.state()).unwrap();
         let state = load_state(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert!(state.delta.iter().any(|&d| d != 0.0), "δ must survive the round trip");
-        assert!(state.opt_m.iter().any(|&m| m != 0.0), "momentum must survive");
-        assert!(state.history.len() > 1, "async resume needs the version window");
+        assert_eq!(state.stages.len(), 3, "one state per stage");
+        for stage in &state.stages {
+            assert!(stage.delta.iter().any(|&d| d != 0.0), "δ must survive the round trip");
+            assert!(stage.opt_m.iter().any(|&m| m != 0.0), "momentum must survive");
+        }
+        assert!(state.stages[0].window.len() > 1, "async resume needs the version window");
         let mut resumed = PipelineTrainer::new(&model, mk(), 99);
-        resumed.restore(state);
+        resumed.restore(state).expect("the same configuration");
         assert_eq!(resumed.steps_done(), 6);
         for _ in 0..6 {
             let a = full.train_minibatch(&micro, &w);
@@ -995,8 +722,31 @@ mod tests {
     }
 
     #[test]
+    fn restoring_a_state_that_does_not_fit_is_an_error_not_a_panic() {
+        let model = Mlp::new(&[4, 6, 2]);
+        let mk = |stages| TrainConfig::naive_async(stages, 2, sgd(), Box::new(ConstantLr(0.05)));
+        let (micro, w) = blob_micro(8, 2, 4);
+        let mut three = PipelineTrainer::new(&model, mk(3), 13);
+        three.train_minibatch(&micro, &w);
+        let state = three.state();
+        // Another pipeline: a 3-stage state into a 4-stage trainer.
+        let mut four = PipelineTrainer::new(&model, mk(4), 13);
+        assert!(matches!(four.restore(state.clone()), Err(CheckpointError::Mismatch(_))));
+        // Another optimizer: no moment buffer where one is expected.
+        let mut cfg = mk(3);
+        cfg.optimizer = OptimizerKind::resnet_momentum(1e-4);
+        let mut momentum = PipelineTrainer::new(&model, cfg, 13);
+        assert!(matches!(momentum.restore(state.clone()), Err(CheckpointError::Mismatch(_))));
+        // A header out of step with its windows.
+        let mut skewed = state.clone();
+        skewed.step += 1;
+        let mut same = PipelineTrainer::new(&model, mk(3), 13);
+        assert!(matches!(same.restore(skewed), Err(CheckpointError::Mismatch(_))));
+        assert!(PipelineTrainer::new(&model, mk(3), 13).restore(state).is_ok());
+    }
+
+    #[test]
     fn app_d_gamma_widens_gap_at_late_stages() {
-        use crate::config::RecomputeCfg;
         // P = 4, N = 2, two segments of size 2. Stage 3: τ_fwd = 0.5 but
         // τ_recomp = 2(2 − 1)/2 = 1.0 → the recompute discrepancy
         // dominates and γ must follow it (App. D).

@@ -14,13 +14,6 @@ enum Stored {
 }
 
 impl Stored {
-    fn len(&self) -> usize {
-        match self {
-            Stored::F32(v) => v.len(),
-            Stored::Bf16(v) => v.len(),
-        }
-    }
-
     fn bytes(&self) -> usize {
         match self {
             Stored::F32(v) => v.len() * 4,
@@ -57,16 +50,6 @@ pub struct WeightHistory {
 }
 
 impl WeightHistory {
-    /// Creates an f32 history retaining `capacity` versions, seeded with
-    /// version 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize, initial: Vec<f32>) -> Self {
-        Self::with_precision(capacity, initial, StoragePrecision::F32)
-    }
-
     /// Creates a history whose non-latest versions are stored at
     /// `precision`.
     ///
@@ -78,11 +61,6 @@ impl WeightHistory {
         let mut versions = VecDeque::with_capacity(capacity + 1);
         versions.push_back((0, Stored::F32(initial)));
         WeightHistory { versions, capacity, precision }
-    }
-
-    /// The storage precision of non-latest versions.
-    pub fn precision(&self) -> StoragePrecision {
-        self.precision
     }
 
     /// Records a new version. Versions must be pushed in increasing
@@ -107,6 +85,34 @@ impl WeightHistory {
         while self.versions.len() > self.capacity {
             self.versions.pop_front();
         }
+    }
+
+    /// Takes the oldest version out of a full window ahead of the push
+    /// that would evict it, handing back its buffer for the caller to
+    /// build the next version in. `None`, and nothing removed, while the
+    /// window is still filling, when it keeps a single version, or when
+    /// the oldest version is stored in bf16.
+    pub fn recycle_oldest(&mut self) -> Option<Vec<f32>> {
+        let full = self.versions.len() == self.capacity && self.capacity > 1;
+        if full && matches!(self.versions.front(), Some((_, Stored::F32(_)))) {
+            if let Some((_, Stored::F32(oldest))) = self.versions.pop_front() {
+                return Some(oldest);
+            }
+        }
+        None
+    }
+
+    /// How many versions the window retains at most.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Whether `version` is inside the retained window. Reads outside
+    /// it clamp to the nearest retained version; a caller for whom that
+    /// would be a wrong answer checks first.
+    pub fn holds(&self, version: usize) -> bool {
+        let oldest = self.versions.front().expect("history never empty").0;
+        (oldest..=self.latest_version()).contains(&version)
     }
 
     /// The newest recorded version number.
@@ -174,11 +180,6 @@ impl WeightHistory {
         self.versions.iter().map(|(_, s)| s.bytes()).sum()
     }
 
-    /// Parameter-vector length of the retained versions.
-    pub fn param_len(&self) -> usize {
-        self.versions.back().expect("history never empty").1.len()
-    }
-
     /// All retained versions, oldest first — the checkpointing snapshot.
     /// Resuming an asynchronous run needs the whole window, not just the
     /// latest vector: the next minibatches read delayed versions.
@@ -199,22 +200,13 @@ impl WeightHistory {
             .collect()
     }
 
-    /// Rebuilds an f32 history from a [`WeightHistory::snapshot`].
+    /// Rebuilds a history from a [`WeightHistory::snapshot`] at the given
+    /// storage precision (all but the newest version are re-encoded).
     ///
     /// # Panics
     ///
     /// Panics if `versions` is empty, not consecutively numbered, or
     /// longer than `capacity`.
-    pub fn from_versions(capacity: usize, versions: Vec<(usize, Vec<f32>)>) -> Self {
-        Self::from_versions_with_precision(capacity, versions, StoragePrecision::F32)
-    }
-
-    /// Rebuilds a history from a snapshot at the given storage
-    /// precision (all but the newest version are re-encoded).
-    ///
-    /// # Panics
-    ///
-    /// As [`WeightHistory::from_versions`].
     pub fn from_versions_with_precision(
         capacity: usize,
         versions: Vec<(usize, Vec<f32>)>,
@@ -254,7 +246,7 @@ mod tests {
 
     #[test]
     fn push_and_get() {
-        let mut h = WeightHistory::new(3, vec![0.0]);
+        let mut h = WeightHistory::with_precision(3, vec![0.0], StoragePrecision::F32);
         h.push(1, vec![1.0]);
         h.push(2, vec![2.0]);
         assert_eq!(&*h.get(0), &[0.0]);
@@ -266,7 +258,7 @@ mod tests {
 
     #[test]
     fn eviction_clamps_to_oldest() {
-        let mut h = WeightHistory::new(2, vec![0.0]);
+        let mut h = WeightHistory::with_precision(2, vec![0.0], StoragePrecision::F32);
         h.push(1, vec![1.0]);
         h.push(2, vec![2.0]); // evicts version 0
         assert_eq!(h.len(), 2);
@@ -277,20 +269,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected 1")]
     fn non_consecutive_push_rejected() {
-        let mut h = WeightHistory::new(3, vec![0.0]);
+        let mut h = WeightHistory::with_precision(3, vec![0.0], StoragePrecision::F32);
         h.push(2, vec![2.0]);
     }
 
     #[test]
     fn snapshot_roundtrip_preserves_window() {
-        let mut h = WeightHistory::new(3, vec![0.0]);
+        let mut h = WeightHistory::with_precision(3, vec![0.0], StoragePrecision::F32);
         for v in 1..=4 {
             h.push(v, vec![v as f32]);
         }
         let snap = h.snapshot();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].0, 2, "oldest retained version");
-        let r = WeightHistory::from_versions(3, snap);
+        let r = WeightHistory::from_versions_with_precision(3, snap, StoragePrecision::F32);
         assert_eq!(r.latest_version(), 4);
         assert_eq!(r.get(2), h.get(2));
         assert_eq!(r.get(0), r.get(2), "clamping matches the original window");
@@ -299,7 +291,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "consecutive")]
     fn from_versions_rejects_gaps() {
-        WeightHistory::from_versions(3, vec![(0, vec![0.0]), (2, vec![2.0])]);
+        WeightHistory::from_versions_with_precision(
+            3,
+            vec![(0, vec![0.0]), (2, vec![2.0])],
+            StoragePrecision::F32,
+        );
     }
 
     #[test]
@@ -326,7 +322,7 @@ mod tests {
     #[test]
     fn bf16_storage_bytes_halve_old_versions() {
         let n = 1000;
-        let mut f = WeightHistory::new(3, vec![1.0; n]);
+        let mut f = WeightHistory::with_precision(3, vec![1.0; n], StoragePrecision::F32);
         let mut b = WeightHistory::with_precision(3, vec![1.0; n], StoragePrecision::Bf16);
         for v in 1..=2 {
             f.push(v, vec![v as f32; n]);

@@ -29,7 +29,9 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pipemare::comms::{channel, run_stage_worker, SparseMode, TcpTransport, Transport};
+use pipemare::comms::{
+    channel, run_stage_worker_opts, SparseMode, TcpTransport, Transport, WorkerOptions,
+};
 use pipemare::core::{
     train_distributed_loopback, train_distributed_tcp, PipelineTrainer, TrainConfig,
 };
@@ -145,7 +147,8 @@ fn main() {
                 let (stream, _) = listener.accept().expect("accept");
                 let t = TcpTransport::new(stream).expect("tcp transport");
                 let (tx, rx) = channel(Box::new(t) as Box<dyn Transport>).expect("channel");
-                let report = run_stage_worker(tx, rx).expect("stage worker");
+                let report =
+                    run_stage_worker_opts(tx, rx, WorkerOptions::default()).expect("stage worker");
                 (stage, report)
             }));
         }

@@ -11,8 +11,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pipemare::comms::{
-    channel, loopback_pair, plan, run_stage_worker, spawn_loopback_workers, CommsError, ContentTag,
-    DistributedTrainer, Message, PassKind, SparseMode, Transport, PROTOCOL_VERSION,
+    channel, loopback_pair, plan, run_stage_worker_opts, spawn_loopback_workers, CommsError,
+    ContentTag, DistributedTrainer, Message, PassKind, SparseMode, Transport, WorkerOptions,
+    PROTOCOL_VERSION,
 };
 use pipemare::core::{dist_config, PipelineTrainer, RecomputeCfg, TrainConfig};
 use pipemare::nn::{ImageBatch, Mlp};
@@ -319,7 +320,7 @@ fn worker_lost_mid_gather_is_typed_and_leaves_no_trusted_buffer() {
     let (driver0, worker0) = loopback_pair();
     let healthy = std::thread::spawn(move || {
         let (tx, rx) = channel(Box::new(worker0))?;
-        run_stage_worker(tx, rx)
+        run_stage_worker_opts(tx, rx, WorkerOptions::default())
     });
     let (driver1, worker1) = loopback_pair();
     let doomed = std::thread::spawn(move || {

@@ -104,7 +104,7 @@ fn unstable_run_warns_before_divergence_then_snapshot_resumes_bit_identically() 
     assert_eq!(state.step, breach.step + 1);
     let cfg = unstable_cfg(Box::new(ConstantLr(alpha_unstable())));
     let mut trainer = PipelineTrainer::new(&model, cfg, 999); // seed overwritten by restore
-    trainer.restore(state);
+    trainer.restore(state).expect("a snapshot of the same configuration");
     let micro = [RegressionBatch { x: ds.x.clone(), y: ds.y.clone() }];
     for (t, &want) in losses.iter().enumerate().skip(breach.step + 1) {
         let stats = trainer.train_minibatch(&micro, &[1.0]);

@@ -11,8 +11,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pipemare::comms::{
-    channel, loopback_pair, run_stage_worker_stats, spawn_loopback_workers, DistConfig,
-    DistributedTrainer, Message, PassKind, StageConfig, PROTOCOL_VERSION,
+    channel, loopback_pair, run_stage_worker_opts, spawn_loopback_workers, DistConfig,
+    DistributedTrainer, Message, PassKind, StageConfig, TrainConfig, WorkerOptions,
+    PROTOCOL_VERSION,
 };
 use pipemare::nn::{ImageBatch, Mlp, TrainModel};
 use pipemare::pipeline::Method;
@@ -53,7 +54,7 @@ fn stage_worker_answers_in_band_stats_scrape() {
     let (driver_end, worker_end) = loopback_pair();
     let worker = thread::spawn(move || {
         let (tx, rx) = channel(Box::new(worker_end))?;
-        run_stage_worker_stats(tx, rx, None)
+        run_stage_worker_opts(tx, rx, WorkerOptions::default())
     });
     let (mut tx, mut rx) = channel(Box::new(driver_end)).expect("driver channel");
 
@@ -176,14 +177,14 @@ fn orchestrator_live_store_sees_stages_and_wire_traffic() {
     let model = Mlp::new(&[4, 10, 2]);
     let stages = 2;
     let n_micro = 2;
-    let cfg = DistConfig::pipemare(
+    let cfg = DistConfig::new(TrainConfig::pipemare(
         stages,
         n_micro,
         OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 },
         Box::new(ConstantLr(0.05)),
         T1Rescheduler::new(24),
         0.9,
-    );
+    ));
     let (transports, handles) = spawn_loopback_workers(stages);
     let mut trainer =
         DistributedTrainer::connect(&model, cfg, 3, transports).expect("trainer connects");
