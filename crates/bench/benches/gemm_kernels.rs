@@ -19,6 +19,17 @@
 //! calls in it (`conv.permute_calls`, zero: the GEMMs read and write
 //! NCHW-ordered blocks directly).
 //!
+//! A third section does the same for attention, whose heads are column
+//! blocks of its projections: the allocator calls of one warm forward +
+//! backward at pmbench's microbatch (`attn.allocs_fwd_bwd`), the
+//! `Tensor::permute` calls in it (`attn.permute_calls`, zero) and its
+//! kernel calls (`attn.kernel_calls_fwd_bwd`: every product of a layer
+//! over all heads is one call) gate; `metric.attn.*` and
+//! `metric.small_gemm.*` time the layer, the three small products a
+//! transformer microbatch is made of, and the cross-over sweep — no-pack
+//! time over blocked time on a grid of small shapes — that the dispatch
+//! line in `kernels::no_pack_is_faster` was read from.
+//!
 //! Passing `--test` anywhere on the command line runs a seconds-long
 //! smoke version (tiny shapes, correctness cross-check) for CI. The
 //! smoke run writes the JSON too — timing series for its own tiny
@@ -31,9 +42,9 @@ use std::time::Instant;
 use criterion::Criterion;
 
 use pipemare_bench::report::ExperimentLog;
-use pipemare_nn::{Conv2d, Layer};
+use pipemare_nn::{AttnMask, Conv2d, Layer, MultiHeadAttention};
 use pipemare_telemetry::MetricsRegistry;
-use pipemare_tensor::kernels::SimdLevel;
+use pipemare_tensor::kernels::{BatchStride, Layout, Product, SimdLevel};
 use pipemare_tensor::{kernels, pool, CountingAlloc, KernelKind, Tensor, ThreadPool};
 
 #[global_allocator]
@@ -198,6 +209,160 @@ fn conv_section(log: &mut ExperimentLog, reps: usize) {
     });
 }
 
+/// One attention layer at pmbench's `transformer_recompute` microbatch
+/// (3 sentences of 6 tokens, width 32, 4 heads): what its data path is
+/// made of (gated) and how long it takes (informational).
+fn attention_section(log: &mut ExperimentLog, reps: usize) {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
+    pool::with_pool(&ThreadPool::new(1), || {
+        let attn = MultiHeadAttention::new(32, 4);
+        let mut params = vec![0.0f32; attn.param_len()];
+        attn.init_params(&mut params, &mut rng);
+        let x = Tensor::randn(&[3, 6, 32], &mut rng);
+        // Warm pass: grows the per-thread pack scratch.
+        let (y, cache) = attn.forward(&params, &x, &x, &AttnMask::Causal);
+        let dy = Tensor::randn(y.shape(), &mut rng);
+        std::hint::black_box(attn.backward(&params, &cache, &dy));
+
+        let registry = MetricsRegistry::new();
+        let kernel_metrics = pipemare_tensor::install_kernel_metrics(&registry);
+        let before = ALLOC.calls();
+        let (_, cache) = attn.forward(&params, &x, &x, &AttnMask::Causal);
+        std::hint::black_box(attn.backward(&params, &cache, &dy));
+        let allocs = ALLOC.calls() - before;
+        pipemare_tensor::uninstall_kernel_metrics();
+        let calls = |kind| kernel_metrics.calls(kind).get();
+        let products = [KernelKind::Gemm, KernelKind::GemmNt, KernelKind::GemmTn, KernelKind::Bmm];
+        log.push_scalar("attn.allocs_fwd_bwd", allocs as f64);
+        log.push_scalar("attn.permute_calls", calls(KernelKind::Permute) as f64);
+        log.push_scalar(
+            "attn.kernel_calls_fwd_bwd",
+            products.iter().map(|&k| calls(k)).sum::<u64>() as f64,
+        );
+
+        let fwd = 1e6
+            * median_secs(reps, || {
+                std::hint::black_box(attn.forward(&params, &x, &x, &AttnMask::Causal));
+            });
+        let bwd = 1e6
+            * median_secs(reps, || {
+                std::hint::black_box(attn.backward(&params, &cache, &dy));
+            });
+        println!("    attention 3x6x32 h4  fwd {fwd:>8.2} us  bwd {bwd:>8.2} us");
+        log.push_scalar("metric.attn.fwd_us", fwd);
+        log.push_scalar("metric.attn.bwd_us", bwd);
+    });
+}
+
+/// Fastest-of-`rounds` nanoseconds per call of `f` and of `g`, the two
+/// timed in alternating batches so that a slow spell of the host falls on
+/// both.
+fn duel_ns(rounds: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64) {
+    let batch = |h: &mut dyn FnMut()| {
+        let mut iters = 1usize;
+        loop {
+            let start = Instant::now();
+            (0..iters).for_each(|_| h());
+            if start.elapsed().as_secs_f64() > 5e-5 {
+                return iters;
+            }
+            iters *= 2;
+        }
+    };
+    let (nf, ng) = (batch(&mut f), batch(&mut g));
+    let mut best = (f64::MAX, f64::MAX);
+    for _ in 0..rounds {
+        let start = Instant::now();
+        (0..nf).for_each(|_| f());
+        best.0 = best.0.min(start.elapsed().as_secs_f64() * 1e9 / nf as f64);
+        let start = Instant::now();
+        (0..ng).for_each(|_| g());
+        best.1 = best.1.min(start.elapsed().as_secs_f64() * 1e9 / ng as f64);
+    }
+    best
+}
+
+/// No-pack against blocked on one dense product, nanoseconds each.
+fn no_pack_vs_blocked(rounds: usize, layout: Layout, m: usize, k: usize, n: usize) -> (f64, f64) {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(13);
+    let a = Tensor::randn(&[m * k], &mut rng);
+    let b = Tensor::randn(&[k * n], &mut rng);
+    let (mut c1, mut c2) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+    let p = Product::dense(layout, m, k, n);
+    duel_ns(
+        rounds,
+        || {
+            kernels::gemm_no_pack(&p, a.data(), b.data(), &mut c1);
+            std::hint::black_box(&mut c1);
+        },
+        || {
+            kernels::gemm_blocked(layout, a.data(), b.data(), &mut c2, m, k, n);
+            std::hint::black_box(&mut c2);
+        },
+    )
+}
+
+/// The small products of a transformer microbatch, and the cross-over
+/// sweep behind `kernels::no_pack_is_faster`: all informational.
+fn small_gemm_section(log: &mut ExperimentLog, rounds: usize) {
+    let name = |l: Layout| format!("{l:?}").to_lowercase();
+    pool::with_pool(&ThreadPool::new(1), || {
+        for (m, k, n) in [(18, 32, 32), (18, 32, 64)] {
+            let (np, bl) = no_pack_vs_blocked(rounds, Layout::NN, m, k, n);
+            println!("    {m}x{k}x{n} nn        no-pack {np:>8.0} ns  blocked {bl:>8.0} ns");
+            log.push_scalar(&format!("metric.small_gemm.no_pack_ns.{m}x{k}x{n}"), np);
+            log.push_scalar(&format!("metric.small_gemm.blocked_ns.{m}x{k}x{n}"), bl);
+        }
+        // Attention scores of one microbatch: 12 heads of (6×8)·(6×8)ᵀ as
+        // column blocks of two (18, 32) projections, one batched call,
+        // against twelve dense calls on copied-out heads.
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
+        let (q, kk) = (Tensor::randn(&[18, 32], &mut rng), Tensor::randn(&[18, 32], &mut rng));
+        let (qh, kh) = (Tensor::randn(&[12, 6, 8], &mut rng), Tensor::randn(&[12, 6, 8], &mut rng));
+        let p = Product { layout: Layout::NT, m: 6, k: 8, n: 6, lda: 32, ldb: 32, ldc: 6 };
+        let heads = BatchStride { group: 6 * 32, head: 8 };
+        let scores = BatchStride { group: 4 * 36, head: 36 };
+        let mut s1 = vec![0.0f32; 12 * 36];
+        let (strided, per_head) = duel_ns(
+            rounds,
+            || {
+                kernels::gemm_batched(&p, 3, 4, q.data(), heads, kk.data(), heads, &mut s1, scores);
+                std::hint::black_box(&mut s1);
+            },
+            || {
+                std::hint::black_box(qh.bmm_nt(&kh));
+            },
+        );
+        println!("    12x(6x8x6) nt      strided {strided:>8.0} ns  bmm_nt  {per_head:>8.0} ns");
+        log.push_scalar("metric.small_gemm.heads_strided_ns.12x6x8x6", strided);
+        log.push_scalar("metric.small_gemm.heads_bmm_nt_ns.12x6x8x6", per_head);
+
+        for layout in [Layout::NN, Layout::NT, Layout::TN] {
+            for &(k, n) in SWEEP_KN {
+                for &m in SWEEP_M {
+                    let (np, bl) = no_pack_vs_blocked(rounds, layout, m, k, n);
+                    let side =
+                        if kernels::no_pack_is_faster(m, k, n) { "no-pack" } else { "blocked" };
+                    println!(
+                        "    sweep {} {m:>3}x{k:>3}x{n:>3}  no-pack/blocked {:>5.2}  -> {side}",
+                        name(layout),
+                        np / bl
+                    );
+                    log.push_scalar(
+                        &format!("metric.small_gemm.sweep.{}.{m}x{k}x{n}", name(layout)),
+                        np / bl,
+                    );
+                }
+            }
+        }
+    });
+}
+
+/// Rows and `(depth, columns)` of the cross-over sweep.
+const SWEEP_M: &[usize] = &[2, 6, 12, 16, 18, 24, 32, 64, 96];
+const SWEEP_KN: &[(usize, usize)] =
+    &[(8, 8), (16, 16), (16, 32), (32, 32), (32, 64), (64, 64), (64, 128), (128, 128), (256, 128)];
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     let shapes = if smoke { SMOKE_SHAPES } else { SHAPES };
@@ -304,6 +469,8 @@ fn main() {
         }
     }
     conv_section(&mut log, if smoke { 9 } else { 51 });
+    attention_section(&mut log, if smoke { 9 } else { 201 });
+    small_gemm_section(&mut log, if smoke { 3 } else { 40 });
     match log.save() {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nfailed to write experiment log: {e}"),

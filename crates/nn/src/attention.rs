@@ -8,10 +8,12 @@
 
 use rand::rngs::StdRng;
 
-use pipemare_tensor::{kernels, Tensor};
+use pipemare_tensor::kernels::{self, BatchStride, Layout, Product};
+use pipemare_tensor::Tensor;
 
 use crate::cache::Cache;
 use crate::layer::WeightUnit;
+use crate::linear::{add_bias_rows, add_column_sums};
 
 /// Attention masking modes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,40 +90,60 @@ impl MultiHeadAttention {
         (&params[base..base + d * d], &params[base + d * d..base + block])
     }
 
-    /// Applies projection `idx` to a flattened `(rows, dim)` input.
-    fn apply_proj(&self, params: &[f32], idx: usize, x2: &Tensor) -> Tensor {
+    /// Projection `idx` of a flattened `(rows, dim)` input: the product
+    /// runs on the parameter slice directly and the bias is added in
+    /// place.
+    fn project(&self, params: &[f32], idx: usize, x: &[f32], rows: usize) -> Vec<f32> {
         let d = self.dim;
         let (w, b) = self.proj(params, idx);
-        let rows = x2.shape()[0];
-        // Kernel runs on the parameter slice directly — no weight copy.
-        let mut y = Tensor::zeros(&[rows, d]);
-        kernels::gemm(x2.data(), w, y.data_mut(), rows, d, d);
-        let bt = Tensor::from_vec(b.to_vec(), &[d]);
-        y.add(&bt)
+        let mut y = vec![0.0f32; rows * d];
+        kernels::gemm(x, w, &mut y, rows, d, d);
+        add_bias_rows(&mut y, b);
+        y
     }
 
-    /// Splits `(B, T, D)` into `(B*H, T, Dh)` head-major layout.
-    fn split_heads(&self, x: &Tensor) -> Tensor {
-        let (b, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        let h = self.heads;
-        let dh = d / h;
-        x.reshape(&[b, t, h, dh]).permute(&[0, 2, 1, 3]).reshape(&[b * h, t, dh])
+    /// Where head `h` of batch element `b` lies in a `(B·t, D)`
+    /// projection: rows `b·t..`, columns `h·dh..`, row pitch `D`.
+    fn heads_of(&self, t: usize) -> BatchStride {
+        BatchStride { group: t * self.dim, head: self.dim / self.heads }
     }
 
-    /// Merges `(B*H, T, Dh)` back to `(B, T, D)`.
-    fn merge_heads(&self, x: &Tensor, batch: usize) -> Tensor {
-        let h = self.heads;
-        let t = x.shape()[1];
-        let dh = x.shape()[2];
-        x.reshape(&[batch, h, t, dh]).permute(&[0, 2, 1, 3]).reshape(&[batch, t, h * dh])
+    /// Where the `(tq, tk)` block of head `h` of batch element `b` lies
+    /// in the `(B·H, tq, tk)` score buffer.
+    fn scores_of(&self, tq: usize, tk: usize) -> BatchStride {
+        BatchStride { group: self.heads * tq * tk, head: tq * tk }
     }
 
-    fn apply_mask(&self, scores: &mut Tensor, mask: &AttnMask, batch: usize) {
-        let h = self.heads;
-        let (bh, tq, tk) = (scores.shape()[0], scores.shape()[1], scores.shape()[2]);
-        debug_assert_eq!(bh, batch * h);
+    /// One product per head over `groups` batch elements, every operand
+    /// read and written where it lies.
+    fn per_head(
+        &self,
+        groups: usize,
+        layout: Layout,
+        (m, k, n): (usize, usize, usize),
+        (a, a_at, lda): (&[f32], BatchStride, usize),
+        (b, b_at, ldb): (&[f32], BatchStride, usize),
+        (c, c_at, ldc): (&mut [f32], BatchStride, usize),
+    ) {
+        let p = Product { layout, m, k, n, lda, ldb, ldc };
+        kernels::gemm_batched(&p, groups, self.heads, a, a_at, b, b_at, c, c_at);
+    }
+
+    /// Turns raw scores into attention weights, one pass per row of the
+    /// `(B·H, tq, tk)` buffer: `·scale`, mask, then the softmax of
+    /// [`Tensor::softmax_last`] — the same expressions in the same
+    /// element order, so a fully masked row still comes out uniform.
+    fn softmax_rows(
+        &self,
+        scores: &mut [f32],
+        mask: &AttnMask,
+        batch: usize,
+        tq: usize,
+        tk: usize,
+    ) {
+        let scale = 1.0 / ((self.dim / self.heads) as f32).sqrt();
         let (causal, lens) = match mask {
-            AttnMask::None => return,
+            AttnMask::None => (false, None),
             AttnMask::Causal => (true, None),
             AttnMask::KeyLens(l) => (false, Some(l)),
             AttnMask::CausalKeyLens(l) => (true, Some(l)),
@@ -132,15 +154,22 @@ impl MultiHeadAttention {
         if let Some(l) = lens {
             assert_eq!(l.len(), batch, "key-length mask: {} lens for batch {batch}", l.len());
         }
-        for bhi in 0..bh {
-            let bi = bhi / h;
-            for i in 0..tq {
-                for j in 0..tk {
-                    let masked = (causal && j > i) || lens.is_some_and(|l| j >= l[bi]);
-                    if masked {
-                        scores.data_mut()[(bhi * tq + i) * tk + j] = MASK_NEG;
-                    }
-                }
+        for (r, row) in scores.chunks_exact_mut(tk).enumerate() {
+            let (bi, i) = (r / (self.heads * tq), r % tq);
+            // Keys `visible..` are masked.
+            let visible = lens.map_or(tk, |l| l[bi]).min(if causal { i + 1 } else { tk });
+            let mut m = f32::NEG_INFINITY;
+            for (j, x) in row.iter_mut().enumerate() {
+                *x = if j < visible { *x * scale } else { MASK_NEG };
+                m = m.max(*x);
+            }
+            let mut z = 0.0f32;
+            for x in row.iter_mut() {
+                *x = (*x - m).exp();
+                z += *x;
+            }
+            for x in row.iter_mut() {
+                *x /= z;
             }
         }
     }
@@ -149,6 +178,12 @@ impl MultiHeadAttention {
     ///
     /// `query`: `(B, Tq, D)`; `kv`: `(B, Tk, D)` (equal to `query` for
     /// self-attention). Returns `(output (B, Tq, D), cache)`.
+    ///
+    /// Q, K and V stay in their `(B·T, D)` projection outputs: head `h`
+    /// of batch element `b` is a column block of them, multiplied in
+    /// place by one batched call per product, and the context lands in
+    /// `(B·Tq, D)` directly. The cache holds the two inputs, Q, K, V, the
+    /// attention weights `(B·H, Tq, Tk)` and the context.
     pub fn forward(
         &self,
         params: &[f32],
@@ -163,25 +198,68 @@ impl MultiHeadAttention {
         assert_eq!(d, self.dim, "attention dim mismatch");
         assert_eq!(kv.shape()[0], b, "attention batch mismatch");
         assert_eq!(kv.shape()[2], d, "attention kv dim mismatch");
-        let dh = d / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
+        let (h, dh) = (self.heads, d / self.heads);
 
-        let q2 = query.reshape(&[b * tq, d]);
-        let kv2 = kv.reshape(&[b * tk, d]);
-        let q = self.split_heads(&self.apply_proj(params, 0, &q2).reshape(&[b, tq, d]));
-        let k = self.split_heads(&self.apply_proj(params, 1, &kv2).reshape(&[b, tk, d]));
-        let v = self.split_heads(&self.apply_proj(params, 2, &kv2).reshape(&[b, tk, d]));
+        let q = self.project(params, 0, query.data(), b * tq);
+        let k = self.project(params, 1, kv.data(), b * tk);
+        let v = self.project(params, 2, kv.data(), b * tk);
 
-        let mut scores = q.bmm_nt(&k).scale(scale); // (B*H, Tq, Tk)
-        self.apply_mask(&mut scores, mask, b);
-        let a = scores.softmax_last();
-        let ctx = a.bmm(&v); // (B*H, Tq, Dh)
-        let ctx2 = self.merge_heads(&ctx, b).reshape(&[b * tq, d]);
-        let y = self.apply_proj(params, 3, &ctx2).reshape(&[b, tq, d]);
+        // scores = q · kᵀ, then weights in place.
+        let mut a = vec![0.0f32; b * h * tq * tk];
+        self.per_head(
+            b,
+            Layout::NT,
+            (tq, dh, tk),
+            (&q, self.heads_of(tq), d),
+            (&k, self.heads_of(tk), d),
+            (&mut a, self.scores_of(tq, tk), tk),
+        );
+        self.softmax_rows(&mut a, mask, b, tq, tk);
+        // ctx = a · v
+        let mut ctx = vec![0.0f32; b * tq * d];
+        self.per_head(
+            b,
+            Layout::NN,
+            (tq, tk, dh),
+            (&a, self.scores_of(tq, tk), tk),
+            (&v, self.heads_of(tk), d),
+            (&mut ctx, self.heads_of(tq), d),
+        );
+        let y = Tensor::from_vec(self.project(params, 3, &ctx, b * tq), &[b, tq, d]);
 
-        let mut cache = Cache::with_tensors(vec![q2, kv2, q, k, v, a, ctx2]);
+        let mut cache = Cache::with_tensors(vec![
+            query.reshape(&[b * tq, d]),
+            kv.reshape(&[b * tk, d]),
+            Tensor::from_vec(q, &[b * tq, d]),
+            Tensor::from_vec(k, &[b * tk, d]),
+            Tensor::from_vec(v, &[b * tk, d]),
+            Tensor::from_vec(a, &[b * h, tq, tk]),
+            Tensor::from_vec(ctx, &[b * tq, d]),
+        ]);
         cache.indices = vec![b, tq, tk];
         (y, cache)
+    }
+
+    /// Backward of projection `idx`: `dW += inputᵀ · dproj` and
+    /// `db += Σ_rows dproj` straight into `grads`, and
+    /// `dx += dproj · Wᵀ`.
+    fn back_project(
+        &self,
+        params: &[f32],
+        idx: usize,
+        dproj: &[f32],
+        input: &[f32],
+        grads: &mut [f32],
+        dx: &mut [f32],
+    ) {
+        let d = self.dim;
+        let block = d * d + d;
+        let rows = dproj.len() / d;
+        let (w, _) = self.proj(params, idx);
+        let (dw, db) = grads[idx * block..(idx + 1) * block].split_at_mut(d * d);
+        kernels::gemm_tn(input, dproj, dw, d, rows, d);
+        add_column_sums(db, dproj);
+        kernels::gemm_nt(dproj, w, dx, rows, d, d);
     }
 
     /// Backward pass.
@@ -196,90 +274,74 @@ impl MultiHeadAttention {
     ) -> (Tensor, Tensor, Vec<f32>) {
         let d = self.dim;
         let (b, tq, tk) = (cache.indices[0], cache.indices[1], cache.indices[2]);
-        let dh = d / self.heads;
+        let (h, dh) = (self.heads, d / self.heads);
         let scale = 1.0 / (dh as f32).sqrt();
-        let (q2, kv2, q, k, v, a, ctx2) = (
-            cache.tensor(0),
-            cache.tensor(1),
-            cache.tensor(2),
-            cache.tensor(3),
-            cache.tensor(4),
-            cache.tensor(5),
-            cache.tensor(6),
-        );
+        let [q2, kv2, q, k, v, a, ctx] = std::array::from_fn(|i| cache.tensor(i).data());
         let mut grads = vec![0.0f32; self.param_len()];
-        let block = d * d + d;
 
-        // Output projection. dW accumulates straight into the zeroed
-        // gradient buffer; dx reads the weight slice transposed in place.
-        let dy2 = dy.reshape(&[b * tq, d]);
-        let (wo, _) = self.proj(params, 3);
-        let mut dctx2 = Tensor::zeros(&[b * tq, d]);
-        kernels::gemm_nt(dy2.data(), wo, dctx2.data_mut(), b * tq, d, d);
-        kernels::gemm_tn(
-            ctx2.data(),
-            dy2.data(),
-            &mut grads[3 * block..3 * block + d * d],
-            d,
-            b * tq,
-            d,
+        // Output projection.
+        let mut dctx = vec![0.0f32; b * tq * d];
+        self.back_project(params, 3, dy.data(), ctx, &mut grads, &mut dctx);
+
+        // ctx = a · v: da = dctx · vᵀ (into the buffer that becomes ds),
+        // dv = aᵀ · dctx.
+        let mut ds = vec![0.0f32; b * h * tq * tk];
+        self.per_head(
+            b,
+            Layout::NT,
+            (tq, dh, tk),
+            (&dctx, self.heads_of(tq), d),
+            (v, self.heads_of(tk), d),
+            (&mut ds, self.scores_of(tq, tk), tk),
         );
-        grads[3 * block + d * d..4 * block].copy_from_slice(dy2.sum_axis(0).data());
+        let mut dv = vec![0.0f32; b * tk * d];
+        self.per_head(
+            b,
+            Layout::TN,
+            (tk, tq, dh),
+            (a, self.scores_of(tq, tk), tk),
+            (&dctx, self.heads_of(tq), d),
+            (&mut dv, self.heads_of(tk), d),
+        );
 
-        // Back through head merge.
-        let dctx = self.split_heads(&dctx2.reshape(&[b, tq, d])); // (B*H, Tq, Dh)
-
-        // ctx = a @ v
-        let da = dctx.bmm_nt(v); // (B*H, Tq, Tk)
-        let dv = a.bmm_tn(&dctx); // (B*H, Tk, Dh)
-
-        // Softmax backward per attention row: masked positions have a = 0,
-        // so their ds is automatically 0.
-        let mut ds = Tensor::zeros(&[b * self.heads, tq, tk]);
-        for r in 0..b * self.heads * tq {
-            let a_row = &a.data()[r * tk..(r + 1) * tk];
-            let da_row = &da.data()[r * tk..(r + 1) * tk];
-            let dot: f32 = a_row.iter().zip(da_row.iter()).map(|(&x, &y)| x * y).sum();
-            let out = &mut ds.data_mut()[r * tk..(r + 1) * tk];
-            for j in 0..tk {
-                out[j] = a_row[j] * (da_row[j] - dot);
+        // Softmax backward per attention row, in place over da, with the
+        // score scale folded in: masked positions have a = 0, so their ds
+        // is automatically 0.
+        for (a_row, d_row) in a.chunks_exact(tk).zip(ds.chunks_exact_mut(tk)) {
+            let dot: f32 = a_row.iter().zip(d_row.iter()).map(|(&x, &y)| x * y).sum();
+            for (g, &w) in d_row.iter_mut().zip(a_row) {
+                *g = (w * (*g - dot)) * scale;
             }
         }
-        let ds = ds.scale(scale);
 
-        // scores = q @ k^T
-        let dq = ds.bmm(k); // (B*H, Tq, Dh)
-        let dk = ds.bmm_tn(q); // ds^T @ q -> (B*H, Tk, Dh)
+        // scores = q · kᵀ: dq = ds · k, dk = dsᵀ · q.
+        let mut dq = vec![0.0f32; b * tq * d];
+        self.per_head(
+            b,
+            Layout::NN,
+            (tq, tk, dh),
+            (&ds, self.scores_of(tq, tk), tk),
+            (k, self.heads_of(tk), d),
+            (&mut dq, self.heads_of(tq), d),
+        );
+        let mut dk = vec![0.0f32; b * tk * d];
+        self.per_head(
+            b,
+            Layout::TN,
+            (tk, tq, dh),
+            (&ds, self.scores_of(tq, tk), tk),
+            (q, self.heads_of(tq), d),
+            (&mut dk, self.heads_of(tk), d),
+        );
 
-        // Back through projections. dq/dk/dv are head-split; merge first.
-        let dq2 = self.merge_heads(&dq, b).reshape(&[b * tq, d]);
-        let dk2 = self.merge_heads(&dk, b).reshape(&[b * tk, d]);
-        let dv2 = self.merge_heads(&dv, b).reshape(&[b * tk, d]);
-
-        let back_proj = |idx: usize, dproj: &Tensor, input: &Tensor, grads: &mut [f32]| {
-            let (w, _) = self.proj(params, idx);
-            let rows = input.shape()[0];
-            // dW = input^T @ dproj accumulates into the gradient slice.
-            kernels::gemm_tn(
-                input.data(),
-                dproj.data(),
-                &mut grads[idx * block..idx * block + d * d],
-                d,
-                rows,
-                d,
-            );
-            let db = dproj.sum_axis(0);
-            for (g, &x) in grads[idx * block + d * d..(idx + 1) * block].iter_mut().zip(db.data()) {
-                *g += x;
-            }
-            let mut dx = Tensor::zeros(&[rows, d]);
-            kernels::gemm_nt(dproj.data(), w, dx.data_mut(), rows, d, d);
-            dx
-        };
-        let dquery2 = back_proj(0, &dq2, q2, &mut grads);
-        let mut dkv2 = back_proj(1, &dk2, kv2, &mut grads);
-        dkv2.axpy(1.0, &back_proj(2, &dv2, kv2, &mut grads));
-        (dquery2.reshape(&[b, tq, d]), dkv2.reshape(&[b, tk, d]), grads)
+        // Back through the input projections; the key and value paths
+        // accumulate into the one dkv buffer, key first.
+        let mut dquery = vec![0.0f32; b * tq * d];
+        self.back_project(params, 0, &dq, q2, &mut grads, &mut dquery);
+        let mut dkv = vec![0.0f32; b * tk * d];
+        self.back_project(params, 1, &dk, kv2, &mut grads, &mut dkv);
+        self.back_project(params, 2, &dv, kv2, &mut grads, &mut dkv);
+        (Tensor::from_vec(dquery, &[b, tq, d]), Tensor::from_vec(dkv, &[b, tk, d]), grads)
     }
 }
 
@@ -287,6 +349,7 @@ impl MultiHeadAttention {
 mod tests {
     use super::*;
     use crate::gradcheck::check_scalar_fn_gradient;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn init(mha: &MultiHeadAttention, seed: u64) -> (Vec<f32>, StdRng) {
@@ -418,6 +481,209 @@ mod tests {
             0.5 * y.sq_norm()
         };
         check_scalar_fn_gradient(&mut loss_kv, kv.data(), dkv.data(), 1e-2, 5e-2, 12);
+    }
+
+    /// The attention this module had before heads became column blocks,
+    /// kept as the oracle the head-strided passes must equal bit for
+    /// bit: heads split and merged by `permute` copies, the bias added as
+    /// a broadcast tensor, `scale` → mask → `softmax_last` as three passes
+    /// over separately allocated score tensors, one `bmm` per product.
+    mod oracle {
+        use super::super::{AttnMask, MultiHeadAttention, MASK_NEG};
+        use pipemare_tensor::Tensor;
+
+        fn apply_proj(mha: &MultiHeadAttention, params: &[f32], idx: usize, x2: &Tensor) -> Tensor {
+            let d = mha.dim;
+            let (w, b) = mha.proj(params, idx);
+            x2.matmul(&Tensor::from_vec(w.to_vec(), &[d, d]))
+                .add(&Tensor::from_vec(b.to_vec(), &[d]))
+        }
+
+        fn split_heads(mha: &MultiHeadAttention, x: &Tensor) -> Tensor {
+            let (b, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+            let h = mha.heads;
+            x.reshape(&[b, t, h, d / h]).permute(&[0, 2, 1, 3]).reshape(&[b * h, t, d / h])
+        }
+
+        fn merge_heads(mha: &MultiHeadAttention, x: &Tensor, batch: usize) -> Tensor {
+            let (h, t, dh) = (mha.heads, x.shape()[1], x.shape()[2]);
+            x.reshape(&[batch, h, t, dh]).permute(&[0, 2, 1, 3]).reshape(&[batch, t, h * dh])
+        }
+
+        fn apply_mask(mha: &MultiHeadAttention, scores: &mut Tensor, mask: &AttnMask) {
+            let (bh, tq, tk) = (scores.shape()[0], scores.shape()[1], scores.shape()[2]);
+            let (causal, lens) = match mask {
+                AttnMask::None => return,
+                AttnMask::Causal => (true, None),
+                AttnMask::KeyLens(l) => (false, Some(l)),
+                AttnMask::CausalKeyLens(l) => (true, Some(l)),
+            };
+            for bhi in 0..bh {
+                for i in 0..tq {
+                    for j in 0..tk {
+                        if (causal && j > i) || lens.is_some_and(|l| j >= l[bhi / mha.heads]) {
+                            scores.data_mut()[(bhi * tq + i) * tk + j] = MASK_NEG;
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Returns `(y, [q2, kv2, q, k, v, a, ctx2])`.
+        pub fn forward(
+            mha: &MultiHeadAttention,
+            params: &[f32],
+            query: &Tensor,
+            kv: &Tensor,
+            mask: &AttnMask,
+        ) -> (Tensor, [Tensor; 7]) {
+            let (b, tq, d) = (query.shape()[0], query.shape()[1], query.shape()[2]);
+            let tk = kv.shape()[1];
+            let scale = 1.0 / ((d / mha.heads) as f32).sqrt();
+            let q2 = query.reshape(&[b * tq, d]);
+            let kv2 = kv.reshape(&[b * tk, d]);
+            let q = split_heads(mha, &apply_proj(mha, params, 0, &q2).reshape(&[b, tq, d]));
+            let k = split_heads(mha, &apply_proj(mha, params, 1, &kv2).reshape(&[b, tk, d]));
+            let v = split_heads(mha, &apply_proj(mha, params, 2, &kv2).reshape(&[b, tk, d]));
+            let mut scores = q.bmm_nt(&k).scale(scale);
+            apply_mask(mha, &mut scores, mask);
+            let a = scores.softmax_last();
+            let ctx2 = merge_heads(mha, &a.bmm(&v), b).reshape(&[b * tq, d]);
+            let y = apply_proj(mha, params, 3, &ctx2).reshape(&[b, tq, d]);
+            (y, [q2, kv2, q, k, v, a, ctx2])
+        }
+
+        /// Returns `(dquery, dkv, dparams)`.
+        pub fn backward(
+            mha: &MultiHeadAttention,
+            params: &[f32],
+            (b, tq, tk): (usize, usize, usize),
+            cache: &[Tensor; 7],
+            dy: &Tensor,
+        ) -> (Tensor, Tensor, Vec<f32>) {
+            let d = mha.dim;
+            let scale = 1.0 / ((d / mha.heads) as f32).sqrt();
+            let [q2, kv2, q, k, v, a, ctx2] = cache;
+            let mut grads = vec![0.0f32; mha.param_len()];
+            let block = d * d + d;
+            let weight = |idx: usize| Tensor::from_vec(mha.proj(params, idx).0.to_vec(), &[d, d]);
+
+            let dy2 = dy.reshape(&[b * tq, d]);
+            let dctx2 = dy2.matmul_nt(&weight(3));
+            grads[3 * block..3 * block + d * d].copy_from_slice(ctx2.matmul_tn(&dy2).data());
+            grads[3 * block + d * d..4 * block].copy_from_slice(dy2.sum_axis(0).data());
+            let dctx = split_heads(mha, &dctx2.reshape(&[b, tq, d]));
+            let da = dctx.bmm_nt(v);
+            let dv = a.bmm_tn(&dctx);
+            let mut ds = Tensor::zeros(&[b * mha.heads, tq, tk]);
+            for r in 0..b * mha.heads * tq {
+                let a_row = &a.data()[r * tk..(r + 1) * tk];
+                let da_row = &da.data()[r * tk..(r + 1) * tk];
+                let dot: f32 = a_row.iter().zip(da_row.iter()).map(|(&x, &y)| x * y).sum();
+                for j in 0..tk {
+                    ds.data_mut()[r * tk + j] = a_row[j] * (da_row[j] - dot);
+                }
+            }
+            let ds = ds.scale(scale);
+            let dq2 = merge_heads(mha, &ds.bmm(k), b).reshape(&[b * tq, d]);
+            let dk2 = merge_heads(mha, &ds.bmm_tn(q), b).reshape(&[b * tk, d]);
+            let dv2 = merge_heads(mha, &dv, b).reshape(&[b * tk, d]);
+            let mut back_proj = |idx: usize, dproj: &Tensor, input: &Tensor| {
+                grads[idx * block..idx * block + d * d]
+                    .copy_from_slice(input.matmul_tn(dproj).data());
+                let db = dproj.sum_axis(0);
+                for (g, &x) in
+                    grads[idx * block + d * d..(idx + 1) * block].iter_mut().zip(db.data())
+                {
+                    *g += x;
+                }
+                dproj.matmul_nt(&weight(idx))
+            };
+            let dquery2 = back_proj(0, &dq2, q2);
+            let mut dkv2 = back_proj(1, &dk2, kv2);
+            dkv2.axpy(1.0, &back_proj(2, &dv2, kv2));
+            (dquery2.reshape(&[b, tq, d]), dkv2.reshape(&[b, tk, d]), grads)
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs both implementations on one case and compares every output
+    /// and every cached tensor the backward reads, bit for bit.
+    fn assert_equals_oracle(
+        heads: usize,
+        (b, tq, tk): (usize, usize, usize),
+        mask: &AttnMask,
+        seed: u64,
+    ) {
+        let mha = MultiHeadAttention::new(8 * heads.max(2), heads);
+        let d = mha.dim;
+        let (mut p, mut rng) = init(&mha, seed);
+        // Non-zero biases, so the bias adds and their gradients count.
+        for v in p.iter_mut() {
+            *v += 0.01;
+        }
+        let query = Tensor::randn(&[b, tq, d], &mut rng);
+        let kv = Tensor::randn(&[b, tk, d], &mut rng);
+        let dy = Tensor::randn(&[b, tq, d], &mut rng);
+
+        let (want_y, want_cache) = oracle::forward(&mha, &p, &query, &kv, mask);
+        let (y, cache) = mha.forward(&p, &query, &kv, mask);
+        assert_eq!(y.shape(), want_y.shape());
+        assert_eq!(bits(y.data()), bits(want_y.data()), "y");
+        assert_eq!(bits(cache.tensor(5).data()), bits(want_cache[5].data()), "attention weights");
+        assert_eq!(
+            cache.activation_bytes(),
+            want_cache.iter().map(|t| 4 * t.len()).sum::<usize>(),
+            "cache bytes"
+        );
+
+        let (want_dq, want_dkv, want_g) = oracle::backward(&mha, &p, (b, tq, tk), &want_cache, &dy);
+        let (dq, dkv, g) = mha.backward(&p, &cache, &dy);
+        assert_eq!(dq.shape(), want_dq.shape());
+        assert_eq!(dkv.shape(), want_dkv.shape());
+        assert_eq!(bits(dq.data()), bits(want_dq.data()), "dquery");
+        assert_eq!(bits(dkv.data()), bits(want_dkv.data()), "dkv");
+        let block = d * d + d;
+        for (idx, name) in ["wq", "wk", "wv", "wo"].iter().enumerate() {
+            let range = idx * block..(idx + 1) * block;
+            assert_eq!(bits(&g[range.clone()]), bits(&want_g[range]), "gradient block {name}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn forward_and_backward_equal_the_permuting_oracle_bit_for_bit(
+            heads in (0usize..3).prop_map(|i| [1, 2, 4][i]),
+            b in 1usize..4,
+            tq in 1usize..8,
+            tk in 1usize..8,
+            mask_kind in 0usize..4,
+            lens_seed in 0usize..1000,
+            seed in 0u64..10_000,
+        ) {
+            // Key lengths in 0..=tk: a zero hides every key of that batch
+            // element, so its rows come out uniform.
+            let lens: Vec<usize> = (0..b).map(|i| (lens_seed / (i + 1) + i) % (tk + 1)).collect();
+            let (mask, tk) = match mask_kind {
+                0 => (AttnMask::None, tk),
+                1 => (AttnMask::Causal, tq),
+                2 => (AttnMask::KeyLens(lens), tk),
+                _ => (AttnMask::CausalKeyLens(lens.iter().map(|&l| l.min(tq)).collect()), tq),
+            };
+            assert_equals_oracle(heads, (b, tq, tk), &mask, seed);
+        }
+    }
+
+    #[test]
+    fn fully_masked_key_rows_equal_the_oracle() {
+        // Batch element 1 sees no key at all; element 0 sees one.
+        assert_equals_oracle(2, (2, 3, 5), &AttnMask::KeyLens(vec![1, 0]), 11);
+        assert_equals_oracle(4, (3, 4, 4), &AttnMask::CausalKeyLens(vec![0, 4, 2]), 12);
     }
 
     #[test]

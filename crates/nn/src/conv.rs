@@ -202,9 +202,9 @@ mod tests {
         if conv.bias {
             y = y.add(&Tensor::from_vec(params[conv.weight_len()..].to_vec(), &[oc]));
         }
-        let y = y.reshape(&[b, oh, ow, oc]).permute(&[0, 3, 1, 2]);
+        let y = y.reshaped(&[b, oh, ow, oc]).permute(&[0, 3, 1, 2]);
 
-        let dy2 = dy.permute(&[0, 2, 3, 1]).reshape(&[rows, oc]);
+        let dy2 = dy.permute(&[0, 2, 3, 1]).reshaped(&[rows, oc]);
         let mut grads = vec![0.0f32; conv.param_len()];
         kernels::gemm_tn(dy2.data(), cols.data(), &mut grads[..conv.weight_len()], oc, rows, pl);
         if conv.bias {

@@ -53,6 +53,25 @@ impl Linear {
     }
 }
 
+/// Adds `bias` to every row of a row-major matrix `bias.len()` wide.
+pub(crate) fn add_bias_rows(y: &mut [f32], bias: &[f32]) {
+    for row in y.chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
+}
+
+/// `db[j] += Σ_r dy[r][j]` over the rows of a matrix `db.len()` wide,
+/// rows in order — the bias gradient of a projection.
+pub(crate) fn add_column_sums(db: &mut [f32], dy: &[f32]) {
+    for row in dy.chunks_exact(db.len()) {
+        for (g, &x) in db.iter_mut().zip(row) {
+            *g += x;
+        }
+    }
+}
+
 impl Layer for Linear {
     fn param_len(&self) -> usize {
         self.weight_len() + if self.bias { self.out_features } else { 0 }
@@ -75,42 +94,41 @@ impl Layer for Linear {
         let mut y = Tensor::zeros(&[rows, self.out_features]);
         kernels::gemm(x2.data(), w, y.data_mut(), rows, self.in_features, self.out_features);
         if self.bias {
-            let bt = Tensor::from_vec(b.to_vec(), &[self.out_features]);
-            y = y.add(&bt);
+            add_bias_rows(y.data_mut(), b);
         }
         let mut out_shape = x.shape().to_vec();
         *out_shape.last_mut().unwrap() = self.out_features;
-        (y.reshape(&out_shape), Cache::with_tensors(vec![x2]))
+        (y.reshaped(&out_shape), Cache::with_tensors(vec![x2]))
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
         let x2 = cache.tensor(0); // (rows, in), computed under u_fwd
         let rows = x2.shape()[0];
-        let dy2 = dy.reshape(&[rows, self.out_features]);
+        assert_eq!(dy.len(), rows * self.out_features, "linear backward: dy size mismatch");
+        let dy2 = dy.data();
         let (w, _) = self.split(params); // u_bkwd weights for the Jacobian
                                          // dx = dy @ W^T  (uses backward-pass weights). W is (in, out) so
                                          // dy (rows, out) against W^T needs the NN kernel with W read as
                                          // the transposed operand: dx[i, j] = Σ_o dy[i, o] · W[j, o].
         let mut dx2 = Tensor::zeros(&[rows, self.in_features]);
-        kernels::gemm_nt(dy2.data(), w, dx2.data_mut(), rows, self.out_features, self.in_features);
+        kernels::gemm_nt(dy2, w, dx2.data_mut(), rows, self.out_features, self.in_features);
         // dW = x^T @ dy  (uses forward-pass activations), written straight
         // into the gradient buffer.
         let mut grads = vec![0.0f32; self.param_len()];
         kernels::gemm_tn(
             x2.data(),
-            dy2.data(),
+            dy2,
             &mut grads[..self.weight_len()],
             self.in_features,
             rows,
             self.out_features,
         );
         if self.bias {
-            let db = dy2.sum_axis(0);
-            grads[self.weight_len()..].copy_from_slice(db.data());
+            add_column_sums(&mut grads[self.weight_len()..], dy2);
         }
         let mut in_shape: Vec<usize> = dy.shape().to_vec();
         *in_shape.last_mut().unwrap() = self.in_features;
-        (dx2.reshape(&in_shape), grads)
+        (dx2.reshaped(&in_shape), grads)
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

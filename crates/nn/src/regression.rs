@@ -29,7 +29,7 @@ impl LinearRegression {
     pub fn predict(&self, params: &[f32], x: &Tensor) -> Tensor {
         let (y, _) = self.linear.forward(params, x);
         let b = x.shape()[0];
-        y.reshape(&[b])
+        y.reshaped(&[b])
     }
 
     /// Mean squared error on a batch.
@@ -56,10 +56,10 @@ impl TrainModel for LinearRegression {
     fn forward_loss(&self, params: &[f32], batch: &RegressionBatch) -> (f32, Cache) {
         let (pred, lin_cache) = self.linear.forward(params, &batch.x);
         let b = batch.x.shape()[0];
-        let (loss, dpred) = mse_loss(&pred.reshape(&[b]), &batch.y);
+        let (loss, dpred) = mse_loss(&pred.reshaped(&[b]), &batch.y);
         let mut cache = Cache::new();
         cache.children.push(lin_cache);
-        cache.tensors.push(dpred.reshape(&[b, 1]));
+        cache.tensors.push(dpred.reshaped(&[b, 1]));
         (loss, cache)
     }
 

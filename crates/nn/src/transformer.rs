@@ -147,13 +147,16 @@ impl EncoderLayer {
 
     fn forward(&self, params: &[f32], x: &Tensor, mask: &AttnMask) -> (Tensor, Cache) {
         let o = self.offsets();
-        let (a, ca) = self.attn.forward(&params[o[0]..o[1]], x, x, mask);
-        let sum1 = x.add(&a);
+        // Residual sums land in a buffer that is free anyway: `x + a` in
+        // a's, `h1 + f3` in h1's — the same two operands per element.
+        let (mut sum1, ca) = self.attn.forward(&params[o[0]..o[1]], x, x, mask);
+        sum1.axpy(1.0, x);
         let (h1, cl1) = self.ln1.forward(&params[o[1]..o[2]], &sum1);
         let (f1, cf1) = self.ff1.forward(&params[o[2]..o[3]], &h1);
         let (f2, cact) = self.act.forward(&[], &f1);
         let (f3, cf2) = self.ff2.forward(&params[o[3]..o[4]], &f2);
-        let sum2 = h1.add(&f3);
+        let mut sum2 = h1;
+        sum2.axpy(1.0, &f3);
         let (y, cl2) = self.ln2.forward(&params[o[4]..o[5]], &sum2);
         let mut cache = Cache::new();
         cache.children = vec![ca, cl1, cf1, cact, cf2, cl2];
@@ -167,14 +170,16 @@ impl EncoderLayer {
         let (df2, g) = self.ff2.backward(&params[o[3]..o[4]], cache.child(4), &dsum2);
         grads[o[3]..o[4]].copy_from_slice(&g);
         let (df1, _) = self.act.backward(&[], cache.child(3), &df2);
-        let (dh1_ff, g) = self.ff1.backward(&params[o[2]..o[3]], cache.child(2), &df1);
+        let (mut dh1, g) = self.ff1.backward(&params[o[2]..o[3]], cache.child(2), &df1);
         grads[o[2]..o[3]].copy_from_slice(&g);
-        let dh1 = dh1_ff.add(&dsum2);
-        let (dsum1, g) = self.ln1.backward(&params[o[1]..o[2]], cache.child(1), &dh1);
+        dh1.axpy(1.0, &dsum2);
+        let (mut dx, g) = self.ln1.backward(&params[o[1]..o[2]], cache.child(1), &dh1);
         grads[o[1]..o[2]].copy_from_slice(&g);
-        let (dq, dkv, g) = self.attn.backward(&params[o[0]..o[1]], cache.child(0), &dsum1);
+        let (dq, dkv, g) = self.attn.backward(&params[o[0]..o[1]], cache.child(0), &dx);
         grads[o[0]..o[1]].copy_from_slice(&g);
-        dsum1.add(&dq).add(&dkv)
+        dx.axpy(1.0, &dq);
+        dx.axpy(1.0, &dkv);
+        dx
     }
 }
 
@@ -253,25 +258,27 @@ impl DecoderLayer {
         units
     }
 
+    /// `memory_mask` hides the padded source positions of `memory`.
     fn forward(
         &self,
         params: &[f32],
         x: &Tensor,
         memory: &Tensor,
-        src_lens: &[usize],
+        memory_mask: &AttnMask,
     ) -> (Tensor, Cache) {
         let o = self.offsets();
-        let (a, ca) = self.self_attn.forward(&params[o[0]..o[1]], x, x, &AttnMask::Causal);
-        let sum1 = x.add(&a);
+        let (mut sum1, ca) = self.self_attn.forward(&params[o[0]..o[1]], x, x, &AttnMask::Causal);
+        sum1.axpy(1.0, x);
         let (h1, cl1) = self.ln1.forward(&params[o[1]..o[2]], &sum1);
-        let mask = AttnMask::KeyLens(src_lens.to_vec());
-        let (c, cc) = self.cross_attn.forward(&params[o[2]..o[3]], &h1, memory, &mask);
-        let sum2 = h1.add(&c);
+        let (c, cc) = self.cross_attn.forward(&params[o[2]..o[3]], &h1, memory, memory_mask);
+        let mut sum2 = h1;
+        sum2.axpy(1.0, &c);
         let (h2, cl2) = self.ln2.forward(&params[o[3]..o[4]], &sum2);
         let (f1, cf1) = self.ff1.forward(&params[o[4]..o[5]], &h2);
         let (f2, cact) = self.act.forward(&[], &f1);
         let (f3, cf2) = self.ff2.forward(&params[o[5]..o[6]], &f2);
-        let sum3 = h2.add(&f3);
+        let mut sum3 = h2;
+        sum3.axpy(1.0, &f3);
         let (y, cl3) = self.ln3.forward(&params[o[6]..o[7]], &sum3);
         let mut cache = Cache::new();
         cache.children = vec![ca, cl1, cc, cl2, cf1, cact, cf2, cl3];
@@ -292,20 +299,22 @@ impl DecoderLayer {
         let (df2, g) = self.ff2.backward(&params[o[5]..o[6]], cache.child(6), &dsum3);
         grads[o[5]..o[6]].copy_from_slice(&g);
         let (df1, _) = self.act.backward(&[], cache.child(5), &df2);
-        let (dh2_ff, g) = self.ff1.backward(&params[o[4]..o[5]], cache.child(4), &df1);
+        let (mut dh2, g) = self.ff1.backward(&params[o[4]..o[5]], cache.child(4), &df1);
         grads[o[4]..o[5]].copy_from_slice(&g);
-        let dh2 = dh2_ff.add(&dsum3);
+        dh2.axpy(1.0, &dsum3);
         let (dsum2, g) = self.ln2.backward(&params[o[3]..o[4]], cache.child(3), &dh2);
         grads[o[3]..o[4]].copy_from_slice(&g);
-        let (dh1_cross, dmem, g) =
+        let (mut dh1, dmem, g) =
             self.cross_attn.backward(&params[o[2]..o[3]], cache.child(2), &dsum2);
         grads[o[2]..o[3]].copy_from_slice(&g);
-        let dh1 = dh1_cross.add(&dsum2);
-        let (dsum1, g) = self.ln1.backward(&params[o[1]..o[2]], cache.child(1), &dh1);
+        dh1.axpy(1.0, &dsum2);
+        let (mut dx, g) = self.ln1.backward(&params[o[1]..o[2]], cache.child(1), &dh1);
         grads[o[1]..o[2]].copy_from_slice(&g);
-        let (dq, dkv, g) = self.self_attn.backward(&params[o[0]..o[1]], cache.child(0), &dsum1);
+        let (dq, dkv, g) = self.self_attn.backward(&params[o[0]..o[1]], cache.child(0), &dx);
         grads[o[0]..o[1]].copy_from_slice(&g);
-        (dsum1.add(&dq).add(&dkv), dmem)
+        dx.axpy(1.0, &dq);
+        dx.axpy(1.0, &dkv);
+        (dx, dmem)
     }
 }
 
@@ -405,16 +414,17 @@ impl Transformer {
     ) -> (Tensor, Cache) {
         let (mut h, ct) = self.tgt_embed.forward(&params[self.offsets[1]..self.offsets[2]], tgt_in);
         self.pos.add_to(&mut h);
+        let mask = AttnMask::KeyLens(src_lens.to_vec());
         let mut cache = Cache::new();
         cache.children.push(ct);
         for (i, layer) in self.dec.iter().enumerate() {
             let off = self.dec_off(i);
-            let (y, c) = layer.forward(&params[off..off + layer.param_len()], &h, memory, src_lens);
+            let (y, c) = layer.forward(&params[off..off + layer.param_len()], &h, memory, &mask);
             cache.children.push(c);
             h = y;
         }
         let (b, tt, d) = (h.shape()[0], h.shape()[1], h.shape()[2]);
-        let h2 = h.reshape(&[b * tt, d]);
+        let h2 = h.reshaped(&[b * tt, d]);
         let off = self.out_off();
         let (logits, cproj) =
             self.out_proj.forward(&params[off..off + self.out_proj.param_len()], &h2);
@@ -436,7 +446,7 @@ impl Transformer {
             let tgt_in = Tensor::from_vec(out.iter().map(|&t| t as f32).collect(), &[1, out.len()]);
             let (logits, _) = self.decode(params, &tgt_in, &memory, &src_lens);
             let v = self.cfg.tgt_vocab;
-            let last = logits.slice0(out.len() - 1, 1).reshape(&[1, v]);
+            let last = logits.slice0(out.len() - 1, 1).reshaped(&[1, v]);
             let next = last.argmax_rows()[0];
             if next == EOS {
                 break;
@@ -482,7 +492,7 @@ impl Transformer {
                 let tgt_in =
                     Tensor::from_vec(toks.iter().map(|&t| t as f32).collect(), &[1, toks.len()]);
                 let (logits, _) = self.decode(params, &tgt_in, &memory, &src_lens);
-                let last = logits.slice0(toks.len() - 1, 1).reshape(&[1, v]);
+                let last = logits.slice0(toks.len() - 1, 1).reshaped(&[1, v]);
                 let log_p = last.log_softmax_last();
                 // Top-`beam` next tokens of this hypothesis.
                 let mut scored: Vec<(usize, f32)> =
@@ -611,7 +621,7 @@ impl TrainModel for Transformer {
         );
         grads[off..off + self.out_proj.param_len()].copy_from_slice(&g);
         let tt = dh2.shape()[0] / b;
-        let mut dh = dh2.reshape(&[b, tt, d]);
+        let mut dh = dh2.reshaped(&[b, tt, d]);
 
         // Decoder layers (reverse), accumulating memory gradient.
         let mut dmem = Tensor::zeros(&[b, ts, d]);

@@ -1,12 +1,13 @@
 //! Matrix multiplication: 2-D and batched 3-D, with transposed variants.
 //!
 //! All products route through [`crate::kernels`], which dispatches
-//! between a scalar loop (tiny sizes), a cache-blocked register-tiled
-//! kernel, and a pool-parallel blocked kernel (large sizes) — all three
-//! accumulate each output element as the same p-increasing FMA chain,
-//! so they are bit-identical for the same operands at any pool width.
+//! between a no-pack kernel (small products), a cache-blocked
+//! register-tiled kernel, and a pool-parallel blocked kernel (large
+//! sizes) — all three accumulate each output element as the same
+//! p-increasing FMA chain, so they are bit-identical for the same
+//! operands at any pool width.
 
-use crate::kernels::{self, Layout};
+use crate::kernels::{self, BatchStride, Layout, Product};
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -89,7 +90,7 @@ impl Tensor {
         assert_eq!(b, b2, "bmm: batch dims differ: {b} vs {b2}");
         assert_eq!(k, k2, "bmm: inner dims differ: {:?} @ {:?}", self.shape(), other.shape());
         let mut out = Tensor::zeros(&[b, m, n]);
-        kernels::gemm_batched(Layout::NN, &self.data, &other.data, &mut out.data, b, m, k, n);
+        bmm_dense(Layout::NN, &self.data, &other.data, &mut out.data, b, m, k, n);
         out
     }
 
@@ -106,7 +107,7 @@ impl Tensor {
         assert_eq!(b, b2, "bmm_nt: batch dims differ");
         assert_eq!(k, k2, "bmm_nt: inner dims differ: {:?} @ {:?}^T", self.shape(), other.shape());
         let mut out = Tensor::zeros(&[b, m, n]);
-        kernels::gemm_batched(Layout::NT, &self.data, &other.data, &mut out.data, b, m, k, n);
+        bmm_dense(Layout::NT, &self.data, &other.data, &mut out.data, b, m, k, n);
         out
     }
 
@@ -123,7 +124,7 @@ impl Tensor {
         assert_eq!(b, b2, "bmm_tn: batch dims differ");
         assert_eq!(k, k2, "bmm_tn: inner dims differ: {:?}^T @ {:?}", self.shape(), other.shape());
         let mut out = Tensor::zeros(&[b, m, n]);
-        kernels::gemm_batched(Layout::TN, &self.data, &other.data, &mut out.data, b, m, k, n);
+        bmm_dense(Layout::TN, &self.data, &other.data, &mut out.data, b, m, k, n);
         out
     }
 
@@ -147,6 +148,24 @@ impl Tensor {
         }
         out
     }
+}
+
+/// `bsize` products over three contiguous 3-D tensors: one matrix after
+/// the other in each operand.
+#[allow(clippy::too_many_arguments)]
+fn bmm_dense(
+    layout: Layout,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    bsize: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let stacked = |len: usize| BatchStride { group: len, head: 0 };
+    let p = Product::dense(layout, m, k, n);
+    kernels::gemm_batched(&p, bsize, 1, a, stacked(m * k), b, stacked(k * n), c, stacked(m * n));
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ impl Tensor {
                 *o = f(x);
             }
         });
-        Tensor { data, shape: self.shape.clone() }
+        Tensor { data, shape: self.shape }
     }
 
     /// Applies a unary function to every element in place.
@@ -80,7 +80,7 @@ impl Tensor {
                     *o = f(a, b);
                 }
             });
-            return Tensor { data, shape: self.shape.clone() };
+            return Tensor { data, shape: self.shape };
         }
         let out_dims = broadcast_shapes(self.shape(), other.shape());
         let mut out = Tensor::zeros(&out_dims);

@@ -1,38 +1,54 @@
 //! Shape arithmetic: size computation, stride derivation, broadcasting.
 
+/// Largest rank a [`Shape`] holds. The workspace's tensors stop at 4-D
+/// (NCHW activations, head-split attention); the permute tests go to 5.
+pub const MAX_RANK: usize = 6;
+
 /// A tensor shape: a list of dimension extents, outermost first.
 ///
-/// `Shape` is a thin newtype over `Vec<usize>` providing size/stride
-/// helpers used throughout the crate.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Shape(pub Vec<usize>);
+/// The extents live inline (a fixed array plus the rank), so a shape is
+/// `Copy` and a [`crate::Tensor`] is one heap allocation, not two. The
+/// unused tail of the array is always zero, so the derived comparisons
+/// see the extents and nothing else.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Shape {
+    dims: [usize; MAX_RANK],
+    rank: usize,
+}
 
 impl Shape {
     /// Creates a shape from a slice of extents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` has more than [`MAX_RANK`] entries.
     pub fn new(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
+        assert!(dims.len() <= MAX_RANK, "shape {dims:?} has rank above {MAX_RANK}");
+        let mut inline = [0; MAX_RANK];
+        inline[..dims.len()].copy_from_slice(dims);
+        Shape { dims: inline, rank: dims.len() }
     }
 
     /// Number of dimensions.
     pub fn ndim(&self) -> usize {
-        self.0.len()
+        self.rank
     }
 
     /// Total number of elements (product of extents; 1 for a scalar shape).
     pub fn size(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Extents as a slice.
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        &self.dims[..self.rank]
     }
 
     /// Row-major ("C") strides, in elements.
     pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![0; self.0.len()];
+        let mut strides = vec![0; self.rank];
         let mut acc = 1usize;
-        for (i, &d) in self.0.iter().enumerate().rev() {
+        for (i, &d) in self.dims().iter().enumerate().rev() {
             strides[i] = acc;
             acc *= d;
         }
@@ -40,15 +56,15 @@ impl Shape {
     }
 }
 
-impl From<&[usize]> for Shape {
-    fn from(dims: &[usize]) -> Self {
-        Shape::new(dims)
+impl std::fmt::Debug for Shape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Shape").field(&self.dims()).finish()
     }
 }
 
-impl From<Vec<usize>> for Shape {
-    fn from(dims: Vec<usize>) -> Self {
-        Shape(dims)
+impl From<&[usize]> for Shape {
+    fn from(dims: &[usize]) -> Self {
+        Shape::new(dims)
     }
 }
 
@@ -121,6 +137,20 @@ mod tests {
         assert_eq!(s.size(), 24);
         assert_eq!(s.ndim(), 3);
         assert_eq!(Shape::new(&[]).size(), 1);
+    }
+
+    #[test]
+    fn equality_and_debug_see_the_extents_only() {
+        assert_eq!(Shape::new(&[2, 3]), Shape::new(&[2, 3]));
+        assert_ne!(Shape::new(&[2, 3]), Shape::new(&[2, 3, 1]));
+        assert_ne!(Shape::new(&[2, 3]), Shape::new(&[2, 3, 0]));
+        assert_eq!(format!("{:?}", Shape::new(&[2, 3])), "Shape([2, 3])");
+    }
+
+    #[test]
+    #[should_panic(expected = "rank above")]
+    fn rank_above_the_inline_capacity_panics() {
+        Shape::new(&[1; MAX_RANK + 1]);
     }
 
     #[test]

@@ -136,21 +136,31 @@ impl Tensor {
     fn flat_index(&self, idx: &[usize]) -> usize {
         let dims = self.shape.dims();
         assert_eq!(idx.len(), dims.len(), "index rank {} != tensor rank {}", idx.len(), dims.len());
-        let strides = self.shape.strides();
         let mut flat = 0;
         for (k, (&i, &d)) in idx.iter().zip(dims.iter()).enumerate() {
             assert!(i < d, "index {i} out of bounds for dim {k} (extent {d})");
-            flat += i * strides[k];
+            flat = flat * d + i;
         }
         flat
     }
 
-    /// Returns a tensor with the same data and a new shape of equal size.
+    /// Returns a copy of the data under a new shape of equal size; on a
+    /// temporary, [`Tensor::reshaped`] does the same without the copy.
     ///
     /// # Panics
     ///
     /// Panics if the new shape's size differs from the current size.
     pub fn reshape(&self, shape: &[usize]) -> Tensor {
+        self.clone().reshaped(shape)
+    }
+
+    /// Consumes the tensor and returns its data under a new shape of
+    /// equal size — no copy, no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new shape's size differs from the current size.
+    pub fn reshaped(self, shape: &[usize]) -> Tensor {
         let s = Shape::new(shape);
         assert_eq!(
             s.size(),
@@ -161,7 +171,7 @@ impl Tensor {
             shape,
             s.size()
         );
-        Tensor { data: self.data.clone(), shape: s }
+        Tensor { data: self.data, shape: s }
     }
 
     /// Transposes a 2-D tensor.

@@ -9,15 +9,15 @@
 //! in play (scalar 8×8, AVX2 6×16, AVX-512 8×32 with ×2 depth unroll).
 //!
 //! The dispatched entry points (`gemm`/`gemm_nt`/`gemm_tn`, i.e.
-//! whatever [`kernels::simd_level`] picked on this host) get the same
-//! treatment, and a threaded run under the dispatched tier must match
-//! the single-threaded one — the `PIPEMARE_NUM_THREADS` guarantee does
-//! not bend under SIMD.
+//! whatever [`kernels::simd_level`] picked on this host) and the
+//! tier-less no-pack kernel get the same treatment, and a threaded run
+//! under the dispatched tier must match the single-threaded one — the
+//! `PIPEMARE_NUM_THREADS` guarantee does not bend under SIMD.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 
-use pipemare_tensor::kernels::{self, Layout, SimdLevel};
+use pipemare_tensor::kernels::{self, Layout, Product, SimdLevel};
 use pipemare_tensor::{pool, ThreadPool};
 
 /// Per-element scalar FMA reference for `C += op(A) · op(B)`.
@@ -100,6 +100,34 @@ proptest! {
                     bits(&c),
                     bits(&scalar),
                     "{} {:?} {}x{}x{} diverged from scalar",
+                    level.name(), layout, m, k, n
+                );
+            }
+        }
+    }
+
+    /// The no-pack kernel is portable code with no tier of its own, and
+    /// it must land on the bits every tier of the blocked kernel lands
+    /// on — so which side of the dispatch line a product falls on never
+    /// shows, at any `PIPEMARE_SIMD` setting.
+    #[test]
+    fn no_pack_matches_every_blocked_tier(
+        m in dim(), k in dim(), n in dim(), seed in 0u64..1000,
+    ) {
+        for layout in [Layout::NN, Layout::NT, Layout::TN] {
+            let (a_len, b_len) = operand_lens(layout, m, k, n);
+            let a = randvec(a_len, seed);
+            let b = randvec(b_len, seed + 17);
+            let init = randvec(m * n, seed + 19);
+            let mut no_pack = init.clone();
+            kernels::gemm_no_pack(&Product::dense(layout, m, k, n), &a, &b, &mut no_pack);
+            for level in runnable_levels() {
+                let mut blocked = init.clone();
+                kernels::gemm_blocked_with(level, layout, &a, &b, &mut blocked, m, k, n);
+                prop_assert_eq!(
+                    bits(&no_pack),
+                    bits(&blocked),
+                    "no-pack vs {} {:?} {}x{}x{}",
                     level.name(), layout, m, k, n
                 );
             }
