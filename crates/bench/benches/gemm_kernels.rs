@@ -15,9 +15,13 @@
 //! data path is made of, which does not depend on the host and gates:
 //! the bytes a forward pass keeps for backward
 //! (`conv.cache_bytes_12x16x16_b10`), the allocator calls of one warm
-//! forward + backward (`conv.allocs_fwd_bwd`) and the `Tensor::permute`
-//! calls in it (`conv.permute_calls`, zero: the GEMMs read and write
-//! NCHW-ordered blocks directly).
+//! forward + backward (`conv.allocs_fwd_bwd`), the `Tensor::permute`
+//! calls in it (`conv.permute_calls`, zero: the passes read and write
+//! NCHW directly), the bytes that went into allocations as large as a
+//! patch matrix during a first forward + backward on a fresh thread
+//! (`conv.patch_matrix_bytes`, zero: there is none) and the scratch that
+//! thread is left holding after the three passes at the scalar tier,
+//! whose tile every host has (`conv.scratch_bytes_12x16x16_b10`).
 //!
 //! A third section does the same for attention, whose heads are column
 //! blocks of its projections: the allocator calls of one warm forward +
@@ -45,7 +49,9 @@ use pipemare_bench::report::ExperimentLog;
 use pipemare_nn::{AttnMask, Conv2d, Layer, MultiHeadAttention};
 use pipemare_telemetry::MetricsRegistry;
 use pipemare_tensor::kernels::{BatchStride, Layout, Product, SimdLevel};
-use pipemare_tensor::{kernels, pool, CountingAlloc, KernelKind, Tensor, ThreadPool};
+use pipemare_tensor::{
+    conv, kernels, pool, Conv2dGeometry, ConvProblem, CountingAlloc, KernelKind, Tensor, ThreadPool,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -155,23 +161,70 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// `(label, in_c, out_c, stride, height = width)` of the ResNet
-/// stand-in's 3×3 convolutions, all on microbatches of 10 images.
-const CONV_SHAPES: &[(&str, usize, usize, usize, usize)] = &[
-    ("12to12_16x16", 12, 12, 1, 16),
-    ("24to24_8x8", 24, 24, 1, 8),
-    ("48to48_4x4", 48, 48, 1, 4),
-    ("12to24_s2_16x16", 12, 24, 2, 16),
+/// `(label, in_c, out_c, kernel, stride, padding, height = width)` of the
+/// ResNet stand-in's convolutions, all on microbatches of 10 images.
+const CONV_SHAPES: &[(&str, usize, usize, usize, usize, usize, usize)] = &[
+    ("12to12_16x16", 12, 12, 3, 1, 1, 16),
+    ("24to24_8x8", 24, 24, 3, 1, 1, 8),
+    ("48to48_4x4", 48, 48, 3, 1, 1, 4),
+    ("12to24_s2_16x16", 12, 24, 3, 2, 1, 16),
+    ("12to24_1x1_s2_16x16", 12, 24, 1, 2, 0, 16),
 ];
+
+/// What a thread that has never convolved allocates for the first shape
+/// of [`CONV_SHAPES`]: the bytes that went into blocks at least as large
+/// as its patch matrix (`C·k·k × B·oh·ow` floats) during a layer forward +
+/// backward, and the scratch it still holds after the three passes at the
+/// scalar tier with every output preallocated.
+fn conv_cold_thread_facts() -> (u64, i64) {
+    let (_, in_c, out_c, k, stride, padding, hw) = CONV_SHAPES[0];
+    let geom = Conv2dGeometry { in_channels: in_c, in_h: hw, in_w: hw, kernel: k, stride, padding };
+    let problem = ConvProblem { geom, out_channels: out_c, batch: 10 };
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
+    let x = Tensor::randn(&[10, in_c, hw, hw], &mut rng);
+    let dy = Tensor::randn(&[10, out_c, geom.out_h(), geom.out_w()], &mut rng);
+    let kernel = Tensor::randn(&[problem.kernel_len()], &mut rng);
+    let one_thread = ThreadPool::new(1);
+    let through_the_layer = || {
+        let conv = Conv2d::new_no_bias(in_c, out_c, k, stride, padding);
+        pool::with_pool(&one_thread, || {
+            ALLOC.watch_large(4 * geom.patch_len() * 10 * geom.patches());
+            let (_, cache) = conv.forward(kernel.data(), &x);
+            std::hint::black_box(conv.backward(kernel.data(), &cache, &dy));
+            ALLOC.large_bytes()
+        })
+    };
+    let scalar_passes = || {
+        let (mut y, mut dx) = (vec![0.0f32; dy.len()], vec![0.0f32; x.len()]);
+        let mut dw = vec![0.0f32; kernel.len()];
+        pool::with_pool(&one_thread, || {
+            let before = ALLOC.live_bytes();
+            let level = SimdLevel::Scalar;
+            conv::forward(level, &problem, kernel.data(), None, x.data(), &mut y);
+            conv::backward_weights(level, &problem, x.data(), dy.data(), &mut dw);
+            conv::backward_input(level, &problem, kernel.data(), dy.data(), &mut dx);
+            std::hint::black_box((&y, &dw, &dx));
+            ALLOC.live_bytes() - before
+        })
+    };
+    std::thread::scope(|scope| {
+        let large = scope.spawn(through_the_layer).join().expect("cold conv thread");
+        let scratch = scope.spawn(scalar_passes).join().expect("cold conv thread");
+        (large, scratch)
+    })
+}
 
 /// Times `Conv2d` forward and backward on [`CONV_SHAPES`] and records the
 /// deterministic facts of its data path, on a one-thread pool so that no
 /// pool job is boxed while allocations are being counted.
 fn conv_section(log: &mut ExperimentLog, reps: usize) {
+    let (patch_matrix_bytes, scratch_bytes) = conv_cold_thread_facts();
+    log.push_scalar("conv.patch_matrix_bytes", patch_matrix_bytes as f64);
+    log.push_scalar("conv.scratch_bytes_12x16x16_b10", scratch_bytes as f64);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
     pool::with_pool(&ThreadPool::new(1), || {
-        for (i, &(label, in_c, out_c, stride, hw)) in CONV_SHAPES.iter().enumerate() {
-            let conv = Conv2d::new_no_bias(in_c, out_c, 3, stride, 1);
+        for (i, &(label, in_c, out_c, k, stride, padding, hw)) in CONV_SHAPES.iter().enumerate() {
+            let conv = Conv2d::new_no_bias(in_c, out_c, k, stride, padding);
             let mut params = vec![0.0f32; conv.param_len()];
             conv.init_params(&mut params, &mut rng);
             let x = Tensor::randn(&[10, in_c, hw, hw], &mut rng);
@@ -202,7 +255,7 @@ fn conv_section(log: &mut ExperimentLog, reps: usize) {
                 * median_secs(reps, || {
                     std::hint::black_box(conv.backward(&params, &cache, &dy));
                 });
-            println!("    conv {label:<16} fwd {fwd:>8.1} us  bwd {bwd:>8.1} us");
+            println!("    conv {label:<20} fwd {fwd:>8.1} us  bwd {bwd:>8.1} us");
             log.push_scalar(&format!("metric.conv.fwd_us.{label}"), fwd);
             log.push_scalar(&format!("metric.conv.bwd_us.{label}"), bwd);
         }

@@ -1,32 +1,19 @@
-//! 2-D convolution via im2col.
+//! 2-D convolution on the blocked passes of [`pipemare_tensor::conv`].
 
 use rand::rngs::StdRng;
 
-use pipemare_tensor::{col2im, im2col, kernels, pool, Conv2dGeometry, Tensor};
+use pipemare_tensor::{conv, kernels, Conv2dGeometry, ConvProblem, Tensor};
 
 use crate::cache::Cache;
 use crate::layer::{Layer, WeightUnit};
 
-/// Copies `src` laid out `(a, b, run)` into `dst` laid out `(b, a, run)`:
-/// `a·b` block copies of `run` contiguous floats. This is the whole cost
-/// of going between NCHW `(B, out_c, oh·ow)` and the channel-major GEMM
-/// side `(out_c, B·oh·ow)`.
-fn swap_leading_axes(src: &[f32], dst: &mut [f32], a: usize, b: usize, run: usize) {
-    for i in 0..a {
-        for j in 0..b {
-            dst[(j * a + i) * run..][..run].copy_from_slice(&src[(i * b + j) * run..][..run]);
-        }
-    }
-}
-
 /// A 2-D convolution over `(B, C, H, W)` inputs with square kernels.
 ///
-/// Implemented as a channel-major `im2col` followed by one GEMM against
-/// the kernel in its stored `(out_c, C·k·k)` layout, so the output
-/// positions lie along the GEMM's wide axis and the result lands in
-/// channel-major order, one block copy away from NCHW. The forward pass
-/// caches the input, not the `k²`-times larger patch matrix; `backward`
-/// unfolds it again into the same per-thread scratch.
+/// The three products of a convolution — `y = K · patches`, `dW = dy ·
+/// patchesᵀ`, `dx = fold(Kᵀ · dy)` — run as tiled passes that read their
+/// panels straight from NCHW `x` and `dy` and write NCHW `y` and `dx`
+/// (see [`pipemare_tensor::conv`]); no patch matrix is ever built. The
+/// forward pass caches the input and nothing else.
 #[derive(Clone, Copy, Debug)]
 pub struct Conv2d {
     /// Input channels.
@@ -75,14 +62,29 @@ impl Conv2d {
         self.in_channels * self.kernel * self.kernel
     }
 
+    /// The geometry over an `h × w` input, checked once here: a kernel
+    /// larger than the padded input is refused by name instead of
+    /// wrapping around in `out_h()`.
     fn geometry(&self, h: usize, w: usize) -> Conv2dGeometry {
-        Conv2dGeometry {
+        let geom = Conv2dGeometry {
             in_channels: self.in_channels,
             in_h: h,
             in_w: w,
             kernel: self.kernel,
             stride: self.stride,
             padding: self.padding,
+        };
+        geom.validate();
+        geom
+    }
+
+    fn problem(&self, x: &Tensor) -> ConvProblem {
+        assert_eq!(x.ndim(), 4, "Conv2d input must be (B,C,H,W), got {:?}", x.shape());
+        assert_eq!(x.shape()[1], self.in_channels, "Conv2d: channel mismatch");
+        ConvProblem {
+            geom: self.geometry(x.shape()[2], x.shape()[3]),
+            out_channels: self.out_channels,
+            batch: x.shape()[0],
         }
     }
 }
@@ -102,54 +104,46 @@ impl Layer for Conv2d {
     }
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
-        assert_eq!(x.ndim(), 4, "Conv2d input must be (B,C,H,W), got {:?}", x.shape());
-        let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        assert_eq!(c, self.in_channels, "Conv2d: channel mismatch");
-        let geom = self.geometry(h, w);
-        let (oc, pl, plane) = (self.out_channels, self.patch_len(), geom.patches());
-        let rows = b * plane;
-        let mut y = Tensor::zeros(&[b, oc, geom.out_h(), geom.out_w()]);
-        pool::with_conv_scratch(pl * rows, oc * rows, |cols, yt| {
-            im2col(x, &geom, cols); // (patch_len, B*oh*ow)
-            yt.fill(0.0);
-            // y^T = K · cols with K in its stored (out_c, patch_len) layout.
-            kernels::gemm(&params[..self.weight_len()], cols, yt, oc, pl, rows);
-            if self.bias {
-                for (row, &bias) in yt.chunks_exact_mut(rows).zip(&params[self.weight_len()..]) {
-                    row.iter_mut().for_each(|v| *v += bias);
-                }
-            }
-            // (out_c, B, oh*ow) -> (B, out_c, oh*ow)
-            swap_leading_axes(yt, y.data_mut(), oc, b, plane);
-        });
+        let problem = self.problem(x);
+        let geom = problem.geom;
+        let (kernel, bias) = params.split_at(self.weight_len());
+        let mut y = Tensor::zeros(&[problem.batch, self.out_channels, geom.out_h(), geom.out_w()]);
+        conv::forward(
+            kernels::simd_level(),
+            &problem,
+            kernel,
+            self.bias.then_some(bias),
+            x.data(),
+            y.data_mut(),
+        );
         (y, Cache::with_tensors(vec![x.clone()]))
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
         let x = cache.tensor(0);
-        let (b, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-        let geom = self.geometry(h, w);
-        let (oc, pl, plane) = (self.out_channels, self.patch_len(), geom.patches());
-        let rows = b * plane;
+        let problem = self.problem(x);
+        let (level, plane) = (kernels::simd_level(), problem.geom.patches());
         let mut grads = vec![0.0f32; self.param_len()];
         let (dw, db) = grads.split_at_mut(self.weight_len());
-        let dx = pool::with_conv_scratch(pl * rows, oc * rows, |cols, dyt| {
-            // dy: (B, out_c, oh*ow) -> (out_c, B*oh*ow)
-            swap_leading_axes(dy.data(), dyt, b, oc, plane);
-            im2col(x, &geom, cols);
-            // dW = dy^T · cols^T — forward activations — written directly
-            // into the gradient buffer in its stored (out_c, patch_len)
-            // layout.
-            kernels::gemm_nt(dyt, cols, dw, oc, rows, pl);
-            for (g, row) in db.iter_mut().zip(dyt.chunks_exact(rows)) {
-                *g = row.iter().fold(0.0, |acc, &v| acc + v);
-            }
-            // dcols = K^T · dy^T with K read in its stored layout — uses
-            // the backward-pass weights — over the patches it replaces.
-            cols.fill(0.0);
-            kernels::gemm_tn(&params[..self.weight_len()], dyt, cols, pl, oc, rows);
-            col2im(cols, &geom, b)
-        });
+        // dW uses the forward activations, dx the backward-pass weights.
+        conv::backward_weights(level, &problem, x.data(), dy.data(), dw);
+        for (o, g) in db.iter_mut().enumerate() {
+            // One sequential sum per channel, images then positions.
+            *g = dy
+                .data()
+                .chunks_exact(plane)
+                .skip(o)
+                .step_by(self.out_channels)
+                .fold(0.0, |acc, image| image.iter().fold(acc, |acc, &v| acc + v));
+        }
+        let mut dx = Tensor::zeros(x.shape());
+        conv::backward_input(
+            level,
+            &problem,
+            &params[..self.weight_len()],
+            dy.data(),
+            dx.data_mut(),
+        );
         (dx, grads)
     }
 
@@ -163,6 +157,12 @@ impl Layer for Conv2d {
     }
 }
 
+/// The patch-matrix path (`im2col → GEMM → col2im`) this layer ran before,
+/// kept beside the tensor crate's tests as the oracle.
+#[cfg(test)]
+#[path = "../../tensor/tests/conv_oracle/mod.rs"]
+mod conv_oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,87 +170,82 @@ mod tests {
     use pipemare_tensor::assert_close;
     use proptest::prelude::*;
 
-    fn bits(xs: &[f32]) -> Vec<u32> {
-        xs.iter().map(|v| v.to_bits()).collect()
-    }
+    use super::conv_oracle::{self, bits, Case};
 
-    /// The data path `Conv2d` had before it went channel-major, kept as
-    /// the oracle: row-major patches `(B·oh·ow, C·k·k)`, `y = cols · Kᵀ`,
-    /// a broadcast bias add and an NHWC → NCHW `permute`; backward
-    /// permutes `dy` back, takes `dW = dyᵀ · cols` and `dcols = dy · K`.
-    /// The row-major patch matrix is the transpose of the channel-major
-    /// one and the fold is the same fold (both pinned by the tensor
-    /// crate's own oracle test), so what this checks is that re-orienting
-    /// the three products moved no bit of `y`, `dx`, `dW` or `db`.
-    fn row_major_oracle(
-        conv: &Conv2d,
-        params: &[f32],
-        x: &Tensor,
-        dy: &Tensor,
-    ) -> (Tensor, Tensor, Vec<f32>) {
-        let (b, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-        let geom = conv.geometry(h, w);
-        let (oh, ow, oc, pl) = (geom.out_h(), geom.out_w(), conv.out_channels, conv.patch_len());
-        let rows = b * oh * ow;
-        let kernel = &params[..conv.weight_len()];
-        let mut cols_t = Tensor::zeros(&[pl, rows]);
-        im2col(x, &geom, cols_t.data_mut());
-        let cols = cols_t.transpose();
-
-        let mut y = Tensor::zeros(&[rows, oc]);
-        kernels::gemm_nt(cols.data(), kernel, y.data_mut(), rows, pl, oc);
-        if conv.bias {
-            y = y.add(&Tensor::from_vec(params[conv.weight_len()..].to_vec(), &[oc]));
-        }
-        let y = y.reshaped(&[b, oh, ow, oc]).permute(&[0, 3, 1, 2]);
-
-        let dy2 = dy.permute(&[0, 2, 3, 1]).reshaped(&[rows, oc]);
-        let mut grads = vec![0.0f32; conv.param_len()];
-        kernels::gemm_tn(dy2.data(), cols.data(), &mut grads[..conv.weight_len()], oc, rows, pl);
-        if conv.bias {
-            grads[conv.weight_len()..].copy_from_slice(dy2.sum_axis(0).data());
-        }
-        let mut dcols = Tensor::zeros(&[rows, pl]);
-        kernels::gemm(dy2.data(), kernel, dcols.data_mut(), rows, oc, pl);
-        let dx = col2im(dcols.transpose().data_mut(), &geom, b);
-        (y, dx, grads)
+    /// Runs `case` through the layer and compares `y`, `dx`, `dW` and `db`
+    /// with the oracle bit for bit.
+    fn assert_layer_matches_oracle(name: &str, case: &Case) {
+        let (problem, geom) = (case.problem, case.problem.geom);
+        let conv = Conv2d {
+            bias: case.bias.is_some(),
+            ..Conv2d::new(
+                geom.in_channels,
+                problem.out_channels,
+                geom.kernel,
+                geom.stride,
+                geom.padding,
+            )
+        };
+        let mut params = case.kernel.clone();
+        params.extend(case.bias.iter().flatten());
+        let x_shape = [problem.batch, geom.in_channels, geom.in_h, geom.in_w];
+        let x = Tensor::from_vec(case.x.clone(), &x_shape);
+        let (y, cache) = conv.forward(&params, &x);
+        let dy = Tensor::from_vec(case.dy.clone(), y.shape());
+        let (dx, grads) = conv.backward(&params, &cache, &dy);
+        let want = case.oracle();
+        assert_eq!(y.shape(), conv.output_shape(&x_shape).as_slice(), "{name}");
+        assert_eq!(bits(y.data()), bits(&want.y), "{name}: y");
+        assert_eq!(dx.shape(), x.shape(), "{name}");
+        assert_eq!(bits(dx.data()), bits(&want.dx), "{name}: dx");
+        let (dw, db) = grads.split_at(case.kernel.len());
+        assert_eq!(bits(dw), bits(&want.dw), "{name}: dW");
+        assert_eq!(bits(db), bits(&want.db), "{name}: db");
+        // The layer keeps its input, not the k²-times larger patches.
+        assert_eq!(cache.activation_bytes(), x.len() * 4, "{name}");
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Sizes straddle the scalar/blocked GEMM dispatch threshold and
-        /// sit off every register-tile multiple.
+        /// Channel counts off every `mr`, planes off every `nr`, panels
+        /// that cross rows and images, at whatever tier and pool width
+        /// this process runs with (`tests/simd_parity.rs` in the tensor
+        /// crate forces each).
         #[test]
-        fn forward_dx_and_gradients_keep_the_row_major_bits(
+        fn forward_dx_and_gradients_keep_the_patch_matrix_bits(
             batch in 1usize..5,
-            in_c in 1usize..8,
-            out_c in 1usize..14,
-            h in 3usize..12,
-            w in 3usize..12,
-            k in (0usize..2).prop_map(|i| [1, 3][i]),
-            stride in 1usize..3,
-            padding in 0usize..2,
+            in_c in 1usize..9,
+            out_c in 1usize..15,
+            h in 1usize..11,
+            w in 1usize..11,
+            k in (0usize..3).prop_map(|i| [1usize, 3, 5][i]),
+            stride in 1usize..4,
+            padding in 0usize..3,
             bias in (0usize..2).prop_map(|i| i == 1),
             seed in 0u64..1000,
         ) {
-            use rand::SeedableRng;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let conv = Conv2d { bias, ..Conv2d::new(in_c, out_c, k, stride, padding) };
-            let params = Tensor::randn(&[conv.param_len()], &mut rng).into_vec();
-            let x = Tensor::randn(&[batch, in_c, h, w], &mut rng);
-            let (y, cache) = conv.forward(&params, &x);
-            let dy = Tensor::randn(y.shape(), &mut rng);
-            let (dx, grads) = conv.backward(&params, &cache, &dy);
-            let (want_y, want_dx, want_grads) = row_major_oracle(&conv, &params, &x, &dy);
-            prop_assert_eq!(y.shape(), want_y.shape());
-            prop_assert_eq!(bits(y.data()), bits(want_y.data()));
-            prop_assert_eq!(dx.shape(), x.shape());
-            prop_assert_eq!(bits(dx.data()), bits(want_dx.data()));
-            prop_assert_eq!(bits(&grads), bits(&want_grads));
-            // The layer keeps its input, not the k²-times larger patches.
-            prop_assert_eq!(cache.activation_bytes(), x.len() * 4);
+            let fit = |extent: usize| extent.max(k.saturating_sub(2 * padding));
+            let geom = Conv2d::new(in_c, out_c, k, stride, padding).geometry(fit(h), fit(w));
+            let problem = ConvProblem { geom, out_channels: out_c, batch };
+            assert_layer_matches_oracle("random", &Case::random(problem, bias, 1.0, seed));
         }
+    }
+
+    #[test]
+    fn special_cases_keep_the_patch_matrix_bits() {
+        for (name, case) in conv_oracle::special_cases() {
+            assert_layer_matches_oracle(name, &case);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the kernel is larger than the padded input")]
+    fn a_kernel_larger_than_the_padded_input_is_refused() {
+        // 5×5 kernel over a 2×2 image with padding 1: 2 + 2 < 5. This used
+        // to overflow `in + 2·padding − kernel` in `usize`.
+        let conv = Conv2d::new_no_bias(1, 1, 5, 1, 1);
+        conv.forward(&[0.0; 25], &Tensor::zeros(&[1, 1, 2, 2]));
     }
 
     #[test]

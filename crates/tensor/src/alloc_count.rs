@@ -10,21 +10,37 @@
 //! and reads [`CountingAlloc::calls`] before and after the code it
 //! measures. Counts are process-wide, so measure on one thread while
 //! the others are idle.
+//!
+//! Two more instruments answer "what does this code keep?": the bytes
+//! currently allocated ([`CountingAlloc::live_bytes`]), and — once
+//! [`CountingAlloc::watch_large`] has named a size — how many bytes went
+//! into allocations at least that large, which is how a test shows that
+//! no buffer of a given size (a patch matrix, say) was ever built, let
+//! alone kept.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// The system allocator, counting every allocation call and the bytes
-/// it asked for. Frees are not counted.
+/// it asked for, the bytes alive, and the bytes in blocks of a watched size.
 pub struct CountingAlloc {
     calls: AtomicU64,
     bytes: AtomicU64,
+    live_bytes: AtomicI64,
+    large_min: AtomicUsize,
+    large_bytes: AtomicU64,
 }
 
 impl CountingAlloc {
-    /// A counter at zero.
+    /// A counter at zero, watching no size.
     pub const fn new() -> Self {
-        CountingAlloc { calls: AtomicU64::new(0), bytes: AtomicU64::new(0) }
+        CountingAlloc {
+            calls: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+            live_bytes: AtomicI64::new(0),
+            large_min: AtomicUsize::new(usize::MAX),
+            large_bytes: AtomicU64::new(0),
+        }
     }
 
     /// Allocation calls so far (`alloc`, `alloc_zeroed` and `realloc`).
@@ -37,10 +53,35 @@ impl CountingAlloc {
         self.bytes.load(Relaxed)
     }
 
+    /// Bytes allocated and not yet freed.
+    pub fn live_bytes(&self) -> i64 {
+        self.live_bytes.load(Relaxed)
+    }
+
+    /// From now on, allocations of at least `min_bytes` are "large";
+    /// restarts [`large_bytes`](Self::large_bytes) at zero.
+    pub fn watch_large(&self, min_bytes: usize) {
+        self.large_min.store(min_bytes, Relaxed);
+        self.large_bytes.store(0, Relaxed);
+    }
+
+    /// Bytes requested by large allocations since `watch_large`.
+    pub fn large_bytes(&self) -> u64 {
+        self.large_bytes.load(Relaxed)
+    }
+
     fn count(&self, size: usize) {
         // Statistics only: nothing is published through these counters.
         self.calls.fetch_add(1, Relaxed);
         self.bytes.fetch_add(size as u64, Relaxed);
+        self.live_bytes.fetch_add(size as i64, Relaxed);
+        if size >= self.large_min.load(Relaxed) {
+            self.large_bytes.fetch_add(size as u64, Relaxed);
+        }
+    }
+
+    fn uncount(&self, size: usize) {
+        self.live_bytes.fetch_sub(size as i64, Relaxed);
     }
 }
 
@@ -67,6 +108,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        self.uncount(layout.size());
         self.count(new_size);
         // SAFETY: `ptr` and `layout` come from this allocator, which is
         // `System` underneath, and are passed through unchanged.
@@ -74,6 +116,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.uncount(layout.size());
         // SAFETY: as `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }

@@ -30,7 +30,9 @@
 //! `m` to its transpose (2×128×128 1.35).
 //!
 //! All three paths compute each element by the same chain (below), so
-//! which one a product takes never shows in a result.
+//! which one a product takes never shows in a result. A convolution is
+//! none of the three: [`crate::conv`] builds its panels itself and never
+//! materialises the product's B operand.
 //!
 //! # The blocked algorithm
 //!
@@ -46,6 +48,15 @@
 //!   `[panel][p][r]`).
 //! * The microkernel accumulates a full-depth `mr × nr` tile in
 //!   registers: `acc[r][c] += a[p][r] · b[p][c]` for `p = 0, 1, …, k−1`.
+//!   The tile can go in as well as out (`micro_tile`'s `carry`): the
+//!   GEMM starts every tile at zero, a caller that streams its depth in
+//!   blocks carries the tile from one block to the next.
+//!
+//! The convolution passes in [`crate::conv`] run the same microkernels
+//! through `micro_tile` over the same `mr × nr` tiles; they differ from
+//! the GEMM only in where a panel comes from (runs of a zero-bordered
+//! copy of the image instead of a packed matrix) and where a tile goes
+//! (NCHW `y`, carried weight-gradient tiles, a folded input gradient).
 //!
 //! # SIMD dispatch
 //!
@@ -108,11 +119,11 @@ pub const NR: usize = 8;
 pub const MC: usize = 64;
 
 /// Largest `mr × nr` accumulator any tier needs (AVX-512's 8×32).
-const MAX_TILE: usize = 8 * 32;
+pub(crate) const MAX_TILE: usize = 8 * 32;
 
 /// Products smaller than this many flops stay on one thread: pool
 /// dispatch costs a few microseconds per lane.
-const PARALLEL_MIN_FLOPS: usize = 1 << 21;
+pub(crate) const PARALLEL_MIN_FLOPS: usize = 1 << 21;
 
 /// Which microkernel tier the blocked path drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -717,17 +728,7 @@ fn run_chunk(level: SimdLevel, p: &Product, a: &[f32], bpack: &[f32], c: &mut [f
             let cols = nr.min(n - j0);
             for ip in 0..row_panels {
                 let a_panel = &apack[ip * k * mr..(ip + 1) * k * mr];
-                match level {
-                    SimdLevel::Scalar => micro_scalar(k, a_panel, b_panel, acc),
-                    // SAFETY: tier support was asserted at dispatch, and
-                    // the panels/acc match the tier's tile shape.
-                    #[cfg(target_arch = "x86_64")]
-                    SimdLevel::Avx2 => unsafe { micro_avx2_6x16(k, a_panel, b_panel, acc) },
-                    #[cfg(target_arch = "x86_64")]
-                    SimdLevel::Avx512 => unsafe { micro_avx512_8x32(k, a_panel, b_panel, acc) },
-                    #[cfg(not(target_arch = "x86_64"))]
-                    _ => unreachable!("non-scalar SIMD level on a non-x86_64 target"),
-                }
+                micro_tile(level, k, a_panel, b_panel, acc, false);
                 let tile_rows = mr.min(rows - ip * mr);
                 for r in 0..tile_rows {
                     let at = (i0 + ip * mr + r) * p.ldc + j0;
@@ -741,16 +742,58 @@ fn run_chunk(level: SimdLevel, p: &Product, a: &[f32], bpack: &[f32], c: &mut [f
     });
 }
 
-/// The portable register-tile microkernel: a full-depth [`MR`]×[`NR`]
-/// product of one packed A panel against one packed B panel.
+/// One register tile at tier `level`: `acc (mr×nr, row-major) = [acc +]
+/// A panel (k×mr) · B panel (k×nr)`. With `carry` the tile goes in as
+/// well as out, so a product whose depth is streamed in blocks carries it
+/// from one block to the next; without, the accumulators start at zero
+/// and what `acc` held is ignored. Per element both are the same single
+/// FMA chain from `+0.0`, `p` ascending.
+///
+/// # Panics
+///
+/// Panics if a panel or the tile does not have the tier's shape.
+pub(crate) fn micro_tile(
+    level: SimdLevel,
+    k: usize,
+    a_panel: &[f32],
+    b_panel: &[f32],
+    acc: &mut [f32],
+    carry: bool,
+) {
+    let (mr, nr) = level.tile();
+    assert_eq!(a_panel.len(), k * mr, "micro_tile: A panel is not k×mr");
+    assert_eq!(b_panel.len(), k * nr, "micro_tile: B panel is not k×nr");
+    assert_eq!(acc.len(), mr * nr, "micro_tile: tile is not mr×nr");
+    match level {
+        SimdLevel::Scalar => micro_scalar(k, a_panel, b_panel, acc, carry),
+        // SAFETY: a non-scalar level is only ever produced by
+        // `simd_level` or accepted by the `*_with` entry points after
+        // `supported()` held, and the lengths were checked above.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { micro_avx2_6x16(k, a_panel, b_panel, acc, carry) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => unsafe { micro_avx512_8x32(k, a_panel, b_panel, acc, carry) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("non-scalar SIMD level on a non-x86_64 target"),
+    }
+}
+
+/// The portable register-tile microkernel: the full-depth [`MR`]×[`NR`]
+/// product of one packed A panel and one packed B panel, written to
+/// `acc_out` — on top of what it held if `carry`.
 /// Accumulation per output element runs over `p` in strictly increasing
 /// order via FMA — the determinism anchor every SIMD tier reproduces.
 #[inline]
-fn micro_scalar(k: usize, a_panel: &[f32], b_panel: &[f32], acc_out: &mut [f32]) {
+fn micro_scalar(k: usize, a_panel: &[f32], b_panel: &[f32], acc_out: &mut [f32], carry: bool) {
     debug_assert_eq!(a_panel.len(), k * MR);
     debug_assert_eq!(b_panel.len(), k * NR);
     debug_assert_eq!(acc_out.len(), MR * NR);
     let mut acc = [[0.0f32; NR]; MR];
+    if carry {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            acc_row.copy_from_slice(&acc_out[r * NR..(r + 1) * NR]);
+        }
+    }
     for p in 0..k {
         let av: &[f32; MR] = a_panel[p * MR..p * MR + MR].try_into().expect("MR panel");
         let bv: &[f32; NR] = b_panel[p * NR..p * NR + NR].try_into().expect("NR panel");
@@ -766,7 +809,8 @@ fn micro_scalar(k: usize, a_panel: &[f32], b_panel: &[f32], acc_out: &mut [f32])
 }
 
 /// AVX2+FMA 6×16 microkernel: 12 `ymm` accumulators (6 rows × two
-/// 8-lane halves), one broadcast + two FMAs per row per `p`. Per output
+/// 8-lane halves), loaded from `acc_out` if `carry` and stored back to
+/// it, one broadcast + two FMAs per row per `p`. Per output
 /// element the accumulation is a single FMA chain over increasing `p` —
 /// bit-identical to [`micro_scalar`].
 ///
@@ -776,14 +820,27 @@ fn micro_scalar(k: usize, a_panel: &[f32], b_panel: &[f32], acc_out: &mut [f32])
 /// `b_panel.len() == 16k`, and `acc_out.len() == 96`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_avx2_6x16(k: usize, a_panel: &[f32], b_panel: &[f32], acc_out: &mut [f32]) {
+unsafe fn micro_avx2_6x16(
+    k: usize,
+    a_panel: &[f32],
+    b_panel: &[f32],
+    acc_out: &mut [f32],
+    carry: bool,
+) {
     use std::arch::x86_64::*;
     debug_assert_eq!(a_panel.len(), k * 6);
     debug_assert_eq!(b_panel.len(), k * 16);
     debug_assert_eq!(acc_out.len(), 6 * 16);
     let a = a_panel.as_ptr();
     let b = b_panel.as_ptr();
+    let out = acc_out.as_mut_ptr();
     let mut acc: [__m256; 12] = [_mm256_setzero_ps(); 12];
+    if carry {
+        for r in 0..6 {
+            acc[2 * r] = _mm256_loadu_ps(out.add(r * 16));
+            acc[2 * r + 1] = _mm256_loadu_ps(out.add(r * 16 + 8));
+        }
+    }
     for p in 0..k {
         let b0 = _mm256_loadu_ps(b.add(p * 16));
         let b1 = _mm256_loadu_ps(b.add(p * 16 + 8));
@@ -793,7 +850,6 @@ unsafe fn micro_avx2_6x16(k: usize, a_panel: &[f32], b_panel: &[f32], acc_out: &
             acc[2 * r + 1] = _mm256_fmadd_ps(av, b1, acc[2 * r + 1]);
         }
     }
-    let out = acc_out.as_mut_ptr();
     for r in 0..6 {
         _mm256_storeu_ps(out.add(r * 16), acc[2 * r]);
         _mm256_storeu_ps(out.add(r * 16 + 8), acc[2 * r + 1]);
@@ -801,7 +857,8 @@ unsafe fn micro_avx2_6x16(k: usize, a_panel: &[f32], b_panel: &[f32], acc_out: &
 }
 
 /// AVX-512F 8×32 microkernel: 16 `zmm` accumulators (8 rows × two
-/// 16-lane halves), depth unrolled ×2. The unroll issues the `p` FMAs
+/// 16-lane halves), loaded from `acc_out` if `carry` and stored back
+/// to it, depth unrolled ×2. The unroll issues the `p` FMAs
 /// for all rows, then the `p+1` FMAs — each accumulator register still
 /// sees its depth products in strictly increasing order, so the result
 /// stays bit-identical to [`micro_scalar`]. Saturates the two FMA ports
@@ -813,14 +870,27 @@ unsafe fn micro_avx2_6x16(k: usize, a_panel: &[f32], b_panel: &[f32], acc_out: &
 /// `b_panel.len() == 32k`, and `acc_out.len() == 256`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn micro_avx512_8x32(k: usize, a_panel: &[f32], b_panel: &[f32], acc_out: &mut [f32]) {
+unsafe fn micro_avx512_8x32(
+    k: usize,
+    a_panel: &[f32],
+    b_panel: &[f32],
+    acc_out: &mut [f32],
+    carry: bool,
+) {
     use std::arch::x86_64::*;
     debug_assert_eq!(a_panel.len(), k * 8);
     debug_assert_eq!(b_panel.len(), k * 32);
     debug_assert_eq!(acc_out.len(), 8 * 32);
     let a = a_panel.as_ptr();
     let b = b_panel.as_ptr();
+    let out = acc_out.as_mut_ptr();
     let mut acc: [__m512; 16] = [_mm512_setzero_ps(); 16];
+    if carry {
+        for r in 0..8 {
+            acc[2 * r] = _mm512_loadu_ps(out.add(r * 32));
+            acc[2 * r + 1] = _mm512_loadu_ps(out.add(r * 32 + 16));
+        }
+    }
     let mut p = 0;
     while p + 2 <= k {
         let b0 = _mm512_loadu_ps(b.add(p * 32));
@@ -848,7 +918,6 @@ unsafe fn micro_avx512_8x32(k: usize, a_panel: &[f32], b_panel: &[f32], acc_out:
             acc[2 * r + 1] = _mm512_fmadd_ps(av, b1, acc[2 * r + 1]);
         }
     }
-    let out = acc_out.as_mut_ptr();
     for r in 0..8 {
         _mm512_storeu_ps(out.add(r * 32), acc[2 * r]);
         _mm512_storeu_ps(out.add(r * 32 + 16), acc[2 * r + 1]);
@@ -908,7 +977,14 @@ const PACK_DEPTH: usize = 128;
 /// the whole panel through L2 once per row (1.8 ns per element against
 /// 0.25) — and rows go eight at a time, so each depth position receives
 /// eight adjacent values at once.
-fn interleave_rows(src: &[f32], ld: usize, rows: usize, k: usize, width: usize, panel: &mut [f32]) {
+pub(crate) fn interleave_rows(
+    src: &[f32],
+    ld: usize,
+    rows: usize,
+    k: usize,
+    width: usize,
+    panel: &mut [f32],
+) {
     const LANES: usize = 8;
     for p0 in (0..k).step_by(PACK_DEPTH) {
         let depth = PACK_DEPTH.min(k - p0);
@@ -936,7 +1012,7 @@ fn interleave_rows(src: &[f32], ld: usize, rows: usize, k: usize, width: usize, 
 /// element `(i0+r', p)` of `op(A)` lands at `apack[(ip*k + p)*mr + r]`,
 /// zero-padded past `rows`. Returns the packed length (see [`pack_b`]
 /// for the scratch-reuse contract).
-fn pack_a(
+pub(crate) fn pack_a(
     p: &Product,
     a: &[f32],
     i0: usize,

@@ -4,7 +4,7 @@
 //! rest of the workspace builds on: a contiguous row-major [`Tensor`],
 //! NumPy-style broadcasting for elementwise arithmetic, (batched) matrix
 //! multiplication, axis reductions, softmax / log-softmax, and the
-//! `im2col`/`col2im` transforms used by convolution layers.
+//! blocked convolution passes ([`conv`]) used by convolution layers.
 //!
 //! # Conventions
 //!
@@ -27,7 +27,7 @@
 
 mod alloc_count;
 pub mod bf16;
-mod im2col;
+pub mod conv;
 mod init;
 pub mod kernels;
 mod matmul;
@@ -40,7 +40,7 @@ mod tensor;
 
 pub use alloc_count::CountingAlloc;
 pub use bf16::{StoragePrecision, BF16_REL_EPS};
-pub use im2col::{col2im, im2col, Conv2dGeometry};
+pub use conv::{Conv2dGeometry, ConvProblem};
 pub use pool::ThreadPool;
 pub use shape::{broadcast_shapes, Shape};
 pub use telemetry::{install_kernel_metrics, uninstall_kernel_metrics, KernelKind, KernelMetrics};

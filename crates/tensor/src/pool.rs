@@ -54,10 +54,11 @@ thread_local! {
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread GEMM packing scratch for B panels.
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread convolution scratch: the unfolded patch matrix and the
-    /// channel-major output (or output-gradient) block beside it. Same
-    /// lifetime and growth rule as the pack buffers.
-    static CONV: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Per-thread convolution scratch (see [`ConvScratch`]). Same lifetime
+    /// and growth rule as the pack buffers.
+    static CONV: RefCell<ConvScratch> = const {
+        RefCell::new(ConvScratch { image: Vec::new(), tiles: Vec::new(), offsets: Vec::new() })
+    };
 }
 
 /// Hands `f` this thread's A-panel packing scratch. The buffer persists
@@ -73,30 +74,22 @@ pub(crate) fn with_pack_b_scratch<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
     PACK_B.with(|buf| f(&mut buf.borrow_mut()))
 }
 
-/// Hands `f` this thread's two convolution scratch buffers, cut to
-/// `patches_len` and `block_len` elements. They persist for the thread's
-/// lifetime and grow monotonically, so a convolution re-unfolds its input
-/// on every pass without allocating; their contents on entry are
-/// whatever the previous convolution left.
-///
-/// # Panics
-///
-/// Panics if called from inside its own closure on the same thread.
-pub fn with_conv_scratch<R>(
-    patches_len: usize,
-    block_len: usize,
-    f: impl FnOnce(&mut [f32], &mut [f32]) -> R,
-) -> R {
-    CONV.with(|cell| {
-        let (patches, block) = &mut *cell.borrow_mut();
-        if patches.len() < patches_len {
-            patches.resize(patches_len, 0.0);
-        }
-        if block.len() < block_len {
-            block.resize(block_len, 0.0);
-        }
-        f(&mut patches[..patches_len], &mut block[..block_len])
-    })
+/// What a convolution pass keeps per thread besides the two pack
+/// buffers. None of it is sized by the batch: `image` holds the working
+/// copy of one chunk of images (`conv::CHUNK_FLOATS`, or one image if
+/// that is larger), `tiles` the accumulator tiles of a weight gradient or
+/// one panel's block of input-gradient terms, `offsets` a row of source
+/// offsets per panel row.
+pub(crate) struct ConvScratch {
+    pub(crate) image: Vec<f32>,
+    pub(crate) tiles: Vec<f32>,
+    pub(crate) offsets: Vec<usize>,
+}
+
+/// Hands `f` this thread's convolution scratch; contents on entry are
+/// whatever the previous convolution left (see [`with_pack_a_scratch`]).
+pub(crate) fn with_conv_workspace<R>(f: impl FnOnce(&mut ConvScratch) -> R) -> R {
+    CONV.with(|ws| f(&mut ws.borrow_mut()))
 }
 
 impl ThreadPool {

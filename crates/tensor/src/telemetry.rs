@@ -23,7 +23,12 @@ pub enum KernelKind {
     GemmTn,
     /// Batched matmul (any transpose variant).
     Bmm,
-    /// Convolution unfold.
+    /// Convolution unfold. No production code records it any more: the
+    /// blocked passes of [`crate::conv`] build no patch matrix and are
+    /// recorded as the products they replaced (`Gemm` forward, `GemmNt`
+    /// weight gradient, `GemmTn` input gradient, each with its nominal
+    /// `2·oc·C·k·k·B·oh·ow` flops). The kind and its instruments stay
+    /// because benchmark code names them.
     Im2col,
     /// `Tensor::permute`: like the unfold, data movement with no flops.
     Permute,
@@ -46,8 +51,9 @@ impl KernelKind {
 #[derive(Clone)]
 pub struct KernelMetrics {
     /// Cumulative floating-point operations issued by GEMM-family
-    /// kernels (2·m·k·n per product). The data-movement kernels
-    /// (`Im2col`, `Permute`) count calls and latency, and zero flops.
+    /// kernels (2·m·k·n per product, a convolution pass as the product
+    /// it stands for). The data-movement kernels (`Im2col`, `Permute`)
+    /// count calls and latency, and zero flops.
     pub flops: Arc<Counter>,
     /// Kernel invocations by family, same order as [`KernelKind`].
     calls: [Arc<Counter>; 6],

@@ -13,12 +13,20 @@
 //! tier-less no-pack kernel get the same treatment, and a threaded run
 //! under the dispatched tier must match the single-threaded one — the
 //! `PIPEMARE_NUM_THREADS` guarantee does not bend under SIMD.
+//!
+//! The blocked convolution passes drive the same microkernels with other
+//! panel sources and tile sinks, so they get the same treatment against
+//! their own oracle — the patch-matrix path in `conv_oracle` — at every
+//! tier and at 1, 2 and 4 pool threads.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 
 use pipemare_tensor::kernels::{self, Layout, Product, SimdLevel};
-use pipemare_tensor::{pool, ThreadPool};
+use pipemare_tensor::{conv, pool, Conv2dGeometry, ConvProblem, ThreadPool};
+
+mod conv_oracle;
+use conv_oracle::Case;
 
 /// Per-element scalar FMA reference for `C += op(A) · op(B)`.
 fn reference(layout: Layout, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
@@ -64,6 +72,64 @@ fn operand_lens(layout: Layout, m: usize, k: usize, n: usize) -> (usize, usize) 
         Layout::NT => (m * k, n * k),
         Layout::TN => (k * m, k * n),
     }
+}
+
+/// Runs the three passes of `case` at every runnable tier inside pools of
+/// 1, 2 and 4 threads, each into a buffer of NaNs (every element must be
+/// written), and compares with the oracle bit for bit.
+fn check_conv_against_oracle(name: &str, case: &Case) -> Result<(), String> {
+    use std::sync::{Arc, OnceLock};
+    static POOLS: OnceLock<[Arc<ThreadPool>; 3]> = OnceLock::new();
+    let pools = POOLS.get_or_init(|| [1, 2, 4].map(ThreadPool::new));
+    let want = case.oracle();
+    let problem = &case.problem;
+    for pool in pools {
+        for level in runnable_levels() {
+            let (mut y, mut dx) = (vec![f32::NAN; want.y.len()], vec![f32::NAN; want.dx.len()]);
+            let mut dw = vec![f32::NAN; want.dw.len()];
+            pool::with_pool(pool, || {
+                conv::forward(level, problem, &case.kernel, case.bias.as_deref(), &case.x, &mut y);
+                conv::backward_weights(level, problem, &case.x, &case.dy, &mut dw);
+                conv::backward_input(level, problem, &case.kernel, &case.dy, &mut dx);
+            });
+            for (what, got, want) in
+                [("y", &y, &want.y), ("dW", &dw, &want.dw), ("dx", &dx, &want.dx)]
+            {
+                if conv_oracle::bits(got) != conv_oracle::bits(want) {
+                    return Err(format!(
+                        "{name}: {what} at {} on {} threads left the oracle ({problem:?})",
+                        level.name(),
+                        pool.threads()
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The hand-picked convolutions: non-finite operands, chains that round
+/// to −0.0, planes of 5×7, 4×4 and 1×1, a batch the pool splits.
+#[test]
+fn conv_special_cases_match_the_oracle_at_every_tier_and_pool_width() {
+    let cases = conv_oracle::special_cases();
+    for (name, case) in &cases {
+        check_conv_against_oracle(name, case).unwrap();
+    }
+    // The cases are only worth their name if the oracle shows the trait.
+    let oracle = |wanted: &str| {
+        let (_, case) = cases.iter().find(|(name, _)| name.starts_with(wanted)).expect("case");
+        (case.oracle(), case)
+    };
+    let (non_finite, _) = oracle("non-finite");
+    for out in [&non_finite.y, &non_finite.dw, &non_finite.dx] {
+        assert!(out.iter().any(|v| v.is_nan()) && out.iter().any(|v| v.is_finite()));
+    }
+    let (corner, case) = oracle("infinite corner taps");
+    assert!(corner.dx.iter().any(|v| v.is_infinite()) && !corner.dx.iter().any(|v| v.is_nan()));
+    assert!(case.kernel[0].is_infinite());
+    let (tiny, _) = oracle("operands near 1e-30, stride 2");
+    assert!(tiny.y.iter().all(|v| v.to_bits() == 0), "every chain underflows to +0.0 once stored");
 }
 
 /// Ragged against every tile edge: below, on, and just past the scalar
@@ -162,6 +228,36 @@ proptest! {
                 layout, kernels::simd_level().name(), m, k, n
             );
         }
+    }
+
+    /// Convolutions over kernel ∈ {1, 3, 5}, stride 1–3, padding 0–2,
+    /// channel counts off every `mr`, planes off every `nr`: every tier,
+    /// every pool width, bit-identical to the patch-matrix oracle.
+    #[test]
+    fn conv_passes_match_the_oracle_at_every_tier_and_pool_width(
+        batch in 1usize..5,
+        in_c in 1usize..9,
+        out_c in 1usize..15,
+        h in 1usize..11,
+        w in 1usize..11,
+        k in (0usize..3).prop_map(|i| [1usize, 3, 5][i]),
+        stride in 1usize..4,
+        padding in 0usize..3,
+        bias in (0usize..2).prop_map(|i| i == 1),
+        seed in 0u64..1000,
+    ) {
+        let fit = |extent: usize| extent.max(k.saturating_sub(2 * padding));
+        let geom = Conv2dGeometry {
+            in_channels: in_c,
+            in_h: fit(h),
+            in_w: fit(w),
+            kernel: k,
+            stride,
+            padding,
+        };
+        let problem = ConvProblem { geom, out_channels: out_c, batch };
+        let checked = check_conv_against_oracle("random", &Case::random(problem, bias, 1.0, seed));
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
     /// Thread-count invariance under the dispatched SIMD tier: the pool

@@ -6,7 +6,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`tensor`] | `pipemare-tensor` | dense f32 tensors, matmul, im2col |
+//! | [`tensor`] | `pipemare-tensor` | dense f32 tensors, matmul, conv |
 //! | [`nn`] | `pipemare-nn` | explicit-parameter layers & models (MLP, ResNet, Transformer) |
 //! | [`optim`] | `pipemare-optim` | SGD/momentum/Adam/AdamW, schedules, T1 rescheduler |
 //! | [`data`] | `pipemare-data` | synthetic datasets, accuracy/BLEU/perplexity |
