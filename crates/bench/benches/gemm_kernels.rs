@@ -19,9 +19,10 @@
 //! calls in it (`conv.permute_calls`, zero: the passes read and write
 //! NCHW directly), the bytes that went into allocations as large as a
 //! patch matrix during a first forward + backward on a fresh thread
-//! (`conv.patch_matrix_bytes`, zero: there is none) and the scratch that
-//! thread is left holding after the three passes at the scalar tier,
-//! whose tile every host has (`conv.scratch_bytes_12x16x16_b10`).
+//! (`conv.patch_matrix_bytes`, zero: there is none) and the bytes such a
+//! thread asks the allocator for to run the three passes at the scalar
+//! tier, whose tile every host has (`conv.scratch_bytes_12x16x16_b10`: the
+//! scratch it is left holding, a buffer that grew twice counted twice).
 //!
 //! A third section does the same for attention, whose heads are column
 //! blocks of its projections: the allocator calls of one warm forward +
@@ -174,9 +175,10 @@ const CONV_SHAPES: &[(&str, usize, usize, usize, usize, usize, usize)] = &[
 /// What a thread that has never convolved allocates for the first shape
 /// of [`CONV_SHAPES`]: the bytes that went into blocks at least as large
 /// as its patch matrix (`C·k·k × B·oh·ow` floats) during a layer forward +
-/// backward, and the scratch it still holds after the three passes at the
-/// scalar tier with every output preallocated.
-fn conv_cold_thread_facts() -> (u64, i64) {
+/// backward, and all the bytes it requests for the three passes at the
+/// scalar tier with every output preallocated — its scratch, which it
+/// keeps, so an upper bound on what a thread holds afterwards.
+fn conv_cold_thread_facts() -> (u64, u64) {
     let (_, in_c, out_c, k, stride, padding, hw) = CONV_SHAPES[0];
     let geom = Conv2dGeometry { in_channels: in_c, in_h: hw, in_w: hw, kernel: k, stride, padding };
     let problem = ConvProblem { geom, out_channels: out_c, batch: 10 };
@@ -198,13 +200,13 @@ fn conv_cold_thread_facts() -> (u64, i64) {
         let (mut y, mut dx) = (vec![0.0f32; dy.len()], vec![0.0f32; x.len()]);
         let mut dw = vec![0.0f32; kernel.len()];
         pool::with_pool(&one_thread, || {
-            let before = ALLOC.live_bytes();
+            let before = ALLOC.bytes();
             let level = SimdLevel::Scalar;
             conv::forward(level, &problem, kernel.data(), None, x.data(), &mut y);
             conv::backward_weights(level, &problem, x.data(), dy.data(), &mut dw);
             conv::backward_input(level, &problem, kernel.data(), dy.data(), &mut dx);
             std::hint::black_box((&y, &dw, &dx));
-            ALLOC.live_bytes() - before
+            ALLOC.bytes() - before
         })
     };
     std::thread::scope(|scope| {

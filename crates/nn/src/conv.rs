@@ -157,12 +157,6 @@ impl Layer for Conv2d {
     }
 }
 
-/// The patch-matrix path (`im2col → GEMM → col2im`) this layer ran before,
-/// kept beside the tensor crate's tests as the oracle.
-#[cfg(test)]
-#[path = "../../tensor/tests/conv_oracle/mod.rs"]
-mod conv_oracle;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,7 +164,7 @@ mod tests {
     use pipemare_tensor::assert_close;
     use proptest::prelude::*;
 
-    use super::conv_oracle::{self, bits, Case};
+    use pipemare_conv_oracle::{self as conv_oracle, bits, Case};
 
     /// Runs `case` through the layer and compares `y`, `dx`, `dW` and `db`
     /// with the oracle bit for bit.

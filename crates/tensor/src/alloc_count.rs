@@ -11,22 +11,20 @@
 //! measures. Counts are process-wide, so measure on one thread while
 //! the others are idle.
 //!
-//! Two more instruments answer "what does this code keep?": the bytes
-//! currently allocated ([`CountingAlloc::live_bytes`]), and — once
-//! [`CountingAlloc::watch_large`] has named a size — how many bytes went
-//! into allocations at least that large, which is how a test shows that
-//! no buffer of a given size (a patch matrix, say) was ever built, let
-//! alone kept.
+//! Once [`CountingAlloc::watch_large`] has named a size, the counter also
+//! tells how many bytes went into allocations at least that large, which
+//! is how a test shows that no buffer of a given size (a patch matrix,
+//! say) was ever built, let alone kept.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// The system allocator, counting every allocation call and the bytes
-/// it asked for, the bytes alive, and the bytes in blocks of a watched size.
+/// it asked for, and the bytes in blocks of a watched size. Frees are not
+/// counted.
 pub struct CountingAlloc {
     calls: AtomicU64,
     bytes: AtomicU64,
-    live_bytes: AtomicI64,
     large_min: AtomicUsize,
     large_bytes: AtomicU64,
 }
@@ -37,7 +35,6 @@ impl CountingAlloc {
         CountingAlloc {
             calls: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            live_bytes: AtomicI64::new(0),
             large_min: AtomicUsize::new(usize::MAX),
             large_bytes: AtomicU64::new(0),
         }
@@ -51,11 +48,6 @@ impl CountingAlloc {
     /// Bytes requested by those calls.
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Relaxed)
-    }
-
-    /// Bytes allocated and not yet freed.
-    pub fn live_bytes(&self) -> i64 {
-        self.live_bytes.load(Relaxed)
     }
 
     /// From now on, allocations of at least `min_bytes` are "large";
@@ -74,14 +66,9 @@ impl CountingAlloc {
         // Statistics only: nothing is published through these counters.
         self.calls.fetch_add(1, Relaxed);
         self.bytes.fetch_add(size as u64, Relaxed);
-        self.live_bytes.fetch_add(size as i64, Relaxed);
         if size >= self.large_min.load(Relaxed) {
             self.large_bytes.fetch_add(size as u64, Relaxed);
         }
-    }
-
-    fn uncount(&self, size: usize) {
-        self.live_bytes.fetch_sub(size as i64, Relaxed);
     }
 }
 
@@ -108,7 +95,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.uncount(layout.size());
         self.count(new_size);
         // SAFETY: `ptr` and `layout` come from this allocator, which is
         // `System` underneath, and are passed through unchanged.
@@ -116,7 +102,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.uncount(layout.size());
         // SAFETY: as `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }

@@ -27,8 +27,9 @@
 //! `(image, channel)` is `H + 2·pad` rows; a row holds its `W + 2·pad`
 //! values split by column phase, `row[(ix % s) · lp + ix / s]`, so that
 //! the values one tap reads at consecutive output columns
-//! (`ix = ox·s + kx`) are adjacent whatever the stride. With stride 1 and
-//! no padding this is the input itself, which is then read in place.
+//! (`ix = ox·s + kx`) are adjacent whatever the stride. Every geometry
+//! takes this copy — with stride 1 and no padding it is the input again,
+//! copied all the same.
 //!
 //! *Channels-last, zero-bordered* (weight gradient): `(image, iy, ix, c)`.
 //! The `k·C` values that kernel row `ky` reads at one output position are
@@ -39,7 +40,8 @@
 //! # Numerics
 //!
 //! Every result keeps, bit for bit, what `im2col → GEMM → col2im`
-//! produced (the oracle in `tests/conv_oracle` is that path):
+//! produced (the dev-only crate `pipemare-conv-oracle` is that path, and
+//! holds it in turn to convolution's seven-loop definition):
 //!
 //! * `y[b,o,oy,ox] = (0.0 + Σ_p fma(K[o,p], patch[p], ·)) (+ bias[o])`,
 //!   `p = (c, ky, kx)` ascending from `+0.0`, padding taps included as
@@ -107,8 +109,12 @@ impl Conv2dGeometry {
     pub fn validate(&self) {
         let fits = |extent: usize| extent + 2 * self.padding >= self.kernel;
         assert!(
-            self.in_channels > 0 && self.kernel > 0 && self.stride > 0,
-            "{self:?}: channels, kernel and stride must be positive"
+            self.in_channels > 0
+                && self.in_h > 0
+                && self.in_w > 0
+                && self.kernel > 0
+                && self.stride > 0,
+            "{self:?}: channels, height, width, kernel and stride must be positive"
         );
         assert!(
             fits(self.in_h) && fits(self.in_w),
@@ -245,12 +251,6 @@ impl Plan {
     /// Floats of one image in the phase-split layout.
     fn image_floats(&self) -> usize {
         self.c * self.hp * self.pitch
-    }
-
-    /// Stride 1 without padding: the phase-split layout *is* NCHW, so the
-    /// input is read, and its gradient accumulated, where it lies.
-    fn in_place(&self) -> bool {
-        self.s == 1 && self.pad == 0
     }
 
     /// `(chunks, images per chunk)`: the fewest chunks whose working copy
@@ -618,8 +618,7 @@ fn forward_chunk(
     pool::with_conv_workspace(|ws| {
         pool::with_pack_b_scratch(|bpack| {
             let ConvScratch { image, offsets, .. } = ws;
-            let source =
-                if plan.in_place() { x_chunk } else { pad_chunk(plan, x_chunk, images, image) };
+            let source = pad_chunk(plan, x_chunk, images, image);
             let taps = grown(offsets, pl);
             plan.tap_offsets(taps);
             let bpanel = grown(bpack, pl * nr + MAX_RUN);
@@ -784,15 +783,10 @@ pub fn backward_input(
             let dy_chunk = &dy[b0 * y_image..][..images * y_image];
             pool::with_conv_workspace(|ws| {
                 let ConvScratch { image, tiles, offsets } = ws;
-                if plan.in_place() {
-                    dx_chunk.fill(0.0);
-                    fold_chunk(&plan, apack, dy_chunk, dx_chunk, tiles, offsets);
-                } else {
-                    let padded = grown(image, images * plan.image_floats());
-                    padded.fill(0.0);
-                    fold_chunk(&plan, apack, dy_chunk, padded, tiles, offsets);
-                    unpad_chunk(&plan, padded, dx_chunk);
-                }
+                let padded = grown(image, images * plan.image_floats());
+                padded.fill(0.0);
+                fold_chunk(&plan, apack, dy_chunk, padded, tiles, offsets);
+                unpad_chunk(&plan, padded, dx_chunk);
             });
         });
     });
@@ -858,6 +852,12 @@ mod tests {
     #[should_panic(expected = "the kernel is larger than the padded input")]
     fn a_kernel_larger_than_the_padded_input_is_refused_by_name() {
         geom(2, 3, 3, 7, 1, 1).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "height, width, kernel and stride must be positive")]
+    fn an_empty_plane_is_refused_by_name_even_where_the_padding_covers_the_kernel() {
+        geom(2, 0, 4, 3, 1, 2).validate();
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!
 //! The blocked convolution passes drive the same microkernels with other
 //! panel sources and tile sinks, so they get the same treatment against
-//! their own oracle — the patch-matrix path in `conv_oracle` — at every
+//! their own oracle — the patch-matrix path in `pipemare-conv-oracle`,
+//! which that crate's tests anchor to convolution's definition — at every
 //! tier and at 1, 2 and 4 pool threads.
 
 use proptest::prelude::*;
@@ -25,8 +26,7 @@ use rand::SeedableRng;
 use pipemare_tensor::kernels::{self, Layout, Product, SimdLevel};
 use pipemare_tensor::{conv, pool, Conv2dGeometry, ConvProblem, ThreadPool};
 
-mod conv_oracle;
-use conv_oracle::Case;
+use pipemare_conv_oracle::{self as conv_oracle, Case};
 
 /// Per-element scalar FMA reference for `C += op(A) · op(B)`.
 fn reference(layout: Layout, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
