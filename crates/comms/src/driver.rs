@@ -233,6 +233,8 @@ pub struct StepDriver<A> {
 impl<A: ShardAccess> StepDriver<A> {
     /// A driver at step 0 over freshly seeded shards.
     pub fn new(cfg: TrainConfig, mut layout: RunLayout, access: A) -> Self {
+        // A step frees everything it allocates; see `heap`.
+        pipemare_tensor::heap::keep_freed_memory();
         let (stages, total) = (cfg.stages, layout.params.len());
         // Version 0, read as the f32 master, at every stage.
         let mut held = [vec![None; stages], vec![None; stages], vec![None; stages]];

@@ -200,8 +200,8 @@ pub struct ShardStage {
     opt: Optimizer,
     /// T2 velocity buffer δ for this shard.
     delta: Vec<f32>,
-    /// Post-optimizer weights awaiting commit: `(step, values)`.
-    staged: Option<(u64, Vec<f32>)>,
+    /// Post-optimizer weights awaiting commit: `(step, values, Σx²)`.
+    staged: Option<(u64, Vec<f32>, f64)>,
     /// Next step this shard expects (= number of committed steps).
     committed: u64,
 }
@@ -414,7 +414,7 @@ impl ShardStage {
         }
         let finite = w.iter().all(|x| x.is_finite());
         let sq_norm = w.iter().map(|&x| x as f64 * x as f64).sum::<f64>();
-        self.staged = Some((step, w));
+        self.staged = Some((step, w, sq_norm));
         Ok((sq_norm, finite))
     }
 
@@ -425,7 +425,7 @@ impl ShardStage {
     /// buffers are never rolled back. Returns the committed shard's Σx².
     pub fn commit(&mut self, step: u64, keep: bool) -> Result<f64, CommsError> {
         self.check_step(step, "commit")?;
-        let (staged_step, mut pushed) = self.staged.take().ok_or_else(|| {
+        let (staged_step, mut pushed, mut sq_norm) = self.staged.take().ok_or_else(|| {
             CommsError::Protocol(format!(
                 "stage {}: commit for step {step} with nothing staged",
                 self.cfg.stage
@@ -435,6 +435,7 @@ impl ShardStage {
         let old = self.history.latest();
         if !keep {
             pushed.copy_from_slice(old);
+            sq_norm = pushed.iter().map(|&x| x as f64 * x as f64).sum::<f64>();
         }
         if self.cfg.t2_decay.is_some() {
             let g = self.cfg.gamma as f32;
@@ -442,7 +443,6 @@ impl ShardStage {
                 *d = g * *d + (1.0 - g) * (new - old);
             }
         }
-        let sq_norm = pushed.iter().map(|&x| x as f64 * x as f64).sum::<f64>();
         self.history.push(step as usize + 1, pushed);
         self.committed = step + 1;
         Ok(sq_norm)

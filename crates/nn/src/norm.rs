@@ -7,91 +7,74 @@
 
 use rand::rngs::StdRng;
 
-use pipemare_tensor::Tensor;
+use pipemare_tensor::fold::{self, FoldDims};
+use pipemare_tensor::{kernels, Tensor};
 
 use crate::cache::Cache;
 use crate::layer::{Layer, WeightUnit};
 
 const EPS: f32 = 1e-5;
 
-/// Normalizes `x[idx(slice)]` slices in place, writing `x̂` and returning
-/// per-slice `inv_std`. `slices` enumerates index lists.
-fn normalize_slices(x: &Tensor, slice_elems: &[Vec<usize>]) -> (Tensor, Vec<f32>) {
-    let mut xhat = x.clone();
-    let mut inv_stds = Vec::with_capacity(slice_elems.len());
-    for elems in slice_elems {
-        let n = elems.len() as f32;
-        let mean: f32 = elems.iter().map(|&i| x.data()[i]).sum::<f32>() / n;
-        let var: f32 = elems
-            .iter()
-            .map(|&i| {
-                let d = x.data()[i] - mean;
-                d * d
-            })
-            .sum::<f32>()
-            / n;
-        let inv_std = 1.0 / (var + EPS).sqrt();
-        for &i in elems {
-            xhat.data_mut()[i] = (x.data()[i] - mean) * inv_std;
-        }
-        inv_stds.push(inv_std);
-    }
-    (xhat, inv_stds)
+/// Per-slice mean and `1/√(var + ε)`: two statistics folds.
+fn statistics(dims: FoldDims, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    let level = kernels::simd_level();
+    let n = dims.slice_len() as f32;
+    let mut means = vec![0.0f32; dims.slices];
+    fold::sum(level, dims, x, &mut means);
+    means.iter_mut().for_each(|m| *m /= n);
+    let mut inv_stds = vec![0.0f32; dims.slices];
+    fold::sq_dev(level, dims, x, &means, &mut inv_stds);
+    inv_stds.iter_mut().for_each(|v| *v = 1.0 / (*v / n + EPS).sqrt());
+    (means, inv_stds)
 }
 
-/// Backward through normalization for one slice:
-/// `dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`.
-fn normalize_backward_slice(
-    dxhat: &[f32],
-    xhat: &[f32],
-    elems: &[usize],
-    inv_std: f32,
-    dx: &mut [f32],
-) {
-    let n = elems.len() as f32;
-    let mut sum_d = 0.0f32;
-    let mut sum_dx = 0.0f32;
-    for (k, &i) in elems.iter().enumerate() {
-        sum_d += dxhat[k];
-        sum_dx += dxhat[k] * xhat[i];
-    }
-    let mean_d = sum_d / n;
-    let mean_dx = sum_dx / n;
-    for (k, &i) in elems.iter().enumerate() {
-        dx[i] = inv_std * (dxhat[k] - mean_d - xhat[i] * mean_dx);
-    }
-}
-
-/// Channels whose sums [`fold_channels`] advances together.
-const FOLD_LANES: usize = 16;
-
-/// Per-channel sequential sums over a `(B, C, H·W)` tensor: calls
-/// `f(channel, flat index, accumulators)` for every element and returns
-/// each channel's `N` accumulators, started at `init`.
-///
-/// A channel's elements are visited in `(b, h·w)` order and each of its
-/// accumulators is one dependency chain, so every sum has the bits of a
-/// plain loop over that channel. [`FOLD_LANES`] channels advance side by
-/// side only so that their chains overlap in the pipeline instead of each
-/// waiting out the adder's latency alone.
-fn fold_channels<const N: usize>(
-    (b, c, run): (usize, usize, usize),
-    init: [f32; N],
-    f: impl Fn(usize, usize, &mut [f32; N]),
-) -> Vec<[f32; N]> {
-    let mut sums = vec![init; c];
-    for (group, accs) in sums.chunks_mut(FOLD_LANES).enumerate() {
-        let first = group * FOLD_LANES;
-        for bi in 0..b {
-            for j in 0..run {
-                for (lane, acc) in accs.iter_mut().enumerate() {
-                    let ci = first + lane;
-                    f(ci, (bi * c + ci) * run + j, acc);
-                }
+/// `x̂ = (x − mean)·inv_std` and `y = γ·x̂ + β`, `plane` values at a time:
+/// run `k` takes its statistics from slice `slice_of(k)` and its affine
+/// pair from channel `k % channels`; `RELU` clamps `y` at zero. Both
+/// outputs are appended to reserved vectors — written once, not cleared
+/// and then written — and `y` reads `x̂` back while it is in L1.
+fn normalize<const RELU: bool>(
+    x: &Tensor,
+    plane: usize,
+    slice_of: impl Fn(usize) -> usize,
+    (means, inv_stds): (&[f32], &[f32]),
+    params: &[f32],
+) -> (Tensor, Tensor) {
+    let c = params.len() / 2;
+    let (mut xhat, mut y) = (Vec::with_capacity(x.len()), Vec::with_capacity(x.len()));
+    for (k, x_run) in x.data().chunks_exact(plane).enumerate() {
+        let (s, ci) = (slice_of(k), k % c);
+        let (mean, inv_std, gamma, beta) = (means[s], inv_stds[s], params[ci], params[c + ci]);
+        xhat.extend(x_run.iter().map(|&v| (v - mean) * inv_std));
+        y.extend(xhat[k * plane..].iter().map(|&h| {
+            let pre = gamma * h + beta;
+            if RELU {
+                pre.max(0.0)
+            } else {
+                pre
             }
+        }));
+    }
+    (Tensor::from_vec(xhat, x.shape()), Tensor::from_vec(y, x.shape()))
+}
+
+/// The last pass of a backward whose slices are contiguous (`outer` 1):
+/// `dx` holds `dx̂` and becomes `inv_std · (dx̂ − mean(dx̂) − x̂ ·
+/// mean(dx̂·x̂))`, the means per slice.
+fn finish_dx(dims: FoldDims, inv_stds: &[f32], xhat: &[f32], dx: &mut [f32]) {
+    debug_assert_eq!(dims.outer, 1);
+    let n = dims.run as f32;
+    let mut sums = vec![0.0f32; 2 * dims.slices];
+    let (sum_d, sum_dx) = sums.split_at_mut(dims.slices);
+    fold::dot(kernels::simd_level(), dims, dx, xhat, sum_d, sum_dx);
+    for (s, (dx_run, xhat_run)) in
+        dx.chunks_exact_mut(dims.run).zip(xhat.chunks_exact(dims.run)).enumerate()
+    {
+        let (inv_std, mean_d, mean_dx) = (inv_stds[s], sum_d[s] / n, sum_dx[s] / n);
+        for (d, &h) in dx_run.iter_mut().zip(xhat_run) {
+            *d = inv_std * (*d - mean_d - h * mean_dx);
         }
     }
-    sums
 }
 
 /// Batch normalization over `(B, C, H, W)` inputs, per channel.
@@ -102,22 +85,37 @@ fn fold_channels<const N: usize>(
 /// (§4.1 "Microbatch Size"), and at the scale of this reproduction
 /// evaluation batches are comparably sized, so running statistics are not
 /// maintained. Parameters are `[γ (C) | β (C)]`, initialized to 1 and 0.
+///
+/// [`with_relu`](Self::with_relu) makes the layer own the ReLU behind it:
+/// the clamp costs no pass and no cached copy. The cache is `x̂` and, in
+/// its scalars, `1/σ (C)` followed — for the fused layer — by the
+/// *forward* `γ (C) | β (C)`: the backward pass is handed other weights
+/// (`u_bkwd`) and regenerates the ReLU mask from `γ_fwd·x̂ + β_fwd`, the
+/// operations that produced the pre-activation.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchNorm2d {
     /// Number of channels.
     pub channels: usize,
+    relu: bool,
 }
 
 impl BatchNorm2d {
     /// Creates a batch-norm layer over `channels` channels.
     pub fn new(channels: usize) -> Self {
-        BatchNorm2d { channels }
+        BatchNorm2d { channels, relu: false }
+    }
+
+    /// Batch-norm followed by ReLU, as one layer: equal bit for bit, in
+    /// `y`, `dx`, `dγ` and `dβ`, to [`BatchNorm2d::new`] chained with
+    /// [`crate::Activation::relu`].
+    pub fn with_relu(channels: usize) -> Self {
+        BatchNorm2d { channels, relu: true }
     }
 
     /// `(B, C, H·W)`: every `(b, c)` pair owns one contiguous run.
-    fn dims(&self, shape: &[usize]) -> (usize, usize, usize) {
+    fn dims(&self, shape: &[usize]) -> FoldDims {
         assert_eq!(shape[1], self.channels, "BatchNorm2d: channel mismatch");
-        (shape[0], shape[1], shape[2] * shape[3])
+        FoldDims { outer: shape[0], slices: shape[1], run: shape[2] * shape[3] }
     }
 }
 
@@ -133,65 +131,63 @@ impl Layer for BatchNorm2d {
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
         assert_eq!(x.ndim(), 4, "BatchNorm2d input must be (B,C,H,W)");
-        let dims @ (b, c, run) = self.dims(x.shape());
-        let n = (b * run) as f32;
-        let xd = x.data();
-        // −0.0 is the additive identity `Iterator::sum` starts from.
-        let sums = fold_channels(dims, [-0.0], |_, i, acc| acc[0] += xd[i]);
-        let means: Vec<f32> = sums.iter().map(|s| s[0] / n).collect();
-        let sq_devs = fold_channels(dims, [-0.0], |ci, i, acc| {
-            let d = xd[i] - means[ci];
-            acc[0] += d * d;
-        });
-        let inv_stds: Vec<f32> = sq_devs.iter().map(|s| 1.0 / (s[0] / n + EPS).sqrt()).collect();
-        let mut xhat = Vec::with_capacity(x.len());
-        let mut y = Vec::with_capacity(x.len());
-        for (k, x_run) in xd.chunks_exact(run).enumerate() {
-            let ci = k % c;
-            let (mean, inv_std) = (means[ci], inv_stds[ci]);
-            let (gamma, beta) = (params[ci], params[c + ci]);
-            xhat.extend(x_run.iter().map(|&v| (v - mean) * inv_std));
-            y.extend(xhat[k * run..].iter().map(|&h| gamma * h + beta));
-        }
-        let (xhat, y) = (Tensor::from_vec(xhat, x.shape()), Tensor::from_vec(y, x.shape()));
+        let dims = self.dims(x.shape());
+        let c = self.channels;
+        let (means, mut inv_stds) = statistics(dims, x.data());
+        let stats = (&means[..], &inv_stds[..]);
+        let (xhat, y) = if self.relu {
+            normalize::<true>(x, dims.run, |k| k % c, stats, params)
+        } else {
+            normalize::<false>(x, dims.run, |k| k % c, stats, params)
+        };
         let mut cache = Cache::with_tensors(vec![xhat]);
+        if self.relu {
+            inv_stds.extend_from_slice(params);
+        }
         cache.scalars = inv_stds;
         (y, cache)
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
         let xhat = cache.tensor(0).data();
-        let dims @ (b, c, run) = self.dims(dy.shape());
-        let n = (b * run) as f32;
-        let dyd = dy.data();
-        // Per channel: [dγ, dβ, Σ dx̂, Σ dx̂·x̂] with dx̂ = dy·γ (backward-pass γ).
-        let sums = fold_channels(dims, [0.0; 4], |ci, i, acc| {
-            let (g, dxhat) = (dyd[i], dyd[i] * params[ci]);
-            acc[0] += g * xhat[i];
-            acc[1] += g;
-            acc[2] += dxhat;
-            acc[3] += dxhat * xhat[i];
-        });
-        let mut grads = vec![0.0f32; self.param_len()];
-        for (ci, s) in sums.iter().enumerate() {
-            (grads[ci], grads[c + ci]) = (s[0], s[1]);
-        }
-        // dx = inv_std * (dx̂ - mean(dx̂) - x̂ * mean(dx̂·x̂))
+        let dims = self.dims(dy.shape());
+        let c = self.channels;
+        let n = dims.slice_len() as f32;
+        let (inv_stds, fwd_params) = cache.scalars.split_at(c);
+        // `dx` starts as the gradient behind the fused ReLU: `dy` times 1.0
+        // where the pre-activation — recomputed from x̂ and the forward γ, β
+        // by the operations that produced it — was positive, times 0.0
+        // where it was not; `dy` itself for the plain layer.
         let mut dx = Vec::with_capacity(dy.len());
-        for (k, (dy_run, xhat_run)) in dyd.chunks_exact(run).zip(xhat.chunks_exact(run)).enumerate()
-        {
-            let ci = k % c;
-            let (gamma, inv_std) = (params[ci], cache.scalars[ci]);
-            let (mean_d, mean_dx) = (sums[ci][2] / n, sums[ci][3] / n);
-            dx.extend(
-                dy_run
-                    .iter()
-                    .zip(xhat_run)
-                    .map(|(&g, &h)| inv_std * (g * gamma - mean_d - h * mean_dx)),
-            );
+        if self.relu {
+            let (gamma_fwd, beta_fwd) = fwd_params.split_at(c);
+            let runs = dy.data().chunks_exact(dims.run).zip(xhat.chunks_exact(dims.run));
+            for (k, (dy_run, xhat_run)) in runs.enumerate() {
+                let (gf, bf) = (gamma_fwd[k % c], beta_fwd[k % c]);
+                let passed = |h: f32| if gf * h + bf > 0.0 { 1.0 } else { 0.0 };
+                dx.extend(dy_run.iter().zip(xhat_run).map(|(&g, &h)| g * passed(h)));
+            }
+        } else {
+            dx.extend_from_slice(dy.data());
         }
-        let dx = Tensor::from_vec(dx, dy.shape());
-        (dx, grads)
+        // Per channel: [dγ, dβ | Σ dx̂, Σ dx̂·x̂] with dx̂ = g·γ (backward-pass γ).
+        let mut grads = vec![0.0f32; self.param_len()];
+        let mut sums = vec![0.0f32; 2 * c];
+        let (dgamma, dbeta) = grads.split_at_mut(c);
+        let (sum_d, sum_dx) = sums.split_at_mut(c);
+        let out = [dgamma, dbeta, &mut *sum_d, &mut *sum_dx];
+        fold::norm_grad(kernels::simd_level(), dims, &dx, xhat, &params[..c], out);
+        // dx = inv_std * (dx̂ - mean(dx̂) - x̂ * mean(dx̂·x̂)), in place.
+        let runs = dx.chunks_exact_mut(dims.run).zip(xhat.chunks_exact(dims.run));
+        for (k, (dx_run, xhat_run)) in runs.enumerate() {
+            let ci = k % c;
+            let (gamma, inv_std) = (params[ci], inv_stds[ci]);
+            let (mean_d, mean_dx) = (sum_d[ci] / n, sum_dx[ci] / n);
+            for (d, &h) in dx_run.iter_mut().zip(xhat_run) {
+                *d = inv_std * (*d * gamma - mean_d - h * mean_dx);
+            }
+        }
+        (Tensor::from_vec(dx, dy.shape()), grads)
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {
@@ -217,6 +213,11 @@ impl LayerNorm {
     pub fn new(dim: usize) -> Self {
         LayerNorm { dim }
     }
+
+    /// Every row is one slice.
+    fn dims(&self, len: usize) -> FoldDims {
+        FoldDims { outer: 1, slices: len / self.dim, run: self.dim }
+    }
 }
 
 impl Layer for LayerNorm {
@@ -232,26 +233,17 @@ impl Layer for LayerNorm {
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
         let d = self.dim;
         assert_eq!(*x.shape().last().unwrap(), d, "LayerNorm: last dim mismatch");
-        let rows = x.len() / d;
-        let mut xhat = x.clone();
-        let mut inv_stds = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let row = &mut xhat.data_mut()[r * d..(r + 1) * d];
-            let mean: f32 = row.iter().sum::<f32>() / d as f32;
-            let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let inv_std = 1.0 / (var + EPS).sqrt();
-            for v in row.iter_mut() {
-                *v = (*v - mean) * inv_std;
-            }
-            inv_stds.push(inv_std);
+        let (means, inv_stds) = statistics(self.dims(x.len()), x.data());
+        let (gamma, beta) = params.split_at(d);
+        let mut xhat = Vec::with_capacity(x.len());
+        let mut y = Vec::with_capacity(x.len());
+        for (r, row) in x.data().chunks_exact(d).enumerate() {
+            let (mean, inv_std) = (means[r], inv_stds[r]);
+            xhat.extend(row.iter().map(|&v| (v - mean) * inv_std));
+            let affine = xhat[r * d..].iter().zip(gamma.iter().zip(beta));
+            y.extend(affine.map(|(&h, (&g, &b))| g * h + b));
         }
-        let mut y = xhat.clone();
-        for r in 0..rows {
-            for j in 0..d {
-                let i = r * d + j;
-                y.data_mut()[i] = params[j] * xhat.data()[i] + params[d + j];
-            }
-        }
+        let (xhat, y) = (Tensor::from_vec(xhat, x.shape()), Tensor::from_vec(y, x.shape()));
         let mut cache = Cache::with_tensors(vec![xhat]);
         cache.scalars = inv_stds;
         (y, cache)
@@ -259,21 +251,21 @@ impl Layer for LayerNorm {
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
         let d = self.dim;
-        let xhat = cache.tensor(0);
-        let rows = dy.len() / d;
+        let xhat = cache.tensor(0).data();
         let mut grads = vec![0.0f32; self.param_len()];
-        let mut dx = vec![0.0f32; dy.len()];
-        for r in 0..rows {
-            let elems: Vec<usize> = (r * d..(r + 1) * d).collect();
-            let mut dxhat = Vec::with_capacity(d);
-            for (j, &i) in elems.iter().enumerate() {
-                let g = dy.data()[i];
-                grads[j] += g * xhat.data()[i];
-                grads[d + j] += g;
-                dxhat.push(g * params[j]);
+        let (dgamma, dbeta) = grads.split_at_mut(d);
+        // dγ/dβ accumulate row by row; `dx` starts as dx̂ = dy·γ.
+        let mut dx = Vec::with_capacity(dy.len());
+        for (dy_row, xhat_row) in dy.data().chunks_exact(d).zip(xhat.chunks_exact(d)) {
+            for (((dg, db), &g), &h) in
+                dgamma.iter_mut().zip(dbeta.iter_mut()).zip(dy_row).zip(xhat_row)
+            {
+                *dg += g * h;
+                *db += g;
             }
-            normalize_backward_slice(&dxhat, xhat.data(), &elems, cache.scalars[r], &mut dx);
+            dx.extend(dy_row.iter().zip(&params[..d]).map(|(&g, &gamma)| g * gamma));
         }
+        finish_dx(self.dims(dy.len()), &cache.scalars, xhat, &mut dx);
         (Tensor::from_vec(dx, dy.shape()), grads)
     }
 
@@ -314,22 +306,13 @@ impl GroupNorm {
         GroupNorm { channels, groups }
     }
 
-    fn slices(&self, shape: &[usize]) -> Vec<Vec<usize>> {
-        let (b, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+    /// `(plane, slices)`: `H·W`, and one slice per `(image, group)` — the
+    /// group's channels lie side by side, so a slice is one run.
+    fn dims(&self, shape: &[usize]) -> (usize, FoldDims) {
+        let (b, c, plane) = (shape[0], shape[1], shape[2] * shape[3]);
         assert_eq!(c, self.channels, "GroupNorm: channel mismatch");
-        let per = c / self.groups;
-        let mut out = Vec::with_capacity(b * self.groups);
-        for bi in 0..b {
-            for g in 0..self.groups {
-                let mut v = Vec::with_capacity(per * h * w);
-                for ci in g * per..(g + 1) * per {
-                    let base = (bi * c + ci) * h * w;
-                    v.extend(base..base + h * w);
-                }
-                out.push(v);
-            }
-        }
-        out
+        let slices = FoldDims { outer: 1, slices: b * self.groups, run: c / self.groups * plane };
+        (plane, slices)
     }
 }
 
@@ -345,56 +328,31 @@ impl Layer for GroupNorm {
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
         assert_eq!(x.ndim(), 4, "GroupNorm input must be (B,C,H,W)");
-        let slices = self.slices(x.shape());
-        let (xhat, inv_stds) = normalize_slices(x, &slices);
-        let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let mut y = xhat.clone();
-        for bi in 0..b {
-            for ci in 0..c {
-                let (g, bb) = (params[ci], params[c + ci]);
-                let base = (bi * c + ci) * h * w;
-                for i in base..base + h * w {
-                    y.data_mut()[i] = g * xhat.data()[i] + bb;
-                }
-            }
-        }
+        let (plane, dims) = self.dims(x.shape());
+        let per = self.channels / self.groups;
+        let (means, inv_stds) = statistics(dims, x.data());
+        // Run `k` is channel `k % c` of image `k / c`, in slice `k / per`.
+        let (xhat, y) = normalize::<false>(x, plane, |k| k / per, (&means, &inv_stds), params);
         let mut cache = Cache::with_tensors(vec![xhat]);
         cache.scalars = inv_stds;
-        cache.indices = x.shape().to_vec();
         (y, cache)
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
-        let xhat = cache.tensor(0);
-        let shape = &cache.indices;
-        let (b, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let slices = self.slices(shape);
+        let xhat = cache.tensor(0).data();
+        let (plane, dims) = self.dims(dy.shape());
+        let c = self.channels;
+        // dγ/dβ are per channel: batch-norm's slices.
         let mut grads = vec![0.0f32; self.param_len()];
-        // dγ/dβ are per channel.
-        for bi in 0..b {
-            for ci in 0..c {
-                let base = (bi * c + ci) * h * w;
-                for i in base..base + h * w {
-                    grads[ci] += dy.data()[i] * xhat.data()[i];
-                    grads[c + ci] += dy.data()[i];
-                }
-            }
+        let (dgamma, dbeta) = grads.split_at_mut(c);
+        let channels = FoldDims { outer: dy.shape()[0], slices: c, run: plane };
+        fold::dot(kernels::simd_level(), channels, dy.data(), xhat, dbeta, dgamma);
+        let mut dx = Vec::with_capacity(dy.len());
+        for (k, dy_run) in dy.data().chunks_exact(plane).enumerate() {
+            let gamma = params[k % c];
+            dx.extend(dy_run.iter().map(|&g| g * gamma));
         }
-        let mut dx = vec![0.0f32; dy.len()];
-        let per = c / self.groups;
-        for (si, elems) in slices.iter().enumerate() {
-            let bi = si / self.groups;
-            let g = si % self.groups;
-            let _ = bi;
-            let mut dxhat = Vec::with_capacity(elems.len());
-            for &i in elems {
-                // Recover channel of element i: i = ((bi*c + ci)*h*w + rest)
-                let ci = (i / (h * w)) % c;
-                debug_assert!(ci >= g * per && ci < (g + 1) * per);
-                dxhat.push(dy.data()[i] * params[ci]);
-            }
-            normalize_backward_slice(&dxhat, xhat.data(), elems, cache.scalars[si], &mut dx);
-        }
+        finish_dx(dims, &cache.scalars, xhat, &mut dx);
         (Tensor::from_vec(dx, dy.shape()), grads)
     }
 
@@ -439,8 +397,86 @@ mod tests {
         }
     }
 
-    /// `BatchNorm2d` as it was while it still gathered each channel
-    /// through an index list (the helpers `GroupNorm` keeps using).
+    /// Normalizes the slices of `x` named by index lists, returning `x̂`
+    /// and per-slice `inv_std`: what all three layers ran on before the
+    /// folds of [`pipemare_tensor::fold`], kept as their oracle.
+    fn normalize_slices(x: &Tensor, slice_elems: &[Vec<usize>]) -> (Tensor, Vec<f32>) {
+        let mut xhat = x.clone();
+        let mut inv_stds = Vec::with_capacity(slice_elems.len());
+        for elems in slice_elems {
+            let n = elems.len() as f32;
+            let mean: f32 = elems.iter().map(|&i| x.data()[i]).sum::<f32>() / n;
+            let var: f32 = elems
+                .iter()
+                .map(|&i| {
+                    let d = x.data()[i] - mean;
+                    d * d
+                })
+                .sum::<f32>()
+                / n;
+            let inv_std = 1.0 / (var + EPS).sqrt();
+            for &i in elems {
+                xhat.data_mut()[i] = (x.data()[i] - mean) * inv_std;
+            }
+            inv_stds.push(inv_std);
+        }
+        (xhat, inv_stds)
+    }
+
+    /// Backward through normalization for one slice:
+    /// `dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`.
+    fn normalize_backward_slice(
+        dxhat: &[f32],
+        xhat: &[f32],
+        elems: &[usize],
+        inv_std: f32,
+        dx: &mut [f32],
+    ) {
+        let n = elems.len() as f32;
+        let mut sum_d = 0.0f32;
+        let mut sum_dx = 0.0f32;
+        for (k, &i) in elems.iter().enumerate() {
+            sum_d += dxhat[k];
+            sum_dx += dxhat[k] * xhat[i];
+        }
+        let mean_d = sum_d / n;
+        let mean_dx = sum_dx / n;
+        for (k, &i) in elems.iter().enumerate() {
+            dx[i] = inv_std * (dxhat[k] - mean_d - xhat[i] * mean_dx);
+        }
+    }
+
+    /// A normalisation layer over index lists: `slices` are the statistics
+    /// slices, `affine(i)` is where element `i` finds its `γ` (its `β` lies
+    /// `params.len() / 2` further), and `dγ`/`dβ` accumulate in flat
+    /// element order. Returns `(y, dx, grads)`.
+    fn by_index_lists(
+        params: &[f32],
+        x: &Tensor,
+        dy: &Tensor,
+        slices: &[Vec<usize>],
+        affine: impl Fn(usize) -> usize,
+    ) -> (Tensor, Tensor, Vec<f32>) {
+        let half = params.len() / 2;
+        let (xhat, inv_stds) = normalize_slices(x, slices);
+        let mut y = xhat.clone();
+        let mut grads = vec![0.0f32; params.len()];
+        for i in 0..x.len() {
+            let (p, g) = (affine(i), dy.data()[i]);
+            y.data_mut()[i] = params[p] * xhat.data()[i] + params[half + p];
+            grads[p] += g * xhat.data()[i];
+            grads[half + p] += g;
+        }
+        let mut dx = vec![0.0f32; dy.len()];
+        for (elems, &inv_std) in slices.iter().zip(&inv_stds) {
+            let dxhat: Vec<f32> = elems.iter().map(|&i| dy.data()[i] * params[affine(i)]).collect();
+            normalize_backward_slice(&dxhat, xhat.data(), elems, inv_std, &mut dx);
+        }
+        (y, Tensor::from_vec(dx, dy.shape()), grads)
+    }
+
+    /// `BatchNorm2d` as it was while it gathered each channel through an
+    /// index list.
     fn batchnorm_by_index_lists(
         params: &[f32],
         x: &Tensor,
@@ -450,29 +486,60 @@ mod tests {
         let slices: Vec<Vec<usize>> = (0..c)
             .map(|ci| (0..b).flat_map(|bi| (bi * c + ci) * run..(bi * c + ci + 1) * run).collect())
             .collect();
-        let (xhat, inv_stds) = normalize_slices(x, &slices);
-        let mut y = xhat.clone();
-        let mut grads = vec![0.0f32; 2 * c];
-        let mut dx = vec![0.0f32; dy.len()];
-        for (ci, elems) in slices.iter().enumerate() {
-            let mut dxhat = Vec::with_capacity(elems.len());
-            for &i in elems {
-                y.data_mut()[i] = params[ci] * xhat.data()[i] + params[c + ci];
-                let g = dy.data()[i];
-                grads[ci] += g * xhat.data()[i];
-                grads[c + ci] += g;
-                dxhat.push(g * params[ci]);
-            }
-            normalize_backward_slice(&dxhat, xhat.data(), elems, inv_stds[ci], &mut dx);
-        }
-        (y, Tensor::from_vec(dx, dy.shape()), grads)
+        by_index_lists(params, x, dy, &slices, |i| i / run % c)
+    }
+
+    /// `GroupNorm` as it was: one index list per `(image, group)`.
+    fn groupnorm_by_index_lists(
+        groups: usize,
+        params: &[f32],
+        x: &Tensor,
+        dy: &Tensor,
+    ) -> (Tensor, Tensor, Vec<f32>) {
+        let (c, run) = (x.shape()[1], x.shape()[2] * x.shape()[3]);
+        let group = c / groups * run;
+        let slices: Vec<Vec<usize>> =
+            (0..x.len() / group).map(|s| (s * group..(s + 1) * group).collect()).collect();
+        by_index_lists(params, x, dy, &slices, |i| i / run % c)
+    }
+
+    /// `LayerNorm` as it was: one index list per row.
+    fn layernorm_by_index_lists(
+        params: &[f32],
+        x: &Tensor,
+        dy: &Tensor,
+    ) -> (Tensor, Tensor, Vec<f32>) {
+        let d = params.len() / 2;
+        let slices: Vec<Vec<usize>> =
+            (0..x.len() / d).map(|r| (r * d..(r + 1) * d).collect()).collect();
+        by_index_lists(params, x, dy, &slices, |i| i % d)
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Forward and backward of `layer`, against `want = (y, dx, grads)`.
+    fn assert_layer_bits(
+        layer: &dyn Layer,
+        params: &[f32],
+        x: &Tensor,
+        dy: &Tensor,
+        want: (Tensor, Tensor, Vec<f32>),
+    ) {
+        let (y, cache) = layer.forward(params, x);
+        let (dx, grads) = layer.backward(params, &cache, dy);
+        assert_eq!(bits(y.data()), bits(want.0.data()), "y");
+        assert_eq!(bits(dx.data()), bits(want.1.data()), "dx");
+        assert_eq!(bits(&grads), bits(&want.2), "grads");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Channel counts on both sides of `FOLD_LANES`, so full and
-        /// ragged lane groups are both exercised.
+        /// Channel counts on both sides of every tier's lane count and
+        /// planes off every multiple of it, so full and ragged blocks of
+        /// slices and run tails are all exercised.
         #[test]
         fn batchnorm_keeps_the_index_list_bits(
             b in 1usize..5,
@@ -481,18 +548,81 @@ mod tests {
             w in 1usize..6,
             seed in 0u64..1000,
         ) {
-            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
             let mut rng = StdRng::seed_from_u64(seed);
-            let bn = BatchNorm2d::new(c);
             let params = Tensor::randn(&[2 * c], &mut rng).into_vec();
             let x = Tensor::randn(&[b, c, h, w], &mut rng).scale(2.0).add_scalar(0.5);
             let dy = Tensor::randn(x.shape(), &mut rng);
-            let (y, cache) = bn.forward(&params, &x);
-            let (dx, grads) = bn.backward(&params, &cache, &dy);
-            let (want_y, want_dx, want_grads) = batchnorm_by_index_lists(&params, &x, &dy);
-            prop_assert_eq!(bits(y.data()), bits(want_y.data()));
-            prop_assert_eq!(bits(dx.data()), bits(want_dx.data()));
-            prop_assert_eq!(bits(&grads), bits(&want_grads));
+            let want = batchnorm_by_index_lists(&params, &x, &dy);
+            assert_layer_bits(&BatchNorm2d::new(c), &params, &x, &dy, want);
+        }
+
+        #[test]
+        fn groupnorm_keeps_the_index_list_bits(
+            b in 1usize..20,
+            groups in 1usize..5,
+            per in 1usize..4,
+            h in 1usize..6,
+            w in 1usize..6,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let c = groups * per;
+            let params = Tensor::randn(&[2 * c], &mut rng).into_vec();
+            let x = Tensor::randn(&[b, c, h, w], &mut rng).scale(2.0).add_scalar(0.5);
+            let dy = Tensor::randn(x.shape(), &mut rng);
+            let want = groupnorm_by_index_lists(groups, &params, &x, &dy);
+            assert_layer_bits(&GroupNorm::new(c, groups), &params, &x, &dy, want);
+        }
+
+        #[test]
+        fn layernorm_keeps_the_index_list_bits(
+            rows in 1usize..40,
+            d in 1usize..40,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let params = Tensor::randn(&[2 * d], &mut rng).into_vec();
+            let x = Tensor::randn(&[rows, d], &mut rng).scale(2.0).add_scalar(0.5);
+            let dy = Tensor::randn(x.shape(), &mut rng);
+            let want = layernorm_by_index_lists(&params, &x, &dy);
+            assert_layer_bits(&LayerNorm::new(d), &params, &x, &dy, want);
+        }
+
+        /// The fused layer against the chain it replaces, the backward
+        /// pass on other weights than the forward pass — as the pipeline
+        /// runs it — and with the values a mask can get wrong: `γ = 0`
+        /// under `β = ±0.0` (pre-activations of both zeros), a NaN `β`, an
+        /// infinite `dy`.
+        #[test]
+        fn batchnorm_with_relu_equals_batchnorm_then_relu(
+            b in 1usize..5,
+            c in 1usize..40,
+            h in 1usize..6,
+            w in 1usize..6,
+            seed in 0u64..1000,
+        ) {
+            use crate::activation::Activation;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fwd = Tensor::randn(&[2 * c], &mut rng).into_vec();
+            let bwd = Tensor::randn(&[2 * c], &mut rng).into_vec();
+            for (ci, beta) in [0.0, -0.0, f32::NAN].into_iter().enumerate().take(c) {
+                (fwd[ci], fwd[c + ci]) = (0.0, beta);
+            }
+            let x = Tensor::randn(&[b, c, h, w], &mut rng).scale(2.0).add_scalar(0.5);
+            let mut dy = Tensor::randn(x.shape(), &mut rng);
+            dy.data_mut()[0] = f32::INFINITY;
+            let (bn, relu) = (BatchNorm2d::new(c), Activation::relu());
+            let (pre, bn_cache) = bn.forward(&fwd, &x);
+            let (want_y, relu_cache) = relu.forward(&[], &pre);
+            let (dpre, _) = relu.backward(&[], &relu_cache, &dy);
+            let (want_dx, want_grads) = bn.backward(&bwd, &bn_cache, &dpre);
+            let fused = BatchNorm2d::with_relu(c);
+            let (y, cache) = fused.forward(&fwd, &x);
+            let (dx, grads) = fused.backward(&bwd, &cache, &dy);
+            prop_assert_eq!(bits(y.data()), bits(want_y.data()), "y");
+            prop_assert_eq!(bits(dx.data()), bits(want_dx.data()), "dx");
+            prop_assert_eq!(bits(&grads), bits(&want_grads), "grads");
+            prop_assert_eq!(cache.activation_bytes(), bn_cache.activation_bytes());
         }
     }
 

@@ -4,7 +4,6 @@ use rand::rngs::StdRng;
 
 use pipemare_tensor::Tensor;
 
-use crate::activation::Activation;
 use crate::cache::Cache;
 use crate::conv::Conv2d;
 use crate::layer::{Layer, ParamAlloc, WeightUnit};
@@ -15,8 +14,47 @@ use crate::norm::BatchNorm2d;
 use crate::pool::GlobalAvgPool2d;
 use crate::sequential::Sequential;
 
+/// Bits per word of a packed ReLU mask.
+const MASK_BITS: usize = usize::BITS as usize;
+
+/// `sum = relu(sum + skip)` in place: the residual add and the block's
+/// output ReLU in one pass. Returns one bit per element, set where the
+/// pre-activation was positive — all the backward pass needs of it.
+fn add_relu(sum: &mut Tensor, skip: &Tensor) -> Vec<usize> {
+    assert_eq!(sum.shape(), skip.shape(), "residual add: shape mismatch");
+    let mut mask = Vec::with_capacity(sum.len().div_ceil(MASK_BITS));
+    for (sums, skips) in sum.data_mut().chunks_mut(MASK_BITS).zip(skip.data().chunks(MASK_BITS)) {
+        let mut word = 0usize;
+        for (i, (v, &s)) in sums.iter_mut().zip(skips).enumerate() {
+            let pre = *v + s;
+            word |= usize::from(pre > 0.0) << i;
+            *v = pre.max(0.0);
+        }
+        mask.push(word);
+    }
+    mask
+}
+
+/// Backward through the ReLU whose mask [`add_relu`] packed: `dy` times
+/// `1.0` where the bit is set and `0.0` where it is not, which keeps the
+/// sign of a zero and a non-finite `dy` as `Activation::backward` does.
+fn relu_grad(dy: &Tensor, mask: &[usize]) -> Tensor {
+    let mut dpre = Vec::with_capacity(dy.len());
+    for (dys, &word) in dy.data().chunks(MASK_BITS).zip(mask) {
+        let passed = |i: usize| if word >> i & 1 == 1 { 1.0 } else { 0.0 };
+        dpre.extend(dys.iter().enumerate().map(|(i, &g)| g * passed(i)));
+    }
+    Tensor::from_vec(dpre, dy.shape())
+}
+
 /// A basic residual block: two 3×3 conv/BN pairs with an identity or
 /// projection (1×1 conv + BN) shortcut, post-activation (He et al. 2016).
+///
+/// Neither ReLU is a layer of its own: `bn1` clamps in its normalise pass
+/// and regenerates the mask from `x̂` ([`BatchNorm2d::with_relu`]), and the
+/// output ReLU rides on the residual add and leaves a packed bit mask in
+/// the cache's `indices` — so the block caches the two convolutions'
+/// inputs and the batch-norms' `x̂`, and no pre-activation.
 struct BasicBlock {
     conv1: Conv2d,
     bn1: BatchNorm2d,
@@ -24,7 +62,6 @@ struct BasicBlock {
     bn2: BatchNorm2d,
     /// Projection shortcut for shape-changing blocks.
     down: Option<(Conv2d, BatchNorm2d)>,
-    relu: Activation,
 }
 
 impl BasicBlock {
@@ -36,11 +73,10 @@ impl BasicBlock {
         };
         BasicBlock {
             conv1: Conv2d::new_no_bias(in_c, out_c, 3, stride, 1),
-            bn1: BatchNorm2d::new(out_c),
+            bn1: BatchNorm2d::with_relu(out_c),
             conv2: Conv2d::new_no_bias(out_c, out_c, 3, 1, 1),
             bn2: BatchNorm2d::new(out_c),
             down,
-            relu: Activation::relu(),
         }
     }
 
@@ -82,26 +118,20 @@ impl Layer for BasicBlock {
         let o = self.offsets();
         let (h1, c1) = self.conv1.forward(&params[o[0]..o[1]], x);
         let (h2, c2) = self.bn1.forward(&params[o[1]..o[2]], &h1);
-        let (h3, c3) = self.relu.forward(&[], &h2);
-        let (h4, c4) = self.conv2.forward(&params[o[2]..o[3]], &h3);
-        let (mut pre, c5) = self.bn2.forward(&params[o[3]..o[4]], &h4);
+        let (h3, c3) = self.conv2.forward(&params[o[2]..o[3]], &h2);
+        let (mut y, c4) = self.bn2.forward(&params[o[3]..o[4]], &h3);
         // The residual sum lands in the main branch's own buffer.
-        let sc_caches = match &self.down {
-            None => {
-                pre.axpy(1.0, x);
-                Vec::new()
-            }
+        let mut cache = Cache::new();
+        cache.children = vec![c1, c2, c3, c4];
+        cache.indices = match &self.down {
+            None => add_relu(&mut y, x),
             Some((dc, db)) => {
                 let (s1, sc1) = dc.forward(&params[o[4]..o[5]], x);
                 let (s2, sc2) = db.forward(&params[o[5]..], &s1);
-                pre.axpy(1.0, &s2);
-                vec![sc1, sc2]
+                cache.children.extend([sc1, sc2]);
+                add_relu(&mut y, &s2)
             }
         };
-        let (y, c_out) = self.relu.forward(&[], &pre);
-        let mut cache = Cache::new();
-        cache.children = vec![c1, c2, c3, c4, c5, c_out];
-        cache.children.extend(sc_caches);
         (y, cache)
     }
 
@@ -109,13 +139,12 @@ impl Layer for BasicBlock {
         let o = self.offsets();
         let mut grads = vec![0.0f32; self.param_len()];
         // Through the output ReLU.
-        let (dpre, _) = self.relu.backward(&[], cache.child(5), dy);
+        let dpre = relu_grad(dy, &cache.indices);
         // Main branch.
-        let (dh4, g5) = self.bn2.backward(&params[o[3]..o[4]], cache.child(4), &dpre);
-        grads[o[3]..o[4]].copy_from_slice(&g5);
-        let (dh3, g4) = self.conv2.backward(&params[o[2]..o[3]], cache.child(3), &dh4);
-        grads[o[2]..o[3]].copy_from_slice(&g4);
-        let (dh2, _) = self.relu.backward(&[], cache.child(2), &dh3);
+        let (dh3, g4) = self.bn2.backward(&params[o[3]..o[4]], cache.child(3), &dpre);
+        grads[o[3]..o[4]].copy_from_slice(&g4);
+        let (dh2, g3) = self.conv2.backward(&params[o[2]..o[3]], cache.child(2), &dh3);
+        grads[o[2]..o[3]].copy_from_slice(&g3);
         let (dh1, g2) = self.bn1.backward(&params[o[1]..o[2]], cache.child(1), &dh2);
         grads[o[1]..o[2]].copy_from_slice(&g2);
         let (mut dx, g1) = self.conv1.backward(&params[o[0]..o[1]], cache.child(0), &dh1);
@@ -124,9 +153,9 @@ impl Layer for BasicBlock {
         match &self.down {
             None => dx.axpy(1.0, &dpre),
             Some((dc, db)) => {
-                let (ds1, gb) = db.backward(&params[o[5]..], cache.child(7), &dpre);
+                let (ds1, gb) = db.backward(&params[o[5]..], cache.child(5), &dpre);
                 grads[o[5]..].copy_from_slice(&gb);
-                let (dsx, gc) = dc.backward(&params[o[4]..o[5]], cache.child(6), &ds1);
+                let (dsx, gc) = dc.backward(&params[o[4]..o[5]], cache.child(4), &ds1);
                 grads[o[4]..o[5]].copy_from_slice(&gc);
                 dx.axpy(1.0, &dsx);
             }
@@ -208,8 +237,7 @@ impl CifarResNet {
         let w = cfg.base_width;
         let mut chain = Sequential::new()
             .push_named("stem.conv", Conv2d::new_no_bias(cfg.in_channels, w, 3, 1, 1))
-            .push_named("stem.bn", BatchNorm2d::new(w))
-            .push(Activation::relu());
+            .push_named("stem.bn", BatchNorm2d::with_relu(w));
         let widths = [w, 2 * w, 4 * w];
         let mut in_c = w;
         for (g, &out_c) in widths.iter().enumerate() {
@@ -291,6 +319,46 @@ mod tests {
         use crate::gradcheck::check_layer_gradients;
         let block = BasicBlock::new(2, 4, 2);
         check_layer_gradients(&block, &[2, 2, 4, 4], 62, 8e-2);
+    }
+
+    /// The block tail against the two passes it replaces, `axpy` then
+    /// `Activation::relu()`, bit for bit forward and backward — with sums
+    /// of both zeros, a NaN and an infinity among the pre-activations and
+    /// an infinite and a NaN upstream gradient, and a length off the
+    /// mask's word size.
+    #[test]
+    fn add_relu_equals_axpy_then_relu() {
+        use crate::activation::Activation;
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut rng = StdRng::seed_from_u64(7);
+        let shape = [3, 5, 3, 3];
+        let (mut main, mut skip) =
+            (Tensor::randn(&shape, &mut rng), Tensor::randn(&shape, &mut rng));
+        let specials = [
+            (0.0, 0.0),
+            (-0.0, -0.0),
+            (1.5, -1.5),
+            (f32::NAN, 1.0),
+            (f32::INFINITY, 1.0),
+            (-1.0, f32::NEG_INFINITY),
+        ];
+        for (i, (a, b)) in specials.into_iter().enumerate() {
+            (main.data_mut()[i * 7], skip.data_mut()[i * 7]) = (a, b);
+        }
+        let mut dy = Tensor::randn(&shape, &mut rng);
+        for (i, g) in [f32::INFINITY, f32::NAN, -0.0, f32::NEG_INFINITY].into_iter().enumerate() {
+            (dy.data_mut()[i * 7], dy.data_mut()[100 + i]) = (g, g);
+        }
+        let mut pre = main.clone();
+        pre.axpy(1.0, &skip);
+        let relu = Activation::relu();
+        let (want_y, relu_cache) = relu.forward(&[], &pre);
+        let (want_dpre, _) = relu.backward(&[], &relu_cache, &dy);
+        let mut y = main;
+        let mask = add_relu(&mut y, &skip);
+        assert_eq!(bits(&y), bits(&want_y));
+        assert_eq!(bits(&relu_grad(&dy, &mask)), bits(&want_dpre));
+        assert_eq!(mask.len(), y.len().div_ceil(MASK_BITS));
     }
 
     #[test]

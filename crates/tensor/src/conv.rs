@@ -523,12 +523,17 @@ fn pad_chunk<'a>(plan: &Plan, x_chunk: &[f32], images: usize, buf: &'a mut Vec<f
 }
 
 /// The inverse of [`pad_chunk`]: copies the interior of a phase-split
-/// chunk into `dx_chunk`, dropping the border.
+/// chunk into `dx_chunk`, dropping the border. Rows and column phases
+/// that no tap reads have no gradient: they are cleared, not copied.
 fn unpad_chunk(plan: &Plan, padded: &[f32], dx_chunk: &mut [f32]) {
-    let Plan { h, w, s, pad, hp, pitch, .. } = *plan;
-    for (at, x) in plan.phase_runs(s) {
+    let Plan { h, w, k, s, pad, hp, pitch, .. } = *plan;
+    if k < s {
+        dx_chunk.fill(0.0);
+    }
+    for (at, x) in plan.phase_runs(k.min(s)) {
         for (g, dst) in dx_chunk.chunks_exact_mut(h * w).enumerate() {
-            for (y, dst_row) in dst.chunks_exact_mut(w).enumerate() {
+            for y in plan.rows_read() {
+                let dst_row = &mut dst[y * w..(y + 1) * w];
                 let row = &padded[(g * hp + y + pad) * pitch + at..];
                 if s == 1 {
                     copy_row(dst_row, &row[..w]);
@@ -542,21 +547,29 @@ fn unpad_chunk(plan: &Plan, padded: &[f32], dx_chunk: &mut [f32]) {
 
 /// Writes the channels-last zero-bordered copy `(image, iy, ix, c)` of
 /// `images` images of `x_chunk` into `buf` and returns it with
-/// [`MAX_RUN`] zeros of slack.
+/// [`MAX_RUN`] zeros of slack. As in [`pad_chunk`], rows and columns that
+/// no tap reads stay zero.
 fn channels_last_chunk<'a>(
     plan: &Plan,
     x_chunk: &[f32],
     images: usize,
     buf: &'a mut Vec<f32>,
 ) -> &'a [f32] {
-    let Plan { c, h, w, pad, hp, wp, .. } = *plan;
+    let Plan { c, h, w, k, s, pad, hp, wp, .. } = *plan;
     let out = grown(buf, images * hp * wp * c + MAX_RUN);
     out.fill(0.0);
     for g in 0..images {
-        for y in 0..h {
+        for y in plan.rows_read() {
             let rows = &x_chunk[g * c * h * w + y * w..];
             let at = ((g * hp + y + pad) * wp + pad) * c;
-            kernels::interleave_rows(rows, h * w, c, w, c, &mut out[at..at + w * c]);
+            if k < s {
+                for x in plan.phase_runs(k).flat_map(|(_, first)| (first..w).step_by(s)) {
+                    let pixel = &mut out[at + x * c..at + (x + 1) * c];
+                    pixel.iter_mut().enumerate().for_each(|(ci, v)| *v = rows[ci * h * w + x]);
+                }
+            } else {
+                kernels::interleave_rows(rows, h * w, c, w, c, &mut out[at..at + w * c]);
+            }
         }
     }
     out

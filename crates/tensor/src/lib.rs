@@ -28,6 +28,8 @@
 mod alloc_count;
 pub mod bf16;
 pub mod conv;
+pub mod fold;
+pub mod heap;
 mod init;
 pub mod kernels;
 mod matmul;
@@ -41,6 +43,7 @@ mod tensor;
 pub use alloc_count::CountingAlloc;
 pub use bf16::{StoragePrecision, BF16_REL_EPS};
 pub use conv::{Conv2dGeometry, ConvProblem};
+pub use fold::FoldDims;
 pub use pool::ThreadPool;
 pub use shape::{broadcast_shapes, Shape};
 pub use telemetry::{install_kernel_metrics, uninstall_kernel_metrics, KernelKind, KernelMetrics};

@@ -19,10 +19,16 @@
 //! their own oracle — the patch-matrix path in `pipemare-conv-oracle`,
 //! which that crate's tests anchor to convolution's definition — at every
 //! tier and at 1, 2 and 4 pool threads.
+//!
+//! The statistics folds of `pipemare_tensor::fold` put slices in the
+//! lanes instead of splitting a sum, so every vector tier must return the
+//! scalar tier's sums bit for bit — and the scalar tier those of a plain
+//! loop over each slice — whatever the slice count, run length and values.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 
+use pipemare_tensor::fold::{self, FoldDims};
 use pipemare_tensor::kernels::{self, Layout, Product, SimdLevel};
 use pipemare_tensor::{conv, pool, Conv2dGeometry, ConvProblem, ThreadPool};
 
@@ -132,6 +138,110 @@ fn conv_special_cases_match_the_oracle_at_every_tier_and_pool_width() {
     assert!(tiny.y.iter().all(|v| v.to_bits() == 0), "every chain underflows to +0.0 once stored");
 }
 
+/// Bit patterns with every NaN mapped to one: where a sum that is already
+/// a NaN meets another, which of the two signs and payloads survives is
+/// the instruction's operand order, which Rust leaves to the compiler.
+fn sum_bits(sums: &[f32]) -> Vec<u32> {
+    sums.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+}
+
+/// Every sum the folds return, per slice: `[Σx, Σ(x−m)², Σa, Σab, the four
+/// of `norm_grad`]`.
+fn all_folds(
+    level: SimdLevel,
+    dims: FoldDims,
+    x: &[f32],
+    h: &[f32],
+    [m, gamma]: [&[f32]; 2],
+) -> Vec<Vec<u32>> {
+    let mut out: [Vec<f32>; 8] = std::array::from_fn(|_| vec![f32::NAN; dims.slices]);
+    let [s0, s1, s2, s3, a, b, c, d] = &mut out;
+    fold::sum(level, dims, x, s0);
+    fold::sq_dev(level, dims, x, m, s1);
+    fold::dot(level, dims, x, h, s2, s3);
+    fold::norm_grad(level, dims, x, h, gamma, [a, b, c, d]);
+    out.iter().map(|sums| sum_bits(sums)).collect()
+}
+
+/// The same sums from a plain loop over each slice, one slice at a time.
+fn all_folds_by_slice(
+    dims: FoldDims,
+    x: &[f32],
+    h: &[f32],
+    [m, gamma]: [&[f32]; 2],
+) -> Vec<Vec<u32>> {
+    let fold_slice = |init: f32, f: &dyn Fn(usize, usize) -> f32| -> Vec<u32> {
+        let slice = |s: usize| {
+            let elems = (0..dims.outer).flat_map(move |o| {
+                (0..dims.run).map(move |j| (o * dims.slices + s) * dims.run + j)
+            });
+            elems.fold(init, |acc, i| acc + f(s, i))
+        };
+        sum_bits(&(0..dims.slices).map(slice).collect::<Vec<f32>>())
+    };
+    vec![
+        fold_slice(-0.0, &|_, i| x[i]),
+        fold_slice(-0.0, &|s, i| (x[i] - m[s]) * (x[i] - m[s])),
+        fold_slice(0.0, &|_, i| x[i]),
+        fold_slice(0.0, &|_, i| x[i] * h[i]),
+        fold_slice(0.0, &|_, i| x[i] * h[i]),
+        fold_slice(0.0, &|_, i| x[i]),
+        fold_slice(0.0, &|s, i| x[i] * gamma[s]),
+        fold_slice(0.0, &|s, i| x[i] * gamma[s] * h[i]),
+    ]
+}
+
+fn check_folds(dims: FoldDims, x: &[f32], h: &[f32], coefs: [&[f32]; 2]) -> Result<(), String> {
+    let scalar = all_folds(SimdLevel::Scalar, dims, x, h, coefs);
+    if scalar != all_folds_by_slice(dims, x, h, coefs) {
+        return Err(format!("scalar folds left the per-slice loop ({dims:?})"));
+    }
+    for level in runnable_levels() {
+        if all_folds(level, dims, x, h, coefs) != scalar {
+            return Err(format!("{} folds left the scalar tier ({dims:?})", level.name()));
+        }
+    }
+    Ok(())
+}
+
+/// One kind of trouble per slice, the kinds cycling so that every lane
+/// and the ragged last block of slices meet each: infinities of one sign
+/// and of both, NaNs, values whose squares and products underflow, slices
+/// of nothing but `−0.0` — and plain ones beside them, which must not
+/// notice.
+#[test]
+fn folds_keep_special_values_at_every_tier() {
+    for dims in [
+        FoldDims { outer: 2, slices: 19, run: 35 },
+        FoldDims { outer: 1, slices: 16, run: 32 },
+        FoldDims { outer: 3, slices: 7, run: 9 },
+    ] {
+        let (mut x, mut h) = (randvec(dims.len(), 11), randvec(dims.len(), 12));
+        for i in 0..dims.len() {
+            let (s, j) = (i / dims.run % dims.slices, i % dims.run);
+            match (s % 6, j % 4) {
+                (0, 1) => x[i] = f32::INFINITY,
+                (1, 1) => x[i] = f32::NEG_INFINITY,
+                (1, 3) => h[i] = f32::INFINITY,
+                (2, 2) => x[i] = f32::NAN,
+                (3, _) => (x[i], h[i]) = (x[i] * 1e-30, h[i] * 1e-12),
+                (4, _) => (x[i], h[i]) = (-0.0, -0.0),
+                _ => {}
+            }
+        }
+        let (m, gamma) = (randvec(dims.slices, 13), randvec(dims.slices, 14));
+        check_folds(dims, &x, &h, [&m, &gamma]).unwrap();
+        // The cases are only worth their name if the sums show the trait.
+        let sums = all_folds(SimdLevel::Scalar, dims, &x, &h, [&m, &gamma]);
+        let value = |k: usize, s: usize| f32::from_bits(sums[k][s]);
+        assert_eq!(value(0, 0), f32::INFINITY);
+        assert!(value(3, 1).is_nan() && value(0, 2).is_nan());
+        assert!(value(3, 3) != 0.0 && value(3, 3).abs() < f32::MIN_POSITIVE, "a subnormal sum");
+        assert_eq!((sums[0][4], sums[2][4]), ((-0.0f32).to_bits(), 0), "−0.0 stays, +0.0 + −0.0");
+        assert!((0..8).all(|k| value(k, 5).is_finite()), "a plain slice beside them");
+    }
+}
+
 /// Ragged against every tile edge: below, on, and just past the scalar
 /// 8×8, AVX2 6×16, and AVX-512 8×32 tiles, with odd depths to exercise
 /// the ×2 depth-unroll remainder.
@@ -228,6 +338,23 @@ proptest! {
                 layout, kernels::simd_level().name(), m, k, n
             );
         }
+    }
+
+    /// Slice counts on both sides of 8 and 16 lanes, run lengths off every
+    /// multiple of them, slices that recur (`outer` > 1): every tier
+    /// returns the scalar tier's sums, and the scalar tier a plain loop's.
+    #[test]
+    fn folds_match_the_scalar_tier_bit_for_bit(
+        outer in 1usize..4,
+        slices in dim(),
+        run in dim(),
+        seed in 0u64..1000,
+    ) {
+        let dims = FoldDims { outer, slices, run };
+        let (x, h) = (randvec(dims.len(), seed), randvec(dims.len(), seed + 1));
+        let coefs = [seed + 2, seed + 3].map(|s| randvec(slices, s));
+        let checked = check_folds(dims, &x, &h, [&coefs[0], &coefs[1]]);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
     /// Convolutions over kernel ∈ {1, 3, 5}, stride 1–3, padding 0–2,
