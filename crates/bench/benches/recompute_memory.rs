@@ -27,8 +27,9 @@ use rand::SeedableRng;
 use pipemare_bench::report::{banner, table_header, ExperimentLog};
 use pipemare_nn::{ImageBatch, Mlp, TrainModel};
 use pipemare_pipeline::{
-    run_recompute_pipeline, ActivationLedger, ActivationModel, RecomputePolicy,
+    run_pipeline, ActivationLedger, ActivationModel, PipelinePlan, RecomputePolicy,
 };
+use pipemare_telemetry::NullRecorder;
 use pipemare_tensor::{StoragePrecision, Tensor};
 
 /// `(P, n_micro, minibatches)` sized so total microbatches ≥ 2P − 1
@@ -65,15 +66,12 @@ fn main() {
     for &(p, n_micro, minibatches) in sweep {
         let model = ActivationModel { p };
         let seg = model.optimal_segment();
-        let stash =
-            run_recompute_pipeline(RecomputePolicy::StashAll, p, n_micro, minibatches, work);
-        let rc = run_recompute_pipeline(
-            RecomputePolicy::Segmented { segment: seg },
-            p,
-            n_micro,
-            minibatches,
-            work,
-        );
+        let run = |policy| {
+            let plan = PipelinePlan::for_recompute(policy, p, n_micro, minibatches);
+            run_pipeline(&plan, work, &NullRecorder, &ActivationLedger::new(p, 1))
+        };
+        let stash = run(RecomputePolicy::StashAll);
+        let rc = run(RecomputePolicy::Segmented { segment: seg });
         // The measured ledger peaks must land exactly on the closed
         // forms — a benchmark of a wrong runtime would be worthless.
         assert_eq!(stash.peak_activations, model.profile_no_recompute());
@@ -129,13 +127,13 @@ fn main() {
     let rc_total_last = {
         let &(p, n_micro, minibatches) = sweep.last().expect("sweep non-empty");
         let seg = ActivationModel { p }.optimal_segment();
-        let rc = run_recompute_pipeline(
+        let plan = PipelinePlan::for_recompute(
             RecomputePolicy::Segmented { segment: seg },
             p,
             n_micro,
             minibatches,
-            Duration::ZERO,
         );
+        let rc = run_pipeline(&plan, Duration::ZERO, &NullRecorder, &ActivationLedger::new(p, 1));
         rc.peak_activations.iter().sum::<usize>()
     };
     println!("\nbf16 activation stashes (measured cache bytes, {seg}-layer segments):");

@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use pipemare_bench::report::ExperimentLog;
-use pipemare_pipeline::{run_threaded_pipeline, run_threaded_pipeline_traced, Method};
-use pipemare_telemetry::{PipelineTimelineSummary, TraceRecorder};
+use pipemare_pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan};
+use pipemare_telemetry::{NullRecorder, PipelineTimelineSummary, TraceRecorder};
 
 fn bench_executor(c: &mut Criterion) {
     let mut group = c.benchmark_group("threaded_pipeline");
@@ -20,7 +20,11 @@ fn bench_executor(c: &mut Criterion) {
         for method in [Method::GPipe, Method::PipeMare] {
             let id = format!("{}_P{p}_N{n}", method.name());
             group.bench_with_input(BenchmarkId::from_parameter(id), &(p, n), |bench, &(p, n)| {
-                bench.iter(|| std::hint::black_box(run_threaded_pipeline(method, p, n, 4, work)));
+                let (plan, ledger) =
+                    (PipelinePlan::for_method(method, p, n, 4), ActivationLedger::new(p, 1));
+                bench.iter(|| {
+                    std::hint::black_box(run_pipeline(&plan, work, &NullRecorder, &ledger))
+                });
             });
         }
     }
@@ -37,7 +41,8 @@ fn save_experiment_log() {
     log.push_scalar("nominal.gpipe_bubble_fraction", nominal);
     for method in [Method::GPipe, Method::PipeMare] {
         let rec = TraceRecorder::new();
-        let report = run_threaded_pipeline_traced(method, p, n, minibatches, work, &rec);
+        let plan = PipelinePlan::for_method(method, p, n, minibatches);
+        let report = run_pipeline(&plan, work, &rec, &ActivationLedger::new(p, 1));
         let summary = PipelineTimelineSummary::from_events(&rec.events());
         let name = method.name().to_lowercase();
         log.push_scalar(&format!("{name}.throughput_mb_per_s"), report.throughput);

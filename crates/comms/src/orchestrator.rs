@@ -8,9 +8,10 @@
 //!   versions of it, and run the optimizer; everything else about a step
 //!   is the driver's, shared with the in-process trainer (see `driver`).
 //! * [`run_token_pipeline`] — the distributed counterpart of
-//!   `run_threaded_pipeline_traced`: microbatch tokens hop between
-//!   workers through the hub, reproducing the latency pipeline (and its
-//!   telemetry span multiset) across real transports.
+//!   `pipemare_pipeline::run_pipeline`: microbatch tokens hop between
+//!   workers through the hub, each worker walking the same per-stage op
+//!   timeline as the in-process stage thread, so the latency pipeline
+//!   (and its telemetry spans) is reproduced across real transports.
 //!
 //! # Scatter/gather, and why it cannot deadlock
 //!
@@ -595,10 +596,13 @@ pub fn token_stage_config(method: Method, stages: usize, n_micro: usize, s: usiz
 }
 
 /// Drives `minibatches × n_micro` microbatch tokens through `stages`
-/// remote workers, reproducing `run_threaded_pipeline_traced`'s
-/// injection policy (GPipe drains per minibatch; the async methods keep
-/// at most `stages + 1` tokens in flight, the depth the in-process
-/// executor's bounded channels allow) and its telemetry span multiset.
+/// remote workers. Each worker walks the op timeline of the same
+/// [`pipemare_pipeline::PipelinePlan`] an in-process
+/// [`pipemare_pipeline::run_pipeline`] of `method` would, so the hub only
+/// routes tokens between neighbours and plays the driver: it injects
+/// into stage 0 (whose own timeline paces what it takes) and, for GPipe,
+/// holds each minibatch back until the previous one has drained, timing
+/// the `Flush`.
 ///
 /// # Panics
 ///
@@ -672,17 +676,10 @@ pub fn run_token_pipeline(
     let start = Instant::now();
     let mut injected = 0usize;
     let mut completed = 0usize;
-    // The in-process executor's bounded(1) forward channels cap the
-    // in-flight depth; mirror that so injection does not flood slow
-    // workers.
-    let in_flight_cap = stages + 1;
     let mut next_minibatch_gate = if method == Method::GPipe { n_micro } else { total };
     let mut flush_start = recorder.now_us();
     while completed < total {
-        while injected < total
-            && injected - completed < in_flight_cap
-            && injected < next_minibatch_gate
-        {
+        while injected < total.min(next_minibatch_gate) {
             send_to(&mut senders, 0, &Message::Token { backward: false, id: injected as u64 })?;
             recorder.record_instant(SpanKind::Inject, driver_track, 0, injected as u32);
             injected += 1;

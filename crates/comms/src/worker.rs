@@ -9,29 +9,29 @@
 //!   [`ShardStage`] and answers shard fetches, gradient applications and
 //!   commits — the same stage state the in-process trainer calls
 //!   directly, served over the wire.
-//! * **Token** (after [`Message::TokenMode`]): the worker replays the
-//!   threaded executor's latency pipeline over the wire, driven by the
-//!   same [`StageFlow`] the in-process executor uses, so both emit
-//!   identical telemetry span multisets.
+//! * **Token** (after [`Message::TokenMode`]): the worker runs its stage
+//!   of the latency pipeline over the wire — the same per-stage op
+//!   timeline and the same per-op function as the in-process executor's
+//!   threads, so both record the same spans by construction.
 //!
 //! All trace events are recorded on the worker's own clock and shipped
 //! back as JSONL in [`Message::Telemetry`] batches at every flush; the
 //! orchestrator re-tracks and clock-shifts them into one merged trace.
 
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pipemare_pipeline::{FwdOutcome, StageEvent, StageFlow};
+use pipemare_pipeline::{run_stage_op, Link, PipelinePlan};
 use pipemare_telemetry::{
     default_rules, events_to_jsonl_string, AlertEngine, EventSource, JournalConfig, JournalWriter,
     LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker, TraceRecorder,
-    NO_MICROBATCH,
 };
 
 use crate::codec::Writer;
 use crate::error::CommsError;
-use crate::protocol::{Message, PassKind, ShardHead, PROTOCOL_VERSION};
+use crate::protocol::{Message, PassKind, ShardHead, StageConfig, PROTOCOL_VERSION};
 use crate::stage::ShardStage;
 use crate::transport::{Receiver, Sender, WireStats};
 
@@ -179,7 +179,7 @@ pub fn run_stage_worker_opts(
             run_training_loop(stage, &recorder, &store, tx, rx)
         }
         Message::TokenMode { total, is_last, work_us } => {
-            run_token_loop(stage_id, total, is_last, work_us, &recorder, &store, tx, rx)
+            run_token_loop(&cfg, total, is_last, work_us, &recorder, &store, tx, rx)
         }
         other => Err(fail(
             &mut tx,
@@ -290,13 +290,21 @@ fn run_training_loop(
     }
 }
 
-/// Replays the threaded executor's latency pipeline over the wire: the
-/// hub routes [`Message::Token`]s between neighbours; this worker does
-/// the sleeps and the span recording. Span kinds, stage ids and
-/// microbatch ids match `run_threaded_pipeline_traced` exactly.
+/// Most microbatch tokens a [`Message::TokenMode`] may announce: the
+/// count arrives from the peer and sizes this stage's op timeline.
+const MAX_TOKENS: u64 = 1 << 16;
+
+/// Runs this stage's share of a latency pipeline over the wire. The
+/// worker builds the [`PipelinePlan`] its handshake config names and
+/// walks its own timeline exactly as a thread of
+/// [`pipemare_pipeline::run_pipeline`] does — same op order, same
+/// [`run_stage_op`] for the sleep and its spans — with the hub routing
+/// [`Message::Token`]s between neighbours in place of channels. A token
+/// that arrives before the op that consumes it is buffered; control
+/// messages are answered while the stage waits.
 #[allow(clippy::too_many_arguments)]
 fn run_token_loop(
-    stage_id: u32,
+    cfg: &StageConfig,
     total: u64,
     is_last: bool,
     work_us: u64,
@@ -305,122 +313,96 @@ fn run_token_loop(
     mut tx: Sender,
     mut rx: Receiver,
 ) -> Result<StageWorkerReport, CommsError> {
+    let (stage, stages) = (cfg.stage as usize, cfg.stages as usize);
+    let n_micro = cfg.n_micro as u64;
+    if total == 0
+        || total > MAX_TOKENS
+        || !total.is_multiple_of(n_micro)
+        || is_last != (stage + 1 == stages)
+    {
+        let what = format!(
+            "token mode total {total} (is_last {is_last}) does not fit stage {stage} of {stages} \
+             with {n_micro} microbatches per minibatch (at most {MAX_TOKENS} tokens)"
+        );
+        return Err(fail(&mut tx, CommsError::Protocol(what)));
+    }
+    let plan =
+        PipelinePlan::for_method(cfg.method, stages, n_micro as usize, (total / n_micro) as usize);
     let work = Duration::from_micros(work_us);
-    let mut flow = StageFlow::new(total as usize, is_last);
-    while flow.awaiting() != StageEvent::Done {
-        let wait_start = recorder.now_us();
-        match rx.recv()? {
-            Message::Token { backward: false, id } => {
-                let t0 = recorder.now_us();
-                recorder.record_span(
-                    SpanKind::QueueWaitFwd,
-                    stage_id,
-                    stage_id,
-                    NO_MICROBATCH,
-                    wait_start,
-                    t0,
-                );
-                std::thread::sleep(work);
-                let t1 = recorder.now_us();
-                recorder.record_span_traced(
-                    SpanKind::Forward,
-                    stage_id,
-                    stage_id,
-                    id as u32,
-                    id + 1,
-                    t0,
-                    t1,
-                );
-                match flow.on_forward() {
-                    FwdOutcome::ForwardBackward => {
-                        std::thread::sleep(2 * work);
-                        recorder.record_span_traced(
-                            SpanKind::Backward,
-                            stage_id,
-                            stage_id,
-                            id as u32,
-                            id + 1,
-                            t1,
-                            recorder.now_us(),
-                        );
-                        tx.send(&Message::Token { backward: true, id })?;
+    let report = |tx: &Sender, rx: &Receiver| StageWorkerReport {
+        stage: cfg.stage,
+        committed_steps: 0,
+        sent: tx.stats(),
+        recv: rx.stats(),
+    };
+    // Tokens that arrived ahead of the op that consumes them, per link.
+    let mut early: [VecDeque<u64>; Link::ALL.len()] = Default::default();
+    for op in plan.timeline(stage) {
+        let mut waited_since = None;
+        if let Some(link) = plan.needs(stage, op) {
+            waited_since = Some(recorder.now_us());
+            let id = loop {
+                if let Some(id) = early[link as usize].pop_front() {
+                    break id;
+                }
+                match rx.recv()? {
+                    Message::Token { backward, id } => {
+                        let queue = &mut early[backward as usize];
+                        if queue.len() as u64 >= total {
+                            let what = format!("more than {total} tokens ahead of their ops");
+                            return Err(fail(&mut tx, CommsError::Protocol(what)));
+                        }
+                        queue.push_back(id);
                     }
-                    FwdOutcome::ForwardOnly => {
-                        tx.send(&Message::Token { backward: false, id })?;
+                    other => {
+                        if token_control(other, cfg.stage, recorder, store, &mut tx)? {
+                            return Ok(report(&tx, &rx));
+                        }
                     }
                 }
-            }
-            Message::Token { backward: true, id } => {
-                let t0 = recorder.now_us();
-                recorder.record_span(
-                    SpanKind::QueueWaitBkwd,
-                    stage_id,
-                    stage_id,
-                    NO_MICROBATCH,
-                    wait_start,
-                    t0,
-                );
-                std::thread::sleep(2 * work);
-                recorder.record_span_traced(
-                    SpanKind::Backward,
-                    stage_id,
-                    stage_id,
-                    id as u32,
-                    id + 1,
-                    t0,
-                    recorder.now_us(),
-                );
-                flow.on_backward();
-                tx.send(&Message::Token { backward: true, id })?;
-            }
-            Message::Flush { id } => {
-                tx.send(&telemetry_batch(recorder, stage_id))?;
-                tx.send(&Message::FlushAck { id, last_step: 0 })?;
-            }
-            Message::StatsRequest { id } => answer_stats(store, id, &mut tx)?,
-            Message::Shutdown => {
-                // Early shutdown (orchestrator aborting): ack and leave.
-                tx.send(&telemetry_batch(recorder, stage_id))?;
-                tx.send(&Message::ShutdownAck { stage: stage_id, last_step: 0 })?;
-                return Ok(StageWorkerReport {
-                    stage: stage_id,
-                    committed_steps: 0,
-                    sent: tx.stats(),
-                    recv: rx.stats(),
-                });
-            }
-            other => {
-                return Err(fail(
-                    &mut tx,
-                    CommsError::Protocol(format!("unexpected {} in token loop", other.name())),
-                ))
+            };
+            if id != op.micro as u64 {
+                let what = format!("{link:?} token {id} where microbatch {} is due", op.micro);
+                return Err(fail(&mut tx, CommsError::Protocol(what)));
             }
         }
-    }
-    // All microbatches done: drain control messages until shutdown.
-    loop {
-        match rx.recv()? {
-            Message::Flush { id } => {
-                tx.send(&telemetry_batch(recorder, stage_id))?;
-                tx.send(&Message::FlushAck { id, last_step: 0 })?;
-            }
-            Message::StatsRequest { id } => answer_stats(store, id, &mut tx)?,
-            Message::Shutdown => {
-                tx.send(&telemetry_batch(recorder, stage_id))?;
-                tx.send(&Message::ShutdownAck { stage: stage_id, last_step: 0 })?;
-                return Ok(StageWorkerReport {
-                    stage: stage_id,
-                    committed_steps: 0,
-                    sent: tx.stats(),
-                    recv: rx.stats(),
-                });
-            }
-            other => {
-                return Err(fail(
-                    &mut tx,
-                    CommsError::Protocol(format!("unexpected {} after token drain", other.name())),
-                ))
-            }
+        run_stage_op(op, cfg.stage, work, waited_since, recorder);
+        // The last stage turns its forward around itself; every other op
+        // is announced to the neighbour (or, from stage 0, the hub).
+        if let Some(link) = plan.feeds(stage, op) {
+            tx.send(&Message::Token { backward: link == Link::Bkwd, id: op.micro as u64 })?;
         }
     }
+    // All microbatches done: answer control messages until shutdown.
+    while !token_control(rx.recv()?, cfg.stage, recorder, store, &mut tx)? {}
+    Ok(report(&tx, &rx))
+}
+
+/// Answers one non-token message of a token run; `true` once it was
+/// [`Message::Shutdown`] (also mid-run, when the orchestrator aborts) and
+/// has been acknowledged.
+fn token_control(
+    msg: Message,
+    stage_id: u32,
+    recorder: &TraceRecorder,
+    store: &LiveStore,
+    tx: &mut Sender,
+) -> Result<bool, CommsError> {
+    match msg {
+        Message::Flush { id } => {
+            tx.send(&telemetry_batch(recorder, stage_id))?;
+            tx.send(&Message::FlushAck { id, last_step: 0 })?;
+        }
+        Message::StatsRequest { id } => answer_stats(store, id, tx)?,
+        Message::Shutdown => {
+            tx.send(&telemetry_batch(recorder, stage_id))?;
+            tx.send(&Message::ShutdownAck { stage: stage_id, last_step: 0 })?;
+            return Ok(true);
+        }
+        other => {
+            let what = format!("unexpected {} in token mode", other.name());
+            return Err(fail(tx, CommsError::Protocol(what)));
+        }
+    }
+    Ok(false)
 }

@@ -16,7 +16,7 @@ use pipemare_comms::{
 use pipemare_core::{train_distributed_loopback, PipelineTrainer, TrainConfig};
 use pipemare_nn::{ImageBatch, Mlp};
 use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare_pipeline::{run_threaded_pipeline_traced, Method};
+use pipemare_pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan};
 use pipemare_telemetry::TraceRecorder;
 use pipemare_tensor::Tensor;
 
@@ -318,13 +318,11 @@ fn token_pipeline_matches_threaded_executor_span_multiset() {
     for method in [Method::GPipe, Method::PipeMare] {
         let (stages, n_micro, minibatches) = (3, 4, 2);
         let recorder = TraceRecorder::with_tracks(stages + 1);
-        run_threaded_pipeline_traced(
-            method,
-            stages,
-            n_micro,
-            minibatches,
+        run_pipeline(
+            &PipelinePlan::for_method(method, stages, n_micro, minibatches),
             Duration::from_micros(200),
             &recorder,
+            &ActivationLedger::new(stages, 1),
         );
         let reference = span_multiset(&recorder.events());
 
@@ -349,6 +347,34 @@ fn token_pipeline_matches_threaded_executor_span_multiset() {
             "{method:?}: span multisets diverge between threaded and distributed token runs"
         );
     }
+}
+
+#[test]
+fn token_worker_buffers_a_token_that_arrives_before_its_op() {
+    // Stage 0 of a 2-stage PipeMare run of two microbatches walks
+    // F0 F1 B0 B1. Hand it backward token 0 *before* forward token 1: it
+    // must keep the early token and still run its list in order.
+    let (transports, mut handles) = spawn_loopback_workers(1);
+    let (mut tx, mut rx) = channel(transports.into_iter().next().unwrap()).unwrap();
+    let cfg = pipemare_comms::orchestrator::token_stage_config(Method::PipeMare, 2, 2, 0);
+    tx.send(&Message::Hello(cfg)).unwrap();
+    assert!(matches!(rx.recv(), Ok(Message::HelloAck { stage: 0, .. })));
+    tx.send(&Message::TokenMode { total: 2, is_last: false, work_us: 50 }).unwrap();
+    let arrivals = [(false, 0), (true, 0), (false, 1), (true, 1)];
+    for (backward, id) in arrivals {
+        tx.send(&Message::Token { backward, id }).unwrap();
+    }
+    let expect = [(false, 0), (false, 1), (true, 0), (true, 1)];
+    for (backward, id) in expect {
+        match rx.recv() {
+            Ok(Message::Token { backward: b, id: i }) => assert_eq!((b, i), (backward, id)),
+            other => panic!("expected token ({backward}, {id}), got {other:?}"),
+        }
+    }
+    tx.send(&Message::Shutdown).unwrap();
+    assert!(matches!(rx.recv(), Ok(Message::Telemetry { .. })));
+    assert!(matches!(rx.recv(), Ok(Message::ShutdownAck { stage: 0, .. })));
+    handles.pop().unwrap().join().expect("worker thread").expect("worker ok");
 }
 
 #[test]

@@ -2,7 +2,8 @@
 
 use pipemare_comms::{TrainConfig, TrainMode};
 use pipemare_data::{
-    corpus_bleu, ImageDataset, MinibatchIter, RegressionDataset, TranslationDataset,
+    corpus_bleu, split_microbatches, ImageDataset, MinibatchIter, RegressionDataset,
+    TranslationDataset,
 };
 use pipemare_nn::{
     CifarResNet, ImageBatch, LinearRegression, Mlp, RegressionBatch, SeqBatch, TrainModel,
@@ -42,16 +43,7 @@ fn chunk_exact(indices: &[usize], n_micro: usize) -> Vec<Vec<usize>> {
         "minibatch of {} samples cannot fill {n_micro} microbatches",
         indices.len()
     );
-    let base = indices.len() / n_micro;
-    let extra = indices.len() % n_micro;
-    let mut out = Vec::with_capacity(n_micro);
-    let mut cursor = 0;
-    for k in 0..n_micro {
-        let len = base + usize::from(k < extra);
-        out.push(indices[cursor..cursor + len].to_vec());
-        cursor += len;
-    }
-    out
+    split_microbatches(indices, n_micro)
 }
 
 fn micro_weights(micro: &[Vec<usize>]) -> Vec<f32> {

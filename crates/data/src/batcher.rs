@@ -42,8 +42,8 @@ impl MinibatchIter {
         self.epoch
     }
 
-    /// Minibatches per epoch (final partial batch dropped if `n % batch`
-    /// leaves fewer than one sample — i.e. partial batches are kept).
+    /// Minibatches per epoch. A final partial batch is kept: the count
+    /// is `⌈n / batch⌉`.
     pub fn batches_per_epoch(&self) -> usize {
         self.n.div_ceil(self.batch)
     }

@@ -1,601 +1,192 @@
 //! A real multi-threaded pipeline used to validate the throughput model.
 //!
-//! Each stage runs on its own thread connected by crossbeam channels;
-//! microbatch tokens flow forward down the chain, turn around at the last
-//! stage, and flow backward (backward work costs 2× forward work, matching
-//! the paper's compute split). GPipe mode drains the pipeline at every
-//! minibatch boundary (the bubble); PipeDream/PipeMare inject
-//! continuously. Measured wall-clock throughputs reproduce the
-//! `N/(N+P−1)` bubble penalty of Table 1.
+//! Each stage runs on its own thread and walks its op timeline from a
+//! [`PipelinePlan`]: microbatch tokens flow forward down the chain, turn
+//! around at the last stage, and flow backward (backward work costs 2×
+//! forward work, matching the paper's compute split). The schedule —
+//! GPipe draining the pipeline at every minibatch boundary (the bubble),
+//! PipeDream/PipeMare keeping it full, PipeMare Recompute replaying
+//! segments — is entirely in the plan; this module only runs it.
+//! Measured wall-clock throughputs reproduce the `N/(N+P−1)` bubble
+//! penalty of Table 1, and the [`ActivationLedger`] peaks the analytical
+//! memory model.
 //!
 //! Per-stage work is modeled as *latency* (sleep) rather than CPU
 //! spinning, so pipeline overlap is observable even on single-core hosts:
 //! concurrent sleeps overlap in wall-clock time exactly like concurrent
 //! accelerator stages, while spins would serialize on one CPU.
 //!
-//! Every stage knows the total token count up front and exits after its
-//! last backward, so shutdown never depends on channel-disconnection
-//! ordering (which is cyclic in a bidirectional pipeline).
+//! A stage exits after the last op of its list, so shutdown never
+//! depends on channel-disconnection ordering (which is cyclic in a
+//! bidirectional pipeline).
 
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{bounded, select, unbounded};
-use pipemare_telemetry::{
-    EventSource, HealthMonitor, NullRecorder, PipelineTimelineSummary, Recorder, SpanKind,
-    NO_MICROBATCH,
-};
+use crossbeam_channel::unbounded;
+use pipemare_telemetry::{Recorder, SpanKind, NO_MICROBATCH};
 
-use crate::delay::Method;
-use crate::recompute::{stage_timelines, ActivationLedger, RecomputePolicy, StageOpKind};
-use crate::stage::{StageEvent, StageFlow};
+use crate::plan::{Link, PipelinePlan};
+use crate::recompute::{ActivationLedger, StageOp, StageOpKind};
 
-/// Result of a threaded pipeline run.
-#[derive(Clone, Copy, Debug)]
-pub struct ThreadedPipelineReport {
+/// Result of a pipeline run.
+#[derive(Clone, Debug)]
+pub struct PipelineReport {
     /// Total wall-clock time.
     pub elapsed: Duration,
     /// Microbatches fully processed (forward + backward).
     pub microbatches: usize,
     /// Microbatches per second.
     pub throughput: f64,
+    /// Measured per-stage peak live activation-buffer counts — equal to
+    /// [`crate::RecomputePolicy::expected_peaks`] under 1F1B once the run
+    /// is long enough to fill the steady state (`≥ 2P−1` microbatches).
+    pub peak_activations: Vec<usize>,
+    /// Replay (recompute) forward passes executed across all stages.
+    pub recompute_ops: usize,
 }
 
 fn work_for(d: Duration) {
     std::thread::sleep(d);
 }
 
-/// Runs `minibatches` minibatches of `n_micro` microbatches through a
-/// `stages`-thread pipeline where each stage's forward work takes
-/// `work_per_stage` (backward takes 2×). Returns the measured throughput.
+/// Runs one op of stage `stage`'s timeline: the stage's work (forward and
+/// replay take `work_per_stage`, backward 2×) and the spans it leaves on
+/// the stage's track — a `QueueWaitFwd`/`QueueWaitBkwd` span from
+/// `waited_since` when the stage blocked on a token first, then the
+/// `Forward`/`Recompute`/`Backward` span stamped with the microbatch's
+/// causal trace id (ids are 0-based; trace 0 means "absent").
 ///
-/// `method` controls injection: [`Method::GPipe`] waits for the previous
-/// minibatch to fully drain before injecting the next (synchronous
-/// flush); the other methods keep the pipeline full.
-///
-/// # Panics
-///
-/// Panics if any dimension is zero.
-pub fn run_threaded_pipeline(
-    method: Method,
-    stages: usize,
-    n_micro: usize,
-    minibatches: usize,
+/// Both stage loops — [`run_pipeline`]'s threads and the comms crate's
+/// token worker — call this for every op, which is why an in-process and
+/// a distributed run of one plan record the same spans.
+pub fn run_stage_op<R: Recorder>(
+    op: &StageOp,
+    stage: u32,
     work_per_stage: Duration,
-) -> ThreadedPipelineReport {
-    run_threaded_pipeline_traced(
-        method,
-        stages,
-        n_micro,
-        minibatches,
-        work_per_stage,
-        &NullRecorder,
-    )
-}
-
-/// [`run_threaded_pipeline_traced`] with a [`HealthMonitor`] sampling
-/// the measured delays: the run is traced into the caller's `recorder`,
-/// the events it retained are fed to [`HealthMonitor::ingest_events`]
-/// (filling the `pipeline.stage{i}.tau_fwd` / `.tau_recomp` histograms
-/// when the monitor carries a registry), and the derived
-/// [`PipelineTimelineSummary`] is returned alongside the wall-clock
-/// report for the end-of-run [`pipemare_telemetry::RunReport`].
-///
-/// The recorder can be any tier that is also an [`EventSource`]: a
-/// [`pipemare_telemetry::TraceRecorder`] keeps the complete trace
-/// (unbounded memory), while
-/// a [`pipemare_telemetry::FlightRecorder`] keeps only the most recent
-/// events per track in bounded rings — health monitoring then composes
-/// with always-on black-box recording without growing with run length
-/// (the histograms just sample whatever history the ring still holds).
-/// Pass `&TraceRecorder::with_tracks(stages + 1)` to recover the old
-/// behavior exactly.
-///
-/// The monitor's stage count need not match `stages`; extra stages in
-/// the trace are ignored and missing ones leave empty histograms.
-///
-/// # Panics
-///
-/// Panics if any dimension is zero.
-pub fn run_threaded_pipeline_health<R: Recorder + EventSource>(
-    method: Method,
-    stages: usize,
-    n_micro: usize,
-    minibatches: usize,
-    work_per_stage: Duration,
+    waited_since: Option<u64>,
     recorder: &R,
-    monitor: &HealthMonitor,
-) -> (ThreadedPipelineReport, PipelineTimelineSummary) {
-    let report = run_threaded_pipeline_traced(
-        method,
-        stages,
-        n_micro,
-        minibatches,
-        work_per_stage,
-        recorder,
-    );
-    let events = recorder.snapshot_events();
-    monitor.ingest_events(&events);
-    (report, PipelineTimelineSummary::from_events(&events))
-}
-
-/// [`run_threaded_pipeline`] with a telemetry [`Recorder`].
-///
-/// Every stage emits `Forward`/`Backward` compute spans and
-/// `QueueWaitFwd`/`QueueWaitBkwd` blocking spans on its own track; the
-/// driver (track `stages`) emits an `Inject` instant per microbatch and a
-/// `Flush` span covering each GPipe drain. The recorder is generic so
-/// that passing [`NullRecorder`] monomorphizes every telemetry call to
-/// nothing — the untraced hot path stays free of clock reads and locks.
-///
-/// # Panics
-///
-/// Panics if any dimension is zero.
-pub fn run_threaded_pipeline_traced<R: Recorder>(
-    method: Method,
-    stages: usize,
-    n_micro: usize,
-    minibatches: usize,
-    work_per_stage: Duration,
-    recorder: &R,
-) -> ThreadedPipelineReport {
-    assert!(stages > 0 && n_micro > 0 && minibatches > 0);
-    let total = n_micro * minibatches;
-    // Forward channels are bounded (capacity 1) to model the pipeline's
-    // limited slots; backward channels are unbounded so backward sends
-    // never block (which would otherwise create a send-cycle deadlock
-    // with the bounded forward sends).
-    let mut fwd_tx = Vec::new();
-    let mut fwd_rx = Vec::new();
-    let mut bwd_tx = Vec::new();
-    let mut bwd_rx = Vec::new();
-    for _ in 0..stages {
-        let (tx, rx) = bounded::<usize>(1);
-        fwd_tx.push(tx);
-        fwd_rx.push(rx);
-        let (tx, rx) = unbounded::<usize>();
-        bwd_tx.push(tx);
-        bwd_rx.push(rx);
+) {
+    let (span, wait_span, work) = match op.kind {
+        StageOpKind::Fwd => (SpanKind::Forward, SpanKind::QueueWaitFwd, work_per_stage),
+        StageOpKind::Recomp => (SpanKind::Recompute, SpanKind::QueueWaitFwd, work_per_stage),
+        StageOpKind::Bkwd => (SpanKind::Backward, SpanKind::QueueWaitBkwd, 2 * work_per_stage),
+    };
+    let t0 = recorder.now_us();
+    if let Some(since) = waited_since {
+        recorder.record_span(wait_span, stage, stage, NO_MICROBATCH, since, t0);
     }
-    let (done_tx, done_rx) = bounded::<usize>(total);
+    work_for(work);
+    let (micro, trace) = (op.micro as u32, op.micro as u64 + 1);
+    recorder.record_span_traced(span, stage, stage, micro, trace, t0, recorder.now_us());
+}
+
+/// Runs `plan` on one thread per stage, each stage's forward work taking
+/// `work_per_stage`, and returns the measured throughput and activation
+/// peaks.
+///
+/// A stage thread walks its timeline in order: it blocks on the token the
+/// next op needs, acquires an activation buffer from `ledger` where the
+/// op says so, does the work ([`run_stage_op`]), releases the buffer
+/// after a backward, and passes the token on. All channels are unbounded:
+/// the fixed op order is itself the throttle, and every dependency points
+/// to a strictly earlier slot of the plan's schedule, so the run cannot
+/// deadlock. The calling thread is the driver (track `stages`): it
+/// injects every microbatch into stage 0 with an `Inject` instant,
+/// records a `Flush` span over each GPipe drain, and one over the final
+/// drain of every run.
+///
+/// The recorder is generic so that passing
+/// [`pipemare_telemetry::NullRecorder`] monomorphizes every telemetry
+/// call to nothing — the untraced hot path stays free of clock reads and
+/// locks. Build the ledger [`ActivationLedger::with_registry`] to publish
+/// live per-stage activation-byte gauges.
+///
+/// # Panics
+///
+/// Panics if the ledger was built for a different stage count.
+pub fn run_pipeline<R: Recorder>(
+    plan: &PipelinePlan,
+    work_per_stage: Duration,
+    recorder: &R,
+    ledger: &ActivationLedger,
+) -> PipelineReport {
+    let (stages, total) = (plan.stages(), plan.total());
+    assert_eq!(ledger.peaks().len(), stages, "ledger sized for a different stage count");
+    // chans[s][link]: the tokens arriving at stage s on each link.
+    let chans: Vec<_> = (0..stages).map(|_| Link::ALL.map(|_| unbounded::<usize>())).collect();
+    let (done_tx, done_rx) = unbounded::<usize>();
 
     let start = Instant::now();
     std::thread::scope(|scope| {
         for s in 0..stages {
-            let my_fwd_rx = fwd_rx[s].clone();
-            let my_bwd_rx = bwd_rx[s].clone();
-            let next_fwd_tx = if s + 1 < stages { Some(fwd_tx[s + 1].clone()) } else { None };
-            let prev_bwd_tx = if s > 0 { Some(bwd_tx[s - 1].clone()) } else { None };
-            let my_done_tx = done_tx.clone();
+            // Each thread holds only its own receivers and its
+            // neighbours' senders, so a stage that dies disconnects its
+            // neighbours instead of leaving them blocked.
+            let rx = Link::ALL.map(|link| chans[s][link as usize].1.clone());
+            let tx = Link::ALL.map(|link| match link.target(s, stages) {
+                Some(to) => Some(chans[to][link as usize].0.clone()),
+                None => (link == Link::Bkwd).then(|| done_tx.clone()),
+            });
             scope.spawn(move || {
                 // Stage workers are already one-thread-per-stage; nested
                 // kernel parallelism would oversubscribe the host, so any
                 // tensor kernels invoked from a stage run serially (the
                 // pool-nesting rule).
                 pipemare_tensor::pool::serial_scope(|| {
-                    let track = s as u32;
-                    let stage = s as u32;
-                    let emit_bwd = |id: usize| match &prev_bwd_tx {
-                        Some(tx) => tx.send(id).expect("upstream stage alive"),
-                        None => my_done_tx.send(id).expect("driver alive"),
-                    };
-                    let is_last = next_fwd_tx.is_none();
-                    let mut flow = StageFlow::new(total, is_last);
-                    // Which token the blocking receive produced; the
-                    // span/work handling below is shared between the
-                    // single-kind receives and the select arm.
-                    enum Got {
-                        Fwd(usize),
-                        Bwd(usize),
-                    }
-                    loop {
-                        let wait_start = recorder.now_us();
-                        let got = match flow.awaiting() {
-                            StageEvent::Done => break,
-                            StageEvent::Forward => {
-                                // The last stage turns each forward straight
-                                // into its backward; its own backward channel
-                                // is unused.
-                                Got::Fwd(my_fwd_rx.recv().expect("pipeline alive"))
-                            }
-                            StageEvent::Backward => {
-                                // Only backwards remain: plain blocking receive.
-                                Got::Bwd(my_bwd_rx.recv().expect("downstream stage alive"))
-                            }
-                            StageEvent::Either => {
-                                // The vendored select! is a statement, not
-                                // an expression: capture the winning arm.
-                                // (Exactly one arm assigns before the select
-                                // loop exits, so the init value is dead.)
-                                #[allow(unused_assignments)]
-                                let mut got = None;
-                                select! {
-                                    recv(my_bwd_rx) -> msg => {
-                                        got = Some(Got::Bwd(
-                                            msg.expect("downstream stage alive"),
-                                        ));
-                                    }
-                                    recv(my_fwd_rx) -> msg => {
-                                        got = Some(Got::Fwd(msg.expect("pipeline alive")));
-                                    }
-                                }
-                                got.expect("select returned without a token")
-                            }
-                        };
-                        match got {
-                            Got::Fwd(id) => {
-                                let t0 = recorder.now_us();
-                                recorder.record_span(
-                                    SpanKind::QueueWaitFwd,
-                                    track,
-                                    stage,
-                                    NO_MICROBATCH,
-                                    wait_start,
-                                    t0,
-                                );
-                                work_for(work_per_stage);
-                                let t1 = recorder.now_us();
-                                // Trace id: the microbatch's causal id (ids
-                                // are 0-based; trace 0 means "absent").
-                                recorder.record_span_traced(
-                                    SpanKind::Forward,
-                                    track,
-                                    stage,
-                                    id as u32,
-                                    id as u64 + 1,
-                                    t0,
-                                    t1,
-                                );
-                                match flow.on_forward() {
-                                    crate::stage::FwdOutcome::ForwardBackward => {
-                                        work_for(2 * work_per_stage);
-                                        recorder.record_span_traced(
-                                            SpanKind::Backward,
-                                            track,
-                                            stage,
-                                            id as u32,
-                                            id as u64 + 1,
-                                            t1,
-                                            recorder.now_us(),
-                                        );
-                                        emit_bwd(id);
-                                    }
-                                    crate::stage::FwdOutcome::ForwardOnly => {
-                                        next_fwd_tx
-                                            .as_ref()
-                                            .expect("non-last stage")
-                                            .send(id)
-                                            .expect("downstream stage alive");
-                                    }
-                                }
-                            }
-                            Got::Bwd(id) => {
-                                let t0 = recorder.now_us();
-                                recorder.record_span(
-                                    SpanKind::QueueWaitBkwd,
-                                    track,
-                                    stage,
-                                    NO_MICROBATCH,
-                                    wait_start,
-                                    t0,
-                                );
-                                work_for(2 * work_per_stage);
-                                recorder.record_span_traced(
-                                    SpanKind::Backward,
-                                    track,
-                                    stage,
-                                    id as u32,
-                                    id as u64 + 1,
-                                    t0,
-                                    recorder.now_us(),
-                                );
-                                flow.on_backward();
-                                emit_bwd(id);
-                            }
+                    for op in plan.timeline(s) {
+                        let waited_since = plan.needs(s, op).map(|link| {
+                            let since = recorder.now_us();
+                            let id = rx[link as usize].recv().expect("neighbour stage alive");
+                            assert_eq!(id, op.micro, "stage {s}: {link:?} token out of order");
+                            since
+                        });
+                        if op.acquires {
+                            ledger.acquire(s);
+                        }
+                        run_stage_op(op, s as u32, work_per_stage, waited_since, recorder);
+                        if op.kind == StageOpKind::Bkwd {
+                            ledger.release(s);
+                        }
+                        if let Some(link) = plan.feeds(s, op) {
+                            let tx = tx[link as usize].as_ref().expect("fed link has a target");
+                            tx.send(op.micro).expect("neighbour stage alive");
                         }
                     }
                 })
             });
         }
-        drop(done_tx);
         // Driver: inject microbatch tokens.
         let driver_track = stages as u32;
-        let inject = fwd_tx[0].clone();
-        drop(fwd_tx);
-        drop(bwd_tx);
-        drop(fwd_rx);
-        drop(bwd_rx);
+        let inject = chans[0][Link::Fwd as usize].0.clone();
+        drop(chans);
+        drop(done_tx);
         let mut completed = 0usize;
-        for mb in 0..minibatches {
-            for n in 0..n_micro {
-                let id = mb * n_micro + n;
-                inject.send(id).expect("pipeline alive");
-                recorder.record_instant(SpanKind::Inject, driver_track, 0, id as u32);
+        let mut drain_to = |upto: usize| {
+            let flush_start = recorder.now_us();
+            while completed < upto {
+                done_rx.recv().expect("pipeline alive");
+                completed += 1;
             }
-            if method == Method::GPipe {
+            let now = recorder.now_us();
+            recorder.record_span(SpanKind::Flush, driver_track, 0, NO_MICROBATCH, flush_start, now);
+        };
+        for id in 0..total {
+            inject.send(id).expect("pipeline alive");
+            recorder.record_instant(SpanKind::Inject, driver_track, 0, id as u32);
+            if plan.flush_every().is_some_and(|n_micro| (id + 1) % n_micro == 0) {
                 // Synchronous flush: wait for this minibatch to drain.
-                let flush_start = recorder.now_us();
-                while completed < (mb + 1) * n_micro {
-                    done_rx.recv().expect("pipeline alive");
-                    completed += 1;
-                }
-                recorder.record_span(
-                    SpanKind::Flush,
-                    driver_track,
-                    0,
-                    NO_MICROBATCH,
-                    flush_start,
-                    recorder.now_us(),
-                );
+                drain_to(id + 1);
             }
         }
-        drop(inject);
-        let drain_start = recorder.now_us();
-        while completed < total {
-            done_rx.recv().expect("pipeline alive");
-            completed += 1;
-        }
-        recorder.record_span(
-            SpanKind::Flush,
-            driver_track,
-            0,
-            NO_MICROBATCH,
-            drain_start,
-            recorder.now_us(),
-        );
+        drain_to(total);
     });
     let elapsed = start.elapsed();
-    ThreadedPipelineReport {
-        elapsed,
-        microbatches: total,
-        throughput: total as f64 / elapsed.as_secs_f64(),
-    }
-}
-
-/// Result of a recompute-aware threaded pipeline run.
-#[derive(Clone, Debug)]
-pub struct RecomputePipelineReport {
-    /// Total wall-clock time.
-    pub elapsed: Duration,
-    /// Microbatches fully processed (forward + backward).
-    pub microbatches: usize,
-    /// Microbatches per second.
-    pub throughput: f64,
-    /// Measured per-stage peak live activation-buffer counts — must
-    /// equal [`RecomputePolicy::expected_peaks`] once the run is long
-    /// enough to fill the steady state (`≥ 2P−1` microbatches).
-    pub peak_activations: Vec<usize>,
-    /// Replay (recompute) forward passes executed across all stages.
-    pub recompute_ops: usize,
-}
-
-/// Runs `minibatches × n_micro` microbatches through a `stages`-thread
-/// pipeline under an activation [`RecomputePolicy`], with continuous
-/// (PipeMare-style) injection. Forward and replay work each take
-/// `work_per_stage`; backward takes 2×.
-///
-/// Unlike [`run_threaded_pipeline`], every stage executes a
-/// precomputed op timeline (see [`stage_timelines`]): forwards and
-/// backwards in 1F1B slot order, plus — for segmented policies — the
-/// replay sweep that recovers discarded activations just before each
-/// backward. Activation buffers are acquired and released exactly where
-/// the timeline says, so the measured peaks are deterministic and
-/// comparable to the analytical memory model.
-///
-/// # Panics
-///
-/// Panics if any dimension is zero, or if a segmented policy's size is
-/// outside `1..=stages`.
-pub fn run_recompute_pipeline(
-    policy: RecomputePolicy,
-    stages: usize,
-    n_micro: usize,
-    minibatches: usize,
-    work_per_stage: Duration,
-) -> RecomputePipelineReport {
-    let ledger = ActivationLedger::new(stages, 1);
-    run_recompute_pipeline_traced(
-        policy,
-        stages,
-        n_micro,
-        minibatches,
-        work_per_stage,
-        &NullRecorder,
-        &ledger,
-    )
-}
-
-/// [`run_recompute_pipeline`] with a telemetry [`Recorder`] and a
-/// caller-supplied [`ActivationLedger`] (build it
-/// [`ActivationLedger::with_registry`] to publish live per-stage
-/// activation-byte gauges). Replay passes emit [`SpanKind::Recompute`]
-/// spans on the stage's track.
-///
-/// # Panics
-///
-/// Panics if any dimension is zero, if a segmented policy's size is
-/// outside `1..=stages`, or if the ledger was built for a different
-/// stage count.
-pub fn run_recompute_pipeline_traced<R: Recorder>(
-    policy: RecomputePolicy,
-    stages: usize,
-    n_micro: usize,
-    minibatches: usize,
-    work_per_stage: Duration,
-    recorder: &R,
-    ledger: &ActivationLedger,
-) -> RecomputePipelineReport {
-    assert!(stages > 0 && n_micro > 0 && minibatches > 0);
-    assert_eq!(ledger.peaks().len(), stages, "ledger sized for a different stage count");
-    let total = n_micro * minibatches;
-    let seg = policy.segment_size(stages);
-    let timelines = stage_timelines(policy, stages, total);
-    let recompute_ops: usize = timelines
-        .iter()
-        .map(|ops| ops.iter().filter(|op| op.kind == StageOpKind::Recomp).count())
-        .sum();
-
-    // All channels are unbounded: each stage's fixed slot-ordered op list
-    // is itself the throttle (a stage blocks on the token its next op
-    // needs), and every dependency points to a strictly earlier slot, so
-    // the run cannot deadlock. Tokens arrive in microbatch order on every
-    // channel; the receive asserts check the protocol.
-    let mut fwd_tx = Vec::new();
-    let mut fwd_rx = Vec::new();
-    let mut bwd_tx = Vec::new();
-    let mut bwd_rx = Vec::new();
-    let mut replay_tx = Vec::new();
-    let mut replay_rx = Vec::new();
-    for _ in 0..stages {
-        let (tx, rx) = unbounded::<usize>();
-        fwd_tx.push(tx);
-        fwd_rx.push(rx);
-        let (tx, rx) = unbounded::<usize>();
-        bwd_tx.push(tx);
-        bwd_rx.push(rx);
-        let (tx, rx) = unbounded::<usize>();
-        replay_tx.push(tx);
-        replay_rx.push(rx);
-    }
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for (s, ops) in timelines.into_iter().enumerate() {
-            let my_fwd_rx = fwd_rx[s].clone();
-            let my_bwd_rx = bwd_rx[s].clone();
-            let my_replay_rx = replay_rx[s].clone();
-            let next_fwd_tx = if s + 1 < stages { Some(fwd_tx[s + 1].clone()) } else { None };
-            let prev_bwd_tx = if s > 0 { Some(bwd_tx[s - 1].clone()) } else { None };
-            // The replay wave continues to s+1 while it stays inside the
-            // same segment.
-            let next_replay_tx = if s + 1 < stages && (s + 1) % seg != 0 {
-                Some(replay_tx[s + 1].clone())
-            } else {
-                None
-            };
-            scope.spawn(move || {
-                // One thread per stage already saturates the host; tensor
-                // kernels invoked from a stage run serially (pool-nesting
-                // rule), same as the plain executor.
-                pipemare_tensor::pool::serial_scope(|| {
-                    let track = s as u32;
-                    let stage = s as u32;
-                    for op in ops {
-                        match op.kind {
-                            StageOpKind::Fwd => {
-                                if s > 0 {
-                                    let wait_start = recorder.now_us();
-                                    let id = my_fwd_rx.recv().expect("upstream stage alive");
-                                    assert_eq!(id, op.micro, "forward token out of order");
-                                    recorder.record_span(
-                                        SpanKind::QueueWaitFwd,
-                                        track,
-                                        stage,
-                                        NO_MICROBATCH,
-                                        wait_start,
-                                        recorder.now_us(),
-                                    );
-                                }
-                                if op.acquires {
-                                    ledger.acquire(s);
-                                }
-                                let t0 = recorder.now_us();
-                                work_for(work_per_stage);
-                                recorder.record_span_traced(
-                                    SpanKind::Forward,
-                                    track,
-                                    stage,
-                                    op.micro as u32,
-                                    op.micro as u64 + 1,
-                                    t0,
-                                    recorder.now_us(),
-                                );
-                                if let Some(tx) = &next_fwd_tx {
-                                    tx.send(op.micro).expect("downstream stage alive");
-                                }
-                            }
-                            StageOpKind::Recomp => {
-                                // Boundary stages start the wave from
-                                // their own stash; the rest wait for it.
-                                if s % seg != 0 {
-                                    let wait_start = recorder.now_us();
-                                    let id = my_replay_rx.recv().expect("segment stage alive");
-                                    assert_eq!(id, op.micro, "replay token out of order");
-                                    recorder.record_span(
-                                        SpanKind::QueueWaitFwd,
-                                        track,
-                                        stage,
-                                        NO_MICROBATCH,
-                                        wait_start,
-                                        recorder.now_us(),
-                                    );
-                                }
-                                if op.acquires {
-                                    ledger.acquire(s);
-                                }
-                                let t0 = recorder.now_us();
-                                work_for(work_per_stage);
-                                recorder.record_span_traced(
-                                    SpanKind::Recompute,
-                                    track,
-                                    stage,
-                                    op.micro as u32,
-                                    op.micro as u64 + 1,
-                                    t0,
-                                    recorder.now_us(),
-                                );
-                                if let Some(tx) = &next_replay_tx {
-                                    tx.send(op.micro).expect("segment stage alive");
-                                }
-                            }
-                            StageOpKind::Bkwd => {
-                                if s + 1 < stages {
-                                    let wait_start = recorder.now_us();
-                                    let id = my_bwd_rx.recv().expect("downstream stage alive");
-                                    assert_eq!(id, op.micro, "backward token out of order");
-                                    recorder.record_span(
-                                        SpanKind::QueueWaitBkwd,
-                                        track,
-                                        stage,
-                                        NO_MICROBATCH,
-                                        wait_start,
-                                        recorder.now_us(),
-                                    );
-                                }
-                                let t0 = recorder.now_us();
-                                work_for(2 * work_per_stage);
-                                recorder.record_span_traced(
-                                    SpanKind::Backward,
-                                    track,
-                                    stage,
-                                    op.micro as u32,
-                                    op.micro as u64 + 1,
-                                    t0,
-                                    recorder.now_us(),
-                                );
-                                ledger.release(s);
-                                if let Some(tx) = &prev_bwd_tx {
-                                    tx.send(op.micro).expect("upstream stage alive");
-                                }
-                            }
-                        }
-                    }
-                })
-            });
-        }
-        drop(fwd_tx);
-        drop(bwd_tx);
-        drop(replay_tx);
-        drop(fwd_rx);
-        drop(bwd_rx);
-        drop(replay_rx);
-    });
-    let elapsed = start.elapsed();
-    RecomputePipelineReport {
+    PipelineReport {
         elapsed,
         microbatches: total,
         throughput: total as f64 / elapsed.as_secs_f64(),
         peak_activations: ledger.peaks(),
-        recompute_ops,
+        recompute_ops: plan.recompute_ops(),
     }
 }
 
@@ -603,10 +194,37 @@ pub fn run_recompute_pipeline_traced<R: Recorder>(
 mod tests {
     use super::*;
     use crate::cost::gpipe_bubble_throughput;
+    use crate::delay::Method;
+    use crate::recompute::RecomputePolicy;
+    use pipemare_telemetry::NullRecorder;
+
+    fn run(plan: PipelinePlan, work: Duration) -> PipelineReport {
+        run_pipeline(&plan, work, &NullRecorder, &ActivationLedger::new(plan.stages(), 1))
+    }
+
+    fn run_method(
+        method: Method,
+        stages: usize,
+        n_micro: usize,
+        minibatches: usize,
+        work: Duration,
+    ) -> PipelineReport {
+        run(PipelinePlan::for_method(method, stages, n_micro, minibatches), work)
+    }
+
+    fn run_policy(
+        policy: RecomputePolicy,
+        stages: usize,
+        n_micro: usize,
+        minibatches: usize,
+        work: Duration,
+    ) -> PipelineReport {
+        run(PipelinePlan::for_recompute(policy, stages, n_micro, minibatches), work)
+    }
 
     #[test]
     fn completes_all_microbatches() {
-        let r = run_threaded_pipeline(Method::PipeMare, 3, 4, 2, Duration::from_micros(50));
+        let r = run_method(Method::PipeMare, 3, 4, 2, Duration::from_micros(50));
         assert_eq!(r.microbatches, 8);
         assert!(r.throughput > 0.0);
     }
@@ -616,8 +234,8 @@ mod tests {
         // P = 4, N = 2: bubble model predicts GPipe at N/(N+P−1) = 0.4 of
         // PipeMare. Generous margins for scheduler noise.
         let work = Duration::from_millis(2);
-        let async_r = run_threaded_pipeline(Method::PipeMare, 4, 2, 8, work);
-        let gpipe_r = run_threaded_pipeline(Method::GPipe, 4, 2, 8, work);
+        let async_r = run_method(Method::PipeMare, 4, 2, 8, work);
+        let gpipe_r = run_method(Method::GPipe, 4, 2, 8, work);
         let ratio = gpipe_r.throughput / async_r.throughput;
         let predicted = gpipe_bubble_throughput(4, 2);
         assert!(
@@ -634,9 +252,9 @@ mod tests {
     fn more_microbatches_shrink_the_bubble() {
         // As N grows the relative GPipe penalty shrinks.
         let work = Duration::from_millis(1);
-        let base = run_threaded_pipeline(Method::PipeMare, 4, 8, 5, work).throughput;
-        let small_n = run_threaded_pipeline(Method::GPipe, 4, 2, 20, work).throughput / base;
-        let large_n = run_threaded_pipeline(Method::GPipe, 4, 8, 5, work).throughput / base;
+        let base = run_method(Method::PipeMare, 4, 8, 5, work).throughput;
+        let small_n = run_method(Method::GPipe, 4, 2, 20, work).throughput / base;
+        let large_n = run_method(Method::GPipe, 4, 8, 5, work).throughput / base;
         assert!(
             large_n > small_n,
             "bubble should shrink with N: N=2 ratio {small_n}, N=8 ratio {large_n}"
@@ -645,7 +263,7 @@ mod tests {
 
     #[test]
     fn single_stage_degenerate_case() {
-        let r = run_threaded_pipeline(Method::GPipe, 1, 2, 3, Duration::from_micros(20));
+        let r = run_method(Method::GPipe, 1, 2, 3, Duration::from_micros(20));
         assert_eq!(r.microbatches, 6);
     }
 
@@ -655,30 +273,31 @@ mod tests {
         // 8 microbatches ≥ 2P−1 = 7 fills the steady state at P = 4.
         let work = Duration::from_micros(20);
         let model = ActivationModel { p: 4 };
-        let r = run_recompute_pipeline(RecomputePolicy::Segmented { segment: 2 }, 4, 4, 2, work);
+        let r = run_policy(RecomputePolicy::Segmented { segment: 2 }, 4, 4, 2, work);
         assert_eq!(r.microbatches, 8);
         assert_eq!(r.peak_activations, model.profile_recompute(2));
         // Stages 0 and 1 form the only replay segment: one replay per
         // microbatch per stage.
         assert_eq!(r.recompute_ops, 2 * 8);
-        let stash = run_recompute_pipeline(RecomputePolicy::StashAll, 4, 4, 2, work);
+        let stash = run_policy(RecomputePolicy::StashAll, 4, 4, 2, work);
         assert_eq!(stash.peak_activations, model.profile_no_recompute());
         assert_eq!(stash.recompute_ops, 0);
+        // A plain PipeMare run is the stash-everything schedule, and its
+        // ledger says so.
+        let plain = run_method(Method::PipeMare, 4, 4, 2, work);
+        assert_eq!(plain.peak_activations, RecomputePolicy::StashAll.expected_peaks(4));
+        assert_eq!(plain.recompute_ops, 0);
     }
 
     #[test]
     fn recompute_run_emits_replay_spans() {
         use pipemare_telemetry::TraceRecorder;
         let recorder = TraceRecorder::new();
-        let ledger = ActivationLedger::new(4, 1);
-        run_recompute_pipeline_traced(
-            RecomputePolicy::Segmented { segment: 2 },
-            4,
-            2,
-            4,
+        run_pipeline(
+            &PipelinePlan::for_recompute(RecomputePolicy::Segmented { segment: 2 }, 4, 2, 4),
             Duration::from_micros(20),
             &recorder,
-            &ledger,
+            &ActivationLedger::new(4, 1),
         );
         let events = recorder.events();
         let replays = events.iter().filter(|e| e.kind == SpanKind::Recompute).count();
@@ -690,13 +309,11 @@ mod tests {
     fn traced_run_stamps_microbatch_trace_ids() {
         use pipemare_telemetry::TraceRecorder;
         let recorder = TraceRecorder::new();
-        run_threaded_pipeline_traced(
-            Method::PipeMare,
-            3,
-            2,
-            2,
+        run_pipeline(
+            &PipelinePlan::for_method(Method::PipeMare, 3, 2, 2),
             Duration::from_micros(20),
             &recorder,
+            &ActivationLedger::new(3, 1),
         );
         let events = recorder.events();
         for e in events.iter().filter(|e| matches!(e.kind, SpanKind::Forward | SpanKind::Backward))
@@ -712,7 +329,7 @@ mod tests {
 
     #[test]
     fn recompute_single_stage_degenerate_case() {
-        let r = run_recompute_pipeline(
+        let r = run_policy(
             RecomputePolicy::Segmented { segment: 1 },
             1,
             2,

@@ -16,14 +16,16 @@
 //!   weight+optimizer memory including PipeDream's stashing (Table 2
 //!   methodology), and activation memory with/without PipeMare Recompute
 //!   (App. A.1–A.2, Tables 4–5, Figure 6).
+//! * [`plan`]: the schedule as data — one op timeline per stage for
+//!   GPipe, PipeDream, PipeMare and PipeMare Recompute, which the
+//!   in-process executor and the distributed token workers both walk.
 //! * [`executor`]: a real multi-threaded pipeline (crossbeam channels)
-//!   used to validate the throughput model on wall-clock time.
+//!   that runs a plan, used to validate the throughput and memory models
+//!   on wall-clock time.
 //! * [`recompute`]: PipeMare Recompute (§2.2, App. A.2, App. D) — the
 //!   segmented activation-recomputation runtime whose measured per-stage
 //!   peaks must equal the analytical `profile_recompute`.
 //! * [`hogwild`]: truncated-exponential stochastic delays (App. E).
-//! * [`stage`]: the transport-agnostic per-stage token flow shared by
-//!   the in-process executor and the distributed stage workers.
 
 pub mod cost;
 pub mod delay;
@@ -31,26 +33,22 @@ pub mod executor;
 pub mod history;
 pub mod hogwild;
 pub mod partition;
+pub mod plan;
 pub mod recompute;
 pub mod schedule;
-pub mod stage;
 
 pub use cost::{
     gpipe_bubble_throughput, gpipe_equal_budget_throughput, normalized_throughput, ActivationModel,
     MemoryModel,
 };
 pub use delay::{Method, PipelineClock};
-pub use executor::{
-    run_recompute_pipeline, run_recompute_pipeline_traced, run_threaded_pipeline,
-    run_threaded_pipeline_health, run_threaded_pipeline_traced, RecomputePipelineReport,
-    ThreadedPipelineReport,
-};
+pub use executor::{run_pipeline, run_stage_op, PipelineReport};
 pub use history::WeightHistory;
 pub use hogwild::HogwildDelays;
 pub use partition::StagePartition;
+pub use plan::{Link, PipelinePlan};
 pub use recompute::{
     is_segment_boundary, simulate_peaks, stage_replays, stage_timelines, ActivationLedger,
     RecomputePolicy, StageOp, StageOpKind,
 };
 pub use schedule::{ForwardPipeline, Schedule, SlotOp};
-pub use stage::{FwdOutcome, StageEvent, StageFlow};

@@ -29,8 +29,9 @@
 //! slot `m+2P−s−1`), the exact per-stage op timeline — forwards,
 //! replays, backwards, and the activation acquire/release each op
 //! performs. The executor runs that timeline on real threads (see
-//! [`crate::executor::run_recompute_pipeline`]) and the
-//! [`ActivationLedger`] checks the live/peak counts against the model.
+//! [`crate::plan::PipelinePlan::for_recompute`] and
+//! [`crate::executor::run_pipeline`]) and the [`ActivationLedger`] checks
+//! the live/peak counts against the model.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -8,6 +8,8 @@
 //! diagrams, and counting idle cells measures the bubble overhead
 //! directly.
 
+use std::collections::VecDeque;
+
 use crate::delay::Method;
 use crate::recompute::{stage_timelines, RecomputePolicy, StageOpKind};
 
@@ -46,8 +48,8 @@ impl Schedule {
         let total = n_micro * minibatches;
         // fwd_ready[s]: microbatches waiting to run forward at stage s.
         // bkwd_ready[s]: microbatches waiting to run backward at stage s.
-        let mut fwd_ready: Vec<Vec<usize>> = vec![Vec::new(); stages];
-        let mut bkwd_ready: Vec<Vec<usize>> = vec![Vec::new(); stages];
+        let mut fwd_ready: Vec<VecDeque<usize>> = vec![VecDeque::new(); stages];
+        let mut bkwd_ready: Vec<VecDeque<usize>> = vec![VecDeque::new(); stages];
         let mut injected = 0usize;
         let mut completed = 0usize;
         let mut grid: Vec<Vec<SlotOp>> = vec![Vec::new(); stages];
@@ -64,7 +66,7 @@ impl Schedule {
                 Method::PipeDream | Method::PipeMare => total,
             };
             while injected < total.min(admitted_limit) {
-                fwd_ready[0].push(injected);
+                fwd_ready[0].push_back(injected);
                 injected += 1;
             }
             // Each stage performs one op this slot (backward priority).
@@ -72,14 +74,14 @@ impl Schedule {
             let mut bkwd_passing: Vec<(usize, usize)> = Vec::new();
             let mut done_this_slot = 0usize;
             for s in 0..stages {
-                let op = if let Some(m) = pop_front(&mut bkwd_ready[s]) {
+                let op = if let Some(m) = bkwd_ready[s].pop_front() {
                     if s > 0 {
                         bkwd_passing.push((s - 1, m));
                     } else {
                         done_this_slot += 1;
                     }
                     SlotOp::Bkwd(m)
-                } else if let Some(m) = pop_front(&mut fwd_ready[s]) {
+                } else if let Some(m) = fwd_ready[s].pop_front() {
                     if s + 1 < stages {
                         fwd_passing.push((s + 1, m));
                     } else {
@@ -94,10 +96,10 @@ impl Schedule {
             }
             completed += done_this_slot;
             for (s, m) in fwd_passing {
-                fwd_ready[s].push(m);
+                fwd_ready[s].push_back(m);
             }
             for (s, m) in bkwd_passing {
-                bkwd_ready[s].push(m);
+                bkwd_ready[s].push_back(m);
             }
             if completed == total {
                 break;
@@ -193,14 +195,6 @@ impl Schedule {
                 format!("stage {s}: {}", cells.join(""))
             })
             .collect()
-    }
-}
-
-fn pop_front(v: &mut Vec<usize>) -> Option<usize> {
-    if v.is_empty() {
-        None
-    } else {
-        Some(v.remove(0))
     }
 }
 

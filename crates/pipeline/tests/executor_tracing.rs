@@ -3,8 +3,22 @@
 
 use std::time::Duration;
 
-use pipemare_pipeline::{run_threaded_pipeline, run_threaded_pipeline_traced, Method};
-use pipemare_telemetry::{PipelineTimelineSummary, SpanKind, TraceRecorder};
+use pipemare_pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, PipelineReport};
+use pipemare_telemetry::{
+    NullRecorder, PipelineTimelineSummary, Recorder, SpanKind, TraceRecorder,
+};
+
+fn run<R: Recorder>(
+    method: Method,
+    stages: usize,
+    n_micro: usize,
+    minibatches: usize,
+    work: Duration,
+    recorder: &R,
+) -> PipelineReport {
+    let plan = PipelinePlan::for_method(method, stages, n_micro, minibatches);
+    run_pipeline(&plan, work, recorder, &ActivationLedger::new(stages, 1))
+}
 
 #[test]
 fn gpipe_bubble_fraction_matches_model() {
@@ -14,7 +28,7 @@ fn gpipe_bubble_fraction_matches_model() {
     // should approach (P−1)/(N+P−1) = 3/7 ≈ 0.43.
     let (p, n) = (4, 4);
     let rec = TraceRecorder::new();
-    run_threaded_pipeline_traced(Method::GPipe, p, n, 6, Duration::from_millis(2), &rec);
+    run(Method::GPipe, p, n, 6, Duration::from_millis(2), &rec);
     let summary = PipelineTimelineSummary::from_events(&rec.events());
     let nominal = PipelineTimelineSummary::nominal_gpipe_bubble_fraction(p, n);
     assert_eq!(summary.microbatches, 24);
@@ -31,9 +45,9 @@ fn pipemare_bubble_smaller_than_gpipe() {
     let (p, n) = (4, 2);
     let work = Duration::from_millis(2);
     let gp = TraceRecorder::new();
-    run_threaded_pipeline_traced(Method::GPipe, p, n, 8, work, &gp);
+    run(Method::GPipe, p, n, 8, work, &gp);
     let pm = TraceRecorder::new();
-    run_threaded_pipeline_traced(Method::PipeMare, p, n, 8, work, &pm);
+    run(Method::PipeMare, p, n, 8, work, &pm);
     let gp_summary = PipelineTimelineSummary::from_events(&gp.events());
     let pm_summary = PipelineTimelineSummary::from_events(&pm.events());
     assert!(
@@ -48,14 +62,7 @@ fn pipemare_bubble_smaller_than_gpipe() {
 fn trace_covers_every_stage_and_microbatch() {
     let (p, n, minibatches) = (3, 2, 2);
     let rec = TraceRecorder::new();
-    run_threaded_pipeline_traced(
-        Method::PipeMare,
-        p,
-        n,
-        minibatches,
-        Duration::from_micros(200),
-        &rec,
-    );
+    run(Method::PipeMare, p, n, minibatches, Duration::from_micros(200), &rec);
     let events = rec.events();
     let total = n * minibatches;
     for s in 0..p as u32 {
@@ -74,7 +81,7 @@ fn trace_covers_every_stage_and_microbatch() {
 #[test]
 fn gpipe_emits_one_flush_per_minibatch() {
     let rec = TraceRecorder::new();
-    run_threaded_pipeline_traced(Method::GPipe, 3, 2, 4, Duration::from_micros(200), &rec);
+    run(Method::GPipe, 3, 2, 4, Duration::from_micros(200), &rec);
     let flushes = rec.events().iter().filter(|e| e.kind == SpanKind::Flush).count();
     // One per minibatch boundary plus the final drain (which is empty).
     assert_eq!(flushes, 5);
@@ -86,12 +93,12 @@ fn null_recorder_throughput_statistically_unchanged() {
     // compiled in; generous 25% margin over repeated runs to absorb
     // scheduler noise.
     let work = Duration::from_micros(500);
-    let run = || run_threaded_pipeline(Method::PipeMare, 4, 4, 4, work).throughput;
+    let plain = || run(Method::PipeMare, 4, 4, 4, work, &NullRecorder).throughput;
     let traced = || {
         let rec = TraceRecorder::new();
-        run_threaded_pipeline_traced(Method::PipeMare, 4, 4, 4, work, &rec).throughput
+        run(Method::PipeMare, 4, 4, 4, work, &rec).throughput
     };
-    let plain_best = (0..3).map(|_| run()).fold(f64::MIN, f64::max);
+    let plain_best = (0..3).map(|_| plain()).fold(f64::MIN, f64::max);
     let traced_best = (0..3).map(|_| traced()).fold(f64::MIN, f64::max);
     assert!(
         plain_best > traced_best * 0.75,

@@ -1,9 +1,49 @@
 //! Property tests over the recompute memory model and its runtime
 //! realization.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 
-use pipemare_pipeline::{simulate_peaks, ActivationModel, RecomputePolicy};
+use pipemare_pipeline::{
+    simulate_peaks, ActivationModel, Link, Method, PipelinePlan, RecomputePolicy, StageOpKind,
+};
+
+/// Executes `plan` without threads: the driver injects as
+/// `run_pipeline`'s does, and any stage whose next op has its token runs
+/// it. Returns how many ops each stage got through.
+fn dry_run(plan: &PipelinePlan) -> Vec<usize> {
+    let (p, total) = (plan.stages(), plan.total());
+    let mut waiting: Vec<[VecDeque<usize>; 3]> = (0..p).map(|_| Default::default()).collect();
+    let mut next = vec![0usize; p];
+    let (mut injected, mut completed) = (0usize, 0usize);
+    loop {
+        let gate = plan.flush_every().map_or(total, |n| (completed / n + 1) * n);
+        let mut progressed = injected < total.min(gate);
+        waiting[0][Link::Fwd as usize].extend(injected..total.min(gate));
+        injected = injected.max(total.min(gate));
+        for s in 0..p {
+            let Some(op) = plan.timeline(s).get(next[s]) else { continue };
+            if let Some(link) = plan.needs(s, op) {
+                match waiting[s][link as usize].front() {
+                    None => continue,
+                    Some(&id) => assert_eq!(id, op.micro, "stage {s}: {link:?} out of order"),
+                }
+                waiting[s][link as usize].pop_front();
+            }
+            next[s] += 1;
+            progressed = true;
+            match plan.feeds(s, op).map(|link| (link, link.target(s, p))) {
+                Some((link, Some(to))) => waiting[to][link as usize].push_back(op.micro),
+                Some((_, None)) => completed += 1,
+                None => {}
+            }
+        }
+        if !progressed {
+            return next;
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -44,5 +84,51 @@ proptest! {
         let am = ActivationModel { p };
         let peaks = simulate_peaks(RecomputePolicy::Segmented { segment: seg }, p, 2 * p + 3);
         prop_assert_eq!(peaks, am.profile_recompute(seg), "P={} S={}", p, seg);
+    }
+
+    #[test]
+    fn every_plan_runs_to_completion_in_causal_order(
+        which in 0usize..5,
+        p in 1usize..=8,
+        n_micro in 1usize..=5,
+        minibatches in 1usize..=4,
+        seg_frac in 0.0f64..1.0,
+    ) {
+        // The executor's deadlock-freedom, without threads or clocks: for
+        // every method and policy each stage's list can be walked to its
+        // end by only ever running an op whose token has arrived.
+        let plan = match which {
+            3 => PipelinePlan::for_recompute(RecomputePolicy::StashAll, p, n_micro, minibatches),
+            4 => {
+                let segment = 1 + (seg_frac * (p - 1) as f64).round() as usize;
+                let policy = RecomputePolicy::Segmented { segment };
+                PipelinePlan::for_recompute(policy, p, n_micro, minibatches)
+            }
+            m => PipelinePlan::for_method(Method::ALL[m], p, n_micro, minibatches),
+        };
+        let total = n_micro * minibatches;
+        let done = dry_run(&plan);
+        for (s, &done) in done.iter().enumerate() {
+            let ops = plan.timeline(s);
+            prop_assert_eq!(done, ops.len(), "stage {} stuck at op {}", s, done);
+            let at = |kind, m| {
+                let mut hits = (0..ops.len()).filter(|&i| ops[i].kind == kind && ops[i].micro == m);
+                (hits.next(), hits.next())
+            };
+            let replays = ops.iter().any(|op| op.kind == StageOpKind::Recomp);
+            for m in 0..total {
+                let (f, b) = (at(StageOpKind::Fwd, m), at(StageOpKind::Bkwd, m));
+                prop_assert!(f.0.is_some() && f.1.is_none(), "stage {} F{} not exactly once", s, m);
+                prop_assert!(b.0.is_some() && b.1.is_none(), "stage {} B{} not exactly once", s, m);
+                prop_assert!(f.0 < b.0, "stage {} B{} before F{}", s, m, m);
+                let r = at(StageOpKind::Recomp, m);
+                prop_assert_eq!(r.0.is_some(), replays, "stage {} R{}", s, m);
+                prop_assert!(r.1.is_none(), "stage {} R{} twice", s, m);
+                if let Some(r) = r.0 {
+                    prop_assert!(f.0 < Some(r) && Some(r) < b.0, "stage {} R{} outside (F, B)", s, m);
+                }
+            }
+            prop_assert_eq!(ops.len(), (2 + usize::from(replays)) * total);
+        }
     }
 }

@@ -186,7 +186,7 @@ pub trait Recorder: Sync {
 /// events it currently holds, sorted by `(ts_us, track)`.
 ///
 /// Implemented by every recorder tier so analysis entry points (the
-/// health monitor's `run_threaded_pipeline_health`, black-box dumps)
+/// health monitor's `ingest_events`, black-box dumps)
 /// compose with whichever tier the run pays for: [`TraceRecorder`]
 /// returns everything, [`crate::FlightRecorder`] the retained ring
 /// contents, [`NullRecorder`] nothing.

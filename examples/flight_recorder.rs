@@ -24,9 +24,10 @@ use pipemare::core::{run_regression_training_observed, HealthHook, TrainConfig};
 use pipemare::data::isotropic_regression;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind};
-use pipemare::pipeline::{run_threaded_pipeline_health, Method};
+use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan};
 use pipemare::telemetry::{
-    analyze, read_jsonl, FlightRecorder, HealthConfig, HealthMonitor, Severity,
+    analyze, read_jsonl, EventSource, FlightRecorder, HealthConfig, HealthMonitor,
+    PipelineTimelineSummary, Severity,
 };
 use pipemare::theory::lemma1_max_alpha_frac;
 
@@ -52,15 +53,15 @@ fn main() {
     // shared rings while the health monitor samples measured delays.
     let registry = pipemare::telemetry::MetricsRegistry::new();
     let monitor = Arc::new(HealthMonitor::with_registry(HealthConfig::default(), p, &registry));
-    let (report, timeline) = run_threaded_pipeline_health(
-        Method::PipeMare,
-        p,
-        4,
-        6,
+    let report = run_pipeline(
+        &PipelinePlan::for_method(Method::PipeMare, p, 4, 6),
         Duration::from_micros(500),
         flight.as_ref(),
-        &monitor,
+        &ActivationLedger::new(p, 1),
     );
+    let events = flight.snapshot_events();
+    monitor.ingest_events(&events);
+    let timeline = PipelineTimelineSummary::from_events(&events);
     println!(
         "\nexecutor: {:.1} microbatches/s, bubble {:.3}, {} events in rings ({} overwritten)",
         report.throughput,

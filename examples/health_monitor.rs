@@ -32,13 +32,26 @@ use pipemare::core::{run_regression_training_observed, HealthHook, TrainConfig};
 use pipemare::data::isotropic_regression;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare::pipeline::{run_threaded_pipeline_health, Method};
+use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan};
 use pipemare::telemetry::{
     default_rules, AlertEngine, HealthConfig, HealthEventKind, HealthMonitor, JournalConfig,
-    JournalWriter, LiveStore, MetricsRegistry, Severity, TraceRecorder,
+    JournalWriter, LiveStore, MetricsRegistry, PipelineTimelineSummary, Severity, TraceRecorder,
 };
 use pipemare::tensor::{StoragePrecision, BF16_REL_EPS};
 use pipemare::theory::lemma1_max_alpha_frac;
+
+/// Measured slot delays + timeline from the threaded executor, fed to
+/// the monitor's `pipeline.stage{i}.tau_fwd` histograms. A full
+/// `TraceRecorder` keeps the whole trace for the report; the
+/// flight_recorder example shows the bounded-memory tier instead.
+fn measured_timeline(p: usize, monitor: &HealthMonitor) -> PipelineTimelineSummary {
+    let recorder = TraceRecorder::with_tracks(p + 1);
+    let plan = PipelinePlan::for_method(Method::PipeMare, p, 4, 6);
+    run_pipeline(&plan, Duration::from_micros(500), &recorder, &ActivationLedger::new(p, 1));
+    let events = recorder.events();
+    monitor.ingest_events(&events);
+    PipelineTimelineSummary::from_events(&events)
+}
 
 fn main() {
     let out = std::env::var_os("PIPEMARE_EXPERIMENTS_DIR")
@@ -85,18 +98,7 @@ fn main() {
     );
     println!("({} steps trained before the loss went non-finite)", losses.len());
 
-    // Measured slot delays + timeline from the threaded executor. A
-    // full TraceRecorder keeps the whole trace for the report; the
-    // flight_recorder example shows the bounded-memory tier instead.
-    let (_, timeline_a) = run_threaded_pipeline_health(
-        Method::PipeMare,
-        p,
-        4,
-        6,
-        Duration::from_micros(500),
-        &TraceRecorder::with_tracks(p + 1),
-        &monitor_a,
-    );
+    let timeline_a = measured_timeline(p, &monitor_a);
     let report_a = monitor_a
         .report("naive-async @ 1.3x Lemma-1 bound")
         .with_metrics(&registry_a.snapshot())
@@ -161,15 +163,7 @@ fn main() {
         losses.last().copied().unwrap_or(f32::NAN),
     );
 
-    let (_, timeline_b) = run_threaded_pipeline_health(
-        Method::PipeMare,
-        p,
-        4,
-        6,
-        Duration::from_micros(500),
-        &TraceRecorder::with_tracks(p + 1),
-        &monitor_b,
-    );
+    let timeline_b = measured_timeline(p, &monitor_b);
     let report_b = monitor_b
         .report("PipeMare T1+T2 @ 0.3x Lemma-1 bound")
         .with_metrics(&registry_b.snapshot())

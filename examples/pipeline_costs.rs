@@ -6,9 +6,10 @@
 use std::time::Duration;
 
 use pipemare::pipeline::{
-    gpipe_bubble_throughput, gpipe_equal_budget_throughput, run_threaded_pipeline, ActivationModel,
-    MemoryModel, Method, PipelineClock, Schedule,
+    gpipe_bubble_throughput, gpipe_equal_budget_throughput, run_pipeline, ActivationLedger,
+    ActivationModel, MemoryModel, Method, PipelineClock, PipelinePlan, Schedule,
 };
+use pipemare::telemetry::NullRecorder;
 
 fn main() {
     // Figure 1's pipelining-mode diagrams from the schedule simulator.
@@ -77,8 +78,11 @@ fn main() {
     // Threaded executor: the bubble penalty on real wall-clock time.
     println!("\nThreaded pipeline (P = 4, N = 2, 12 minibatches, 2ms/stage):");
     let work = Duration::from_millis(2);
-    let async_run = run_threaded_pipeline(Method::PipeMare, 4, 2, 12, work);
-    let gpipe_run = run_threaded_pipeline(Method::GPipe, 4, 2, 12, work);
+    let run = |method| {
+        let plan = PipelinePlan::for_method(method, 4, 2, 12);
+        run_pipeline(&plan, work, &NullRecorder, &ActivationLedger::new(4, 1))
+    };
+    let (async_run, gpipe_run) = (run(Method::PipeMare), run(Method::GPipe));
     println!(
         "  PipeMare: {:.0} micro/s | GPipe: {:.0} micro/s | ratio {:.2} (bubble model predicts {:.2})",
         async_run.throughput,

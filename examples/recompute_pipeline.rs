@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use pipemare::nn::{ImageBatch, Mlp, TrainModel};
 use pipemare::pipeline::{
-    run_recompute_pipeline_traced, ActivationLedger, ActivationModel, RecomputePolicy,
+    run_pipeline, ActivationLedger, ActivationModel, PipelinePlan, RecomputePolicy,
 };
 use pipemare::telemetry::{MetricsRegistry, PipelineTimelineSummary, TraceRecorder};
 use pipemare::tensor::Tensor;
@@ -42,8 +42,8 @@ fn main() {
         let registry = MetricsRegistry::new();
         let ledger = ActivationLedger::with_registry(p, bytes_per_activation, &registry);
         let rec = TraceRecorder::new();
-        let report =
-            run_recompute_pipeline_traced(policy, p, n_micro, minibatches, work, &rec, &ledger);
+        let plan = PipelinePlan::for_recompute(policy, p, n_micro, minibatches);
+        let report = run_pipeline(&plan, work, &rec, &ledger);
         let summary = PipelineTimelineSummary::from_events(&rec.events());
         let expected = policy.expected_peaks(p);
         assert_eq!(report.peak_activations, expected, "{label}: ledger diverged from model");

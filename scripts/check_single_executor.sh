@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# One pipeline executor, kept by a grep. A run is described by a
+# `PipelinePlan` (one op timeline per stage) and executed by one stage
+# loop: `run_pipeline`'s threads in crates/pipeline, the token worker in
+# crates/comms over the wire, both calling `run_stage_op` for every op.
+# A second `thread::scope(` in crates/pipeline is a second executor; a
+# second caller of the stage-work sleep is a second copy of what an op
+# does, and from then on only tests hold the traces together; `select!`
+# is arrival-order scheduling coming back, which cannot promise the fixed
+# op order the plan is; and the names of the executors this replaced must
+# not reappear as forwarding functions or in documentation.
+#
+# Counted: lines under crates/*/src outside `#[cfg(test)]` modules (which
+# end every file that has one) and comments. The retired names are
+# searched in every *.rs, *.md, *.sh and *.yml of the repository except
+# the histories (CHANGES.md, ROADMAP.md) and the driver's ISSUE.md.
+# Exit 0 = one executor.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+status=0
+# Prints file:line of every non-test, non-comment line under the given
+# directories that contains $1 and not $2.
+sites() {
+  local needle="$1" except="$2"
+  shift 2
+  for f in $(find "$@" -name '*.rs'); do
+    awk -v f="$f" -v needle="$needle" -v except="$except" '
+      /^#\[cfg\(test\)\]/ { exit }
+      /^[[:space:]]*\/\// { next }
+      index($0, needle) && !(except != "" && index($0, except)) { printf "%s:%d\n", f, FNR }' "$f"
+  done
+}
+expect() {
+  local want="$1" what="$2" found="$3"
+  local n
+  n=$(printf '%s' "$found" | grep -c . || true)
+  if [[ "$n" -ne "$want" ]]; then
+    echo "FAIL: $what: found $n, expected $want"
+    printf '%s\n' "$found" | sed '/^$/d; s/^/  /'
+    status=1
+  else
+    echo "ok: $what${found:+ <- $found}"
+  fi
+}
+
+expect 1 'thread::scope( in crates/pipeline' "$(sites 'thread::scope(' '' crates/pipeline/src)"
+expect 1 'callers of the stage-work sleep work_for(' "$(sites 'work_for(' 'fn work_for(' crates/*/src)"
+expect 2 'run_stage_op( callers (the thread loop and the token worker)' \
+  "$(sites 'run_stage_op(' '' crates/*/src)"
+expect 0 'select! in crates/pipeline' "$(grep -rn 'select!' crates/pipeline --include='*.rs' || true)"
+retired='run_(threaded|recompute)_pipeline|Stage(Flow|Event)|Fwd(Outcome)|(Threaded|Recompute)PipelineReport'
+expect 0 'retired executor names' "$(grep -rnE "$retired" . \
+  --include='*.rs' --include='*.md' --include='*.sh' --include='*.yml' \
+  --exclude-dir=target --exclude-dir=vendor --exclude-dir=.git \
+  --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md || true)"
+if [[ -e crates/pipeline/src/stage.rs ]]; then
+  echo "FAIL: crates/pipeline/src/stage.rs is back"
+  status=1
+fi
+exit "$status"

@@ -5,20 +5,21 @@
 //! worker midway ends in a typed error, never a reused half-written
 //! buffer.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pipemare::comms::{
-    channel, loopback_pair, plan, run_stage_worker_opts, spawn_loopback_workers, CommsError,
-    ContentTag, DistributedTrainer, Message, PassKind, SparseMode, Transport, WorkerOptions,
-    PROTOCOL_VERSION,
+    channel, loopback_pair, plan, run_stage_worker_opts, run_token_pipeline,
+    spawn_loopback_workers, CommsError, ContentTag, DistributedTrainer, Message, PassKind,
+    SparseMode, Transport, WorkerOptions, PROTOCOL_VERSION,
 };
 use pipemare::core::{dist_config, PipelineTrainer, RecomputeCfg, TrainConfig};
 use pipemare::nn::{ImageBatch, Mlp};
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare::pipeline::PipelineClock;
+use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelineClock, PipelinePlan};
+use pipemare::telemetry::{TraceEvent, TraceRecorder};
 use pipemare::tensor::{StoragePrecision, Tensor};
 
 const SEED: u64 = 11;
@@ -361,4 +362,33 @@ fn worker_lost_mid_gather_is_typed_and_leaves_no_trusted_buffer() {
     doomed.join().expect("the doomed worker exits on its own");
     drop(trainer);
     assert!(healthy.join().expect("worker thread").is_err(), "stage 0 sees its link close");
+}
+
+#[test]
+fn token_pipeline_over_loopback_records_the_in_process_spans() {
+    // The token workers walk the same plan with the same per-op function
+    // as `run_pipeline`'s threads, so the (kind, stage, microbatch)
+    // multiset of a distributed run is the in-process one.
+    fn spans(events: &[TraceEvent]) -> BTreeMap<(u8, u32, u32), usize> {
+        let mut m = BTreeMap::new();
+        for e in events {
+            *m.entry((e.kind as u8, e.stage, e.microbatch)).or_insert(0) += 1;
+        }
+        m
+    }
+    let (stages, n_micro, minibatches) = (3, 2, 2);
+    let work = std::time::Duration::from_micros(100);
+    let recorder = TraceRecorder::with_tracks(stages + 1);
+    let plan = PipelinePlan::for_method(Method::PipeMare, stages, n_micro, minibatches);
+    run_pipeline(&plan, work, &recorder, &ActivationLedger::new(stages, 1));
+
+    let (transports, handles) = spawn_loopback_workers(stages);
+    let report =
+        run_token_pipeline(transports, Method::PipeMare, stages, n_micro, minibatches, work, None)
+            .expect("token pipeline");
+    for h in handles {
+        h.join().expect("worker thread").expect("worker ok");
+    }
+    assert_eq!(report.microbatches, n_micro * minibatches);
+    assert_eq!(spans(&recorder.events()), spans(&report.events));
 }

@@ -6,7 +6,11 @@ use pipemare::core::{load_params, save_params, PipelineTrainer, RecomputeCfg, Tr
 use pipemare::data::{batch_by_tokens, SyntheticImages};
 use pipemare::nn::{Activation, Dropout, Layer, Linear, Mlp, Sequential};
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare::pipeline::{Method, Schedule, SlotOp};
+use pipemare::pipeline::{
+    run_pipeline, ActivationLedger, Method, PipelinePlan, RecomputePolicy, Schedule, SlotOp,
+    StageOpKind,
+};
+use pipemare::telemetry::{SpanKind, TraceRecorder};
 use pipemare::tensor::Tensor;
 
 fn sgd() -> OptimizerKind {
@@ -135,6 +139,46 @@ fn schedule_diagram_matches_throughput_ordering() {
         for s in 0..4 {
             assert!(g.find(s, SlotOp::Fwd(m)).is_some());
             assert!(p.find(s, SlotOp::Bkwd(m)).is_some());
+        }
+    }
+}
+
+#[test]
+fn traced_run_executes_its_plan_op_for_op() {
+    // The schedule is data: what each stage thread records is exactly its
+    // timeline in the plan — the simulator's row for the three methods,
+    // the closed-form replay order for PipeMare Recompute.
+    let (stages, n_micro, minibatches) = (3, 2, 3);
+    let mut plans: Vec<PipelinePlan> = Method::ALL
+        .iter()
+        .map(|&m| PipelinePlan::for_method(m, stages, n_micro, minibatches))
+        .collect();
+    let policy = RecomputePolicy::Segmented { segment: 2 };
+    plans.push(PipelinePlan::for_recompute(policy, stages, n_micro, minibatches));
+    for plan in &plans {
+        let rec = TraceRecorder::with_tracks(stages + 1);
+        let work = std::time::Duration::from_micros(100);
+        run_pipeline(plan, work, &rec, &ActivationLedger::new(stages, 1));
+        let events = rec.events();
+        for s in 0..stages {
+            let planned: Vec<(SpanKind, u32)> = plan
+                .timeline(s)
+                .iter()
+                .map(|op| {
+                    let kind = match op.kind {
+                        StageOpKind::Fwd => SpanKind::Forward,
+                        StageOpKind::Recomp => SpanKind::Recompute,
+                        StageOpKind::Bkwd => SpanKind::Backward,
+                    };
+                    (kind, op.micro as u32)
+                })
+                .collect();
+            let recorded: Vec<(SpanKind, u32)> = events
+                .iter()
+                .filter(|e| e.track == s as u32 && planned.iter().any(|(kind, _)| *kind == e.kind))
+                .map(|e| (e.kind, e.microbatch))
+                .collect();
+            assert_eq!(recorded, planned, "stage {s}");
         }
     }
 }

@@ -11,11 +11,11 @@ use pipemare::core::{run_regression_training_observed, HealthHook, TrainConfig};
 use pipemare::data::isotropic_regression;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind};
-use pipemare::pipeline::{run_threaded_pipeline_health, Method};
+use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan};
 use pipemare::telemetry::{
     analyze, chrome_trace, chrome_trace_events, read_jsonl, write_jsonl, EventSource,
-    FlightRecorder, HealthConfig, HealthEventKind, HealthMonitor, Recorder, Severity, SpanKind,
-    TraceEvent, NO_MICROBATCH,
+    FlightRecorder, HealthConfig, HealthEventKind, HealthMonitor, PipelineTimelineSummary,
+    Recorder, Severity, SpanKind, TraceEvent, NO_MICROBATCH,
 };
 use pipemare::theory::lemma1_max_alpha_frac;
 
@@ -50,15 +50,15 @@ fn induced_divergence_dumps_black_box_that_pmtrace_summarizes() {
 
     // Stage spans into the shared rings first, so the dump has pipeline
     // history, not just trainer steps.
-    let (_, timeline) = run_threaded_pipeline_health(
-        Method::PipeMare,
-        P,
-        4,
-        6,
+    run_pipeline(
+        &PipelinePlan::for_method(Method::PipeMare, P, 4, 6),
         std::time::Duration::from_micros(500),
         flight.as_ref(),
-        &monitor,
+        &ActivationLedger::new(P, 1),
     );
+    let events = flight.snapshot_events();
+    monitor.ingest_events(&events);
+    let timeline = PipelineTimelineSummary::from_events(&events);
     assert_eq!(timeline.stages.len(), P);
     assert!(!flight.is_empty());
 

@@ -16,7 +16,10 @@ use pipemare::core::{RunHistory, TrainConfig};
 use pipemare::data::SyntheticImages;
 use pipemare::nn::Mlp;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare::pipeline::{run_recompute_pipeline, ActivationModel, RecomputePolicy};
+use pipemare::pipeline::{
+    run_pipeline, ActivationLedger, ActivationModel, PipelinePlan, RecomputePolicy,
+};
+use pipemare::telemetry::NullRecorder;
 use pipemare::tensor::{pool, ThreadPool};
 
 /// `(P, S, n_micro, minibatches)` triples sized so the run reaches the
@@ -30,13 +33,12 @@ fn measured_peaks_match_memory_model_exactly() {
         let p = ThreadPool::new(threads);
         pool::with_pool(&p, || {
             for &(stages, seg, n_micro, minibatches) in CASES {
-                let report = run_recompute_pipeline(
-                    RecomputePolicy::Segmented { segment: seg },
-                    stages,
-                    n_micro,
-                    minibatches,
-                    std::time::Duration::ZERO,
-                );
+                let run = |policy| {
+                    let plan = PipelinePlan::for_recompute(policy, stages, n_micro, minibatches);
+                    let ledger = ActivationLedger::new(stages, 1);
+                    run_pipeline(&plan, std::time::Duration::ZERO, &NullRecorder, &ledger)
+                };
+                let report = run(RecomputePolicy::Segmented { segment: seg });
                 let model = ActivationModel { p: stages };
                 assert_eq!(
                     report.peak_activations,
@@ -44,13 +46,7 @@ fn measured_peaks_match_memory_model_exactly() {
                     "P={stages} S={seg} threads={threads}: measured peaks diverge from model"
                 );
                 // Stash-everything control: same pipeline, no replay.
-                let stash = run_recompute_pipeline(
-                    RecomputePolicy::StashAll,
-                    stages,
-                    n_micro,
-                    minibatches,
-                    std::time::Duration::ZERO,
-                );
+                let stash = run(RecomputePolicy::StashAll);
                 assert_eq!(stash.peak_activations, model.profile_no_recompute());
                 assert_eq!(stash.recompute_ops, 0);
             }
