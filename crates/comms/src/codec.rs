@@ -1,313 +1,19 @@
-//! Hand-rolled length-prefixed binary wire format (no serde — the
-//! workspace is offline-only).
+//! Tensor payloads on the wire. The byte codec under them ([`Writer`],
+//! [`Reader`], [`CodecError`], the `u32` frame prefix capped at
+//! [`MAX_FRAME`]) is the workspace's one encoding, defined in
+//! [`pipemare_telemetry::codec`] and re-exported here; a frame's payload
+//! starts with a message tag (see [`crate::protocol`]).
 //!
-//! A *frame* on the wire is a `u32` little-endian payload length followed
-//! by the payload; the payload's first byte is a message tag (see
-//! [`crate::protocol`]). Byte order is little-endian everywhere, on
-//! every host: each integer goes through `to_le_bytes`/`from_le_bytes`
-//! and floats travel as their IEEE-754 bit patterns, so encode→decode is
-//! bit-exact including NaNs and signed zeros.
-//!
-//! Slices move in bulk: the writer reserves the whole run once and the
-//! per-element `to_le_bytes` loop compiles to a straight copy on
-//! little-endian targets; the reader decodes either into a fresh vector
-//! sized from the bytes actually present or straight into a caller's
-//! slice ([`Reader::get_f32s_into`], [`TensorPayload::decode_into`]), so
-//! a shard crosses each hop with one copy.
-//!
-//! Tensors travel either dense (`u32` count + raw f32 bits) or sparse
-//! (`u32` dense length, `u32` nnz, then nnz strictly-increasing `u32`
-//! indices and nnz `f32` values) — the sparse form cuts wire bytes for
-//! the mostly-zero gradients PipeMare's pipelined stages exchange.
-//! Every decode path returns a typed [`CodecError`]; malformed input
-//! never panics.
+//! Tensors travel dense (`u32` count + f32 bits), dense bf16, or sparse
+//! (`u32` dense length, then `u32`-counted strictly-increasing indices
+//! and values) — the sparse form cuts wire bytes for the mostly-zero
+//! gradients pipelined stages exchange. [`TensorPayload::decode_into`]
+//! decodes straight into a caller's slice, so a shard crosses each hop
+//! with one copy; every decode path returns a typed [`CodecError`].
 
-use crate::error::CodecError;
-
-/// Hard cap on a frame's payload length (256 MiB). A corrupted or
-/// hostile length prefix is rejected before any allocation.
-pub const MAX_FRAME: usize = 1 << 28;
-
-/// Little-endian byte writer backing the codec.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-
-    /// Encodes one frame into `frame`, replacing its contents but
-    /// keeping its storage — the way a link reuses one frame buffer for
-    /// every large frame it builds.
-    pub fn refill<R>(frame: &mut Vec<u8>, encode: impl FnOnce(&mut Writer) -> R) -> R {
-        frame.clear();
-        let mut w = Writer { buf: std::mem::take(frame) };
-        let out = encode(&mut w);
-        *frame = w.buf;
-        out
-    }
-
-    /// Makes room for `additional` more bytes in one allocation.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
-    /// Consumes the writer, returning the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Appends a `u8`.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f32` as its bit pattern.
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
-    /// Appends an `f64` as its bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a bool as a single `0`/`1` byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a length-prefixed f32 slice (bit patterns).
-    pub fn put_f32s(&mut self, vs: &[f32]) {
-        self.put_f32s_from(vs.iter().copied());
-    }
-
-    /// Appends a length-prefixed run of f32 values computed on the fly
-    /// — byte for byte what [`Writer::put_f32s`] writes for the
-    /// collected values, without materializing them (the worker fuses
-    /// the T2 extrapolation into the encode this way).
-    pub fn put_f32s_from(&mut self, values: impl ExactSizeIterator<Item = f32>) {
-        self.put_u32(values.len() as u32);
-        self.buf.reserve(4 * values.len());
-        self.buf.extend(values.flat_map(|v| v.to_le_bytes()));
-    }
-
-    /// Appends a length-prefixed u32 slice.
-    pub fn put_u32s(&mut self, vs: &[u32]) {
-        self.put_u32(vs.len() as u32);
-        self.buf.reserve(4 * vs.len());
-        self.buf.extend(vs.iter().flat_map(|v| v.to_le_bytes()));
-    }
-
-    /// Appends a length-prefixed u16 slice (bf16 bit patterns).
-    pub fn put_u16s(&mut self, vs: &[u16]) {
-        self.put_u32(vs.len() as u32);
-        self.buf.reserve(2 * vs.len());
-        self.buf.extend(vs.iter().flat_map(|v| v.to_le_bytes()));
-    }
-
-    /// Appends an optional `f64` as a presence byte + bits.
-    pub fn put_opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.put_bool(true);
-                self.put_f64(x);
-            }
-            None => self.put_bool(false),
-        }
-    }
-
-    /// Appends an optional `u32` as a presence byte + value.
-    pub fn put_opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            Some(x) => {
-                self.put_bool(true);
-                self.put_u32(x);
-            }
-            None => self.put_bool(false),
-        }
-    }
-}
-
-/// Little-endian byte reader; every accessor returns a typed error on
-/// truncation or invalid content.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Creates a reader over `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Errors with [`CodecError::Trailing`] if any bytes are left.
-    pub fn finish(&self) -> Result<(), CodecError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(CodecError::Trailing(self.remaining()))
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Reads a `u8`.
-    pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("sized")))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("sized")))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("sized")))
-    }
-
-    /// Reads an `f32` bit pattern.
-    pub fn get_f32(&mut self) -> Result<f32, CodecError> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
-    /// Reads an `f64` bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a strict `0`/`1` bool byte.
-    pub fn get_bool(&mut self) -> Result<bool, CodecError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError::BadValue("bool byte not 0/1")),
-        }
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, CodecError> {
-        let n = self.get_u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadValue("invalid UTF-8"))
-    }
-
-    /// Reads a `u32` count and takes that many `width`-byte elements.
-    /// The count is checked against the bytes actually present before
-    /// anything is allocated for it.
-    fn take_run(&mut self, width: usize) -> Result<&'a [u8], CodecError> {
-        let n = self.get_u32()? as usize;
-        self.take(n.checked_mul(width).ok_or(CodecError::Truncated)?)
-    }
-
-    /// Reads a length-prefixed f32 slice.
-    pub fn get_f32s(&mut self) -> Result<Vec<f32>, CodecError> {
-        Ok(le_f32s(self.take_run(4)?).collect())
-    }
-
-    /// Reads a length-prefixed f32 slice straight into `dst`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::LengthMismatch`] when the encoded count is not
-    /// `dst.len()`; `dst` is untouched in that case.
-    pub fn get_f32s_into(&mut self, dst: &mut [f32]) -> Result<(), CodecError> {
-        let bytes = self.take_run(4)?;
-        if bytes.len() != 4 * dst.len() {
-            return Err(CodecError::LengthMismatch { expected: dst.len(), got: bytes.len() / 4 });
-        }
-        for (d, v) in dst.iter_mut().zip(le_f32s(bytes)) {
-            *d = v;
-        }
-        Ok(())
-    }
-
-    /// Reads a length-prefixed u32 slice.
-    pub fn get_u32s(&mut self) -> Result<Vec<u32>, CodecError> {
-        Ok(le_u32s(self.take_run(4)?).collect())
-    }
-
-    /// Reads a length-prefixed u16 slice.
-    pub fn get_u16s(&mut self) -> Result<Vec<u16>, CodecError> {
-        Ok(le_u16s(self.take_run(2)?).collect())
-    }
-
-    /// Reads an optional `f64`.
-    pub fn get_opt_f64(&mut self) -> Result<Option<f64>, CodecError> {
-        Ok(if self.get_bool()? { Some(self.get_f64()?) } else { None })
-    }
-
-    /// Reads an optional `u32`.
-    pub fn get_opt_u32(&mut self) -> Result<Option<u32>, CodecError> {
-        Ok(if self.get_bool()? { Some(self.get_u32()?) } else { None })
-    }
-}
-
-fn le_u32s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
-    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-}
-
-fn le_f32s(bytes: &[u8]) -> impl ExactSizeIterator<Item = f32> + '_ {
-    le_u32s(bytes).map(f32::from_bits)
-}
-
-fn le_u16s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u16> + '_ {
-    bytes.chunks_exact(2).map(|c| u16::from_le_bytes(c.try_into().expect("2-byte chunk")))
-}
+pub use pipemare_telemetry::codec::{
+    deframe, frame, frame_len, frame_prefix, CodecError, Deframed, Reader, Writer, MAX_FRAME,
+};
 
 /// How a tensor-carrying message encodes its values.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -436,25 +142,8 @@ impl TensorPayload {
         match r.get_u8()? {
             PAYLOAD_DENSE => Ok(TensorPayload::Dense(r.get_f32s()?)),
             PAYLOAD_SPARSE => {
-                let len = r.get_u32()?;
-                let idx = r.get_u32s()?;
-                let val = r.get_f32s()?;
-                if idx.len() != val.len() {
-                    return Err(CodecError::LengthMismatch { expected: idx.len(), got: val.len() });
-                }
-                if idx.len() > len as usize {
-                    return Err(CodecError::LengthMismatch {
-                        expected: len as usize,
-                        got: idx.len(),
-                    });
-                }
-                let mut prev: Option<u32> = None;
-                for &i in &idx {
-                    if i >= len || prev.is_some_and(|p| i <= p) {
-                        return Err(CodecError::BadIndex { index: i, len });
-                    }
-                    prev = Some(i);
-                }
+                let (len, pairs) = get_sparse(r)?;
+                let (idx, val) = pairs.unzip();
                 Ok(TensorPayload::Sparse { len, idx, val })
             }
             PAYLOAD_DENSE_BF16 => Ok(TensorPayload::DenseBf16(r.get_u16s()?)),
@@ -469,7 +158,7 @@ impl TensorPayload {
     /// # Errors
     ///
     /// [`CodecError::LengthMismatch`] when the payload's dense length is
-    /// not `dst.len()`. On any error `dst` may be partly overwritten.
+    /// not `dst.len()`. On any error `dst` is untouched.
     pub fn decode_into(r: &mut Reader<'_>, dst: &mut [f32]) -> Result<(), CodecError> {
         let expected = dst.len();
         let fits = |got: usize| {
@@ -478,36 +167,18 @@ impl TensorPayload {
         match r.get_u8()? {
             PAYLOAD_DENSE => r.get_f32s_into(dst),
             PAYLOAD_SPARSE => {
-                let len = r.get_u32()?;
-                let (idx, val) = (r.take_run(4)?, r.take_run(4)?);
-                if idx.len() != val.len() {
-                    return Err(CodecError::LengthMismatch {
-                        expected: idx.len() / 4,
-                        got: val.len() / 4,
-                    });
-                }
-                if idx.len() / 4 > len as usize {
-                    return Err(CodecError::LengthMismatch {
-                        expected: len as usize,
-                        got: idx.len() / 4,
-                    });
-                }
+                let (len, pairs) = get_sparse(r)?;
                 fits(len as usize)?;
                 dst.fill(0.0);
-                let mut prev: Option<u32> = None;
-                for (i, v) in le_u32s(idx).zip(le_f32s(val)) {
-                    if i >= len || prev.is_some_and(|p| i <= p) {
-                        return Err(CodecError::BadIndex { index: i, len });
-                    }
-                    prev = Some(i);
+                for (i, v) in pairs {
                     dst[i as usize] = v;
                 }
                 Ok(())
             }
             PAYLOAD_DENSE_BF16 => {
-                let bits = r.take_run(2)?;
-                fits(bits.len() / 2)?;
-                for (d, h) in dst.iter_mut().zip(le_u16s(bits)) {
+                let bits = r.get_u16_run()?;
+                fits(bits.len())?;
+                for (d, h) in dst.iter_mut().zip(bits) {
                     *d = pipemare_tensor::bf16::decode(h);
                 }
                 Ok(())
@@ -515,6 +186,32 @@ impl TensorPayload {
             t => Err(CodecError::BadTag(t)),
         }
     }
+}
+
+/// Reads a sparse payload's body (after its tag) as its dense length and
+/// `(index, value)` pairs, validated before any is returned: as many
+/// values as indices, no more than the dense length, indices strictly
+/// increasing and in range.
+fn get_sparse<'a>(
+    r: &mut Reader<'a>,
+) -> Result<(u32, impl Iterator<Item = (u32, f32)> + 'a), CodecError> {
+    let len = r.get_u32()?;
+    let (idx, val) = (r.get_u32_run()?, r.get_f32_run()?);
+    if idx.len() != val.len() {
+        return Err(CodecError::LengthMismatch { expected: idx.len(), got: val.len() });
+    }
+    if idx.len() > len as usize {
+        return Err(CodecError::LengthMismatch { expected: len as usize, got: idx.len() });
+    }
+    // Strictly increasing: each index at least one past the previous.
+    let mut next = 0;
+    for i in idx.clone() {
+        if i < next || i >= len {
+            return Err(CodecError::BadIndex { index: i, len });
+        }
+        next = i + 1;
+    }
+    Ok((len, idx.zip(val)))
 }
 
 /// Indices of `values` that `mode` keeps, or `None` when the dense form
@@ -561,88 +258,9 @@ pub fn encode_dense_bf16(w: &mut Writer, bits: &[u16]) {
     w.put_u16s(bits);
 }
 
-/// Prepends the `u32` length prefix to an encoded payload, producing the
-/// exact byte sequence a transport puts on the wire.
-///
-/// # Errors
-///
-/// [`CodecError::FrameTooLarge`] when the payload exceeds [`MAX_FRAME`].
-pub fn frame(payload: &[u8]) -> Result<Vec<u8>, CodecError> {
-    if payload.len() > MAX_FRAME {
-        return Err(CodecError::FrameTooLarge(payload.len() as u64));
-    }
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
-}
-
-/// A deframed message: the frame payload and the remaining bytes.
-pub type Deframed<'a> = Option<(&'a [u8], &'a [u8])>;
-
-/// Splits one frame off the front of `bytes`: returns `(payload, rest)`,
-/// or `None` when more bytes are needed.
-///
-/// # Errors
-///
-/// [`CodecError::FrameTooLarge`] when the length prefix exceeds
-/// [`MAX_FRAME`] — checked before any allocation.
-pub fn deframe(bytes: &[u8]) -> Result<Deframed<'_>, CodecError> {
-    if bytes.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("sized")) as usize;
-    if len > MAX_FRAME {
-        return Err(CodecError::FrameTooLarge(len as u64));
-    }
-    if bytes.len() < 4 + len {
-        return Ok(None);
-    }
-    Ok(Some((&bytes[4..4 + len], &bytes[4 + len..])))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn primitives_roundtrip() {
-        let mut w = Writer::new();
-        w.put_u8(7);
-        w.put_u16(0xBEEF);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX - 1);
-        w.put_f32(-0.0);
-        w.put_f64(f64::NAN);
-        w.put_bool(true);
-        w.put_str("hëllo");
-        w.put_opt_f64(None);
-        w.put_opt_u32(Some(9));
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
-        assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_f32().unwrap().to_bits(), (-0.0f32).to_bits());
-        assert!(r.get_f64().unwrap().is_nan());
-        assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_str().unwrap(), "hëllo");
-        assert_eq!(r.get_opt_f64().unwrap(), None);
-        assert_eq!(r.get_opt_u32().unwrap(), Some(9));
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn truncation_is_typed_not_panicking() {
-        let mut w = Writer::new();
-        w.put_f32s(&[1.0, 2.0, 3.0]);
-        let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..cut]);
-            assert!(r.get_f32s().is_err(), "cut at {cut} must error");
-        }
-    }
 
     #[test]
     fn sparse_decode_validates_indices() {
@@ -723,21 +341,5 @@ mod tests {
         // lossless for bf16-stored buffers.
         let wide = back.into_dense();
         assert_eq!(pipemare_tensor::bf16::encode_slice(&wide), bits);
-    }
-
-    #[test]
-    fn frame_rejects_oversize_and_deframe_rejects_bad_prefix() {
-        assert!(matches!(frame(&vec![0u8; MAX_FRAME + 1]), Err(CodecError::FrameTooLarge(_))));
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&(u32::MAX).to_le_bytes());
-        bad.extend_from_slice(b"xxxx");
-        assert!(matches!(deframe(&bad), Err(CodecError::FrameTooLarge(_))));
-        // A valid frame round-trips.
-        let f = frame(b"abc").unwrap();
-        let (payload, rest) = deframe(&f).unwrap().unwrap();
-        assert_eq!(payload, b"abc");
-        assert!(rest.is_empty());
-        // A partial frame asks for more bytes without erroring.
-        assert!(deframe(&f[..5]).unwrap().is_none());
     }
 }

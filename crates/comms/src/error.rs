@@ -1,67 +1,16 @@
 //! Typed error taxonomy for the comms subsystem.
 //!
-//! Two layers: [`CodecError`] covers everything that can go wrong while
-//! decoding bytes (truncation, corruption, oversized frames) and is
-//! guaranteed panic-free; [`CommsError`] adds transport failures,
-//! handshake/protocol violations, and the orchestrator-side
-//! [`CommsError::WorkerLost`] wrapper that pins a failure to a stage id
-//! and the last step that stage acknowledged.
+//! Two layers: [`CodecError`] (defined with the byte codec in
+//! [`pipemare_telemetry::codec`], re-exported here) covers everything
+//! that can go wrong while decoding bytes (truncation, corruption,
+//! oversized frames) and is guaranteed panic-free; [`CommsError`] adds
+//! transport failures, handshake/protocol violations, and the
+//! orchestrator-side [`CommsError::WorkerLost`] wrapper that pins a
+//! failure to a stage id and the last step that stage acknowledged.
 
 use std::fmt;
 
-/// A decoding failure. Every malformed input maps to one of these —
-/// never a panic — so a corrupted or adversarial peer cannot take the
-/// process down.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CodecError {
-    /// The payload ended before the field being read.
-    Truncated,
-    /// Bytes were left over after a complete message was decoded.
-    Trailing(usize),
-    /// Unknown message or payload tag.
-    BadTag(u8),
-    /// A field held an invalid value (bad bool/enum discriminant,
-    /// invalid UTF-8, NaN-forbidden slot, ...).
-    BadValue(&'static str),
-    /// The length prefix exceeded [`crate::codec::MAX_FRAME`].
-    FrameTooLarge(u64),
-    /// Internal length fields disagree (e.g. sparse nnz > full length).
-    LengthMismatch {
-        /// What the enclosing header promised.
-        expected: usize,
-        /// What was actually present.
-        got: usize,
-    },
-    /// A sparse index was out of range or not strictly increasing.
-    BadIndex {
-        /// The offending index value.
-        index: u32,
-        /// The dense length it must stay under.
-        len: u32,
-    },
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::Truncated => write!(f, "frame truncated"),
-            CodecError::Trailing(n) => write!(f, "{n} trailing bytes after message"),
-            CodecError::BadTag(t) => write!(f, "unknown tag {t:#04x}"),
-            CodecError::BadValue(what) => write!(f, "invalid field value: {what}"),
-            CodecError::FrameTooLarge(n) => {
-                write!(f, "length prefix {n} exceeds MAX_FRAME ({})", crate::codec::MAX_FRAME)
-            }
-            CodecError::LengthMismatch { expected, got } => {
-                write!(f, "length mismatch: header says {expected}, payload has {got}")
-            }
-            CodecError::BadIndex { index, len } => {
-                write!(f, "sparse index {index} invalid for dense length {len}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
+pub use pipemare_telemetry::codec::CodecError;
 
 /// A transport- or protocol-level failure.
 #[derive(Debug)]

@@ -10,10 +10,10 @@
 //!   and what it means per stage (partition, γ, T1 scale).
 //! * [`driver`]: the step driver over [`driver::LocalShards`] (same
 //!   process) or [`orchestrator::RemoteShards`] (worker links).
-//! * [`codec`]: a hand-rolled length-prefixed binary wire format (the
-//!   workspace has no serde): framed [`codec::TensorPayload`]s carrying
-//!   dense or sparse-encoded (threshold / top-k index+value) tensors,
-//!   with every malformed input surfacing as a typed
+//! * [`codec`]: framed [`codec::TensorPayload`]s carrying dense or
+//!   sparse-encoded (threshold / top-k index+value) tensors, over the
+//!   workspace's one byte codec (`pipemare_telemetry::codec`, re-exported
+//!   here), with every malformed input surfacing as a typed
 //!   [`error::CodecError`], never a panic.
 //! * [`protocol`]: the [`protocol::Message`] set — versioned handshake
 //!   with shape/config validation, shard fetches, gradient/commit

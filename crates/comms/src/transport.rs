@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver as ChanRx, Sender as ChanTx};
 
-use crate::codec::MAX_FRAME;
-use crate::error::{CodecError, CommsError};
+use crate::codec::{frame_len, frame_prefix};
+use crate::error::CommsError;
 use crate::protocol::{decode_message, encode_message, Message};
 
 /// Sending half of a frame transport.
@@ -92,13 +92,10 @@ struct TcpRx {
 
 impl FrameTx for TcpTx {
     fn send_frame(&mut self, payload: &[u8]) -> Result<(), CommsError> {
-        if payload.len() > MAX_FRAME {
-            return Err(CodecError::FrameTooLarge(payload.len() as u64).into());
-        }
         // One write for prefix + payload: a peer never sees the prefix
         // alone in a segment of its own, and a small frame costs one
         // syscall.
-        let prefix = (payload.len() as u32).to_le_bytes();
+        let prefix = frame_prefix(payload.len())?;
         let mut sent = 0;
         while sent < 4 + payload.len() {
             let n = if sent < 4 {
@@ -127,10 +124,7 @@ impl FrameRx for TcpRx {
                 Err(e) => return Err(e.into()),
             }
         }
-        let len = u32::from_le_bytes(self.prefix) as usize;
-        if len > MAX_FRAME {
-            return Err(CodecError::FrameTooLarge(len as u64).into());
-        }
+        let len = frame_len(self.prefix)?;
         // `read_to_end` appends into spare capacity without zero-filling
         // it and keeps what it read when it fails, which is exactly the
         // resumable state a timeout needs.
@@ -187,9 +181,8 @@ struct LoopbackRx {
 
 impl FrameTx for LoopbackTx {
     fn send_frame(&mut self, payload: &[u8]) -> Result<(), CommsError> {
-        if payload.len() > MAX_FRAME {
-            return Err(CodecError::FrameTooLarge(payload.len() as u64).into());
-        }
+        // No prefix travels in-process, but the size cap is the wire's.
+        frame_prefix(payload.len())?;
         self.tx.send(payload.to_vec()).map_err(|_| CommsError::Closed)
     }
 }
@@ -373,6 +366,8 @@ pub fn channel(transport: Box<dyn Transport>) -> Result<(Sender, Receiver), Comm
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::MAX_FRAME;
+    use crate::error::CodecError;
     use std::net::TcpListener;
 
     #[test]

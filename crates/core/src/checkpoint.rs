@@ -1,24 +1,27 @@
-//! Checkpointing: flat parameter vectors (v1) and full trainer state (v3).
+//! Checkpointing: flat parameter vectors (v1) and full trainer state (v3),
+//! each built in one `Writer` and parsed by one `Reader` over the file's
+//! bytes — [`pipemare_telemetry::codec`], the encoding wire frames and
+//! journal segments use too (it lives in telemetry, the lowest crate all
+//! three depend on). No length read from a file is trusted, so a
+//! truncated or corrupt file is a typed error, never an abort.
 //!
-//! Two minimal binary formats with no external dependencies:
-//!
-//! - **v1** (`save_params`/`load_params`): magic + length + little-endian
-//!   f32s — just the weights, for handing them from a warmup phase to a
-//!   separate process.
+//! - **v1** (`save_params`/`load_params`): magic + `u64` length +
+//!   little-endian f32s — just the weights, for handing them from a
+//!   warmup phase to a separate process.
 //! - **v3** (`save_state`/`load_state`): a versioned header followed,
 //!   stage by stage, by everything an *asynchronous* run needs to resume
 //!   bit-identically — the stage's weight-version window (delayed reads
 //!   look backwards, the latest vector alone is not enough), its
 //!   optimizer moment buffers and step count, and its T2 EWMA velocity δ
-//!   driving the discrepancy correction. (v2 stored one pipeline-deep
-//!   window of whole parameter vectors; such files are refused as
-//!   [`CheckpointError::UnsupportedVersion`].)
+//!   driving the discrepancy correction, each vector `u64`-counted. (v2
+//!   stored one pipeline-deep window of whole parameter vectors; such
+//!   files are refused as [`CheckpointError::UnsupportedVersion`].)
 
-use std::fs::File;
-use std::io::{self, Read, Write};
 use std::path::Path;
+use std::{fs, io};
 
 use pipemare_comms::StageState;
+use pipemare_telemetry::codec::{CodecError, Reader, Writer};
 
 const MAGIC: &[u8; 8] = b"PIPEMARE";
 const STATE_MAGIC: &[u8; 8] = b"PIPEMAR2";
@@ -31,7 +34,7 @@ pub enum CheckpointError {
     Io(io::Error),
     /// The file is not a pipemare checkpoint.
     BadMagic,
-    /// The file is truncated or has trailing bytes.
+    /// A params file whose length field disagrees with its size.
     BadLength {
         /// Parameters the header declared.
         declared: usize,
@@ -40,6 +43,9 @@ pub enum CheckpointError {
     },
     /// A state checkpoint written by an unknown format revision.
     UnsupportedVersion(u32),
+    /// A file that ends early, holds trailing bytes, or whose fields do
+    /// not decode.
+    Corrupt(CodecError),
     /// A well-formed state checkpoint that does not fit the trainer it
     /// is restored into (another model, optimizer or pipeline).
     Mismatch(String),
@@ -56,6 +62,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::UnsupportedVersion(v) => {
                 write!(f, "state checkpoint version {v} is not supported")
             }
+            CheckpointError::Corrupt(e) => write!(f, "corrupt checkpoint: {e}"),
             CheckpointError::Mismatch(why) => write!(f, "checkpoint does not fit: {why}"),
         }
     }
@@ -65,6 +72,7 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Io(e) => Some(e),
+            CheckpointError::Corrupt(e) => Some(e),
             _ => None,
         }
     }
@@ -76,46 +84,43 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        CheckpointError::Corrupt(e)
+    }
+}
+
 /// Writes a parameter vector to `path`.
 ///
 /// # Errors
 ///
 /// Returns an error on I/O failure.
 pub fn save_params(path: &Path, params: &[f32]) -> Result<(), CheckpointError> {
-    let mut f = File::create(path)?;
-    f.write_all(MAGIC)?;
-    f.write_all(&(params.len() as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(params.len() * 4);
-    for &p in params {
-        buf.extend_from_slice(&p.to_le_bytes());
-    }
-    f.write_all(&buf)?;
-    Ok(())
+    let mut w = Writer::new();
+    w.put_bytes(MAGIC);
+    w.put_long_f32s(params);
+    Ok(fs::write(path, w.into_bytes())?)
 }
 
 /// Reads a parameter vector from `path`.
 ///
 /// # Errors
 ///
-/// Returns an error on I/O failure, bad magic, or length mismatch.
+/// Returns an error on I/O failure, bad magic, a header cut short, or a
+/// length field that disagrees with the file's size.
 pub fn load_params(path: &Path) -> Result<Vec<f32>, CheckpointError> {
-    let mut f = File::open(path)?;
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let bytes = fs::read(path)?;
+    let mut r = Reader::new(&bytes);
+    if r.get_bytes(MAGIC.len())? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let mut len_bytes = [0u8; 8];
-    f.read_exact(&mut len_bytes)?;
-    let declared = u64::from_le_bytes(len_bytes) as usize;
-    let mut rest = Vec::new();
-    f.read_to_end(&mut rest)?;
-    if rest.len() != declared * 4 {
-        return Err(CheckpointError::BadLength { declared, actual: rest.len() / 4 });
+    let declared = r.get_u64()?;
+    if declared.checked_mul(4) != Some(r.remaining() as u64) {
+        let actual = r.remaining() / 4;
+        return Err(CheckpointError::BadLength { declared: declared as usize, actual });
     }
-    let params =
-        rest.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-    Ok(params)
+    // The checked body is exactly one `u64`-counted run.
+    Ok(Reader::new(&bytes[MAGIC.len()..]).get_long_f32s()?)
 }
 
 /// Everything a [`crate::PipelineTrainer`] needs to resume an
@@ -131,92 +136,68 @@ pub struct TrainerState {
     pub stages: Vec<StageState>,
 }
 
-fn write_vec(f: &mut File, v: &[f32]) -> io::Result<()> {
-    f.write_all(&(v.len() as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(v.len() * 4);
-    for &x in v {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    f.write_all(&buf)
-}
-
-fn read_u64(f: &mut File) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    f.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_vec(f: &mut File) -> io::Result<Vec<f32>> {
-    let len = read_u64(f)? as usize;
-    let mut buf = vec![0u8; len * 4];
-    f.read_exact(&mut buf)?;
-    Ok(buf.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-}
-
 /// Writes a full trainer-state checkpoint (format v3) to `path`.
 ///
 /// # Errors
 ///
 /// Returns an error on I/O failure.
 pub fn save_state(path: &Path, state: &TrainerState) -> Result<(), CheckpointError> {
-    let mut f = File::create(path)?;
-    f.write_all(STATE_MAGIC)?;
-    f.write_all(&STATE_VERSION.to_le_bytes())?;
-    f.write_all(&(state.step as u64).to_le_bytes())?;
-    f.write_all(&[state.diverged as u8])?;
-    f.write_all(&(state.stages.len() as u64).to_le_bytes())?;
+    let mut w = Writer::new();
+    w.put_bytes(STATE_MAGIC);
+    w.put_u32(STATE_VERSION);
+    w.put_u64(state.step as u64);
+    w.put_bool(state.diverged);
+    w.put_u64(state.stages.len() as u64);
     for stage in &state.stages {
-        f.write_all(&(stage.opt_steps as u64).to_le_bytes())?;
-        f.write_all(&(stage.window.len() as u64).to_le_bytes())?;
+        w.put_u64(stage.opt_steps as u64);
+        w.put_u64(stage.window.len() as u64);
         for (version, params) in &stage.window {
-            f.write_all(&(*version as u64).to_le_bytes())?;
-            write_vec(&mut f, params)?;
+            w.put_u64(*version as u64);
+            w.put_long_f32s(params);
         }
-        write_vec(&mut f, &stage.delta)?;
-        write_vec(&mut f, &stage.opt_m)?;
-        write_vec(&mut f, &stage.opt_v)?;
+        w.put_long_f32s(&stage.delta);
+        w.put_long_f32s(&stage.opt_m);
+        w.put_long_f32s(&stage.opt_v);
     }
-    Ok(())
+    Ok(fs::write(path, w.into_bytes())?)
 }
 
 /// Reads a trainer-state checkpoint from `path`.
 ///
 /// # Errors
 ///
-/// Returns an error on I/O failure (including truncation), bad magic, or
-/// a format version other than the current one.
+/// Returns an error on I/O failure, bad magic, a format version other
+/// than the current one, or a corrupt body ([`CheckpointError::Corrupt`]:
+/// truncated, trailing bytes, or a count the file cannot hold).
 pub fn load_state(path: &Path) -> Result<TrainerState, CheckpointError> {
-    let mut f = File::open(path)?;
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic)?;
-    if &magic != STATE_MAGIC {
+    let bytes = fs::read(path)?;
+    let mut r = Reader::new(&bytes);
+    if r.get_bytes(STATE_MAGIC.len())? != STATE_MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let mut ver = [0u8; 4];
-    f.read_exact(&mut ver)?;
-    let version = u32::from_le_bytes(ver);
+    let version = r.get_u32()?;
     if version != STATE_VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let step = read_u64(&mut f)? as usize;
-    let mut flag = [0u8; 1];
-    f.read_exact(&mut flag)?;
-    let diverged = flag[0] != 0;
-    let n_stages = read_u64(&mut f)? as usize;
+    let step = r.get_u64()? as usize;
+    let diverged = r.get_u8()? != 0;
+    let n_stages = r.get_u64()?;
+    // Counts size nothing up front: each element read must be present.
     let mut stages = Vec::new();
     for _ in 0..n_stages {
-        let opt_steps = read_u64(&mut f)? as usize;
-        let n_versions = read_u64(&mut f)? as usize;
+        let opt_steps = r.get_u64()? as usize;
+        let n_versions = r.get_u64()?;
         let mut window = Vec::new();
         for _ in 0..n_versions {
-            let version = read_u64(&mut f)? as usize;
-            window.push((version, read_vec(&mut f)?));
+            let version = r.get_u64()? as usize;
+            window.push((version, r.get_long_f32s()?));
         }
-        let delta = read_vec(&mut f)?;
-        let opt_m = read_vec(&mut f)?;
-        let opt_v = read_vec(&mut f)?;
+        let delta = r.get_long_f32s()?;
+        let opt_m = r.get_long_f32s()?;
+        let opt_v = r.get_long_f32s()?;
         stages.push(StageState { window, delta, opt_m, opt_v, opt_steps });
     }
+    r.finish()?;
     Ok(TrainerState { step, diverged, stages })
 }
 
@@ -329,7 +310,7 @@ mod tests {
         save_state(&path, &sample_state()).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        assert!(matches!(load_state(&path), Err(CheckpointError::Io(_))));
+        assert!(matches!(load_state(&path), Err(CheckpointError::Corrupt(_))));
         std::fs::remove_file(&path).ok();
     }
 }

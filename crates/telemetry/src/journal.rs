@@ -22,17 +22,19 @@
 //! <dir>/OFFSET            optional: handshake clock offset, µs (text)
 //! ```
 //!
-//! Frames follow the comms codec discipline: a little-endian `u32`
-//! length prefix, then a versioned payload with every float stored as
-//! `to_bits` so round trips are bit-exact. Nothing in a frame refers to
-//! another frame, so a reader can start at any segment boundary.
+//! Frames are written and split by [`crate::codec`], the encoding the
+//! wire and checkpoints use too: a little-endian `u32` length prefix,
+//! then a versioned payload with every float stored as its bit pattern
+//! so round trips are bit-exact. Nothing in a frame refers to another
+//! frame, so a reader can start at any segment boundary.
 //!
 //! ## Crash tolerance
 //!
 //! The writer never seeks: a crash (or SIGKILL) can only leave a
 //! partially written *tail* frame in the active segment. The reader
-//! treats any short read — a truncated length prefix or a payload
-//! shorter than its prefix — as clean end-of-segment and reports how
+//! treats any frame it cannot split or decode — a truncated length
+//! prefix, a payload shorter than its prefix, a prefix over
+//! [`crate::codec::MAX_FRAME`] — as clean end-of-segment and reports how
 //! many partial tails it skipped. There is no fsync on the append path:
 //! the journal survives process death unconditionally and power loss up
 //! to the OS write-back window, which is the right trade for telemetry.
@@ -47,10 +49,11 @@
 //! ticker thread; they touch at most one segment per append.
 
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use crate::codec::{deframe, frame, CodecError, Reader, Writer};
 use crate::json::{self, Value};
 use crate::metrics::{HistogramSnapshot, MetricValue, MetricsSnapshot};
 use crate::store::{LiveSample, StageLive};
@@ -63,9 +66,6 @@ pub const JOURNAL_APPEND_BOUND_US: u64 = 500;
 
 /// Frame format version.
 const FRAME_VERSION: u8 = 1;
-/// Upper bound on a sane frame payload; anything larger in a length
-/// prefix means a torn or corrupt tail and reads as end-of-segment.
-const MAX_FRAME_BYTES: u32 = 16 << 20;
 /// Manifest file name inside a journal directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
 /// Optional clock-offset override file (decimal µs, one line). The
@@ -106,190 +106,114 @@ impl Default for JournalConfig {
 }
 
 // ---------------------------------------------------------------------
-// Frame codec (local byte helpers; telemetry cannot depend on comms).
-
-struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    fn new() -> Self {
-        ByteWriter { buf: Vec::with_capacity(256) }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        let bytes = s.as_bytes();
-        self.u32(bytes.len() as u32);
-        self.buf.extend_from_slice(bytes);
-    }
-}
-
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(out)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME_BYTES as usize {
-            return None;
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-}
+// Frame payloads.
 
 /// Encodes one sample as a frame payload (no length prefix).
 fn encode_sample(sample: &LiveSample, rollup: bool) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u8(FRAME_VERSION);
-    w.u8(u8::from(rollup));
-    w.u64(sample.seq);
-    w.u64(sample.ts_us);
-    w.u64(sample.window_us);
-    w.u64(sample.sample_cost_us);
-    w.u32(sample.stages.len() as u32);
+    let mut w = Writer::new();
+    w.reserve(256);
+    w.put_u8(FRAME_VERSION);
+    w.put_bool(rollup);
+    w.put_u64(sample.seq);
+    w.put_u64(sample.ts_us);
+    w.put_u64(sample.window_us);
+    w.put_u64(sample.sample_cost_us);
+    w.put_u32(sample.stages.len() as u32);
     for st in &sample.stages {
-        w.u32(st.stage);
-        w.f64(st.util);
-        w.f64(st.fwd_us);
-        w.f64(st.bkwd_us);
-        w.f64(st.recomp_us);
-        w.u64(st.wait_us);
-        w.f64(st.tau);
-        w.u32(st.tau_pairs as u32);
-        w.u64(st.events);
+        w.put_u32(st.stage);
+        w.put_f64(st.util);
+        w.put_f64(st.fwd_us);
+        w.put_f64(st.bkwd_us);
+        w.put_f64(st.recomp_us);
+        w.put_u64(st.wait_us);
+        w.put_f64(st.tau);
+        w.put_u32(st.tau_pairs as u32);
+        w.put_u64(st.events);
     }
-    w.u32(sample.metrics.metrics.len() as u32);
+    w.put_u32(sample.metrics.metrics.len() as u32);
     for (name, value) in &sample.metrics.metrics {
-        w.str(name);
+        w.put_str(name);
         match value {
             MetricValue::Counter(c) => {
-                w.u8(0);
-                w.u64(*c);
+                w.put_u8(0);
+                w.put_u64(*c);
             }
             MetricValue::Gauge(g) => {
-                w.u8(1);
-                w.f64(*g);
+                w.put_u8(1);
+                w.put_f64(*g);
             }
             MetricValue::Histogram(h) => {
-                w.u8(2);
-                w.u32(h.bounds.len() as u32);
+                w.put_u8(2);
+                w.put_u32(h.bounds.len() as u32);
                 for b in &h.bounds {
-                    w.f64(*b);
+                    w.put_f64(*b);
                 }
                 for c in &h.counts {
-                    w.u64(*c);
+                    w.put_u64(*c);
                 }
-                w.u64(h.count);
-                w.f64(h.sum);
+                w.put_u64(h.count);
+                w.put_f64(h.sum);
             }
         }
     }
-    w.buf
+    w.into_bytes()
 }
 
-/// Decodes one frame payload. `None` means a malformed payload (the
-/// reader treats it like a torn tail: end of segment).
-fn decode_sample(payload: &[u8]) -> Option<(LiveSample, bool)> {
-    let mut r = ByteReader::new(payload);
-    if r.u8()? != FRAME_VERSION {
-        return None;
+/// Decodes one frame payload. An error means a malformed payload (the
+/// reader treats it like a torn tail: end of segment). No count read
+/// from the frame sizes anything: vectors grow as their elements decode.
+fn decode_sample(payload: &[u8]) -> Result<(LiveSample, bool), CodecError> {
+    let mut r = Reader::new(payload);
+    if r.get_u8()? != FRAME_VERSION {
+        return Err(CodecError::BadValue("unknown journal frame version"));
     }
-    let rollup = r.u8()? != 0;
-    let seq = r.u64()?;
-    let ts_us = r.u64()?;
-    let window_us = r.u64()?;
-    let sample_cost_us = r.u64()?;
-    let n_stages = r.u32()? as usize;
-    if n_stages > 1 << 16 {
-        return None;
-    }
-    let mut stages = Vec::with_capacity(n_stages);
-    for _ in 0..n_stages {
+    let rollup = r.get_bool()?;
+    let seq = r.get_u64()?;
+    let ts_us = r.get_u64()?;
+    let window_us = r.get_u64()?;
+    let sample_cost_us = r.get_u64()?;
+    let mut stages = Vec::new();
+    for _ in 0..r.get_u32()? {
         stages.push(StageLive {
-            stage: r.u32()?,
-            util: r.f64()?,
-            fwd_us: r.f64()?,
-            bkwd_us: r.f64()?,
-            recomp_us: r.f64()?,
-            wait_us: r.u64()?,
-            tau: r.f64()?,
-            tau_pairs: r.u32()? as usize,
-            events: r.u64()?,
+            stage: r.get_u32()?,
+            util: r.get_f64()?,
+            fwd_us: r.get_f64()?,
+            bkwd_us: r.get_f64()?,
+            recomp_us: r.get_f64()?,
+            wait_us: r.get_u64()?,
+            tau: r.get_f64()?,
+            tau_pairs: r.get_u32()? as usize,
+            events: r.get_u64()?,
         });
     }
-    let n_metrics = r.u32()? as usize;
-    if n_metrics > 1 << 20 {
-        return None;
-    }
-    let mut metrics = Vec::with_capacity(n_metrics);
-    for _ in 0..n_metrics {
-        let name = r.str()?;
-        let value = match r.u8()? {
-            0 => MetricValue::Counter(r.u64()?),
-            1 => MetricValue::Gauge(r.f64()?),
+    let mut metrics = Vec::new();
+    for _ in 0..r.get_u32()? {
+        let name = r.get_str()?;
+        let value = match r.get_u8()? {
+            0 => MetricValue::Counter(r.get_u64()?),
+            1 => MetricValue::Gauge(r.get_f64()?),
             2 => {
-                let n_bounds = r.u32()? as usize;
-                if n_bounds > 1 << 16 {
-                    return None;
-                }
-                let mut bounds = Vec::with_capacity(n_bounds);
+                let n_bounds = r.get_u32()?;
+                let mut bounds = Vec::new();
                 for _ in 0..n_bounds {
-                    bounds.push(r.f64()?);
+                    bounds.push(r.get_f64()?);
                 }
-                let mut counts = Vec::with_capacity(n_bounds + 1);
-                for _ in 0..n_bounds + 1 {
-                    counts.push(r.u64()?);
+                let mut counts = Vec::new();
+                for _ in 0..=n_bounds {
+                    counts.push(r.get_u64()?);
                 }
                 MetricValue::Histogram(HistogramSnapshot {
                     bounds,
                     counts,
-                    count: r.u64()?,
-                    sum: r.f64()?,
+                    count: r.get_u64()?,
+                    sum: r.get_f64()?,
                 })
             }
-            _ => return None,
+            t => return Err(CodecError::BadTag(t)),
         };
         metrics.push((name, value));
     }
-    Some((
+    Ok((
         LiveSample {
             seq,
             ts_us,
@@ -410,8 +334,8 @@ impl JournalWriter {
         if sample.seq <= self.last_seq {
             return Ok(());
         }
-        let payload = encode_sample(sample, false);
-        let frame_len = 4 + payload.len() as u64;
+        let frame = frame(&encode_sample(sample, false)).map_err(io::Error::other)?;
+        let frame_len = frame.len() as u64;
         let rotate = match &self.active {
             Some(seg) => {
                 seg.bytes + frame_len > self.cfg.max_segment_bytes
@@ -423,8 +347,7 @@ impl JournalWriter {
             self.rotate()?;
         }
         let seg = self.active.as_mut().expect("rotate always leaves an active segment");
-        seg.file.write_all(&(payload.len() as u32).to_le_bytes())?;
-        seg.file.write_all(&payload)?;
+        seg.file.write_all(&frame)?;
         seg.file.flush()?;
         seg.bytes += frame_len;
         self.last_seq = sample.seq;
@@ -467,9 +390,7 @@ impl JournalWriter {
                 let file = fs::File::create(path)?;
                 let mut out = io::BufWriter::new(file);
                 for s in &rollups {
-                    let payload = encode_sample(s, true);
-                    out.write_all(&(payload.len() as u32).to_le_bytes())?;
-                    out.write_all(&payload)?;
+                    out.write_all(&frame(&encode_sample(s, true)).map_err(io::Error::other)?)?;
                 }
                 out.flush()?;
             }
@@ -615,33 +536,22 @@ pub struct JournalEntry {
 /// clean end-of-segment. Returns the decoded entries and whether a
 /// partial tail was skipped.
 pub fn read_segment(path: &Path) -> io::Result<(Vec<JournalEntry>, bool)> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
+    let bytes = fs::read(path)?;
     let rollup_file = path
         .file_name()
         .and_then(|n| n.to_str())
         .and_then(parse_segment_name)
         .is_some_and(|(r, _)| r);
     let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        if pos + 4 > bytes.len() {
-            return Ok((out, true));
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        if len > MAX_FRAME_BYTES || pos + 4 + len as usize > bytes.len() {
-            return Ok((out, true));
-        }
-        let payload = &bytes[pos + 4..pos + 4 + len as usize];
-        match decode_sample(payload) {
-            Some((sample, rollup)) => {
-                out.push(JournalEntry { sample, rollup: rollup || rollup_file })
-            }
-            // A frame that frames correctly but decodes wrong is torn
-            // or from a future version: stop at it, like a short tail.
-            None => return Ok((out, true)),
-        }
-        pos += 4 + len as usize;
+    let mut rest = &bytes[..];
+    while !rest.is_empty() {
+        // A tail too short or too long to frame, or a frame that frames
+        // correctly but decodes wrong (torn, or from a future version):
+        // stop at it.
+        let Ok(Some((payload, tail))) = deframe(rest) else { return Ok((out, true)) };
+        let Ok((sample, rollup)) = decode_sample(payload) else { return Ok((out, true)) };
+        out.push(JournalEntry { sample, rollup: rollup || rollup_file });
+        rest = tail;
     }
     Ok((out, false))
 }

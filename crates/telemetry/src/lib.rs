@@ -55,6 +55,10 @@
 //!   as the `pmtop` binary).
 //! * [`json`]: the minimal JSON document model the exporters are built
 //!   on (the workspace has no serde).
+//! * [`codec`]: the workspace's one binary encoding — little-endian
+//!   [`codec::Writer`]/[`codec::Reader`], the `u32` frame prefix and
+//!   the typed [`codec::CodecError`] — behind journal segments, wire
+//!   frames (`pipemare_comms`) and checkpoints (`pipemare_core`).
 //!
 //! # Example
 //!
@@ -80,6 +84,7 @@
 
 pub mod alert;
 pub mod analyze;
+pub mod codec;
 pub mod event;
 pub mod export;
 pub mod flight;

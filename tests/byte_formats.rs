@@ -2,12 +2,17 @@
 //! trainer-state file and a journal segment. The hex constants were
 //! written by the code as it stood before the three codecs became one
 //! (`pipemare_telemetry::codec`) and are never edited: each fixture must
-//! load to the value below and re-save to the same bytes.
+//! load to the value below and re-save to the same bytes. The same
+//! fixtures, cut at every byte or with their length fields blown up,
+//! must read back as typed errors (checkpoints) or a clean prefix plus
+//! one counted torn tail (the journal) — never an abort.
 
 use std::path::{Path, PathBuf};
 
 use pipemare::comms::StageState;
-use pipemare::core::{load_params, load_state, save_params, save_state, TrainerState};
+use pipemare::core::{
+    load_params, load_state, save_params, save_state, CheckpointError, TrainerState,
+};
 use pipemare::telemetry::journal::read_segment;
 use pipemare::telemetry::{
     HistogramSnapshot, JournalConfig, JournalEntry, JournalWriter, LiveSample, MetricValue,
@@ -309,4 +314,125 @@ fn journal_fixture_loads_and_resaves_byte_identically() {
     assert!(!torn);
     assert_entries(&entries, &journal_entries());
     assert_eq!(hex(&save_journal_bytes()), hex(&bytes));
+}
+
+// ---------------------------------------------------------------------
+// Corrupt input: a typed error or a counted torn tail, never an abort.
+// (Also the fast tier-1 stand-in for the CI-only `codec_properties.rs`
+// and `journal_crash.rs` sweeps.)
+
+/// Length-field values a flipped high bit produces: one asks for
+/// terabytes, the other overflows `len * 4`.
+const HUGE_COUNTS: [u64; 2] = [1 << 40, 1 << 62];
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+fn with_u64(bytes: &[u8], at: usize, v: u64) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    out
+}
+
+/// Offsets of every count in a v3 file: the stage count, each window's
+/// version count and every vector's length.
+fn state_count_offsets(bytes: &[u8]) -> Vec<usize> {
+    let mut counts = vec![21];
+    let mut at = 29;
+    for _ in 0..u64_at(bytes, 21) {
+        at += 8; // opt_steps
+        counts.push(at);
+        let n_versions = u64_at(bytes, at) as usize;
+        at += 8;
+        // Each window version is preceded by its number; δ, m and v are not.
+        for vector in 0..n_versions + 3 {
+            at += if vector < n_versions { 8 } else { 0 };
+            counts.push(at);
+            at += 8 + 4 * u64_at(bytes, at) as usize;
+        }
+    }
+    assert_eq!(at, bytes.len(), "the walk covers the whole file");
+    counts
+}
+
+#[test]
+fn corrupt_params_files_are_typed_errors() {
+    let bytes = unhex(PARAMS_V1);
+    let path = temp("params_corrupt");
+    let load = |b: &[u8]| {
+        std::fs::write(&path, b).unwrap();
+        load_params(&path)
+    };
+    for cut in 0..bytes.len() {
+        match load(&bytes[..cut]) {
+            Err(CheckpointError::BadLength { declared: 6, actual }) if cut >= 16 => {
+                assert_eq!(actual, (cut - 16) / 4)
+            }
+            Err(CheckpointError::Corrupt(_)) if cut < 16 => {}
+            other => panic!("cut at {cut}: {other:?}"),
+        }
+    }
+    for huge in HUGE_COUNTS {
+        match load(&with_u64(&bytes, 8, huge)) {
+            Err(CheckpointError::BadLength { declared, actual: 6 }) => {
+                assert_eq!(declared as u64, huge)
+            }
+            other => panic!("length {huge}: {other:?}"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn corrupt_state_files_are_typed_errors() {
+    let bytes = unhex(STATE_V3);
+    let path = temp("state_corrupt");
+    let load = |b: &[u8]| {
+        std::fs::write(&path, b).unwrap();
+        load_state(&path)
+    };
+    for cut in 0..bytes.len() {
+        let got = load(&bytes[..cut]);
+        assert!(matches!(got, Err(CheckpointError::Corrupt(_))), "cut at {cut}: {got:?}");
+    }
+    let counts = state_count_offsets(&bytes);
+    assert_eq!(counts.len(), 1 + 2 * (1 + 3) + 3 + 1, "stages, windows and vectors");
+    for at in counts {
+        for huge in HUGE_COUNTS {
+            let got = load(&with_u64(&bytes, at, huge));
+            assert!(matches!(got, Err(CheckpointError::Corrupt(_))), "{huge} at {at}: {got:?}");
+        }
+    }
+    let mut trailing = bytes.clone();
+    trailing.push(0);
+    assert!(matches!(load(&trailing), Err(CheckpointError::Corrupt(_))));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn torn_journal_reads_a_clean_prefix_and_one_counted_tail() {
+    let bytes = unhex(JOURNAL);
+    let want = journal_entries();
+    let first_end = 4 + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+    let dir = temp("journal_torn");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("seg-000000.pmj");
+    for cut in 0..=bytes.len() {
+        let (entries, torn) = read_journal_bytes(&path, &bytes[..cut]);
+        let whole = usize::from(cut >= first_end) + usize::from(cut == bytes.len());
+        assert_entries(&entries, &want[..whole]);
+        assert_eq!(torn, ![0, first_end, bytes.len()].contains(&cut), "cut at {cut}");
+    }
+    // A frame too long to be one, and counts inside a frame (stages,
+    // metrics) that its bytes cannot hold: the frame reads as torn.
+    let n_stages_at = 4 + 34;
+    let n_metrics_at = n_stages_at + 4 + 2 * 64;
+    for at in [0, n_stages_at, n_metrics_at] {
+        let mut corrupt = bytes.clone();
+        corrupt[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (entries, torn) = read_journal_bytes(&path, &corrupt);
+        assert!(entries.is_empty() && torn, "count at {at}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
