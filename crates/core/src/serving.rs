@@ -36,18 +36,22 @@ pub fn serve_checkpoint<M: InferModel + 'static>(
 /// Serves with live weight refresh from in-process loopback shard
 /// workers — the full serve-while-training wire path without sockets.
 ///
-/// One stage worker thread is spawned per pipeline stage and seeded
-/// with `params`; every [`ServeConfig::refresh_every`] batches the
-/// server re-fetches each worker's latest committed shard. The worker
-/// handles are returned so callers can join them after
+/// One stage worker thread is spawned per pipeline stage that owns
+/// parameters and seeded with its shard of `params`; every
+/// [`ServeConfig::refresh_every`] batches the server re-fetches each
+/// worker's latest committed shard. The engine still runs every stage.
+/// The worker handles are returned so callers can join them after
 /// [`Server::shutdown`] (which tells the workers to exit).
 pub fn serve_live_loopback<M: InferModel + 'static>(
     model: Arc<M>,
     params: Vec<f32>,
     cfg: ServeConfig,
 ) -> Result<(Server, Arc<FlightRecorder>, Vec<WorkerHandle>), CommsError> {
-    let splits = model.serve_splits(cfg.stages);
-    let (transports, handles) = spawn_loopback_workers(cfg.stages);
+    // A split without parameters (a lone activation) has nothing to
+    // refresh, so it gets no worker.
+    let splits: Vec<_> =
+        model.serve_splits(cfg.stages).into_iter().filter(|s| s.param_hi > s.param_lo).collect();
+    let (transports, handles) = spawn_loopback_workers(splits.len());
     let source = ShardWeightSource::connect(
         transports,
         splits,
@@ -113,8 +117,21 @@ mod tests {
 
     #[test]
     fn serve_live_loopback_round_trips_through_shard_workers() {
+        live_loopback_answers_like_the_training_forward(2);
+    }
+
+    /// At 3 stages split 1 of `[4, 12, 3]` is the lone ReLU, and at 4 the
+    /// last split is empty too: splits without parameters get no worker.
+    #[test]
+    fn live_serving_skips_splits_without_parameters() {
+        for stages in [3, 4] {
+            live_loopback_answers_like_the_training_forward(stages);
+        }
+    }
+
+    fn live_loopback_answers_like_the_training_forward(stages: usize) {
         let (model, params) = model_and_params();
-        let cfg = ServeConfig { stages: 2, refresh_every: Some(1), ..Default::default() };
+        let cfg = ServeConfig { stages, refresh_every: Some(1), ..Default::default() };
         let (server, _recorder, handles) =
             serve_live_loopback(Arc::clone(&model), params.clone(), cfg)
                 .expect("live serving must start");
@@ -126,10 +143,9 @@ mod tests {
             let x = Tensor::randn(&[1, 4], &mut rng);
             // The workers were seeded with the same params the engine
             // started from, so refreshed weights change nothing.
-            assert_eq!(
-                client.infer(&x).expect("request must be served"),
-                model.logits(&params, &x)
-            );
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let got = client.infer(&x).expect("request must be served");
+            assert_eq!(bits(&got), bits(&model.logits(&params, &x)), "stages={stages}");
         }
         server.shutdown();
         for h in handles {

@@ -3,7 +3,9 @@
 //! Losses return the scalar loss together with the gradient w.r.t. their
 //! input, so model backward passes can start directly from `dlogits`.
 
-use pipemare_tensor::Tensor;
+use pipemare_tensor::{StoragePrecision, Tensor};
+
+use crate::{Cache, Layer, Sequential};
 
 /// Configuration for softmax cross-entropy.
 #[derive(Clone, Copy, Debug)]
@@ -71,6 +73,35 @@ pub fn cross_entropy_logits(
     let scale = 1.0 / counted as f32;
     dlogits.map_inplace(|g| g * scale);
     ((loss / counted as f64) as f32, dlogits)
+}
+
+/// The one loss body of the chain classifiers ([`crate::Mlp`],
+/// [`crate::CifarResNet`]): `chain` on `x`, checkpointed as `(segment,
+/// stash)` if `recompute` is set, then mean cross-entropy against `labels`.
+pub(crate) fn chain_xent_forward(
+    chain: &Sequential,
+    params: &[f32],
+    x: &Tensor,
+    labels: &[usize],
+    recompute: Option<(usize, StoragePrecision)>,
+) -> (f32, Cache) {
+    let (logits, chain_cache) = match recompute {
+        Some((segment, stash)) => chain.forward_checkpointed_with(params, x, segment, stash),
+        None => chain.forward(params, x),
+    };
+    let (loss, dlogits) = cross_entropy_logits(&logits, labels, CrossEntropyCfg::default());
+    (loss, Cache { tensors: vec![dlogits], children: vec![chain_cache], ..Cache::new() })
+}
+
+/// Parameter gradient for a [`chain_xent_forward`] cache. A checkpointed
+/// chain cache records its segment size in `indices`; a plain one never.
+pub(crate) fn chain_xent_backward(chain: &Sequential, params: &[f32], cache: &Cache) -> Vec<f32> {
+    let (chain_cache, dlogits) = (cache.child(0), cache.tensor(0));
+    if chain_cache.indices.is_empty() {
+        chain.backward(params, chain_cache, dlogits).1
+    } else {
+        chain.backward_recomputed(params, params, chain_cache, dlogits).1
+    }
 }
 
 /// Mean squared error `mean((pred - target)²)` with gradient

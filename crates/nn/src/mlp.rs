@@ -8,7 +8,7 @@ use crate::activation::Activation;
 use crate::cache::Cache;
 use crate::layer::{Layer, WeightUnit};
 use crate::linear::Linear;
-use crate::loss::{cross_entropy_logits, CrossEntropyCfg};
+use crate::loss::{chain_xent_backward, chain_xent_forward};
 use crate::model::{ImageBatch, InferModel, ServeSplit, TrainModel};
 use crate::sequential::Sequential;
 
@@ -72,9 +72,7 @@ impl Mlp {
 
     /// Computes class logits for a `(B, in)` or `(B, C, H, W)` input.
     pub fn logits(&self, params: &[f32], x: &Tensor) -> Tensor {
-        let b = x.shape()[0];
-        let flat = x.reshape(&[b, x.len() / b]);
-        self.chain.forward(params, &flat).0
+        self.chain.forward(params, &self.prepare_input(x)).0
     }
 
     /// Top-1 accuracy on a labelled batch.
@@ -93,6 +91,11 @@ impl Mlp {
     /// now that both [`TrainModel`] and [`InferModel`] define it.
     pub fn param_len(&self) -> usize {
         self.chain.param_len()
+    }
+
+    /// The layer chain (linear layers with ReLUs between them).
+    pub fn chain(&self) -> &Sequential {
+        &self.chain
     }
 }
 
@@ -117,7 +120,7 @@ impl InferModel for Mlp {
     }
 
     fn infer(&self, params: &[f32], x: &Tensor) -> Tensor {
-        self.chain.forward_inference(params, x)
+        self.chain.forward_inference_span(params, &self.chain.whole(), x)
     }
 
     fn serve_splits(&self, stages: usize) -> Vec<ServeSplit> {
@@ -125,7 +128,7 @@ impl InferModel for Mlp {
     }
 
     fn infer_split(&self, params: &[f32], split: &ServeSplit, x: &Tensor) -> Tensor {
-        self.chain.forward_inference_span(params, x, split.layer_lo, split.layer_hi)
+        self.chain.forward_inference_span(&params[split.param_lo..split.param_hi], split, x)
     }
 }
 
@@ -145,29 +148,13 @@ impl TrainModel for Mlp {
     }
 
     fn forward_loss(&self, params: &[f32], batch: &ImageBatch) -> (f32, Cache) {
-        let b = batch.x.shape()[0];
-        let flat = batch.x.reshape(&[b, batch.x.len() / b]);
-        assert_eq!(flat.shape()[1], self.in_features, "Mlp: input feature mismatch");
-        let (logits, chain_cache) = match self.recompute_segment {
-            Some(seg) => {
-                self.chain.forward_checkpointed_with(params, &flat, seg, self.stash_precision)
-            }
-            None => self.chain.forward(params, &flat),
-        };
-        let (loss, dlogits) = cross_entropy_logits(&logits, &batch.y, CrossEntropyCfg::default());
-        let mut cache = Cache::new();
-        cache.children.push(chain_cache);
-        cache.tensors.push(dlogits);
-        (loss, cache)
+        let flat = self.prepare_input(&batch.x);
+        let recompute = self.recompute_segment.map(|seg| (seg, self.stash_precision));
+        chain_xent_forward(&self.chain, params, &flat, &batch.y, recompute)
     }
 
     fn backward(&self, params: &[f32], cache: &Cache) -> Vec<f32> {
-        let dlogits = cache.tensor(0);
-        let (_, grads) = match self.recompute_segment {
-            Some(_) => self.chain.backward_checkpointed(params, cache.child(0), dlogits),
-            None => self.chain.backward(params, cache.child(0), dlogits),
-        };
-        grads
+        chain_xent_backward(&self.chain, params, cache)
     }
 }
 

@@ -38,8 +38,10 @@ pub trait TrainModel: Send + Sync {
     fn backward(&self, params: &[f32], cache: &Cache) -> Vec<f32>;
 }
 
-/// One contiguous slice of a model assigned to a serving stage: a layer
-/// range and the matching range into the flat parameter vector.
+/// One contiguous slice of a model's layer chain: a layer range and the
+/// matching range into the flat parameter vector. The one split type for
+/// serving ([`InferModel::serve_splits`]) and training
+/// ([`crate::Sequential::splits_at`]), recompute segments included.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeSplit {
     /// First chain layer of this stage (inclusive).

@@ -14,7 +14,8 @@ use crate::model::{RegressionBatch, TrainModel};
 ///
 /// This is the model behind the paper's Figure 3(b): pipeline-parallel SGD
 /// on a 12-dimensional regression problem, whose divergence boundary
-/// follows the `α ∝ 1/τ` slope predicted by Lemma 1.
+/// follows the `α ∝ 1/τ` slope predicted by Lemma 1. It is one [`Linear`],
+/// so its only training split is the whole model.
 pub struct LinearRegression {
     linear: Linear,
 }

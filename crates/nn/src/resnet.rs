@@ -8,7 +8,7 @@ use crate::cache::Cache;
 use crate::conv::Conv2d;
 use crate::layer::{Layer, ParamAlloc, WeightUnit};
 use crate::linear::Linear;
-use crate::loss::{cross_entropy_logits, CrossEntropyCfg};
+use crate::loss::{chain_xent_backward, chain_xent_forward};
 use crate::model::{ImageBatch, TrainModel};
 use crate::norm::BatchNorm2d;
 use crate::pool::GlobalAvgPool2d;
@@ -257,6 +257,11 @@ impl CifarResNet {
         self.cfg
     }
 
+    /// The layer chain (stem, residual blocks, pool, classifier).
+    pub fn chain(&self) -> &Sequential {
+        &self.chain
+    }
+
     /// Computes class logits for an image batch `(B, C, H, W)`.
     pub fn logits(&self, params: &[f32], x: &Tensor) -> Tensor {
         self.chain.forward(params, x).0
@@ -288,17 +293,11 @@ impl TrainModel for CifarResNet {
     }
 
     fn forward_loss(&self, params: &[f32], batch: &ImageBatch) -> (f32, Cache) {
-        let (logits, chain_cache) = self.chain.forward(params, &batch.x);
-        let (loss, dlogits) = cross_entropy_logits(&logits, &batch.y, CrossEntropyCfg::default());
-        let mut cache = Cache::new();
-        cache.children.push(chain_cache);
-        cache.tensors.push(dlogits);
-        (loss, cache)
+        chain_xent_forward(&self.chain, params, &batch.x, &batch.y, None)
     }
 
     fn backward(&self, params: &[f32], cache: &Cache) -> Vec<f32> {
-        let (_, grads) = self.chain.backward(params, cache.child(0), cache.tensor(0));
-        grads
+        chain_xent_backward(&self.chain, params, cache)
     }
 }
 

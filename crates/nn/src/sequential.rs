@@ -1,4 +1,6 @@
-//! Chain combinators: [`Sequential`] and [`Residual`].
+//! Chain combinators: [`Sequential`], the splits it runs, and [`Residual`].
+
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 
@@ -9,27 +11,31 @@ use crate::layer::{Layer, ParamAlloc, WeightUnit};
 use crate::model::ServeSplit;
 
 /// A chain of layers applied in order; parameters are concatenated.
+/// Every pass runs over a [`ServeSplit`]: the whole chain, a recompute
+/// segment, a serving stage or a training stage.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     names: Vec<String>,
+    /// Layer `i` owns parameters `offsets[i]..offsets[i + 1]`; the last
+    /// entry is the chain's parameter count.
+    offsets: Vec<usize>,
 }
 
 impl Sequential {
     /// Creates an empty chain.
     pub fn new() -> Self {
-        Sequential { layers: Vec::new(), names: Vec::new() }
+        Sequential { layers: Vec::new(), names: Vec::new(), offsets: vec![0] }
     }
 
     /// Appends a layer under an auto-generated name.
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
+    pub fn push(self, layer: impl Layer + 'static) -> Self {
         let name = format!("l{}", self.layers.len());
-        self.names.push(name);
-        self.layers.push(Box::new(layer));
-        self
+        self.push_named(&name, layer)
     }
 
     /// Appends a layer under an explicit name (used in weight-unit names).
     pub fn push_named(mut self, name: &str, layer: impl Layer + 'static) -> Self {
+        self.offsets.push(self.param_len() + layer.param_len());
         self.names.push(name.to_string());
         self.layers.push(Box::new(layer));
         self
@@ -45,44 +51,82 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Parameter offset of each layer within the chain's flat vector.
-    fn offsets(&self) -> Vec<usize> {
-        let mut offsets = Vec::with_capacity(self.layers.len());
-        let mut acc = 0;
-        for l in &self.layers {
-            offsets.push(acc);
-            acc += l.param_len();
+    /// The split holding layers `lo..hi`.
+    fn span(&self, lo: usize, hi: usize) -> ServeSplit {
+        let (param_lo, param_hi) = (self.offsets[lo], self.offsets[hi]);
+        ServeSplit { layer_lo: lo, layer_hi: hi, param_lo, param_hi }
+    }
+
+    /// The split holding every layer.
+    pub(crate) fn whole(&self) -> ServeSplit {
+        self.span(0, self.layers.len())
+    }
+
+    /// Layer `i`'s range within `split`'s own parameter slice.
+    fn local(&self, split: &ServeSplit, i: usize) -> Range<usize> {
+        self.offsets[i] - split.param_lo..self.offsets[i + 1] - split.param_lo
+    }
+
+    /// Checks that `split` is a span of this chain and `params` its slice.
+    fn check(&self, params: &[f32], split: &ServeSplit) {
+        let own = params.len() + split.param_lo == split.param_hi;
+        assert!(own && self.span(split.layer_lo, split.layer_hi) == *split, "bad split {split:?}");
+    }
+
+    /// Forward through the layers of `split`, caching what
+    /// [`Sequential::backward_split`] needs. `params` is the split's own
+    /// slice, `full[split.param_lo..split.param_hi]`.
+    pub fn forward_split(&self, params: &[f32], split: &ServeSplit, x: &Tensor) -> (Tensor, Cache) {
+        self.check(params, split);
+        let mut cache = Cache::new();
+        let mut cur: Option<Tensor> = None;
+        for i in split.layer_lo..split.layer_hi {
+            let (y, c) =
+                self.layers[i].forward(&params[self.local(split, i)], cur.as_ref().unwrap_or(x));
+            cache.children.push(c);
+            cur = Some(y);
         }
-        offsets
+        (cur.unwrap_or_else(|| x.clone()), cache)
     }
 
-    /// Inference-only forward: chains every layer's
-    /// [`Layer::forward_no_cache`], building no activation caches at
-    /// all. Bit-identical to [`Layer::forward`]'s output on the same
-    /// weights and inputs — the serving path reuses the exact kernels
-    /// the training forward runs.
-    pub fn forward_inference(&self, params: &[f32], x: &Tensor) -> Tensor {
-        self.forward_inference_span(params, x, 0, self.layers.len())
-    }
-
-    /// [`Sequential::forward_inference`] restricted to layers
-    /// `lo..hi`. `params` is the *full* chain vector; the span's slices
-    /// are located by layer offset, so a staged serving engine can run
-    /// each stage's span against one shared parameter vector.
-    pub fn forward_inference_span(
+    /// Backward through the layers of `split` from a
+    /// [`Sequential::forward_split`] cache: writes the parameter gradient
+    /// into `grads` (the split's own slice, like `params`) and returns the
+    /// input gradient. `params` may differ from the forward's weights.
+    pub fn backward_split(
         &self,
         params: &[f32],
-        x: &Tensor,
-        lo: usize,
-        hi: usize,
+        split: &ServeSplit,
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
     ) -> Tensor {
-        assert!(lo <= hi && hi <= self.layers.len(), "layer span {lo}..{hi} out of range");
-        let offsets = self.offsets();
-        let mut cur = x.clone();
-        for (l, &off) in self.layers[lo..hi].iter().zip(&offsets[lo..hi]) {
-            cur = l.forward_no_cache(&params[off..off + l.param_len()], &cur);
+        self.check(params, split);
+        assert_eq!(grads.len(), params.len(), "grads must be the split's own");
+        let mut cur: Option<Tensor> = None;
+        for i in (split.layer_lo..split.layer_hi).rev() {
+            let (range, c) = (self.local(split, i), cache.child(i - split.layer_lo));
+            let (dx, dp) =
+                self.layers[i].backward(&params[range.clone()], c, cur.as_ref().unwrap_or(dy));
+            grads[range].copy_from_slice(&dp);
+            cur = Some(dx);
         }
-        cur
+        cur.unwrap_or_else(|| dy.clone())
+    }
+
+    /// Inference-only forward through `split`: chains every layer's
+    /// [`Layer::forward_no_cache`], building no activation caches at all.
+    /// Bit-identical to [`Sequential::forward_split`]'s output on the
+    /// same weights and inputs — serving reuses the exact kernels the
+    /// training forward runs. `params` is the split's own slice.
+    pub fn forward_inference_span(&self, params: &[f32], split: &ServeSplit, x: &Tensor) -> Tensor {
+        self.check(params, split);
+        let mut cur: Option<Tensor> = None;
+        for i in split.layer_lo..split.layer_hi {
+            let p = &params[self.local(split, i)];
+            cur = Some(self.layers[i].forward_no_cache(p, cur.as_ref().unwrap_or(x)));
+        }
+        cur.unwrap_or_else(|| x.clone())
     }
 
     /// Partitions the chain into `stages` contiguous layer spans,
@@ -92,14 +136,11 @@ impl Sequential {
     /// be empty when the chain has fewer layers than stages.
     pub fn serve_splits(&self, stages: usize) -> Vec<ServeSplit> {
         assert!(stages >= 1, "need at least one stage");
-        let offsets = self.offsets();
-        let total = self.param_len();
         let n = self.layers.len();
         let mut splits = Vec::with_capacity(stages);
         let mut layer = 0usize;
         for s in 0..stages {
             let lo = layer;
-            let param_lo = if lo < n { offsets[lo] } else { total };
             let remaining = stages - s;
             if remaining == 1 {
                 layer = n;
@@ -107,7 +148,7 @@ impl Sequential {
                 // Take this stage's fair share of the remaining
                 // parameters, but leave at least one layer for each
                 // later stage.
-                let budget = (total - param_lo).div_ceil(remaining);
+                let budget = (self.param_len() - self.offsets[lo]).div_ceil(remaining);
                 let max_hi = n.saturating_sub(remaining - 1).max(lo);
                 let mut taken = 0usize;
                 while layer < max_hi {
@@ -133,35 +174,36 @@ impl Sequential {
                     }
                 }
             }
-            let hi = layer;
-            let param_hi = if hi < n { offsets[hi] } else { total };
-            splits.push(ServeSplit { layer_lo: lo, layer_hi: hi, param_lo, param_hi });
+            splits.push(self.span(lo, layer));
         }
         splits
     }
 
-    /// Forward pass that stashes only the inputs at segment boundaries
-    /// (layers `0, S, 2S, ...`) instead of every per-layer cache — the
-    /// model-side half of PipeMare Recompute (App. D). The returned cache
-    /// holds `indices = [segment]` and one tensor per segment;
-    /// [`Sequential::backward_checkpointed`] replays each segment forward
-    /// from its stashed input to rebuild the caches this pass discarded.
-    pub fn forward_checkpointed(
-        &self,
-        params: &[f32],
-        x: &Tensor,
-        segment: usize,
-    ) -> (Tensor, Cache) {
-        self.forward_checkpointed_with(params, x, segment, StoragePrecision::F32)
+    /// Maps a stage partition's parameter ranges (as
+    /// `StagePartition::ranges` gives them) onto layer spans, one split
+    /// per range. A parameter-free layer stays with the split before it,
+    /// as in [`Sequential::serve_splits`]. Returns `None` when a cut falls
+    /// inside a layer or the ranges do not tile the chain's parameters.
+    pub fn splits_at(&self, ranges: &[(usize, usize)]) -> Option<Vec<ServeSplit>> {
+        let (n, mut lo) = (self.layers.len(), 0);
+        let mut splits = Vec::with_capacity(ranges.len());
+        for (s, &(_, cut)) in ranges.iter().enumerate() {
+            // A cut opens the first layer with parameters at its offset.
+            let opens = |i: &usize| self.offsets[*i] == cut && self.offsets[i + 1] > cut;
+            let hi = if s + 1 < ranges.len() { (lo..n).find(opens)? } else { n };
+            splits.push(self.span(lo, hi));
+            lo = hi;
+        }
+        splits.iter().map(|s| (s.param_lo, s.param_hi)).eq(ranges.iter().copied()).then_some(splits)
     }
 
-    /// [`Sequential::forward_checkpointed`] with a chosen stash storage
-    /// precision. The forward itself always runs in f32 — only the
-    /// segment-boundary stashes are stored at `stash` precision, so a
-    /// bf16 run computes the same output as f32 and halves the stash
-    /// bytes; the backward replay then starts each segment from the
-    /// quantized boundary input (that rounding is the discrepancy the
-    /// health monitor's `quant_eps` accounts for).
+    /// Forward pass that stashes only each segment's input (layers `0, S,
+    /// 2S, ...`), then runs the segment cache-free — the model-side half of
+    /// PipeMare Recompute (App. D); [`Sequential::backward_recomputed`]
+    /// replays each segment. The cache holds `indices = [segment]` and one
+    /// stash per segment, stored at `stash` precision: the forward runs in
+    /// f32 either way, and a bf16 replay starts from the rounded input
+    /// (the discrepancy the health monitor's `quant_eps` accounts for).
     pub fn forward_checkpointed_with(
         &self,
         params: &[f32],
@@ -170,23 +212,22 @@ impl Sequential {
         stash: StoragePrecision,
     ) -> (Tensor, Cache) {
         assert!(segment >= 1, "segment size must be at least 1");
-        let offsets = self.offsets();
         let mut cache = Cache::new();
         cache.indices.push(segment);
-        let mut cur = x.clone();
-        for (i, (l, &off)) in self.layers.iter().zip(offsets.iter()).enumerate() {
-            if i % segment == 0 {
-                match stash {
-                    StoragePrecision::F32 => cache.tensors.push(cur.clone()),
-                    StoragePrecision::Bf16 => cache.bf16_tensors.push(Bf16Stash::encode(&cur)),
-                }
+        let mut cur: Option<Tensor> = None;
+        for lo in (0..self.layers.len()).step_by(segment) {
+            let seg = self.span(lo, (lo + segment).min(self.layers.len()));
+            let h = cur.as_ref().unwrap_or(x);
+            match stash {
+                StoragePrecision::F32 => cache.tensors.push(h.clone()),
+                StoragePrecision::Bf16 => cache.bf16_tensors.push(Bf16Stash::encode(h)),
             }
-            cur = l.forward_no_cache(&params[off..off + l.param_len()], &cur);
+            cur = Some(self.forward_inference_span(&params[seg.param_lo..seg.param_hi], &seg, h));
         }
-        (cur, cache)
+        (cur.unwrap_or_else(|| x.clone()), cache)
     }
 
-    /// Backward for a [`Sequential::forward_checkpointed`] cache, with
+    /// Backward for a [`Sequential::forward_checkpointed_with`] cache, with
     /// distinct weight versions for the replay and the gradient: each
     /// segment is re-run forward with `replay_params` (the pipeline's
     /// recompute-time weights, delayed by τ_recomp relative to the
@@ -208,47 +249,21 @@ impl Sequential {
         let bf16 = !cache.bf16_tensors.is_empty();
         let n_stashes = if bf16 { cache.bf16_tensors.len() } else { cache.tensors.len() };
         assert_eq!(n_stashes, n.div_ceil(segment), "checkpoint cache does not match chain layout");
-        let offsets = self.offsets();
         let mut grads = vec![0.0f32; self.param_len()];
-        let mut cur = dy.clone();
+        let mut cur: Option<Tensor> = None;
         for seg_idx in (0..n_stashes).rev() {
-            let start = seg_idx * segment;
-            let end = (start + segment).min(n);
-            // Replay the segment forward from its stashed boundary input
-            // (widened exactly if the stash is bf16).
-            let mut seg_caches = Vec::with_capacity(end - start);
-            let mut h = if bf16 {
-                cache.bf16_tensors[seg_idx].decode()
-            } else {
-                cache.tensor(seg_idx).clone()
-            };
-            for (l, &off) in self.layers[start..end].iter().zip(&offsets[start..end]) {
-                let (y, c) = l.forward(&replay_params[off..off + l.param_len()], &h);
-                seg_caches.push(c);
-                h = y;
-            }
-            // Backward through the segment with the gradient-time weights.
-            for i in (start..end).rev() {
-                let l = &self.layers[i];
-                let off = offsets[i];
-                let (dx, dp) =
-                    l.backward(&params[off..off + l.param_len()], &seg_caches[i - start], &cur);
-                grads[off..off + l.param_len()].copy_from_slice(&dp);
-                cur = dx;
-            }
+            let seg = self.span(seg_idx * segment, ((seg_idx + 1) * segment).min(n));
+            let range = seg.param_lo..seg.param_hi;
+            // Replay the segment from its stashed boundary input (widened
+            // exactly if the stash is bf16), then differentiate it with
+            // the gradient-time weights.
+            let widened = bf16.then(|| cache.bf16_tensors[seg_idx].decode());
+            let h = widened.as_ref().unwrap_or_else(|| cache.tensor(seg_idx));
+            let (_, seg_cache) = self.forward_split(&replay_params[range.clone()], &seg, h);
+            let (p, g) = (&params[range.clone()], &mut grads[range]);
+            cur = Some(self.backward_split(p, &seg, &seg_cache, cur.as_ref().unwrap_or(dy), g));
         }
-        (cur, grads)
-    }
-
-    /// [`Sequential::backward_recomputed`] with a single weight version
-    /// for both the replay and the gradient.
-    pub fn backward_checkpointed(
-        &self,
-        params: &[f32],
-        cache: &Cache,
-        dy: &Tensor,
-    ) -> (Tensor, Vec<f32>) {
-        self.backward_recomputed(params, params, cache, dy)
+        (cur.unwrap_or_else(|| dy.clone()), grads)
     }
 }
 
@@ -260,39 +275,23 @@ impl Default for Sequential {
 
 impl Layer for Sequential {
     fn param_len(&self) -> usize {
-        self.layers.iter().map(|l| l.param_len()).sum()
+        self.offsets[self.layers.len()]
     }
 
     fn init_params(&self, out: &mut [f32], rng: &mut StdRng) {
-        let offsets = self.offsets();
-        for (l, &off) in self.layers.iter().zip(offsets.iter()) {
-            l.init_params(&mut out[off..off + l.param_len()], rng);
+        for (i, l) in self.layers.iter().enumerate() {
+            l.init_params(&mut out[self.offsets[i]..self.offsets[i + 1]], rng);
         }
     }
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
-        let offsets = self.offsets();
-        let mut cache = Cache::new();
-        let mut cur = x.clone();
-        for (l, &off) in self.layers.iter().zip(offsets.iter()) {
-            let (y, c) = l.forward(&params[off..off + l.param_len()], &cur);
-            cache.children.push(c);
-            cur = y;
-        }
-        (cur, cache)
+        self.forward_split(params, &self.whole(), x)
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
-        let offsets = self.offsets();
         let mut grads = vec![0.0f32; self.param_len()];
-        let mut cur = dy.clone();
-        for (i, l) in self.layers.iter().enumerate().rev() {
-            let off = offsets[i];
-            let (dx, dp) = l.backward(&params[off..off + l.param_len()], cache.child(i), &cur);
-            grads[off..off + l.param_len()].copy_from_slice(&dp);
-            cur = dx;
-        }
-        (cur, grads)
+        let dx = self.backward_split(params, &self.whole(), cache, dy, &mut grads);
+        (dx, grads)
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {
@@ -395,7 +394,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(61);
         let params = init_layer(&chain, &mut rng);
         let x = Tensor::randn(&[3, 4], &mut rng);
-        let full = chain.forward_inference(&params, &x);
+        let full = chain.forward_inference_span(&params, &chain.whole(), &x);
         assert_eq!(full, chain.forward(&params, &x).0);
         for stages in 1..=8 {
             let splits = chain.serve_splits(stages);
@@ -415,7 +414,7 @@ mod tests {
             }
             let mut cur = x.clone();
             for sp in &splits {
-                cur = chain.forward_inference_span(&params, &cur, sp.layer_lo, sp.layer_hi);
+                cur = chain.forward_inference_span(&params[sp.param_lo..sp.param_hi], sp, &cur);
             }
             assert_eq!(cur, full, "stages={stages}");
         }
@@ -474,10 +473,11 @@ mod tests {
         // Every segment size, including S=1 (stash every input) and
         // S > len (single segment), reproduces the plain pass exactly.
         for segment in 1..=chain.len() + 1 {
-            let (y, c) = chain.forward_checkpointed(&params, &x, segment);
+            let (y, c) =
+                chain.forward_checkpointed_with(&params, &x, segment, StoragePrecision::F32);
             assert_eq!(y, y_plain, "S={segment}");
             assert_eq!(c.tensors.len(), chain.len().div_ceil(segment));
-            let (dx, g) = chain.backward_checkpointed(&params, &c, &dy);
+            let (dx, g) = chain.backward_recomputed(&params, &params, &c, &dy);
             assert_eq!(dx, dx_plain, "S={segment}");
             assert_eq!(g, g_plain, "S={segment}");
         }
@@ -498,7 +498,7 @@ mod tests {
         let params = init_layer(&chain, &mut rng);
         let x = Tensor::randn(&[16, 8], &mut rng);
         let (_, full) = chain.forward(&params, &x);
-        let (_, ckpt) = chain.forward_checkpointed(&params, &x, 3);
+        let (_, ckpt) = chain.forward_checkpointed_with(&params, &x, 3, StoragePrecision::F32);
         assert!(
             ckpt.activation_bytes() < full.activation_bytes(),
             "checkpointed cache {} B should undercut stash-everything {} B",
@@ -522,7 +522,7 @@ mod tests {
         let params = init_layer(&chain, &mut rng);
         let x = Tensor::randn(&[8, 8], &mut rng);
         let dy = Tensor::randn(&[8, 4], &mut rng);
-        let (y32, c32) = chain.forward_checkpointed(&params, &x, 2);
+        let (y32, c32) = chain.forward_checkpointed_with(&params, &x, 2, StoragePrecision::F32);
         let (y16, c16) = chain.forward_checkpointed_with(&params, &x, 2, StoragePrecision::Bf16);
         // The forward itself runs in f32 either way — only stashes shrink.
         assert_eq!(y16, y32);
@@ -535,9 +535,9 @@ mod tests {
         // Quantized replay is deterministic: same cache, same gradients,
         // bit for bit — and close to the f32 gradients (bf16 keeps ~8
         // mantissa bits).
-        let (dx32, g32) = chain.backward_checkpointed(&params, &c32, &dy);
-        let (dx_a, g_a) = chain.backward_checkpointed(&params, &c16, &dy);
-        let (dx_b, g_b) = chain.backward_checkpointed(&params, &c16, &dy);
+        let (dx32, g32) = chain.backward_recomputed(&params, &params, &c32, &dy);
+        let (dx_a, g_a) = chain.backward_recomputed(&params, &params, &c16, &dy);
+        let (dx_b, g_b) = chain.backward_recomputed(&params, &params, &c16, &dy);
         assert_eq!(dx_a, dx_b);
         assert_eq!(g_a, g_b);
         let rel_norm = |a: &[f32], b: &[f32]| {
@@ -566,7 +566,7 @@ mod tests {
         let newer: Vec<f32> = params.iter().map(|p| p * 1.1 + 0.01).collect();
         let x = Tensor::randn(&[4, 3], &mut rng);
         let dy = Tensor::randn(&[4, 2], &mut rng);
-        let (_, ckpt) = chain.forward_checkpointed(&params, &x, 2);
+        let (_, ckpt) = chain.forward_checkpointed_with(&params, &x, 2, StoragePrecision::F32);
         // Replaying with the forward's own weights matches the plain
         // async backward (stale activations, newer gradient weights)...
         let (_, c_plain) = chain.forward(&params, &x);

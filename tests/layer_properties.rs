@@ -1,6 +1,6 @@
 //! Property tests over the neural-network layers: gradient correctness
 //! across random configurations, mask invariants, normalization
-//! invariants.
+//! invariants, and training splits that chain to the whole model.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -8,13 +8,91 @@ use rand::SeedableRng;
 
 use pipemare::nn::gradcheck::{check_layer_gradients, init_layer};
 use pipemare::nn::{
-    Activation, AttnMask, BatchNorm2d, Conv2d, Layer, LayerNorm, Linear, MultiHeadAttention,
-    Sequential,
+    cross_entropy_logits, Activation, AttnMask, BatchNorm2d, CifarResNet, Conv2d, CrossEntropyCfg,
+    ImageBatch, Layer, LayerNorm, Linear, Mlp, MultiHeadAttention, ResNetConfig, Sequential,
+    TrainModel,
 };
+use pipemare::pipeline::StagePartition;
 use pipemare::tensor::Tensor;
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A model's weight units as `(offset, len)` pairs, the partitioner's input.
+fn unit_ranges(units: &[pipemare::nn::WeightUnit]) -> Vec<(usize, usize)> {
+    units.iter().map(|u| (u.offset, u.len)).collect()
+}
+
+/// Cuts inside a layer have no layer span: element-wise ranges that cut a
+/// `Linear`, and the ResNet stand-in at P = 16, whose unit cuts fall
+/// inside residual blocks. One stage is always the whole chain.
+#[test]
+fn splits_at_rejects_cuts_inside_a_layer() {
+    let mlp = Mlp::new(&[4, 12, 3]);
+    let (chain, total) = (mlp.chain(), mlp.param_len());
+    let cut_fc0 = StagePartition::by_elements(total, 2);
+    assert_eq!(cut_fc0.ranges(), &[(0, 50), (50, 99)]);
+    assert_eq!(chain.splits_at(cut_fc0.ranges()), None);
+    assert_eq!(chain.splits_at(&[(0, total)]), Some(chain.serve_splits(1)));
+
+    let net = CifarResNet::new(ResNetConfig::resnet50_standin(10));
+    let (chain, total) = (net.chain(), TrainModel::param_len(&net));
+    let units = unit_ranges(&net.weight_units());
+    assert_eq!(chain.splits_at(StagePartition::from_units(&units, total, 16).ranges()), None);
+    let one = chain.splits_at(StagePartition::from_units(&units, total, 1).ranges());
+    assert_eq!(one, Some(chain.serve_splits(1)));
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The training-split contract: for every stage count P, running
+    /// `forward_split` over the §4.1 partition's splits with `u_fwd`, the
+    /// loss, then `backward_split` in reverse with `u_bkwd` reproduces
+    /// `Mlp::forward_loss` and `backward` bit for bit — loss, every
+    /// parameter gradient and the input gradient.
+    #[test]
+    fn mlp_training_splits_chain_to_the_whole_model(
+        widths in prop::collection::vec(1usize..9, 3..=6),
+        seed in 0u64..1000,
+    ) {
+        let model = Mlp::new(&widths);
+        let (chain, total) = (model.chain(), model.param_len());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut u_fwd, mut u_bkwd) = (vec![0.0; total], vec![0.0; total]);
+        model.init_params(&mut u_fwd, &mut rng);
+        model.init_params(&mut u_bkwd, &mut rng);
+        let classes = widths[widths.len() - 1];
+        let y = (0..5).map(|i| i % classes).collect();
+        let batch = ImageBatch { x: Tensor::randn(&[5, widths[0]], &mut rng), y };
+        let (loss, cache) = model.forward_loss(&u_fwd, &batch);
+        let grads = model.backward(&u_bkwd, &cache);
+        let (dx, _) = chain.backward(&u_bkwd, cache.child(0), cache.tensor(0));
+
+        let units = unit_ranges(&model.weight_units());
+        for p in 1..=units.len() {
+            let partition = StagePartition::from_units(&units, total, p);
+            let splits = chain.splits_at(partition.ranges()).expect("Mlp cuts fall between layers");
+            prop_assert_eq!(splits.len(), p);
+            let mut h = batch.x.clone();
+            let mut caches = Vec::new();
+            for sp in &splits {
+                let (y, c) = chain.forward_split(&u_fwd[sp.param_lo..sp.param_hi], sp, &h);
+                caches.push(c);
+                h = y;
+            }
+            let (split_loss, mut d) = cross_entropy_logits(&h, &batch.y, CrossEntropyCfg::default());
+            prop_assert_eq!(split_loss.to_bits(), loss.to_bits(), "P={}", p);
+            let mut split_grads = vec![f32::NAN; total];
+            for (sp, c) in splits.iter().zip(&caches).rev() {
+                let range = sp.param_lo..sp.param_hi;
+                d = chain.backward_split(&u_bkwd[range.clone()], sp, c, &d, &mut split_grads[range]);
+            }
+            prop_assert_eq!(bits(&split_grads), bits(&grads), "P={}", p);
+            prop_assert_eq!(bits(d.data()), bits(dx.data()), "P={}", p);
+        }
+    }
 
     #[test]
     fn linear_gradcheck_random_configs(
