@@ -1,5 +1,6 @@
-//! Serving QPS sweep: admission control, deadline coalescing, and the
-//! coalescing speedup claim, measured live and replayed deterministically.
+//! Serving QPS sweep: admission control, work-conserving batching, and
+//! the coalescing speedup claim, measured live and replayed
+//! deterministically.
 //!
 //! The run writes `bench_serving.json` with:
 //!
@@ -16,7 +17,7 @@
 //!   `speedup.live_coalescing`) and an open-loop Poisson sweep
 //!   (`seconds.open_*`, `metric.open_*`).
 //!
-//! The paper-level serving claim — deadline coalescing buys at least
+//! The paper-level serving claim — coalescing the backlog buys at least
 //! 2× the batch-of-1 throughput at saturation — is asserted inside the
 //! bench for both the simulated and the live closed-loop comparison,
 //! so a policy regression fails the run itself, not just the diff.
@@ -25,7 +26,6 @@
 //! deterministic workload and keys are identical in both modes.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,8 +36,8 @@ use pipemare_core::serve_checkpoint;
 use pipemare_nn::{Mlp, TrainModel};
 use pipemare_serve::{poissonish_trace, simulate, ServeConfig, SimConfig};
 
-/// Stated bound enforced by the bench: at saturation, deadline
-/// coalescing must serve at least this multiple of the batch-of-1
+/// Stated bound enforced by the bench: at saturation, coalescing must
+/// serve at least this multiple of the batch-of-1
 /// throughput — in the integer-time simulator and in the live
 /// closed-loop run.
 const BOUND_COALESCE_SPEEDUP: f64 = 2.0;
@@ -66,14 +66,8 @@ fn main() {
     // service model is affine (80 µs per stage visit + 6 µs per row),
     // so a full 32-row batch costs 8.5 µs/row where a lone request
     // costs ~38 µs/row — the capacity gap coalescing exists to close.
-    let sim_cfg = SimConfig {
-        stages: 4,
-        max_batch_rows: 32,
-        deadline_us: 2_000,
-        queue_cap: 64,
-        base_us: 80,
-        per_row_us: 6,
-    };
+    let sim_cfg =
+        SimConfig { stages: 4, max_batch_rows: 32, queue_cap: 64, base_us: 80, per_row_us: 6 };
     let gaps_us: &[u64] = &[1_000, 500, 250, 125, 60, 30, 15, 8];
     let n_req = 2_000;
     let mut s_gap = Vec::new();
@@ -168,14 +162,8 @@ fn main() {
     let (model, params) = model_and_params();
     let clients = 16;
     let reqs = if smoke { 25 } else { 150 };
-    let base_cfg = ServeConfig {
-        stages: 2,
-        max_batch_rows: 8,
-        deadline: Duration::from_micros(500),
-        queue_cap: 64,
-        refresh_every: None,
-        conn_recv_timeout: Some(Duration::from_millis(100)),
-    };
+    let base_cfg =
+        ServeConfig { stages: 2, max_batch_rows: 8, queue_cap: 64, ..ServeConfig::default() };
     let (server, _rec) = serve_checkpoint(Arc::clone(&model), params.clone(), base_cfg.clone())
         .expect("bench server starts");
     let closed = closed_loop(&server, clients, reqs, COLS);

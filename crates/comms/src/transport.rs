@@ -16,9 +16,9 @@
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver as ChanRx, Sender as ChanTx};
+use crossbeam_channel::{unbounded, Receiver as ChanRx, RecvTimeoutError, Sender as ChanTx};
 
 use crate::codec::{frame_len, frame_prefix};
 use crate::error::CommsError;
@@ -191,27 +191,10 @@ impl FrameRx for LoopbackRx {
     fn recv_frame(&mut self) -> Result<Vec<u8>, CommsError> {
         match self.timeout {
             None => self.rx.recv().map_err(|_| CommsError::Closed),
-            // The vendored crossbeam-channel has no recv_timeout, so the
-            // deadline is enforced by polling try_recv at 50µs intervals
-            // — coarse but plenty for the second-scale timeouts the
-            // robustness path uses.
-            Some(limit) => {
-                let deadline = Instant::now() + limit;
-                loop {
-                    match self.rx.try_recv() {
-                        Ok(frame) => return Ok(frame),
-                        Err(crossbeam_channel::TryRecvError::Disconnected) => {
-                            return Err(CommsError::Closed)
-                        }
-                        Err(crossbeam_channel::TryRecvError::Empty) => {
-                            if Instant::now() >= deadline {
-                                return Err(CommsError::Timeout);
-                            }
-                            std::thread::sleep(Duration::from_micros(50));
-                        }
-                    }
-                }
-            }
+            Some(limit) => self.rx.recv_timeout(limit).map_err(|e| match e {
+                RecvTimeoutError::Timeout => CommsError::Timeout,
+                RecvTimeoutError::Disconnected => CommsError::Closed,
+            }),
         }
     }
 
@@ -404,6 +387,23 @@ mod tests {
         let (_tx, mut rx) = channel(Box::new(a)).unwrap();
         rx.set_timeout(Some(Duration::from_millis(20))).unwrap();
         assert!(matches!(rx.recv(), Err(CommsError::Timeout)));
+    }
+
+    #[test]
+    fn loopback_frame_arrives_promptly_inside_a_long_timeout() {
+        let (a, b) = loopback_pair();
+        let (_tx, mut rx) = channel(Box::new(a)).unwrap();
+        let (mut b_tx, _b_rx) = channel(Box::new(b)).unwrap();
+        rx.set_timeout(Some(Duration::from_secs(1))).unwrap();
+        let t0 = std::time::Instant::now();
+        let peer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(5));
+            b_tx.send(&Message::Flush { id: 5 }).unwrap();
+        });
+        assert_eq!(rx.recv().unwrap(), Message::Flush { id: 5 });
+        let waited = t0.elapsed();
+        assert!(waited < Duration::from_millis(500), "a 5 ms frame took {waited:?}");
+        peer.join().unwrap();
     }
 
     #[test]

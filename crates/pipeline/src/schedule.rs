@@ -204,7 +204,7 @@ impl Schedule {
 /// once it has left stage `s − 1` *and* stage `s` has finished batch
 /// `k − 1` — the classic tandem-queue recurrence, in integer
 /// microseconds so results are exactly reproducible. The serving
-/// simulator drives this to model deadline-coalesced batches flowing
+/// simulator drives this to model coalesced batches flowing
 /// through the stage chain; steady-state throughput is set by the
 /// slowest stage while latency is the sum over stages.
 #[derive(Clone, Debug)]

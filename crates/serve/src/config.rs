@@ -1,5 +1,5 @@
-//! Serving configuration: admission control, coalescing policy,
-//! pipeline depth, weight refresh cadence.
+//! Serving configuration: admission control, batch cap, pipeline
+//! depth, weight refresh cadence.
 
 use std::time::Duration;
 
@@ -7,18 +7,20 @@ use std::time::Duration;
 ///
 /// The two levers the paper's utilization argument turns into serving
 /// throughput are `stages` (keep every stage busy with a different
-/// batch) and the coalescing pair `max_batch_rows` / `deadline`: the
-/// batcher dispatches whatever arrived within `deadline` of the first
-/// queued request, capped at `max_batch_rows` input rows, so light
-/// traffic pays at most one deadline of extra latency while heavy
-/// traffic amortizes the per-batch weight traversal across many rows.
+/// batch) and `max_batch_rows`: the batcher dispatches a request the
+/// moment stage 0 can take it, together with everything else already
+/// queued up to `max_batch_rows` input rows, so light traffic pays no
+/// extra latency while heavy traffic, piling up behind a busy stage 0,
+/// amortizes the per-batch weight traversal across many rows.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Pipeline stages the model is split across (≥ 1).
     pub stages: usize,
     /// Maximum input rows coalesced into one batch (≥ 1).
     pub max_batch_rows: u32,
-    /// Coalescing window measured from the first queued request.
+    /// Ignored: the batcher holds no request for a coalescing window.
+    /// Kept only because benchmark code still names it; ROADMAP item 2
+    /// deletes it.
     pub deadline: Duration,
     /// Admission queue capacity in requests; a full queue sheds with a
     /// typed [`pipemare_comms::RejectReason::QueueFull`] reject.

@@ -13,9 +13,9 @@
 //!   reduction order) regardless of stage count or batch size.
 //! * [`Server`] — admission control (bounded queue, typed
 //!   `queue_full` / `draining` / `invalid` / `backend` rejects) and
-//!   deadline-based micro-batch coalescing: every request that arrives
-//!   within [`ServeConfig::deadline`] of the first queued one joins
-//!   its batch, up to [`ServeConfig::max_batch_rows`] rows.
+//!   work-conserving micro-batching: a request is dispatched the moment
+//!   stage 0 can take it, with every request queued behind it up to
+//!   [`ServeConfig::max_batch_rows`] rows.
 //! * [`InferClient`] — the matching client over any
 //!   [`pipemare_comms::Transport`] (loopback or TCP), speaking the
 //!   `Infer`/`InferResult`/`InferReject` extension of the training
@@ -25,7 +25,7 @@
 //!   [`pipemare_comms::PassKind::Latest`] fetches, so a model can be
 //!   served while it trains.
 //! * [`policy`] — a deterministic integer-time simulator of the exact
-//!   admission + coalescing + pipeline policy, for regression-gated
+//!   admission + batching + pipeline policy, for regression-gated
 //!   benchmark keys that cannot flake on wall-clock noise.
 
 pub mod client;

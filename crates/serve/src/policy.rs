@@ -1,5 +1,6 @@
 //! A deterministic discrete-event simulator of the serving policy:
-//! admission control + deadline coalescing + staged forward pipeline.
+//! admission control + work-conserving batching + staged forward
+//! pipeline.
 //!
 //! The live server's latency numbers depend on wall clocks and
 //! scheduler jitter, which makes them useless as regression-gated
@@ -31,8 +32,6 @@ pub struct SimConfig {
     pub stages: usize,
     /// Maximum rows coalesced into one batch.
     pub max_batch_rows: u32,
-    /// Coalescing window from the first queued request, in µs.
-    pub deadline_us: u64,
     /// Admission queue capacity in requests.
     pub queue_cap: usize,
     /// Fixed per-batch cost of one stage visit, in µs.
@@ -91,12 +90,11 @@ pub fn quantile(sorted: &[u64], q: f64) -> u64 {
 /// The model mirrors the live batcher:
 /// - a request arriving while the queue holds `queue_cap` pending
 ///   requests is shed;
-/// - the coalescing window opens when the batcher sees its first
-///   pending request and closes `deadline_us` later — or immediately
-///   once pulling the next request would exceed `max_batch_rows`;
-/// - the batch enters the pipeline at the later of window close and
-///   stage 0 becoming free ([`ForwardPipeline::next_admit_us`]), and
-///   each member's latency runs from its arrival to the batch leaving
+/// - a batch is dispatched at the later of the first pending arrival
+///   and stage 0 becoming free ([`ForwardPipeline::next_admit_us`]),
+///   and takes every request that has arrived by then, in FIFO order,
+///   until the next one would exceed `max_batch_rows`;
+/// - each member's latency runs from its arrival to the batch leaving
 ///   the last stage.
 ///
 /// # Panics
@@ -119,7 +117,7 @@ pub fn simulate(cfg: &SimConfig, trace: &[SimRequest]) -> SimOutcome {
 
     // Admit every request arriving at or before `t`; shed on overflow.
     // Mirrors the live reader threads, which enqueue independently of
-    // the batcher's window.
+    // the batcher.
     fn admit_until(
         t: u64,
         trace: &[SimRequest],
@@ -147,44 +145,24 @@ pub fn simulate(cfg: &SimConfig, trace: &[SimRequest]) -> SimOutcome {
             let t = trace[next].arrival_us;
             admit_until(t, trace, &mut next, &mut queue, cfg.queue_cap, &mut out.shed);
         }
-        // The window opens when the batcher first sees a pending
-        // request: no earlier than its arrival, no earlier than the
-        // batcher finishing its previous dispatch (stage 0 free).
+        // Work-conserving: the batch leaves as soon as there is a
+        // request and stage 0 can take it, with the whole backlog that
+        // has built up by then, up to the cap.
         let first = *queue.front().expect("queue is non-empty here");
-        let window_open = first.arrival_us.max(pipe.next_admit_us());
-        let window_close = window_open + cfg.deadline_us;
-        admit_until(window_close, trace, &mut next, &mut queue, cfg.queue_cap, &mut out.shed);
-
-        // Pull members in FIFO order until the cap would be exceeded.
-        // `closed_at` is the moment the batcher knows the batch cannot
-        // grow: the arrival of the request that filled the cap, or of
-        // the overflow request it could not fit (the live batcher
-        // holds that one for the next batch and dispatches at once).
+        let dispatch = first.arrival_us.max(pipe.next_admit_us());
+        admit_until(dispatch, trace, &mut next, &mut queue, cfg.queue_cap, &mut out.shed);
         let mut members: Vec<SimRequest> = Vec::new();
         let mut rows = 0u32;
-        let mut closed_at: Option<u64> = None;
         while let Some(&req) = queue.front() {
             if rows > 0 && rows + req.rows > cfg.max_batch_rows {
-                closed_at = Some(req.arrival_us);
                 break;
             }
             rows += req.rows;
             members.push(req);
             queue.pop_front();
-            if rows >= cfg.max_batch_rows {
-                closed_at = Some(req.arrival_us);
-                break;
-            }
         }
-        // Dispatch at window close, or as soon as the batch filled —
-        // whichever came first — but never before the members arrived.
-        let dispatch = match closed_at {
-            Some(at) => at.max(window_open),
-            None => window_close,
-        };
-        let admit_at = dispatch.max(pipe.next_admit_us());
         let svc: Vec<u64> = vec![cfg.base_us + cfg.per_row_us * rows as u64; cfg.stages];
-        let done = pipe.admit(admit_at, &svc);
+        let done = pipe.admit(dispatch, &svc);
         out.batches += 1;
         out.batch_rows.push(rows);
         out.makespan_us = out.makespan_us.max(done);
@@ -192,8 +170,6 @@ pub fn simulate(cfg: &SimConfig, trace: &[SimRequest]) -> SimOutcome {
             out.served += 1;
             out.latencies_us.push(done - m.arrival_us);
         }
-        // Arrivals during the service window queue up (and shed) too.
-        admit_until(admit_at, trace, &mut next, &mut queue, cfg.queue_cap, &mut out.shed);
     }
     out.latencies_us.sort_unstable();
     out
@@ -241,18 +217,11 @@ mod tests {
     use super::*;
 
     fn base_cfg() -> SimConfig {
-        SimConfig {
-            stages: 3,
-            max_batch_rows: 8,
-            deadline_us: 100,
-            queue_cap: 16,
-            base_us: 50,
-            per_row_us: 10,
-        }
+        SimConfig { stages: 3, max_batch_rows: 8, queue_cap: 16, base_us: 50, per_row_us: 10 }
     }
 
     #[test]
-    fn single_request_pays_deadline_plus_service() {
+    fn single_request_pays_service_only() {
         let cfg = base_cfg();
         let trace = [SimRequest { arrival_us: 1000, rows: 2 }];
         let out = simulate(&cfg, &trace);
@@ -260,8 +229,19 @@ mod tests {
         assert_eq!(out.shed, 0);
         assert_eq!(out.batches, 1);
         assert_eq!(out.batch_rows, vec![2]);
-        // window closes at 1000+100, then 3 stages × (50 + 10·2) µs.
-        assert_eq!(out.latencies_us, vec![100 + 3 * 70]);
+        // Dispatched on arrival, then 3 stages × (50 + 10·2) µs.
+        assert_eq!(out.latencies_us, vec![3 * 70]);
+    }
+
+    #[test]
+    fn a_backlog_behind_a_busy_stage_0_forms_the_next_batch() {
+        let cfg = base_cfg();
+        // The first request dispatches alone at t=0 and holds stage 0
+        // for 60 µs; the three that arrive meanwhile leave together.
+        let trace: Vec<SimRequest> =
+            [0, 10, 20, 30].iter().map(|&arrival_us| SimRequest { arrival_us, rows: 1 }).collect();
+        let out = simulate(&cfg, &trace);
+        assert_eq!(out.batch_rows, vec![1, 3]);
     }
 
     #[test]
@@ -282,11 +262,8 @@ mod tests {
         let mut cfg = base_cfg();
         cfg.queue_cap = 4;
         cfg.max_batch_rows = 4;
-        cfg.deadline_us = 1000;
-        // 12 requests at t=0: 4 admitted, then during the long window
-        // the rest arrive while the queue is full... but the batcher
-        // pops 4 into the batch at window close. With everything at
-        // t=0, admission happens before any pop: 4 in, 8 shed.
+        // 12 requests at t=0: admission happens before any pop, so 4
+        // are queued and 8 shed.
         let trace: Vec<SimRequest> =
             (0..12).map(|_| SimRequest { arrival_us: 0, rows: 1 }).collect();
         let out = simulate(&cfg, &trace);
@@ -332,7 +309,6 @@ mod tests {
         let trace = poissonish_trace(3, 1000, 10, 2);
         let mut batched = base_cfg();
         batched.max_batch_rows = 32;
-        batched.deadline_us = 200;
         batched.queue_cap = 100_000;
         let mut single = batched.clone();
         single.max_batch_rows = 1;

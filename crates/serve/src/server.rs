@@ -1,32 +1,34 @@
 //! The serving frontend: connection readers, admission control, the
-//! deadline-coalescing batcher, and the result demultiplexer.
+//! work-conserving batcher, and the result demultiplexer.
 //!
 //! Thread anatomy (all owned by [`Server`]):
 //!
 //! ```text
 //!  client ──Infer──▶ reader ──try_send──▶ [bounded queue] ──▶ batcher ──▶ engine stages ──▶ demux ──InferResult──▶ client
-//!                      │ full? InferReject(queue_full)          │ window + cap                        │ per-request rows
+//!                      │ full? InferReject(queue_full)          │ backlog up to cap                   │ per-request rows
 //!                      │ draining/poisoned? typed reject        │ weight refresh (Latest)             │
 //! ```
 //!
 //! Admission control happens at the reader: an `Infer` either enters
 //! the bounded queue or is refused *immediately* with a typed
 //! [`Message::InferReject`], so clients learn about overload at wire
-//! speed instead of through a timeout. The batcher opens a coalescing
-//! window when it pops the first queued request and dispatches
-//! whatever arrived within [`ServeConfig::deadline`], capped at
-//! [`ServeConfig::max_batch_rows`] input rows — the serving analogue
-//! of microbatching: one weight traversal amortized over every row
-//! that showed up together.
+//! speed instead of through a timeout. The batcher is work-conserving:
+//! the moment a request is queued it takes it plus whatever else is
+//! already queued, capped at [`ServeConfig::max_batch_rows`] input
+//! rows, and submits the batch. Submission blocks while stage 0 is
+//! busy, so under load arrivals pile up behind it and the next batch is
+//! as large as the backlog — the serving analogue of microbatching, one
+//! weight traversal amortized over every row that is waiting — while a
+//! lone request never waits for company.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam_channel::{bounded, unbounded, Receiver as ChanRx, Sender as ChanTx};
 
@@ -145,9 +147,17 @@ struct Inner {
     recorder: DynRecorder,
     metrics: ServeMetrics,
     live: Arc<LiveStore>,
+    /// The batcher thread, unparked whenever it may have work.
+    batcher: OnceLock<thread::Thread>,
 }
 
 impl Inner {
+    fn wake_batcher(&self) {
+        if let Some(batcher) = self.batcher.get() {
+            batcher.unpark();
+        }
+    }
+
     /// Sends a typed reject to one connection (drops it silently if the
     /// client already went away) and bumps the matching counter.
     fn reject(&self, conn_id: u64, id: u64, reason: RejectReason, message: &str) {
@@ -238,6 +248,7 @@ impl Server {
             recorder: Arc::clone(&recorder),
             metrics,
             live,
+            batcher: OnceLock::new(),
         });
 
         let batcher = {
@@ -248,6 +259,8 @@ impl Server {
                 .spawn(move || run_batcher(inner, engine, queue_rx, meta_tx, source, param_len))
                 .expect("spawning the batcher cannot fail")
         };
+        // No reader exists yet, so no wake-up can be missed.
+        let _ = inner.batcher.set(batcher.thread().clone());
         let demux = {
             let inner = Arc::clone(&inner);
             let done_rx = engine.completions();
@@ -404,6 +417,7 @@ impl Server {
     /// Undoes [`Server::pause_batcher`].
     pub fn resume_batcher(&self) {
         self.inner.paused.store(false, Ordering::SeqCst);
+        self.inner.wake_batcher();
     }
 
     /// Graceful shutdown: new requests get `Draining` rejects, queued
@@ -417,6 +431,7 @@ impl Server {
         // 1. Refuse new work, let the batcher drain what's queued.
         self.inner.draining.store(true, Ordering::SeqCst);
         self.inner.paused.store(false, Ordering::SeqCst);
+        self.inner.wake_batcher();
         let source = match self.batcher.take() {
             Some(h) => h.join().unwrap_or(None),
             None => None,
@@ -531,6 +546,7 @@ fn run_reader(inner: &Inner, conn_id: u64, receiver: &mut pipemare_comms::Receiv
                         inner.stats.lock().expect("stats lock poisoned").accepted += 1;
                         inner.metrics.accepted.inc();
                         inner.metrics.queue_depth.set(inner.queue_tx.len() as f64);
+                        inner.wake_batcher();
                     }
                     Err(crossbeam_channel::TrySendError::Full(_)) => {
                         inner.reject(
@@ -569,8 +585,10 @@ fn run_reader(inner: &Inner, conn_id: u64, receiver: &mut pipemare_comms::Receiv
     }
 }
 
-/// The coalescing batcher: pops the queue, assembles deadline-bounded
-/// batches, refreshes weights, submits to the engine.
+/// The work-conserving batcher: takes the first queued request plus
+/// whatever else is already queued, refreshes weights, submits to the
+/// engine. With nothing to do, or while paused, it parks until a reader,
+/// [`Server::resume_batcher`] or [`Server::shutdown`] unparks it.
 fn run_batcher(
     inner: Arc<Inner>,
     engine: Arc<StagedEngine>,
@@ -579,7 +597,7 @@ fn run_batcher(
     mut source: Option<Box<dyn WeightSource>>,
     param_len: usize,
 ) -> Option<Box<dyn WeightSource>> {
-    let cfg = inner.cfg.clone();
+    let cfg = &inner.cfg;
     let rec = &inner.recorder;
     let driver_track = cfg.stages as u32;
     let mut held: Option<QueuedReq> = None;
@@ -587,46 +605,30 @@ fn run_batcher(
     let mut refresh_buf = vec![0.0f32; param_len];
     loop {
         if inner.paused.load(Ordering::SeqCst) {
-            thread::sleep(Duration::from_micros(100));
+            thread::park();
             continue;
         }
-        let first = match held.take() {
-            Some(r) => r,
-            None => match queue_rx.try_recv() {
-                Ok(r) => r,
-                Err(_) => {
-                    if inner.draining.load(Ordering::SeqCst) {
-                        // Drained: nothing held, nothing queued.
-                        return source;
-                    }
-                    thread::sleep(Duration::from_micros(50));
-                    continue;
-                }
-            },
+        let Some(first) = held.take().or_else(|| queue_rx.try_recv().ok()) else {
+            if inner.draining.load(Ordering::SeqCst) {
+                // Drained: nothing held, nothing queued.
+                return source;
+            }
+            thread::park();
+            continue;
         };
-        // Coalescing window: open at first pop, close a deadline later
-        // or as soon as the row cap fills.
         let open_us = rec.now_us();
-        let deadline = Instant::now() + cfg.deadline;
         let mut members = vec![first];
         let mut rows = members[0].rows;
+        // Everything already queued joins, up to the row cap; a request
+        // that would overflow it is held for the next batch.
         while rows < cfg.max_batch_rows {
-            match queue_rx.try_recv() {
-                Ok(req) => {
-                    if rows + req.rows > cfg.max_batch_rows {
-                        held = Some(req);
-                        break;
-                    }
-                    rows += req.rows;
-                    members.push(req);
-                }
-                Err(_) => {
-                    if Instant::now() >= deadline {
-                        break;
-                    }
-                    thread::sleep(Duration::from_micros(20));
-                }
+            let Ok(req) = queue_rx.try_recv() else { break };
+            if rows + req.rows > cfg.max_batch_rows {
+                held = Some(req);
+                break;
             }
+            rows += req.rows;
+            members.push(req);
         }
         // Weight refresh rides the batch boundary so a batch never
         // mixes two weight versions.

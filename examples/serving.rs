@@ -2,7 +2,7 @@
 //!
 //! Stands up a [`pipemare::serve::Server`] for a small MLP — forward
 //! passes split across pipeline stages, a bounded admission queue, and
-//! a deadline-coalescing batcher — then drives it two ways:
+//! a work-conserving batcher — then drives it two ways:
 //!
 //! 1. concurrent TCP clients on 127.0.0.1, every response checked
 //!    bit-for-bit against the training-path forward (`Mlp::logits`);
@@ -53,14 +53,8 @@ fn main() {
     let mut params = vec![0.0; TrainModel::param_len(&*model)];
     TrainModel::init_params(&*model, &mut params, &mut rng);
 
-    let cfg = ServeConfig {
-        stages: STAGES,
-        max_batch_rows: 8,
-        deadline: Duration::from_micros(500),
-        queue_cap: 64,
-        refresh_every: None,
-        conn_recv_timeout: Some(Duration::from_millis(100)),
-    };
+    let cfg =
+        ServeConfig { stages: STAGES, max_batch_rows: 8, queue_cap: 64, ..Default::default() };
     let (mut server, recorder) =
         serve_checkpoint(Arc::clone(&model), params.clone(), cfg).expect("server starts");
     // The observability planes: the default alert pack over the live
@@ -148,11 +142,15 @@ fn main() {
 
     // --- Sustained overload: the shed-burn alert must fire -----------
     // The 500 ms hysteresis window needs seconds of continuous
-    // saturation, not a short burst: hold ~80k offered req/s (far past
-    // the saturation point above) long enough for several 250 ms
-    // journal ticks to see shed/accepted burning above 10%.
+    // saturation, not a short burst, with shed/accepted burning above
+    // 10% for several 250 ms journal ticks. A work-conserving server
+    // keeps up with most of an 80k req/s schedule (it shed ~6% on a
+    // 2-vCPU host), so the schedule offers 320k req/s: more than the
+    // senders can push, which makes the overload a firehose whose shed
+    // share does not hinge on how fast the host is. 1.2 s of schedule
+    // at that rate; slower senders stretch it.
     let lg =
-        OpenLoopCfg { conns: 8, requests_per_conn: 12_000, mean_gap_us: 100, cols: IN, seed: 99 };
+        OpenLoopCfg { conns: 8, requests_per_conn: 48_000, mean_gap_us: 25, cols: IN, seed: 99 };
     let rep = open_loop(&server, &lg);
     println!(
         "sustained overload: offered {:.0}/s, served {:.0}/s, shed {}",

@@ -15,7 +15,7 @@
 //! | [`core`] | `pipemare-core` | the PipeMare/GPipe/PipeDream/Hogwild trainers |
 //! | [`telemetry`] | `pipemare-telemetry` | trace recording (null/flight/full tiers), metrics, Chrome-trace export, `pmtrace` analysis |
 //! | [`comms`] | `pipemare-comms` | multi-process distributed pipeline: binary wire codec, TCP/loopback transports, stage workers, `orchestrator` binary |
-//! | [`serve`] | `pipemare-serve` | pipelined inference serving: admission control, deadline coalescing, staged forward engine, policy simulator |
+//! | [`serve`] | `pipemare-serve` | pipelined inference serving: admission control, work-conserving batching, staged forward engine, policy simulator |
 //!
 //! ## Quickstart
 //!
