@@ -8,7 +8,9 @@
 //! two runs. Everything here takes a plain `&[TraceEvent]` so it works
 //! identically on full [`crate::TraceRecorder`] exports, flight-recorder
 //! black-box dumps, and Chrome traces read back via
-//! [`crate::export::chrome_trace_events`].
+//! [`crate::export::chrome_trace_events`]. Per-stage busy time and τ
+//! come from [`crate::summary`]'s one grouping of a trace by stage;
+//! drift only chooses the windows it reads.
 
 use std::io;
 use std::path::Path;
@@ -16,7 +18,7 @@ use std::path::Path;
 use crate::event::{SpanKind, TraceEvent, NO_TRACE};
 use crate::export::{chrome_trace_events, event_from_jsonl};
 use crate::json::Value;
-use crate::summary::{delay_slot_samples, PipelineTimelineSummary};
+use crate::summary::{mean, PipelineTimelineSummary, StageFold};
 
 /// Serving-trace shape: batches, member requests, and throughput,
 /// detected from `Coalesce` spans (the serving batcher's signature).
@@ -251,85 +253,45 @@ pub struct WindowStats {
     pub tau_recomp: Vec<f64>,
 }
 
-/// Splits the trace span into `n_windows` equal windows and measures
-/// each: busy-time (clipped to window overlap, so straddling spans are
-/// attributed exactly) and the measured τ of the microbatches whose
-/// forward / replay starts fall inside the window. This is how τ *drift
-/// over time* becomes visible — a stage whose measured delay walks away
-/// from the nominal `2(P−1−s)+1` shows up window by window.
+/// Splits the trace span into windows of `⌈span / n_windows⌉` µs and
+/// measures each: busy time (clipped to window overlap, so straddling
+/// spans are attributed exactly) and the measured τ of the microbatches
+/// whose forward / replay starts fall inside the window, paired with
+/// backward starts anywhere in the trace. The windows tile the span
+/// exactly: the last is cut at the trace end, and when the rounded-up
+/// width covers the span in fewer than `n_windows` windows, only those
+/// are returned. This is how τ *drift over time* becomes visible — a
+/// stage whose measured delay walks away from the nominal `2(P−1−s)+1`
+/// shows up window by window.
 pub fn windowed_stats(events: &[TraceEvent], n_windows: usize) -> Vec<WindowStats> {
     assert!(n_windows > 0);
-    let n_stages = events
-        .iter()
-        .filter(|e| matches!(e.kind, SpanKind::Forward | SpanKind::Backward))
-        .map(|e| e.stage + 1)
-        .max()
-        .unwrap_or(0) as usize;
-    if n_stages == 0 {
+    let fold = StageFold::new(events, 0, |_| true);
+    if fold.stages.is_empty() {
         return Vec::new();
     }
-    let start = events.iter().map(|e| e.ts_us).min().unwrap();
-    let end = events.iter().map(|e| e.ts_us + e.dur_us).max().unwrap().max(start + 1);
+    let start = fold.start_us;
+    let end = fold.end_us.max(start + 1);
     let width = (end - start).div_ceil(n_windows as u64).max(1);
-
-    // Per-stage starts for delay samples (windowed by fwd/replay start).
-    let mut out = Vec::with_capacity(n_windows);
-    for w in 0..n_windows as u64 {
-        let t0 = start + w * width;
-        let t1 = (t0 + width).min(end);
-        let mut busy = vec![0u64; n_stages];
-        for e in events {
-            if !matches!(e.kind, SpanKind::Forward | SpanKind::Backward | SpanKind::Recompute) {
-                continue;
+    let tau = |samples: Vec<f64>| mean(&samples).unwrap_or(f64::NAN);
+    (0..n_windows as u64)
+        .map(|w| start + w * width)
+        .take_while(|&t0| t0 < end)
+        .map(|t0| {
+            let t1 = (t0 + width).min(end);
+            let span = (t1 - t0) as f64;
+            let mean_util =
+                fold.stages.iter().map(|st| st.busy_us(t0, t1) as f64 / span).sum::<f64>()
+                    / fold.stages.len() as f64;
+            let in_window = |e: &TraceEvent| e.ts_us >= t0 && e.ts_us < t1;
+            WindowStats {
+                t0_us: t0 - start,
+                t1_us: t1 - start,
+                bubble_fraction: 1.0 - mean_util,
+                tau_fwd: fold.stages.iter().map(|st| tau(st.tau_fwd(in_window))).collect(),
+                tau_recomp: fold.stages.iter().map(|st| tau(st.tau_recomp(in_window))).collect(),
             }
-            let lo = e.ts_us.max(t0);
-            let hi = (e.ts_us + e.dur_us).min(t1);
-            if hi > lo {
-                busy[e.stage as usize] += hi - lo;
-            }
-        }
-        let span = (t1 - t0) as f64;
-        let mean_util = busy.iter().map(|&b| b as f64 / span).sum::<f64>() / n_stages as f64;
-        let mut tau_fwd = Vec::with_capacity(n_stages);
-        let mut tau_recomp = Vec::with_capacity(n_stages);
-        for s in 0..n_stages as u32 {
-            let in_window = |ts: u64| ts >= t0 && ts < t1;
-            let mut fwd_starts = Vec::new();
-            let mut bkwd_starts = Vec::new();
-            let mut recomp_starts = Vec::new();
-            for e in events.iter().filter(|e| e.stage == s) {
-                match e.kind {
-                    SpanKind::Forward if in_window(e.ts_us) => {
-                        fwd_starts.push((e.microbatch, e.ts_us));
-                    }
-                    SpanKind::Recompute if in_window(e.ts_us) => {
-                        recomp_starts.push((e.microbatch, e.ts_us));
-                    }
-                    // Backward starts are needed globally: a forward that
-                    // starts in this window may turn around in a later one.
-                    SpanKind::Backward => bkwd_starts.push((e.microbatch, e.ts_us)),
-                    _ => {}
-                }
-            }
-            let mean = |samples: Vec<f64>| {
-                if samples.is_empty() {
-                    f64::NAN
-                } else {
-                    samples.iter().sum::<f64>() / samples.len() as f64
-                }
-            };
-            tau_fwd.push(mean(delay_slot_samples(&fwd_starts, &bkwd_starts, 1)));
-            tau_recomp.push(mean(delay_slot_samples(&recomp_starts, &bkwd_starts, 0)));
-        }
-        out.push(WindowStats {
-            t0_us: t0 - start,
-            t1_us: t1 - start,
-            bubble_fraction: 1.0 - mean_util,
-            tau_fwd,
-            tau_recomp,
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 /// Renders the windowed bubble-fraction and per-stage measured-τ drift
@@ -337,7 +299,7 @@ pub fn windowed_stats(events: &[TraceEvent], n_windows: usize) -> Vec<WindowStat
 pub fn drift_text(events: &[TraceEvent], n_windows: usize, label: &str) -> String {
     let windows = windowed_stats(events, n_windows);
     let mut out = String::new();
-    out.push_str(&format!("== tau/bubble drift: {label} ({n_windows} windows) ==\n"));
+    out.push_str(&format!("== tau/bubble drift: {label} ({} windows) ==\n", windows.len()));
     let Some(first) = windows.first() else {
         out.push_str("no compute events\n");
         return out;
@@ -651,6 +613,22 @@ mod tests {
         let text = drift_text(&events, 2, "unit");
         assert!(text.contains("nominal tau_fwd"), "{text}");
         assert!(drift_text(&[], 2, "none").contains("no compute events"));
+    }
+
+    #[test]
+    fn drift_windows_tile_the_span_when_the_count_does_not_divide_it() {
+        // One 10 µs span in 8 windows: the rounded-up width is 2 µs, so
+        // five windows cover the span and the other three would start at
+        // or past its end.
+        let events = vec![span(SpanKind::Forward, 0, 0, 0, 10)];
+        let w = windowed_stats(&events, 8);
+        assert_eq!(w.len(), 5, "{w:?}");
+        assert_eq!((w[0].t0_us, w[4].t1_us), (0, 10), "{w:?}");
+        assert!(w.windows(2).all(|p| p[0].t1_us == p[1].t0_us), "{w:?}");
+        assert!(w.iter().all(|x| x.bubble_fraction == 0.0), "{w:?}");
+        let text = drift_text(&events, 8, "unit");
+        assert!(text.contains("(5 windows)"), "{text}");
+        assert!(!text.contains("NaN"), "{text}");
     }
 
     fn traced(

@@ -23,7 +23,8 @@ use std::process::ExitCode;
 
 use pipemare_telemetry::json::Value;
 use pipemare_telemetry::{
-    default_rules, merge_journals, AlertEngine, JournalEntry, JournalReader, MetricValue,
+    default_rules, merge_journals, rollup, AlertEngine, JournalEntry, JournalReader, LiveSample,
+    MetricValue,
 };
 
 const USAGE: &str = "pmquery: historical queries over pipemare telemetry journals
@@ -281,48 +282,28 @@ fn cmd_alerts(opts: &Options) -> Result<String, String> {
     Ok(out)
 }
 
-/// Per-stage and counter aggregates over one journal's history:
-/// window-weighted mean util and τ per stage, plus each counter's final
-/// (cumulative) value.
-struct RunAggregate {
-    stages: Vec<(f64, f64)>, // (mean util, mean tau)
-    counters: Vec<(String, u64)>,
+/// One journal's whole history rolled up into one sample: window-weighted
+/// mean util and τ per stage, and the last snapshot's cumulative counters.
+fn aggregate(reader: &JournalReader) -> Result<LiveSample, String> {
+    let (entries, _) = reader.samples().map_err(|e| format!("pmquery: {e}"))?;
+    rollup(entries.iter().map(|e| &e.sample))
+        .ok_or_else(|| format!("pmquery: {}: journal holds no samples", reader.dir().display()))
 }
 
-fn aggregate(reader: &JournalReader) -> Result<RunAggregate, String> {
-    let (entries, _) = reader.samples().map_err(|e| format!("pmquery: {e}"))?;
-    if entries.is_empty() {
-        return Err(format!("pmquery: {}: journal holds no samples", reader.dir().display()));
-    }
-    let n_stages = entries.iter().map(|e| e.sample.stages.len()).max().unwrap_or(0);
-    let mut stages = Vec::with_capacity(n_stages);
-    for s in 0..n_stages {
-        let mut util = (0.0, 0.0); // (weighted sum, weight)
-        let mut tau = (0.0, 0.0);
-        for e in &entries {
-            let Some(st) = e.sample.stages.get(s) else { continue };
-            let w = e.sample.window_us.max(1) as f64;
-            if st.util.is_finite() {
-                util = (util.0 + st.util * w, util.1 + w);
-            }
-            if st.tau.is_finite() {
-                tau = (tau.0 + st.tau * w, tau.1 + w);
-            }
-        }
-        let mean = |(num, den): (f64, f64)| if den > 0.0 { num / den } else { f64::NAN };
-        stages.push((mean(util), mean(tau)));
-    }
-    let last = &entries.last().expect("nonempty").sample;
-    let counters = last
-        .metrics
-        .metrics
-        .iter()
-        .filter_map(|(name, v)| match v {
-            MetricValue::Counter(c) => Some((name.clone(), *c)),
-            _ => None,
-        })
-        .collect();
-    Ok(RunAggregate { stages, counters })
+/// Stage `i`'s (util, τ), NaN for a stage the run does not have.
+fn stage_means(run: &LiveSample, i: usize) -> (f64, f64) {
+    run.stages.get(i).map_or((f64::NAN, f64::NAN), |st| (st.util, st.tau))
+}
+
+/// Every counter of `cur` that `base` also has, as (name, base, cur).
+fn shared_counters<'a>(
+    base: &'a LiveSample,
+    cur: &'a LiveSample,
+) -> impl Iterator<Item = (&'a str, u64, u64)> {
+    cur.metrics.metrics.iter().filter_map(|(name, v)| match (base.metrics.get(name)?, v) {
+        (MetricValue::Counter(b), MetricValue::Counter(c)) => Some((name.as_str(), *b, *c)),
+        _ => None,
+    })
 }
 
 fn cmd_diff(opts: &Options) -> Result<String, String> {
@@ -336,11 +317,11 @@ fn cmd_diff(opts: &Options) -> Result<String, String> {
     let base = aggregate(
         &JournalReader::open(baseline_dir).map_err(|e| format!("pmquery: {baseline_dir}: {e}"))?,
     )?;
+    let n_stages = cur.stages.len().max(base.stages.len());
     if opts.json {
         let mut stage_rows = Vec::new();
-        for i in 0..cur.stages.len().max(base.stages.len()) {
-            let c = cur.stages.get(i).copied().unwrap_or((f64::NAN, f64::NAN));
-            let b = base.stages.get(i).copied().unwrap_or((f64::NAN, f64::NAN));
+        for i in 0..n_stages {
+            let (c, b) = (stage_means(&cur, i), stage_means(&base, i));
             stage_rows.push(
                 Value::obj()
                     .set("stage", i as u64)
@@ -351,11 +332,8 @@ fn cmd_diff(opts: &Options) -> Result<String, String> {
             );
         }
         let mut counters = Value::obj();
-        for (name, c) in &cur.counters {
-            let b = base.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-            if let Some(b) = b {
-                counters = counters.set(name.as_str(), Value::obj().set("base", b).set("cur", *c));
-            }
+        for (name, b, c) in shared_counters(&base, &cur) {
+            counters = counters.set(name, Value::obj().set("base", b).set("cur", c));
         }
         return Ok(Value::obj()
             .set("stages", Value::Arr(stage_rows))
@@ -365,11 +343,10 @@ fn cmd_diff(opts: &Options) -> Result<String, String> {
     }
     let mut out = String::new();
     out.push_str(&format!("== pmquery diff: {baseline_dir} (base) -> {dir} (cur) ==\n"));
-    if !cur.stages.is_empty() || !base.stages.is_empty() {
+    if n_stages > 0 {
         out.push_str("stage   util base->cur        tau base->cur\n");
-        for i in 0..cur.stages.len().max(base.stages.len()) {
-            let c = cur.stages.get(i).copied().unwrap_or((f64::NAN, f64::NAN));
-            let b = base.stages.get(i).copied().unwrap_or((f64::NAN, f64::NAN));
+        for i in 0..n_stages {
+            let (c, b) = (stage_means(&cur, i), stage_means(&base, i));
             out.push_str(&format!(
                 "{i:>5}   {:>5} -> {:<5} ({})   {:>5} -> {:<5} ({})\n",
                 fmt(b.0, 3),
@@ -381,16 +358,11 @@ fn cmd_diff(opts: &Options) -> Result<String, String> {
             ));
         }
     }
-    let mut any = false;
-    for (name, c) in &cur.counters {
-        let Some(b) = base.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v) else {
-            continue;
-        };
-        if !any {
+    for (k, (name, b, c)) in shared_counters(&base, &cur).enumerate() {
+        if k == 0 {
             out.push_str("counter                      base -> cur\n");
-            any = true;
         }
-        out.push_str(&format!("{name:<26} {b:>7} -> {c:<7} ({})\n", pct(b as f64, *c as f64),));
+        out.push_str(&format!("{name:<26} {b:>7} -> {c:<7} ({})\n", pct(b as f64, c as f64),));
     }
     Ok(out)
 }

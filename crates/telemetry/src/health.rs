@@ -13,7 +13,9 @@
 //!    [`Severity`]).
 //! 2. **Delay histograms**: measured per-microbatch τ_fwd/τ_recomp slot
 //!    delays from executor traces ([`HealthMonitor::ingest_events`]),
-//!    published as `pipeline.stage{i}.tau_fwd` / `.tau_recomp`.
+//!    published as `pipeline.stage{i}.tau_fwd` / `.tau_recomp`. The
+//!    samples come from [`crate::summary`]'s per-stage grouping, so a
+//!    histogram's mean is the summary's measured delay for that stage.
 //! 3. **Online stability margins**: a curvature estimate λ̂ from secant
 //!    differences along the trajectory, published per stage as
 //!    `health.stage{i}.alpha_margin = lemma1_max_alpha_frac(λ̂, τ_i) / α_i`
@@ -42,10 +44,10 @@ use std::sync::{Arc, Mutex};
 
 use pipemare_theory::{lemma1_alpha_margin, quantized_secant_denominator, t2_alpha_margin};
 
-use crate::event::{SpanKind, TraceEvent};
+use crate::event::TraceEvent;
 use crate::json::Value;
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-use crate::summary::{delay_slot_samples, PipelineTimelineSummary};
+use crate::summary::{PipelineTimelineSummary, StageFold};
 
 /// How bad a health event is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -744,23 +746,12 @@ impl HealthMonitor {
         if self.instruments.is_empty() {
             return;
         }
-        for (s, inst) in self.instruments.iter().enumerate() {
-            let s = s as u32;
-            let mut fwd_starts = Vec::new();
-            let mut bkwd_starts = Vec::new();
-            let mut recomp_starts = Vec::new();
-            for e in events.iter().filter(|e| e.stage == s) {
-                match e.kind {
-                    SpanKind::Forward => fwd_starts.push((e.microbatch, e.ts_us)),
-                    SpanKind::Backward => bkwd_starts.push((e.microbatch, e.ts_us)),
-                    SpanKind::Recompute => recomp_starts.push((e.microbatch, e.ts_us)),
-                    _ => {}
-                }
-            }
-            for sample in delay_slot_samples(&fwd_starts, &bkwd_starts, 1) {
+        let fold = StageFold::new(events, 0, |_| true);
+        for (inst, st) in self.instruments.iter().zip(&fold.stages) {
+            for sample in st.tau_fwd(|_| true) {
                 inst.tau_fwd.observe(sample);
             }
-            for sample in delay_slot_samples(&recomp_starts, &bkwd_starts, 0) {
+            for sample in st.tau_recomp(|_| true) {
                 inst.tau_recomp.observe(sample);
             }
         }
@@ -1038,6 +1029,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::SpanKind;
 
     fn stage_obs(alpha: f64, tau: f64) -> StageObservation {
         StageObservation {

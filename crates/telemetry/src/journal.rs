@@ -10,7 +10,9 @@
 //! [`JournalConfig::rollup_window_us`] windows), and a byte cap bounds
 //! total disk use no matter how long the run lives. The `pmquery` CLI
 //! reads journals back for range queries, historical alert replay and
-//! run-over-run diffs.
+//! run-over-run diffs. [`rollup`] is the one merge of samples: a rollup
+//! frame is it over one window's samples, and `pmquery diff` is it over
+//! a whole journal.
 //!
 //! ## On-disk layout
 //!
@@ -447,76 +449,76 @@ impl JournalWriter {
     }
 }
 
-/// Downsamples raw samples into one frame per `window_us` bucket:
-/// window-weighted means for rates (util, τ, span means), sums for
-/// totals (waits, events, window coverage), and the *last* sample's
-/// metrics snapshot (counters are cumulative and gauges are "current",
-/// so last-wins is the faithful downsample for both).
+/// Merges samples into one: window-weighted means of the finite rates
+/// (util, τ, span means), sums of the totals (waits, τ pairs, events,
+/// window coverage), and the *last* sample's identity and metrics
+/// snapshot (counters are cumulative and gauges are "current", so
+/// last-wins is the faithful downsample for both). A journal's rollup
+/// frames are this per `rollup_window_us` bucket; `pmquery diff` is this
+/// over a whole run. `None` for no samples.
+pub fn rollup<'a>(samples: impl IntoIterator<Item = &'a LiveSample>) -> Option<LiveSample> {
+    let members: Vec<&LiveSample> = samples.into_iter().collect();
+    let last = members.last()?;
+    let n_stages = members.iter().map(|s| s.stages.len()).max().unwrap_or(0);
+    let mut stages = Vec::with_capacity(n_stages);
+    for s in 0..n_stages {
+        let rows: Vec<(&StageLive, f64)> = members
+            .iter()
+            .filter_map(|m| m.stages.get(s).map(|st| (st, m.window_us.max(1) as f64)))
+            .collect();
+        let wmean = |f: fn(&StageLive) -> f64| {
+            let (mut num, mut den) = (0.0, 0.0);
+            for (st, w) in &rows {
+                let v = f(st);
+                if v.is_finite() {
+                    num += v * w;
+                    den += w;
+                }
+            }
+            if den > 0.0 {
+                num / den
+            } else {
+                f64::NAN
+            }
+        };
+        stages.push(StageLive {
+            stage: s as u32,
+            util: wmean(|st| st.util),
+            fwd_us: wmean(|st| st.fwd_us),
+            bkwd_us: wmean(|st| st.bkwd_us),
+            recomp_us: wmean(|st| st.recomp_us),
+            wait_us: rows.iter().map(|(st, _)| st.wait_us).sum(),
+            tau: wmean(|st| st.tau),
+            tau_pairs: rows.iter().map(|(st, _)| st.tau_pairs).sum(),
+            events: rows.iter().map(|(st, _)| st.events).sum(),
+        });
+    }
+    Some(LiveSample {
+        seq: last.seq,
+        ts_us: last.ts_us,
+        window_us: members.iter().map(|m| m.window_us).sum(),
+        stages,
+        metrics: last.metrics.clone(),
+        sample_cost_us: last.sample_cost_us,
+    })
+}
+
+/// Downsamples raw samples into one [`rollup`] frame per `window_us`
+/// bucket of sample time.
 fn rollup_samples<'a>(
     samples: impl Iterator<Item = &'a LiveSample>,
     window_us: u64,
 ) -> Vec<LiveSample> {
     let window_us = window_us.max(1);
-    let mut out: Vec<LiveSample> = Vec::new();
-    let mut bucket: Option<(u64, Vec<&'a LiveSample>)> = None;
-    let flush = |acc: &mut Option<(u64, Vec<&'a LiveSample>)>, out: &mut Vec<LiveSample>| {
-        let Some((_, members)) = acc.take() else { return };
-        let Some(last) = members.last() else { return };
-        let n_stages = members.iter().map(|s| s.stages.len()).max().unwrap_or(0);
-        let mut stages = Vec::with_capacity(n_stages);
-        for s in 0..n_stages {
-            let rows: Vec<(&StageLive, f64)> = members
-                .iter()
-                .filter_map(|m| m.stages.get(s).map(|st| (st, m.window_us.max(1) as f64)))
-                .collect();
-            let wmean = |f: fn(&StageLive) -> f64| {
-                let (mut num, mut den) = (0.0, 0.0);
-                for (st, w) in &rows {
-                    let v = f(st);
-                    if v.is_finite() {
-                        num += v * w;
-                        den += w;
-                    }
-                }
-                if den > 0.0 {
-                    num / den
-                } else {
-                    f64::NAN
-                }
-            };
-            stages.push(StageLive {
-                stage: s as u32,
-                util: wmean(|st| st.util),
-                fwd_us: wmean(|st| st.fwd_us),
-                bkwd_us: wmean(|st| st.bkwd_us),
-                recomp_us: wmean(|st| st.recomp_us),
-                wait_us: rows.iter().map(|(st, _)| st.wait_us).sum(),
-                tau: wmean(|st| st.tau),
-                tau_pairs: rows.iter().map(|(st, _)| st.tau_pairs).sum(),
-                events: rows.iter().map(|(st, _)| st.events).sum(),
-            });
-        }
-        out.push(LiveSample {
-            seq: last.seq,
-            ts_us: last.ts_us,
-            window_us: members.iter().map(|m| m.window_us).sum(),
-            stages,
-            metrics: last.metrics.clone(),
-            sample_cost_us: last.sample_cost_us,
-        });
-    };
+    let mut buckets: Vec<(u64, Vec<&'a LiveSample>)> = Vec::new();
     for sample in samples {
         let key = sample.ts_us / window_us;
-        match &mut bucket {
+        match buckets.last_mut() {
             Some((k, members)) if *k == key => members.push(sample),
-            _ => {
-                flush(&mut bucket, &mut out);
-                bucket = Some((key, vec![sample]));
-            }
+            _ => buckets.push((key, vec![sample])),
         }
     }
-    flush(&mut bucket, &mut out);
-    out
+    buckets.into_iter().filter_map(|(_, members)| rollup(members)).collect()
 }
 
 // ---------------------------------------------------------------------

@@ -23,7 +23,8 @@
 //!   `chrome://tracing` / Perfetto) and JSONL event logs.
 //! * [`summary`]: [`PipelineTimelineSummary`] — per-stage utilization,
 //!   bubble fraction, and measured-vs-nominal forward delay derived from
-//!   a recorded trace.
+//!   a recorded trace, through the one per-stage grouping of a trace
+//!   that [`analyze`], [`store`] and [`health`] read too.
 //! * [`health`]: the training [`health::HealthMonitor`] — EWMA anomaly
 //!   baselines, measured delay histograms, online Lemma 1 / T2 stability
 //!   margins from a trajectory curvature estimate λ̂, and end-of-run
@@ -116,7 +117,7 @@ pub use health::{
     StageObservation, StageVerdict, StepObservation,
 };
 pub use journal::{
-    merge_journals, JournalConfig, JournalEntry, JournalReader, JournalWriter,
+    merge_journals, rollup, JournalConfig, JournalEntry, JournalReader, JournalWriter,
     JOURNAL_APPEND_BOUND_US,
 };
 pub use metrics::{

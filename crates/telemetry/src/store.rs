@@ -22,9 +22,12 @@
 //!
 //! ## Incremental, not post-hoc
 //!
-//! Each sample only folds events whose span *ended* after the previous
-//! tick, so per-sample cost is proportional to the tick's event volume
-//! (bounded by the flight-recorder ring capacity), not run length.
+//! Each sample groups the recorder's snapshot by stage once, through
+//! [`crate::summary`]'s grouping (the one `pmtrace summary` reads), and
+//! keeps only the spans that *ended* after the previous tick, at full
+//! length. Per-sample cost is one pass over the snapshot (bounded by the
+//! flight-recorder ring capacity), not run length, and τ is the
+//! summary's definition applied to the window's spans.
 //! τ measurements need a forward and its backward inside one window;
 //! pairs split across a tick boundary are skipped — with windows much
 //! longer than a microbatch slot this biases τ by at most one window's
@@ -35,10 +38,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::alert::AlertEngine;
-use crate::event::{EventSource, SpanKind, TraceEvent};
+use crate::event::{EventSource, TraceEvent};
 use crate::json::Value;
 use crate::metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
-use crate::summary::PipelineTimelineSummary;
+use crate::summary::{mean, total_us, PipelineTimelineSummary, StageFold};
 
 /// Default ring capacity in samples (at 250 ms/tick ≈ 2 min of history).
 pub const DEFAULT_SAMPLES: usize = 512;
@@ -222,9 +225,11 @@ impl LiveStore {
         let stages = match &self.events {
             Some(src) => {
                 let events = src.snapshot_events();
-                new_cutoff =
-                    events.iter().map(|e| e.ts_us + e.dur_us).max().unwrap_or(0).max(cutoff);
-                fold_window(&events, cutoff, window_us.max(1), self.n_stages)
+                // Only spans that ended since the last sample, at full
+                // length; the stage count still comes from every event.
+                let fold = StageFold::new(&events, self.n_stages, |e| e.ts_us + e.dur_us > cutoff);
+                new_cutoff = fold.end_us.max(cutoff);
+                live_stages(&fold, window_us.max(1))
             }
             None => Vec::new(),
         };
@@ -350,79 +355,35 @@ impl LiveStore {
     }
 }
 
-/// Folds the events whose spans ended after `since_us` into per-stage
-/// aggregates over a `window_us`-long window.
-fn fold_window(
-    events: &[TraceEvent],
-    since_us: u64,
-    window_us: u64,
-    n_stages: usize,
-) -> Vec<StageLive> {
-    let n = n_stages.max(
-        events
-            .iter()
-            .filter(|e| matches!(e.kind, SpanKind::Forward | SpanKind::Backward))
-            .map(|e| e.stage as usize + 1)
-            .max()
-            .unwrap_or(0),
-    );
-    let mut out = Vec::with_capacity(n);
-    for s in 0..n as u32 {
-        let mut busy_us = 0u64;
-        let mut wait_us = 0u64;
-        let mut fwd = (0u64, 0u64); // (total µs, count)
-        let mut bkwd = (0u64, 0u64);
-        let mut recomp = (0u64, 0u64);
-        let mut fwd_starts = Vec::new();
-        let mut bkwd_starts = Vec::new();
-        let mut n_events = 0u64;
-        for e in events.iter().filter(|e| e.stage == s && e.ts_us + e.dur_us > since_us) {
-            n_events += 1;
-            match e.kind {
-                SpanKind::Forward => {
-                    busy_us += e.dur_us;
-                    fwd = (fwd.0 + e.dur_us, fwd.1 + 1);
-                    fwd_starts.push((e.microbatch, e.ts_us));
-                }
-                SpanKind::Backward => {
-                    busy_us += e.dur_us;
-                    bkwd = (bkwd.0 + e.dur_us, bkwd.1 + 1);
-                    bkwd_starts.push((e.microbatch, e.ts_us));
-                }
-                SpanKind::Recompute => {
-                    busy_us += e.dur_us;
-                    recomp = (recomp.0 + e.dur_us, recomp.1 + 1);
-                }
-                SpanKind::QueueWaitFwd | SpanKind::QueueWaitBkwd => wait_us += e.dur_us,
-                _ => {}
-            }
-        }
-        let mean = |(total, count): (u64, u64)| {
-            if count == 0 {
-                f64::NAN
-            } else {
-                total as f64 / count as f64
-            }
-        };
-        let tau_samples = crate::summary::delay_slot_samples(&fwd_starts, &bkwd_starts, 1);
-        let tau = if tau_samples.is_empty() {
+/// Per-stage aggregates of a sample's spans over its `window_us`-long
+/// window.
+fn live_stages(fold: &StageFold, window_us: u64) -> Vec<StageLive> {
+    let mean_us = |spans: &[&TraceEvent]| {
+        if spans.is_empty() {
             f64::NAN
         } else {
-            tau_samples.iter().sum::<f64>() / tau_samples.len() as f64
-        };
-        out.push(StageLive {
-            stage: s,
-            util: (busy_us as f64 / window_us as f64).min(1.0),
-            fwd_us: mean(fwd),
-            bkwd_us: mean(bkwd),
-            recomp_us: mean(recomp),
-            wait_us,
-            tau,
-            tau_pairs: tau_samples.len(),
-            events: n_events,
-        });
-    }
-    out
+            total_us(spans) as f64 / spans.len() as f64
+        }
+    };
+    fold.stages
+        .iter()
+        .zip(0..)
+        .map(|(live, stage)| {
+            let busy_us = total_us(&live.fwd) + total_us(&live.bkwd) + total_us(&live.recomp);
+            let tau = live.tau_fwd(|_| true);
+            StageLive {
+                stage,
+                util: (busy_us as f64 / window_us as f64).min(1.0),
+                fwd_us: mean_us(&live.fwd),
+                bkwd_us: mean_us(&live.bkwd),
+                recomp_us: mean_us(&live.recomp),
+                wait_us: total_us(&live.wait_fwd) + total_us(&live.wait_bkwd),
+                tau: mean(&tau).unwrap_or(f64::NAN),
+                tau_pairs: tau.len(),
+                events: live.events() as u64,
+            }
+        })
+        .collect()
 }
 
 /// A background thread sampling a [`LiveStore`] at a fixed period.
@@ -490,7 +451,7 @@ impl Drop for StoreTicker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Recorder, NO_TRACE};
+    use crate::event::{Recorder, SpanKind, NO_TRACE};
     use crate::flight::FlightRecorder;
 
     fn record_pair(rec: &FlightRecorder, stage: u32, mb: u32, t0: u64) {

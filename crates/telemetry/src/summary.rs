@@ -4,6 +4,16 @@
 //! bubble fraction, and a measured per-stage forward delay to compare
 //! against the paper's nominal `τ_fwd,i = (2(P−i)+1)/N`. This is how a
 //! perf PR proves its win: record, summarize, diff against the model.
+//!
+//! Every per-stage reading of a trace goes through one grouping here,
+//! `StageFold`: it finds the stage count once and buckets each stage's
+//! forward, backward and replay spans and its two kinds of wait.
+//! It answers busy time clipped to a window and τ samples through
+//! `delay_slot_samples`, the one definition of measured τ. The summary
+//! reads the whole trace; `pmtrace drift` (`analyze`) reads clipped
+//! windows; the live store (`store`) reads the spans that ended since its
+//! last sample; the health monitor (`health`) feeds the whole trace's τ
+//! samples into its histograms.
 
 use crate::event::{SpanKind, TraceEvent};
 use crate::json::Value;
@@ -64,13 +74,8 @@ impl PipelineTimelineSummary {
     /// Stages are discovered from `Forward`/`Backward` events; traces
     /// with no compute events produce an empty summary.
     pub fn from_events(events: &[TraceEvent]) -> Self {
-        let n_stages = events
-            .iter()
-            .filter(|e| matches!(e.kind, SpanKind::Forward | SpanKind::Backward))
-            .map(|e| e.stage + 1)
-            .max()
-            .unwrap_or(0) as usize;
-        if n_stages == 0 {
+        let fold = StageFold::new(events, 0, |_| true);
+        if fold.stages.is_empty() {
             return PipelineTimelineSummary {
                 stages: Vec::new(),
                 span_us: 0,
@@ -78,62 +83,37 @@ impl PipelineTimelineSummary {
                 bubble_fraction: 0.0,
             };
         }
-        let start = events.iter().map(|e| e.ts_us).min().unwrap();
-        let end = events.iter().map(|e| e.ts_us + e.dur_us).max().unwrap();
-        let span_us = end - start;
-
-        let mut stages = Vec::with_capacity(n_stages);
-        for s in 0..n_stages as u32 {
-            let mut fwd_us = 0;
-            let mut bkwd_us = 0;
-            let mut recomp_us = 0;
-            let mut wait_fwd_us = 0;
-            let mut wait_bkwd_us = 0;
-            // (microbatch, ts) pairs for delay measurement.
-            let mut fwd_starts = Vec::new();
-            let mut bkwd_starts = Vec::new();
-            let mut recomp_starts = Vec::new();
-            for e in events.iter().filter(|e| e.stage == s) {
-                match e.kind {
-                    SpanKind::Forward => {
-                        fwd_us += e.dur_us;
-                        fwd_starts.push((e.microbatch, e.ts_us));
-                    }
-                    SpanKind::Backward => {
-                        bkwd_us += e.dur_us;
-                        bkwd_starts.push((e.microbatch, e.ts_us));
-                    }
-                    SpanKind::Recompute => {
-                        recomp_us += e.dur_us;
-                        recomp_starts.push((e.microbatch, e.ts_us));
-                    }
-                    SpanKind::QueueWaitFwd => wait_fwd_us += e.dur_us,
-                    SpanKind::QueueWaitBkwd => wait_bkwd_us += e.dur_us,
-                    _ => {}
+        let span_us = fold.end_us - fold.start_us;
+        let stages: Vec<StageTimeline> = fold
+            .stages
+            .iter()
+            .zip(0..)
+            .map(|(st, stage)| {
+                let (fwd_us, bkwd_us, recomp_us) =
+                    (total_us(&st.fwd), total_us(&st.bkwd), total_us(&st.recomp));
+                let (wait_fwd_us, wait_bkwd_us) = (total_us(&st.wait_fwd), total_us(&st.wait_bkwd));
+                let utilization = if span_us == 0 {
+                    0.0
+                } else {
+                    (fwd_us + bkwd_us + recomp_us) as f64 / span_us as f64
+                };
+                StageTimeline {
+                    stage,
+                    fwd_us,
+                    bkwd_us,
+                    recomp_us,
+                    wait_us: wait_fwd_us + wait_bkwd_us,
+                    wait_fwd_us,
+                    wait_bkwd_us,
+                    utilization,
+                    measured_delay_slots: mean(&st.tau_fwd(|_| true)).unwrap_or(0.0),
+                    measured_recomp_delay_slots: mean(&st.tau_recomp(|_| true)).unwrap_or(0.0),
                 }
-            }
-            let utilization = if span_us == 0 {
-                0.0
-            } else {
-                (fwd_us + bkwd_us + recomp_us) as f64 / span_us as f64
-            };
-            stages.push(StageTimeline {
-                stage: s,
-                fwd_us,
-                bkwd_us,
-                recomp_us,
-                wait_us: wait_fwd_us + wait_bkwd_us,
-                wait_fwd_us,
-                wait_bkwd_us,
-                utilization,
-                measured_delay_slots: measured_delay_slots(&fwd_starts, &bkwd_starts),
-                measured_recomp_delay_slots: backward_starts_between(&recomp_starts, &bkwd_starts),
-            });
-        }
+            })
+            .collect();
 
-        let microbatches =
-            events.iter().filter(|e| e.kind == SpanKind::Backward && e.stage == 0).count();
-        let mean_util = stages.iter().map(|st| st.utilization).sum::<f64>() / n_stages as f64;
+        let microbatches = fold.stages[0].bkwd.len();
+        let mean_util = stages.iter().map(|st| st.utilization).sum::<f64>() / stages.len() as f64;
         PipelineTimelineSummary { stages, span_us, microbatches, bubble_fraction: 1.0 - mean_util }
     }
 
@@ -189,14 +169,125 @@ impl PipelineTimelineSummary {
     }
 }
 
+/// One stage's events, bucketed by kind in trace order.
+#[derive(Default)]
+pub(crate) struct StageSpans<'a> {
+    pub(crate) fwd: Vec<&'a TraceEvent>,
+    pub(crate) bkwd: Vec<&'a TraceEvent>,
+    pub(crate) recomp: Vec<&'a TraceEvent>,
+    pub(crate) wait_fwd: Vec<&'a TraceEvent>,
+    pub(crate) wait_bkwd: Vec<&'a TraceEvent>,
+    /// Every other event of the stage (injects, flushes, steps): each
+    /// counts as an event and nothing else.
+    pub(crate) other: Vec<&'a TraceEvent>,
+}
+
+impl StageSpans<'_> {
+    /// Number of events of every kind.
+    pub(crate) fn events(&self) -> usize {
+        [&self.fwd, &self.bkwd, &self.recomp, &self.wait_fwd, &self.wait_bkwd, &self.other]
+            .iter()
+            .map(|spans| spans.len())
+            .sum()
+    }
+
+    /// Forward, backward and replay µs clipped to `[t0, t1)`, so a span
+    /// straddling the window counts only its overlap.
+    pub(crate) fn busy_us(&self, t0: u64, t1: u64) -> u64 {
+        self.fwd
+            .iter()
+            .chain(&self.bkwd)
+            .chain(&self.recomp)
+            .map(|e| (e.ts_us + e.dur_us).min(t1).saturating_sub(e.ts_us.max(t0)))
+            .sum()
+    }
+
+    /// τ_fwd samples in slots for the forwards `keep` selects, each
+    /// counted against every backward of this stage — the executable
+    /// analogue of Table 1's `2(P−i)+1` slot delay.
+    pub(crate) fn tau_fwd(&self, keep: impl Fn(&TraceEvent) -> bool) -> Vec<f64> {
+        delay_slot_samples(&starts(&self.fwd, keep), &starts(&self.bkwd, |_| true), 1)
+    }
+
+    /// τ_recomp samples in slots for the replays `keep` selects — the
+    /// executable analogue of App. D's `2(S − s mod S)` recompute delay.
+    pub(crate) fn tau_recomp(&self, keep: impl Fn(&TraceEvent) -> bool) -> Vec<f64> {
+        delay_slot_samples(&starts(&self.recomp, keep), &starts(&self.bkwd, |_| true), 0)
+    }
+}
+
+/// A trace grouped by stage: the one place a trace is split into
+/// per-stage compute, waits and τ. The summary, `pmtrace drift`, the
+/// live store and the health monitor's delay histograms all read it;
+/// each chooses only which spans it counts.
+pub(crate) struct StageFold<'a> {
+    /// Per-stage events, indexed by stage.
+    pub(crate) stages: Vec<StageSpans<'a>>,
+    /// First start over every event, µs (0 for an empty trace).
+    pub(crate) start_us: u64,
+    /// Last end over every event, µs (0 for an empty trace).
+    pub(crate) end_us: u64,
+}
+
+impl<'a> StageFold<'a> {
+    /// Groups the events `keep` selects into at least `min_stages`
+    /// stages, or as many as any `Forward`/`Backward` event names; events
+    /// of a stage past that count are left out. The stage count and the
+    /// span cover every event, kept or not.
+    pub(crate) fn new(
+        events: &'a [TraceEvent],
+        min_stages: usize,
+        keep: impl Fn(&TraceEvent) -> bool,
+    ) -> Self {
+        let (mut n_stages, mut start_us, mut end_us) = (min_stages, u64::MAX, 0);
+        for e in events {
+            if matches!(e.kind, SpanKind::Forward | SpanKind::Backward) {
+                n_stages = n_stages.max(e.stage as usize + 1);
+            }
+            start_us = start_us.min(e.ts_us);
+            end_us = end_us.max(e.ts_us + e.dur_us);
+        }
+        let mut stages: Vec<StageSpans<'a>> =
+            (0..n_stages).map(|_| StageSpans::default()).collect();
+        for e in events.iter().filter(|e| keep(e)) {
+            let Some(st) = stages.get_mut(e.stage as usize) else { continue };
+            let bucket = match e.kind {
+                SpanKind::Forward => &mut st.fwd,
+                SpanKind::Backward => &mut st.bkwd,
+                SpanKind::Recompute => &mut st.recomp,
+                SpanKind::QueueWaitFwd => &mut st.wait_fwd,
+                SpanKind::QueueWaitBkwd => &mut st.wait_bkwd,
+                _ => &mut st.other,
+            };
+            bucket.push(e);
+        }
+        StageFold { stages, start_us: if events.is_empty() { 0 } else { start_us }, end_us }
+    }
+}
+
+/// Total µs of `spans`.
+pub(crate) fn total_us(spans: &[&TraceEvent]) -> u64 {
+    spans.iter().map(|e| e.dur_us).sum()
+}
+
+/// The mean of `samples`, `None` when there are none.
+pub(crate) fn mean(samples: &[f64]) -> Option<f64> {
+    (!samples.is_empty()).then(|| samples.iter().sum::<f64>() / samples.len() as f64)
+}
+
+/// `(microbatch, start)` of the spans `keep` selects, packed so the
+/// quadratic τ count below runs over contiguous pairs.
+fn starts(spans: &[&TraceEvent], keep: impl Fn(&TraceEvent) -> bool) -> Vec<(u32, u64)> {
+    spans.iter().filter(|e| keep(e)).map(|e| (e.microbatch, e.ts_us)).collect()
+}
+
 /// Per-microbatch delay samples in slots: for each microbatch with both a
 /// start in `starts` and a backward start, the number of *other* backward
 /// starts at this stage in `[start(m), bkwd_start(m))`, plus `own_update`
 /// (1 for forward delays — a microbatch's staleness includes its own
 /// update — 0 for replay delays, which read weights this stage's last
-/// backward already wrote). The health monitor feeds these raw samples
-/// into per-stage delay histograms.
-pub(crate) fn delay_slot_samples(
+/// backward already wrote). The one definition of measured τ.
+fn delay_slot_samples(
     starts: &[(u32, u64)],
     bkwd_starts: &[(u32, u64)],
     own_update: usize,
@@ -213,30 +304,6 @@ pub(crate) fn delay_slot_samples(
         samples.push((between + own_update) as f64);
     }
     samples
-}
-
-fn mean_or_zero(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        0.0
-    } else {
-        samples.iter().sum::<f64>() / samples.len() as f64
-    }
-}
-
-/// Mean over microbatches of the number of backward starts at this stage
-/// in `[fwd_start(m), bkwd_start(m))`, plus one for the microbatch's own
-/// update — the executable analogue of Table 1's `2(P−i)+1` slot delay.
-fn measured_delay_slots(fwd_starts: &[(u32, u64)], bkwd_starts: &[(u32, u64)]) -> f64 {
-    mean_or_zero(&delay_slot_samples(fwd_starts, bkwd_starts, 1))
-}
-
-/// Mean over microbatches with a replay of the number of backward starts
-/// at this stage in `[recomp_start(m), bkwd_start(m))` — the executable
-/// analogue of App. D's `2(S − s mod S)` recompute delay (no `+1` here:
-/// the replay reads weights already updated by this stage's own last
-/// backward, unlike the forward whose staleness includes its own update).
-fn backward_starts_between(recomp_starts: &[(u32, u64)], bkwd_starts: &[(u32, u64)]) -> f64 {
-    mean_or_zero(&delay_slot_samples(recomp_starts, bkwd_starts, 0))
 }
 
 #[cfg(test)]

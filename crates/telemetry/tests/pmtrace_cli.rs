@@ -82,6 +82,25 @@ fn drift_and_diff_compare_runs() {
 }
 
 #[test]
+fn drift_windows_stop_at_the_trace_end() {
+    // One 10 µs span and 8 windows of the rounded-up 2 µs width: only
+    // five fit, and the last ends exactly at the trace end.
+    let dir = temp_dir("drift_end");
+    let path = dir.join("one.jsonl");
+    write_jsonl(&[span(SpanKind::Forward, 0, 0, 0, 10)], &path).unwrap();
+    let out = pmtrace().args(["drift", path.to_str().unwrap(), "--windows", "8"]).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("(5 windows)"), "{text}");
+    assert!(!text.contains("NaN"), "{text}");
+    let rows: Vec<&str> = text.lines().filter(|l| l.contains("   [")).collect();
+    assert_eq!(rows.len(), 5, "{text}");
+    assert!(rows[4].trim_start().starts_with("0.01-0.01"), "{text}");
+    assert!(rows.iter().all(|r| r.contains(" 0.000 ")), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bad_usage_and_missing_files_fail_cleanly() {
     let out = pmtrace().output().unwrap();
     assert!(!out.status.success());

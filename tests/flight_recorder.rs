@@ -11,11 +11,12 @@ use pipemare::core::{run_regression_training_observed, HealthHook, TrainConfig};
 use pipemare::data::isotropic_regression;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind};
-use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan};
+use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, RecomputePolicy};
 use pipemare::telemetry::{
     analyze, chrome_trace, chrome_trace_events, read_jsonl, write_jsonl, EventSource,
-    FlightRecorder, HealthConfig, HealthEventKind, HealthMonitor, PipelineTimelineSummary,
-    Recorder, Severity, SpanKind, TraceEvent, NO_MICROBATCH,
+    FlightRecorder, HealthConfig, HealthEventKind, HealthMonitor, LiveStore, MetricValue,
+    MetricsRegistry, PipelineTimelineSummary, Recorder, Severity, SpanKind, TraceEvent,
+    NO_MICROBATCH,
 };
 use pipemare::theory::lemma1_max_alpha_frac;
 
@@ -128,6 +129,78 @@ fn flight_attached_training_is_bit_identical() {
     assert_eq!(monitor.report("noop").black_boxes.len(), 0);
     let steps = flight.snapshot().iter().filter(|e| e.kind == SpanKind::Step).count();
     assert_eq!(steps, 300);
+}
+
+/// The per-stage views of one trace agree with its timeline summary:
+/// `pmtrace drift`'s windows, the health monitor's τ histograms and a
+/// live-store sample read the same spans and the same τ definition, for
+/// a PipeMare plan and a segmented-recompute plan.
+#[test]
+fn drift_health_and_live_views_agree_with_the_summary() {
+    let plans = [
+        PipelinePlan::for_method(Method::PipeMare, P, 2, 3),
+        PipelinePlan::for_recompute(RecomputePolicy::Segmented { segment: 2 }, P, 2, 3),
+    ];
+    for (i, plan) in plans.iter().enumerate() {
+        let flight = Arc::new(FlightRecorder::for_pipeline(P));
+        let work = std::time::Duration::from_micros(200);
+        run_pipeline(plan, work, flight.as_ref(), &ActivationLedger::new(P, 1));
+        let events = flight.snapshot_events();
+        let summary = PipelineTimelineSummary::from_events(&events);
+        assert_eq!(summary.stages.len(), P);
+        let replays = summary.stages.iter().any(|st| st.measured_recomp_delay_slots > 0.0);
+        assert_eq!(replays, i == 1, "only the segmented plan replays");
+
+        // (a) Drift puts every busy µs of a stage in exactly one window.
+        // Keeping only stage s's events as stage 0 (the rest become `Step`
+        // spans, which leaves the span and so the windows where they were)
+        // makes a one-stage trace, whose window busy time is
+        // (1 − bubble) × width.
+        for (s, st) in summary.stages.iter().enumerate() {
+            let solo: Vec<TraceEvent> = events
+                .iter()
+                .map(|e| {
+                    let kind = if e.stage as usize == s { e.kind } else { SpanKind::Step };
+                    TraceEvent { kind, stage: 0, ..*e }
+                })
+                .collect();
+            let windows = analyze::windowed_stats(&solo, 7);
+            assert_eq!(windows.last().unwrap().t1_us, summary.span_us);
+            let busy: u64 = windows
+                .iter()
+                .map(|w| ((1.0 - w.bubble_fraction) * (w.t1_us - w.t0_us) as f64).round() as u64)
+                .sum();
+            assert_eq!(busy, st.fwd_us + st.bkwd_us + st.recomp_us, "stage {s}");
+        }
+
+        // (b) The health monitor's delay histograms average to the
+        // summary's measured delays.
+        let registry = MetricsRegistry::new();
+        HealthMonitor::with_registry(HealthConfig::default(), P, &registry).ingest_events(&events);
+        let snap = registry.snapshot();
+        let hist_mean = |name: String| match snap.get(&name) {
+            Some(MetricValue::Histogram(h)) if h.count > 0 => h.sum / h.count as f64,
+            Some(MetricValue::Histogram(_)) => 0.0,
+            other => panic!("{name}: {other:?}"),
+        };
+        for (s, st) in summary.stages.iter().enumerate() {
+            assert_eq!(hist_mean(format!("pipeline.stage{s}.tau_fwd")), st.measured_delay_slots);
+            assert_eq!(
+                hist_mean(format!("pipeline.stage{s}.tau_recomp")),
+                st.measured_recomp_delay_slots
+            );
+        }
+
+        // (c) A live sample over the same recorder, taken after the run,
+        // measures the same τ_fwd.
+        let store = LiveStore::new("agree", P).with_events(flight.clone());
+        store.sample();
+        let sample = store.latest().unwrap();
+        for (live, st) in sample.stages.iter().zip(&summary.stages) {
+            assert!(live.tau_pairs > 0, "stage {}", st.stage);
+            assert_eq!(live.tau, st.measured_delay_slots, "stage {}", st.stage);
+        }
+    }
 }
 
 fn arb_event() -> impl Strategy<Value = TraceEvent> {
