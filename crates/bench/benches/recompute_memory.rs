@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use pipemare_bench::report::{banner, table_header, ExperimentLog};
 use pipemare_nn::{ImageBatch, Mlp, TrainModel};
 use pipemare_pipeline::{
-    run_pipeline, ActivationLedger, ActivationModel, PipelinePlan, RecomputePolicy,
+    run_pipeline, ActivationLedger, ActivationModel, PipelinePlan, RecomputePolicy, Sleep,
 };
 use pipemare_telemetry::NullRecorder;
 use pipemare_tensor::{StoragePrecision, Tensor};
@@ -68,7 +68,12 @@ fn main() {
         let seg = model.optimal_segment();
         let run = |policy| {
             let plan = PipelinePlan::for_recompute(policy, p, n_micro, minibatches);
-            run_pipeline(&plan, work, &NullRecorder, &ActivationLedger::new(p, 1))
+            run_pipeline(
+                &plan,
+                &mut vec![Sleep(work); p],
+                &NullRecorder,
+                &ActivationLedger::new(p, 1),
+            )
         };
         let stash = run(RecomputePolicy::StashAll);
         let rc = run(RecomputePolicy::Segmented { segment: seg });
@@ -133,7 +138,8 @@ fn main() {
             n_micro,
             minibatches,
         );
-        let rc = run_pipeline(&plan, Duration::ZERO, &NullRecorder, &ActivationLedger::new(p, 1));
+        let mut work = vec![Sleep(Duration::ZERO); p];
+        let rc = run_pipeline(&plan, &mut work, &NullRecorder, &ActivationLedger::new(p, 1));
         rc.peak_activations.iter().sum::<usize>()
     };
     println!("\nbf16 activation stashes (measured cache bytes, {seg}-layer segments):");

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use pipemare_bench::report::ExperimentLog;
-use pipemare_pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan};
+use pipemare_pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, Sleep};
 use pipemare_telemetry::{NullRecorder, PipelineTimelineSummary, TraceRecorder};
 
 fn bench_executor(c: &mut Criterion) {
@@ -22,8 +22,9 @@ fn bench_executor(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::from_parameter(id), &(p, n), |bench, &(p, n)| {
                 let (plan, ledger) =
                     (PipelinePlan::for_method(method, p, n, 4), ActivationLedger::new(p, 1));
+                let mut work = vec![Sleep(work); p];
                 bench.iter(|| {
-                    std::hint::black_box(run_pipeline(&plan, work, &NullRecorder, &ledger))
+                    std::hint::black_box(run_pipeline(&plan, &mut work, &NullRecorder, &ledger))
                 });
             });
         }
@@ -42,7 +43,8 @@ fn save_experiment_log() {
     for method in [Method::GPipe, Method::PipeMare] {
         let rec = TraceRecorder::new();
         let plan = PipelinePlan::for_method(method, p, n, minibatches);
-        let report = run_pipeline(&plan, work, &rec, &ActivationLedger::new(p, 1));
+        let report =
+            run_pipeline(&plan, &mut vec![Sleep(work); p], &rec, &ActivationLedger::new(p, 1));
         let summary = PipelineTimelineSummary::from_events(&rec.events());
         let name = method.name().to_lowercase();
         log.push_scalar(&format!("{name}.throughput_mb_per_s"), report.throughput);

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pipemare_pipeline::{run_stage_op, Link, PipelinePlan};
+use pipemare_pipeline::{run_stage_op, Link, PipelinePlan, Sleep};
 use pipemare_telemetry::{
     default_rules, events_to_jsonl_string, AlertEngine, EventSource, JournalConfig, JournalWriter,
     LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker, TraceRecorder,
@@ -293,12 +293,14 @@ fn run_training_loop(
 /// Most microbatch tokens a [`Message::TokenMode`] may announce: the
 /// count arrives from the peer and sizes this stage's op timeline.
 const MAX_TOKENS: u64 = 1 << 16;
+/// Longest per-op work, in µs, a [`Message::TokenMode`] may make a stage sleep.
+const MAX_WORK_US: u64 = 1_000_000;
 
 /// Runs this stage's share of a latency pipeline over the wire. The
 /// worker builds the [`PipelinePlan`] its handshake config names and
 /// walks its own timeline exactly as a thread of
 /// [`pipemare_pipeline::run_pipeline`] does — same op order, same
-/// [`run_stage_op`] for the sleep and its spans — with the hub routing
+/// [`run_stage_op`] over a [`Sleep`] and its spans — with the hub routing
 /// [`Message::Token`]s between neighbours in place of channels. A token
 /// that arrives before the op that consumes it is buffered; control
 /// messages are answered while the stage waits.
@@ -319,16 +321,17 @@ fn run_token_loop(
         || total > MAX_TOKENS
         || !total.is_multiple_of(n_micro)
         || is_last != (stage + 1 == stages)
+        || work_us > MAX_WORK_US
     {
         let what = format!(
-            "token mode total {total} (is_last {is_last}) does not fit stage {stage} of {stages} \
-             with {n_micro} microbatches per minibatch (at most {MAX_TOKENS} tokens)"
+            "token total {total} (is_last {is_last}, {work_us} us) does not fit stage {stage} of \
+             {stages}, {n_micro} per minibatch (limits {MAX_TOKENS} tokens, {MAX_WORK_US} us)"
         );
         return Err(fail(&mut tx, CommsError::Protocol(what)));
     }
     let plan =
         PipelinePlan::for_method(cfg.method, stages, n_micro as usize, (total / n_micro) as usize);
-    let work = Duration::from_micros(work_us);
+    let mut work = Sleep(Duration::from_micros(work_us));
     let report = |tx: &Sender, rx: &Receiver| StageWorkerReport {
         stage: cfg.stage,
         committed_steps: 0,
@@ -366,7 +369,7 @@ fn run_token_loop(
                 return Err(fail(&mut tx, CommsError::Protocol(what)));
             }
         }
-        run_stage_op(op, cfg.stage, work, waited_since, recorder);
+        run_stage_op(op, cfg.stage, &mut work, None, waited_since, recorder);
         // The last stage turns its forward around itself; every other op
         // is announced to the neighbour (or, from stage 0, the hub).
         if let Some(link) = plan.feeds(stage, op) {

@@ -16,7 +16,7 @@ use pipemare_comms::{
 use pipemare_core::{train_distributed_loopback, PipelineTrainer, TrainConfig};
 use pipemare_nn::{ImageBatch, Mlp};
 use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare_pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan};
+use pipemare_pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, Sleep};
 use pipemare_telemetry::TraceRecorder;
 use pipemare_tensor::Tensor;
 
@@ -320,7 +320,7 @@ fn token_pipeline_matches_threaded_executor_span_multiset() {
         let recorder = TraceRecorder::with_tracks(stages + 1);
         run_pipeline(
             &PipelinePlan::for_method(method, stages, n_micro, minibatches),
-            Duration::from_micros(200),
+            &mut [Sleep(Duration::from_micros(200)); 3],
             &recorder,
             &ActivationLedger::new(stages, 1),
         );
@@ -375,6 +375,27 @@ fn token_worker_buffers_a_token_that_arrives_before_its_op() {
     assert!(matches!(rx.recv(), Ok(Message::Telemetry { .. })));
     assert!(matches!(rx.recv(), Ok(Message::ShutdownAck { stage: 0, .. })));
     handles.pop().unwrap().join().expect("worker thread").expect("worker ok");
+}
+
+#[test]
+fn token_worker_rejects_an_unbounded_work_duration() {
+    // `work_us` comes from the peer and becomes a sleep: u64::MAX would
+    // park the worker for good at its first op, so it must be refused.
+    let (transports, mut handles) = spawn_loopback_workers(1);
+    let (mut tx, mut rx) = channel(transports.into_iter().next().unwrap()).unwrap();
+    rx.set_timeout(Some(Duration::from_secs(2))).unwrap();
+    let cfg = pipemare_comms::orchestrator::token_stage_config(Method::PipeMare, 2, 2, 0);
+    tx.send(&Message::Hello(cfg)).unwrap();
+    assert!(matches!(rx.recv(), Ok(Message::HelloAck { stage: 0, .. })));
+    tx.send(&Message::TokenMode { total: 2, is_last: false, work_us: u64::MAX }).unwrap();
+    // The worker may already have hung up after refusing the mode.
+    let _ = tx.send(&Message::Token { backward: false, id: 0 });
+    match rx.recv() {
+        Ok(Message::Error { .. }) => {}
+        other => panic!("expected an Error reply, got {other:?}"),
+    }
+    let result = handles.pop().unwrap().join().expect("worker thread");
+    assert!(matches!(result, Err(CommsError::Protocol(_))), "{result:?}");
 }
 
 #[test]

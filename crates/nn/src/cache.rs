@@ -46,8 +46,8 @@ impl Bf16Stash {
 /// backward pass.
 ///
 /// A `Cache` is a small tree: leaf tensors/scalars for a simple layer, plus
-/// child caches for composite layers ([`crate::Sequential`],
-/// [`crate::Residual`], attention blocks, whole models).
+/// child caches for composite layers ([`crate::Sequential`], attention
+/// blocks, whole models).
 #[derive(Clone, Debug, Default)]
 pub struct Cache {
     /// Saved tensors (inputs, intermediate activations, masks, ...).

@@ -23,7 +23,7 @@
 //!
 //! # Contents
 //!
-//! * [`Layer`] trait + chain combinators ([`Sequential`], [`Residual`]).
+//! * [`Layer`] trait + the chain combinator [`Sequential`].
 //! * Layers: [`Linear`], [`Conv2d`], [`BatchNorm2d`], [`LayerNorm`],
 //!   [`GroupNorm`], [`Activation`], pooling, [`Flatten`], [`Embedding`],
 //!   [`MultiHeadAttention`].
@@ -68,5 +68,5 @@ pub use norm::{BatchNorm2d, GroupNorm, LayerNorm};
 pub use pool::{Flatten, GlobalAvgPool2d, MaxPool2d};
 pub use regression::LinearRegression;
 pub use resnet::{CifarResNet, ResNetConfig};
-pub use sequential::{Residual, Sequential};
+pub use sequential::Sequential;
 pub use transformer::{Transformer, TransformerConfig};

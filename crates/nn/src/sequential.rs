@@ -1,4 +1,4 @@
-//! Chain combinators: [`Sequential`], the splits it runs, and [`Residual`].
+//! The chain combinator [`Sequential`] and the splits it runs.
 
 use std::ops::Range;
 
@@ -311,49 +311,6 @@ impl Layer for Sequential {
     }
 }
 
-/// A residual wrapper: `y = x + f(x)` (requires `f` shape-preserving).
-pub struct Residual {
-    inner: Box<dyn Layer>,
-}
-
-impl Residual {
-    /// Wraps a layer in a skip connection.
-    pub fn new(inner: impl Layer + 'static) -> Self {
-        Residual { inner: Box::new(inner) }
-    }
-}
-
-impl Layer for Residual {
-    fn param_len(&self) -> usize {
-        self.inner.param_len()
-    }
-
-    fn init_params(&self, out: &mut [f32], rng: &mut StdRng) {
-        self.inner.init_params(out, rng);
-    }
-
-    fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
-        let (y, c) = self.inner.forward(params, x);
-        assert_eq!(y.shape(), x.shape(), "Residual inner layer must preserve shape");
-        let mut cache = Cache::new();
-        cache.children.push(c);
-        (y.add(x), cache)
-    }
-
-    fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
-        let (dx_inner, grads) = self.inner.backward(params, cache.child(0), dy);
-        (dx_inner.add(dy), grads)
-    }
-
-    fn weight_units(&self) -> Vec<WeightUnit> {
-        self.inner.weight_units()
-    }
-
-    fn output_shape(&self, input: &[usize]) -> Vec<usize> {
-        input.to_vec()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,17 +384,6 @@ mod tests {
             .push(Activation::tanh())
             .push(Linear::new(5, 2));
         check_layer_gradients(&chain, &[4, 3], 51, 5e-2);
-    }
-
-    #[test]
-    fn residual_gradcheck() {
-        let block = Residual::new(
-            Sequential::new()
-                .push(Linear::new(4, 4))
-                .push(Activation::tanh())
-                .push(Linear::new(4, 4)),
-        );
-        check_layer_gradients(&block, &[3, 4], 52, 5e-2);
     }
 
     #[test]
@@ -578,14 +524,5 @@ mod tests {
         // (that drift is exactly what τ_recomp measures).
         let (dx2, g2) = chain.backward_recomputed(&newer, &newer, &ckpt, &dy);
         assert!(dx2 != dx_async || g2 != g_async);
-    }
-
-    #[test]
-    fn residual_identity_when_inner_is_zero() {
-        let block = Residual::new(Linear::new_no_bias(3, 3));
-        let params = vec![0.0f32; block.param_len()];
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
-        let (y, _) = block.forward(&params, &x);
-        assert_eq!(y, x);
     }
 }

@@ -1,20 +1,14 @@
 //! A real multi-threaded pipeline used to validate the throughput model.
 //!
 //! Each stage runs on its own thread and walks its op timeline from a
-//! [`PipelinePlan`]: microbatch tokens flow forward down the chain, turn
-//! around at the last stage, and flow backward (backward work costs 2×
-//! forward work, matching the paper's compute split). The schedule —
-//! GPipe draining the pipeline at every minibatch boundary (the bubble),
-//! PipeDream/PipeMare keeping it full, PipeMare Recompute replaying
-//! segments — is entirely in the plan; this module only runs it.
-//! Measured wall-clock throughputs reproduce the `N/(N+P−1)` bubble
-//! penalty of Table 1, and the [`ActivationLedger`] peaks the analytical
-//! memory model.
-//!
-//! Per-stage work is modeled as *latency* (sleep) rather than CPU
-//! spinning, so pipeline overlap is observable even on single-core hosts:
-//! concurrent sleeps overlap in wall-clock time exactly like concurrent
-//! accelerator stages, while spins would serialize on one CPU.
+//! [`PipelinePlan`]: microbatch tokens flow down the chain, turn around
+//! at the last stage and flow back, each carrying its op's payload. The
+//! schedule — GPipe draining the pipeline at every minibatch boundary
+//! (the bubble), PipeDream/PipeMare keeping it full, PipeMare Recompute
+//! replaying segments — is entirely in the plan, and what an op does is
+//! the stage's [`StageWork`]. Under [`Sleep`], measured wall-clock
+//! throughputs reproduce the `N/(N+P−1)` bubble penalty of Table 1, and
+//! the [`ActivationLedger`] peaks the analytical memory model.
 //!
 //! A stage exits after the last op of its list, so shutdown never
 //! depends on channel-disconnection ordering (which is cyclic in a
@@ -27,6 +21,29 @@ use pipemare_telemetry::{Recorder, SpanKind, NO_MICROBATCH};
 
 use crate::plan::{Link, PipelinePlan};
 use crate::recompute::{ActivationLedger, StageOp, StageOpKind};
+
+/// What a stage does for each op of its timeline; one value per stage.
+pub trait StageWork: Send {
+    /// What travels on a link between neighbouring stages.
+    type Payload: Send;
+    /// Runs `op`. `input` arrived on the link [`PipelinePlan::needs`]
+    /// names (`None` for an op that needs none and for a token the driver
+    /// injected); the result leaves on [`PipelinePlan::feeds`], and is
+    /// dropped where nothing is fed and at the driver (stage 0's backward).
+    fn run(&mut self, op: &StageOp, input: Option<Self::Payload>) -> Self::Payload;
+}
+
+/// Work as *latency*: `d` per forward or replay, `2d` per backward (the paper's compute split).
+/// Concurrent sleeps overlap like accelerator stages even on one core, where spins serialize.
+#[derive(Clone, Copy, Debug)]
+pub struct Sleep(pub Duration);
+
+impl StageWork for Sleep {
+    type Payload = ();
+    fn run(&mut self, op: &StageOp, _input: Option<()>) {
+        std::thread::sleep(if op.kind == StageOpKind::Bkwd { 2 * self.0 } else { self.0 });
+    }
+}
 
 /// Result of a pipeline run.
 #[derive(Clone, Debug)]
@@ -45,55 +62,52 @@ pub struct PipelineReport {
     pub recompute_ops: usize,
 }
 
-fn work_for(d: Duration) {
-    std::thread::sleep(d);
-}
-
-/// Runs one op of stage `stage`'s timeline: the stage's work (forward and
-/// replay take `work_per_stage`, backward 2×) and the spans it leaves on
-/// the stage's track — a `QueueWaitFwd`/`QueueWaitBkwd` span from
-/// `waited_since` when the stage blocked on a token first, then the
-/// `Forward`/`Recompute`/`Backward` span stamped with the microbatch's
-/// causal trace id (ids are 0-based; trace 0 means "absent").
+/// Runs one op of stage `stage`'s timeline: `work.run(op, input)`, whose
+/// result it returns, and the spans it leaves on the stage's track — a
+/// `QueueWaitFwd`/`QueueWaitBkwd` span from `waited_since` when the stage
+/// blocked on a token first, then the `Forward`/`Recompute`/`Backward`
+/// span stamped with the microbatch's causal trace id (ids are 0-based;
+/// trace 0 means "absent").
 ///
 /// Both stage loops — [`run_pipeline`]'s threads and the comms crate's
 /// token worker — call this for every op, which is why an in-process and
 /// a distributed run of one plan record the same spans.
-pub fn run_stage_op<R: Recorder>(
+pub fn run_stage_op<W: StageWork, R: Recorder>(
     op: &StageOp,
     stage: u32,
-    work_per_stage: Duration,
+    work: &mut W,
+    input: Option<W::Payload>,
     waited_since: Option<u64>,
     recorder: &R,
-) {
-    let (span, wait_span, work) = match op.kind {
-        StageOpKind::Fwd => (SpanKind::Forward, SpanKind::QueueWaitFwd, work_per_stage),
-        StageOpKind::Recomp => (SpanKind::Recompute, SpanKind::QueueWaitFwd, work_per_stage),
-        StageOpKind::Bkwd => (SpanKind::Backward, SpanKind::QueueWaitBkwd, 2 * work_per_stage),
+) -> W::Payload {
+    let (span, wait_span) = match op.kind {
+        StageOpKind::Fwd => (SpanKind::Forward, SpanKind::QueueWaitFwd),
+        StageOpKind::Recomp => (SpanKind::Recompute, SpanKind::QueueWaitFwd),
+        StageOpKind::Bkwd => (SpanKind::Backward, SpanKind::QueueWaitBkwd),
     };
     let t0 = recorder.now_us();
     if let Some(since) = waited_since {
         recorder.record_span(wait_span, stage, stage, NO_MICROBATCH, since, t0);
     }
-    work_for(work);
+    let out = work.run(op, input);
     let (micro, trace) = (op.micro as u32, op.micro as u64 + 1);
     recorder.record_span_traced(span, stage, stage, micro, trace, t0, recorder.now_us());
+    out
 }
 
-/// Runs `plan` on one thread per stage, each stage's forward work taking
-/// `work_per_stage`, and returns the measured throughput and activation
-/// peaks.
+/// Runs `plan` on one thread per stage, stage `s` doing `work[s]`, and
+/// returns the measured throughput and activation peaks.
 ///
 /// A stage thread walks its timeline in order: it blocks on the token the
 /// next op needs, acquires an activation buffer from `ledger` where the
-/// op says so, does the work ([`run_stage_op`]), releases the buffer
-/// after a backward, and passes the token on. All channels are unbounded:
-/// the fixed op order is itself the throttle, and every dependency points
-/// to a strictly earlier slot of the plan's schedule, so the run cannot
-/// deadlock. The calling thread is the driver (track `stages`): it
-/// injects every microbatch into stage 0 with an `Inject` instant,
-/// records a `Flush` span over each GPipe drain, and one over the final
-/// drain of every run.
+/// op says so, runs the op ([`run_stage_op`]), releases the buffer after
+/// a backward, and passes the token on with the op's payload. All
+/// channels are unbounded: the fixed op order is itself the throttle, and
+/// every dependency points to a strictly earlier slot of the plan's
+/// schedule, so the run cannot deadlock. The calling thread is the driver
+/// (track `stages`): it injects every microbatch into stage 0 with an
+/// `Inject` instant, records a `Flush` span over each GPipe drain, and
+/// one over the final drain of every run.
 ///
 /// The recorder is generic so that passing
 /// [`pipemare_telemetry::NullRecorder`] monomorphizes every telemetry
@@ -103,22 +117,23 @@ pub fn run_stage_op<R: Recorder>(
 ///
 /// # Panics
 ///
-/// Panics if the ledger was built for a different stage count.
-pub fn run_pipeline<R: Recorder>(
+/// Panics if `work` or the ledger was built for a different stage count.
+pub fn run_pipeline<W: StageWork, R: Recorder>(
     plan: &PipelinePlan,
-    work_per_stage: Duration,
+    work: &mut [W],
     recorder: &R,
     ledger: &ActivationLedger,
 ) -> PipelineReport {
     let (stages, total) = (plan.stages(), plan.total());
+    assert_eq!(work.len(), stages, "one StageWork per stage");
     assert_eq!(ledger.peaks().len(), stages, "ledger sized for a different stage count");
-    // chans[s][link]: the tokens arriving at stage s on each link.
-    let chans: Vec<_> = (0..stages).map(|_| Link::ALL.map(|_| unbounded::<usize>())).collect();
-    let (done_tx, done_rx) = unbounded::<usize>();
+    // chans[s][link]: the (microbatch, payload) tokens arriving at stage s on each link.
+    let chans: Vec<_> = (0..stages).map(|_| Link::ALL.map(|_| unbounded())).collect();
+    let (done_tx, done_rx) = unbounded();
 
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for s in 0..stages {
+        for (s, work) in work.iter_mut().enumerate() {
             // Each thread holds only its own receivers and its
             // neighbours' senders, so a stage that dies disconnects its
             // neighbours instead of leaving them blocked.
@@ -134,22 +149,24 @@ pub fn run_pipeline<R: Recorder>(
                 // pool-nesting rule).
                 pipemare_tensor::pool::serial_scope(|| {
                     for op in plan.timeline(s) {
+                        let mut input = None;
                         let waited_since = plan.needs(s, op).map(|link| {
                             let since = recorder.now_us();
-                            let id = rx[link as usize].recv().expect("neighbour stage alive");
+                            let id;
+                            (id, input) = rx[link as usize].recv().expect("neighbour stage alive");
                             assert_eq!(id, op.micro, "stage {s}: {link:?} token out of order");
                             since
                         });
                         if op.acquires {
                             ledger.acquire(s);
                         }
-                        run_stage_op(op, s as u32, work_per_stage, waited_since, recorder);
+                        let out = run_stage_op(op, s as u32, work, input, waited_since, recorder);
                         if op.kind == StageOpKind::Bkwd {
                             ledger.release(s);
                         }
                         if let Some(link) = plan.feeds(s, op) {
                             let tx = tx[link as usize].as_ref().expect("fed link has a target");
-                            tx.send(op.micro).expect("neighbour stage alive");
+                            tx.send((op.micro, Some(out))).expect("neighbour stage alive");
                         }
                     }
                 })
@@ -171,7 +188,7 @@ pub fn run_pipeline<R: Recorder>(
             recorder.record_span(SpanKind::Flush, driver_track, 0, NO_MICROBATCH, flush_start, now);
         };
         for id in 0..total {
-            inject.send(id).expect("pipeline alive");
+            inject.send((id, None)).expect("pipeline alive");
             recorder.record_instant(SpanKind::Inject, driver_track, 0, id as u32);
             if plan.flush_every().is_some_and(|n_micro| (id + 1) % n_micro == 0) {
                 // Synchronous flush: wait for this minibatch to drain.
@@ -193,13 +210,13 @@ pub fn run_pipeline<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::gpipe_bubble_throughput;
     use crate::delay::Method;
     use crate::recompute::RecomputePolicy;
     use pipemare_telemetry::NullRecorder;
 
     fn run(plan: PipelinePlan, work: Duration) -> PipelineReport {
-        run_pipeline(&plan, work, &NullRecorder, &ActivationLedger::new(plan.stages(), 1))
+        let ledger = ActivationLedger::new(plan.stages(), 1);
+        run_pipeline(&plan, &mut vec![Sleep(work); plan.stages()], &NullRecorder, &ledger)
     }
 
     fn run_method(
@@ -227,38 +244,6 @@ mod tests {
         let r = run_method(Method::PipeMare, 3, 4, 2, Duration::from_micros(50));
         assert_eq!(r.microbatches, 8);
         assert!(r.throughput > 0.0);
-    }
-
-    #[test]
-    fn gpipe_flush_slows_deep_pipelines() {
-        // P = 4, N = 2: bubble model predicts GPipe at N/(N+P−1) = 0.4 of
-        // PipeMare. Generous margins for scheduler noise.
-        let work = Duration::from_millis(2);
-        let async_r = run_method(Method::PipeMare, 4, 2, 8, work);
-        let gpipe_r = run_method(Method::GPipe, 4, 2, 8, work);
-        let ratio = gpipe_r.throughput / async_r.throughput;
-        let predicted = gpipe_bubble_throughput(4, 2);
-        assert!(
-            ratio < 0.9,
-            "GPipe should be visibly slower: measured ratio {ratio} (predicted {predicted})"
-        );
-        assert!(
-            ratio > predicted * 0.4,
-            "GPipe unreasonably slow: ratio {ratio} vs predicted {predicted}"
-        );
-    }
-
-    #[test]
-    fn more_microbatches_shrink_the_bubble() {
-        // As N grows the relative GPipe penalty shrinks.
-        let work = Duration::from_millis(1);
-        let base = run_method(Method::PipeMare, 4, 8, 5, work).throughput;
-        let small_n = run_method(Method::GPipe, 4, 2, 20, work).throughput / base;
-        let large_n = run_method(Method::GPipe, 4, 8, 5, work).throughput / base;
-        assert!(
-            large_n > small_n,
-            "bubble should shrink with N: N=2 ratio {small_n}, N=8 ratio {large_n}"
-        );
     }
 
     #[test]
@@ -295,7 +280,7 @@ mod tests {
         let recorder = TraceRecorder::new();
         run_pipeline(
             &PipelinePlan::for_recompute(RecomputePolicy::Segmented { segment: 2 }, 4, 2, 4),
-            Duration::from_micros(20),
+            &mut [Sleep(Duration::from_micros(20)); 4],
             &recorder,
             &ActivationLedger::new(4, 1),
         );
@@ -311,7 +296,7 @@ mod tests {
         let recorder = TraceRecorder::new();
         run_pipeline(
             &PipelinePlan::for_method(Method::PipeMare, 3, 2, 2),
-            Duration::from_micros(20),
+            &mut [Sleep(Duration::from_micros(20)); 3],
             &recorder,
             &ActivationLedger::new(3, 1),
         );

@@ -20,8 +20,8 @@
 //!   GPipe, PipeDream, PipeMare and PipeMare Recompute, which the
 //!   in-process executor and the distributed token workers both walk.
 //! * [`executor`]: a real multi-threaded pipeline (crossbeam channels)
-//!   that runs a plan, used to validate the throughput and memory models
-//!   on wall-clock time.
+//!   that runs a plan with one [`StageWork`] per stage, used to validate
+//!   the throughput and memory models on wall-clock time.
 //! * [`recompute`]: PipeMare Recompute (§2.2, App. A.2, App. D) — the
 //!   segmented activation-recomputation runtime whose measured per-stage
 //!   peaks must equal the analytical `profile_recompute`.
@@ -42,7 +42,7 @@ pub use cost::{
     MemoryModel,
 };
 pub use delay::{Method, PipelineClock};
-pub use executor::{run_pipeline, run_stage_op, PipelineReport};
+pub use executor::{run_pipeline, run_stage_op, PipelineReport, Sleep, StageWork};
 pub use history::WeightHistory;
 pub use hogwild::HogwildDelays;
 pub use partition::StagePartition;

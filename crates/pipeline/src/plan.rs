@@ -228,6 +228,31 @@ mod tests {
     }
 
     #[test]
+    fn slot_makespans_reproduce_the_bubble() {
+        // Table 1's throughput ratio read from the plans' slots, not a
+        // clock: GPipe fills and drains every minibatch, PipeMare once.
+        let makespan = |plan: PipelinePlan| {
+            (0..plan.stages()).map(|s| plan.timeline(s).last().unwrap().slot + 1).max().unwrap()
+        };
+        let p = 4;
+        let mut ratios = Vec::new();
+        for n in [2, 8] {
+            let mut ratio = 0.0;
+            for m in [8, 20, 64] {
+                let gpipe = makespan(PipelinePlan::for_method(Method::GPipe, p, n, m));
+                let mare = makespan(PipelinePlan::for_method(Method::PipeMare, p, n, m));
+                assert_eq!(gpipe, 2 * m * (n + p - 1), "GPipe N={n} M={m}");
+                assert_eq!(mare, 2 * m * n + 2 * (p - 1), "PipeMare N={n} M={m}");
+                ratio = mare as f64 / gpipe as f64;
+            }
+            let predicted = crate::cost::gpipe_bubble_throughput(p, n);
+            assert!((ratio / predicted - 1.0).abs() < 0.03, "N={n}: {ratio} vs {predicted}");
+            ratios.push(ratio);
+        }
+        assert!(ratios[1] > ratios[0], "the bubble shrinks as N grows: {ratios:?}");
+    }
+
+    #[test]
     fn links_route_along_the_chain() {
         assert_eq!(Link::Fwd.target(0, 3), Some(1));
         assert_eq!(Link::Fwd.target(2, 3), None);

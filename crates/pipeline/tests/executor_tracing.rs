@@ -3,7 +3,9 @@
 
 use std::time::Duration;
 
-use pipemare_pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, PipelineReport};
+use pipemare_pipeline::{
+    run_pipeline, ActivationLedger, Method, PipelinePlan, PipelineReport, Sleep,
+};
 use pipemare_telemetry::{
     NullRecorder, PipelineTimelineSummary, Recorder, SpanKind, TraceRecorder,
 };
@@ -17,7 +19,7 @@ fn run<R: Recorder>(
     recorder: &R,
 ) -> PipelineReport {
     let plan = PipelinePlan::for_method(method, stages, n_micro, minibatches);
-    run_pipeline(&plan, work, recorder, &ActivationLedger::new(stages, 1))
+    run_pipeline(&plan, &mut vec![Sleep(work); stages], recorder, &ActivationLedger::new(stages, 1))
 }
 
 #[test]

@@ -24,7 +24,7 @@ use pipemare::core::{run_regression_training_observed, HealthHook, TrainConfig};
 use pipemare::data::isotropic_regression;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind};
-use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan};
+use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, Sleep};
 use pipemare::telemetry::{
     analyze, read_jsonl, EventSource, FlightRecorder, HealthConfig, HealthMonitor,
     PipelineTimelineSummary, Severity,
@@ -55,7 +55,7 @@ fn main() {
     let monitor = Arc::new(HealthMonitor::with_registry(HealthConfig::default(), p, &registry));
     let report = run_pipeline(
         &PipelinePlan::for_method(Method::PipeMare, p, 4, 6),
-        Duration::from_micros(500),
+        &mut vec![Sleep(Duration::from_micros(500)); p],
         flight.as_ref(),
         &ActivationLedger::new(p, 1),
     );

@@ -32,7 +32,7 @@ use pipemare::core::{run_regression_training_observed, HealthHook, TrainConfig};
 use pipemare::data::isotropic_regression;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan};
+use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, Sleep};
 use pipemare::telemetry::{
     default_rules, AlertEngine, HealthConfig, HealthEventKind, HealthMonitor, JournalConfig,
     JournalWriter, LiveStore, MetricsRegistry, PipelineTimelineSummary, Severity, TraceRecorder,
@@ -47,7 +47,8 @@ use pipemare::theory::lemma1_max_alpha_frac;
 fn measured_timeline(p: usize, monitor: &HealthMonitor) -> PipelineTimelineSummary {
     let recorder = TraceRecorder::with_tracks(p + 1);
     let plan = PipelinePlan::for_method(Method::PipeMare, p, 4, 6);
-    run_pipeline(&plan, Duration::from_micros(500), &recorder, &ActivationLedger::new(p, 1));
+    let mut work = vec![Sleep(Duration::from_micros(500)); p];
+    run_pipeline(&plan, &mut work, &recorder, &ActivationLedger::new(p, 1));
     let events = recorder.events();
     monitor.ingest_events(&events);
     PipelineTimelineSummary::from_events(&events)

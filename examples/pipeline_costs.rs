@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use pipemare::pipeline::{
     gpipe_bubble_throughput, gpipe_equal_budget_throughput, run_pipeline, ActivationLedger,
-    ActivationModel, MemoryModel, Method, PipelineClock, PipelinePlan, Schedule,
+    ActivationModel, MemoryModel, Method, PipelineClock, PipelinePlan, Schedule, Sleep,
 };
 use pipemare::telemetry::NullRecorder;
 
@@ -80,7 +80,7 @@ fn main() {
     let work = Duration::from_millis(2);
     let run = |method| {
         let plan = PipelinePlan::for_method(method, 4, 2, 12);
-        run_pipeline(&plan, work, &NullRecorder, &ActivationLedger::new(4, 1))
+        run_pipeline(&plan, &mut [Sleep(work); 4], &NullRecorder, &ActivationLedger::new(4, 1))
     };
     let (async_run, gpipe_run) = (run(Method::PipeMare), run(Method::GPipe));
     println!(

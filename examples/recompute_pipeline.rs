@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use pipemare::nn::{ImageBatch, Mlp, TrainModel};
 use pipemare::pipeline::{
-    run_pipeline, ActivationLedger, ActivationModel, PipelinePlan, RecomputePolicy,
+    run_pipeline, ActivationLedger, ActivationModel, PipelinePlan, RecomputePolicy, Sleep,
 };
 use pipemare::telemetry::{MetricsRegistry, PipelineTimelineSummary, TraceRecorder};
 use pipemare::tensor::Tensor;
@@ -43,7 +43,7 @@ fn main() {
         let ledger = ActivationLedger::with_registry(p, bytes_per_activation, &registry);
         let rec = TraceRecorder::new();
         let plan = PipelinePlan::for_recompute(policy, p, n_micro, minibatches);
-        let report = run_pipeline(&plan, work, &rec, &ledger);
+        let report = run_pipeline(&plan, &mut vec![Sleep(work); p], &rec, &ledger);
         let summary = PipelineTimelineSummary::from_events(&rec.events());
         let expected = policy.expected_peaks(p);
         assert_eq!(report.peak_activations, expected, "{label}: ledger diverged from model");

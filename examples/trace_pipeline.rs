@@ -13,7 +13,7 @@ use pipemare::core::{run_image_training_with_metrics, TrainConfig, TrainerMetric
 use pipemare::data::SyntheticImages;
 use pipemare::nn::Mlp;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan};
+use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, Sleep};
 use pipemare::telemetry::{
     write_chrome_trace, write_jsonl, MetricsRegistry, PipelineTimelineSummary, TraceRecorder,
 };
@@ -30,7 +30,8 @@ fn main() {
     for method in [Method::GPipe, Method::PipeMare] {
         let rec = TraceRecorder::new();
         let plan = PipelinePlan::for_method(method, p, n, minibatches);
-        let report = run_pipeline(&plan, work, &rec, &ActivationLedger::new(p, 1));
+        let report =
+            run_pipeline(&plan, &mut vec![Sleep(work); p], &rec, &ActivationLedger::new(p, 1));
         let events = rec.events();
         let summary = PipelineTimelineSummary::from_events(&events);
         let name = method.name().to_lowercase();

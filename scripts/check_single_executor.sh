@@ -3,9 +3,12 @@
 # `PipelinePlan` (one op timeline per stage) and executed by one stage
 # loop: `run_pipeline`'s threads in crates/pipeline, the token worker in
 # crates/comms over the wire, both calling `run_stage_op` for every op.
-# A second `thread::scope(` in crates/pipeline is a second executor; a
-# second caller of the stage-work sleep is a second copy of what an op
-# does, and from then on only tests hold the traces together; `select!`
+# What an op does is a `StageWork` value, and the sleep is one of them:
+# `Sleep`. A second `thread::scope(` in crates/pipeline is a second
+# executor; a sleep outside `impl StageWork for Sleep`, a second library
+# `StageWork`, or a `work_per_stage` duration threaded through the
+# executor is a second copy of what an op does, and from then on only
+# tests hold the traces together; `select!`
 # is arrival-order scheduling coming back, which cannot promise the fixed
 # op order the plan is; and the names of the executors this replaced must
 # not reappear as forwarding functions or in documentation.
@@ -45,7 +48,23 @@ expect() {
 }
 
 expect 1 'thread::scope( in crates/pipeline' "$(sites 'thread::scope(' '' crates/pipeline/src)"
-expect 1 'callers of the stage-work sleep work_for(' "$(sites 'work_for(' 'fn work_for(' crates/*/src)"
+# Prints file:line of every thread::sleep( under crates/pipeline/src
+# that is not inside `impl StageWork for Sleep`.
+stray_sleeps() {
+  for f in $(find crates/pipeline/src -name '*.rs'); do
+    awk -v f="$f" '
+      /^#\[cfg\(test\)\]/ { exit }
+      /^[[:space:]]*\/\// { next }
+      /^impl StageWork for Sleep / { inside = 1 }
+      /^}/ { inside = 0 }
+      index($0, "thread::sleep(") && !inside { printf "%s:%d\n", f, FNR }' "$f"
+  done
+}
+expect 1 'thread::sleep( in crates/pipeline' "$(sites 'thread::sleep(' '' crates/pipeline/src)"
+expect 0 'thread::sleep( outside impl StageWork for Sleep' "$(stray_sleeps)"
+expect 1 'library StageWork impls (Sleep)' "$(sites 'StageWork for ' '' crates/*/src)"
+expect 0 'work_per_stage in crates/pipeline' \
+  "$(grep -rn 'work_per_stage' crates/pipeline/src || true)"
 expect 2 'run_stage_op( callers (the thread loop and the token worker)' \
   "$(sites 'run_stage_op(' '' crates/*/src)"
 expect 0 'select! in crates/pipeline' "$(grep -rn 'select!' crates/pipeline --include='*.rs' || true)"

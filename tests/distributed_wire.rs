@@ -18,7 +18,9 @@ use pipemare::comms::{
 use pipemare::core::{dist_config, PipelineTrainer, RecomputeCfg, TrainConfig};
 use pipemare::nn::{ImageBatch, Mlp};
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelineClock, PipelinePlan};
+use pipemare::pipeline::{
+    run_pipeline, ActivationLedger, Method, PipelineClock, PipelinePlan, Sleep,
+};
 use pipemare::telemetry::{TraceEvent, TraceRecorder};
 use pipemare::tensor::{StoragePrecision, Tensor};
 
@@ -380,7 +382,7 @@ fn token_pipeline_over_loopback_records_the_in_process_spans() {
     let work = std::time::Duration::from_micros(100);
     let recorder = TraceRecorder::with_tracks(stages + 1);
     let plan = PipelinePlan::for_method(Method::PipeMare, stages, n_micro, minibatches);
-    run_pipeline(&plan, work, &recorder, &ActivationLedger::new(stages, 1));
+    run_pipeline(&plan, &mut [Sleep(work); 3], &recorder, &ActivationLedger::new(stages, 1));
 
     let (transports, handles) = spawn_loopback_workers(stages);
     let report =

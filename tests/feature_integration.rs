@@ -7,7 +7,7 @@ use pipemare::data::{batch_by_tokens, SyntheticImages};
 use pipemare::nn::{Activation, Dropout, Layer, Linear, Mlp, Sequential};
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 use pipemare::pipeline::{
-    run_pipeline, ActivationLedger, Method, PipelinePlan, RecomputePolicy, Schedule, SlotOp,
+    run_pipeline, ActivationLedger, Method, PipelinePlan, RecomputePolicy, Schedule, Sleep, SlotOp,
     StageOpKind,
 };
 use pipemare::telemetry::{SpanKind, TraceRecorder};
@@ -158,7 +158,7 @@ fn traced_run_executes_its_plan_op_for_op() {
     for plan in &plans {
         let rec = TraceRecorder::with_tracks(stages + 1);
         let work = std::time::Duration::from_micros(100);
-        run_pipeline(plan, work, &rec, &ActivationLedger::new(stages, 1));
+        run_pipeline(plan, &mut [Sleep(work); 3], &rec, &ActivationLedger::new(stages, 1));
         let events = rec.events();
         for s in 0..stages {
             let planned: Vec<(SpanKind, u32)> = plan

@@ -11,7 +11,9 @@ use pipemare::core::{run_regression_training_observed, HealthHook, TrainConfig};
 use pipemare::data::isotropic_regression;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind};
-use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, RecomputePolicy};
+use pipemare::pipeline::{
+    run_pipeline, ActivationLedger, Method, PipelinePlan, RecomputePolicy, Sleep,
+};
 use pipemare::telemetry::{
     analyze, chrome_trace, chrome_trace_events, read_jsonl, write_jsonl, EventSource,
     FlightRecorder, HealthConfig, HealthEventKind, HealthMonitor, LiveStore, MetricValue,
@@ -53,7 +55,7 @@ fn induced_divergence_dumps_black_box_that_pmtrace_summarizes() {
     // history, not just trainer steps.
     run_pipeline(
         &PipelinePlan::for_method(Method::PipeMare, P, 4, 6),
-        std::time::Duration::from_micros(500),
+        &mut [Sleep(std::time::Duration::from_micros(500)); P],
         flight.as_ref(),
         &ActivationLedger::new(P, 1),
     );
@@ -144,7 +146,7 @@ fn drift_health_and_live_views_agree_with_the_summary() {
     for (i, plan) in plans.iter().enumerate() {
         let flight = Arc::new(FlightRecorder::for_pipeline(P));
         let work = std::time::Duration::from_micros(200);
-        run_pipeline(plan, work, flight.as_ref(), &ActivationLedger::new(P, 1));
+        run_pipeline(plan, &mut [Sleep(work); P], flight.as_ref(), &ActivationLedger::new(P, 1));
         let events = flight.snapshot_events();
         let summary = PipelineTimelineSummary::from_events(&events);
         assert_eq!(summary.stages.len(), P);

@@ -17,7 +17,7 @@ use pipemare::data::SyntheticImages;
 use pipemare::nn::Mlp;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 use pipemare::pipeline::{
-    run_pipeline, ActivationLedger, ActivationModel, PipelinePlan, RecomputePolicy,
+    run_pipeline, ActivationLedger, ActivationModel, PipelinePlan, RecomputePolicy, Sleep,
 };
 use pipemare::telemetry::NullRecorder;
 use pipemare::tensor::{pool, ThreadPool};
@@ -36,7 +36,8 @@ fn measured_peaks_match_memory_model_exactly() {
                 let run = |policy| {
                     let plan = PipelinePlan::for_recompute(policy, stages, n_micro, minibatches);
                     let ledger = ActivationLedger::new(stages, 1);
-                    run_pipeline(&plan, std::time::Duration::ZERO, &NullRecorder, &ledger)
+                    let mut work = vec![Sleep(std::time::Duration::ZERO); stages];
+                    run_pipeline(&plan, &mut work, &NullRecorder, &ledger)
                 };
                 let report = run(RecomputePolicy::Segmented { segment: seg });
                 let model = ActivationModel { p: stages };
