@@ -32,8 +32,11 @@
 //! over all heads is one call) gate; `metric.attn.*` and
 //! `metric.small_gemm.*` time the layer, the three small products a
 //! transformer microbatch is made of, and the cross-over sweep — no-pack
-//! time over blocked time on a grid of small shapes — that the dispatch
-//! line in `kernels::no_pack_is_faster` was read from.
+//! time over blocked time on a grid of small shapes and of short
+//! products over large B — that the dispatch line in
+//! `kernels::no_pack_is_faster` was read from. The side the dispatcher
+//! picks for every swept shape, `small_gemm.side.<layout>.<m>x<k>x<n>`
+//! (0 = no-pack, 1 = blocked), gates: it moves only when the line does.
 //!
 //! Passing `--test` anywhere on the command line runs a seconds-long
 //! smoke version (tiny shapes, correctness cross-check) for CI. The
@@ -393,30 +396,46 @@ fn small_gemm_section(log: &mut ExperimentLog, rounds: usize) {
         log.push_scalar("metric.small_gemm.heads_bmm_nt_ns.12x6x8x6", per_head);
 
         for layout in [Layout::NN, Layout::NT, Layout::TN] {
-            for &(k, n) in SWEEP_KN {
-                for &m in SWEEP_M {
-                    let (np, bl) = no_pack_vs_blocked(rounds, layout, m, k, n);
-                    let side =
-                        if kernels::no_pack_is_faster(m, k, n) { "no-pack" } else { "blocked" };
-                    println!(
-                        "    sweep {} {m:>3}x{k:>3}x{n:>3}  no-pack/blocked {:>5.2}  -> {side}",
-                        name(layout),
-                        np / bl
-                    );
-                    log.push_scalar(
-                        &format!("metric.small_gemm.sweep.{}.{m}x{k}x{n}", name(layout)),
-                        np / bl,
-                    );
-                }
+            for (m, k, n) in sweep_shapes() {
+                let (np, bl) = no_pack_vs_blocked(rounds, layout, m, k, n);
+                let no_pack = kernels::no_pack_is_faster(layout, m, k, n);
+                let side = if no_pack { "no-pack" } else { "blocked" };
+                println!(
+                    "    sweep {} {m:>3}x{k:>3}x{n:>4}  no-pack/blocked {:>5.2}  -> {side}",
+                    name(layout),
+                    np / bl
+                );
+                let shape = format!("{}.{m}x{k}x{n}", name(layout));
+                log.push_scalar(&format!("metric.small_gemm.sweep.{shape}"), np / bl);
+                log.push_scalar(&format!("small_gemm.side.{shape}"), f64::from(u8::from(!no_pack)));
             }
         }
     });
 }
 
-/// Rows and `(depth, columns)` of the cross-over sweep.
+/// Rows and `(depth, columns)` of the cross-over sweep: small products
+/// around `k·n = 8192` …
 const SWEEP_M: &[usize] = &[2, 6, 12, 16, 18, 24, 32, 64, 96];
 const SWEEP_KN: &[(usize, usize)] =
     &[(8, 8), (16, 16), (16, 32), (32, 32), (32, 64), (64, 64), (64, 128), (128, 128), (256, 128)];
+/// … and short products over large B: a served request's stages
+/// (64×512, 512×512, 512×10) and widemlp's first layer (640×1024).
+const SHORT_M: &[usize] = &[1, 2, 3, 4, 6, 8, 12, 15, 16];
+const SHORT_KN: &[(usize, usize)] = &[(64, 512), (512, 512), (512, 10), (128, 128), (640, 1024)];
+
+/// Both grids, each shape once, in a fixed order.
+fn sweep_shapes() -> Vec<(usize, usize, usize)> {
+    let grid = |ms: &'static [usize], kns: &'static [(usize, usize)]| {
+        kns.iter().flat_map(move |&(k, n)| ms.iter().map(move |&m| (m, k, n)))
+    };
+    let mut shapes: Vec<_> = grid(SWEEP_M, SWEEP_KN).collect();
+    for shape in grid(SHORT_M, SHORT_KN) {
+        if !shapes.contains(&shape) {
+            shapes.push(shape);
+        }
+    }
+    shapes
+}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");

@@ -86,19 +86,21 @@ impl Layer for Linear {
     }
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
+        let y = self.forward_no_cache(params, x);
+        (y, Cache::with_tensors(vec![x.reshape(&[x.len() / self.in_features, self.in_features])]))
+    }
+
+    fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor {
         let rows = self.rows_of(x);
         let (w, b) = self.split(params);
-        let x2 = x.reshape(&[rows, self.in_features]);
         // Run the kernel on the parameter slice directly — no weight
         // Tensor copy per step.
         let mut y = Tensor::zeros(&[rows, self.out_features]);
-        kernels::gemm(x2.data(), w, y.data_mut(), rows, self.in_features, self.out_features);
+        kernels::gemm(x.data(), w, y.data_mut(), rows, self.in_features, self.out_features);
         if self.bias {
             add_bias_rows(y.data_mut(), b);
         }
-        let mut out_shape = x.shape().to_vec();
-        *out_shape.last_mut().unwrap() = self.out_features;
-        (y.reshaped(&out_shape), Cache::with_tensors(vec![x2]))
+        y.reshaped(&self.output_shape(x.shape()))
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {

@@ -10,24 +10,36 @@
 //!
 //! | path | when | what it costs beyond the FMAs |
 //! |---|---|---|
-//! | **no-pack** ([`gemm_no_pack`]) | [`no_pack_is_faster`]: `k·n ≤ 256`, or `m < 16` and `k·n ≤ 8192`, and under the parallel threshold | nothing: A and B are read where they lie (`A · Bᵀ` first transposes the small B into the pack scratch) |
+//! | **no-pack** ([`gemm_no_pack`]) | [`no_pack_is_faster`]: `m ≤ 4` at any `k·n` (not `A · Bᵀ`), `k·n ≤ 256`, or `m < 16` and `k·n ≤ 8192` — unless the pool splits it | nothing: A and B are read where they lie (`A · Bᵀ` first transposes B into the pack scratch) |
 //! | **blocked** ([`gemm_blocked`]) | otherwise | packs B once (`k·n` writes) and A per `MC`-row chunk (`m·k` writes) |
 //! | **pool-parallel blocked** | `2·m·k·n ≥ 2²¹` and more than one `MC`-row chunk | the same packs, chunks spread over the pool |
 //!
 //! The no-pack kernel is portable code the compiler vectorises over
-//! output columns (at `target-cpu=native` its 4×16 tile is eight `ymm`
-//! FMA chains); the blocked kernel's AVX-512 tier is twice as wide, so
-//! it wins as soon as its packs are amortised. Where that happens was
-//! measured, not guessed: `cargo bench -p pipemare-bench --bench
-//! gemm_kernels` times both kernels on a grid of small shapes and records
-//! no-pack ÷ blocked as `metric.small_gemm.sweep.<layout>.<m>x<k>x<n>` in
-//! `BENCH_gemm_kernels.json`. On the recording host (2 vCPU Sapphire
-//! Rapids) the ratio is 0.2–0.8 for every `m` up to 96 while `k·n ≤ 256`,
-//! crosses 1 between `m = 12` and `m = 18` for `k·n` from 512 to 8192
-//! (`A · B`: 12×32×32 0.83, 16×32×32 1.00, 18×32×32 0.97, 12×32×64 1.03,
-//! 18×32×64 1.14; `A · Bᵀ` and `Aᵀ · B` 18×32×32 1.15 and 1.17) and is
-//! 1.2–1.7 from `m = 32` on; above `k·n = 8192` `A · Bᵀ` loses at any
-//! `m` to its transpose (2×128×128 1.35).
+//! output columns. Its tile is `R ∈ {1, 2, 4}` rows by `128 / R`
+//! columns, sixteen `ymm` FMA chains at `target-cpu=native` whatever the
+//! rows, so a product of up to four rows is one row block and reads each
+//! element of B once, where it lies. The blocked kernel's AVX-512 tier
+//! is twice as wide, so it wins as soon as its packs are amortised. Where
+//! that happens was measured, not guessed: `cargo bench -p pipemare-bench
+//! --bench gemm_kernels` times both kernels on a grid of small shapes and
+//! of short products over large B, and records no-pack ÷ blocked as
+//! `metric.small_gemm.sweep.<layout>.<m>x<k>x<n>` in
+//! `BENCH_gemm_kernels.json` (the side taken as the gated
+//! `small_gemm.side.*`). On the recording host (2 vCPU Sapphire Rapids)
+//! the ratio is 0.2–0.8 for every `m` up to 96 while `k·n ≤ 256`. For
+//! `k·n` from 512 to 8192, `A · B` crosses 1 between `m = 12` and
+//! `m = 18` (12×32×32 0.76, 16×32×32 1.04, 18×32×32 0.90, 12×32×64
+//! 0.85, 18×32×64 1.03) and reads 1.1–1.8 from `m = 32` on; `A · Bᵀ`
+//! already reads 1.03–1.4 from `m = 6`, and `Aᵀ · B` stays below 1 up to
+//! `m = 32` (18×32×32 0.55). Over large B (`k·n` from 16 384 to
+//! 655 360) the blocked side packs all of B for a few rows: `A · B` and
+//! `Aᵀ · B` read 0.1–0.7 up to four rows (1×512×512 0.28 and 0.15,
+//! 4×640×1024 0.60 and 0.49), and `A · B` crosses 1 between `m = 4` and
+//! `m = 6` from `k·n = 32 768` up (6×512×512 1.06, 6×640×1024 1.12;
+//! 16×640×1024, widemlp's microbatch, 1.51) but only near `m = 15` at
+//! 128×128 (8×128×128 0.82, 15×128×128 1.21). Above `k·n = 8192`
+//! `A · Bᵀ` loses at any `m` to its transpose (1×512×512 1.40,
+//! 1×640×1024 1.59).
 //!
 //! All three paths compute each element by the same chain (below), so
 //! which one a product takes never shows in a result. A convolution is
@@ -429,26 +441,41 @@ pub fn gemm_batched(
 
 /// Whether a product runs on the no-pack kernel (true) or a packing
 /// blocked kernel (false) — the dispatch line, one predicate on the
-/// extents. What decides is not the flop count: packing B costs `k·n`
-/// writes that only `m` rows amortise, so a *short* product never earns
-/// its pack (until `k·n` outgrows L1 and the no-pack kernel, which
-/// re-reads the B strip once per four rows, starts to stream it), and a
-/// product over a *tiny* B is all fixed cost on the blocked side however
-/// tall it is. The three constants were read from the cross-over sweep
-/// that `gemm_kernels` records as `metric.small_gemm.sweep.*` (module
-/// docs, "Dispatch").
-pub fn no_pack_is_faster(m: usize, k: usize, n: usize) -> bool {
+/// layout and extents. What decides is not the flop count: packing B
+/// costs `k·n` writes that only `m` rows amortise, so a *short* product
+/// never earns its pack, and a product over a *tiny* B is all fixed cost
+/// on the blocked side however tall it is. Up to four rows the no-pack
+/// tile holds the whole product and reads each element of B once, at any
+/// `k·n`; beyond one tile it re-reads B once per row block, which pays
+/// only while B sits in L1. `A · Bᵀ` has no such short rule: its no-pack
+/// path transposes B first, a copy that costs what the pack does. A
+/// product the pool can split over `MC`-row chunks is always blocked.
+/// The constants were read from the cross-over sweep that `gemm_kernels`
+/// records as `metric.small_gemm.sweep.*` (module docs, "Dispatch").
+pub fn no_pack_is_faster(layout: Layout, m: usize, k: usize, n: usize) -> bool {
     let b_len = k * n;
-    2 * m * b_len < PARALLEL_MIN_FLOPS
-        && (b_len <= NO_PACK_ANY_ROWS_MAX_B || (m < NO_PACK_MAX_ROWS && b_len <= NO_PACK_MAX_B))
+    let short = m <= NO_PACK_SHORT_ROWS && layout != Layout::NT;
+    !runs_parallel(m, k, n)
+        && (short
+            || b_len <= NO_PACK_ANY_ROWS_MAX_B
+            || (m < NO_PACK_MAX_ROWS && b_len <= NO_PACK_MAX_B))
 }
 
-/// A B this small (16×16) is never worth packing, at any height.
+/// Products of at most this many rows (one no-pack tile) never earn a
+/// pack of B, however large it is …
+const NO_PACK_SHORT_ROWS: usize = 4;
+/// … nor does a B this small (16×16), at any height …
 const NO_PACK_ANY_ROWS_MAX_B: usize = 256;
-/// Fewer rows than this do not amortise packing B …
+/// … while fewer rows than this do not amortise it …
 const NO_PACK_MAX_ROWS: usize = 16;
-/// … while B (32 KiB here) still sits in L1 between row blocks.
+/// … as long as B (32 KiB here) still sits in L1 between row blocks.
 const NO_PACK_MAX_B: usize = 8192;
+
+/// Whether the blocked path spreads a product over the pool: enough
+/// flops to pay for the dispatch, and more than one `MC`-row chunk.
+fn runs_parallel(m: usize, k: usize, n: usize) -> bool {
+    2 * m * k * n >= PARALLEL_MIN_FLOPS && m > MC
+}
 
 /// Dispatches one 2-D product: no-pack for small sizes, serial blocked
 /// for medium, pool-parallel blocked for large.
@@ -456,33 +483,34 @@ fn gemm_any(p: &Product, a: &[f32], b: &[f32], c: &mut [f32]) {
     if p.m == 0 || p.n == 0 || p.k == 0 {
         return; // C += 0-sized product is a no-op.
     }
-    if no_pack_is_faster(p.m, p.k, p.n) {
+    if no_pack_is_faster(p.layout, p.m, p.k, p.n) {
         return gemm_no_pack(p, a, b, c);
     }
     let level = simd_level();
-    if p.flops() >= PARALLEL_MIN_FLOPS && p.m.div_ceil(MC) > 1 {
+    if runs_parallel(p.m, p.k, p.n) {
         blocked_parallel(level, p, a, b, c);
     } else {
         blocked(level, p, a, b, c);
     }
 }
 
-/// Rows of the no-pack tile: four independent FMA chains per column
-/// vector hide the FMA latency without spilling the accumulators.
-const NO_PACK_ROWS: usize = 4;
+/// Accumulators of one no-pack tile, `R · L`: sixteen vector FMA chains
+/// at `target-cpu=native` whatever the rows, so even a one-row tile
+/// issues enough independent FMAs to cover their latency.
+const NO_PACK_ACC: usize = 128;
 
 /// The no-pack kernel, callable directly (benches and parity tests
 /// compare it with [`gemm_blocked`] on both sides of the dispatch line).
 ///
-/// It reads A and B where they lie. The tile is [`NO_PACK_ROWS`] rows by
-/// one vector of `L` output *columns* (`L` a power of two up to 16),
-/// held in `[f32; L]` accumulators that the compiler keeps in vector
-/// registers; per element it runs the one chain every tier shares —
+/// It reads A and B where they lie. The tile is `R ∈ {1, 2, 4}` rows by
+/// `L` output *columns* (`L` a power of two up to `128 / R`), held in
+/// `[f32; L]` accumulators that the compiler keeps in vector registers;
+/// per element it runs the one chain every tier shares —
 /// `acc = fma(a_ip, b_pj, acc)` for `p = 0, 1, …`, then `c += acc`. A
 /// ragged last tile is the previous tile shifted back to end at the
 /// edge, committing only the rows and lanes not yet written, so no
 /// element is ever accumulated in two pieces. `A · Bᵀ` first transposes
-/// B (small by construction) into this thread's pack scratch.
+/// B into this thread's pack scratch.
 ///
 /// # Panics
 ///
@@ -491,14 +519,30 @@ pub fn gemm_no_pack(p: &Product, a: &[f32], b: &[f32], c: &mut [f32]) {
     if p.m == 0 || p.n == 0 || p.k == 0 {
         return;
     }
+    // The whole product up to four rows, so such a product reads each
+    // element of B once. Three rows run as a four-row tile whose last row
+    // repeats the third and is never committed — except `Aᵀ · B`, whose
+    // tile reads its `R` values of a depth step as one run of A and so
+    // needs `R ≤ m`.
+    match (p.m, p.layout) {
+        (1, _) => no_pack_rows_of::<1>(p, a, b, c),
+        (2, _) | (3, Layout::TN) => no_pack_rows_of::<2>(p, a, b, c),
+        _ => no_pack_rows_of::<4>(p, a, b, c),
+    }
+}
+
+/// [`gemm_no_pack`] at `R` rows: picks the lanes and, for `A · Bᵀ`,
+/// stages the transposed B.
+fn no_pack_rows_of<const R: usize>(p: &Product, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let max_lanes = NO_PACK_ACC / R;
     if p.layout != Layout::NT {
-        let lanes = 1 << p.n.ilog2().min(4);
-        return no_pack_lanes(p, lanes, a, b, p.ldb, p.n, c);
+        let lanes = (1 << p.n.ilog2()).min(max_lanes);
+        return no_pack_lanes::<R>(p, lanes, a, b, p.ldb, p.n, c);
     }
     // Bᵀ goes to the scratch at a pitch of whole vectors, zero beyond
     // column n, so a narrow product is one block of the next lane count
     // up instead of two of the next one down.
-    let lanes = p.n.next_power_of_two().min(16);
+    let lanes = p.n.next_power_of_two().min(max_lanes);
     let width = p.n.next_multiple_of(lanes);
     pool::with_pack_b_scratch(|bt| {
         let len = p.k * width;
@@ -509,15 +553,14 @@ pub fn gemm_no_pack(p: &Product, a: &[f32], b: &[f32], c: &mut [f32]) {
             bt[..len].fill(0.0);
         }
         interleave_rows(b, p.ldb, p.n, p.k, width, &mut bt[..len]);
-        no_pack_lanes(p, lanes, a, &bt[..len], width, width, c);
+        no_pack_lanes::<R>(p, lanes, a, &bt[..len], width, width, c);
     });
 }
 
-/// Instantiates the tile walk for `lanes` columns and, when `m` allows,
-/// [`NO_PACK_ROWS`] rows; `b` is `k×n` row-major at pitch `ldb` whatever
-/// the layout was, and the first `b_cols ≥ n` values of each of its rows
-/// may be read.
-fn no_pack_lanes(
+/// Instantiates the tile walk for `R` rows and `lanes` columns; `b` is
+/// `k×n` row-major at pitch `ldb` whatever the layout was, and the first
+/// `b_cols ≥ n` values of each of its rows may be read.
+fn no_pack_lanes<const R: usize>(
     p: &Product,
     lanes: usize,
     a: &[f32],
@@ -526,27 +569,25 @@ fn no_pack_lanes(
     b_cols: usize,
     c: &mut [f32],
 ) {
-    const R: usize = NO_PACK_ROWS;
-    match (p.m >= R, lanes) {
-        (true, 16) => no_pack_tiles::<R, 16>(p, a, b, ldb, b_cols, c),
-        (true, 8) => no_pack_tiles::<R, 8>(p, a, b, ldb, b_cols, c),
-        (true, 4) => no_pack_tiles::<R, 4>(p, a, b, ldb, b_cols, c),
-        (true, 2) => no_pack_tiles::<R, 2>(p, a, b, ldb, b_cols, c),
-        (true, _) => no_pack_tiles::<R, 1>(p, a, b, ldb, b_cols, c),
-        (false, 16) => no_pack_tiles::<1, 16>(p, a, b, ldb, b_cols, c),
-        (false, 8) => no_pack_tiles::<1, 8>(p, a, b, ldb, b_cols, c),
-        (false, 4) => no_pack_tiles::<1, 4>(p, a, b, ldb, b_cols, c),
-        (false, 2) => no_pack_tiles::<1, 2>(p, a, b, ldb, b_cols, c),
-        (false, _) => no_pack_tiles::<1, 1>(p, a, b, ldb, b_cols, c),
+    match lanes {
+        128 => no_pack_tiles::<R, 128>(p, a, b, ldb, b_cols, c),
+        64 => no_pack_tiles::<R, 64>(p, a, b, ldb, b_cols, c),
+        32 => no_pack_tiles::<R, 32>(p, a, b, ldb, b_cols, c),
+        16 => no_pack_tiles::<R, 16>(p, a, b, ldb, b_cols, c),
+        8 => no_pack_tiles::<R, 8>(p, a, b, ldb, b_cols, c),
+        4 => no_pack_tiles::<R, 4>(p, a, b, ldb, b_cols, c),
+        2 => no_pack_tiles::<R, 2>(p, a, b, ldb, b_cols, c),
+        _ => no_pack_tiles::<R, 1>(p, a, b, ldb, b_cols, c),
     }
 }
 
 /// Walks the `R × L` tiles of C, column blocks outermost so a `k × L`
-/// strip of B stays in L1 while the rows of A stream past it. A ragged
+/// strip of B is read from where it lies once per row block. A ragged
 /// last block is the previous one shifted back to end at the edge,
 /// committing only what is not yet written — or, where B's rows are
 /// padded to whole vectors (`b_cols` reaches past `n`), a block in place
-/// whose surplus lanes are dropped.
+/// whose surplus lanes are dropped. A product shorter than the tile
+/// repeats its last row in the surplus rows and commits only its own.
 fn no_pack_tiles<const R: usize, const L: usize>(
     p: &Product,
     a: &[f32],
@@ -566,15 +607,18 @@ fn no_pack_tiles<const R: usize, const L: usize>(
         };
         let b_strip = &b[j..];
         for i0 in (0..m).step_by(R) {
-            let i = i0.min(m - R);
+            let i = i0.min(m.saturating_sub(R));
             let row0 = i0 - i;
             let acc: [[f32; L]; R] = if p.layout == Layout::TN {
                 no_pack_tile_tn(k, &a[i..], p.lda, b_strip, ldb)
             } else {
-                let rows = std::array::from_fn(|r| &a[(i + r) * p.lda..(i + r) * p.lda + k]);
+                let rows = std::array::from_fn(|r| {
+                    let at = (i + r).min(m - 1) * p.lda;
+                    &a[at..at + k]
+                });
                 no_pack_tile(rows, b_strip, ldb)
             };
-            for (r, acc_row) in acc.iter().enumerate().skip(row0) {
+            for (r, acc_row) in acc.iter().enumerate().take(m - i).skip(row0) {
                 let at = (i + r) * p.ldc + j;
                 let c_row = &mut c[at + lanes.start..at + lanes.end];
                 for (c_ij, &v) in c_row.iter_mut().zip(&acc_row[lanes.clone()]) {

@@ -5,8 +5,9 @@
 //! entry point over dense or head-strided operands — must agree
 //! **bit-for-bit** with a per-element scalar reference that accumulates
 //! `fma(a_ip, b_pj, ·)` over `p` in increasing order. Sizes deliberately
-//! straddle the microkernel tile (`MR`/`NR`), the no-pack tile (4 rows,
-//! 16 lanes), the parallel chunk (`MC`), and the dispatch line.
+//! straddle the microkernel tile (`MR`/`NR`), the no-pack tiles (1, 2 or
+//! 4 rows, up to 128 lanes), the parallel chunk (`MC`), and the dispatch
+//! line.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -146,15 +147,16 @@ proptest! {
 
     #[test]
     fn no_pack_bit_exact_at_any_leading_dimension(
-        m in 1usize..=20,
+        mn in (1usize..=20).prop_flat_map(|m| (Just(m), 1usize..=if m <= 4 { 300 } else { 70 })),
         k in 1usize..=70,
-        n in 1usize..=70,
         pad in (0usize..4, 0usize..4, 0usize..4),
         seed in 0u64..1000,
     ) {
-        // Ragged last vector (n % 16), a single row, a single column, and
-        // C pre-loaded: the kernel adds to what is there and touches
-        // nothing between the rows.
+        let (m, n) = mn;
+        // Ragged last vector, a single row, a single column, and C
+        // pre-loaded: the kernel adds to what is there and touches nothing
+        // between the rows. Short products take tiles up to 128 lanes
+        // wide, so their n reaches two whole tiles and a shifted third.
         for layout in [Layout::NN, Layout::NT, Layout::TN] {
             let p = padded(layout, (m, k, n), [pad.0, pad.1, pad.2]);
             let [a_len, b_len, c_len] = cover(&p);
@@ -213,9 +215,10 @@ proptest! {
         // The first m the dispatcher sends to the blocked kernel, and the
         // last it keeps on the no-pack kernel: at both, either kernel and
         // the dispatching entry point give the same bits.
-        let first_blocked = (1usize..).find(|&m| !kernels::no_pack_is_faster(m, k, n)).unwrap();
-        for m in [first_blocked.saturating_sub(1).max(1), first_blocked] {
-            for layout in [Layout::NN, Layout::NT, Layout::TN] {
+        for layout in [Layout::NN, Layout::NT, Layout::TN] {
+            let first_blocked =
+                (1usize..).find(|&m| !kernels::no_pack_is_faster(layout, m, k, n)).unwrap();
+            for m in [first_blocked.saturating_sub(1).max(1), first_blocked] {
                 let p = Product::dense(layout, m, k, n);
                 let (a, b) = (randvec(m * k, seed), randvec(k * n, seed + 6));
                 let init = randvec(m * n, seed + 7);
@@ -326,7 +329,7 @@ fn large_head_strided_batch_is_bit_identical_at_any_pool_width() {
     let in_proj = BatchStride { group: t * d, head: dh };
     let scores = BatchStride { group: heads * t * t, head: t * t };
     let p = Product { layout: Layout::NN, m: t, k: t, n: dh, lda: t, ldb: d, ldc: d };
-    assert!(!kernels::no_pack_is_faster(p.m, p.k, p.n), "meant for the blocked kernel");
+    assert!(!kernels::no_pack_is_faster(p.layout, p.m, p.k, p.n), "meant for the blocked kernel");
     let a = randvec(groups * heads * t * t, 41);
     let b = randvec(groups * t * d, 42);
     let mut want = vec![0.0f32; groups * t * d];
