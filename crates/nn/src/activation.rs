@@ -87,8 +87,12 @@ impl Layer for Activation {
 
     fn init_params(&self, _out: &mut [f32], _rng: &mut StdRng) {}
 
-    fn forward(&self, _params: &[f32], x: &Tensor) -> (Tensor, Cache) {
-        (x.map(|v| self.apply(v)), Cache::with_tensors(vec![x.clone()]))
+    fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
+        (self.forward_no_cache(params, x), Cache::with_tensors(vec![x.clone()]))
+    }
+
+    fn forward_no_cache(&self, _params: &[f32], x: &Tensor) -> Tensor {
+        x.map(|v| self.apply(v))
     }
 
     fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {

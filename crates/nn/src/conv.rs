@@ -13,7 +13,8 @@ use crate::layer::{Layer, WeightUnit};
 /// patchesᵀ`, `dx = fold(Kᵀ · dy)` — run as tiled passes that read their
 /// panels straight from NCHW `x` and `dy` and write NCHW `y` and `dx`
 /// (see [`pipemare_tensor::conv`]); no patch matrix is ever built. The
-/// forward pass caches the input and nothing else.
+/// forward pass caches the input and nothing else; the cache-free pass
+/// does not copy it.
 #[derive(Clone, Copy, Debug)]
 pub struct Conv2d {
     /// Input channels.
@@ -104,6 +105,10 @@ impl Layer for Conv2d {
     }
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
+        (self.forward_no_cache(params, x), Cache::with_tensors(vec![x.clone()]))
+    }
+
+    fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor {
         let problem = self.problem(x);
         let geom = problem.geom;
         let (kernel, bias) = params.split_at(self.weight_len());
@@ -116,7 +121,7 @@ impl Layer for Conv2d {
             x.data(),
             y.data_mut(),
         );
-        (y, Cache::with_tensors(vec![x.clone()]))
+        y
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {

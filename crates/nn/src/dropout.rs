@@ -63,6 +63,28 @@ impl Dropout {
         let u = (h >> 40) as f32 / (1u64 << 24) as f32;
         u >= self.p
     }
+
+    /// Both passes: the output and, with `MASK`, the per-element factor
+    /// (`1/(1−p)` or `0`) that `backward` applies; `None` for the
+    /// identity pass. A dropping call takes the next counter value in
+    /// either pass, so the masks after it do not depend on the pass.
+    fn apply<const MASK: bool>(&self, x: &Tensor) -> (Tensor, Option<Tensor>) {
+        if !self.is_enabled() || self.p == 0.0 {
+            return (x.clone(), None);
+        }
+        let call = self.counter.fetch_add(1, Ordering::Relaxed);
+        let scale = 1.0 / (1.0 - self.p);
+        let mut mask = Vec::with_capacity(if MASK { x.len() } else { 0 });
+        let mut y = x.clone();
+        for (i, v) in y.data_mut().iter_mut().enumerate() {
+            let keep = self.keep(call, i);
+            *v = if keep { *v * scale } else { 0.0 };
+            if MASK {
+                mask.push(if keep { scale } else { 0.0 });
+            }
+        }
+        (y, MASK.then(|| Tensor::from_vec(mask, &[x.len()])))
+    }
 }
 
 impl Layer for Dropout {
@@ -73,26 +95,17 @@ impl Layer for Dropout {
     fn init_params(&self, _out: &mut [f32], _rng: &mut StdRng) {}
 
     fn forward(&self, _params: &[f32], x: &Tensor) -> (Tensor, Cache) {
-        if !self.is_enabled() || self.p == 0.0 {
-            let mut cache = Cache::new();
-            cache.scalars = vec![f32::NAN]; // sentinel: identity pass
-            return (x.clone(), cache);
-        }
-        let call = self.counter.fetch_add(1, Ordering::Relaxed);
-        let scale = 1.0 / (1.0 - self.p);
-        let mut mask = Tensor::zeros(&[x.len()]);
-        let mut y = x.clone();
-        for i in 0..x.len() {
-            if self.keep(call, i) {
-                mask.data_mut()[i] = scale;
-                y.data_mut()[i] *= scale;
-            } else {
-                y.data_mut()[i] = 0.0;
-            }
-        }
-        let mut cache = Cache::with_tensors(vec![mask]);
-        cache.scalars = vec![0.0];
+        let (y, mask) = self.apply::<true>(x);
+        let cache = match mask {
+            // The scalar is a sentinel: NaN marks the identity pass.
+            None => Cache { scalars: vec![f32::NAN], ..Cache::new() },
+            Some(mask) => Cache { scalars: vec![0.0], ..Cache::with_tensors(vec![mask]) },
+        };
         (y, cache)
+    }
+
+    fn forward_no_cache(&self, _params: &[f32], x: &Tensor) -> Tensor {
+        self.apply::<false>(x).0
     }
 
     fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {

@@ -46,6 +46,21 @@ impl Embedding {
             })
             .collect()
     }
+
+    /// Both passes: the scaled rows of `ids`, shaped `(shape..., dim)`.
+    fn lookup(&self, params: &[f32], ids: &[usize], shape: &[usize]) -> Tensor {
+        let mut out_shape = shape.to_vec();
+        out_shape.push(self.dim);
+        let mut y = Tensor::zeros(&out_shape);
+        for (k, &id) in ids.iter().enumerate() {
+            let src = &params[id * self.dim..(id + 1) * self.dim];
+            let dst = &mut y.data_mut()[k * self.dim..(k + 1) * self.dim];
+            for (d, &s) in dst.iter_mut().zip(src.iter()) {
+                *d = s * self.scale;
+            }
+        }
+        y
+    }
 }
 
 impl Layer for Embedding {
@@ -61,21 +76,16 @@ impl Layer for Embedding {
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
         let ids = self.ids_of(x);
-        let mut out_shape = x.shape().to_vec();
-        out_shape.push(self.dim);
-        let mut y = Tensor::zeros(&out_shape);
-        for (k, &id) in ids.iter().enumerate() {
-            let src = &params[id * self.dim..(id + 1) * self.dim];
-            let dst = &mut y.data_mut()[k * self.dim..(k + 1) * self.dim];
-            for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                *d = s * self.scale;
-            }
-        }
+        let y = self.lookup(params, &ids, x.shape());
         let mut cache = Cache::new();
         cache.indices = ids;
         cache.indices.push(0); // sentinel keeps layout explicit
         cache.indices.pop();
         (y, cache)
+    }
+
+    fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor {
+        self.lookup(params, &self.ids_of(x), x.shape())
     }
 
     fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {

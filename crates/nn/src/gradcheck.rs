@@ -47,8 +47,8 @@ pub fn check_layer_gradients(layer: &dyn Layer, input_shape: &[usize], seed: u64
         xp.data_mut()[ci] += eps;
         let mut xm = x.clone();
         xm.data_mut()[ci] -= eps;
-        let fp = half_sq(&layer.forward(&params, &xp).0);
-        let fm = half_sq(&layer.forward(&params, &xm).0);
+        let fp = half_sq(&layer.forward_no_cache(&params, &xp));
+        let fm = half_sq(&layer.forward_no_cache(&params, &xm));
         let num = (fp - fm) / (2.0 * eps);
         let ana = dx.data()[ci];
         let tol = 1e-3f32.max(rel_tol * num.abs().max(ana.abs()));
@@ -66,8 +66,8 @@ pub fn check_layer_gradients(layer: &dyn Layer, input_shape: &[usize], seed: u64
             pp[ci] += eps;
             let mut pm = params.clone();
             pm[ci] -= eps;
-            let fp = half_sq(&layer.forward(&pp, &x).0);
-            let fm = half_sq(&layer.forward(&pm, &x).0);
+            let fp = half_sq(&layer.forward_no_cache(&pp, &x));
+            let fm = half_sq(&layer.forward_no_cache(&pm, &x));
             let num = (fp - fm) / (2.0 * eps);
             let ana = dp[ci];
             let tol = 1e-3f32.max(rel_tol * num.abs().max(ana.abs()));

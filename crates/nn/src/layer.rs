@@ -45,21 +45,23 @@ pub trait Layer: Send + Sync {
     fn init_params(&self, out: &mut [f32], rng: &mut StdRng);
 
     /// Forward pass: computes the output and a cache for `backward`.
+    /// Equal bit for bit to [`Layer::forward_no_cache`] on the same
+    /// `params` and `x` — every layer runs one computation for both and
+    /// only this pass keeps what `backward` needs.
     ///
     /// `params.len()` must equal [`Layer::param_len`].
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache);
 
-    /// Forward pass without retaining a backward cache — the stash/replay
-    /// hook of PipeMare Recompute: checkpointed chains call this between
-    /// segment boundaries, then replay [`Layer::forward`] just before the
-    /// backward to rebuild the caches they skipped. The default builds
-    /// and discards the cache; layers with a cheaper cache-free path can
-    /// override. Replay only reproduces the original activations for
-    /// layers that are deterministic in `(params, x)` (per-call
-    /// stochastic layers like dropout re-draw their masks).
-    fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor {
-        self.forward(params, x).0
-    }
+    /// Forward pass without a backward cache: the one inference pass
+    /// (evaluation, serving's span pass) and the stash hook of PipeMare
+    /// Recompute, whose checkpointed chains run it between segment
+    /// boundaries and replay [`Layer::forward`] just before the backward
+    /// to rebuild the caches they skipped. It builds no cache and drops
+    /// each intermediate as soon as the next one exists. Replay only
+    /// reproduces the original activations for layers that are
+    /// deterministic in `(params, x)` (dropout draws a fresh mask per
+    /// call, in either pass).
+    fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor;
 
     /// Backward pass: given the upstream gradient `dy` and the cache from
     /// a previous `forward`, computes the input gradient and the parameter
@@ -79,6 +81,26 @@ pub trait Layer: Send + Sync {
     /// Output shape for a given input shape (used to compose models and
     /// validate chains). Layers that cannot infer it may panic.
     fn output_shape(&self, input: &[usize]) -> Vec<usize>;
+}
+
+/// Runs `layer` forward: with a cache, [`Layer::forward`], whose cache
+/// becomes `cache`'s next child; without one, [`Layer::forward_no_cache`].
+/// Composite layers run their sub-layers through it, so one function
+/// serves both of their passes.
+pub(crate) fn forward_into<L: Layer + ?Sized>(
+    layer: &L,
+    params: &[f32],
+    x: &Tensor,
+    cache: Option<&mut Cache>,
+) -> Tensor {
+    match cache {
+        Some(cache) => {
+            let (y, child) = layer.forward(params, x);
+            cache.children.push(child);
+            y
+        }
+        None => layer.forward_no_cache(params, x),
+    }
 }
 
 /// Builder assigning contiguous offsets to named parameter blocks; used by

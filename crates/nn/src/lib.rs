@@ -20,6 +20,8 @@
 //!
 //! When the same slice is passed to both, this reduces to ordinary
 //! backpropagation (checked against finite differences in the test suite).
+//! [`Layer::forward_no_cache`] is the forward's computation, bit for bit,
+//! keeping no cache: evaluation, serving and the recompute stash hook.
 //!
 //! # Contents
 //!

@@ -70,9 +70,10 @@ impl Mlp {
         self
     }
 
-    /// Computes class logits for a `(B, in)` or `(B, C, H, W)` input.
+    /// Computes class logits for a `(B, in)` or `(B, C, H, W)` input:
+    /// [`InferModel::infer`] on the prepared input.
     pub fn logits(&self, params: &[f32], x: &Tensor) -> Tensor {
-        self.chain.forward(params, &self.prepare_input(x)).0
+        self.infer(params, &self.prepare_input(x))
     }
 
     /// Top-1 accuracy on a labelled batch.

@@ -30,32 +30,39 @@ fn statistics(dims: FoldDims, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
 
 /// `x̂ = (x − mean)·inv_std` and `y = γ·x̂ + β`, `plane` values at a time:
 /// run `k` takes its statistics from slice `slice_of(k)` and its affine
-/// pair from channel `k % channels`; `RELU` clamps `y` at zero. Both
-/// outputs are appended to reserved vectors — written once, not cleared
-/// and then written — and `y` reads `x̂` back while it is in L1.
-fn normalize<const RELU: bool>(
+/// pair from channel `k % channels`; `RELU` clamps `y` at zero. With
+/// `XHAT`, `x̂` is appended to a reserved vector and `y` reads it back
+/// while it is in L1; without, `x̂` stays in a register. Outputs are
+/// written once, not cleared and then written.
+fn normalize<const RELU: bool, const XHAT: bool>(
     x: &Tensor,
     plane: usize,
     slice_of: impl Fn(usize) -> usize,
     (means, inv_stds): (&[f32], &[f32]),
     params: &[f32],
-) -> (Tensor, Tensor) {
+) -> (Tensor, Option<Tensor>) {
     let c = params.len() / 2;
-    let (mut xhat, mut y) = (Vec::with_capacity(x.len()), Vec::with_capacity(x.len()));
+    let mut xhat = Vec::with_capacity(if XHAT { x.len() } else { 0 });
+    let mut y = Vec::with_capacity(x.len());
     for (k, x_run) in x.data().chunks_exact(plane).enumerate() {
         let (s, ci) = (slice_of(k), k % c);
         let (mean, inv_std, gamma, beta) = (means[s], inv_stds[s], params[ci], params[c + ci]);
-        xhat.extend(x_run.iter().map(|&v| (v - mean) * inv_std));
-        y.extend(xhat[k * plane..].iter().map(|&h| {
+        let affine = |h: f32| {
             let pre = gamma * h + beta;
             if RELU {
                 pre.max(0.0)
             } else {
                 pre
             }
-        }));
+        };
+        if XHAT {
+            xhat.extend(x_run.iter().map(|&v| (v - mean) * inv_std));
+            y.extend(xhat[k * plane..].iter().map(|&h| affine(h)));
+        } else {
+            y.extend(x_run.iter().map(|&v| affine((v - mean) * inv_std)));
+        }
     }
-    (Tensor::from_vec(xhat, x.shape()), Tensor::from_vec(y, x.shape()))
+    (Tensor::from_vec(y, x.shape()), XHAT.then(|| Tensor::from_vec(xhat, x.shape())))
 }
 
 /// The last pass of a backward whose slices are contiguous (`outer` 1):
@@ -117,6 +124,25 @@ impl BatchNorm2d {
         assert_eq!(shape[1], self.channels, "BatchNorm2d: channel mismatch");
         FoldDims { outer: shape[0], slices: shape[1], run: shape[2] * shape[3] }
     }
+
+    /// Both passes: `y`, with `XHAT` also `x̂`, and `1/σ` per channel.
+    fn normalize<const XHAT: bool>(
+        &self,
+        params: &[f32],
+        x: &Tensor,
+    ) -> (Tensor, Option<Tensor>, Vec<f32>) {
+        assert_eq!(x.ndim(), 4, "BatchNorm2d input must be (B,C,H,W)");
+        let dims = self.dims(x.shape());
+        let c = self.channels;
+        let (means, inv_stds) = statistics(dims, x.data());
+        let stats = (&means[..], &inv_stds[..]);
+        let (y, xhat) = if self.relu {
+            normalize::<true, XHAT>(x, dims.run, |k| k % c, stats, params)
+        } else {
+            normalize::<false, XHAT>(x, dims.run, |k| k % c, stats, params)
+        };
+        (y, xhat, inv_stds)
+    }
 }
 
 impl Layer for BatchNorm2d {
@@ -130,22 +156,17 @@ impl Layer for BatchNorm2d {
     }
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
-        assert_eq!(x.ndim(), 4, "BatchNorm2d input must be (B,C,H,W)");
-        let dims = self.dims(x.shape());
-        let c = self.channels;
-        let (means, mut inv_stds) = statistics(dims, x.data());
-        let stats = (&means[..], &inv_stds[..]);
-        let (xhat, y) = if self.relu {
-            normalize::<true>(x, dims.run, |k| k % c, stats, params)
-        } else {
-            normalize::<false>(x, dims.run, |k| k % c, stats, params)
-        };
-        let mut cache = Cache::with_tensors(vec![xhat]);
+        let (y, xhat, mut inv_stds) = self.normalize::<true>(params, x);
+        let mut cache = Cache::with_tensors(vec![xhat.expect("x̂ is kept")]);
         if self.relu {
             inv_stds.extend_from_slice(params);
         }
         cache.scalars = inv_stds;
         (y, cache)
+    }
+
+    fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor {
+        self.normalize::<false>(params, x).0
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
@@ -218,6 +239,35 @@ impl LayerNorm {
     fn dims(&self, len: usize) -> FoldDims {
         FoldDims { outer: 1, slices: len / self.dim, run: self.dim }
     }
+
+    /// Both passes: `y`, with `XHAT` also `x̂`, and `1/σ` per row; `x̂`
+    /// is written out, and read back, only with `XHAT`.
+    fn normalize<const XHAT: bool>(
+        &self,
+        params: &[f32],
+        x: &Tensor,
+    ) -> (Tensor, Option<Tensor>, Vec<f32>) {
+        let d = self.dim;
+        assert_eq!(*x.shape().last().unwrap(), d, "LayerNorm: last dim mismatch");
+        let (means, inv_stds) = statistics(self.dims(x.len()), x.data());
+        let (gamma, beta) = params.split_at(d);
+        let mut xhat = Vec::with_capacity(if XHAT { x.len() } else { 0 });
+        let mut y = Vec::with_capacity(x.len());
+        for (r, row) in x.data().chunks_exact(d).enumerate() {
+            let (mean, inv_std) = (means[r], inv_stds[r]);
+            let affine = gamma.iter().zip(beta);
+            if XHAT {
+                xhat.extend(row.iter().map(|&v| (v - mean) * inv_std));
+                y.extend(xhat[r * d..].iter().zip(affine).map(|(&h, (&g, &b))| g * h + b));
+            } else {
+                y.extend(
+                    row.iter().zip(affine).map(|(&v, (&g, &b))| g * ((v - mean) * inv_std) + b),
+                );
+            }
+        }
+        let y = Tensor::from_vec(y, x.shape());
+        (y, XHAT.then(|| Tensor::from_vec(xhat, x.shape())), inv_stds)
+    }
 }
 
 impl Layer for LayerNorm {
@@ -231,22 +281,14 @@ impl Layer for LayerNorm {
     }
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
-        let d = self.dim;
-        assert_eq!(*x.shape().last().unwrap(), d, "LayerNorm: last dim mismatch");
-        let (means, inv_stds) = statistics(self.dims(x.len()), x.data());
-        let (gamma, beta) = params.split_at(d);
-        let mut xhat = Vec::with_capacity(x.len());
-        let mut y = Vec::with_capacity(x.len());
-        for (r, row) in x.data().chunks_exact(d).enumerate() {
-            let (mean, inv_std) = (means[r], inv_stds[r]);
-            xhat.extend(row.iter().map(|&v| (v - mean) * inv_std));
-            let affine = xhat[r * d..].iter().zip(gamma.iter().zip(beta));
-            y.extend(affine.map(|(&h, (&g, &b))| g * h + b));
-        }
-        let (xhat, y) = (Tensor::from_vec(xhat, x.shape()), Tensor::from_vec(y, x.shape()));
-        let mut cache = Cache::with_tensors(vec![xhat]);
+        let (y, xhat, inv_stds) = self.normalize::<true>(params, x);
+        let mut cache = Cache::with_tensors(vec![xhat.expect("x̂ is kept")]);
         cache.scalars = inv_stds;
         (y, cache)
+    }
+
+    fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor {
+        self.normalize::<false>(params, x).0
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
@@ -314,6 +356,22 @@ impl GroupNorm {
         let slices = FoldDims { outer: 1, slices: b * self.groups, run: c / self.groups * plane };
         (plane, slices)
     }
+
+    /// Both passes: `y`, with `XHAT` also `x̂`, and `1/σ` per slice.
+    fn normalize<const XHAT: bool>(
+        &self,
+        params: &[f32],
+        x: &Tensor,
+    ) -> (Tensor, Option<Tensor>, Vec<f32>) {
+        assert_eq!(x.ndim(), 4, "GroupNorm input must be (B,C,H,W)");
+        let (plane, dims) = self.dims(x.shape());
+        let per = self.channels / self.groups;
+        let (means, inv_stds) = statistics(dims, x.data());
+        // Run `k` is channel `k % c` of image `k / c`, in slice `k / per`.
+        let stats = (&means[..], &inv_stds[..]);
+        let (y, xhat) = normalize::<false, XHAT>(x, plane, |k| k / per, stats, params);
+        (y, xhat, inv_stds)
+    }
 }
 
 impl Layer for GroupNorm {
@@ -327,15 +385,14 @@ impl Layer for GroupNorm {
     }
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
-        assert_eq!(x.ndim(), 4, "GroupNorm input must be (B,C,H,W)");
-        let (plane, dims) = self.dims(x.shape());
-        let per = self.channels / self.groups;
-        let (means, inv_stds) = statistics(dims, x.data());
-        // Run `k` is channel `k % c` of image `k / c`, in slice `k / per`.
-        let (xhat, y) = normalize::<false>(x, plane, |k| k / per, (&means, &inv_stds), params);
-        let mut cache = Cache::with_tensors(vec![xhat]);
+        let (y, xhat, inv_stds) = self.normalize::<true>(params, x);
+        let mut cache = Cache::with_tensors(vec![xhat.expect("x̂ is kept")]);
         cache.scalars = inv_stds;
         (y, cache)
+    }
+
+    fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor {
+        self.normalize::<false>(params, x).0
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {

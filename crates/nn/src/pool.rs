@@ -18,7 +18,13 @@ impl Layer for GlobalAvgPool2d {
 
     fn init_params(&self, _out: &mut [f32], _rng: &mut StdRng) {}
 
-    fn forward(&self, _params: &[f32], x: &Tensor) -> (Tensor, Cache) {
+    fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
+        let mut cache = Cache::new();
+        cache.indices = x.shape().to_vec();
+        (self.forward_no_cache(params, x), cache)
+    }
+
+    fn forward_no_cache(&self, _params: &[f32], x: &Tensor) -> Tensor {
         assert_eq!(x.ndim(), 4, "GlobalAvgPool2d input must be (B,C,H,W)");
         let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let mut y = Tensor::zeros(&[b, c]);
@@ -30,9 +36,7 @@ impl Layer for GlobalAvgPool2d {
                     x.data()[base..base + h * w].iter().sum::<f32>() * scale;
             }
         }
-        let mut cache = Cache::new();
-        cache.indices = vec![b, c, h, w];
-        (y, cache)
+        y
     }
 
     fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
@@ -73,22 +77,16 @@ impl MaxPool2d {
         assert!(window > 0, "MaxPool2d window must be positive");
         MaxPool2d { window }
     }
-}
 
-impl Layer for MaxPool2d {
-    fn param_len(&self) -> usize {
-        0
-    }
-
-    fn init_params(&self, _out: &mut [f32], _rng: &mut StdRng) {}
-
-    fn forward(&self, _params: &[f32], x: &Tensor) -> (Tensor, Cache) {
+    /// Both passes: the pooled maxima and, with `ARGMAX`, the input index
+    /// each one came from.
+    fn pool<const ARGMAX: bool>(&self, x: &Tensor) -> (Tensor, Vec<usize>) {
         assert_eq!(x.ndim(), 4, "MaxPool2d input must be (B,C,H,W)");
         let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let k = self.window;
         let (oh, ow) = (h / k, w / k);
         let mut y = Tensor::zeros(&[b, c, oh, ow]);
-        let mut argmax = Vec::with_capacity(b * c * oh * ow);
+        let mut argmax = Vec::with_capacity(if ARGMAX { b * c * oh * ow } else { 0 });
         for bi in 0..b {
             for ci in 0..c {
                 for oy in 0..oh {
@@ -105,15 +103,34 @@ impl Layer for MaxPool2d {
                             }
                         }
                         y.data_mut()[((bi * c + ci) * oh + oy) * ow + ox] = best;
-                        argmax.push(best_i);
+                        if ARGMAX {
+                            argmax.push(best_i);
+                        }
                     }
                 }
             }
         }
+        (y, argmax)
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn param_len(&self) -> usize {
+        0
+    }
+
+    fn init_params(&self, _out: &mut [f32], _rng: &mut StdRng) {}
+
+    fn forward(&self, _params: &[f32], x: &Tensor) -> (Tensor, Cache) {
+        let (y, argmax) = self.pool::<true>(x);
         let mut cache = Cache::new();
         cache.indices = argmax;
-        cache.scalars = vec![b as f32, c as f32, h as f32, w as f32];
+        cache.scalars = x.shape().iter().map(|&d| d as f32).collect();
         (y, cache)
+    }
+
+    fn forward_no_cache(&self, _params: &[f32], x: &Tensor) -> Tensor {
+        self.pool::<false>(x).0
     }
 
     fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
@@ -150,12 +167,15 @@ impl Layer for Flatten {
 
     fn init_params(&self, _out: &mut [f32], _rng: &mut StdRng) {}
 
-    fn forward(&self, _params: &[f32], x: &Tensor) -> (Tensor, Cache) {
-        let b = x.shape()[0];
-        let rest = x.len() / b;
+    fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
         let mut cache = Cache::new();
         cache.indices = x.shape().to_vec();
-        (x.reshape(&[b, rest]), cache)
+        (self.forward_no_cache(params, x), cache)
+    }
+
+    fn forward_no_cache(&self, _params: &[f32], x: &Tensor) -> Tensor {
+        let b = x.shape()[0];
+        x.reshape(&[b, x.len() / b])
     }
 
     fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {

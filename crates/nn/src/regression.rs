@@ -28,9 +28,7 @@ impl LinearRegression {
 
     /// Predicts `(B,)` targets for `(B, D)` inputs.
     pub fn predict(&self, params: &[f32], x: &Tensor) -> Tensor {
-        let (y, _) = self.linear.forward(params, x);
-        let b = x.shape()[0];
-        y.reshaped(&[b])
+        self.linear.forward_no_cache(params, x).reshaped(&[x.shape()[0]])
     }
 
     /// Mean squared error on a batch.

@@ -6,7 +6,7 @@ use pipemare_tensor::Tensor;
 
 use crate::cache::Cache;
 use crate::conv::Conv2d;
-use crate::layer::{Layer, ParamAlloc, WeightUnit};
+use crate::layer::{forward_into, Layer, ParamAlloc, WeightUnit};
 use crate::linear::Linear;
 use crate::loss::{chain_xent_backward, chain_xent_forward};
 use crate::model::{ImageBatch, TrainModel};
@@ -91,6 +91,31 @@ impl BasicBlock {
         o[5] = o[4] + self.down.as_ref().map(|(c, _)| c.param_len()).unwrap_or(0);
         o
     }
+
+    /// Both passes: with a cache, the sub-layers' caches become its
+    /// children and the output ReLU's mask its `indices`. Each
+    /// intermediate is dropped as soon as the next one exists.
+    fn run(&self, params: &[f32], x: &Tensor, mut cache: Option<&mut Cache>) -> Tensor {
+        let o = self.offsets();
+        let mut h = forward_into(&self.conv1, &params[o[0]..o[1]], x, cache.as_deref_mut());
+        h = forward_into(&self.bn1, &params[o[1]..o[2]], &h, cache.as_deref_mut());
+        h = forward_into(&self.conv2, &params[o[2]..o[3]], &h, cache.as_deref_mut());
+        // The residual sum lands in the main branch's own buffer.
+        let mut y = forward_into(&self.bn2, &params[o[3]..o[4]], &h, cache.as_deref_mut());
+        drop(h);
+        let mask = match &self.down {
+            None => add_relu(&mut y, x),
+            Some((dc, db)) => {
+                let mut s = forward_into(dc, &params[o[4]..o[5]], x, cache.as_deref_mut());
+                s = forward_into(db, &params[o[5]..], &s, cache.as_deref_mut());
+                add_relu(&mut y, &s)
+            }
+        };
+        if let Some(cache) = cache {
+            cache.indices = mask;
+        }
+        y
+    }
 }
 
 impl Layer for BasicBlock {
@@ -115,24 +140,13 @@ impl Layer for BasicBlock {
     }
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
-        let o = self.offsets();
-        let (h1, c1) = self.conv1.forward(&params[o[0]..o[1]], x);
-        let (h2, c2) = self.bn1.forward(&params[o[1]..o[2]], &h1);
-        let (h3, c3) = self.conv2.forward(&params[o[2]..o[3]], &h2);
-        let (mut y, c4) = self.bn2.forward(&params[o[3]..o[4]], &h3);
-        // The residual sum lands in the main branch's own buffer.
         let mut cache = Cache::new();
-        cache.children = vec![c1, c2, c3, c4];
-        cache.indices = match &self.down {
-            None => add_relu(&mut y, x),
-            Some((dc, db)) => {
-                let (s1, sc1) = dc.forward(&params[o[4]..o[5]], x);
-                let (s2, sc2) = db.forward(&params[o[5]..], &s1);
-                cache.children.extend([sc1, sc2]);
-                add_relu(&mut y, &s2)
-            }
-        };
+        let y = self.run(params, x, Some(&mut cache));
         (y, cache)
+    }
+
+    fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor {
+        self.run(params, x, None)
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
@@ -262,9 +276,10 @@ impl CifarResNet {
         &self.chain
     }
 
-    /// Computes class logits for an image batch `(B, C, H, W)`.
+    /// Computes class logits for an image batch `(B, C, H, W)`: the
+    /// cache-free pass, which holds at most three activations at once.
     pub fn logits(&self, params: &[f32], x: &Tensor) -> Tensor {
-        self.chain.forward(params, x).0
+        self.chain.forward_no_cache(params, x)
     }
 
     /// Top-1 accuracy on a labelled batch.

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use pipemare_tensor::{StoragePrecision, Tensor};
 
 use crate::cache::{Bf16Stash, Cache};
-use crate::layer::{Layer, ParamAlloc, WeightUnit};
+use crate::layer::{forward_into, Layer, ParamAlloc, WeightUnit};
 use crate::model::ServeSplit;
 
 /// A chain of layers applied in order; parameters are concatenated.
@@ -77,16 +77,27 @@ impl Sequential {
     /// [`Sequential::backward_split`] needs. `params` is the split's own
     /// slice, `full[split.param_lo..split.param_hi]`.
     pub fn forward_split(&self, params: &[f32], split: &ServeSplit, x: &Tensor) -> (Tensor, Cache) {
-        self.check(params, split);
         let mut cache = Cache::new();
+        let y = self.run_span(params, split, x, Some(&mut cache));
+        (y, cache)
+    }
+
+    /// The one layer loop of both passes: each layer's output replaces
+    /// its input, and with a cache each layer's cache is pushed onto it.
+    fn run_span(
+        &self,
+        params: &[f32],
+        split: &ServeSplit,
+        x: &Tensor,
+        mut cache: Option<&mut Cache>,
+    ) -> Tensor {
+        self.check(params, split);
         let mut cur: Option<Tensor> = None;
         for i in split.layer_lo..split.layer_hi {
-            let (y, c) =
-                self.layers[i].forward(&params[self.local(split, i)], cur.as_ref().unwrap_or(x));
-            cache.children.push(c);
-            cur = Some(y);
+            let (layer, p) = (self.layers[i].as_ref(), &params[self.local(split, i)]);
+            cur = Some(forward_into(layer, p, cur.as_ref().unwrap_or(x), cache.as_deref_mut()));
         }
-        (cur.unwrap_or_else(|| x.clone()), cache)
+        cur.unwrap_or_else(|| x.clone())
     }
 
     /// Backward through the layers of `split` from a
@@ -117,16 +128,10 @@ impl Sequential {
     /// Inference-only forward through `split`: chains every layer's
     /// [`Layer::forward_no_cache`], building no activation caches at all.
     /// Bit-identical to [`Sequential::forward_split`]'s output on the
-    /// same weights and inputs — serving reuses the exact kernels the
-    /// training forward runs. `params` is the split's own slice.
+    /// same weights and inputs: both run one layer loop. `params` is the
+    /// split's own slice.
     pub fn forward_inference_span(&self, params: &[f32], split: &ServeSplit, x: &Tensor) -> Tensor {
-        self.check(params, split);
-        let mut cur: Option<Tensor> = None;
-        for i in split.layer_lo..split.layer_hi {
-            let p = &params[self.local(split, i)];
-            cur = Some(self.layers[i].forward_no_cache(p, cur.as_ref().unwrap_or(x)));
-        }
-        cur.unwrap_or_else(|| x.clone())
+        self.run_span(params, split, x, None)
     }
 
     /// Partitions the chain into `stages` contiguous layer spans,
@@ -286,6 +291,10 @@ impl Layer for Sequential {
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
         self.forward_split(params, &self.whole(), x)
+    }
+
+    fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor {
+        self.forward_inference_span(params, &self.whole(), x)
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {

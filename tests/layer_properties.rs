@@ -1,16 +1,17 @@
 //! Property tests over the neural-network layers: gradient correctness
 //! across random configurations, mask invariants, normalization
-//! invariants, and training splits that chain to the whole model.
+//! invariants, training splits that chain to the whole model, and the
+//! cache-free pass equal bit for bit to the training forward.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use pipemare::nn::gradcheck::{check_layer_gradients, init_layer};
 use pipemare::nn::{
     cross_entropy_logits, Activation, AttnMask, BatchNorm2d, CifarResNet, Conv2d, CrossEntropyCfg,
-    ImageBatch, Layer, LayerNorm, Linear, Mlp, MultiHeadAttention, ResNetConfig, Sequential,
-    TrainModel,
+    Dropout, Embedding, Flatten, GlobalAvgPool2d, GroupNorm, ImageBatch, InferModel, Layer,
+    LayerNorm, Linear, MaxPool2d, Mlp, MultiHeadAttention, ResNetConfig, Sequential, TrainModel,
 };
 use pipemare::pipeline::StagePartition;
 use pipemare::tensor::Tensor;
@@ -190,4 +191,140 @@ proptest! {
             prop_assert!((u - v).abs() < 2e-3, "{u} vs {v}");
         }
     }
+}
+
+/// Values that take a kernel off its common path: signed zeros,
+/// subnormals, infinities and NaNs of either sign.
+const SPECIALS: [f32; 8] =
+    [0.0, -0.0, 1e-40, -1e-40, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+
+/// Replaces about one value in `every` with a special one.
+fn sprinkle(values: &mut [f32], every: usize, rng: &mut StdRng) {
+    for v in values.iter_mut() {
+        if rng.gen_range(0..every) == 0 {
+            *v = SPECIALS[rng.gen_range(0..SPECIALS.len())];
+        }
+    }
+}
+
+/// Bit patterns with every NaN folded to one: which NaN survives an
+/// operation is the instruction's choice, not the layer's.
+fn folded_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+}
+
+/// `forward_no_cache` is `forward(..).0`, bit for bit, for every layer
+/// kind: one computation serves both passes. Inputs and parameters are
+/// random, then sprinkled with special values.
+#[test]
+fn the_cache_free_pass_equals_the_training_forward() {
+    let layers: Vec<(&str, Box<dyn Layer>, Vec<usize>)> = vec![
+        ("linear", Box::new(Linear::new(6, 5)), vec![2, 3, 6]),
+        ("conv", Box::new(Conv2d::new(3, 4, 3, 1, 1)), vec![2, 3, 6, 6]),
+        ("conv s2", Box::new(Conv2d::new_no_bias(3, 4, 3, 2, 1)), vec![2, 3, 7, 7]),
+        ("batchnorm", Box::new(BatchNorm2d::new(4)), vec![3, 4, 5, 5]),
+        ("batchnorm+relu", Box::new(BatchNorm2d::with_relu(4)), vec![3, 4, 5, 5]),
+        ("layernorm", Box::new(LayerNorm::new(6)), vec![2, 4, 6]),
+        ("groupnorm", Box::new(GroupNorm::new(4, 2)), vec![2, 4, 3, 3]),
+        ("relu", Box::new(Activation::relu()), vec![5, 7]),
+        ("gelu", Box::new(Activation::gelu()), vec![5, 7]),
+        ("tanh", Box::new(Activation::tanh()), vec![5, 7]),
+        ("avgpool", Box::new(GlobalAvgPool2d), vec![2, 3, 4, 4]),
+        ("maxpool", Box::new(MaxPool2d::new(2)), vec![2, 3, 4, 5]),
+        ("flatten", Box::new(Flatten), vec![2, 3, 4, 4]),
+        ("disabled dropout", Box::new(disabled_dropout()), vec![4, 9]),
+    ];
+    // Residual blocks and the chain itself, through the whole network.
+    let net = CifarResNet::new(ResNetConfig::tiny(5));
+    let resnet: (&str, &dyn Layer, Vec<usize>) = ("resnet", net.chain(), vec![2, 3, 8, 8]);
+    let all = layers.iter().map(|(name, layer, shape)| (*name, layer.as_ref(), shape.clone()));
+    let mut rng = StdRng::seed_from_u64(71);
+    for (name, layer, shape) in all.chain([resnet]) {
+        for every in [0, 10, 4] {
+            // Random weights: an initialized γ = 1, β = 0 would hide a
+            // difference in how the affine step rounds.
+            let mut params = Tensor::randn(&[layer.param_len()], &mut rng).data().to_vec();
+            let mut x = Tensor::randn(&shape, &mut rng);
+            if every > 0 {
+                sprinkle(x.data_mut(), every, &mut rng);
+                sprinkle(&mut params, 4 * every, &mut rng);
+            }
+            let (y, _) = layer.forward(&params, &x);
+            let z = layer.forward_no_cache(&params, &x);
+            assert_eq!(y.shape(), z.shape(), "{name}");
+            assert_eq!(folded_bits(y.data()), folded_bits(z.data()), "{name}, 1 in {every}");
+        }
+    }
+
+    // Token ids stay ids; the table takes the special values.
+    let embed = Embedding::new_scaled(11, 4);
+    let ids: Vec<f32> = (0..10).map(|i| (i * 7 % 11) as f32).collect();
+    let x = Tensor::from_vec(ids, &[2, 5]);
+    let mut params = init_layer(&embed, &mut rng);
+    sprinkle(&mut params, 3, &mut rng);
+    let (y, _) = embed.forward(&params, &x);
+    assert_eq!(folded_bits(y.data()), folded_bits(embed.forward_no_cache(&params, &x).data()));
+}
+
+fn disabled_dropout() -> Dropout {
+    let d = Dropout::new(0.5, 3);
+    d.set_enabled(false);
+    d
+}
+
+/// Dropout draws the same masks in both passes, and a call takes the
+/// same counter value whichever pass ran before it.
+#[test]
+fn dropout_passes_draw_the_same_masks() {
+    let mut rng = StdRng::seed_from_u64(72);
+    let mut x = Tensor::randn(&[6, 32], &mut rng);
+    sprinkle(x.data_mut(), 8, &mut rng);
+    for enabled in [true, false] {
+        let (trained, served) = (Dropout::new(0.4, 9), Dropout::new(0.4, 9));
+        trained.set_enabled(enabled);
+        served.set_enabled(enabled);
+        let (y, _) = trained.forward(&[], &x);
+        let z = served.forward_no_cache(&[], &x);
+        assert_eq!(folded_bits(y.data()), folded_bits(z.data()), "enabled={enabled}");
+        trained.set_enabled(true);
+        served.set_enabled(true);
+        let (next_y, _) = trained.forward(&[], &x);
+        let (next_z, _) = served.forward(&[], &x);
+        assert_eq!(folded_bits(next_y.data()), folded_bits(next_z.data()), "enabled={enabled}");
+    }
+}
+
+/// FNV-1a over the little-endian bit patterns.
+fn hash_f32(values: &[f32]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// `CifarResNet::logits` keeps the bits it had when it ran the training
+/// forward and dropped the cache. Never edit the constant.
+#[test]
+fn resnet_logits_keep_their_bits() {
+    const LOGITS_HASH: u64 = 0xed21ef8dc765f6d0;
+    let net = CifarResNet::new(ResNetConfig::resnet50_standin(10));
+    let mut rng = StdRng::seed_from_u64(73);
+    let mut params = vec![0.0f32; TrainModel::param_len(&net)];
+    net.init_params(&mut params, &mut rng);
+    let x = Tensor::randn(&[6, 3, 16, 16], &mut rng);
+    let logits = net.logits(&params, &x);
+    assert_eq!(logits.shape(), &[6, 10]);
+    assert_eq!(hash_f32(logits.data()), LOGITS_HASH, "{:#018x}", hash_f32(logits.data()));
+}
+
+/// The MLP has one inference path: its logits are serving's `infer`.
+#[test]
+fn mlp_logits_are_inference_on_the_prepared_input() {
+    let model = Mlp::new(&[48, 16, 9, 4]);
+    let mut rng = StdRng::seed_from_u64(74);
+    let mut params = vec![0.0f32; model.param_len()];
+    model.init_params(&mut params, &mut rng);
+    let x = Tensor::randn(&[5, 3, 4, 4], &mut rng);
+    let want = model.infer(&params, &model.prepare_input(&x));
+    assert_eq!(bits(model.logits(&params, &x).data()), bits(want.data()));
 }
