@@ -10,7 +10,6 @@
 
 use pipemare_bench::report::{banner, table_header};
 use pipemare_bench::workloads::ImageWorkload;
-use pipemare_core::runners::run_image_training;
 use pipemare_core::PipelineTrainer;
 use pipemare_pipeline::{MemoryModel, Method, PipelineClock};
 
@@ -33,8 +32,7 @@ fn main() {
         let max_frac = fracs.iter().cloned().fold(0.0f64, f64::max);
         let mut cfg2 = w.config(Method::PipeMare, true, true);
         cfg2.partition_by_elements = by_elements;
-        let h =
-            run_image_training(&w.model, &w.ds, cfg2, w.epochs, w.minibatch, 0, w.eval_cap, w.seed);
+        let h = w.run(cfg2, 0);
         let scheme = if by_elements { "element-balanced" } else { "unit-count" };
         println!("{scheme:>16} {stash:>14.2} {max_frac:>9.3} {:>10.1}", h.best_metric());
     }

@@ -4,7 +4,6 @@
 
 use pipemare_bench::report::{banner, series, series64};
 use pipemare_bench::workloads::{ImageWorkload, TranslationWorkload};
-use pipemare_core::runners::{run_image_training, run_translation_training};
 use pipemare_pipeline::Method;
 
 fn main() {
@@ -22,16 +21,7 @@ fn main() {
     ];
     for (label, method, t1, t2, warm) in variants {
         let cfg = w.config(method, t1, t2);
-        let h = run_image_training(
-            &w.model,
-            &w.ds,
-            cfg,
-            w.epochs,
-            w.minibatch,
-            warm,
-            w.eval_cap,
-            w.seed,
-        );
+        let h = w.run(cfg, warm);
         series(&format!("{label} acc%"), &h.epochs.iter().map(|e| e.metric).collect::<Vec<_>>(), 1);
         series64(&format!("{label} time"), &h.epochs.iter().map(|e| e.time).collect::<Vec<_>>(), 1);
     }
@@ -46,16 +36,7 @@ fn main() {
     ];
     for (label, method, t1, t2, warm) in variants {
         let cfg = w.config(method, t1, t2);
-        let h = run_translation_training(
-            &w.model,
-            &w.ds,
-            cfg,
-            w.epochs,
-            w.minibatch,
-            warm,
-            w.bleu_eval_n,
-            w.seed,
-        );
+        let h = w.run(cfg, warm);
         series(&format!("{label} BLEU"), &h.epochs.iter().map(|e| e.metric).collect::<Vec<_>>(), 1);
         series64(&format!("{label} time"), &h.epochs.iter().map(|e| e.time).collect::<Vec<_>>(), 1);
     }

@@ -4,7 +4,6 @@
 
 use pipemare_bench::report::{banner, series};
 use pipemare_bench::workloads::{ImageWorkload, TranslationWorkload};
-use pipemare_core::runners::{run_image_training, run_translation_training};
 use pipemare_optim::T1Rescheduler;
 use pipemare_pipeline::Method;
 
@@ -16,8 +15,7 @@ fn main() {
     for k in [5usize, 20, 160] {
         let mut cfg = w.config(Method::PipeMare, true, true);
         cfg.t1 = Some(T1Rescheduler::new(k));
-        let h =
-            run_image_training(&w.model, &w.ds, cfg, w.epochs, w.minibatch, 0, w.eval_cap, w.seed);
+        let h = w.run(cfg, 0);
         series(&format!("K = {k} acc%"), &h.epochs.iter().map(|e| e.metric).collect::<Vec<_>>(), 1);
     }
 
@@ -26,16 +24,7 @@ fn main() {
     for k in [15usize, 120, 480] {
         let mut cfg = w.config(Method::PipeMare, true, true);
         cfg.t1 = Some(T1Rescheduler::new(k));
-        let h = run_translation_training(
-            &w.model,
-            &w.ds,
-            cfg,
-            w.epochs,
-            w.minibatch,
-            w.t3_epochs,
-            w.bleu_eval_n,
-            w.seed,
-        );
+        let h = w.run(cfg, w.t3_epochs);
         series(&format!("K = {k} BLEU"), &h.epochs.iter().map(|e| e.metric).collect::<Vec<_>>(), 1);
     }
     println!("\nPaper shape: the best K is task-dependent — too small K risks instability,");

@@ -4,7 +4,6 @@
 
 use pipemare_bench::report::{banner, series};
 use pipemare_bench::workloads::{ImageWorkload, TranslationWorkload};
-use pipemare_core::runners::{run_image_training, run_translation_training};
 use pipemare_pipeline::Method;
 
 fn main() {
@@ -15,8 +14,7 @@ fn main() {
     for d in [0.0f64, 0.2, 0.5, 0.7] {
         let mut cfg = w.config(Method::PipeMare, true, true);
         cfg.t2_decay = if d == 0.0 { None } else { Some(d) };
-        let h =
-            run_image_training(&w.model, &w.ds, cfg, w.epochs, w.minibatch, 0, w.eval_cap, w.seed);
+        let h = w.run(cfg, 0);
         series(&format!("D = {d} acc%"), &h.epochs.iter().map(|e| e.metric).collect::<Vec<_>>(), 1);
     }
 
@@ -25,16 +23,7 @@ fn main() {
     for d in [0.0f64, 0.01, 0.1, 0.5] {
         let mut cfg = w.config(Method::PipeMare, true, true);
         cfg.t2_decay = if d == 0.0 { None } else { Some(d) };
-        let h = run_translation_training(
-            &w.model,
-            &w.ds,
-            cfg,
-            w.epochs,
-            w.minibatch,
-            w.t3_epochs,
-            w.bleu_eval_n,
-            w.seed,
-        );
+        let h = w.run(cfg, w.t3_epochs);
         series(&format!("D = {d} BLEU"), &h.epochs.iter().map(|e| e.metric).collect::<Vec<_>>(), 1);
     }
     println!("\nPaper shape: moderate decays help; overly large D (long history) can hurt");

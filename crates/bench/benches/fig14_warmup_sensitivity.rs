@@ -5,7 +5,6 @@
 
 use pipemare_bench::report::{banner, opt_fmt, series, series64};
 use pipemare_bench::workloads::TranslationWorkload;
-use pipemare_core::runners::run_translation_training;
 use pipemare_pipeline::Method;
 
 fn main() {
@@ -15,16 +14,7 @@ fn main() {
     let mut runs = Vec::new();
     for warm in [0usize, 1, 3, 5] {
         let cfg = w.config(Method::PipeMare, true, true);
-        let h = run_translation_training(
-            &w.model,
-            &w.ds,
-            cfg,
-            w.epochs,
-            w.minibatch,
-            warm,
-            w.bleu_eval_n,
-            w.seed,
-        );
+        let h = w.run(cfg, warm);
         best_overall = best_overall.max(h.best_metric());
         runs.push((warm, h));
     }

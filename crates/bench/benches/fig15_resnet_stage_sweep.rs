@@ -4,7 +4,6 @@
 
 use pipemare_bench::report::{banner, opt_fmt, table_header};
 use pipemare_bench::workloads::ImageWorkload;
-use pipemare_core::runners::run_image_training;
 use pipemare_core::stats::amortized_throughput;
 use pipemare_nn::TrainModel;
 use pipemare_pipeline::{gpipe_bubble_throughput, MemoryModel, Method, PipelineClock};
@@ -26,16 +25,7 @@ fn main() {
         for method in Method::ALL {
             let (t1, t2) = (method == Method::PipeMare, method == Method::PipeMare);
             let cfg = w.config_at(method, t1, t2, p);
-            let h = run_image_training(
-                &w.model,
-                &w.ds,
-                cfg,
-                w.epochs,
-                w.minibatch,
-                0,
-                w.eval_cap,
-                w.seed,
-            );
+            let h = w.run(cfg, 0);
             best_overall = best_overall.max(h.best_metric());
             histories.push((p, method, h));
         }

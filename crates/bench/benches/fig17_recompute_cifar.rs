@@ -4,7 +4,6 @@
 
 use pipemare_bench::report::{banner, series};
 use pipemare_bench::workloads::ImageWorkload;
-use pipemare_core::runners::run_image_training;
 use pipemare_core::RecomputeCfg;
 use pipemare_pipeline::Method;
 
@@ -18,16 +17,7 @@ fn main() {
             if ckpts > 0 {
                 cfg.recompute = Some(RecomputeCfg { segments: ckpts, t2 });
             }
-            let h = run_image_training(
-                &w.model,
-                &w.ds,
-                cfg,
-                w.epochs,
-                w.minibatch,
-                0,
-                w.eval_cap,
-                w.seed,
-            );
+            let h = w.run(cfg, 0);
             let label =
                 if ckpts == 0 { "no recompute".to_string() } else { format!("{ckpts} ckpts") };
             series(

@@ -5,7 +5,6 @@
 
 use pipemare_bench::report::{banner, series};
 use pipemare_bench::workloads::TranslationWorkload;
-use pipemare_core::runners::run_translation_training;
 use pipemare_core::RecomputeCfg;
 use pipemare_pipeline::Method;
 
@@ -24,16 +23,7 @@ fn main() {
             if ckpts > 0 {
                 cfg.recompute = Some(RecomputeCfg { segments: ckpts, t2 });
             }
-            let h = run_translation_training(
-                &w.model,
-                &w.ds,
-                cfg,
-                w.epochs,
-                w.minibatch,
-                warm,
-                w.bleu_eval_n,
-                w.seed,
-            );
+            let h = w.run(cfg, warm);
             let label =
                 if ckpts == 0 { "no recompute".to_string() } else { format!("{ckpts} ckpts") };
             series(

@@ -5,7 +5,6 @@
 
 use pipemare_bench::report::{banner, series};
 use pipemare_bench::workloads::{ImageWorkload, TranslationWorkload};
-use pipemare_core::runners::{run_image_training, run_translation_training};
 use pipemare_core::TrainMode;
 use pipemare_optim::T1Rescheduler;
 use pipemare_pipeline::{HogwildDelays, Method};
@@ -17,8 +16,7 @@ fn main() {
     println!("\n--- ResNet-style CNN ---");
     {
         let sync = w.config(Method::GPipe, false, false);
-        let h =
-            run_image_training(&w.model, &w.ds, sync, w.epochs, w.minibatch, 0, w.eval_cap, w.seed);
+        let h = w.run(sync, 0);
         series("Sync acc%", &h.epochs.iter().map(|e| e.metric).collect::<Vec<_>>(), 1);
         for t1 in [false, true] {
             let mut cfg = w.config(Method::PipeMare, t1, false);
@@ -27,16 +25,7 @@ fn main() {
             if t1 {
                 cfg.t1 = Some(T1Rescheduler::new(w.t1_steps));
             }
-            let h = run_image_training(
-                &w.model,
-                &w.ds,
-                cfg,
-                w.epochs,
-                w.minibatch,
-                0,
-                w.eval_cap,
-                w.seed,
-            );
+            let h = w.run(cfg, 0);
             let label = if t1 { "Hogwild+T1" } else { "Hogwild" };
             series(
                 &format!("{label} acc%"),
@@ -53,16 +42,7 @@ fn main() {
     println!("\n--- Transformer ---");
     {
         let sync = w.config(Method::GPipe, false, false);
-        let h = run_translation_training(
-            &w.model,
-            &w.ds,
-            sync,
-            w.epochs,
-            w.minibatch,
-            0,
-            w.bleu_eval_n,
-            w.seed,
-        );
+        let h = w.run(sync, 0);
         series("Sync BLEU", &h.epochs.iter().map(|e| e.metric).collect::<Vec<_>>(), 1);
         for t1 in [false, true] {
             let mut cfg = w.config(Method::PipeMare, t1, false);
@@ -71,16 +51,7 @@ fn main() {
             if t1 {
                 cfg.t1 = Some(T1Rescheduler::new(w.t1_steps));
             }
-            let h = run_translation_training(
-                &w.model,
-                &w.ds,
-                cfg,
-                w.epochs,
-                w.minibatch,
-                0,
-                w.bleu_eval_n,
-                w.seed,
-            );
+            let h = w.run(cfg, 0);
             let label = if t1 { "Hogwild+T1" } else { "Hogwild" };
             series(
                 &format!("{label} BLEU"),

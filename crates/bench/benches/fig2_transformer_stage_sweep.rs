@@ -7,7 +7,6 @@
 
 use pipemare_bench::report::{banner, opt_fmt, table_header};
 use pipemare_bench::workloads::TranslationWorkload;
-use pipemare_core::runners::run_translation_training;
 use pipemare_core::stats::amortized_throughput;
 use pipemare_nn::TrainModel;
 use pipemare_pipeline::{gpipe_bubble_throughput, MemoryModel, Method, PipelineClock};
@@ -40,16 +39,7 @@ fn main() {
                 _ => (false, false, 0),
             };
             let cfg = w.config_at(method, t1, t2, p);
-            let h = run_translation_training(
-                &w.model,
-                &w.ds,
-                cfg,
-                w.epochs,
-                w.minibatch,
-                warm,
-                w.bleu_eval_n,
-                w.seed,
-            );
+            let h = w.run(cfg, warm);
             best_overall = best_overall.max(h.best_metric());
             histories.push((p, method, warm, h));
         }

@@ -6,7 +6,6 @@
 
 use pipemare_bench::report::{banner, series, series64};
 use pipemare_bench::workloads::{ImageWorkload, TranslationWorkload};
-use pipemare_core::runners::{run_image_training, run_translation_training};
 use pipemare_pipeline::Method;
 
 fn main() {
@@ -27,16 +26,7 @@ fn main() {
     ];
     for (label, method, t1, t2, warm) in variants {
         let cfg = w.config_at(method, t1, t2, stages);
-        let h = run_image_training(
-            &w.model,
-            &w.ds,
-            cfg,
-            w.epochs,
-            w.minibatch,
-            warm,
-            w.eval_cap,
-            w.seed,
-        );
+        let h = w.run(cfg, warm);
         let accs: Vec<f32> = h.epochs.iter().map(|e| e.metric).collect();
         let times: Vec<f64> = h.epochs.iter().map(|e| e.time).collect();
         series(&format!("{label} acc%"), &accs, 1);
@@ -58,16 +48,7 @@ fn main() {
     ];
     for (label, method, t1, t2, warm) in variants {
         let cfg = w.config_at(method, t1, t2, stages);
-        let h = run_translation_training(
-            &w.model,
-            &w.ds,
-            cfg,
-            w.epochs,
-            w.minibatch,
-            warm,
-            w.bleu_eval_n,
-            w.seed,
-        );
+        let h = w.run(cfg, warm);
         let bleus: Vec<f32> = h.epochs.iter().map(|e| e.metric).collect();
         let times: Vec<f64> = h.epochs.iter().map(|e| e.time).collect();
         series(&format!("{label} BLEU"), &bleus, 1);

@@ -8,7 +8,6 @@
 
 use pipemare_bench::report::{banner, series};
 use pipemare_bench::workloads::ImageWorkload;
-use pipemare_core::runners::run_image_training;
 use pipemare_core::TrainConfig;
 use pipemare_optim::ConstantLr;
 use pipemare_pipeline::Method;
@@ -29,8 +28,7 @@ fn main() {
         let mut cfg =
             TrainConfig::gpipe(stages, w.n_micro, w.optimizer(), Box::new(ConstantLr(lr)));
         cfg.mode = pipemare_core::TrainMode::Pipeline(method);
-        let h =
-            run_image_training(&w.model, &w.ds, cfg, w.epochs, w.minibatch, 0, w.eval_cap, w.seed);
+        let h = w.run(cfg, 0);
         let norms: Vec<f32> = h.epochs.iter().map(|e| e.param_norm.min(9.99e5)).collect();
         let accs: Vec<f32> = h.epochs.iter().map(|e| e.metric).collect();
         series(&format!("{label} |w|"), &norms, 0);

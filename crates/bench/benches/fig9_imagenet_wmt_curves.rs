@@ -5,7 +5,6 @@
 
 use pipemare_bench::report::{banner, series, series64};
 use pipemare_bench::workloads::{ImageWorkload, TranslationWorkload};
-use pipemare_core::runners::{run_image_training, run_translation_training};
 use pipemare_pipeline::Method;
 
 fn main() {
@@ -19,8 +18,7 @@ fn main() {
     for method in Method::ALL {
         let (t1, t2) = (method == Method::PipeMare, method == Method::PipeMare);
         let cfg = w.config(method, t1, t2);
-        let h =
-            run_image_training(&w.model, &w.ds, cfg, w.epochs, w.minibatch, 0, w.eval_cap, w.seed);
+        let h = w.run(cfg, 0);
         series(
             &format!("{} acc%", method.name()),
             &h.epochs.iter().map(|e| e.metric).collect::<Vec<_>>(),
@@ -41,16 +39,7 @@ fn main() {
             _ => (false, false, 0),
         };
         let cfg = w.config(method, t1, t2);
-        let h = run_translation_training(
-            &w.model,
-            &w.ds,
-            cfg,
-            w.epochs,
-            w.minibatch,
-            warm,
-            w.bleu_eval_n,
-            w.seed,
-        );
+        let h = w.run(cfg, warm);
         series(
             &format!("{} BLEU", method.name()),
             &h.epochs.iter().map(|e| e.metric).collect::<Vec<_>>(),

@@ -4,7 +4,6 @@
 
 use pipemare_bench::report::{banner, opt_fmt, speedup_fmt, table_header};
 use pipemare_bench::workloads::{ImageWorkload, TranslationWorkload};
-use pipemare_core::runners::{run_image_training, run_translation_training};
 use pipemare_core::stats::amortized_throughput;
 use pipemare_core::RunHistory;
 use pipemare_pipeline::{MemoryModel, Method, PipelineClock};
@@ -66,16 +65,7 @@ fn main() {
         for method in Method::ALL {
             let (t1, t2) = (method == Method::PipeMare, method == Method::PipeMare);
             let cfg = w.config(method, t1, t2);
-            let h = run_image_training(
-                &w.model,
-                &w.ds,
-                cfg,
-                w.epochs,
-                w.minibatch,
-                0,
-                w.eval_cap,
-                w.seed,
-            );
+            let h = w.run(cfg, 0);
             hs.push((method, 0usize, h));
         }
         let fracs = vec![1.0 / w.stages as f64; w.stages];
@@ -94,16 +84,7 @@ fn main() {
                 _ => (false, false, 0),
             };
             let cfg = w.config(method, t1, t2);
-            let h = run_translation_training(
-                &w.model,
-                &w.ds,
-                cfg,
-                w.epochs,
-                w.minibatch,
-                warm,
-                w.bleu_eval_n,
-                w.seed,
-            );
+            let h = w.run(cfg, warm);
             hs.push((method, warm, h));
         }
         let fracs = vec![1.0 / w.stages as f64; w.stages];

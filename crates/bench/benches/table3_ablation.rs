@@ -4,7 +4,6 @@
 
 use pipemare_bench::report::{banner, opt_fmt, speedup_fmt, table_header};
 use pipemare_bench::workloads::{ImageWorkload, TranslationWorkload};
-use pipemare_core::runners::{run_image_training, run_translation_training};
 use pipemare_core::stats::amortized_throughput;
 use pipemare_core::RunHistory;
 use pipemare_pipeline::Method;
@@ -60,8 +59,7 @@ fn main() {
         [("T1 Only", true, false), ("T2 Only", false, true), ("T1+T2", true, true)]
     {
         let cfg = w.config(Method::PipeMare, t1, t2);
-        let h =
-            run_image_training(&w.model, &w.ds, cfg, w.epochs, w.minibatch, 0, w.eval_cap, w.seed);
+        let h = w.run(cfg, 0);
         rows.push((label, 0usize, h));
     }
     print_rows("CIFAR10-like", &rows, 1.0, 3.0, w.epochs);
@@ -75,16 +73,7 @@ fn main() {
         ("T1+T2+T3", true, true, w.t3_epochs),
     ] {
         let cfg = w.config(Method::PipeMare, t1, t2);
-        let h = run_translation_training(
-            &w.model,
-            &w.ds,
-            cfg,
-            w.epochs,
-            w.minibatch,
-            warm,
-            w.bleu_eval_n,
-            w.seed,
-        );
+        let h = w.run(cfg, warm);
         rows.push((label, warm, h));
     }
     print_rows("IWSLT14-like", &rows, 0.4, 4.0, w.epochs);

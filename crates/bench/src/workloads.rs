@@ -5,7 +5,8 @@
 //! (mirroring the paper's Tables 6–7 at reproduction scale) so every
 //! experiment sees identical setups.
 
-use pipemare_core::TrainConfig;
+use pipemare_core::runners::{run_image_training, run_translation_training};
+use pipemare_core::{RunHistory, TrainConfig};
 use pipemare_data::{ImageDataset, SyntheticImages, SyntheticTranslation, TranslationDataset};
 use pipemare_nn::{CifarResNet, ResNetConfig, Transformer, TransformerConfig};
 use pipemare_optim::{InverseSqrtLr, LrSchedule, OptimizerKind, StepDecayLr, T1Rescheduler};
@@ -108,6 +109,21 @@ impl ImageWorkload {
             cfg.t2_decay = Some(0.5); // the paper's optimal CIFAR decay
         }
         cfg
+    }
+
+    /// Trains `cfg` with this workload's epochs, minibatch, evaluation
+    /// cap and seed; the first `warmup_epochs` run T3.
+    pub fn run(&self, cfg: TrainConfig, warmup_epochs: usize) -> RunHistory {
+        run_image_training(
+            &self.model,
+            &self.ds,
+            cfg,
+            self.epochs,
+            self.minibatch,
+            warmup_epochs,
+            self.eval_cap,
+            self.seed,
+        )
     }
 }
 
@@ -234,5 +250,20 @@ impl TranslationWorkload {
             cfg.t2_decay = Some(0.1); // the paper's optimal IWSLT decay
         }
         cfg
+    }
+
+    /// Trains `cfg` with this workload's epochs, minibatch, BLEU
+    /// sentences and seed; the first `warmup_epochs` run T3.
+    pub fn run(&self, cfg: TrainConfig, warmup_epochs: usize) -> RunHistory {
+        run_translation_training(
+            &self.model,
+            &self.ds,
+            cfg,
+            self.epochs,
+            self.minibatch,
+            warmup_epochs,
+            self.bleu_eval_n,
+            self.seed,
+        )
     }
 }

@@ -38,9 +38,8 @@ pub use health::{AnomalyPolicy, HealthHook};
 pub use metrics::TrainerMetrics;
 pub use pipemare_comms::{RecomputeCfg, StepStats, TrainConfig, TrainMode};
 pub use runners::{
-    run_image_training, run_image_training_observed, run_image_training_with_metrics,
-    run_regression_training, run_regression_training_observed, run_translation_training,
-    ClassifierModel,
+    run_image_training, run_image_training_observed, run_regression_training,
+    run_regression_training_observed, run_translation_training, ClassifierModel,
 };
 pub use serving::{serve_checkpoint, serve_live_loopback};
 pub use stats::{EpochRecord, RunHistory};

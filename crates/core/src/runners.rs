@@ -1,13 +1,12 @@
 //! End-to-end training loops with per-epoch evaluation.
 
-use pipemare_comms::{TrainConfig, TrainMode};
+use pipemare_comms::TrainConfig;
 use pipemare_data::{
     corpus_bleu, split_microbatches, ImageDataset, MinibatchIter, RegressionDataset,
     TranslationDataset,
 };
 use pipemare_nn::{
-    CifarResNet, ImageBatch, LinearRegression, Mlp, RegressionBatch, SeqBatch, TrainModel,
-    Transformer,
+    CifarResNet, ImageBatch, LinearRegression, Mlp, RegressionBatch, TrainModel, Transformer,
 };
 use pipemare_tensor::Tensor;
 
@@ -35,15 +34,10 @@ impl ClassifierModel for CifarResNet {
     }
 }
 
-/// Splits index lists into exactly `n_micro` contiguous chunks (earlier
-/// chunks one element larger when uneven).
-fn chunk_exact(indices: &[usize], n_micro: usize) -> Vec<Vec<usize>> {
-    assert!(
-        indices.len() >= n_micro,
-        "minibatch of {} samples cannot fill {n_micro} microbatches",
-        indices.len()
-    );
-    split_microbatches(indices, n_micro)
+/// Panics unless a minibatch of `len` samples fills `n_micro`
+/// microbatches.
+fn assert_fills(len: usize, n_micro: usize) {
+    assert!(len >= n_micro, "minibatch of {len} samples cannot fill {n_micro} microbatches");
 }
 
 fn micro_weights(micro: &[Vec<usize>]) -> Vec<f32> {
@@ -51,11 +45,78 @@ fn micro_weights(micro: &[Vec<usize>]) -> Vec<f32> {
     micro.iter().map(|m| m.len() as f32 / total as f32).collect()
 }
 
-fn epoch_cost(mode: &TrainMode, in_warmup: bool) -> f64 {
-    match mode {
-        TrainMode::Pipeline(m) => epoch_time(*m, in_warmup),
-        TrainMode::Hogwild(_) => 1.0,
+/// The one epoch loop: `epochs` shuffled passes over `train_len`
+/// samples in minibatches of `minibatch`, each split into the trainer's
+/// `N` microbatches built by `batch`, with `score` evaluating the
+/// parameters after every epoch. The first `warmup_epochs` run T3.
+#[allow(clippy::too_many_arguments)]
+fn run_epochs<M: TrainModel>(
+    model: &M,
+    mut cfg: TrainConfig,
+    seed: u64,
+    epochs: usize,
+    minibatch: usize,
+    warmup_epochs: usize,
+    train_len: usize,
+    metrics: Option<TrainerMetrics>,
+    health: Option<HealthHook>,
+    batch: impl Fn(&[usize]) -> M::Batch,
+    score: impl Fn(&[f32]) -> f32,
+) -> RunHistory {
+    let mut it = MinibatchIter::new(train_len, minibatch, seed);
+    let steps_per_epoch = it.batches_per_epoch();
+    cfg.warmup_steps = warmup_epochs * steps_per_epoch;
+    let label = run_label(&cfg);
+    let method = cfg.mode.method();
+    let mut trainer = PipelineTrainer::new(model, cfg, seed);
+    if let Some(m) = metrics {
+        trainer.set_metrics(m);
     }
+    if let Some(h) = health {
+        trainer.set_health(h);
+    }
+    let n_micro = trainer.clock().n_micro;
+    // Every minibatch is full but the last, which holds the remainder.
+    assert_fills(minibatch, n_micro);
+    let short = train_len % minibatch;
+    if short > 0 {
+        assert_fills(short, n_micro);
+    }
+    let mut history = RunHistory { label, ..Default::default() };
+    let mut time = 0.0f64;
+    for epoch in 0..epochs {
+        let mut loss_sum = 0.0f32;
+        let mut last_norm = 0.0f32;
+        for _ in 0..steps_per_epoch {
+            let chunks = split_microbatches(&it.next_batch(), n_micro);
+            let micro: Vec<M::Batch> = chunks.iter().map(|c| batch(c)).collect();
+            let stats = trainer.train_minibatch(&micro, &micro_weights(&chunks));
+            loss_sum += stats.loss;
+            last_norm = stats.param_norm;
+            let param_norm = if stats.diverged {
+                history.diverged = true;
+                f32::INFINITY
+            } else if trainer.health_halted() {
+                history.halted = true;
+                last_norm
+            } else {
+                continue;
+            };
+            let (train_loss, metric) = (f32::NAN, 0.0);
+            history.epochs.push(EpochRecord { epoch, train_loss, metric, time, param_norm });
+            return history;
+        }
+        // A Hogwild epoch costs what an asynchronous pipeline epoch does.
+        time += method.map_or(1.0, |m| epoch_time(m, epoch < warmup_epochs));
+        history.epochs.push(EpochRecord {
+            epoch,
+            train_loss: loss_sum / steps_per_epoch as f32,
+            metric: score(trainer.params()),
+            time,
+            param_norm: last_norm,
+        });
+    }
+    history
 }
 
 /// Trains an image classifier for `epochs` epochs, evaluating top-1 test
@@ -71,33 +132,6 @@ pub fn run_image_training<M: ClassifierModel>(
     eval_cap: usize,
     seed: u64,
 ) -> RunHistory {
-    run_image_training_with_metrics(
-        model,
-        ds,
-        cfg,
-        epochs,
-        minibatch,
-        warmup_epochs,
-        eval_cap,
-        seed,
-        None,
-    )
-}
-
-/// [`run_image_training`] with optional [`TrainerMetrics`] instruments
-/// attached to the trainer for the whole run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_image_training_with_metrics<M: ClassifierModel>(
-    model: &M,
-    ds: &ImageDataset,
-    cfg: TrainConfig,
-    epochs: usize,
-    minibatch: usize,
-    warmup_epochs: usize,
-    eval_cap: usize,
-    seed: u64,
-    metrics: Option<TrainerMetrics>,
-) -> RunHistory {
     run_image_training_observed(
         model,
         ds,
@@ -107,21 +141,28 @@ pub fn run_image_training_with_metrics<M: ClassifierModel>(
         warmup_epochs,
         eval_cap,
         seed,
-        metrics,
+        None,
         None,
     )
 }
 
-/// [`run_image_training_with_metrics`] with an optional [`HealthHook`]
-/// attached as well. The health monitor observes every optimizer step;
-/// if its halt policy stops the run, the history's `halted` flag is set
-/// and the epoch loop exits early. Keep an `Arc` clone of the hook's
-/// monitor to build the [`pipemare_telemetry::RunReport`] afterwards.
+/// [`run_image_training`] with optional [`TrainerMetrics`] instruments
+/// and an optional [`HealthHook`] attached to the trainer for the whole
+/// run. The health monitor observes every optimizer step; if its halt
+/// policy stops the run, the history's `halted` flag is set and the
+/// epoch loop exits early. Keep an `Arc` clone of the hook's monitor to
+/// build the [`pipemare_telemetry::RunReport`] afterwards.
+///
+/// # Panics
+///
+/// Before the first step, if a minibatch (the full ones or the last,
+/// short one) holds fewer samples than the configuration's `N`
+/// microbatches.
 #[allow(clippy::too_many_arguments)]
 pub fn run_image_training_observed<M: ClassifierModel>(
     model: &M,
     ds: &ImageDataset,
-    mut cfg: TrainConfig,
+    cfg: TrainConfig,
     epochs: usize,
     minibatch: usize,
     warmup_epochs: usize,
@@ -130,82 +171,29 @@ pub fn run_image_training_observed<M: ClassifierModel>(
     metrics: Option<TrainerMetrics>,
     health: Option<HealthHook>,
 ) -> RunHistory {
-    let mut it = MinibatchIter::new(ds.train_len(), minibatch, seed);
-    let steps_per_epoch = it.batches_per_epoch();
-    cfg.warmup_steps = warmup_epochs * steps_per_epoch;
-    let label = run_label(&cfg);
-    let mode = cfg.mode.clone();
-    let mut trainer = PipelineTrainer::new(model, cfg, seed);
-    if let Some(m) = metrics {
-        trainer.set_metrics(m);
-    }
-    if let Some(h) = health {
-        trainer.set_health(h);
-    }
-    let n_micro = trainer.clock().n_micro;
     let (test_x, test_y) = ds.test_batch();
     let cap = eval_cap.min(test_y.len());
     let eval_batch = ImageBatch { x: test_x.slice0(0, cap), y: test_y[..cap].to_vec() };
-    let mut history = RunHistory { label, ..Default::default() };
-    let mut time = 0.0f64;
-    'outer: for epoch in 0..epochs {
-        let mut loss_sum = 0.0f32;
-        let mut last_norm = 0.0f32;
-        for _ in 0..steps_per_epoch {
-            let idx = it.next_batch();
-            let chunks = chunk_exact(&idx, n_micro);
-            let weights = micro_weights(&chunks);
-            let micro: Vec<ImageBatch> = chunks
-                .iter()
-                .map(|c| {
-                    let (x, y) = ds.train_batch(c);
-                    ImageBatch { x, y }
-                })
-                .collect();
-            let stats = trainer.train_minibatch(&micro, &weights);
-            loss_sum += stats.loss;
-            last_norm = stats.param_norm;
-            if stats.diverged {
-                history.diverged = true;
-                history.epochs.push(EpochRecord {
-                    epoch,
-                    train_loss: f32::NAN,
-                    metric: 0.0,
-                    time,
-                    param_norm: f32::INFINITY,
-                });
-                break 'outer;
-            }
-            if trainer.health_halted() {
-                history.halted = true;
-                history.epochs.push(EpochRecord {
-                    epoch,
-                    train_loss: f32::NAN,
-                    metric: 0.0,
-                    time,
-                    param_norm: last_norm,
-                });
-                break 'outer;
-            }
-        }
-        time += epoch_cost(&mode, epoch < warmup_epochs);
-        let acc = 100.0 * model.eval_accuracy(trainer.params(), &eval_batch);
-        history.epochs.push(EpochRecord {
-            epoch,
-            train_loss: loss_sum / steps_per_epoch as f32,
-            metric: acc,
-            time,
-            param_norm: last_norm,
-        });
-    }
-    history
+    run_epochs(
+        model,
+        cfg,
+        seed,
+        epochs,
+        minibatch,
+        warmup_epochs,
+        ds.train_len(),
+        metrics,
+        health,
+        |c| {
+            let (x, y) = ds.train_batch(c);
+            ImageBatch { x, y }
+        },
+        |params| 100.0 * model.eval_accuracy(params, &eval_batch),
+    )
 }
 
 fn run_label(cfg: &TrainConfig) -> String {
-    let mode = match &cfg.mode {
-        TrainMode::Pipeline(m) => m.name().to_string(),
-        TrainMode::Hogwild(_) => "Hogwild".to_string(),
-    };
+    let mode = cfg.mode.method().map_or("Hogwild", |m| m.name());
     let mut tags = Vec::new();
     if cfg.t1.is_some() {
         tags.push("T1");
@@ -222,7 +210,7 @@ fn run_label(cfg: &TrainConfig) -> String {
         None => {}
     }
     if tags.is_empty() {
-        mode
+        mode.to_string()
     } else {
         format!("{mode}+{}", tags.join("+"))
     }
@@ -234,62 +222,34 @@ fn run_label(cfg: &TrainConfig) -> String {
 pub fn run_translation_training(
     model: &Transformer,
     ds: &TranslationDataset,
-    mut cfg: TrainConfig,
+    cfg: TrainConfig,
     epochs: usize,
     sentences_per_minibatch: usize,
     warmup_epochs: usize,
     bleu_eval_n: usize,
     seed: u64,
 ) -> RunHistory {
-    let mut it = MinibatchIter::new(ds.train_len(), sentences_per_minibatch, seed);
-    let steps_per_epoch = it.batches_per_epoch();
-    cfg.warmup_steps = warmup_epochs * steps_per_epoch;
-    let mode = cfg.mode.clone();
-    let label = run_label(&cfg);
-    let mut trainer = PipelineTrainer::new(model, cfg, seed);
-    let n_micro = trainer.clock().n_micro;
     let eval_n = bleu_eval_n.min(ds.test_src.len());
-    let refs: Vec<Vec<usize>> = ds.test_tgt[..eval_n].to_vec();
-    let mut history = RunHistory { label, ..Default::default() };
-    let mut time = 0.0f64;
-    'outer: for epoch in 0..epochs {
-        let mut loss_sum = 0.0f32;
-        let mut last_norm = 0.0f32;
-        for _ in 0..steps_per_epoch {
-            let idx = it.next_batch();
-            let chunks = chunk_exact(&idx, n_micro);
-            let weights = micro_weights(&chunks);
-            let micro: Vec<SeqBatch> = chunks.iter().map(|c| ds.batch(c)).collect();
-            let stats = trainer.train_minibatch(&micro, &weights);
-            loss_sum += stats.loss;
-            last_norm = stats.param_norm;
-            if stats.diverged {
-                history.diverged = true;
-                history.epochs.push(EpochRecord {
-                    epoch,
-                    train_loss: f32::NAN,
-                    metric: 0.0,
-                    time,
-                    param_norm: f32::INFINITY,
-                });
-                break 'outer;
-            }
-        }
-        time += epoch_cost(&mode, epoch < warmup_epochs);
-        let hyps: Vec<Vec<usize>> = ds.test_src[..eval_n]
-            .iter()
-            .map(|src| model.greedy_decode(trainer.params(), src, ds.max_len + 2))
-            .collect();
-        let bleu = corpus_bleu(&hyps, &refs);
-        history.epochs.push(EpochRecord {
-            epoch,
-            train_loss: loss_sum / steps_per_epoch as f32,
-            metric: bleu,
-            time,
-            param_norm: last_norm,
-        });
-    }
-    history
+    let refs = &ds.test_tgt[..eval_n];
+    run_epochs(
+        model,
+        cfg,
+        seed,
+        epochs,
+        sentences_per_minibatch,
+        warmup_epochs,
+        ds.train_len(),
+        None,
+        None,
+        |c| ds.batch(c),
+        |params| {
+            let hyps: Vec<Vec<usize>> = ds.test_src[..eval_n]
+                .iter()
+                .map(|src| model.greedy_decode(params, src, ds.max_len + 2))
+                .collect();
+            corpus_bleu(&hyps, refs)
+        },
+    )
 }
 
 /// Trains linear regression for `steps` optimizer steps at full batch,
@@ -321,8 +281,9 @@ pub fn run_regression_training_observed(
     }
     let n_micro = trainer.clock().n_micro;
     let n = ds.len();
+    assert_fills(n, n_micro);
     let idx: Vec<usize> = (0..n).collect();
-    let chunks = chunk_exact(&idx, n_micro);
+    let chunks = split_microbatches(&idx, n_micro);
     let weights = micro_weights(&chunks);
     let micro: Vec<RegressionBatch> = chunks
         .iter()
@@ -354,6 +315,7 @@ pub fn run_regression_training_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TrainMode;
     use pipemare_data::{cpusmall_like, SyntheticImages, SyntheticTranslation};
     use pipemare_nn::{ResNetConfig, TransformerConfig};
     use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use pipemare::core::{run_image_training_with_metrics, TrainConfig, TrainerMetrics};
+use pipemare::core::{run_image_training_observed, TrainConfig, TrainerMetrics};
 use pipemare::data::SyntheticImages;
 use pipemare::nn::Mlp;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -75,7 +75,7 @@ fn main() {
     );
     let registry = MetricsRegistry::new();
     let metrics = TrainerMetrics::register(&registry);
-    let history = run_image_training_with_metrics(
+    let history = run_image_training_observed(
         &model,
         &dataset,
         cfg,
@@ -85,6 +85,7 @@ fn main() {
         16, // eval cap
         7,  // seed
         Some(metrics),
+        None,
     );
     let snapshot = registry.snapshot();
     print!("{}", snapshot.to_text());

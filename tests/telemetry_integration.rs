@@ -1,6 +1,6 @@
 //! End-to-end telemetry: trainer metrics through the facade crate.
 
-use pipemare::core::{run_image_training_with_metrics, TrainConfig, TrainerMetrics};
+use pipemare::core::{run_image_training_observed, TrainConfig, TrainerMetrics};
 use pipemare::data::SyntheticImages;
 use pipemare::nn::Mlp;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -22,7 +22,7 @@ fn training_run_populates_metrics_registry() {
     let registry = MetricsRegistry::new();
     let metrics = TrainerMetrics::register(&registry);
     let history =
-        run_image_training_with_metrics(&model, &dataset, cfg, 2, 10, 0, 20, 7, Some(metrics));
+        run_image_training_observed(&model, &dataset, cfg, 2, 10, 0, 20, 7, Some(metrics), None);
     assert!(!history.diverged);
 
     let snap = registry.snapshot();
@@ -74,9 +74,9 @@ fn metrics_free_training_matches_metered_training() {
             0.135,
         )
     };
-    let plain = run_image_training_with_metrics(&model, &dataset, cfg(), 2, 10, 0, 10, 3, None);
+    let plain = run_image_training_observed(&model, &dataset, cfg(), 2, 10, 0, 10, 3, None, None);
     let registry = MetricsRegistry::new();
-    let metered = run_image_training_with_metrics(
+    let metered = run_image_training_observed(
         &model,
         &dataset,
         cfg(),
@@ -86,9 +86,39 @@ fn metrics_free_training_matches_metered_training() {
         10,
         3,
         Some(TrainerMetrics::register(&registry)),
+        None,
     );
     for (a, b) in plain.epochs.iter().zip(metered.epochs.iter()) {
         assert_eq!(a.train_loss, b.train_loss);
         assert_eq!(a.param_norm, b.param_norm);
+    }
+}
+
+#[test]
+fn a_short_last_minibatch_fails_before_the_first_step() {
+    // 41 samples at minibatch 10 leave a last minibatch of one sample,
+    // which cannot fill N = 2 microbatches: the run must refuse before it
+    // trains anything, not after four steps of the first epoch.
+    let dataset = SyntheticImages::cifar_like(41, 10, 5).generate();
+    let model = Mlp::new(&[3 * 16 * 16, 8, 10]);
+    let cfg = TrainConfig::gpipe(
+        4,
+        2,
+        OptimizerKind::Sgd { weight_decay: 0.0 },
+        Box::new(ConstantLr(0.02)),
+    );
+    let registry = MetricsRegistry::new();
+    let metrics = TrainerMetrics::register(&registry);
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_image_training_observed(&model, &dataset, cfg, 1, 10, 0, 10, 7, Some(metrics), None)
+    }));
+    let message = *run
+        .expect_err("a 1-sample minibatch cannot fill 2 microbatches")
+        .downcast::<String>()
+        .expect("a formatted panic message");
+    assert_eq!(message, "minibatch of 1 samples cannot fill 2 microbatches");
+    match registry.snapshot().get("trainer.steps") {
+        Some(MetricValue::Counter(c)) => assert_eq!(*c, 0, "trained before refusing"),
+        other => panic!("trainer.steps missing or mistyped: {other:?}"),
     }
 }
