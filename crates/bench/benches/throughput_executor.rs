@@ -11,6 +11,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use pipemare_bench::report::ExperimentLog;
 use pipemare_pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, Sleep};
 use pipemare_telemetry::{NullRecorder, PipelineTimelineSummary, TraceRecorder};
+use pipemare_theory::gpipe_bubble_fraction;
 
 fn bench_executor(c: &mut Criterion) {
     let mut group = c.benchmark_group("threaded_pipeline");
@@ -38,7 +39,7 @@ fn save_experiment_log() {
     let (p, n, minibatches) = (4usize, 4usize, 6usize);
     let work = Duration::from_millis(1);
     let mut log = ExperimentLog::new("throughput_executor");
-    let nominal = PipelineTimelineSummary::nominal_gpipe_bubble_fraction(p, n);
+    let nominal = gpipe_bubble_fraction(p, n);
     log.push_scalar("nominal.gpipe_bubble_fraction", nominal);
     for method in [Method::GPipe, Method::PipeMare] {
         let rec = TraceRecorder::new();

@@ -8,7 +8,7 @@ use pipemare_nn::TrainModel;
 use pipemare_optim::{LrSchedule, OptimizerKind, T1Rescheduler};
 use pipemare_pipeline::{HogwildDelays, Method, PipelineClock, StagePartition};
 use pipemare_tensor::StoragePrecision;
-use pipemare_theory::gamma_from_d;
+use pipemare_theory::{gamma_from_d, recomp_delay_slots};
 
 use crate::protocol::{StageConfig, PROTOCOL_VERSION};
 
@@ -271,7 +271,7 @@ impl TrainConfig {
             opt: self.optimizer,
             t2_decay: self.t2_decay,
             gamma: self.t2_decay.map_or(0.0, |d| gamma_from_d(d, gap)),
-            recomp_slots: seg.map(|seg| clock.recomp_delay_slots(seg, s) as u32),
+            recomp_slots: seg.map(|seg| recomp_delay_slots(seg, s) as u32),
             recomp_t2,
             warmup_steps: self.warmup_steps as u64,
             weight_storage: self.weight_storage,

@@ -62,7 +62,7 @@ pub use orchestrator::{
 pub use protocol::{
     GradHead, Message, PassKind, RejectReason, ShardHead, StageConfig, PROTOCOL_VERSION,
 };
-pub use stage::{plan, ContentTag, ReadPlan, ShardStage, StageState};
+pub use stage::{plan, ContentTag, ReadPlan, ShardStage, StageState, MAX_STAGES};
 pub use transport::{
     channel, loopback_pair, FrameRx, FrameTx, LoopbackTransport, Receiver, Sender, TcpTransport,
     Transport, WireStats,

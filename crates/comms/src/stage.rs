@@ -13,7 +13,9 @@
 //!
 //! Which stored version a pass reads, and whether it is extrapolated
 //! along δ, is decided by [`plan`] — a pure function of the stage's
-//! config, the pipeline clock and `(step, micro, pass)`. The worker
+//! config, the pipeline clock and `(step, micro, pass)`. Its version is
+//! [`PipelineClock::reads`], the one every executor plan's op carries
+//! (outside T3's warm-up, which reads the latest). The worker
 //! calls it to serve a fetch; the step driver calls the same function to
 //! learn, without asking, *what* a read would return. That knowledge
 //! is the [`ContentTag`]:
@@ -33,8 +35,9 @@
 //! driver keeps what it already holds and reads each distinct tag once.
 
 use pipemare_optim::Optimizer;
-use pipemare_pipeline::{Method, PipelineClock, WeightHistory};
+use pipemare_pipeline::{Method, PipelineClock, StageOpKind, WeightHistory};
 use pipemare_tensor::{bf16, StoragePrecision};
+use pipemare_theory::delay_slots;
 
 use crate::codec::{encode_dense, encode_dense_bf16, Writer};
 use crate::error::CommsError;
@@ -96,43 +99,42 @@ pub fn plan(
         )));
     }
     let t = step as usize;
-    let n = micro as usize;
     let s = cfg.stage as usize;
-    let sync_phase = step < cfg.warmup_steps;
-    let t2_on = cfg.t2_decay.is_some();
-    match pass {
-        PassKind::Latest => Ok(ReadPlan { version: t, gap: None }),
-        PassKind::Fwd => {
-            let version = if sync_phase { t } else { clock.fwd_version(cfg.method, t, n, s) };
-            Ok(ReadPlan { version, gap: None })
-        }
-        PassKind::Bkwd => {
-            let version = if sync_phase { t } else { clock.bkwd_version(cfg.method, t, n, s) };
-            // T2: extrapolate toward the forward version along δ
-            // (τ_bkwd = 0 for PipeMare, so the gap is τ_fwd).
-            let gap = (!sync_phase && cfg.method == Method::PipeMare && t2_on)
-                .then(|| clock.nominal_tau_fwd(s));
-            Ok(ReadPlan { version, gap })
-        }
-        PassKind::Recomp => {
-            let slots = cfg.recomp_slots.ok_or_else(|| {
-                CommsError::Protocol(format!(
-                    "stage {}: recompute fetch but no recompute configured",
-                    cfg.stage
-                ))
-            })? as usize;
-            let n_micro = cfg.n_micro as usize;
-            let m = (t * n_micro + n) as i64 - slots as i64;
-            let version = m.div_euclid(n_micro as i64).clamp(0, t as i64) as usize;
-            let gap = if cfg.recomp_t2 && t2_on {
-                let g = clock.nominal_tau_fwd(s) - slots as f64 / n_micro as f64;
-                (g > 0.0).then_some(g)
-            } else {
-                None
-            };
-            Ok(ReadPlan { version, gap })
-        }
+    let kind = match pass {
+        PassKind::Latest => return Ok(ReadPlan { version: t, gap: None }),
+        PassKind::Fwd => StageOpKind::Fwd,
+        PassKind::Bkwd => StageOpKind::Bkwd,
+        PassKind::Recomp => StageOpKind::Recomp,
+    };
+    let replay_slots = cfg.recomp_slots.map(|r| r as usize);
+    if kind == StageOpKind::Recomp && replay_slots.is_none() {
+        return Err(CommsError::Protocol(format!(
+            "stage {}: recompute fetch but no recompute configured",
+            cfg.stage
+        )));
     }
+    // T3: a warm-up step reads the latest version forwards and
+    // backwards; its replays keep their lag.
+    let sync_phase = step < cfg.warmup_steps;
+    let version = if sync_phase && kind != StageOpKind::Recomp {
+        t
+    } else {
+        let micro = t * cfg.n_micro as usize + micro as usize;
+        clock.reads(cfg.method, kind, micro, s, replay_slots)
+    };
+    let t2_on = cfg.t2_decay.is_some();
+    let gap = match (kind, replay_slots) {
+        // T2: extrapolate toward the forward version along δ
+        // (τ_bkwd = 0 for PipeMare, so the gap is τ_fwd).
+        (StageOpKind::Bkwd, _) => (!sync_phase && cfg.method == Method::PipeMare && t2_on)
+            .then(|| clock.nominal_tau_fwd(s)),
+        (StageOpKind::Recomp, Some(slots)) if cfg.recomp_t2 && t2_on => {
+            let g = clock.nominal_tau_fwd(s) - slots as f64 / cfg.n_micro as f64;
+            (g > 0.0).then_some(g)
+        }
+        _ => None,
+    };
+    Ok(ReadPlan { version, gap })
 }
 
 /// Where a read's values go: a reply frame or a local buffer.
@@ -191,6 +193,9 @@ pub struct StageState {
     pub opt_steps: usize,
 }
 
+/// Deepest pipeline a handshake may configure.
+pub const MAX_STAGES: u32 = 1 << 16;
+
 /// One pipeline stage's shard of the model: weight-version window,
 /// optimizer state, and T2 velocity, all shard-sized.
 pub struct ShardStage {
@@ -223,8 +228,17 @@ impl ShardStage {
                 cfg.stage, cfg.stages
             )));
         }
-        if cfg.n_micro == 0 || cfg.stages == 0 {
-            return Err(CommsError::Handshake("stages and n_micro must be positive".into()));
+        // `stages` and `recomp_slots` size the window `new` allocates.
+        if cfg.n_micro == 0 || !(1..=MAX_STAGES).contains(&cfg.stages) {
+            return Err(CommsError::Handshake(format!(
+                "need n_micro > 0 and 1..={MAX_STAGES} stages, got {} and {}",
+                cfg.n_micro, cfg.stages
+            )));
+        }
+        // App. D's 2(S − s mod S) is even and lies in 2..=2S ⊆ 2..=2P.
+        let replay_ok = |r: u32| r.is_multiple_of(2) && (2..=2 * cfg.stages).contains(&r);
+        if let Some(r) = cfg.recomp_slots.filter(|&r| !replay_ok(r)) {
+            return Err(CommsError::Handshake(format!("recompute slots {r} invalid")));
         }
         if cfg.shard_lo >= cfg.shard_hi || cfg.shard_hi > cfg.param_len {
             return Err(CommsError::Handshake(format!(
@@ -255,9 +269,8 @@ impl ShardStage {
         let clock = PipelineClock::new(cfg.stages as usize, cfg.n_micro as usize);
         let slots = match cfg.method {
             Method::GPipe => 0,
-            Method::PipeDream | Method::PipeMare => {
-                clock.delay_slots(cfg.stage as usize).max(cfg.recomp_slots.unwrap_or(0) as usize)
-            }
+            Method::PipeDream | Method::PipeMare => delay_slots(clock.stages, cfg.stage as usize)
+                .max(cfg.recomp_slots.unwrap_or(0) as usize),
         };
         let window = slots.div_ceil(cfg.n_micro as usize) + 1;
         let history = WeightHistory::with_precision(window, init, cfg.weight_storage);

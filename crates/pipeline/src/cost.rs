@@ -1,5 +1,7 @@
 //! Hardware-efficiency cost models: throughput and memory (§2.2, App. A).
 
+use pipemare_theory::{delay_slots, recomp_delay_slots};
+
 use crate::delay::{Method, PipelineClock};
 
 /// GPipe's bubble-limited normalized throughput `N/(N+P−1)` (Table 1),
@@ -75,7 +77,7 @@ impl MemoryModel {
                 let stash: f64 = stage_weight_fracs
                     .iter()
                     .enumerate()
-                    .map(|(s, &f)| f * clk.stash_versions(s))
+                    .map(|(s, &f)| f * clk.nominal_tau_fwd(s))
                     .sum();
                 base + stash
             }
@@ -111,7 +113,7 @@ impl ActivationModel {
     /// (0-indexed) holds `2(P−1−s)+1` microbatch activations (the green +
     /// orange bars of Figure 6).
     pub fn profile_no_recompute(&self) -> Vec<usize> {
-        (0..self.p).map(|s| 2 * (self.p - 1 - s) + 1).collect()
+        (0..self.p).map(|s| delay_slots(self.p, s)).collect()
     }
 
     /// Per-stage cached-activation counts *with* PipeMare Recompute using
@@ -126,15 +128,14 @@ impl ActivationModel {
         assert!(seg > 0 && seg <= self.p, "segment size {seg} invalid for P = {}", self.p);
         (0..self.p)
             .map(|s| {
-                let j = s % seg;
-                let window = 2 * (self.p - 1 - s) + 1;
-                if j == 0 {
+                let window = delay_slots(self.p, s);
+                if s % seg == 0 {
                     window
                 } else {
                     // Recompute buffers, capped by the stage's in-flight
                     // window (a stage never needs more than it would cache
                     // without recompute).
-                    (2 * (seg - j)).min(window)
+                    recomp_delay_slots(seg, s).min(window)
                 }
             })
             .collect()

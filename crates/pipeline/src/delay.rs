@@ -6,6 +6,20 @@
 //! delays; this module realizes them at *microbatch* granularity so that
 //! the fractional delays `(2(P−i)+1)/N` emerge as the exact mean over the
 //! `N` microbatches of a minibatch (verified in the tests).
+//!
+//! [`PipelineClock::reads`] is the one definition of the version an op
+//! reads: the plans stamp it on every [`StageOp`](crate::StageOp) and
+//! the comms read planner serves it. A stage walking its row reproduces
+//! it by applying a finished update *lazily*, just before the first op
+//! that reads it; applied eagerly, after its minibatch's last backward,
+//! it reaches the forward in that backward's slot one microbatch early.
+//! Lazily, a PipeMare stage holds at most one finished update, never
+//! across a backward. The one read that goes back along a row is a
+//! PipeDream backward: it rereads the version its forward stashed.
+
+use pipemare_theory::{delay_slots, recomp_delay_slots};
+
+use crate::recompute::StageOpKind;
 
 /// The pipeline-parallel training method being simulated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,24 +86,16 @@ impl PipelineClock {
         PipelineClock { stages, n_micro }
     }
 
-    /// Microbatch-slot distance between a weight's forward read at stage
-    /// `s` (0-indexed) and its update: `2(P−1−s) + 1` — Table 1's
-    /// `2(P−i)+1` with `i = s+1`.
-    pub fn delay_slots(&self, s: usize) -> usize {
-        assert!(s < self.stages, "stage {s} out of range");
-        2 * (self.stages - 1 - s) + 1
-    }
-
     /// Nominal (fractional) forward delay in optimizer steps:
     /// `τ_fwd,s = (2(P−1−s)+1)/N`.
     pub fn nominal_tau_fwd(&self, s: usize) -> f64 {
-        self.delay_slots(s) as f64 / self.n_micro as f64
+        delay_slots(self.stages, s) as f64 / self.n_micro as f64
     }
 
     /// Nominal forward delay *as experienced under a method* — Table 1's
     /// τ_fwd column. GPipe flushes the pipeline every minibatch, so its
     /// forward reads are never stale even though the slot distance
-    /// [`Self::delay_slots`] is unchanged.
+    /// [`delay_slots`] is unchanged.
     pub fn nominal_tau_fwd_for(&self, method: Method, s: usize) -> f64 {
         match method {
             Method::GPipe => 0.0,
@@ -105,26 +111,12 @@ impl PipelineClock {
         }
     }
 
-    /// Microbatch-slot distance between a weight's *recompute* (replay)
-    /// forward at stage `s` and its update, under segmented recomputation
-    /// with segment size `seg`: `2(S − (s mod S))` (App. D).
-    ///
-    /// The replay of a segment starts at its boundary `2S` slots before
-    /// the boundary's backward and sweeps forward one stage per slot, so
-    /// stage `j` within a segment replays `2(S − j)` slots before its own
-    /// backward. The boundary stage itself (`j = 0`) replays from its
-    /// stash `2S` slots early — the oldest read in the segment.
-    pub fn recomp_delay_slots(&self, seg: usize, s: usize) -> usize {
-        assert!(s < self.stages, "stage {s} out of range");
-        assert!(seg > 0, "segment size must be positive");
-        2 * (seg - s % seg)
-    }
-
     /// Nominal (fractional) recompute delay in optimizer steps:
     /// `τ_recomp,s = 2(S − (s mod S))/N` — the third delay App. D folds
     /// into the T2 discrepancy correction.
     pub fn nominal_tau_recomp(&self, seg: usize, s: usize) -> f64 {
-        self.recomp_delay_slots(seg, s) as f64 / self.n_micro as f64
+        assert!(s < self.stages, "stage {s} out of range");
+        recomp_delay_slots(seg, s) as f64 / self.n_micro as f64
     }
 
     /// The weight version stage `s` reads in the *forward* pass of
@@ -139,9 +131,7 @@ impl PipelineClock {
         match method {
             Method::GPipe => t,
             Method::PipeDream | Method::PipeMare => {
-                let m = (t * self.n_micro + n) as i64 - self.delay_slots(s) as i64;
-                let v = m.div_euclid(self.n_micro as i64);
-                v.clamp(0, t as i64) as usize
+                self.lagged(t * self.n_micro + n, delay_slots(self.stages, s))
             }
         }
     }
@@ -160,33 +150,46 @@ impl PipelineClock {
         }
     }
 
+    /// The weight version stage `s` computes with when it runs a `kind`
+    /// op of global microbatch `micro` under `method`; a replay reads
+    /// `replay_slots` slots back ([`recomp_delay_slots`]). Panics if a
+    /// replay comes without them.
+    pub fn reads(
+        &self,
+        method: Method,
+        kind: StageOpKind,
+        micro: usize,
+        s: usize,
+        replay_slots: Option<usize>,
+    ) -> usize {
+        let (t, n) = (micro / self.n_micro, micro % self.n_micro);
+        match kind {
+            StageOpKind::Fwd => self.fwd_version(method, t, n, s),
+            StageOpKind::Bkwd => self.bkwd_version(method, t, n, s),
+            StageOpKind::Recomp => {
+                self.lagged(micro, replay_slots.expect("a replay names its slots"))
+            }
+        }
+    }
+
+    /// `⌊(micro − slots)/N⌋`, clamped to the versions that exist by
+    /// `micro`'s minibatch `t`: `0..=t`.
+    fn lagged(&self, micro: usize, slots: usize) -> usize {
+        let t = micro / self.n_micro;
+        let v = (micro as i64 - slots as i64).div_euclid(self.n_micro as i64);
+        v.clamp(0, t as i64) as usize
+    }
+
     /// The number of weight versions a history buffer must retain:
     /// the maximum forward delay in whole steps, plus current.
     pub fn history_depth(&self) -> usize {
-        self.delay_slots(0).div_ceil(self.n_micro) + 1
-    }
-
-    /// The mean number of stashed versions PipeDream keeps at stage `s`
-    /// (its forward delay in steps) — used by the memory model.
-    pub fn stash_versions(&self, s: usize) -> f64 {
-        self.nominal_tau_fwd(s)
+        delay_slots(self.stages, 0).div_ceil(self.n_micro) + 1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delay_slots_match_table1() {
-        let clk = PipelineClock::new(4, 2);
-        // Stage i (1-indexed): 2(P−i)+1 → stages 1..4 give 7, 5, 3, 1.
-        assert_eq!(clk.delay_slots(0), 7);
-        assert_eq!(clk.delay_slots(1), 5);
-        assert_eq!(clk.delay_slots(2), 3);
-        assert_eq!(clk.delay_slots(3), 1);
-        assert_eq!(clk.nominal_tau_fwd(0), 3.5);
-    }
 
     #[test]
     fn gpipe_has_no_delay() {
@@ -319,7 +322,6 @@ mod tests {
         // for the async methods, and a trivial recompute segment.
         for n_micro in [1usize, 2, 4] {
             let clk = PipelineClock::new(1, n_micro);
-            assert_eq!(clk.delay_slots(0), 1);
             assert_eq!(clk.nominal_tau_fwd(0), 1.0 / n_micro as f64);
             for m in Method::ALL {
                 assert_eq!(
@@ -328,26 +330,11 @@ mod tests {
                 );
             }
             assert_eq!(clk.nominal_tau_fwd_for(Method::GPipe, 0), 0.0);
-            assert_eq!(clk.recomp_delay_slots(1, 0), 2);
             assert_eq!(clk.nominal_tau_recomp(1, 0), 2.0 / n_micro as f64);
             // Versions stay valid in the degenerate pipeline.
             assert_eq!(clk.fwd_version(Method::PipeMare, 0, 0, 0), 0);
             assert!(clk.fwd_version(Method::PipeMare, 5, 0, 0) <= 5);
         }
-    }
-
-    #[test]
-    fn recomp_delay_slots_follow_segment_layout() {
-        let clk = PipelineClock::new(16, 4);
-        // Segment size 4: boundary stages replay 8 slots early, the last
-        // stage of a segment only 2.
-        for s in 0..16 {
-            let j = s % 4;
-            assert_eq!(clk.recomp_delay_slots(4, s), 2 * (4 - j));
-        }
-        // Boundary (j = 0) is the most-delayed replay in its segment.
-        assert_eq!(clk.recomp_delay_slots(4, 0), 8);
-        assert_eq!(clk.recomp_delay_slots(4, 3), 2);
     }
 
     #[test]

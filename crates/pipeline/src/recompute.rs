@@ -38,8 +38,10 @@ use std::sync::Arc;
 
 use pipemare_telemetry::{Gauge, MetricsRegistry};
 use pipemare_tensor::StoragePrecision;
+use pipemare_theory::recomp_delay_slots;
 
 use crate::cost::ActivationModel;
+use crate::delay::{Method, PipelineClock};
 
 /// How the executor manages activation memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,6 +113,8 @@ pub struct StageOp {
     pub micro: usize,
     /// Whether this op acquires an activation buffer at this stage.
     pub acquires: bool,
+    /// The weight version the op computes with ([`PipelineClock::reads`]).
+    pub reads: usize,
 }
 
 fn kind_priority(kind: StageOpKind) -> usize {
@@ -134,56 +138,50 @@ pub fn stage_replays(p: usize, seg: usize, s: usize) -> bool {
     (s / seg) * seg + seg < p
 }
 
-/// The per-stage op timelines of `total` microbatches flowing through a
-/// `p`-stage pipeline under `policy`, in the idealized full-throughput
-/// schedule: forward of microbatch `m` at stage `s` in slot `m+s`,
-/// backward in slot `m + 2P − s − 1`, and — for replay segments — the
-/// segment replay sweeping stages `B..B+S` in slots
+/// The per-stage op timelines of `total` microbatches flowing through
+/// `clock`'s `P`-stage pipeline under `policy`, in the idealized
+/// full-throughput schedule: forward of microbatch `m` at stage `s` in
+/// slot `m+s`, backward in slot `m + 2P − s − 1`, and — for replay
+/// segments — the segment replay sweeping stages `B..B+S` in slots
 /// `m + 2P − B − 2S − 1 + j`. Each stage's list is sorted by
-/// `(slot, Bkwd < Recomp < Fwd)`, the order its thread executes.
+/// `(slot, Bkwd < Recomp < Fwd)`, the order its thread executes. Every
+/// op reads the version PipeMare's clock gives it.
 ///
 /// # Panics
 ///
-/// Panics if `p` or `total` is zero, or if a segmented policy's size is
-/// outside `1..=p`.
-pub fn stage_timelines(policy: RecomputePolicy, p: usize, total: usize) -> Vec<Vec<StageOp>> {
-    assert!(p > 0, "pipeline needs at least one stage");
+/// Panics if `total` is zero, or if a segmented policy's size is
+/// outside `1..=P`.
+pub fn stage_timelines(
+    policy: RecomputePolicy,
+    clock: &PipelineClock,
+    total: usize,
+) -> Vec<Vec<StageOp>> {
     assert!(total > 0, "need at least one microbatch");
+    let p = clock.stages;
     let seg = policy.segment_size(p);
     let mut ops: Vec<Vec<StageOp>> = vec![Vec::with_capacity(3 * total); p];
     for m in 0..total {
         for (s, stage_ops) in ops.iter_mut().enumerate() {
+            let op = |slot, kind, acquires| {
+                let reads =
+                    clock.reads(Method::PipeMare, kind, m, s, Some(recomp_delay_slots(seg, s)));
+                StageOp { slot, kind, micro: m, acquires, reads }
+            };
             let replays = stage_replays(p, seg, s);
-            let boundary = is_segment_boundary(seg, s);
             // A stage stashes at forward time unless its activation will
             // be recovered by a replay (non-boundary stage of a replay
             // segment).
-            let stash_at_fwd = boundary || !replays;
-            stage_ops.push(StageOp {
-                slot: m + s,
-                kind: StageOpKind::Fwd,
-                micro: m,
-                acquires: stash_at_fwd,
-            });
-            stage_ops.push(StageOp {
-                slot: m + 2 * p - s - 1,
-                kind: StageOpKind::Bkwd,
-                micro: m,
-                acquires: false,
-            });
+            let stash_at_fwd = is_segment_boundary(seg, s) || !replays;
+            stage_ops.push(op(m + s, StageOpKind::Fwd, stash_at_fwd));
+            stage_ops.push(op(m + 2 * p - s - 1, StageOpKind::Bkwd, false));
             // Replay segments of width ≥ 2 run the recompute sweep; a
             // width-1 segment is all boundary and has nothing to replay.
             if replays && seg >= 2 {
                 let b = (s / seg) * seg;
                 let j = s - b;
-                stage_ops.push(StageOp {
-                    slot: m + 2 * p - b - 2 * seg - 1 + j,
-                    kind: StageOpKind::Recomp,
-                    micro: m,
-                    // The boundary replays out of its stash; the others
-                    // recover (acquire) their activation here.
-                    acquires: j > 0,
-                });
+                // The boundary replays out of its stash; the others
+                // recover (acquire) their activation here.
+                stage_ops.push(op(m + 2 * p - b - 2 * seg - 1 + j, StageOpKind::Recomp, j > 0));
             }
         }
     }
@@ -316,7 +314,9 @@ impl ActivationLedger {
 /// [`RecomputePolicy::expected_peaks`] once `total ≥ 2P−1` fills the
 /// steady state).
 pub fn simulate_peaks(policy: RecomputePolicy, p: usize, total: usize) -> Vec<usize> {
-    let mut all: Vec<(usize, StageOp)> = stage_timelines(policy, p, total)
+    // Slots count microbatches, so the peaks do not depend on `N`.
+    let clock = PipelineClock::new(p, 1);
+    let mut all: Vec<(usize, StageOp)> = stage_timelines(policy, &clock, total)
         .into_iter()
         .enumerate()
         .flat_map(|(s, ops)| ops.into_iter().map(move |op| (s, op)))
@@ -338,6 +338,10 @@ pub fn simulate_peaks(policy: RecomputePolicy, p: usize, total: usize) -> Vec<us
 mod tests {
     use super::*;
 
+    fn clock(p: usize) -> PipelineClock {
+        PipelineClock::new(p, 2)
+    }
+
     #[test]
     fn optimal_policy_uses_model_segment() {
         for p in [1usize, 4, 9, 16, 25] {
@@ -348,7 +352,7 @@ mod tests {
 
     #[test]
     fn timelines_are_slot_sorted_and_causal() {
-        let ops = stage_timelines(RecomputePolicy::Segmented { segment: 3 }, 9, 20);
+        let ops = stage_timelines(RecomputePolicy::Segmented { segment: 3 }, &clock(9), 20);
         for (s, stage_ops) in ops.iter().enumerate() {
             for w in stage_ops.windows(2) {
                 assert!(
@@ -376,7 +380,7 @@ mod tests {
         // consecutive stages in consecutive slots (the boundary first).
         let p = 9;
         let seg = 3;
-        let ops = stage_timelines(RecomputePolicy::Segmented { segment: seg }, p, 20);
+        let ops = stage_timelines(RecomputePolicy::Segmented { segment: seg }, &clock(p), 20);
         let m = 5;
         for b in (0..p).step_by(seg) {
             if !stage_replays(p, seg, b) {
@@ -400,7 +404,7 @@ mod tests {
     #[test]
     fn final_segment_never_replays() {
         for (p, seg) in [(4usize, 2usize), (9, 3), (16, 4), (10, 3), (7, 7)] {
-            let ops = stage_timelines(RecomputePolicy::Segmented { segment: seg }, p, 8);
+            let ops = stage_timelines(RecomputePolicy::Segmented { segment: seg }, &clock(p), 8);
             for (s, stage_ops) in ops.iter().enumerate() {
                 let has_recomp = stage_ops.iter().any(|op| op.kind == StageOpKind::Recomp);
                 assert_eq!(

@@ -11,7 +11,6 @@
 use std::collections::VecDeque;
 
 use crate::delay::Method;
-use crate::recompute::{stage_timelines, RecomputePolicy, StageOpKind};
 
 /// One cell of the schedule grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,9 +21,6 @@ pub enum SlotOp {
     Fwd(usize),
     /// Backward pass of the given global microbatch index.
     Bkwd(usize),
-    /// Replay (recompute) forward pass of the given global microbatch
-    /// index — PipeMare Recompute recovering a discarded activation.
-    Recomp(usize),
 }
 
 /// A simulated schedule: `grid[stage][slot]`.
@@ -109,49 +105,6 @@ impl Schedule {
         Schedule { grid, n_micro }
     }
 
-    /// The idealized full-throughput PipeMare Recompute schedule (the
-    /// Figure 6 picture): forwards of microbatch `m` at stage `s` in
-    /// slot `m+s`, backwards in slot `m+2P−s−1`, and the segment replay
-    /// waves of [`stage_timelines`] in between.
-    ///
-    /// Unlike [`Schedule::simulate`] this is built from closed forms,
-    /// not discrete-event simulation, and the ideal schedule runs a
-    /// forward and a backward of *different* microbatches in the same
-    /// stage-slot (full throughput). A grid cell holds one op, so
-    /// colliding ops are shown with backward > replay > forward priority
-    /// — the diagram is for reading segment/replay structure, while the
-    /// executor's ledger is the authority on memory accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero or `segment` is outside
-    /// `1..=stages`.
-    pub fn simulate_recompute(
-        stages: usize,
-        segment: usize,
-        n_micro: usize,
-        minibatches: usize,
-    ) -> Self {
-        assert!(n_micro > 0 && minibatches > 0);
-        let total = n_micro * minibatches;
-        let timelines = stage_timelines(RecomputePolicy::Segmented { segment }, stages, total);
-        let slots =
-            timelines.iter().flat_map(|ops| ops.iter().map(|op| op.slot + 1)).max().unwrap_or(0);
-        let mut grid: Vec<Vec<SlotOp>> = vec![vec![SlotOp::Idle; slots]; stages];
-        for (s, ops) in timelines.iter().enumerate() {
-            // Ops per stage are sorted Bkwd < Recomp < Fwd within a slot;
-            // iterating in reverse writes the highest-priority op last.
-            for op in ops.iter().rev() {
-                grid[s][op.slot] = match op.kind {
-                    StageOpKind::Fwd => SlotOp::Fwd(op.micro),
-                    StageOpKind::Bkwd => SlotOp::Bkwd(op.micro),
-                    StageOpKind::Recomp => SlotOp::Recomp(op.micro),
-                };
-            }
-        }
-        Schedule { grid, n_micro }
-    }
-
     /// Number of slots the schedule took.
     pub fn slots(&self) -> usize {
         self.grid.first().map(|r| r.len()).unwrap_or(0)
@@ -189,7 +142,6 @@ impl Schedule {
                         SlotOp::Idle => " . ".to_string(),
                         SlotOp::Fwd(m) => format!("F{m:<2}"),
                         SlotOp::Bkwd(m) => format!("B{m:<2}"),
-                        SlotOp::Recomp(m) => format!("R{m:<2}"),
                     })
                     .collect();
                 format!("stage {s}: {}", cells.join(""))
@@ -368,42 +320,5 @@ mod tests {
         assert!(rows[0].starts_with("stage 0:"));
         assert!(rows[0].contains("F0"));
         assert!(rows[0].contains("B0"));
-    }
-
-    #[test]
-    fn recompute_schedule_emits_replay_slots() {
-        use crate::recompute::stage_replays;
-        let (p, seg) = (9usize, 3usize);
-        let sched = Schedule::simulate_recompute(p, seg, 2, 10);
-        // The ideal full-throughput schedule spans total + 2P − 1 slots.
-        assert_eq!(sched.slots(), 20 + 2 * p - 1);
-        for s in 0..p {
-            let has_recomp = sched.grid[s].iter().any(|op| matches!(op, SlotOp::Recomp(_)));
-            assert_eq!(
-                has_recomp,
-                stage_replays(p, seg, s),
-                "stage {s}: replay cells only in replay segments"
-            );
-        }
-        // Early microbatches' replay cells are collision-free and must
-        // precede the same microbatch's backward.
-        let r = sched.find(1, SlotOp::Recomp(0)).expect("stage 1 replays microbatch 0");
-        let b = sched.find(1, SlotOp::Bkwd(0)).expect("stage 1 runs backward 0");
-        assert!(r < b, "replay must precede the backward it feeds");
-        // Replay cells render as R<m>.
-        assert!(sched.render()[1].contains("R0"));
-    }
-
-    #[test]
-    fn recompute_schedule_with_full_segment_has_no_replays() {
-        // S = P: a single segment spanning the pipeline is all stash.
-        let sched = Schedule::simulate_recompute(4, 4, 2, 4);
-        let replays = sched
-            .grid
-            .iter()
-            .flat_map(|r| r.iter())
-            .filter(|op| matches!(op, SlotOp::Recomp(_)))
-            .count();
-        assert_eq!(replays, 0);
     }
 }

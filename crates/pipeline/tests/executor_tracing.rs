@@ -9,6 +9,7 @@ use pipemare_pipeline::{
 use pipemare_telemetry::{
     NullRecorder, PipelineTimelineSummary, Recorder, SpanKind, TraceRecorder,
 };
+use pipemare_theory::gpipe_bubble_fraction;
 
 fn run<R: Recorder>(
     method: Method,
@@ -32,7 +33,7 @@ fn gpipe_bubble_fraction_matches_model() {
     let rec = TraceRecorder::new();
     run(Method::GPipe, p, n, 6, Duration::from_millis(2), &rec);
     let summary = PipelineTimelineSummary::from_events(&rec.events());
-    let nominal = PipelineTimelineSummary::nominal_gpipe_bubble_fraction(p, n);
+    let nominal = gpipe_bubble_fraction(p, n);
     assert_eq!(summary.microbatches, 24);
     assert!(
         (summary.bubble_fraction - nominal).abs() < 0.15,

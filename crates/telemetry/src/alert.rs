@@ -27,12 +27,13 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use pipemare_theory::delay_slots;
+
 use crate::event::{Recorder, SpanKind, TraceEvent, NO_TRACE};
 use crate::health::Severity;
 use crate::json::Value;
 use crate::metrics::MetricValue;
 use crate::store::LiveSample;
-use crate::summary::PipelineTimelineSummary;
 
 /// Comparison direction for threshold-like conditions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -445,10 +446,7 @@ fn evaluate_signal_values(
                     let v = if st.tau_pairs == 0 || !st.tau.is_finite() {
                         f64::NAN
                     } else {
-                        let nominal = PipelineTimelineSummary::nominal_delay_slots(
-                            n_stages,
-                            st.stage as usize,
-                        );
+                        let nominal = delay_slots(n_stages, st.stage as usize) as f64;
                         (st.tau - nominal).abs()
                     };
                     (format!("stage{}", st.stage), v)

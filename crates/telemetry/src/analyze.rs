@@ -15,6 +15,8 @@
 use std::io;
 use std::path::Path;
 
+use pipemare_theory::{delay_slots, gpipe_bubble_fraction, recomp_delay_slots};
+
 use crate::event::{SpanKind, TraceEvent, NO_TRACE};
 use crate::export::{chrome_trace_events, event_from_jsonl};
 use crate::json::Value;
@@ -121,7 +123,7 @@ pub fn summary_text(events: &[TraceEvent], label: &str, seg: Option<usize>) -> S
     }
     let p = s.stages.len();
     let n = infer_n_per_minibatch(events, s.microbatches);
-    let nominal_bubble = PipelineTimelineSummary::nominal_gpipe_bubble_fraction(p, n);
+    let nominal_bubble = gpipe_bubble_fraction(p, n);
     out.push_str(&format!(
         "events: {}   stages: {p}   microbatches: {}   span: {} ms\n",
         events.len(),
@@ -147,9 +149,8 @@ pub fn summary_text(events: &[TraceEvent], label: &str, seg: Option<usize>) -> S
          tau_fwd meas/nom   tau_recomp meas/nom\n",
     );
     for st in &s.stages {
-        let nom_fwd = PipelineTimelineSummary::nominal_delay_slots(p, st.stage as usize);
-        let nom_recomp =
-            seg.map(|g| PipelineTimelineSummary::nominal_recomp_delay_slots(g, st.stage as usize));
+        let nom_fwd = delay_slots(p, st.stage as usize) as f64;
+        let nom_recomp = seg.map(|g| recomp_delay_slots(g, st.stage as usize) as f64);
         let recomp_col = if st.measured_recomp_delay_slots > 0.0 {
             match nom_recomp {
                 Some(nr) => format!("{:.2}/{nr:.1}", st.measured_recomp_delay_slots),
@@ -198,14 +199,10 @@ pub fn summary_json(events: &[TraceEvent], label: &str, seg: Option<usize>) -> V
         let n = infer_n_per_minibatch(events, s.microbatches);
         let nominal: Vec<Value> = (0..p)
             .map(|st| {
-                let mut row = Value::obj()
-                    .set("stage", st as u64)
-                    .set("tau_fwd", PipelineTimelineSummary::nominal_delay_slots(p, st));
+                let mut row =
+                    Value::obj().set("stage", st as u64).set("tau_fwd", delay_slots(p, st) as f64);
                 if let Some(g) = seg {
-                    row = row.set(
-                        "tau_recomp",
-                        PipelineTimelineSummary::nominal_recomp_delay_slots(g, st),
-                    );
+                    row = row.set("tau_recomp", recomp_delay_slots(g, st) as f64);
                 }
                 row
             })
@@ -221,10 +218,9 @@ pub fn summary_json(events: &[TraceEvent], label: &str, seg: Option<usize>) -> V
                     .set("qps", shape.qps),
             );
         } else {
-            obj = obj.set("microbatches_per_minibatch", n as u64).set(
-                "nominal_bubble_fraction",
-                PipelineTimelineSummary::nominal_gpipe_bubble_fraction(p, n),
-            );
+            obj = obj
+                .set("microbatches_per_minibatch", n as u64)
+                .set("nominal_bubble_fraction", gpipe_bubble_fraction(p, n));
         }
         obj = obj.set("nominal_delays", Value::Arr(nominal));
         if let Some((bottleneck, starved)) = stragglers(&s) {
@@ -305,9 +301,7 @@ pub fn drift_text(events: &[TraceEvent], n_windows: usize, label: &str) -> Strin
         return out;
     };
     let p = first.tau_fwd.len();
-    let noms: Vec<String> = (0..p)
-        .map(|s| format!("{:.0}", PipelineTimelineSummary::nominal_delay_slots(p, s)))
-        .collect();
+    let noms: Vec<String> = (0..p).map(|s| format!("{:.0}", delay_slots(p, s) as f64)).collect();
     out.push_str(&format!("nominal tau_fwd per stage (slots): [{}]\n\n", noms.join(", ")));
     out.push_str("window          bubble   tau_fwd per stage (slots)\n");
     for w in &windows {

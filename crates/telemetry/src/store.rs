@@ -37,11 +37,13 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use pipemare_theory::delay_slots;
+
 use crate::alert::AlertEngine;
 use crate::event::{EventSource, TraceEvent};
 use crate::json::Value;
 use crate::metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
-use crate::summary::{mean, total_us, PipelineTimelineSummary, StageFold};
+use crate::summary::{mean, total_us, StageFold};
 
 /// Default ring capacity in samples (at 250 ms/tick ≈ 2 min of history).
 pub const DEFAULT_SAMPLES: usize = 512;
@@ -299,7 +301,7 @@ impl LiveStore {
         if let Some(sample) = latest {
             for st in &sample.stages {
                 let nominal = if self.n_stages > 0 && (st.stage as usize) < self.n_stages {
-                    PipelineTimelineSummary::nominal_delay_slots(self.n_stages, st.stage as usize)
+                    delay_slots(self.n_stages, st.stage as usize) as f64
                 } else {
                     f64::NAN
                 };

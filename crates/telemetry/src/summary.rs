@@ -117,31 +117,6 @@ impl PipelineTimelineSummary {
         PipelineTimelineSummary { stages, span_us, microbatches, bubble_fraction: 1.0 - mean_util }
     }
 
-    /// The throughput model's bubble fraction for a `P`-stage pipeline
-    /// with `N` microbatches per minibatch under GPipe-style flushes:
-    /// `1 − N/(N+P−1) = (P−1)/(N+P−1)`.
-    pub fn nominal_gpipe_bubble_fraction(stages: usize, n_micro: usize) -> f64 {
-        assert!(stages > 0 && n_micro > 0);
-        (stages as f64 - 1.0) / (n_micro as f64 + stages as f64 - 1.0)
-    }
-
-    /// The paper's nominal forward delay in microbatch slots for stage
-    /// `s` of a `P`-stage pipeline: `2(P−1−s)+1`.
-    pub fn nominal_delay_slots(stages: usize, s: usize) -> f64 {
-        assert!(s < stages);
-        2.0 * (stages - 1 - s) as f64 + 1.0
-    }
-
-    /// App. D's nominal recompute delay in microbatch slots for stage `s`
-    /// under segmented recomputation with segment size `seg`:
-    /// `2(S − s mod S)` — what
-    /// [`StageTimeline::measured_recomp_delay_slots`] is compared to on
-    /// stages that replay.
-    pub fn nominal_recomp_delay_slots(seg: usize, s: usize) -> f64 {
-        assert!(seg > 0);
-        2.0 * (seg - s % seg) as f64
-    }
-
     /// JSON rendering (used by experiment logs and the trace example).
     pub fn to_json(&self) -> Value {
         let stages = self
@@ -368,18 +343,6 @@ mod tests {
         // mb1: bkwd(0) at 20 ∈ [10, 30) → 2 slots.
         // mb2: none between 40 and 50 → 1 slot.
         assert!((s.stages[0].measured_delay_slots - 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nominal_models_match_paper() {
-        assert!((PipelineTimelineSummary::nominal_gpipe_bubble_fraction(4, 2) - 0.6).abs() < 1e-12);
-        assert_eq!(PipelineTimelineSummary::nominal_delay_slots(4, 0), 7.0);
-        assert_eq!(PipelineTimelineSummary::nominal_delay_slots(4, 3), 1.0);
-        // App. D: segment size 4 → boundary replays 8 slots early, the
-        // segment's last stage only 2.
-        assert_eq!(PipelineTimelineSummary::nominal_recomp_delay_slots(4, 0), 8.0);
-        assert_eq!(PipelineTimelineSummary::nominal_recomp_delay_slots(4, 3), 2.0);
-        assert_eq!(PipelineTimelineSummary::nominal_recomp_delay_slots(3, 7), 4.0);
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Theory toolkit for the PipeMare quadratic-model analysis (§3, App. B/D).
+//! Theory toolkit for the PipeMare quadratic-model analysis (§3, App. B/D),
+//! plus the pipeline's closed forms in [`delays`]: Table 1's forward delay
+//! in slots, App. D's recompute delay and the GPipe bubble fraction.
 //!
-//! Everything here operates on the paper's one-dimensional quadratic
+//! Everything else operates on the paper's one-dimensional quadratic
 //! objective `f(w) = λ/2 · w²` trained with fixed-delay asynchronous SGD:
 //!
 //! * [`quadratic`]: direct simulators of the delayed recurrences (Eq. 2,
@@ -19,6 +21,7 @@
 pub mod bounds;
 pub mod companion;
 pub mod complex;
+pub mod delays;
 pub mod poly;
 pub mod quadratic;
 pub mod stability;
@@ -31,6 +34,7 @@ pub use companion::{
     char_poly_basic, char_poly_discrepancy, char_poly_momentum, char_poly_recompute, char_poly_t2,
 };
 pub use complex::Complex;
+pub use delays::{delay_slots, gpipe_bubble_fraction, recomp_delay_slots};
 pub use poly::{spectral_radius, Polynomial};
 pub use quadratic::{QuadraticSim, RecomputeModel, SimResult};
 pub use stability::{

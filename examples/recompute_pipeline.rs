@@ -16,6 +16,7 @@ use pipemare::pipeline::{
 };
 use pipemare::telemetry::{MetricsRegistry, PipelineTimelineSummary, TraceRecorder};
 use pipemare::tensor::Tensor;
+use pipemare::theory::recomp_delay_slots;
 use pipemare_bench::report::ExperimentLog;
 
 fn main() {
@@ -61,7 +62,7 @@ fn main() {
                 ledger.peak_bytes()[s],
                 st.measured_recomp_delay_slots,
                 if matches!(policy, RecomputePolicy::Segmented { .. }) && st.recomp_us > 0 {
-                    PipelineTimelineSummary::nominal_recomp_delay_slots(seg, s)
+                    recomp_delay_slots(seg, s) as f64
                 } else {
                     0.0
                 },

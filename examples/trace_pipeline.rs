@@ -17,6 +17,7 @@ use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, S
 use pipemare::telemetry::{
     write_chrome_trace, write_jsonl, MetricsRegistry, PipelineTimelineSummary, TraceRecorder,
 };
+use pipemare::theory::{delay_slots, gpipe_bubble_fraction};
 
 fn main() {
     let out = std::env::var_os("PIPEMARE_EXPERIMENTS_DIR")
@@ -46,16 +47,16 @@ fn main() {
             method.name(),
             report.throughput,
             summary.bubble_fraction,
-            PipelineTimelineSummary::nominal_gpipe_bubble_fraction(p, n),
+            gpipe_bubble_fraction(p, n),
         );
         for st in &summary.stages {
             println!(
-                "  stage {}: utilization {:.2}, wait {:>6} us, measured delay {:.1} slots (nominal {:.0})",
+                "  stage {}: utilization {:.2}, wait {:>6} us, measured delay {:.1} slots (nominal {})",
                 st.stage,
                 st.utilization,
                 st.wait_us,
                 st.measured_delay_slots,
-                PipelineTimelineSummary::nominal_delay_slots(p, st.stage as usize),
+                delay_slots(p, st.stage as usize),
             );
         }
         println!("  wrote {} and {}", trace_path.display(), jsonl_path.display());

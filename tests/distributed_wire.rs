@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use pipemare::comms::{
     channel, loopback_pair, plan, run_stage_worker_opts, run_token_pipeline,
     spawn_loopback_workers, CommsError, ContentTag, DistributedTrainer, Message, PassKind,
-    SparseMode, Transport, WorkerOptions, PROTOCOL_VERSION,
+    ShardStage, SparseMode, StageConfig, Transport, WorkerOptions, MAX_STAGES, PROTOCOL_VERSION,
 };
 use pipemare::core::{dist_config, PipelineTrainer, RecomputeCfg, TrainConfig};
 use pipemare::nn::{ImageBatch, Mlp};
@@ -393,4 +393,45 @@ fn token_pipeline_over_loopback_records_the_in_process_spans() {
     }
     assert_eq!(report.microbatches, n_micro * minibatches);
     assert_eq!(spans(&recorder.events()), spans(&report.events));
+}
+
+#[test]
+fn handshake_rejects_windows_no_pipeline_needs() {
+    // `recomp_slots` and `stages` size the version window a worker
+    // allocates, so a peer naming absurd ones gets a typed refusal
+    // instead of an aborted process.
+    let cfg = |stages: u32, recomp_slots: Option<u32>| StageConfig {
+        protocol: PROTOCOL_VERSION,
+        stage: 0,
+        stages,
+        n_micro: 1,
+        method: Method::PipeMare,
+        param_len: 4,
+        shard_lo: 0,
+        shard_hi: 4,
+        opt: OptimizerKind::Sgd { weight_decay: 0.0 },
+        t2_decay: None,
+        gamma: 0.0,
+        recomp_slots,
+        recomp_t2: false,
+        warmup_steps: 0,
+        weight_storage: StoragePrecision::F32,
+    };
+    let bad = [
+        cfg(2, Some(u32::MAX)),
+        cfg(u32::MAX, None),
+        cfg(MAX_STAGES + 1, None),
+        cfg(2, Some(0)),
+        cfg(2, Some(3)),
+        cfg(2, Some(6)),
+    ];
+    for cfg in bad {
+        let got = ShardStage::new(cfg.clone(), vec![0.0; 4]).err();
+        assert!(matches!(got, Some(CommsError::Handshake(_))), "{cfg:?}: {got:?}");
+    }
+    // App. D's 2(S − s mod S) spans 2..=2P, and every stage count up to
+    // the limit is accepted.
+    for good in [cfg(2, Some(2)), cfg(2, Some(4)), cfg(MAX_STAGES, None)] {
+        ShardStage::new(good.clone(), vec![0.0; 4]).unwrap_or_else(|e| panic!("{good:?}: {e}"));
+    }
 }
