@@ -9,6 +9,9 @@
 //! `FetchShard`s a steady-state step sends per method, how many bytes a
 //! PipeMare step moves, and how many heap allocations one shard costs
 //! on its way from a worker's weight history into the trainer's buffer.
+//! A PipeMare run at the `widemlp` widths, whose shards span many
+//! chunks, counts a step's frames and its largest frame, which chunking
+//! bounds at one `SHARD_CHUNK` of values plus the frame head.
 //!
 //! The run writes `bench_comms.json` with:
 //!
@@ -18,7 +21,9 @@
 //!   sizes (`bytes.frame_*`), the steady-state fetch counts
 //!   (`fetches_per_step.*`), the PipeMare step's wire bytes
 //!   (`bytes.wire_per_step_pipemare_p4n2`, worker telemetry excluded:
-//!   it carries timestamps as text) and `allocs.shard_roundtrip`,
+//!   it carries timestamps as text), `allocs.shard_roundtrip` and the
+//!   wide run's `frames_per_step.pipemare_widemlp_p4n2` and
+//!   `bytes.max_frame.pipemare_widemlp_p4n2` (either direction),
 //!   identical in smoke and full modes;
 //! * informational `seconds.*` timings (codec encode/decode throughput,
 //!   loopback round-trip latency) that vary across hosts.
@@ -43,7 +48,7 @@ use pipemare_comms::codec::{encode_dense, Reader, Writer};
 use pipemare_comms::protocol::{decode_shard_into, encode_message, Message, ShardHead};
 use pipemare_comms::{
     channel, loopback_pair, spawn_loopback_workers, CommsError, DistributedTrainer, FrameRx,
-    FrameTx, PassKind, SparseMode, TensorPayload, Transport,
+    FrameTx, PassKind, SparseMode, TensorPayload, Transport, SHARD_CHUNK,
 };
 use pipemare_core::{dist_config, TrainConfig};
 use pipemare_nn::{ImageBatch, Mlp};
@@ -96,19 +101,39 @@ fn decode(b: &[u8]) -> TensorPayload {
     p
 }
 
-/// A transport that counts the payload bytes crossing it in either
-/// direction, worker telemetry excluded (its JSON carries timestamps,
-/// so its size is not a deterministic count).
-struct Counted {
-    inner: Box<dyn Transport>,
-    bytes: Arc<AtomicU64>,
+/// What crossed the counted links in either direction.
+#[derive(Default)]
+struct Traffic {
+    /// Payload bytes, worker telemetry excluded (its JSON carries
+    /// timestamps, so its size is not a deterministic count).
+    bytes: AtomicU64,
+    /// Frames, telemetry included.
+    frames: AtomicU64,
+    /// The largest frame payload.
+    max_frame: AtomicU64,
 }
 
-struct CountedTx(Box<dyn FrameTx>, Arc<AtomicU64>);
+impl Traffic {
+    fn count(&self, payload: &[u8], deterministic: bool) {
+        if deterministic {
+            self.bytes.fetch_add(payload.len() as u64, Relaxed);
+        }
+        self.frames.fetch_add(1, Relaxed);
+        self.max_frame.fetch_max(payload.len() as u64, Relaxed);
+    }
+}
+
+/// A transport that counts the frames crossing it into a [`Traffic`].
+struct Counted {
+    inner: Box<dyn Transport>,
+    traffic: Arc<Traffic>,
+}
+
+struct CountedTx(Box<dyn FrameTx>, Arc<Traffic>);
 
 struct CountedRx {
     inner: Box<dyn FrameRx>,
-    bytes: Arc<AtomicU64>,
+    traffic: Arc<Traffic>,
     /// First payload byte of a `Telemetry` frame.
     telemetry_tag: u8,
 }
@@ -119,15 +144,15 @@ impl Transport for Counted {
         let telemetry_tag =
             encode_message(&Message::Telemetry { stage: 0, jsonl: String::new() })[0];
         Ok((
-            Box::new(CountedTx(tx, Arc::clone(&self.bytes))),
-            Box::new(CountedRx { inner: rx, bytes: self.bytes, telemetry_tag }),
+            Box::new(CountedTx(tx, Arc::clone(&self.traffic))),
+            Box::new(CountedRx { inner: rx, traffic: self.traffic, telemetry_tag }),
         ))
     }
 }
 
 impl FrameTx for CountedTx {
     fn send_frame(&mut self, payload: &[u8]) -> Result<(), CommsError> {
-        self.1.fetch_add(payload.len() as u64, Relaxed);
+        self.1.count(payload, true);
         self.0.send_frame(payload)
     }
 }
@@ -135,9 +160,7 @@ impl FrameTx for CountedTx {
 impl FrameRx for CountedRx {
     fn recv_frame(&mut self) -> Result<Vec<u8>, CommsError> {
         let payload = self.inner.recv_frame()?;
-        if payload.first() != Some(&self.telemetry_tag) {
-            self.bytes.fetch_add(payload.len() as u64, Relaxed);
-        }
+        self.traffic.count(&payload, payload.first() != Some(&self.telemetry_tag));
         Ok(payload)
     }
 
@@ -146,10 +169,18 @@ impl FrameRx for CountedRx {
     }
 }
 
-/// `(FetchShards, wire bytes)` of one steady-state step of `method` at
-/// P = 4, N = 2 over loopback workers: the ninth step of a seeded run on
-/// a small MLP, by which every stage's delay window has filled.
-fn steady_state_step(method: Method) -> (u64, u64) {
+/// One steady-state step's traffic.
+struct StepTraffic {
+    fetches: u64,
+    bytes: u64,
+    frames: u64,
+    max_frame: u64,
+}
+
+/// One steady-state step of `method` at P = 4, N = 2 over loopback
+/// workers: the ninth step of a seeded run of an MLP of `widths`, by
+/// which every stage's delay window has filled.
+fn steady_state_step(method: Method, widths: &[usize]) -> StepTraffic {
     const STAGES: usize = 4;
     const N_MICRO: usize = 2;
     let opt = OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 };
@@ -161,13 +192,16 @@ fn steady_state_step(method: Method) -> (u64, u64) {
             TrainConfig::pipemare(STAGES, N_MICRO, opt, lr(), T1Rescheduler::new(20), 0.9)
         }
     };
-    let bytes = Arc::new(AtomicU64::new(0));
+    let traffic = Arc::new(Traffic::default());
     let (transports, workers) = spawn_loopback_workers(STAGES);
     let transports = transports
         .into_iter()
-        .map(|inner| Box::new(Counted { inner, bytes: Arc::clone(&bytes) }) as Box<dyn Transport>)
+        .map(|inner| {
+            Box::new(Counted { inner, traffic: Arc::clone(&traffic) }) as Box<dyn Transport>
+        })
         .collect();
-    let model = Mlp::new(&[16, 64, 48, 32, 4]);
+    let model = Mlp::new(widths);
+    let (inputs, classes) = (widths[0], widths[widths.len() - 1]);
     let dcfg = dist_config(cfg, SparseMode::Dense, None).expect("a pipeline method");
     let mut trainer =
         DistributedTrainer::connect(&model, dcfg, 7, transports).expect("loopback handshake");
@@ -175,8 +209,8 @@ fn steady_state_step(method: Method) -> (u64, u64) {
     let mut step = |trainer: &mut DistributedTrainer<'_, Mlp>| {
         let micro: Vec<ImageBatch> = (0..N_MICRO)
             .map(|_| ImageBatch {
-                x: Tensor::randn(&[4, 16], &mut rng),
-                y: (0..4).map(|i| i % 4).collect(),
+                x: Tensor::randn(&[4, inputs], &mut rng),
+                y: (0..4).map(|i| i % classes).collect(),
             })
             .collect();
         let stats = trainer.train_minibatch(&micro, &[0.5, 0.5]).expect("a loopback step");
@@ -185,14 +219,21 @@ fn steady_state_step(method: Method) -> (u64, u64) {
     for _ in 0..8 {
         step(&mut trainer);
     }
-    let before = (trainer.shard_fetches(), bytes.load(Relaxed));
+    traffic.max_frame.store(0, Relaxed);
+    let fetches = trainer.shard_fetches();
+    let (bytes, frames) = (traffic.bytes.load(Relaxed), traffic.frames.load(Relaxed));
     step(&mut trainer);
-    let after = (trainer.shard_fetches(), bytes.load(Relaxed));
+    let measured = StepTraffic {
+        fetches: trainer.shard_fetches() - fetches,
+        bytes: traffic.bytes.load(Relaxed) - bytes,
+        frames: traffic.frames.load(Relaxed) - frames,
+        max_frame: traffic.max_frame.load(Relaxed),
+    };
     trainer.shutdown().expect("workers shut down");
     for w in workers {
         w.join().expect("worker thread").expect("worker result");
     }
-    (after.0 - before.0, after.1 - before.1)
+    measured
 }
 
 /// Heap allocations one shard costs between a worker's weight history
@@ -281,14 +322,33 @@ fn main() {
     // --- Version-aware shard traffic (gated) ------------------------
     println!("steady-state step at P=4, N=2 over loopback workers:");
     for method in Method::ALL {
-        let (fetches, wire) = steady_state_step(method);
+        let StepTraffic { fetches, bytes, .. } = steady_state_step(method, &[16, 64, 48, 32, 4]);
         let name = method.name().to_lowercase();
-        println!("    {name:<10} {fetches:>3} FetchShards  {wire:>8} wire bytes");
+        println!("    {name:<10} {fetches:>3} FetchShards  {bytes:>8} wire bytes");
         log.push_scalar(&format!("fetches_per_step.{name}_p4n2"), fetches as f64);
         if method == Method::PipeMare {
-            log.push_scalar("bytes.wire_per_step_pipemare_p4n2", wire as f64);
+            log.push_scalar("bytes.wire_per_step_pipemare_p4n2", bytes as f64);
         }
     }
+    // The widemlp widths: every stage's shard is several chunks long.
+    let wide = steady_state_step(Method::PipeMare, &[640, 1024, 512, 256, 10]);
+    let chunk_frame = encode_message(&Message::Shard {
+        step: 0,
+        micro: 0,
+        pass: PassKind::Fwd,
+        stage: 0,
+        trace: 0,
+        data: TensorPayload::Dense(Vec::new()),
+    })
+    .len() as u64
+        + 4 * SHARD_CHUNK as u64;
+    println!(
+        "    pipemare at widemlp widths: {} frames, largest {} B (one chunk frame {chunk_frame} B)",
+        wide.frames, wide.max_frame
+    );
+    assert!(wide.max_frame <= chunk_frame, "a step frame outgrew one chunk");
+    log.push_scalar("frames_per_step.pipemare_widemlp_p4n2", wide.frames as f64);
+    log.push_scalar("bytes.max_frame.pipemare_widemlp_p4n2", wide.max_frame as f64);
     let allocs = shard_roundtrip_allocs(&dense_grad);
     println!("heap allocations per shard round trip (reused frame, in-place decode): {allocs}");
     log.push_scalar("allocs.shard_roundtrip", allocs as f64);

@@ -70,21 +70,6 @@ impl TensorPayload {
         }
     }
 
-    /// Appends `values` under `mode` — the bytes
-    /// `from_dense(values, mode).encode(w)` writes, straight from the
-    /// borrowed slice.
-    pub fn encode_from_dense(w: &mut Writer, values: &[f32], mode: SparseMode) {
-        match sparse_keep(values, mode) {
-            None => encode_dense(w, values.iter().copied()),
-            Some(idx) => {
-                w.put_u8(PAYLOAD_SPARSE);
-                w.put_u32(values.len() as u32);
-                w.put_u32s(&idx);
-                w.put_f32s_from(idx.iter().map(|&i| values[i as usize]));
-            }
-        }
-    }
-
     /// The dense length this payload expands to.
     pub fn dense_len(&self) -> usize {
         match self {
@@ -242,6 +227,57 @@ fn sparse_keep(values: &[f32], mode: SparseMode) -> Option<Vec<u32>> {
     // 8 bytes per sparse pair vs 4 per dense element: sparse only
     // pays off below 50% density.
     (keep.len() * 8 < values.len() * 4).then_some(keep)
+}
+
+/// One tensor encoded under a [`SparseMode`] a chunk at a time, straight
+/// from the borrowed slice. Which entries travel is decided once, over
+/// the whole tensor (the dense-or-sparse choice and top-k's selection
+/// alike), so the chunks' payloads, decoded and laid end to end, are
+/// exactly `TensorPayload::from_dense(values, mode).into_dense()`, and a
+/// single chunk spanning the tensor is byte for byte
+/// `from_dense(values, mode).encode(w)`.
+pub struct ChunkEncoder<'a> {
+    values: &'a [f32],
+    /// The kept indices, ascending; `None` when the tensor goes dense.
+    keep: Option<Vec<u32>>,
+}
+
+impl<'a> ChunkEncoder<'a> {
+    /// Decides what of `values` travels under `mode`.
+    pub fn new(values: &'a [f32], mode: SparseMode) -> Self {
+        ChunkEncoder { values, keep: sparse_keep(values, mode) }
+    }
+
+    /// Appends the payload of `values[range]`. A sparse tensor's chunk
+    /// carries the kept entries in its range, indexed from its start —
+    /// or, where that would not save bytes, all its values with the
+    /// dropped ones zeroed, so no chunk outgrows its dense form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds.
+    pub fn encode(&self, w: &mut Writer, range: std::ops::Range<usize>) {
+        let chunk = &self.values[range.clone()];
+        let Some(keep) = &self.keep else {
+            return encode_dense(w, chunk.iter().copied());
+        };
+        let below = |end: usize| keep.partition_point(|&i| (i as usize) < end);
+        let kept = &keep[below(range.start)..below(range.end)];
+        let local = kept.iter().map(|&i| i as usize - range.start);
+        if kept.len() * 8 < chunk.len() * 4 {
+            w.put_u8(PAYLOAD_SPARSE);
+            w.put_u32(chunk.len() as u32);
+            w.put_u32s_from(local.clone().map(|i| i as u32));
+            w.put_f32s_from(local.map(|i| chunk[i]));
+        } else {
+            let mut local = local.peekable();
+            let masked = chunk.iter().enumerate();
+            encode_dense(
+                w,
+                masked.map(|(i, &v)| if local.next_if_eq(&i).is_some() { v } else { 0.0 }),
+            );
+        }
+    }
 }
 
 /// Appends a dense f32 payload of values computed on the fly — byte for

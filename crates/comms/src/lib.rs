@@ -60,11 +60,14 @@ pub use orchestrator::{
     TokenPipelineReport, WorkerHandle, WorkerLink,
 };
 pub use protocol::{
-    GradHead, Message, PassKind, RejectReason, ShardHead, StageConfig, PROTOCOL_VERSION,
+    shard_chunks, GradHead, Message, PassKind, RejectReason, ShardHead, StageConfig,
+    PROTOCOL_VERSION, SHARD_CHUNK,
 };
 pub use stage::{plan, ContentTag, ReadPlan, ShardStage, StageState, MAX_STAGES};
 pub use transport::{
     channel, loopback_pair, FrameRx, FrameTx, LoopbackTransport, Receiver, Sender, TcpTransport,
     Transport, WireStats,
 };
-pub use worker::{run_stage_worker_opts, StageWorkerReport, WorkerOptions};
+pub use worker::{
+    run_stage_worker_opts, StageWorkerReport, WorkerOptions, MAX_PLAN_CELLS, MAX_TOKENS,
+};

@@ -28,10 +28,11 @@
 //!   at most [`crate::driver::FETCH_WINDOW`] of them unanswered, under 2 KiB — less
 //!   than any socket buffer, so the driver's writes never wait on the
 //!   worker reading.
-//! * The driver writes a large frame (`GradShard`) only when the link
-//!   is idle: every read of the step has been drained by then. The
-//!   worker is blocked in its receive, so it consumes the frame.
-//! * A worker blocked writing a large reply waits only for the driver
+//! * The driver writes large frames (a gradient's `GradShard` chunks)
+//!   only when the link is idle: every read of the step has been
+//!   drained by then. The worker is blocked in its receive and consumes
+//!   each chunk, writing nothing until the last has arrived.
+//! * A worker blocked writing a reply chunk waits only for the driver
 //!   to read that link, and the driver always gets there: it never
 //!   blocks in a write (above) and reads links one after another,
 //!   waiting on one worker never depends on a different worker.
@@ -57,13 +58,13 @@ use pipemare_telemetry::{
 };
 use pipemare_tensor::StoragePrecision;
 
-use crate::codec::{SparseMode, TensorPayload, Writer};
+use crate::codec::{ChunkEncoder, CodecError, SparseMode, Writer};
 use crate::config::{StepStats, TrainConfig};
 use crate::driver::{Fetch, RunLayout, ShardAccess, StepDriver};
 use crate::error::CommsError;
 use crate::protocol::{
-    decode_message, decode_shard_into, GradHead, Message, PassKind, ShardHead, StageConfig,
-    PROTOCOL_VERSION,
+    decode_message, decode_shard_into, shard_chunks, GradHead, Message, PassKind, ShardHead,
+    StageConfig, PROTOCOL_VERSION,
 };
 use crate::transport::{channel, Transport, WireStats};
 use crate::worker::WorkerOptions;
@@ -174,10 +175,15 @@ impl WorkerLink {
         }
     }
 
-    /// Receives the [`Message::Shard`] answering `fetch`, decoding its
-    /// tensor straight into `dst`; anything else is an error as in
-    /// [`WorkerLink::recv`].
+    /// Receives the run of [`Message::Shard`] chunks answering `fetch`,
+    /// decoding each straight into its slice of `dst`; anything else is
+    /// an error as in [`WorkerLink::recv`], and a chunk of the wrong
+    /// length a [`CommsError::Protocol`] one.
     fn recv_shard_into(&mut self, fetch: ShardKey, dst: &mut [f32]) -> Result<(), CommsError> {
+        shard_chunks(dst.len()).try_for_each(|range| self.recv_shard_chunk(fetch, &mut dst[range]))
+    }
+
+    fn recv_shard_chunk(&mut self, fetch: ShardKey, dst: &mut [f32]) -> Result<(), CommsError> {
         let payload = self.receiver.recv_frame().map_err(|e| self.lost(e))?;
         match decode_shard_into(&payload, dst) {
             Ok(Some(ShardHead { step, micro, pass, .. })) if (step, micro, pass) == fetch => Ok(()),
@@ -193,8 +199,37 @@ impl WorkerLink {
                 Ok(other) => Err(self.protocol("Shard", &other)),
                 Err(e) => Err(self.lost(e.into())),
             },
+            Err(CodecError::LengthMismatch { expected, got }) => {
+                Err(CommsError::Protocol(format!(
+                    "stage {}: Shard chunk of {got} values for {fetch:?}, {expected} due",
+                    self.stage
+                )))
+            }
             Err(e) => Err(self.lost(e.into())),
         }
+    }
+
+    /// Sends `grad`, this link's stage's slice of a step's gradient, as
+    /// the run of [`Message::GradShard`] chunks the worker applies as
+    /// they arrive, each encoded under `mode` straight from `grad` into
+    /// one chunk-sized frame (what is kept is decided over the whole
+    /// slice; see [`ChunkEncoder`]). Failures are wrapped as in
+    /// [`WorkerLink::send`].
+    pub fn send_grad(
+        &mut self,
+        head: GradHead,
+        grad: &[f32],
+        mode: SparseMode,
+    ) -> Result<(), CommsError> {
+        let (payload, mut frame) = (ChunkEncoder::new(grad, mode), Vec::new());
+        for range in shard_chunks(grad.len()) {
+            Writer::refill(&mut frame, |w| {
+                head.encode(w);
+                payload.encode(w, range);
+            });
+            self.send_frame(&frame)?;
+        }
+        Ok(())
     }
 
     /// Receives the [`Message::Telemetry`] batch a flush or shutdown
@@ -301,21 +336,13 @@ impl ShardAccess for RemoteShards {
         grad: &[f32],
         ranges: &[(usize, usize)],
     ) -> Result<bool, CommsError> {
-        // Each frame is encoded straight from the gradient's slice, into
-        // one scratch buffer that lives only for this phase.
-        let mut frame = Vec::new();
         for (s, (link, &(lo, hi))) in self.links.iter_mut().zip(ranges).enumerate() {
             // The step's causal trace id (step is 0-based; trace 0 means
             // "absent"): the worker stamps its Step span with it,
             // chaining the update across processes.
             let head = GradHead { step, lr: lr(s), apply, trace: step + 1 };
-            Writer::refill(&mut frame, |w| {
-                head.encode(w);
-                TensorPayload::encode_from_dense(w, &grad[lo..hi], self.sparse_grads);
-            });
-            link.send_frame(&frame)?;
+            link.send_grad(head, &grad[lo..hi], self.sparse_grads)?;
         }
-        drop(frame);
         let mut finite = true;
         for link in &mut self.links {
             match link.recv()? {

@@ -13,6 +13,21 @@
 //! shard's tensor in a buffer the caller keeps. [`encode_message`] and
 //! [`decode_message`] go through the same heads, so both forms are one
 //! encoding.
+//!
+//! # Chunked shard tensors (v5)
+//!
+//! On the training-step path a shard's tensor — a fetch's reply, a
+//! step's gradient — crosses as an ordered run of ordinary `Shard` /
+//! `GradShard` frames of at most [`SHARD_CHUNK`] values each, every
+//! frame carrying the full head. No frame names its offset: both ends
+//! know the shard's length, and [`shard_chunks`] cuts it the same way on
+//! both, so the k-th frame of a run is the k-th chunk. The receiver
+//! applies each chunk as it arrives — the driver decodes a reply chunk
+//! straight into its slice of the destination, a worker runs the
+//! optimizer over a gradient chunk's range — so neither end ever holds
+//! a whole-shard frame, reply buffer or decoded copy. The handshake's
+//! `InitShard` and checkpoints, which run once per run, keep
+//! whole-shard frames.
 
 use crate::codec::{Reader, TensorPayload, Writer};
 use crate::error::CodecError;
@@ -27,8 +42,21 @@ use pipemare_tensor::StoragePrecision;
 /// [`Message::InferReject`]); v4 added causal trace ids on
 /// [`Message::Infer`] / [`Message::Shard`] / [`Message::GradShard`]
 /// and the live stats scrape pair ([`Message::StatsRequest`] /
-/// [`Message::StatsReply`]).
-pub const PROTOCOL_VERSION: u16 = 4;
+/// [`Message::StatsReply`]); v5 sends every training-step shard tensor
+/// as a run of [`SHARD_CHUNK`]-value frames (a v4 peer sends one frame
+/// per tensor, so the handshake refuses it).
+pub const PROTOCOL_VERSION: u16 = 5;
+
+/// Most values one `Shard` or `GradShard` frame of the training-step
+/// path carries: 256 KiB dense. A fixed part of the protocol, not an
+/// option — both ends cut a shard with [`shard_chunks`] and must agree.
+pub const SHARD_CHUNK: usize = 65_536;
+
+/// The chunks a shard of `len` values crosses the wire in, in order:
+/// consecutive [`SHARD_CHUNK`]-value ranges, the last one ragged.
+pub fn shard_chunks(len: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    (0..len.div_ceil(SHARD_CHUNK)).map(move |k| k * SHARD_CHUNK..len.min((k + 1) * SHARD_CHUNK))
+}
 
 /// Which pass a shard fetch serves. Determines the weight-version and
 /// T2-correction math the worker applies before replying.

@@ -5,9 +5,12 @@
 //! else in the workspace holds a stage's weights: the in-process trainer
 //! keeps a `Vec<ShardStage>` and calls it, a worker process keeps one and
 //! serves it over the wire ([`ShardStage::read_into`] and
-//! [`ShardStage::encode_fetch`] are the same read into two sinks), and
-//! both apply updates through the same stage-then-commit pair so a
-//! diverged step is reverted on every shard atomically.
+//! [`ShardStage::encode_fetch`] are the same read into two sinks, the
+//! second a chunk at a time), and both apply updates through the same
+//! stage-then-commit pair so a diverged step is reverted on every shard
+//! atomically. A gradient is staged chunk by chunk
+//! ([`ShardStage::stage_grad`]) as it arrives; the in-process trainer
+//! hands over the whole shard as one chunk.
 //!
 //! # One plan
 //!
@@ -38,6 +41,8 @@ use pipemare_optim::Optimizer;
 use pipemare_pipeline::{Method, PipelineClock, StageOpKind, WeightHistory};
 use pipemare_tensor::{bf16, StoragePrecision};
 use pipemare_theory::delay_slots;
+
+use std::ops::Range;
 
 use crate::codec::{encode_dense, encode_dense_bf16, Writer};
 use crate::error::CommsError;
@@ -196,6 +201,19 @@ pub struct StageState {
 /// Deepest pipeline a handshake may configure.
 pub const MAX_STAGES: u32 = 1 << 16;
 
+/// A step's update, staged a chunk at a time and then awaiting commit.
+struct Staged {
+    step: u64,
+    lr: f32,
+    apply: bool,
+    /// The next version: the latest one, updated on its first `filled`
+    /// values so far.
+    w: Vec<f32>,
+    filled: usize,
+    /// Σx² of `w`, once every value is filled.
+    sq_norm: f64,
+}
+
 /// One pipeline stage's shard of the model: weight-version window,
 /// optimizer state, and T2 velocity, all shard-sized.
 pub struct ShardStage {
@@ -205,8 +223,8 @@ pub struct ShardStage {
     opt: Optimizer,
     /// T2 velocity buffer δ for this shard.
     delta: Vec<f32>,
-    /// Post-optimizer weights awaiting commit: `(step, values, Σx²)`.
-    staged: Option<(u64, Vec<f32>, f64)>,
+    /// The step being staged, or staged and awaiting commit.
+    staged: Option<Staged>,
     /// Next step this shard expects (= number of committed steps).
     committed: u64,
 }
@@ -330,15 +348,25 @@ impl ShardStage {
         Ok(())
     }
 
-    /// Sends the values of `read` to `sink`, the T2 extrapolation
-    /// `w − gap·δ` computed on the way out.
+    /// Sends the `range` slice of what `read` names to `sink`, the T2
+    /// extrapolation `w − gap·δ` and bf16 widening computed on the way
+    /// out.
     ///
     /// # Errors
     ///
     /// [`CommsError::Protocol`] when the window does not hold the
     /// version: a reader is handed the version its plan names or an
     /// error, never the nearest one that happens to be retained.
-    fn serve(&self, read: ReadPlan, sink: impl ShardSink) -> Result<(), CommsError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` runs past the shard.
+    fn serve(
+        &self,
+        read: ReadPlan,
+        range: Range<usize>,
+        sink: impl ShardSink,
+    ) -> Result<(), CommsError> {
         let ReadPlan { version, gap } = read;
         if !self.history.holds(version) {
             return Err(CommsError::Protocol(format!(
@@ -348,30 +376,35 @@ impl ShardStage {
                 self.committed
             )));
         }
+        let delta = &self.delta[range.clone()];
         match (self.history.stored_bf16(version), gap.map(|g| g as f32)) {
-            (Some(bits), None) => sink.bf16(bits),
-            (Some(bits), Some(g)) => sink
-                .dense(bits.iter().zip(&self.delta).map(|(&h, &d)| t2_read(bf16::decode(h), g, d))),
-            (None, None) => sink.dense(self.history.get(version).iter().copied()),
+            (Some(bits), None) => sink.bf16(&bits[range]),
+            (Some(bits), Some(g)) => sink.dense(
+                bits[range].iter().zip(delta).map(|(&h, &d)| t2_read(bf16::decode(h), g, d)),
+            ),
+            (None, None) => sink.dense(self.history.get(version)[range].iter().copied()),
             (None, Some(g)) => sink.dense(
-                self.history.get(version).iter().zip(&self.delta).map(|(&w, &d)| t2_read(w, g, d)),
+                self.history.get(version)[range].iter().zip(delta).map(|(&w, &d)| t2_read(w, g, d)),
             ),
         }
         Ok(())
     }
 
-    /// The local read: fills `dst` with what `read` names.
+    /// The local read: fills `dst` with what `read` names, the whole
+    /// shard.
     pub fn read_into(&self, read: ReadPlan, dst: &mut [f32]) -> Result<(), CommsError> {
-        self.serve(read, dst)
+        self.serve(read, 0..self.len(), dst)
     }
 
-    /// The remote read: appends the tensor payload answering one pass of
-    /// `(step, micro)` to `w`, straight from the stored version.
+    /// The remote read, one chunk of it: appends the tensor payload of
+    /// the `range` slice of what one pass of `(step, micro)` reads to
+    /// `w`, straight from the stored version.
     pub fn encode_fetch(
         &self,
         step: u64,
         micro: u32,
         pass: PassKind,
+        range: Range<usize>,
         w: &mut Writer,
     ) -> Result<(), CommsError> {
         // Latest is step-free: a serving frontend fetches whatever is
@@ -380,16 +413,13 @@ impl ShardStage {
         if pass != PassKind::Latest {
             self.check_step(step, "fetch")?;
         }
-        self.serve(plan(&self.cfg, &self.clock, self.committed, micro, pass)?, w)
+        self.serve(plan(&self.cfg, &self.clock, self.committed, micro, pass)?, range, w)
     }
 
-    /// Runs the optimizer on this shard's slice of the minibatch
-    /// gradient and stages the result. Returns `(sq_norm, finite)`: the
-    /// staged shard's Σx² and whether it is entirely finite.
-    ///
-    /// `apply = false` (the driver saw a non-finite gradient) stages the
-    /// old weights untouched and leaves the optimizer's step counter
-    /// alone.
+    /// Runs the optimizer on this shard's whole slice of the minibatch
+    /// gradient and stages the result: [`Self::stage_grad`] with one
+    /// chunk. Returns `(sq_norm, finite)`: the staged shard's Σx² and
+    /// whether it is entirely finite.
     pub fn apply_grad(
         &mut self,
         step: u64,
@@ -397,13 +427,6 @@ impl ShardStage {
         apply: bool,
         grad: &[f32],
     ) -> Result<(f64, bool), CommsError> {
-        self.check_step(step, "apply_grad")?;
-        if self.staged.is_some() {
-            return Err(CommsError::Protocol(format!(
-                "stage {}: step {step} already staged and uncommitted",
-                self.cfg.stage
-            )));
-        }
         if grad.len() != self.len() {
             return Err(CommsError::Protocol(format!(
                 "stage {}: gradient has {} values, shard holds {}",
@@ -412,23 +435,93 @@ impl ShardStage {
                 self.len()
             )));
         }
-        // The one copy of the shard a step makes: it becomes the next
-        // version at commit, whichever way the vote goes. It is built in
-        // the buffer of the version that commit would evict — every read
-        // of this step precedes its update and no later step reaches
-        // back that far, so nothing can name it any more — or in a fresh
-        // one while the window is filling.
-        let mut w = self.history.recycle_oldest().unwrap_or_default();
-        w.clear();
-        w.extend_from_slice(self.history.latest());
-        if apply {
-            self.opt.begin_step();
-            self.opt.step_range(&mut w, grad, 0, grad.len(), lr);
+        Ok(self.stage_grad(step, lr, apply, grad)?.expect("a whole-shard chunk completes the step"))
+    }
+
+    /// How many values of the step being staged have had their gradient
+    /// chunk applied: 0 unless a step is open, part way through.
+    pub fn grad_filled(&self) -> usize {
+        self.staged.as_ref().map_or(0, |s| if s.filled < self.len() { s.filled } else { 0 })
+    }
+
+    /// Runs the optimizer over the next `grad.len()` values of this
+    /// shard with `grad`, the matching chunk of its slice of the
+    /// minibatch gradient, and stages the result. The first chunk of a
+    /// step opens it; the chunk that fills the shard returns
+    /// `Some((sq_norm, finite))`: the staged shard's Σx² and whether it
+    /// is entirely finite.
+    ///
+    /// `apply = false` (the driver saw a non-finite gradient) stages the
+    /// old weights untouched and leaves the optimizer's step counter
+    /// alone.
+    ///
+    /// # Errors
+    ///
+    /// [`CommsError::Protocol`], with nothing changed, for a step other
+    /// than the next one, a chunk whose `(step, lr, apply)` differs from
+    /// its step's first chunk, an empty chunk or one past the shard's
+    /// end, and a chunk once the step is fully staged.
+    pub fn stage_grad(
+        &mut self,
+        step: u64,
+        lr: f32,
+        apply: bool,
+        grad: &[f32],
+    ) -> Result<Option<(f64, bool)>, CommsError> {
+        let (stage, len) = (self.cfg.stage, self.len());
+        let filled = match &self.staged {
+            None => {
+                self.check_step(step, "gradient")?;
+                0
+            }
+            Some(s) if s.filled == len => {
+                return Err(CommsError::Protocol(format!(
+                    "stage {stage}: step {} already staged and uncommitted",
+                    s.step
+                )))
+            }
+            Some(s) if (s.step, s.lr.to_bits(), s.apply) != (step, lr.to_bits(), apply) => {
+                return Err(CommsError::Protocol(format!(
+                    "stage {stage}: gradient chunk for step {step} inside step {}'s gradient",
+                    s.step
+                )))
+            }
+            Some(s) => s.filled,
+        };
+        if grad.is_empty() || grad.len() > len - filled {
+            return Err(CommsError::Protocol(format!(
+                "stage {stage}: gradient chunk of {} values where {} of {len} remain",
+                grad.len(),
+                len - filled
+            )));
         }
-        let finite = w.iter().all(|x| x.is_finite());
-        let sq_norm = w.iter().map(|&x| x as f64 * x as f64).sum::<f64>();
-        self.staged = Some((step, w, sq_norm));
-        Ok((sq_norm, finite))
+        if filled == 0 {
+            // The one copy of the shard a step makes: it becomes the
+            // next version at commit, whichever way the vote goes. It is
+            // built in the buffer of the version that commit would evict
+            // — every read of this step precedes its update and no later
+            // step reaches back that far, so nothing can name it any
+            // more — or in a fresh one while the window is filling.
+            let mut w = self.history.recycle_oldest().unwrap_or_default();
+            w.clear();
+            w.extend_from_slice(self.history.latest());
+            if apply {
+                self.opt.begin_step();
+            }
+            self.staged = Some(Staged { step, lr, apply, w, filled: 0, sq_norm: 0.0 });
+        }
+        let staged = self.staged.as_mut().expect("opened above");
+        let range = filled..filled + grad.len();
+        if apply {
+            self.opt.step_chunk(&mut staged.w[range.clone()], grad, filled, lr);
+        }
+        staged.filled = range.end;
+        if staged.filled < len {
+            return Ok(None);
+        }
+        let finite = staged.w.iter().all(|x| x.is_finite());
+        staged.sq_norm = staged.w.iter().map(|&x| x as f64 * x as f64).sum::<f64>();
+        Ok(Some((staged.sq_norm, finite)))
     }
 
     /// Commits (`keep = true`) or reverts (`keep = false`) the staged
@@ -438,13 +531,15 @@ impl ShardStage {
     /// buffers are never rolled back. Returns the committed shard's Σx².
     pub fn commit(&mut self, step: u64, keep: bool) -> Result<f64, CommsError> {
         self.check_step(step, "commit")?;
-        let (staged_step, mut pushed, mut sq_norm) = self.staged.take().ok_or_else(|| {
-            CommsError::Protocol(format!(
-                "stage {}: commit for step {step} with nothing staged",
+        let len = self.len();
+        let Some(Staged { w: mut pushed, mut sq_norm, .. }) =
+            self.staged.take_if(|s| s.filled == len)
+        else {
+            return Err(CommsError::Protocol(format!(
+                "stage {}: commit for step {step} with nothing fully staged",
                 self.cfg.stage
-            ))
-        })?;
-        debug_assert_eq!(staged_step, step);
+            )));
+        };
         let old = self.history.latest();
         if !keep {
             pushed.copy_from_slice(old);
@@ -529,7 +624,7 @@ mod tests {
         pass: PassKind,
     ) -> Result<TensorPayload, CommsError> {
         let mut w = Writer::new();
-        stage.encode_fetch(step, micro, pass, &mut w)?;
+        stage.encode_fetch(step, micro, pass, 0..stage.len(), &mut w)?;
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         let payload = TensorPayload::decode(&mut r).expect("a stage encodes valid payloads");
@@ -588,6 +683,33 @@ mod tests {
         st.commit(0, true).unwrap();
         assert_eq!(st.latest(), &[0.5, 0.0, 1.0, 1.5]);
         assert_eq!(st.committed_steps(), 1);
+    }
+
+    #[test]
+    fn chunked_staging_matches_one_chunk_and_refuses_a_broken_run() {
+        let mut c = cfg(0, 0);
+        c.opt = OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 };
+        let mut whole = ShardStage::new(c.clone(), vec![1.0; 4]).unwrap();
+        let mut chunked = ShardStage::new(c, vec![1.0; 4]).unwrap();
+        let grad = [1.0, -2.0, 0.5, 3.0];
+        let protocol =
+            |r: Result<Option<(f64, bool)>, CommsError>| matches!(r, Err(CommsError::Protocol(_)));
+        for step in 0..3 {
+            let want = whole.apply_grad(step, 0.1, true, &grad).unwrap();
+            assert_eq!(chunked.stage_grad(step, 0.1, true, &grad[..1]).unwrap(), None);
+            assert_eq!(chunked.grad_filled(), 1);
+            // Mid-run nothing commits, and no other step's chunk lands.
+            assert!(matches!(chunked.commit(step, true), Err(CommsError::Protocol(_))));
+            assert!(protocol(chunked.stage_grad(step + 1, 0.1, true, &grad[1..3])));
+            assert!(protocol(chunked.stage_grad(step, 0.1, true, &[0.0; 4])), "past the end");
+            assert_eq!(chunked.stage_grad(step, 0.1, true, &grad[1..3]).unwrap(), None);
+            assert_eq!(chunked.stage_grad(step, 0.1, true, &grad[3..]).unwrap(), Some(want));
+            assert_eq!(chunked.grad_filled(), 0);
+            assert!(protocol(chunked.stage_grad(step, 0.1, true, &grad[..1])), "a surplus chunk");
+            whole.commit(step, true).unwrap();
+            chunked.commit(step, true).unwrap();
+            assert_eq!(whole.state(), chunked.state());
+        }
     }
 
     #[test]

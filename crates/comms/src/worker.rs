@@ -8,7 +8,11 @@
 //! * **Training** (after [`Message::InitShard`]): the worker owns a
 //!   [`ShardStage`] and answers shard fetches, gradient applications and
 //!   commits — the same stage state the in-process trainer calls
-//!   directly, served over the wire.
+//!   directly, served over the wire. A reply leaves, and a gradient
+//!   arrives, as a run of [`SHARD_CHUNK`]-value frames; the worker
+//!   encodes each reply chunk straight from the stored version into one
+//!   chunk-sized frame and runs the optimizer over each gradient chunk's
+//!   range as it arrives.
 //! * **Token** (after [`Message::TokenMode`]): the worker runs its stage
 //!   of the latency pipeline over the wire — the same per-stage op
 //!   timeline and the same per-op function as the in-process executor's
@@ -31,7 +35,9 @@ use pipemare_telemetry::{
 
 use crate::codec::Writer;
 use crate::error::CommsError;
-use crate::protocol::{Message, PassKind, ShardHead, StageConfig, PROTOCOL_VERSION};
+use crate::protocol::{
+    shard_chunks, Message, PassKind, ShardHead, StageConfig, PROTOCOL_VERSION, SHARD_CHUNK,
+};
 use crate::stage::ShardStage;
 use crate::transport::{Receiver, Sender, WireStats};
 
@@ -204,23 +210,36 @@ fn run_training_loop(
     mut rx: Receiver,
 ) -> Result<StageWorkerReport, CommsError> {
     let stage_id = stage.stage();
-    // One reply frame per link, reused for the whole run: a shard is
-    // encoded straight from the weight history into it.
-    let mut frame = Vec::new();
+    let mut step_t0 = 0;
     loop {
-        match rx.recv()? {
+        let msg = rx.recv()?;
+        // While a gradient is part way in, only its next chunk may come.
+        let filled = stage.grad_filled();
+        if filled > 0 && !matches!(msg, Message::GradShard { .. }) {
+            let (name, len) = (msg.name(), stage.len());
+            let what = format!("stage {stage_id}: {name} while a gradient is {filled} of {len} in");
+            return Err(fail(&mut tx, CommsError::Protocol(what)));
+        }
+        match msg {
             Message::FetchShard { step, micro, pass } => {
                 let t0 = recorder.now_us();
                 // The microbatch's causal trace id (0-based id, trace 0
-                // means "absent") — stamped on the local span and on the
-                // Shard frame so merged traces keep the chain.
+                // means "absent") — stamped on the local span and on
+                // every Shard chunk so merged traces keep the chain.
                 let trace = micro as u64 + 1;
-                let built = Writer::refill(&mut frame, |w| {
-                    ShardHead { step, micro, pass, stage: stage_id, trace }.encode(w);
-                    stage.encode_fetch(step, micro, pass, w)
-                });
-                if let Err(e) = built {
-                    return Err(fail(&mut tx, e));
+                let head = ShardHead { step, micro, pass, stage: stage_id, trace };
+                // One chunk-sized frame per reply: each chunk is encoded
+                // straight from the weight history into it and sent.
+                let mut frame = Vec::new();
+                for range in shard_chunks(stage.len()) {
+                    let built = Writer::refill(&mut frame, |w| {
+                        head.encode(w);
+                        stage.encode_fetch(step, micro, pass, range, w)
+                    });
+                    if let Err(e) = built {
+                        return Err(fail(&mut tx, e));
+                    }
+                    tx.send_frame(&frame)?;
                 }
                 let t1 = recorder.now_us();
                 let kind = match pass {
@@ -232,13 +251,24 @@ fn run_training_loop(
                 if let Some(kind) = kind {
                     recorder.record_span_traced(kind, stage_id, stage_id, micro, trace, t0, t1);
                 }
-                tx.send_frame(&frame)?;
             }
             Message::GradShard { step, lr, apply, trace, data } => {
-                let grad = data.into_dense();
-                let t0 = recorder.now_us();
-                let (sq_norm, finite) = match stage.apply_grad(step, lr, apply, &grad) {
-                    Ok(r) => r,
+                // Each chunk is applied to its range before the next
+                // arrives; the k-th covers the k-th `SHARD_CHUNK` values.
+                let due = SHARD_CHUNK.min(stage.len() - filled);
+                if data.dense_len() != due {
+                    let got = data.dense_len();
+                    let what =
+                        format!("stage {stage_id}: gradient chunk of {got} values, {due} due");
+                    return Err(fail(&mut tx, CommsError::Protocol(what)));
+                }
+                if filled == 0 {
+                    step_t0 = recorder.now_us();
+                }
+                let (sq_norm, finite) = match stage.stage_grad(step, lr, apply, &data.into_dense())
+                {
+                    Ok(Some(staged)) => staged,
+                    Ok(None) => continue,
                     Err(e) => return Err(fail(&mut tx, e)),
                 };
                 recorder.record_span_traced(
@@ -247,7 +277,7 @@ fn run_training_loop(
                     stage_id,
                     step as u32,
                     trace,
-                    t0,
+                    step_t0,
                     recorder.now_us(),
                 );
                 tx.send(&Message::StepAck { step, stage: stage_id, sq_norm, finite })?;
@@ -292,7 +322,12 @@ fn run_training_loop(
 
 /// Most microbatch tokens a [`Message::TokenMode`] may announce: the
 /// count arrives from the peer and sizes this stage's op timeline.
-const MAX_TOKENS: u64 = 1 << 16;
+pub const MAX_TOKENS: u64 = 1 << 16;
+/// Most cells, `stages × (total + 2·stages)`, of the slot grid a
+/// [`Message::TokenMode`] may make the worker simulate: the stage count
+/// and the token count are each bounded, but their product sizes the
+/// plan every stage builds.
+pub const MAX_PLAN_CELLS: u64 = 1 << 22;
 /// Longest per-op work, in µs, a [`Message::TokenMode`] may make a stage sleep.
 const MAX_WORK_US: u64 = 1_000_000;
 
@@ -317,15 +352,18 @@ fn run_token_loop(
 ) -> Result<StageWorkerReport, CommsError> {
     let (stage, stages) = (cfg.stage as usize, cfg.stages as usize);
     let n_micro = cfg.n_micro as u64;
+    let cells = (stages as u64).saturating_mul(total.saturating_add(2 * stages as u64));
     if total == 0
         || total > MAX_TOKENS
+        || cells > MAX_PLAN_CELLS
         || !total.is_multiple_of(n_micro)
         || is_last != (stage + 1 == stages)
         || work_us > MAX_WORK_US
     {
         let what = format!(
             "token total {total} (is_last {is_last}, {work_us} us) does not fit stage {stage} of \
-             {stages}, {n_micro} per minibatch (limits {MAX_TOKENS} tokens, {MAX_WORK_US} us)"
+             {stages}, {n_micro} per minibatch (limits {MAX_TOKENS} tokens, {MAX_PLAN_CELLS} \
+             plan cells, {MAX_WORK_US} us)"
         );
         return Err(fail(&mut tx, CommsError::Protocol(what)));
     }

@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pipemare_comms::codec::{deframe, frame, Reader, SparseMode, TensorPayload, Writer, MAX_FRAME};
+use pipemare_comms::codec::{
+    deframe, frame, ChunkEncoder, Reader, SparseMode, TensorPayload, Writer, MAX_FRAME,
+};
 use pipemare_comms::protocol::{
     decode_message, decode_shard_into, encode_message, Message, PassKind, RejectReason, ShardHead,
     StageConfig, PROTOCOL_VERSION,
@@ -295,7 +297,7 @@ proptest! {
         if form < 2 {
             let mode = if form == 0 { SparseMode::Dense } else { SparseMode::DropZeros };
             let mut w = Writer::new();
-            TensorPayload::encode_from_dense(&mut w, &v, mode);
+            ChunkEncoder::new(&v, mode).encode(&mut w, 0..v.len());
             prop_assert_eq!(w.into_bytes(), encode_payload(&payload));
         }
         // Decoding in place yields what decode + into_dense yields, and a

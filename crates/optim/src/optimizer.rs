@@ -69,7 +69,9 @@ impl OptimizerKind {
 /// The trainer calls [`Optimizer::begin_step`] once per optimizer step and
 /// then [`Optimizer::step_range`] for each pipeline stage with that
 /// stage's learning rate (PipeMare T1 gives every stage a different
-/// rate). [`Optimizer::step`] is the whole-vector convenience wrapper.
+/// rate), or [`Optimizer::step_chunk`] for each chunk of a range that
+/// arrives piece by piece. [`Optimizer::step`] is the whole-vector
+/// convenience wrapper.
 #[derive(Clone, Debug)]
 pub struct Optimizer {
     kind: OptimizerKind,
@@ -114,52 +116,65 @@ impl Optimizer {
     }
 
     /// Applies the update to `params[lo..hi]` using `grads[lo..hi]` at
-    /// learning rate `lr`.
+    /// learning rate `lr`: [`Optimizer::step_chunk`] over that range.
     ///
     /// # Panics
     ///
-    /// Panics if `begin_step` has never been called, or the range is out
-    /// of bounds.
+    /// As [`Optimizer::step_chunk`], or if the range is out of bounds.
     pub fn step_range(&mut self, params: &mut [f32], grads: &[f32], lo: usize, hi: usize, lr: f32) {
-        assert!(self.t > 0, "call begin_step() before step_range()");
-        assert!(hi <= params.len() && lo <= hi, "step_range: bad range {lo}..{hi}");
-        assert_eq!(params.len(), grads.len(), "step_range: params/grads length mismatch");
+        self.step_chunk(&mut params[lo..hi], &grads[lo..hi], lo, lr);
+    }
+
+    /// Applies the update to one contiguous chunk of the parameters:
+    /// `params` and `grads` hold the chunk's values, and `offset` is
+    /// where the chunk starts in the optimizer's moment buffers. Every
+    /// update rule is elementwise, so any split of a range into chunks
+    /// gives bit-identical parameters and moments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `begin_step` has never been called, the two slices
+    /// differ in length, or the chunk runs past the moment buffers.
+    pub fn step_chunk(&mut self, params: &mut [f32], grads: &[f32], offset: usize, lr: f32) {
+        assert!(self.t > 0, "call begin_step() before step_chunk()");
+        assert_eq!(params.len(), grads.len(), "step_chunk: params/grads length mismatch");
+        let range = offset..offset + params.len();
         match self.kind {
             OptimizerKind::Sgd { weight_decay } => {
-                for i in lo..hi {
-                    let g = grads[i] + weight_decay * params[i];
-                    params[i] -= lr * g;
+                for (p, &g) in params.iter_mut().zip(grads) {
+                    let g = g + weight_decay * *p;
+                    *p -= lr * g;
                 }
             }
             OptimizerKind::Momentum { beta, weight_decay } => {
-                for i in lo..hi {
-                    let g = grads[i] + weight_decay * params[i];
-                    self.m[i] = beta * self.m[i] + g;
-                    params[i] -= lr * self.m[i];
+                for ((p, &g), m) in params.iter_mut().zip(grads).zip(&mut self.m[range]) {
+                    let g = g + weight_decay * *p;
+                    *m = beta * *m + g;
+                    *p -= lr * *m;
                 }
             }
             OptimizerKind::Adam { beta1, beta2, eps } => {
                 let bc1 = 1.0 - beta1.powi(self.t as i32);
                 let bc2 = 1.0 - beta2.powi(self.t as i32);
-                for i in lo..hi {
-                    let g = grads[i];
-                    self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g;
-                    self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g * g;
-                    let mhat = self.m[i] / bc1;
-                    let vhat = self.v[i] / bc2;
-                    params[i] -= lr * mhat / (vhat.sqrt() + eps);
+                let moments = self.m[range.clone()].iter_mut().zip(&mut self.v[range]);
+                for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *v = beta2 * *v + (1.0 - beta2) * g * g;
+                    let mhat = *m / bc1;
+                    let vhat = *v / bc2;
+                    *p -= lr * mhat / (vhat.sqrt() + eps);
                 }
             }
             OptimizerKind::AdamW { beta1, beta2, eps, weight_decay } => {
                 let bc1 = 1.0 - beta1.powi(self.t as i32);
                 let bc2 = 1.0 - beta2.powi(self.t as i32);
-                for i in lo..hi {
-                    let g = grads[i];
-                    self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g;
-                    self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g * g;
-                    let mhat = self.m[i] / bc1;
-                    let vhat = self.v[i] / bc2;
-                    params[i] -= lr * (mhat / (vhat.sqrt() + eps) + weight_decay * params[i]);
+                let moments = self.m[range.clone()].iter_mut().zip(&mut self.v[range]);
+                for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *v = beta2 * *v + (1.0 - beta2) * g * g;
+                    let mhat = *m / bc1;
+                    let vhat = *v / bc2;
+                    *p -= lr * (mhat / (vhat.sqrt() + eps) + weight_decay * *p);
                 }
             }
         }

@@ -181,9 +181,16 @@ impl Writer {
 
     /// Appends a length-prefixed u32 slice.
     pub fn put_u32s(&mut self, vs: &[u32]) {
-        self.put_u32(vs.len() as u32);
-        self.buf.reserve(4 * vs.len());
-        self.buf.extend(vs.iter().flat_map(|v| v.to_le_bytes()));
+        self.put_u32s_from(vs.iter().copied());
+    }
+
+    /// Appends a length-prefixed run of u32 values computed on the fly
+    /// — byte for byte what [`Writer::put_u32s`] writes for the
+    /// collected values.
+    pub fn put_u32s_from(&mut self, values: impl ExactSizeIterator<Item = u32>) {
+        self.put_u32(values.len() as u32);
+        self.buf.reserve(4 * values.len());
+        self.buf.extend(values.flat_map(|v| v.to_le_bytes()));
     }
 
     /// Appends a length-prefixed u16 slice (bf16 bit patterns).

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# One stage-update core, kept by a grep: the optimizer's per-range step,
+# One stage-update core, kept by a grep: the optimizer's per-chunk step,
 # gradient clipping and the T2 decay γ must each be called from exactly
 # one place in library code. A second call site is a second copy of the
 # training step's arithmetic, and from then on only lockstep tests hold
@@ -32,7 +32,7 @@ check() {
   fi
 }
 
-check 'step_range(' optim
+check 'step_chunk(' optim
 check 'clip_grad_norm(' optim
 check 'gamma_from_d(' theory
 exit "$status"

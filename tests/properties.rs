@@ -131,6 +131,46 @@ proptest! {
     }
 
     #[test]
+    fn optimizer_chunked_step_is_bit_identical_to_one_range_step(
+        n in 1usize..40,
+        chunk in 1usize..40,
+        lr in 1e-4f32..0.5,
+        steps in 1usize..5,
+    ) {
+        // Any chunking — one value at a time, a ragged tail, the whole
+        // range at once — updates parameters and moments bit for bit
+        // like one `step_range` call.
+        let kinds = [
+            OptimizerKind::Sgd { weight_decay: 0.01 },
+            OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.01 },
+            OptimizerKind::Adam { beta1: 0.9, beta2: 0.999, eps: 1e-8 },
+            OptimizerKind::AdamW { beta1: 0.9, beta2: 0.98, eps: 1e-8, weight_decay: 0.01 },
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for kind in kinds {
+            for size in [1, chunk.min(n), n] {
+                let mut a = Optimizer::new(kind, n);
+                let mut b = Optimizer::new(kind, n);
+                let mut wa: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).sin()).collect();
+                let mut wb = wa.clone();
+                for s in 0..steps {
+                    let g: Vec<f32> = wa.iter().map(|&x| x * 0.5 - s as f32 * 0.01).collect();
+                    a.begin_step();
+                    a.step_range(&mut wa, &g, 0, n, lr);
+                    b.begin_step();
+                    for lo in (0..n).step_by(size) {
+                        let hi = n.min(lo + size);
+                        b.step_chunk(&mut wb[lo..hi], &g[lo..hi], lo, lr);
+                    }
+                }
+                prop_assert_eq!(bits(&wa), bits(&wb), "{:?}, chunks of {}", kind, size);
+                let ((ma, va, ta), (mb, vb, tb)) = (a.state(), b.state());
+                prop_assert_eq!((bits(ma), bits(va), ta), (bits(mb), bits(vb), tb));
+            }
+        }
+    }
+
+    #[test]
     fn clip_never_increases_norm(g in prop::collection::vec(-10.0f32..10.0, 1..32), max in 0.1f32..20.0) {
         let mut clipped = g.clone();
         let before = (g.iter().map(|&x| x as f64 * x as f64).sum::<f64>()).sqrt();
