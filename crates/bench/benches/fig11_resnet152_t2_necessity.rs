@@ -4,8 +4,7 @@
 //! (T1+T2 with D = 0.5) converges and matches synchronous training.
 
 use pipemare_bench::report::{banner, series};
-use pipemare_core::runners::run_image_training;
-use pipemare_core::TrainConfig;
+use pipemare_core::{run, RunSpec, TrainConfig};
 use pipemare_data::SyntheticImages;
 use pipemare_nn::{CifarResNet, ResNetConfig, TrainModel};
 use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -40,7 +39,13 @@ fn main() {
         ("PM T1 only", mk(Method::PipeMare, true, None)),
         ("PM T1+T2, D=0.5", mk(Method::PipeMare, true, Some(0.5))),
     ] {
-        let h = run_image_training(&model, &ds, cfg, epochs, minibatch, 0, 100, seed);
+        let h = run(
+            &model,
+            &ds,
+            cfg,
+            RunSpec { epochs, minibatch, eval_n: 100, seed, ..RunSpec::default() },
+        )
+        .expect("every minibatch fills N microbatches");
         series(&format!("{label} acc%"), &h.epochs.iter().map(|e| e.metric).collect::<Vec<_>>(), 1);
         println!("{:>28}  diverged = {}, best = {:.1}%", "", h.diverged, h.best_metric());
     }

@@ -5,8 +5,7 @@
 //! (mirroring the paper's Tables 6–7 at reproduction scale) so every
 //! experiment sees identical setups.
 
-use pipemare_core::runners::{run_image_training, run_translation_training};
-use pipemare_core::{RunHistory, TrainConfig};
+use pipemare_core::{run, RunHistory, RunSpec, TrainConfig};
 use pipemare_data::{ImageDataset, SyntheticImages, SyntheticTranslation, TranslationDataset};
 use pipemare_nn::{CifarResNet, ResNetConfig, Transformer, TransformerConfig};
 use pipemare_optim::{InverseSqrtLr, LrSchedule, OptimizerKind, StepDecayLr, T1Rescheduler};
@@ -114,16 +113,15 @@ impl ImageWorkload {
     /// Trains `cfg` with this workload's epochs, minibatch, evaluation
     /// cap and seed; the first `warmup_epochs` run T3.
     pub fn run(&self, cfg: TrainConfig, warmup_epochs: usize) -> RunHistory {
-        run_image_training(
-            &self.model,
-            &self.ds,
-            cfg,
-            self.epochs,
-            self.minibatch,
+        let spec = RunSpec {
+            epochs: self.epochs,
+            minibatch: self.minibatch,
             warmup_epochs,
-            self.eval_cap,
-            self.seed,
-        )
+            eval_n: self.eval_cap,
+            seed: self.seed,
+            ..RunSpec::default()
+        };
+        run(&self.model, &self.ds, cfg, spec).expect("ImageWorkload minibatches fill N")
     }
 }
 
@@ -255,15 +253,14 @@ impl TranslationWorkload {
     /// Trains `cfg` with this workload's epochs, minibatch, BLEU
     /// sentences and seed; the first `warmup_epochs` run T3.
     pub fn run(&self, cfg: TrainConfig, warmup_epochs: usize) -> RunHistory {
-        run_translation_training(
-            &self.model,
-            &self.ds,
-            cfg,
-            self.epochs,
-            self.minibatch,
+        let spec = RunSpec {
+            epochs: self.epochs,
+            minibatch: self.minibatch,
             warmup_epochs,
-            self.bleu_eval_n,
-            self.seed,
-        )
+            eval_n: self.bleu_eval_n,
+            seed: self.seed,
+            ..RunSpec::default()
+        };
+        run(&self.model, &self.ds, cfg, spec).expect("TranslationWorkload minibatches fill N")
     }
 }

@@ -16,10 +16,13 @@
 //! plus the App. D recompute delay model (delayed recomputed activations
 //! with T2-for-recompute).
 //!
-//! [`runners`] provides end-to-end training loops with per-epoch
-//! evaluation for the three task families (image classification,
-//! translation, regression), and [`stats`] the run histories and the
-//! normalized time model used for time-to-accuracy numbers.
+//! [`runners`] starts a training run: [`run`] trains any model on a
+//! [`Task`] (image classification, translation) for the epochs a
+//! [`RunSpec`] sets, scoring the parameters after each one, and
+//! [`run_regression_training`] steps linear regression at full batch.
+//! Both refuse with a [`RunError`] before the first step. [`stats`]
+//! holds the run histories and the normalized time model used for
+//! time-to-accuracy numbers.
 
 pub mod checkpoint;
 pub mod distributed;
@@ -37,10 +40,7 @@ pub use distributed::{dist_config, train_distributed_loopback, train_distributed
 pub use health::{AnomalyPolicy, HealthHook};
 pub use metrics::TrainerMetrics;
 pub use pipemare_comms::{RecomputeCfg, StepStats, TrainConfig, TrainMode};
-pub use runners::{
-    run_image_training, run_image_training_observed, run_regression_training,
-    run_regression_training_observed, run_translation_training, ClassifierModel,
-};
+pub use runners::{run, run_regression_training, ClassifierModel, RunError, RunSpec, Task};
 pub use serving::{serve_checkpoint, serve_live_loopback};
 pub use stats::{EpochRecord, RunHistory};
 pub use trainer::{PipelineTrainer, StageInfo};

@@ -1,5 +1,7 @@
 //! End-to-end training loops with per-epoch evaluation.
 
+use std::fmt;
+
 use pipemare_comms::TrainConfig;
 use pipemare_data::{
     corpus_bleu, split_microbatches, ImageDataset, MinibatchIter, RegressionDataset,
@@ -34,10 +36,115 @@ impl ClassifierModel for CifarResNet {
     }
 }
 
-/// Panics unless a minibatch of `len` samples fills `n_micro`
+/// A dataset an epoch run trains `M` on and scores it with.
+pub trait Task<M: TrainModel> {
+    /// Training samples in one epoch.
+    fn train_len(&self) -> usize;
+
+    /// The microbatch of the given training samples.
+    fn batch(&self, indices: &[usize]) -> M::Batch;
+
+    /// Scores parameters on at most `eval_n` test samples. Built once
+    /// per run and called after every epoch.
+    fn scorer<'a>(&'a self, model: &'a M, eval_n: usize) -> impl Fn(&[f32]) -> f32 + 'a;
+}
+
+/// Image classification, scored by top-1 test accuracy (%).
+impl<M: ClassifierModel> Task<M> for ImageDataset {
+    fn train_len(&self) -> usize {
+        ImageDataset::train_len(self)
+    }
+
+    fn batch(&self, indices: &[usize]) -> ImageBatch {
+        let (x, y) = self.train_batch(indices);
+        ImageBatch { x, y }
+    }
+
+    fn scorer<'a>(&'a self, model: &'a M, eval_n: usize) -> impl Fn(&[f32]) -> f32 + 'a {
+        let cap = eval_n.min(self.test_y.len());
+        let eval = ImageBatch { x: self.test_x.slice0(0, cap), y: self.test_y[..cap].to_vec() };
+        move |params| 100.0 * model.eval_accuracy(params, &eval)
+    }
+}
+
+/// Translation, scored by corpus BLEU of greedy decodes.
+impl Task<Transformer> for TranslationDataset {
+    fn train_len(&self) -> usize {
+        TranslationDataset::train_len(self)
+    }
+
+    fn batch(&self, indices: &[usize]) -> <Transformer as TrainModel>::Batch {
+        TranslationDataset::batch(self, indices)
+    }
+
+    fn scorer<'a>(&'a self, model: &'a Transformer, eval_n: usize) -> impl Fn(&[f32]) -> f32 + 'a {
+        let n = eval_n.min(self.test_src.len());
+        move |params| {
+            let hyps: Vec<Vec<usize>> = self.test_src[..n]
+                .iter()
+                .map(|src| model.greedy_decode(params, src, self.max_len + 2))
+                .collect();
+            corpus_bleu(&hyps, &self.test_tgt[..n])
+        }
+    }
+}
+
+/// What an epoch run does besides the model, data and configuration.
+/// The default attaches no observers.
+#[derive(Default)]
+pub struct RunSpec {
+    /// Passes over the training set.
+    pub epochs: usize,
+    /// Samples per minibatch; the last minibatch of an epoch holds the
+    /// remainder.
+    pub minibatch: usize,
+    /// Leading epochs run synchronously (T3).
+    pub warmup_epochs: usize,
+    /// Test samples scored after each epoch (capped at the test set).
+    pub eval_n: usize,
+    /// Seeds the trainer and the minibatch shuffle.
+    pub seed: u64,
+    /// Instruments attached to the trainer for the whole run.
+    pub metrics: Option<TrainerMetrics>,
+    /// Health monitor observing every optimizer step. If its halt policy
+    /// stops the run, the history's `halted` flag is set and the loop
+    /// exits early. Keep an `Arc` clone of the hook's monitor to build
+    /// the [`pipemare_telemetry::RunReport`] afterwards.
+    pub health: Option<HealthHook>,
+}
+
+/// Why a run refused to start. Every check runs before the first step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RunError {
+    /// A minibatch holds fewer samples than the `N` microbatches it must
+    /// fill.
+    ShortMinibatch {
+        /// Samples in the minibatch.
+        len: usize,
+        /// Microbatches per minibatch.
+        n_micro: usize,
+    },
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::ShortMinibatch { len, n_micro } => {
+                write!(f, "minibatch of {len} samples cannot fill {n_micro} microbatches")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// Errs unless a minibatch of `len` samples fills `n_micro`
 /// microbatches.
-fn assert_fills(len: usize, n_micro: usize) {
-    assert!(len >= n_micro, "minibatch of {len} samples cannot fill {n_micro} microbatches");
+fn fills(len: usize, n_micro: usize) -> Result<(), RunError> {
+    if len < n_micro {
+        return Err(RunError::ShortMinibatch { len, n_micro });
+    }
+    Ok(())
 }
 
 fn micro_weights(micro: &[Vec<usize>]) -> Vec<f32> {
@@ -45,24 +152,31 @@ fn micro_weights(micro: &[Vec<usize>]) -> Vec<f32> {
     micro.iter().map(|m| m.len() as f32 / total as f32).collect()
 }
 
-/// The one epoch loop: `epochs` shuffled passes over `train_len`
-/// samples in minibatches of `minibatch`, each split into the trainer's
-/// `N` microbatches built by `batch`, with `score` evaluating the
-/// parameters after every epoch. The first `warmup_epochs` run T3.
-#[allow(clippy::too_many_arguments)]
-fn run_epochs<M: TrainModel>(
+/// The one epoch loop: `spec.epochs` shuffled passes over `data`'s
+/// training set in minibatches of `spec.minibatch`, each split into the
+/// configuration's `N` microbatches, with `data`'s scorer evaluating the
+/// parameters after every epoch. The first `spec.warmup_epochs` run T3.
+///
+/// # Errors
+///
+/// [`RunError::ShortMinibatch`] before the first step if a minibatch
+/// (the full ones or the last, short one) cannot fill `N` microbatches.
+pub fn run<M: TrainModel, D: Task<M>>(
     model: &M,
+    data: &D,
     mut cfg: TrainConfig,
-    seed: u64,
-    epochs: usize,
-    minibatch: usize,
-    warmup_epochs: usize,
-    train_len: usize,
-    metrics: Option<TrainerMetrics>,
-    health: Option<HealthHook>,
-    batch: impl Fn(&[usize]) -> M::Batch,
-    score: impl Fn(&[f32]) -> f32,
-) -> RunHistory {
+    spec: RunSpec,
+) -> Result<RunHistory, RunError> {
+    let RunSpec { epochs, minibatch, warmup_epochs, eval_n, seed, metrics, health } = spec;
+    let train_len = data.train_len();
+    let n_micro = cfg.n_micro;
+    // Every minibatch is full but the last, which holds the remainder.
+    fills(minibatch, n_micro)?;
+    let short = train_len % minibatch;
+    if short > 0 {
+        fills(short, n_micro)?;
+    }
+    let score = data.scorer(model, eval_n);
     let mut it = MinibatchIter::new(train_len, minibatch, seed);
     let steps_per_epoch = it.batches_per_epoch();
     cfg.warmup_steps = warmup_epochs * steps_per_epoch;
@@ -75,13 +189,6 @@ fn run_epochs<M: TrainModel>(
     if let Some(h) = health {
         trainer.set_health(h);
     }
-    let n_micro = trainer.clock().n_micro;
-    // Every minibatch is full but the last, which holds the remainder.
-    assert_fills(minibatch, n_micro);
-    let short = train_len % minibatch;
-    if short > 0 {
-        assert_fills(short, n_micro);
-    }
     let mut history = RunHistory { label, ..Default::default() };
     let mut time = 0.0f64;
     for epoch in 0..epochs {
@@ -89,7 +196,7 @@ fn run_epochs<M: TrainModel>(
         let mut last_norm = 0.0f32;
         for _ in 0..steps_per_epoch {
             let chunks = split_microbatches(&it.next_batch(), n_micro);
-            let micro: Vec<M::Batch> = chunks.iter().map(|c| batch(c)).collect();
+            let micro: Vec<M::Batch> = chunks.iter().map(|c| data.batch(c)).collect();
             let stats = trainer.train_minibatch(&micro, &micro_weights(&chunks));
             loss_sum += stats.loss;
             last_norm = stats.param_norm;
@@ -104,7 +211,7 @@ fn run_epochs<M: TrainModel>(
             };
             let (train_loss, metric) = (f32::NAN, 0.0);
             history.epochs.push(EpochRecord { epoch, train_loss, metric, time, param_norm });
-            return history;
+            return Ok(history);
         }
         // A Hogwild epoch costs what an asynchronous pipeline epoch does.
         time += method.map_or(1.0, |m| epoch_time(m, epoch < warmup_epochs));
@@ -116,80 +223,7 @@ fn run_epochs<M: TrainModel>(
             param_norm: last_norm,
         });
     }
-    history
-}
-
-/// Trains an image classifier for `epochs` epochs, evaluating top-1 test
-/// accuracy (%) after each epoch. `eval_cap` bounds evaluation cost.
-#[allow(clippy::too_many_arguments)]
-pub fn run_image_training<M: ClassifierModel>(
-    model: &M,
-    ds: &ImageDataset,
-    cfg: TrainConfig,
-    epochs: usize,
-    minibatch: usize,
-    warmup_epochs: usize,
-    eval_cap: usize,
-    seed: u64,
-) -> RunHistory {
-    run_image_training_observed(
-        model,
-        ds,
-        cfg,
-        epochs,
-        minibatch,
-        warmup_epochs,
-        eval_cap,
-        seed,
-        None,
-        None,
-    )
-}
-
-/// [`run_image_training`] with optional [`TrainerMetrics`] instruments
-/// and an optional [`HealthHook`] attached to the trainer for the whole
-/// run. The health monitor observes every optimizer step; if its halt
-/// policy stops the run, the history's `halted` flag is set and the
-/// epoch loop exits early. Keep an `Arc` clone of the hook's monitor to
-/// build the [`pipemare_telemetry::RunReport`] afterwards.
-///
-/// # Panics
-///
-/// Before the first step, if a minibatch (the full ones or the last,
-/// short one) holds fewer samples than the configuration's `N`
-/// microbatches.
-#[allow(clippy::too_many_arguments)]
-pub fn run_image_training_observed<M: ClassifierModel>(
-    model: &M,
-    ds: &ImageDataset,
-    cfg: TrainConfig,
-    epochs: usize,
-    minibatch: usize,
-    warmup_epochs: usize,
-    eval_cap: usize,
-    seed: u64,
-    metrics: Option<TrainerMetrics>,
-    health: Option<HealthHook>,
-) -> RunHistory {
-    let (test_x, test_y) = ds.test_batch();
-    let cap = eval_cap.min(test_y.len());
-    let eval_batch = ImageBatch { x: test_x.slice0(0, cap), y: test_y[..cap].to_vec() };
-    run_epochs(
-        model,
-        cfg,
-        seed,
-        epochs,
-        minibatch,
-        warmup_epochs,
-        ds.train_len(),
-        metrics,
-        health,
-        |c| {
-            let (x, y) = ds.train_batch(c);
-            ImageBatch { x, y }
-        },
-        |params| 100.0 * model.eval_accuracy(params, &eval_batch),
-    )
+    Ok(history)
 }
 
 fn run_label(cfg: &TrainConfig) -> String {
@@ -216,72 +250,30 @@ fn run_label(cfg: &TrainConfig) -> String {
     }
 }
 
-/// Trains a Transformer on a translation dataset, evaluating corpus BLEU
-/// on `bleu_eval_n` test sentences (greedy decoding) after each epoch.
-#[allow(clippy::too_many_arguments)]
-pub fn run_translation_training(
-    model: &Transformer,
-    ds: &TranslationDataset,
-    cfg: TrainConfig,
-    epochs: usize,
-    sentences_per_minibatch: usize,
-    warmup_epochs: usize,
-    bleu_eval_n: usize,
-    seed: u64,
-) -> RunHistory {
-    let eval_n = bleu_eval_n.min(ds.test_src.len());
-    let refs = &ds.test_tgt[..eval_n];
-    run_epochs(
-        model,
-        cfg,
-        seed,
-        epochs,
-        sentences_per_minibatch,
-        warmup_epochs,
-        ds.train_len(),
-        None,
-        None,
-        |c| ds.batch(c),
-        |params| {
-            let hyps: Vec<Vec<usize>> = ds.test_src[..eval_n]
-                .iter()
-                .map(|src| model.greedy_decode(params, src, ds.max_len + 2))
-                .collect();
-            corpus_bleu(&hyps, refs)
-        },
-    )
-}
-
 /// Trains linear regression for `steps` optimizer steps at full batch,
-/// returning the loss trace (used by the Figure 3(b) heatmap).
+/// returning the loss trace and whether the run diverged (used by the
+/// Figure 3(b) heatmap). The loop also exits early when the optional
+/// [`HealthHook`]'s halt policy fires; query its monitor for the
+/// verdicts.
+///
+/// # Errors
+///
+/// [`RunError::ShortMinibatch`] before the first step if the dataset
+/// cannot fill `N` microbatches.
 pub fn run_regression_training(
     model: &LinearRegression,
     ds: &RegressionDataset,
     cfg: TrainConfig,
     steps: usize,
     seed: u64,
-) -> (Vec<f32>, bool) {
-    run_regression_training_observed(model, ds, cfg, steps, seed, None)
-}
-
-/// [`run_regression_training`] with an optional [`HealthHook`]. The loop
-/// exits early when the hook's halt policy fires (in addition to the
-/// usual divergence exit); query the hook's monitor for the verdicts.
-pub fn run_regression_training_observed(
-    model: &LinearRegression,
-    ds: &RegressionDataset,
-    cfg: TrainConfig,
-    steps: usize,
-    seed: u64,
     health: Option<HealthHook>,
-) -> (Vec<f32>, bool) {
+) -> Result<(Vec<f32>, bool), RunError> {
+    let (n, n_micro) = (ds.len(), cfg.n_micro);
+    fills(n, n_micro)?;
     let mut trainer = PipelineTrainer::new(model, cfg, seed);
     if let Some(h) = health {
         trainer.set_health(h);
     }
-    let n_micro = trainer.clock().n_micro;
-    let n = ds.len();
-    assert_fills(n, n_micro);
     let idx: Vec<usize> = (0..n).collect();
     let chunks = split_microbatches(&idx, n_micro);
     let weights = micro_weights(&chunks);
@@ -303,13 +295,13 @@ pub fn run_regression_training_observed(
         let stats = trainer.train_minibatch(&micro, &weights);
         losses.push(stats.loss);
         if stats.diverged {
-            return (losses, true);
+            return Ok((losses, true));
         }
         if trainer.health_halted() {
             break;
         }
     }
-    (losses, false)
+    Ok((losses, false))
 }
 
 #[cfg(test)]
@@ -331,7 +323,8 @@ mod tests {
         let ds = SyntheticImages::cifar_like(60, 40, 1).generate();
         let model = Mlp::new(&[3 * 16 * 16, 32, 10]);
         let cfg = TrainConfig::gpipe(4, 2, sgd(), Box::new(ConstantLr(0.02)));
-        let h = run_image_training(&model, &ds, cfg, 6, 20, 0, 40, 3);
+        let spec = RunSpec { epochs: 6, minibatch: 20, eval_n: 40, seed: 3, ..RunSpec::default() };
+        let h = run(&model, &ds, cfg, spec).unwrap();
         assert!(!h.diverged);
         assert!(h.best_metric() > 50.0, "accuracy too low: {} (chance = 10%)", h.best_metric());
         // Time advances by the GPipe penalty each epoch.
@@ -350,10 +343,12 @@ mod tests {
         let model = CifarResNet::new(ResNetConfig::tiny(10));
         let stages = model.weight_units().len();
         let naive = TrainConfig::naive_async(stages, 2, sgd(), Box::new(ConstantLr(0.8)));
-        let h_naive = run_image_training(&model, &ds, naive, 5, 20, 0, 40, 5);
+        let spec =
+            || RunSpec { epochs: 5, minibatch: 20, eval_n: 40, seed: 5, ..RunSpec::default() };
+        let h_naive = run(&model, &ds, naive, spec()).unwrap();
         let mut pm = TrainConfig::naive_async(stages, 2, sgd(), Box::new(ConstantLr(0.8)));
         pm.t1 = Some(T1Rescheduler::new(40));
-        let h_pm = run_image_training(&model, &ds, pm, 5, 20, 0, 40, 5);
+        let h_pm = run(&model, &ds, pm, spec()).unwrap();
         assert!(h_naive.diverged, "naive async should diverge at lr 0.8 with {stages} stages");
         assert!(!h_pm.diverged, "T1 run should not diverge");
         assert!(
@@ -384,7 +379,8 @@ mod tests {
             OptimizerKind::transformer_adamw(0.0),
             Box::new(ConstantLr(3e-3)),
         );
-        let h = run_translation_training(&model, &ds, cfg, 30, 8, 0, 8, 5);
+        let spec = RunSpec { epochs: 30, minibatch: 8, eval_n: 8, seed: 5, ..RunSpec::default() };
+        let h = run(&model, &ds, cfg, spec).unwrap();
         assert!(!h.diverged);
         assert!(h.best_metric() > 25.0, "BLEU too low: {}", h.best_metric());
     }
@@ -402,7 +398,7 @@ mod tests {
         let run = |alpha: f32| {
             let mut cfg = TrainConfig::gpipe(p, 1, sgd(), Box::new(ConstantLr(alpha)));
             cfg.mode = TrainMode::Pipeline(Method::PipeMare);
-            run_regression_training(&model, &ds, cfg, 3000, 1)
+            run_regression_training(&model, &ds, cfg, 3000, 1, None).unwrap()
         };
         let (losses_ok, div_ok) = run(0.5 * bound);
         // Divergence control: above even the zero-delay stability limit

@@ -53,19 +53,6 @@ impl RunHistory {
     pub fn final_metric(&self) -> f32 {
         self.epochs.last().map(|e| e.metric).unwrap_or(f32::NAN)
     }
-
-    /// Serializes the run as CSV
-    /// (`epoch,train_loss,metric,time,param_norm` with a header row).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("epoch,train_loss,metric,time,param_norm\n");
-        for e in &self.epochs {
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                e.epoch, e.train_loss, e.metric, e.time, e.param_norm
-            ));
-        }
-        out
-    }
 }
 
 impl std::fmt::Display for RunHistory {
@@ -153,13 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_display() {
+    fn display() {
         let mut h = history(&[10.0, 20.0]);
         h.label = "PipeMare+T1".into();
-        let csv = h.to_csv();
-        assert!(csv.starts_with("epoch,train_loss,metric,time,param_norm\n"));
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.lines().nth(2).unwrap().starts_with("1,"));
         let s = format!("{h}");
         assert!(s.contains("PipeMare+T1"));
         assert!(s.contains("best 20.00"));

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pipemare::core::{run_regression_training_observed, HealthHook, TrainConfig};
+use pipemare::core::{run_regression_training, HealthHook, TrainConfig};
 use pipemare::data::isotropic_regression;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind};
@@ -91,8 +91,8 @@ fn main() {
         OptimizerKind::Sgd { weight_decay: 0.0 },
         Box::new(ConstantLr(alpha_bad)),
     );
-    let (losses, diverged) =
-        run_regression_training_observed(&model, &ds, cfg, 20_000, 7, Some(hook));
+    let (losses, diverged) = run_regression_training(&model, &ds, cfg, 20_000, 7, Some(hook))
+        .expect("the dataset fills N microbatches");
     assert!(diverged, "30% above the Lemma 1 bound must diverge");
     println!("diverged after {} steps, as theory predicts", losses.len());
 

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pipemare::core::{run_regression_training_observed, HealthHook, TrainConfig};
+use pipemare::core::{run_regression_training, HealthHook, TrainConfig};
 use pipemare::data::isotropic_regression;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -79,8 +79,8 @@ fn main() {
     let hook = HealthHook::new(Arc::clone(&monitor_a))
         .snapshot_on(Severity::Warn, out.join("health_snapshots"));
     let cfg = TrainConfig::naive_async(p, 1, sgd, Box::new(ConstantLr(alpha_bad)));
-    let (losses, diverged) =
-        run_regression_training_observed(&model, &ds, cfg, 20_000, 7, Some(hook));
+    let (losses, diverged) = run_regression_training(&model, &ds, cfg, 20_000, 7, Some(hook))
+        .expect("the dataset fills N microbatches");
     assert!(diverged, "run A should diverge (it is 30% above the Lemma 1 bound)");
 
     let events = monitor_a.events();
@@ -154,7 +154,8 @@ fn main() {
         T1Rescheduler::new(100),
         0.135,
     );
-    let (losses, diverged) = run_regression_training_observed(&model, &ds, cfg, 300, 7, Some(hook));
+    let (losses, diverged) = run_regression_training(&model, &ds, cfg, 300, 7, Some(hook))
+        .expect("the dataset fills N microbatches");
     assert!(!diverged, "run B must not diverge");
     assert_eq!(monitor_b.anomaly_count(), 0, "run B must be anomaly-free");
     println!(
@@ -199,7 +200,8 @@ fn main() {
         0.135,
     );
     cfg.weight_storage = StoragePrecision::Bf16;
-    let (losses, diverged) = run_regression_training_observed(&model, &ds, cfg, 300, 7, Some(hook));
+    let (losses, diverged) = run_regression_training(&model, &ds, cfg, 300, 7, Some(hook))
+        .expect("the dataset fills N microbatches");
     assert!(!diverged, "run C must not diverge under bf16 storage");
     assert_eq!(monitor_c.anomaly_count(), 0, "run C must be anomaly-free");
     println!(

@@ -4,8 +4,7 @@
 //!
 //! Run with: `cargo run --release --example hogwild`
 
-use pipemare::core::runners::run_image_training;
-use pipemare::core::{TrainConfig, TrainMode};
+use pipemare::core::{run, RunSpec, TrainConfig, TrainMode};
 use pipemare::data::SyntheticImages;
 use pipemare::nn::Mlp;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -16,6 +15,7 @@ fn main() {
     let model = Mlp::new(&[3 * 16 * 16, 64, 10]);
     let sgd = OptimizerKind::Sgd { weight_decay: 0.0 };
     let (stages, n_micro, epochs, minibatch) = (8, 1, 8, 20);
+    let spec = || RunSpec { epochs, minibatch, eval_n: 100, seed: 7, ..RunSpec::default() };
 
     let delays = HogwildDelays::from_pipeline_profile(stages, n_micro);
     println!(
@@ -25,16 +25,17 @@ fn main() {
     );
 
     let sync = TrainConfig::gpipe(stages, n_micro, sgd, Box::new(ConstantLr(0.05)));
-    let h_sync = run_image_training(&model, &dataset, sync, epochs, minibatch, 0, 100, 7);
+    let h_sync = run(&model, &dataset, sync, spec()).expect("every minibatch fills N microbatches");
 
     let mut raw = TrainConfig::gpipe(stages, n_micro, sgd, Box::new(ConstantLr(0.05)));
     raw.mode = TrainMode::Hogwild(delays.clone());
-    let h_raw = run_image_training(&model, &dataset, raw, epochs, minibatch, 0, 100, 7);
+    let h_raw = run(&model, &dataset, raw, spec()).expect("every minibatch fills N microbatches");
 
     let mut fixed = TrainConfig::gpipe(stages, n_micro, sgd, Box::new(ConstantLr(0.05)));
     fixed.mode = TrainMode::Hogwild(delays);
     fixed.t1 = Some(T1Rescheduler::new(40));
-    let h_fixed = run_image_training(&model, &dataset, fixed, epochs, minibatch, 0, 100, 7);
+    let h_fixed =
+        run(&model, &dataset, fixed, spec()).expect("every minibatch fills N microbatches");
 
     println!("\nepoch | Sync acc% | Hogwild acc% | Hogwild+T1 acc%");
     for i in 0..epochs {

@@ -5,9 +5,8 @@
 //!
 //! Run with: `cargo run --release --example image_classification`
 
-use pipemare::core::runners::run_image_training;
 use pipemare::core::stats::amortized_throughput;
-use pipemare::core::TrainConfig;
+use pipemare::core::{run, RunSpec, TrainConfig};
 use pipemare::data::SyntheticImages;
 use pipemare::nn::{CifarResNet, ResNetConfig, TrainModel};
 use pipemare::optim::{OptimizerKind, StepDecayLr, T1Rescheduler};
@@ -26,41 +25,36 @@ fn main() {
     let sgd = OptimizerKind::resnet_momentum(5e-4);
     let schedule = || StepDecayLr { base: 0.05, drop_every: 80, factor: 0.1 };
     let steps_per_epoch = 200usize.div_ceil(minibatch);
+    let spec = || RunSpec { epochs, minibatch, eval_n: 100, seed, ..RunSpec::default() };
 
     let runs = vec![
         (
             "GPipe",
-            run_image_training(
+            run(
                 &model,
                 &dataset,
                 TrainConfig::gpipe(stages, n_micro, sgd, Box::new(schedule())),
-                epochs,
-                minibatch,
-                0,
-                100,
-                seed,
-            ),
+                spec(),
+            )
+            .expect("every minibatch fills N microbatches"),
             Method::GPipe,
             false,
         ),
         (
             "PipeDream",
-            run_image_training(
+            run(
                 &model,
                 &dataset,
                 TrainConfig::pipedream(stages, n_micro, sgd, Box::new(schedule())),
-                epochs,
-                minibatch,
-                0,
-                100,
-                seed,
-            ),
+                spec(),
+            )
+            .expect("every minibatch fills N microbatches"),
             Method::PipeDream,
             false,
         ),
         (
             "PipeMare",
-            run_image_training(
+            run(
                 &model,
                 &dataset,
                 TrainConfig::pipemare(
@@ -71,12 +65,9 @@ fn main() {
                     T1Rescheduler::for_step_decay(80 * steps_per_epoch),
                     0.135,
                 ),
-                epochs,
-                minibatch,
-                0,
-                100,
-                seed,
-            ),
+                spec(),
+            )
+            .expect("every minibatch fills N microbatches"),
             Method::PipeMare,
             true,
         ),

@@ -3,8 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use pipemare::core::runners::run_image_training;
-use pipemare::core::TrainConfig;
+use pipemare::core::{run, RunSpec, TrainConfig};
 use pipemare::data::SyntheticImages;
 use pipemare::nn::Mlp;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -19,10 +18,11 @@ fn main() {
 
     let sgd = OptimizerKind::Sgd { weight_decay: 0.0 };
     let (stages, n_micro, epochs, minibatch) = (8, 2, 8, 20);
+    let spec = || RunSpec { epochs, minibatch, eval_n: 100, seed: 7, ..RunSpec::default() };
 
     // 3. Synchronous baseline: GPipe (bubbles in the pipeline, no delay).
     let gpipe = TrainConfig::gpipe(stages, n_micro, sgd, Box::new(ConstantLr(0.05)));
-    let sync = run_image_training(&model, &dataset, gpipe, epochs, minibatch, 0, 100, 7);
+    let sync = run(&model, &dataset, gpipe, spec()).expect("every minibatch fills N microbatches");
 
     // 4. Asynchronous PipeMare: full pipeline utilization, delayed
     //    forward weights, stabilized by T1 (learning-rate rescheduling)
@@ -35,7 +35,8 @@ fn main() {
         T1Rescheduler::new(40),
         0.135, // D ≈ e⁻², the paper's default
     );
-    let asynch = run_image_training(&model, &dataset, pipemare, epochs, minibatch, 0, 100, 7);
+    let asynch =
+        run(&model, &dataset, pipemare, spec()).expect("every minibatch fills N microbatches");
 
     println!("epoch | GPipe acc% (time) | PipeMare acc% (time)");
     for (a, b) in sync.epochs.iter().zip(asynch.epochs.iter()) {

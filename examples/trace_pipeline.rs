@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use pipemare::core::{run_image_training_observed, TrainConfig, TrainerMetrics};
+use pipemare::core::{run, RunSpec, TrainConfig, TrainerMetrics};
 use pipemare::data::SyntheticImages;
 use pipemare::nn::Mlp;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -76,18 +76,21 @@ fn main() {
     );
     let registry = MetricsRegistry::new();
     let metrics = TrainerMetrics::register(&registry);
-    let history = run_image_training_observed(
+    let history = run(
         &model,
         &dataset,
         cfg,
-        3,  // epochs
-        16, // minibatch
-        1,  // warmup epochs
-        16, // eval cap
-        7,  // seed
-        Some(metrics),
-        None,
-    );
+        RunSpec {
+            epochs: 3,
+            minibatch: 16,
+            warmup_epochs: 1,
+            eval_n: 16,
+            seed: 7,
+            metrics: Some(metrics),
+            ..RunSpec::default()
+        },
+    )
+    .expect("every minibatch fills N microbatches");
     let snapshot = registry.snapshot();
     print!("{}", snapshot.to_text());
     let metrics_path = out.join("trace_pipeline_metrics.json");

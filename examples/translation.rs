@@ -6,8 +6,7 @@
 //!
 //! Run with: `cargo run --release --example translation`
 
-use pipemare::core::runners::run_translation_training;
-use pipemare::core::TrainConfig;
+use pipemare::core::{run, RunSpec, TrainConfig};
 use pipemare::data::SyntheticTranslation;
 use pipemare::nn::{TrainModel, Transformer, TransformerConfig};
 use pipemare::optim::{InverseSqrtLr, OptimizerKind, T1Rescheduler};
@@ -29,7 +28,13 @@ fn main() {
     let schedule = || InverseSqrtLr { peak: 3e-3, warmup: 60, init: 1e-7 };
 
     let sync_cfg = TrainConfig::gpipe(stages, n_micro, adamw, Box::new(schedule()));
-    let sync = run_translation_training(&model, &dataset, sync_cfg, epochs, minibatch, 0, 24, seed);
+    let sync = run(
+        &model,
+        &dataset,
+        sync_cfg,
+        RunSpec { epochs, minibatch, eval_n: 24, seed, ..RunSpec::default() },
+    )
+    .expect("every minibatch fills N microbatches");
 
     let mut pm_cfg = TrainConfig::pipemare(
         stages,
@@ -40,16 +45,13 @@ fn main() {
         0.135,
     );
     pm_cfg.grad_clip = Some(25.0);
-    let pipemare = run_translation_training(
+    let pipemare = run(
         &model,
         &dataset,
         pm_cfg,
-        epochs,
-        minibatch,
-        warmup_epochs,
-        24,
-        seed,
-    );
+        RunSpec { epochs, minibatch, warmup_epochs, eval_n: 24, seed, ..RunSpec::default() },
+    )
+    .expect("every minibatch fills N microbatches");
 
     println!("\nepoch | GPipe BLEU (time) | PipeMare T1+T2+T3 BLEU (time)");
     for (a, b) in sync.epochs.iter().zip(pipemare.epochs.iter()) {

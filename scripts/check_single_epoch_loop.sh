@@ -1,23 +1,25 @@
 #!/usr/bin/env bash
 # One epoch loop, kept by a grep. Image and translation runs go through
-# the one private epoch loop in crates/core/src/runners.rs (shuffled
+# the one epoch loop, `run` in crates/core/src/runners.rs (shuffled
 # minibatches, T3 warmup, microbatch split, divergence and health-halt
-# records, per-epoch evaluation); they differ only in how a microbatch
-# is built and how the parameters are scored. Regression keeps its own
-# step loop: its batch is the fixed, unshuffled full dataset. A second
-# `MinibatchIter::new(` or a third in-process `train_minibatch(` call in
-# crates/core is a second copy of that loop, and from then on only tests
-# hold the two together. The distributed trainer's `drive` in
-# distributed.rs steps a `DistributedTrainer` over the caller's own
-# minibatch iterator and is counted on its own. The forwarding entry
-# point this loop replaced must not reappear anywhere.
+# records, per-epoch evaluation); a `Task` supplies only how a
+# microbatch is built and how the parameters are scored. Regression
+# keeps its own step loop, `run_regression_training`: its batch is the
+# fixed, unshuffled full dataset. A second `MinibatchIter::new(` or a
+# third in-process `train_minibatch(` call in crates/core is a second
+# copy of that loop, and from then on only tests hold the two together.
+# The distributed trainer's `drive` in distributed.rs steps a
+# `DistributedTrainer` over the caller's own minibatch iterator and is
+# counted on its own. The per-family entry points `run` replaced must
+# not reappear anywhere.
 #
 # Counted: lines under crates/core/src outside `#[cfg(test)]` modules
-# (which end every file that has one) and comments. The retired name is
-# searched in every *.rs, *.sh and *.yml of the repository, in every *.md
-# below the top level, and in the top-level README.md, DESIGN.md and
-# EXPERIMENTS.md; the other top-level notes (histories, plans, paper
-# excerpts) may still name it.
+# (which end every file that has one) and comments. The retired names
+# are searched in every *.rs, *.sh and *.yml of the repository, in every
+# *.md below the top level, and in the top-level README.md, DESIGN.md
+# and EXPERIMENTS.md; the other top-level notes (histories, plans, paper
+# excerpts) may still name them. The image name also covers its
+# `_observed` and `_with_metrics` variants.
 # Exit 0 = one epoch loop.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,13 +58,14 @@ expect 2 'train_minibatch( calls in crates/core (the epoch loop and the regressi
 expect 1 'train_minibatch( calls in distributed.rs (drive)' \
   "$(sites 'train_minibatch(' '' crates/core/src/distributed.rs)"
 # Split so that this script does not match itself.
-retired='run_image_training_with''_metrics'
+retired=(-e 'run_image_''training' -e 'run_translation_''training'
+  -e 'run_regression_training_''observed')
 docs=$(find . -mindepth 2 -name '*.md' \
   -not -path './target/*' -not -path './vendor/*' -not -path './.git/*')
 expect 0 'retired runner names' "$( {
-  grep -rn "$retired" . \
+  grep -rn "${retired[@]}" . \
     --include='*.rs' --include='*.sh' --include='*.yml' \
     --exclude-dir=target --exclude-dir=vendor --exclude-dir=.git
-  grep -n "$retired" README.md DESIGN.md EXPERIMENTS.md $docs
+  grep -n "${retired[@]}" README.md DESIGN.md EXPERIMENTS.md $docs
 } || true)"
 exit "$status"

@@ -20,8 +20,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use pipemare::core::runners::run_image_training;
-//! use pipemare::core::TrainConfig;
+//! use pipemare::core::{run, RunSpec, TrainConfig};
 //! use pipemare::data::SyntheticImages;
 //! use pipemare::nn::Mlp;
 //! use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -36,7 +35,8 @@
 //!     T1Rescheduler::new(20), // T1: anneal the 1/τ rescaling over 20 steps
 //!     0.135,                  // T2: discrepancy-correction decay D ≈ e⁻²
 //! );
-//! let history = run_image_training(&model, &dataset, cfg, 2, 10, 0, 20, 7);
+//! let spec = RunSpec { epochs: 2, minibatch: 10, eval_n: 20, seed: 7, ..RunSpec::default() };
+//! let history = run(&model, &dataset, cfg, spec).expect("every minibatch fills N");
 //! assert!(!history.diverged);
 //! ```
 

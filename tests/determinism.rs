@@ -14,9 +14,7 @@
 //! detection (AVX2/AVX-512 where the runner supports it), so this test
 //! pins thread-count determinism under both scalar and SIMD kernels.
 
-use pipemare::core::runners::run_image_training;
-use pipemare::core::RunHistory;
-use pipemare::core::TrainConfig;
+use pipemare::core::{run, RunHistory, RunSpec, TrainConfig};
 use pipemare::data::SyntheticImages;
 use pipemare::nn::Mlp;
 use pipemare::optim::{ConstantLr, OptimizerKind};
@@ -35,7 +33,15 @@ fn train_with_threads(threads: usize) -> RunHistory {
         Box::new(ConstantLr(0.02)),
     );
     let p = ThreadPool::new(threads);
-    pool::with_pool(&p, || run_image_training(&model, &ds, cfg, 3, 32, 0, 32, 11))
+    pool::with_pool(&p, || {
+        run(
+            &model,
+            &ds,
+            cfg,
+            RunSpec { epochs: 3, minibatch: 32, eval_n: 32, seed: 11, ..RunSpec::default() },
+        )
+        .unwrap()
+    })
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: full training loops through the public
 //! facade API, checking the paper's core claims end-to-end at tiny scale.
 
-use pipemare::core::runners::{run_image_training, run_translation_training};
-use pipemare::core::{TrainConfig, TrainMode};
+use pipemare::core::{run, RunSpec, TrainConfig, TrainMode};
 use pipemare::data::{SyntheticImages, SyntheticTranslation};
 use pipemare::nn::{Mlp, Transformer, TransformerConfig};
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -23,7 +22,13 @@ fn all_three_methods_learn_an_easy_image_task() {
             cfg.t1 = Some(T1Rescheduler::new(20));
             cfg.t2_decay = Some(0.135);
         }
-        let h = run_image_training(&model, &ds, cfg, 6, 20, 0, 40, 7);
+        let h = run(
+            &model,
+            &ds,
+            cfg,
+            RunSpec { epochs: 6, minibatch: 20, eval_n: 40, seed: 7, ..RunSpec::default() },
+        )
+        .unwrap();
         assert!(!h.diverged, "{} diverged", method.name());
         assert!(
             h.best_metric() > 40.0,
@@ -41,7 +46,13 @@ fn pipemare_matches_sync_quality_on_image_task() {
     let ds = SyntheticImages::cifar_like(80, 40, 3).generate();
     let model = Mlp::new(&[3 * 16 * 16, 24, 10]);
     let sync_cfg = TrainConfig::gpipe(6, 2, sgd(), Box::new(ConstantLr(0.02)));
-    let sync = run_image_training(&model, &ds, sync_cfg, 8, 20, 0, 40, 7);
+    let sync = run(
+        &model,
+        &ds,
+        sync_cfg,
+        RunSpec { epochs: 8, minibatch: 20, eval_n: 40, seed: 7, ..RunSpec::default() },
+    )
+    .unwrap();
     let pm_cfg = TrainConfig::pipemare(
         6,
         2,
@@ -50,7 +61,13 @@ fn pipemare_matches_sync_quality_on_image_task() {
         T1Rescheduler::new(20),
         0.135,
     );
-    let pm = run_image_training(&model, &ds, pm_cfg, 8, 20, 0, 40, 7);
+    let pm = run(
+        &model,
+        &ds,
+        pm_cfg,
+        RunSpec { epochs: 8, minibatch: 20, eval_n: 40, seed: 7, ..RunSpec::default() },
+    )
+    .unwrap();
     assert!(!pm.diverged);
     assert!(
         pm.best_metric() >= sync.best_metric() - 10.0,
@@ -87,7 +104,20 @@ fn pipemare_with_warmup_runs_transformer_without_divergence() {
         0.1,
     );
     cfg.grad_clip = Some(25.0);
-    let h = run_translation_training(&model, &ds, cfg, 10, 10, 1, 10, 3);
+    let h = run(
+        &model,
+        &ds,
+        cfg,
+        RunSpec {
+            epochs: 10,
+            minibatch: 10,
+            warmup_epochs: 1,
+            eval_n: 10,
+            seed: 3,
+            ..RunSpec::default()
+        },
+    )
+    .unwrap();
     assert!(!h.diverged);
     // Loss should be dropping across training even if BLEU stays low at
     // this tiny budget.
@@ -112,8 +142,27 @@ fn warmup_epochs_cost_throughput() {
             0.135,
         )
     };
-    let no_warm = run_image_training(&model, &ds, mk(), 4, 20, 0, 20, 1);
-    let warm = run_image_training(&model, &ds, mk(), 4, 20, 2, 20, 1);
+    let no_warm = run(
+        &model,
+        &ds,
+        mk(),
+        RunSpec { epochs: 4, minibatch: 20, eval_n: 20, seed: 1, ..RunSpec::default() },
+    )
+    .unwrap();
+    let warm = run(
+        &model,
+        &ds,
+        mk(),
+        RunSpec {
+            epochs: 4,
+            minibatch: 20,
+            warmup_epochs: 2,
+            eval_n: 20,
+            seed: 1,
+            ..RunSpec::default()
+        },
+    )
+    .unwrap();
     assert!(
         warm.epochs.last().unwrap().time > no_warm.epochs.last().unwrap().time,
         "warmup epochs should cost normalized time"
@@ -128,7 +177,13 @@ fn hogwild_mode_trains_through_facade() {
     let mut cfg = TrainConfig::gpipe(4, 2, sgd(), Box::new(ConstantLr(0.02)));
     cfg.mode = TrainMode::Hogwild(HogwildDelays::from_pipeline_profile(4, 2));
     cfg.t1 = Some(T1Rescheduler::new(20));
-    let h = run_image_training(&model, &ds, cfg, 5, 20, 0, 20, 2);
+    let h = run(
+        &model,
+        &ds,
+        cfg,
+        RunSpec { epochs: 5, minibatch: 20, eval_n: 20, seed: 2, ..RunSpec::default() },
+    )
+    .unwrap();
     assert!(!h.diverged);
     assert!(h.best_metric() > 30.0, "hogwild+T1 accuracy {:.1}", h.best_metric());
 }

@@ -1,8 +1,9 @@
 //! Integration tests of the auxiliary features: recompute simulation,
 //! checkpointing, dropout in chains, token batching, schedule diagrams.
 
-use pipemare::core::runners::run_image_training;
-use pipemare::core::{load_params, save_params, PipelineTrainer, RecomputeCfg, TrainConfig};
+use pipemare::core::{
+    load_params, run, save_params, PipelineTrainer, RecomputeCfg, RunSpec, TrainConfig,
+};
 use pipemare::data::{batch_by_tokens, SyntheticImages};
 use pipemare::nn::{Activation, Dropout, Layer, Linear, Mlp, Sequential};
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -36,17 +37,20 @@ fn recompute_training_stays_close_to_plain_async() {
         cfg.recompute = rc;
         cfg
     };
-    let plain = run_image_training(&model, &ds, mk(None), 5, 20, 0, 30, 2);
-    let rc = run_image_training(
+    let plain = run(
+        &model,
+        &ds,
+        mk(None),
+        RunSpec { epochs: 5, minibatch: 20, eval_n: 30, seed: 2, ..RunSpec::default() },
+    )
+    .unwrap();
+    let rc = run(
         &model,
         &ds,
         mk(Some(RecomputeCfg { segments: 2, t2: true })),
-        5,
-        20,
-        0,
-        30,
-        2,
-    );
+        RunSpec { epochs: 5, minibatch: 20, eval_n: 30, seed: 2, ..RunSpec::default() },
+    )
+    .unwrap();
     assert!(!rc.diverged, "recompute run diverged");
     assert!(
         rc.best_metric() >= plain.best_metric() - 15.0,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pipemare::core::{run_regression_training_observed, HealthHook, TrainConfig};
+use pipemare::core::{run_regression_training, HealthHook, TrainConfig};
 use pipemare::data::isotropic_regression;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind};
@@ -72,7 +72,7 @@ fn induced_divergence_dumps_black_box_that_pmtrace_summarizes() {
         .black_box_window_us(600_000_000);
     assert!(!hook.black_box_taken());
     let cfg = TrainConfig::naive_async(P, 1, sgd(), Box::new(ConstantLr(alpha_unstable())));
-    let (_, diverged) = run_regression_training_observed(&model, &ds, cfg, 20_000, 7, Some(hook));
+    let (_, diverged) = run_regression_training(&model, &ds, cfg, 20_000, 7, Some(hook)).unwrap();
     assert!(diverged, "α = 1.3× the stage-0 bound must diverge");
 
     // The monitor recorded exactly one dump (one-shot), as an event and
@@ -117,13 +117,13 @@ fn flight_attached_training_is_bit_identical() {
     let alpha = (0.3 * lemma1_max_alpha_frac(LAMBDA, 7.0)) as f32;
     let cfg = || TrainConfig::naive_async(P, 1, sgd(), Box::new(ConstantLr(alpha)));
 
-    let (plain, d0) = run_regression_training_observed(&model, &ds, cfg(), 300, 7, None);
+    let (plain, d0) = run_regression_training(&model, &ds, cfg(), 300, 7, None).unwrap();
 
     let flight = Arc::new(FlightRecorder::for_pipeline(P));
     let monitor = Arc::new(HealthMonitor::new(HealthConfig::default(), P));
     let hook =
         HealthHook::new(Arc::clone(&monitor)).black_box_on(Arc::clone(&flight), temp_dir("noop"));
-    let (traced, d1) = run_regression_training_observed(&model, &ds, cfg(), 300, 7, Some(hook));
+    let (traced, d1) = run_regression_training(&model, &ds, cfg(), 300, 7, Some(hook)).unwrap();
 
     assert!(!d0 && !d1);
     assert_eq!(plain, traced, "flight recording must not change the numerics");

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use pipemare::core::{
-    load_state, run_regression_training_observed, HealthHook, PipelineTrainer, TrainConfig,
+    load_state, run_regression_training, HealthHook, PipelineTrainer, TrainConfig,
 };
 use pipemare::data::isotropic_regression;
 use pipemare::nn::{LinearRegression, RegressionBatch};
@@ -55,7 +55,7 @@ fn unstable_run_warns_before_divergence_then_snapshot_resumes_bit_identically() 
     let hook = HealthHook::new(Arc::clone(&monitor)).snapshot_on(Severity::Warn, &dir);
     let cfg = unstable_cfg(Box::new(ConstantLr(alpha_unstable())));
     let (losses, diverged) =
-        run_regression_training_observed(&model, &ds, cfg, 20_000, 7, Some(hook));
+        run_regression_training(&model, &ds, cfg, 20_000, 7, Some(hook)).unwrap();
     assert!(diverged, "α = 1.3× the stage-0 bound must diverge");
 
     // The margin breach (a Warn) must come well before the run is
@@ -128,7 +128,7 @@ fn halt_policy_stops_the_run_at_the_first_warning() {
     let hook = HealthHook::new(Arc::clone(&monitor)).halt_on(Severity::Warn);
     let cfg = unstable_cfg(Box::new(ConstantLr(alpha_unstable())));
     let (losses, diverged) =
-        run_regression_training_observed(&model, &ds, cfg, 20_000, 7, Some(hook));
+        run_regression_training(&model, &ds, cfg, 20_000, 7, Some(hook)).unwrap();
     // Halted at the margin breach: no divergence, every loss finite, and
     // the run is orders of magnitude shorter than the blowup horizon.
     assert!(!diverged);
@@ -168,7 +168,7 @@ fn stable_t1_t2_run_reports_healthy_margins_everywhere() {
         T1Rescheduler::new(100),
         0.135,
     );
-    let (losses, diverged) = run_regression_training_observed(&model, &ds, cfg, 300, 7, Some(hook));
+    let (losses, diverged) = run_regression_training(&model, &ds, cfg, 300, 7, Some(hook)).unwrap();
     assert!(!diverged);
     assert_eq!(losses.len(), 300, "nothing should halt a stable run");
     assert!(

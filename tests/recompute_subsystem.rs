@@ -11,8 +11,7 @@
 //!    equal, training a model that discards and replays activations is
 //!    bit-identical to training one that stashes everything.
 
-use pipemare::core::runners::run_image_training;
-use pipemare::core::{RunHistory, TrainConfig};
+use pipemare::core::{run, RunHistory, RunSpec, TrainConfig};
 use pipemare::data::SyntheticImages;
 use pipemare::nn::Mlp;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -74,7 +73,22 @@ fn train(recompute_segment: Option<usize>, threads: usize, warmup_epochs: usize)
         0.135,
     );
     let p = ThreadPool::new(threads);
-    pool::with_pool(&p, || run_image_training(&model, &ds, cfg, 2, 16, warmup_epochs, 32, 23))
+    pool::with_pool(&p, || {
+        run(
+            &model,
+            &ds,
+            cfg,
+            RunSpec {
+                epochs: 2,
+                minibatch: 16,
+                warmup_epochs,
+                eval_n: 32,
+                seed: 23,
+                ..RunSpec::default()
+            },
+        )
+        .unwrap()
+    })
 }
 
 fn assert_identical(stash: &RunHistory, rc: &RunHistory, label: &str) {

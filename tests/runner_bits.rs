@@ -8,10 +8,7 @@
 
 use std::sync::Arc;
 
-use pipemare::core::runners::{
-    run_image_training, run_image_training_observed, run_translation_training,
-};
-use pipemare::core::{HealthHook, RunHistory, TrainConfig};
+use pipemare::core::{run, HealthHook, RunHistory, RunSpec, TrainConfig};
 use pipemare::data::{SyntheticImages, SyntheticTranslation};
 use pipemare::nn::{Mlp, Transformer, TransformerConfig};
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -65,7 +62,20 @@ fn image_run_with_a_warmup_epoch() {
     // 42 samples at minibatch 10: the last minibatch holds 2, one per
     // microbatch.
     let ds = SyntheticImages::cifar_like(42, 10, 1).generate();
-    let h = run_image_training(&mlp(), &ds, pipemare(0.02), 3, 10, 1, 10, 7);
+    let h = run(
+        &mlp(),
+        &ds,
+        pipemare(0.02),
+        RunSpec {
+            epochs: 3,
+            minibatch: 10,
+            warmup_epochs: 1,
+            eval_n: 10,
+            seed: 7,
+            ..RunSpec::default()
+        },
+    )
+    .unwrap();
     check(&h, "PipeMare+T1+T2+T3", false, false, IMAGE_T3);
 }
 
@@ -79,7 +89,13 @@ const IMAGE_DIVERGED: &[Row] = &[
 fn diverging_image_run() {
     let ds = SyntheticImages::cifar_like(40, 10, 2).generate();
     let cfg = TrainConfig::naive_async(4, 2, sgd(), Box::new(ConstantLr(50.0)));
-    let h = run_image_training(&mlp(), &ds, cfg, 3, 10, 0, 10, 3);
+    let h = run(
+        &mlp(),
+        &ds,
+        cfg,
+        RunSpec { epochs: 3, minibatch: 10, eval_n: 10, seed: 3, ..RunSpec::default() },
+    )
+    .unwrap();
     check(&h, "PipeMare", true, false, IMAGE_DIVERGED);
 }
 
@@ -127,7 +143,20 @@ fn translation_run_scored_by_bleu() {
         T1Rescheduler::new(8),
         0.135,
     );
-    let h = run_translation_training(&model, &ds, cfg, 20, 4, 1, 8, 5);
+    let h = run(
+        &model,
+        &ds,
+        cfg,
+        RunSpec {
+            epochs: 20,
+            minibatch: 4,
+            warmup_epochs: 1,
+            eval_n: 8,
+            seed: 5,
+            ..RunSpec::default()
+        },
+    )
+    .unwrap();
     check(&h, "PipeMare+T1+T2+T3", false, false, TRANSLATION);
 }
 
@@ -143,7 +172,19 @@ fn health_halted_image_run() {
     let cfg = HealthConfig { spike_factor: 0.0, warmup_steps: 5, ..HealthConfig::default() };
     let monitor = Arc::new(HealthMonitor::new(cfg, 4));
     let hook = HealthHook::new(monitor).halt_on(Severity::Warn);
-    let h =
-        run_image_training_observed(&mlp(), &ds, pipemare(0.02), 3, 10, 0, 10, 5, None, Some(hook));
+    let h = run(
+        &mlp(),
+        &ds,
+        pipemare(0.02),
+        RunSpec {
+            epochs: 3,
+            minibatch: 10,
+            eval_n: 10,
+            seed: 5,
+            health: Some(hook),
+            ..RunSpec::default()
+        },
+    )
+    .unwrap();
     check(&h, "PipeMare+T1+T2", false, true, IMAGE_HALTED);
 }

@@ -1,10 +1,14 @@
 //! End-to-end telemetry: trainer metrics through the facade crate.
 
-use pipemare::core::{run_image_training_observed, TrainConfig, TrainerMetrics};
-use pipemare::data::SyntheticImages;
-use pipemare::nn::Mlp;
+use std::sync::Arc;
+
+use pipemare::core::{
+    run, run_regression_training, HealthHook, RunError, RunSpec, TrainConfig, TrainerMetrics,
+};
+use pipemare::data::{cpusmall_like, SyntheticImages, SyntheticTranslation};
+use pipemare::nn::{LinearRegression, Mlp, Transformer, TransformerConfig};
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare::telemetry::{MetricValue, MetricsRegistry};
+use pipemare::telemetry::{HealthConfig, HealthMonitor, MetricValue, MetricsRegistry};
 
 #[test]
 fn training_run_populates_metrics_registry() {
@@ -21,8 +25,15 @@ fn training_run_populates_metrics_registry() {
     cfg.grad_clip = Some(1e-4); // absurdly tight: every step clips
     let registry = MetricsRegistry::new();
     let metrics = TrainerMetrics::register(&registry);
-    let history =
-        run_image_training_observed(&model, &dataset, cfg, 2, 10, 0, 20, 7, Some(metrics), None);
+    let spec = RunSpec {
+        epochs: 2,
+        minibatch: 10,
+        eval_n: 20,
+        seed: 7,
+        metrics: Some(metrics),
+        ..RunSpec::default()
+    };
+    let history = run(&model, &dataset, cfg, spec).unwrap();
     assert!(!history.diverged);
 
     let snap = registry.snapshot();
@@ -74,20 +85,11 @@ fn metrics_free_training_matches_metered_training() {
             0.135,
         )
     };
-    let plain = run_image_training_observed(&model, &dataset, cfg(), 2, 10, 0, 10, 3, None, None);
+    let spec = || RunSpec { epochs: 2, minibatch: 10, eval_n: 10, seed: 3, ..RunSpec::default() };
+    let plain = run(&model, &dataset, cfg(), spec()).unwrap();
     let registry = MetricsRegistry::new();
-    let metered = run_image_training_observed(
-        &model,
-        &dataset,
-        cfg(),
-        2,
-        10,
-        0,
-        10,
-        3,
-        Some(TrainerMetrics::register(&registry)),
-        None,
-    );
+    let metrics = Some(TrainerMetrics::register(&registry));
+    let metered = run(&model, &dataset, cfg(), RunSpec { metrics, ..spec() }).unwrap();
     for (a, b) in plain.epochs.iter().zip(metered.epochs.iter()) {
         assert_eq!(a.train_loss, b.train_loss);
         assert_eq!(a.param_norm, b.param_norm);
@@ -96,29 +98,63 @@ fn metrics_free_training_matches_metered_training() {
 
 #[test]
 fn a_short_last_minibatch_fails_before_the_first_step() {
-    // 41 samples at minibatch 10 leave a last minibatch of one sample,
-    // which cannot fill N = 2 microbatches: the run must refuse before it
-    // trains anything, not after four steps of the first epoch.
-    let dataset = SyntheticImages::cifar_like(41, 10, 5).generate();
-    let model = Mlp::new(&[3 * 16 * 16, 8, 10]);
-    let cfg = TrainConfig::gpipe(
-        4,
-        2,
-        OptimizerKind::Sgd { weight_decay: 0.0 },
-        Box::new(ConstantLr(0.02)),
-    );
+    // A minibatch that cannot fill N microbatches must be refused with a
+    // typed error before anything trains, not after a few steps of the
+    // first epoch: 41 samples at minibatch 10 leave a last minibatch of
+    // one sample, a zero minibatch fills nothing, 9 sentences at
+    // minibatch 4 leave one, and a 3-sample regression set cannot fill
+    // N = 4.
+    let cfg = |n_micro| {
+        TrainConfig::gpipe(
+            4,
+            n_micro,
+            OptimizerKind::Sgd { weight_decay: 0.0 },
+            Box::new(ConstantLr(0.02)),
+        )
+    };
     let registry = MetricsRegistry::new();
     let metrics = TrainerMetrics::register(&registry);
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_image_training_observed(&model, &dataset, cfg, 1, 10, 0, 10, 7, Some(metrics), None)
-    }));
-    let message = *run
-        .expect_err("a 1-sample minibatch cannot fill 2 microbatches")
-        .downcast::<String>()
-        .expect("a formatted panic message");
-    assert_eq!(message, "minibatch of 1 samples cannot fill 2 microbatches");
+    let spec = |minibatch| RunSpec {
+        epochs: 1,
+        minibatch,
+        eval_n: 10,
+        seed: 7,
+        metrics: Some(metrics.clone()),
+        ..RunSpec::default()
+    };
+
+    let images = SyntheticImages::cifar_like(41, 10, 5).generate();
+    let mlp = Mlp::new(&[3 * 16 * 16, 8, 10]);
+    let err = run(&mlp, &images, cfg(2), spec(10)).unwrap_err();
+    assert_eq!(err, RunError::ShortMinibatch { len: 1, n_micro: 2 });
+    assert_eq!(err.to_string(), "minibatch of 1 samples cannot fill 2 microbatches");
+    let err = run(&mlp, &images, cfg(2), spec(0)).unwrap_err();
+    assert_eq!(err, RunError::ShortMinibatch { len: 0, n_micro: 2 });
+
+    let sentences = SyntheticTranslation {
+        vocab: 8,
+        min_len: 5,
+        max_len: 6,
+        train: 9,
+        test: 4,
+        reverse: true,
+        seed: 3,
+    }
+    .generate();
+    let transformer =
+        Transformer::new(TransformerConfig::tiny(sentences.total_vocab, sentences.total_vocab));
+    let err = run(&transformer, &sentences, cfg(2), spec(4)).unwrap_err();
+    assert_eq!(err, RunError::ShortMinibatch { len: 1, n_micro: 2 });
     match registry.snapshot().get("trainer.steps") {
         Some(MetricValue::Counter(c)) => assert_eq!(*c, 0, "trained before refusing"),
         other => panic!("trainer.steps missing or mistyped: {other:?}"),
     }
+
+    let monitor = Arc::new(HealthMonitor::new(HealthConfig::default(), 4));
+    let hook = HealthHook::new(Arc::clone(&monitor));
+    let ds = cpusmall_like(3, 1);
+    let err = run_regression_training(&LinearRegression::new(12), &ds, cfg(4), 10, 1, Some(hook))
+        .unwrap_err();
+    assert_eq!(err, RunError::ShortMinibatch { len: 3, n_micro: 4 });
+    assert_eq!(monitor.report("refused").steps, 0, "trained before refusing");
 }

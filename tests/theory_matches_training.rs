@@ -2,8 +2,7 @@
 //! trainer's behaviour — the paper's central claim that the quadratic
 //! model explains the deep-learning phenomena.
 
-use pipemare::core::runners::run_regression_training;
-use pipemare::core::{TrainConfig, TrainMode};
+use pipemare::core::{run_regression_training, TrainConfig, TrainMode};
 use pipemare::data::cpusmall_like;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -27,7 +26,8 @@ fn more_stages_require_smaller_step_sizes() {
             let alpha = 2f32.powi(e);
             let mut cfg = TrainConfig::gpipe(p, 1, sgd(), Box::new(ConstantLr(alpha)));
             cfg.mode = TrainMode::Pipeline(Method::PipeMare);
-            let (losses, diverged) = run_regression_training(&model, &ds, cfg, 1500, 1);
+            let (losses, diverged) =
+                run_regression_training(&model, &ds, cfg, 1500, 1, None).unwrap();
             let tail = losses[losses.len().saturating_sub(5)..].iter().sum::<f32>() / 5.0;
             if !diverged && tail.is_finite() && tail < losses[0].max(1.0) {
                 best = best.max(alpha);
@@ -53,7 +53,7 @@ fn t1_allows_training_at_otherwise_unstable_rates() {
         let mut cfg = TrainConfig::gpipe(p, 1, sgd(), Box::new(ConstantLr(alpha)));
         cfg.mode = TrainMode::Pipeline(Method::PipeMare);
         cfg.t1 = t1;
-        run_regression_training(&model, &ds, cfg, 2500, 1)
+        run_regression_training(&model, &ds, cfg, 2500, 1, None).unwrap()
     };
     let (_, net_diverged) = run(None);
     let (losses_t1, t1_diverged) = run(Some(T1Rescheduler::new(5000)));

@@ -1,7 +1,6 @@
 //! Integration tests of the Transformer under the pipeline trainers.
 
-use pipemare::core::runners::run_translation_training;
-use pipemare::core::{TrainConfig, TrainMode};
+use pipemare::core::{run, RunSpec, TrainConfig, TrainMode};
 use pipemare::data::{corpus_bleu, SyntheticTranslation};
 use pipemare::nn::{TrainModel, Transformer, TransformerConfig};
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
@@ -26,7 +25,13 @@ fn sync_transformer_reaches_nonzero_bleu() {
     let model = Transformer::new(TransformerConfig::tiny(ds.total_vocab, ds.total_vocab));
     let cfg =
         TrainConfig::gpipe(4, 2, OptimizerKind::transformer_adamw(0.0), Box::new(ConstantLr(3e-3)));
-    let h = run_translation_training(&model, &ds, cfg, 30, 12, 0, 12, 2);
+    let h = run(
+        &model,
+        &ds,
+        cfg,
+        RunSpec { epochs: 30, minibatch: 12, eval_n: 12, seed: 2, ..RunSpec::default() },
+    )
+    .unwrap();
     assert!(!h.diverged);
     assert!(h.best_metric() > 10.0, "sync BLEU {:.1}", h.best_metric());
 }
@@ -46,7 +51,20 @@ fn pipemare_transformer_stays_stable_at_unit_granularity() {
         0.1,
     );
     cfg.grad_clip = Some(25.0);
-    let h = run_translation_training(&model, &ds, cfg, 8, 12, 1, 12, 2);
+    let h = run(
+        &model,
+        &ds,
+        cfg,
+        RunSpec {
+            epochs: 8,
+            minibatch: 12,
+            warmup_epochs: 1,
+            eval_n: 12,
+            seed: 2,
+            ..RunSpec::default()
+        },
+    )
+    .unwrap();
     assert!(!h.diverged, "PipeMare at {stages} stages diverged");
     let first = h.epochs.first().unwrap().train_loss;
     let last = h.epochs.last().unwrap().train_loss;
