@@ -19,8 +19,9 @@
 //! An asynchronous stage reads whatever weight version is in memory
 //! (§2.2, Table 1), so a step touches few distinct versions. The driver
 //! keeps one parameter buffer per pass kind (forward, backward,
-//! recompute) and the gradient for the whole run and remembers, per
-//! buffer and stage, the [`ContentTag`] of what the buffer holds. Every
+//! recompute) for the whole run — the gradient lives only within a step,
+//! in microbatch 0's backward output — and remembers, per buffer and
+//! stage, the [`ContentTag`] of what the buffer holds. Every
 //! read of a step is resolved up front; a read whose tag its buffer holds
 //! moves nothing, one whose tag another buffer holds is a copy between
 //! buffers, and only a tag held nowhere is requested from the stage: in
@@ -216,7 +217,6 @@ pub struct StepDriver<A> {
     fetches: Vec<Pending>,
     /// The current step's copies between buffers, in read order.
     copies: VecDeque<LocalCopy>,
-    grad: Vec<f32>,
     /// Hogwild: the delay drawn for each stage this step (empty in a
     /// pipeline mode and during warmup).
     hog_delays: Vec<usize>,
@@ -248,7 +248,6 @@ impl<A: ShardAccess> StepDriver<A> {
             held,
             fetches: vec![Pending::default(); stages],
             copies: VecDeque::new(),
-            grad: vec![0.0f32; total],
             hog_delays: Vec::new(),
             hogwild_rng: StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9),
             requests: 0,
@@ -501,7 +500,10 @@ impl<A: ShardAccess> StepDriver<A> {
         };
         self.schedule_reads(passes, micro.len())?;
 
-        self.grad.fill(0.0);
+        // Microbatch 0's gradient becomes the accumulator, scaled in place
+        // as `0 + w·g` (so a −0.0 or NaN keeps the bits a zeroed
+        // accumulator gave it); no gradient outlives the step.
+        let mut grad = Vec::new();
         let mut loss_acc = 0.0f32;
         for (n, (batch, &weight)) in micro.iter().zip(micro_weights).enumerate() {
             let read = n * passes.len();
@@ -516,23 +518,28 @@ impl<A: ShardAccess> StepDriver<A> {
             loss_acc += weight * loss;
             self.await_read(read + passes.len() - 1)?;
             let g = model.backward(&self.bufs[BKWD], &cache);
-            for (acc, &gi) in self.grad.iter_mut().zip(g.iter()) {
-                *acc += weight * gi;
+            drop(cache);
+            if n == 0 {
+                grad = g;
+                grad.iter_mut().for_each(|gi| *gi = 0.0 + weight * *gi);
+            } else {
+                for (acc, &gi) in grad.iter_mut().zip(g.iter()) {
+                    *acc += weight * gi;
+                }
             }
         }
 
-        on_grad(&self.grad);
+        on_grad(&grad);
         self.clipped =
-            self.cfg.grad_clip.is_some_and(|clip| clip_grad_norm(&mut self.grad, clip) > clip);
-        let grad_finite = self.grad.iter().all(|g| g.is_finite());
+            self.cfg.grad_clip.is_some_and(|clip| clip_grad_norm(&mut grad, clip) > clip);
+        let grad_finite = grad.iter().all(|g| g.is_finite());
         let (cfg, clock) = (&self.cfg, &self.layout.clock);
         let lr = |s: usize| base_lr * cfg.t1_scale(clock, s, t);
         // Phase 1: every stage stages its update. Phase 2: commit
         // everywhere, or — one non-finite value anywhere — revert
         // everywhere, keeping the last finite weights.
         let ranges = self.layout.partition.ranges();
-        let staged_finite =
-            self.access.stage_update(t as u64, grad_finite, &lr, &self.grad, ranges)?;
+        let staged_finite = self.access.stage_update(t as u64, grad_finite, &lr, &grad, ranges)?;
         let keep = grad_finite && staged_finite;
         self.diverged = !keep;
         let sq_norm = self.access.commit(t as u64, keep)?;

@@ -95,9 +95,8 @@ impl Layer for Activation {
         x.map(|v| self.apply(v))
     }
 
-    fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
-        let x = cache.tensor(0);
-        (dy.zip(x, |g, v| g * self.derivative(v)), Vec::new())
+    fn backward_into(&self, _: &[f32], cache: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
+        dy.zip(cache.tensor(0), |g, v| g * self.derivative(v))
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

@@ -262,26 +262,42 @@ impl MultiHeadAttention {
         kernels::gemm_nt(dproj, w, dx, rows, d, d);
     }
 
-    /// Backward pass.
-    ///
-    /// Returns `(dquery, dkv, dparams)`. For self-attention, the caller
-    /// adds `dquery + dkv`.
+    /// Backward pass into a fresh gradient vector: [`Self::backward_into`]
+    /// for callers that want the layer's gradient on its own (tests,
+    /// per-layer timing). Returns `(dquery, dkv, dparams)`.
     pub fn backward(
         &self,
         params: &[f32],
         cache: &Cache,
         dy: &Tensor,
     ) -> (Tensor, Tensor, Vec<f32>) {
+        let mut grads = vec![0.0f32; self.param_len()];
+        let (dquery, dkv) = self.backward_into(params, cache, dy, &mut grads);
+        (dquery, dkv, grads)
+    }
+
+    /// Backward pass: writes the parameter gradient into `grads`
+    /// (`param_len()` long, zeroed on entry — a slice of the model's
+    /// gradient) and returns `(dquery, dkv)`. For self-attention, the
+    /// caller adds `dquery + dkv`. Each intermediate gradient is freed
+    /// once the products that read it are done.
+    pub fn backward_into(
+        &self,
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> (Tensor, Tensor) {
+        assert_eq!(grads.len(), self.param_len(), "attention grads must be the layer's own");
         let d = self.dim;
         let (b, tq, tk) = (cache.indices[0], cache.indices[1], cache.indices[2]);
         let (h, dh) = (self.heads, d / self.heads);
         let scale = 1.0 / (dh as f32).sqrt();
         let [q2, kv2, q, k, v, a, ctx] = std::array::from_fn(|i| cache.tensor(i).data());
-        let mut grads = vec![0.0f32; self.param_len()];
 
         // Output projection.
         let mut dctx = vec![0.0f32; b * tq * d];
-        self.back_project(params, 3, dy.data(), ctx, &mut grads, &mut dctx);
+        self.back_project(params, 3, dy.data(), ctx, grads, &mut dctx);
 
         // ctx = a · v: da = dctx · vᵀ (into the buffer that becomes ds),
         // dv = aᵀ · dctx.
@@ -303,6 +319,7 @@ impl MultiHeadAttention {
             (&dctx, self.heads_of(tq), d),
             (&mut dv, self.heads_of(tk), d),
         );
+        drop(dctx);
 
         // Softmax backward per attention row, in place over da, with the
         // score scale folded in: masked positions have a = 0, so their ds
@@ -333,15 +350,18 @@ impl MultiHeadAttention {
             (q, self.heads_of(tq), d),
             (&mut dk, self.heads_of(tk), d),
         );
+        drop(ds);
 
         // Back through the input projections; the key and value paths
         // accumulate into the one dkv buffer, key first.
         let mut dquery = vec![0.0f32; b * tq * d];
-        self.back_project(params, 0, &dq, q2, &mut grads, &mut dquery);
+        self.back_project(params, 0, &dq, q2, grads, &mut dquery);
+        drop(dq);
         let mut dkv = vec![0.0f32; b * tk * d];
-        self.back_project(params, 1, &dk, kv2, &mut grads, &mut dkv);
-        self.back_project(params, 2, &dv, kv2, &mut grads, &mut dkv);
-        (Tensor::from_vec(dquery, &[b, tq, d]), Tensor::from_vec(dkv, &[b, tk, d]), grads)
+        self.back_project(params, 1, &dk, kv2, grads, &mut dkv);
+        drop(dk);
+        self.back_project(params, 2, &dv, kv2, grads, &mut dkv);
+        (Tensor::from_vec(dquery, &[b, tq, d]), Tensor::from_vec(dkv, &[b, tk, d]))
     }
 }
 

@@ -124,13 +124,34 @@ impl Layer for Conv2d {
         y
     }
 
-    fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
+    fn backward_into(
+        &self,
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor {
+        self.param_grads_into(params, cache, dy, grads);
+        // dx uses the backward-pass weights.
+        let x = cache.tensor(0);
+        let mut dx = Tensor::zeros(x.shape());
+        let (level, problem) = (kernels::simd_level(), self.problem(x));
+        conv::backward_input(
+            level,
+            &problem,
+            &params[..self.weight_len()],
+            dy.data(),
+            dx.data_mut(),
+        );
+        dx
+    }
+
+    fn param_grads_into(&self, _: &[f32], cache: &Cache, dy: &Tensor, grads: &mut [f32]) {
         let x = cache.tensor(0);
         let problem = self.problem(x);
         let (level, plane) = (kernels::simd_level(), problem.geom.patches());
-        let mut grads = vec![0.0f32; self.param_len()];
         let (dw, db) = grads.split_at_mut(self.weight_len());
-        // dW uses the forward activations, dx the backward-pass weights.
+        // dW uses the forward activations.
         conv::backward_weights(level, &problem, x.data(), dy.data(), dw);
         for (o, g) in db.iter_mut().enumerate() {
             // One sequential sum per channel, images then positions.
@@ -141,15 +162,6 @@ impl Layer for Conv2d {
                 .step_by(self.out_channels)
                 .fold(0.0, |acc, image| image.iter().fold(acc, |acc, &v| acc + v));
         }
-        let mut dx = Tensor::zeros(x.shape());
-        conv::backward_input(
-            level,
-            &problem,
-            &params[..self.weight_len()],
-            dy.data(),
-            dx.data_mut(),
-        );
-        (dx, grads)
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

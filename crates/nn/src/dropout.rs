@@ -108,16 +108,16 @@ impl Layer for Dropout {
         self.apply::<false>(x).0
     }
 
-    fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
+    fn backward_into(&self, _: &[f32], cache: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
         if cache.scalars.first().is_some_and(|s| s.is_nan()) {
-            return (dy.clone(), Vec::new());
+            return dy.clone();
         }
         let mask = cache.tensor(0);
         let mut dx = dy.clone();
         for (g, &m) in dx.data_mut().iter_mut().zip(mask.data().iter()) {
             *g *= m;
         }
-        (dx, Vec::new())
+        dx
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

@@ -88,8 +88,7 @@ impl Layer for Embedding {
         self.lookup(params, &self.ids_of(x), x.shape())
     }
 
-    fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
-        let mut grads = vec![0.0f32; self.param_len()];
+    fn backward_into(&self, _: &[f32], cache: &Cache, dy: &Tensor, grads: &mut [f32]) -> Tensor {
         for (k, &id) in cache.indices.iter().enumerate() {
             let src = &dy.data()[k * self.dim..(k + 1) * self.dim];
             let dst = &mut grads[id * self.dim..(id + 1) * self.dim];
@@ -98,8 +97,7 @@ impl Layer for Embedding {
             }
         }
         // Token ids carry no gradient.
-        let dx_shape: Vec<usize> = dy.shape()[..dy.ndim() - 1].to_vec();
-        (Tensor::zeros(&dx_shape), grads)
+        Tensor::zeros(&dy.shape()[..dy.ndim() - 1])
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

@@ -63,15 +63,47 @@ pub trait Layer: Send + Sync {
     /// call, in either pass).
     fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor;
 
-    /// Backward pass: given the upstream gradient `dy` and the cache from
-    /// a previous `forward`, computes the input gradient and the parameter
-    /// gradient.
+    /// Backward pass, the one every layer writes: given the upstream
+    /// gradient `dy` and the cache from a previous `forward`, writes the
+    /// parameter gradient into `grads` and returns the input gradient.
+    ///
+    /// `grads` (`params.len()` long) arrives zeroed — usually a sub-slice
+    /// of the whole model's gradient — and the layer writes its gradient
+    /// straight into it, so no gradient-sized buffer is allocated per
+    /// layer. Composites hand each sub-layer its own sub-slice and drop
+    /// each intermediate gradient once the next layer has consumed it.
     ///
     /// `params` may legitimately differ from the slice used in `forward`
     /// (asynchronous pipeline training); weight-dependent Jacobian products
     /// use `params` while activation-dependent parameter gradients use the
     /// cache.
-    fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>);
+    fn backward_into(
+        &self,
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor;
+
+    /// The parameter gradient alone, written into `grads` exactly as
+    /// [`Layer::backward_into`] writes it: for the first layer of a
+    /// chain, whose input gradient nobody reads. The default runs
+    /// `backward_into` and drops the input gradient; a layer whose input
+    /// gradient is a product of its own (`dy · Wᵀ`, a transposed
+    /// convolution) overrides it to skip that product.
+    fn param_grads_into(&self, params: &[f32], cache: &Cache, dy: &Tensor, grads: &mut [f32]) {
+        drop(self.backward_into(params, cache, dy, grads));
+    }
+
+    /// [`Layer::backward_into`] into a fresh zeroed vector, returned with
+    /// the input gradient: for callers that want a layer's gradient on
+    /// its own (tests, per-layer timing). Training paths write into the
+    /// model's vector instead.
+    fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
+        let mut grads = vec![0.0f32; self.param_len()];
+        let dx = self.backward_into(params, cache, dy, &mut grads);
+        (dx, grads)
+    }
 
     /// Weight units of this layer in topological order, with offsets
     /// relative to the layer's own parameter slice. Parameterless layers

@@ -16,7 +16,10 @@
 //! * `forward(u_fwd, x)` caches activations computed under `u_fwd`;
 //! * `backward(u_bkwd, cache, dy)` uses `u_bkwd` for the weight-dependent
 //!   Jacobian products (`dx = dy · Wᵀ`) and the cached activations for the
-//!   parameter gradients (`dW = xᵀ · dy`).
+//!   parameter gradients (`dW = xᵀ · dy`). Every layer implements it as
+//!   [`Layer::backward_into`], which writes the parameter gradient into a
+//!   caller-owned slice of the model's gradient instead of a vector of
+//!   its own.
 //!
 //! When the same slice is passed to both, this reduces to ordinary
 //! backpropagation (checked against finite differences in the test suite).

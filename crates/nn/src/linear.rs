@@ -103,34 +103,36 @@ impl Layer for Linear {
         y.reshaped(&self.output_shape(x.shape()))
     }
 
-    fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
+    fn backward_into(
+        &self,
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor {
+        // dx = dy @ W^T with the backward-pass weights (u_bkwd). W is
+        // (in, out), so dx[i, j] = Σ_o dy[i, o] · W[j, o] reads it as the
+        // transposed operand.
+        let rows = dy.len() / self.out_features;
+        let (w, _) = self.split(params);
+        let mut dx2 = Tensor::zeros(&[rows, self.in_features]);
+        kernels::gemm_nt(dy.data(), w, dx2.data_mut(), rows, self.out_features, self.in_features);
+        self.param_grads_into(params, cache, dy, grads);
+        let mut in_shape: Vec<usize> = dy.shape().to_vec();
+        *in_shape.last_mut().unwrap() = self.in_features;
+        dx2.reshaped(&in_shape)
+    }
+
+    fn param_grads_into(&self, _: &[f32], cache: &Cache, dy: &Tensor, grads: &mut [f32]) {
         let x2 = cache.tensor(0); // (rows, in), computed under u_fwd
         let rows = x2.shape()[0];
         assert_eq!(dy.len(), rows * self.out_features, "linear backward: dy size mismatch");
-        let dy2 = dy.data();
-        let (w, _) = self.split(params); // u_bkwd weights for the Jacobian
-                                         // dx = dy @ W^T  (uses backward-pass weights). W is (in, out) so
-                                         // dy (rows, out) against W^T needs the NN kernel with W read as
-                                         // the transposed operand: dx[i, j] = Σ_o dy[i, o] · W[j, o].
-        let mut dx2 = Tensor::zeros(&[rows, self.in_features]);
-        kernels::gemm_nt(dy2, w, dx2.data_mut(), rows, self.out_features, self.in_features);
-        // dW = x^T @ dy  (uses forward-pass activations), written straight
-        // into the gradient buffer.
-        let mut grads = vec![0.0f32; self.param_len()];
-        kernels::gemm_tn(
-            x2.data(),
-            dy2,
-            &mut grads[..self.weight_len()],
-            self.in_features,
-            rows,
-            self.out_features,
-        );
+        // dW = x^T @ dy (uses forward-pass activations), then db = Σ dy.
+        let (dw, db) = grads.split_at_mut(self.weight_len());
+        kernels::gemm_tn(x2.data(), dy.data(), dw, self.in_features, rows, self.out_features);
         if self.bias {
-            add_column_sums(&mut grads[self.weight_len()..], dy2);
+            add_column_sums(db, dy.data());
         }
-        let mut in_shape: Vec<usize> = dy.shape().to_vec();
-        *in_shape.last_mut().unwrap() = self.in_features;
-        (dx2.reshaped(&in_shape), grads)
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

@@ -93,15 +93,19 @@ pub(crate) fn chain_xent_forward(
     (loss, Cache { tensors: vec![dlogits], children: vec![chain_cache], ..Cache::new() })
 }
 
-/// Parameter gradient for a [`chain_xent_forward`] cache. A checkpointed
-/// chain cache records its segment size in `indices`; a plain one never.
+/// Parameter gradient for a [`chain_xent_forward`] cache, the one vector
+/// it allocates: every layer writes into it, and the first computes no
+/// input gradient. A checkpointed chain cache records its segment size in
+/// `indices`; a plain one never.
 pub(crate) fn chain_xent_backward(chain: &Sequential, params: &[f32], cache: &Cache) -> Vec<f32> {
     let (chain_cache, dlogits) = (cache.child(0), cache.tensor(0));
+    let mut grads = vec![0.0f32; chain.param_len()];
     if chain_cache.indices.is_empty() {
-        chain.backward(params, chain_cache, dlogits).1
+        chain.param_grads_into(params, chain_cache, dlogits, &mut grads);
     } else {
-        chain.backward_recomputed(params, params, chain_cache, dlogits).1
+        chain.recomputed_into(params, params, chain_cache, dlogits, &mut grads, false);
     }
+    grads
 }
 
 /// Mean squared error `mean((pred - target)²)` with gradient

@@ -34,7 +34,9 @@ pub trait TrainModel: Send + Sync {
     fn forward_loss(&self, params: &[f32], batch: &Self::Batch) -> (f32, Cache);
 
     /// Backward pass: returns the full flat parameter gradient. `params`
-    /// may differ from the slice passed to `forward_loss`.
+    /// may differ from the slice passed to `forward_loss`. The layers
+    /// write straight into the returned vector ([`crate::Layer::backward_into`]),
+    /// so it is the only gradient-sized buffer a backward allocates.
     fn backward(&self, params: &[f32], cache: &Cache) -> Vec<f32>;
 }
 

@@ -169,7 +169,13 @@ impl Layer for BatchNorm2d {
         self.normalize::<false>(params, x).0
     }
 
-    fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
+    fn backward_into(
+        &self,
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor {
         let xhat = cache.tensor(0).data();
         let dims = self.dims(dy.shape());
         let c = self.channels;
@@ -192,7 +198,6 @@ impl Layer for BatchNorm2d {
             dx.extend_from_slice(dy.data());
         }
         // Per channel: [dγ, dβ | Σ dx̂, Σ dx̂·x̂] with dx̂ = g·γ (backward-pass γ).
-        let mut grads = vec![0.0f32; self.param_len()];
         let mut sums = vec![0.0f32; 2 * c];
         let (dgamma, dbeta) = grads.split_at_mut(c);
         let (sum_d, sum_dx) = sums.split_at_mut(c);
@@ -208,7 +213,7 @@ impl Layer for BatchNorm2d {
                 *d = inv_std * (*d * gamma - mean_d - h * mean_dx);
             }
         }
-        (Tensor::from_vec(dx, dy.shape()), grads)
+        Tensor::from_vec(dx, dy.shape())
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {
@@ -291,10 +296,15 @@ impl Layer for LayerNorm {
         self.normalize::<false>(params, x).0
     }
 
-    fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
+    fn backward_into(
+        &self,
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor {
         let d = self.dim;
         let xhat = cache.tensor(0).data();
-        let mut grads = vec![0.0f32; self.param_len()];
         let (dgamma, dbeta) = grads.split_at_mut(d);
         // dγ/dβ accumulate row by row; `dx` starts as dx̂ = dy·γ.
         let mut dx = Vec::with_capacity(dy.len());
@@ -308,7 +318,7 @@ impl Layer for LayerNorm {
             dx.extend(dy_row.iter().zip(&params[..d]).map(|(&g, &gamma)| g * gamma));
         }
         finish_dx(self.dims(dy.len()), &cache.scalars, xhat, &mut dx);
-        (Tensor::from_vec(dx, dy.shape()), grads)
+        Tensor::from_vec(dx, dy.shape())
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {
@@ -395,12 +405,17 @@ impl Layer for GroupNorm {
         self.normalize::<false>(params, x).0
     }
 
-    fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
+    fn backward_into(
+        &self,
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor {
         let xhat = cache.tensor(0).data();
         let (plane, dims) = self.dims(dy.shape());
         let c = self.channels;
         // dγ/dβ are per channel: batch-norm's slices.
-        let mut grads = vec![0.0f32; self.param_len()];
         let (dgamma, dbeta) = grads.split_at_mut(c);
         let channels = FoldDims { outer: dy.shape()[0], slices: c, run: plane };
         fold::dot(kernels::simd_level(), channels, dy.data(), xhat, dbeta, dgamma);
@@ -410,7 +425,7 @@ impl Layer for GroupNorm {
             dx.extend(dy_run.iter().map(|&g| g * gamma));
         }
         finish_dx(dims, &cache.scalars, xhat, &mut dx);
-        (Tensor::from_vec(dx, dy.shape()), grads)
+        Tensor::from_vec(dx, dy.shape())
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

@@ -39,7 +39,7 @@ impl Layer for GlobalAvgPool2d {
         y
     }
 
-    fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
+    fn backward_into(&self, _: &[f32], cache: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
         let (b, c, h, w) = (cache.indices[0], cache.indices[1], cache.indices[2], cache.indices[3]);
         let mut dx = Tensor::zeros(&[b, c, h, w]);
         let scale = 1.0 / (h * w) as f32;
@@ -52,7 +52,7 @@ impl Layer for GlobalAvgPool2d {
                 }
             }
         }
-        (dx, Vec::new())
+        dx
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {
@@ -133,7 +133,7 @@ impl Layer for MaxPool2d {
         self.pool::<false>(x).0
     }
 
-    fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
+    fn backward_into(&self, _: &[f32], cache: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
         let (b, c, h, w) = (
             cache.scalars[0] as usize,
             cache.scalars[1] as usize,
@@ -144,7 +144,7 @@ impl Layer for MaxPool2d {
         for (o, &i) in cache.indices.iter().enumerate() {
             dx.data_mut()[i] += dy.data()[o];
         }
-        (dx, Vec::new())
+        dx
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {
@@ -178,8 +178,8 @@ impl Layer for Flatten {
         x.reshape(&[b, x.len() / b])
     }
 
-    fn backward(&self, _params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
-        (dy.reshape(&cache.indices), Vec::new())
+    fn backward_into(&self, _: &[f32], cache: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
+        dy.reshape(&cache.indices)
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

@@ -63,7 +63,8 @@ impl TrainModel for LinearRegression {
     }
 
     fn backward(&self, params: &[f32], cache: &Cache) -> Vec<f32> {
-        let (_, grads) = self.linear.backward(params, cache.child(0), cache.tensor(0));
+        let mut grads = vec![0.0f32; self.linear.param_len()];
+        self.linear.param_grads_into(params, cache.child(0), cache.tensor(0), &mut grads);
         grads
     }
 }

@@ -149,32 +149,35 @@ impl Layer for BasicBlock {
         self.run(params, x, None)
     }
 
-    fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
+    fn backward_into(
+        &self,
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor {
         let o = self.offsets();
-        let mut grads = vec![0.0f32; self.param_len()];
-        // Through the output ReLU.
+        // Each sub-layer writes into its own range of `grads`.
+        let mut back = |layer: &dyn Layer, i: usize, at: std::ops::Range<usize>, d: &Tensor| {
+            layer.backward_into(&params[at.clone()], cache.child(i), d, &mut grads[at])
+        };
+        // Through the output ReLU, then the main branch.
         let dpre = relu_grad(dy, &cache.indices);
-        // Main branch.
-        let (dh3, g4) = self.bn2.backward(&params[o[3]..o[4]], cache.child(3), &dpre);
-        grads[o[3]..o[4]].copy_from_slice(&g4);
-        let (dh2, g3) = self.conv2.backward(&params[o[2]..o[3]], cache.child(2), &dh3);
-        grads[o[2]..o[3]].copy_from_slice(&g3);
-        let (dh1, g2) = self.bn1.backward(&params[o[1]..o[2]], cache.child(1), &dh2);
-        grads[o[1]..o[2]].copy_from_slice(&g2);
-        let (mut dx, g1) = self.conv1.backward(&params[o[0]..o[1]], cache.child(0), &dh1);
-        grads[o[0]..o[1]].copy_from_slice(&g1);
+        let mut dx = back(&self.bn2, 3, o[3]..o[4], &dpre);
+        dx = back(&self.conv2, 2, o[2]..o[3], &dx);
+        dx = back(&self.bn1, 1, o[1]..o[2], &dx);
+        dx = back(&self.conv1, 0, o[0]..o[1], &dx);
         // Shortcut branch.
         match &self.down {
             None => dx.axpy(1.0, &dpre),
             Some((dc, db)) => {
-                let (ds1, gb) = db.backward(&params[o[5]..], cache.child(5), &dpre);
-                grads[o[5]..].copy_from_slice(&gb);
-                let (dsx, gc) = dc.backward(&params[o[4]..o[5]], cache.child(4), &ds1);
-                grads[o[4]..o[5]].copy_from_slice(&gc);
-                dx.axpy(1.0, &dsx);
+                let mut ds = back(db, 5, o[5]..self.param_len(), &dpre);
+                drop(dpre);
+                ds = back(dc, 4, o[4]..o[5], &ds);
+                dx.axpy(1.0, &ds);
             }
         }
-        (dx, grads)
+        dx
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

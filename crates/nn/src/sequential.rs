@@ -101,9 +101,10 @@ impl Sequential {
     }
 
     /// Backward through the layers of `split` from a
-    /// [`Sequential::forward_split`] cache: writes the parameter gradient
-    /// into `grads` (the split's own slice, like `params`) and returns the
-    /// input gradient. `params` may differ from the forward's weights.
+    /// [`Sequential::forward_split`] cache: overwrites `grads` (the
+    /// split's own slice, like `params`) with the parameter gradient and
+    /// returns the input gradient. `params` may differ from the forward's
+    /// weights.
     pub fn backward_split(
         &self,
         params: &[f32],
@@ -112,17 +113,38 @@ impl Sequential {
         dy: &Tensor,
         grads: &mut [f32],
     ) -> Tensor {
+        grads.fill(0.0);
+        self.run_backward(params, split, cache, dy, grads, true).expect("an input gradient")
+    }
+
+    /// The one cached backward loop: each layer writes its gradient into
+    /// its range of `grads` (zeroed on entry) and its input gradient
+    /// replaces, and frees, the one it consumed. Without `input_grad` the
+    /// split's first layer computes only its parameter gradient
+    /// ([`Layer::param_grads_into`]) and there is no input gradient.
+    fn run_backward(
+        &self,
+        params: &[f32],
+        split: &ServeSplit,
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+        input_grad: bool,
+    ) -> Option<Tensor> {
         self.check(params, split);
         assert_eq!(grads.len(), params.len(), "grads must be the split's own");
         let mut cur: Option<Tensor> = None;
         for i in (split.layer_lo..split.layer_hi).rev() {
             let (range, c) = (self.local(split, i), cache.child(i - split.layer_lo));
-            let (dx, dp) =
-                self.layers[i].backward(&params[range.clone()], c, cur.as_ref().unwrap_or(dy));
-            grads[range].copy_from_slice(&dp);
-            cur = Some(dx);
+            let (layer, p, g) = (&self.layers[i], &params[range.clone()], &mut grads[range]);
+            let d = cur.as_ref().unwrap_or(dy);
+            if i == split.layer_lo && !input_grad {
+                layer.param_grads_into(p, c, d, g);
+                return None;
+            }
+            cur = Some(layer.backward_into(p, c, d, g));
         }
-        cur.unwrap_or_else(|| dy.clone())
+        input_grad.then(|| cur.unwrap_or_else(|| dy.clone()))
     }
 
     /// Inference-only forward through `split`: chains every layer's
@@ -247,6 +269,24 @@ impl Sequential {
         cache: &Cache,
         dy: &Tensor,
     ) -> (Tensor, Vec<f32>) {
+        let mut grads = vec![0.0f32; self.param_len()];
+        let dx = self.recomputed_into(replay_params, params, cache, dy, &mut grads, true);
+        (dx.expect("an input gradient"), grads)
+    }
+
+    /// [`Sequential::backward_recomputed`] into `grads` (zeroed on entry);
+    /// without `input_grad` the first segment runs as
+    /// [`Sequential::run_backward`] does without it, and there is no input
+    /// gradient.
+    pub(crate) fn recomputed_into(
+        &self,
+        replay_params: &[f32],
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let segment = cache.indices[0];
         let n = self.layers.len();
         // The stashes live in exactly one of the two stores, depending on
@@ -254,7 +294,6 @@ impl Sequential {
         let bf16 = !cache.bf16_tensors.is_empty();
         let n_stashes = if bf16 { cache.bf16_tensors.len() } else { cache.tensors.len() };
         assert_eq!(n_stashes, n.div_ceil(segment), "checkpoint cache does not match chain layout");
-        let mut grads = vec![0.0f32; self.param_len()];
         let mut cur: Option<Tensor> = None;
         for seg_idx in (0..n_stashes).rev() {
             let seg = self.span(seg_idx * segment, ((seg_idx + 1) * segment).min(n));
@@ -265,10 +304,11 @@ impl Sequential {
             let widened = bf16.then(|| cache.bf16_tensors[seg_idx].decode());
             let h = widened.as_ref().unwrap_or_else(|| cache.tensor(seg_idx));
             let (_, seg_cache) = self.forward_split(&replay_params[range.clone()], &seg, h);
-            let (p, g) = (&params[range.clone()], &mut grads[range]);
-            cur = Some(self.backward_split(p, &seg, &seg_cache, cur.as_ref().unwrap_or(dy), g));
+            let (p, g, d) = (&params[range.clone()], &mut grads[range], cur.as_ref().unwrap_or(dy));
+            let input_grad = input_grad || seg_idx > 0;
+            cur = self.run_backward(p, &seg, &seg_cache, d, g, input_grad);
         }
-        (cur.unwrap_or_else(|| dy.clone()), grads)
+        input_grad.then(|| cur.unwrap_or_else(|| dy.clone()))
     }
 }
 
@@ -297,10 +337,19 @@ impl Layer for Sequential {
         self.forward_inference_span(params, &self.whole(), x)
     }
 
-    fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {
-        let mut grads = vec![0.0f32; self.param_len()];
-        let dx = self.backward_split(params, &self.whole(), cache, dy, &mut grads);
-        (dx, grads)
+    fn backward_into(
+        &self,
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor {
+        let dx = self.run_backward(params, &self.whole(), cache, dy, grads, true);
+        dx.expect("an input gradient")
+    }
+
+    fn param_grads_into(&self, params: &[f32], cache: &Cache, dy: &Tensor, grads: &mut [f32]) {
+        self.run_backward(params, &self.whole(), cache, dy, grads, false);
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

@@ -163,20 +163,28 @@ impl EncoderLayer {
         (y, cache)
     }
 
-    fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor, grads: &mut [f32]) -> Tensor {
+    /// Writes the layer's gradient into `grads` (zeroed on entry) and
+    /// returns the input gradient.
+    fn backward_into(
+        &self,
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor {
         let o = self.offsets();
-        let (dsum2, g) = self.ln2.backward(&params[o[4]..o[5]], cache.child(5), dy);
-        grads[o[4]..o[5]].copy_from_slice(&g);
-        let (df2, g) = self.ff2.backward(&params[o[3]..o[4]], cache.child(4), &dsum2);
-        grads[o[3]..o[4]].copy_from_slice(&g);
-        let (df1, _) = self.act.backward(&[], cache.child(3), &df2);
-        let (mut dh1, g) = self.ff1.backward(&params[o[2]..o[3]], cache.child(2), &df1);
-        grads[o[2]..o[3]].copy_from_slice(&g);
+        let r = |i: usize| o[i]..o[i + 1];
+        let dsum2 = self.ln2.backward_into(&params[r(4)], cache.child(5), dy, &mut grads[r(4)]);
+        let mut dh1 =
+            self.ff2.backward_into(&params[r(3)], cache.child(4), &dsum2, &mut grads[r(3)]);
+        dh1 = self.act.backward_into(&[], cache.child(3), &dh1, &mut []);
+        dh1 = self.ff1.backward_into(&params[r(2)], cache.child(2), &dh1, &mut grads[r(2)]);
         dh1.axpy(1.0, &dsum2);
-        let (mut dx, g) = self.ln1.backward(&params[o[1]..o[2]], cache.child(1), &dh1);
-        grads[o[1]..o[2]].copy_from_slice(&g);
-        let (dq, dkv, g) = self.attn.backward(&params[o[0]..o[1]], cache.child(0), &dx);
-        grads[o[0]..o[1]].copy_from_slice(&g);
+        drop(dsum2);
+        let mut dx = self.ln1.backward_into(&params[r(1)], cache.child(1), &dh1, &mut grads[r(1)]);
+        drop(dh1);
+        let (dq, dkv) =
+            self.attn.backward_into(&params[r(0)], cache.child(0), &dx, &mut grads[r(0)]);
         dx.axpy(1.0, &dq);
         dx.axpy(1.0, &dkv);
         dx
@@ -285,8 +293,9 @@ impl DecoderLayer {
         (y, cache)
     }
 
-    /// Returns `(dx, dmemory)`.
-    fn backward(
+    /// Writes the layer's gradient into `grads` (zeroed on entry) and
+    /// returns `(dx, dmemory)`.
+    fn backward_into(
         &self,
         params: &[f32],
         cache: &Cache,
@@ -294,24 +303,24 @@ impl DecoderLayer {
         grads: &mut [f32],
     ) -> (Tensor, Tensor) {
         let o = self.offsets();
-        let (dsum3, g) = self.ln3.backward(&params[o[6]..o[7]], cache.child(7), dy);
-        grads[o[6]..o[7]].copy_from_slice(&g);
-        let (df2, g) = self.ff2.backward(&params[o[5]..o[6]], cache.child(6), &dsum3);
-        grads[o[5]..o[6]].copy_from_slice(&g);
-        let (df1, _) = self.act.backward(&[], cache.child(5), &df2);
-        let (mut dh2, g) = self.ff1.backward(&params[o[4]..o[5]], cache.child(4), &df1);
-        grads[o[4]..o[5]].copy_from_slice(&g);
+        let r = |i: usize| o[i]..o[i + 1];
+        let dsum3 = self.ln3.backward_into(&params[r(6)], cache.child(7), dy, &mut grads[r(6)]);
+        let mut dh2 =
+            self.ff2.backward_into(&params[r(5)], cache.child(6), &dsum3, &mut grads[r(5)]);
+        dh2 = self.act.backward_into(&[], cache.child(5), &dh2, &mut []);
+        dh2 = self.ff1.backward_into(&params[r(4)], cache.child(4), &dh2, &mut grads[r(4)]);
         dh2.axpy(1.0, &dsum3);
-        let (dsum2, g) = self.ln2.backward(&params[o[3]..o[4]], cache.child(3), &dh2);
-        grads[o[3]..o[4]].copy_from_slice(&g);
-        let (mut dh1, dmem, g) =
-            self.cross_attn.backward(&params[o[2]..o[3]], cache.child(2), &dsum2);
-        grads[o[2]..o[3]].copy_from_slice(&g);
+        drop(dsum3);
+        let dsum2 = self.ln2.backward_into(&params[r(3)], cache.child(3), &dh2, &mut grads[r(3)]);
+        drop(dh2);
+        let (mut dh1, dmem) =
+            self.cross_attn.backward_into(&params[r(2)], cache.child(2), &dsum2, &mut grads[r(2)]);
         dh1.axpy(1.0, &dsum2);
-        let (mut dx, g) = self.ln1.backward(&params[o[1]..o[2]], cache.child(1), &dh1);
-        grads[o[1]..o[2]].copy_from_slice(&g);
-        let (dq, dkv, g) = self.self_attn.backward(&params[o[0]..o[1]], cache.child(0), &dx);
-        grads[o[0]..o[1]].copy_from_slice(&g);
+        drop(dsum2);
+        let mut dx = self.ln1.backward_into(&params[r(1)], cache.child(1), &dh1, &mut grads[r(1)]);
+        drop(dh1);
+        let (dq, dkv) =
+            self.self_attn.backward_into(&params[r(0)], cache.child(0), &dx, &mut grads[r(0)]);
         dx.axpy(1.0, &dq);
         dx.axpy(1.0, &dkv);
         (dx, dmem)
@@ -613,13 +622,13 @@ impl TrainModel for Transformer {
         let (b, ts, d) = (memory.shape()[0], memory.shape()[1], memory.shape()[2]);
 
         // Output projection.
-        let off = self.out_off();
-        let (dh2, g) = self.out_proj.backward(
-            &params[off..off + self.out_proj.param_len()],
+        let out = self.out_off()..self.out_off() + self.out_proj.param_len();
+        let dh2 = self.out_proj.backward_into(
+            &params[out.clone()],
             dec_cache.child(1 + self.cfg.dec_layers),
             dlogits,
+            &mut grads[out],
         );
-        grads[off..off + self.out_proj.param_len()].copy_from_slice(&g);
         let tt = dh2.shape()[0] / b;
         let mut dh = dh2.reshaped(&[b, tt, d]);
 
@@ -627,7 +636,7 @@ impl TrainModel for Transformer {
         let mut dmem = Tensor::zeros(&[b, ts, d]);
         for (i, layer) in self.dec.iter().enumerate().rev() {
             let off = self.dec_off(i);
-            let (dx, dm) = layer.backward(
+            let (dx, dm) = layer.backward_into(
                 &params[off..off + layer.param_len()],
                 dec_cache.child(1 + i),
                 &dh,
@@ -637,32 +646,26 @@ impl TrainModel for Transformer {
             dh = dx;
         }
         // Target embedding (positional encoding is additive: gradient
-        // passes through unchanged).
-        let (_, g) = self.tgt_embed.backward(
-            &params[self.offsets[1]..self.offsets[2]],
-            dec_cache.child(0),
-            &dh,
-        );
-        grads[self.offsets[1]..self.offsets[2]].copy_from_slice(&g);
+        // passes through unchanged; token ids take none).
+        let tgt = self.offsets[1]..self.offsets[2];
+        let embed_cache = dec_cache.child(0);
+        self.tgt_embed.param_grads_into(&params[tgt.clone()], embed_cache, &dh, &mut grads[tgt]);
+        drop(dh);
 
         // Encoder layers (reverse).
         let mut dh = dmem;
         for (i, layer) in self.enc.iter().enumerate().rev() {
             let off = self.enc_off(i);
-            let dx = layer.backward(
+            dh = layer.backward_into(
                 &params[off..off + layer.param_len()],
                 enc_cache.child(1 + i),
                 &dh,
                 &mut grads[off..off + layer.param_len()],
             );
-            dh = dx;
         }
-        let (_, g) = self.src_embed.backward(
-            &params[self.offsets[0]..self.offsets[1]],
-            enc_cache.child(0),
-            &dh,
-        );
-        grads[self.offsets[0]..self.offsets[1]].copy_from_slice(&g);
+        let src = self.offsets[0]..self.offsets[1];
+        let embed_cache = enc_cache.child(0);
+        self.src_embed.param_grads_into(&params[src.clone()], embed_cache, &dh, &mut grads[src]);
         grads
     }
 }

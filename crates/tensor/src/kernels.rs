@@ -10,9 +10,9 @@
 //!
 //! | path | when | what it costs beyond the FMAs |
 //! |---|---|---|
-//! | **no-pack** ([`gemm_no_pack`]) | [`no_pack_is_faster`]: `m ≤ 4` at any `k·n` (not `A · Bᵀ`), `k·n ≤ 256`, or `m < 16` and `k·n ≤ 8192` — unless the pool splits it | nothing: A and B are read where they lie (`A · Bᵀ` first transposes B into the pack scratch) |
-//! | **blocked** ([`gemm_blocked`]) | otherwise | packs B once (`k·n` writes) and A per `MC`-row chunk (`m·k` writes) |
-//! | **pool-parallel blocked** | `2·m·k·n ≥ 2²¹` and more than one `MC`-row chunk | the same packs, chunks spread over the pool |
+//! | **no-pack** ([`gemm_no_pack`]) | [`no_pack_is_faster`]: `m ≤ 4` at any `k·n` (not `A · Bᵀ`), `k·n ≤ 256`, or `m < 16` and `k·n ≤ 8192` — unless the pool splits it | nothing: A and B are read where they lie (`A · Bᵀ` first transposes B into the pack scratch, a [`B_BLOCK`] of columns at a time) |
+//! | **blocked** ([`gemm_blocked`]) | otherwise | packs B a [`B_BLOCK`] at a time (`k·n` writes in all) and A per `MC`-row chunk per block (`m·k` writes a block; once in all for `m ≤ MC`) |
+//! | **pool-parallel blocked** | `2·m·k·n ≥ 2²¹` and more than one `MC`-row chunk | the same packs, each block's chunks spread over the pool |
 //!
 //! The no-pack kernel is portable code the compiler vectorises over
 //! output columns. Its tile is `R ∈ {1, 2, 4}` rows by `128 / R`
@@ -51,13 +51,19 @@
 //! The blocked path packs both operands into contiguous micro-panels and
 //! drives an `mr × nr` register-tile microkernel:
 //!
-//! * **B** is packed once per call into column panels of `nr` columns,
-//!   zero-padded to a multiple of `nr` (layout `[panel][p][c]`, so the
-//!   microkernel streams it contiguously).
+//! * **B** is packed one column block at a time into column panels of
+//!   `nr` columns, zero-padded to a multiple of `nr` (layout
+//!   `[panel][p][c]`, so the microkernel streams it contiguously). A
+//!   block is as many whole panels as fit in [`B_BLOCK`] values (256 KiB)
+//!   and at least one, so the calling thread's B scratch never outgrows
+//!   that plus one panel: a wide layer's `k·n` weight matrix is never
+//!   copied whole.
 //! * **A** is packed per row-block of [`MC`] rows into the packing
 //!   thread's scratch buffer (owned by [`crate::pool`], allocated once
 //!   per worker thread), as row panels of `mr` rows (layout
-//!   `[panel][p][r]`).
+//!   `[panel][p][r]`). Every chunk runs against a block before the next
+//!   block is packed, so A is packed once per block — once in all when
+//!   the product is a single chunk.
 //! * The microkernel accumulates a full-depth `mr × nr` tile in
 //!   registers: `acc[r][c] += a[p][r] · b[p][c]` for `p = 0, 1, …, k−1`.
 //!   The tile can go in as well as out (`micro_tile`'s `carry`): the
@@ -102,7 +108,9 @@
 //! all paths, all tiers and all thread counts are **bit-identical** to
 //! the scalar reference. The depth loop is deliberately not split into
 //! `KC` slices; cache blocking happens over `M` (the `MC`-row parallel
-//! chunks) and `N` (the `nr`-column B panels).
+//! chunks) and `N` (the [`B_BLOCK`] column blocks and their `nr`-column
+//! panels), and each tile still runs its full depth from a zero
+//! accumulator, so how B is cut into blocks never shows in a result.
 //!
 //! [`gemm_naive`] keeps the seed's plain multiply-then-add accumulation
 //! and exists as the benchmark baseline; it differs from the production
@@ -510,7 +518,8 @@ const NO_PACK_ACC: usize = 128;
 /// ragged last tile is the previous tile shifted back to end at the
 /// edge, committing only the rows and lanes not yet written, so no
 /// element is ever accumulated in two pieces. `A · Bᵀ` first transposes
-/// B into this thread's pack scratch.
+/// B into this thread's pack scratch, one column block of at most
+/// [`B_BLOCK`] values (or one tile's lanes) at a time.
 ///
 /// # Panics
 ///
@@ -539,21 +548,22 @@ fn no_pack_rows_of<const R: usize>(p: &Product, a: &[f32], b: &[f32], c: &mut [f
         let lanes = (1 << p.n.ilog2()).min(max_lanes);
         return no_pack_lanes::<R>(p, lanes, a, b, p.ldb, p.n, c);
     }
-    // Bᵀ goes to the scratch at a pitch of whole vectors, zero beyond
-    // column n, so a narrow product is one block of the next lane count
-    // up instead of two of the next one down.
+    // Bᵀ goes to the scratch one column block at a time, at a pitch of
+    // whole vectors, zero beyond the block's last column, so a narrow
+    // product is one block of the next lane count up instead of two of
+    // the next one down.
     let lanes = p.n.next_power_of_two().min(max_lanes);
-    let width = p.n.next_multiple_of(lanes);
     pool::with_pack_b_scratch(|bt| {
-        let len = p.k * width;
-        if bt.len() < len {
-            bt.resize(len, 0.0);
+        for (j0, cols) in col_blocks(p.n, p.k, lanes) {
+            let width = cols.next_multiple_of(lanes);
+            let bt = b_scratch(bt, p.k * width);
+            if width > cols {
+                bt.fill(0.0);
+            }
+            interleave_rows(&b[j0 * p.ldb..], p.ldb, cols, p.k, width, bt);
+            let block = Product { n: cols, ..*p };
+            no_pack_lanes::<R>(&block, lanes, a, bt, width, width, &mut c[j0..]);
         }
-        if width > p.n {
-            bt[..len].fill(0.0);
-        }
-        interleave_rows(b, p.ldb, p.n, p.k, width, &mut bt[..len]);
-        no_pack_lanes::<R>(p, lanes, a, &bt[..len], width, width, c);
     });
 }
 
@@ -723,67 +733,107 @@ pub fn gemm_blocked_with(
     blocked(level, &Product::dense(layout, m, k, n), a, b, c);
 }
 
-/// Serial blocked GEMM: pack B once, then one `MC`-row chunk at a time.
-fn blocked(level: SimdLevel, p: &Product, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let (_, nr) = level.tile();
-    pool::with_pack_b_scratch(|bpack| {
-        let blen = pack_b(p, b, nr, bpack);
-        let bpack = &bpack[..blen];
-        for chunk in 0..p.m.div_ceil(MC) {
-            run_chunk(level, p, a, bpack, c, chunk);
-        }
-    });
+/// Most values one packed block of B holds (256 KiB of `f32`): the
+/// blocked paths pack B a block of whole `nr`-column panels at a time,
+/// as many as fit, but always at least one. A thread's B scratch is
+/// therefore at most this plus one panel, whatever the product.
+pub const B_BLOCK: usize = 1 << 16;
+
+/// The first `len` values of this thread's B scratch, grown if need be —
+/// to exactly `len`: a doubling would let the thread keep up to twice the
+/// largest block it ever packed.
+fn b_scratch(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.reserve_exact(len - buf.len());
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
 }
 
-/// Pool-parallel blocked GEMM over `MC`-row chunks.
-fn blocked_parallel(level: SimdLevel, p: &Product, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let (_, nr) = level.tile();
-    let c_span = p.spans()[2];
-    assert!(c_span <= c.len(), "gemm: C does not cover the product");
-    pool::with_pack_b_scratch(|bpack| {
-        let blen = pack_b(p, b, nr, bpack);
-        let bpack: &[f32] = &bpack[..blen];
-        let c_out = UnsafeSlice::new(c);
-        pool::parallel_for(p.m.div_ceil(MC), |chunk| {
-            // SAFETY: chunk `i` writes only C rows `i*MC .. i*MC+rows`,
-            // disjoint across chunk indices.
-            let c_all = unsafe { c_out.slice_mut(0, c_span) };
-            run_chunk(level, p, a, bpack, c_all, chunk);
+/// The column blocks `(first column, columns)` of an `n`-column B of
+/// depth `k` packed `width` columns to a panel: whole panels up to
+/// [`B_BLOCK`] values, at least one panel each, the last one ragged.
+fn col_blocks(n: usize, k: usize, width: usize) -> impl Iterator<Item = (usize, usize)> {
+    let step = (B_BLOCK / (k * width)).max(1) * width;
+    (0..n).step_by(step).map(move |j0| (j0, step.min(n - j0)))
+}
+
+/// Serial blocked GEMM: one block of B at a time, every `MC`-row chunk
+/// against it before the next is packed. A product of one chunk packs
+/// its A once, for every block.
+fn blocked(level: SimdLevel, p: &Product, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let (mr, nr) = level.tile();
+    let chunks = p.m.div_ceil(MC);
+    pool::with_pack_a_scratch(|apack| {
+        pool::with_pack_b_scratch(|bpack| {
+            for (block, (j0, cols)) in col_blocks(p.n, p.k, nr).enumerate() {
+                let bpack = pack_b(p, b, j0, cols, nr, bpack);
+                for chunk in 0..chunks {
+                    let (i0, rows) = (chunk * MC, MC.min(p.m - chunk * MC));
+                    if chunks > 1 || block == 0 {
+                        pack_a(p, a, i0, rows, mr, apack);
+                    }
+                    multiply(level, p, apack, bpack, c, (i0, rows), (j0, cols));
+                }
+            }
         });
     });
 }
 
-/// Packs and multiplies one `MC`-row chunk against the shared packed B.
-fn run_chunk(level: SimdLevel, p: &Product, a: &[f32], bpack: &[f32], c: &mut [f32], chunk: usize) {
+/// Pool-parallel blocked GEMM: one block of B at a time, packed by the
+/// calling thread and shared by the `MC`-row chunks the pool spreads.
+fn blocked_parallel(level: SimdLevel, p: &Product, a: &[f32], b: &[f32], c: &mut [f32]) {
     let (mr, nr) = level.tile();
-    let (k, n) = (p.k, p.n);
-    let i0 = chunk * MC;
-    let rows = MC.min(p.m - i0);
-    let row_panels = rows.div_ceil(mr);
-    let col_panels = n.div_ceil(nr);
-    pool::with_pack_a_scratch(|apack| {
-        let alen = pack_a(p, a, i0, rows, mr, apack);
-        let apack = &apack[..alen];
-        let mut acc = [0.0f32; MAX_TILE];
-        let acc = &mut acc[..mr * nr];
-        for jp in 0..col_panels {
-            let b_panel = &bpack[jp * k * nr..(jp + 1) * k * nr];
-            let j0 = jp * nr;
-            let cols = nr.min(n - j0);
-            for ip in 0..row_panels {
-                let a_panel = &apack[ip * k * mr..(ip + 1) * k * mr];
-                micro_tile(level, k, a_panel, b_panel, acc, false);
-                let tile_rows = mr.min(rows - ip * mr);
-                for r in 0..tile_rows {
-                    let at = (i0 + ip * mr + r) * p.ldc + j0;
-                    let c_row = &mut c[at..at + cols];
-                    for (c_ij, &v) in c_row.iter_mut().zip(acc[r * nr..r * nr + nr].iter()) {
-                        *c_ij += v;
-                    }
+    let c_span = p.spans()[2];
+    assert!(c_span <= c.len(), "gemm: C does not cover the product");
+    let c_out = UnsafeSlice::new(c);
+    pool::with_pack_b_scratch(|bpack| {
+        for (j0, cols) in col_blocks(p.n, p.k, nr) {
+            let bpack: &[f32] = pack_b(p, b, j0, cols, nr, bpack);
+            pool::parallel_for(p.m.div_ceil(MC), |chunk| {
+                let (i0, rows) = (chunk * MC, MC.min(p.m - chunk * MC));
+                // SAFETY: chunk `i` writes only C rows `i*MC .. i*MC+rows`,
+                // disjoint across chunk indices.
+                let c_all = unsafe { c_out.slice_mut(0, c_span) };
+                pool::with_pack_a_scratch(|apack| {
+                    pack_a(p, a, i0, rows, mr, apack);
+                    multiply(level, p, apack, bpack, c_all, (i0, rows), (j0, cols));
+                });
+            });
+        }
+    });
+}
+
+/// Multiplies the packed A of rows `i0..i0 + rows` by the packed B block
+/// of columns `j0..j0 + cols`, adding each full-depth tile to C.
+fn multiply(
+    level: SimdLevel,
+    p: &Product,
+    apack: &[f32],
+    bpack: &[f32],
+    c: &mut [f32],
+    (i0, rows): (usize, usize),
+    (j0, cols): (usize, usize),
+) {
+    let (mr, nr) = level.tile();
+    let k = p.k;
+    let mut acc = [0.0f32; MAX_TILE];
+    let acc = &mut acc[..mr * nr];
+    for jp in 0..cols.div_ceil(nr) {
+        let b_panel = &bpack[jp * k * nr..(jp + 1) * k * nr];
+        let (j, width) = (j0 + jp * nr, nr.min(cols - jp * nr));
+        for ip in 0..rows.div_ceil(mr) {
+            let a_panel = &apack[ip * k * mr..(ip + 1) * k * mr];
+            micro_tile(level, k, a_panel, b_panel, acc, false);
+            for r in 0..mr.min(rows - ip * mr) {
+                let at = (i0 + ip * mr + r) * p.ldc + j;
+                let c_row = &mut c[at..at + width];
+                for (c_ij, &v) in c_row.iter_mut().zip(acc[r * nr..r * nr + nr].iter()) {
+                    *c_ij += v;
                 }
             }
         }
-    });
+    }
 }
 
 /// One register tile at tier `level`: `acc (mr×nr, row-major) = [acc +]
@@ -968,21 +1018,26 @@ unsafe fn micro_avx512_8x32(
     }
 }
 
-/// Packs all of B into `nr`-column panels: element `(p, j0+c)` of
-/// `op(B)` lands at `bpack[(jp*k + p)*nr + c]`, zero-padded past `n`.
-/// Returns the packed length; only that prefix of the (reused,
-/// possibly longer) scratch buffer is meaningful, and every element of
-/// it is written each call — stale data never leaks into the product.
-fn pack_b(p: &Product, b: &[f32], nr: usize, bpack: &mut Vec<f32>) -> usize {
-    let (k, n, ldb) = (p.k, p.n, p.ldb);
-    let col_panels = n.div_ceil(nr);
-    let len = col_panels * k * nr;
-    if bpack.len() < len {
-        bpack.resize(len, 0.0);
-    }
+/// Packs columns `first..first + width` of `op(B)` into `nr`-column
+/// panels: element `(p, first + jp*nr + c)` lands at `(jp*k + p)*nr + c`
+/// of the returned prefix of the (reused, possibly longer) scratch
+/// buffer, zero-padded past the block's last column. Every element of
+/// that prefix is written each call — stale data never leaks into the
+/// product.
+fn pack_b<'s>(
+    p: &Product,
+    b: &[f32],
+    first: usize,
+    width: usize,
+    nr: usize,
+    bpack: &'s mut Vec<f32>,
+) -> &'s [f32] {
+    let (k, ldb) = (p.k, p.ldb);
+    let col_panels = width.div_ceil(nr);
+    let bpack = b_scratch(bpack, col_panels * k * nr);
     for jp in 0..col_panels {
-        let j0 = jp * nr;
-        let cols = nr.min(n - j0);
+        let j0 = first + jp * nr;
+        let cols = nr.min(width - jp * nr);
         let panel = &mut bpack[jp * k * nr..(jp + 1) * k * nr];
         match p.layout {
             // B is k×n row-major: copy `cols` contiguous values per p,
@@ -1005,7 +1060,7 @@ fn pack_b(p: &Product, b: &[f32], nr: usize, bpack: &mut Vec<f32>) -> usize {
             }
         }
     }
-    len
+    bpack
 }
 
 /// Depth positions interleaved per pass of [`interleave_rows`]: a

@@ -320,6 +320,40 @@ proptest! {
 }
 
 #[test]
+fn products_over_several_b_blocks_are_bit_exact_at_any_pool_width() {
+    // `k·n` above one `B_BLOCK`: B is packed (or, for `A · Bᵀ` without a
+    // pack, transposed) in several column blocks — a ragged last one, and
+    // at `k = 8200` one panel per block whatever the tier's `nr`. Every
+    // path, serial or spread over the pool, must still land on the one
+    // full-depth chain per element.
+    for (m, k, n) in [(MC + 3, 300, 250), (5, 8200, 20), (3, 2100, 70)] {
+        assert!(k * n > kernels::B_BLOCK, "{m}x{k}x{n} fits one block");
+        for layout in [Layout::NN, Layout::NT, Layout::TN] {
+            let ((a_rows, a_cols), (b_rows, b_cols)) = stored(layout, m, k, n);
+            let a = randvec(a_rows * a_cols, 41);
+            let b = randvec(b_rows * b_cols, 43);
+            let want = bits(&reference(layout, &a, &b, m, k, n));
+            let entry = match layout {
+                Layout::NN => kernels::gemm,
+                Layout::NT => kernels::gemm_nt,
+                Layout::TN => kernels::gemm_tn,
+            };
+            for threads in [1, 2, 3] {
+                let mut c = vec![0.0f32; m * n];
+                pool::with_pool(&ThreadPool::new(threads), || entry(&a, &b, &mut c, m, k, n));
+                assert_eq!(bits(&c), want, "dispatched {layout:?} {m}x{k}x{n} at {threads}");
+            }
+            let mut c = vec![0.0f32; m * n];
+            kernels::gemm_blocked(layout, &a, &b, &mut c, m, k, n);
+            assert_eq!(bits(&c), want, "blocked {layout:?} {m}x{k}x{n}");
+            let mut c = vec![0.0f32; m * n];
+            kernels::gemm_no_pack(&Product::dense(layout, m, k, n), &a, &b, &mut c);
+            assert_eq!(bits(&c), want, "no-pack {layout:?} {m}x{k}x{n}");
+        }
+    }
+}
+
+#[test]
 fn large_head_strided_batch_is_bit_identical_at_any_pool_width() {
     // Heads big enough that each product takes the blocked kernel and the
     // batch crosses the parallel threshold: side-by-side C blocks written

@@ -407,6 +407,32 @@ proptest! {
     }
 }
 
+/// Products whose B spans several packed blocks (`k·n` above
+/// `B_BLOCK`): at 70×520×200 each tier cuts B at its own whole-panel
+/// boundary, leaving a ragged last block, and at 3×8200×20 one panel is
+/// already more than a block at every tier, so each block is one panel.
+/// Every tier, and the no-pack kernel, lands on the scalar tier's bits.
+#[test]
+fn multi_block_products_match_scalar_at_every_tier() {
+    for (m, k, n) in [(70, 520, 200), (3, 8200, 20)] {
+        assert!(k * n > kernels::B_BLOCK, "{m}x{k}x{n} fits one block");
+        for layout in [Layout::NN, Layout::NT, Layout::TN] {
+            let (a_len, b_len) = operand_lens(layout, m, k, n);
+            let a = randvec(a_len, 53);
+            let b = randvec(b_len, 59);
+            let want = bits(&reference(layout, &a, &b, m, k, n));
+            for level in runnable_levels() {
+                let mut c = vec![0.0f32; m * n];
+                kernels::gemm_blocked_with(level, layout, &a, &b, &mut c, m, k, n);
+                assert_eq!(bits(&c), want, "{} {layout:?} {m}x{k}x{n}", level.name());
+            }
+            let mut c = vec![0.0f32; m * n];
+            kernels::gemm_no_pack(&Product::dense(layout, m, k, n), &a, &b, &mut c);
+            assert_eq!(bits(&c), want, "no-pack {layout:?} {m}x{k}x{n}");
+        }
+    }
+}
+
 /// The determinism contract holds for the tiers themselves: whatever
 /// `simd_level()` resolved to on this host is in the runnable set, and
 /// forcing it reproduces the dispatched `gemm_blocked` exactly.
