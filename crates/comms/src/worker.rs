@@ -323,10 +323,10 @@ fn run_training_loop(
 /// Most microbatch tokens a [`Message::TokenMode`] may announce: the
 /// count arrives from the peer and sizes this stage's op timeline.
 pub const MAX_TOKENS: u64 = 1 << 16;
-/// Most cells, `stages × (total + 2·stages)`, of the slot grid a
-/// [`Message::TokenMode`] may make the worker simulate: the stage count
-/// and the token count are each bounded, but their product sizes the
-/// plan every stage builds.
+/// Most ops, `2 · stages · total`, of the plan a [`Message::TokenMode`]
+/// may make the worker build: under every method each stage runs one
+/// forward and one backward per token, so the stage count and the token
+/// count, each bounded on its own, together size the plan.
 pub const MAX_PLAN_CELLS: u64 = 1 << 22;
 /// Longest per-op work, in µs, a [`Message::TokenMode`] may make a stage sleep.
 const MAX_WORK_US: u64 = 1_000_000;
@@ -352,10 +352,10 @@ fn run_token_loop(
 ) -> Result<StageWorkerReport, CommsError> {
     let (stage, stages) = (cfg.stage as usize, cfg.stages as usize);
     let n_micro = cfg.n_micro as u64;
-    let cells = (stages as u64).saturating_mul(total.saturating_add(2 * stages as u64));
+    let ops = (stages as u64).saturating_mul(total).saturating_mul(2);
     if total == 0
         || total > MAX_TOKENS
-        || cells > MAX_PLAN_CELLS
+        || ops > MAX_PLAN_CELLS
         || !total.is_multiple_of(n_micro)
         || is_last != (stage + 1 == stages)
         || work_us > MAX_WORK_US
@@ -363,7 +363,7 @@ fn run_token_loop(
         let what = format!(
             "token total {total} (is_last {is_last}, {work_us} us) does not fit stage {stage} of \
              {stages}, {n_micro} per minibatch (limits {MAX_TOKENS} tokens, {MAX_PLAN_CELLS} \
-             plan cells, {MAX_WORK_US} us)"
+             plan ops, {MAX_WORK_US} us)"
         );
         return Err(fail(&mut tx, CommsError::Protocol(what)));
     }

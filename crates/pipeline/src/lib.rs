@@ -48,7 +48,7 @@ pub use hogwild::HogwildDelays;
 pub use partition::StagePartition;
 pub use plan::{Link, PipelinePlan};
 pub use recompute::{
-    is_segment_boundary, simulate_peaks, stage_replays, stage_timelines, ActivationLedger,
-    RecomputePolicy, StageOp, StageOpKind,
+    is_segment_boundary, simulate_peaks, stage_replays, ActivationLedger, RecomputePolicy, StageOp,
+    StageOpKind,
 };
-pub use schedule::{ForwardPipeline, Schedule, SlotOp};
+pub use schedule::ForwardPipeline;

@@ -24,24 +24,21 @@
 //! those stages simply keep their forward activations. This is the `min`
 //! cap in the analytical profile, realized rather than assumed.
 //!
-//! This module derives, from the closed-form full-throughput schedule
-//! (forward of microbatch `m` at stage `s` in slot `m+s`, backward in
-//! slot `m+2P−s−1`), the exact per-stage op timeline — forwards,
-//! replays, backwards, and the activation acquire/release each op
-//! performs. The executor runs that timeline on real threads (see
-//! [`crate::plan::PipelinePlan::for_recompute`] and
-//! [`crate::executor::run_pipeline`]) and the [`ActivationLedger`] checks
-//! the live/peak counts against the model.
+//! This module holds the policy, the segment geometry and the
+//! [`ActivationLedger`]. [`crate::plan::PipelinePlan::for_recompute`]
+//! turns them into each stage's op timeline — forwards, replays,
+//! backwards, and the activation acquire/release each op performs — the
+//! executor runs it on real threads ([`crate::executor::run_pipeline`]),
+//! and the ledger checks the live/peak counts against the model.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pipemare_telemetry::{Gauge, MetricsRegistry};
 use pipemare_tensor::StoragePrecision;
-use pipemare_theory::recomp_delay_slots;
 
 use crate::cost::ActivationModel;
-use crate::delay::{Method, PipelineClock};
+use crate::plan::PipelinePlan;
 
 /// How the executor manages activation memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,26 +100,19 @@ pub enum StageOpKind {
 /// One entry of a stage's op timeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageOp {
-    /// Schedule slot of the idealized full-throughput timeline.
+    /// The unit-time slot the op runs in when every op takes one slot:
+    /// one after the later of its row predecessor's and its token
+    /// producer's. A stage runs at most one op per slot, so a plan's
+    /// slots are the grid of Figure 1 ([`crate::PipelinePlan::render`]).
     pub slot: usize,
-    /// Operation kind. Within a slot, ops execute `Bkwd` → `Recomp` →
-    /// `Fwd` (the release-before-acquire order of 1F1B, which is what
-    /// makes the steady-state live count equal the analytical window).
+    /// Operation kind.
     pub kind: StageOpKind,
     /// Microbatch id.
     pub micro: usize,
     /// Whether this op acquires an activation buffer at this stage.
     pub acquires: bool,
-    /// The weight version the op computes with ([`PipelineClock::reads`]).
+    /// The weight version the op computes with ([`crate::PipelineClock::reads`]).
     pub reads: usize,
-}
-
-fn kind_priority(kind: StageOpKind) -> usize {
-    match kind {
-        StageOpKind::Bkwd => 0,
-        StageOpKind::Recomp => 1,
-        StageOpKind::Fwd => 2,
-    }
 }
 
 /// Whether stage `s` opens a segment under segment size `seg`.
@@ -136,59 +126,6 @@ pub fn is_segment_boundary(seg: usize, s: usize) -> bool {
 /// backward wave reaches it no later than a replay could.
 pub fn stage_replays(p: usize, seg: usize, s: usize) -> bool {
     (s / seg) * seg + seg < p
-}
-
-/// The per-stage op timelines of `total` microbatches flowing through
-/// `clock`'s `P`-stage pipeline under `policy`, in the idealized
-/// full-throughput schedule: forward of microbatch `m` at stage `s` in
-/// slot `m+s`, backward in slot `m + 2P − s − 1`, and — for replay
-/// segments — the segment replay sweeping stages `B..B+S` in slots
-/// `m + 2P − B − 2S − 1 + j`. Each stage's list is sorted by
-/// `(slot, Bkwd < Recomp < Fwd)`, the order its thread executes. Every
-/// op reads the version PipeMare's clock gives it.
-///
-/// # Panics
-///
-/// Panics if `total` is zero, or if a segmented policy's size is
-/// outside `1..=P`.
-pub fn stage_timelines(
-    policy: RecomputePolicy,
-    clock: &PipelineClock,
-    total: usize,
-) -> Vec<Vec<StageOp>> {
-    assert!(total > 0, "need at least one microbatch");
-    let p = clock.stages;
-    let seg = policy.segment_size(p);
-    let mut ops: Vec<Vec<StageOp>> = vec![Vec::with_capacity(3 * total); p];
-    for m in 0..total {
-        for (s, stage_ops) in ops.iter_mut().enumerate() {
-            let op = |slot, kind, acquires| {
-                let reads =
-                    clock.reads(Method::PipeMare, kind, m, s, Some(recomp_delay_slots(seg, s)));
-                StageOp { slot, kind, micro: m, acquires, reads }
-            };
-            let replays = stage_replays(p, seg, s);
-            // A stage stashes at forward time unless its activation will
-            // be recovered by a replay (non-boundary stage of a replay
-            // segment).
-            let stash_at_fwd = is_segment_boundary(seg, s) || !replays;
-            stage_ops.push(op(m + s, StageOpKind::Fwd, stash_at_fwd));
-            stage_ops.push(op(m + 2 * p - s - 1, StageOpKind::Bkwd, false));
-            // Replay segments of width ≥ 2 run the recompute sweep; a
-            // width-1 segment is all boundary and has nothing to replay.
-            if replays && seg >= 2 {
-                let b = (s / seg) * seg;
-                let j = s - b;
-                // The boundary replays out of its stash; the others
-                // recover (acquire) their activation here.
-                stage_ops.push(op(m + 2 * p - b - 2 * seg - 1 + j, StageOpKind::Recomp, j > 0));
-            }
-        }
-    }
-    for stage_ops in &mut ops {
-        stage_ops.sort_by_key(|op| (op.slot, kind_priority(op.kind), op.micro));
-    }
-    ops
 }
 
 /// Live/peak activation-buffer accounting, one slot per stage.
@@ -308,27 +245,23 @@ impl ActivationLedger {
     }
 }
 
-/// Replays the op timelines serially in global slot order and returns
-/// the per-stage peak activation counts — the analytical cross-check the
-/// threaded executor is validated against (both must equal
+/// Walks each stage's row of the [`PipelinePlan::for_recompute`] plan
+/// of `total` microbatches in order and returns the per-stage peak
+/// activation counts — the analytical cross-check the threaded executor
+/// is validated against (both must equal
 /// [`RecomputePolicy::expected_peaks`] once `total ≥ 2P−1` fills the
-/// steady state).
+/// steady state). A stage's counters move only with its own row's ops.
 pub fn simulate_peaks(policy: RecomputePolicy, p: usize, total: usize) -> Vec<usize> {
-    // Slots count microbatches, so the peaks do not depend on `N`.
-    let clock = PipelineClock::new(p, 1);
-    let mut all: Vec<(usize, StageOp)> = stage_timelines(policy, &clock, total)
-        .into_iter()
-        .enumerate()
-        .flat_map(|(s, ops)| ops.into_iter().map(move |op| (s, op)))
-        .collect();
-    all.sort_by_key(|(s, op)| (op.slot, kind_priority(op.kind), *s, op.micro));
+    let plan = PipelinePlan::for_recompute(policy, p, total, 1);
     let ledger = ActivationLedger::new(p, 1);
-    for (s, op) in all {
-        if op.acquires {
-            ledger.acquire(s);
-        }
-        if op.kind == StageOpKind::Bkwd {
-            ledger.release(s);
+    for s in 0..p {
+        for op in plan.timeline(s) {
+            if op.acquires {
+                ledger.acquire(s);
+            }
+            if op.kind == StageOpKind::Bkwd {
+                ledger.release(s);
+            }
         }
     }
     ledger.peaks()
@@ -338,81 +271,11 @@ pub fn simulate_peaks(policy: RecomputePolicy, p: usize, total: usize) -> Vec<us
 mod tests {
     use super::*;
 
-    fn clock(p: usize) -> PipelineClock {
-        PipelineClock::new(p, 2)
-    }
-
     #[test]
     fn optimal_policy_uses_model_segment() {
         for p in [1usize, 4, 9, 16, 25] {
             let seg = ActivationModel { p }.optimal_segment();
             assert_eq!(RecomputePolicy::optimal(p), RecomputePolicy::Segmented { segment: seg });
-        }
-    }
-
-    #[test]
-    fn timelines_are_slot_sorted_and_causal() {
-        let ops = stage_timelines(RecomputePolicy::Segmented { segment: 3 }, &clock(9), 20);
-        for (s, stage_ops) in ops.iter().enumerate() {
-            for w in stage_ops.windows(2) {
-                assert!(
-                    (w[0].slot, kind_priority(w[0].kind)) <= (w[1].slot, kind_priority(w[1].kind)),
-                    "stage {s}: ops out of order"
-                );
-            }
-            for m in 0..20 {
-                let slot_of = |kind| {
-                    stage_ops.iter().find(|op| op.kind == kind && op.micro == m).map(|op| op.slot)
-                };
-                let f = slot_of(StageOpKind::Fwd).unwrap();
-                let b = slot_of(StageOpKind::Bkwd).unwrap();
-                assert!(f < b, "stage {s} micro {m}: backward before forward");
-                if let Some(r) = slot_of(StageOpKind::Recomp) {
-                    assert!(f <= r && r < b, "stage {s} micro {m}: replay outside [fwd, bkwd)");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn replay_wave_moves_one_stage_per_slot() {
-        // Within a replay segment, the recompute of microbatch m visits
-        // consecutive stages in consecutive slots (the boundary first).
-        let p = 9;
-        let seg = 3;
-        let ops = stage_timelines(RecomputePolicy::Segmented { segment: seg }, &clock(p), 20);
-        let m = 5;
-        for b in (0..p).step_by(seg) {
-            if !stage_replays(p, seg, b) {
-                continue;
-            }
-            let slots: Vec<usize> = (b..b + seg)
-                .map(|s| {
-                    ops[s]
-                        .iter()
-                        .find(|op| op.kind == StageOpKind::Recomp && op.micro == m)
-                        .expect("replay segment stage has a recompute op")
-                        .slot
-                })
-                .collect();
-            for w in slots.windows(2) {
-                assert_eq!(w[1], w[0] + 1, "replay wave must advance one stage per slot");
-            }
-        }
-    }
-
-    #[test]
-    fn final_segment_never_replays() {
-        for (p, seg) in [(4usize, 2usize), (9, 3), (16, 4), (10, 3), (7, 7)] {
-            let ops = stage_timelines(RecomputePolicy::Segmented { segment: seg }, &clock(p), 8);
-            for (s, stage_ops) in ops.iter().enumerate() {
-                let has_recomp = stage_ops.iter().any(|op| op.kind == StageOpKind::Recomp);
-                assert_eq!(
-                    has_recomp,
-                    stage_replays(p, seg, s) && seg >= 2,
-                    "P={p} S={seg} stage {s}"
-                );
-            }
         }
     }
 

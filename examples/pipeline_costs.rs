@@ -7,22 +7,22 @@ use std::time::Duration;
 
 use pipemare::pipeline::{
     gpipe_bubble_throughput, gpipe_equal_budget_throughput, run_pipeline, ActivationLedger,
-    ActivationModel, MemoryModel, Method, PipelineClock, PipelinePlan, Schedule, Sleep,
+    ActivationModel, MemoryModel, Method, PipelineClock, PipelinePlan, Sleep,
 };
 use pipemare::telemetry::NullRecorder;
 
 fn main() {
-    // Figure 1's pipelining-mode diagrams from the schedule simulator.
+    // Figure 1's pipelining-mode diagrams from the plans' unit slots.
     for method in [Method::GPipe, Method::PipeMare] {
-        let sched = Schedule::simulate(method, 3, 1, 3);
+        let plan = PipelinePlan::for_method(method, 3, 1, 3);
         println!(
             "{} schedule ({} slots, {} bubbles, {:.0}% utilization):",
             method.name(),
-            sched.slots(),
-            sched.bubbles(),
-            100.0 * sched.utilization()
+            plan.slots(),
+            plan.bubbles(),
+            100.0 * plan.utilization()
         );
-        for row in sched.render() {
+        for row in plan.render() {
             println!("  {row}");
         }
         println!();

@@ -10,8 +10,10 @@
 # executor is a second copy of what an op does, and from then on only
 # tests hold the traces together; `select!`
 # is arrival-order scheduling coming back, which cannot promise the fixed
-# op order the plan is; and the names of the executors this replaced must
-# not reappear as forwarding functions or in documentation.
+# op order the plan is; and the names of the executors this replaced, and
+# of the slot simulator that once built a second 1F1B order beside the
+# plan's closed form, must not reappear as forwarding functions or in
+# documentation.
 #
 # Counted: lines under crates/*/src outside `#[cfg(test)]` modules (which
 # end every file that has one) and comments. The retired names are
@@ -68,8 +70,8 @@ expect 0 'work_per_stage in crates/pipeline' \
 expect 2 'run_stage_op( callers (the thread loop and the token worker)' \
   "$(sites 'run_stage_op(' '' crates/*/src)"
 expect 0 'select! in crates/pipeline' "$(grep -rn 'select!' crates/pipeline --include='*.rs' || true)"
-retired='run_(threaded|recompute)_pipeline|Stage(Flow|Event)|Fwd(Outcome)|(Threaded|Recompute)PipelineReport'
-expect 0 'retired executor names' "$(grep -rnE "$retired" . \
+retired='run_(threaded|recompute)_pipeline|Stage(Flow|Event)|Fwd(Outcome)|(Threaded|Recompute)PipelineReport|Slot(Op)|Schedule::(simulate)'
+expect 0 'retired executor and simulator names' "$(grep -rnE "$retired" . \
   --include='*.rs' --include='*.md' --include='*.sh' --include='*.yml' \
   --exclude-dir=target --exclude-dir=vendor --exclude-dir=.git \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md || true)"

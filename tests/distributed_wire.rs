@@ -440,10 +440,10 @@ fn handshake_rejects_windows_no_pipeline_needs() {
 #[test]
 fn token_mode_refuses_a_plan_too_large_to_build() {
     // `stages` and `total` are each bounded, but together they size the
-    // slot grid a worker simulates before its first token: MAX_STAGES
-    // stages of MAX_TOKENS tokens would need hundreds of GB and ~10¹⁰
-    // stage visits. The worker refuses it at once instead.
-    let token_mode = |stages: usize, total: u64, limit: std::time::Duration| {
+    // plan a worker builds before its first token: MAX_STAGES stages of
+    // MAX_TOKENS tokens would need hundreds of GB. The worker refuses it
+    // at once instead, under every method.
+    let token_mode = |method, stages: usize, total: u64, limit: std::time::Duration| {
         let (driver, worker) = loopback_pair();
         let handle = std::thread::spawn(move || {
             let (tx, rx) = channel(Box::new(worker))?;
@@ -451,29 +451,32 @@ fn token_mode_refuses_a_plan_too_large_to_build() {
         });
         let (mut tx, mut rx) = channel(Box::new(driver)).unwrap();
         rx.set_timeout(Some(limit)).unwrap();
-        tx.send(&Message::Hello(token_stage_config(Method::PipeMare, stages, 1, 0))).unwrap();
+        tx.send(&Message::Hello(token_stage_config(method, stages, 1, 0))).unwrap();
         assert!(matches!(rx.recv(), Ok(Message::HelloAck { .. })));
         tx.send(&Message::TokenMode { total, is_last: stages == 1, work_us: 0 }).unwrap();
         (tx, rx, handle)
     };
     let second = std::time::Duration::from_secs(1);
-    let started = std::time::Instant::now();
-    let (_tx, mut rx, worker) = token_mode(MAX_STAGES as usize, MAX_TOKENS, second);
-    let refused = rx.recv();
-    assert!(matches!(refused, Ok(Message::Error { .. })), "{refused:?}");
-    assert!(started.elapsed() < second, "refused within a second");
-    assert!(matches!(worker.join().unwrap(), Err(CommsError::Protocol(_))));
-    // 1 024 stages × (2 048 + 2 · 1 024) is the bound exactly: accepted
-    // (the worker builds its plan and answers a shutdown); one token
-    // more is not.
-    let (stages, total) = (1024, 2048);
-    assert_eq!(stages as u64 * (total + 2 * stages as u64), MAX_PLAN_CELLS);
-    let (_tx, mut rx, worker) = token_mode(stages, total + 1, second);
-    assert!(matches!(rx.recv(), Ok(Message::Error { .. })));
-    assert!(matches!(worker.join().unwrap(), Err(CommsError::Protocol(_))));
-    let (mut tx, mut rx, worker) = token_mode(stages, total, 30 * second);
-    tx.send(&Message::Shutdown).unwrap();
-    assert!(matches!(rx.recv(), Ok(Message::Telemetry { .. })));
-    assert!(matches!(rx.recv(), Ok(Message::ShutdownAck { .. })));
-    worker.join().unwrap().expect("a config at the bound runs");
+    for method in Method::ALL {
+        let started = std::time::Instant::now();
+        let (_tx, mut rx, worker) = token_mode(method, MAX_STAGES as usize, MAX_TOKENS, second);
+        let refused = rx.recv();
+        assert!(matches!(refused, Ok(Message::Error { .. })), "{}: {refused:?}", method.name());
+        assert!(started.elapsed() < second, "{}: refused within a second", method.name());
+        assert!(matches!(worker.join().unwrap(), Err(CommsError::Protocol(_))));
+        // 1 024 stages × 2 048 tokens, a forward and a backward of each,
+        // is the bound exactly: accepted (the worker builds its plan and
+        // answers a shutdown); one token more is not. GPipe at N = 1
+        // builds the same number of ops as the others.
+        let (stages, total) = (1024, 2048);
+        assert_eq!(2 * stages as u64 * total, MAX_PLAN_CELLS);
+        let (_tx, mut rx, worker) = token_mode(method, stages, total + 1, second);
+        assert!(matches!(rx.recv(), Ok(Message::Error { .. })), "{}", method.name());
+        assert!(matches!(worker.join().unwrap(), Err(CommsError::Protocol(_))));
+        let (mut tx, mut rx, worker) = token_mode(method, stages, total, 30 * second);
+        tx.send(&Message::Shutdown).unwrap();
+        assert!(matches!(rx.recv(), Ok(Message::Telemetry { .. })), "{}", method.name());
+        assert!(matches!(rx.recv(), Ok(Message::ShutdownAck { .. })), "{}", method.name());
+        worker.join().unwrap().expect("a config at the bound runs");
+    }
 }

@@ -8,8 +8,7 @@ use pipemare::data::{batch_by_tokens, SyntheticImages};
 use pipemare::nn::{Activation, Dropout, Layer, Linear, Mlp, Sequential};
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 use pipemare::pipeline::{
-    run_pipeline, ActivationLedger, Method, PipelinePlan, RecomputePolicy, Schedule, Sleep, SlotOp,
-    StageOpKind,
+    run_pipeline, ActivationLedger, Method, PipelinePlan, RecomputePolicy, Sleep, StageOpKind,
 };
 use pipemare::telemetry::{SpanKind, TraceRecorder};
 use pipemare::tensor::Tensor;
@@ -133,16 +132,19 @@ fn token_batches_feed_the_translation_pipeline() {
 
 #[test]
 fn schedule_diagram_matches_throughput_ordering() {
-    // The slot-level simulator and the threaded executor must agree on
-    // the ordering: GPipe needs more slots per microbatch than PipeMare.
-    let g = Schedule::simulate(Method::GPipe, 4, 2, 5);
-    let p = Schedule::simulate(Method::PipeMare, 4, 2, 5);
+    // The plans' unit slots and the threaded executor must agree on the
+    // ordering: GPipe needs more slots per microbatch than PipeMare.
+    let g = PipelinePlan::for_method(Method::GPipe, 4, 2, 5);
+    let p = PipelinePlan::for_method(Method::PipeMare, 4, 2, 5);
     assert!(g.slots() > p.slots());
     // And every microbatch appears exactly once per direction per stage.
+    let find = |plan: &PipelinePlan, s: usize, kind, m| {
+        plan.timeline(s).iter().filter(|op| op.kind == kind && op.micro == m).count()
+    };
     for m in 0..10 {
         for s in 0..4 {
-            assert!(g.find(s, SlotOp::Fwd(m)).is_some());
-            assert!(p.find(s, SlotOp::Bkwd(m)).is_some());
+            assert_eq!(find(&g, s, StageOpKind::Fwd, m), 1);
+            assert_eq!(find(&p, s, StageOpKind::Bkwd, m), 1);
         }
     }
 }
@@ -150,8 +152,8 @@ fn schedule_diagram_matches_throughput_ordering() {
 #[test]
 fn traced_run_executes_its_plan_op_for_op() {
     // The schedule is data: what each stage thread records is exactly its
-    // timeline in the plan — the simulator's row for the three methods,
-    // the closed-form replay order for PipeMare Recompute.
+    // timeline in the plan — the 1F1B row for the three methods, with
+    // the replay sweep for PipeMare Recompute.
     let (stages, n_micro, minibatches) = (3, 2, 3);
     let mut plans: Vec<PipelinePlan> = Method::ALL
         .iter()

@@ -6,7 +6,8 @@
 //! whose version needs them) or *eagerly* (right after the last backward
 //! of their minibatch). The lazy walk reproduces `reads` everywhere; the
 //! eager one reads one microbatch too fresh on a known number of ops. The
-//! comms read planner answers every fetch with the same versions.
+//! comms read planner answers every fetch with the same versions, and a
+//! discrete-event oracle draws every method's plan slot for slot.
 
 use pipemare::comms::{plan as read_plan, PassKind, StageConfig, PROTOCOL_VERSION};
 use pipemare::optim::OptimizerKind;
@@ -207,49 +208,124 @@ fn a_lazy_walk_reproduces_every_read_and_an_eager_one_reads_too_fresh() {
     assert_eq!(segmented, Wrong { fwd: 3101, bkwd: 0, recomp: 1233, recomp_total: 5712 });
 }
 
+/// One cell of [`slot_grid`]'s per-stage, per-slot grid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Cell {
+    Idle,
+    Fwd(usize),
+    Bkwd(usize),
+}
+
+/// The test oracle: a discrete-event model of `minibatches` minibatches
+/// of `n_micro` microbatches on a `stages`-deep pipeline. Each stage runs
+/// at most one op per slot; forwards flow down the chain, backwards flow
+/// up, a stage prefers a ready backward (1F1B), and GPipe admits
+/// minibatch k + 1 only once all of minibatch k has left stage 0.
+/// Returns `grid[stage][slot]`.
+fn slot_grid(method: Method, stages: usize, n_micro: usize, minibatches: usize) -> Vec<Vec<Cell>> {
+    let total = n_micro * minibatches;
+    // Ready queues per stage: forwards and backwards waiting to run.
+    let mut fwd_ready = vec![std::collections::VecDeque::new(); stages];
+    let mut bkwd_ready = vec![std::collections::VecDeque::new(); stages];
+    let (mut injected, mut completed) = (0, 0);
+    let mut grid = vec![Vec::new(); stages];
+    while completed < total {
+        let admitted = match method {
+            Method::GPipe => (completed / n_micro + 1) * n_micro,
+            Method::PipeDream | Method::PipeMare => total,
+        };
+        while injected < total.min(admitted) {
+            fwd_ready[0].push_back(injected);
+            injected += 1;
+        }
+        // Tokens sent this slot arrive for the next one.
+        let (mut fwd_sent, mut bkwd_sent) = (Vec::new(), Vec::new());
+        for s in 0..stages {
+            let cell = if let Some(m) = bkwd_ready[s].pop_front() {
+                match s.checked_sub(1) {
+                    Some(up) => bkwd_sent.push((up, m)),
+                    None => completed += 1,
+                }
+                Cell::Bkwd(m)
+            } else if let Some(m) = fwd_ready[s].pop_front() {
+                // The last stage turns its own forward around.
+                if s + 1 < stages {
+                    fwd_sent.push((s + 1, m));
+                } else {
+                    bkwd_sent.push((s, m));
+                }
+                Cell::Fwd(m)
+            } else {
+                Cell::Idle
+            };
+            grid[s].push(cell);
+        }
+        for (s, m) in fwd_sent {
+            fwd_ready[s].push_back(m);
+        }
+        for (s, m) in bkwd_sent {
+            bkwd_ready[s].push_back(m);
+        }
+    }
+    grid
+}
+
 #[test]
 fn the_simulated_and_closed_form_1f1b_plans_agree_op_for_op() {
-    // `for_method` numbers slots one op per slot (makespan
-    // 2mN + 2(P−1)), the closed form one forward and one backward per
-    // slot (mN + 2P − 1), so only the slot numbers may differ. Deeper
-    // pipelines than the other sweeps, for the simulator's warm-up.
+    // Every plan is built from the microbatch clock and numbered in unit
+    // slots; the discrete-event oracle must draw the same grid, op for op
+    // and slot for slot, with the versions `PipelineClock::reads` gives.
+    // Deeper pipelines than the other sweeps, for the warm-up.
     let row = |plan: &PipelinePlan, s: usize| -> Vec<_> {
-        plan.timeline(s).iter().map(|op| (op.kind, op.micro, op.acquires, op.reads)).collect()
+        plan.timeline(s)
+            .iter()
+            .map(|op| (op.slot, op.kind, op.micro, op.acquires, op.reads))
+            .collect()
     };
     for stages in 1..=9 {
         for n_micro in 1..=6 {
+            let clock = PipelineClock::new(stages, n_micro);
             for minibatches in 1..=MINIBATCHES {
-                let closed = PipelinePlan::for_recompute(
-                    RecomputePolicy::StashAll,
-                    stages,
-                    n_micro,
-                    minibatches,
-                );
-                for method in [Method::PipeMare, Method::PipeDream] {
-                    let sim = PipelinePlan::for_method(method, stages, n_micro, minibatches);
-                    assert_eq!(sim.total(), closed.total());
-                    for s in 0..stages {
-                        let mut want = row(&closed, s);
-                        if method == Method::PipeDream {
-                            // Weight stashing: each backward rereads the
-                            // version its forward read.
-                            for i in 0..want.len() {
-                                let (kind, micro, ..) = want[i];
-                                if kind == StageOpKind::Bkwd {
-                                    let fwd = want
-                                        .iter()
-                                        .find(|o| o.0 == StageOpKind::Fwd && o.1 == micro);
-                                    want[i].3 = fwd.expect("forward precedes backward").3;
-                                }
-                            }
-                        }
+                for method in Method::ALL {
+                    let plan = PipelinePlan::for_method(method, stages, n_micro, minibatches);
+                    let grid = slot_grid(method, stages, n_micro, minibatches);
+                    assert_eq!(plan.total(), n_micro * minibatches);
+                    for (s, cells) in grid.iter().enumerate() {
+                        let want: Vec<_> = cells
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(slot, cell)| {
+                                let (kind, micro) = match *cell {
+                                    Cell::Idle => return None,
+                                    Cell::Fwd(m) => (StageOpKind::Fwd, m),
+                                    Cell::Bkwd(m) => (StageOpKind::Bkwd, m),
+                                };
+                                let reads = clock.reads(method, kind, micro, s, None);
+                                Some((slot, kind, micro, kind == StageOpKind::Fwd, reads))
+                            })
+                            .collect();
                         assert_eq!(
-                            row(&sim, s),
+                            row(&plan, s),
                             want,
                             "{} P={stages} N={n_micro} minibatches={minibatches} stage {s}",
                             method.name()
                         );
                     }
+                }
+                // Stash-all recompute is PipeMare's plan.
+                let mare = PipelinePlan::for_method(Method::PipeMare, stages, n_micro, minibatches);
+                let stash_all = PipelinePlan::for_recompute(
+                    RecomputePolicy::StashAll,
+                    stages,
+                    n_micro,
+                    minibatches,
+                );
+                for s in 0..stages {
+                    assert_eq!(
+                        row(&stash_all, s),
+                        row(&mare, s),
+                        "P={stages} N={n_micro} stage {s}"
+                    );
                 }
             }
         }
