@@ -10,8 +10,8 @@
 //!    period, sampling must steal at most `bound_overhead_fraction`
 //!    (1%) of wall-clock from the threads doing real work.
 //! 3. **Scrape latency** — a full TCP scrape round trip
-//!    (connect, one JSON line, close) against a live endpoint must not
-//!    block the hot path and must complete promptly.
+//!    (connect, one scrape frame, close) against a live endpoint must
+//!    not block the hot path and must complete promptly.
 //!
 //! The run writes `bench_live_metrics.json`: `bound_*` and `live.*`
 //! keys are deterministic and gated by `scripts/check_bench.sh`;
@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 
 use pipemare_bench::report::ExperimentLog;
 use pipemare_telemetry::{
-    scrape_once, FlightRecorder, LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint,
-    TraceEvent, SAMPLE_COST_BOUND_US,
+    scrape_once, FlightRecorder, LiveStore, MetricsRegistry, Recorder, Scrape, SpanKind,
+    StatsEndpoint, TraceEvent, SAMPLE_COST_BOUND_US,
 };
 
 const STAGES: usize = 4;
@@ -172,8 +172,8 @@ fn main() {
     let mut rtts: Vec<f64> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
-            let line = scrape_once(&addr, Duration::from_secs(2)).expect("scrape succeeds");
-            assert!(!line.is_empty());
+            let frame = scrape_once(&addr, Duration::from_secs(2)).expect("scrape succeeds");
+            assert!(!frame.is_empty());
             t0.elapsed().as_secs_f64()
         })
         .collect();
@@ -184,16 +184,14 @@ fn main() {
     assert!(rtt < 0.25, "a local scrape round trip took {rtt:.3} s");
 
     // --- Deterministic payload shape (gated) -------------------------
-    let payload = store.scrape_json();
-    let stages = payload.get("stages").and_then(|s| s.as_arr()).map(|a| a.len()).unwrap_or(0);
+    let scrape = Scrape::decode(&store.scrape().expect("scrape encodes")).expect("scrape decodes");
+    let latest = scrape.latest().expect("the store has sampled");
+    let stages = latest.stages.len();
     log.push_scalar("live.stages", stages as f64);
-    log.push_scalar(
-        "live.role_is_bench",
-        f64::from(payload.get("role").and_then(|r| r.as_str()) == Some("bench")),
-    );
+    log.push_scalar("live.role_is_bench", f64::from(scrape.role == "bench"));
     log.push_scalar(
         "live.has_wire_gauges",
-        f64::from(payload.get("metrics").and_then(|m| m.get("wire.stage0.tx_bytes")).is_some()),
+        f64::from(latest.metrics.get("wire.stage0.tx_bytes").is_some()),
     );
     assert_eq!(stages, STAGES, "every stage must appear in the scrape payload");
 

@@ -44,8 +44,9 @@ use pipemare_tensor::StoragePrecision;
 /// and the live stats scrape pair ([`Message::StatsRequest`] /
 /// [`Message::StatsReply`]); v5 sends every training-step shard tensor
 /// as a run of [`SHARD_CHUNK`]-value frames (a v4 peer sends one frame
-/// per tensor, so the handshake refuses it).
-pub const PROTOCOL_VERSION: u16 = 5;
+/// per tensor, so the handshake refuses it); v6 carries the stats scrape
+/// as its binary frame instead of a JSON line.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Most values one `Shard` or `GradShard` frame of the training-step
 /// path carries: 256 KiB dense. A fixed part of the protocol, not an
@@ -569,20 +570,21 @@ pub enum Message {
         /// Human-readable detail (e.g. the backend error).
         message: String,
     },
-    /// Either direction: ask the peer for a one-line JSON snapshot of
-    /// its live stats (see `pipemare_telemetry::store`). Served from
-    /// the live store's ring — never blocks the peer's hot path.
+    /// Either direction: ask the peer for a snapshot of its live stats
+    /// (see `pipemare_telemetry::scrape`), sampled on demand — never
+    /// blocking the peer's hot path.
     StatsRequest {
         /// Caller-chosen id, echoed in the reply.
         id: u64,
     },
-    /// Reply to [`Message::StatsRequest`]: the snapshot as one compact
-    /// JSON object (schema documented in DESIGN §6.9).
+    /// Reply to [`Message::StatsRequest`]: the snapshot as the
+    /// `pipemare_telemetry::Scrape` frame the plain-TCP stats endpoint
+    /// writes (layout in DESIGN §6.9).
     StatsReply {
         /// Echoed request id.
         id: u64,
-        /// Compact JSON snapshot (no trailing newline).
-        json: String,
+        /// The scrape frame; read it with `Scrape::decode`.
+        frame: Vec<u8>,
     },
 }
 
@@ -762,10 +764,11 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             w.put_u8(TAG_STATS_REQUEST);
             w.put_u64(*id);
         }
-        Message::StatsReply { id, json } => {
+        Message::StatsReply { id, frame } => {
             w.put_u8(TAG_STATS_REPLY);
             w.put_u64(*id);
-            w.put_str(json);
+            w.put_u32(frame.len() as u32);
+            w.put_bytes(frame);
         }
     }
     w.into_bytes()
@@ -837,7 +840,11 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
             message: r.get_str()?,
         },
         TAG_STATS_REQUEST => Message::StatsRequest { id: r.get_u64()? },
-        TAG_STATS_REPLY => Message::StatsReply { id: r.get_u64()?, json: r.get_str()? },
+        TAG_STATS_REPLY => {
+            let id = r.get_u64()?;
+            let len = r.get_u32()? as usize;
+            Message::StatsReply { id, frame: r.get_bytes(len)?.to_vec() }
+        }
         t => return Err(CodecError::BadTag(t)),
     };
     r.finish()?;
@@ -921,7 +928,7 @@ mod tests {
                 message: "admission queue full (cap 64)".into(),
             },
             Message::StatsRequest { id: 77 },
-            Message::StatsReply { id: 77, json: "{\"role\":\"worker\",\"seq\":4}".into() },
+            Message::StatsReply { id: 77, frame: vec![5, 0, 0, 0, 1, 2, 3, 4, 5] },
         ];
         for m in msgs {
             let bytes = encode_message(&m);

@@ -448,7 +448,7 @@ mod tests {
         // that frame, then the next one.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let first = encode_message(&Message::StatsReply { id: 9, json: "trickle".repeat(3) });
+        let first = encode_message(&Message::StatsReply { id: 9, frame: b"trickle".repeat(3) });
         let wire = crate::codec::frame(&first).unwrap();
         let peer = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();

@@ -194,12 +194,10 @@ pub fn run_stage_worker_opts(
     }
 }
 
-/// Answers one in-band stats scrape: sample now (the worker has no
-/// background ticker unless the TCP endpoint is on), reply with the
-/// live-store payload.
+/// Answers one in-band stats scrape with a fresh sample (the worker has
+/// no background ticker unless the TCP endpoint is on).
 fn answer_stats(store: &LiveStore, id: u64, tx: &mut Sender) -> Result<(), CommsError> {
-    store.sample();
-    tx.send(&Message::StatsReply { id, json: store.scrape_line() })
+    tx.send(&Message::StatsReply { id, frame: store.scrape_fresh()? })
 }
 
 fn run_training_loop(

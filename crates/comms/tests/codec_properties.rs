@@ -182,7 +182,7 @@ fn arbitrary_message(variant: u8, rng: &mut StdRng) -> Message {
         19 => Message::StatsRequest { id: rng.gen_range(0..u64::MAX) },
         20 => Message::StatsReply {
             id: rng.gen_range(0..u64::MAX),
-            json: format!("{{\"seq\":{}}}", rng.gen_range(0..1000)),
+            frame: (0..rng.gen_range(0..512)).map(|_| rng.gen_range(0..=255u8)).collect(),
         },
         _ => Message::InferReject {
             id: rng.gen_range(0..u64::MAX),

@@ -495,16 +495,15 @@ fn run_reader(inner: &Inner, conn_id: u64, receiver: &mut pipemare_comms::Receiv
     loop {
         match receiver.recv() {
             Ok(Message::StatsRequest { id }) => {
-                // A live scrape over the serving port: sample now so the
-                // reply is current, then answer on this connection.
-                inner.live.sample();
+                // A live scrape over the serving port, current as of now,
+                // answered on this connection.
                 let sender =
                     inner.conns.lock().expect("conns lock poisoned").get(&conn_id).cloned();
-                if let Some(sender) = sender {
+                if let (Some(sender), Ok(frame)) = (sender, inner.live.scrape_fresh()) {
                     let _ = sender
                         .lock()
                         .expect("conn sender lock poisoned")
-                        .send(&Message::StatsReply { id, json: inner.live.scrape_line() });
+                        .send(&Message::StatsReply { id, frame });
                 }
             }
             Ok(Message::Infer { id, rows, cols, trace, data }) => {

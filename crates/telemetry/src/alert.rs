@@ -15,8 +15,8 @@
 //! * as typed instants ([`SpanKind::AlertFiring`] /
 //!   [`SpanKind::AlertResolved`]) on a flight-recorder track, so black
 //!   boxes and `pmtrace` see exactly when an alert flipped;
-//! * in the stats scrape JSON (`"alerts"` array), so `pmtop` renders a
-//!   live ALERTS pane;
+//! * in every stats scrape ([`crate::Scrape::alerts`]), so `pmtop`
+//!   renders a live ALERTS pane;
 //! * through an optional firing hook, which is how the serve/training
 //!   paths arm `HealthHook`-style snapshot-on-alert behavior.
 //!
@@ -31,7 +31,6 @@ use pipemare_theory::delay_slots;
 
 use crate::event::{Recorder, SpanKind, TraceEvent, NO_TRACE};
 use crate::health::Severity;
-use crate::json::Value;
 use crate::metrics::MetricValue;
 use crate::store::LiveSample;
 
@@ -229,23 +228,6 @@ impl AlertEngine {
     /// Currently firing alerts.
     pub fn active(&self) -> Vec<ActiveAlert> {
         self.inner.lock().unwrap().active.clone()
-    }
-
-    /// The `"alerts"` scrape payload: one object per firing alert.
-    pub fn to_json(&self) -> Value {
-        let rows = self
-            .active()
-            .iter()
-            .map(|a| {
-                Value::obj()
-                    .set("rule", a.rule.as_str())
-                    .set("label", a.label.as_str())
-                    .set("severity", a.severity.name())
-                    .set("since_ts_us", a.since_ts_us)
-                    .set("value", a.value)
-            })
-            .collect();
-        Value::Arr(rows)
     }
 
     /// Evaluates every rule against one sample; returns the transitions
@@ -776,16 +758,5 @@ mod tests {
         let names: Vec<&str> = rules.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["alpha_margin_floor", "tau_drift", "stage_starvation", "shed_burn"]);
         assert!(matches!(rules[0].severity, Severity::Critical));
-    }
-
-    #[test]
-    fn to_json_lists_active_alerts() {
-        let engine = AlertEngine::new(vec![threshold_rule("m", 1.0, 0)]);
-        engine.evaluate(&gauge_sample(1_000, "m", 0.5));
-        let v = engine.to_json();
-        let arr = v.as_arr().unwrap();
-        assert_eq!(arr.len(), 1);
-        assert_eq!(arr[0].get("rule").unwrap().as_str(), Some("gauge_floor"));
-        assert_eq!(arr[0].get("severity").unwrap().as_str(), Some("warn"));
     }
 }

@@ -332,8 +332,10 @@ pub fn drift_text(events: &[TraceEvent], n_windows: usize, label: &str) -> Strin
     out
 }
 
+/// The change from `a` to `b` as a signed percentage: `0%` when either
+/// side is not finite or both are zero, `new` from zero.
 pub(crate) fn pct_delta(a: f64, b: f64) -> String {
-    if a == 0.0 && b == 0.0 {
+    if !a.is_finite() || !b.is_finite() || (a == 0.0 && b == 0.0) {
         "0%".to_string()
     } else if a == 0.0 {
         "new".to_string()

@@ -22,10 +22,13 @@
 use std::process::ExitCode;
 
 use pipemare_telemetry::json::Value;
+use pipemare_telemetry::top::{self, fmt};
 use pipemare_telemetry::{
     default_rules, merge_journals, rollup, AlertEngine, JournalEntry, JournalReader, LiveSample,
-    MetricValue,
 };
+
+mod cli;
+use cli::{take_flag, take_opt};
 
 const USAGE: &str = "pmquery: historical queries over pipemare telemetry journals
 
@@ -56,47 +59,12 @@ struct Options {
     json: bool,
 }
 
-fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err(format!("pmquery: {flag} needs a value"));
-    }
-    let raw = args.remove(pos + 1);
-    args.remove(pos);
-    Ok(Some(raw))
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        args.remove(pos);
-        true
-    } else {
-        false
-    }
-}
-
-fn secs_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<u64>, String> {
-    match take_opt(args, flag)? {
-        Some(raw) => raw
-            .parse::<f64>()
-            .map(|s| Some((s * 1e6) as u64))
-            .map_err(|_| format!("pmquery: bad {flag} value: {raw}")),
-        None => Ok(None),
-    }
-}
-
 fn parse_args() -> Result<Options, String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let from_us = secs_opt(&mut args, "--from")?;
-    let to_us = secs_opt(&mut args, "--to")?;
-    let stage = match take_opt(&mut args, "--stage")? {
-        Some(raw) => {
-            Some(raw.parse::<u32>().map_err(|_| format!("pmquery: bad --stage value: {raw}"))?)
-        }
-        None => None,
-    };
+    let micros = |secs: Option<f64>| secs.map(|s| (s * 1e6) as u64);
+    let from_us = micros(take_opt(&mut args, "--from")?);
+    let to_us = micros(take_opt(&mut args, "--to")?);
+    let stage = take_opt(&mut args, "--stage")?;
     let baseline = take_opt(&mut args, "--baseline")?;
     let json = take_flag(&mut args, "--json");
     if args.is_empty() || args.iter().any(|a| a.starts_with("--")) {
@@ -117,22 +85,14 @@ fn in_range(opts: &Options, ts_us: u64) -> bool {
     opts.from_us.is_none_or(|from| ts_us >= from) && opts.to_us.is_none_or(|to| ts_us <= to)
 }
 
-fn fmt(v: f64, prec: usize) -> String {
-    if v.is_finite() {
-        format!("{v:.prec$}")
-    } else {
-        "-".to_string()
-    }
-}
-
-fn pct(base: f64, cur: f64) -> String {
-    if !base.is_finite() || !cur.is_finite() || (base == 0.0 && cur == 0.0) {
-        "0%".to_string()
-    } else if base == 0.0 {
-        "new".to_string()
-    } else {
-        format!("{:+.1}%", 100.0 * (cur - base) / base)
-    }
+/// A `range --json` row's leading fields: which sample it comes from.
+fn head(role: &str, entry: &JournalEntry) -> Value {
+    Value::obj()
+        .set("t_us", entry.sample.ts_us)
+        .set("role", role)
+        .set("rollup", entry.rollup)
+        .set("seq", entry.sample.seq)
+        .set("window_us", entry.sample.window_us)
 }
 
 fn cmd_range(opts: &Options) -> Result<String, String> {
@@ -156,19 +116,8 @@ fn cmd_range(opts: &Options) -> Result<String, String> {
             }
             rows += 1;
             if opts.json {
-                let row = Value::obj()
-                    .set("t_us", entry.sample.ts_us)
-                    .set("role", role.as_str())
-                    .set("rollup", entry.rollup)
-                    .set("seq", entry.sample.seq)
-                    .set("window_us", entry.sample.window_us)
-                    .set("stage", st.stage as u64)
-                    .set("util", st.util)
-                    .set("fwd_us", st.fwd_us)
-                    .set("bkwd_us", st.bkwd_us)
-                    .set("wait_us", st.wait_us)
-                    .set("tau", st.tau)
-                    .set("events", st.events);
+                let n_stages = readers.iter().find(|r| r.role == *role).map_or(0, |r| r.n_stages);
+                let row = top::stage_json(head(role, entry), st, n_stages);
                 out.push_str(&row.to_compact());
                 out.push('\n');
             } else {
@@ -191,13 +140,7 @@ fn cmd_range(opts: &Options) -> Result<String, String> {
         if entry.sample.stages.is_empty() && opts.stage.is_none() {
             rows += 1;
             if opts.json {
-                let row = Value::obj()
-                    .set("t_us", entry.sample.ts_us)
-                    .set("role", role.as_str())
-                    .set("rollup", entry.rollup)
-                    .set("seq", entry.sample.seq)
-                    .set("window_us", entry.sample.window_us);
-                out.push_str(&row.to_compact());
+                out.push_str(&head(role, entry).to_compact());
                 out.push('\n');
             } else {
                 out.push_str(&format!(
@@ -284,26 +227,11 @@ fn cmd_alerts(opts: &Options) -> Result<String, String> {
 
 /// One journal's whole history rolled up into one sample: window-weighted
 /// mean util and τ per stage, and the last snapshot's cumulative counters.
-fn aggregate(reader: &JournalReader) -> Result<LiveSample, String> {
+fn aggregate(dir: &str) -> Result<LiveSample, String> {
+    let reader = JournalReader::open(dir).map_err(|e| format!("pmquery: {dir}: {e}"))?;
     let (entries, _) = reader.samples().map_err(|e| format!("pmquery: {e}"))?;
     rollup(entries.iter().map(|e| &e.sample))
-        .ok_or_else(|| format!("pmquery: {}: journal holds no samples", reader.dir().display()))
-}
-
-/// Stage `i`'s (util, τ), NaN for a stage the run does not have.
-fn stage_means(run: &LiveSample, i: usize) -> (f64, f64) {
-    run.stages.get(i).map_or((f64::NAN, f64::NAN), |st| (st.util, st.tau))
-}
-
-/// Every counter of `cur` that `base` also has, as (name, base, cur).
-fn shared_counters<'a>(
-    base: &'a LiveSample,
-    cur: &'a LiveSample,
-) -> impl Iterator<Item = (&'a str, u64, u64)> {
-    cur.metrics.metrics.iter().filter_map(|(name, v)| match (base.metrics.get(name)?, v) {
-        (MetricValue::Counter(b), MetricValue::Counter(c)) => Some((name.as_str(), *b, *c)),
-        _ => None,
-    })
+        .ok_or_else(|| format!("pmquery: {dir}: journal holds no samples"))
 }
 
 fn cmd_diff(opts: &Options) -> Result<String, String> {
@@ -313,58 +241,10 @@ fn cmd_diff(opts: &Options) -> Result<String, String> {
     let [dir] = opts.dirs.as_slice() else {
         return Err("pmquery: diff takes exactly one journal plus --baseline".to_string());
     };
-    let cur = aggregate(&JournalReader::open(dir).map_err(|e| format!("pmquery: {dir}: {e}"))?)?;
-    let base = aggregate(
-        &JournalReader::open(baseline_dir).map_err(|e| format!("pmquery: {baseline_dir}: {e}"))?,
-    )?;
-    let n_stages = cur.stages.len().max(base.stages.len());
-    if opts.json {
-        let mut stage_rows = Vec::new();
-        for i in 0..n_stages {
-            let (c, b) = (stage_means(&cur, i), stage_means(&base, i));
-            stage_rows.push(
-                Value::obj()
-                    .set("stage", i as u64)
-                    .set("util_base", b.0)
-                    .set("util_cur", c.0)
-                    .set("tau_base", b.1)
-                    .set("tau_cur", c.1),
-            );
-        }
-        let mut counters = Value::obj();
-        for (name, b, c) in shared_counters(&base, &cur) {
-            counters = counters.set(name, Value::obj().set("base", b).set("cur", c));
-        }
-        return Ok(Value::obj()
-            .set("stages", Value::Arr(stage_rows))
-            .set("counters", counters)
-            .to_compact()
-            + "\n");
-    }
-    let mut out = String::new();
-    out.push_str(&format!("== pmquery diff: {baseline_dir} (base) -> {dir} (cur) ==\n"));
-    if n_stages > 0 {
-        out.push_str("stage   util base->cur        tau base->cur\n");
-        for i in 0..n_stages {
-            let (c, b) = (stage_means(&cur, i), stage_means(&base, i));
-            out.push_str(&format!(
-                "{i:>5}   {:>5} -> {:<5} ({})   {:>5} -> {:<5} ({})\n",
-                fmt(b.0, 3),
-                fmt(c.0, 3),
-                pct(b.0, c.0),
-                fmt(b.1, 2),
-                fmt(c.1, 2),
-                pct(b.1, c.1),
-            ));
-        }
-    }
-    for (k, (name, b, c)) in shared_counters(&base, &cur).enumerate() {
-        if k == 0 {
-            out.push_str("counter                      base -> cur\n");
-        }
-        out.push_str(&format!("{name:<26} {b:>7} -> {c:<7} ({})\n", pct(b as f64, c as f64),));
-    }
-    Ok(out)
+    let (cur, base) = (aggregate(dir)?, aggregate(baseline_dir)?);
+    let header = format!("== pmquery diff: {baseline_dir} (base) -> {dir} (cur) ==");
+    let (text, json) = top::diff(&header, &base, &cur);
+    Ok(if opts.json { json.to_compact() + "\n" } else { text })
 }
 
 fn run() -> Result<(), String> {

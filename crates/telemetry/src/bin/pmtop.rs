@@ -1,9 +1,11 @@
 //! `pmtop` — live dashboard over pipemare stats endpoints.
 //!
 //! Each endpoint is a plain-TCP stats socket (see
-//! `pipemare_telemetry::scrape`): connect, read one JSON line, done.
-//! Processes expose one when launched with `PIPEMARE_STATS_ADDR` set
-//! (stage workers, the orchestrator, the serving example).
+//! `pipemare_telemetry::scrape`): connect, read one binary scrape
+//! frame, done. Processes expose one when launched with
+//! `PIPEMARE_STATS_ADDR` set (stage workers, the orchestrator, the
+//! serving example). `--json` prints each scrape as one JSON object;
+//! a baseline file holds one raw scrape frame.
 //!
 //! ```text
 //! pmtop <addr>... [--watch SECS] [--once] [--json]
@@ -13,8 +15,11 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use pipemare_telemetry::json::{self, Value};
-use pipemare_telemetry::{scrape_once, top};
+use pipemare_telemetry::json::Value;
+use pipemare_telemetry::{scrape_once, top, LiveSample, Scrape};
+
+mod cli;
+use cli::{take_flag, take_opt};
 
 const USAGE: &str = "pmtop: live dashboard over pipemare stats endpoints
 
@@ -24,13 +29,13 @@ usage:
 options:
   --watch SECS          re-poll and redraw every SECS seconds (default 2)
   --once                poll once, print, exit (for scripts / CI)
-  --json                print the raw JSON payloads instead of the table
-  --baseline FILE       render run-vs-run deltas against a saved payload
-  --save-baseline FILE  write the first endpoint's payload to FILE and exit
+  --json                print one JSON object per endpoint instead of the table
+  --baseline FILE       render run-vs-run deltas against a saved scrape
+  --save-baseline FILE  write the first endpoint's scrape to FILE and exit
 
 endpoints are plain TCP stats sockets: any process started with
-PIPEMARE_STATS_ADDR=host:port answers each connection with one JSON
-line (try `nc host port`).
+PIPEMARE_STATS_ADDR=host:port answers each connection with one binary
+scrape frame (read it as text with `pmtop --once --json host:port`).
 ";
 
 struct Options {
@@ -42,33 +47,9 @@ struct Options {
     save_baseline: Option<String>,
 }
 
-fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err(format!("pmtop: {flag} needs a value"));
-    }
-    let raw = args.remove(pos + 1);
-    args.remove(pos);
-    Ok(Some(raw))
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        args.remove(pos);
-        true
-    } else {
-        false
-    }
-}
-
 fn parse_args() -> Result<Options, String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let watch_secs = match take_opt(&mut args, "--watch")? {
-        Some(raw) => raw.parse::<f64>().map_err(|_| format!("pmtop: bad --watch value: {raw}"))?,
-        None => 2.0,
-    };
+    let watch_secs = take_opt(&mut args, "--watch")?.unwrap_or(2.0);
     let opts = Options {
         once: take_flag(&mut args, "--once"),
         json: take_flag(&mut args, "--json"),
@@ -83,38 +64,49 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn poll(addrs: &[String]) -> Result<Vec<(String, Value)>, String> {
-    let mut out = Vec::with_capacity(addrs.len());
-    for addr in addrs {
-        let line =
-            scrape_once(addr, Duration::from_secs(2)).map_err(|e| format!("pmtop: {addr}: {e}"))?;
-        let v = json::parse(&line).map_err(|e| format!("pmtop: {addr}: bad payload: {e}"))?;
-        out.push((addr.clone(), v));
-    }
-    Ok(out)
+fn decode(what: &str, bytes: &[u8]) -> Result<Scrape, String> {
+    Scrape::decode(bytes).map_err(|e| format!("pmtop: {what}: bad scrape: {e}"))
 }
 
-fn render_round(opts: &Options, baseline: Option<&Value>) -> Result<String, String> {
-    let snaps = poll(&opts.addrs)?;
+fn poll(addrs: &[String]) -> Result<Vec<(String, Vec<u8>)>, String> {
+    addrs
+        .iter()
+        .map(|addr| {
+            let bytes = scrape_once(addr, Duration::from_secs(2))
+                .map_err(|e| format!("pmtop: {addr}: {e}"))?;
+            Ok((addr.clone(), bytes))
+        })
+        .collect()
+}
+
+fn render_round(opts: &Options, baseline: Option<&LiveSample>) -> Result<String, String> {
+    let scrapes = poll(&opts.addrs)?
+        .into_iter()
+        .map(|(addr, bytes)| decode(&addr, &bytes).map(|scrape| (addr, scrape)))
+        .collect::<Result<Vec<_>, String>>()?;
+    // The first endpoint's latest sample against the baseline's.
+    let (label, first) = &scrapes[0];
+    let delta = baseline.zip(first.latest()).map(|(base, cur)| {
+        top::diff(&format!("== pmtop delta: {label} (baseline -> current) =="), base, cur)
+    });
     if opts.json {
         let mut out = String::new();
-        for (_, v) in &snaps {
-            out.push_str(&v.to_compact());
+        for (_, scrape) in &scrapes {
+            out.push_str(&top::export(scrape).to_compact());
             out.push('\n');
         }
         // With a baseline, append one extra object holding the
         // first endpoint's run-vs-run comparison.
-        if let Some(base) = baseline {
-            let delta = top::delta_json(&snaps[0].1, base);
-            out.push_str(&Value::obj().set("baseline_delta", delta).to_compact());
+        if let Some((_, json)) = delta {
+            out.push_str(&Value::obj().set("baseline_delta", json).to_compact());
             out.push('\n');
         }
         return Ok(out);
     }
-    let mut out = top::render_many(&snaps);
-    if let Some(base) = baseline {
+    let mut out = top::render_many(&scrapes);
+    if let Some((text, _)) = delta {
         out.push('\n');
-        out.push_str(&top::render_delta(&snaps[0].0, &snaps[0].1, base));
+        out.push_str(&text);
     }
     Ok(out)
 }
@@ -122,15 +114,17 @@ fn render_round(opts: &Options, baseline: Option<&Value>) -> Result<String, Stri
 fn run() -> Result<(), String> {
     let opts = parse_args()?;
     if let Some(path) = &opts.save_baseline {
-        let snaps = poll(&opts.addrs)?;
-        std::fs::write(path, snaps[0].1.to_compact()).map_err(|e| format!("pmtop: {path}: {e}"))?;
-        eprintln!("pmtop: baseline for {} saved to {path}", snaps[0].0);
+        let (addr, bytes) = poll(&opts.addrs)?.swap_remove(0);
+        decode(&addr, &bytes)?;
+        std::fs::write(path, bytes).map_err(|e| format!("pmtop: {path}: {e}"))?;
+        eprintln!("pmtop: baseline for {addr} saved to {path}");
         return Ok(());
     }
     let baseline = match &opts.baseline {
         Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("pmtop: {path}: {e}"))?;
-            Some(json::parse(&text).map_err(|e| format!("pmtop: {path}: bad baseline: {e}"))?)
+            let bytes = std::fs::read(path).map_err(|e| format!("pmtop: {path}: {e}"))?;
+            let latest = decode(path, &bytes)?.samples.pop();
+            Some(latest.ok_or_else(|| format!("pmtop: {path}: baseline holds no sample"))?)
         }
         None => None,
     };

@@ -17,6 +17,9 @@ use std::process::ExitCode;
 use pipemare_telemetry::analyze;
 use pipemare_telemetry::TraceEvent;
 
+mod cli;
+use cli::{take_flag, take_opt};
+
 const USAGE: &str = "pmtrace: analyze PipeMare trace files (JSONL or Chrome trace JSON)
 
 usage:
@@ -41,28 +44,6 @@ usage:
 
 fn load(path: &str) -> Result<Vec<TraceEvent>, String> {
     analyze::load_trace(Path::new(path)).map_err(|e| format!("pmtrace: {path}: {e}"))
-}
-
-/// Pulls `--flag <value>` out of `args`, returning the parsed value.
-fn take_opt<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err(format!("pmtrace: {flag} needs a value"));
-    }
-    let raw = args.remove(pos + 1);
-    args.remove(pos);
-    raw.parse::<T>().map(Some).map_err(|_| format!("pmtrace: bad value for {flag}: {raw}"))
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        args.remove(pos);
-        true
-    } else {
-        false
-    }
 }
 
 fn run() -> Result<(), String> {

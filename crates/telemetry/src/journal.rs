@@ -110,8 +110,9 @@ impl Default for JournalConfig {
 // ---------------------------------------------------------------------
 // Frame payloads.
 
-/// Encodes one sample as a frame payload (no length prefix).
-fn encode_sample(sample: &LiveSample, rollup: bool) -> Vec<u8> {
+/// Encodes one sample as a frame payload (no length prefix): the bytes
+/// of every sample a journal segment or a stats scrape carries.
+pub(crate) fn encode_sample(sample: &LiveSample, rollup: bool) -> Vec<u8> {
     let mut w = Writer::new();
     w.reserve(256);
     w.put_u8(FRAME_VERSION);
@@ -164,7 +165,7 @@ fn encode_sample(sample: &LiveSample, rollup: bool) -> Vec<u8> {
 /// Decodes one frame payload. An error means a malformed payload (the
 /// reader treats it like a torn tail: end of segment). No count read
 /// from the frame sizes anything: vectors grow as their elements decode.
-fn decode_sample(payload: &[u8]) -> Result<(LiveSample, bool), CodecError> {
+pub(crate) fn decode_sample(payload: &[u8]) -> Result<(LiveSample, bool), CodecError> {
     let mut r = Reader::new(payload);
     if r.get_u8()? != FRAME_VERSION {
         return Err(CodecError::BadValue("unknown journal frame version"));
@@ -730,6 +731,26 @@ mod tests {
         assert!(approx(back.stages[0].util, 0.5));
         assert!(back.stages[0].recomp_us.is_nan(), "NaN survives to_bits round trip");
         assert_eq!(back.metrics, s.metrics, "snapshot round trips bit-exact");
+        // A stats scrape carries the same frames: it survives encode and
+        // decode bit for bit, NaN fields included.
+        let scrape = crate::Scrape {
+            role: "worker-0".into(),
+            n_stages: 1,
+            max_sample_cost_us: 90,
+            alerts: vec![crate::ActiveAlert {
+                rule: "tau_drift".into(),
+                label: "stage0".into(),
+                severity: crate::Severity::Warn,
+                since_ts_us: 500_000,
+                value: f64::NAN,
+            }],
+            samples: vec![sample(2, 750_000), s.clone()],
+        };
+        let bytes = scrape.encode().expect("encodes");
+        let back = crate::Scrape::decode(&bytes).expect("decodes");
+        assert_eq!(back.encode().expect("re-encodes"), bytes, "scrape round trips bit-exact");
+        assert!(back.alerts[0].value.is_nan() && back.samples[1].stages[0].recomp_us.is_nan());
+        assert_eq!(back.samples[1].metrics, s.metrics);
     }
 
     #[test]

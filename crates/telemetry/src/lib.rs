@@ -47,13 +47,17 @@
 //! * [`alert`]: the [`AlertEngine`] — declarative [`AlertRule`]s
 //!   (threshold / rate-of-change / absence / burn-rate with
 //!   `for`-duration hysteresis) evaluated against each live sample;
-//!   transitions land on a flight-recorder track, in the scrape JSON
+//!   transitions land on a flight-recorder track, in every stats scrape
 //!   (`pmtop`'s ALERTS pane), and on an optional firing hook.
-//! * [`scrape`]: the plain-TCP stats endpoint serving one JSON line
-//!   per connection, plus the [`scrape_once`] polling client `pmtop`
-//!   is built on.
-//! * [`top`]: the `pmtop` live-dashboard render engine (also shipped
-//!   as the `pmtop` binary).
+//! * [`scrape`]: the [`Scrape`] — one binary frame holding a live
+//!   process's identity, firing alerts and last samples as journal
+//!   frames — the plain-TCP [`StatsEndpoint`] serving one per
+//!   connection, and the [`scrape_once`] polling client `pmtop` is
+//!   built on.
+//! * [`top`]: the `pmtop` live-dashboard render engine over decoded
+//!   scrapes (also shipped as the `pmtop` binary), and the one
+//!   run-vs-run diff of two samples that `pmtop --baseline` and
+//!   `pmquery diff` print.
 //! * [`json`]: the minimal JSON document model the exporters are built
 //!   on (the workspace has no serde).
 //! * [`codec`]: the workspace's one binary encoding — little-endian
@@ -123,7 +127,7 @@ pub use journal::{
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
-pub use scrape::{scrape_once, StatsEndpoint};
+pub use scrape::{scrape_once, Scrape, StatsEndpoint};
 pub use store::{
     LiveSample, LiveStore, StageLive, StoreTicker, DEFAULT_SAMPLES, SAMPLE_COST_BOUND_US,
 };

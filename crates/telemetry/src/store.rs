@@ -16,7 +16,7 @@
 //! and the registry through per-instrument atomics — writers (stage
 //! threads, the serving batcher) never wait on a sampler. The store's
 //! own mutex is only ever taken by the ticker and by scrapers
-//! ([`LiveStore::scrape_json`]), both off the hot path. The price is
+//! ([`LiveStore::scrape`]), both off the hot path. The price is
 //! bounded staleness: a scrape sees the world as of the latest tick,
 //! at most one sample period (plus the sample cost) old.
 //!
@@ -37,12 +37,11 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pipemare_theory::delay_slots;
-
 use crate::alert::AlertEngine;
+use crate::codec::CodecError;
 use crate::event::{EventSource, TraceEvent};
-use crate::json::Value;
-use crate::metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::scrape::Scrape;
 use crate::summary::{mean, total_us, StageFold};
 
 /// Default ring capacity in samples (at 250 ms/tick ≈ 2 min of history).
@@ -170,8 +169,8 @@ impl LiveStore {
     }
 
     /// Attaches an alert engine: every [`LiveStore::sample`] evaluates
-    /// it against the fresh sample, and scrapes carry its `"alerts"`
-    /// payload.
+    /// it against the fresh sample, and scrapes carry its firing
+    /// alerts.
     pub fn with_alerts(self, engine: Arc<AlertEngine>) -> Self {
         self.attach_alerts(engine);
         self
@@ -276,84 +275,39 @@ impl LiveStore {
         self.inner.lock().unwrap().ring.iter().cloned().collect()
     }
 
-    /// The one-line JSON scrape payload: the latest sample rendered
-    /// with per-stage rows, the full metrics snapshot, and monotone
-    /// counter deltas against the previous sample (so pollers get
-    /// rates without differencing themselves). Returns a valid payload
-    /// with `"seq": 0` before the first tick.
+    /// The stats scrape: a [`Scrape`] frame of the store's identity,
+    /// firing alerts and last two samples (none before the first tick).
+    /// It reads the ring, never the recorders, so it is at most one
+    /// ticker period stale and cannot block a recording thread.
     ///
-    /// Staleness is bounded by one ticker period: this reads the ring,
-    /// never the recorders, so it costs O(snapshot size) and cannot
-    /// block any recording thread.
-    pub fn scrape_json(&self) -> Value {
+    /// # Errors
+    ///
+    /// [`CodecError::FrameTooLarge`] if the samples outgrow a frame.
+    pub fn scrape(&self) -> Result<Vec<u8>, CodecError> {
         let inner = self.inner.lock().unwrap();
-        let latest = inner.ring.back();
-        let prev = inner.ring.len().checked_sub(2).and_then(|i| inner.ring.get(i));
-        let mut obj = Value::obj()
-            .set("role", self.role.as_str())
-            .set("n_stages", self.n_stages as u64)
-            .set("seq", latest.map_or(0, |s| s.seq))
-            .set("ts_us", latest.map_or(0, |s| s.ts_us))
-            .set("window_us", latest.map_or(0, |s| s.window_us))
-            .set("sample_cost_us", latest.map_or(0, |s| s.sample_cost_us))
-            .set("max_sample_cost_us", inner.max_cost_us);
-        let mut stage_rows = Vec::new();
-        if let Some(sample) = latest {
-            for st in &sample.stages {
-                let nominal = if self.n_stages > 0 && (st.stage as usize) < self.n_stages {
-                    delay_slots(self.n_stages, st.stage as usize) as f64
-                } else {
-                    f64::NAN
-                };
-                stage_rows.push(
-                    Value::obj()
-                        .set("stage", st.stage as u64)
-                        .set("util", st.util)
-                        .set("fwd_us", st.fwd_us)
-                        .set("bkwd_us", st.bkwd_us)
-                        .set("recomp_us", st.recomp_us)
-                        .set("wait_us", st.wait_us)
-                        .set("tau", st.tau)
-                        .set("tau_nominal", nominal)
-                        .set("tau_pairs", st.tau_pairs as u64)
-                        .set("events", st.events),
-                );
-            }
-        }
-        obj = obj.set("stages", Value::Arr(stage_rows));
-        if let Some(sample) = latest {
-            obj = obj.set("metrics", sample.metrics.to_json());
-            // Monotone counter deltas over the last window.
-            let mut deltas = Value::obj();
-            let mut any = false;
-            for (name, value) in &sample.metrics.metrics {
-                if let MetricValue::Counter(cur) = value {
-                    let before = prev
-                        .and_then(|p| p.metrics.get(name))
-                        .and_then(|v| match v {
-                            MetricValue::Counter(c) => Some(*c),
-                            _ => None,
-                        })
-                        .unwrap_or(0);
-                    deltas = deltas.set(name, cur.saturating_sub(before));
-                    any = true;
-                }
-            }
-            if any {
-                obj = obj.set("counters_delta", deltas);
-            }
-        }
+        let skip = inner.ring.len().saturating_sub(2);
+        let samples = inner.ring.iter().skip(skip).cloned().collect();
+        let max_sample_cost_us = inner.max_cost_us;
         drop(inner);
-        if let Some(engine) = self.alerts.lock().unwrap().as_ref() {
-            obj = obj.set("alerts", engine.to_json());
+        Scrape {
+            role: self.role.clone(),
+            n_stages: self.n_stages,
+            max_sample_cost_us,
+            alerts: self.alerts().map(|engine| engine.active()).unwrap_or_default(),
+            samples,
         }
-        obj
+        .encode()
     }
 
-    /// [`LiveStore::scrape_json`] as the compact one-line string the
-    /// wire endpoints ship.
-    pub fn scrape_line(&self) -> String {
-        self.scrape_json().to_compact()
+    /// Samples now, then [`LiveStore::scrape`]s: the answer to an
+    /// in-band `StatsRequest`, current even where no ticker runs.
+    ///
+    /// # Errors
+    ///
+    /// As [`LiveStore::scrape`].
+    pub fn scrape_fresh(&self) -> Result<Vec<u8>, CodecError> {
+        self.sample();
+        self.scrape()
     }
 }
 
@@ -481,10 +435,10 @@ mod tests {
     fn empty_store_scrapes_a_valid_zero_payload() {
         let store = LiveStore::new("idle", 2);
         assert!(store.is_empty());
-        let v = crate::json::parse(&store.scrape_line()).unwrap();
-        assert_eq!(v.get("role").unwrap().as_str(), Some("idle"));
-        assert_eq!(v.get("seq").unwrap().as_f64(), Some(0.0));
-        assert_eq!(v.get("stages").unwrap().as_arr().unwrap().len(), 0);
+        let scrape = Scrape::decode(&store.scrape().unwrap()).unwrap();
+        assert_eq!(scrape.role, "idle");
+        assert_eq!(scrape.latest().map_or(0, |s| s.seq), 0);
+        assert_eq!(scrape.latest().map_or(0, |s| s.stages.len()), 0);
     }
 
     #[test]
@@ -542,18 +496,13 @@ mod tests {
         store.sample();
         reg.counter("reqs").add(3);
         store.sample();
-        let v = store.scrape_json();
-        let metrics = v.get("metrics").unwrap();
+        let scrape = Scrape::decode(&store.scrape().unwrap()).unwrap();
         assert_eq!(
-            metrics.get("reqs").unwrap().get("value").unwrap().as_f64(),
-            Some(8.0),
+            scrape.latest().unwrap().metrics.get("reqs"),
+            Some(&crate::metrics::MetricValue::Counter(8)),
             "cumulative counter in the snapshot"
         );
-        assert_eq!(
-            v.get("counters_delta").unwrap().get("reqs").unwrap().as_f64(),
-            Some(3.0),
-            "delta over the last window"
-        );
+        assert_eq!(scrape.counter_delta("reqs"), Some(3), "delta over the last window");
     }
 
     #[test]
@@ -562,12 +511,12 @@ mod tests {
         let store = LiveStore::new("test", 3).with_events(rec.clone());
         record_pair(&rec, 0, 0, 0);
         store.sample();
-        let v = store.scrape_json();
-        let rows = v.get("stages").unwrap().as_arr().unwrap();
+        let scrape = Scrape::decode(&store.scrape().unwrap()).unwrap();
+        let rows = &scrape.latest().unwrap().stages;
         assert_eq!(rows.len(), 3);
         // Stage 0 of P=3: nominal 2(P−1−0)+1 = 5 slots.
-        assert_eq!(rows[0].get("tau_nominal").unwrap().as_f64(), Some(5.0));
-        assert_eq!(rows[2].get("tau_nominal").unwrap().as_f64(), Some(1.0));
+        assert_eq!(crate::top::tau_nominal(scrape.n_stages, rows[0].stage), 5.0);
+        assert_eq!(crate::top::tau_nominal(scrape.n_stages, rows[2].stage), 1.0);
     }
 
     #[test]
@@ -592,16 +541,15 @@ mod tests {
             LiveStore::new("test", 1).with_registry(reg.clone()).with_alerts(Arc::clone(&engine));
         store.sample();
         assert_eq!(engine.active().len(), 1, "sampling evaluated the engine");
-        let v = store.scrape_json();
-        let alerts = v.get("alerts").unwrap().as_arr().unwrap();
+        let alerts = Scrape::decode(&store.scrape().unwrap()).unwrap().alerts;
         assert_eq!(alerts.len(), 1);
-        assert_eq!(alerts[0].get("rule").unwrap().as_str(), Some("alpha_margin_floor"));
-        assert_eq!(alerts[0].get("label").unwrap().as_str(), Some("stage0"));
+        assert_eq!(alerts[0].rule, "alpha_margin_floor");
+        assert_eq!(alerts[0].label, "stage0");
         // Margin recovers: the alert leaves the scrape.
         reg.gauge("health.stage0.alpha_margin").set(1.5);
         store.sample();
-        let v = store.scrape_json();
-        assert_eq!(v.get("alerts").unwrap().as_arr().unwrap().len(), 0);
+        let scrape = Scrape::decode(&store.scrape().unwrap()).unwrap();
+        assert_eq!(scrape.alerts.len(), 0);
     }
 
     #[test]

@@ -1,30 +1,24 @@
-//! The `pmtop` render engine: turns live-store scrape payloads into
-//! the per-stage dashboard table.
+//! The `pmtop` render engine: decoded [`Scrape`]s become the per-stage
+//! dashboard ([`render`]), and two [`LiveSample`]s a run-vs-run [`diff`]
+//! (`pmtop --baseline`, `pmquery diff`). Rendering is pure, so it is
+//! testable without sockets. The columns are what the PipeMare analysis
+//! watches live: per-stage utilization, compute-phase means, measured vs
+//! nominal τ, the health monitor's α-margin, serving queue depth and
+//! shed counters, and wire throughput.
 //!
-//! All rendering is pure `Value → String` so the table is unit-testable
-//! without sockets; the `pmtop` binary is a thin polling loop around
-//! [`crate::scrape::scrape_once`] + [`render`]. The columns mirror what
-//! the PipeMare analysis cares about live: per-stage utilization,
-//! compute-phase means, measured-vs-nominal τ delay, the health
-//! monitor's α-margin, serving queue depth / shed counters, and wire
-//! throughput gauges.
+//! JSON is only an export edge here: [`export`] (`pmtop --json`) and
+//! [`stage_json`], the one JSON stage row, shared by `pmquery range`.
+
+use pipemare_theory::delay_slots;
 
 use crate::analyze::pct_delta;
 use crate::json::Value;
+use crate::metrics::MetricValue;
+use crate::scrape::Scrape;
+use crate::store::{LiveSample, StageLive};
 
-fn num(v: Option<&Value>) -> f64 {
-    v.and_then(Value::as_f64).unwrap_or(f64::NAN)
-}
-
-fn metric_field(snap: &Value, name: &str, field: &str) -> f64 {
-    num(snap.get("metrics").and_then(|m| m.get(name)).and_then(|m| m.get(field)))
-}
-
-fn counter_delta(snap: &Value, name: &str) -> f64 {
-    num(snap.get("counters_delta").and_then(|d| d.get(name)))
-}
-
-fn fmt(v: f64, prec: usize) -> String {
+/// A number at `prec` decimals, or `-` when it is not finite.
+pub fn fmt(v: f64, prec: usize) -> String {
     if v.is_finite() {
         format!("{v:.prec$}")
     } else {
@@ -46,72 +40,84 @@ fn fmt_bytes(v: f64) -> String {
     }
 }
 
-/// Renders one endpoint's scrape payload as the live dashboard block:
-/// header, per-stage table, and the serving / wire lines when those
-/// metrics are present.
-pub fn render(label: &str, snap: &Value) -> String {
-    let mut out = String::new();
-    let role = snap.get("role").and_then(Value::as_str).unwrap_or("?");
-    let seq = num(snap.get("seq"));
-    out.push_str(&format!(
-        "== {label}   role {role}   seq {}   window {} ms   sample cost {} µs (max {}) ==\n",
-        fmt(seq, 0),
-        fmt(num(snap.get("window_us")) / 1000.0, 1),
-        fmt(num(snap.get("sample_cost_us")), 0),
-        fmt(num(snap.get("max_sample_cost_us")), 0),
-    ));
-    if seq == 0.0 {
-        out.push_str("(no sample yet — ticker has not fired)\n");
+/// Stage `stage`'s nominal forward delay in slots on an `n_stages`
+/// pipeline; NaN for a stage outside it.
+pub fn tau_nominal(n_stages: usize, stage: u32) -> f64 {
+    if (stage as usize) < n_stages {
+        delay_slots(n_stages, stage as usize) as f64
+    } else {
+        f64::NAN
     }
-    let stages = snap.get("stages").and_then(Value::as_arr).unwrap_or(&[]);
-    if !stages.is_empty() {
+}
+
+/// A counter's or gauge's value; NaN for a histogram or a missing name.
+fn metric(sample: &LiveSample, name: &str) -> f64 {
+    match sample.metrics.get(name) {
+        Some(MetricValue::Counter(c)) => *c as f64,
+        Some(MetricValue::Gauge(g)) => *g,
+        _ => f64::NAN,
+    }
+}
+
+/// Renders one endpoint's scrape as the live dashboard block: header,
+/// per-stage table, and the serving / wire lines when those metrics are
+/// present.
+pub fn render(label: &str, scrape: &Scrape) -> String {
+    let latest = scrape.latest();
+    let field = |f: fn(&LiveSample) -> u64| latest.map_or(0, f) as f64;
+    let mut out = format!(
+        "== {label}   role {}   seq {}   window {} ms   sample cost {} µs (max {}) ==\n",
+        scrape.role,
+        fmt(field(|s| s.seq), 0),
+        fmt(field(|s| s.window_us) / 1000.0, 1),
+        fmt(field(|s| s.sample_cost_us), 0),
+        fmt(scrape.max_sample_cost_us as f64, 0),
+    );
+    let Some(sample) = latest else {
+        out.push_str("(no sample yet — ticker has not fired)\n");
+        out.push_str(&alerts_pane(scrape));
+        return out;
+    };
+    if !sample.stages.is_empty() {
         out.push_str(
             "stage   util%   fwd_µs   bkwd_µs  recomp_µs   wait_µs   \
              tau meas/nom   alpha_margin\n",
         );
-        for st in stages {
-            let s = num(st.get("stage"));
-            let margin =
-                metric_field(snap, &format!("health.stage{}.alpha_margin", s as u64), "value");
+        for st in &sample.stages {
+            let margin = metric(sample, &format!("health.stage{}.alpha_margin", st.stage));
             out.push_str(&format!(
                 "{:>5}   {:>5}   {:>6}   {:>7}   {:>8}   {:>7}   {:>12}   {:>12}\n",
-                fmt(s, 0),
-                fmt(100.0 * num(st.get("util")), 1),
-                fmt(num(st.get("fwd_us")), 1),
-                fmt(num(st.get("bkwd_us")), 1),
-                fmt(num(st.get("recomp_us")), 1),
-                fmt(num(st.get("wait_us")), 0),
-                format!("{}/{}", fmt(num(st.get("tau")), 2), fmt(num(st.get("tau_nominal")), 1)),
+                st.stage,
+                fmt(100.0 * st.util, 1),
+                fmt(st.fwd_us, 1),
+                fmt(st.bkwd_us, 1),
+                fmt(st.recomp_us, 1),
+                st.wait_us,
+                format!("{}/{}", fmt(st.tau, 2), fmt(tau_nominal(scrape.n_stages, st.stage), 1)),
                 if margin.is_finite() { format!("{margin:+.3}") } else { "-".to_string() },
             ));
         }
     }
-    out.push_str(&serve_line(snap));
-    out.push_str(&wire_line(snap));
-    out.push_str(&alerts_pane(snap));
+    out.push_str(&serve_line(scrape, sample));
+    out.push_str(&wire_line(sample));
+    out.push_str(&alerts_pane(scrape));
     out
 }
 
-/// The ALERTS pane from the payload's `"alerts"` array; empty when the
-/// endpoint has no alert engine or nothing is firing.
-fn alerts_pane(snap: &Value) -> String {
-    let Some(Value::Arr(alerts)) = snap.get("alerts") else {
-        return String::new();
-    };
-    if alerts.is_empty() {
+/// The ALERTS pane; empty when nothing is firing.
+fn alerts_pane(scrape: &Scrape) -> String {
+    if scrape.alerts.is_empty() {
         return String::new();
     }
-    let mut out = format!("ALERTS ({} firing)\n", alerts.len());
-    for a in alerts {
-        let rule = a.get("rule").and_then(Value::as_str).unwrap_or("?");
-        let label = a.get("label").and_then(Value::as_str).unwrap_or("");
-        let severity = a.get("severity").and_then(Value::as_str).unwrap_or("?");
-        let scope = if label.is_empty() { String::new() } else { format!(" [{label}]") };
+    let mut out = format!("ALERTS ({} firing)\n", scrape.alerts.len());
+    for a in &scrape.alerts {
+        let scope = if a.label.is_empty() { String::new() } else { format!(" [{}]", a.label) };
         out.push_str(&format!(
-            "  {:<8} {rule}{scope}   value {}   since {} s\n",
-            severity.to_uppercase(),
-            fmt(num(a.get("value")), 3),
-            fmt(num(a.get("since_ts_us")) / 1e6, 1),
+            "  {:<8} {}{scope}   value {}   since {} s\n",
+            a.severity.name().to_uppercase(),
+            a.rule,
+            fmt(a.value, 3),
+            fmt(a.since_ts_us as f64 / 1e6, 1),
         ));
     }
     out
@@ -120,50 +126,41 @@ fn alerts_pane(snap: &Value) -> String {
 /// The serving line (queue depth, accepted/shed with per-window deltas,
 /// batch-size p50); empty when the endpoint exports no `serve.*`
 /// metrics.
-fn serve_line(snap: &Value) -> String {
-    let depth = metric_field(snap, "serve.queue_depth", "value");
-    let accepted = metric_field(snap, "serve.accepted", "value");
+fn serve_line(scrape: &Scrape, sample: &LiveSample) -> String {
+    let depth = metric(sample, "serve.queue_depth");
+    let accepted = metric(sample, "serve.accepted");
     if !depth.is_finite() && !accepted.is_finite() {
         return String::new();
     }
-    let shed = metric_field(snap, "serve.shed", "value");
-    let window_s = num(snap.get("window_us")) / 1e6;
-    let shed_delta = counter_delta(snap, "serve.shed");
-    let shed_rate = if window_s > 0.0 && shed_delta.is_finite() {
-        format!("{:.1}/s", shed_delta / window_s)
-    } else {
-        "-".to_string()
+    let window_s = sample.window_us as f64 / 1e6;
+    let shed_rate = match scrape.counter_delta("serve.shed") {
+        Some(shed) if window_s > 0.0 => format!("{:.1}/s", shed as f64 / window_s),
+        _ => "-".to_string(),
+    };
+    let batch_p50 = match sample.metrics.get("serve.batch_rows") {
+        Some(MetricValue::Histogram(h)) => h.quantile(0.5),
+        _ => f64::NAN,
     };
     format!(
         "serve: queue depth {}   accepted {} (+{})   shed {} ({})   batch rows p50 {}\n",
         fmt(depth, 0),
         fmt(accepted, 0),
-        fmt(counter_delta(snap, "serve.accepted"), 0),
-        fmt(shed, 0),
+        fmt(scrape.counter_delta("serve.accepted").map_or(f64::NAN, |d| d as f64), 0),
+        fmt(metric(sample, "serve.shed"), 0),
         shed_rate,
-        fmt(metric_field(snap, "serve.batch_rows", "p50"), 1),
+        fmt(batch_p50, 1),
     )
 }
 
 /// The wire-throughput line from `wire.*` gauges; empty when absent.
-fn wire_line(snap: &Value) -> String {
-    let Some(Value::Obj(metrics)) = snap.get("metrics") else {
-        return String::new();
-    };
+fn wire_line(sample: &LiveSample) -> String {
     let sum = |suffix: &str| {
-        let mut total = 0.0;
-        let mut any = false;
-        for (name, m) in metrics {
-            if name.starts_with("wire.") && name.ends_with(suffix) {
-                total += num(m.get("value"));
-                any = true;
-            }
-        }
-        if any {
-            total
-        } else {
-            f64::NAN
-        }
+        let wire = sample.metrics.metrics.iter();
+        wire.filter(|(name, _)| name.starts_with("wire.") && name.ends_with(suffix))
+            .fold(None, |total: Option<f64>, (name, _)| {
+                Some(total.unwrap_or(0.0) + metric(sample, name))
+            })
+            .unwrap_or(f64::NAN)
     };
     let (txb, rxb) = (sum(".tx_bytes"), sum(".rx_bytes"));
     if !txb.is_finite() && !rxb.is_finite() {
@@ -178,141 +175,188 @@ fn wire_line(snap: &Value) -> String {
     )
 }
 
-/// Renders several endpoints' payloads, one block each.
-pub fn render_many(snaps: &[(String, Value)]) -> String {
+/// Renders several endpoints' scrapes, one block each.
+pub fn render_many(scrapes: &[(String, Scrape)]) -> String {
     let mut out = String::new();
-    for (i, (label, snap)) in snaps.iter().enumerate() {
+    for (i, (label, scrape)) in scrapes.iter().enumerate() {
         if i > 0 {
             out.push('\n');
         }
-        out.push_str(&render(label, snap));
+        out.push_str(&render(label, scrape));
     }
     out
 }
 
-/// Run-vs-run delta: the current scrape against a saved baseline
-/// payload, reusing the `pmtrace diff` percentage rendering. Compares
-/// per-stage utilization/τ and every counter both sides share.
-pub fn render_delta(label: &str, cur: &Value, base: &Value) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== pmtop delta: {label} (baseline -> current) ==\n"));
-    let empty: &[Value] = &[];
-    let cur_stages = cur.get("stages").and_then(Value::as_arr).unwrap_or(empty);
-    let base_stages = base.get("stages").and_then(Value::as_arr).unwrap_or(empty);
-    if !cur_stages.is_empty() || !base_stages.is_empty() {
-        out.push_str("stage   util base->cur        tau base->cur\n");
-        for i in 0..cur_stages.len().max(base_stages.len()) {
-            let u = |side: &[Value]| num(side.get(i).and_then(|s| s.get("util")));
-            let t = |side: &[Value]| num(side.get(i).and_then(|s| s.get("tau")));
-            out.push_str(&format!(
-                "{i:>5}   {:>5} -> {:<5} ({})   {:>5} -> {:<5}\n",
-                fmt(u(base_stages), 3),
-                fmt(u(cur_stages), 3),
-                pct_delta(u(base_stages), u(cur_stages)),
-                fmt(t(base_stages), 2),
-                fmt(t(cur_stages), 2),
-            ));
+/// The one JSON form of a stage row: `row` (the caller's leading
+/// fields) extended with the stage's aggregates and its nominal τ on an
+/// `n_stages` pipeline.
+pub fn stage_json(row: Value, st: &StageLive, n_stages: usize) -> Value {
+    row.set("stage", st.stage as u64)
+        .set("util", st.util)
+        .set("fwd_us", st.fwd_us)
+        .set("bkwd_us", st.bkwd_us)
+        .set("recomp_us", st.recomp_us)
+        .set("wait_us", st.wait_us)
+        .set("tau", st.tau)
+        .set("tau_nominal", tau_nominal(n_stages, st.stage))
+        .set("tau_pairs", st.tau_pairs as u64)
+        .set("events", st.events)
+}
+
+/// `pmtop --json`'s object for one scrape: the identity, the latest
+/// sample's stage rows, metrics and counter deltas, and the firing
+/// alerts (schema in DESIGN §6.9).
+pub fn export(scrape: &Scrape) -> Value {
+    let latest = scrape.latest();
+    let field = |f: fn(&LiveSample) -> u64| latest.map_or(0, f);
+    let mut obj = Value::obj()
+        .set("role", scrape.role.as_str())
+        .set("n_stages", scrape.n_stages as u64)
+        .set("seq", field(|s| s.seq))
+        .set("ts_us", field(|s| s.ts_us))
+        .set("window_us", field(|s| s.window_us))
+        .set("sample_cost_us", field(|s| s.sample_cost_us))
+        .set("max_sample_cost_us", scrape.max_sample_cost_us);
+    let stages = latest.map_or(&[][..], |s| &s.stages[..]);
+    obj = obj.set(
+        "stages",
+        Value::Arr(stages.iter().map(|st| stage_json(Value::obj(), st, scrape.n_stages)).collect()),
+    );
+    if let Some(sample) = latest {
+        let mut deltas = Value::obj();
+        for (name, _) in &sample.metrics.metrics {
+            if let Some(d) = scrape.counter_delta(name) {
+                deltas = deltas.set(name, d);
+            }
         }
+        obj = obj.set("metrics", sample.metrics.to_json()).set("counters_delta", deltas);
     }
-    let (Some(Value::Obj(cm)), Some(bm)) = (cur.get("metrics"), base.get("metrics")) else {
-        return out;
+    let alerts = scrape.alerts.iter().map(|a| {
+        Value::obj()
+            .set("rule", a.rule.as_str())
+            .set("label", a.label.as_str())
+            .set("severity", a.severity.name())
+            .set("since_ts_us", a.since_ts_us)
+            .set("value", a.value)
+    });
+    obj.set("alerts", Value::Arr(alerts.collect()))
+}
+
+/// Run-vs-run diff of two samples: per-stage utilization and τ with
+/// their percentage changes, and every counter both sides hold as a
+/// counter. Returns the text block (opened by `header`) and the same
+/// comparison as JSON; `pmtop --baseline` feeds it two latest samples,
+/// `pmquery diff` two whole-journal rollups.
+pub fn diff(header: &str, base: &LiveSample, cur: &LiveSample) -> (String, Value) {
+    let mut text = format!("{header}\n");
+    let n_stages = cur.stages.len().max(base.stages.len());
+    let means = |run: &LiveSample, i: usize| {
+        run.stages.get(i).map_or((f64::NAN, f64::NAN), |st| (st.util, st.tau))
     };
-    let mut any = false;
-    for (name, m) in cm {
-        if m.get("type").and_then(Value::as_str) != Some("counter") {
-            continue;
-        }
-        let b = num(bm.get(name).and_then(|v| v.get("value")));
-        if !b.is_finite() {
-            continue;
-        }
-        let c = num(m.get("value"));
-        if !any {
-            out.push_str("counter                      base -> cur\n");
-            any = true;
-        }
-        out.push_str(&format!(
-            "{name:<26} {:>7} -> {:<7} ({})\n",
-            fmt(b, 0),
-            fmt(c, 0),
-            pct_delta(b, c),
-        ));
+    let mut stages = Vec::with_capacity(n_stages);
+    if n_stages > 0 {
+        text.push_str("stage   util base->cur        tau base->cur\n");
     }
-    out
-}
-
-/// Machine-readable variant of [`render_delta`]: the same per-stage
-/// and shared-counter comparison as a JSON object, emitted by
-/// `pmtop --json --baseline` for scripted regression checks.
-pub fn delta_json(cur: &Value, base: &Value) -> Value {
-    let empty: &[Value] = &[];
-    let cur_stages = cur.get("stages").and_then(Value::as_arr).unwrap_or(empty);
-    let base_stages = base.get("stages").and_then(Value::as_arr).unwrap_or(empty);
-    let mut stages = Vec::new();
-    for i in 0..cur_stages.len().max(base_stages.len()) {
-        let u = |side: &[Value]| num(side.get(i).and_then(|s| s.get("util")));
-        let t = |side: &[Value]| num(side.get(i).and_then(|s| s.get("tau")));
+    for i in 0..n_stages {
+        let ((bu, bt), (cu, ct)) = (means(base, i), means(cur, i));
+        text.push_str(&format!(
+            "{i:>5}   {:>5} -> {:<5} ({})   {:>5} -> {:<5} ({})\n",
+            fmt(bu, 3),
+            fmt(cu, 3),
+            pct_delta(bu, cu),
+            fmt(bt, 2),
+            fmt(ct, 2),
+            pct_delta(bt, ct),
+        ));
         stages.push(
             Value::obj()
                 .set("stage", i as u64)
-                .set("util_base", u(base_stages))
-                .set("util_cur", u(cur_stages))
-                .set("tau_base", t(base_stages))
-                .set("tau_cur", t(cur_stages)),
+                .set("util_base", bu)
+                .set("util_cur", cu)
+                .set("tau_base", bt)
+                .set("tau_cur", ct),
         );
     }
     let mut counters = Value::obj();
-    if let (Some(Value::Obj(cm)), Some(bm)) = (cur.get("metrics"), base.get("metrics")) {
-        for (name, m) in cm {
-            if m.get("type").and_then(Value::as_str) != Some("counter") {
-                continue;
-            }
-            let b = num(bm.get(name).and_then(|v| v.get("value")));
-            if !b.is_finite() {
-                continue;
-            }
-            counters = counters
-                .set(name.as_str(), Value::obj().set("base", b).set("cur", num(m.get("value"))));
+    let shared =
+        cur.metrics.metrics.iter().filter_map(|(name, v)| match (base.metrics.get(name)?, v) {
+            (MetricValue::Counter(b), MetricValue::Counter(c)) => Some((name, *b, *c)),
+            _ => None,
+        });
+    for (k, (name, b, c)) in shared.enumerate() {
+        if k == 0 {
+            text.push_str("counter                      base -> cur\n");
         }
+        text.push_str(&format!(
+            "{name:<26} {b:>7} -> {c:<7} ({})\n",
+            pct_delta(b as f64, c as f64)
+        ));
+        counters = counters.set(name, Value::obj().set("base", b).set("cur", c));
     }
-    Value::obj().set("stages", Value::Arr(stages)).set("counters", counters)
+    (text, Value::obj().set("stages", Value::Arr(stages)).set("counters", counters))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::alert::ActiveAlert;
+    use crate::health::Severity;
+    use crate::metrics::MetricsRegistry;
 
-    fn sample_payload() -> Value {
-        json::parse(
-            r#"{"role":"worker-1","n_stages":2,"seq":9,"ts_us":900000,
-                "window_us":250000,"sample_cost_us":42,"max_sample_cost_us":80,
-                "stages":[
-                  {"stage":0,"util":0.93,"fwd_us":40.5,"bkwd_us":81.0,
-                   "recomp_us":null,"wait_us":1200,"tau":2.98,"tau_nominal":3.0,
-                   "tau_pairs":12,"events":48},
-                  {"stage":1,"util":0.88,"fwd_us":39.0,"bkwd_us":80.0,
-                   "recomp_us":22.0,"wait_us":800,"tau":1.05,"tau_nominal":1.0,
-                   "tau_pairs":12,"events":50}],
-                "metrics":{
-                  "health.stage0.alpha_margin":{"type":"gauge","value":0.113},
-                  "serve.accepted":{"type":"counter","value":1200},
-                  "serve.shed":{"type":"counter","value":17},
-                  "serve.queue_depth":{"type":"gauge","value":3},
-                  "serve.batch_rows":{"type":"histogram","count":10,"sum":60,
-                    "mean":6.0,"p50":6.0,"p99":8.0,"bounds":[8.0],"counts":[10]},
-                  "wire.peer0.tx_bytes":{"type":"gauge","value":1500000},
-                  "wire.peer0.rx_bytes":{"type":"gauge","value":900000},
-                  "wire.peer0.tx_frames":{"type":"gauge","value":5300},
-                  "wire.peer0.rx_frames":{"type":"gauge","value":4100}},
-                "counters_delta":{"serve.accepted":40,"serve.shed":2}}"#,
-        )
-        .unwrap()
+    /// Two samples of a worker that serves and talks on the wire: the
+    /// latest (seq 9) accepted 40 and shed 2 requests in its window.
+    fn sample_scrape() -> Scrape {
+        let reg = MetricsRegistry::new();
+        reg.gauge("health.stage0.alpha_margin").set(0.113);
+        reg.counter("serve.accepted").add(1160);
+        reg.counter("serve.shed").add(15);
+        reg.gauge("serve.queue_depth").set(3.0);
+        let rows = reg.histogram("serve.batch_rows", &[4.0, 8.0]);
+        for _ in 0..10 {
+            rows.observe(6.0);
+        }
+        for (name, v) in
+            [("tx_bytes", 1.5e6), ("rx_bytes", 9e5), ("tx_frames", 5300.0), ("rx_frames", 4100.0)]
+        {
+            reg.gauge(&format!("wire.peer0.{name}")).set(v);
+        }
+        let before = reg.snapshot();
+        reg.counter("serve.accepted").add(40);
+        reg.counter("serve.shed").add(2);
+        let row = |stage, util, fwd_us, bkwd_us, recomp_us, wait_us, tau, events| StageLive {
+            stage,
+            util,
+            fwd_us,
+            bkwd_us,
+            recomp_us,
+            wait_us,
+            tau,
+            tau_pairs: 12,
+            events,
+        };
+        let sample = |seq, ts_us, metrics| LiveSample {
+            seq,
+            ts_us,
+            window_us: 250_000,
+            stages: vec![
+                row(0, 0.93, 40.5, 81.0, f64::NAN, 1200, 2.98, 48),
+                row(1, 0.88, 39.0, 80.0, 22.0, 800, 1.05, 50),
+            ],
+            metrics,
+            sample_cost_us: 42,
+        };
+        Scrape {
+            role: "worker-1".into(),
+            n_stages: 2,
+            max_sample_cost_us: 80,
+            alerts: Vec::new(),
+            samples: vec![sample(8, 650_000, before), sample(9, 900_000, reg.snapshot())],
+        }
     }
 
     #[test]
     fn render_shows_stages_health_serve_and_wire() {
-        let text = render("127.0.0.1:9100", &sample_payload());
+        let text = render("127.0.0.1:9100", &sample_scrape());
         assert!(text.contains("role worker-1"), "{text}");
         assert!(text.contains("seq 9"), "{text}");
         // Stage 0: util 93.0%, τ 2.98/3.0, α-margin +0.113.
@@ -334,11 +378,13 @@ mod tests {
 
     #[test]
     fn render_degrades_on_empty_payload() {
-        let empty = json::parse(
-            r#"{"role":"idle","n_stages":0,"seq":0,"ts_us":0,"window_us":0,
-                "sample_cost_us":0,"max_sample_cost_us":0,"stages":[]}"#,
-        )
-        .unwrap();
+        let empty = Scrape {
+            role: "idle".into(),
+            n_stages: 0,
+            max_sample_cost_us: 0,
+            alerts: Vec::new(),
+            samples: Vec::new(),
+        };
         let text = render("e", &empty);
         assert!(text.contains("no sample yet"), "{text}");
         assert!(!text.contains("serve:"), "{text}");
@@ -347,34 +393,29 @@ mod tests {
 
     #[test]
     fn alerts_pane_lists_firing_rules() {
-        let mut p = sample_payload();
-        p = p.set(
-            "alerts",
-            Value::Arr(vec![
-                json::parse(
-                    r#"{"rule":"alpha_margin_floor","label":"stage1",
-                        "severity":"critical","since_ts_us":750000,"value":0.42}"#,
-                )
-                .unwrap(),
-                json::parse(
-                    r#"{"rule":"shed_burn","label":"",
-                        "severity":"warn","since_ts_us":500000,"value":0.31}"#,
-                )
-                .unwrap(),
-            ]),
-        );
+        let alert = |rule: &str, label: &str, severity, since_ts_us, value| ActiveAlert {
+            rule: rule.into(),
+            label: label.into(),
+            severity,
+            since_ts_us,
+            value,
+        };
+        let mut p = sample_scrape();
+        p.alerts = vec![
+            alert("alpha_margin_floor", "stage1", Severity::Critical, 750_000, 0.42),
+            alert("shed_burn", "", Severity::Warn, 500_000, 0.31),
+        ];
         let text = render("w", &p);
         assert!(text.contains("ALERTS (2 firing)"), "{text}");
         assert!(text.contains("CRITICAL alpha_margin_floor [stage1]"), "{text}");
         assert!(text.contains("WARN     shed_burn   value 0.310"), "{text}");
-        // Empty array → no pane at all.
-        let quiet = sample_payload().set("alerts", Value::Arr(Vec::new()));
-        assert!(!render("w", &quiet).contains("ALERTS"), "quiet payload renders no pane");
+        // Nothing firing → no pane at all.
+        assert!(!render("w", &sample_scrape()).contains("ALERTS"), "quiet payload renders no pane");
     }
 
     #[test]
     fn render_many_concatenates_blocks() {
-        let p = sample_payload();
+        let p = sample_scrape();
         let text = render_many(&[("a".to_string(), p.clone()), ("b".to_string(), p)]);
         assert!(text.contains("== a "), "{text}");
         assert!(text.contains("== b "), "{text}");
@@ -382,22 +423,16 @@ mod tests {
 
     #[test]
     fn delta_mode_reports_percentage_changes() {
-        let cur = sample_payload();
-        let mut base = sample_payload();
+        let cur = sample_scrape().samples.pop().unwrap();
+        let mut base = cur.clone();
         // Baseline had lower load on stage 0 and fewer accepts.
-        if let Some(Value::Arr(stages)) = base.get("stages").cloned() {
-            let s0 = stages[0].clone().set("util", 0.465);
-            base = base.set("stages", Value::Arr(vec![s0, stages[1].clone()]));
-        }
-        if let Some(m) = base.get("metrics").cloned() {
-            base = base.set(
-                "metrics",
-                m.set("serve.accepted", Value::obj().set("type", "counter").set("value", 600u64)),
-            );
-        }
-        let text = render_delta("worker", &cur, &base);
+        base.stages[0].util = 0.465;
+        base.metrics.metrics[1].1 = MetricValue::Counter(600);
+        let (text, json) = diff("== worker ==", &base, &cur);
         assert!(text.contains("+100.0%"), "{text}");
         assert!(text.contains("serve.accepted"), "{text}");
         assert!(text.contains("600"), "{text}");
+        let acc = json.get("counters").and_then(|c| c.get("serve.accepted")).unwrap();
+        assert_eq!(acc.get("base").and_then(Value::as_f64), Some(600.0));
     }
 }

@@ -31,7 +31,7 @@ use pipemare::comms::{TcpTransport, Transport};
 use pipemare::core::serve_checkpoint;
 use pipemare::nn::{Mlp, TrainModel};
 use pipemare::serve::{InferClient, ServeConfig};
-use pipemare::telemetry::{default_rules, json, top, write_jsonl, EventSource};
+use pipemare::telemetry::{default_rules, top, write_jsonl, EventSource, Scrape};
 use pipemare::tensor::Tensor;
 use pipemare_bench::loadgen::{closed_loop, open_loop, OpenLoopCfg};
 
@@ -158,8 +158,8 @@ fn main() {
         rep.served_rps(),
         rep.shed,
     );
-    let snap = json::parse(&server.live_store().scrape_line()).expect("scrape parses");
-    print!("{}", top::render("serve", &snap));
+    let frame = server.live_store().scrape().expect("scrape encodes");
+    print!("{}", top::render("serve", &Scrape::decode(&frame).expect("scrape decodes")));
     let fired = fired.lock().unwrap().clone();
     assert!(
         fired.iter().any(|r| r == "shed_burn"),

@@ -1,7 +1,8 @@
 //! End-to-end live observability plane: the in-band wire scrape
 //! (`StatsRequest`/`StatsReply`), the plain-TCP stats endpoint, the
-//! `pmtop` rendering layer over real payloads, and cross-process trace
-//! ids surviving a round trip through a live serving frontend.
+//! `pmtop` rendering layer over real scrapes (and pinned byte for byte
+//! over a fixed one), and cross-process trace ids surviving a round
+//! trip through a live serving frontend.
 
 use std::sync::Arc;
 use std::thread;
@@ -19,9 +20,11 @@ use pipemare::nn::{ImageBatch, Mlp, TrainModel};
 use pipemare::pipeline::Method;
 use pipemare::serve::{InferClient, ServeConfig};
 use pipemare::telemetry::analyze;
-use pipemare::telemetry::json;
 use pipemare::telemetry::top;
-use pipemare::telemetry::{scrape_once, EventSource, SpanKind};
+use pipemare::telemetry::{
+    scrape_once, ActiveAlert, EventSource, LiveSample, MetricValue, MetricsRegistry, Scrape,
+    Severity, SpanKind, StageLive,
+};
 use pipemare::tensor::{StoragePrecision, Tensor};
 use pipemare_core::serve_checkpoint;
 
@@ -82,24 +85,21 @@ fn stage_worker_answers_in_band_stats_scrape() {
     // The in-band scrape: sampled on demand, answered on the same link.
     tx.send(&Message::StatsRequest { id: 7 }).unwrap();
     match rx.recv().unwrap() {
-        Message::StatsReply { id, json: payload } => {
+        Message::StatsReply { id, frame } => {
             assert_eq!(id, 7);
-            let v = json::parse(&payload).expect("stats payload parses");
-            assert_eq!(v.get("role").unwrap().as_str(), Some("worker-0"));
-            assert!(
-                v.get("seq").unwrap().as_f64().unwrap() >= 1.0,
-                "on-demand scrape must carry a fresh sample"
-            );
+            let scrape = Scrape::decode(&frame).expect("stats frame decodes");
+            assert_eq!(scrape.role, "worker-0");
+            let latest = scrape.latest().expect("on-demand scrape must carry a fresh sample");
+            assert!(latest.seq >= 1, "on-demand scrape must carry a fresh sample");
             // Wire gauges bound at handshake mirror the link traffic.
-            let tx_bytes = v
-                .get("metrics")
-                .and_then(|m| m.get("wire.orchestrator.tx_bytes"))
-                .and_then(|g| g.get("value"))
-                .and_then(|x| x.as_f64())
-                .expect("wire tx gauge present");
-            assert!(tx_bytes > 0.0, "worker has sent frames by now");
-            // The payload renders as a pmtop block without panicking.
-            let text = top::render("worker", &v);
+            let Some(MetricValue::Gauge(tx_bytes)) =
+                latest.metrics.get("wire.orchestrator.tx_bytes")
+            else {
+                panic!("wire tx gauge present");
+            };
+            assert!(*tx_bytes > 0.0, "worker has sent frames by now");
+            // The scrape renders as a pmtop block without panicking.
+            let text = top::render("worker", &scrape);
             assert!(text.contains("role worker-0"), "{text}");
         }
         other => panic!("expected StatsReply, got {}", other.name()),
@@ -139,22 +139,17 @@ fn serve_server_scrapes_over_tcp_and_traces_requests() {
     // Deterministic freshness: sample explicitly instead of waiting out
     // the background ticker's period.
     server.live_store().sample();
-    let line = scrape_once(&stats.to_string(), Duration::from_secs(2)).expect("scrape");
-    let v = json::parse(&line).expect("payload parses");
-    assert_eq!(v.get("role").unwrap().as_str(), Some("serve"));
-    assert_eq!(v.get("n_stages").unwrap().as_f64(), Some(2.0));
-    let accepted = v
-        .get("metrics")
-        .and_then(|m| m.get("serve.accepted"))
-        .and_then(|c| c.get("value"))
-        .and_then(|x| x.as_f64())
-        .expect("serve.accepted counter present");
-    assert!(accepted >= 3.0, "three requests were admitted, metric says {accepted}");
-    assert!(
-        v.get("metrics").and_then(|m| m.get("serve.batch_rows")).is_some(),
-        "batch-size histogram exported"
-    );
-    let text = top::render(&stats.to_string(), &v);
+    let frame = scrape_once(&stats.to_string(), Duration::from_secs(2)).expect("scrape");
+    let scrape = Scrape::decode(&frame).expect("scrape decodes");
+    assert_eq!(scrape.role, "serve");
+    assert_eq!(scrape.n_stages, 2);
+    let metrics = &scrape.latest().expect("sampled").metrics;
+    let Some(MetricValue::Counter(accepted)) = metrics.get("serve.accepted") else {
+        panic!("serve.accepted counter present");
+    };
+    assert!(*accepted >= 3, "three requests were admitted, metric says {accepted}");
+    assert!(metrics.get("serve.batch_rows").is_some(), "batch-size histogram exported");
+    let text = top::render(&stats.to_string(), &scrape);
     assert!(text.contains("serve:"), "pmtop renders the serve line:\n{text}");
 
     // Request 0's trace id (0 + 1) reconstructs a cross-thread path:
@@ -199,15 +194,14 @@ fn orchestrator_live_store_sees_stages_and_wire_traffic() {
 
     let store = trainer.live_store();
     store.sample();
-    let v = json::parse(&store.scrape_line()).expect("payload parses");
-    assert_eq!(v.get("role").unwrap().as_str(), Some("orchestrator"));
+    let scrape = Scrape::decode(&store.scrape().expect("scrape encodes")).expect("decodes");
+    assert_eq!(scrape.role, "orchestrator");
+    let metrics = &scrape.latest().expect("sampled").metrics;
     for s in 0..stages {
-        let g = v
-            .get("metrics")
-            .and_then(|m| m.get(&format!("wire.stage{s}.tx_bytes")))
-            .and_then(|g| g.get("value"))
-            .and_then(|x| x.as_f64())
-            .unwrap_or(0.0);
+        let g = match metrics.get(&format!("wire.stage{s}.tx_bytes")) {
+            Some(MetricValue::Gauge(g)) => *g,
+            _ => 0.0,
+        };
         assert!(g > 0.0, "stage {s} wire gauge must reflect sent traffic");
     }
     assert!(store.latest().is_some(), "store holds a sample");
@@ -215,6 +209,121 @@ fn orchestrator_live_store_sees_stages_and_wire_traffic() {
     for h in handles {
         h.join().expect("worker thread").expect("worker ok");
     }
+}
+
+// ---------------------------------------------------------------------------
+// pmtop's dashboard and delta blocks, pinned byte for byte
+// ---------------------------------------------------------------------------
+
+/// Two samples of a serving worker on a 2-stage pipeline: in the latest
+/// (seq 9) window it accepted 40 requests and shed 2, and two alerts
+/// are firing.
+fn pinned_scrape() -> Scrape {
+    let reg = MetricsRegistry::new();
+    reg.gauge("health.stage0.alpha_margin").set(0.113);
+    reg.counter("serve.accepted").add(1160);
+    reg.counter("serve.shed").add(15);
+    reg.gauge("serve.queue_depth").set(3.0);
+    let rows = reg.histogram("serve.batch_rows", &[4.0, 8.0]);
+    for _ in 0..10 {
+        rows.observe(6.0);
+    }
+    for (name, v) in
+        [("tx_bytes", 1.5e6), ("rx_bytes", 9e5), ("tx_frames", 5300.0), ("rx_frames", 4100.0)]
+    {
+        reg.gauge(&format!("wire.peer0.{name}")).set(v);
+    }
+    let before = reg.snapshot();
+    reg.counter("serve.accepted").add(40);
+    reg.counter("serve.shed").add(2);
+    let row = |stage, util, fwd_us, bkwd_us, recomp_us, wait_us, tau, events| StageLive {
+        stage,
+        util,
+        fwd_us,
+        bkwd_us,
+        recomp_us,
+        wait_us,
+        tau,
+        tau_pairs: 12,
+        events,
+    };
+    let sample = |seq, ts_us, metrics| LiveSample {
+        seq,
+        ts_us,
+        window_us: 250_000,
+        stages: vec![
+            row(0, 0.93, 40.5, 81.0, f64::NAN, 1200, 2.98, 48),
+            row(1, 0.88, 39.0, 80.0, 22.0, 800, 1.05, 50),
+        ],
+        metrics,
+        sample_cost_us: 42,
+    };
+    let alert = |rule: &str, label: &str, severity, since_ts_us, value| ActiveAlert {
+        rule: rule.into(),
+        label: label.into(),
+        severity,
+        since_ts_us,
+        value,
+    };
+    Scrape {
+        role: "worker-1".into(),
+        n_stages: 2,
+        max_sample_cost_us: 80,
+        alerts: vec![
+            alert("alpha_margin_floor", "stage1", Severity::Critical, 750_000, 0.42),
+            alert("shed_burn", "", Severity::Warn, 500_000, 0.31),
+        ],
+        samples: vec![sample(8, 650_000, before), sample(9, 900_000, reg.snapshot())],
+    }
+}
+
+/// The dashboard block as the JSON-scrape renderer drew it for the same
+/// sample.
+const PINNED_DASHBOARD: &str = "\
+== 127.0.0.1:9100   role worker-1   seq 9   window 250.0 ms   sample cost 42 µs (max 80) ==
+stage   util%   fwd_µs   bkwd_µs  recomp_µs   wait_µs   tau meas/nom   alpha_margin
+    0    93.0     40.5      81.0          -      1200       2.98/3.0         +0.113
+    1    88.0     39.0      80.0       22.0       800       1.05/1.0              -
+serve: queue depth 3   accepted 1200 (+40)   shed 17 (8.0/s)   batch rows p50 6.0
+wire: tx 1.50 MB (5300 frames)   rx 900.0 KB (4100 frames)
+ALERTS (2 firing)
+  CRITICAL alpha_margin_floor [stage1]   value 0.420   since 0.8 s
+  WARN     shed_burn   value 0.310   since 0.5 s
+";
+
+/// The delta block as the JSON-scrape renderer drew it, plus the τ
+/// percentage each stage row now ends with.
+const PINNED_DELTA: &str = "\
+== pmtop delta: worker (baseline -> current) ==
+stage   util base->cur        tau base->cur
+    0   0.465 -> 0.930 (+100.0%)    2.50 -> 2.98  (+19.2%)
+    1   0.880 -> 0.880 (+0.0%)    1.05 -> 1.05  (+0.0%)
+counter                      base -> cur
+serve.accepted                 600 -> 1200    (+100.0%)
+serve.shed                      17 -> 17      (+0.0%)
+";
+
+#[test]
+fn pmtop_blocks_match_the_pinned_render() {
+    let scrape = pinned_scrape();
+    // Through the wire form, so the pin holds for what pmtop receives.
+    let scrape = Scrape::decode(&scrape.encode().unwrap()).unwrap();
+    assert_eq!(top::render("127.0.0.1:9100", &scrape), PINNED_DASHBOARD);
+
+    let cur = scrape.latest().unwrap();
+    let mut base = cur.clone();
+    base.stages[0].util = 0.465;
+    base.stages[0].tau = 2.5;
+    base.metrics.metrics[1].1 = MetricValue::Counter(600);
+    let (text, json) = top::diff("== pmtop delta: worker (baseline -> current) ==", &base, cur);
+    assert_eq!(text, PINNED_DELTA);
+    assert_eq!(
+        json.to_compact(),
+        "{\"stages\":[{\"stage\":0,\"util_base\":0.465,\"util_cur\":0.93,\"tau_base\":2.5,\
+         \"tau_cur\":2.98},{\"stage\":1,\"util_base\":0.88,\"util_cur\":0.88,\"tau_base\":1.05,\
+         \"tau_cur\":1.05}],\"counters\":{\"serve.accepted\":{\"base\":600,\"cur\":1200},\
+         \"serve.shed\":{\"base\":17,\"cur\":17}}}"
+    );
 }
 
 // ---------------------------------------------------------------------------
