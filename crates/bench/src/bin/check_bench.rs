@@ -18,6 +18,9 @@
 //!   tiers (which vary with the host's SIMD features) — they are only
 //!   checked to be finite, and the drift is printed.
 //!
+//! A non-finite value on either side — NaN or ±∞, which the log writes
+//! as `null` — fails its key, whatever the key's class.
+//!
 //! Series are compared over the common prefix: smoke-mode benches sweep
 //! a prefix of the full grid, so a shorter fresh series is fine as long
 //! as the overlap agrees. Keys present in the baseline but absent from
@@ -36,7 +39,8 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use pipemare_telemetry::json::{parse, Value};
+use pipemare_bench::report::ExperimentLog;
+use pipemare_telemetry::json::parse;
 
 const INFORMATIONAL_PREFIXES: &[&str] =
     &["seconds.", "gflops.", "speedup", "throughput", "host_parallelism", "metric.", "dispatch."];
@@ -76,39 +80,18 @@ fn rel_diff(a: f64, b: f64) -> f64 {
     }
 }
 
-/// `(name, values)` pairs from a log's `series` or `scalars` array
-/// (scalars are read as length-1 series).
-fn entries(log: &Value, section: &str) -> Result<Vec<(String, Vec<f64>)>, String> {
-    let arr = log
-        .get(section)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("log has no `{section}` array"))?;
-    let mut out = Vec::new();
-    for item in arr {
-        let pair = item.as_arr().ok_or_else(|| format!("malformed `{section}` entry"))?;
-        let name = pair
-            .first()
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("`{section}` entry without a name"))?;
-        let values = match pair.get(1) {
-            Some(Value::Arr(vs)) => vs
-                .iter()
-                .map(|v| v.as_f64().ok_or_else(|| format!("non-numeric value in `{name}`")))
-                .collect::<Result<Vec<f64>, String>>()?,
-            Some(v) => vec![v.as_f64().ok_or_else(|| format!("non-numeric scalar `{name}`"))?],
-            None => return Err(format!("`{section}` entry `{name}` without a value")),
-        };
-        out.push((name.to_string(), values));
-    }
-    Ok(out)
+/// A log's series and scalars as `(name, values)` pairs (scalars are read
+/// as length-1 series). `null`, how the log writes NaN and ±∞, reads as
+/// NaN and fails its key in [`check`] rather than the whole load.
+fn keys(log: ExperimentLog) -> Vec<(String, Vec<f64>)> {
+    let scalars = log.scalars.into_iter().map(|(k, v)| (k, vec![v]));
+    log.series.into_iter().chain(scalars).collect()
 }
 
 fn load(path: &str) -> Result<Vec<(String, Vec<f64>)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let log = parse(&text).map_err(|e| format!("{path}: bad JSON: {e}"))?;
-    let mut all = entries(&log, "series")?;
-    all.extend(entries(&log, "scalars")?);
-    Ok(all)
+    Ok(keys(ExperimentLog::from_json(&log).map_err(|e| format!("{path}: {e}"))?))
 }
 
 struct Outcome {
@@ -130,6 +113,10 @@ fn check(baseline: &[(String, Vec<f64>)], fresh: &[(String, Vec<f64>)], tol: f64
             continue;
         };
         out.checked += 1;
+        if let Some(bad) = base_vals.iter().find(|v| !v.is_finite()) {
+            out.failures.push(format!("{key}: non-finite baseline value {bad}"));
+            continue;
+        }
         if let Some(bad) = fresh_vals.iter().find(|v| !v.is_finite()) {
             out.failures.push(format!("{key}: non-finite fresh value {bad}"));
             continue;
@@ -211,5 +198,31 @@ fn main() -> ExitCode {
             eprintln!("check_bench: {e}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn log(value: &str) -> Vec<(String, Vec<f64>)> {
+        let text = format!(r#"{{"series": [], "scalars": [["k", {value}]]}}"#);
+        keys(ExperimentLog::from_json(&parse(&text).unwrap()).unwrap())
+    }
+
+    #[test]
+    fn a_non_finite_fresh_value_fails_its_key() {
+        assert_eq!(
+            check(&log("1"), &log("null"), 1e-6).failures,
+            ["k: non-finite fresh value NaN"]
+        );
+    }
+
+    #[test]
+    fn a_non_finite_baseline_value_fails_its_key() {
+        assert_eq!(
+            check(&log("null"), &log("1"), 1e-6).failures,
+            ["k: non-finite baseline value NaN"]
+        );
     }
 }

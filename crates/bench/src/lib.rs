@@ -1,12 +1,12 @@
-//! Shared infrastructure for the experiment harness.
-//!
-//! Every table and figure of the paper has a `[[bench]]` target (with
-//! `harness = false`) under `benches/`; the workload builders, standard
-//! configurations and report formatting they share live here so that the
-//! same model/dataset/hyperparameters are used consistently across
-//! experiments (as in the paper, where e.g. Figure 4 and Table 3 share
-//! setups).
+//! The experiment harness. [`claims`] is the claims ledger: one row per
+//! table and figure of the paper, run by the `claims` binary and checked
+//! in as `CLAIMS.json`. The infrastructure benches under `benches/` time
+//! kernels, the executor, the wire, serving and telemetry. The workload
+//! builders and the experiment log they share live here, so every row
+//! sees the same model, dataset and hyperparameters (as in the paper,
+//! where e.g. Figure 4 and Table 3 share setups).
 
+pub mod claims;
 pub mod loadgen;
 pub mod report;
 pub mod workloads;

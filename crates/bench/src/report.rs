@@ -1,5 +1,5 @@
-//! Report formatting: tables and series in the paper's shape, plus JSON
-//! experiment logs for mechanical regeneration of EXPERIMENTS.md.
+//! Report formatting for the benches — a section banner, a table header —
+//! and the JSON experiment log every bench and the claims ledger write.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -33,6 +33,36 @@ impl ExperimentLog {
     /// Records a named scalar.
     pub fn push_scalar(&mut self, name: &str, value: f64) {
         self.scalars.push((name.to_string(), value));
+    }
+
+    /// Reads a log back from its [`ExperimentLog::to_json`] form. `null`,
+    /// which is how NaN and ±∞ are written, reads as NaN.
+    ///
+    /// # Errors
+    ///
+    /// Names the first entry that is not a name and a number (scalars) or
+    /// a name and an array of numbers (series).
+    pub fn from_json(log: &Value) -> Result<Self, String> {
+        let num = |v: &Value| if *v == Value::Null { Some(f64::NAN) } else { v.as_f64() };
+        let entries = |section: &str| {
+            let arr = log.get(section).and_then(Value::as_arr);
+            let arr = arr.ok_or_else(|| format!("log has no `{section}` array"))?;
+            let entry = |e: &Value| match e.as_arr() {
+                Some([Value::Str(k), v]) => Ok((k.clone(), v.clone())),
+                _ => Err(format!("malformed `{section}` entry")),
+            };
+            arr.iter().map(entry).collect::<Result<Vec<_>, String>>()
+        };
+        let bad = |k: &str| format!("non-numeric value in `{k}`");
+        let mut out = ExperimentLog::new(log.get("artifact").and_then(Value::as_str).unwrap_or(""));
+        for (k, v) in entries("series")? {
+            let values = v.as_arr().and_then(|vs| vs.iter().map(num).collect::<Option<_>>());
+            out.series.push((k.clone(), values.ok_or_else(|| bad(&k))?));
+        }
+        for (k, v) in entries("scalars")? {
+            out.scalars.push((k.clone(), num(&v).ok_or_else(|| bad(&k))?));
+        }
+        Ok(out)
     }
 
     /// Folds a metrics snapshot into the log: counters and gauges become
@@ -122,52 +152,4 @@ pub fn table_header(cols: &[(&str, usize)]) {
     }
     println!("{line}");
     println!("{}", "-".repeat(line.len()));
-}
-
-/// Formats an optional value, rendering `None` as the paper's `-`/`inf`.
-pub fn opt_fmt(v: Option<f64>, precision: usize) -> String {
-    match v {
-        Some(x) => format!("{x:.precision$}"),
-        None => "-".to_string(),
-    }
-}
-
-/// Formats a speedup relative to a baseline time (`None` → `-`).
-pub fn speedup_fmt(baseline: Option<f64>, this: Option<f64>) -> String {
-    match (baseline, this) {
-        (Some(b), Some(t)) if t > 0.0 => format!("{:.1}X", b / t),
-        _ => "-".to_string(),
-    }
-}
-
-/// Prints a labelled numeric series as `label: v0 v1 v2 ...` rows in
-/// fixed precision — the textual form of a figure's curve.
-pub fn series(label: &str, values: &[f32], precision: usize) {
-    let joined: Vec<String> = values.iter().map(|v| format!("{v:.precision$}")).collect();
-    println!("{label:>28}: {}", joined.join(" "));
-}
-
-/// Prints a series of f64 values.
-pub fn series64(label: &str, values: &[f64], precision: usize) {
-    let joined: Vec<String> = values.iter().map(|v| format!("{v:.precision$}")).collect();
-    println!("{label:>28}: {}", joined.join(" "));
-}
-
-/// Renders a small ASCII heatmap: rows × cols of single characters from
-/// ` .:-=+*#%@` scaled between `lo` and `hi`; non-finite cells are `X`.
-pub fn ascii_heatmap(rows: &[Vec<f64>], lo: f64, hi: f64) {
-    const RAMP: &[u8] = b" .:-=+*#%@";
-    for row in rows {
-        let mut line = String::new();
-        for &v in row {
-            if !v.is_finite() {
-                line.push('X');
-            } else {
-                let t = ((v - lo) / (hi - lo)).clamp(0.0, 1.0);
-                let idx = (t * (RAMP.len() - 1) as f64).round() as usize;
-                line.push(RAMP[idx] as char);
-            }
-        }
-        println!("    {line}");
-    }
 }

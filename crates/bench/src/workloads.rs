@@ -1,4 +1,4 @@
-//! Standard experiment workloads shared by the bench targets.
+//! Standard experiment workloads shared by the claims ledger's rows.
 //!
 //! The paper's four tasks map to four synthetic stand-ins (DESIGN.md §4);
 //! the builders here fix their sizes and the per-task hyperparameters

@@ -358,6 +358,29 @@ mod tests {
     }
 
     #[test]
+    fn a_16k_event_chrome_trace_parses_in_linear_time() {
+        // Parsing used to re-validate the rest of the document for every
+        // string character: this 1.9 MB trace took ~40 s in release.
+        let events: Vec<TraceEvent> = (0..16_000u64)
+            .map(|i| TraceEvent {
+                kind: SpanKind::Forward,
+                track: (i % 4) as u32,
+                stage: (i % 4) as u32,
+                microbatch: i as u32,
+                ts_us: 10 * i,
+                dur_us: 7,
+                trace: NO_TRACE,
+            })
+            .collect();
+        let text = chrome_trace(&events, 4).to_compact();
+        let start = std::time::Instant::now();
+        let parsed = json::parse(&text).unwrap();
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(parsed.as_arr().unwrap().len(), 16_004);
+        assert!(secs < 5.0, "parsing {} bytes took {secs:.1} s", text.len());
+    }
+
+    #[test]
     fn chrome_trace_ts_is_monotone_per_track() {
         let doc = chrome_trace(&sample_events(), 2);
         let parsed = json::parse(&doc.to_compact()).unwrap();

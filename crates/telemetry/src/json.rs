@@ -235,7 +235,7 @@ impl From<Vec<Value>> for Value {
 ///
 /// Returns a message with the byte offset of the first syntax error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -246,6 +246,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -387,10 +388,10 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 character, found in O(1) from the
+                    // input `&str` (`pos` only stops on char boundaries).
+                    let c = self.text.get(self.pos..).and_then(|rest| rest.chars().next());
+                    let c = c.ok_or_else(|| format!("broken character at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

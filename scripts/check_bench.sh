@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Bench-regression gate: reruns the JSON-writing kernel/memory benches in
-# smoke mode and diffs the fresh logs against the checked-in BENCH_*.json
-# baselines with crates/bench/src/bin/check_bench.rs. Deterministic keys
-# (analytic ratios, measured memory peaks) must match within tolerance;
-# wall-clock keys are reported but never gate. Exit 0 = all pass.
+# smoke mode and the claims ledger (`claims`, every row: each paper
+# artifact's numbers and 0/1 verdicts, about a minute), then diffs the
+# fresh logs against the checked-in BENCH_*.json baselines and
+# CLAIMS.json with crates/bench/src/bin/check_bench.rs. Deterministic
+# keys (analytic ratios, measured memory peaks, every ledger key) must
+# match within tolerance; wall-clock keys are reported but never gate.
+# Exit 0 = all pass.
 #
 # Usage: scripts/check_bench.sh [--full]
-#   --full  run the full (minutes-long) sweeps instead of smoke mode,
+#   --full  run the full (minutes-long) bench sweeps instead of smoke mode,
 #           covering every baseline key including the P=25/512^3 scalars.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,6 +36,7 @@ cargo bench -p pipemare-bench --bench comms "${smoke_flag[@]}"
 cargo bench -p pipemare-bench --bench serving "${smoke_flag[@]}"
 cargo bench -p pipemare-bench --bench live_metrics "${smoke_flag[@]}"
 cargo bench -p pipemare-bench --bench journal "${smoke_flag[@]}"
+cargo run --release -p pipemare-bench --bin claims
 
 echo
 echo "=== diffing against checked-in baselines ==="
@@ -51,6 +55,8 @@ cargo run --release -p pipemare-bench --bin check_bench -- \
   BENCH_live_metrics.json "$out/bench_live_metrics.json" || status=1
 cargo run --release -p pipemare-bench --bin check_bench -- \
   BENCH_journal.json "$out/bench_journal.json" || status=1
+cargo run --release -p pipemare-bench --bin check_bench -- \
+  CLAIMS.json "$out/claims.json" || status=1
 
 if [[ $status -eq 0 ]]; then
   echo "bench check: PASS"

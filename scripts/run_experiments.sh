@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Regenerates every paper artifact, one bench target at a time, saving the
-# printed tables under target/experiment-output/. Equivalent to
-# `cargo bench --workspace` but with per-artifact logs. Machine-readable
+# Regenerates every paper artifact (the `claims` ledger) and runs every
+# infrastructure bench, saving the printed output under
+# target/experiment-output/, one log per binary. Machine-readable
 # experiment logs and pipeline traces land in the same directory via
 # PIPEMARE_EXPERIMENTS_DIR (see crates/bench/src/report.rs and
 # examples/trace_pipeline.rs).
@@ -16,44 +16,23 @@ export PIPEMARE_EXPERIMENTS_DIR="$PWD/$out"
 
 benches=(
   throughput_executor
-  fig1_pipeline_modes
-  table1_characterization
-  fig2_transformer_stage_sweep
-  fig3a_quadratic_divergence
-  fig3b_stability_heatmap
-  fig4_technique_ablation_curves
-  fig5a_discrepancy_divergence
-  fig5b_eigenvalue_correction
-  fig6_recompute_memory_profile
-  fig7_divergence_analysis
-  fig8_stable_stepsize_vs_delta
-  fig9_imagenet_wmt_curves
-  fig10_ablation_base_stages
-  fig11_resnet152_t2_necessity
-  fig12_annealing_sensitivity
-  fig13_decay_sensitivity
-  fig14_warmup_sensitivity
-  fig15_resnet_stage_sweep
-  fig16_recompute_eigenvalues
-  fig17_recompute_cifar
-  fig18_recompute_iwslt
-  fig19_hogwild
-  table2_end_to_end
-  table3_ablation
-  table4_activation_memory
-  table5_task_activation_memory
   recompute_memory
   flight_recorder
   comms
   serving
-  ablation_gamma_choice
-  ablation_partitioning
+  live_metrics
+  journal
+  gemm_kernels
+  substrate_micro
 )
 
 for b in "${benches[@]}"; do
   echo "=== $b ==="
   cargo bench -p pipemare-bench --bench "$b" 2>&1 | tee "$out/$b.txt"
 done
+
+echo "=== claims (every paper table and figure, with verdicts) ==="
+cargo run --release -p pipemare-bench --bin claims 2>&1 | tee "$out/claims.txt"
 
 echo "=== trace_pipeline (Chrome traces + metrics snapshot) ==="
 cargo run --release --example trace_pipeline 2>&1 | tee "$out/trace_pipeline.txt"
