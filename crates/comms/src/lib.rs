@@ -68,6 +68,4 @@ pub use transport::{
     channel, loopback_pair, FrameRx, FrameTx, LoopbackTransport, Receiver, Sender, TcpTransport,
     Transport, WireStats,
 };
-pub use worker::{
-    run_stage_worker_opts, StageWorkerReport, WorkerOptions, MAX_PLAN_CELLS, MAX_TOKENS,
-};
+pub use worker::{run_stage_worker_opts, StageWorkerReport, WorkerOptions, MAX_TOKENS};

@@ -9,9 +9,9 @@
 //!   is the driver's, shared with the in-process trainer (see `driver`).
 //! * [`run_token_pipeline`] — the distributed counterpart of
 //!   `pipemare_pipeline::run_pipeline`: microbatch tokens hop between
-//!   workers through the hub, each worker walking the same per-stage op
-//!   timeline as the in-process stage thread, so the latency pipeline
-//!   (and its telemetry spans) is reproduced across real transports.
+//!   workers through the hub, each worker walking its stage's row with
+//!   the in-process stage threads' loop, so the latency pipeline (and its
+//!   telemetry spans) is reproduced across real transports.
 //!
 //! # Scatter/gather, and why it cannot deadlock
 //!
@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use pipemare_nn::TrainModel;
 use pipemare_optim::OptimizerKind;
-use pipemare_pipeline::Method;
+use pipemare_pipeline::{Method, OpenPlan, RecomputePolicy};
 use pipemare_telemetry::{
     events_from_jsonl_string, merge_worker_events, sort_events, EventSource, LiveStore,
     MetricsRegistry, Recorder, SpanKind, TraceEvent, TraceRecorder, NO_MICROBATCH,
@@ -623,13 +623,13 @@ pub fn token_stage_config(method: Method, stages: usize, n_micro: usize, s: usiz
 }
 
 /// Drives `minibatches × n_micro` microbatch tokens through `stages`
-/// remote workers. Each worker walks the op timeline of the same
-/// [`pipemare_pipeline::PipelinePlan`] an in-process
+/// remote workers. Each worker walks its row of the same
+/// [`pipemare_pipeline::OpenPlan`] an in-process
 /// [`pipemare_pipeline::run_pipeline`] of `method` would, so the hub only
-/// routes tokens between neighbours and plays the driver: it injects
-/// into stage 0 (whose own timeline paces what it takes) and, for GPipe,
-/// holds each minibatch back until the previous one has drained, timing
-/// the `Flush`.
+/// routes tokens between neighbours and plays the lagged driver of
+/// [`pipemare_pipeline::with_pipeline`]: it injects minibatch `j + 1` into
+/// stage 0 once minibatch `j − d` has left it ([`OpenPlan::lag`]), timing
+/// each GPipe wait as a `Flush`.
 ///
 /// # Panics
 ///
@@ -703,10 +703,12 @@ pub fn run_token_pipeline(
     let start = Instant::now();
     let mut injected = 0usize;
     let mut completed = 0usize;
-    let mut next_minibatch_gate = if method == Method::GPipe { n_micro } else { total };
+    // `with_pipeline`'s driver: minibatch j + 1 enters once minibatch j − d
+    // has left stage 0, and with d = 0 (GPipe) each wait is a flush.
+    let lag = OpenPlan::new(method, RecomputePolicy::StashAll, stages, n_micro).lag();
     let mut flush_start = recorder.now_us();
     while completed < total {
-        while injected < total.min(next_minibatch_gate) {
+        while injected < total.min((completed / n_micro + lag + 1) * n_micro) {
             send_to(&mut senders, 0, &Message::Token { backward: false, id: injected as u64 })?;
             recorder.record_instant(SpanKind::Inject, driver_track, 0, injected as u32);
             injected += 1;
@@ -727,7 +729,7 @@ pub fn run_token_pipeline(
             Message::Token { backward: true, id } => {
                 if stage == 0 {
                     completed += 1;
-                    if method == Method::GPipe && completed == next_minibatch_gate {
+                    if lag == 0 && completed.is_multiple_of(n_micro) {
                         recorder.record_span(
                             SpanKind::Flush,
                             driver_track,
@@ -737,7 +739,6 @@ pub fn run_token_pipeline(
                             recorder.now_us(),
                         );
                         flush_start = recorder.now_us();
-                        next_minibatch_gate = (next_minibatch_gate + n_micro).min(total);
                     }
                 } else {
                     send_to(

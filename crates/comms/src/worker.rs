@@ -27,7 +27,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pipemare_pipeline::{run_stage_op, Link, PipelinePlan, Sleep};
+use pipemare_pipeline::{
+    run_stage, ActivationLedger, Link, OpenPlan, RecomputePolicy, Sleep, StageLinks, StageOp, Token,
+};
 use pipemare_telemetry::{
     default_rules, events_to_jsonl_string, AlertEngine, EventSource, JournalConfig, JournalWriter,
     LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker, TraceRecorder,
@@ -319,24 +321,17 @@ fn run_training_loop(
 }
 
 /// Most microbatch tokens a [`Message::TokenMode`] may announce: the
-/// count arrives from the peer and sizes this stage's op timeline.
+/// count arrives from the peer and bounds the tokens a stage buffers.
 pub const MAX_TOKENS: u64 = 1 << 16;
-/// Most ops, `2 · stages · total`, of the plan a [`Message::TokenMode`]
-/// may make the worker build: under every method each stage runs one
-/// forward and one backward per token, so the stage count and the token
-/// count, each bounded on its own, together size the plan.
-pub const MAX_PLAN_CELLS: u64 = 1 << 22;
 /// Longest per-op work, in µs, a [`Message::TokenMode`] may make a stage sleep.
 const MAX_WORK_US: u64 = 1_000_000;
 
-/// Runs this stage's share of a latency pipeline over the wire. The
-/// worker builds the [`PipelinePlan`] its handshake config names and
-/// walks its own timeline exactly as a thread of
-/// [`pipemare_pipeline::run_pipeline`] does — same op order, same
-/// [`run_stage_op`] over a [`Sleep`] and its spans — with the hub routing
-/// [`Message::Token`]s between neighbours in place of channels. A token
-/// that arrives before the op that consumes it is buffered; control
-/// messages are answered while the stage waits.
+/// Runs this stage's share of a latency pipeline over the wire: the stage
+/// loop of a [`pipemare_pipeline::run_pipeline`] thread ([`run_stage`],
+/// same op order and spans) over a [`Sleep`], on this stage's row of the
+/// [`OpenPlan`] its handshake config names, with the hub routing
+/// [`Message::Token`]s between neighbours in place of channels. The
+/// stream ends after the `total` tokens the handshake announced.
 #[allow(clippy::too_many_arguments)]
 fn run_token_loop(
     cfg: &StageConfig,
@@ -346,102 +341,122 @@ fn run_token_loop(
     recorder: &TraceRecorder,
     store: &LiveStore,
     mut tx: Sender,
-    mut rx: Receiver,
+    rx: Receiver,
 ) -> Result<StageWorkerReport, CommsError> {
     let (stage, stages) = (cfg.stage as usize, cfg.stages as usize);
     let n_micro = cfg.n_micro as u64;
-    let ops = (stages as u64).saturating_mul(total).saturating_mul(2);
     if total == 0
         || total > MAX_TOKENS
-        || ops > MAX_PLAN_CELLS
         || !total.is_multiple_of(n_micro)
         || is_last != (stage + 1 == stages)
         || work_us > MAX_WORK_US
     {
         let what = format!(
             "token total {total} (is_last {is_last}, {work_us} us) does not fit stage {stage} of \
-             {stages}, {n_micro} per minibatch (limits {MAX_TOKENS} tokens, {MAX_PLAN_CELLS} \
-             plan ops, {MAX_WORK_US} us)"
+             {stages}, {n_micro} per minibatch (limits {MAX_TOKENS} tokens, {MAX_WORK_US} us)"
         );
         return Err(fail(&mut tx, CommsError::Protocol(what)));
     }
-    let plan =
-        PipelinePlan::for_method(cfg.method, stages, n_micro as usize, (total / n_micro) as usize);
+    let plan = OpenPlan::new(cfg.method, RecomputePolicy::StashAll, stages, n_micro as usize);
+    let mut wire =
+        Wire { stage: cfg.stage, total, recorder, store, tx, rx, early: Default::default() };
     let mut work = Sleep(Duration::from_micros(work_us));
-    let report = |tx: &Sender, rx: &Receiver| StageWorkerReport {
-        stage: cfg.stage,
-        committed_steps: 0,
-        sent: tx.stats(),
-        recv: rx.stats(),
-    };
-    // Tokens that arrived ahead of the op that consumes them, per link.
-    let mut early: [VecDeque<u64>; Link::ALL.len()] = Default::default();
-    for op in plan.timeline(stage) {
-        let mut waited_since = None;
-        if let Some(link) = plan.needs(stage, op) {
-            waited_since = Some(recorder.now_us());
-            let id = loop {
-                if let Some(id) = early[link as usize].pop_front() {
-                    break id;
-                }
-                match rx.recv()? {
-                    Message::Token { backward, id } => {
-                        let queue = &mut early[backward as usize];
-                        if queue.len() as u64 >= total {
-                            let what = format!("more than {total} tokens ahead of their ops");
-                            return Err(fail(&mut tx, CommsError::Protocol(what)));
-                        }
-                        queue.push_back(id);
-                    }
-                    other => {
-                        if token_control(other, cfg.stage, recorder, store, &mut tx)? {
-                            return Ok(report(&tx, &rx));
-                        }
-                    }
-                }
-            };
-            if id != op.micro as u64 {
-                let what = format!("{link:?} token {id} where microbatch {} is due", op.micro);
-                return Err(fail(&mut tx, CommsError::Protocol(what)));
+    let ledger = ActivationLedger::new(stages, 1);
+    match run_stage(&plan, stage, &mut work, recorder, &ledger, &mut wire) {
+        // All microbatches done: answer control messages until shutdown.
+        Ok(()) => loop {
+            let msg = wire.rx.recv()?;
+            if wire.control(msg)? {
+                break;
             }
-        }
-        run_stage_op(op, cfg.stage, &mut work, None, waited_since, recorder);
-        // The last stage turns its forward around itself; every other op
-        // is announced to the neighbour (or, from stage 0, the hub).
-        if let Some(link) = plan.feeds(stage, op) {
-            tx.send(&Message::Token { backward: link == Link::Bkwd, id: op.micro as u64 })?;
-        }
+        },
+        Err(Some(e)) => return Err(e),
+        Err(None) => {}
     }
-    // All microbatches done: answer control messages until shutdown.
-    while !token_control(rx.recv()?, cfg.stage, recorder, store, &mut tx)? {}
-    Ok(report(&tx, &rx))
+    let (sent, recv) = (wire.tx.stats(), wire.rx.stats());
+    Ok(StageWorkerReport { stage: cfg.stage, committed_steps: 0, sent, recv })
 }
 
-/// Answers one non-token message of a token run; `true` once it was
-/// [`Message::Shutdown`] (also mid-run, when the orchestrator aborts) and
-/// has been acknowledged.
-fn token_control(
-    msg: Message,
-    stage_id: u32,
-    recorder: &TraceRecorder,
-    store: &LiveStore,
-    tx: &mut Sender,
-) -> Result<bool, CommsError> {
-    match msg {
-        Message::Flush { id } => {
-            tx.send(&telemetry_batch(recorder, stage_id))?;
-            tx.send(&Message::FlushAck { id, last_step: 0 })?;
+/// A token worker's links: [`Message::Token`]s through the hub. A token
+/// that arrives before the op that consumes it is buffered; control
+/// messages are answered while the stage waits.
+struct Wire<'a> {
+    stage: u32,
+    total: u64,
+    recorder: &'a TraceRecorder,
+    store: &'a LiveStore,
+    tx: Sender,
+    rx: Receiver,
+    /// Tokens that arrived ahead of the op that consumes them, per link.
+    early: [VecDeque<u64>; Link::ALL.len()],
+}
+
+impl Wire<'_> {
+    /// Answers one non-token message of a token run; `true` once it was
+    /// [`Message::Shutdown`] (also mid-run, when the orchestrator aborts)
+    /// and has been acknowledged.
+    fn control(&mut self, msg: Message) -> Result<bool, CommsError> {
+        match msg {
+            Message::Flush { id } => {
+                self.tx.send(&telemetry_batch(self.recorder, self.stage))?;
+                self.tx.send(&Message::FlushAck { id, last_step: 0 })?;
+            }
+            Message::StatsRequest { id } => answer_stats(self.store, id, &mut self.tx)?,
+            Message::Shutdown => {
+                self.tx.send(&telemetry_batch(self.recorder, self.stage))?;
+                self.tx.send(&Message::ShutdownAck { stage: self.stage, last_step: 0 })?;
+                return Ok(true);
+            }
+            other => {
+                let what = format!("unexpected {} in token mode", other.name());
+                return Err(fail(&mut self.tx, CommsError::Protocol(what)));
+            }
         }
-        Message::StatsRequest { id } => answer_stats(store, id, tx)?,
-        Message::Shutdown => {
-            tx.send(&telemetry_batch(recorder, stage_id))?;
-            tx.send(&Message::ShutdownAck { stage: stage_id, last_step: 0 })?;
-            return Ok(true);
-        }
-        other => {
-            let what = format!("unexpected {} in token mode", other.name());
-            return Err(fail(tx, CommsError::Protocol(what)));
-        }
+        Ok(false)
     }
-    Ok(false)
+}
+
+impl StageLinks<()> for Wire<'_> {
+    /// `None`: the orchestrator aborted the run, and the shutdown was acknowledged.
+    type Error = Option<CommsError>;
+
+    fn recv(&mut self, link: Link, op: &StageOp) -> Result<Token<()>, Self::Error> {
+        // Every stage knows from the handshake where the stream ends.
+        if link == Link::Fwd && op.micro as u64 == self.total {
+            return Ok(Token::End);
+        }
+        let id = loop {
+            if let Some(id) = self.early[link as usize].pop_front() {
+                break id;
+            }
+            match self.rx.recv()? {
+                Message::Token { backward, id } => {
+                    let queue = &mut self.early[backward as usize];
+                    if queue.len() as u64 >= self.total {
+                        let what = format!("more than {} tokens ahead of their ops", self.total);
+                        return Err(fail(&mut self.tx, CommsError::Protocol(what)).into());
+                    }
+                    queue.push_back(id);
+                }
+                other => {
+                    if self.control(other)? {
+                        return Err(None);
+                    }
+                }
+            }
+        };
+        if id != op.micro as u64 {
+            let what = format!("{link:?} token {id} where microbatch {} is due", op.micro);
+            return Err(fail(&mut self.tx, CommsError::Protocol(what)).into());
+        }
+        Ok(Token::Micro(op.micro, None))
+    }
+
+    fn send(&mut self, link: Link, token: Token<()>) -> Result<(), Self::Error> {
+        // Only microbatches cross the wire: the peers know where the stream ends.
+        if let Token::Micro(id, _) = token {
+            self.tx.send(&Message::Token { backward: link == Link::Bkwd, id: id as u64 })?;
+        }
+        Ok(())
+    }
 }

@@ -1,34 +1,36 @@
 //! A real multi-threaded pipeline used to validate the throughput model.
 //!
-//! Each stage runs on its own thread and walks its op timeline from a
-//! [`PipelinePlan`]: microbatch tokens flow down the chain, turn around
-//! at the last stage and flow back, each carrying its op's payload. The
+//! Each stage runs on its own thread and walks its row of an [`OpenPlan`]
+//! ([`run_stage`]): microbatch tokens flow down the chain, turn around at
+//! the last stage and flow back, each carrying its op's payload. The
 //! schedule — GPipe draining the pipeline at every minibatch boundary
 //! (the bubble), PipeDream/PipeMare keeping it full, PipeMare Recompute
 //! replaying segments — is entirely in the plan, and what an op does is
-//! the stage's [`StageWork`]. Under [`Sleep`], measured wall-clock
-//! throughputs reproduce the `N/(N+P−1)` bubble penalty of Table 1, and
-//! the [`ActivationLedger`] peaks the analytical memory model.
+//! the stage's [`StageWork`]. The threads outlive a minibatch call
+//! ([`with_pipeline`]). Under [`Sleep`], measured wall-clock throughputs
+//! reproduce the `N/(N+P−1)` bubble penalty of Table 1, and the
+//! [`ActivationLedger`] peaks the analytical memory model.
 //!
-//! A stage exits after the last op of its list, so shutdown never
-//! depends on channel-disconnection ordering (which is cyclic in a
-//! bidirectional pipeline).
+//! A stage exits after its last backward once the end of the stream has
+//! reached it, so shutdown never depends on channel-disconnection
+//! ordering (which is cyclic in a bidirectional pipeline).
 
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::unbounded;
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use pipemare_telemetry::{Recorder, SpanKind, NO_MICROBATCH};
 
-use crate::plan::{Link, PipelinePlan};
+use crate::plan::{Link, OpenPlan, PipelinePlan};
 use crate::recompute::{ActivationLedger, StageOp, StageOpKind};
 
-/// What a stage does for each op of its timeline; one value per stage.
+/// What a stage does for each op of its row; one value per stage.
 pub trait StageWork: Send {
     /// What travels on a link between neighbouring stages.
     type Payload: Send;
-    /// Runs `op`. `input` arrived on the link [`PipelinePlan::needs`]
-    /// names (`None` for an op that needs none and for a token the driver
-    /// injected); the result leaves on [`PipelinePlan::feeds`], and is
+    /// Runs `op`. `input` arrived on the link [`OpenPlan::needs`] names
+    /// (`None` for an op that needs none and for a token the driver
+    /// injected); the result leaves on [`OpenPlan::feeds`], and is
     /// dropped where nothing is fed and at the driver (stage 0's backward).
     fn run(&mut self, op: &StageOp, input: Option<Self::Payload>) -> Self::Payload;
 }
@@ -43,6 +45,27 @@ impl StageWork for Sleep {
     fn run(&mut self, op: &StageOp, _input: Option<()>) {
         std::thread::sleep(if op.kind == StageOpKind::Bkwd { 2 * self.0 } else { self.0 });
     }
+}
+
+/// What arrives on a link.
+#[derive(Debug)]
+pub enum Token<P> {
+    /// Microbatch `id`'s token and its payload (`None` from the driver).
+    Micro(usize, Option<P>),
+    /// The end of the stream, in place of the next forward's token.
+    End,
+}
+
+/// How [`run_stage`] reaches a stage's neighbours: channels between
+/// threads, or messages through a hub.
+pub trait StageLinks<P> {
+    /// Why a link failed; the stage stops with it.
+    type Error;
+    /// Blocks for the next token on `link`, which `op` consumes (a
+    /// microbatch token is `op.micro`'s, or the link is out of order).
+    fn recv(&mut self, link: Link, op: &StageOp) -> Result<Token<P>, Self::Error>;
+    /// Sends `token` on `link` towards [`Link::target`].
+    fn send(&mut self, link: Link, token: Token<P>) -> Result<(), Self::Error>;
 }
 
 /// Result of a pipeline run.
@@ -62,52 +85,156 @@ pub struct PipelineReport {
     pub recompute_ops: usize,
 }
 
-/// Runs one op of stage `stage`'s timeline: `work.run(op, input)`, whose
-/// result it returns, and the spans it leaves on the stage's track — a
-/// `QueueWaitFwd`/`QueueWaitBkwd` span from `waited_since` when the stage
-/// blocked on a token first, then the `Forward`/`Recompute`/`Backward`
-/// span stamped with the microbatch's causal trace id (ids are 0-based;
-/// trace 0 means "absent").
+/// Walks stage `stage`'s row of `plan` until the end of its stream: the
+/// one stage loop, run by [`with_pipeline`]'s threads and by the comms
+/// crate's token worker, which is why an in-process and a distributed run
+/// of one plan record the same spans.
 ///
-/// Both stage loops — [`run_pipeline`]'s threads and the comms crate's
-/// token worker — call this for every op, which is why an in-process and
-/// a distributed run of one plan record the same spans.
-pub fn run_stage_op<W: StageWork, R: Recorder>(
-    op: &StageOp,
-    stage: u32,
+/// For each op it blocks on the token the op [`OpenPlan::needs`],
+/// acquires an activation buffer from `ledger` where the op says so, runs
+/// `work`, releases the buffer after a backward and sends the result on
+/// the link the op [`OpenPlan::feeds`]. On the stage's track it records a
+/// `QueueWaitFwd`/`QueueWaitBkwd` span from when it blocked on a token,
+/// then the `Forward`/`Recompute`/`Backward` span stamped with the
+/// microbatch's causal trace id (ids are 0-based; trace 0 means
+/// "absent"). Once the end of the stream arrives it passes it on and runs
+/// only its remaining ops of earlier microbatches, up to the last
+/// backward.
+pub fn run_stage<W: StageWork, R: Recorder, L: StageLinks<W::Payload>>(
+    plan: &OpenPlan,
+    stage: usize,
     work: &mut W,
-    input: Option<W::Payload>,
-    waited_since: Option<u64>,
     recorder: &R,
-) -> W::Payload {
-    let (span, wait_span) = match op.kind {
-        StageOpKind::Fwd => (SpanKind::Forward, SpanKind::QueueWaitFwd),
-        StageOpKind::Recomp => (SpanKind::Recompute, SpanKind::QueueWaitFwd),
-        StageOpKind::Bkwd => (SpanKind::Backward, SpanKind::QueueWaitBkwd),
-    };
-    let t0 = recorder.now_us();
-    if let Some(since) = waited_since {
-        recorder.record_span(wait_span, stage, stage, NO_MICROBATCH, since, t0);
+    ledger: &ActivationLedger,
+    links: &mut L,
+) -> Result<(), L::Error> {
+    let track = stage as u32;
+    // A row runs its backwards in microbatch order; `end` is unknown
+    // until the stream's end arrives.
+    let (mut end, mut finished) = (usize::MAX, 0);
+    for op in plan.row(stage) {
+        if finished == end {
+            return Ok(());
+        }
+        if op.micro >= end {
+            continue;
+        }
+        let (mut input, mut waited_since) = (None, None);
+        if let Some(link) = plan.needs(stage, &op) {
+            waited_since = Some(recorder.now_us());
+            match links.recv(link, &op)? {
+                Token::Micro(_, payload) => input = payload,
+                Token::End => {
+                    end = op.micro;
+                    if plan.feeds(stage, &op).is_some() {
+                        links.send(Link::Fwd, Token::End)?;
+                    }
+                    continue;
+                }
+            }
+        }
+        if op.acquires {
+            ledger.acquire(stage);
+        }
+        let (span, wait_span) = match op.kind {
+            StageOpKind::Fwd => (SpanKind::Forward, SpanKind::QueueWaitFwd),
+            StageOpKind::Recomp => (SpanKind::Recompute, SpanKind::QueueWaitFwd),
+            StageOpKind::Bkwd => (SpanKind::Backward, SpanKind::QueueWaitBkwd),
+        };
+        let t0 = recorder.now_us();
+        if let Some(since) = waited_since {
+            recorder.record_span(wait_span, track, track, NO_MICROBATCH, since, t0);
+        }
+        let out = work.run(&op, input);
+        let (micro, trace) = (op.micro as u32, op.micro as u64 + 1);
+        recorder.record_span_traced(span, track, track, micro, trace, t0, recorder.now_us());
+        if op.kind == StageOpKind::Bkwd {
+            ledger.release(stage);
+            finished += 1;
+        }
+        if let Some(link) = plan.feeds(stage, &op) {
+            links.send(link, Token::Micro(op.micro, Some(out)))?;
+        }
     }
-    let out = work.run(op, input);
-    let (micro, trace) = (op.micro as u32, op.micro as u64 + 1);
-    recorder.record_span_traced(span, stage, stage, micro, trace, t0, recorder.now_us());
-    out
+    unreachable!("a row has no end")
 }
 
-/// Runs `plan` on one thread per stage, stage `s` doing `work[s]`, and
-/// returns the measured throughput and activation peaks.
+/// A stage thread's links: its own receivers and its neighbours' senders,
+/// so a stage that dies disconnects its neighbours instead of leaving
+/// them blocked.
+struct Channels<P> {
+    rx: [Receiver<Token<P>>; Link::ALL.len()],
+    tx: [Option<Sender<Token<P>>>; Link::ALL.len()],
+}
+
+impl<P> StageLinks<P> for Channels<P> {
+    type Error = Infallible;
+
+    fn recv(&mut self, link: Link, op: &StageOp) -> Result<Token<P>, Infallible> {
+        let token = self.rx[link as usize].recv().expect("neighbour stage alive");
+        if let Token::Micro(id, _) = token {
+            assert_eq!(id, op.micro, "{link:?} token out of order");
+        }
+        Ok(token)
+    }
+
+    fn send(&mut self, link: Link, token: Token<P>) -> Result<(), Infallible> {
+        let tx = self.tx[link as usize].as_ref().expect("fed link has a target");
+        tx.send(token).expect("neighbour stage alive");
+        Ok(())
+    }
+}
+
+/// The driver's handle on the stages of [`with_pipeline`].
+pub struct Pipe<'a, P, R> {
+    inject: Sender<Token<P>>,
+    done: Receiver<Token<P>>,
+    recorder: &'a R,
+    plan: &'a OpenPlan,
+    injected: usize,
+    completed: usize,
+}
+
+impl<P, R: Recorder> Pipe<'_, P, R> {
+    /// Injects minibatch `j`'s `N` microbatches, each with an `Inject`
+    /// instant on the driver's track, and returns once minibatch `j − d`'s
+    /// last backward has left stage 0 (`d` the plan's [`OpenPlan::lag`]):
+    /// the minibatch whose update has now landed. When `d` is 0 (GPipe)
+    /// that wait is the flush and is recorded as a `Flush` span; otherwise
+    /// it never holds a stage back.
+    pub fn minibatch(&mut self) {
+        let (n_micro, lag) = (self.plan.n_micro(), self.plan.lag());
+        for id in self.injected..self.injected + n_micro {
+            self.inject.send(Token::Micro(id, None)).expect("pipeline alive");
+            self.recorder.record_instant(SpanKind::Inject, self.plan.stages() as u32, 0, id as u32);
+        }
+        self.injected += n_micro;
+        self.drain(self.injected.saturating_sub(lag * n_micro), lag == 0);
+    }
+
+    /// Waits until `upto` microbatches have completed; records the wait
+    /// as a `Flush` span when it is one.
+    fn drain(&mut self, upto: usize, flush: bool) {
+        let since = self.recorder.now_us();
+        while self.completed < upto {
+            self.done.recv().expect("pipeline alive");
+            self.completed += 1;
+        }
+        if flush {
+            let (track, now) = (self.plan.stages() as u32, self.recorder.now_us());
+            self.recorder.record_span(SpanKind::Flush, track, 0, NO_MICROBATCH, since, now);
+        }
+    }
+}
+
+/// Runs `f` with a [`Pipe`] on one thread per stage of `plan`, stage `s`
+/// doing `work[s]` ([`run_stage`]), and returns what `f` returns.
 ///
-/// A stage thread walks its timeline in order: it blocks on the token the
-/// next op needs, acquires an activation buffer from `ledger` where the
-/// op says so, runs the op ([`run_stage_op`]), releases the buffer after
-/// a backward, and passes the token on with the op's payload. All
-/// channels are unbounded: the fixed op order is itself the throttle, and
-/// every dependency points to a strictly earlier slot of the plan's
-/// schedule, so the run cannot deadlock. The calling thread is the driver
-/// (track `stages`): it injects every microbatch into stage 0 with an
-/// `Inject` instant, records a `Flush` span over each GPipe drain, and
-/// one over the final drain of every run.
+/// All channels are unbounded: the fixed op order is itself the throttle,
+/// and every dependency points to an earlier clock slot, so the stages
+/// cannot deadlock. The calling thread is the driver (track `stages`).
+/// When `f` returns, it ends the stream and records a `Flush` span over
+/// the final drain.
 ///
 /// The recorder is generic so that passing
 /// [`pipemare_telemetry::NullRecorder`] monomorphizes every telemetry
@@ -118,84 +245,64 @@ pub fn run_stage_op<W: StageWork, R: Recorder>(
 /// # Panics
 ///
 /// Panics if `work` or the ledger was built for a different stage count.
+pub fn with_pipeline<W: StageWork, R: Recorder, T>(
+    plan: &OpenPlan,
+    work: &mut [W],
+    recorder: &R,
+    ledger: &ActivationLedger,
+    f: impl FnOnce(&mut Pipe<'_, W::Payload, R>) -> T,
+) -> T {
+    let stages = plan.stages();
+    assert_eq!(work.len(), stages, "one StageWork per stage");
+    assert_eq!(ledger.peaks().len(), stages, "ledger sized for a different stage count");
+    // chans[s][link]: the tokens arriving at stage s on each link.
+    let chans: Vec<_> = (0..stages).map(|_| Link::ALL.map(|_| unbounded())).collect();
+    let (done_tx, done) = unbounded();
+    std::thread::scope(|scope| {
+        for (s, work) in work.iter_mut().enumerate() {
+            let mut links = Channels {
+                rx: Link::ALL.map(|link| chans[s][link as usize].1.clone()),
+                tx: Link::ALL.map(|link| match link.target(s, stages) {
+                    Some(to) => Some(chans[to][link as usize].0.clone()),
+                    None => (link == Link::Bkwd).then(|| done_tx.clone()),
+                }),
+            };
+            // Stage workers are already one-thread-per-stage; nested
+            // kernel parallelism would oversubscribe the host, so any
+            // tensor kernels invoked from a stage run serially (the
+            // pool-nesting rule).
+            scope.spawn(move || {
+                pipemare_tensor::pool::serial_scope(|| {
+                    let Ok(()) = run_stage(plan, s, work, recorder, ledger, &mut links);
+                })
+            });
+        }
+        let inject = chans[0][Link::Fwd as usize].0.clone();
+        drop((chans, done_tx));
+        let mut pipe = Pipe { inject, done, recorder, plan, injected: 0, completed: 0 };
+        let out = f(&mut pipe);
+        pipe.inject.send(Token::End).expect("pipeline alive");
+        pipe.drain(pipe.injected, true);
+        out
+    })
+}
+
+/// Runs `plan` as its `M` [`Pipe::minibatch`] calls ([`with_pipeline`])
+/// and returns the measured throughput and activation peaks.
+///
+/// # Panics
+///
+/// Panics if `work` or the ledger was built for a different stage count.
 pub fn run_pipeline<W: StageWork, R: Recorder>(
     plan: &PipelinePlan,
     work: &mut [W],
     recorder: &R,
     ledger: &ActivationLedger,
 ) -> PipelineReport {
-    let (stages, total) = (plan.stages(), plan.total());
-    assert_eq!(work.len(), stages, "one StageWork per stage");
-    assert_eq!(ledger.peaks().len(), stages, "ledger sized for a different stage count");
-    // chans[s][link]: the (microbatch, payload) tokens arriving at stage s on each link.
-    let chans: Vec<_> = (0..stages).map(|_| Link::ALL.map(|_| unbounded())).collect();
-    let (done_tx, done_rx) = unbounded();
-
+    let (open, total) = (plan.open(), plan.total());
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for (s, work) in work.iter_mut().enumerate() {
-            // Each thread holds only its own receivers and its
-            // neighbours' senders, so a stage that dies disconnects its
-            // neighbours instead of leaving them blocked.
-            let rx = Link::ALL.map(|link| chans[s][link as usize].1.clone());
-            let tx = Link::ALL.map(|link| match link.target(s, stages) {
-                Some(to) => Some(chans[to][link as usize].0.clone()),
-                None => (link == Link::Bkwd).then(|| done_tx.clone()),
-            });
-            scope.spawn(move || {
-                // Stage workers are already one-thread-per-stage; nested
-                // kernel parallelism would oversubscribe the host, so any
-                // tensor kernels invoked from a stage run serially (the
-                // pool-nesting rule).
-                pipemare_tensor::pool::serial_scope(|| {
-                    for op in plan.timeline(s) {
-                        let mut input = None;
-                        let waited_since = plan.needs(s, op).map(|link| {
-                            let since = recorder.now_us();
-                            let id;
-                            (id, input) = rx[link as usize].recv().expect("neighbour stage alive");
-                            assert_eq!(id, op.micro, "stage {s}: {link:?} token out of order");
-                            since
-                        });
-                        if op.acquires {
-                            ledger.acquire(s);
-                        }
-                        let out = run_stage_op(op, s as u32, work, input, waited_since, recorder);
-                        if op.kind == StageOpKind::Bkwd {
-                            ledger.release(s);
-                        }
-                        if let Some(link) = plan.feeds(s, op) {
-                            let tx = tx[link as usize].as_ref().expect("fed link has a target");
-                            tx.send((op.micro, Some(out))).expect("neighbour stage alive");
-                        }
-                    }
-                })
-            });
-        }
-        // Driver: inject microbatch tokens.
-        let driver_track = stages as u32;
-        let inject = chans[0][Link::Fwd as usize].0.clone();
-        drop(chans);
-        drop(done_tx);
-        let mut completed = 0usize;
-        let mut drain_to = |upto: usize| {
-            let flush_start = recorder.now_us();
-            while completed < upto {
-                done_rx.recv().expect("pipeline alive");
-                completed += 1;
-            }
-            let now = recorder.now_us();
-            recorder.record_span(SpanKind::Flush, driver_track, 0, NO_MICROBATCH, flush_start, now);
-        };
-        for id in 0..total {
-            inject.send((id, None)).expect("pipeline alive");
-            recorder.record_instant(SpanKind::Inject, driver_track, 0, id as u32);
-            if plan.flush_every().is_some_and(|n_micro| (id + 1) % n_micro == 0) {
-                // Synchronous flush: wait for this minibatch to drain.
-                drain_to(id + 1);
-            }
-        }
-        drain_to(total);
+    with_pipeline(open, work, recorder, ledger, |pipe| {
+        (0..total / open.n_micro()).for_each(|_| pipe.minibatch())
     });
     let elapsed = start.elapsed();
     PipelineReport {

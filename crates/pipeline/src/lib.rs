@@ -16,12 +16,13 @@
 //!   weight+optimizer memory including PipeDream's stashing (Table 2
 //!   methodology), and activation memory with/without PipeMare Recompute
 //!   (App. A.1–A.2, Tables 4–5, Figure 6).
-//! * [`plan`]: the schedule as data — one op timeline per stage for
+//! * [`plan`]: the schedule as data — one lazy op row per stage for
 //!   GPipe, PipeDream, PipeMare and PipeMare Recompute, which the
 //!   in-process executor and the distributed token workers both walk.
-//! * [`executor`]: a real multi-threaded pipeline (crossbeam channels)
-//!   that runs a plan with one [`StageWork`] per stage, used to validate
-//!   the throughput and memory models on wall-clock time.
+//! * [`executor`]: the one stage loop and a real multi-threaded pipeline
+//!   (crossbeam channels) whose stages outlive a minibatch call, with one
+//!   [`StageWork`] per stage, used to validate the throughput and memory
+//!   models on wall-clock time.
 //! * [`recompute`]: PipeMare Recompute (§2.2, App. A.2, App. D) — the
 //!   segmented activation-recomputation runtime whose measured per-stage
 //!   peaks must equal the analytical `profile_recompute`.
@@ -42,11 +43,14 @@ pub use cost::{
     MemoryModel,
 };
 pub use delay::{Method, PipelineClock};
-pub use executor::{run_pipeline, run_stage_op, PipelineReport, Sleep, StageWork};
+pub use executor::{
+    run_pipeline, run_stage, with_pipeline, Pipe, PipelineReport, Sleep, StageLinks, StageWork,
+    Token,
+};
 pub use history::WeightHistory;
 pub use hogwild::HogwildDelays;
 pub use partition::StagePartition;
-pub use plan::{Link, PipelinePlan};
+pub use plan::{Link, OpenPlan, PipelinePlan};
 pub use recompute::{
     is_segment_boundary, simulate_peaks, stage_replays, ActivationLedger, RecomputePolicy, StageOp,
     StageOpKind,

@@ -1,19 +1,21 @@
-//! The schedule as data: one op timeline per stage.
+//! The schedule as data: one op row per stage.
 //!
 //! GPipe, PipeDream, PipeMare and PipeMare Recompute are the same
 //! pipeline under different *schedules* — which forward, backward or
-//! replay each stage runs next (Figure 1, §2.2). A [`PipelinePlan`] is
-//! that choice written down: for every stage the list of [`StageOp`]s
-//! it executes, in order. Every plan is built by one closed form, the
-//! paper's microbatch clock, and numbers its ops in unit-time slots —
+//! replay each stage runs next (Figure 1, §2.2). An [`OpenPlan`] is that
+//! choice written down without an end: for every stage a lazy row of
+//! [`StageOp`]s for microbatches 0, 1, 2, …, generated by one closed
+//! form, the paper's microbatch clock. A [`PipelinePlan`] is the same
+//! rows cut to a run of `M` minibatches and numbered in unit-time slots —
 //! the grid Figure 1 draws ([`PipelinePlan::render`]) and whose idle
 //! cells are Table 1's bubbles. Whoever runs a stage — a thread of
-//! [`crate::executor::run_pipeline`] or a token worker of the comms
-//! crate on the far side of a socket — walks its list, blocks on the
-//! token the next op [`PipelinePlan::needs`], and announces the op on
-//! the link it [`PipelinePlan::feeds`]. Every dependency of an op sits in
-//! an earlier slot, so walking the lists cannot deadlock however the
-//! stages are interleaved.
+//! [`crate::executor::with_pipeline`] or a token worker of the comms
+//! crate on the far side of a socket — walks its row
+//! ([`crate::executor::run_stage`]), blocks on the token the next op
+//! [`OpenPlan::needs`], and announces the op on the link it
+//! [`OpenPlan::feeds`]. Every dependency of an op sits in an earlier
+//! clock slot, so walking the rows cannot deadlock however the stages are
+//! interleaved.
 //!
 //! Every op also names the weight version it reads ([`StageOp::reads`]).
 //! A stage reproduces it by applying finished updates lazily, and a
@@ -53,17 +55,24 @@ impl Link {
     }
 }
 
-/// The complete description of a pipeline run: per-stage op timelines
-/// plus what the driver has to know to inject microbatches.
-#[derive(Clone, Debug)]
-pub struct PipelinePlan {
-    timelines: Vec<Vec<StageOp>>,
+/// A pipeline without an end: what a stage needs to walk its row for as
+/// many minibatches as a driver injects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpenPlan {
+    method: Method,
     /// Recompute segment size; `stages` when nothing is replayed.
     segment: usize,
+    stages: usize,
+    n_micro: usize,
+}
+
+/// The complete description of a pipeline run: the [`OpenPlan`]'s rows
+/// cut to the run's microbatches, in unit-time slots.
+#[derive(Clone, Debug)]
+pub struct PipelinePlan {
+    open: OpenPlan,
+    timelines: Vec<Vec<StageOp>>,
     total: usize,
-    /// GPipe: the driver waits for each minibatch of this many
-    /// microbatches to drain (the flush) before injecting the next.
-    flush_every: Option<usize>,
 }
 
 /// Where the paper's microbatch clock puts microbatch `m`'s `kind` op at
@@ -81,70 +90,136 @@ fn clock_slot(kind: StageOpKind, m: usize, s: usize, p: usize, seg: usize) -> us
     }
 }
 
-/// Within one clock slot a stage runs `Bkwd` → `Recomp` → `Fwd`: the
-/// release-before-acquire order of 1F1B, which makes the steady-state
-/// live activation count equal the analytical window.
-fn kind_priority(kind: StageOpKind) -> usize {
-    match kind {
-        StageOpKind::Bkwd => 0,
-        StageOpKind::Recomp => 1,
-        StageOpKind::Fwd => 2,
+impl OpenPlan {
+    /// `method`'s pipeline of `stages` stages and `n_micro` microbatches
+    /// per minibatch under an activation [`RecomputePolicy`]
+    /// ([`PipelinePlan::for_recompute`] is PipeMare's).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero, or if a segmented policy's size
+    /// is outside `1..=stages`.
+    pub fn new(method: Method, policy: RecomputePolicy, stages: usize, n_micro: usize) -> Self {
+        assert!(stages > 0 && n_micro > 0, "every dimension must be positive");
+        OpenPlan { method, segment: policy.segment_size(stages), stages, n_micro }
+    }
+
+    /// Pipeline depth `P`.
+    pub fn stages(&self) -> usize {
+        self.stages
+    }
+
+    /// Microbatches per minibatch `N`.
+    pub fn n_micro(&self) -> usize {
+        self.n_micro
+    }
+
+    /// Stage `stage`'s row without end, each op stamped with its clock
+    /// slot: its ops for microbatches 0, 1, 2, … sorted by the microbatch
+    /// clock (`clock_slot`, ties `Bkwd < Recomp < Fwd`, the
+    /// release-before-acquire order of 1F1B). PipeDream and PipeMare run
+    /// every microbatch on one clock, GPipe one minibatch at a time (its
+    /// flush). A stage stashes its activation at the forward unless a
+    /// replay will recover it, and every op reads the version `method`'s
+    /// clock gives it. A row's last op of microbatches `0..T` is `T − 1`'s
+    /// backward, and its first op of any later one is `T`'s forward.
+    pub fn row(&self, stage: usize) -> impl Iterator<Item = StageOp> {
+        let OpenPlan { method, segment: seg, stages: p, n_micro: n } = *self;
+        let clock = PipelineClock::new(p, n);
+        let (boundary, replay_slots) =
+            (is_segment_boundary(seg, stage), recomp_delay_slots(seg, stage));
+        // A width-1 segment is all boundary and has nothing to replay; the
+        // boundary replays out of its stash, the others recover (acquire)
+        // their activation at the replay.
+        let replays = stage_replays(p, seg, stage) && seg >= 2;
+        let kinds = [
+            (StageOpKind::Bkwd, false, true),
+            (StageOpKind::Recomp, !boundary, replays),
+            (StageOpKind::Fwd, boundary || !stage_replays(p, seg, stage), true),
+        ]
+        .map(|(kind, acquires, runs)| {
+            (kind, acquires, runs.then(|| clock_slot(kind, 0, stage, p, seg)))
+        });
+        // `first` is the clock slot of microbatch 0's op of a kind (`None`
+        // where the stage never runs it); microbatch m's comes m slots later.
+        // One minibatch spans clock slots 0..N+2P−1, so GPipe's minibatch k
+        // starts k such spans in: after minibatch k − 1 has left every stage.
+        let span = n + 2 * p - 1;
+        (0..).flat_map(move |slot: usize| {
+            kinds.into_iter().filter_map(move |(kind, acquires, first)| {
+                let micro = match method {
+                    Method::GPipe => {
+                        slot / span * n + (slot % span).checked_sub(first?).filter(|&m| m < n)?
+                    }
+                    Method::PipeDream | Method::PipeMare => slot.checked_sub(first?)?,
+                };
+                let reads = clock.reads(method, kind, micro, stage, Some(replay_slots));
+                Some(StageOp { slot, kind, micro, acquires, reads })
+            })
+        })
+    }
+
+    /// How many minibatches `d` a driver keeps in flight behind the one it
+    /// injects: minibatch `j`'s call may return once minibatch `j − d`'s
+    /// last backward has left stage 0. GPipe's `d` is 0 (that wait is its
+    /// flush); the others' is `⌈2(P−1)/N⌉`, the least for which that
+    /// backward, at clock slot `(j−d+1)N + 2P − 2`, comes before minibatch
+    /// `j + 1`'s first forward, at `(j+1)N`, in stage 0's row — so waiting
+    /// for it never holds a stage back.
+    pub fn lag(&self) -> usize {
+        match self.method {
+            Method::GPipe => 0,
+            Method::PipeDream | Method::PipeMare => (2 * (self.stages - 1)).div_ceil(self.n_micro),
+        }
+    }
+
+    /// The link whose next token (always microbatch `op.micro`) `stage`
+    /// must receive before it can run `op`; `None` when the stage already
+    /// holds the input — the last stage turns its own forward around, and
+    /// a segment boundary starts the replay wave from its stash.
+    pub fn needs(&self, stage: usize, op: &StageOp) -> Option<Link> {
+        match op.kind {
+            StageOpKind::Fwd => Some(Link::Fwd),
+            StageOpKind::Bkwd => (stage + 1 < self.stages).then_some(Link::Bkwd),
+            StageOpKind::Recomp => {
+                (!is_segment_boundary(self.segment, stage)).then_some(Link::Replay)
+            }
+        }
+    }
+
+    /// The link on which `stage` announces `op` once it has run, towards
+    /// [`Link::target`]; `None` when nobody waits for it — the last
+    /// stage's forward, and a replay that ends its segment.
+    pub fn feeds(&self, stage: usize, op: &StageOp) -> Option<Link> {
+        let next = stage + 1;
+        match op.kind {
+            StageOpKind::Fwd => (next < self.stages).then_some(Link::Fwd),
+            StageOpKind::Bkwd => Some(Link::Bkwd),
+            StageOpKind::Recomp => (next < self.stages && !is_segment_boundary(self.segment, next))
+                .then_some(Link::Replay),
+        }
     }
 }
 
-/// The one plan constructor. Each stage's row is its ops sorted by the
-/// microbatch clock ([`clock_slot`], ties `Bkwd < Recomp < Fwd`):
-/// PipeDream and PipeMare walk it over all `mN` microbatches, GPipe over
-/// one minibatch at a time (its flush). A stage stashes its activation at
-/// the forward unless a replay will recover it, and every op reads the
-/// version `method`'s clock gives it. The slots are then renumbered in
-/// unit time.
-fn build(
-    method: Method,
-    policy: RecomputePolicy,
-    stages: usize,
-    n_micro: usize,
-    minibatches: usize,
-) -> PipelinePlan {
-    assert!(stages > 0 && n_micro > 0 && minibatches > 0, "every dimension must be positive");
-    let (p, seg, total) = (stages, policy.segment_size(stages), n_micro * minibatches);
-    let clock = PipelineClock::new(p, n_micro);
-    // One minibatch spans clock slots 0..N+2P−1, so GPipe's minibatch k
-    // starts k such spans in: after minibatch k − 1 has left every stage.
-    let span = n_micro + 2 * p - 1;
-    let key = |kind, m: usize, s| match method {
-        Method::GPipe => m / n_micro * span + clock_slot(kind, m % n_micro, s, p, seg),
-        Method::PipeDream | Method::PipeMare => clock_slot(kind, m, s, p, seg),
-    };
-    let timelines = (0..p)
+/// The one plan constructor: `open`'s rows cut to the first
+/// `minibatches` minibatches, each ending at its last microbatch's
+/// backward, with the slots then renumbered in unit time.
+fn build(open: OpenPlan, minibatches: usize) -> PipelinePlan {
+    assert!(minibatches > 0, "every dimension must be positive");
+    let total = open.n_micro * minibatches;
+    let timelines = (0..open.stages)
         .map(|s| {
-            // A width-1 segment is all boundary and has nothing to replay.
-            let replays = stage_replays(p, seg, s) && seg >= 2;
-            let stash_at_fwd = is_segment_boundary(seg, s) || !stage_replays(p, seg, s);
-            let mut row = Vec::with_capacity(if replays { 3 } else { 2 } * total);
-            for m in 0..total {
-                let op = |kind, acquires| {
-                    let reads = clock.reads(method, kind, m, s, Some(recomp_delay_slots(seg, s)));
-                    StageOp { slot: key(kind, m, s), kind, micro: m, acquires, reads }
-                };
-                row.push(op(StageOpKind::Fwd, stash_at_fwd));
-                row.push(op(StageOpKind::Bkwd, false));
-                if replays {
-                    // The boundary replays out of its stash; the others
-                    // recover (acquire) their activation here.
-                    row.push(op(StageOpKind::Recomp, !is_segment_boundary(seg, s)));
+            let mut row = Vec::new();
+            for op in open.row(s).filter(|op| op.micro < total) {
+                row.push(op);
+                if op.kind == StageOpKind::Bkwd && op.micro + 1 == total {
+                    return row;
                 }
             }
-            row.sort_unstable_by_key(|op| (op.slot, kind_priority(op.kind)));
-            row
+            unreachable!("a row has no end")
         })
         .collect();
-    let mut plan = PipelinePlan {
-        timelines,
-        segment: seg,
-        total,
-        flush_every: (method == Method::GPipe).then_some(n_micro),
-    };
+    let mut plan = PipelinePlan { open, timelines, total };
     plan.number_unit_slots();
     plan
 }
@@ -159,7 +234,7 @@ impl PipelinePlan {
     ///
     /// Panics if any dimension is zero.
     pub fn for_method(method: Method, stages: usize, n_micro: usize, minibatches: usize) -> Self {
-        build(method, RecomputePolicy::StashAll, stages, n_micro, minibatches)
+        build(OpenPlan::new(method, RecomputePolicy::StashAll, stages, n_micro), minibatches)
     }
 
     /// The plan of the same run under an activation [`RecomputePolicy`]
@@ -177,7 +252,7 @@ impl PipelinePlan {
         n_micro: usize,
         minibatches: usize,
     ) -> Self {
-        build(Method::PipeMare, policy, stages, n_micro, minibatches)
+        build(OpenPlan::new(Method::PipeMare, policy, stages, n_micro), minibatches)
     }
 
     /// Replaces each op's clock slot by its unit-time slot: one after the
@@ -188,9 +263,8 @@ impl PipelinePlan {
     /// token carries its producer's slot down the link it travels.
     fn number_unit_slots(&mut self) {
         let stages = self.stages();
-        let key = |op: &StageOp| (op.slot, kind_priority(op.kind));
         let mut next: BinaryHeap<_> = (self.timelines.iter().enumerate())
-            .filter_map(|(s, row)| row.first().map(|op| Reverse((key(op), s, 0))))
+            .filter_map(|(s, row)| row.first().map(|op| Reverse((op.slot, s, 0))))
             .collect();
         let mut free = vec![0; stages];
         let mut tokens: Vec<[VecDeque<(usize, usize)>; Link::ALL.len()]> =
@@ -200,20 +274,25 @@ impl PipelinePlan {
             let mut slot = free[s];
             // Stage 0's forwards take the driver's tokens, which wait for nothing.
             let injected = s == 0 && op.kind == StageOpKind::Fwd;
-            if let Some(link) = self.needs(s, &op).filter(|_| !injected) {
+            if let Some(link) = self.open.needs(s, &op).filter(|_| !injected) {
                 let (micro, sent) = tokens[s][link as usize].pop_front().expect("token sent");
                 assert_eq!(micro, op.micro, "stage {s}: {link:?} token out of order");
                 slot = slot.max(sent + 1);
             }
             self.timelines[s][i].slot = slot;
             free[s] = slot + 1;
-            if let Some(link) = self.feeds(s, &op) {
+            if let Some(link) = self.open.feeds(s, &op) {
                 if let Some(to) = link.target(s, stages) {
                     tokens[to][link as usize].push_back((op.micro, slot));
                 }
             }
-            next.extend(self.timelines[s].get(i + 1).map(|op| Reverse((key(op), s, i + 1))));
+            next.extend(self.timelines[s].get(i + 1).map(|op| Reverse((op.slot, s, i + 1))));
         }
+    }
+
+    /// The open-ended plan these rows were cut from.
+    pub fn open(&self) -> &OpenPlan {
+        &self.open
     }
 
     /// Pipeline depth `P`.
@@ -224,13 +303,6 @@ impl PipelinePlan {
     /// Microbatches in the whole run.
     pub fn total(&self) -> usize {
         self.total
-    }
-
-    /// `Some(N)` when the driver drains the pipeline after every
-    /// minibatch of `N` microbatches (GPipe's flush); `None` when it
-    /// injects continuously.
-    pub fn flush_every(&self) -> Option<usize> {
-        self.flush_every
     }
 
     /// The ops stage `stage` executes, in order.
@@ -280,32 +352,14 @@ impl PipelinePlan {
         self.timelines.iter().flatten().filter(|op| op.kind == StageOpKind::Recomp).count()
     }
 
-    /// The link whose next token (always microbatch `op.micro`) `stage`
-    /// must receive before it can run `op`; `None` when the stage already
-    /// holds the input — the last stage turns its own forward around, and
-    /// a segment boundary starts the replay wave from its stash.
+    /// The link `op` waits on at `stage` ([`OpenPlan::needs`]).
     pub fn needs(&self, stage: usize, op: &StageOp) -> Option<Link> {
-        match op.kind {
-            StageOpKind::Fwd => Some(Link::Fwd),
-            StageOpKind::Bkwd => (stage + 1 < self.stages()).then_some(Link::Bkwd),
-            StageOpKind::Recomp => {
-                (!is_segment_boundary(self.segment, stage)).then_some(Link::Replay)
-            }
-        }
+        self.open.needs(stage, op)
     }
 
-    /// The link on which `stage` announces `op` once it has run, towards
-    /// [`Link::target`]; `None` when nobody waits for it — the last
-    /// stage's forward, and a replay that ends its segment.
+    /// The link `op` announces itself on from `stage` ([`OpenPlan::feeds`]).
     pub fn feeds(&self, stage: usize, op: &StageOp) -> Option<Link> {
-        let next = stage + 1;
-        match op.kind {
-            StageOpKind::Fwd => (next < self.stages()).then_some(Link::Fwd),
-            StageOpKind::Bkwd => Some(Link::Bkwd),
-            StageOpKind::Recomp => (next < self.stages()
-                && !is_segment_boundary(self.segment, next))
-            .then_some(Link::Replay),
-        }
+        self.open.feeds(stage, op)
     }
 }
 
@@ -317,7 +371,7 @@ mod tests {
     fn gpipe_plan_finishes_a_minibatch_before_the_next_begins() {
         let (stages, n_micro) = (4, 3);
         let plan = PipelinePlan::for_method(Method::GPipe, stages, n_micro, 3);
-        assert_eq!(plan.flush_every(), Some(n_micro));
+        assert_eq!(plan.open().lag(), 0, "GPipe's driver waits for every minibatch");
         for s in 0..stages {
             for chunk in plan.timeline(s).chunks(2 * n_micro) {
                 let minibatch = chunk[0].micro / n_micro;

@@ -10,15 +10,17 @@ use pipemare_pipeline::{
 };
 
 /// Executes `plan` without threads: the driver injects as
-/// `run_pipeline`'s does, and any stage whose next op has its token runs
-/// it. Returns how many ops each stage got through.
+/// `run_pipeline`'s lagged calls do — minibatch j + 1 once minibatch
+/// j − d has completed, `d` the plan's lag — and any stage whose next op
+/// has its token runs it. Returns how many ops each stage got through.
 fn dry_run(plan: &PipelinePlan) -> Vec<usize> {
     let (p, total) = (plan.stages(), plan.total());
+    let (n, d) = (plan.open().n_micro(), plan.open().lag());
     let mut waiting: Vec<[VecDeque<usize>; 3]> = (0..p).map(|_| Default::default()).collect();
     let mut next = vec![0usize; p];
     let (mut injected, mut completed) = (0usize, 0usize);
     loop {
-        let gate = plan.flush_every().map_or(total, |n| (completed / n + 1) * n);
+        let gate = (completed / n + d + 1) * n;
         let mut progressed = injected < total.min(gate);
         waiting[0][Link::Fwd as usize].extend(injected..total.min(gate));
         injected = injected.max(total.min(gate));
@@ -96,7 +98,8 @@ proptest! {
     ) {
         // The executor's deadlock-freedom, without threads or clocks: for
         // every method and policy each stage's list can be walked to its
-        // end by only ever running an op whose token has arrived.
+        // end by only ever running an op whose token has arrived, under
+        // the lagged driver (GPipe's lag 0 is its flush).
         let plan = match which {
             3 => PipelinePlan::for_recompute(RecomputePolicy::StashAll, p, n_micro, minibatches),
             4 => {

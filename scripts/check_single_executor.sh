@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# One pipeline executor, kept by a grep. A run is described by a
-# `PipelinePlan` (one op timeline per stage) and executed by one stage
-# loop: `run_pipeline`'s threads in crates/pipeline, the token worker in
-# crates/comms over the wire, both calling `run_stage_op` for every op.
+# One pipeline executor, kept by a grep. A run is described by an
+# `OpenPlan` (one lazy op row per stage) and executed by one stage loop,
+# `run_stage`, with two callers: `with_pipeline`'s threads in
+# crates/pipeline (`run_pipeline` is its M-call case) and the token worker
+# in crates/comms over the wire.
 # What an op does is a `StageWork` value, and the sleep is one of them:
 # `Sleep`. A second `thread::scope(` in crates/pipeline is a second
 # executor; a sleep outside `impl StageWork for Sleep`, a second library
@@ -13,7 +14,9 @@
 # op order the plan is; and the names of the executors this replaced, and
 # of the slot simulator that once built a second 1F1B order beside the
 # plan's closed form, must not reappear as forwarding functions or in
-# documentation.
+# documentation; nor must the per-op function both loops once called, the
+# plan's GPipe-only flush flag (the driver's lag replaced it) or the cap on
+# the whole plan a token worker once built (it walks only its own row).
 #
 # Counted: lines under crates/*/src outside `#[cfg(test)]` modules (which
 # end every file that has one) and comments. The retired names are
@@ -67,10 +70,11 @@ expect 0 'thread::sleep( outside impl StageWork for Sleep' "$(stray_sleeps)"
 expect 1 'library StageWork impls (Sleep)' "$(sites 'StageWork for ' '' crates/*/src)"
 expect 0 'work_per_stage in crates/pipeline' \
   "$(grep -rn 'work_per_stage' crates/pipeline/src || true)"
-expect 2 'run_stage_op( callers (the thread loop and the token worker)' \
-  "$(sites 'run_stage_op(' '' crates/*/src)"
+expect 1 'stage loop definitions (fn run_stage)' "$(sites 'fn run_stage<' '' crates/*/src)"
+expect 2 'run_stage( callers (the stage threads and the token worker)' \
+  "$(sites 'run_stage(' '' crates/*/src)"
 expect 0 'select! in crates/pipeline' "$(grep -rn 'select!' crates/pipeline --include='*.rs' || true)"
-retired='run_(threaded|recompute)_pipeline|Stage(Flow|Event)|Fwd(Outcome)|(Threaded|Recompute)PipelineReport|Slot(Op)|Schedule::(simulate)'
+retired='run_(threaded|recompute)_pipeline|Stage(Flow|Event)|Fwd(Outcome)|(Threaded|Recompute)PipelineReport|Slot(Op)|Schedule::(simulate)|run_stage_(op)|flush_(every)|MAX_PLAN_(CELLS)'
 expect 0 'retired executor and simulator names' "$(grep -rnE "$retired" . \
   --include='*.rs' --include='*.md' --include='*.sh' --include='*.yml' \
   --exclude-dir=target --exclude-dir=vendor --exclude-dir=.git \
