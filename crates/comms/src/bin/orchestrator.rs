@@ -9,7 +9,7 @@
 //!   [--minibatches K] [--micro M] [--sparse MODE]` — run a full
 //!   PipeMare (T1 + T2) training job over N stage workers (subprocesses
 //!   for TCP, threads for loopback), stream telemetry back, and write
-//!   the merged trace where `pmtrace summary` can read it.
+//!   the merged trace where `pm trace summary` can read it.
 //!
 //! A TCP run finishes with a self-check: the same seeds are replayed
 //! over loopback workers and the final weights must match bit for bit.
@@ -29,6 +29,7 @@ use pipemare_comms::{
 };
 use pipemare_nn::{ImageBatch, Mlp};
 use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};
+use pipemare_telemetry::journal::OFFSET_FILE;
 use pipemare_telemetry::{
     default_rules, write_jsonl, AlertEngine, JournalConfig, JournalWriter, StatsEndpoint,
     StoreTicker,
@@ -46,10 +47,10 @@ fn usage() -> ! {
          [--stats <addr>] [--worker-stats-base <port>] [--journal <dir>]\n\
          \n\
          --stats (or PIPEMARE_STATS_ADDR) exposes a plain-TCP stats scrape\n\
-         endpoint for pmtop; --worker-stats-base gives spawned TCP worker s\n\
+         endpoint for `pm top`; --worker-stats-base gives spawned TCP worker s\n\
          the endpoint 127.0.0.1:<port>+s. --journal writes durable telemetry\n\
          journals (orchestrator/ plus worker-<s>/ for spawned TCP workers)\n\
-         that pmquery can read back after the run — or after a crash."
+         that `pm query` can read back after the run — or after a crash."
     );
     std::process::exit(2);
 }
@@ -211,7 +212,7 @@ fn run_job(
 ) -> Result<(Vec<f32>, DistRunReport), CommsError> {
     let mut trainer = DistributedTrainer::connect(model, dist_config(a), SEED, transports)?;
     // The live stats plane: a sampling ticker over the driver's store
-    // plus a plain-TCP scrape endpoint pmtop can poll. Quiet runs are
+    // plus a plain-TCP scrape endpoint `pm top` can poll. Quiet runs are
     // self-check replays — no second endpoint on the same address.
     let store = trainer.live_store();
     store.attach_alerts(std::sync::Arc::new(AlertEngine::new(default_rules())));
@@ -225,14 +226,14 @@ fn run_job(
     };
     // The durable plane: journal the driver's samples, and leave each
     // spawned worker's handshake clock offset next to its journal so
-    // pmquery can merge everything onto the driver timebase.
+    // `pm query` can merge everything onto the driver timebase.
     let journal = a.journal.as_ref().filter(|_| !quiet);
     if let Some(dir) = journal {
         if a.transport == "tcp" {
             for (s, off) in trainer.clock_offsets().iter().enumerate() {
                 let wdir = dir.join(format!("worker-{s}"));
                 std::fs::create_dir_all(&wdir)?;
-                std::fs::write(wdir.join("OFFSET"), off.to_string())?;
+                std::fs::write(wdir.join(OFFSET_FILE), off.to_string())?;
             }
         }
     }

@@ -44,7 +44,7 @@
 //! Worker telemetry streams back in [`Message::Telemetry`] batches; the
 //! orchestrator re-tracks each worker onto its stage id, shifts its
 //! timestamps by the NTP-lite clock offset measured at handshake, and
-//! merges everything into one trace `pmtrace` can summarize.
+//! merges everything into one trace `pm trace` can summarize.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -430,13 +430,13 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
     /// step spans folded into per-stage activity plus `wire.stage{s}.*`
     /// traffic gauges. Hook it to a
     /// [`pipemare_telemetry::StatsEndpoint`] /
-    /// [`pipemare_telemetry::StoreTicker`] to let `pmtop` watch a run.
+    /// [`pipemare_telemetry::StoreTicker`] to let `pm top` watch a run.
     pub fn live_store(&self) -> Arc<LiveStore> {
         Arc::clone(&self.live)
     }
 
     /// Per-stage handshake clock offsets (worker clock µs minus driver
-    /// clock µs, one per link). `pmquery` uses these — written as
+    /// clock µs, one per link). `pm query` uses these — written as
     /// `OFFSET` files next to each worker's journal — to merge
     /// multi-process journals onto the driver timebase, the same
     /// convention `merge_worker_events` uses for traces.

@@ -539,7 +539,7 @@ pub enum Message {
         id: u64,
         /// Causal trace id propagated onto every span this request
         /// touches server-side (`0` = none; clients default to a
-        /// nonzero id so `pmtrace path` works out of the box).
+        /// nonzero id so `pm trace path` works out of the box).
         trace: u64,
         /// Input rows (samples) in this request.
         rows: u32,

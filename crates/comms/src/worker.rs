@@ -60,11 +60,11 @@ pub struct StageWorkerReport {
 #[derive(Debug, Default)]
 pub struct WorkerOptions {
     /// Bind a plain-TCP scrape endpoint here (e.g. `"127.0.0.1:0"`) and
-    /// run the 250 ms background ticker so `pmtop` can poll the worker.
+    /// run the 250 ms background ticker so `pm top` can poll the worker.
     pub stats_addr: Option<String>,
     /// Append every background-ticker sample to a durable telemetry
     /// journal in this directory (created if absent), readable later
-    /// with `pmquery` even if this process is SIGKILLed mid-run.
+    /// with `pm query` even if this process is SIGKILLed mid-run.
     pub journal_dir: Option<PathBuf>,
 }
 
@@ -93,7 +93,7 @@ fn telemetry_batch(recorder: &TraceRecorder, stage: u32) -> Message {
 /// and the default alert rule pack, so scrapes (TCP or in-band) carry an
 /// `alerts` array and transitions land on the flight track. With
 /// [`WorkerOptions::stats_addr`] a plain-TCP scrape endpoint plus a
-/// 250 ms background ticker let `pmtop` and `nc` poll the worker while
+/// 250 ms background ticker let `pm top` and `nc` poll the worker while
 /// it trains; with [`WorkerOptions::journal_dir`] the ticker's hook
 /// appends every sample to an on-disk [`JournalWriter`].
 pub fn run_stage_worker_opts(

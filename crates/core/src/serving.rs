@@ -8,7 +8,7 @@
 //! `PassKind::Latest` fetches.
 //!
 //! Every entry point wires a [`FlightRecorder`] through the serving
-//! threads (the always-on black box), so `pmtrace` can summarize a
+//! threads (the always-on black box), so `pm trace` can summarize a
 //! serving incident the same way it summarizes a training one.
 
 use std::sync::Arc;

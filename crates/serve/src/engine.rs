@@ -8,7 +8,7 @@
 //! backward traffic to turn around. Each stage wraps its compute in
 //! [`pipemare_tensor::pool::serial_scope`] so `stages × pool`
 //! oversubscription cannot happen, and records a
-//! [`SpanKind::Forward`] span per batch on its own track so pmtrace
+//! [`SpanKind::Forward`] span per batch on its own track so `pm trace`
 //! renders serving timelines exactly like training ones.
 //!
 //! Weights live in one shared `RwLock<Vec<f32>>` full parameter

@@ -38,8 +38,9 @@ use pipemare_comms::{
 };
 use pipemare_nn::InferModel;
 use pipemare_telemetry::{
-    AlertEngine, AlertRule, Counter, EventSource, Gauge, Histogram, JournalConfig, JournalWriter,
-    LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker, TraceEvent,
+    default_rules, AlertEngine, Counter, EventSource, Gauge, Histogram, JournalConfig,
+    JournalWriter, LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker,
+    TraceEvent,
 };
 use pipemare_tensor::Tensor;
 
@@ -82,7 +83,7 @@ struct QueuedReq {
 }
 
 /// Registry-backed mirrors of [`ServeStats`], kept in lockstep at every
-/// increment site so a live scrape (`pmtop`, the stats endpoint) sees
+/// increment site so a live scrape (`pm top`, the stats endpoint) sees
 /// the same numbers [`Server::stats`] reports — without taking the
 /// stats mutex on the scrape path.
 struct ServeMetrics {
@@ -293,7 +294,7 @@ impl Server {
 
     /// Exposes the plain-TCP stats scrape endpoint on `addr` (port 0
     /// for ephemeral) and starts the background sampling ticker.
-    /// `pmtop <addr>` then renders this server live. Returns the bound
+    /// `pm top <addr>` then renders this server live. Returns the bound
     /// address.
     ///
     /// # Errors
@@ -312,15 +313,15 @@ impl Server {
         Ok(local)
     }
 
-    /// Attaches an [`AlertEngine`] over `rules` to the live store:
+    /// Attaches an [`AlertEngine`] over [`default_rules`] to the live store:
     /// every sample (background tick or on-demand scrape) is evaluated,
     /// firing rules appear as an `alerts` array in the scrape JSON
-    /// (`pmtop`'s ALERTS pane), and fire/resolve instants land on the
+    /// (`pm top`'s ALERTS pane), and fire/resolve instants land on the
     /// serving recorder's driver track. Returns the engine so callers
     /// can add an [`AlertEngine::on_firing`] hook or poll
     /// [`AlertEngine::active`].
-    pub fn alert_rules(&self, rules: Vec<AlertRule>) -> Arc<AlertEngine> {
-        let engine = Arc::new(AlertEngine::new(rules));
+    pub fn alert_rules(&self) -> Arc<AlertEngine> {
+        let engine = Arc::new(AlertEngine::new(default_rules()));
         let recorder: DynRecorder = Arc::clone(&self.inner.recorder);
         engine.attach_recorder(
             recorder as Arc<dyn Recorder + Send + Sync>,
@@ -332,7 +333,7 @@ impl Server {
 
     /// Starts journaling every background-ticker sample to a durable
     /// telemetry journal in `dir` (created if absent), readable later
-    /// with `pmquery` even if this process dies mid-run. Replaces a
+    /// with `pm query` even if this process dies mid-run. Replaces a
     /// plain ticker started by [`Server::serve_stats_tcp`], so the two
     /// planes share one 250 ms sampler.
     ///
@@ -661,7 +662,7 @@ fn run_batcher(
         for m in &members {
             // The queue-wait span carries the request's trace id, tying
             // the request to the batch (the span's end instant equals
-            // the batch's coalesce end) for `pmtrace path`.
+            // the batch's coalesce end) for `pm trace path`.
             rec.record_span_traced(
                 SpanKind::QueueWaitFwd,
                 driver_track,

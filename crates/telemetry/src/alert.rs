@@ -14,8 +14,8 @@
 //!
 //! * as typed instants ([`SpanKind::AlertFiring`] /
 //!   [`SpanKind::AlertResolved`]) on a flight-recorder track, so black
-//!   boxes and `pmtrace` see exactly when an alert flipped;
-//! * in every stats scrape ([`crate::Scrape::alerts`]), so `pmtop`
+//!   boxes and `pm trace` see exactly when an alert flipped;
+//! * in every stats scrape ([`crate::Scrape::alerts`]), so `pm top`
 //!   renders a live ALERTS pane;
 //! * through an optional firing hook, which is how the serve/training
 //!   paths arm `HealthHook`-style snapshot-on-alert behavior.
@@ -84,21 +84,6 @@ pub enum AlertCondition {
         cmp: AlertCmp,
         /// The limit.
         limit: f64,
-    },
-    /// Per-second rate of change of a counter vs a limit.
-    RateOfChange {
-        /// Counter name.
-        counter: String,
-        /// Which side of the limit fires.
-        cmp: AlertCmp,
-        /// Limit in counter units per second.
-        per_second: f64,
-    },
-    /// Fires while the signal has no data (absent metric, NaN gauge,
-    /// stage rows missing) — the staleness detector.
-    Absence {
-        /// What must be present.
-        signal: Signal,
     },
     /// Burn rate over counter deltas: `Δnumerator / Δdenominator`
     /// per window, e.g. `serve.shed` over `serve.accepted`. No data
@@ -172,8 +157,8 @@ enum RuleState {
 struct EngineInner {
     /// Per (rule index, label) hysteresis state; absent = idle.
     states: HashMap<(usize, String), RuleState>,
-    /// Last seen `(value, ts_us)` per counter, for deltas and rates.
-    counters: HashMap<String, (u64, u64)>,
+    /// Last seen value per counter, for burn-rate deltas.
+    counters: HashMap<String, u64>,
     /// Currently firing, in (rule, label) order.
     active: Vec<ActiveAlert>,
 }
@@ -237,31 +222,22 @@ impl AlertEngine {
         let mut guard = self.inner.lock().unwrap();
         let inner = &mut *guard;
         let mut transitions = Vec::new();
-        // Counter deltas over the window, shared by rate and burn rules.
-        let mut deltas: HashMap<&str, (u64, f64)> = HashMap::new(); // name -> (Δ, Δt seconds)
+        // Counter deltas over the window, read by burn-rate rules.
+        let mut deltas: HashMap<&str, u64> = HashMap::new();
         for (name, value) in &sample.metrics.metrics {
             if let MetricValue::Counter(cur) = value {
-                let prev = inner.counters.insert(name.clone(), (*cur, sample.ts_us));
-                if let Some((prev_val, prev_ts)) = prev {
-                    let dt = sample.ts_us.saturating_sub(prev_ts) as f64 / 1e6;
-                    deltas.insert(name.as_str(), (cur.saturating_sub(prev_val), dt));
+                if let Some(prev) = inner.counters.insert(name.clone(), *cur) {
+                    deltas.insert(name.as_str(), cur.saturating_sub(prev));
                 }
             }
         }
         for (rule_index, rule) in self.rules.iter().enumerate() {
             for (label, value) in evaluate_signal_values(&rule.condition, sample, &deltas) {
-                let breached = match &rule.condition {
-                    AlertCondition::Absence { .. } => value.is_nan(),
-                    AlertCondition::Threshold { cmp, limit, .. } => {
-                        !value.is_nan() && cmp.holds(value, *limit)
-                    }
-                    AlertCondition::RateOfChange { cmp, per_second, .. } => {
-                        !value.is_nan() && cmp.holds(value, *per_second)
-                    }
-                    AlertCondition::BurnRate { max_ratio, .. } => {
-                        !value.is_nan() && value > *max_ratio
-                    }
-                };
+                let breached = !value.is_nan()
+                    && match &rule.condition {
+                        AlertCondition::Threshold { cmp, limit, .. } => cmp.holds(value, *limit),
+                        AlertCondition::BurnRate { max_ratio, .. } => value > *max_ratio,
+                    };
                 let key = (rule_index, label.clone());
                 if breached {
                     let since = match inner.states.get(&key).copied() {
@@ -353,24 +329,17 @@ impl AlertEngine {
 }
 
 /// Expands a rule's signal into `(label, value)` pairs for one sample.
-/// NaN means "no data" (for [`AlertCondition::Absence`], the trigger).
+/// NaN means "no data", which never breaches.
 fn evaluate_signal_values(
     condition: &AlertCondition,
     sample: &LiveSample,
-    deltas: &HashMap<&str, (u64, f64)>,
+    deltas: &HashMap<&str, u64>,
 ) -> Vec<(String, f64)> {
     let signal = match condition {
-        AlertCondition::Threshold { signal, .. } | AlertCondition::Absence { signal } => signal,
-        AlertCondition::RateOfChange { counter, cmp: _, per_second: _ } => {
-            let rate = deltas
-                .get(counter.as_str())
-                .filter(|(_, dt)| *dt > 0.0)
-                .map_or(f64::NAN, |(d, dt)| *d as f64 / dt);
-            return vec![(String::new(), rate)];
-        }
+        AlertCondition::Threshold { signal, .. } => signal,
         AlertCondition::BurnRate { numerator, denominator, .. } => {
-            let num = deltas.get(numerator.as_str()).map(|(d, _)| *d);
-            let den = deltas.get(denominator.as_str()).map(|(d, _)| *d);
+            let num = deltas.get(numerator.as_str()).copied();
+            let den = deltas.get(denominator.as_str()).copied();
             let ratio = match (num, den) {
                 (None, _) | (_, None) => f64::NAN,
                 (Some(0), Some(0)) => f64::NAN, // no traffic: no data
@@ -581,22 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn absence_rule_fires_on_missing_signal_and_resolves_on_return() {
-        let engine = AlertEngine::new(vec![AlertRule {
-            name: "heartbeat".into(),
-            severity: Severity::Warn,
-            condition: AlertCondition::Absence { signal: Signal::Metric("hb".into()) },
-            for_window: Duration::ZERO,
-        }]);
-        let t = engine.evaluate(&sample_at(1_000, MetricsSnapshot::default()));
-        assert_eq!(t.len(), 1);
-        assert!(t[0].firing);
-        let t = engine.evaluate(&gauge_sample(2_000, "hb", 1.0));
-        assert_eq!(t.len(), 1);
-        assert!(!t[0].firing);
-    }
-
-    #[test]
     fn burn_rate_uses_counter_deltas_and_ignores_idle_windows() {
         let engine = AlertEngine::new(vec![AlertRule {
             name: "shed_burn".into(),
@@ -634,32 +587,6 @@ mod tests {
         let t = engine.evaluate(&sample_at(750_000, reg.snapshot()));
         assert_eq!(t.len(), 1);
         assert!(!t[0].firing);
-    }
-
-    #[test]
-    fn rate_of_change_rule_computes_per_second() {
-        let engine = AlertEngine::new(vec![AlertRule {
-            name: "step_stall".into(),
-            severity: Severity::Warn,
-            condition: AlertCondition::RateOfChange {
-                counter: "steps".into(),
-                cmp: AlertCmp::Below,
-                per_second: 1.0,
-            },
-            for_window: Duration::ZERO,
-        }]);
-        let reg = MetricsRegistry::new();
-        let steps = reg.counter("steps");
-        steps.add(10);
-        assert!(engine.evaluate(&sample_at(0, reg.snapshot())).is_empty());
-        steps.add(100);
-        assert!(
-            engine.evaluate(&sample_at(1_000_000, reg.snapshot())).is_empty(),
-            "100 steps/s is healthy"
-        );
-        let t = engine.evaluate(&sample_at(2_000_000, reg.snapshot()));
-        assert_eq!(t.len(), 1, "0 steps/s over the last second stalls");
-        assert!(t[0].firing);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Trace analysis: the engine behind the `pmtrace` CLI.
+//! Trace analysis: the engine behind `pm trace`.
 //!
 //! Answers the questions the repo used to re-derive ad hoc from raw
 //! traces: per-stage utilization and wait breakdown, the measured bubble
@@ -7,18 +7,14 @@
 //! identification, windowed drift over time, and a structured diff of
 //! two runs. Everything here takes a plain `&[TraceEvent]` so it works
 //! identically on full [`crate::TraceRecorder`] exports, flight-recorder
-//! black-box dumps, and Chrome traces read back via
-//! [`crate::export::chrome_trace_events`]. Per-stage busy time and τ
+//! black-box dumps and merged distributed traces, each read back from
+//! JSONL by [`crate::export::read_jsonl`]. Per-stage busy time and τ
 //! come from [`crate::summary`]'s one grouping of a trace by stage;
 //! drift only chooses the windows it reads.
-
-use std::io;
-use std::path::Path;
 
 use pipemare_theory::{delay_slots, gpipe_bubble_fraction, recomp_delay_slots};
 
 use crate::event::{SpanKind, TraceEvent, NO_TRACE};
-use crate::export::{chrome_trace_events, event_from_jsonl};
 use crate::json::Value;
 use crate::summary::{mean, PipelineTimelineSummary, StageFold};
 
@@ -52,31 +48,6 @@ pub fn serving_shape(events: &[TraceEvent], span_us: u64) -> Option<ServingShape
         .count();
     let qps = if span_us == 0 { 0.0 } else { requests as f64 / (span_us as f64 / 1e6) };
     Some(ServingShape { batches, requests, qps })
-}
-
-/// Loads a trace from disk, auto-detecting the format: a leading `[`
-/// means a Chrome `trace_event` JSON array, anything else is treated as
-/// a JSONL event log.
-///
-/// # Errors
-///
-/// Propagates I/O failures; malformed content surfaces as
-/// [`io::ErrorKind::InvalidData`].
-pub fn load_trace(path: &Path) -> io::Result<Vec<TraceEvent>> {
-    let text = std::fs::read_to_string(path)?;
-    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-    if text.trim_start().starts_with('[') {
-        let doc = crate::json::parse(&text).map_err(|e| invalid(format!("bad JSON: {e}")))?;
-        return chrome_trace_events(&doc).map_err(invalid);
-    }
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        events.push(event_from_jsonl(line).map_err(|e| invalid(format!("line {}: {e}", i + 1)))?);
-    }
-    Ok(events)
 }
 
 /// Microbatches per minibatch inferred from the driver's `Flush` spans:
@@ -527,7 +498,6 @@ pub fn path_json(events: &[TraceEvent], trace_id: u64) -> Value {
 mod tests {
     use super::*;
     use crate::event::NO_MICROBATCH;
-    use crate::export::{write_chrome_trace, write_jsonl};
 
     fn span(kind: SpanKind, stage: u32, mb: u32, ts: u64, dur: u64) -> TraceEvent {
         TraceEvent { kind, track: stage, stage, microbatch: mb, ts_us: ts, dur_us: dur, trace: 0 }
@@ -544,20 +514,6 @@ mod tests {
             span(SpanKind::Backward, 0, 0, 70, 20),
             span(SpanKind::Flush, 2, 0, 90, 5),
         ]
-    }
-
-    #[test]
-    fn load_trace_autodetects_both_formats() {
-        let dir = std::env::temp_dir().join("pipemare-analyze-load");
-        let _ = std::fs::remove_dir_all(&dir);
-        let events = sample_trace();
-        let jsonl = dir.join("t.jsonl");
-        let chrome = dir.join("t.trace.json");
-        write_jsonl(&events, &jsonl).unwrap();
-        write_chrome_trace(&events, 2, &chrome).unwrap();
-        assert_eq!(load_trace(&jsonl).unwrap(), events);
-        assert_eq!(load_trace(&chrome).unwrap(), events);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub struct TraceEvent {
     /// Causal trace id stamped on this event, or [`NO_TRACE`]. Unlike
     /// `microbatch` (a per-run index that collides across processes and
     /// restarts), a trace id survives the wire: the same id stamped on a
-    /// request's spans in every process lets `pmtrace path <id>`
+    /// request's spans in every process lets `pm trace path <id>`
     /// reconstruct its cross-process critical path from a merged trace.
     pub trace: u64,
 }

@@ -1,11 +1,16 @@
-//! Trace exporters: Chrome `trace_event` JSON and JSONL event logs.
+//! Trace exporters: JSONL event logs, written and read, and Chrome
+//! `trace_event` JSON, written only.
 //!
-//! The Chrome format is the JSON-array flavour documented in the Trace
-//! Event Format spec and understood by `chrome://tracing` and Perfetto:
-//! complete spans are `"ph": "X"` events with microsecond `ts`/`dur`,
-//! instants are `"ph": "i"`, and thread-name metadata events label each
-//! track. The JSONL log writes one compact JSON object per event — easy
-//! to grep and to post-process incrementally.
+//! The JSONL log writes one compact JSON object per event — easy to grep
+//! and to post-process incrementally. It is the one trace format read
+//! back: files (`read_jsonl`, `pm trace`) and the worker-to-driver wire
+//! (`Message::Telemetry`) share one writer, [`events_to_jsonl_string`],
+//! and one reader, [`events_from_jsonl_string`]. The Chrome format is
+//! an export for viewers only: the JSON-array flavour documented in the
+//! Trace Event Format spec and understood by `chrome://tracing` and
+//! Perfetto, where complete spans are `"ph": "X"` events with
+//! microsecond `ts`/`dur`, instants are `"ph": "i"`, and thread-name
+//! metadata events label each track.
 
 use std::io;
 use std::path::Path;
@@ -83,66 +88,6 @@ pub fn write_chrome_trace(events: &[TraceEvent], n_stages: u32, path: &Path) -> 
     std::fs::write(path, chrome_trace(events, n_stages).to_compact())
 }
 
-/// Parses a Chrome `trace_event` JSON document (as produced by
-/// [`chrome_trace`]) back into events — the inverse used by `pmtrace` so
-/// it can analyze either export format. Metadata (`"ph": "M"`) rows are
-/// skipped; span and instant rows must carry the fields this crate
-/// writes.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed row.
-pub fn chrome_trace_events(doc: &Value) -> Result<Vec<TraceEvent>, String> {
-    let rows = doc.as_arr().ok_or_else(|| "chrome trace must be a JSON array".to_string())?;
-    let mut events = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        let field = |name: &str| {
-            row.get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("row {i}: missing numeric field {name:?}"))
-        };
-        let ph = row
-            .get("ph")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("row {i}: missing \"ph\""))?;
-        if ph == "M" {
-            continue;
-        }
-        if ph != "X" && ph != "i" {
-            return Err(format!("row {i}: unsupported phase {ph:?}"));
-        }
-        let name = row
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("row {i}: missing \"name\""))?;
-        let kind = SpanKind::from_name(name)
-            .ok_or_else(|| format!("row {i}: unknown span kind {name:?}"))?;
-        let args = row.get("args").ok_or_else(|| format!("row {i}: missing \"args\""))?;
-        let stage = args
-            .get("stage")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("row {i}: missing args.stage"))?;
-        let microbatch = match args.get("microbatch").and_then(Value::as_f64) {
-            Some(mb) => mb as u32,
-            None => NO_MICROBATCH,
-        };
-        let trace = match args.get("trace").and_then(Value::as_f64) {
-            Some(t) => t as u64,
-            None => NO_TRACE,
-        };
-        events.push(TraceEvent {
-            kind,
-            track: field("tid")? as u32,
-            stage: stage as u32,
-            microbatch,
-            ts_us: field("ts")? as u64,
-            dur_us: if ph == "X" { field("dur")? as u64 } else { 0 },
-            trace,
-        });
-    }
-    Ok(events)
-}
-
 /// Renders one event as a single-line JSON object (the JSONL row shape).
 pub fn event_to_jsonl(ev: &TraceEvent) -> String {
     let mut obj = Value::obj()
@@ -199,8 +144,8 @@ pub fn event_from_jsonl(line: &str) -> Result<TraceEvent, String> {
     })
 }
 
-/// Reads a JSONL event log back into memory (inverse of [`write_jsonl`];
-/// blank lines are skipped).
+/// Reads a JSONL event log back into memory (inverse of [`write_jsonl`]):
+/// the file's text through [`events_from_jsonl_string`].
 ///
 /// # Errors
 ///
@@ -208,22 +153,12 @@ pub fn event_from_jsonl(line: &str) -> Result<TraceEvent, String> {
 /// [`io::ErrorKind::InvalidData`] with the line number.
 pub fn read_jsonl(path: &Path) -> io::Result<Vec<TraceEvent>> {
     let text = std::fs::read_to_string(path)?;
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = event_from_jsonl(line).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("line {}: {e}", i + 1))
-        })?;
-        events.push(ev);
-    }
-    Ok(events)
+    events_from_jsonl_string(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Renders events as one in-memory JSONL string (newline-separated rows,
 /// trailing newline omitted) — the payload shape remote workers ship
-/// their trace batches in.
+/// their trace batches in, and the body of a [`write_jsonl`] file.
 pub fn events_to_jsonl_string(events: &[TraceEvent]) -> String {
     events.iter().map(event_to_jsonl).collect::<Vec<_>>().join("\n")
 }
@@ -270,7 +205,8 @@ pub fn sort_events(events: &mut [TraceEvent]) {
     events.sort_by_key(|e| (e.ts_us, e.track));
 }
 
-/// Writes events as a JSONL log, one event per line.
+/// Writes events as a JSONL log, one event per line: the
+/// [`events_to_jsonl_string`] rows plus a trailing newline.
 ///
 /// # Errors
 ///
@@ -279,9 +215,8 @@ pub fn write_jsonl(events: &[TraceEvent], path: &Path) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&event_to_jsonl(ev));
+    let mut out = events_to_jsonl_string(events);
+    if !events.is_empty() {
         out.push('\n');
     }
     std::fs::write(path, out)
@@ -355,6 +290,24 @@ mod tests {
             })
             .unwrap();
         assert_eq!(driver_meta.get("args").unwrap().get("name").unwrap().as_str(), Some("driver"));
+        // Real events follow the metadata in input order, each carrying
+        // its track as `tid`, its start as `ts`, its length as `dur`
+        // (spans only) and stage / microbatch / trace in `args`, where
+        // absent microbatch and trace ids are left out.
+        let num = |e: &Value, k: &str| e.get(k).and_then(Value::as_f64);
+        for (row, ev) in arr[3..].iter().zip(sample_events()) {
+            assert_eq!(row.get("name").unwrap().as_str(), Some(ev.kind.name()));
+            assert_eq!(num(row, "tid"), Some(ev.track as f64));
+            assert_eq!(num(row, "ts"), Some(ev.ts_us as f64));
+            let dur = if ev.kind.is_instant() { None } else { Some(ev.dur_us as f64) };
+            assert_eq!(num(row, "dur"), dur);
+            let args = row.get("args").unwrap();
+            assert_eq!(num(args, "stage"), Some(ev.stage as f64));
+            let mb = (ev.microbatch != NO_MICROBATCH).then_some(ev.microbatch as f64);
+            assert_eq!(num(args, "microbatch"), mb);
+            let trace = (ev.trace != NO_TRACE).then_some(ev.trace as f64);
+            assert_eq!(num(args, "trace"), trace);
+        }
     }
 
     #[test]
@@ -395,34 +348,6 @@ mod tests {
         for (tid, ts) in per_track {
             assert!(ts.windows(2).all(|w| w[0] <= w[1]), "track {tid} ts not monotone: {ts:?}");
         }
-    }
-
-    #[test]
-    fn chrome_trace_roundtrips_through_the_reader() {
-        let events = sample_events();
-        let doc = chrome_trace(&events, 2);
-        // The writer serializes in input order, so the reader gives the
-        // same vector back (metadata rows skipped).
-        let back = chrome_trace_events(&doc).unwrap();
-        assert_eq!(back, events);
-        // And survives a serialize/parse cycle too.
-        let reparsed = json::parse(&doc.to_compact()).unwrap();
-        assert_eq!(chrome_trace_events(&reparsed).unwrap(), events);
-    }
-
-    #[test]
-    fn chrome_trace_reader_rejects_malformed_docs() {
-        assert!(chrome_trace_events(&Value::obj()).is_err());
-        let bad_phase = Value::Arr(vec![Value::obj().set("ph", "B").set("name", "forward")]);
-        assert!(chrome_trace_events(&bad_phase).is_err());
-        let bad_kind = Value::Arr(vec![Value::obj()
-            .set("ph", "X")
-            .set("name", "warp")
-            .set("tid", 0u64)
-            .set("ts", 0u64)
-            .set("dur", 0u64)
-            .set("args", Value::obj().set("stage", 0u64))]);
-        assert!(chrome_trace_events(&bad_kind).is_err());
     }
 
     #[test]

@@ -3,21 +3,21 @@
 //!
 //! The [`crate::LiveStore`] ring holds ~2 minutes of history; anything
 //! older exists only as post-mortem black boxes. The journal is the
-//! third leg next to live (`pmtop`) and post-mortem (`pmtrace`):
+//! third leg next to live (`pm top`) and post-mortem (`pm trace`):
 //! every ticker sample is appended as a length-prefixed binary frame to
 //! a segment file, segments rotate by size and age, old raw segments
 //! are compacted into downsampled *rollup* segments (250 ms samples →
 //! [`JournalConfig::rollup_window_us`] windows), and a byte cap bounds
-//! total disk use no matter how long the run lives. The `pmquery` CLI
+//! total disk use no matter how long the run lives. The `pm query` CLI
 //! reads journals back for range queries, historical alert replay and
 //! run-over-run diffs. [`rollup`] is the one merge of samples: a rollup
-//! frame is it over one window's samples, and `pmquery diff` is it over
+//! frame is it over one window's samples, and `pm query diff` is it over
 //! a whole journal.
 //!
 //! ## On-disk layout
 //!
 //! ```text
-//! <dir>/MANIFEST.json     role, stage count, clock offset, config
+//! <dir>/MANIFEST.json     role, stage count, config
 //! <dir>/seg-000000.pmj    raw frames (one per ticker sample)
 //! <dir>/seg-000001.pmj    ... the active segment is the highest index
 //! <dir>/rollup-000000.pmj downsampled frames from compacted raw segs
@@ -70,10 +70,12 @@ pub const JOURNAL_APPEND_BOUND_US: u64 = 500;
 const FRAME_VERSION: u8 = 1;
 /// Manifest file name inside a journal directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
-/// Optional clock-offset override file (decimal µs, one line). The
-/// orchestrator writes this into each worker's journal directory after
-/// the handshake measures the offset, so `pmquery` can merge
-/// multi-process journals onto the driver clock.
+/// Optional clock-offset file (decimal µs, one line), the one record of
+/// a journal's offset. The orchestrator writes it into each worker's
+/// journal directory after the handshake measures the offset, so
+/// `pm query` can merge multi-process journals onto the driver clock;
+/// the manifest cannot hold it, since the worker's own writer rewrites
+/// the manifest on every rotation.
 pub const OFFSET_FILE: &str = "OFFSET";
 
 /// Rotation, compaction and retention policy for a [`JournalWriter`].
@@ -270,7 +272,6 @@ pub struct JournalWriter {
     active: Option<ActiveSegment>,
     next_index: u64,
     last_seq: u64,
-    clock_offset_us: i64,
     /// Finalized raw segment indices, oldest first (compaction queue).
     finalized: Vec<u64>,
 }
@@ -308,7 +309,6 @@ impl JournalWriter {
             active: None,
             next_index,
             last_seq: 0,
-            clock_offset_us: 0,
             finalized,
         };
         writer.write_manifest()?;
@@ -318,14 +318,6 @@ impl JournalWriter {
     /// The journal directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Records the handshake clock offset (worker clock µs minus driver
-    /// clock µs) in the manifest so readers can merge this journal onto
-    /// the driver timebase.
-    pub fn set_clock_offset_us(&mut self, offset_us: i64) -> io::Result<()> {
-        self.clock_offset_us = offset_us;
-        self.write_manifest()
     }
 
     /// Appends one sample as a raw frame, rotating / compacting /
@@ -438,7 +430,6 @@ impl JournalWriter {
             .set("version", 1u64)
             .set("role", self.role.as_str())
             .set("n_stages", self.n_stages as u64)
-            .set("clock_offset_us", self.clock_offset_us)
             .set("rollup_window_us", self.cfg.rollup_window_us)
             .set("max_segment_bytes", self.cfg.max_segment_bytes)
             .set("max_total_bytes", self.cfg.max_total_bytes);
@@ -455,7 +446,7 @@ impl JournalWriter {
 /// window coverage), and the *last* sample's identity and metrics
 /// snapshot (counters are cumulative and gauges are "current", so
 /// last-wins is the faithful downsample for both). A journal's rollup
-/// frames are this per `rollup_window_us` bucket; `pmquery diff` is this
+/// frames are this per `rollup_window_us` bucket; `pm query diff` is this
 /// over a whole run. `None` for no samples.
 pub fn rollup<'a>(samples: impl IntoIterator<Item = &'a LiveSample>) -> Option<LiveSample> {
     let members: Vec<&LiveSample> = samples.into_iter().collect();
@@ -567,7 +558,7 @@ pub struct JournalReader {
     /// Stage count recorded in the manifest.
     pub n_stages: usize,
     /// Clock offset for merging (µs, this journal's clock minus the
-    /// driver's): the `OFFSET` file wins over the manifest field.
+    /// driver's), read from the [`OFFSET_FILE`]; 0 without one.
     pub clock_offset_us: i64,
 }
 
@@ -597,16 +588,10 @@ impl JournalReader {
             .and_then(|m| m.get("n_stages"))
             .and_then(|v| v.as_f64())
             .unwrap_or(0.0) as usize;
-        let mut clock_offset_us = manifest
-            .as_ref()
-            .and_then(|m| m.get("clock_offset_us"))
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0) as i64;
-        if let Ok(text) = fs::read_to_string(dir.join(OFFSET_FILE)) {
-            if let Ok(off) = text.trim().parse::<i64>() {
-                clock_offset_us = off;
-            }
-        }
+        let clock_offset_us = fs::read_to_string(dir.join(OFFSET_FILE))
+            .ok()
+            .and_then(|text| text.trim().parse().ok())
+            .unwrap_or(0);
         Ok(JournalReader { dir, role, n_stages, clock_offset_us })
     }
 

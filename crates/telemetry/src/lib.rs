@@ -19,8 +19,9 @@
 //! * [`metrics`]: atomic [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s behind a [`MetricsRegistry`] with text and JSON
 //!   snapshot export.
-//! * [`export`]: Chrome `trace_event` JSON (loadable in
-//!   `chrome://tracing` / Perfetto) and JSONL event logs.
+//! * [`export`]: JSONL event logs, the one trace format read back (one
+//!   writer and one reader for files and the wire), and Chrome
+//!   `trace_event` JSON, written only, for `chrome://tracing` / Perfetto.
 //! * [`summary`]: [`PipelineTimelineSummary`] — per-stage utilization,
 //!   bubble fraction, and measured-vs-nominal forward delay derived from
 //!   a recorded trace, through the one per-stage grouping of a trace
@@ -29,11 +30,10 @@
 //!   baselines, measured delay histograms, online Lemma 1 / T2 stability
 //!   margins from a trajectory curvature estimate λ̂, and end-of-run
 //!   [`health::RunReport`]s.
-//! * [`analyze`]: the `pmtrace` trace-analysis engine — per-stage
+//! * [`analyze`]: the `pm trace` trace-analysis engine — per-stage
 //!   utilization and wait breakdown, windowed bubble/τ drift against
 //!   the nominal models, straggler identification, causal-path
-//!   reconstruction by trace id, and run diffs over JSONL or Chrome
-//!   traces (also shipped as the `pmtrace` binary).
+//!   reconstruction by trace id, and run diffs over JSONL traces.
 //! * [`store`]: the live plane — [`LiveStore`], a fixed-size ring of
 //!   periodic snapshots (counter deltas, per-stage utilization and τ
 //!   drift folded incrementally from a flight recorder) sampled by the
@@ -43,21 +43,20 @@
 //!   on-disk segments, compacts old raw segments into downsampled
 //!   rollups, and caps total bytes; [`JournalReader`] reads journals
 //!   back crash-tolerantly (a truncated tail frame is clean EOF) for
-//!   the `pmquery` CLI.
+//!   `pm query`.
 //! * [`alert`]: the [`AlertEngine`] — declarative [`AlertRule`]s
-//!   (threshold / rate-of-change / absence / burn-rate with
-//!   `for`-duration hysteresis) evaluated against each live sample;
-//!   transitions land on a flight-recorder track, in every stats scrape
-//!   (`pmtop`'s ALERTS pane), and on an optional firing hook.
+//!   (threshold / burn-rate with `for`-duration hysteresis) evaluated
+//!   against each live sample; transitions land on a flight-recorder
+//!   track, in every stats scrape (`pm top`'s ALERTS pane), and on an
+//!   optional firing hook.
 //! * [`scrape`]: the [`Scrape`] — one binary frame holding a live
 //!   process's identity, firing alerts and last samples as journal
 //!   frames — the plain-TCP [`StatsEndpoint`] serving one per
-//!   connection, and the [`scrape_once`] polling client `pmtop` is
+//!   connection, and the [`scrape_once`] polling client `pm top` is
 //!   built on.
-//! * [`top`]: the `pmtop` live-dashboard render engine over decoded
-//!   scrapes (also shipped as the `pmtop` binary), and the one
-//!   run-vs-run diff of two samples that `pmtop --baseline` and
-//!   `pmquery diff` print.
+//! * [`top`]: the `pm top` live-dashboard render engine over decoded
+//!   scrapes, and the one run-vs-run diff of two samples that
+//!   `pm top --baseline` and `pm query diff` print.
 //! * [`json`]: the minimal JSON document model the exporters are built
 //!   on (the workspace has no serde).
 //! * [`codec`]: the workspace's one binary encoding — little-endian
@@ -111,7 +110,7 @@ pub use event::{
     NO_TRACE,
 };
 pub use export::{
-    chrome_trace, chrome_trace_events, event_from_jsonl, event_to_jsonl, events_from_jsonl_string,
+    chrome_trace, event_from_jsonl, event_to_jsonl, events_from_jsonl_string,
     events_to_jsonl_string, merge_worker_events, read_jsonl, sort_events, write_chrome_trace,
     write_jsonl,
 };

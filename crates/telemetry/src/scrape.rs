@@ -6,8 +6,8 @@
 //! a journal segment holds for it. The whole scrape is one
 //! [`crate::codec`] frame and the only byte form a live sample has: the
 //! [`StatsEndpoint`] writes it to each connection and closes (no request
-//! parsing, no HTTP), the in-band `StatsReply` carries it, and `pmtop`
-//! decodes it (`pmtop --once --json` prints it as text). The endpoint
+//! parsing, no HTTP), the in-band `StatsReply` carries it, and `pm top`
+//! decodes it (`pm top --once --json` prints it as text). The endpoint
 //! only reads the store's ring, so a scrape never blocks a recording
 //! thread.
 
@@ -209,7 +209,7 @@ impl Drop for StatsEndpoint {
 
 /// Polls one endpoint: connects to `addr`, reads its scrape frame,
 /// closes. Returns the frame's bytes (length prefix included), ready for
-/// [`Scrape::decode`] or to be saved as a `pmtop` baseline.
+/// [`Scrape::decode`] or to be saved as a `pm top` baseline.
 ///
 /// `addr` may be a socket address or a `host:port` name; every address
 /// it resolves to is tried in order (so `localhost` resolving to `::1`

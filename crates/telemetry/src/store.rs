@@ -1,7 +1,7 @@
 //! The live time-series store: a bounded ring of periodic samples over
 //! a [`MetricsRegistry`] and a flight-recorder event source.
 //!
-//! The post-mortem loop (flight recorder → black box → `pmtrace`) only
+//! The post-mortem loop (flight recorder → black box → `pm trace`) only
 //! answers questions after a run stops. [`LiveStore`] is the *while it
 //! runs* counterpart: a background [`StoreTicker`] calls
 //! [`LiveStore::sample`] every period, folding the events recorded
@@ -23,7 +23,7 @@
 //! ## Incremental, not post-hoc
 //!
 //! Each sample groups the recorder's snapshot by stage once, through
-//! [`crate::summary`]'s grouping (the one `pmtrace summary` reads), and
+//! [`crate::summary`]'s grouping (the one `pm trace summary` reads), and
 //! keeps only the spans that *ended* after the previous tick, at full
 //! length. Per-sample cost is one pass over the snapshot (bounded by the
 //! flight-recorder ring capacity), not run length, and τ is the

@@ -10,7 +10,7 @@
 //! forward, backward and replay spans and its two kinds of wait.
 //! It answers busy time clipped to a window and τ samples through
 //! `delay_slot_samples`, the one definition of measured τ. The summary
-//! reads the whole trace; `pmtrace drift` (`analyze`) reads clipped
+//! reads the whole trace; `pm trace drift` (`analyze`) reads clipped
 //! windows; the live store (`store`) reads the spans that ended since its
 //! last sample; the health monitor (`health`) feeds the whole trace's τ
 //! samples into its histograms.
@@ -192,7 +192,7 @@ impl StageSpans<'_> {
 }
 
 /// A trace grouped by stage: the one place a trace is split into
-/// per-stage compute, waits and τ. The summary, `pmtrace drift`, the
+/// per-stage compute, waits and τ. The summary, `pm trace drift`, the
 /// live store and the health monitor's delay histograms all read it;
 /// each chooses only which spans it counts.
 pub(crate) struct StageFold<'a> {

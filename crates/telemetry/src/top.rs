@@ -1,13 +1,13 @@
-//! The `pmtop` render engine: decoded [`Scrape`]s become the per-stage
+//! The `pm top` render engine: decoded [`Scrape`]s become the per-stage
 //! dashboard ([`render`]), and two [`LiveSample`]s a run-vs-run [`diff`]
-//! (`pmtop --baseline`, `pmquery diff`). Rendering is pure, so it is
+//! (`pm top --baseline`, `pm query diff`). Rendering is pure, so it is
 //! testable without sockets. The columns are what the PipeMare analysis
 //! watches live: per-stage utilization, compute-phase means, measured vs
 //! nominal τ, the health monitor's α-margin, serving queue depth and
 //! shed counters, and wire throughput.
 //!
-//! JSON is only an export edge here: [`export`] (`pmtop --json`) and
-//! [`stage_json`], the one JSON stage row, shared by `pmquery range`.
+//! JSON is only an export edge here: [`export`] (`pm top --json`) and
+//! [`stage_json`], the one JSON stage row, shared by `pm query range`.
 
 use pipemare_theory::delay_slots;
 
@@ -203,7 +203,7 @@ pub fn stage_json(row: Value, st: &StageLive, n_stages: usize) -> Value {
         .set("events", st.events)
 }
 
-/// `pmtop --json`'s object for one scrape: the identity, the latest
+/// `pm top --json`'s object for one scrape: the identity, the latest
 /// sample's stage rows, metrics and counter deltas, and the firing
 /// alerts (schema in DESIGN §6.9).
 pub fn export(scrape: &Scrape) -> Value {
@@ -245,8 +245,8 @@ pub fn export(scrape: &Scrape) -> Value {
 /// Run-vs-run diff of two samples: per-stage utilization and τ with
 /// their percentage changes, and every counter both sides hold as a
 /// counter. Returns the text block (opened by `header`) and the same
-/// comparison as JSON; `pmtop --baseline` feeds it two latest samples,
-/// `pmquery diff` two whole-journal rollups.
+/// comparison as JSON; `pm top --baseline` feeds it two latest samples,
+/// `pm query diff` two whole-journal rollups.
 pub fn diff(header: &str, base: &LiveSample, cur: &LiveSample) -> (String, Value) {
     let mut text = format!("{header}\n");
     let n_stages = cur.stages.len().max(base.stages.len());

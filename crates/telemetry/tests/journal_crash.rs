@@ -1,6 +1,6 @@
 //! Crash-tolerance of the telemetry journal: a writer killed at ANY
 //! byte boundary must leave a journal that reopens cleanly, yielding a
-//! bit-exact prefix of what was appended — plus the `pmquery` binary
+//! bit-exact prefix of what was appended — plus `pm query`
 //! run for real against such a torn journal.
 
 use std::path::PathBuf;
@@ -126,7 +126,7 @@ fn torn_tail_frame_is_counted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The real `pmquery` binary over a torn journal: `range` and `alerts`
+/// The real `pm query` over a torn journal: `range` and `alerts`
 /// must both succeed — this is the post-SIGKILL recovery path CI
 /// exercises against a live orchestrator run.
 #[test]
@@ -134,18 +134,23 @@ fn pmquery_reads_a_torn_journal() {
     let dir = temp_dir("pmquery");
     write_and_cut(&dir, 12, 0.6);
 
-    let out = Command::new(env!("CARGO_BIN_EXE_pmquery")).arg("range").arg(&dir).output().unwrap();
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_pm")).args(["query", "range"]).arg(&dir).output().unwrap();
     assert!(out.status.success(), "{out:?}");
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("crash"), "role column expected: {text}");
     assert!(text.contains("raw"), "resolution column expected: {text}");
 
-    let out = Command::new(env!("CARGO_BIN_EXE_pmquery")).arg("alerts").arg(&dir).output().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_pm"))
+        .args(["query", "alerts"])
+        .arg(&dir)
+        .output()
+        .unwrap();
     assert!(out.status.success(), "{out:?}");
 
     // diff against itself: every delta is 0%.
-    let out = Command::new(env!("CARGO_BIN_EXE_pmquery"))
-        .arg("diff")
+    let out = Command::new(env!("CARGO_BIN_EXE_pm"))
+        .args(["query", "diff"])
         .arg(&dir)
         .arg("--baseline")
         .arg(&dir)

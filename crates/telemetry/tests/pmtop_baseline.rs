@@ -1,4 +1,4 @@
-//! End-to-end test of `pmtop --baseline`: a real `pmtop` process
+//! End-to-end test of `pm top --baseline`: a real `pm top` process
 //! polling two synthetic stats endpoints and diffing the first against
 //! a saved baseline payload, in both rendered and `--json` modes.
 
@@ -9,7 +9,9 @@ use std::sync::Arc;
 use pipemare_telemetry::{scrape_once, LiveStore, MetricsRegistry, StatsEndpoint};
 
 fn pmtop() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_pmtop"))
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pm"));
+    cmd.arg("top");
+    cmd
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -39,7 +41,7 @@ fn baseline_delta_renders_and_emits_json() {
     let (_ep_b, addr_b) = endpoint("run-b", 150);
 
     // The baseline file is run A's raw scrape payload — the same bytes
-    // `pmtop --save-baseline` writes.
+    // `pm top --save-baseline` writes.
     let base_path = dir.join("base.json");
     let payload = scrape_once(&addr_a, std::time::Duration::from_secs(5)).unwrap();
     std::fs::write(&base_path, payload).unwrap();

@@ -1,12 +1,14 @@
-//! End-to-end tests of the `pmtrace` binary: real process, real files.
+//! End-to-end tests of `pm trace`: real process, real files.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use pipemare_telemetry::{write_chrome_trace, write_jsonl, SpanKind, TraceEvent, NO_MICROBATCH};
+use pipemare_telemetry::{write_jsonl, SpanKind, TraceEvent, NO_MICROBATCH};
 
 fn pmtrace() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_pmtrace"))
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pm"));
+    cmd.arg("trace");
+    cmd
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -32,22 +34,18 @@ fn sample(scale: u64) -> Vec<TraceEvent> {
 }
 
 #[test]
-fn summary_reads_jsonl_and_chrome_formats() {
+fn summary_reads_jsonl() {
     let dir = temp_dir("summary");
     let jsonl = dir.join("run.jsonl");
-    let chrome = dir.join("run.trace.json");
     write_jsonl(&sample(1), &jsonl).unwrap();
-    write_chrome_trace(&sample(1), 2, &chrome).unwrap();
 
-    for path in [&jsonl, &chrome] {
-        let out = pmtrace().arg("summary").arg(path).output().unwrap();
-        assert!(out.status.success(), "{out:?}");
-        let text = String::from_utf8(out.stdout).unwrap();
-        assert!(text.contains("bubble fraction"), "{text}");
-        assert!(text.contains("wait_fwd_ms"), "{text}");
-        assert!(text.contains("tau_fwd meas/nom"), "{text}");
-        assert!(text.contains("critical path"), "{text}");
-    }
+    let out = pmtrace().arg("summary").arg(&jsonl).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("bubble fraction"), "{text}");
+    assert!(text.contains("wait_fwd_ms"), "{text}");
+    assert!(text.contains("tau_fwd meas/nom"), "{text}");
+    assert!(text.contains("critical path"), "{text}");
 
     // --json emits a parseable machine report.
     let out = pmtrace().arg("summary").arg(&jsonl).arg("--json").output().unwrap();
@@ -113,4 +111,15 @@ fn bad_usage_and_missing_files_fail_cleanly() {
     let out = pmtrace().args(["drift", "x.jsonl", "--windows", "zero"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8(out.stderr).unwrap().contains("--windows"));
+
+    // `pm top --watch` refuses what no sleep can last before polling
+    // anything (the address is never contacted).
+    for watch in ["inf", "NaN", "1e300", "0", "-1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pm"))
+            .args(["top", "--watch", watch, "127.0.0.1:9"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "--watch {watch}: {out:?}");
+        assert!(String::from_utf8(out.stderr).unwrap().contains("--watch"), "{watch}");
+    }
 }

@@ -14,12 +14,12 @@
 //!    threads on 127.0.0.1.
 //!
 //! The merged per-worker telemetry (clock-aligned across workers) is
-//! written as JSONL that `pmtrace summary` can analyze:
+//! written as JSONL that `pm trace summary` can analyze:
 //!
 //! ```text
 //! cargo run --example distributed_pipeline          # loopback only
 //! cargo run --example distributed_pipeline tcp      # + TCP on 127.0.0.1
-//! pmtrace summary target/experiments/distributed_pipeline/loopback.jsonl
+//! pm trace summary target/experiments/distributed_pipeline/loopback.jsonl
 //! ```
 
 use std::net::TcpListener;

@@ -7,13 +7,13 @@
 //! training run pushed 30% past its Lemma 1 stability bound; when the
 //! health monitor flags the anomaly, the trainer dumps the recorder's
 //! trailing window as a JSONL black box next to the resumable anomaly
-//! checkpoint, then summarizes the dump with the `pmtrace` analysis
+//! checkpoint, then summarizes the dump with the `pm trace` analysis
 //! engine.
 //!
 //! ```text
 //! cargo run --example flight_recorder
 //! # then poke at the dump directly:
-//! pmtrace summary target/experiments/flight_black_box/blackbox_step*.jsonl
+//! pm trace summary target/experiments/flight_black_box/blackbox_step*.jsonl
 //! ```
 
 use std::path::PathBuf;
@@ -97,7 +97,7 @@ fn main() {
     println!("diverged after {} steps, as theory predicts", losses.len());
 
     // Phase 3: post-mortem. The monitor's report lists the dump; read it
-    // back and run the pmtrace summary over it.
+    // back and run the `pm trace summary` engine over it.
     let rep = monitor.report("flight-recorder black-box demo").with_metrics(&registry.snapshot());
     let (dump_step, dump_path) =
         rep.black_boxes.first().cloned().expect("anomaly must have dumped a black box");

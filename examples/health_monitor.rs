@@ -112,7 +112,7 @@ fn main() {
     // The monitor left stage 0's `health.stage0.alpha_margin` gauge
     // below 1.0; one live-store sample through the default alert pack
     // must fire the critical α-margin floor rule. The sample is also
-    // journaled so `pmquery alerts` re-derives the same firing from
+    // journaled so `pm query alerts` re-derives the same firing from
     // disk after the process is gone.
     let live = Arc::new(LiveStore::new("train-a", p).with_registry(Arc::clone(&registry_a)));
     let engine = Arc::new(AlertEngine::new(default_rules()));
@@ -132,7 +132,7 @@ fn main() {
         println!("ALERT {} {} [{}]   value {:.4}", a.severity.name(), a.rule, a.label, a.value);
     }
     println!(
-        "journal -> {}   (replay with: pmquery alerts {})",
+        "journal -> {}   (replay with: pm query alerts {})",
         journal_dir.display(),
         journal_dir.display()
     );

@@ -11,12 +11,12 @@
 //!    light trickle past its saturation point so shedding kicks in.
 //!
 //! The flight recorder observes the whole run; its trace is written as
-//! JSONL that `pmtrace summary` can analyze — per-stage `forward`
+//! JSONL that `pm trace summary` can analyze — per-stage `forward`
 //! spans, the batcher's `coalesce` spans, and per-request queue waits:
 //!
 //! ```text
 //! cargo run --release --example serving
-//! pmtrace summary target/experiments/serving/serving.jsonl
+//! pm trace summary target/experiments/serving/serving.jsonl
 //! ```
 
 use std::path::PathBuf;
@@ -31,7 +31,7 @@ use pipemare::comms::{TcpTransport, Transport};
 use pipemare::core::serve_checkpoint;
 use pipemare::nn::{Mlp, TrainModel};
 use pipemare::serve::{InferClient, ServeConfig};
-use pipemare::telemetry::{default_rules, top, write_jsonl, EventSource, Scrape};
+use pipemare::telemetry::{top, write_jsonl, EventSource, Scrape};
 use pipemare::tensor::Tensor;
 use pipemare_bench::loadgen::{closed_loop, open_loop, OpenLoopCfg};
 
@@ -58,9 +58,9 @@ fn main() {
     let (mut server, recorder) =
         serve_checkpoint(Arc::clone(&model), params.clone(), cfg).expect("server starts");
     // The observability planes: the default alert pack over the live
-    // store (shed-burn, starvation, ...) plus a durable journal pmquery
+    // store (shed-burn, starvation, ...) plus a durable journal `pm query`
     // can read back after the run.
-    let alerts = server.alert_rules(default_rules());
+    let alerts = server.alert_rules();
     let fired = Arc::new(Mutex::new(Vec::<String>::new()));
     {
         let fired = Arc::clone(&fired);
@@ -71,7 +71,7 @@ fn main() {
     let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
     println!("serving a {IN}-feature MLP over {STAGES} stages on {addr}");
     // With PIPEMARE_STATS_ADDR set the server also answers plain-TCP
-    // stats scrapes — point `pmtop` at it while the sweeps run.
+    // stats scrapes — point `pm top` at it while the sweeps run.
     if let Some(stats) = std::env::var("PIPEMARE_STATS_ADDR").ok().filter(|a| !a.is_empty()) {
         let bound = server.serve_stats_tcp(&stats).expect("stats endpoint binds");
         println!("STATS {bound}");
@@ -181,10 +181,10 @@ fn main() {
     let events = recorder.snapshot_events();
     write_jsonl(&events, &trace).expect("write serving trace");
     println!("flight-recorder trace ({} spans) -> {}", events.len(), trace.display());
-    println!("analyze with: pmtrace summary {}", trace.display());
+    println!("analyze with: pm trace summary {}", trace.display());
     println!("journal -> {}", journal_dir.display());
     println!(
-        "query history with: pmquery range {0}   /   pmquery alerts {0}",
+        "query history with: pm query range {0}   /   pm query alerts {0}",
         journal_dir.display()
     );
 }

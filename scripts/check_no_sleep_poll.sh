@@ -11,7 +11,7 @@
 # Counted: lines under crates/serve/src, crates/comms/src and
 # crates/telemetry/src outside `#[cfg(test)]` modules (which end every
 # file that has one) and comments. Not counted: the telemetry binaries
-# under crates/telemetry/src/bin, where `pmtop --watch`'s sleep is its
+# under crates/telemetry/src/bin, where `pm top --watch`'s sleep is its
 # refresh interval. Exit 0 = no sleep-polls.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One per-stage fold of a trace, kept by a grep. The timeline summary,
-# `pmtrace drift`, the live store's samples and the health monitor's τ
+# `pm trace drift`, the live store's samples and the health monitor's τ
 # histograms all read `StageFold` in crates/telemetry/src/summary.rs,
 # which buckets each stage's forward, backward and replay spans once and
 # is the only caller of `delay_slot_samples`, the one definition of

@@ -53,23 +53,23 @@ echo "=== orchestrator (subprocess workers over TCP + merged trace) ==="
 {
   cargo run --release -p pipemare-comms --bin orchestrator -- \
     train --transport tcp --stages 4 --minibatches 6
-  cargo run --release -p pipemare-telemetry --bin pmtrace -- \
+  cargo run --release -p pipemare-telemetry --bin pm -- trace \
     summary "$out/distributed_tcp.jsonl"
 } 2>&1 | tee "$out/orchestrator.txt"
 
 echo "=== serving (TCP bit-identity + load sweep + serving trace) ==="
 {
   cargo run --release --example serving
-  cargo run --release -p pipemare-telemetry --bin pmtrace -- \
+  cargo run --release -p pipemare-telemetry --bin pm -- trace \
     summary "$out/serving/serving.jsonl"
 } 2>&1 | tee "$out/serving.txt"
 
-echo "=== pmtrace (post-mortem trace analysis) ==="
+echo "=== pm trace (post-mortem trace analysis) ==="
 {
-  cargo run --release -p pipemare-telemetry --bin pmtrace -- \
+  cargo run --release -p pipemare-telemetry --bin pm -- trace \
     summary "$out"/flight_black_box/blackbox_step*.jsonl
-  cargo run --release -p pipemare-telemetry --bin pmtrace -- \
+  cargo run --release -p pipemare-telemetry --bin pm -- trace \
     diff "$out/trace_gpipe.jsonl" "$out/trace_pipemare.jsonl"
-} 2>&1 | tee "$out/pmtrace.txt"
+} 2>&1 | tee "$out/pm_trace.txt"
 
 echo "All artifact logs and traces in $out/"

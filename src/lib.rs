@@ -13,7 +13,7 @@
 //! | [`theory`] | `pipemare-theory` | quadratic-model stability analysis (Lemmas 1–3) |
 //! | [`pipeline`] | `pipemare-pipeline` | delay schedules, cost models, threaded executor |
 //! | [`core`] | `pipemare-core` | the PipeMare/GPipe/PipeDream/Hogwild trainers |
-//! | [`telemetry`] | `pipemare-telemetry` | trace recording (null/flight/full tiers), metrics, Chrome-trace export, `pmtrace` analysis |
+//! | [`telemetry`] | `pipemare-telemetry` | trace recording (null/flight/full tiers), metrics, Chrome-trace export, `pm trace` analysis |
 //! | [`comms`] | `pipemare-comms` | multi-process distributed pipeline: binary wire codec, TCP/loopback transports, stage workers, `orchestrator` binary |
 //! | [`serve`] | `pipemare-serve` | pipelined inference serving: admission control, work-conserving batching, staged forward engine, policy simulator |
 //!

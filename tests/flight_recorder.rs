@@ -15,10 +15,9 @@ use pipemare::pipeline::{
     run_pipeline, ActivationLedger, Method, PipelinePlan, RecomputePolicy, Sleep,
 };
 use pipemare::telemetry::{
-    analyze, chrome_trace, chrome_trace_events, read_jsonl, write_jsonl, EventSource,
-    FlightRecorder, HealthConfig, HealthEventKind, HealthMonitor, LiveStore, MetricValue,
-    MetricsRegistry, PipelineTimelineSummary, Recorder, Severity, SpanKind, TraceEvent,
-    NO_MICROBATCH,
+    analyze, read_jsonl, write_jsonl, EventSource, FlightRecorder, HealthConfig, HealthEventKind,
+    HealthMonitor, LiveStore, MetricValue, MetricsRegistry, PipelineTimelineSummary, Recorder,
+    Severity, SpanKind, TraceEvent, NO_MICROBATCH,
 };
 use pipemare::theory::lemma1_max_alpha_frac;
 
@@ -224,7 +223,7 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
                 stage,
                 microbatch: if mb == 100 { NO_MICROBATCH } else { mb },
                 ts_us,
-                // Instants carry no duration through the Chrome format.
+                // Instants carry no duration.
                 dur_us: if kind.is_instant() { 0 } else { dur_us },
                 trace,
             }
@@ -235,18 +234,14 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// JSONL write → read and Chrome export → read both reproduce the
-    /// event list exactly: same order, same fields.
+    /// JSONL write → read reproduces the event list exactly: same
+    /// order, same fields.
     #[test]
     fn exports_roundtrip_identically(events in prop::collection::vec(arb_event(), 0..60)) {
         let dir = temp_dir(&format!("rt{}", events.len()));
         let path = dir.join("t.jsonl");
         write_jsonl(&events, &path).unwrap();
         let back = read_jsonl(&path).unwrap();
-        prop_assert_eq!(&back, &events);
-
-        let doc = chrome_trace(&events, 6);
-        let back = chrome_trace_events(&doc).unwrap();
         prop_assert_eq!(&back, &events);
         let _ = std::fs::remove_dir_all(&dir);
     }

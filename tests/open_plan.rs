@@ -16,6 +16,9 @@ use pipemare::pipeline::{
 };
 use pipemare::telemetry::NullRecorder;
 
+mod common;
+use common::within;
+
 /// A plan kind's `K`-minibatch plan.
 type Cut = Box<dyn Fn(usize) -> PipelinePlan>;
 /// A stage's executed ops, readable while the stage runs.
@@ -188,29 +191,40 @@ fn minibatch_calls_run_the_plan_and_return_after_the_lagged_update() {
         let kinds = ["GPipe", "PipeDream", "PipeMare", "PipeMare-R S=2"];
         for (name, open, cut) in cases(p, n).into_iter().filter(|c| kinds.contains(&&*c.0)) {
             let (plan, d) = (cut(k), open.lag());
-            let (mut work, reference) = logged(p, 1);
-            run_pipeline(&plan, &mut work, &NullRecorder, &ActivationLedger::new(p, 1));
-            let (mut work, logs) = logged(p, 2);
-            with_pipeline(&open, &mut work, &NullRecorder, &ActivationLedger::new(p, 1), |pipe| {
-                for j in 0..k {
-                    pipe.minibatch();
-                    let stage0 = logs[0].lock().unwrap().clone();
-                    let at = format!("{name} P={p} N={n} call {j}");
-                    if let Some(landed) = (j + 1).checked_sub(d).filter(|&l| l > 0) {
-                        // Minibatch j − d's last backward has left stage 0.
-                        let b = (StageOpKind::Bkwd, landed * n - 1);
-                        assert!(stage0.contains(&b), "{at}: {stage0:?}");
-                    }
-                    let next = (j + 1) * n;
-                    let early =
-                        stage0.iter().find(|(kind, m)| *kind == StageOpKind::Fwd && *m >= next);
-                    assert!(early.is_none(), "{at}: ran {early:?} before its call");
-                    // A lagged call does not drain: its own minibatch's last
-                    // backward waits behind the next call's first forward.
-                    let own = (StageOpKind::Bkwd, next - 1);
-                    assert!(d == 0 || !stage0.contains(&own), "{at}: drained");
-                    std::thread::sleep(Duration::from_millis(1));
+            let reference = within(&format!("run_pipeline {name} P={p} N={n}"), {
+                let plan = plan.clone();
+                move || {
+                    let (mut work, reference) = logged(p, 1);
+                    run_pipeline(&plan, &mut work, &NullRecorder, &ActivationLedger::new(p, 1));
+                    reference
                 }
+            });
+            let case = format!("with_pipeline {name} P={p} N={n}");
+            let logs = within(&case.clone(), move || {
+                let (mut work, logs) = logged(p, 2);
+                let ledger = ActivationLedger::new(p, 1);
+                with_pipeline(&open, &mut work, &NullRecorder, &ledger, |pipe| {
+                    for j in 0..k {
+                        pipe.minibatch();
+                        let stage0 = logs[0].lock().unwrap().clone();
+                        let at = format!("{case} call {j}");
+                        if let Some(landed) = (j + 1).checked_sub(d).filter(|&l| l > 0) {
+                            // Minibatch j − d's last backward has left stage 0.
+                            let b = (StageOpKind::Bkwd, landed * n - 1);
+                            assert!(stage0.contains(&b), "{at}: {stage0:?}");
+                        }
+                        let next = (j + 1) * n;
+                        let early =
+                            stage0.iter().find(|(kind, m)| *kind == StageOpKind::Fwd && *m >= next);
+                        assert!(early.is_none(), "{at}: ran {early:?} before its call");
+                        // A lagged call does not drain: its own minibatch's last
+                        // backward waits behind the next call's first forward.
+                        let own = (StageOpKind::Bkwd, next - 1);
+                        assert!(d == 0 || !stage0.contains(&own), "{at}: drained");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                });
+                logs
             });
             for s in 0..p {
                 let want: Vec<_> = plan.timeline(s).iter().map(|op| (op.kind, op.micro)).collect();

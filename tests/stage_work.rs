@@ -12,6 +12,9 @@ use pipemare::pipeline::{
 };
 use pipemare::telemetry::NullRecorder;
 
+mod common;
+use common::within;
+
 /// What a stage handed on: (producer stage, producer kind, microbatch).
 type Provenance = (usize, StageOpKind, usize);
 
@@ -122,16 +125,22 @@ fn substituted_work_runs_every_plan_under_jitter() {
         ));
         for (name, plan, peaks) in &plans {
             for seed in 0..8 {
-                let mut work: Vec<_> = (0..stages)
-                    .map(|stage| Jittered {
-                        inner: Relay { stage, log: Vec::new() },
-                        seed,
-                        stage,
-                        ops: 0,
-                    })
-                    .collect();
-                let ledger = ActivationLedger::new(stages, 1);
-                let report = run_pipeline(plan, &mut work, &NullRecorder, &ledger);
+                let (work, report) = within(&format!("{name} P={stages} seed={seed}"), {
+                    let plan = plan.clone();
+                    move || {
+                        let mut work: Vec<_> = (0..stages)
+                            .map(|stage| Jittered {
+                                inner: Relay { stage, log: Vec::new() },
+                                seed,
+                                stage,
+                                ops: 0,
+                            })
+                            .collect();
+                        let ledger = ActivationLedger::new(stages, 1);
+                        let report = run_pipeline(&plan, &mut work, &NullRecorder, &ledger);
+                        (work, report)
+                    }
+                });
                 for (s, w) in work.iter().enumerate() {
                     let expected: Vec<_> = plan
                         .timeline(s)
