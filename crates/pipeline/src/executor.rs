@@ -1,20 +1,22 @@
 //! A real multi-threaded pipeline used to validate the throughput model.
 //!
-//! Each stage runs on its own thread and walks its row of an [`OpenPlan`]
-//! ([`run_stage`]): microbatch tokens flow down the chain, turn around at
-//! the last stage and flow back, each carrying its op's payload. The
-//! schedule — GPipe draining the pipeline at every minibatch boundary
-//! (the bubble), PipeDream/PipeMare keeping it full, PipeMare Recompute
-//! replaying segments — is entirely in the plan, and what an op does is
-//! the stage's [`StageWork`]. The threads outlive a minibatch call
-//! ([`with_pipeline`]). Under [`Sleep`], measured wall-clock throughputs
-//! reproduce the `N/(N+P−1)` bubble penalty of Table 1, and the
-//! [`ActivationLedger`] peaks the analytical memory model.
+//! A stage walks its row of an [`OpenPlan`] one op at a time
+//! (`StageCursor::step`): microbatch tokens flow down the chain, turn
+//! around at the last stage and flow back, each carrying its op's
+//! payload. The schedule — GPipe draining the pipeline at every minibatch
+//! boundary (the bubble), PipeDream/PipeMare keeping it full, PipeMare
+//! Recompute replaying segments — is entirely in the plan, and what an op
+//! does is the stage's [`StageWork`]. [`with_pipeline`] runs each stage
+//! on its own thread ([`run_stage`]) across minibatch calls, and [`walk`]
+//! runs them all on the calling thread. Under [`Sleep`], measured
+//! wall-clock throughputs reproduce the `N/(N+P−1)` bubble penalty of
+//! Table 1, and the [`ActivationLedger`] peaks the analytical memory model.
 //!
-//! A stage exits after its last backward once the end of the stream has
-//! reached it, so shutdown never depends on channel-disconnection
+//! A stage finishes after its last backward once the end of the stream
+//! has reached it, so shutdown never depends on channel-disconnection
 //! ordering (which is cyclic in a bidirectional pipeline).
 
+use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
@@ -85,54 +87,70 @@ pub struct PipelineReport {
     pub recompute_ops: usize,
 }
 
-/// Walks stage `stage`'s row of `plan` until the end of its stream: the
-/// one stage loop, run by [`with_pipeline`]'s threads and by the comms
-/// crate's token worker, which is why an in-process and a distributed run
-/// of one plan record the same spans.
-///
-/// For each op it blocks on the token the op [`OpenPlan::needs`],
-/// acquires an activation buffer from `ledger` where the op says so, runs
-/// `work`, releases the buffer after a backward and sends the result on
-/// the link the op [`OpenPlan::feeds`]. On the stage's track it records a
-/// `QueueWaitFwd`/`QueueWaitBkwd` span from when it blocked on a token,
-/// then the `Forward`/`Recompute`/`Backward` span stamped with the
-/// microbatch's causal trace id (ids are 0-based; trace 0 means
-/// "absent"). Once the end of the stream arrives it passes it on and runs
-/// only its remaining ops of earlier microbatches, up to the last
-/// backward.
-pub fn run_stage<W: StageWork, R: Recorder, L: StageLinks<W::Payload>>(
-    plan: &OpenPlan,
+/// One stage's place in its [`OpenPlan`] row and its end-of-stream
+/// state; [`StageCursor::step`] is the one stage step, and [`run_stage`]
+/// and [`walk`] are its only drivers.
+pub(crate) struct StageCursor {
+    plan: OpenPlan,
     stage: usize,
-    work: &mut W,
-    recorder: &R,
-    ledger: &ActivationLedger,
-    links: &mut L,
-) -> Result<(), L::Error> {
-    let track = stage as u32;
-    // A row runs its backwards in microbatch order; `end` is unknown
-    // until the stream's end arrives.
-    let (mut end, mut finished) = (usize::MAX, 0);
-    for op in plan.row(stage) {
-        if finished == end {
-            return Ok(());
-        }
-        if op.micro >= end {
-            continue;
-        }
-        let (mut input, mut waited_since) = (None, None);
-        if let Some(link) = plan.needs(stage, &op) {
-            waited_since = Some(recorder.now_us());
-            match links.recv(link, &op)? {
-                Token::Micro(_, payload) => input = payload,
-                Token::End => {
-                    end = op.micro;
-                    if plan.feeds(stage, &op).is_some() {
-                        links.send(Link::Fwd, Token::End)?;
-                    }
-                    continue;
-                }
+    row: Box<dyn Iterator<Item = StageOp>>,
+    /// The op to run next; `None` once the stage has finished.
+    next: Option<StageOp>,
+    /// The microbatch the end of the stream replaced (`usize::MAX` until
+    /// then), and the backwards run — a row runs them in order.
+    end: usize,
+    finished: usize,
+    /// When the stage went idle, which a token wait is recorded from.
+    idle_since: u64,
+}
+
+impl StageCursor {
+    /// Stage `stage` of `plan` before its first op, idle from now.
+    fn new<R: Recorder>(plan: &OpenPlan, stage: usize, recorder: &R) -> Self {
+        let (mut row, idle_since) = (Box::new(plan.row(stage)), recorder.now_us());
+        let next = row.next();
+        StageCursor { plan: *plan, stage, row, next, end: usize::MAX, finished: 0, idle_since }
+    }
+
+    /// The next op and the link its token arrives on (`None` when the
+    /// stage holds its input), or `None` once the stage has finished.
+    fn needs(&self) -> Option<(StageOp, Option<Link>)> {
+        self.next.map(|op| (op, self.plan.needs(self.stage, &op)))
+    }
+
+    /// Runs the next op on `token`, from the link [`StageCursor::needs`]
+    /// names, and returns what to send on which link. The op acquires an
+    /// activation buffer from `ledger` where it says so, runs `work`,
+    /// releases the buffer after a backward and hands its result on the
+    /// link it [`OpenPlan::feeds`]. On the stage's track it records a
+    /// `QueueWaitFwd`/`QueueWaitBkwd` span from when the stage went idle,
+    /// then the `Forward`/`Recompute`/`Backward` span stamped with the
+    /// microbatch's causal trace id (ids are 0-based; trace 0 means
+    /// "absent"). The end of the stream is handed on; from then on the
+    /// stage runs only its remaining ops of earlier microbatches. Panics
+    /// once the stage has finished, or on a token the op does not take.
+    fn step<W: StageWork, R: Recorder>(
+        &mut self,
+        token: Option<Token<W::Payload>>,
+        work: &mut W,
+        recorder: &R,
+        ledger: &ActivationLedger,
+    ) -> Option<(Link, Token<W::Payload>)> {
+        let (op, link) = self.needs().expect("a finished stage runs no op");
+        let (stage, track) = (self.stage, self.stage as u32);
+        assert_eq!(token.is_some(), link.is_some(), "stage {stage}: {op:?} needs {link:?}");
+        let input = match token {
+            Some(Token::End) => {
+                self.end = op.micro;
+                self.advance(recorder);
+                return self.plan.feeds(stage, &op).map(|link| (link, Token::End));
             }
-        }
+            Some(Token::Micro(id, payload)) => {
+                assert_eq!(id, op.micro, "stage {stage}: {link:?} token out of order");
+                payload
+            }
+            None => None,
+        };
         if op.acquires {
             ledger.acquire(stage);
         }
@@ -142,21 +160,103 @@ pub fn run_stage<W: StageWork, R: Recorder, L: StageLinks<W::Payload>>(
             StageOpKind::Bkwd => (SpanKind::Backward, SpanKind::QueueWaitBkwd),
         };
         let t0 = recorder.now_us();
-        if let Some(since) = waited_since {
-            recorder.record_span(wait_span, track, track, NO_MICROBATCH, since, t0);
+        if link.is_some() {
+            recorder.record_span(wait_span, track, track, NO_MICROBATCH, self.idle_since, t0);
         }
         let out = work.run(&op, input);
         let (micro, trace) = (op.micro as u32, op.micro as u64 + 1);
         recorder.record_span_traced(span, track, track, micro, trace, t0, recorder.now_us());
         if op.kind == StageOpKind::Bkwd {
             ledger.release(stage);
-            finished += 1;
+            self.finished += 1;
         }
-        if let Some(link) = plan.feeds(stage, &op) {
-            links.send(link, Token::Micro(op.micro, Some(out)))?;
+        self.advance(recorder);
+        self.plan.feeds(stage, &op).map(|link| (link, Token::Micro(op.micro, Some(out))))
+    }
+
+    /// Moves to the next op the stream still reaches; the stage goes idle.
+    fn advance<R: Recorder>(&mut self, recorder: &R) {
+        let live = self.finished < self.end;
+        self.next = live.then(|| self.row.find(|op| op.micro < self.end)).flatten();
+        self.idle_since = recorder.now_us();
+    }
+}
+
+/// Steps one `StageCursor` until the end of its stream, blocking on
+/// its links: what [`with_pipeline`]'s threads and the comms crate's
+/// token worker run.
+pub fn run_stage<W: StageWork, R: Recorder, L: StageLinks<W::Payload>>(
+    plan: &OpenPlan,
+    stage: usize,
+    work: &mut W,
+    recorder: &R,
+    ledger: &ActivationLedger,
+    links: &mut L,
+) -> Result<(), L::Error> {
+    let mut cursor = StageCursor::new(plan, stage, recorder);
+    while let Some((op, link)) = cursor.needs() {
+        let token = link.map(|link| links.recv(link, &op)).transpose()?;
+        if let Some((link, token)) = cursor.step(token, work, recorder, ledger) {
+            links.send(link, token)?;
         }
     }
-    unreachable!("a row has no end")
+    Ok(())
+}
+
+/// Why [`walk`] stopped early: each stage's next op (`None`: finished).
+#[derive(Debug)]
+pub struct Stall(pub Vec<Option<StageOp>>);
+
+/// Steps every stage's `StageCursor` on the calling thread, over local
+/// per-link queues, under [`with_pipeline`]'s driver: `calls` minibatch
+/// calls, call `j` returning once minibatch `j − lag` has completed, then
+/// the end of the stream. Each pass steps every stage whose token is
+/// there, in stage order; only the stages record spans. At
+/// [`OpenPlan::lag`] it never stalls, and one less stalls as soon as a
+/// call has to wait. Panics if `work` or the ledger has another stage count.
+pub fn walk<W: StageWork, R: Recorder>(
+    open: &OpenPlan,
+    lag: usize,
+    calls: usize,
+    work: &mut [W],
+    recorder: &R,
+    ledger: &ActivationLedger,
+) -> Result<(), Stall> {
+    let (stages, n) = (open.stages(), open.n_micro());
+    assert!(work.len() == stages && ledger.peaks().len() == stages, "sized for {stages} stages");
+    let mut cursors: Vec<_> = (0..stages).map(|s| StageCursor::new(open, s, recorder)).collect();
+    let mut queues: Vec<[VecDeque<_>; Link::ALL.len()]> =
+        (0..stages).map(|_| Default::default()).collect();
+    let (mut call, mut completed) = (0, 0);
+    loop {
+        // Call `call` starts once call `call − 1` has returned; the one
+        // after the last ends the stream.
+        let mut progressed = call <= calls && completed >= call.saturating_sub(lag) * n;
+        if progressed {
+            let inject = &mut queues[0][Link::Fwd as usize];
+            inject.extend((call * n..(call + 1).min(calls) * n).map(|id| Token::Micro(id, None)));
+            inject.extend((call == calls).then_some(Token::End));
+            call += 1;
+        }
+        for (s, (cursor, work)) in cursors.iter_mut().zip(work.iter_mut()).enumerate() {
+            let Some((_, link)) = cursor.needs() else { continue };
+            let token = link.map(|link| queues[s][link as usize].pop_front());
+            if matches!(token, Some(None)) {
+                continue;
+            }
+            progressed = true;
+            if let Some((link, token)) = cursor.step(token.flatten(), work, recorder, ledger) {
+                match link.target(s, stages) {
+                    Some(to) => queues[to][link as usize].push_back(token),
+                    None => completed += 1, // a backward left stage 0
+                }
+            }
+        }
+        if !progressed {
+            let next: Vec<_> = cursors.iter().map(|c| c.needs().map(|(op, _)| op)).collect();
+            return if next.iter().all(Option::is_none) { Ok(()) } else { Err(Stall(next)) };
+        }
+    }
 }
 
 /// A stage thread's links: its own receivers and its neighbours' senders,
@@ -170,12 +270,8 @@ struct Channels<P> {
 impl<P> StageLinks<P> for Channels<P> {
     type Error = Infallible;
 
-    fn recv(&mut self, link: Link, op: &StageOp) -> Result<Token<P>, Infallible> {
-        let token = self.rx[link as usize].recv().expect("neighbour stage alive");
-        if let Token::Micro(id, _) = token {
-            assert_eq!(id, op.micro, "{link:?} token out of order");
-        }
-        Ok(token)
+    fn recv(&mut self, link: Link, _op: &StageOp) -> Result<Token<P>, Infallible> {
+        Ok(self.rx[link as usize].recv().expect("neighbour stage alive"))
     }
 
     fn send(&mut self, link: Link, token: Token<P>) -> Result<(), Infallible> {

@@ -44,8 +44,8 @@ pub use cost::{
 };
 pub use delay::{Method, PipelineClock};
 pub use executor::{
-    run_pipeline, run_stage, with_pipeline, Pipe, PipelineReport, Sleep, StageLinks, StageWork,
-    Token,
+    run_pipeline, run_stage, walk, with_pipeline, Pipe, PipelineReport, Sleep, StageLinks,
+    StageWork, Stall, Token,
 };
 pub use history::WeightHistory;
 pub use hogwild::HogwildDelays;

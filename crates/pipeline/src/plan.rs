@@ -8,14 +8,14 @@
 //! form, the paper's microbatch clock. A [`PipelinePlan`] is the same
 //! rows cut to a run of `M` minibatches and numbered in unit-time slots —
 //! the grid Figure 1 draws ([`PipelinePlan::render`]) and whose idle
-//! cells are Table 1's bubbles. Whoever runs a stage — a thread of
-//! [`crate::executor::with_pipeline`] or a token worker of the comms
-//! crate on the far side of a socket — walks its row
-//! ([`crate::executor::run_stage`]), blocks on the token the next op
-//! [`OpenPlan::needs`], and announces the op on the link it
-//! [`OpenPlan::feeds`]. Every dependency of an op sits in an earlier
-//! clock slot, so walking the rows cannot deadlock however the stages are
-//! interleaved.
+//! cells are Table 1's bubbles. A stage's row is walked one op at a time
+//! by the executor's one stage step (`StageCursor`), whoever drives it — a thread of
+//! [`crate::executor::with_pipeline`], a token worker of the comms crate
+//! on the far side of a socket, or [`crate::executor::walk`] on one
+//! thread: each op waits for the token it [`OpenPlan::needs`] and
+//! announces itself on the link it [`OpenPlan::feeds`]. Every dependency
+//! of an op sits in an earlier clock slot, so walking the rows cannot
+//! deadlock however the stages are interleaved.
 //!
 //! Every op also names the weight version it reads ([`StageOp::reads`]).
 //! A stage reproduces it by applying finished updates lazily, and a
@@ -356,11 +356,6 @@ impl PipelinePlan {
     pub fn needs(&self, stage: usize, op: &StageOp) -> Option<Link> {
         self.open.needs(stage, op)
     }
-
-    /// The link `op` announces itself on from `stage` ([`OpenPlan::feeds`]).
-    pub fn feeds(&self, stage: usize, op: &StageOp) -> Option<Link> {
-        self.open.feeds(stage, op)
-    }
 }
 
 #[cfg(test)]
@@ -418,9 +413,9 @@ mod tests {
             *plan.timeline(s).iter().find(|op| op.kind == StageOpKind::Recomp).expect("replays")
         };
         assert_eq!(plan.needs(0, &replay(0)), None);
-        assert_eq!(plan.feeds(0, &replay(0)), Some(Link::Replay));
+        assert_eq!(plan.open().feeds(0, &replay(0)), Some(Link::Replay));
         assert_eq!(plan.needs(1, &replay(1)), Some(Link::Replay));
-        assert_eq!(plan.feeds(1, &replay(1)), None);
+        assert_eq!(plan.open().feeds(1, &replay(1)), None);
         assert_eq!(plan.recompute_ops(), 2 * 4);
     }
     /// The unit slot of microbatch `m`'s `kind` op at `stage`.

@@ -33,12 +33,15 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use pipemare_telemetry::{Gauge, MetricsRegistry};
+use pipemare_telemetry::{Gauge, MetricsRegistry, NullRecorder};
 use pipemare_tensor::StoragePrecision;
 
 use crate::cost::ActivationModel;
-use crate::plan::PipelinePlan;
+use crate::delay::Method;
+use crate::executor::{walk, Sleep};
+use crate::plan::OpenPlan;
 
 /// How the executor manages activation memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -245,25 +248,18 @@ impl ActivationLedger {
     }
 }
 
-/// Walks each stage's row of the [`PipelinePlan::for_recompute`] plan
-/// of `total` microbatches in order and returns the per-stage peak
-/// activation counts — the analytical cross-check the threaded executor
-/// is validated against (both must equal
-/// [`RecomputePolicy::expected_peaks`] once `total ≥ 2P−1` fills the
-/// steady state). A stage's counters move only with its own row's ops.
+/// The per-stage peak activation counts of the
+/// [`crate::PipelinePlan::for_recompute`] plan of `total` microbatches,
+/// walked ([`crate::walk`]) at no cost per op — the analytical
+/// cross-check the threaded executor is validated against (both must
+/// equal [`RecomputePolicy::expected_peaks`] once `total ≥ 2P−1` fills
+/// the steady state).
 pub fn simulate_peaks(policy: RecomputePolicy, p: usize, total: usize) -> Vec<usize> {
-    let plan = PipelinePlan::for_recompute(policy, p, total, 1);
-    let ledger = ActivationLedger::new(p, 1);
-    for s in 0..p {
-        for op in plan.timeline(s) {
-            if op.acquires {
-                ledger.acquire(s);
-            }
-            if op.kind == StageOpKind::Bkwd {
-                ledger.release(s);
-            }
-        }
-    }
+    let (open, ledger) =
+        (OpenPlan::new(Method::PipeMare, policy, p, total), ActivationLedger::new(p, 1));
+    let mut work = vec![Sleep(Duration::ZERO); p];
+    walk(&open, open.lag(), 1, &mut work, &NullRecorder, &ledger)
+        .expect("a plan's lag never stalls");
     ledger.peaks()
 }
 

@@ -1,50 +1,29 @@
 //! Property tests over the recompute memory model and its runtime
 //! realization.
 
-use std::collections::VecDeque;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use pipemare_pipeline::{
-    simulate_peaks, ActivationModel, Link, Method, PipelinePlan, RecomputePolicy, StageOpKind,
+    simulate_peaks, walk, ActivationLedger, ActivationModel, Method, PipelinePlan, RecomputePolicy,
+    Sleep, StageOpKind,
 };
+use pipemare_telemetry::{TraceRecorder, NO_MICROBATCH};
 
-/// Executes `plan` without threads: the driver injects as
-/// `run_pipeline`'s lagged calls do — minibatch j + 1 once minibatch
-/// j − d has completed, `d` the plan's lag — and any stage whose next op
-/// has its token runs it. Returns how many ops each stage got through.
+/// Executes `plan` without threads through the library's walk under the
+/// lagged driver `run_pipeline`'s calls are — minibatch j + 1 once
+/// minibatch j − d has completed, `d` the plan's lag — and returns how
+/// many ops each stage got through, counted by their spans.
 fn dry_run(plan: &PipelinePlan) -> Vec<usize> {
-    let (p, total) = (plan.stages(), plan.total());
-    let (n, d) = (plan.open().n_micro(), plan.open().lag());
-    let mut waiting: Vec<[VecDeque<usize>; 3]> = (0..p).map(|_| Default::default()).collect();
-    let mut next = vec![0usize; p];
-    let (mut injected, mut completed) = (0usize, 0usize);
-    loop {
-        let gate = (completed / n + d + 1) * n;
-        let mut progressed = injected < total.min(gate);
-        waiting[0][Link::Fwd as usize].extend(injected..total.min(gate));
-        injected = injected.max(total.min(gate));
-        for s in 0..p {
-            let Some(op) = plan.timeline(s).get(next[s]) else { continue };
-            if let Some(link) = plan.needs(s, op) {
-                match waiting[s][link as usize].front() {
-                    None => continue,
-                    Some(&id) => assert_eq!(id, op.micro, "stage {s}: {link:?} out of order"),
-                }
-                waiting[s][link as usize].pop_front();
-            }
-            next[s] += 1;
-            progressed = true;
-            match plan.feeds(s, op).map(|link| (link, link.target(s, p))) {
-                Some((link, Some(to))) => waiting[to][link as usize].push_back(op.micro),
-                Some((_, None)) => completed += 1,
-                None => {}
-            }
-        }
-        if !progressed {
-            return next;
-        }
-    }
+    let (open, p, recorder) = (plan.open(), plan.stages(), TraceRecorder::new());
+    let (calls, mut work) = (plan.total() / open.n_micro(), vec![Sleep(Duration::ZERO); p]);
+    let _ = walk(open, open.lag(), calls, &mut work, &recorder, &ActivationLedger::new(p, 1));
+    let ops = recorder.events().into_iter().filter(|e| e.microbatch != NO_MICROBATCH);
+    ops.fold(vec![0; p], |mut done, e| {
+        done[e.stage as usize] += 1;
+        done
+    })
 }
 
 proptest! {

@@ -27,6 +27,7 @@
 //! the default alert rules over each journal's history, printing every
 //! fire/resolve transition hysteresis would have produced live.
 
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -130,15 +131,23 @@ fn main() -> ExitCode {
         Some("query") => query(args),
         _ => Err(USAGE.to_string()),
     };
-    match result {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
+    match result.and_then(|out| emit(&out)) {
+        Ok(_) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Writes `out` to stdout; `false` once the reader has gone away (`pm …
+/// | head`), which ends the output quietly.
+fn emit(out: &str) -> Result<bool, String> {
+    let mut stdout = io::stdout().lock();
+    match stdout.write_all(out.as_bytes()).and_then(|()| stdout.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("pm: stdout: {e}")),
     }
 }
 
@@ -290,9 +299,9 @@ fn top(mut args: Args) -> Result<String, String> {
     loop {
         let frame = render_round(&opts)?;
         // Clear the screen and home the cursor between frames.
-        print!("\x1b[2J\x1b[H{frame}");
-        use std::io::Write;
-        let _ = std::io::stdout().flush();
+        if !emit(&format!("\x1b[2J\x1b[H{frame}"))? {
+            return Ok(String::new());
+        }
         std::thread::sleep(watch);
     }
 }

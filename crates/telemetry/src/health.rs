@@ -997,7 +997,7 @@ impl RunReport {
             }
         }
         if !self.black_boxes.is_empty() {
-            out.push_str("\nblack-box dumps (inspect with `pmtrace summary <path>`):\n");
+            out.push_str("\nblack-box dumps (inspect with `pm trace summary <path>`):\n");
             for (step, path) in &self.black_boxes {
                 out.push_str(&format!("  step {step} -> {path}\n"));
             }

@@ -1,7 +1,8 @@
 //! End-to-end tests of `pm trace`: real process, real files.
 
+use std::io::Read;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use pipemare_telemetry::{write_jsonl, SpanKind, TraceEvent, NO_MICROBATCH};
 
@@ -122,4 +123,31 @@ fn bad_usage_and_missing_files_fail_cleanly() {
         assert!(!out.status.success(), "--watch {watch}: {out:?}");
         assert!(String::from_utf8(out.stderr).unwrap().contains("--watch"), "{watch}");
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    // One trace through 20 000 spans: a path listing far larger than a
+    // 64 KiB pipe buffer, so `pm` is still writing when its reader leaves.
+    let dir = temp_dir("closed_stdout");
+    let jsonl = dir.join("run.jsonl");
+    let events: Vec<_> = (0..20_000)
+        .map(|i| TraceEvent { trace: 1, ..span(SpanKind::Forward, i % 4, i, u64::from(i), 1) })
+        .collect();
+    write_jsonl(&events, &jsonl).unwrap();
+    let mut child = pmtrace()
+        .arg("path")
+        .arg(&jsonl)
+        .arg("1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let mut stderr = String::new();
+    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    let status = child.wait().unwrap();
+    assert!(status.success(), "{status:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -26,15 +26,27 @@ use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use crossbeam_channel::{bounded, Sender};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// One lane's share of a [`ThreadPool::parallel_for`]: chunks `lane`,
+/// `lane + lanes`, … of `task`, reported to `sync`. Sent by value, so a
+/// loop allocates nothing that a worker could free after its caller has
+/// moved on.
+struct Job {
+    task: TaskPtr,
+    lane: usize,
+    lanes: usize,
+    chunks: usize,
+    sync: Arc<LaneSync>,
+}
 
 /// A fixed-size pool of worker threads executing deterministic
 /// chunk-striped parallel loops.
 pub struct ThreadPool {
     threads: usize,
-    sender: Option<Sender<Job>>,
+    /// Worker `k` runs lane `k + 1` of every loop, so each lane's
+    /// per-thread scratch grows on one thread only.
+    senders: Vec<Sender<Job>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -44,6 +56,9 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
     /// Depth of [`serial_scope`] nesting on this thread.
     static SERIAL_DEPTH: Cell<usize> = const { Cell::new(0) };
+    /// The latch this thread's `parallel_for` calls wait on, reused so a
+    /// call allocates nothing.
+    static LANES: Arc<LaneSync> = Arc::default();
     /// Per-thread pool override installed by [`with_pool`].
     static ACTIVE_POOL: RefCell<Option<Arc<ThreadPool>>> = const { RefCell::new(None) };
     /// Per-thread GEMM packing scratch for A panels: allocated once per
@@ -102,22 +117,26 @@ impl ThreadPool {
     /// Panics if `threads` is zero.
     pub fn new(threads: usize) -> Arc<ThreadPool> {
         assert!(threads > 0, "thread pool needs at least one thread");
-        let (sender, receiver): (Sender<Job>, Receiver<Job>) = unbounded();
-        let handles = (1..threads)
+        let (senders, handles) = (1..threads)
             .map(|i| {
-                let rx = receiver.clone();
-                std::thread::Builder::new()
+                let (sender, receiver) = bounded::<Job>(1);
+                let handle = std::thread::Builder::new()
                     .name(format!("pipemare-kernel-{i}"))
                     .spawn(move || {
                         IN_WORKER.with(|w| w.set(true));
-                        while let Ok(job) = rx.recv() {
-                            job();
+                        while let Ok(Job { task, lane, lanes, chunks, sync }) = receiver.recv() {
+                            let result = catch_unwind(AssertUnwindSafe(|| {
+                                // SAFETY: see `parallel_for`.
+                                stride(unsafe { &*task.get() }, lane, lanes, chunks)
+                            }));
+                            sync.finish(result.err());
                         }
                     })
-                    .expect("spawn pool worker")
+                    .expect("spawn pool worker");
+                (sender, handle)
             })
-            .collect();
-        Arc::new(ThreadPool { threads, sender: Some(sender), handles })
+            .unzip();
+        Arc::new(ThreadPool { threads, senders, handles })
     }
 
     /// Total concurrency of the pool (workers + the calling thread).
@@ -148,7 +167,8 @@ impl ThreadPool {
             }
             return;
         }
-        let sync = Arc::new(LaneSync::new(lanes - 1));
+        let sync = LANES.with(Arc::clone);
+        sync.reset(lanes - 1);
         // SAFETY: `f` outlives every job because this function blocks on
         // `sync.wait()` (even when the caller's own lane panics) before
         // returning, and `F: Sync` makes shared calls across threads
@@ -161,33 +181,14 @@ impl ThreadPool {
                 *const (dyn Fn(usize) + Sync + 'static),
             >(local)
         });
-        let sender = self.sender.as_ref().expect("pool sender alive");
-        for lane in 1..lanes {
-            let sync = Arc::clone(&sync);
-            let job: Job = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let f = unsafe { &*task.get() };
-                    let mut i = lane;
-                    while i < chunks {
-                        f(i);
-                        i += lanes;
-                    }
-                }));
-                sync.finish(result.err());
-            });
+        for (lane, sender) in (1..lanes).zip(&self.senders) {
+            let job = Job { task, lane, lanes, chunks, sync: Arc::clone(&sync) };
             sender.send(job).expect("pool workers alive");
         }
         // The calling thread is lane 0; nested parallel loops inside its
         // chunks run serially just as they would on a worker.
-        let caller = catch_unwind(AssertUnwindSafe(|| {
-            serial_scope(|| {
-                let mut i = 0;
-                while i < chunks {
-                    f(i);
-                    i += lanes;
-                }
-            })
-        }));
+        let caller =
+            catch_unwind(AssertUnwindSafe(|| serial_scope(|| stride(&f, 0, lanes, chunks))));
         let worker_panic = sync.wait();
         if let Err(payload) = caller {
             resume_unwind(payload);
@@ -200,7 +201,7 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        drop(self.sender.take());
+        self.senders.clear();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -229,15 +230,22 @@ impl TaskPtr {
 
 unsafe impl Send for TaskPtr {}
 
+/// Runs chunks `lane`, `lane + lanes`, … below `chunks` of `f`.
+fn stride(f: &(dyn Fn(usize) + Sync), lane: usize, lanes: usize, chunks: usize) {
+    (lane..chunks).step_by(lanes).for_each(f);
+}
+
 /// Countdown latch that also carries the first worker panic payload.
+#[derive(Default)]
 struct LaneSync {
     state: Mutex<(usize, Option<Box<dyn std::any::Any + Send>>)>,
     done: Condvar,
 }
 
 impl LaneSync {
-    fn new(remaining: usize) -> Self {
-        LaneSync { state: Mutex::new((remaining, None)), done: Condvar::new() }
+    /// Arms the latch for `remaining` lanes.
+    fn reset(&self, remaining: usize) {
+        *self.state.lock().unwrap() = (remaining, None);
     }
 
     fn finish(&self, panic: Option<Box<dyn std::any::Any + Send>>) {

@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
 # One pipeline executor, kept by a grep. A run is described by an
-# `OpenPlan` (one lazy op row per stage) and executed by one stage loop,
-# `run_stage`, with two callers: `with_pipeline`'s threads in
-# crates/pipeline (`run_pipeline` is its M-call case) and the token worker
-# in crates/comms over the wire.
+# `OpenPlan` (one lazy op row per stage) and executed one op at a time by
+# one stage step, `StageCursor::step`, with two drivers in
+# crates/pipeline: `run_stage`, which blocks on one stage's links and has
+# two callers (`with_pipeline`'s threads, `run_pipeline` being its M-call
+# case, and the token worker in crates/comms over the wire), and `walk`,
+# which steps every stage on the calling thread (the cursor is
+# crate-private, so no other crate can drive it). Only the plan and the
+# executor call `.feeds(`: a private token walk anywhere else (a test
+# copying the loop) would have to, and from then on only tests would hold
+# it in step with the real one.
 # What an op does is a `StageWork` value, and the sleep is one of them:
 # `Sleep`. A second `thread::scope(` in crates/pipeline is a second
 # executor; a sleep outside `impl StageWork for Sleep`, a second library
@@ -73,6 +79,13 @@ expect 0 'work_per_stage in crates/pipeline' \
 expect 1 'stage loop definitions (fn run_stage)' "$(sites 'fn run_stage<' '' crates/*/src)"
 expect 2 'run_stage( callers (the stage threads and the token worker)' \
   "$(sites 'run_stage(' '' crates/*/src)"
+expect 1 'stage cursor types (struct StageCursor)' "$(sites 'struct StageCursor' '' crates/*/src)"
+expect 1 'stage steps (fn step) in crates/pipeline' "$(sites 'fn step<' '' crates/pipeline/src)"
+expect 2 '.step( callers in crates/pipeline (run_stage and walk)' \
+  "$(sites '.step(' '' crates/pipeline/src)"
+expect 0 '.feeds( outside crates/pipeline/src/{plan,executor}.rs' "$(grep -rn '\.feeds(' . \
+  --include='*.rs' --exclude-dir=target --exclude-dir=vendor --exclude-dir=.git |
+  grep -v '^\./crates/pipeline/src/\(plan\|executor\)\.rs:' || true)"
 expect 0 'select! in crates/pipeline' "$(grep -rn 'select!' crates/pipeline --include='*.rs' || true)"
 retired='run_(threaded|recompute)_pipeline|Stage(Flow|Event)|Fwd(Outcome)|(Threaded|Recompute)PipelineReport|Slot(Op)|Schedule::(simulate)|run_stage_(op)|flush_(every)|MAX_PLAN_(CELLS)'
 expect 0 'retired executor and simulator names' "$(grep -rnE "$retired" . \

@@ -1,4 +1,4 @@
-//! Shared by the threaded executor tests: a run that deadlocks fails
+//! Shared by the threaded tests: a case that deadlocks fails
 //! within seconds, naming its case, instead of hanging the test binary.
 
 use std::sync::mpsc::{self, RecvTimeoutError};

@@ -88,7 +88,7 @@ fn induced_divergence_dumps_black_box_that_pmtrace_summarizes() {
     assert_eq!(report.black_boxes.len(), 1);
     let (step, path) = report.black_boxes[0].clone();
     assert_eq!(dumps[0].step, step);
-    assert!(report.to_text().contains("pmtrace summary"), "{}", report.to_text());
+    assert!(report.to_text().contains("pm trace summary"), "{}", report.to_text());
 
     // The dump reads back and summarizes: per-stage rows with
     // utilization, the wait breakdown, and the measured-vs-nominal τ

@@ -6,13 +6,12 @@
 //! stage back, and `K` threaded calls must run every stage's ops exactly
 //! as one `run_pipeline` of the `K`-minibatch plan does.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pipemare::pipeline::{
-    run_pipeline, with_pipeline, ActivationLedger, Link, Method, OpenPlan, PipelinePlan,
-    RecomputePolicy, StageOp, StageOpKind, StageWork,
+    run_pipeline, walk, with_pipeline, ActivationLedger, Method, OpenPlan, PipelinePlan,
+    RecomputePolicy, StageOp, StageOpKind, StageWork, Stall,
 };
 use pipemare::telemetry::NullRecorder;
 
@@ -49,73 +48,25 @@ fn content(ops: &[StageOp]) -> Vec<(StageOpKind, usize, bool, usize)> {
     ops.iter().map(|op| (op.kind, op.micro, op.acquires, op.reads)).collect()
 }
 
-/// Walks `open`'s lazy rows without threads, as `with_pipeline`'s stages
-/// do under `calls` `minibatch()` calls of a driver that waits `lag`
-/// minibatches behind the one it injected, then ends the stream: any
-/// stage whose next op has its token runs it. Returns each stage's ops,
-/// or `None` if the walk stalls before every stage has finished.
-fn walk(open: &OpenPlan, calls: usize, lag: usize) -> Option<Vec<Vec<StageOp>>> {
-    let (p, n) = (open.stages(), open.n_micro());
-    let mut rows: Vec<_> = (0..p).map(|s| open.row(s).peekable()).collect();
-    // Tokens waiting at each stage per link; `None` ends the stream.
-    let mut waiting: Vec<[VecDeque<Option<usize>>; 3]> = vec![Default::default(); p];
-    let mut ran = vec![Vec::new(); p];
-    let (mut end, mut finished) = (vec![None; p], vec![0; p]);
-    let (mut call, mut completed, mut ended) = (0usize, 0, false);
-    loop {
-        let mut progressed = false;
-        // Call `call` starts once call `call − 1` has returned, which it
-        // does once minibatch `call − 1 − lag` has completed.
-        let returned = completed >= call.saturating_sub(lag) * n;
-        if returned && call < calls {
-            waiting[0][Link::Fwd as usize].extend((call * n..(call + 1) * n).map(Some));
-            (call, progressed) = (call + 1, true);
-        } else if returned && !ended {
-            waiting[0][Link::Fwd as usize].push_back(None);
-            (ended, progressed) = (true, true);
-        }
-        for s in 0..p {
-            if end[s].is_some_and(|e| finished[s] == e) {
-                continue;
-            }
-            let op = *rows[s].peek().expect("a row has no end");
-            if end[s].is_some_and(|e| op.micro >= e) {
-                rows[s].next();
-                progressed = true;
-                continue;
-            }
-            if let Some(link) = open.needs(s, &op) {
-                match waiting[s][link as usize].pop_front() {
-                    None => continue,
-                    Some(None) => {
-                        end[s] = Some(calls * n);
-                        if s + 1 < p {
-                            waiting[s + 1][Link::Fwd as usize].push_back(None);
-                        }
-                        rows[s].next();
-                        progressed = true;
-                        continue;
-                    }
-                    Some(Some(id)) => assert_eq!(id, op.micro, "stage {s}: {link:?} out of order"),
-                }
-            }
-            rows[s].next();
-            ran[s].push(op);
-            finished[s] += usize::from(op.kind == StageOpKind::Bkwd);
-            progressed = true;
-            match open.feeds(s, &op).map(|link| (link, link.target(s, p))) {
-                Some((link, Some(to))) => waiting[to][link as usize].push_back(Some(op.micro)),
-                Some((_, None)) => completed += 1,
-                None => {}
-            }
-        }
-        if (0..p).all(|s| end[s].is_some_and(|e| finished[s] == e)) {
-            return Some(ran);
-        }
-        if !progressed {
-            return None;
-        }
+/// Logs every op a stage runs.
+struct Ops(Vec<StageOp>);
+
+impl StageWork for Ops {
+    type Payload = ();
+
+    fn run(&mut self, op: &StageOp, _input: Option<()>) {
+        self.0.push(*op);
     }
+}
+
+/// Each stage's ops under the library's thread-free walk of `calls`
+/// `minibatch()` calls of a driver that waits `lag` minibatches behind
+/// the one it injected.
+fn walk_ops(open: &OpenPlan, calls: usize, lag: usize) -> Result<Vec<Vec<StageOp>>, Stall> {
+    let mut ops: Vec<_> = (0..open.stages()).map(|_| Ops(Vec::new())).collect();
+    let ledger = ActivationLedger::new(open.stages(), 1);
+    walk(open, lag, calls, &mut ops, &NullRecorder, &ledger)?;
+    Ok(ops.into_iter().map(|ops| ops.0).collect())
 }
 
 #[test]
@@ -130,8 +81,8 @@ fn lazy_rows_cut_to_k_minibatches_are_the_plan_and_the_lag_is_tight() {
                 for k in 1..=4 {
                     let plan = cut(k);
                     assert_eq!(plan.open(), &open, "{name} P={p} N={n} K={k}");
-                    let walked = walk(&open, k, d)
-                        .unwrap_or_else(|| panic!("{name} P={p} N={n} K={k}: lag {d} stalls"));
+                    let walked = walk_ops(&open, k, d)
+                        .unwrap_or_else(|_| panic!("{name} P={p} N={n} K={k}: lag {d} stalls"));
                     for (s, walked) in walked.iter().enumerate() {
                         let want = content(plan.timeline(s));
                         let lazy: Vec<_> =
@@ -143,7 +94,7 @@ fn lazy_rows_cut_to_k_minibatches_are_the_plan_and_the_lag_is_tight() {
                     // One minibatch less of lag stalls as soon as a call
                     // has to wait at all.
                     if d > 0 {
-                        let stalls = walk(&open, k, d - 1).is_none();
+                        let stalls = walk_ops(&open, k, d - 1).is_err();
                         assert_eq!(stalls, k >= d, "{name} P={p} N={n} K={k}: lag {}", d - 1);
                     }
                 }

@@ -16,6 +16,9 @@ use pipemare::nn::{Mlp, TrainModel};
 use pipemare::serve::{InferClient, ServeConfig, Server};
 use pipemare::tensor::Tensor;
 
+mod common;
+use common::within;
+
 const IN: usize = 6;
 
 fn model_and_params() -> (Arc<Mlp>, Vec<f32>) {
@@ -34,22 +37,24 @@ fn client(server: &Server) -> InferClient {
 
 #[test]
 fn a_lone_request_is_not_held_for_the_deadline() {
-    let (model, params) = model_and_params();
-    // A batcher that waited out this window would need 20 × 250 ms.
-    let cfg = ServeConfig { deadline: Duration::from_millis(250), ..ServeConfig::default() };
-    let (server, _recorder) =
-        serve_checkpoint(Arc::clone(&model), params.clone(), cfg).expect("server starts");
-    let mut client = client(&server);
-    let mut rng = StdRng::seed_from_u64(1);
-    let t0 = Instant::now();
-    for _ in 0..20 {
-        let x = Tensor::randn(&[1, IN], &mut rng);
-        assert_eq!(client.infer(&x).expect("served"), model.logits(&params, &x));
-    }
-    let took = t0.elapsed();
-    assert!(took < Duration::from_secs(2), "20 sequential requests took {took:?}");
-    let stats = server.shutdown();
-    assert_eq!(stats.batch_rows, vec![1; 20], "each sequential request is its own batch");
+    within("a_lone_request_is_not_held_for_the_deadline", || {
+        let (model, params) = model_and_params();
+        // A batcher that waited out this window would need 20 × 250 ms.
+        let cfg = ServeConfig { deadline: Duration::from_millis(250), ..ServeConfig::default() };
+        let (server, _recorder) =
+            serve_checkpoint(Arc::clone(&model), params.clone(), cfg).expect("server starts");
+        let mut client = client(&server);
+        let mut rng = StdRng::seed_from_u64(1);
+        let t0 = Instant::now();
+        for _ in 0..20 {
+            let x = Tensor::randn(&[1, IN], &mut rng);
+            assert_eq!(client.infer(&x).expect("served"), model.logits(&params, &x));
+        }
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "20 sequential requests took {took:?}");
+        let stats = server.shutdown();
+        assert_eq!(stats.batch_rows, vec![1; 20], "each sequential request is its own batch");
+    });
 }
 
 /// Queues `n` one-row requests while the batcher is paused, resumes it,
@@ -81,6 +86,8 @@ fn drain_backlog(max_batch_rows: u32, n: usize) -> Vec<u32> {
 
 #[test]
 fn a_queued_backlog_leaves_in_batches_up_to_the_cap() {
-    assert_eq!(drain_backlog(16, 5), vec![5]);
-    assert_eq!(drain_backlog(16, 40), vec![16, 16, 8]);
+    within("a_queued_backlog_leaves_in_batches_up_to_the_cap", || {
+        assert_eq!(drain_backlog(16, 5), vec![5]);
+        assert_eq!(drain_backlog(16, 40), vec![16, 16, 8]);
+    });
 }
