@@ -705,10 +705,11 @@ pub fn run_token_pipeline(
     let mut completed = 0usize;
     // `with_pipeline`'s driver: minibatch j + 1 enters once minibatch j − d
     // has left stage 0, and with d = 0 (GPipe) each wait is a flush.
-    let lag = OpenPlan::new(method, RecomputePolicy::StashAll, stages, n_micro).lag();
+    let open = OpenPlan::new(method, RecomputePolicy::StashAll, stages, n_micro);
+    let lag = open.lag();
     let mut flush_start = recorder.now_us();
     while completed < total {
-        while injected < total.min((completed / n_micro + lag + 1) * n_micro) {
+        while injected < total.min(open.inject_bound(completed, lag)) {
             send_to(&mut senders, 0, &Message::Token { backward: false, id: injected as u64 })?;
             recorder.record_instant(SpanKind::Inject, driver_track, 0, injected as u32);
             injected += 1;

@@ -100,7 +100,8 @@ pub(crate) struct StageCursor {
     /// then), and the backwards run — a row runs them in order.
     end: usize,
     finished: usize,
-    /// When the stage went idle, which a token wait is recorded from.
+    /// When the stage began to wait for its next token: a driver stamps
+    /// it, `run_stage` just before it blocks on a link.
     idle_since: u64,
 }
 
@@ -123,7 +124,7 @@ impl StageCursor {
     /// activation buffer from `ledger` where it says so, runs `work`,
     /// releases the buffer after a backward and hands its result on the
     /// link it [`OpenPlan::feeds`]. On the stage's track it records a
-    /// `QueueWaitFwd`/`QueueWaitBkwd` span from when the stage went idle,
+    /// `QueueWaitFwd`/`QueueWaitBkwd` span from `idle_since`,
     /// then the `Forward`/`Recompute`/`Backward` span stamped with the
     /// microbatch's causal trace id (ids are 0-based; trace 0 means
     /// "absent"). The end of the stream is handed on; from then on the
@@ -142,7 +143,7 @@ impl StageCursor {
         let input = match token {
             Some(Token::End) => {
                 self.end = op.micro;
-                self.advance(recorder);
+                self.advance();
                 return self.plan.feeds(stage, &op).map(|link| (link, Token::End));
             }
             Some(Token::Micro(id, payload)) => {
@@ -170,15 +171,14 @@ impl StageCursor {
             ledger.release(stage);
             self.finished += 1;
         }
-        self.advance(recorder);
+        self.advance();
         self.plan.feeds(stage, &op).map(|link| (link, Token::Micro(op.micro, Some(out))))
     }
 
-    /// Moves to the next op the stream still reaches; the stage goes idle.
-    fn advance<R: Recorder>(&mut self, recorder: &R) {
+    /// Moves to the next op the stream still reaches.
+    fn advance(&mut self) {
         let live = self.finished < self.end;
         self.next = live.then(|| self.row.find(|op| op.micro < self.end)).flatten();
-        self.idle_since = recorder.now_us();
     }
 }
 
@@ -195,6 +195,7 @@ pub fn run_stage<W: StageWork, R: Recorder, L: StageLinks<W::Payload>>(
 ) -> Result<(), L::Error> {
     let mut cursor = StageCursor::new(plan, stage, recorder);
     while let Some((op, link)) = cursor.needs() {
+        cursor.idle_since = recorder.now_us();
         let token = link.map(|link| links.recv(link, &op)).transpose()?;
         if let Some((link, token)) = cursor.step(token, work, recorder, ledger) {
             links.send(link, token)?;
@@ -208,12 +209,13 @@ pub fn run_stage<W: StageWork, R: Recorder, L: StageLinks<W::Payload>>(
 pub struct Stall(pub Vec<Option<StageOp>>);
 
 /// Steps every stage's `StageCursor` on the calling thread, over local
-/// per-link queues, under [`with_pipeline`]'s driver: `calls` minibatch
-/// calls, call `j` returning once minibatch `j − lag` has completed, then
-/// the end of the stream. Each pass steps every stage whose token is
-/// there, in stage order; only the stages record spans. At
-/// [`OpenPlan::lag`] it never stalls, and one less stalls as soon as a
-/// call has to wait. Panics if `work` or the ledger has another stage count.
+/// per-link queues, under [`with_pipeline`]'s driver: `calls` minibatches
+/// injected as [`OpenPlan::inject_bound`] allows at `lag`, then the end of
+/// the stream. Each pass steps every stage whose token is there, in stage
+/// order, and a stage waits from when it last stepped; only the stages
+/// record spans. At [`OpenPlan::lag`] it never stalls, and one less
+/// stalls as soon as a call has to wait. Panics if `work` or the ledger
+/// has another stage count.
 pub fn walk<W: StageWork, R: Recorder>(
     open: &OpenPlan,
     lag: usize,
@@ -222,22 +224,19 @@ pub fn walk<W: StageWork, R: Recorder>(
     recorder: &R,
     ledger: &ActivationLedger,
 ) -> Result<(), Stall> {
-    let (stages, n) = (open.stages(), open.n_micro());
+    let (stages, total) = (open.stages(), calls * open.n_micro());
     assert!(work.len() == stages && ledger.peaks().len() == stages, "sized for {stages} stages");
     let mut cursors: Vec<_> = (0..stages).map(|s| StageCursor::new(open, s, recorder)).collect();
     let mut queues: Vec<[VecDeque<_>; Link::ALL.len()]> =
         (0..stages).map(|_| Default::default()).collect();
-    let (mut call, mut completed) = (0, 0);
+    // The end of the stream takes the place of microbatch `total`.
+    let driver = |id| if id < total { Token::Micro(id, None) } else { Token::End };
+    let (mut injected, mut completed) = (0, 0);
     loop {
-        // Call `call` starts once call `call − 1` has returned; the one
-        // after the last ends the stream.
-        let mut progressed = call <= calls && completed >= call.saturating_sub(lag) * n;
-        if progressed {
-            let inject = &mut queues[0][Link::Fwd as usize];
-            inject.extend((call * n..(call + 1).min(calls) * n).map(|id| Token::Micro(id, None)));
-            inject.extend((call == calls).then_some(Token::End));
-            call += 1;
-        }
+        let bound = open.inject_bound(completed, lag).min(total + 1);
+        let mut progressed = injected < bound;
+        queues[0][Link::Fwd as usize].extend((injected..bound).map(driver));
+        injected = bound;
         for (s, (cursor, work)) in cursors.iter_mut().zip(work.iter_mut()).enumerate() {
             let Some((_, link)) = cursor.needs() else { continue };
             let token = link.map(|link| queues[s][link as usize].pop_front());
@@ -245,7 +244,9 @@ pub fn walk<W: StageWork, R: Recorder>(
                 continue;
             }
             progressed = true;
-            if let Some((link, token)) = cursor.step(token.flatten(), work, recorder, ledger) {
+            let sent = cursor.step(token.flatten(), work, recorder, ledger);
+            cursor.idle_since = recorder.now_us();
+            if let Some((link, token)) = sent {
                 match link.target(s, stages) {
                     Some(to) => queues[to][link as usize].push_back(token),
                     None => completed += 1, // a backward left stage 0
@@ -295,9 +296,9 @@ impl<P, R: Recorder> Pipe<'_, P, R> {
     /// Injects minibatch `j`'s `N` microbatches, each with an `Inject`
     /// instant on the driver's track, and returns once minibatch `j − d`'s
     /// last backward has left stage 0 (`d` the plan's [`OpenPlan::lag`]):
-    /// the minibatch whose update has now landed. When `d` is 0 (GPipe)
-    /// that wait is the flush and is recorded as a `Flush` span; otherwise
-    /// it never holds a stage back.
+    /// the minibatch whose update has now landed ([`OpenPlan::inject_bound`]).
+    /// When `d` is 0 (GPipe) that wait is the flush and is recorded as a
+    /// `Flush` span; otherwise it never holds a stage back.
     pub fn minibatch(&mut self) {
         let (n_micro, lag) = (self.plan.n_micro(), self.plan.lag());
         for id in self.injected..self.injected + n_micro {
@@ -305,14 +306,14 @@ impl<P, R: Recorder> Pipe<'_, P, R> {
             self.recorder.record_instant(SpanKind::Inject, self.plan.stages() as u32, 0, id as u32);
         }
         self.injected += n_micro;
-        self.drain(self.injected.saturating_sub(lag * n_micro), lag == 0);
+        self.drain(lag == 0, |pipe| pipe.injected < pipe.plan.inject_bound(pipe.completed, lag));
     }
 
-    /// Waits until `upto` microbatches have completed; records the wait
-    /// as a `Flush` span when it is one.
-    fn drain(&mut self, upto: usize, flush: bool) {
+    /// Waits for completed microbatches until `done`; records the wait as
+    /// a `Flush` span when it is one.
+    fn drain(&mut self, flush: bool, done: impl Fn(&Self) -> bool) {
         let since = self.recorder.now_us();
-        while self.completed < upto {
+        while !done(self) {
             self.done.recv().expect("pipeline alive");
             self.completed += 1;
         }
@@ -378,7 +379,7 @@ pub fn with_pipeline<W: StageWork, R: Recorder, T>(
         let mut pipe = Pipe { inject, done, recorder, plan, injected: 0, completed: 0 };
         let out = f(&mut pipe);
         pipe.inject.send(Token::End).expect("pipeline alive");
-        pipe.drain(pipe.injected, true);
+        pipe.drain(true, |pipe| pipe.completed == pipe.injected);
         out
     })
 }

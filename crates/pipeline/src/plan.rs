@@ -173,6 +173,14 @@ impl OpenPlan {
         }
     }
 
+    /// How many tokens a driver keeping `lag` minibatches in flight may
+    /// have injected into stage 0 once `completed` microbatches have left
+    /// it: minibatch `j` goes in once minibatch `j − 1 − lag` has
+    /// completed. The end of the stream counts as the next microbatch.
+    pub fn inject_bound(&self, completed: usize, lag: usize) -> usize {
+        (completed / self.n_micro + lag + 1) * self.n_micro
+    }
+
     /// The link whose next token (always microbatch `op.micro`) `stage`
     /// must receive before it can run `op`; `None` when the stage already
     /// holds the input — the last stage turns its own forward around, and

@@ -44,11 +44,15 @@ struct Job {
 /// chunk-striped parallel loops.
 pub struct ThreadPool {
     threads: usize,
-    /// Worker `k` runs lane `k + 1` of every loop, so each lane's
-    /// per-thread scratch grows on one thread only.
-    senders: Vec<Sender<Job>>,
+    /// The one queue every idle worker takes lanes from.
+    sender: Option<Sender<Job>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
+
+/// Lanes the queue holds: those of 16 loops issued at once. Bounded, so
+/// its buffer is allocated with the pool and never grows inside a loop;
+/// when it is full a caller waits for a slot.
+const QUEUED_LOOPS: usize = 16;
 
 thread_local! {
     /// True on pool worker threads: nested parallel loops degrade to
@@ -117,10 +121,11 @@ impl ThreadPool {
     /// Panics if `threads` is zero.
     pub fn new(threads: usize) -> Arc<ThreadPool> {
         assert!(threads > 0, "thread pool needs at least one thread");
-        let (senders, handles) = (1..threads)
+        let (sender, receiver) = bounded::<Job>(QUEUED_LOOPS * threads);
+        let handles = (1..threads)
             .map(|i| {
-                let (sender, receiver) = bounded::<Job>(1);
-                let handle = std::thread::Builder::new()
+                let receiver = receiver.clone();
+                std::thread::Builder::new()
                     .name(format!("pipemare-kernel-{i}"))
                     .spawn(move || {
                         IN_WORKER.with(|w| w.set(true));
@@ -132,11 +137,10 @@ impl ThreadPool {
                             sync.finish(result.err());
                         }
                     })
-                    .expect("spawn pool worker");
-                (sender, handle)
+                    .expect("spawn pool worker")
             })
-            .unzip();
-        Arc::new(ThreadPool { threads, senders, handles })
+            .collect();
+        Arc::new(ThreadPool { threads, sender: Some(sender), handles })
     }
 
     /// Total concurrency of the pool (workers + the calling thread).
@@ -181,7 +185,8 @@ impl ThreadPool {
                 *const (dyn Fn(usize) + Sync + 'static),
             >(local)
         });
-        for (lane, sender) in (1..lanes).zip(&self.senders) {
+        let sender = self.sender.as_ref().expect("pool sender alive");
+        for lane in 1..lanes {
             let job = Job { task, lane, lanes, chunks, sync: Arc::clone(&sync) };
             sender.send(job).expect("pool workers alive");
         }
@@ -201,7 +206,7 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.senders.clear();
+        drop(self.sender.take());
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -230,8 +235,10 @@ impl TaskPtr {
 
 unsafe impl Send for TaskPtr {}
 
-/// Runs chunks `lane`, `lane + lanes`, … below `chunks` of `f`.
-fn stride(f: &(dyn Fn(usize) + Sync), lane: usize, lanes: usize, chunks: usize) {
+/// Runs chunks `lane`, `lane + lanes`, … below `chunks` of `f` (the
+/// caller's own closure, so its lane stays monomorphized, or a worker's
+/// erased one).
+fn stride<F: Fn(usize) + ?Sized>(f: &F, lane: usize, lanes: usize, chunks: usize) {
     (lane..chunks).step_by(lanes).for_each(f);
 }
 

@@ -9,7 +9,9 @@
 # crate-private, so no other crate can drive it). Only the plan and the
 # executor call `.feeds(`: a private token walk anywhere else (a test
 # copying the loop) would have to, and from then on only tests would hold
-# it in step with the real one.
+# it in step with the real one. Every driver injects by one rule,
+# `OpenPlan::inject_bound`: `Pipe::minibatch`, `walk` and the comms token
+# hub are its three callers.
 # What an op does is a `StageWork` value, and the sleep is one of them:
 # `Sleep`. A second `thread::scope(` in crates/pipeline is a second
 # executor; a sleep outside `impl StageWork for Sleep`, a second library
@@ -86,6 +88,8 @@ expect 2 '.step( callers in crates/pipeline (run_stage and walk)' \
 expect 0 '.feeds( outside crates/pipeline/src/{plan,executor}.rs' "$(grep -rn '\.feeds(' . \
   --include='*.rs' --exclude-dir=target --exclude-dir=vendor --exclude-dir=.git |
   grep -v '^\./crates/pipeline/src/\(plan\|executor\)\.rs:' || true)"
+expect 3 'inject_bound( callers (Pipe::minibatch, walk and the token hub)' \
+  "$(sites 'inject_bound(' 'fn inject_bound' crates/*/src)"
 expect 0 'select! in crates/pipeline' "$(grep -rn 'select!' crates/pipeline --include='*.rs' || true)"
 retired='run_(threaded|recompute)_pipeline|Stage(Flow|Event)|Fwd(Outcome)|(Threaded|Recompute)PipelineReport|Slot(Op)|Schedule::(simulate)|run_stage_(op)|flush_(every)|MAX_PLAN_(CELLS)'
 expect 0 'retired executor and simulator names' "$(grep -rnE "$retired" . \

@@ -12,10 +12,12 @@
 //! allocator, and holds a single test because the allocator's counts are
 //! process-wide.
 
+use std::sync::Barrier;
+
 use rand::SeedableRng;
 
 use pipemare::nn::{ImageBatch, Mlp, TrainModel};
-use pipemare::tensor::{CountingAlloc, Tensor};
+use pipemare::tensor::{pool, CountingAlloc, Tensor};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -31,9 +33,17 @@ fn an_mlp_backward_holds_its_gradient_and_two_activations() {
         x: Tensor::randn(&[rows, 640], &mut rng),
         y: (0..rows).map(|i| i % 10).collect(),
     };
-    // One step first, so every thread's pack scratch has its steady size.
-    let (_, cache) = model.forward_loss(&params, &batch);
-    drop(model.backward(&params, &cache));
+    // Steps first, so every thread's pack scratch has its steady size:
+    // one on each pool thread at once (each waits for all the others, so
+    // no thread takes two lanes), then one across the pool.
+    let step = || drop(model.backward(&params, &model.forward_loss(&params, &batch).1));
+    let pool = pool::active();
+    let all = Barrier::new(pool.threads());
+    pool.parallel_for(pool.threads(), |_| {
+        all.wait();
+        step();
+    });
+    step();
 
     let (_, cache) = model.forward_loss(&params, &batch);
     ALLOC.take_peak();
