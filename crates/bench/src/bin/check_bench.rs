@@ -1,5 +1,5 @@
 //! Bench-regression checker: diffs a freshly written benchmark
-//! [`ExperimentLog`](pipemare_bench::report::ExperimentLog) JSON against
+//! [`ExperimentLog`] JSON against
 //! a checked-in baseline (the `BENCH_*.json` files at the repo root).
 //!
 //! ```text

@@ -76,9 +76,7 @@ fn fail(tx: &mut Sender, e: CommsError) -> CommsError {
 }
 
 fn telemetry_batch(recorder: &TraceRecorder, stage: u32) -> Message {
-    let events = recorder.events();
-    recorder.clear();
-    Message::Telemetry { stage, jsonl: events_to_jsonl_string(&events) }
+    Message::Telemetry { stage, jsonl: events_to_jsonl_string(&recorder.take()) }
 }
 
 /// Serves one stage over an established link: handshake, then the

@@ -1,6 +1,7 @@
 //! What `pipemare_tensor::conv` is held to, bit for bit — a dev-dependency
 //! of the crates that test convolution and of nothing else
-//! (`scripts/check_no_patch_matrix.sh` fails on any other edge).
+//! (`tests/architecture.rs`, guard `no_patch_matrix`, fails on any other
+//! edge).
 //!
 //! Two independent references:
 //!

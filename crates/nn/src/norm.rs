@@ -334,7 +334,7 @@ impl Layer for LayerNorm {
 ///
 /// Channels are split into `groups`; statistics are computed per
 /// `(batch, group)` slice, which makes the layer independent of batch
-/// size (the alternative the paper cites [24] for small microbatches).
+/// size (the alternative the paper cites \[24\] for small microbatches).
 #[derive(Clone, Copy, Debug)]
 pub struct GroupNorm {
     /// Number of channels.

@@ -237,7 +237,7 @@ impl ResNetConfig {
 
 /// A CIFAR-style residual network classifier.
 ///
-/// Architecture: 3×3 conv stem → 3 groups of [`BasicBlock`]s (widths
+/// Architecture: 3×3 conv stem → 3 groups of `BasicBlock`s (widths
 /// `w, 2w, 4w`, groups 2–3 downsample) → global average pool → linear
 /// classifier. This is the paper's ResNet-50/152 substitute at
 /// reproduction scale; the delay structure seen by the pipeline

@@ -234,7 +234,7 @@ const SHARDS: usize = 32;
 /// An enabled recorder collecting events into per-track shards.
 ///
 /// **Track/shard invariant**: a track owns shard `track % n_shards`.
-/// [`TraceRecorder::new`] allocates [`SHARDS`] (32) shards, so tracks
+/// [`TraceRecorder::new`] allocates `SHARDS` (32) shards, so tracks
 /// `0..32` are contention-free; deeper pipelines alias — tracks 32 and 0
 /// share a shard, which is *correct* (events carry their own `track`
 /// field and [`TraceRecorder::events`] sorts globally) but makes the
@@ -254,13 +254,13 @@ impl Default for TraceRecorder {
 
 impl TraceRecorder {
     /// Creates a recorder whose time origin is "now", with the default
-    /// [`SHARDS`] shard count.
+    /// `SHARDS` shard count.
     pub fn new() -> Self {
         Self::with_tracks(SHARDS)
     }
 
     /// Creates a recorder with at least `n_tracks` shards (never fewer
-    /// than the default [`SHARDS`]), so a pipeline `n_tracks` deep
+    /// than the default `SHARDS`), so a pipeline `n_tracks` deep
     /// records contention-free — no two of its tracks alias one shard.
     pub fn with_tracks(n_tracks: usize) -> Self {
         TraceRecorder {
@@ -293,11 +293,16 @@ impl TraceRecorder {
         all
     }
 
-    /// Drops all recorded events (e.g. to discard a warmup phase).
-    pub fn clear(&self) {
+    /// Removes and returns every event recorded so far, sorted by start
+    /// timestamp. Each shard is emptied under its own lock, so an event
+    /// recorded meanwhile lands in this batch or stays for the next one.
+    pub fn take(&self) -> Vec<TraceEvent> {
+        let mut all = Vec::with_capacity(self.len());
         for s in &self.shards {
-            s.lock().unwrap().clear();
+            all.append(&mut s.lock().unwrap());
         }
+        all.sort_by_key(|e| (e.ts_us, e.track));
+        all
     }
 }
 
@@ -375,7 +380,7 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].kind, SpanKind::Forward);
         assert!(evs[0].ts_us <= evs[1].ts_us);
-        r.clear();
+        assert_eq!(r.take(), evs);
         assert!(r.events().is_empty());
     }
 
@@ -389,7 +394,7 @@ mod tests {
         assert!(!r.is_empty());
         assert_eq!(r.len(), 2);
         assert_eq!(r.snapshot_events().len(), 2);
-        r.clear();
+        assert_eq!(r.take().len(), 2);
         assert!(r.is_empty());
     }
 
@@ -466,5 +471,34 @@ mod tests {
             assert_eq!(ts.len(), 500);
             assert!(ts.windows(2).all(|w| w[0] <= w[1]));
         }
+    }
+
+    #[test]
+    fn take_while_recording_ships_every_event_exactly_once() {
+        let r = TraceRecorder::new();
+        let mut batches = Vec::new();
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4u32)
+                .map(|track| {
+                    let r = &r;
+                    scope.spawn(move || {
+                        for mb in 0..20_000 {
+                            r.record_instant(SpanKind::AlertFiring, track, track, mb);
+                        }
+                    })
+                })
+                .collect();
+            while !writers.iter().all(|w| w.is_finished()) {
+                batches.push(r.take());
+            }
+        });
+        batches.push(r.take());
+        let mut shipped: Vec<(u32, u32)> =
+            batches.iter().flatten().map(|e| (e.track, e.microbatch)).collect();
+        shipped.sort_unstable();
+        let recorded: Vec<(u32, u32)> =
+            (0..4).flat_map(|track| (0..20_000).map(move |mb| (track, mb))).collect();
+        assert_eq!(shipped, recorded);
+        assert!(r.is_empty());
     }
 }

@@ -29,7 +29,7 @@
 //! missing rows and stores only the lanes that exist; a run tail takes a
 //! masked load and adds only the positions that exist.
 //!
-//! The scalar tier walks [`SIDE`] slices side by side with strided loads,
+//! The scalar tier walks `SIDE` slices side by side with strided loads,
 //! so that their chains overlap in the pipeline instead of each waiting
 //! out the adder's latency alone.
 

@@ -21,7 +21,7 @@ impl Shape {
     ///
     /// # Panics
     ///
-    /// Panics if `dims` has more than [`MAX_RANK`] entries.
+    /// Panics if `dims` has more than `MAX_RANK` (6) entries.
     pub fn new(dims: &[usize]) -> Self {
         assert!(dims.len() <= MAX_RANK, "shape {dims:?} has rank above {MAX_RANK}");
         let mut inline = [0; MAX_RANK];

@@ -54,161 +54,167 @@ fn one_stage_config() -> StageConfig {
 
 #[test]
 fn stage_worker_answers_in_band_stats_scrape() {
-    let (driver_end, worker_end) = loopback_pair();
-    let worker = thread::spawn(move || {
-        let (tx, rx) = channel(Box::new(worker_end))?;
-        run_stage_worker_opts(tx, rx, WorkerOptions::default())
-    });
-    let (mut tx, mut rx) = channel(Box::new(driver_end)).expect("driver channel");
+    within("stage_worker_answers_in_band_stats_scrape", || {
+        let (driver_end, worker_end) = loopback_pair();
+        let worker = thread::spawn(move || {
+            let (tx, rx) = channel(Box::new(worker_end))?;
+            run_stage_worker_opts(tx, rx, WorkerOptions::default())
+        });
+        let (mut tx, mut rx) = channel(Box::new(driver_end)).expect("driver channel");
 
-    tx.send(&Message::Hello(one_stage_config())).unwrap();
-    match rx.recv().unwrap() {
-        Message::HelloAck { protocol, stage, .. } => {
-            assert_eq!(protocol, PROTOCOL_VERSION);
-            assert_eq!(stage, 0);
+        tx.send(&Message::Hello(one_stage_config())).unwrap();
+        match rx.recv().unwrap() {
+            Message::HelloAck { protocol, stage, .. } => {
+                assert_eq!(protocol, PROTOCOL_VERSION);
+                assert_eq!(stage, 0);
+            }
+            other => panic!("expected HelloAck, got {}", other.name()),
         }
-        other => panic!("expected HelloAck, got {}", other.name()),
-    }
-    tx.send(&Message::InitShard { params: vec![0.1, 0.2, 0.3, 0.4] }).unwrap();
+        tx.send(&Message::InitShard { params: vec![0.1, 0.2, 0.3, 0.4] }).unwrap();
 
-    // One forward fetch so the worker records a span — and stamps the
-    // microbatch's trace id (0-based id + 1) on the Shard frame.
-    tx.send(&Message::FetchShard { step: 0, micro: 0, pass: PassKind::Fwd }).unwrap();
-    match rx.recv().unwrap() {
-        Message::Shard { micro, trace, .. } => {
-            assert_eq!(micro, 0);
-            assert_eq!(trace, 1, "shard frames must carry micro's causal trace id");
+        // One forward fetch so the worker records a span — and stamps the
+        // microbatch's trace id (0-based id + 1) on the Shard frame.
+        tx.send(&Message::FetchShard { step: 0, micro: 0, pass: PassKind::Fwd }).unwrap();
+        match rx.recv().unwrap() {
+            Message::Shard { micro, trace, .. } => {
+                assert_eq!(micro, 0);
+                assert_eq!(trace, 1, "shard frames must carry micro's causal trace id");
+            }
+            other => panic!("expected Shard, got {}", other.name()),
         }
-        other => panic!("expected Shard, got {}", other.name()),
-    }
 
-    // The in-band scrape: sampled on demand, answered on the same link.
-    tx.send(&Message::StatsRequest { id: 7 }).unwrap();
-    match rx.recv().unwrap() {
-        Message::StatsReply { id, frame } => {
-            assert_eq!(id, 7);
-            let scrape = Scrape::decode(&frame).expect("stats frame decodes");
-            assert_eq!(scrape.role, "worker-0");
-            let latest = scrape.latest().expect("on-demand scrape must carry a fresh sample");
-            assert!(latest.seq >= 1, "on-demand scrape must carry a fresh sample");
-            // Wire gauges bound at handshake mirror the link traffic.
-            let Some(MetricValue::Gauge(tx_bytes)) =
-                latest.metrics.get("wire.orchestrator.tx_bytes")
-            else {
-                panic!("wire tx gauge present");
-            };
-            assert!(*tx_bytes > 0.0, "worker has sent frames by now");
-            // The scrape renders as a pmtop block without panicking.
-            let text = top::render("worker", &scrape);
-            assert!(text.contains("role worker-0"), "{text}");
+        // The in-band scrape: sampled on demand, answered on the same link.
+        tx.send(&Message::StatsRequest { id: 7 }).unwrap();
+        match rx.recv().unwrap() {
+            Message::StatsReply { id, frame } => {
+                assert_eq!(id, 7);
+                let scrape = Scrape::decode(&frame).expect("stats frame decodes");
+                assert_eq!(scrape.role, "worker-0");
+                let latest = scrape.latest().expect("on-demand scrape must carry a fresh sample");
+                assert!(latest.seq >= 1, "on-demand scrape must carry a fresh sample");
+                // Wire gauges bound at handshake mirror the link traffic.
+                let Some(MetricValue::Gauge(tx_bytes)) =
+                    latest.metrics.get("wire.orchestrator.tx_bytes")
+                else {
+                    panic!("wire tx gauge present");
+                };
+                assert!(*tx_bytes > 0.0, "worker has sent frames by now");
+                // The scrape renders as a pmtop block without panicking.
+                let text = top::render("worker", &scrape);
+                assert!(text.contains("role worker-0"), "{text}");
+            }
+            other => panic!("expected StatsReply, got {}", other.name()),
         }
-        other => panic!("expected StatsReply, got {}", other.name()),
-    }
 
-    tx.send(&Message::Shutdown).unwrap();
-    match rx.recv().unwrap() {
-        Message::Telemetry { .. } => {}
-        other => panic!("expected Telemetry, got {}", other.name()),
-    }
-    match rx.recv().unwrap() {
-        Message::ShutdownAck { .. } => {}
-        other => panic!("expected ShutdownAck, got {}", other.name()),
-    }
-    worker.join().expect("worker thread").expect("worker exits cleanly");
+        tx.send(&Message::Shutdown).unwrap();
+        match rx.recv().unwrap() {
+            Message::Telemetry { .. } => {}
+            other => panic!("expected Telemetry, got {}", other.name()),
+        }
+        match rx.recv().unwrap() {
+            Message::ShutdownAck { .. } => {}
+            other => panic!("expected ShutdownAck, got {}", other.name()),
+        }
+        worker.join().expect("worker thread").expect("worker exits cleanly");
+    })
 }
 
 #[test]
 fn serve_server_scrapes_over_tcp_and_traces_requests() {
-    let model = Arc::new(Mlp::new(&[4, 12, 3]));
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut params = vec![0.0; TrainModel::param_len(&*model)];
-    TrainModel::init_params(&*model, &mut params, &mut rng);
-    let cfg = ServeConfig { stages: 2, ..Default::default() };
-    let (mut server, recorder) =
-        serve_checkpoint(Arc::clone(&model), params.clone(), cfg).expect("server starts");
-    let stats = server.serve_stats_tcp("127.0.0.1:0").expect("stats endpoint binds");
+    within("serve_server_scrapes_over_tcp_and_traces_requests", || {
+        let model = Arc::new(Mlp::new(&[4, 12, 3]));
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut params = vec![0.0; TrainModel::param_len(&*model)];
+        TrainModel::init_params(&*model, &mut params, &mut rng);
+        let cfg = ServeConfig { stages: 2, ..Default::default() };
+        let (mut server, recorder) =
+            serve_checkpoint(Arc::clone(&model), params.clone(), cfg).expect("server starts");
+        let stats = server.serve_stats_tcp("127.0.0.1:0").expect("stats endpoint binds");
 
-    let mut client =
-        InferClient::connect(Box::new(server.connect_loopback())).expect("client connects");
-    client.set_timeout(Some(Duration::from_secs(20))).unwrap();
-    for _ in 0..3 {
-        let x = Tensor::randn(&[1, 4], &mut rng);
-        assert_eq!(client.infer(&x).expect("served"), model.logits(&params, &x));
-    }
+        let mut client =
+            InferClient::connect(Box::new(server.connect_loopback())).expect("client connects");
+        client.set_timeout(Some(Duration::from_secs(20))).unwrap();
+        for _ in 0..3 {
+            let x = Tensor::randn(&[1, 4], &mut rng);
+            assert_eq!(client.infer(&x).expect("served"), model.logits(&params, &x));
+        }
 
-    // Deterministic freshness: sample explicitly instead of waiting out
-    // the background ticker's period.
-    server.live_store().sample();
-    let frame = scrape_once(&stats.to_string(), Duration::from_secs(2)).expect("scrape");
-    let scrape = Scrape::decode(&frame).expect("scrape decodes");
-    assert_eq!(scrape.role, "serve");
-    assert_eq!(scrape.n_stages, 2);
-    let metrics = &scrape.latest().expect("sampled").metrics;
-    let Some(MetricValue::Counter(accepted)) = metrics.get("serve.accepted") else {
-        panic!("serve.accepted counter present");
-    };
-    assert!(*accepted >= 3, "three requests were admitted, metric says {accepted}");
-    assert!(metrics.get("serve.batch_rows").is_some(), "batch-size histogram exported");
-    let text = top::render(&stats.to_string(), &scrape);
-    assert!(text.contains("serve:"), "pmtop renders the serve line:\n{text}");
+        // Deterministic freshness: sample explicitly instead of waiting out
+        // the background ticker's period.
+        server.live_store().sample();
+        let frame = scrape_once(&stats.to_string(), Duration::from_secs(2)).expect("scrape");
+        let scrape = Scrape::decode(&frame).expect("scrape decodes");
+        assert_eq!(scrape.role, "serve");
+        assert_eq!(scrape.n_stages, 2);
+        let metrics = &scrape.latest().expect("sampled").metrics;
+        let Some(MetricValue::Counter(accepted)) = metrics.get("serve.accepted") else {
+            panic!("serve.accepted counter present");
+        };
+        assert!(*accepted >= 3, "three requests were admitted, metric says {accepted}");
+        assert!(metrics.get("serve.batch_rows").is_some(), "batch-size histogram exported");
+        let text = top::render(&stats.to_string(), &scrape);
+        assert!(text.contains("serve:"), "pmtop renders the serve line:\n{text}");
 
-    // Request 0's trace id (0 + 1) reconstructs a cross-thread path:
-    // queue wait -> its batch's coalesce -> the engine's stage forwards.
-    let events = recorder.snapshot_events();
-    let path = analyze::trace_path(&events, 1);
-    assert!(
-        path.iter().any(|e| e.kind == SpanKind::QueueWaitFwd),
-        "path must include the request's queue wait"
-    );
-    assert!(
-        path.iter().filter(|e| e.kind == SpanKind::Forward).count() >= 2,
-        "path must include every stage's forward hop"
-    );
-    server.shutdown();
+        // Request 0's trace id (0 + 1) reconstructs a cross-thread path:
+        // queue wait -> its batch's coalesce -> the engine's stage forwards.
+        let events = recorder.snapshot_events();
+        let path = analyze::trace_path(&events, 1);
+        assert!(
+            path.iter().any(|e| e.kind == SpanKind::QueueWaitFwd),
+            "path must include the request's queue wait"
+        );
+        assert!(
+            path.iter().filter(|e| e.kind == SpanKind::Forward).count() >= 2,
+            "path must include every stage's forward hop"
+        );
+        server.shutdown();
+    })
 }
 
 #[test]
 fn orchestrator_live_store_sees_stages_and_wire_traffic() {
-    let model = Mlp::new(&[4, 10, 2]);
-    let stages = 2;
-    let n_micro = 2;
-    let cfg = DistConfig::new(TrainConfig::pipemare(
-        stages,
-        n_micro,
-        OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 },
-        Box::new(ConstantLr(0.05)),
-        T1Rescheduler::new(24),
-        0.9,
-    ));
-    let (transports, handles) = spawn_loopback_workers(stages);
-    let mut trainer =
-        DistributedTrainer::connect(&model, cfg, 3, transports).expect("trainer connects");
-    let weights = vec![1.0 / n_micro as f32; n_micro];
-    let mut rng = StdRng::seed_from_u64(8);
-    for _ in 0..2 {
-        let micro: Vec<ImageBatch> = (0..n_micro)
-            .map(|_| ImageBatch { x: Tensor::randn(&[4, 4], &mut rng), y: vec![0, 1, 0, 1] })
-            .collect();
-        trainer.train_minibatch(&micro, &weights).expect("minibatch trains");
-    }
+    within("orchestrator_live_store_sees_stages_and_wire_traffic", || {
+        let model = Mlp::new(&[4, 10, 2]);
+        let stages = 2;
+        let n_micro = 2;
+        let cfg = DistConfig::new(TrainConfig::pipemare(
+            stages,
+            n_micro,
+            OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 },
+            Box::new(ConstantLr(0.05)),
+            T1Rescheduler::new(24),
+            0.9,
+        ));
+        let (transports, handles) = spawn_loopback_workers(stages);
+        let mut trainer =
+            DistributedTrainer::connect(&model, cfg, 3, transports).expect("trainer connects");
+        let weights = vec![1.0 / n_micro as f32; n_micro];
+        let mut rng = StdRng::seed_from_u64(8);
+        for _ in 0..2 {
+            let micro: Vec<ImageBatch> = (0..n_micro)
+                .map(|_| ImageBatch { x: Tensor::randn(&[4, 4], &mut rng), y: vec![0, 1, 0, 1] })
+                .collect();
+            trainer.train_minibatch(&micro, &weights).expect("minibatch trains");
+        }
 
-    let store = trainer.live_store();
-    store.sample();
-    let scrape = Scrape::decode(&store.scrape().expect("scrape encodes")).expect("decodes");
-    assert_eq!(scrape.role, "orchestrator");
-    let metrics = &scrape.latest().expect("sampled").metrics;
-    for s in 0..stages {
-        let g = match metrics.get(&format!("wire.stage{s}.tx_bytes")) {
-            Some(MetricValue::Gauge(g)) => *g,
-            _ => 0.0,
-        };
-        assert!(g > 0.0, "stage {s} wire gauge must reflect sent traffic");
-    }
-    assert!(store.latest().is_some(), "store holds a sample");
-    trainer.shutdown().expect("clean shutdown");
-    for h in handles {
-        h.join().expect("worker thread").expect("worker ok");
-    }
+        let store = trainer.live_store();
+        store.sample();
+        let scrape = Scrape::decode(&store.scrape().expect("scrape encodes")).expect("decodes");
+        assert_eq!(scrape.role, "orchestrator");
+        let metrics = &scrape.latest().expect("sampled").metrics;
+        for s in 0..stages {
+            let g = match metrics.get(&format!("wire.stage{s}.tx_bytes")) {
+                Some(MetricValue::Gauge(g)) => *g,
+                _ => 0.0,
+            };
+            assert!(g > 0.0, "stage {s} wire gauge must reflect sent traffic");
+        }
+        assert!(store.latest().is_some(), "store holds a sample");
+        trainer.shutdown().expect("clean shutdown");
+        for h in handles {
+            h.join().expect("worker thread").expect("worker ok");
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -305,25 +311,27 @@ serve.shed                      17 -> 17      (+0.0%)
 
 #[test]
 fn pmtop_blocks_match_the_pinned_render() {
-    let scrape = pinned_scrape();
-    // Through the wire form, so the pin holds for what pmtop receives.
-    let scrape = Scrape::decode(&scrape.encode().unwrap()).unwrap();
-    assert_eq!(top::render("127.0.0.1:9100", &scrape), PINNED_DASHBOARD);
+    within("pmtop_blocks_match_the_pinned_render", || {
+        let scrape = pinned_scrape();
+        // Through the wire form, so the pin holds for what pmtop receives.
+        let scrape = Scrape::decode(&scrape.encode().unwrap()).unwrap();
+        assert_eq!(top::render("127.0.0.1:9100", &scrape), PINNED_DASHBOARD);
 
-    let cur = scrape.latest().unwrap();
-    let mut base = cur.clone();
-    base.stages[0].util = 0.465;
-    base.stages[0].tau = 2.5;
-    base.metrics.metrics[1].1 = MetricValue::Counter(600);
-    let (text, json) = top::diff("== pmtop delta: worker (baseline -> current) ==", &base, cur);
-    assert_eq!(text, PINNED_DELTA);
-    assert_eq!(
-        json.to_compact(),
-        "{\"stages\":[{\"stage\":0,\"util_base\":0.465,\"util_cur\":0.93,\"tau_base\":2.5,\
-         \"tau_cur\":2.98},{\"stage\":1,\"util_base\":0.88,\"util_cur\":0.88,\"tau_base\":1.05,\
-         \"tau_cur\":1.05}],\"counters\":{\"serve.accepted\":{\"base\":600,\"cur\":1200},\
-         \"serve.shed\":{\"base\":17,\"cur\":17}}}"
-    );
+        let cur = scrape.latest().unwrap();
+        let mut base = cur.clone();
+        base.stages[0].util = 0.465;
+        base.stages[0].tau = 2.5;
+        base.metrics.metrics[1].1 = MetricValue::Counter(600);
+        let (text, json) = top::diff("== pmtop delta: worker (baseline -> current) ==", &base, cur);
+        assert_eq!(text, PINNED_DELTA);
+        assert_eq!(
+            json.to_compact(),
+            "{\"stages\":[{\"stage\":0,\"util_base\":0.465,\"util_cur\":0.93,\"tau_base\":2.5,\
+             \"tau_cur\":2.98},{\"stage\":1,\"util_base\":0.88,\"util_cur\":0.88,\"tau_base\":1.05,\
+             \"tau_cur\":1.05}],\"counters\":{\"serve.accepted\":{\"base\":600,\"cur\":1200},\
+             \"serve.shed\":{\"base\":17,\"cur\":17}}}"
+        );
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -332,6 +340,9 @@ fn pmtop_blocks_match_the_pinned_render() {
 
 use pipemare::telemetry::{merge_worker_events, sort_events, TraceEvent, NO_TRACE};
 use proptest::prelude::*;
+
+mod common;
+use common::within;
 
 fn span(track: u32, ts_us: u64) -> TraceEvent {
     TraceEvent {

@@ -38,6 +38,9 @@ use pipemare::pipeline::Method;
 use pipemare::telemetry::TraceRecorder;
 use pipemare::tensor::{StoragePrecision, Tensor};
 
+mod common;
+use common::within;
+
 // --- The largest allocation off the driver thread -------------------------
 
 /// Passes every call to the system allocator and, while recording,
@@ -250,47 +253,52 @@ fn structured_grad(layout: &RunLayout, rng: &mut StdRng) -> Vec<f32> {
 
 #[test]
 fn every_pass_kind_fills_what_read_into_returns() {
-    let _serial = serial();
-    for storage in [StoragePrecision::F32, StoragePrecision::Bf16] {
-        let mut wire = Mirrored::new(&pipemare_recompute(storage));
-        let mut rng = StdRng::seed_from_u64(SEED);
-        let n = wire.layout.params.len();
-        for step in 0..4u64 {
-            let grad: Vec<f32> =
-                Tensor::randn(&[n], &mut rng).data().iter().map(|g| 0.1 * g).collect();
-            wire.step(step, &grad, SparseMode::Dense);
-            for micro in 0..2 {
-                for pass in [PassKind::Fwd, PassKind::Bkwd, PassKind::Recomp, PassKind::Latest] {
-                    wire.assert_reads_match(step + 1, micro, pass);
+    within("every_pass_kind_fills_what_read_into_returns", || {
+        let _serial = serial();
+        for storage in [StoragePrecision::F32, StoragePrecision::Bf16] {
+            let mut wire = Mirrored::new(&pipemare_recompute(storage));
+            let mut rng = StdRng::seed_from_u64(SEED);
+            let n = wire.layout.params.len();
+            for step in 0..4u64 {
+                let grad: Vec<f32> =
+                    Tensor::randn(&[n], &mut rng).data().iter().map(|g| 0.1 * g).collect();
+                wire.step(step, &grad, SparseMode::Dense);
+                for micro in 0..2 {
+                    for pass in [PassKind::Fwd, PassKind::Bkwd, PassKind::Recomp, PassKind::Latest]
+                    {
+                        wire.assert_reads_match(step + 1, micro, pass);
+                    }
                 }
             }
+            wire.shutdown();
         }
-        wire.shutdown();
-    }
+    })
 }
 
 #[test]
 fn sparse_gradients_stage_what_the_in_process_stages_stage() {
-    let _serial = serial();
-    let modes = [
-        SparseMode::Dense,
-        SparseMode::DropZeros,
-        SparseMode::Threshold(2.0),
-        SparseMode::TopK(0.3),
-    ];
-    for mode in modes {
-        let mut wire = Mirrored::new(&pipemare_recompute(StoragePrecision::F32));
-        let mut rng = StdRng::seed_from_u64(SEED + 7);
-        for step in 0..2u64 {
-            let grad = structured_grad(&wire.layout, &mut rng);
-            for &(lo, hi) in wire.layout.partition.ranges() {
-                assert_chunks_decode_to_the_whole_shard_encoding(&grad[lo..hi], mode);
+    within("sparse_gradients_stage_what_the_in_process_stages_stage", || {
+        let _serial = serial();
+        let modes = [
+            SparseMode::Dense,
+            SparseMode::DropZeros,
+            SparseMode::Threshold(2.0),
+            SparseMode::TopK(0.3),
+        ];
+        for mode in modes {
+            let mut wire = Mirrored::new(&pipemare_recompute(StoragePrecision::F32));
+            let mut rng = StdRng::seed_from_u64(SEED + 7);
+            for step in 0..2u64 {
+                let grad = structured_grad(&wire.layout, &mut rng);
+                for &(lo, hi) in wire.layout.partition.ranges() {
+                    assert_chunks_decode_to_the_whole_shard_encoding(&grad[lo..hi], mode);
+                }
+                wire.step(step, &grad, mode);
+                wire.assert_reads_match(step + 1, 0, PassKind::Latest);
             }
-            wire.step(step, &grad, mode);
-            wire.assert_reads_match(step + 1, 0, PassKind::Latest);
+            wire.shutdown();
         }
-        wire.shutdown();
-    }
+    })
 }
 
 /// The chunk payloads of `grad`, decoded and laid end to end, are what
@@ -345,138 +353,148 @@ fn raw_worker() -> (Sender, Receiver, WorkerHandle) {
 
 #[test]
 fn a_broken_gradient_stream_is_a_typed_protocol_error() {
-    let _serial = serial();
-    let chunk = |step: u64, n: usize| Message::GradShard {
-        step,
-        lr: 0.05,
-        apply: true,
-        trace: 1,
-        data: TensorPayload::Dense(vec![0.01; n]),
-    };
-    let commit = Message::Commit { step: 0, keep: true };
-    let fetch = Message::FetchShard { step: 0, micro: 0, pass: PassKind::Fwd };
-    let len = stage0_len();
-    let tail = len % SHARD_CHUNK;
-    let cases: [(&str, Vec<Message>); 6] = [
-        ("a chunk of another step mid-stream", vec![chunk(0, SHARD_CHUNK), chunk(1, SHARD_CHUNK)]),
-        ("a Commit before the last chunk", vec![chunk(0, SHARD_CHUNK), commit]),
-        ("a FetchShard before the last chunk", vec![chunk(0, SHARD_CHUNK), fetch]),
-        (
-            "a surplus chunk",
-            vec![chunk(0, SHARD_CHUNK), chunk(0, SHARD_CHUNK), chunk(0, tail), chunk(0, tail)],
-        ),
-        ("a whole-shard gradient frame", vec![chunk(0, len)]),
-        ("a short chunk", vec![chunk(0, SHARD_CHUNK), chunk(0, SHARD_CHUNK - 1)]),
-    ];
-    for (what, frames) in cases {
-        let (mut tx, mut rx, worker) = raw_worker();
-        let started = Instant::now();
-        for frame in &frames {
-            tx.send(frame).unwrap();
-        }
-        let refused = loop {
-            match rx.recv() {
-                Ok(Message::StepAck { .. }) => continue,
-                other => break other,
-            }
+    within("a_broken_gradient_stream_is_a_typed_protocol_error", || {
+        let _serial = serial();
+        let chunk = |step: u64, n: usize| Message::GradShard {
+            step,
+            lr: 0.05,
+            apply: true,
+            trace: 1,
+            data: TensorPayload::Dense(vec![0.01; n]),
         };
-        assert!(matches!(refused, Ok(Message::Error { .. })), "{what}: {refused:?}");
-        assert!(started.elapsed() < TIMEOUT, "{what}: refused promptly");
-        let ended = worker.join().expect("worker thread");
-        assert!(matches!(ended, Err(CommsError::Protocol(_))), "{what}: {ended:?}");
-    }
+        let commit = Message::Commit { step: 0, keep: true };
+        let fetch = Message::FetchShard { step: 0, micro: 0, pass: PassKind::Fwd };
+        let len = stage0_len();
+        let tail = len % SHARD_CHUNK;
+        let cases: [(&str, Vec<Message>); 6] = [
+            (
+                "a chunk of another step mid-stream",
+                vec![chunk(0, SHARD_CHUNK), chunk(1, SHARD_CHUNK)],
+            ),
+            ("a Commit before the last chunk", vec![chunk(0, SHARD_CHUNK), commit]),
+            ("a FetchShard before the last chunk", vec![chunk(0, SHARD_CHUNK), fetch]),
+            (
+                "a surplus chunk",
+                vec![chunk(0, SHARD_CHUNK), chunk(0, SHARD_CHUNK), chunk(0, tail), chunk(0, tail)],
+            ),
+            ("a whole-shard gradient frame", vec![chunk(0, len)]),
+            ("a short chunk", vec![chunk(0, SHARD_CHUNK), chunk(0, SHARD_CHUNK - 1)]),
+        ];
+        for (what, frames) in cases {
+            let (mut tx, mut rx, worker) = raw_worker();
+            let started = Instant::now();
+            for frame in &frames {
+                tx.send(frame).unwrap();
+            }
+            let refused = loop {
+                match rx.recv() {
+                    Ok(Message::StepAck { .. }) => continue,
+                    other => break other,
+                }
+            };
+            assert!(matches!(refused, Ok(Message::Error { .. })), "{what}: {refused:?}");
+            assert!(started.elapsed() < TIMEOUT, "{what}: refused promptly");
+            let ended = worker.join().expect("worker thread");
+            assert!(matches!(ended, Err(CommsError::Protocol(_))), "{what}: {ended:?}");
+        }
+    })
 }
 
 #[test]
 fn a_reply_chunk_of_the_wrong_length_is_a_typed_protocol_error() {
-    let _serial = serial();
-    let layout = RunLayout::new(&model(), &pipemare_recompute(StoragePrecision::F32), SEED);
-    let len = stage0_len();
-    // A peer answering with the whole shard in one frame, as a v4 worker
-    // would, and one whose second chunk comes up short.
-    for replies in [vec![len], vec![SHARD_CHUNK, SHARD_CHUNK - 1]] {
-        let (driver, worker) = loopback_pair();
-        let fake = std::thread::spawn(move || {
-            let (mut tx, mut rx) = channel(Box::new(worker)).unwrap();
-            let Ok(Message::Hello(sc)) = rx.recv() else { panic!("expected Hello") };
-            let ack =
-                Message::HelloAck { protocol: PROTOCOL_VERSION, stage: sc.stage, clock_us: 0 };
-            tx.send(&ack).unwrap();
-            assert!(matches!(rx.recv(), Ok(Message::InitShard { .. })));
-            let Ok(Message::FetchShard { step, micro, pass }) = rx.recv() else {
-                panic!("expected FetchShard")
-            };
-            for n in replies {
-                let data = TensorPayload::Dense(vec![0.5; n]);
-                tx.send(&Message::Shard { step, micro, pass, stage: sc.stage, trace: 1, data })
-                    .unwrap();
-            }
-            // Hold the link open until the driver has judged the reply.
-            let _ = rx.recv();
-        });
-        let clock = TraceRecorder::with_tracks(1);
-        let sc = layout.stage_cfgs[0].clone();
-        let mut link = handshake_worker(Box::new(driver), sc, Some(TIMEOUT), &clock).unwrap();
-        link.send(&Message::InitShard { params: vec![0.0; len] }).unwrap();
-        let mut dst = vec![0.0f32; len];
-        let got = gather_shards(
-            std::slice::from_mut(&mut link),
-            &[(0, len)],
-            0,
-            0,
-            PassKind::Latest,
-            &mut dst,
-        );
-        assert!(matches!(got, Err(CommsError::Protocol(_))), "{got:?}");
-        drop(link);
-        fake.join().expect("the fake worker exits once the link closes");
-    }
+    within("a_reply_chunk_of_the_wrong_length_is_a_typed_protocol_error", || {
+        let _serial = serial();
+        let layout = RunLayout::new(&model(), &pipemare_recompute(StoragePrecision::F32), SEED);
+        let len = stage0_len();
+        // A peer answering with the whole shard in one frame, as a v4 worker
+        // would, and one whose second chunk comes up short.
+        for replies in [vec![len], vec![SHARD_CHUNK, SHARD_CHUNK - 1]] {
+            let (driver, worker) = loopback_pair();
+            let fake = std::thread::spawn(move || {
+                let (mut tx, mut rx) = channel(Box::new(worker)).unwrap();
+                let Ok(Message::Hello(sc)) = rx.recv() else { panic!("expected Hello") };
+                let ack =
+                    Message::HelloAck { protocol: PROTOCOL_VERSION, stage: sc.stage, clock_us: 0 };
+                tx.send(&ack).unwrap();
+                assert!(matches!(rx.recv(), Ok(Message::InitShard { .. })));
+                let Ok(Message::FetchShard { step, micro, pass }) = rx.recv() else {
+                    panic!("expected FetchShard")
+                };
+                for n in replies {
+                    let data = TensorPayload::Dense(vec![0.5; n]);
+                    tx.send(&Message::Shard { step, micro, pass, stage: sc.stage, trace: 1, data })
+                        .unwrap();
+                }
+                // Hold the link open until the driver has judged the reply.
+                let _ = rx.recv();
+            });
+            let clock = TraceRecorder::with_tracks(1);
+            let sc = layout.stage_cfgs[0].clone();
+            let mut link = handshake_worker(Box::new(driver), sc, Some(TIMEOUT), &clock).unwrap();
+            link.send(&Message::InitShard { params: vec![0.0; len] }).unwrap();
+            let mut dst = vec![0.0f32; len];
+            let got = gather_shards(
+                std::slice::from_mut(&mut link),
+                &[(0, len)],
+                0,
+                0,
+                PassKind::Latest,
+                &mut dst,
+            );
+            assert!(matches!(got, Err(CommsError::Protocol(_))), "{got:?}");
+            drop(link);
+            fake.join().expect("the fake worker exits once the link closes");
+        }
+    })
 }
 
 // --- Memory ----------------------------------------------------------------
 
 #[test]
 fn no_worker_allocation_exceeds_one_chunk_frame_in_steady_state() {
-    let _serial = serial();
-    // f32 storage: a step builds the next version in the buffer of the
-    // one it evicts once the window is full (a bf16 window cannot
-    // recycle its oldest buffer).
-    let cfg = || pipemare_recompute(StoragePrecision::F32);
-    let m = model();
-    let dcfg = dist_config(cfg(), SparseMode::Dense, Some(TIMEOUT)).expect("a pipeline mode");
-    let (transports, workers) = spawn_loopback_workers(2);
-    let mut trainer = DistributedTrainer::connect(&m, dcfg, SEED, transports).expect("handshake");
-    DRIVER.with(|d| d.set(true));
-    // Stage 0 keeps ⌈3/2⌉ + 1 = 3 versions: full after two commits.
-    for step in 0..4 {
-        trainer.train_minibatch(&minibatch(step, 2), &[0.5, 0.5]).expect("a step");
-    }
-    LARGEST.store(0, Relaxed);
-    RECORDING.store(true, Relaxed);
-    for step in 4..7 {
-        trainer.train_minibatch(&minibatch(step, 2), &[0.5, 0.5]).expect("a steady-state step");
-    }
-    RECORDING.store(false, Relaxed);
-    DRIVER.with(|d| d.set(false));
-    trainer.shutdown().expect("shutdown");
-    for w in workers {
-        w.join().expect("worker thread").expect("a clean worker exit");
-    }
-    let empty = Message::Shard {
-        step: 0,
-        micro: 0,
-        pass: PassKind::Fwd,
-        stage: 0,
-        trace: 0,
-        data: TensorPayload::Dense(Vec::new()),
-    };
-    let chunk_frame = encode_message(&empty).len() + 4 * SHARD_CHUNK;
-    let largest = LARGEST.load(Relaxed);
-    assert!(largest > 0, "the workers allocate while they serve");
-    assert!(
-        largest <= chunk_frame,
-        "a worker allocated {largest} B, one chunk frame is {chunk_frame} B"
-    );
+    within("no_worker_allocation_exceeds_one_chunk_frame_in_steady_state", || {
+        let _serial = serial();
+        // f32 storage: a step builds the next version in the buffer of the
+        // one it evicts once the window is full (a bf16 window cannot
+        // recycle its oldest buffer).
+        let cfg = || pipemare_recompute(StoragePrecision::F32);
+        let m = model();
+        let dcfg = dist_config(cfg(), SparseMode::Dense, Some(TIMEOUT)).expect("a pipeline mode");
+        let (transports, workers) = spawn_loopback_workers(2);
+        let mut trainer =
+            DistributedTrainer::connect(&m, dcfg, SEED, transports).expect("handshake");
+        DRIVER.with(|d| d.set(true));
+        // Stage 0 keeps ⌈3/2⌉ + 1 = 3 versions: full after two commits.
+        for step in 0..4 {
+            trainer.train_minibatch(&minibatch(step, 2), &[0.5, 0.5]).expect("a step");
+        }
+        LARGEST.store(0, Relaxed);
+        RECORDING.store(true, Relaxed);
+        for step in 4..7 {
+            trainer.train_minibatch(&minibatch(step, 2), &[0.5, 0.5]).expect("a steady-state step");
+        }
+        RECORDING.store(false, Relaxed);
+        DRIVER.with(|d| d.set(false));
+        trainer.shutdown().expect("shutdown");
+        for w in workers {
+            w.join().expect("worker thread").expect("a clean worker exit");
+        }
+        let empty = Message::Shard {
+            step: 0,
+            micro: 0,
+            pass: PassKind::Fwd,
+            stage: 0,
+            trace: 0,
+            data: TensorPayload::Dense(Vec::new()),
+        };
+        let chunk_frame = encode_message(&empty).len() + 4 * SHARD_CHUNK;
+        let largest = LARGEST.load(Relaxed);
+        assert!(largest > 0, "the workers allocate while they serve");
+        assert!(
+            largest <= chunk_frame,
+            "a worker allocated {largest} B, one chunk frame is {chunk_frame} B"
+        );
+    })
 }
 
 // --- Jitter ----------------------------------------------------------------
@@ -550,25 +568,29 @@ fn jittered_run(cfg: TrainConfig, seed: u64) -> (Vec<u32>, Vec<u32>) {
 
 #[test]
 fn per_frame_jitter_moves_no_bit() {
-    let _serial = serial();
-    // GPipe, PipeDream and PipeMare T1 + T2 at P = 2, N = 2.
-    let cfg = |method| {
-        let (lr, opt) = (Box::new(ConstantLr(0.05)), momentum());
-        match method {
-            Method::GPipe => TrainConfig::gpipe(2, 2, opt, lr),
-            Method::PipeDream => TrainConfig::pipedream(2, 2, opt, lr),
-            Method::PipeMare => TrainConfig::pipemare(2, 2, opt, lr, T1Rescheduler::new(8), 0.9),
+    within("per_frame_jitter_moves_no_bit", || {
+        let _serial = serial();
+        // GPipe, PipeDream and PipeMare T1 + T2 at P = 2, N = 2.
+        let cfg = |method| {
+            let (lr, opt) = (Box::new(ConstantLr(0.05)), momentum());
+            match method {
+                Method::GPipe => TrainConfig::gpipe(2, 2, opt, lr),
+                Method::PipeDream => TrainConfig::pipedream(2, 2, opt, lr),
+                Method::PipeMare => {
+                    TrainConfig::pipemare(2, 2, opt, lr, T1Rescheduler::new(8), 0.9)
+                }
+            }
+        };
+        for method in Method::ALL {
+            let m = model();
+            let mut reference = PipelineTrainer::new(&m, cfg(method), SEED);
+            let loss: Vec<f32> = (0..JITTER_STEPS)
+                .map(|t| reference.train_minibatch(&minibatch(t, 2), &[0.5, 0.5]).loss)
+                .collect();
+            let want = (bits(reference.params()), bits(&loss));
+            for seed in 0..8 {
+                assert_eq!(jittered_run(cfg(method), seed), want, "{method:?}, jitter seed {seed}");
+            }
         }
-    };
-    for method in Method::ALL {
-        let m = model();
-        let mut reference = PipelineTrainer::new(&m, cfg(method), SEED);
-        let loss: Vec<f32> = (0..JITTER_STEPS)
-            .map(|t| reference.train_minibatch(&minibatch(t, 2), &[0.5, 0.5]).loss)
-            .collect();
-        let want = (bits(reference.params()), bits(&loss));
-        for seed in 0..8 {
-            assert_eq!(jittered_run(cfg(method), seed), want, "{method:?}, jitter seed {seed}");
-        }
-    }
+    })
 }
