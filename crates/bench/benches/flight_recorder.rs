@@ -1,10 +1,9 @@
 //! Flight-recorder overhead: the cost of always-on tracing.
 //!
-//! Measures the per-event cost of the three recorder tiers —
-//! [`NullRecorder`] (the disabled baseline), [`FlightRecorder`] (bounded
-//! rings, the always-on tier), and [`TraceRecorder`] (full trace,
-//! unbounded) — on the hot `record()` path, single-threaded and under
-//! 4-way write contention.
+//! Measures the per-event cost of the two recorder tiers —
+//! [`NullRecorder`] (the disabled baseline) and [`FlightRecorder`]
+//! (bounded rings, the always-on tier) — on the hot `record()` path,
+//! single-threaded and under 4-way write contention.
 //!
 //! The run writes `bench_flight_recorder.json` with the measured
 //! per-event timings (informational `seconds.*` keys) and the ring's
@@ -24,9 +23,7 @@ use std::time::Instant;
 use criterion::Criterion;
 
 use pipemare_bench::report::ExperimentLog;
-use pipemare_telemetry::{
-    FlightRecorder, NullRecorder, Recorder, SpanKind, TraceEvent, TraceRecorder,
-};
+use pipemare_telemetry::{FlightRecorder, NullRecorder, Recorder, SpanKind, TraceEvent};
 
 /// Stated bound on the always-on tier's hot-path overhead vs the null
 /// baseline, generous enough for noisy CI hosts (typical measured
@@ -93,7 +90,8 @@ fn main() {
     let mut group = criterion.benchmark_group("flight_recorder/record");
     let null = NullRecorder;
     let flight = FlightRecorder::new(4, 4096);
-    let trace = TraceRecorder::with_tracks(4);
+    // A ring is allocated by its track's first event: keep that out of the few samples.
+    (0..4).for_each(|t| flight.record(event(t)));
     let mut i = 0u64;
     group.bench_function("null", |b| {
         b.iter(|| {
@@ -107,30 +105,20 @@ fn main() {
             flight.record(std::hint::black_box(event(i)));
         })
     });
-    group.bench_function("trace", |b| {
-        b.iter(|| {
-            i += 1;
-            trace.record(std::hint::black_box(event(i)));
-        })
-    });
     group.finish();
 
     // --- Measured per-event costs (informational) -------------------
     let null_s = time_per_event(&NullRecorder, n, reps);
     let flight_rec = FlightRecorder::new(4, 4096);
     let flight_s = time_per_event(&flight_rec, n, reps);
-    // The trace recorder grows without bound; time a fresh one per rep
-    // at a smaller n so the bench doesn't eat memory.
-    let trace_s = time_per_event(&TraceRecorder::with_tracks(4), n.min(500_000), reps);
     let concurrent = Arc::new(FlightRecorder::new(4, 4096));
     let flight_mt_s = time_per_event_concurrent(&concurrent, 4, n / 4);
 
     println!("per-event cost over {n} records (median of {reps}):");
     println!("    null    {:>8.1} ns  (disabled baseline)", null_s * 1e9);
     println!("    flight  {:>8.1} ns  (always-on rings)", flight_s * 1e9);
-    println!("    trace   {:>8.1} ns  (full trace, unbounded)", trace_s * 1e9);
     println!("    flight under 4-way contention: {:>8.1} ns", flight_mt_s * 1e9);
-    log.push_series("seconds.per_event", [null_s, flight_s, trace_s, flight_mt_s]);
+    log.push_series("seconds.per_event", [null_s, flight_s, flight_mt_s]);
     log.push_scalar("metric.flight_overhead_ns_per_event", (flight_s - null_s) * 1e9);
 
     // The stated bound is enforced here, not just recorded: a flight

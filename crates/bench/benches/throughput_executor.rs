@@ -10,7 +10,7 @@ use std::time::Duration;
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use pipemare_bench::report::ExperimentLog;
 use pipemare_pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, Sleep};
-use pipemare_telemetry::{NullRecorder, PipelineTimelineSummary, TraceRecorder};
+use pipemare_telemetry::{FlightRecorder, NullRecorder, PipelineTimelineSummary};
 use pipemare_theory::gpipe_bubble_fraction;
 
 fn bench_executor(c: &mut Criterion) {
@@ -42,7 +42,7 @@ fn save_experiment_log() {
     let nominal = gpipe_bubble_fraction(p, n);
     log.push_scalar("nominal.gpipe_bubble_fraction", nominal);
     for method in [Method::GPipe, Method::PipeMare] {
-        let rec = TraceRecorder::new();
+        let rec = FlightRecorder::for_pipeline(p);
         let plan = PipelinePlan::for_method(method, p, n, minibatches);
         let report =
             run_pipeline(&plan, &mut vec![Sleep(work); p], &rec, &ActivationLedger::new(p, 1));

@@ -11,6 +11,7 @@
 use std::fmt;
 
 pub use pipemare_telemetry::codec::CodecError;
+use pipemare_telemetry::Lapped;
 
 /// A transport- or protocol-level failure.
 #[derive(Debug)]
@@ -49,6 +50,10 @@ pub enum CommsError {
     /// The requested configuration cannot run distributed (e.g. Hogwild
     /// delay sampling, which is driver-local randomness).
     Unsupported(String),
+    /// A flush found that this process's flight recorder overwrote
+    /// events before they were shipped: more was recorded between two
+    /// flushes than a ring holds.
+    Telemetry(Lapped),
 }
 
 impl fmt::Display for CommsError {
@@ -70,6 +75,7 @@ impl fmt::Display for CommsError {
                 None => write!(f, "stage {stage} worker lost before acking any step: {cause}"),
             },
             CommsError::Unsupported(m) => write!(f, "unsupported for distributed runs: {m}"),
+            CommsError::Telemetry(e) => write!(f, "telemetry lost: {e}"),
         }
     }
 }
@@ -80,6 +86,7 @@ impl std::error::Error for CommsError {
             CommsError::Io(e) => Some(e),
             CommsError::Codec(e) => Some(e),
             CommsError::WorkerLost { cause, .. } => Some(cause.as_ref()),
+            CommsError::Telemetry(e) => Some(e),
             _ => None,
         }
     }

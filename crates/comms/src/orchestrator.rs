@@ -53,8 +53,8 @@ use pipemare_nn::TrainModel;
 use pipemare_optim::OptimizerKind;
 use pipemare_pipeline::{Method, OpenPlan, RecomputePolicy};
 use pipemare_telemetry::{
-    events_from_jsonl_string, merge_worker_events, sort_events, EventSource, LiveStore,
-    MetricsRegistry, Recorder, SpanKind, TraceEvent, TraceRecorder, NO_MICROBATCH,
+    events_from_jsonl_string, merge_worker_events, sort_events, EventSource, FlightRecorder,
+    LiveStore, MetricsRegistry, Recorder, SpanKind, TraceEvent, NO_MICROBATCH,
 };
 use pipemare_tensor::StoragePrecision;
 
@@ -67,7 +67,7 @@ use crate::protocol::{
     StageConfig, PROTOCOL_VERSION,
 };
 use crate::transport::{channel, Transport, WireStats};
-use crate::worker::WorkerOptions;
+use crate::worker::{ring_capacity, WorkerOptions};
 
 /// Configuration for a [`DistributedTrainer`] run: the run itself plus
 /// what only a wire has.
@@ -238,11 +238,7 @@ impl WorkerLink {
     fn recv_telemetry(&mut self, merged: &mut Vec<TraceEvent>) -> Result<(), CommsError> {
         match self.recv()? {
             Message::Telemetry { jsonl, .. } => {
-                let events = events_from_jsonl_string(&jsonl).map_err(|e| {
-                    CommsError::Protocol(format!("stage {}: bad telemetry: {e}", self.stage))
-                })?;
-                merge_worker_events(merged, &events, self.stage, self.offset_us);
-                Ok(())
+                merge_telemetry(merged, self.stage, self.offset_us, &jsonl)
             }
             other => Err(self.protocol("Telemetry", &other)),
         }
@@ -253,6 +249,20 @@ impl WorkerLink {
     }
 }
 
+/// Merges one [`Message::Telemetry`] batch from `stage`'s worker into
+/// `merged`, re-tracked onto the stage and shifted into driver time.
+fn merge_telemetry(
+    merged: &mut Vec<TraceEvent>,
+    stage: u32,
+    offset_us: i64,
+    jsonl: &str,
+) -> Result<(), CommsError> {
+    let events = events_from_jsonl_string(jsonl)
+        .map_err(|e| CommsError::Protocol(format!("stage {stage}: bad telemetry: {e}")))?;
+    merge_worker_events(merged, &events, stage, offset_us);
+    Ok(())
+}
+
 /// Performs the hello exchange on a fresh transport: sends the stage
 /// config, validates the ack, and estimates the worker's clock offset
 /// from the request/reply midpoint (NTP-lite).
@@ -260,7 +270,7 @@ pub fn handshake_worker(
     transport: Box<dyn Transport>,
     cfg: StageConfig,
     recv_timeout: Option<Duration>,
-    driver_clock: &TraceRecorder,
+    driver_clock: &impl Recorder,
 ) -> Result<WorkerLink, CommsError> {
     let stage = cfg.stage;
     let (sender, mut receiver) = channel(transport)?;
@@ -376,7 +386,7 @@ impl ShardAccess for RemoteShards {
 pub struct DistributedTrainer<'m, M: TrainModel> {
     model: &'m M,
     driver: StepDriver<RemoteShards>,
-    recorder: Arc<TraceRecorder>,
+    recorder: Arc<FlightRecorder>,
     live: Arc<LiveStore>,
     merged: Vec<TraceEvent>,
     flush_seq: u64,
@@ -402,12 +412,13 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         let DistConfig { train, sparse_grads, recv_timeout } = cfg;
         assert_eq!(transports.len(), train.stages, "one transport per stage");
         let layout = RunLayout::new(model, &train, init_seed);
-        let recorder = Arc::new(TraceRecorder::with_tracks(train.stages + 1));
+        let capacity = ring_capacity(train.n_micro as u32);
+        let recorder = Arc::new(FlightRecorder::new(train.stages + 1, capacity));
         let registry = Arc::new(MetricsRegistry::new());
         let mut links = Vec::with_capacity(train.stages);
         for (s, transport) in transports.into_iter().enumerate() {
             let sc = layout.stage_cfgs[s].clone();
-            let mut link = handshake_worker(transport, sc, recv_timeout, &recorder)?;
+            let mut link = handshake_worker(transport, sc, recv_timeout, recorder.as_ref())?;
             // Mirror this link's wire counters into live gauges so a
             // stats scrape sees per-stage traffic without touching the
             // links themselves.
@@ -457,9 +468,9 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         self.driver.shard_requests()
     }
 
-    /// Drains every worker's telemetry and merges it into the combined
-    /// trace (a streaming flush barrier): every `Flush` goes out before
-    /// the first reply is read.
+    /// Drains every worker's telemetry and the driver's own and merges
+    /// them into the combined trace (a streaming flush barrier): every
+    /// `Flush` goes out before the first reply is read.
     fn flush_telemetry(&mut self) -> Result<(), CommsError> {
         self.flush_seq += 1;
         let id = self.flush_seq;
@@ -474,6 +485,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
                 other => return Err(link.protocol("FlushAck", &other)),
             }
         }
+        self.merged.extend(self.recorder.take().map_err(CommsError::Telemetry)?);
         Ok(())
     }
 
@@ -540,7 +552,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             }
         }
         let mut events = self.merged;
-        events.extend(self.recorder.events());
+        events.extend(self.recorder.take().map_err(CommsError::Telemetry)?);
         sort_events(&mut events);
         let mut sent = WireStats::default();
         let mut recv = WireStats::default();
@@ -629,7 +641,8 @@ pub fn token_stage_config(method: Method, stages: usize, n_micro: usize, s: usiz
 /// routes tokens between neighbours and plays the lagged driver of
 /// [`pipemare_pipeline::with_pipeline`]: it injects minibatch `j + 1` into
 /// stage 0 once minibatch `j − d` has left it ([`OpenPlan::lag`]), timing
-/// each GPipe wait as a `Flush`.
+/// each GPipe wait as a `Flush`. Each minibatch that leaves stage 0 also
+/// flushes every worker's telemetry into the merged trace.
 ///
 /// # Panics
 ///
@@ -646,7 +659,7 @@ pub fn run_token_pipeline(
     assert_eq!(transports.len(), stages, "one transport per stage");
     assert!(stages > 0 && n_micro > 0 && minibatches > 0);
     let total = n_micro * minibatches;
-    let recorder = TraceRecorder::with_tracks(stages + 1);
+    let recorder = FlightRecorder::for_pipeline(stages);
     let driver_track = stages as u32;
 
     // Handshake + mode switch on every link, then split each into a hub
@@ -701,8 +714,8 @@ pub fn run_token_pipeline(
     };
 
     let start = Instant::now();
-    let mut injected = 0usize;
-    let mut completed = 0usize;
+    let mut merged: Vec<TraceEvent> = Vec::new();
+    let (mut injected, mut completed, mut flushes) = (0usize, 0usize, 0u64);
     // `with_pipeline`'s driver: minibatch j + 1 enters once minibatch j − d
     // has left stage 0, and with d = 0 (GPipe) each wait is a flush.
     let open = OpenPlan::new(method, RecomputePolicy::StashAll, stages, n_micro);
@@ -730,16 +743,25 @@ pub fn run_token_pipeline(
             Message::Token { backward: true, id } => {
                 if stage == 0 {
                     completed += 1;
-                    if lag == 0 && completed.is_multiple_of(n_micro) {
-                        recorder.record_span(
-                            SpanKind::Flush,
-                            driver_track,
-                            0,
-                            NO_MICROBATCH,
-                            flush_start,
-                            recorder.now_us(),
-                        );
-                        flush_start = recorder.now_us();
+                    if completed.is_multiple_of(n_micro) {
+                        if lag == 0 {
+                            recorder.record_span(
+                                SpanKind::Flush,
+                                driver_track,
+                                0,
+                                NO_MICROBATCH,
+                                flush_start,
+                                recorder.now_us(),
+                            );
+                            flush_start = recorder.now_us();
+                        }
+                        // A minibatch left: ship every ring's events, as
+                        // the trainer does each step.
+                        flushes += 1;
+                        for s in 0..stages {
+                            send_to(&mut senders, s, &Message::Flush { id: flushes })?;
+                        }
+                        merged.extend(recorder.take().map_err(CommsError::Telemetry)?);
                     }
                 } else {
                     send_to(
@@ -749,6 +771,10 @@ pub fn run_token_pipeline(
                     )?;
                 }
             }
+            Message::Telemetry { jsonl, .. } => {
+                merge_telemetry(&mut merged, stage, offsets[stage as usize], &jsonl)?
+            }
+            Message::FlushAck { .. } => {}
             other => {
                 return Err(CommsError::Protocol(format!(
                     "stage {stage}: unexpected {} during token routing",
@@ -773,16 +799,12 @@ pub fn run_token_pipeline(
     for s in 0..stages {
         send_to(&mut senders, s, &Message::Shutdown)?;
     }
-    let mut merged: Vec<TraceEvent> = Vec::new();
     let mut acked = vec![false; stages];
     while acked.iter().any(|&a| !a) {
         let (stage, msg) = agg_rx.recv().map_err(|_| CommsError::Closed)?;
         match msg {
             Ok(Message::Telemetry { jsonl, .. }) => {
-                let events = events_from_jsonl_string(&jsonl).map_err(|e| {
-                    CommsError::Protocol(format!("stage {stage}: bad telemetry: {e}"))
-                })?;
-                merge_worker_events(&mut merged, &events, stage, offsets[stage as usize]);
+                merge_telemetry(&mut merged, stage, offsets[stage as usize], &jsonl)?
             }
             Ok(Message::ShutdownAck { .. }) => acked[stage as usize] = true,
             // Stray tokens from a pipeline that was already drained, or a
@@ -800,7 +822,7 @@ pub fn run_token_pipeline(
     for h in reader_handles {
         let _ = h.join();
     }
-    merged.extend(recorder.events());
+    merged.extend(recorder.take().map_err(CommsError::Telemetry)?);
     sort_events(&mut merged);
     Ok(TokenPipelineReport {
         elapsed,

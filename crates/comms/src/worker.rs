@@ -18,9 +18,11 @@
 //!   timeline and the same per-op function as the in-process executor's
 //!   threads, so both record the same spans by construction.
 //!
-//! All trace events are recorded on the worker's own clock and shipped
-//! back as JSONL in [`Message::Telemetry`] batches at every flush; the
-//! orchestrator re-tracks and clock-shifts them into one merged trace.
+//! All trace events are recorded on the worker's own clock, into flight
+//! recorder rings sized from the handshake's `n_micro`, and each is
+//! shipped back once as JSONL in the [`Message::Telemetry`] batch of the
+//! next flush; the orchestrator re-tracks and clock-shifts them into one
+//! merged trace. The rings stay readable for live stats after a flush.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -31,8 +33,9 @@ use pipemare_pipeline::{
     run_stage, ActivationLedger, Link, OpenPlan, RecomputePolicy, Sleep, StageLinks, StageOp, Token,
 };
 use pipemare_telemetry::{
-    default_rules, events_to_jsonl_string, AlertEngine, EventSource, JournalConfig, JournalWriter,
-    LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker, TraceRecorder,
+    default_rules, events_to_jsonl_string, AlertEngine, EventSource, FlightRecorder, JournalConfig,
+    JournalWriter, LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker,
+    FLIGHT_DEFAULT_CAPACITY,
 };
 
 use crate::codec::Writer;
@@ -75,8 +78,25 @@ fn fail(tx: &mut Sender, e: CommsError) -> CommsError {
     e
 }
 
-fn telemetry_batch(recorder: &TraceRecorder, stage: u32) -> Message {
-    Message::Telemetry { stage, jsonl: events_to_jsonl_string(&recorder.take()) }
+/// Ring capacity of a worker's and a trainer's recorder: 64 steps of one
+/// stage's spans (at most 3N + 1 a step: a forward, backward and replay
+/// fetch per microbatch, and the update), which every step's flush
+/// drains. Clamped, so a peer's `n_micro` cannot size an allocation.
+pub(crate) fn ring_capacity(n_micro: u32) -> usize {
+    let slots = 64 * (3 * u64::from(n_micro) + 1);
+    slots.min(FLIGHT_DEFAULT_CAPACITY as u64).next_power_of_two() as usize
+}
+
+/// Ships every event recorded since the previous flush as one
+/// [`Message::Telemetry`]; a ring that lapped unshipped events fails the
+/// flush instead.
+fn send_telemetry(
+    recorder: &FlightRecorder,
+    stage: u32,
+    tx: &mut Sender,
+) -> Result<(), CommsError> {
+    let events = recorder.take().map_err(|lapped| fail(tx, CommsError::Telemetry(lapped)))?;
+    tx.send(&Message::Telemetry { stage, jsonl: events_to_jsonl_string(&events) })
 }
 
 /// Serves one stage over an established link: handshake, then the
@@ -116,7 +136,8 @@ pub fn run_stage_worker_opts(
     // The recorder's origin is the worker's time zero; the HelloAck clock
     // sample below is on the same clock, so the orchestrator's offset
     // estimate maps every recorded event into driver time.
-    let recorder = Arc::new(TraceRecorder::with_tracks(cfg.stages as usize + 1));
+    let recorder =
+        Arc::new(FlightRecorder::new(cfg.stages as usize + 1, ring_capacity(cfg.n_micro)));
     let registry = Arc::new(MetricsRegistry::new());
     tx.bind_gauges(&registry, "wire.orchestrator");
     rx.bind_gauges(&registry, "wire.orchestrator");
@@ -202,7 +223,7 @@ fn answer_stats(store: &LiveStore, id: u64, tx: &mut Sender) -> Result<(), Comms
 
 fn run_training_loop(
     mut stage: ShardStage,
-    recorder: &TraceRecorder,
+    recorder: &FlightRecorder,
     store: &LiveStore,
     mut tx: Sender,
     mut rx: Receiver,
@@ -289,11 +310,11 @@ fn run_training_loop(
                 tx.send(&Message::CommitAck { step, stage: stage_id, sq_norm })?;
             }
             Message::Flush { id } => {
-                tx.send(&telemetry_batch(recorder, stage_id))?;
+                send_telemetry(recorder, stage_id, &mut tx)?;
                 tx.send(&Message::FlushAck { id, last_step: stage.committed_steps() })?;
             }
             Message::Shutdown => {
-                tx.send(&telemetry_batch(recorder, stage_id))?;
+                send_telemetry(recorder, stage_id, &mut tx)?;
                 tx.send(&Message::ShutdownAck {
                     stage: stage_id,
                     last_step: stage.committed_steps(),
@@ -336,7 +357,7 @@ fn run_token_loop(
     total: u64,
     is_last: bool,
     work_us: u64,
-    recorder: &TraceRecorder,
+    recorder: &FlightRecorder,
     store: &LiveStore,
     mut tx: Sender,
     rx: Receiver,
@@ -381,7 +402,7 @@ fn run_token_loop(
 struct Wire<'a> {
     stage: u32,
     total: u64,
-    recorder: &'a TraceRecorder,
+    recorder: &'a FlightRecorder,
     store: &'a LiveStore,
     tx: Sender,
     rx: Receiver,
@@ -396,12 +417,12 @@ impl Wire<'_> {
     fn control(&mut self, msg: Message) -> Result<bool, CommsError> {
         match msg {
             Message::Flush { id } => {
-                self.tx.send(&telemetry_batch(self.recorder, self.stage))?;
+                send_telemetry(self.recorder, self.stage, &mut self.tx)?;
                 self.tx.send(&Message::FlushAck { id, last_step: 0 })?;
             }
             Message::StatsRequest { id } => answer_stats(self.store, id, &mut self.tx)?,
             Message::Shutdown => {
-                self.tx.send(&telemetry_batch(self.recorder, self.stage))?;
+                send_telemetry(self.recorder, self.stage, &mut self.tx)?;
                 self.tx.send(&Message::ShutdownAck { stage: self.stage, last_step: 0 })?;
                 return Ok(true);
             }

@@ -17,7 +17,7 @@ use pipemare_core::{train_distributed_loopback, PipelineTrainer, TrainConfig};
 use pipemare_nn::{ImageBatch, Mlp};
 use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 use pipemare_pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, Sleep};
-use pipemare_telemetry::TraceRecorder;
+use pipemare_telemetry::FlightRecorder;
 use pipemare_tensor::Tensor;
 
 const SEED: u64 = 7;
@@ -317,7 +317,7 @@ fn span_multiset(events: &[pipemare_telemetry::TraceEvent]) -> BTreeMap<(u8, u32
 fn token_pipeline_matches_threaded_executor_span_multiset() {
     for method in [Method::GPipe, Method::PipeMare] {
         let (stages, n_micro, minibatches) = (3, 4, 2);
-        let recorder = TraceRecorder::with_tracks(stages + 1);
+        let recorder = FlightRecorder::for_pipeline(stages);
         run_pipeline(
             &PipelinePlan::for_method(method, stages, n_micro, minibatches),
             &mut [Sleep(Duration::from_micros(200)); 3],

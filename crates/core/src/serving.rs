@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use pipemare_comms::{spawn_loopback_workers, CommsError, WorkerHandle};
 use pipemare_nn::InferModel;
-use pipemare_serve::{DynRecorder, ServeConfig, Server, ShardWeightSource, WeightSource};
+use pipemare_serve::{ServeConfig, Server, ShardWeightSource, WeightSource};
 use pipemare_telemetry::FlightRecorder;
 
 /// Serves a frozen parameter vector (e.g. a loaded checkpoint).
@@ -29,7 +29,7 @@ pub fn serve_checkpoint<M: InferModel + 'static>(
     cfg: ServeConfig,
 ) -> Result<(Server, Arc<FlightRecorder>), String> {
     let recorder = Arc::new(FlightRecorder::for_pipeline(cfg.stages));
-    let server = Server::start(model, params, cfg, None, Arc::clone(&recorder) as DynRecorder)?;
+    let server = Server::start(model, params, cfg, None, Arc::clone(&recorder))?;
     Ok((server, recorder))
 }
 
@@ -65,7 +65,7 @@ pub fn serve_live_loopback<M: InferModel + 'static>(
         params,
         cfg,
         Some(Box::new(source) as Box<dyn WeightSource>),
-        Arc::clone(&recorder) as DynRecorder,
+        Arc::clone(&recorder),
     )
     .map_err(CommsError::Unsupported)?;
     Ok((server, recorder, handles))

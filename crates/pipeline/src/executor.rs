@@ -480,8 +480,7 @@ mod tests {
 
     #[test]
     fn recompute_run_emits_replay_spans() {
-        use pipemare_telemetry::TraceRecorder;
-        let recorder = TraceRecorder::new();
+        let recorder = pipemare_telemetry::FlightRecorder::for_pipeline(4);
         run_pipeline(
             &PipelinePlan::for_recompute(RecomputePolicy::Segmented { segment: 2 }, 4, 2, 4),
             &mut [Sleep(Duration::from_micros(20)); 4],
@@ -496,8 +495,7 @@ mod tests {
 
     #[test]
     fn traced_run_stamps_microbatch_trace_ids() {
-        use pipemare_telemetry::TraceRecorder;
-        let recorder = TraceRecorder::new();
+        let recorder = pipemare_telemetry::FlightRecorder::for_pipeline(3);
         run_pipeline(
             &PipelinePlan::for_method(Method::PipeMare, 3, 2, 2),
             &mut [Sleep(Duration::from_micros(20)); 3],

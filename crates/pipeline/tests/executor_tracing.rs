@@ -7,7 +7,7 @@ use pipemare_pipeline::{
     run_pipeline, ActivationLedger, Method, PipelinePlan, PipelineReport, Sleep,
 };
 use pipemare_telemetry::{
-    NullRecorder, PipelineTimelineSummary, Recorder, SpanKind, TraceRecorder,
+    FlightRecorder, NullRecorder, PipelineTimelineSummary, Recorder, SpanKind,
 };
 use pipemare_theory::gpipe_bubble_fraction;
 
@@ -30,7 +30,7 @@ fn gpipe_bubble_fraction_matches_model() {
     // stage utilization is N/(N+P−1) and the measured bubble fraction
     // should approach (P−1)/(N+P−1) = 3/7 ≈ 0.43.
     let (p, n) = (4, 4);
-    let rec = TraceRecorder::new();
+    let rec = FlightRecorder::for_pipeline(p);
     run(Method::GPipe, p, n, 6, Duration::from_millis(2), &rec);
     let summary = PipelineTimelineSummary::from_events(&rec.events());
     let nominal = gpipe_bubble_fraction(p, n);
@@ -47,9 +47,9 @@ fn gpipe_bubble_fraction_matches_model() {
 fn pipemare_bubble_smaller_than_gpipe() {
     let (p, n) = (4, 2);
     let work = Duration::from_millis(2);
-    let gp = TraceRecorder::new();
+    let gp = FlightRecorder::for_pipeline(p);
     run(Method::GPipe, p, n, 8, work, &gp);
-    let pm = TraceRecorder::new();
+    let pm = FlightRecorder::for_pipeline(p);
     run(Method::PipeMare, p, n, 8, work, &pm);
     let gp_summary = PipelineTimelineSummary::from_events(&gp.events());
     let pm_summary = PipelineTimelineSummary::from_events(&pm.events());
@@ -64,7 +64,7 @@ fn pipemare_bubble_smaller_than_gpipe() {
 #[test]
 fn trace_covers_every_stage_and_microbatch() {
     let (p, n, minibatches) = (3, 2, 2);
-    let rec = TraceRecorder::new();
+    let rec = FlightRecorder::for_pipeline(p);
     run(Method::PipeMare, p, n, minibatches, Duration::from_micros(200), &rec);
     let events = rec.events();
     let total = n * minibatches;
@@ -83,7 +83,7 @@ fn trace_covers_every_stage_and_microbatch() {
 
 #[test]
 fn gpipe_emits_one_flush_per_minibatch() {
-    let rec = TraceRecorder::new();
+    let rec = FlightRecorder::for_pipeline(3);
     run(Method::GPipe, 3, 2, 4, Duration::from_micros(200), &rec);
     let flushes = rec.events().iter().filter(|e| e.kind == SpanKind::Flush).count();
     // One per minibatch boundary plus the final drain (which is empty).
@@ -98,7 +98,7 @@ fn null_recorder_throughput_statistically_unchanged() {
     let work = Duration::from_micros(500);
     let plain = || run(Method::PipeMare, 4, 4, 4, work, &NullRecorder).throughput;
     let traced = || {
-        let rec = TraceRecorder::new();
+        let rec = FlightRecorder::for_pipeline(4);
         run(Method::PipeMare, 4, 4, 4, work, &rec).throughput
     };
     let plain_best = (0..3).map(|_| plain()).fold(f64::MIN, f64::max);

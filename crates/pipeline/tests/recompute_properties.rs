@@ -9,14 +9,15 @@ use pipemare_pipeline::{
     simulate_peaks, walk, ActivationLedger, ActivationModel, Method, PipelinePlan, RecomputePolicy,
     Sleep, StageOpKind,
 };
-use pipemare_telemetry::{TraceRecorder, NO_MICROBATCH};
+use pipemare_telemetry::{FlightRecorder, NO_MICROBATCH};
 
 /// Executes `plan` without threads through the library's walk under the
 /// lagged driver `run_pipeline`'s calls are — minibatch j + 1 once
 /// minibatch j − d has completed, `d` the plan's lag — and returns how
 /// many ops each stage got through, counted by their spans.
 fn dry_run(plan: &PipelinePlan) -> Vec<usize> {
-    let (open, p, recorder) = (plan.open(), plan.stages(), TraceRecorder::new());
+    let (open, p) = (plan.open(), plan.stages());
+    let recorder = FlightRecorder::for_pipeline(p);
     let (calls, mut work) = (plan.total() / open.n_micro(), vec![Sleep(Duration::ZERO); p]);
     let _ = walk(open, open.lag(), calls, &mut work, &recorder, &ActivationLedger::new(p, 1));
     let ops = recorder.events().into_iter().filter(|e| e.microbatch != NO_MICROBATCH);

@@ -21,17 +21,13 @@ use std::thread;
 use crossbeam_channel::{bounded, Receiver, Sender};
 
 use pipemare_nn::{InferModel, ServeSplit};
-use pipemare_telemetry::{EventSource, Recorder, SpanKind};
+use pipemare_telemetry::{FlightRecorder, Recorder, SpanKind};
 use pipemare_tensor::{pool, Tensor};
 
-/// Everything the serving plane needs from a recorder: span recording
-/// for the stage threads plus event snapshots so the live stats store
-/// can fold per-stage utilization out of the same black box.
-pub trait ServeRecorder: Recorder + EventSource {}
-impl<T: Recorder + EventSource + ?Sized> ServeRecorder for T {}
-
-/// A dynamic recorder handle shared across serving threads.
-pub type DynRecorder = Arc<dyn ServeRecorder + Send + Sync>;
+/// The serving plane's recorder, shared across serving threads: the
+/// stage threads record spans into it, and the live stats store folds
+/// per-stage utilization out of the same black box.
+pub type DynRecorder = Arc<FlightRecorder>;
 
 /// A staged, forward-only inference engine over an [`InferModel`].
 ///
@@ -173,7 +169,6 @@ impl StagedEngine {
 mod tests {
     use super::*;
     use pipemare_nn::Mlp;
-    use pipemare_telemetry::TraceRecorder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -188,7 +183,7 @@ mod tests {
     #[test]
     fn staged_engine_matches_monolithic_forward_bitwise() {
         let (model, params) = model_and_params();
-        let recorder: DynRecorder = Arc::new(TraceRecorder::with_tracks(4));
+        let recorder: DynRecorder = Arc::new(FlightRecorder::for_pipeline(3));
         for stages in [1usize, 2, 3] {
             let splits = model.serve_splits(stages);
             let engine = Arc::new(StagedEngine::new(
@@ -226,7 +221,7 @@ mod tests {
     #[test]
     fn weight_update_takes_effect_between_batches() {
         let (model, params) = model_and_params();
-        let recorder: DynRecorder = Arc::new(TraceRecorder::with_tracks(3));
+        let recorder: DynRecorder = Arc::new(FlightRecorder::for_pipeline(2));
         let splits = model.serve_splits(2);
         let engine = StagedEngine::new(Arc::clone(&model), splits, params.clone(), recorder);
         let mut rng = StdRng::seed_from_u64(9);

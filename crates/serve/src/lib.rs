@@ -38,7 +38,7 @@ pub mod weights;
 
 pub use client::InferClient;
 pub use config::ServeConfig;
-pub use engine::{DynRecorder, ServeRecorder, StagedEngine};
+pub use engine::{DynRecorder, StagedEngine};
 pub use error::{Rejection, ServeError};
 pub use policy::{poissonish_trace, quantile, simulate, SimConfig, SimOutcome, SimRequest};
 pub use server::{ServeStats, Server};

@@ -40,7 +40,6 @@ use pipemare_nn::InferModel;
 use pipemare_telemetry::{
     default_rules, AlertEngine, Counter, EventSource, Gauge, Histogram, JournalConfig,
     JournalWriter, LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker,
-    TraceEvent,
 };
 use pipemare_tensor::Tensor;
 
@@ -114,15 +113,6 @@ impl ServeMetrics {
             batch_rows: reg
                 .histogram("serve.batch_rows", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
         }
-    }
-}
-
-/// Adapts the server's recorder into the live store's event feed.
-struct RecorderEvents(DynRecorder);
-
-impl EventSource for RecorderEvents {
-    fn snapshot_events(&self) -> Vec<TraceEvent> {
-        self.0.snapshot_events()
     }
 }
 
@@ -232,8 +222,7 @@ impl Server {
         let live = Arc::new(
             LiveStore::new("serve", cfg.stages)
                 .with_registry(Arc::clone(&registry))
-                .with_events(Arc::new(RecorderEvents(Arc::clone(&recorder)))
-                    as Arc<dyn EventSource + Send + Sync>),
+                .with_events(Arc::clone(&recorder) as Arc<dyn EventSource + Send + Sync>),
         );
         let inner = Arc::new(Inner {
             cfg,
@@ -322,11 +311,8 @@ impl Server {
     /// [`AlertEngine::active`].
     pub fn alert_rules(&self) -> Arc<AlertEngine> {
         let engine = Arc::new(AlertEngine::new(default_rules()));
-        let recorder: DynRecorder = Arc::clone(&self.inner.recorder);
-        engine.attach_recorder(
-            recorder as Arc<dyn Recorder + Send + Sync>,
-            self.inner.cfg.stages as u32,
-        );
+        let recorder = Arc::clone(&self.inner.recorder) as Arc<dyn Recorder + Send + Sync>;
+        engine.attach_recorder(recorder, self.inner.cfg.stages as u32);
         self.inner.live.attach_alerts(Arc::clone(&engine));
         engine
     }

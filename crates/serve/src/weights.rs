@@ -15,7 +15,7 @@ use pipemare_comms::{
 use pipemare_nn::ServeSplit;
 use pipemare_optim::OptimizerKind;
 use pipemare_pipeline::Method;
-use pipemare_telemetry::TraceRecorder;
+use pipemare_telemetry::FlightRecorder;
 use pipemare_tensor::StoragePrecision;
 
 /// Supplies the full parameter vector on demand.
@@ -84,7 +84,8 @@ impl ShardWeightSource {
     ) -> Result<Self, CommsError> {
         assert_eq!(transports.len(), splits.len(), "one transport per stage split");
         assert_eq!(init.len(), param_len, "init must be the full parameter vector");
-        let clock = TraceRecorder::with_tracks(splits.len() + 1);
+        // Only its clock is read: a ring is allocated when a track records.
+        let clock = FlightRecorder::new(1, 1);
         let mut links = Vec::with_capacity(splits.len());
         for (s, transport) in transports.into_iter().enumerate() {
             let cfg = serve_stage_config(&splits, param_len, s);

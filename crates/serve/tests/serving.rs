@@ -10,7 +10,7 @@ use std::time::Duration;
 use pipemare_comms::{RejectReason, TcpTransport, Transport};
 use pipemare_nn::{Mlp, TrainModel};
 use pipemare_serve::{DynRecorder, InferClient, ServeConfig, Server};
-use pipemare_telemetry::TraceRecorder;
+use pipemare_telemetry::FlightRecorder;
 use pipemare_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,7 +26,7 @@ fn model_and_params(seed: u64) -> (Arc<Mlp>, Vec<f32>) {
 }
 
 fn start_server(model: &Arc<Mlp>, params: &[f32], cfg: ServeConfig) -> Server {
-    let recorder: DynRecorder = Arc::new(TraceRecorder::with_tracks(cfg.stages + 1));
+    let recorder: DynRecorder = Arc::new(FlightRecorder::for_pipeline(cfg.stages));
     Server::start(Arc::clone(model), params.to_vec(), cfg, None, recorder)
         .expect("server must start")
 }

@@ -6,7 +6,7 @@
 //! nominal `τ_fwd`/`τ_recomp` delay tables, straggler / critical-path
 //! identification, windowed drift over time, and a structured diff of
 //! two runs. Everything here takes a plain `&[TraceEvent]` so it works
-//! identically on full [`crate::TraceRecorder`] exports, flight-recorder
+//! identically on a flight recorder's whole-run `events()` export, its
 //! black-box dumps and merged distributed traces, each read back from
 //! JSONL by [`crate::export::read_jsonl`]. Per-stage busy time and τ
 //! come from [`crate::summary`]'s one grouping of a trace by stage;

@@ -2,20 +2,13 @@
 //!
 //! A [`Recorder`] is the write side of the tracing subsystem: execution
 //! code (the threaded pipeline executor, trainers) is generic over it so
-//! that the disabled path monomorphizes to nothing. [`NullRecorder`]
-//! reports `enabled() == false` and every call is an inlineable no-op —
-//! no clock reads, no allocation, no locks. [`TraceRecorder`] collects
-//! [`TraceEvent`]s into per-track sharded buffers: each pipeline stage
-//! (track) appends to its own buffer behind its own mutex, so stages
-//! never contend with each other on the hot path; a push is a lock of an
-//! uncontended mutex plus an amortized `Vec` append of a `Copy` struct.
-//! The third tier, [`crate::FlightRecorder`], trades completeness for a
-//! bound: fixed-capacity lock-free rings cheap enough to leave on for
-//! the life of a run. [`EventSource`] is the matching read side — any
-//! enabled recorder tier can hand back a snapshot of what it holds.
-
-use std::sync::Mutex;
-use std::time::Instant;
+//! that the disabled path monomorphizes to nothing. There are two tiers.
+//! [`NullRecorder`] reports `enabled() == false` and every call is an
+//! inlineable no-op — no clock reads, no allocation, no locks.
+//! [`crate::FlightRecorder`] keeps events in bounded lock-free per-track
+//! rings, cheap enough to leave on for the life of a run and drained
+//! exactly by its `take`. [`EventSource`] is the matching read side —
+//! either tier can hand back a snapshot of what it holds.
 
 /// What a span (or instant event) represents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -185,11 +178,10 @@ pub trait Recorder: Sync {
 /// The read side of an enabled recorder: a point-in-time copy of the
 /// events it currently holds, sorted by `(ts_us, track)`.
 ///
-/// Implemented by every recorder tier so analysis entry points (the
-/// health monitor's `ingest_events`, black-box dumps)
-/// compose with whichever tier the run pays for: [`TraceRecorder`]
-/// returns everything, [`crate::FlightRecorder`] the retained ring
-/// contents, [`NullRecorder`] nothing.
+/// Implemented by both recorder tiers so analysis entry points (the
+/// health monitor's `ingest_events`, black-box dumps, live stats) compose
+/// with whichever tier the run pays for: [`crate::FlightRecorder`]
+/// returns the retained ring contents, [`NullRecorder`] nothing.
 pub trait EventSource {
     /// Copies out the currently held events, sorted by `(ts_us, track)`.
     fn snapshot_events(&self) -> Vec<TraceEvent>;
@@ -226,108 +218,6 @@ impl Recorder for NullRecorder {
     fn record(&self, _ev: TraceEvent) {}
 }
 
-/// Default number of independent buffers in a [`TraceRecorder`]; tracks
-/// map onto shards by modulo, so pipelines up to this deep are
-/// contention-free.
-const SHARDS: usize = 32;
-
-/// An enabled recorder collecting events into per-track shards.
-///
-/// **Track/shard invariant**: a track owns shard `track % n_shards`.
-/// [`TraceRecorder::new`] allocates `SHARDS` (32) shards, so tracks
-/// `0..32` are contention-free; deeper pipelines alias — tracks 32 and 0
-/// share a shard, which is *correct* (events carry their own `track`
-/// field and [`TraceRecorder::events`] sorts globally) but makes the
-/// aliased tracks contend on one mutex. Use
-/// [`TraceRecorder::with_tracks`] when the track count is known up front
-/// so every track gets its own shard.
-pub struct TraceRecorder {
-    origin: Instant,
-    shards: Vec<Mutex<Vec<TraceEvent>>>,
-}
-
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceRecorder {
-    /// Creates a recorder whose time origin is "now", with the default
-    /// `SHARDS` shard count.
-    pub fn new() -> Self {
-        Self::with_tracks(SHARDS)
-    }
-
-    /// Creates a recorder with at least `n_tracks` shards (never fewer
-    /// than the default `SHARDS`), so a pipeline `n_tracks` deep
-    /// records contention-free — no two of its tracks alias one shard.
-    pub fn with_tracks(n_tracks: usize) -> Self {
-        TraceRecorder {
-            origin: Instant::now(),
-            shards: (0..n_tracks.max(SHARDS)).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    /// Total events recorded so far.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
-    }
-
-    /// Whether no events have been recorded (lets callers skip exporting
-    /// or summarizing empty traces).
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().unwrap().is_empty())
-    }
-
-    /// All events recorded so far, sorted by start timestamp.
-    ///
-    /// Copies every shard into one pre-sized allocation (no intermediate
-    /// per-shard clones) and sorts once.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut all = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            all.extend_from_slice(&s.lock().unwrap());
-        }
-        all.sort_by_key(|e| (e.ts_us, e.track));
-        all
-    }
-
-    /// Removes and returns every event recorded so far, sorted by start
-    /// timestamp. Each shard is emptied under its own lock, so an event
-    /// recorded meanwhile lands in this batch or stays for the next one.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        let mut all = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            all.append(&mut s.lock().unwrap());
-        }
-        all.sort_by_key(|e| (e.ts_us, e.track));
-        all
-    }
-}
-
-impl EventSource for TraceRecorder {
-    fn snapshot_events(&self) -> Vec<TraceEvent> {
-        self.events()
-    }
-}
-
-impl Recorder for TraceRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn now_us(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
-    }
-
-    fn record(&self, ev: TraceEvent) {
-        // Tracks beyond the shard count alias (see the type docs); the
-        // event's own `track` field keeps attribution exact regardless.
-        self.shards[ev.track as usize % self.shards.len()].lock().unwrap().push(ev);
-    }
-}
-
 impl<R: Recorder + ?Sized> Recorder for &R {
     fn enabled(&self) -> bool {
         (**self).enabled()
@@ -353,152 +243,5 @@ mod tests {
         r.record_instant(SpanKind::Inject, 0, 0, 0);
         r.record_span(SpanKind::Forward, 0, 0, 0, 0, 10);
         assert_eq!(r.now_us(), 0);
-    }
-
-    #[test]
-    fn trace_recorder_collects_sorted_events() {
-        let r = TraceRecorder::new();
-        r.record(TraceEvent {
-            kind: SpanKind::Backward,
-            track: 1,
-            stage: 1,
-            microbatch: 0,
-            ts_us: 50,
-            dur_us: 10,
-            trace: NO_TRACE,
-        });
-        r.record(TraceEvent {
-            kind: SpanKind::Forward,
-            track: 0,
-            stage: 0,
-            microbatch: 0,
-            ts_us: 5,
-            dur_us: 10,
-            trace: NO_TRACE,
-        });
-        let evs = r.events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].kind, SpanKind::Forward);
-        assert!(evs[0].ts_us <= evs[1].ts_us);
-        assert_eq!(r.take(), evs);
-        assert!(r.events().is_empty());
-    }
-
-    #[test]
-    fn len_and_is_empty_track_recorded_events() {
-        let r = TraceRecorder::new();
-        assert!(r.is_empty());
-        assert_eq!(r.len(), 0);
-        r.record_instant(SpanKind::Inject, 3, 0, 0);
-        r.record_instant(SpanKind::Inject, 40, 0, 1); // aliases shard 8
-        assert!(!r.is_empty());
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.snapshot_events().len(), 2);
-        assert_eq!(r.take().len(), 2);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn deep_pipelines_get_dedicated_shards_and_aliasing_stays_correct() {
-        // with_tracks(64): tracks 0..64 each own a shard.
-        let wide = TraceRecorder::with_tracks(64);
-        for track in 0..64u32 {
-            wide.record(TraceEvent {
-                kind: SpanKind::Forward,
-                track,
-                stage: track,
-                microbatch: 0,
-                ts_us: track as u64,
-                dur_us: 1,
-                trace: NO_TRACE,
-            });
-        }
-        assert_eq!(wide.len(), 64);
-        // Default recorder: tracks 0 and 32 alias one shard, but events()
-        // still attributes and orders both exactly.
-        let narrow = TraceRecorder::new();
-        narrow.record(TraceEvent {
-            kind: SpanKind::Forward,
-            track: 32,
-            stage: 32,
-            microbatch: 0,
-            ts_us: 10,
-            dur_us: 1,
-            trace: NO_TRACE,
-        });
-        narrow.record(TraceEvent {
-            kind: SpanKind::Forward,
-            track: 0,
-            stage: 0,
-            microbatch: 0,
-            ts_us: 5,
-            dur_us: 1,
-            trace: NO_TRACE,
-        });
-        let evs = narrow.events();
-        assert_eq!(evs.iter().map(|e| e.track).collect::<Vec<_>>(), vec![0, 32]);
-    }
-
-    #[test]
-    fn recorder_clock_is_monotone() {
-        let r = TraceRecorder::new();
-        let a = r.now_us();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let b = r.now_us();
-        assert!(b > a);
-    }
-
-    #[test]
-    fn concurrent_records_from_many_threads_all_arrive() {
-        let r = TraceRecorder::new();
-        std::thread::scope(|scope| {
-            for track in 0..8u32 {
-                let r = &r;
-                scope.spawn(move || {
-                    for i in 0..500 {
-                        let t0 = r.now_us();
-                        r.record_span(SpanKind::Forward, track, track, i, t0, t0 + 1);
-                    }
-                });
-            }
-        });
-        let evs = r.events();
-        assert_eq!(evs.len(), 8 * 500);
-        // Per-track timestamps must be non-decreasing (each track records
-        // its own monotone clock reads).
-        for track in 0..8u32 {
-            let ts: Vec<u64> = evs.iter().filter(|e| e.track == track).map(|e| e.ts_us).collect();
-            assert_eq!(ts.len(), 500);
-            assert!(ts.windows(2).all(|w| w[0] <= w[1]));
-        }
-    }
-
-    #[test]
-    fn take_while_recording_ships_every_event_exactly_once() {
-        let r = TraceRecorder::new();
-        let mut batches = Vec::new();
-        std::thread::scope(|scope| {
-            let writers: Vec<_> = (0..4u32)
-                .map(|track| {
-                    let r = &r;
-                    scope.spawn(move || {
-                        for mb in 0..20_000 {
-                            r.record_instant(SpanKind::AlertFiring, track, track, mb);
-                        }
-                    })
-                })
-                .collect();
-            while !writers.iter().all(|w| w.is_finished()) {
-                batches.push(r.take());
-            }
-        });
-        batches.push(r.take());
-        let mut shipped: Vec<(u32, u32)> =
-            batches.iter().flatten().map(|e| (e.track, e.microbatch)).collect();
-        shipped.sort_unstable();
-        let recorded: Vec<(u32, u32)> =
-            (0..4).flat_map(|track| (0..20_000).map(move |mb| (track, mb))).collect();
-        assert_eq!(shipped, recorded);
-        assert!(r.is_empty());
     }
 }

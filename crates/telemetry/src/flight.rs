@@ -1,16 +1,23 @@
-//! The always-on flight recorder: bounded lock-free ring buffers.
+//! The recorder: bounded lock-free ring buffers, one per track.
 //!
-//! [`crate::TraceRecorder`] keeps *everything* in unbounded mutex-guarded
-//! buffers — right for instrumented runs, wrong for a recorder you leave
-//! enabled for days: exactly the runs that diverge are the ones nobody
-//! thought to trace. [`FlightRecorder`] is the third tier between
-//! [`crate::NullRecorder`] and [`crate::TraceRecorder`]: per-track
-//! bounded rings of [`TraceEvent`]s with fixed capacity,
+//! [`FlightRecorder`] is the enabled tier next to [`crate::NullRecorder`]:
+//! per-track bounded rings of [`TraceEvent`]s with fixed capacity,
 //! overwrite-oldest semantics, and an atomic write cursor per track — no
-//! locks and no allocation on the hot path, so it is cheap enough to
-//! stay on for the life of a training job. When a health anomaly fires,
-//! the last-K-seconds ring contents become the black-box dump (see
-//! `pipemare_core::HealthHook`).
+//! locks on the hot path, so it is cheap enough to stay on for the life of
+//! a training job. A track's ring is allocated when the track records its
+//! first event, so ring memory is paid only by tracks that record: a
+//! recorder sized from a peer's stage count costs 16 bytes per track
+//! until the track writes.
+//!
+//! It has three reads. [`FlightRecorder::snapshot`] and
+//! [`FlightRecorder::recent`] copy what the rings retain — the lossy live
+//! view a stats sample or a black-box dump wants (see
+//! `pipemare_core::HealthHook`). [`FlightRecorder::events`] is the whole
+//! trace of an instrumented run, and refuses one a ring overwrote.
+//! [`FlightRecorder::take`] ships every event since the previous `take`,
+//! exactly once, through a per-track shipped cursor; a ring that lapped
+//! events before they were taken makes it fail with [`Lapped`] and the
+//! exact count lost, instead of growing.
 //!
 //! ## Write protocol
 //!
@@ -22,16 +29,16 @@
 //! before and after copying the payload and skip torn slots, so a
 //! snapshot taken concurrently with writers never yields a half-written
 //! event; a snapshot taken while writers are quiescent (threads joined)
-//! is exact.
+//! is exact. A `take` stops at the first slot still being written and
+//! ships it next time.
 //!
 //! ## Accounting is exact
 //!
 //! - `overwritten()` — events lost to ring wraparound — is derived from
 //!   the cursors (`cursor − capacity` per track), not sampled.
 //! - `dropped()` — events whose `track` is beyond the configured track
-//!   count — is an exact counter. Unlike [`crate::TraceRecorder`]'s
-//!   modulo sharding, out-of-range tracks are *never* silently aliased
-//!   into another track's ring.
+//!   count — is an exact counter. Out-of-range tracks are *never*
+//!   aliased into another track's ring.
 //!
 //! ## Sizing guidance
 //!
@@ -41,9 +48,12 @@
 //! `capacity / 4` microbatches of history per stage. The default
 //! (`DEFAULT_CAPACITY` = 4096 slots ≈ 192 KiB/track) covers ~1000
 //! microbatches per stage; size up with [`FlightRecorder::new`] if your
-//! anomaly-to-dump window spans more.
+//! anomaly-to-dump window spans more, and size a drained recorder for the
+//! events one track records between two takes.
 
+use std::fmt;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::event::{EventSource, Recorder, SpanKind, TraceEvent};
@@ -85,6 +95,7 @@ fn unpack_kind(code: u64) -> SpanKind {
 }
 
 /// One ring slot: a seqlock word plus the packed event payload.
+#[derive(Default)]
 struct Slot {
     /// 0 = never written; odd = write in progress; even nonzero =
     /// `(write_index + 1) << 1` of the published event.
@@ -101,44 +112,87 @@ struct Slot {
     w4: AtomicU64,
 }
 
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            w0: AtomicU64::new(0),
-            w1: AtomicU64::new(0),
-            w2: AtomicU64::new(0),
-            w3: AtomicU64::new(0),
-            w4: AtomicU64::new(0),
-        }
-    }
-}
-
 struct TrackRing {
     /// Total events ever written to this track (monotone).
     cursor: AtomicU64,
-    slots: Vec<Slot>,
+    /// Events before this index have been shipped by a `take` or lost;
+    /// written only under the recorder's taker lock.
+    shipped: AtomicU64,
+    slots: Box<[Slot]>,
 }
 
 impl TrackRing {
     fn new(capacity: usize) -> Self {
-        TrackRing { cursor: AtomicU64::new(0), slots: (0..capacity).map(|_| Slot::new()).collect() }
+        TrackRing {
+            cursor: AtomicU64::new(0),
+            shipped: AtomicU64::new(0),
+            slots: (0..capacity).map(|_| Slot::default()).collect(),
+        }
+    }
+
+    /// The event written at `idx`, or `None` while its write is in
+    /// progress, not yet begun, or already lapped by a newer one.
+    fn read(&self, idx: u64) -> Option<TraceEvent> {
+        let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
+        let seq1 = slot.seq.load(Ordering::Acquire);
+        if seq1 != (idx + 1) << 1 {
+            return None;
+        }
+        let w0 = slot.w0.load(Ordering::Relaxed);
+        let w1 = slot.w1.load(Ordering::Relaxed);
+        let w2 = slot.w2.load(Ordering::Relaxed);
+        let w3 = slot.w3.load(Ordering::Relaxed);
+        let w4 = slot.w4.load(Ordering::Relaxed);
+        // Order the payload loads before the validation re-read.
+        fence(Ordering::Acquire);
+        if slot.seq.load(Ordering::Relaxed) != seq1 {
+            return None;
+        }
+        Some(TraceEvent {
+            kind: unpack_kind(w0 & 0xffff_ffff),
+            track: (w0 >> 32) as u32,
+            stage: (w1 & 0xffff_ffff) as u32,
+            microbatch: (w1 >> 32) as u32,
+            ts_us: w2,
+            dur_us: w3,
+            trace: w4,
+        })
     }
 }
 
-/// A bounded, lock-free, always-on recorder: per-track rings with
-/// overwrite-oldest semantics (see the module docs for the protocol and
-/// sizing guidance).
+/// What [`FlightRecorder::take`] returns when its rings overwrote events
+/// before any take shipped them: the run recorded more between two takes
+/// than a ring holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Lapped {
+    /// Events no take will ship, over every track.
+    pub lost: u64,
+}
+
+impl fmt::Display for Lapped {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "flight recorder rings overwrote {} events before they were taken", self.lost)
+    }
+}
+
+impl std::error::Error for Lapped {}
+
+/// A bounded, lock-free recorder: per-track rings with overwrite-oldest
+/// semantics, each allocated when its track first records (see the module
+/// docs for the protocol and sizing guidance).
 pub struct FlightRecorder {
     origin: Instant,
-    tracks: Vec<TrackRing>,
+    capacity: usize,
+    tracks: Box<[OnceLock<Box<TrackRing>>]>,
     /// Events recorded with `track >= n_tracks` (counted, not stored).
     dropped: AtomicU64,
+    /// Serialises takes, which move the shipped cursors.
+    taker: Mutex<()>,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder with `n_tracks` rings of `capacity` events
-    /// each; the time origin is "now".
+    /// Creates a recorder with `n_tracks` tracks whose rings hold
+    /// `capacity` events each once allocated; the time origin is "now".
     ///
     /// # Panics
     ///
@@ -148,8 +202,10 @@ impl FlightRecorder {
         assert!(capacity > 0, "flight recorder rings need nonzero capacity");
         FlightRecorder {
             origin: Instant::now(),
-            tracks: (0..n_tracks).map(|_| TrackRing::new(capacity)).collect(),
+            capacity,
+            tracks: (0..n_tracks).map(|_| OnceLock::new()).collect(),
             dropped: AtomicU64::new(0),
+            taker: Mutex::new(()),
         }
     }
 
@@ -167,21 +223,23 @@ impl FlightRecorder {
 
     /// Per-track ring capacity in events.
     pub fn capacity(&self) -> usize {
-        self.tracks[0].slots.len()
+        self.capacity
+    }
+
+    /// The rings of the tracks that have recorded.
+    fn rings(&self) -> impl Iterator<Item = &TrackRing> {
+        self.tracks.iter().filter_map(|t| t.get().map(|ring| &**ring))
     }
 
     /// Total events ever recorded into rings (including ones since
     /// overwritten; excludes dropped ones).
     pub fn recorded(&self) -> u64 {
-        self.tracks.iter().map(|t| t.cursor.load(Ordering::Relaxed)).sum()
+        self.rings().map(|t| t.cursor.load(Ordering::Relaxed)).sum()
     }
 
     /// Events currently retained across all rings.
     pub fn len(&self) -> usize {
-        self.tracks
-            .iter()
-            .map(|t| (t.cursor.load(Ordering::Relaxed) as usize).min(t.slots.len()))
-            .sum()
+        self.rings().map(|t| (t.cursor.load(Ordering::Relaxed) as usize).min(self.capacity)).sum()
     }
 
     /// Whether nothing has been recorded.
@@ -191,10 +249,8 @@ impl FlightRecorder {
 
     /// Exact count of events lost to ring wraparound.
     pub fn overwritten(&self) -> u64 {
-        self.tracks
-            .iter()
-            .map(|t| t.cursor.load(Ordering::Relaxed).saturating_sub(t.slots.len() as u64))
-            .sum()
+        let cap = self.capacity as u64;
+        self.rings().map(|t| t.cursor.load(Ordering::Relaxed).saturating_sub(cap)).sum()
     }
 
     /// Exact count of events recorded with a track index beyond
@@ -211,43 +267,27 @@ impl FlightRecorder {
     /// writer threads joined first — are exact.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         let mut out = Vec::with_capacity(self.len());
-        for ring in &self.tracks {
-            let cap = ring.slots.len() as u64;
+        for ring in self.rings() {
             let cursor = ring.cursor.load(Ordering::Acquire);
-            let live = cursor.min(cap);
             // Oldest retained index first.
-            let first = cursor - live;
-            for idx in first..cursor {
-                let slot = &ring.slots[(idx % cap) as usize];
-                let seq1 = slot.seq.load(Ordering::Acquire);
-                if seq1 != (idx + 1) << 1 {
-                    // Unpublished, mid-write, or already lapped by a
-                    // newer event (which a later idx will pick up).
-                    continue;
-                }
-                let w0 = slot.w0.load(Ordering::Relaxed);
-                let w1 = slot.w1.load(Ordering::Relaxed);
-                let w2 = slot.w2.load(Ordering::Relaxed);
-                let w3 = slot.w3.load(Ordering::Relaxed);
-                let w4 = slot.w4.load(Ordering::Relaxed);
-                // Order the payload loads before the validation re-read.
-                fence(Ordering::Acquire);
-                if slot.seq.load(Ordering::Relaxed) != seq1 {
-                    continue;
-                }
-                out.push(TraceEvent {
-                    kind: unpack_kind(w0 & 0xffff_ffff),
-                    track: (w0 >> 32) as u32,
-                    stage: (w1 & 0xffff_ffff) as u32,
-                    microbatch: (w1 >> 32) as u32,
-                    ts_us: w2,
-                    dur_us: w3,
-                    trace: w4,
-                });
-            }
+            let first = cursor.saturating_sub(self.capacity as u64);
+            out.extend((first..cursor).filter_map(|idx| ring.read(idx)));
         }
         out.sort_by_key(|e| (e.ts_us, e.track));
         out
+    }
+
+    /// Every event recorded, sorted by `(ts_us, track)`: the whole trace
+    /// of an instrumented run, read once its writers have finished.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a ring has overwritten events: size the recorder for the
+    /// run.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        let lost = self.overwritten();
+        assert_eq!(lost, 0, "flight recorder rings overwrote {lost} events: size them for the run");
+        self.snapshot()
     }
 
     /// The retained events whose end lies within the trailing
@@ -260,16 +300,45 @@ impl FlightRecorder {
         out
     }
 
-    /// Resets every ring and counter (e.g. between runs). Requires
-    /// `&mut self`, so no writer can race the reset.
-    pub fn clear(&mut self) {
-        for ring in &mut self.tracks {
-            for slot in &mut ring.slots {
-                *slot.seq.get_mut() = 0;
+    /// Ships every event recorded since the previous `take`, sorted by
+    /// `(ts_us, track)`. Safe to call while writers are active: a track's
+    /// batch ends at its first slot still being written, which the next
+    /// `take` ships. Snapshots are unaffected.
+    ///
+    /// # Errors
+    ///
+    /// [`Lapped`] if a ring overwrote events before they were taken. Then
+    /// nothing is shipped: each lapped track moves past its lost events
+    /// and every other event stays for the next `take`.
+    pub fn take(&self) -> Result<Vec<TraceEvent>, Lapped> {
+        let _one_taker = self.taker.lock().expect("a take panicked");
+        let cap = self.capacity as u64;
+        let mut out = Vec::new();
+        let mut ends = Vec::new();
+        let mut lost = 0;
+        for ring in self.rings() {
+            let cursor = ring.cursor.load(Ordering::Acquire);
+            let shipped = ring.shipped.load(Ordering::Relaxed);
+            // Indices below `cursor − cap` have had their slot claimed by
+            // a newer write.
+            let resume = shipped.max(cursor.saturating_sub(cap));
+            let mut end = resume;
+            while end < cursor {
+                let Some(ev) = ring.read(end) else { break };
+                out.push(ev);
+                end += 1;
             }
-            *ring.cursor.get_mut() = 0;
+            lost += resume - shipped;
+            ends.push((ring, resume, end));
         }
-        *self.dropped.get_mut() = 0;
+        for (ring, resume, end) in ends {
+            ring.shipped.store(if lost > 0 { resume } else { end }, Ordering::Relaxed);
+        }
+        if lost > 0 {
+            return Err(Lapped { lost });
+        }
+        out.sort_by_key(|e| (e.ts_us, e.track));
+        Ok(out)
     }
 }
 
@@ -285,10 +354,11 @@ impl Recorder for FlightRecorder {
     }
 
     fn record(&self, ev: TraceEvent) {
-        let Some(ring) = self.tracks.get(ev.track as usize) else {
+        let Some(track) = self.tracks.get(ev.track as usize) else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         };
+        let ring = track.get_or_init(|| Box::new(TrackRing::new(self.capacity)));
         let idx = ring.cursor.fetch_add(1, Ordering::AcqRel);
         let slot = &ring.slots[(idx % ring.slots.len() as u64) as usize];
         // Seqlock write: mark busy (odd), store payload, publish (even).
@@ -411,19 +481,65 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_rings_and_counters() {
-        let mut rec = FlightRecorder::new(1, 2);
-        for i in 0..5u64 {
+    fn rings_are_allocated_by_the_tracks_that_record() {
+        let rec = FlightRecorder::new(1 << 16, DEFAULT_CAPACITY);
+        assert_eq!(rec.rings().count(), 0);
+        rec.record(ev(3, 0, 0));
+        rec.record(ev(3, 1, 1));
+        rec.record(ev(65_535, 0, 2));
+        assert_eq!(rec.rings().count(), 2);
+        assert_eq!(rec.len(), 3);
+    }
+
+    #[test]
+    fn take_ships_each_event_once_and_leaves_the_live_view() {
+        let rec = FlightRecorder::new(2, 8);
+        rec.record(ev(0, 0, 0));
+        rec.record(ev(1, 1, 1));
+        assert_eq!(rec.take().unwrap(), vec![ev(0, 0, 0), ev(1, 1, 1)]);
+        assert_eq!(rec.take(), Ok(vec![]));
+        rec.record(ev(0, 2, 2));
+        assert_eq!(rec.take(), Ok(vec![ev(0, 2, 2)]));
+        assert_eq!(rec.snapshot().len(), 3, "a take moves only the shipped cursors");
+    }
+
+    #[test]
+    fn a_lapped_ring_fails_the_take_with_the_exact_count_lost() {
+        let rec = FlightRecorder::new(2, 4);
+        // Track 0 ships 3 events, then records 6 more into its 4 slots:
+        // the newest 4 survive, and the 2 between them and the shipped
+        // ones are lost.
+        for i in 0..3u64 {
             rec.record(ev(0, i as u32, i));
         }
-        rec.record(ev(9, 0, 0));
-        rec.clear();
-        assert!(rec.is_empty());
-        assert_eq!(rec.recorded(), 0);
-        assert_eq!(rec.overwritten(), 0);
-        assert_eq!(rec.dropped(), 0);
-        rec.record(ev(0, 42, 1));
-        assert_eq!(rec.snapshot()[0].microbatch, 42);
+        assert_eq!(rec.take().map(|b| b.len()), Ok(3));
+        for i in 3..9u64 {
+            rec.record(ev(0, i as u32, i));
+        }
+        rec.record(ev(1, 100, 100));
+        assert_eq!(rec.take(), Err(Lapped { lost: 2 }));
+        // Nothing was shipped: the retained four and track 1's event come
+        // next, and then the rings are drained.
+        let mbs = |b: Vec<TraceEvent>| b.iter().map(|e| e.microbatch).collect::<Vec<_>>();
+        assert_eq!(rec.take().map(mbs), Ok(vec![5, 6, 7, 8, 100]));
+        assert_eq!(rec.take(), Ok(vec![]));
+        // A fresh lap counts only what was never shipped.
+        for i in 9..19u64 {
+            rec.record(ev(0, i as u32, i));
+        }
+        assert_eq!(rec.take(), Err(Lapped { lost: 6 }));
+        assert_eq!(rec.take().map(mbs), Ok(vec![15, 16, 17, 18]));
+        assert_eq!(rec.overwritten(), 19 - 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "overwrote 6 events")]
+    fn events_refuse_an_overwritten_trace() {
+        let rec = FlightRecorder::new(1, 4);
+        for i in 0..10u64 {
+            rec.record(ev(0, i as u32, i));
+        }
+        rec.events();
     }
 
     #[test]
@@ -519,5 +635,34 @@ mod tests {
             writer.join().unwrap();
         });
         assert_eq!(rec.recorded(), 20_000);
+    }
+
+    #[test]
+    fn take_while_recording_ships_every_event_exactly_once() {
+        let r = FlightRecorder::new(4, 1 << 15);
+        let mut batches = Vec::new();
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4u32)
+                .map(|track| {
+                    let r = &r;
+                    scope.spawn(move || {
+                        for mb in 0..20_000 {
+                            r.record_instant(SpanKind::AlertFiring, track, track, mb);
+                        }
+                    })
+                })
+                .collect();
+            while !writers.iter().all(|w| w.is_finished()) {
+                batches.push(r.take().unwrap());
+            }
+        });
+        batches.push(r.take().unwrap());
+        let mut shipped: Vec<(u32, u32)> =
+            batches.iter().flatten().map(|e| (e.track, e.microbatch)).collect();
+        shipped.sort_unstable();
+        let recorded: Vec<(u32, u32)> =
+            (0..4).flat_map(|track| (0..20_000).map(move |mb| (track, mb))).collect();
+        assert_eq!(shipped, recorded);
+        assert_eq!(r.take(), Ok(vec![]));
     }
 }

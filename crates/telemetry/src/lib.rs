@@ -9,13 +9,14 @@
 //!   queue-wait, inject, flush, optimizer step) collected through the
 //!   [`Recorder`] trait and read back through [`EventSource`].
 //!   [`NullRecorder`] keeps disabled hot paths free of clock reads,
-//!   locks and allocation; [`TraceRecorder`] collects everything into
-//!   per-track sharded buffers.
-//! * [`flight`]: the always-on [`FlightRecorder`] tier — per-track
-//!   bounded ring buffers of `Copy` events with a lock-free seqlock
-//!   write path, bounded memory, and exact overwrite/drop accounting.
-//!   Cheap enough to leave attached to production runs so an anomaly
-//!   can dump the last seconds of pipeline history as a black box.
+//!   locks and allocation.
+//! * [`flight`]: the one enabled recorder, [`FlightRecorder`] —
+//!   per-track bounded ring buffers of `Copy` events, each allocated
+//!   when its track first records, with a lock-free seqlock write path
+//!   and exact overwrite/drop accounting. Cheap enough to leave attached
+//!   to production runs so an anomaly can dump the last seconds of
+//!   pipeline history as a black box; `take` ships every event exactly
+//!   once, and fails with [`Lapped`] instead of growing.
 //! * [`metrics`]: atomic [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s behind a [`MetricsRegistry`] with text and JSON
 //!   snapshot export.
@@ -68,11 +69,10 @@
 //!
 //! ```
 //! use pipemare_telemetry::{
-//!     MetricsRegistry, Recorder, SpanKind, TraceRecorder,
-//!     PipelineTimelineSummary,
+//!     FlightRecorder, MetricsRegistry, PipelineTimelineSummary, Recorder, SpanKind,
 //! };
 //!
-//! let rec = TraceRecorder::new();
+//! let rec = FlightRecorder::for_pipeline(1);
 //! let t0 = rec.now_us();
 //! // ... do the forward work of microbatch 0 on stage 0 ...
 //! rec.record_span(SpanKind::Forward, 0, 0, 0, t0, rec.now_us());
@@ -106,15 +106,14 @@ pub use alert::{
     Signal,
 };
 pub use event::{
-    EventSource, NullRecorder, Recorder, SpanKind, TraceEvent, TraceRecorder, NO_MICROBATCH,
-    NO_TRACE,
+    EventSource, NullRecorder, Recorder, SpanKind, TraceEvent, NO_MICROBATCH, NO_TRACE,
 };
 pub use export::{
     chrome_trace, event_from_jsonl, event_to_jsonl, events_from_jsonl_string,
     events_to_jsonl_string, merge_worker_events, read_jsonl, sort_events, write_chrome_trace,
     write_jsonl,
 };
-pub use flight::{FlightRecorder, DEFAULT_CAPACITY as FLIGHT_DEFAULT_CAPACITY};
+pub use flight::{FlightRecorder, Lapped, DEFAULT_CAPACITY as FLIGHT_DEFAULT_CAPACITY};
 pub use health::{
     HealthConfig, HealthEvent, HealthEventKind, HealthMonitor, RunReport, Severity,
     StageObservation, StageVerdict, StepObservation,

@@ -39,14 +39,15 @@ fn main() {
     let (p, d, lambda) = (4usize, 12usize, 8.0f64);
 
     // One flight recorder for the whole run: stage tracks 0..p plus the
-    // driver/trainer track p. Memory is fixed at construction no matter
-    // how long the run gets.
+    // driver/trainer track p. A track's ring is allocated when the track
+    // first records, 48 bytes a slot, and stays that size however long
+    // the run gets.
     let flight = Arc::new(FlightRecorder::for_pipeline(p));
     println!(
-        "flight recorder: {} tracks x {} slots ({} KiB, fixed)",
+        "flight recorder: {} tracks x {} slots (at most {} KiB, fixed)",
         flight.n_tracks(),
         flight.capacity(),
-        flight.n_tracks() * flight.capacity() * 40 / 1024,
+        flight.n_tracks() * flight.capacity() * 48 / 1024,
     );
 
     // Phase 1: the threaded executor records per-stage spans into the

@@ -34,18 +34,18 @@ use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, Sleep};
 use pipemare::telemetry::{
-    default_rules, AlertEngine, HealthConfig, HealthEventKind, HealthMonitor, JournalConfig,
-    JournalWriter, LiveStore, MetricsRegistry, PipelineTimelineSummary, Severity, TraceRecorder,
+    default_rules, AlertEngine, FlightRecorder, HealthConfig, HealthEventKind, HealthMonitor,
+    JournalConfig, JournalWriter, LiveStore, MetricsRegistry, PipelineTimelineSummary, Severity,
 };
 use pipemare::tensor::{StoragePrecision, BF16_REL_EPS};
 use pipemare::theory::lemma1_max_alpha_frac;
 
 /// Measured slot delays + timeline from the threaded executor, fed to
-/// the monitor's `pipeline.stage{i}.tau_fwd` histograms. A full
-/// `TraceRecorder` keeps the whole trace for the report; the
-/// flight_recorder example shows the bounded-memory tier instead.
+/// the monitor's `pipeline.stage{i}.tau_fwd` histograms. The rings hold
+/// the whole 24-microbatch trace for the report; the flight_recorder
+/// example shows them as a black box that keeps only the latest events.
 fn measured_timeline(p: usize, monitor: &HealthMonitor) -> PipelineTimelineSummary {
-    let recorder = TraceRecorder::with_tracks(p + 1);
+    let recorder = FlightRecorder::for_pipeline(p);
     let plan = PipelinePlan::for_method(Method::PipeMare, p, 4, 6);
     let mut work = vec![Sleep(Duration::from_micros(500)); p];
     run_pipeline(&plan, &mut work, &recorder, &ActivationLedger::new(p, 1));

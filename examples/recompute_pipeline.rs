@@ -14,7 +14,7 @@ use pipemare::nn::{ImageBatch, Mlp, TrainModel};
 use pipemare::pipeline::{
     run_pipeline, ActivationLedger, ActivationModel, PipelinePlan, RecomputePolicy, Sleep,
 };
-use pipemare::telemetry::{MetricsRegistry, PipelineTimelineSummary, TraceRecorder};
+use pipemare::telemetry::{FlightRecorder, MetricsRegistry, PipelineTimelineSummary};
 use pipemare::tensor::Tensor;
 use pipemare::theory::recomp_delay_slots;
 use pipemare_bench::report::ExperimentLog;
@@ -42,7 +42,7 @@ fn main() {
     {
         let registry = MetricsRegistry::new();
         let ledger = ActivationLedger::with_registry(p, bytes_per_activation, &registry);
-        let rec = TraceRecorder::new();
+        let rec = FlightRecorder::for_pipeline(p);
         let plan = PipelinePlan::for_recompute(policy, p, n_micro, minibatches);
         let report = run_pipeline(&plan, &mut vec![Sleep(work); p], &rec, &ledger);
         let summary = PipelineTimelineSummary::from_events(&rec.events());

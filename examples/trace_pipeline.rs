@@ -15,7 +15,7 @@ use pipemare::nn::Mlp;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, Sleep};
 use pipemare::telemetry::{
-    write_chrome_trace, write_jsonl, MetricsRegistry, PipelineTimelineSummary, TraceRecorder,
+    write_chrome_trace, write_jsonl, FlightRecorder, MetricsRegistry, PipelineTimelineSummary,
 };
 use pipemare::theory::{delay_slots, gpipe_bubble_fraction};
 
@@ -29,7 +29,7 @@ fn main() {
 
     println!("Tracing the threaded executor: P = {p} stages, N = {n} microbatches");
     for method in [Method::GPipe, Method::PipeMare] {
-        let rec = TraceRecorder::new();
+        let rec = FlightRecorder::for_pipeline(p);
         let plan = PipelinePlan::for_method(method, p, n, minibatches);
         let report =
             run_pipeline(&plan, &mut vec![Sleep(work); p], &rec, &ActivationLedger::new(p, 1));

@@ -269,7 +269,32 @@ const IN_PLACE_GRADS: &[Rule] = &[
         .reads(NOT_COMMENT),
 ];
 
-const GUARDS: [(&str, &[Rule]); 10] = [
+/// One enabled recorder. Every span the executor, the comms workers, the
+/// trainers and the serving plane record goes into `FlightRecorder`'s
+/// bounded lock-free rings, allocated per track as tracks first record:
+/// `take` drains them exactly once for the wire and fails with the count
+/// lost when a ring laps, `snapshot` is the live view. So `Recorder` has
+/// three impls: `NullRecorder`, `FlightRecorder` and the `&R` forwarder. A
+/// fourth is a second idea of where events live — the mutex-sharded
+/// recorder this replaced grew with the run, and a worker built one shard
+/// per stage a peer named. Its name, the serving plane's recorder trait
+/// and its event adapter, and the ring's `clear` (which no caller used) must
+/// not reappear in code or documentation.
+const SINGLE_RECORDER: &[Rule] = &[
+    rule(3, Any("Recorder for "), CRATES_SRC),
+    rule(
+        3,
+        Any("impl Recorder for NullRecorder|impl Recorder for FlightRecorder|> Recorder for &R"),
+        "crates/telemetry/src/{event,flight}.rs",
+    ),
+    rule(0, Any("fn clear("), "crates/telemetry/src/flight.rs").reads(ALL),
+    // The histories and the current issue may name what was retired.
+    rule(0, Any("TraceRecorder|ServeRecorder|RecorderEvents"), "**/*.{rs,md,sh,yml}")
+        .except("**/{CHANGES,ROADMAP,ISSUE}.md")
+        .reads(ALL),
+];
+
+const GUARDS: [(&str, &[Rule]); 11] = [
     ("single_core", SINGLE_CORE),
     ("single_codec", SINGLE_CODEC),
     ("single_executor", SINGLE_EXECUTOR),
@@ -280,6 +305,7 @@ const GUARDS: [(&str, &[Rule]); 10] = [
     ("no_sleep_poll", NO_SLEEP_POLL),
     ("cache_free_inference", CACHE_FREE_INFERENCE),
     ("in_place_grads", IN_PLACE_GRADS),
+    ("single_recorder", SINGLE_RECORDER),
 ];
 
 #[test]

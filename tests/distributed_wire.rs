@@ -22,7 +22,7 @@ use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 use pipemare::pipeline::{
     run_pipeline, ActivationLedger, Method, PipelineClock, PipelinePlan, Sleep,
 };
-use pipemare::telemetry::{TraceEvent, TraceRecorder};
+use pipemare::telemetry::{FlightRecorder, TraceEvent};
 use pipemare::tensor::{StoragePrecision, Tensor};
 
 mod common;
@@ -404,7 +404,7 @@ fn token_pipeline_over_loopback_records_the_in_process_spans() {
         }
         let (stages, n_micro, minibatches) = (3, 2, 2);
         let work = std::time::Duration::from_micros(100);
-        let recorder = TraceRecorder::with_tracks(stages + 1);
+        let recorder = FlightRecorder::for_pipeline(stages);
         let plan = PipelinePlan::for_method(Method::PipeMare, stages, n_micro, minibatches);
         run_pipeline(&plan, &mut [Sleep(work); 3], &recorder, &ActivationLedger::new(stages, 1));
 

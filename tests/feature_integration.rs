@@ -10,8 +10,11 @@ use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 use pipemare::pipeline::{
     run_pipeline, ActivationLedger, Method, PipelinePlan, RecomputePolicy, Sleep, StageOpKind,
 };
-use pipemare::telemetry::{SpanKind, TraceRecorder};
+use pipemare::telemetry::{FlightRecorder, SpanKind};
 use pipemare::tensor::Tensor;
+
+mod common;
+use common::within;
 
 fn sgd() -> OptimizerKind {
     OptimizerKind::Sgd { weight_decay: 0.0 }
@@ -151,40 +154,44 @@ fn schedule_diagram_matches_throughput_ordering() {
 
 #[test]
 fn traced_run_executes_its_plan_op_for_op() {
-    // The schedule is data: what each stage thread records is exactly its
-    // timeline in the plan — the 1F1B row for the three methods, with
-    // the replay sweep for PipeMare Recompute.
-    let (stages, n_micro, minibatches) = (3, 2, 3);
-    let mut plans: Vec<PipelinePlan> = Method::ALL
-        .iter()
-        .map(|&m| PipelinePlan::for_method(m, stages, n_micro, minibatches))
-        .collect();
-    let policy = RecomputePolicy::Segmented { segment: 2 };
-    plans.push(PipelinePlan::for_recompute(policy, stages, n_micro, minibatches));
-    for plan in &plans {
-        let rec = TraceRecorder::with_tracks(stages + 1);
-        let work = std::time::Duration::from_micros(100);
-        run_pipeline(plan, &mut [Sleep(work); 3], &rec, &ActivationLedger::new(stages, 1));
-        let events = rec.events();
-        for s in 0..stages {
-            let planned: Vec<(SpanKind, u32)> = plan
-                .timeline(s)
-                .iter()
-                .map(|op| {
-                    let kind = match op.kind {
-                        StageOpKind::Fwd => SpanKind::Forward,
-                        StageOpKind::Recomp => SpanKind::Recompute,
-                        StageOpKind::Bkwd => SpanKind::Backward,
-                    };
-                    (kind, op.micro as u32)
-                })
-                .collect();
-            let recorded: Vec<(SpanKind, u32)> = events
-                .iter()
-                .filter(|e| e.track == s as u32 && planned.iter().any(|(kind, _)| *kind == e.kind))
-                .map(|e| (e.kind, e.microbatch))
-                .collect();
-            assert_eq!(recorded, planned, "stage {s}");
+    within("traced_run_executes_its_plan_op_for_op", || {
+        // The schedule is data: what each stage thread records is exactly its
+        // timeline in the plan — the 1F1B row for the three methods, with
+        // the replay sweep for PipeMare Recompute.
+        let (stages, n_micro, minibatches) = (3, 2, 3);
+        let mut plans: Vec<PipelinePlan> = Method::ALL
+            .iter()
+            .map(|&m| PipelinePlan::for_method(m, stages, n_micro, minibatches))
+            .collect();
+        let policy = RecomputePolicy::Segmented { segment: 2 };
+        plans.push(PipelinePlan::for_recompute(policy, stages, n_micro, minibatches));
+        for plan in &plans {
+            let rec = FlightRecorder::for_pipeline(stages);
+            let work = std::time::Duration::from_micros(100);
+            run_pipeline(plan, &mut [Sleep(work); 3], &rec, &ActivationLedger::new(stages, 1));
+            let events = rec.events();
+            for s in 0..stages {
+                let planned: Vec<(SpanKind, u32)> = plan
+                    .timeline(s)
+                    .iter()
+                    .map(|op| {
+                        let kind = match op.kind {
+                            StageOpKind::Fwd => SpanKind::Forward,
+                            StageOpKind::Recomp => SpanKind::Recompute,
+                            StageOpKind::Bkwd => SpanKind::Backward,
+                        };
+                        (kind, op.micro as u32)
+                    })
+                    .collect();
+                let recorded: Vec<(SpanKind, u32)> = events
+                    .iter()
+                    .filter(|e| {
+                        e.track == s as u32 && planned.iter().any(|(kind, _)| *kind == e.kind)
+                    })
+                    .map(|e| (e.kind, e.microbatch))
+                    .collect();
+                assert_eq!(recorded, planned, "stage {s}");
+            }
         }
-    }
+    })
 }

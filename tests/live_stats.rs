@@ -82,6 +82,16 @@ fn stage_worker_answers_in_band_stats_scrape() {
             }
             other => panic!("expected Shard, got {}", other.name()),
         }
+        // A flush ships the span home; the live view must still see it.
+        tx.send(&Message::Flush { id: 1 }).unwrap();
+        match rx.recv().unwrap() {
+            Message::Telemetry { jsonl, .. } => assert!(jsonl.contains("forward"), "{jsonl}"),
+            other => panic!("expected Telemetry, got {}", other.name()),
+        }
+        match rx.recv().unwrap() {
+            Message::FlushAck { id, .. } => assert_eq!(id, 1),
+            other => panic!("expected FlushAck, got {}", other.name()),
+        }
 
         // The in-band scrape: sampled on demand, answered on the same link.
         tx.send(&Message::StatsRequest { id: 7 }).unwrap();
@@ -92,6 +102,7 @@ fn stage_worker_answers_in_band_stats_scrape() {
                 assert_eq!(scrape.role, "worker-0");
                 let latest = scrape.latest().expect("on-demand scrape must carry a fresh sample");
                 assert!(latest.seq >= 1, "on-demand scrape must carry a fresh sample");
+                assert_eq!(latest.stages[0].events, 1, "the sample folds the flushed forward span");
                 // Wire gauges bound at handshake mirror the link traffic.
                 let Some(MetricValue::Gauge(tx_bytes)) =
                     latest.metrics.get("wire.orchestrator.tx_bytes")

@@ -21,6 +21,9 @@ use pipemare::pipeline::{
 use pipemare::telemetry::NullRecorder;
 use pipemare::tensor::{pool, ThreadPool};
 
+mod common;
+use common::within;
+
 /// `(P, S, n_micro, minibatches)` triples sized so the run reaches the
 /// steady state (total microbatches ≥ 2P − 1, where the transient peaks
 /// saturate the analytical cap).
@@ -28,30 +31,33 @@ const CASES: &[(usize, usize, usize, usize)] = &[(4, 2, 4, 2), (9, 3, 6, 3), (16
 
 #[test]
 fn measured_peaks_match_memory_model_exactly() {
-    for threads in [1usize, 2] {
-        let p = ThreadPool::new(threads);
-        pool::with_pool(&p, || {
-            for &(stages, seg, n_micro, minibatches) in CASES {
-                let run = |policy| {
-                    let plan = PipelinePlan::for_recompute(policy, stages, n_micro, minibatches);
-                    let ledger = ActivationLedger::new(stages, 1);
-                    let mut work = vec![Sleep(std::time::Duration::ZERO); stages];
-                    run_pipeline(&plan, &mut work, &NullRecorder, &ledger)
-                };
-                let report = run(RecomputePolicy::Segmented { segment: seg });
-                let model = ActivationModel { p: stages };
-                assert_eq!(
-                    report.peak_activations,
-                    model.profile_recompute(seg),
-                    "P={stages} S={seg} threads={threads}: measured peaks diverge from model"
-                );
-                // Stash-everything control: same pipeline, no replay.
-                let stash = run(RecomputePolicy::StashAll);
-                assert_eq!(stash.peak_activations, model.profile_no_recompute());
-                assert_eq!(stash.recompute_ops, 0);
-            }
-        });
-    }
+    within("measured_peaks_match_memory_model_exactly", || {
+        for threads in [1usize, 2] {
+            let p = ThreadPool::new(threads);
+            pool::with_pool(&p, || {
+                for &(stages, seg, n_micro, minibatches) in CASES {
+                    let run = |policy| {
+                        let plan =
+                            PipelinePlan::for_recompute(policy, stages, n_micro, minibatches);
+                        let ledger = ActivationLedger::new(stages, 1);
+                        let mut work = vec![Sleep(std::time::Duration::ZERO); stages];
+                        run_pipeline(&plan, &mut work, &NullRecorder, &ledger)
+                    };
+                    let report = run(RecomputePolicy::Segmented { segment: seg });
+                    let model = ActivationModel { p: stages };
+                    assert_eq!(
+                        report.peak_activations,
+                        model.profile_recompute(seg),
+                        "P={stages} S={seg} threads={threads}: measured peaks diverge from model"
+                    );
+                    // Stash-everything control: same pipeline, no replay.
+                    let stash = run(RecomputePolicy::StashAll);
+                    assert_eq!(stash.peak_activations, model.profile_no_recompute());
+                    assert_eq!(stash.recompute_ops, 0);
+                }
+            });
+        }
+    })
 }
 
 fn train(recompute_segment: Option<usize>, threads: usize, warmup_epochs: usize) -> RunHistory {

@@ -18,7 +18,7 @@ use pipemare::nn::{InferModel, Mlp, TrainModel};
 use pipemare::serve::{
     DynRecorder, InferClient, Rejection, ServeConfig, Server, ShardWeightSource, WeightSource,
 };
-use pipemare::telemetry::TraceRecorder;
+use pipemare::telemetry::FlightRecorder;
 use pipemare::tensor::Tensor;
 
 mod common;
@@ -46,7 +46,7 @@ fn full_queue_sheds_with_typed_queue_full_rejects() {
     within("full_queue_sheds_with_typed_queue_full_rejects", || {
         let (model, params) = model_and_params(13);
         let cfg = ServeConfig { stages: 2, queue_cap: 4, max_batch_rows: 16, ..Default::default() };
-        let recorder: DynRecorder = Arc::new(TraceRecorder::with_tracks(cfg.stages + 1));
+        let recorder: DynRecorder = Arc::new(FlightRecorder::for_pipeline(cfg.stages));
         let server = Server::start(Arc::clone(&model), params.clone(), cfg, None, recorder)
             .expect("server must start");
         // Freeze the batcher so admission control alone decides: exactly
@@ -117,7 +117,7 @@ fn killed_weight_worker_surfaces_typed_backend_reject() {
         )
         .expect("both workers complete the handshake");
         let cfg = ServeConfig { stages: 2, refresh_every: Some(1), ..Default::default() };
-        let recorder: DynRecorder = Arc::new(TraceRecorder::with_tracks(3));
+        let recorder: DynRecorder = Arc::new(FlightRecorder::for_pipeline(2));
         let server = Server::start(
             Arc::clone(&model),
             params.clone(),

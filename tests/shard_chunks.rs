@@ -35,7 +35,7 @@ use pipemare::core::{dist_config, PipelineTrainer, RecomputeCfg, TrainConfig};
 use pipemare::nn::{ImageBatch, Mlp};
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 use pipemare::pipeline::Method;
-use pipemare::telemetry::TraceRecorder;
+use pipemare::telemetry::FlightRecorder;
 use pipemare::tensor::{StoragePrecision, Tensor};
 
 mod common;
@@ -160,7 +160,7 @@ impl Mirrored {
     fn new(cfg: &TrainConfig) -> Self {
         let layout = RunLayout::new(&model(), cfg, SEED);
         let local = LocalShards::new(cfg, &layout).expect("in-process stages");
-        let clock = TraceRecorder::with_tracks(1);
+        let clock = FlightRecorder::new(1, 1);
         let (mut links, mut workers) = (Vec::new(), Vec::new());
         for (sc, &(lo, hi)) in layout.stage_cfgs.iter().zip(layout.partition.ranges()) {
             let len = hi - lo;
@@ -428,7 +428,7 @@ fn a_reply_chunk_of_the_wrong_length_is_a_typed_protocol_error() {
                 // Hold the link open until the driver has judged the reply.
                 let _ = rx.recv();
             });
-            let clock = TraceRecorder::with_tracks(1);
+            let clock = FlightRecorder::new(1, 1);
             let sc = layout.stage_cfgs[0].clone();
             let mut link = handshake_worker(Box::new(driver), sc, Some(TIMEOUT), &clock).unwrap();
             link.send(&Message::InitShard { params: vec![0.0; len] }).unwrap();
