@@ -67,7 +67,7 @@ use crate::protocol::{
     StageConfig, PROTOCOL_VERSION,
 };
 use crate::transport::{channel, Transport, WireStats};
-use crate::worker::{ring_capacity, WorkerOptions};
+use crate::worker::WorkerOptions;
 
 /// Configuration for a [`DistributedTrainer`] run: the run itself plus
 /// what only a wire has.
@@ -130,6 +130,9 @@ pub struct WorkerLink {
     last_acked: Option<u64>,
     /// Worker clock minus driver clock, microseconds.
     offset_us: i64,
+    /// Events of the worker's [`Message::Telemetry`] batches, merged as
+    /// they arrive: one answers each flush, others come unasked.
+    shipped: Vec<TraceEvent>,
 }
 
 /// `(step, micro, pass)` — what a `FetchShard` asks for and its `Shard`
@@ -175,6 +178,20 @@ impl WorkerLink {
         }
     }
 
+    /// Receives the reply to a request, as [`WorkerLink::recv`], keeping
+    /// any [`Message::Telemetry`] batch that comes first for the next
+    /// flush.
+    fn recv_reply(&mut self) -> Result<Message, CommsError> {
+        loop {
+            match self.recv()? {
+                Message::Telemetry { jsonl, .. } => {
+                    merge_telemetry(&mut self.shipped, self.stage, self.offset_us, &jsonl)?
+                }
+                msg => return Ok(msg),
+            }
+        }
+    }
+
     /// Receives the run of [`Message::Shard`] chunks answering `fetch`,
     /// decoding each straight into its slice of `dst`; anything else is
     /// an error as in [`WorkerLink::recv`], and a chunk of the wrong
@@ -193,6 +210,10 @@ impl WorkerLink {
                 (head.step, head.micro, head.pass)
             ))),
             Ok(None) => match decode_message(&payload) {
+                Ok(Message::Telemetry { jsonl, .. }) => {
+                    merge_telemetry(&mut self.shipped, self.stage, self.offset_us, &jsonl)?;
+                    self.recv_shard_chunk(fetch, dst)
+                }
                 Ok(Message::Error { message, .. }) => {
                     Err(CommsError::Remote { stage: self.stage, message })
                 }
@@ -232,18 +253,6 @@ impl WorkerLink {
         Ok(())
     }
 
-    /// Receives the [`Message::Telemetry`] batch a flush or shutdown
-    /// request is answered with and merges it into `merged`, re-tracked
-    /// onto this link's stage and shifted into driver time.
-    fn recv_telemetry(&mut self, merged: &mut Vec<TraceEvent>) -> Result<(), CommsError> {
-        match self.recv()? {
-            Message::Telemetry { jsonl, .. } => {
-                merge_telemetry(merged, self.stage, self.offset_us, &jsonl)
-            }
-            other => Err(self.protocol("Telemetry", &other)),
-        }
-    }
-
     fn protocol(&self, what: &str, got: &Message) -> CommsError {
         CommsError::Protocol(format!("stage {}: expected {what}, got {}", self.stage, got.name()))
     }
@@ -275,7 +284,8 @@ pub fn handshake_worker(
     let stage = cfg.stage;
     let (sender, mut receiver) = channel(transport)?;
     receiver.set_timeout(recv_timeout)?;
-    let mut link = WorkerLink { sender, receiver, stage, last_acked: None, offset_us: 0 };
+    let mut link =
+        WorkerLink { sender, receiver, stage, last_acked: None, offset_us: 0, shipped: Vec::new() };
     let t_d0 = driver_clock.now_us();
     link.send(&Message::Hello(cfg))?;
     let ack = link.recv()?;
@@ -355,7 +365,7 @@ impl ShardAccess for RemoteShards {
         }
         let mut finite = true;
         for link in &mut self.links {
-            match link.recv()? {
+            match link.recv_reply()? {
                 Message::StepAck { step: got, finite: f, .. } if got == step => {
                     link.last_acked = Some(step);
                     finite &= f;
@@ -372,7 +382,7 @@ impl ShardAccess for RemoteShards {
         }
         let mut sq_norm = 0.0f64;
         for link in &mut self.links {
-            match link.recv()? {
+            match link.recv_reply()? {
                 Message::CommitAck { step: got, sq_norm: sq, .. } if got == step => sq_norm += sq,
                 other => return Err(link.protocol("CommitAck", &other)),
             }
@@ -412,8 +422,8 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         let DistConfig { train, sparse_grads, recv_timeout } = cfg;
         assert_eq!(transports.len(), train.stages, "one transport per stage");
         let layout = RunLayout::new(model, &train, init_seed);
-        let capacity = ring_capacity(train.n_micro as u32);
-        let recorder = Arc::new(FlightRecorder::new(train.stages + 1, capacity));
+        // 64 steps of the driver's one `Step` span a step, as a worker's.
+        let recorder = Arc::new(FlightRecorder::new(train.stages + 1, 64));
         let registry = Arc::new(MetricsRegistry::new());
         let mut links = Vec::with_capacity(train.stages);
         for (s, transport) in transports.into_iter().enumerate() {
@@ -479,11 +489,11 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             link.send(&Message::Flush { id })?;
         }
         for link in links.iter_mut() {
-            link.recv_telemetry(&mut self.merged)?;
-            match link.recv()? {
+            match link.recv_reply()? {
                 Message::FlushAck { id: got, .. } if got == id => {}
                 other => return Err(link.protocol("FlushAck", &other)),
             }
+            self.merged.append(&mut link.shipped);
         }
         self.merged.extend(self.recorder.take().map_err(CommsError::Telemetry)?);
         Ok(())
@@ -545,11 +555,11 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             link.send(&Message::Shutdown)?;
         }
         for link in links.iter_mut() {
-            link.recv_telemetry(&mut self.merged)?;
-            match link.recv()? {
+            match link.recv_reply()? {
                 Message::ShutdownAck { last_step, .. } => worker_steps.push(last_step),
                 other => return Err(link.protocol("ShutdownAck", &other)),
             }
+            self.merged.append(&mut link.shipped);
         }
         let mut events = self.merged;
         events.extend(self.recorder.take().map_err(CommsError::Telemetry)?);
@@ -611,6 +621,34 @@ pub struct TokenPipelineReport {
     pub events: Vec<TraceEvent>,
 }
 
+/// What the token hub's reader threads deliver, by stage.
+type FromWorkers = crossbeam_channel::Receiver<(u32, Result<Message, CommsError>)>;
+
+/// One delivery from `stage`'s reader: a [`Message::Error`] the worker
+/// sent before it stopped surfaces as [`CommsError::Remote`], a failed
+/// link as [`CommsError::WorkerLost`].
+fn from_worker(stage: u32, msg: Result<Message, CommsError>) -> Result<Message, CommsError> {
+    match msg {
+        Ok(Message::Error { message, .. }) => Err(CommsError::Remote { stage, message }),
+        Ok(msg) => Ok(msg),
+        Err(e) => Err(CommsError::WorkerLost { stage, last_acked_step: None, cause: Box::new(e) }),
+    }
+}
+
+/// The error of a token run whose send to `stage` failed with `cause`: a
+/// worker that stopped on an error of its own reported it before it hung
+/// up, and its reader still delivers that report before the link's end.
+fn hung_up(from: &FromWorkers, stage: u32, cause: CommsError) -> CommsError {
+    for (_, msg) in from.iter().filter(|(s, _)| *s == stage) {
+        match from_worker(stage, msg) {
+            Err(report @ CommsError::Remote { .. }) => return report,
+            Ok(Message::ShutdownAck { .. }) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
+    CommsError::WorkerLost { stage, last_acked_step: None, cause: Box::new(cause) }
+}
+
 /// Builds the minimal valid [`StageConfig`] a token-mode worker needs
 /// (token mode carries no weights; the shard fields are placeholders
 /// that still pass handshake validation).
@@ -642,7 +680,9 @@ pub fn token_stage_config(method: Method, stages: usize, n_micro: usize, s: usiz
 /// [`pipemare_pipeline::with_pipeline`]: it injects minibatch `j + 1` into
 /// stage 0 once minibatch `j − d` has left it ([`OpenPlan::lag`]), timing
 /// each GPipe wait as a `Flush`. Each minibatch that leaves stage 0 also
-/// flushes every worker's telemetry into the merged trace.
+/// flushes every worker's telemetry into the merged trace, and a worker
+/// ships its own whenever its ring is half full. A worker that stops on
+/// an error fails the run with the [`CommsError::Remote`] it reported.
 ///
 /// # Panics
 ///
@@ -659,7 +699,14 @@ pub fn run_token_pipeline(
     assert_eq!(transports.len(), stages, "one transport per stage");
     assert!(stages > 0 && n_micro > 0 && minibatches > 0);
     let total = n_micro * minibatches;
-    let recorder = FlightRecorder::for_pipeline(stages);
+    // `with_pipeline`'s driver: minibatch j + 1 enters once minibatch j − d
+    // has left stage 0, and with d = 0 (GPipe) each wait is a flush.
+    let open = OpenPlan::new(method, RecomputePolicy::StashAll, stages, n_micro);
+    let lag = open.lag();
+    // The driver's ring holds the `Inject`s of the lag + 1 minibatches let
+    // in before one leaves stage 0, when the hub takes it, and a `Flush`.
+    let capacity = ((lag + 1) * n_micro).min(total) + 1;
+    let recorder = FlightRecorder::new(stages + 1, capacity.next_power_of_two());
     let driver_track = stages as u32;
 
     // Handshake + mode switch on every link, then split each into a hub
@@ -706,20 +753,12 @@ pub fn run_token_pipeline(
                    s: usize,
                    msg: &Message|
      -> Result<(), CommsError> {
-        senders[s].send(msg).map_err(|e| CommsError::WorkerLost {
-            stage: s as u32,
-            last_acked_step: None,
-            cause: Box::new(e),
-        })
+        senders[s].send(msg).map_err(|e| hung_up(&agg_rx, s as u32, e))
     };
 
     let start = Instant::now();
     let mut merged: Vec<TraceEvent> = Vec::new();
     let (mut injected, mut completed, mut flushes) = (0usize, 0usize, 0u64);
-    // `with_pipeline`'s driver: minibatch j + 1 enters once minibatch j − d
-    // has left stage 0, and with d = 0 (GPipe) each wait is a flush.
-    let open = OpenPlan::new(method, RecomputePolicy::StashAll, stages, n_micro);
-    let lag = open.lag();
     let mut flush_start = recorder.now_us();
     while completed < total {
         while injected < total.min(open.inject_bound(completed, lag)) {
@@ -728,12 +767,7 @@ pub fn run_token_pipeline(
             injected += 1;
         }
         let (stage, msg) = agg_rx.recv().map_err(|_| CommsError::Closed)?;
-        let msg = msg.map_err(|e| CommsError::WorkerLost {
-            stage,
-            last_acked_step: None,
-            cause: Box::new(e),
-        })?;
-        match msg {
+        match from_worker(stage, msg)? {
             Message::Token { backward: false, id } => {
                 // A forward token leaving stage `stage` enters the next
                 // stage (the last stage turns around internally and never
@@ -802,21 +836,14 @@ pub fn run_token_pipeline(
     let mut acked = vec![false; stages];
     while acked.iter().any(|&a| !a) {
         let (stage, msg) = agg_rx.recv().map_err(|_| CommsError::Closed)?;
-        match msg {
-            Ok(Message::Telemetry { jsonl, .. }) => {
+        match from_worker(stage, msg)? {
+            Message::Telemetry { jsonl, .. } => {
                 merge_telemetry(&mut merged, stage, offsets[stage as usize], &jsonl)?
             }
-            Ok(Message::ShutdownAck { .. }) => acked[stage as usize] = true,
+            Message::ShutdownAck { .. } => acked[stage as usize] = true,
             // Stray tokens from a pipeline that was already drained, or a
             // late flush ack: ignore.
-            Ok(_) => {}
-            Err(e) => {
-                return Err(CommsError::WorkerLost {
-                    stage,
-                    last_acked_step: None,
-                    cause: Box::new(e),
-                })
-            }
+            _ => {}
         }
     }
     for h in reader_handles {

@@ -491,7 +491,7 @@ pub enum Message {
         /// Highest step this worker has committed.
         last_step: u64,
     },
-    /// Worker → orchestrator: batched trace events as JSONL.
+    /// Worker → orchestrator: trace events as JSONL, on a flush or unasked.
     Telemetry {
         /// Worker's stage id.
         stage: u32,

@@ -78,11 +78,12 @@ fn fail(tx: &mut Sender, e: CommsError) -> CommsError {
     e
 }
 
-/// Ring capacity of a worker's and a trainer's recorder: 64 steps of one
-/// stage's spans (at most 3N + 1 a step: a forward, backward and replay
-/// fetch per microbatch, and the update), which every step's flush
-/// drains. Clamped, so a peer's `n_micro` cannot size an allocation.
-pub(crate) fn ring_capacity(n_micro: u32) -> usize {
+/// Ring capacity of a worker's recorder: 64 steps of one stage's spans
+/// for the live view (at most 3N + 1 a step: a forward, backward and
+/// replay fetch per microbatch, and the update). Clamped, so a peer's
+/// `n_micro` cannot size an allocation; [`ship_when_half_full`] keeps a
+/// ring of any size from lapping.
+fn ring_capacity(n_micro: u32) -> usize {
     let slots = 64 * (3 * u64::from(n_micro) + 1);
     slots.min(FLIGHT_DEFAULT_CAPACITY as u64).next_power_of_two() as usize
 }
@@ -97,6 +98,22 @@ fn send_telemetry(
 ) -> Result<(), CommsError> {
     let events = recorder.take().map_err(|lapped| fail(tx, CommsError::Telemetry(lapped)))?;
     tx.send(&Message::Telemetry { stage, jsonl: events_to_jsonl_string(&events) })
+}
+
+/// Ships the recorder's events unasked once a ring is half full. The
+/// training loop calls it before each message (which records at most
+/// one span), the token loop before each token it waits for (at most two
+/// ops of two spans run in between), so no ring laps however many spans
+/// a step or the token lag lets in between the orchestrator's flushes.
+fn ship_when_half_full(
+    recorder: &FlightRecorder,
+    stage: u32,
+    tx: &mut Sender,
+) -> Result<(), CommsError> {
+    if recorder.untaken() * 2 < recorder.capacity() as u64 {
+        return Ok(());
+    }
+    send_telemetry(recorder, stage, tx)
 }
 
 /// Serves one stage over an established link: handshake, then the
@@ -231,6 +248,7 @@ fn run_training_loop(
     let stage_id = stage.stage();
     let mut step_t0 = 0;
     loop {
+        ship_when_half_full(recorder, stage_id, &mut tx)?;
         let msg = rx.recv()?;
         // While a gradient is part way in, only its next chunk may come.
         let filled = stage.grad_filled();
@@ -444,6 +462,7 @@ impl StageLinks<()> for Wire<'_> {
         if link == Link::Fwd && op.micro as u64 == self.total {
             return Ok(Token::End);
         }
+        ship_when_half_full(self.recorder, self.stage, &mut self.tx)?;
         let id = loop {
             if let Some(id) = self.early[link as usize].pop_front() {
                 break id;

@@ -41,6 +41,21 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
+    /// Every kind, in declaration order: `kind as usize` indexes it.
+    pub const ALL: [SpanKind; 11] = [
+        SpanKind::Forward,
+        SpanKind::Backward,
+        SpanKind::Recompute,
+        SpanKind::QueueWaitFwd,
+        SpanKind::QueueWaitBkwd,
+        SpanKind::Inject,
+        SpanKind::Flush,
+        SpanKind::Step,
+        SpanKind::Coalesce,
+        SpanKind::AlertFiring,
+        SpanKind::AlertResolved,
+    ];
+
     /// Short display name (used as the Chrome trace event name).
     pub fn name(&self) -> &'static str {
         match self {
@@ -60,20 +75,7 @@ impl SpanKind {
 
     /// Inverse of [`SpanKind::name`], for trace readers.
     pub fn from_name(name: &str) -> Option<SpanKind> {
-        Some(match name {
-            "forward" => SpanKind::Forward,
-            "backward" => SpanKind::Backward,
-            "recompute" => SpanKind::Recompute,
-            "wait_fwd" => SpanKind::QueueWaitFwd,
-            "wait_bkwd" => SpanKind::QueueWaitBkwd,
-            "inject" => SpanKind::Inject,
-            "flush" => SpanKind::Flush,
-            "step" => SpanKind::Step,
-            "coalesce" => SpanKind::Coalesce,
-            "alert_firing" => SpanKind::AlertFiring,
-            "alert_resolved" => SpanKind::AlertResolved,
-            _ => return None,
-        })
+        SpanKind::ALL.into_iter().find(|kind| kind.name() == name)
     }
 
     /// Whether events of this kind are instants (zero duration) rather

@@ -61,39 +61,6 @@ use crate::event::{EventSource, Recorder, SpanKind, TraceEvent};
 /// Default per-track ring capacity in events.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// Packs the non-time fields of an event into two words.
-fn pack_kind(kind: SpanKind) -> u64 {
-    match kind {
-        SpanKind::Forward => 0,
-        SpanKind::Backward => 1,
-        SpanKind::Recompute => 2,
-        SpanKind::QueueWaitFwd => 3,
-        SpanKind::QueueWaitBkwd => 4,
-        SpanKind::Inject => 5,
-        SpanKind::Flush => 6,
-        SpanKind::Step => 7,
-        SpanKind::Coalesce => 8,
-        SpanKind::AlertFiring => 9,
-        SpanKind::AlertResolved => 10,
-    }
-}
-
-fn unpack_kind(code: u64) -> SpanKind {
-    match code {
-        0 => SpanKind::Forward,
-        1 => SpanKind::Backward,
-        2 => SpanKind::Recompute,
-        3 => SpanKind::QueueWaitFwd,
-        4 => SpanKind::QueueWaitBkwd,
-        5 => SpanKind::Inject,
-        6 => SpanKind::Flush,
-        8 => SpanKind::Coalesce,
-        9 => SpanKind::AlertFiring,
-        10 => SpanKind::AlertResolved,
-        _ => SpanKind::Step,
-    }
-}
-
 /// One ring slot: a seqlock word plus the packed event payload.
 #[derive(Default)]
 struct Slot {
@@ -149,7 +116,7 @@ impl TrackRing {
             return None;
         }
         Some(TraceEvent {
-            kind: unpack_kind(w0 & 0xffff_ffff),
+            kind: SpanKind::ALL[(w0 & 0xffff_ffff) as usize],
             track: (w0 >> 32) as u32,
             stage: (w1 & 0xffff_ffff) as u32,
             microbatch: (w1 >> 32) as u32,
@@ -184,6 +151,8 @@ pub struct FlightRecorder {
     origin: Instant,
     capacity: usize,
     tracks: Box<[OnceLock<Box<TrackRing>>]>,
+    /// The tracks whose ring is allocated: reads visit only these.
+    recording: Mutex<Vec<usize>>,
     /// Events recorded with `track >= n_tracks` (counted, not stored).
     dropped: AtomicU64,
     /// Serialises takes, which move the shipped cursors.
@@ -204,6 +173,7 @@ impl FlightRecorder {
             origin: Instant::now(),
             capacity,
             tracks: (0..n_tracks).map(|_| OnceLock::new()).collect(),
+            recording: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
             taker: Mutex::new(()),
         }
@@ -228,7 +198,8 @@ impl FlightRecorder {
 
     /// The rings of the tracks that have recorded.
     fn rings(&self) -> impl Iterator<Item = &TrackRing> {
-        self.tracks.iter().filter_map(|t| t.get().map(|ring| &**ring))
+        let recording = self.recording.lock().expect("a ring allocation panicked").clone();
+        recording.into_iter().filter_map(|t| self.tracks[t].get().map(|ring| &**ring))
     }
 
     /// Total events ever recorded into rings (including ones since
@@ -251,6 +222,17 @@ impl FlightRecorder {
     pub fn overwritten(&self) -> u64 {
         let cap = self.capacity as u64;
         self.rings().map(|t| t.cursor.load(Ordering::Relaxed).saturating_sub(cap)).sum()
+    }
+
+    /// The most events one track has recorded since the previous
+    /// [`FlightRecorder::take`]: a `take` fails once this exceeds
+    /// [`FlightRecorder::capacity`], so a writer that drains its own
+    /// recorder can take before then.
+    pub fn untaken(&self) -> u64 {
+        let pending = |t: &TrackRing| {
+            t.cursor.load(Ordering::Relaxed).saturating_sub(t.shipped.load(Ordering::Relaxed))
+        };
+        self.rings().map(pending).max().unwrap_or(0)
     }
 
     /// Exact count of events recorded with a track index beyond
@@ -358,13 +340,16 @@ impl Recorder for FlightRecorder {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let ring = track.get_or_init(|| Box::new(TrackRing::new(self.capacity)));
+        let ring = track.get_or_init(|| {
+            self.recording.lock().expect("a ring allocation panicked").push(ev.track as usize);
+            Box::new(TrackRing::new(self.capacity))
+        });
         let idx = ring.cursor.fetch_add(1, Ordering::AcqRel);
         let slot = &ring.slots[(idx % ring.slots.len() as u64) as usize];
         // Seqlock write: mark busy (odd), store payload, publish (even).
         slot.seq.store(((idx + 1) << 1) | 1, Ordering::Relaxed);
         fence(Ordering::Release);
-        slot.w0.store(pack_kind(ev.kind) | (ev.track as u64) << 32, Ordering::Relaxed);
+        slot.w0.store(ev.kind as u64 | (ev.track as u64) << 32, Ordering::Relaxed);
         slot.w1.store(ev.stage as u64 | (ev.microbatch as u64) << 32, Ordering::Relaxed);
         slot.w2.store(ev.ts_us, Ordering::Relaxed);
         slot.w3.store(ev.dur_us, Ordering::Relaxed);
@@ -398,20 +383,11 @@ mod tests {
 
     #[test]
     fn kind_packing_roundtrips() {
-        for kind in [
-            SpanKind::Forward,
-            SpanKind::Backward,
-            SpanKind::Recompute,
-            SpanKind::QueueWaitFwd,
-            SpanKind::QueueWaitBkwd,
-            SpanKind::Inject,
-            SpanKind::Flush,
-            SpanKind::Step,
-            SpanKind::Coalesce,
-            SpanKind::AlertFiring,
-            SpanKind::AlertResolved,
-        ] {
-            assert_eq!(unpack_kind(pack_kind(kind)), kind);
+        // A slot stores `kind as u64` and reads it back through `ALL`.
+        assert_eq!(SpanKind::ALL.len(), SpanKind::AlertResolved as usize + 1);
+        for kind in SpanKind::ALL {
+            assert_eq!(SpanKind::ALL[kind as usize], kind);
+            assert_eq!(SpanKind::from_name(kind.name()), Some(kind));
         }
     }
 
@@ -499,7 +475,9 @@ mod tests {
         assert_eq!(rec.take().unwrap(), vec![ev(0, 0, 0), ev(1, 1, 1)]);
         assert_eq!(rec.take(), Ok(vec![]));
         rec.record(ev(0, 2, 2));
+        assert_eq!(rec.untaken(), 1);
         assert_eq!(rec.take(), Ok(vec![ev(0, 2, 2)]));
+        assert_eq!(rec.untaken(), 0);
         assert_eq!(rec.snapshot().len(), 3, "a take moves only the shipped cursors");
     }
 
@@ -517,6 +495,7 @@ mod tests {
             rec.record(ev(0, i as u32, i));
         }
         rec.record(ev(1, 100, 100));
+        assert_eq!(rec.untaken(), 6, "the most any one track holds untaken");
         assert_eq!(rec.take(), Err(Lapped { lost: 2 }));
         // Nothing was shipped: the retained four and track 1's event come
         // next, and then the rings are drained.

@@ -13,8 +13,8 @@ use rand::SeedableRng;
 use pipemare::comms::{
     channel, loopback_pair, plan, run_stage_worker_opts, run_token_pipeline,
     spawn_loopback_workers, token_stage_config, CommsError, ContentTag, DistributedTrainer,
-    Message, PassKind, ShardStage, SparseMode, StageConfig, Transport, WorkerOptions, MAX_STAGES,
-    MAX_TOKENS, PROTOCOL_VERSION,
+    Message, PassKind, Receiver, Sender, ShardStage, SparseMode, StageConfig, StageWorkerReport,
+    Transport, WorkerOptions, MAX_STAGES, MAX_TOKENS, PROTOCOL_VERSION,
 };
 use pipemare::core::{dist_config, PipelineTrainer, RecomputeCfg, TrainConfig};
 use pipemare::nn::{ImageBatch, Mlp};
@@ -22,7 +22,9 @@ use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 use pipemare::pipeline::{
     run_pipeline, ActivationLedger, Method, PipelineClock, PipelinePlan, Sleep,
 };
-use pipemare::telemetry::{FlightRecorder, TraceEvent};
+use pipemare::telemetry::{
+    events_from_jsonl_string, FlightRecorder, SpanKind, TraceEvent, FLIGHT_DEFAULT_CAPACITY,
+};
 use pipemare::tensor::{StoragePrecision, Tensor};
 
 mod common;
@@ -505,6 +507,197 @@ fn token_mode_accepts_the_largest_handshake_and_refuses_one_token_more() {
             let refused = rx.recv();
             assert!(matches!(refused, Ok(Message::Error { .. })), "{}: {refused:?}", method.name());
             assert!(matches!(worker.join().unwrap(), Err(CommsError::Protocol(_))));
+        }
+    })
+}
+
+/// A worker on its own thread, past the hello exchange for `cfg`.
+fn hello_worker(
+    cfg: StageConfig,
+) -> (Sender, Receiver, std::thread::JoinHandle<Result<StageWorkerReport, CommsError>>) {
+    let (driver, worker) = loopback_pair();
+    let handle = std::thread::spawn(move || {
+        let (tx, rx) = channel(Box::new(worker))?;
+        run_stage_worker_opts(tx, rx, WorkerOptions::default())
+    });
+    let (mut tx, mut rx) = channel(Box::new(driver)).unwrap();
+    tx.send(&Message::Hello(cfg)).unwrap();
+    assert!(matches!(rx.recv(), Ok(Message::HelloAck { .. })));
+    (tx, rx, handle)
+}
+
+/// The spans in a worker's [`Message::Telemetry`] batch, by kind.
+fn count_spans(jsonl: &str, counts: &mut BTreeMap<u8, usize>) {
+    for e in events_from_jsonl_string(jsonl).expect("telemetry decodes") {
+        *counts.entry(e.kind as u8).or_insert(0) += 1;
+    }
+}
+
+#[test]
+fn a_training_worker_ships_unasked_what_its_ring_cannot_hold() {
+    within("a_training_worker_ships_unasked_what_its_ring_cannot_hold", || {
+        // One microbatch a step gives a worker its smallest ring, and a
+        // flush asks for its spans only once a step. However many fetches
+        // come in between — here more than the largest ring holds — the
+        // worker ships each span exactly once, unasked while its ring
+        // would otherwise lap.
+        let cfg = StageConfig {
+            protocol: PROTOCOL_VERSION,
+            stage: 0,
+            stages: 1,
+            n_micro: 1,
+            method: Method::PipeMare,
+            param_len: 4,
+            shard_lo: 0,
+            shard_hi: 4,
+            opt: OptimizerKind::Sgd { weight_decay: 0.0 },
+            t2_decay: None,
+            gamma: 0.0,
+            recomp_slots: None,
+            recomp_t2: false,
+            warmup_steps: 0,
+            weight_storage: StoragePrecision::F32,
+        };
+        let (mut tx, mut rx, worker) = hello_worker(cfg);
+        tx.send(&Message::InitShard { params: vec![0.0; 4] }).unwrap();
+        let fetches = FLIGHT_DEFAULT_CAPACITY + 1;
+        for _ in 0..fetches {
+            tx.send(&Message::FetchShard { step: 0, micro: 0, pass: PassKind::Fwd }).unwrap();
+        }
+        tx.send(&Message::Flush { id: 1 }).unwrap();
+        let (mut shards, mut batches, mut spans) = (0, 0, BTreeMap::new());
+        loop {
+            match rx.recv().unwrap() {
+                Message::Shard { .. } => shards += 1,
+                Message::Telemetry { jsonl, .. } => {
+                    batches += 1;
+                    count_spans(&jsonl, &mut spans);
+                }
+                Message::FlushAck { id: 1, .. } => break,
+                other => panic!("expected Shard, Telemetry or FlushAck, got {other:?}"),
+            }
+        }
+        assert_eq!(shards, fetches);
+        assert_eq!(spans, BTreeMap::from([(SpanKind::Forward as u8, fetches)]));
+        assert!(batches > fetches / 256, "{batches} batches for {fetches} spans");
+        tx.send(&Message::Shutdown).unwrap();
+        assert!(matches!(rx.recv(), Ok(Message::Telemetry { .. })));
+        assert!(matches!(rx.recv(), Ok(Message::ShutdownAck { .. })));
+        worker.join().unwrap().expect("the worker ends cleanly");
+    })
+}
+
+#[test]
+fn a_token_worker_at_the_largest_handshake_ships_every_span_unasked() {
+    within("a_token_worker_at_the_largest_handshake_ships_every_span_unasked", || {
+        // Stage 0 of MAX_STAGES stages at one microbatch a minibatch: the
+        // lag lets every token in before the first minibatch leaves, so
+        // no flush comes while it runs all MAX_TOKENS forwards and
+        // backwards. Its 256-slot ring still ships every span.
+        let cfg = token_stage_config(Method::PipeMare, MAX_STAGES as usize, 1, 0);
+        let (mut tx, mut rx, worker) = hello_worker(cfg);
+        tx.send(&Message::TokenMode { total: MAX_TOKENS, is_last: false, work_us: 0 }).unwrap();
+        for backward in [false, true] {
+            for id in 0..MAX_TOKENS {
+                tx.send(&Message::Token { backward, id }).unwrap();
+            }
+        }
+        let (mut tokens, mut spans) = (0, BTreeMap::new());
+        while tokens < 2 * MAX_TOKENS {
+            match rx.recv().unwrap() {
+                Message::Token { .. } => tokens += 1,
+                Message::Telemetry { jsonl, .. } => count_spans(&jsonl, &mut spans),
+                other => panic!("expected Token or Telemetry, got {other:?}"),
+            }
+        }
+        tx.send(&Message::Shutdown).unwrap();
+        match rx.recv() {
+            Ok(Message::Telemetry { jsonl, .. }) => count_spans(&jsonl, &mut spans),
+            other => panic!("expected Telemetry, got {other:?}"),
+        }
+        assert!(matches!(rx.recv(), Ok(Message::ShutdownAck { .. })));
+        worker.join().unwrap().expect("the worker ends cleanly");
+        let each = MAX_TOKENS as usize;
+        let kinds = [
+            SpanKind::Forward,
+            SpanKind::Backward,
+            SpanKind::QueueWaitFwd,
+            SpanKind::QueueWaitBkwd,
+        ];
+        assert_eq!(spans, kinds.iter().map(|&k| (k as u8, each)).collect());
+    })
+}
+
+#[test]
+fn a_deep_token_pipeline_records_the_in_process_spans() {
+    within("a_deep_token_pipeline_records_the_in_process_spans", || {
+        // Seventy stages at one microbatch a minibatch: stage 0 runs ≈ 2P
+        // forwards before the first minibatch leaves it and the hub
+        // flushes, more spans than its 256-slot ring holds.
+        fn spans(events: &[TraceEvent]) -> BTreeMap<(u8, u32, u32), usize> {
+            let mut m = BTreeMap::new();
+            for e in events {
+                *m.entry((e.kind as u8, e.stage, e.microbatch)).or_insert(0) += 1;
+            }
+            m
+        }
+        let (stages, n_micro, minibatches) = (70, 1, 200);
+        let work = std::time::Duration::ZERO;
+        let recorder = FlightRecorder::for_pipeline(stages);
+        let plan = PipelinePlan::for_method(Method::PipeMare, stages, n_micro, minibatches);
+        let mut sleeps = vec![Sleep(work); stages];
+        run_pipeline(&plan, &mut sleeps, &recorder, &ActivationLedger::new(stages, 1));
+
+        let (transports, handles) = spawn_loopback_workers(stages);
+        let report = run_token_pipeline(
+            transports,
+            Method::PipeMare,
+            stages,
+            n_micro,
+            minibatches,
+            work,
+            None,
+        )
+        .expect("token pipeline");
+        for h in handles {
+            h.join().expect("worker thread").expect("worker ok");
+        }
+        assert_eq!(spans(&recorder.events()), spans(&report.events));
+    })
+}
+
+#[test]
+fn a_token_run_fails_with_the_error_its_worker_reported() {
+    within("a_token_run_fails_with_the_error_its_worker_reported", || {
+        // The worker reports why it stops, then either hangs up at once —
+        // the hub's next send fails — or stays until the hub hangs up — the
+        // hub reads the report. Either way the run returns the report, not
+        // the closed link.
+        for hangs_up in [true, false] {
+            let (driver, worker) = loopback_pair();
+            let fake = std::thread::spawn(move || {
+                let (mut tx, mut rx) = channel(Box::new(worker)).unwrap();
+                let Ok(Message::Hello(cfg)) = rx.recv() else { panic!("expected Hello") };
+                let stage = cfg.stage;
+                tx.send(&Message::HelloAck { protocol: PROTOCOL_VERSION, stage, clock_us: 0 })
+                    .unwrap();
+                assert!(matches!(rx.recv(), Ok(Message::TokenMode { .. })));
+                if !hangs_up {
+                    assert!(matches!(rx.recv(), Ok(Message::Token { .. })));
+                }
+                tx.send(&Message::Error { code: 0, message: "out of tokens".into() }).unwrap();
+                while !hangs_up && rx.recv().is_ok() {}
+            });
+            let transports: Vec<Box<dyn Transport>> = vec![Box::new(driver)];
+            let work = std::time::Duration::ZERO;
+            let got = run_token_pipeline(transports, Method::PipeMare, 1, 1, 4, work, None);
+            fake.join().unwrap();
+            match got {
+                Err(CommsError::Remote { stage: 0, message }) => {
+                    assert_eq!(message, "out of tokens")
+                }
+                other => panic!("hangs up {hangs_up}: expected the worker's error, got {other:?}"),
+            }
         }
     })
 }
