@@ -24,6 +24,9 @@
 //!   configurable receive timeout) and in-process loopback
 //!   ([`transport::loopback_pair`]) implementations, plus wire-byte
 //!   accounting ([`transport::WireStats`]).
+//! * [`compute`]: [`compute::ChainStage`] — a pipeline stage that
+//!   computes: an `Mlp` split and its own [`stage::ShardStage`], run by
+//!   the pipeline executor as the stage's `StageWork`.
 //! * [`stage`]: [`stage::ShardStage`] — one stage's weight shard,
 //!   optimizer state, weight-version window and T2 δ buffer — and
 //!   [`stage::plan`], the one version-selection function, whose
@@ -41,6 +44,7 @@
 //! and the last step that worker acknowledged.
 
 pub mod codec;
+pub mod compute;
 pub mod config;
 pub mod driver;
 pub mod error;
@@ -51,6 +55,7 @@ pub mod transport;
 pub mod worker;
 
 pub use codec::{SparseMode, TensorPayload, MAX_FRAME};
+pub use compute::ChainStage;
 pub use config::{RecomputeCfg, StepStats, TrainConfig, TrainMode};
 pub use driver::{LocalShards, RunLayout, ShardAccess, StepDriver, FETCH_WINDOW};
 pub use error::{CodecError, CommsError};

@@ -33,9 +33,8 @@ use pipemare_pipeline::{
     run_stage, ActivationLedger, Link, OpenPlan, RecomputePolicy, Sleep, StageLinks, StageOp, Token,
 };
 use pipemare_telemetry::{
-    default_rules, events_to_jsonl_string, AlertEngine, EventSource, FlightRecorder, JournalConfig,
-    JournalWriter, LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker,
-    FLIGHT_DEFAULT_CAPACITY,
+    events_to_jsonl_string, EventSource, FlightRecorder, JournalConfig, JournalWriter, LiveStore,
+    MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker, FLIGHT_DEFAULT_CAPACITY,
 };
 
 use crate::codec::Writer;
@@ -123,10 +122,12 @@ fn ship_when_half_full(
 /// mismatch is reported to the orchestrator as [`Message::Error`] and
 /// returned as [`CommsError::Handshake`].
 ///
-/// The live-stats plane is always on: wire gauges, a [`LiveStore`] over
-/// the worker's recorder answering in-band [`Message::StatsRequest`]s,
-/// and the default alert rule pack, so scrapes (TCP or in-band) carry an
-/// `alerts` array and transitions land on the flight track. With
+/// The live-stats plane is always on: wire gauges and a [`LiveStore`]
+/// over the worker's recorder answering in-band
+/// [`Message::StatsRequest`]s. A worker evaluates no alert rules: it sees
+/// one stage's spans and none of the `health.*` or `serve.*` series the
+/// default rules read, so alerts are the orchestrator's and the
+/// server's. With
 /// [`WorkerOptions::stats_addr`] a plain-TCP scrape endpoint plus a
 /// 250 ms background ticker let `pm top` and `nc` poll the worker while
 /// it trains; with [`WorkerOptions::journal_dir`] the ticker's hook
@@ -153,8 +154,7 @@ pub fn run_stage_worker_opts(
     // The recorder's origin is the worker's time zero; the HelloAck clock
     // sample below is on the same clock, so the orchestrator's offset
     // estimate maps every recorded event into driver time.
-    let recorder =
-        Arc::new(FlightRecorder::new(cfg.stages as usize + 1, ring_capacity(cfg.n_micro)));
+    let recorder = Arc::new(FlightRecorder::new(cfg.stages as usize, ring_capacity(cfg.n_micro)));
     let registry = Arc::new(MetricsRegistry::new());
     tx.bind_gauges(&registry, "wire.orchestrator");
     rx.bind_gauges(&registry, "wire.orchestrator");
@@ -163,12 +163,6 @@ pub fn run_stage_worker_opts(
             .with_registry(Arc::clone(&registry))
             .with_events(Arc::clone(&recorder) as Arc<dyn EventSource + Send + Sync>),
     );
-    // Default alert pack: scrapes grow an `alerts` array and fire /
-    // resolve instants land on the recorder's extra (driver) track, so
-    // they ship home inside the normal telemetry batches.
-    let engine = Arc::new(AlertEngine::new(default_rules()));
-    engine.attach_recorder(Arc::clone(&recorder) as Arc<dyn Recorder + Send + Sync>, cfg.stages);
-    store.attach_alerts(Arc::clone(&engine));
     // Endpoint + ticker (if enabled) live exactly as long as this call.
     let endpoint = match &opts.stats_addr {
         Some(addr) => Some(StatsEndpoint::bind(addr, Arc::clone(&store))?),

@@ -108,11 +108,6 @@ impl ImageDataset {
         self.train_y.len()
     }
 
-    /// Number of test samples.
-    pub fn test_len(&self) -> usize {
-        self.test_y.len()
-    }
-
     /// Extracts training samples `[start, start+count)` as a batch.
     pub fn train_batch(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
         gather(&self.train_x, &self.train_y, indices)

@@ -49,19 +49,6 @@ impl OptimizerKind {
     pub fn transformer_adamw(weight_decay: f32) -> Self {
         OptimizerKind::AdamW { beta1: 0.9, beta2: 0.98, eps: 1e-8, weight_decay }
     }
-
-    /// Number of per-parameter state buffers this optimizer keeps
-    /// (0 for SGD, 1 for momentum, 2 for Adam/AdamW). Used by the
-    /// weight+optimizer memory model: the paper counts master weights,
-    /// gradient, and optimizer state as "weight and optimizer memory",
-    /// so the total copies are `2 + state_buffers()` (§3.2 footnote 2).
-    pub fn state_buffers(&self) -> usize {
-        match self {
-            OptimizerKind::Sgd { .. } => 0,
-            OptimizerKind::Momentum { .. } => 1,
-            OptimizerKind::Adam { .. } | OptimizerKind::AdamW { .. } => 2,
-        }
-    }
 }
 
 /// A flat-vector optimizer supporting per-range steps.
@@ -207,12 +194,6 @@ impl Optimizer {
         let n = params.len();
         self.step_range(params, grads, 0, n, lr);
     }
-
-    /// Total per-parameter memory copies (master weights + gradient +
-    /// optimizer state), matching the paper's weight+optimizer accounting.
-    pub fn memory_copies(&self) -> usize {
-        2 + self.kind.state_buffers()
-    }
 }
 
 #[cfg(test)]
@@ -332,16 +313,6 @@ mod tests {
                 assert!((x - y).abs() < 1e-6, "{kind:?}: {x} vs {y}");
             }
         }
-    }
-
-    #[test]
-    fn memory_copies_match_paper_accounting() {
-        // SGD+momentum: weights, grad, momentum = 3 copies; the T2 buffer
-        // adds one more = 33% increase. Adam: 4 copies; T2 adds 25%.
-        let m = Optimizer::new(OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 }, 1);
-        assert_eq!(m.memory_copies(), 3);
-        let a = Optimizer::new(OptimizerKind::Adam { beta1: 0.9, beta2: 0.999, eps: 1e-8 }, 1);
-        assert_eq!(a.memory_copies(), 4);
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! Recompute replaying segments — is entirely in the plan, and what an op
 //! does is the stage's [`StageWork`]. [`with_pipeline`] runs each stage
 //! on its own thread ([`run_stage`]) across minibatch calls, and [`walk`]
-//! runs them all on the calling thread. Under [`Sleep`], measured
-//! wall-clock throughputs reproduce the `N/(N+P−1)` bubble penalty of
-//! Table 1, and the [`ActivationLedger`] peaks the analytical memory model.
+//! runs them all on the calling thread. Two works exist: [`Sleep`], under
+//! which measured wall-clock throughputs reproduce the `N/(N+P−1)` bubble
+//! penalty of Table 1 and the [`ActivationLedger`] peaks the analytical
+//! memory model, and the comms crate's `ChainStage`, a stage that owns
+//! its layers and weights and trains them, bit for bit as the reference
+//! trainer does, under either driver.
 //!
 //! A stage finishes after its last backward once the end of the stream
 //! has reached it, so shutdown never depends on channel-disconnection
@@ -26,7 +29,10 @@ use pipemare_telemetry::{Recorder, SpanKind, NO_MICROBATCH};
 use crate::plan::{Link, OpenPlan, PipelinePlan};
 use crate::recompute::{ActivationLedger, StageOp, StageOpKind};
 
-/// What a stage does for each op of its row; one value per stage.
+/// What a stage does for each op of its row; one value per stage:
+/// [`Sleep`] for latency alone, or a stage that computes (the comms
+/// crate's `ChainStage`, which runs its layer split on its own weights and
+/// sends activations and their gradients as payloads).
 pub trait StageWork: Send {
     /// What travels on a link between neighbouring stages.
     type Payload: Send;

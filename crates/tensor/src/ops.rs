@@ -199,11 +199,6 @@ impl Tensor {
     pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
         self.map(|x| x.clamp(lo, hi))
     }
-
-    /// Returns true if every element is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
-    }
 }
 
 impl std::ops::Add<&Tensor> for &Tensor {
@@ -294,15 +289,6 @@ mod tests {
     fn exp_ln_roundtrip() {
         let a = Tensor::from_vec(vec![0.5, 1.0, 2.0], &[3]);
         assert_close(a.exp().ln().data(), a.data(), 1e-6, 1e-6);
-    }
-
-    #[test]
-    fn finite_detection() {
-        assert!(Tensor::ones(&[2]).all_finite());
-        let bad = Tensor::from_vec(vec![1.0, f32::NAN], &[2]);
-        assert!(!bad.all_finite());
-        let inf = Tensor::from_vec(vec![f32::INFINITY], &[1]);
-        assert!(!inf.all_finite());
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl Tensor {
         out
     }
 
-    /// Means along `axis`, removing that dimension.
-    pub fn mean_axis(&self, axis: usize) -> Tensor {
-        let n = self.shape()[axis] as f32;
-        self.sum_axis(axis).scale(1.0 / n)
-    }
-
     /// Index of the maximum element of each row of a 2-D tensor.
     ///
     /// # Panics
@@ -186,13 +180,6 @@ mod tests {
         assert_eq!(s2.at(&[0, 0]), 0.0 + 1.0 + 2.0 + 3.0);
         // Reducing every axis one at a time equals the total sum.
         assert_eq!(s0.sum(), t.sum());
-    }
-
-    #[test]
-    fn mean_axis() {
-        let t = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[2, 2]);
-        assert_eq!(t.mean_axis(0).data(), &[3.0, 5.0]);
-        assert_eq!(t.mean_axis(1).data(), &[2.0, 6.0]);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Integer power by repeated squaring.
     pub fn powi(self, mut n: u32) -> Self {
         let mut base = self;

@@ -81,6 +81,7 @@ impl Rule {
 const CRATES_SRC: &str = "crates/*/src/**/*.rs";
 const PIPELINE_SRC: &str = "crates/pipeline/src/**/*.rs";
 const CODEC: &str = "crates/telemetry/src/codec.rs";
+const COMPUTE_STAGE: &str = "crates/comms/src/compute.rs";
 const LAYER: &str = "crates/nn/src/layer.rs";
 /// Library, bench, example and benchmark code.
 const ALL_SRC: &str = "crates/*/{src,benches}/**/*.rs|{examples,src,pmbench/src}/**/*.rs";
@@ -118,11 +119,13 @@ const SINGLE_CODEC: &[Rule] = &[
 /// walk anywhere else (a test copying the loop) would have to, and from then
 /// on only tests would hold it in step with the real one. Every driver
 /// injects by one rule, `OpenPlan::inject_bound`: `Pipe::minibatch`, `walk`
-/// and the comms token hub call it. What an op does is a `StageWork` value,
-/// and the sleep is one of them, `Sleep`. A second `thread::scope(` in
-/// crates/pipeline is a second executor; a sleep outside `impl StageWork for
-/// Sleep`, a second library `StageWork` or a `work_per_stage` duration
-/// threaded through the executor is a second copy of what an op does;
+/// and the comms token hub call it. What an op does is a `StageWork` value:
+/// the sleep, `Sleep`, and the compute stage, `ChainStage` in
+/// crates/comms/src/compute.rs, which owns its layers and weights. A second
+/// `thread::scope(` in crates/pipeline is a second executor; a sleep outside
+/// `impl StageWork for Sleep`, a third library `StageWork` or a second
+/// outside compute.rs, or a `work_per_stage` duration threaded through the
+/// executor is a second copy of what an op does;
 /// `select!` is arrival-order scheduling, which cannot promise the plan's
 /// fixed op order. The names of the executors this replaced, of the slot
 /// simulator that once built a second 1F1B order, of the per-op function
@@ -133,7 +136,8 @@ const SINGLE_EXECUTOR: &[Rule] = &[
     rule(1, Any("thread::scope("), PIPELINE_SRC),
     rule(1, Any("thread::sleep("), PIPELINE_SRC),
     rule(0, Matches("thread::sleep( outside impl StageWork for Sleep", stray_sleep), PIPELINE_SRC),
-    rule(1, Any("StageWork for "), CRATES_SRC),
+    rule(1, Any("StageWork for "), CRATES_SRC).except(COMPUTE_STAGE),
+    rule(1, Any("StageWork for "), COMPUTE_STAGE),
     rule(0, Any("work_per_stage"), "crates/pipeline/src/**").reads(ALL),
     rule(1, Any("fn run_stage<"), CRATES_SRC),
     rule(2, Any("run_stage("), CRATES_SRC),

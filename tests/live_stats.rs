@@ -130,6 +130,50 @@ fn stage_worker_answers_in_band_stats_scrape() {
     })
 }
 
+/// A worker sees one stage of many and none of the `health.*` or
+/// `serve.*` series, so it runs no alert rules: a session sampled more
+/// than the rules' 1 s `for` window apart scrapes no alert and ships no
+/// alert instant, where `stage_starvation` would report every stage the
+/// worker does not serve.
+#[test]
+fn a_stage_worker_raises_no_alerts() {
+    within("a_stage_worker_raises_no_alerts", || {
+        let (driver_end, worker_end) = loopback_pair();
+        let worker = thread::spawn(move || {
+            let (tx, rx) = channel(Box::new(worker_end))?;
+            run_stage_worker_opts(tx, rx, WorkerOptions::default())
+        });
+        let (mut tx, mut rx) = channel(Box::new(driver_end)).expect("driver channel");
+        let cfg = StageConfig { stages: 2, shard_hi: 2, ..one_stage_config() };
+        tx.send(&Message::Hello(cfg)).unwrap();
+        assert!(matches!(rx.recv().unwrap(), Message::HelloAck { .. }));
+        tx.send(&Message::InitShard { params: vec![0.1, 0.2] }).unwrap();
+        let mut scrape = |id| {
+            tx.send(&Message::FetchShard { step: 0, micro: 0, pass: PassKind::Fwd }).unwrap();
+            assert!(matches!(rx.recv().unwrap(), Message::Shard { .. }));
+            tx.send(&Message::StatsRequest { id }).unwrap();
+            match rx.recv().unwrap() {
+                Message::StatsReply { frame, .. } => Scrape::decode(&frame).expect("decodes"),
+                other => panic!("expected StatsReply, got {}", other.name()),
+            }
+        };
+        scrape(1);
+        thread::sleep(Duration::from_millis(1200));
+        let late = scrape(2);
+        assert!(late.latest().is_some_and(|s| s.stages.len() == 2), "both stages sampled");
+        assert!(late.alerts.is_empty(), "a worker fired {:?}", late.alerts);
+        tx.send(&Message::Shutdown).unwrap();
+        match rx.recv().unwrap() {
+            Message::Telemetry { jsonl, .. } => {
+                assert!(!jsonl.contains("alert_"), "a worker recorded an alert: {jsonl}")
+            }
+            other => panic!("expected Telemetry, got {}", other.name()),
+        }
+        assert!(matches!(rx.recv().unwrap(), Message::ShutdownAck { .. }));
+        worker.join().expect("worker thread").expect("worker exits cleanly");
+    })
+}
+
 #[test]
 fn serve_server_scrapes_over_tcp_and_traces_requests() {
     within("serve_server_scrapes_over_tcp_and_traces_requests", || {
