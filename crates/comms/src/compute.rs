@@ -36,7 +36,7 @@ use crate::config::{TrainConfig, TrainMode};
 use crate::driver::RunLayout;
 use crate::error::CommsError;
 use crate::protocol::{PassKind, StageConfig};
-use crate::stage::{plan, ShardStage};
+use crate::stage::{all_finite, plan, ShardStage};
 
 /// A forward's cache, kept for its microbatch's backward.
 struct Stashed {
@@ -189,7 +189,7 @@ impl<'a> ChainStage<'a> {
         let t = step as usize;
         let s = self.stage_cfg.stage as usize;
         let lr = self.cfg.schedule.lr(t) * self.cfg.t1_scale(&self.clock, s, t);
-        let finite = grad.iter().all(|g| g.is_finite());
+        let finite = all_finite(&grad);
         let staged = self.shard.apply_grad(step, lr, finite, &grad);
         let (_, staged_finite) = staged.expect("a stage stages its own gradient");
         self.shard.commit(step, finite && staged_finite).expect("and commits it");

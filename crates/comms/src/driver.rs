@@ -43,7 +43,7 @@ use pipemare_pipeline::{Method, PipelineClock, StagePartition};
 use crate::config::{StepStats, TrainConfig, TrainMode};
 use crate::error::CommsError;
 use crate::protocol::{PassKind, StageConfig};
-use crate::stage::{plan, ContentTag, ReadPlan, ShardStage};
+use crate::stage::{all_finite, plan, ContentTag, ReadPlan, ShardStage};
 
 /// Most requests a stage may have unanswered at once: it bounds what a
 /// remote driver writes while replies are outstanding (`orchestrator`).
@@ -532,7 +532,7 @@ impl<A: ShardAccess> StepDriver<A> {
         on_grad(&grad);
         self.clipped =
             self.cfg.grad_clip.is_some_and(|clip| clip_grad_norm(&mut grad, clip) > clip);
-        let grad_finite = grad.iter().all(|g| g.is_finite());
+        let grad_finite = all_finite(&grad);
         let (cfg, clock) = (&self.cfg, &self.layout.clock);
         let lr = |s: usize| base_lr * cfg.t1_scale(clock, s, t);
         // Phase 1: every stage stages its update. Phase 2: commit

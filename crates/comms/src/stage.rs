@@ -180,6 +180,18 @@ fn t2_read(w: f32, gap: f32, delta: f32) -> f32 {
     w - gap * delta
 }
 
+/// Whether every value is finite — the step's finite vote. One branch
+/// per 64 values, so each chunk's test vectorizes (`iter().all` branches
+/// on every value): a value is ±∞ or NaN exactly when its exponent bits
+/// are all set, so a chunk is finite when the largest of its exponent
+/// fields is below that.
+pub(crate) fn all_finite(values: &[f32]) -> bool {
+    const EXPONENT: u32 = 0x7f80_0000;
+    values
+        .chunks(64)
+        .all(|chunk| chunk.iter().fold(0, |most, v| most.max(v.to_bits() & EXPONENT)) < EXPONENT)
+}
+
 /// One stage's resumable state — the unit a checkpoint is made of.
 /// bf16-stored versions are widened to f32 (exact), so the state is
 /// precision-independent and a round trip is bit-lossless.
@@ -519,7 +531,7 @@ impl ShardStage {
         if staged.filled < len {
             return Ok(None);
         }
-        let finite = staged.w.iter().all(|x| x.is_finite());
+        let finite = all_finite(&staged.w);
         staged.sq_norm = staged.w.iter().map(|&x| x as f64 * x as f64).sum::<f64>();
         Ok(Some((staged.sq_norm, finite)))
     }
@@ -615,6 +627,27 @@ mod tests {
     use super::*;
     use crate::codec::{Reader, TensorPayload};
     use pipemare_optim::OptimizerKind;
+
+    #[test]
+    fn all_finite_finds_every_non_finite_value_at_any_position() {
+        assert!(all_finite(&[]));
+        let specials = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        // Lengths on both sides of one and two chunks, and one that 64
+        // does not divide.
+        for len in [1, 63, 64, 65, 128, 129, 200] {
+            let finite: Vec<f32> =
+                (0..len).map(|i| [-0.0, 0.0, f32::MAX, f32::MIN, 1e-45, -1.5][i % 6]).collect();
+            assert!(all_finite(&finite), "len {len}");
+            for at in [0, len / 2, len - 1] {
+                for bad in specials {
+                    let mut values = finite.clone();
+                    values[at] = bad;
+                    assert!(!all_finite(&values), "{bad} at {at} of {len}");
+                    assert_eq!(all_finite(&values), values.iter().all(|v| v.is_finite()));
+                }
+            }
+        }
+    }
 
     /// What the peer of `stage` decodes from one fetch.
     fn fetch_payload(

@@ -41,6 +41,28 @@ impl Activation {
         Activation { kind: ActivationKind::Tanh }
     }
 
+    /// [`Layer::forward_no_cache`] into `x`'s own buffer: for a
+    /// composite that keeps no copy of the pre-activation.
+    pub(crate) fn forward_in_place(&self, x: &mut Tensor) {
+        x.map_inplace(|v| self.apply(v));
+    }
+
+    /// The ReLU's backward read from its *output* `y` (any shape of the
+    /// same length), which the next layer caches anyway: `dy` times `1.0`
+    /// where `y > 0` and `0.0` elsewhere. `max(x, 0) > 0` exactly where
+    /// `x > 0` (a NaN passes neither), so these are the products
+    /// [`Layer::backward_into`] computes from the cached input.
+    ///
+    /// # Panics
+    ///
+    /// Panics for any other activation.
+    pub(crate) fn relu_backward_from_output(&self, dy: &Tensor, y: &Tensor) -> Tensor {
+        assert_eq!(self.kind, ActivationKind::Relu, "only a ReLU's output gives its derivative");
+        assert_eq!(dy.len(), y.len(), "ReLU backward: dy and y differ in length");
+        let dx = dy.data().iter().zip(y.data()).map(|(&g, &v)| g * self.derivative(v));
+        Tensor::from_vec(dx.collect(), dy.shape())
+    }
+
     fn apply(&self, x: f32) -> f32 {
         match self.kind {
             ActivationKind::Relu => x.max(0.0),

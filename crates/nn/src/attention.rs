@@ -176,15 +176,34 @@ impl MultiHeadAttention {
 
     /// Forward pass.
     ///
-    /// `query`: `(B, Tq, D)`; `kv`: `(B, Tk, D)` (equal to `query` for
-    /// self-attention). Returns `(output (B, Tq, D), cache)`.
+    /// `query`: `(B, Tq, D)`; `kv`: `(B, Tk, D)` (the same tensor as
+    /// `query` for self-attention). Returns `(output (B, Tq, D), cache)`.
     ///
     /// Q, K and V stay in their `(B·T, D)` projection outputs: head `h`
     /// of batch element `b` is a column block of them, multiplied in
     /// place by one batched call per product, and the context lands in
-    /// `(B·Tq, D)` directly. The cache holds the two inputs, Q, K, V, the
-    /// attention weights `(B·H, Tq, Tk)` and the context.
+    /// `(B·Tq, D)` directly. The cache holds Q, K, V, the attention
+    /// weights `(B·H, Tq, Tk)`, the context and then the inputs, each
+    /// once: one copy when `query` and `kv` are the same tensor.
     pub fn forward(
+        &self,
+        params: &[f32],
+        query: &Tensor,
+        kv: &Tensor,
+        mask: &AttnMask,
+    ) -> (Tensor, Cache) {
+        let (y, mut cache) = self.forward_without_inputs(params, query, kv, mask);
+        cache.tensors.push(query.clone());
+        if !std::ptr::eq(query, kv) {
+            cache.tensors.push(kv.clone());
+        }
+        (y, cache)
+    }
+
+    /// [`Self::forward`] without the inputs in the cache, for a caller
+    /// that keeps them elsewhere (a model's cache, or rebuilt from a norm
+    /// layer's) and hands them to [`Self::backward_with_inputs`].
+    pub(crate) fn forward_without_inputs(
         &self,
         params: &[f32],
         query: &Tensor,
@@ -228,8 +247,6 @@ impl MultiHeadAttention {
         let y = Tensor::from_vec(self.project(params, 3, &ctx, b * tq), &[b, tq, d]);
 
         let mut cache = Cache::with_tensors(vec![
-            query.reshape(&[b * tq, d]),
-            kv.reshape(&[b * tk, d]),
             Tensor::from_vec(q, &[b * tq, d]),
             Tensor::from_vec(k, &[b * tk, d]),
             Tensor::from_vec(v, &[b * tk, d]),
@@ -288,12 +305,30 @@ impl MultiHeadAttention {
         dy: &Tensor,
         grads: &mut [f32],
     ) -> (Tensor, Tensor) {
+        let inputs = &cache.tensors[5..];
+        let (query, kv) = (&inputs[0], &inputs[inputs.len() - 1]);
+        self.backward_with_inputs(params, cache, (query, kv), dy, grads)
+    }
+
+    /// [`Self::backward_into`] for a cache from
+    /// [`Self::forward_without_inputs`]: the caller hands in the forward
+    /// pass's `query` and `kv`, bit for bit the tensors it ran on.
+    pub(crate) fn backward_with_inputs(
+        &self,
+        params: &[f32],
+        cache: &Cache,
+        (query, kv): (&Tensor, &Tensor),
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> (Tensor, Tensor) {
         assert_eq!(grads.len(), self.param_len(), "attention grads must be the layer's own");
         let d = self.dim;
         let (b, tq, tk) = (cache.indices[0], cache.indices[1], cache.indices[2]);
+        assert_eq!((query.len(), kv.len()), (b * tq * d, b * tk * d), "attention inputs");
         let (h, dh) = (self.heads, d / self.heads);
         let scale = 1.0 / (dh as f32).sqrt();
-        let [q2, kv2, q, k, v, a, ctx] = std::array::from_fn(|i| cache.tensor(i).data());
+        let (q2, kv2) = (query.data(), kv.data());
+        let [q, k, v, a, ctx] = std::array::from_fn(|i| cache.tensor(i).data());
 
         // Output projection.
         let mut dctx = vec![0.0f32; b * tq * d];
@@ -630,6 +665,19 @@ mod tests {
         xs.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// How a case hands the attention its inputs.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Inputs {
+        /// Cross-attention through `forward`: two tensors, each cached.
+        Two,
+        /// Self-attention through `forward`: `query` and `kv` are one
+        /// tensor, cached once.
+        One,
+        /// `forward_without_inputs`: the caller keeps both and hands them
+        /// to `backward_with_inputs`.
+        Supplied,
+    }
+
     /// Runs both implementations on one case and compares every output
     /// and every cached tensor the backward reads, bit for bit.
     fn assert_equals_oracle(
@@ -637,6 +685,7 @@ mod tests {
         (b, tq, tk): (usize, usize, usize),
         mask: &AttnMask,
         seed: u64,
+        inputs: Inputs,
     ) {
         let mha = MultiHeadAttention::new(8 * heads.max(2), heads);
         let d = mha.dim;
@@ -646,22 +695,39 @@ mod tests {
             *v += 0.01;
         }
         let query = Tensor::randn(&[b, tq, d], &mut rng);
-        let kv = Tensor::randn(&[b, tk, d], &mut rng);
+        let other = Tensor::randn(&[b, tk, d], &mut rng);
         let dy = Tensor::randn(&[b, tq, d], &mut rng);
+        let kv = if inputs == Inputs::One { &query } else { &other };
 
-        let (want_y, want_cache) = oracle::forward(&mha, &p, &query, &kv, mask);
-        let (y, cache) = mha.forward(&p, &query, &kv, mask);
+        let (want_y, want_cache) = oracle::forward(&mha, &p, &query, kv, mask);
+        let (y, cache) = match inputs {
+            Inputs::Supplied => mha.forward_without_inputs(&p, &query, kv, mask),
+            Inputs::Two | Inputs::One => mha.forward(&p, &query, kv, mask),
+        };
         assert_eq!(y.shape(), want_y.shape());
         assert_eq!(bits(y.data()), bits(want_y.data()), "y");
-        assert_eq!(bits(cache.tensor(5).data()), bits(want_cache[5].data()), "attention weights");
+        assert_eq!(bits(cache.tensor(3).data()), bits(want_cache[5].data()), "attention weights");
+        // The oracle keeps both inputs; each is kept here at most once.
+        let inputs_kept = match inputs {
+            Inputs::Two => query.len() + kv.len(),
+            Inputs::One => query.len(),
+            Inputs::Supplied => 0,
+        };
         assert_eq!(
             cache.activation_bytes(),
-            want_cache.iter().map(|t| 4 * t.len()).sum::<usize>(),
+            want_cache[2..].iter().map(|t| 4 * t.len()).sum::<usize>() + 4 * inputs_kept,
             "cache bytes"
         );
 
         let (want_dq, want_dkv, want_g) = oracle::backward(&mha, &p, (b, tq, tk), &want_cache, &dy);
-        let (dq, dkv, g) = mha.backward(&p, &cache, &dy);
+        let (dq, dkv, g) = match inputs {
+            Inputs::Supplied => {
+                let mut g = vec![0.0f32; mha.param_len()];
+                let (dq, dkv) = mha.backward_with_inputs(&p, &cache, (&query, kv), &dy, &mut g);
+                (dq, dkv, g)
+            }
+            Inputs::Two | Inputs::One => mha.backward(&p, &cache, &dy),
+        };
         assert_eq!(dq.shape(), want_dq.shape());
         assert_eq!(dkv.shape(), want_dkv.shape());
         assert_eq!(bits(dq.data()), bits(want_dq.data()), "dquery");
@@ -683,9 +749,12 @@ mod tests {
             tq in 1usize..8,
             tk in 1usize..8,
             mask_kind in 0usize..4,
+            inputs in (0usize..3).prop_map(|i| [Inputs::Two, Inputs::One, Inputs::Supplied][i]),
             lens_seed in 0usize..1000,
             seed in 0u64..10_000,
         ) {
+            // Self-attention attends over its own sequence.
+            let tk = if inputs == Inputs::One { tq } else { tk };
             // Key lengths in 0..=tk: a zero hides every key of that batch
             // element, so its rows come out uniform.
             let lens: Vec<usize> = (0..b).map(|i| (lens_seed / (i + 1) + i) % (tk + 1)).collect();
@@ -695,15 +764,19 @@ mod tests {
                 2 => (AttnMask::KeyLens(lens), tk),
                 _ => (AttnMask::CausalKeyLens(lens.iter().map(|&l| l.min(tq)).collect()), tq),
             };
-            assert_equals_oracle(heads, (b, tq, tk), &mask, seed);
+            assert_equals_oracle(heads, (b, tq, tk), &mask, seed, inputs);
         }
     }
 
     #[test]
     fn fully_masked_key_rows_equal_the_oracle() {
         // Batch element 1 sees no key at all; element 0 sees one.
-        assert_equals_oracle(2, (2, 3, 5), &AttnMask::KeyLens(vec![1, 0]), 11);
-        assert_equals_oracle(4, (3, 4, 4), &AttnMask::CausalKeyLens(vec![0, 4, 2]), 12);
+        let key_lens = AttnMask::KeyLens(vec![1, 0]);
+        assert_equals_oracle(2, (2, 3, 5), &key_lens, 11, Inputs::Two);
+        assert_equals_oracle(2, (2, 3, 5), &key_lens, 11, Inputs::Supplied);
+        let causal = AttnMask::CausalKeyLens(vec![0, 4, 2]);
+        assert_equals_oracle(4, (3, 4, 4), &causal, 12, Inputs::Two);
+        assert_equals_oracle(4, (3, 4, 4), &causal, 12, Inputs::One);
     }
 
     #[test]

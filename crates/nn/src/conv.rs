@@ -88,6 +88,47 @@ impl Conv2d {
             batch: x.shape()[0],
         }
     }
+
+    /// [`Layer::backward_into`] with the forward pass's input `x` handed
+    /// in by a composite that keeps it elsewhere (another layer's cache,
+    /// or rebuilt from one) instead of in this layer's cache.
+    pub(crate) fn backward_with_input(
+        &self,
+        params: &[f32],
+        x: &Tensor,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor {
+        self.param_grads_with_input(x, dy, grads);
+        // dx uses the backward-pass weights.
+        let mut dx = Tensor::zeros(x.shape());
+        let (level, problem) = (kernels::simd_level(), self.problem(x));
+        conv::backward_input(
+            level,
+            &problem,
+            &params[..self.weight_len()],
+            dy.data(),
+            dx.data_mut(),
+        );
+        dx
+    }
+
+    fn param_grads_with_input(&self, x: &Tensor, dy: &Tensor, grads: &mut [f32]) {
+        let problem = self.problem(x);
+        let (level, plane) = (kernels::simd_level(), problem.geom.patches());
+        let (dw, db) = grads.split_at_mut(self.weight_len());
+        // dW uses the forward activations.
+        conv::backward_weights(level, &problem, x.data(), dy.data(), dw);
+        for (o, g) in db.iter_mut().enumerate() {
+            // One sequential sum per channel, images then positions.
+            *g = dy
+                .data()
+                .chunks_exact(plane)
+                .skip(o)
+                .step_by(self.out_channels)
+                .fold(0.0, |acc, image| image.iter().fold(acc, |acc, &v| acc + v));
+        }
+    }
 }
 
 impl Layer for Conv2d {
@@ -131,37 +172,11 @@ impl Layer for Conv2d {
         dy: &Tensor,
         grads: &mut [f32],
     ) -> Tensor {
-        self.param_grads_into(params, cache, dy, grads);
-        // dx uses the backward-pass weights.
-        let x = cache.tensor(0);
-        let mut dx = Tensor::zeros(x.shape());
-        let (level, problem) = (kernels::simd_level(), self.problem(x));
-        conv::backward_input(
-            level,
-            &problem,
-            &params[..self.weight_len()],
-            dy.data(),
-            dx.data_mut(),
-        );
-        dx
+        self.backward_with_input(params, cache.tensor(0), dy, grads)
     }
 
     fn param_grads_into(&self, _: &[f32], cache: &Cache, dy: &Tensor, grads: &mut [f32]) {
-        let x = cache.tensor(0);
-        let problem = self.problem(x);
-        let (level, plane) = (kernels::simd_level(), problem.geom.patches());
-        let (dw, db) = grads.split_at_mut(self.weight_len());
-        // dW uses the forward activations.
-        conv::backward_weights(level, &problem, x.data(), dy.data(), dw);
-        for (o, g) in db.iter_mut().enumerate() {
-            // One sequential sum per channel, images then positions.
-            *g = dy
-                .data()
-                .chunks_exact(plane)
-                .skip(o)
-                .step_by(self.out_channels)
-                .fold(0.0, |acc, image| image.iter().fold(acc, |acc, &v| acc + v));
-        }
+        self.param_grads_with_input(cache.tensor(0), dy, grads);
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

@@ -77,11 +77,7 @@ impl Layer for Embedding {
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
         let ids = self.ids_of(x);
         let y = self.lookup(params, &ids, x.shape());
-        let mut cache = Cache::new();
-        cache.indices = ids;
-        cache.indices.push(0); // sentinel keeps layout explicit
-        cache.indices.pop();
-        (y, cache)
+        (y, Cache { indices: ids, ..Cache::default() })
     }
 
     fn forward_no_cache(&self, params: &[f32], x: &Tensor) -> Tensor {

@@ -51,6 +51,40 @@ impl Linear {
         );
         x.len() / self.in_features
     }
+
+    /// [`Layer::backward_into`] with the forward pass's input `x` (any
+    /// `(..., in)` shape) handed in by a composite that rebuilds it
+    /// instead of keeping it in this layer's cache.
+    pub(crate) fn backward_with_input(
+        &self,
+        params: &[f32],
+        x: &Tensor,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor {
+        // dx = dy @ W^T with the backward-pass weights (u_bkwd). W is
+        // (in, out), so dx[i, j] = Σ_o dy[i, o] · W[j, o] reads it as the
+        // transposed operand.
+        let rows = dy.len() / self.out_features;
+        let (w, _) = self.split(params);
+        let mut dx2 = Tensor::zeros(&[rows, self.in_features]);
+        kernels::gemm_nt(dy.data(), w, dx2.data_mut(), rows, self.out_features, self.in_features);
+        self.param_grads_with_input(x, dy, grads);
+        let mut in_shape: Vec<usize> = dy.shape().to_vec();
+        *in_shape.last_mut().unwrap() = self.in_features;
+        dx2.reshaped(&in_shape)
+    }
+
+    fn param_grads_with_input(&self, x: &Tensor, dy: &Tensor, grads: &mut [f32]) {
+        let rows = self.rows_of(x);
+        assert_eq!(dy.len(), rows * self.out_features, "linear backward: dy size mismatch");
+        // dW = x^T @ dy (uses forward-pass activations), then db = Σ dy.
+        let (dw, db) = grads.split_at_mut(self.weight_len());
+        kernels::gemm_tn(x.data(), dy.data(), dw, self.in_features, rows, self.out_features);
+        if self.bias {
+            add_column_sums(db, dy.data());
+        }
+    }
 }
 
 /// Adds `bias` to every row of a row-major matrix `bias.len()` wide.
@@ -110,29 +144,11 @@ impl Layer for Linear {
         dy: &Tensor,
         grads: &mut [f32],
     ) -> Tensor {
-        // dx = dy @ W^T with the backward-pass weights (u_bkwd). W is
-        // (in, out), so dx[i, j] = Σ_o dy[i, o] · W[j, o] reads it as the
-        // transposed operand.
-        let rows = dy.len() / self.out_features;
-        let (w, _) = self.split(params);
-        let mut dx2 = Tensor::zeros(&[rows, self.in_features]);
-        kernels::gemm_nt(dy.data(), w, dx2.data_mut(), rows, self.out_features, self.in_features);
-        self.param_grads_into(params, cache, dy, grads);
-        let mut in_shape: Vec<usize> = dy.shape().to_vec();
-        *in_shape.last_mut().unwrap() = self.in_features;
-        dx2.reshaped(&in_shape)
+        self.backward_with_input(params, cache.tensor(0), dy, grads)
     }
 
     fn param_grads_into(&self, _: &[f32], cache: &Cache, dy: &Tensor, grads: &mut [f32]) {
-        let x2 = cache.tensor(0); // (rows, in), computed under u_fwd
-        let rows = x2.shape()[0];
-        assert_eq!(dy.len(), rows * self.out_features, "linear backward: dy size mismatch");
-        // dW = x^T @ dy (uses forward-pass activations), then db = Σ dy.
-        let (dw, db) = grads.split_at_mut(self.weight_len());
-        kernels::gemm_tn(x2.data(), dy.data(), dw, self.in_features, rows, self.out_features);
-        if self.bias {
-            add_column_sums(db, dy.data());
-        }
+        self.param_grads_with_input(cache.tensor(0), dy, grads);
     }
 
     fn weight_units(&self) -> Vec<WeightUnit> {

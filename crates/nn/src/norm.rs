@@ -15,17 +15,32 @@ use crate::layer::{Layer, WeightUnit};
 
 const EPS: f32 = 1e-5;
 
-/// Per-slice mean and `1/√(var + ε)`: two statistics folds.
-fn statistics(dims: FoldDims, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
+/// Per-slice mean and `1/√(var + ε)`: two statistics folds. The second
+/// vector has room for `spare` more values, the forward `γ | β` a cache
+/// appends.
+fn statistics(dims: FoldDims, x: &[f32], spare: usize) -> (Vec<f32>, Vec<f32>) {
     let level = kernels::simd_level();
     let n = dims.slice_len() as f32;
     let mut means = vec![0.0f32; dims.slices];
     fold::sum(level, dims, x, &mut means);
     means.iter_mut().for_each(|m| *m /= n);
-    let mut inv_stds = vec![0.0f32; dims.slices];
+    let mut inv_stds = Vec::with_capacity(dims.slices + spare);
+    inv_stds.resize(dims.slices, 0.0f32);
     fold::sq_dev(level, dims, x, &means, &mut inv_stds);
     inv_stds.iter_mut().for_each(|v| *v = 1.0 / (*v / n + EPS).sqrt());
     (means, inv_stds)
+}
+
+/// `γ·x̂ + β`, clamped at zero with `RELU`: the one expression a
+/// per-channel norm's output is made by, in the forward pass and when a
+/// composite rebuilds that output from the cache.
+fn affine<const RELU: bool>(gamma: f32, beta: f32, h: f32) -> f32 {
+    let pre = gamma * h + beta;
+    if RELU {
+        pre.max(0.0)
+    } else {
+        pre
+    }
 }
 
 /// `x̂ = (x − mean)·inv_std` and `y = γ·x̂ + β`, `plane` values at a time:
@@ -47,22 +62,22 @@ fn normalize<const RELU: bool, const XHAT: bool>(
     for (k, x_run) in x.data().chunks_exact(plane).enumerate() {
         let (s, ci) = (slice_of(k), k % c);
         let (mean, inv_std, gamma, beta) = (means[s], inv_stds[s], params[ci], params[c + ci]);
-        let affine = |h: f32| {
-            let pre = gamma * h + beta;
-            if RELU {
-                pre.max(0.0)
-            } else {
-                pre
-            }
-        };
         if XHAT {
             xhat.extend(x_run.iter().map(|&v| (v - mean) * inv_std));
-            y.extend(xhat[k * plane..].iter().map(|&h| affine(h)));
+            y.extend(xhat[k * plane..].iter().map(|&h| affine::<RELU>(gamma, beta, h)));
         } else {
-            y.extend(x_run.iter().map(|&v| affine((v - mean) * inv_std)));
+            y.extend(x_run.iter().map(|&v| affine::<RELU>(gamma, beta, (v - mean) * inv_std)));
         }
     }
     (Tensor::from_vec(y, x.shape()), XHAT.then(|| Tensor::from_vec(xhat, x.shape())))
+}
+
+/// `γ·x̂ + β` over whole rows of `x̂`, appended to `y`: `LayerNorm`'s
+/// output, in the forward pass and when a composite rebuilds it.
+fn affine_rows(xhat: &[f32], (gamma, beta): (&[f32], &[f32]), y: &mut Vec<f32>) {
+    for row in xhat.chunks_exact(gamma.len()) {
+        y.extend(row.iter().zip(gamma.iter().zip(beta)).map(|(&h, (&g, &b))| g * h + b));
+    }
 }
 
 /// The last pass of a backward whose slices are contiguous (`outer` 1):
@@ -95,10 +110,12 @@ fn finish_dx(dims: FoldDims, inv_stds: &[f32], xhat: &[f32], dx: &mut [f32]) {
 ///
 /// [`with_relu`](Self::with_relu) makes the layer own the ReLU behind it:
 /// the clamp costs no pass and no cached copy. The cache is `x̂` and, in
-/// its scalars, `1/σ (C)` followed — for the fused layer — by the
-/// *forward* `γ (C) | β (C)`: the backward pass is handed other weights
-/// (`u_bkwd`) and regenerates the ReLU mask from `γ_fwd·x̂ + β_fwd`, the
-/// operations that produced the pre-activation.
+/// its scalars, `1/σ (C)` followed by the *forward* `γ (C) | β (C)`: the
+/// backward pass is handed other weights (`u_bkwd`), so the fused layer
+/// regenerates the ReLU mask from `γ_fwd·x̂ + β_fwd`, the operations that
+/// produced the pre-activation, and a composite whose next layer reads
+/// this layer's output rebuilds it from the cache instead of keeping it
+/// (`BasicBlock`'s second convolution).
 #[derive(Clone, Copy, Debug)]
 pub struct BatchNorm2d {
     /// Number of channels.
@@ -134,7 +151,8 @@ impl BatchNorm2d {
         assert_eq!(x.ndim(), 4, "BatchNorm2d input must be (B,C,H,W)");
         let dims = self.dims(x.shape());
         let c = self.channels;
-        let (means, inv_stds) = statistics(dims, x.data());
+        let spare = if XHAT { params.len() } else { 0 };
+        let (means, inv_stds) = statistics(dims, x.data(), spare);
         let stats = (&means[..], &inv_stds[..]);
         let (y, xhat) = if self.relu {
             normalize::<true, XHAT>(x, dims.run, |k| k % c, stats, params)
@@ -142,6 +160,26 @@ impl BatchNorm2d {
             normalize::<false, XHAT>(x, dims.run, |k| k % c, stats, params)
         };
         (y, xhat, inv_stds)
+    }
+
+    /// The forward pass's output, rebuilt from its cache by the
+    /// expression that made it — `γ_fwd·x̂ + β_fwd`, clamped for the
+    /// fused layer — so equal to it bit for bit: for a composite whose
+    /// next layer needs this output in its backward pass.
+    pub(crate) fn output_from_cache(&self, cache: &Cache) -> Tensor {
+        let xhat = cache.tensor(0);
+        let (c, run) = (self.channels, self.dims(xhat.shape()).run);
+        let (gamma, beta) = cache.scalars[c..].split_at(c);
+        let mut y = Vec::with_capacity(xhat.len());
+        for (k, xhat_run) in xhat.data().chunks_exact(run).enumerate() {
+            let (g, b) = (gamma[k % c], beta[k % c]);
+            if self.relu {
+                y.extend(xhat_run.iter().map(|&h| affine::<true>(g, b, h)));
+            } else {
+                y.extend(xhat_run.iter().map(|&h| affine::<false>(g, b, h)));
+            }
+        }
+        Tensor::from_vec(y, xhat.shape())
     }
 }
 
@@ -158,9 +196,7 @@ impl Layer for BatchNorm2d {
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
         let (y, xhat, mut inv_stds) = self.normalize::<true>(params, x);
         let mut cache = Cache::with_tensors(vec![xhat.expect("x̂ is kept")]);
-        if self.relu {
-            inv_stds.extend_from_slice(params);
-        }
+        inv_stds.extend_from_slice(params);
         cache.scalars = inv_stds;
         (y, cache)
     }
@@ -227,7 +263,10 @@ impl Layer for BatchNorm2d {
 
 /// Layer normalization over the last axis of any-rank input.
 ///
-/// Parameters are `[γ (D) | β (D)]`.
+/// Parameters are `[γ (D) | β (D)]`. The cache is `x̂` and, in its
+/// scalars, `1/σ` per row followed by the *forward* `γ | β`, from which
+/// a composite rebuilds the output its next layer reads
+/// (the Transformer's feed-forward input and cross-attention query).
 #[derive(Clone, Copy, Debug)]
 pub struct LayerNorm {
     /// Size of the normalized (last) axis.
@@ -254,17 +293,18 @@ impl LayerNorm {
     ) -> (Tensor, Option<Tensor>, Vec<f32>) {
         let d = self.dim;
         assert_eq!(*x.shape().last().unwrap(), d, "LayerNorm: last dim mismatch");
-        let (means, inv_stds) = statistics(self.dims(x.len()), x.data());
+        let spare = if XHAT { params.len() } else { 0 };
+        let (means, inv_stds) = statistics(self.dims(x.len()), x.data(), spare);
         let (gamma, beta) = params.split_at(d);
         let mut xhat = Vec::with_capacity(if XHAT { x.len() } else { 0 });
         let mut y = Vec::with_capacity(x.len());
         for (r, row) in x.data().chunks_exact(d).enumerate() {
             let (mean, inv_std) = (means[r], inv_stds[r]);
-            let affine = gamma.iter().zip(beta);
             if XHAT {
                 xhat.extend(row.iter().map(|&v| (v - mean) * inv_std));
-                y.extend(xhat[r * d..].iter().zip(affine).map(|(&h, (&g, &b))| g * h + b));
+                affine_rows(&xhat[r * d..], (gamma, beta), &mut y);
             } else {
+                let affine = gamma.iter().zip(beta);
                 y.extend(
                     row.iter().zip(affine).map(|(&v, (&g, &b))| g * ((v - mean) * inv_std) + b),
                 );
@@ -272,6 +312,18 @@ impl LayerNorm {
         }
         let y = Tensor::from_vec(y, x.shape());
         (y, XHAT.then(|| Tensor::from_vec(xhat, x.shape())), inv_stds)
+    }
+
+    /// The forward pass's output, rebuilt from its cache by the
+    /// expression that made it, `γ_fwd·x̂ + β_fwd`, so equal to it bit
+    /// for bit: for a composite whose next layer needs this output in its
+    /// backward pass.
+    pub(crate) fn output_from_cache(&self, cache: &Cache) -> Tensor {
+        let xhat = cache.tensor(0);
+        let fwd_params = cache.scalars[xhat.len() / self.dim..].split_at(self.dim);
+        let mut y = Vec::with_capacity(xhat.len());
+        affine_rows(xhat.data(), fwd_params, &mut y);
+        Tensor::from_vec(y, xhat.shape())
     }
 }
 
@@ -286,8 +338,9 @@ impl Layer for LayerNorm {
     }
 
     fn forward(&self, params: &[f32], x: &Tensor) -> (Tensor, Cache) {
-        let (y, xhat, inv_stds) = self.normalize::<true>(params, x);
+        let (y, xhat, mut inv_stds) = self.normalize::<true>(params, x);
         let mut cache = Cache::with_tensors(vec![xhat.expect("x̂ is kept")]);
+        inv_stds.extend_from_slice(params);
         cache.scalars = inv_stds;
         (y, cache)
     }
@@ -317,7 +370,8 @@ impl Layer for LayerNorm {
             }
             dx.extend(dy_row.iter().zip(&params[..d]).map(|(&g, &gamma)| g * gamma));
         }
-        finish_dx(self.dims(dy.len()), &cache.scalars, xhat, &mut dx);
+        let dims = self.dims(dy.len());
+        finish_dx(dims, &cache.scalars[..dims.slices], xhat, &mut dx);
         Tensor::from_vec(dx, dy.shape())
     }
 
@@ -376,7 +430,7 @@ impl GroupNorm {
         assert_eq!(x.ndim(), 4, "GroupNorm input must be (B,C,H,W)");
         let (plane, dims) = self.dims(x.shape());
         let per = self.channels / self.groups;
-        let (means, inv_stds) = statistics(dims, x.data());
+        let (means, inv_stds) = statistics(dims, x.data(), 0);
         // Run `k` is channel `k % c` of image `k / c`, in slice `k / per`.
         let stats = (&means[..], &inv_stds[..]);
         let (y, xhat) = normalize::<false, XHAT>(x, plane, |k| k / per, stats, params);
@@ -695,6 +749,49 @@ mod tests {
             prop_assert_eq!(bits(dx.data()), bits(want_dx.data()), "dx");
             prop_assert_eq!(bits(&grads), bits(&want_grads), "grads");
             prop_assert_eq!(cache.activation_bytes(), bn_cache.activation_bytes());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// What a composite rebuilds from a norm's cache is the forward
+        /// pass's output, bit for bit: with NaN, ±∞ and −0.0 among the
+        /// inputs (their slices' statistics go non-finite) and among the
+        /// affine pairs (`γ = ±0` under `β = ±0.0` makes zeros of either
+        /// sign, which the ReLU clamps; a NaN `β`).
+        #[test]
+        fn outputs_rebuilt_from_the_cache_keep_their_bits(
+            b in 1usize..4,
+            c in 1usize..40,
+            h in 1usize..6,
+            w in 1usize..6,
+            at in 0usize..1000,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut params = Tensor::randn(&[2 * c], &mut rng).into_vec();
+            let affine = [(0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-0.0, 0.0), (1.0, f32::NAN)];
+            for (ci, (gamma, beta)) in affine.into_iter().enumerate().take(c) {
+                (params[ci], params[c + ci]) = (gamma, beta);
+            }
+            let mut x = Tensor::randn(&[b, c, h, w], &mut rng).scale(2.0).add_scalar(0.5);
+            let len = x.len();
+            for (k, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0].into_iter().enumerate() {
+                x.data_mut()[(at + 7 * k) % len] = v;
+            }
+            for bn in [BatchNorm2d::new(c), BatchNorm2d::with_relu(c)] {
+                let (y, cache) = bn.forward(&params, &x);
+                let rebuilt = bn.output_from_cache(&cache);
+                prop_assert_eq!(rebuilt.shape(), y.shape());
+                prop_assert_eq!(bits(rebuilt.data()), bits(y.data()), "relu {}", bn.relu);
+            }
+            // Rows of `c` features, in a 3-D tensor as the Transformer's.
+            let (ln, x) = (LayerNorm::new(c), x.reshaped(&[b, h * w, c]));
+            let (y, cache) = ln.forward(&params, &x);
+            let rebuilt = ln.output_from_cache(&cache);
+            prop_assert_eq!(rebuilt.shape(), y.shape());
+            prop_assert_eq!(bits(rebuilt.data()), bits(y.data()), "layer norm");
         }
     }
 

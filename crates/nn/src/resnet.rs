@@ -53,8 +53,10 @@ fn relu_grad(dy: &Tensor, mask: &[usize]) -> Tensor {
 /// Neither ReLU is a layer of its own: `bn1` clamps in its normalise pass
 /// and regenerates the mask from `x̂` ([`BatchNorm2d::with_relu`]), and the
 /// output ReLU rides on the residual add and leaves a packed bit mask in
-/// the cache's `indices` — so the block caches the two convolutions'
-/// inputs and the batch-norms' `x̂`, and no pre-activation.
+/// the cache's `indices`. The block caches each activation once: the
+/// block input (in `conv1`'s cache, which the shortcut convolution reads
+/// too) and the batch-norms' `x̂`. `conv2`'s input is `bn1`'s output,
+/// rebuilt from `bn1`'s cache in backward, and no pre-activation is kept.
 struct BasicBlock {
     conv1: Conv2d,
     bn1: BatchNorm2d,
@@ -92,21 +94,25 @@ impl BasicBlock {
         o
     }
 
-    /// Both passes: with a cache, the sub-layers' caches become its
-    /// children and the output ReLU's mask its `indices`. Each
-    /// intermediate is dropped as soon as the next one exists.
+    /// Both passes: with a cache, the caches of `conv1`, `bn1`, `bn2`
+    /// and the shortcut's batch-norm become its children, in that order,
+    /// and the output ReLU's mask its `indices`. `conv2` and the shortcut
+    /// convolution run cache-free either way: their inputs are `bn1`'s
+    /// output and the block input, which backward takes from the
+    /// children. Each intermediate is dropped as soon as the next one
+    /// exists.
     fn run(&self, params: &[f32], x: &Tensor, mut cache: Option<&mut Cache>) -> Tensor {
         let o = self.offsets();
         let mut h = forward_into(&self.conv1, &params[o[0]..o[1]], x, cache.as_deref_mut());
         h = forward_into(&self.bn1, &params[o[1]..o[2]], &h, cache.as_deref_mut());
-        h = forward_into(&self.conv2, &params[o[2]..o[3]], &h, cache.as_deref_mut());
+        h = self.conv2.forward_no_cache(&params[o[2]..o[3]], &h);
         // The residual sum lands in the main branch's own buffer.
         let mut y = forward_into(&self.bn2, &params[o[3]..o[4]], &h, cache.as_deref_mut());
         drop(h);
         let mask = match &self.down {
             None => add_relu(&mut y, x),
             Some((dc, db)) => {
-                let mut s = forward_into(dc, &params[o[4]..o[5]], x, cache.as_deref_mut());
+                let mut s = dc.forward_no_cache(&params[o[4]..o[5]], x);
                 s = forward_into(db, &params[o[5]..], &s, cache.as_deref_mut());
                 add_relu(&mut y, &s)
             }
@@ -157,23 +163,28 @@ impl Layer for BasicBlock {
         grads: &mut [f32],
     ) -> Tensor {
         let o = self.offsets();
-        // Each sub-layer writes into its own range of `grads`.
+        // Each sub-layer writes into its own range of `grads`. Through the
+        // output ReLU, then the main branch.
+        let dpre = relu_grad(dy, &cache.indices);
+        let at = o[3]..o[4];
+        let mut dx =
+            self.bn2.backward_into(&params[at.clone()], cache.child(2), &dpre, &mut grads[at]);
+        let h = self.bn1.output_from_cache(cache.child(1));
+        dx = self.conv2.backward_with_input(&params[o[2]..o[3]], &h, &dx, &mut grads[o[2]..o[3]]);
+        drop(h);
         let mut back = |layer: &dyn Layer, i: usize, at: std::ops::Range<usize>, d: &Tensor| {
             layer.backward_into(&params[at.clone()], cache.child(i), d, &mut grads[at])
         };
-        // Through the output ReLU, then the main branch.
-        let dpre = relu_grad(dy, &cache.indices);
-        let mut dx = back(&self.bn2, 3, o[3]..o[4], &dpre);
-        dx = back(&self.conv2, 2, o[2]..o[3], &dx);
         dx = back(&self.bn1, 1, o[1]..o[2], &dx);
         dx = back(&self.conv1, 0, o[0]..o[1], &dx);
-        // Shortcut branch.
+        // Shortcut branch; its convolution's input is `conv1`'s.
         match &self.down {
             None => dx.axpy(1.0, &dpre),
             Some((dc, db)) => {
-                let mut ds = back(db, 5, o[5]..self.param_len(), &dpre);
+                let mut ds = back(db, 3, o[5]..self.param_len(), &dpre);
                 drop(dpre);
-                ds = back(dc, 4, o[4]..o[5], &ds);
+                let x = cache.child(0).tensor(0);
+                ds = dc.backward_with_input(&params[o[4]..o[5]], x, &ds, &mut grads[o[4]..o[5]]);
                 dx.axpy(1.0, &ds);
             }
         }

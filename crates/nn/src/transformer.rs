@@ -145,6 +145,11 @@ impl EncoderLayer {
         units
     }
 
+    /// The cache keeps each activation once: the attention's input (in
+    /// the attention's cache), the norms' `x̂` and the second projection's
+    /// input, which is the ReLU's output. The first projection's input is
+    /// `ln1`'s output, rebuilt from its cache in backward, and the ReLU
+    /// reads its derivative from its output.
     fn forward(&self, params: &[f32], x: &Tensor, mask: &AttnMask) -> (Tensor, Cache) {
         let o = self.offsets();
         // Residual sums land in a buffer that is free anyway: `x + a` in
@@ -152,14 +157,15 @@ impl EncoderLayer {
         let (mut sum1, ca) = self.attn.forward(&params[o[0]..o[1]], x, x, mask);
         sum1.axpy(1.0, x);
         let (h1, cl1) = self.ln1.forward(&params[o[1]..o[2]], &sum1);
-        let (f1, cf1) = self.ff1.forward(&params[o[2]..o[3]], &h1);
-        let (f2, cact) = self.act.forward(&[], &f1);
-        let (f3, cf2) = self.ff2.forward(&params[o[3]..o[4]], &f2);
+        let mut f = self.ff1.forward_no_cache(&params[o[2]..o[3]], &h1);
+        self.act.forward_in_place(&mut f);
+        let (f3, cf2) = self.ff2.forward(&params[o[3]..o[4]], &f);
+        drop(f);
         let mut sum2 = h1;
         sum2.axpy(1.0, &f3);
         let (y, cl2) = self.ln2.forward(&params[o[4]..o[5]], &sum2);
         let mut cache = Cache::new();
-        cache.children = vec![ca, cl1, cf1, cact, cf2, cl2];
+        cache.children = vec![ca, cl1, cf2, cl2];
         (y, cache)
     }
 
@@ -174,11 +180,13 @@ impl EncoderLayer {
     ) -> Tensor {
         let o = self.offsets();
         let r = |i: usize| o[i]..o[i + 1];
-        let dsum2 = self.ln2.backward_into(&params[r(4)], cache.child(5), dy, &mut grads[r(4)]);
-        let mut dh1 =
-            self.ff2.backward_into(&params[r(3)], cache.child(4), &dsum2, &mut grads[r(3)]);
-        dh1 = self.act.backward_into(&[], cache.child(3), &dh1, &mut []);
-        dh1 = self.ff1.backward_into(&params[r(2)], cache.child(2), &dh1, &mut grads[r(2)]);
+        let dsum2 = self.ln2.backward_into(&params[r(4)], cache.child(3), dy, &mut grads[r(4)]);
+        let cf2 = cache.child(2);
+        let mut dh1 = self.ff2.backward_into(&params[r(3)], cf2, &dsum2, &mut grads[r(3)]);
+        dh1 = self.act.relu_backward_from_output(&dh1, cf2.tensor(0));
+        let h1 = self.ln1.output_from_cache(cache.child(1));
+        dh1 = self.ff1.backward_with_input(&params[r(2)], &h1, &dh1, &mut grads[r(2)]);
+        drop(h1);
         dh1.axpy(1.0, &dsum2);
         drop(dsum2);
         let mut dx = self.ln1.backward_into(&params[r(1)], cache.child(1), &dh1, &mut grads[r(1)]);
@@ -267,6 +275,12 @@ impl DecoderLayer {
     }
 
     /// `memory_mask` hides the padded source positions of `memory`.
+    ///
+    /// The cache keeps each activation once, as the encoder layer's does.
+    /// The cross-attention keeps neither input: its query is `ln1`'s
+    /// output, rebuilt in backward, and `memory` is the encoder's output,
+    /// which the model's cache holds and hands to
+    /// [`DecoderLayer::backward_into`].
     fn forward(
         &self,
         params: &[f32],
@@ -278,43 +292,55 @@ impl DecoderLayer {
         let (mut sum1, ca) = self.self_attn.forward(&params[o[0]..o[1]], x, x, &AttnMask::Causal);
         sum1.axpy(1.0, x);
         let (h1, cl1) = self.ln1.forward(&params[o[1]..o[2]], &sum1);
-        let (c, cc) = self.cross_attn.forward(&params[o[2]..o[3]], &h1, memory, memory_mask);
+        let (c, cc) =
+            self.cross_attn.forward_without_inputs(&params[o[2]..o[3]], &h1, memory, memory_mask);
         let mut sum2 = h1;
         sum2.axpy(1.0, &c);
         let (h2, cl2) = self.ln2.forward(&params[o[3]..o[4]], &sum2);
-        let (f1, cf1) = self.ff1.forward(&params[o[4]..o[5]], &h2);
-        let (f2, cact) = self.act.forward(&[], &f1);
-        let (f3, cf2) = self.ff2.forward(&params[o[5]..o[6]], &f2);
+        let mut f = self.ff1.forward_no_cache(&params[o[4]..o[5]], &h2);
+        self.act.forward_in_place(&mut f);
+        let (f3, cf2) = self.ff2.forward(&params[o[5]..o[6]], &f);
+        drop(f);
         let mut sum3 = h2;
         sum3.axpy(1.0, &f3);
         let (y, cl3) = self.ln3.forward(&params[o[6]..o[7]], &sum3);
         let mut cache = Cache::new();
-        cache.children = vec![ca, cl1, cc, cl2, cf1, cact, cf2, cl3];
+        cache.children = vec![ca, cl1, cc, cl2, cf2, cl3];
         (y, cache)
     }
 
     /// Writes the layer's gradient into `grads` (zeroed on entry) and
-    /// returns `(dx, dmemory)`.
+    /// returns `(dx, dmemory)`; `memory` is the forward pass's.
     fn backward_into(
         &self,
         params: &[f32],
         cache: &Cache,
+        memory: &Tensor,
         dy: &Tensor,
         grads: &mut [f32],
     ) -> (Tensor, Tensor) {
         let o = self.offsets();
         let r = |i: usize| o[i]..o[i + 1];
-        let dsum3 = self.ln3.backward_into(&params[r(6)], cache.child(7), dy, &mut grads[r(6)]);
-        let mut dh2 =
-            self.ff2.backward_into(&params[r(5)], cache.child(6), &dsum3, &mut grads[r(5)]);
-        dh2 = self.act.backward_into(&[], cache.child(5), &dh2, &mut []);
-        dh2 = self.ff1.backward_into(&params[r(4)], cache.child(4), &dh2, &mut grads[r(4)]);
+        let dsum3 = self.ln3.backward_into(&params[r(6)], cache.child(5), dy, &mut grads[r(6)]);
+        let cf2 = cache.child(4);
+        let mut dh2 = self.ff2.backward_into(&params[r(5)], cf2, &dsum3, &mut grads[r(5)]);
+        dh2 = self.act.relu_backward_from_output(&dh2, cf2.tensor(0));
+        let h2 = self.ln2.output_from_cache(cache.child(3));
+        dh2 = self.ff1.backward_with_input(&params[r(4)], &h2, &dh2, &mut grads[r(4)]);
+        drop(h2);
         dh2.axpy(1.0, &dsum3);
         drop(dsum3);
         let dsum2 = self.ln2.backward_into(&params[r(3)], cache.child(3), &dh2, &mut grads[r(3)]);
         drop(dh2);
-        let (mut dh1, dmem) =
-            self.cross_attn.backward_into(&params[r(2)], cache.child(2), &dsum2, &mut grads[r(2)]);
+        let h1 = self.ln1.output_from_cache(cache.child(1));
+        let (mut dh1, dmem) = self.cross_attn.backward_with_inputs(
+            &params[r(2)],
+            cache.child(2),
+            (&h1, memory),
+            &dsum2,
+            &mut grads[r(2)],
+        );
+        drop(h1);
         dh1.axpy(1.0, &dsum2);
         drop(dsum2);
         let mut dx = self.ln1.backward_into(&params[r(1)], cache.child(1), &dh1, &mut grads[r(1)]);
@@ -413,7 +439,9 @@ impl Transformer {
     }
 
     /// Runs the decoder over `tgt_in` given encoder `memory`, producing
-    /// logits `(B * Tt, V)`.
+    /// logits `(B * Tt, V)`. The cache does not hold `memory`: training's
+    /// backward pass takes it from the cache of
+    /// [`TrainModel::forward_loss`], which keeps it once for every layer.
     pub fn decode(
         &self,
         params: &[f32],
@@ -639,6 +667,7 @@ impl TrainModel for Transformer {
             let (dx, dm) = layer.backward_into(
                 &params[off..off + layer.param_len()],
                 dec_cache.child(1 + i),
+                memory,
                 &dh,
                 &mut grads[off..off + layer.param_len()],
             );

@@ -7,6 +7,9 @@ use pipemare_bench::claims::{row_log, rows, run, update_doc, ANALYTIC};
 use pipemare_bench::report::ExperimentLog;
 use pipemare_telemetry::json;
 
+mod common;
+use common::within;
+
 fn read(file: &str) -> String {
     let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
@@ -19,8 +22,11 @@ fn checked_in() -> ExperimentLog {
 #[test]
 fn the_analytic_rows_recompute_claims_json() {
     let ledger = checked_in();
+    // One thread per row, each under the deadline: a row that hangs fails
+    // naming itself.
     let fresh: Vec<ExperimentLog> = std::thread::scope(|s| {
-        let runs: Vec<_> = ANALYTIC.iter().map(|row| s.spawn(move || run(row))).collect();
+        let runs: Vec<_> =
+            ANALYTIC.iter().map(|row| s.spawn(move || within(row.0, move || run(row)))).collect();
         runs.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (fresh, (id, _)) in fresh.into_iter().zip(ANALYTIC) {

@@ -4,8 +4,9 @@
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
-/// How long one executor case may take. The cases finish in
-/// milliseconds; this only has to outlast a loaded host.
+/// How long one case may take. Executor cases finish in milliseconds and
+/// the claims ledger's slowest analytic row in about three seconds; this
+/// only has to outlast a loaded host.
 const DEADLINE: Duration = Duration::from_secs(10);
 
 /// Runs `f` on a helper thread and returns its result, re-raising its
@@ -25,7 +26,7 @@ pub fn within<T: Send + 'static>(case: &str, f: impl FnOnce() -> T + Send + 'sta
             Ok(()) => unreachable!("the helper sends before it returns"),
         },
         Err(RecvTimeoutError::Timeout) => {
-            panic!("{case}: no result after {DEADLINE:?}; the executor deadlocked")
+            panic!("{case}: no result after {DEADLINE:?}; it deadlocked or ran away")
         }
     }
 }

@@ -1,4 +1,5 @@
-//! The ResNet's ReLUs cost no pass and no cached copy.
+//! The ResNet's ReLUs cost no pass and no cached copy, and its blocks
+//! cache each activation once.
 //!
 //! A ReLU that is a layer of its own allocates its output and keeps a
 //! copy of its input for the backward pass: two activation-sized blocks
@@ -6,10 +7,14 @@
 //! `CifarResNet` no ReLU is a layer: the stem's and each block's first
 //! ride on the batch-norm before them, which regenerates the mask from
 //! `x̂`, and a block's last rides on the residual add and leaves one bit
-//! per element. So a forward pass must allocate, at activation size, the
-//! output of every convolution and batch-norm, the input copy a
-//! convolution keeps and the `x̂` a batch-norm keeps — and nothing else —
-//! and its cache must hold exactly those last two.
+//! per element. A block's second convolution keeps no input either: it
+//! is the first batch-norm's output, rebuilt from that `x̂` in backward,
+//! and a projection block's shortcut convolution reads the block input
+//! from its first convolution's cache. So a forward pass must allocate,
+//! at activation size, the output of every convolution and batch-norm,
+//! the input copy the stem's and each block's first convolution keeps
+//! and the `x̂` a batch-norm keeps — and nothing else — and its cache
+//! must hold exactly those last two.
 //!
 //! This file is its own test binary because it installs the counting
 //! allocator, and holds a single test because the allocator's counts are
@@ -49,11 +54,11 @@ fn the_forward_pass_allocates_and_caches_no_pre_activation() {
     let (_, cache) = model.forward_loss(&params, &batch);
     let allocated = ALLOC.large_bytes() as usize / 4;
 
-    // Kept: a convolution's input, a batch-norm's x̂. An identity block
-    // keeps four activations of its group; a projection block keeps its
-    // input twice (first convolution, shortcut convolution) and four of
-    // its output's size.
-    let kept = (input + a0) + 2 * 4 * a0 + (2 * a0 + 4 * a1 + 4 * a1) + (2 * a1 + 4 * a2 + 4 * a2);
+    // Kept: the stem's input and x̂; per block, its input (in the first
+    // convolution's cache) and each batch-norm's x̂. An identity block
+    // keeps three activations of its group; a projection block keeps its
+    // input once and three of its output's size.
+    let kept = (input + a0) + 2 * 3 * a0 + (a0 + 3 * a1 + 3 * a1) + (a1 + 3 * a2 + 3 * a2);
     assert_eq!(cached_floats(&cache, smallest), kept, "the cache holds something activation-sized");
     // Allocated besides: the output of each of the 15 convolutions and 15
     // batch-norms (the stem's pair, four per identity block, six per
