@@ -19,6 +19,10 @@
 //!   tiling. It is what anchors the first: this crate's own tests hold
 //!   [`im2col`] and [`col2im`] to the per-tap loops they were derived
 //!   from, and the whole patch-matrix path to the definition.
+//!
+//! It also holds [`assert_close`], the elementwise tolerance check of the
+//! tensor and layer unit tests, so that no library crate exports a
+//! test-only function.
 
 use std::ops::Range;
 
@@ -321,6 +325,21 @@ impl Case {
 /// picked, where a NaN sits does not.
 pub fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| if v.is_nan() { 0x7fc0_0000 } else { v.to_bits() }).collect()
+}
+
+/// Asserts that two slices are elementwise close: `|a - b| <= atol + rtol *
+/// |b|`. The tolerance check of the tensor and layer unit tests that are
+/// not held to bits.
+///
+/// # Panics
+///
+/// Panics if lengths differ or any element pair is not close.
+pub fn assert_close(a: &[f32], b: &[f32], atol: f32, rtol: f32) {
+    assert_eq!(a.len(), b.len(), "length mismatch: {} vs {}", a.len(), b.len());
+    for (i, (&x, &y)) in a.iter().zip(b.iter()).enumerate() {
+        let tol = atol + rtol * y.abs();
+        assert!((x - y).abs() <= tol, "element {i} differs: {x} vs {y} (tol {tol})");
+    }
 }
 
 fn problem(

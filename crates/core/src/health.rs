@@ -6,10 +6,9 @@
 //! going, or stop the run.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pipemare_telemetry::{AlertEngine, FlightRecorder, HealthMonitor, Severity};
+use pipemare_telemetry::{FlightRecorder, HealthMonitor, Severity};
 
 /// What the trainer does when a health event at or above
 /// [`HealthHook::halt_severity`] fires.
@@ -64,9 +63,6 @@ pub struct HealthHook {
     pub black_box_window_us: u64,
     /// Whether the one-shot black-box dump has been written already.
     pub(crate) black_box_taken: bool,
-    /// Latch set by [`HealthHook::arm_on_alerts`]: a firing alert
-    /// pends a snapshot/black-box trigger for the next optimizer step.
-    pub(crate) alert_armed: Arc<AtomicBool>,
 }
 
 impl HealthHook {
@@ -84,7 +80,6 @@ impl HealthHook {
             black_box_dir: None,
             black_box_window_us: 30_000_000,
             black_box_taken: false,
-            alert_armed: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -131,30 +126,6 @@ impl HealthHook {
     pub fn black_box_taken(&self) -> bool {
         self.black_box_taken
     }
-
-    /// Arms the one-shot snapshot/black-box path from an alerting
-    /// engine: any alert of `min_severity` or worse that starts firing
-    /// sets a latch, and the trainer's next optimizer step treats it
-    /// like a health event at [`HealthHook::snapshot_severity`] — the
-    /// anomaly checkpoint and black-box dump trigger even if the
-    /// per-step monitor saw nothing wrong. Useful because the live
-    /// alert pack watches wall-clock signals (τ drift, starvation,
-    /// shed burn) the step-level observation stream can't see.
-    pub fn arm_on_alerts(self, engine: &AlertEngine, min_severity: Severity) -> Self {
-        let latch = Arc::clone(&self.alert_armed);
-        engine.on_firing(move |t| {
-            if t.severity >= min_severity {
-                latch.store(true, Ordering::SeqCst);
-            }
-        });
-        self
-    }
-
-    /// Whether a firing alert has armed the snapshot path and the
-    /// trainer hasn't consumed the latch yet.
-    pub fn alert_armed(&self) -> bool {
-        self.alert_armed.load(Ordering::SeqCst)
-    }
 }
 
 #[cfg(test)]
@@ -187,29 +158,5 @@ mod tests {
         assert!(hook.flight.is_some());
         assert_eq!(hook.black_box_dir.as_deref(), Some(std::path::Path::new("/tmp/bb")));
         assert_eq!(hook.black_box_window_us, 5_000_000);
-    }
-
-    #[test]
-    fn firing_alert_arms_the_snapshot_latch() {
-        use pipemare_telemetry::{default_rules, LiveSample, MetricValue, MetricsSnapshot};
-        let monitor = Arc::new(HealthMonitor::new(HealthConfig::default(), 2));
-        let engine = AlertEngine::new(default_rules());
-        let hook = HealthHook::new(monitor).arm_on_alerts(&engine, Severity::Warn);
-        assert!(!hook.alert_armed());
-        // An α-margin gauge below 1.0 fires the critical floor rule on
-        // the first evaluated sample; the hook's latch must be set.
-        let sample = LiveSample {
-            seq: 1,
-            ts_us: 250_000,
-            window_us: 250_000,
-            stages: Vec::new(),
-            metrics: MetricsSnapshot {
-                metrics: vec![("health.stage0.alpha_margin".to_string(), MetricValue::Gauge(0.5))],
-            },
-            sample_cost_us: 0,
-        };
-        let transitions = engine.evaluate(&sample);
-        assert!(transitions.iter().any(|t| t.firing));
-        assert!(hook.alert_armed());
     }
 }

@@ -43,4 +43,4 @@ pub use pipemare_comms::{RecomputeCfg, StepStats, TrainConfig, TrainMode};
 pub use runners::{run, run_regression_training, ClassifierModel, RunError, RunSpec, Task};
 pub use serving::{serve_checkpoint, serve_live_loopback};
 pub use stats::{EpochRecord, RunHistory};
-pub use trainer::{PipelineTrainer, StageInfo};
+pub use trainer::PipelineTrainer;

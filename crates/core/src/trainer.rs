@@ -13,22 +13,6 @@ use crate::checkpoint::{CheckpointError, TrainerState};
 use crate::health::{AnomalyPolicy, HealthHook};
 use crate::metrics::TrainerMetrics;
 
-/// Per-stage diagnostic record returned by
-/// [`PipelineTrainer::stage_report`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StageInfo {
-    /// Stage index (0-based).
-    pub stage: usize,
-    /// Parameters assigned to the stage.
-    pub params: usize,
-    /// Nominal forward delay in optimizer steps.
-    pub tau_fwd: f64,
-    /// Nominal backward delay in optimizer steps.
-    pub tau_bkwd: f64,
-    /// T2 decay γ for this stage (0 when T2 is off).
-    pub gamma: f64,
-}
-
 /// Trains a [`TrainModel`] under pipeline-parallel delay semantics.
 ///
 /// The step itself is [`StepDriver`]'s, over stage shards held in this
@@ -181,25 +165,6 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         Ok(())
     }
 
-    /// Per-stage diagnostics: `(params, τ_fwd, τ_bkwd, γ)` for each stage
-    /// under the configured method. Useful for inspecting a pipeline
-    /// before training.
-    pub fn stage_report(&self) -> Vec<StageInfo> {
-        let (cfg, layout) = (self.driver.config(), self.driver.layout());
-        (0..cfg.stages)
-            .map(|s| {
-                let (tau_fwd, tau_bkwd) = cfg.nominal_taus(&layout.clock, s);
-                StageInfo {
-                    stage: s,
-                    params: layout.partition.stage_len(s),
-                    tau_fwd,
-                    tau_bkwd,
-                    gamma: layout.stage_cfgs[s].gamma,
-                }
-            })
-            .collect()
-    }
-
     /// Runs one optimizer step on a minibatch already split into
     /// microbatches. `micro_weights[n]` is the fraction of minibatch
     /// samples in microbatch `n` (the per-microbatch mean losses/gradients
@@ -350,10 +315,7 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
 
         let worst = events.iter().map(|e| e.severity).max();
         let hook = self.health.as_ref().expect("hook checked above");
-        // A firing live alert (see `HealthHook::arm_on_alerts`) counts
-        // as hitting the snapshot gate; consume the latch either way.
-        let alert_armed = hook.alert_armed.swap(false, std::sync::atomic::Ordering::SeqCst);
-        let gate_hit = worst.is_some_and(|w| w >= hook.snapshot_severity) || alert_armed;
+        let gate_hit = worst.is_some_and(|w| w >= hook.snapshot_severity);
         let want_snapshot = !hook.snapshot_taken && hook.snapshot_dir.is_some() && gate_hit;
         // Black-box dump rides the same severity gate as the snapshot but
         // is independently enabled, so bounded flight recording works
@@ -656,16 +618,17 @@ mod tests {
             0.135,
         );
         let tr = PipelineTrainer::new(&model, cfg, 1);
-        let report = tr.stage_report();
-        assert_eq!(report.len(), 2);
+        let (cfg, layout) = (tr.driver.config(), tr.driver.layout());
+        let taus = |s| cfg.nominal_taus(&layout.clock, s);
+        assert_eq!(cfg.stages, 2);
         // P = 2, N = 2: τ_fwd = 1.5 and 0.5; PipeMare τ_bkwd = 0.
-        assert!((report[0].tau_fwd - 1.5).abs() < 1e-12);
-        assert!((report[1].tau_fwd - 0.5).abs() < 1e-12);
-        assert_eq!(report[0].tau_bkwd, 0.0);
+        assert!((taus(0).0 - 1.5).abs() < 1e-12);
+        assert!((taus(1).0 - 0.5).abs() < 1e-12);
+        assert_eq!(taus(0).1, 0.0);
         // T2 active: γ = D^{1/τ}.
-        assert!((report[0].gamma - 0.135f64.powf(1.0 / 1.5)).abs() < 1e-9);
+        assert!((layout.stage_cfgs[0].gamma - 0.135f64.powf(1.0 / 1.5)).abs() < 1e-9);
         // Params cover the model.
-        let total: usize = report.iter().map(|r| r.params).sum();
+        let total: usize = layout.partition.ranges().iter().map(|(lo, hi)| hi - lo).sum();
         assert_eq!(total, model.param_len());
         // GPipe report shows zero delays.
         let g = PipelineTrainer::new(
@@ -673,7 +636,8 @@ mod tests {
             TrainConfig::gpipe(2, 2, sgd(), Box::new(ConstantLr(0.05))),
             1,
         );
-        assert!(g.stage_report().iter().all(|r| r.tau_fwd == 0.0 && r.tau_bkwd == 0.0));
+        let (cfg, layout) = (g.driver.config(), g.driver.layout());
+        assert!((0..cfg.stages).all(|s| cfg.nominal_taus(&layout.clock, s) == (0.0, 0.0)));
     }
 
     #[test]
@@ -767,7 +731,7 @@ mod tests {
         let rc = PipelineTrainer::new(&model, mk(Some(RecomputeCfg::new(2).with_t2())), 1);
         let uncorrected = PipelineTrainer::new(&model, mk(Some(RecomputeCfg::new(2))), 1);
         let g = |tr: &PipelineTrainer<Mlp>| {
-            tr.stage_report().iter().map(|r| r.gamma).collect::<Vec<_>>()
+            tr.driver.layout().stage_cfgs.iter().map(|c| c.gamma).collect::<Vec<_>>()
         };
         // Early stages: τ_fwd dominates, γ unchanged. Stage 0 has
         // τ_fwd = 3.5 vs τ_recomp = 2.0.

@@ -491,7 +491,7 @@ mod tests {
             }
         }
         let (y2, _) = mha.forward(&p, &q, &kv2, &mask);
-        pipemare_tensor::assert_close(y1.data(), y2.data(), 1e-5, 1e-5);
+        pipemare_conv_oracle::assert_close(y1.data(), y2.data(), 1e-5, 1e-5);
     }
 
     #[test]
@@ -629,7 +629,7 @@ mod tests {
             grads[3 * block + d * d..4 * block].copy_from_slice(dy2.sum_axis(0).data());
             let dctx = split_heads(mha, &dctx2.reshape(&[b, tq, d]));
             let da = dctx.bmm_nt(v);
-            let dv = a.bmm_tn(&dctx);
+            let dv = a.permute(&[0, 2, 1]).bmm(&dctx);
             let mut ds = Tensor::zeros(&[b * mha.heads, tq, tk]);
             for r in 0..b * mha.heads * tq {
                 let a_row = &a.data()[r * tk..(r + 1) * tk];
@@ -641,7 +641,7 @@ mod tests {
             }
             let ds = ds.scale(scale);
             let dq2 = merge_heads(mha, &ds.bmm(k), b).reshape(&[b * tq, d]);
-            let dk2 = merge_heads(mha, &ds.bmm_tn(q), b).reshape(&[b * tk, d]);
+            let dk2 = merge_heads(mha, &ds.permute(&[0, 2, 1]).bmm(q), b).reshape(&[b * tk, d]);
             let dv2 = merge_heads(mha, &dv, b).reshape(&[b * tk, d]);
             let mut back_proj = |idx: usize, dproj: &Tensor, input: &Tensor| {
                 grads[idx * block..idx * block + d * d]

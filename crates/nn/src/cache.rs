@@ -97,15 +97,6 @@ impl Cache {
         &self.children[i]
     }
 
-    /// Number of tensors stashed in this cache and all its children —
-    /// the unit the pipeline's activation ledger counts. bf16 stashes
-    /// count like any other tensor.
-    pub fn tensor_count(&self) -> usize {
-        self.tensors.len()
-            + self.bf16_tensors.len()
-            + self.children.iter().map(|c| c.tensor_count()).sum::<usize>()
-    }
-
     /// Bytes of activation storage held by this cache and all its
     /// children (tensor payloads only; scalars and indices are noise).
     /// bf16 stashes count 2 bytes per element, f32 tensors 4. This is
@@ -124,7 +115,7 @@ mod tests {
 
     #[test]
     fn build_and_read() {
-        let c = Cache::with_tensors(vec![Tensor::ones(&[2])]).push(Tensor::zeros(&[3]));
+        let c = Cache::with_tensors(vec![Tensor::full(&[2], 1.0)]).push(Tensor::zeros(&[3]));
         assert_eq!(c.tensor(0).len(), 2);
         assert_eq!(c.tensor(1).len(), 3);
         let mut parent = Cache::new();
@@ -134,11 +125,10 @@ mod tests {
 
     #[test]
     fn accounting_recurses_into_children() {
-        let leaf = Cache::with_tensors(vec![Tensor::ones(&[2, 3])]);
+        let leaf = Cache::with_tensors(vec![Tensor::full(&[2, 3], 1.0)]);
         let mut parent = Cache::with_tensors(vec![Tensor::zeros(&[4])]);
         parent.children.push(leaf);
         parent.children.push(Cache::new());
-        assert_eq!(parent.tensor_count(), 2);
         assert_eq!(parent.activation_bytes(), (6 + 4) * 4);
         assert_eq!(Cache::new().activation_bytes(), 0);
     }
@@ -159,7 +149,6 @@ mod tests {
         let mut c = Cache::new();
         c.bf16_tensors.push(s);
         c.tensors.push(t);
-        assert_eq!(c.tensor_count(), 2);
         assert_eq!(c.activation_bytes(), 4 * 4 + 4 * 2);
     }
 }

@@ -193,7 +193,7 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
-    use pipemare_tensor::assert_close;
+    use pipemare_conv_oracle::assert_close;
     use proptest::prelude::*;
 
     use pipemare_conv_oracle::{self as conv_oracle, bits, Case};
@@ -289,7 +289,7 @@ mod tests {
         // All-ones 3x3 kernel with padding 1 computes local sums.
         let conv = Conv2d::new_no_bias(1, 1, 3, 1, 1);
         let params = vec![1.0f32; 9];
-        let x = Tensor::ones(&[1, 1, 3, 3]);
+        let x = Tensor::full(&[1, 1, 3, 3], 1.0);
         let (y, _) = conv.forward(&params, &x);
         // Center sees 9 ones; corners see 4; edges see 6.
         assert_eq!(y.at(&[0, 0, 1, 1]), 9.0);

@@ -137,7 +137,7 @@ mod tests {
     fn disabled_is_identity() {
         let d = Dropout::new(0.5, 1);
         d.set_enabled(false);
-        let x = Tensor::arange(8);
+        let x = Tensor::from_vec((0..8).map(|i| i as f32).collect(), &[8]);
         let (y, cache) = d.forward(&[], &x);
         assert_eq!(y, x);
         let (dx, _) = d.backward(&[], &cache, &x);
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn zero_probability_is_identity() {
         let d = Dropout::new(0.0, 1);
-        let x = Tensor::arange(8);
+        let x = Tensor::from_vec((0..8).map(|i| i as f32).collect(), &[8]);
         let (y, _) = d.forward(&[], &x);
         assert_eq!(y, x);
     }
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn survivors_scaled_and_mean_preserved() {
         let d = Dropout::new(0.3, 7);
-        let x = Tensor::ones(&[10_000]);
+        let x = Tensor::full(&[10_000], 1.0);
         let (y, _) = d.forward(&[], &x);
         // Elements are 0 or 1/(1-p).
         let scale = 1.0 / 0.7;
@@ -170,9 +170,9 @@ mod tests {
     #[test]
     fn backward_routes_through_same_mask() {
         let d = Dropout::new(0.5, 3);
-        let x = Tensor::ones(&[64]);
+        let x = Tensor::full(&[64], 1.0);
         let (y, cache) = d.forward(&[], &x);
-        let (dx, _) = d.backward(&[], &cache, &Tensor::ones(&[64]));
+        let (dx, _) = d.backward(&[], &cache, &Tensor::full(&[64], 1.0));
         // Gradient flows exactly where activations survived.
         for (a, b) in y.data().iter().zip(dx.data().iter()) {
             assert_eq!(a, b);
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn masks_differ_across_calls_but_are_reproducible() {
         let d1 = Dropout::new(0.5, 11);
-        let x = Tensor::ones(&[128]);
+        let x = Tensor::full(&[128], 1.0);
         let (a, _) = d1.forward(&[], &x);
         let (b, _) = d1.forward(&[], &x);
         assert_ne!(a, b, "consecutive calls should use different masks");

@@ -169,7 +169,7 @@ mod tests {
         let params = vec![0.0; e.param_len()];
         let x = Tensor::from_vec(vec![1.0, 1.0, 3.0], &[1, 3]);
         let (_, cache) = e.forward(&params, &x);
-        let dy = Tensor::ones(&[1, 3, 2]);
+        let dy = Tensor::full(&[1, 3, 2], 1.0);
         let (_, grads) = e.backward(&params, &cache, &dy);
         // Token 1 appears twice: gradient 2 per channel.
         assert_eq!(&grads[2..4], &[2.0, 2.0]);

@@ -79,13 +79,14 @@ pub fn check_layer_gradients(layer: &dyn Layer, input_shape: &[usize], seed: u64
     }
 }
 
+#[cfg(test)]
 /// Checks an arbitrary scalar-valued function's gradient against central
 /// finite differences at `point`.
 ///
 /// `f` maps a parameter vector to a scalar loss; `grad` is the analytic
 /// gradient at `point`. A random subset of up to `max_coords` coordinates
 /// is checked.
-pub fn check_scalar_fn_gradient(
+pub(crate) fn check_scalar_fn_gradient(
     f: &mut dyn FnMut(&[f32]) -> f32,
     point: &[f32],
     grad: &[f32],

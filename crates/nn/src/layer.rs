@@ -190,11 +190,11 @@ impl ParamAlloc {
     }
 }
 
-/// Checks that `units` tile `0..total` contiguously without gaps/overlap.
-///
-/// Models use this as an internal invariant check; the pipeline partitioner
-/// relies on it.
-pub fn validate_units(units: &[WeightUnit], total: usize) -> Result<(), String> {
+#[cfg(test)]
+/// Checks that `units` tile `0..total` contiguously without gaps/overlap:
+/// the layout invariant every model's tests check, and the pipeline
+/// partitioner relies on.
+pub(crate) fn validate_units(units: &[WeightUnit], total: usize) -> Result<(), String> {
     let mut cursor = 0usize;
     for u in units {
         if u.offset != cursor {

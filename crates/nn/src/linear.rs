@@ -167,7 +167,7 @@ impl Layer for Linear {
 mod tests {
     use super::*;
     use crate::gradcheck::{check_layer_gradients, init_layer};
-    use pipemare_tensor::assert_close;
+    use pipemare_conv_oracle::assert_close;
     use rand::SeedableRng;
 
     #[test]
@@ -188,7 +188,7 @@ mod tests {
         let x = Tensor::randn(&[2, 3, 4], &mut rng);
         let (y, cache) = l.forward(&params, &x);
         assert_eq!(y.shape(), &[2, 3, 2]);
-        let (dx, _) = l.backward(&params, &cache, &Tensor::ones(&[2, 3, 2]));
+        let (dx, _) = l.backward(&params, &cache, &Tensor::full(&[2, 3, 2], 1.0));
         assert_eq!(dx.shape(), &[2, 3, 4]);
     }
 

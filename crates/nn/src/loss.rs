@@ -127,7 +127,7 @@ pub fn mse_loss(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
 mod tests {
     use super::*;
     use crate::gradcheck::check_scalar_fn_gradient;
-    use pipemare_tensor::assert_close;
+    use pipemare_conv_oracle::assert_close;
 
     #[test]
     fn uniform_logits_give_log_v() {
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn all_ignored_returns_zero() {
-        let logits = Tensor::ones(&[2, 3]);
+        let logits = Tensor::full(&[2, 3], 1.0);
         let cfg = CrossEntropyCfg { label_smoothing: 0.0, ignore_index: Some(9) };
         let (loss, grad) = cross_entropy_logits(&logits, &[9, 9], cfg);
         assert_eq!(loss, 0.0);

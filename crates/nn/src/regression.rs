@@ -2,8 +2,6 @@
 
 use rand::rngs::StdRng;
 
-use pipemare_tensor::Tensor;
-
 use crate::cache::Cache;
 use crate::layer::{Layer, WeightUnit};
 use crate::linear::Linear;
@@ -24,16 +22,6 @@ impl LinearRegression {
     /// Creates a regression model over `dim` features.
     pub fn new(dim: usize) -> Self {
         LinearRegression { linear: Linear::new(dim, 1) }
-    }
-
-    /// Predicts `(B,)` targets for `(B, D)` inputs.
-    pub fn predict(&self, params: &[f32], x: &Tensor) -> Tensor {
-        self.linear.forward_no_cache(params, x).reshaped(&[x.shape()[0]])
-    }
-
-    /// Mean squared error on a batch.
-    pub fn mse(&self, params: &[f32], batch: &RegressionBatch) -> f32 {
-        mse_loss(&self.predict(params, &batch.x), &batch.y).0
     }
 }
 
@@ -72,6 +60,7 @@ impl TrainModel for LinearRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipemare_tensor::Tensor;
     use rand::SeedableRng;
 
     #[test]
@@ -103,6 +92,6 @@ mod tests {
             );
         }
         assert!((params[dim] - 0.7).abs() < 0.05, "bias {}", params[dim]);
-        assert!(model.mse(&params, &batch) < 1e-3);
+        assert!(model.forward_loss(&params, &batch).0 < 1e-3);
     }
 }

@@ -226,8 +226,8 @@ impl Sequential {
 
     /// Forward pass that stashes only each segment's input (layers `0, S,
     /// 2S, ...`), then runs the segment cache-free — the model-side half of
-    /// PipeMare Recompute (App. D); [`Sequential::backward_recomputed`]
-    /// replays each segment. The cache holds `indices = [segment]` and one
+    /// PipeMare Recompute (App. D); the loss's backward replays each
+    /// segment (`recomputed_into`). The cache holds `indices = [segment]` and one
     /// stash per segment, stored at `stash` precision: the forward runs in
     /// f32 either way, and a bf16 replay starts from the rounded input
     /// (the discrepancy the health monitor's `quant_eps` accounts for).
@@ -254,28 +254,15 @@ impl Sequential {
         (cur.unwrap_or_else(|| x.clone()), cache)
     }
 
-    /// Backward for a [`Sequential::forward_checkpointed_with`] cache, with
-    /// distinct weight versions for the replay and the gradient: each
-    /// segment is re-run forward with `replay_params` (the pipeline's
-    /// recompute-time weights, delayed by τ_recomp relative to the
-    /// original forward), then differentiated with `params` under the
-    /// usual async backward contract. With `replay_params == params ==`
-    /// the forward's weights, and deterministic layers, the result is
-    /// bit-identical to the plain stash-everything [`Layer::backward`].
-    pub fn backward_recomputed(
-        &self,
-        replay_params: &[f32],
-        params: &[f32],
-        cache: &Cache,
-        dy: &Tensor,
-    ) -> (Tensor, Vec<f32>) {
-        let mut grads = vec![0.0f32; self.param_len()];
-        let dx = self.recomputed_into(replay_params, params, cache, dy, &mut grads, true);
-        (dx.expect("an input gradient"), grads)
-    }
-
-    /// [`Sequential::backward_recomputed`] into `grads` (zeroed on entry);
-    /// without `input_grad` the first segment runs as
+    /// Backward for a [`Sequential::forward_checkpointed_with`] cache into
+    /// `grads` (zeroed on entry), with distinct weight versions for the
+    /// replay and the gradient: each segment is re-run forward with
+    /// `replay_params` (the pipeline's recompute-time weights, delayed by
+    /// τ_recomp relative to the original forward), then differentiated with
+    /// `params` under the usual async backward contract. With
+    /// `replay_params == params ==` the forward's weights, and deterministic
+    /// layers, the result is bit-identical to the plain stash-everything
+    /// [`Layer::backward`]. Without `input_grad` the first segment runs as
     /// [`Sequential::run_backward`] does without it, and there is no input
     /// gradient.
     pub(crate) fn recomputed_into(
@@ -375,6 +362,19 @@ mod tests {
     use crate::activation::Activation;
     use crate::gradcheck::check_layer_gradients;
     use crate::linear::Linear;
+
+    /// `recomputed_into` into a fresh gradient, with the input gradient.
+    fn backward_recomputed(
+        chain: &Sequential,
+        replay_params: &[f32],
+        params: &[f32],
+        cache: &Cache,
+        dy: &Tensor,
+    ) -> (Tensor, Vec<f32>) {
+        let mut grads = vec![0.0f32; chain.param_len()];
+        let dx = chain.recomputed_into(replay_params, params, cache, dy, &mut grads, true);
+        (dx.unwrap(), grads)
+    }
 
     #[test]
     fn chain_forward_matches_manual_composition() {
@@ -481,7 +481,7 @@ mod tests {
                 chain.forward_checkpointed_with(&params, &x, segment, StoragePrecision::F32);
             assert_eq!(y, y_plain, "S={segment}");
             assert_eq!(c.tensors.len(), chain.len().div_ceil(segment));
-            let (dx, g) = chain.backward_recomputed(&params, &params, &c, &dy);
+            let (dx, g) = backward_recomputed(&chain, &params, &params, &c, &dy);
             assert_eq!(dx, dx_plain, "S={segment}");
             assert_eq!(g, g_plain, "S={segment}");
         }
@@ -539,9 +539,9 @@ mod tests {
         // Quantized replay is deterministic: same cache, same gradients,
         // bit for bit — and close to the f32 gradients (bf16 keeps ~8
         // mantissa bits).
-        let (dx32, g32) = chain.backward_recomputed(&params, &params, &c32, &dy);
-        let (dx_a, g_a) = chain.backward_recomputed(&params, &params, &c16, &dy);
-        let (dx_b, g_b) = chain.backward_recomputed(&params, &params, &c16, &dy);
+        let (dx32, g32) = backward_recomputed(&chain, &params, &params, &c32, &dy);
+        let (dx_a, g_a) = backward_recomputed(&chain, &params, &params, &c16, &dy);
+        let (dx_b, g_b) = backward_recomputed(&chain, &params, &params, &c16, &dy);
         assert_eq!(dx_a, dx_b);
         assert_eq!(g_a, g_b);
         let rel_norm = |a: &[f32], b: &[f32]| {
@@ -575,12 +575,12 @@ mod tests {
         // async backward (stale activations, newer gradient weights)...
         let (_, c_plain) = chain.forward(&params, &x);
         let (dx_async, g_async) = chain.backward(&newer, &c_plain, &dy);
-        let (dx, g) = chain.backward_recomputed(&params, &newer, &ckpt, &dy);
+        let (dx, g) = backward_recomputed(&chain, &params, &newer, &ckpt, &dy);
         assert_eq!(dx, dx_async);
         assert_eq!(g, g_async);
         // ...while replaying with drifted weights changes the result
         // (that drift is exactly what τ_recomp measures).
-        let (dx2, g2) = chain.backward_recomputed(&newer, &newer, &ckpt, &dy);
+        let (dx2, g2) = backward_recomputed(&chain, &newer, &newer, &ckpt, &dy);
         assert!(dx2 != dx_async || g2 != g_async);
     }
 }

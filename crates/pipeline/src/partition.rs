@@ -90,12 +90,6 @@ impl StagePartition {
         self.ranges[s]
     }
 
-    /// Parameter count of stage `s`.
-    pub fn stage_len(&self, s: usize) -> usize {
-        let (lo, hi) = self.ranges[s];
-        hi - lo
-    }
-
     /// All ranges.
     pub fn ranges(&self) -> &[(usize, usize)] {
         &self.ranges
@@ -152,7 +146,7 @@ mod tests {
         let u = tile(&[6, 6]);
         let p = StagePartition::from_units(&u, 12, 4);
         assert_eq!(p.stages(), 4);
-        assert_eq!(p.stage_len(0), 3);
+        assert_eq!(p.range(0), (0, 3));
         // Tiles entire vector.
         assert_eq!(p.range(3).1, 12);
     }
@@ -193,7 +187,7 @@ mod tests {
         let u = tile(&[1, 1, 100, 1, 1, 1]);
         let p = StagePartition::from_units(&u, 105, 3);
         assert_eq!(p.stages(), 3);
-        let sizes: Vec<usize> = (0..3).map(|s| p.stage_len(s)).collect();
+        let sizes: Vec<usize> = p.ranges().iter().map(|(lo, hi)| hi - lo).collect();
         assert!(sizes.iter().all(|&s| s >= 1));
         assert_eq!(sizes.iter().sum::<usize>(), 105);
     }

@@ -657,19 +657,6 @@ pub fn merge_journals(readers: &[JournalReader]) -> io::Result<(Vec<(String, Jou
     Ok((out, truncated))
 }
 
-/// Sums per-role on-disk journal bytes (for retention diagnostics and
-/// the bench's bytes-per-sample accounting).
-pub fn journal_bytes(dir: &Path) -> io::Result<u64> {
-    let mut total = 0;
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if entry.file_name().to_str().and_then(parse_segment_name).is_some() {
-            total += entry.metadata()?.len();
-        }
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,7 +817,12 @@ mod tests {
             w.append(&sample(i, i * 250_000)).unwrap();
         }
         drop(w);
-        let total = journal_bytes(&dir).unwrap();
+        let total: u64 = fs::read_dir(&dir)
+            .unwrap()
+            .map(Result::unwrap)
+            .filter(|e| e.file_name().to_str().and_then(parse_segment_name).is_some())
+            .map(|e| e.metadata().unwrap().len())
+            .sum();
         assert!(total <= 4_000, "retention holds total near the cap, got {total}");
         // The newest data always survives.
         let (entries, _) = JournalReader::open(&dir).unwrap().samples().unwrap();

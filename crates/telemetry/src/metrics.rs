@@ -94,13 +94,6 @@ impl Histogram {
         Self::with_bounds(&bounds)
     }
 
-    /// `count` buckets with bounds `start, start*factor, ...`.
-    pub fn exponential(start: f64, factor: f64, count: usize) -> Self {
-        assert!(count > 0 && start > 0.0 && factor > 1.0);
-        let bounds: Vec<f64> = (0..count).map(|i| start * factor.powi(i as i32)).collect();
-        Self::with_bounds(&bounds)
-    }
-
     /// Records one observation.
     pub fn observe(&self, v: f64) {
         let idx = self.bounds.partition_point(|&b| v > b);
@@ -504,12 +497,6 @@ mod tests {
             parsed.get("boundless").and_then(|m| m.get("count")).and_then(Value::as_f64),
             Some(2.0)
         );
-    }
-
-    #[test]
-    fn exponential_bounds_grow_geometrically() {
-        let h = Histogram::exponential(1.0, 2.0, 4);
-        assert_eq!(h.snapshot().bounds, vec![1.0, 2.0, 4.0, 8.0]);
     }
 
     #[test]

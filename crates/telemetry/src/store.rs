@@ -168,15 +168,9 @@ impl LiveStore {
         self
     }
 
-    /// Attaches an alert engine: every [`LiveStore::sample`] evaluates
-    /// it against the fresh sample, and scrapes carry its firing
-    /// alerts.
-    pub fn with_alerts(self, engine: Arc<AlertEngine>) -> Self {
-        self.attach_alerts(engine);
-        self
-    }
-
-    /// [`LiveStore::with_alerts`] for a store already behind an `Arc`.
+    /// Attaches an alert engine, also to a store already behind an
+    /// `Arc`: every [`LiveStore::sample`] evaluates it against the fresh
+    /// sample, and scrapes carry its firing alerts.
     pub fn attach_alerts(&self, engine: Arc<AlertEngine>) {
         *self.alerts.lock().unwrap() = Some(engine);
     }
@@ -537,8 +531,8 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new());
         reg.gauge("health.stage0.alpha_margin").set(0.5);
         let engine = Arc::new(crate::alert::AlertEngine::new(crate::alert::default_rules()));
-        let store =
-            LiveStore::new("test", 1).with_registry(reg.clone()).with_alerts(Arc::clone(&engine));
+        let store = LiveStore::new("test", 1).with_registry(reg.clone());
+        store.attach_alerts(Arc::clone(&engine));
         store.sample();
         assert_eq!(engine.active().len(), 1, "sampling evaluated the engine");
         let alerts = Scrape::decode(&store.scrape().unwrap()).unwrap().alerts;

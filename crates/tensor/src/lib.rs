@@ -20,7 +20,7 @@
 //! use pipemare_tensor::Tensor;
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-//! let b = Tensor::eye(2);
+//! let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
 //! let c = a.matmul(&b);
 //! assert_eq!(c.data(), a.data());
 //! ```
@@ -48,19 +48,3 @@ pub use pool::ThreadPool;
 pub use shape::{broadcast_shapes, Shape};
 pub use telemetry::{install_kernel_metrics, uninstall_kernel_metrics, KernelKind, KernelMetrics};
 pub use tensor::Tensor;
-
-/// Asserts that two floating-point slices are elementwise close.
-///
-/// Intended for tests across the workspace; tolerance is absolute plus
-/// relative: `|a - b| <= atol + rtol * |b|`.
-///
-/// # Panics
-///
-/// Panics if lengths differ or any element pair is not close.
-pub fn assert_close(a: &[f32], b: &[f32], atol: f32, rtol: f32) {
-    assert_eq!(a.len(), b.len(), "length mismatch: {} vs {}", a.len(), b.len());
-    for (i, (&x, &y)) in a.iter().zip(b.iter()).enumerate() {
-        let tol = atol + rtol * y.abs();
-        assert!((x - y).abs() <= tol, "element {i} differs: {x} vs {y} (tol {tol})");
-    }
-}

@@ -110,44 +110,6 @@ impl Tensor {
         bmm_dense(Layout::NT, &self.data, &other.data, &mut out.data, b, m, k, n);
         out
     }
-
-    /// Batched `self^T @ other`: `(b×k×m)^T @ (b×k×n) -> (b×m×n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank, batch, or inner-dimension mismatch.
-    pub fn bmm_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 3, "bmm_tn: lhs must be 3-D");
-        assert_eq!(other.ndim(), 3, "bmm_tn: rhs must be 3-D");
-        let (b, k, m) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let (b2, k2, n) = (other.shape()[0], other.shape()[1], other.shape()[2]);
-        assert_eq!(b, b2, "bmm_tn: batch dims differ");
-        assert_eq!(k, k2, "bmm_tn: inner dims differ: {:?}^T @ {:?}", self.shape(), other.shape());
-        let mut out = Tensor::zeros(&[b, m, n]);
-        bmm_dense(Layout::TN, &self.data, &other.data, &mut out.data, b, m, k, n);
-        out
-    }
-
-    /// Matrix–vector product: `(m×n) @ (n,) -> (m,)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or dimension mismatch.
-    pub fn matvec(&self, v: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2, "matvec: matrix must be 2-D");
-        assert_eq!(v.ndim(), 1, "matvec: vector must be 1-D");
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        assert_eq!(n, v.len(), "matvec: dims differ: {:?} @ {:?}", self.shape(), v.shape());
-        let mut out = Tensor::zeros(&[m]);
-        for i in 0..m {
-            let row = &self.data[i * n..(i + 1) * n];
-            // Same FMA accumulation as the gemm kernels, so
-            // `matvec(v)` == `matmul(v as n×1)` bit-for-bit.
-            out.data[i] =
-                row.iter().zip(v.data.iter()).fold(0.0f32, |acc, (&a, &b)| a.mul_add(b, acc));
-        }
-        out
-    }
 }
 
 /// `bsize` products over three contiguous 3-D tensors: one matrix after
@@ -170,8 +132,8 @@ fn bmm_dense(
 
 #[cfg(test)]
 mod tests {
-    use crate::assert_close;
     use crate::tensor::Tensor;
+    use pipemare_conv_oracle::assert_close;
 
     fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.shape()[0], a.shape()[1]);
@@ -183,7 +145,7 @@ mod tests {
                 for p in 0..k {
                     acc += a.at(&[i, p]) * b.at(&[p, j]);
                 }
-                *out.at_mut(&[i, j]) = acc;
+                out.data_mut()[i * n + j] = acc;
             }
         }
         out
@@ -200,8 +162,11 @@ mod tests {
     #[test]
     fn matmul_identity() {
         let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 4]);
-        assert_eq!(Tensor::eye(3).matmul(&a), a);
-        assert_eq!(a.matmul(&Tensor::eye(4)), a);
+        let eye = |n| {
+            Tensor::from_vec((0..n * n).map(|i| (i % (n + 1) == 0) as u8 as f32).collect(), &[n, n])
+        };
+        assert_eq!(eye(3).matmul(&a), a);
+        assert_eq!(a.matmul(&eye(4)), a);
     }
 
     #[test]
@@ -282,18 +247,6 @@ mod tests {
         let a = Tensor::randn(&[2, 3, 4], &mut rng);
         let b = Tensor::randn(&[2, 5, 4], &mut rng);
         assert_close(a.bmm_nt(&b).data(), a.bmm(&b.permute(&[0, 2, 1])).data(), 1e-5, 1e-5);
-        let c = Tensor::randn(&[2, 4, 6], &mut rng);
-        let d = Tensor::randn(&[2, 4, 3], &mut rng);
-        assert_close(c.bmm_tn(&d).data(), c.permute(&[0, 2, 1]).bmm(&d).data(), 1e-5, 1e-5);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]);
-        let v = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let mv = a.matvec(&v);
-        let mm = a.matmul(&v.reshape(&[3, 1]));
-        assert_eq!(mv.data(), mm.data());
     }
 
     #[test]

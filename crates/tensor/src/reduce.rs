@@ -156,7 +156,7 @@ fn row_parallel(data: &mut [f32], rows: usize, n: usize, f: impl Fn(&mut [f32]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assert_close;
+    use pipemare_conv_oracle::assert_close;
 
     #[test]
     fn sum_mean_max() {

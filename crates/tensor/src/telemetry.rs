@@ -155,8 +155,8 @@ mod tests {
         // counts.
         let registry = MetricsRegistry::new();
         let metrics = install_kernel_metrics(&registry);
-        let a = Tensor::ones(&[4, 5]);
-        let b = Tensor::ones(&[5, 6]);
+        let a = Tensor::full(&[4, 5], 1.0);
+        let b = Tensor::full(&[5, 6], 1.0);
         let _ = a.matmul(&b);
         uninstall_kernel_metrics();
         assert!(metrics.flops.get() >= 2 * 4 * 5 * 6);

@@ -43,29 +43,10 @@ impl Tensor {
         Tensor { data: vec![0.0; s.size()], shape: s }
     }
 
-    /// Creates a tensor of ones.
-    pub fn ones(shape: &[usize]) -> Self {
-        Self::full(shape, 1.0)
-    }
-
     /// Creates a tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let s = Shape::new(shape);
         Tensor { data: vec![value; s.size()], shape: s }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
-    /// Creates a 1-D tensor with values `[0, 1, ..., n-1]`.
-    pub fn arange(n: usize) -> Self {
-        Tensor::from_vec((0..n).map(|i| i as f32).collect(), &[n])
     }
 
     /// The shape extents, outermost first.
@@ -125,12 +106,6 @@ impl Tensor {
     /// Panics if the index rank or any coordinate is out of bounds.
     pub fn at(&self, idx: &[usize]) -> f32 {
         self.data[self.flat_index(idx)]
-    }
-
-    /// Mutable element access by multi-index.
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut f32 {
-        let i = self.flat_index(idx);
-        &mut self.data[i]
     }
 
     fn flat_index(&self, idx: &[usize]) -> usize {
@@ -255,26 +230,6 @@ impl Tensor {
         Tensor::from_vec(self.data[i * n..(i + 1) * n].to_vec(), &[n])
     }
 
-    /// Concatenates tensors along axis 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or trailing dimensions disagree.
-    pub fn concat0(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat0 requires at least one tensor");
-        let tail = &parts[0].shape()[1..];
-        let mut rows = 0;
-        let mut data = Vec::new();
-        for p in parts {
-            assert_eq!(&p.shape()[1..], tail, "concat0: trailing dims differ");
-            rows += p.shape()[0];
-            data.extend_from_slice(&p.data);
-        }
-        let mut dims = vec![rows];
-        dims.extend_from_slice(tail);
-        Tensor::from_vec(data, &dims)
-    }
-
     /// Returns a contiguous slice of `count` outermost entries starting at
     /// `start` (i.e. `self[start..start+count]` along axis 0).
     ///
@@ -305,10 +260,7 @@ mod tests {
     #[test]
     fn constructors() {
         assert_eq!(Tensor::zeros(&[2, 3]).data(), &[0.0; 6]);
-        assert_eq!(Tensor::ones(&[2]).data(), &[1.0, 1.0]);
         assert_eq!(Tensor::full(&[2], 3.5).data(), &[3.5, 3.5]);
-        assert_eq!(Tensor::eye(2).data(), &[1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(Tensor::arange(3).data(), &[0.0, 1.0, 2.0]);
         assert_eq!(Tensor::scalar(7.0).item(), 7.0);
     }
 
@@ -334,7 +286,7 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::arange(6).reshape(&[2, 3]);
+        let t = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[6]).reshape(&[2, 3]);
         assert_eq!(t.shape(), &[2, 3]);
         assert_eq!(t.at(&[1, 1]), 4.0);
     }
@@ -399,7 +351,7 @@ mod tests {
             vec![2, 1, 3, 2, 3],
             vec![2, 3, 1, 1, 4],
         ] {
-            let t = Tensor::arange(dims.iter().product()).reshape(&dims);
+            let t = Tensor::from_vec((0..dims.iter().product()).map(|x| x as f32).collect(), &dims);
             for perm in permutations(dims.len()) {
                 assert_eq!(t.permute(&perm), permute_by_unravel(&t, &perm), "{dims:?} {perm:?}");
             }
@@ -416,11 +368,9 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_slice() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
+    fn slice_and_row() {
+        let c = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
         let b = Tensor::from_vec(vec![3.0, 4.0, 5.0, 6.0], &[2, 2]);
-        let c = Tensor::concat0(&[&a, &b]);
-        assert_eq!(c.shape(), &[3, 2]);
         assert_eq!(c.slice0(1, 2), b);
         assert_eq!(c.row(0).data(), &[1.0, 2.0]);
     }

@@ -55,11 +55,6 @@ impl Polynomial {
         acc
     }
 
-    /// Evaluates at a real point.
-    pub fn eval_real(&self, x: f64) -> f64 {
-        self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
-    }
-
     /// The formal derivative.
     pub fn derivative(&self) -> Polynomial {
         if self.coeffs.len() == 1 {
@@ -133,6 +128,15 @@ impl Polynomial {
 /// companion matrix whose characteristic polynomial is `p`.
 pub fn spectral_radius(p: &Polynomial) -> f64 {
     p.roots().iter().map(|r| r.abs()).fold(0.0, f64::max)
+}
+
+#[cfg(test)]
+impl Polynomial {
+    /// Evaluates at a real point: the tests' check of roots and
+    /// derivatives.
+    pub(crate) fn eval_real(&self, x: f64) -> f64 {
+        self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
+    }
 }
 
 #[cfg(test)]

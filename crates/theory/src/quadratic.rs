@@ -102,68 +102,6 @@ impl QuadraticSim {
         }
         SimResult { losses, diverged: false }
     }
-
-    /// Runs delayed SGD **with momentum** (App. B.3):
-    /// `w_{t+1} − w_t = β(w_t − w_{t−1}) − αλ·w_{t−τ} + αη_t`.
-    /// Uses `tau_fwd` as the delay (the momentum analysis assumes a
-    /// single delay); `delta` is ignored.
-    pub fn run_with_momentum(&self, beta: f64) -> SimResult {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let hist = self.tau_fwd + 1;
-        let mut w = vec![self.w0; hist];
-        let mut losses = Vec::with_capacity(self.steps);
-        let mut cur = self.w0;
-        let mut prev = self.w0;
-        for t in 0..self.steps {
-            let wf = if t >= self.tau_fwd { w[(t - self.tau_fwd) % hist] } else { self.w0 };
-            let noise = self.noise_std * standard_normal(&mut rng);
-            let next =
-                cur + beta * (cur - prev) - self.alpha * self.lambda * wf + self.alpha * noise;
-            let loss = 0.5 * self.lambda * cur * cur;
-            losses.push(if loss.is_finite() { loss } else { f64::MAX });
-            if !next.is_finite() || next.abs() > 1e150 {
-                losses.resize(self.steps, f64::MAX);
-                return SimResult { losses, diverged: true };
-            }
-            prev = cur;
-            cur = next;
-            w[(t + 1) % hist] = cur;
-        }
-        SimResult { losses, diverged: false }
-    }
-
-    /// Runs the same recurrence with the T2 discrepancy correction:
-    /// the backward read becomes `w_{t−τb} − (τf−τb)·δ_t` with
-    /// `δ_{t+1} = γδ_t + (1−γ)(w_{t+1} − w_t)`.
-    pub fn run_with_t2(&self, gamma: f64) -> SimResult {
-        assert!(self.tau_bkwd <= self.tau_fwd);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let hist = self.tau_fwd + 1;
-        let mut w = vec![self.w0; hist];
-        let mut losses = Vec::with_capacity(self.steps);
-        let mut cur = self.w0;
-        let mut deltav = 0.0f64;
-        let gap = (self.tau_fwd - self.tau_bkwd) as f64;
-        for t in 0..self.steps {
-            let wf = if t >= self.tau_fwd { w[(t - self.tau_fwd) % hist] } else { self.w0 };
-            let wb_raw = if t >= self.tau_bkwd { w[(t - self.tau_bkwd) % hist] } else { self.w0 };
-            let wb = wb_raw - gap * deltav;
-            let noise = self.noise_std * standard_normal(&mut rng);
-            let next = cur - self.alpha * (self.lambda + self.delta) * wf
-                + self.alpha * self.delta * wb
-                + self.alpha * noise;
-            let loss = 0.5 * self.lambda * cur * cur;
-            losses.push(if loss.is_finite() { loss } else { f64::MAX });
-            if !next.is_finite() || next.abs() > 1e150 {
-                losses.resize(self.steps, f64::MAX);
-                return SimResult { losses, diverged: true };
-            }
-            deltav = gamma * deltav + (1.0 - gamma) * (next - cur);
-            cur = next;
-            w[(t + 1) % hist] = cur;
-        }
-        SimResult { losses, diverged: false }
-    }
 }
 
 /// The App. D recompute model: three delayed weight reads with
@@ -213,6 +151,73 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+#[cfg(test)]
+/// The recurrence's App. B.3 and T2 variants: the oracles the Lemma 3 and
+/// T2 characteristic-polynomial tests check against.
+impl QuadraticSim {
+    /// Runs delayed SGD **with momentum** (App. B.3):
+    /// `w_{t+1} − w_t = β(w_t − w_{t−1}) − αλ·w_{t−τ} + αη_t`.
+    /// Uses `tau_fwd` as the delay (the momentum analysis assumes a
+    /// single delay); `delta` is ignored.
+    pub(crate) fn run_with_momentum(&self, beta: f64) -> SimResult {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let hist = self.tau_fwd + 1;
+        let mut w = vec![self.w0; hist];
+        let mut losses = Vec::with_capacity(self.steps);
+        let mut cur = self.w0;
+        let mut prev = self.w0;
+        for t in 0..self.steps {
+            let wf = if t >= self.tau_fwd { w[(t - self.tau_fwd) % hist] } else { self.w0 };
+            let noise = self.noise_std * standard_normal(&mut rng);
+            let next =
+                cur + beta * (cur - prev) - self.alpha * self.lambda * wf + self.alpha * noise;
+            let loss = 0.5 * self.lambda * cur * cur;
+            losses.push(if loss.is_finite() { loss } else { f64::MAX });
+            if !next.is_finite() || next.abs() > 1e150 {
+                losses.resize(self.steps, f64::MAX);
+                return SimResult { losses, diverged: true };
+            }
+            prev = cur;
+            cur = next;
+            w[(t + 1) % hist] = cur;
+        }
+        SimResult { losses, diverged: false }
+    }
+
+    /// Runs the same recurrence with the T2 discrepancy correction:
+    /// the backward read becomes `w_{t−τb} − (τf−τb)·δ_t` with
+    /// `δ_{t+1} = γδ_t + (1−γ)(w_{t+1} − w_t)`.
+    pub(crate) fn run_with_t2(&self, gamma: f64) -> SimResult {
+        assert!(self.tau_bkwd <= self.tau_fwd);
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let hist = self.tau_fwd + 1;
+        let mut w = vec![self.w0; hist];
+        let mut losses = Vec::with_capacity(self.steps);
+        let mut cur = self.w0;
+        let mut deltav = 0.0f64;
+        let gap = (self.tau_fwd - self.tau_bkwd) as f64;
+        for t in 0..self.steps {
+            let wf = if t >= self.tau_fwd { w[(t - self.tau_fwd) % hist] } else { self.w0 };
+            let wb_raw = if t >= self.tau_bkwd { w[(t - self.tau_bkwd) % hist] } else { self.w0 };
+            let wb = wb_raw - gap * deltav;
+            let noise = self.noise_std * standard_normal(&mut rng);
+            let next = cur - self.alpha * (self.lambda + self.delta) * wf
+                + self.alpha * self.delta * wb
+                + self.alpha * noise;
+            let loss = 0.5 * self.lambda * cur * cur;
+            losses.push(if loss.is_finite() { loss } else { f64::MAX });
+            if !next.is_finite() || next.abs() > 1e150 {
+                losses.resize(self.steps, f64::MAX);
+                return SimResult { losses, diverged: true };
+            }
+            deltav = gamma * deltav + (1.0 - gamma) * (next - cur);
+            cur = next;
+            w[(t + 1) % hist] = cur;
+        }
+        SimResult { losses, diverged: false }
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The architecture guards: "one implementation per idea" facts about the
 //! source tree, checked by reading it. Each guard is a list of rules, and its
-//! doc says which idea it keeps to one implementation and why.
+//! doc says which idea it keeps to one implementation and why. A second test,
+//! `no_dead_pub`, checks that every public library function has a caller.
 //!
 //! One walker lists the repository's files, skipping every `target`, `vendor`
 //! and `.git` directory and this file, which names every needle. One
@@ -9,6 +10,7 @@
 //! that has one) or as code, and notes the last line that named a `fn` and
 //! the header of the `impl` block the line lies in.
 
+use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
 
@@ -298,7 +300,26 @@ const SINGLE_RECORDER: &[Rule] = &[
         .reads(ALL),
 ];
 
-const GUARDS: [(&str, &[Rule]); 11] = [
+/// Every public function has a caller. Each `pub fn` defined on a code line
+/// of `crates/*/src` must be named on a code line outside its own body (from
+/// its `fn` line to the next line naming a `fn`): in library, integration
+/// test, bench, example or benchmark code, never only in a `#[cfg(test)]`
+/// module. A function that only its unit tests call is surface no product
+/// path runs, and its doc soon claims callers it does not have. Reference
+/// code that tests compare against lives in test code or in the dev-only
+/// crates/conv-oracle, which is not read. Crate-private functions are left
+/// to the compiler, whose `dead_code` lint fails them in CI, so no library
+/// code may switch that lint off. A name defined twice (`new`, `forward`)
+/// is judged as one name: a use of either counts for both. The `no_dead_pub`
+/// test checks callers; this row checks the lint.
+const NO_DEAD_PUB: &[Rule] =
+    &[rule(0, Any("allow(dead_code|allow(unused|expect(dead_code|expect(unused"), CRATES_SRC)];
+
+/// Where the callers of a `pub fn` in `CRATES_SRC` may be.
+const CALLER_SRC: &str =
+    "crates/*/{src,tests,benches}/**/*.rs|{tests,examples,src,pmbench/src}/**/*.rs";
+
+const GUARDS: [(&str, &[Rule]); 12] = [
     ("single_core", SINGLE_CORE),
     ("single_codec", SINGLE_CODEC),
     ("single_executor", SINGLE_EXECUTOR),
@@ -310,23 +331,13 @@ const GUARDS: [(&str, &[Rule]); 11] = [
     ("cache_free_inference", CACHE_FREE_INFERENCE),
     ("in_place_grads", IN_PLACE_GRADS),
     ("single_recorder", SINGLE_RECORDER),
+    ("no_dead_pub", NO_DEAD_PUB),
 ];
 
 #[test]
 fn every_guard_holds() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (mut paths, mut files, mut failures) = (vec![], vec![], String::new());
-    walk(root, "", &mut paths);
-    paths.sort();
-    let read = |path: &String| GUARDS.iter().any(|(_, rules)| rules.iter().any(|r| r.covers(path)));
-    for path in paths.into_iter().filter(|p| p != "tests/architecture.rs" && read(p)) {
-        let (lines, open) =
-            classify(&String::from_utf8_lossy(&fs::read(root.join(&path)).unwrap()));
-        if let (Some(open), true) = (open, path.ends_with(".rs")) {
-            failures += &format!("{path}:{}: an impl block whose braces never balance\n", open + 1);
-        }
-        files.push((path, lines));
-    }
+    let read = |path: &str| GUARDS.iter().any(|(_, rules)| rules.iter().any(|r| r.covers(path)));
+    let (files, mut failures) = read_files(read);
     for (guard, rules) in GUARDS {
         for rule in rules {
             let sites = sites(rule, &files);
@@ -338,6 +349,57 @@ fn every_guard_holds() {
         }
     }
     assert!(failures.is_empty(), "architecture guards failed:\n{failures}");
+}
+
+#[test]
+fn no_dead_pub() {
+    let callers = rule(0, File, CALLER_SRC).except("crates/conv-oracle/**");
+    let (files, mut failures) = read_files(|path| callers.covers(path));
+    // Every code line that names each word, as (file, line).
+    let mut named: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    for (f, (_, lines)) in files.iter().enumerate() {
+        for (i, line) in lines.iter().enumerate().filter(|(_, l)| l.kind == Kind::Code) {
+            for name in line.text.split(|c| !word(c)).filter(|n| !n.is_empty()) {
+                named.entry(name).or_default().push((f, i));
+            }
+        }
+    }
+    for (f, (path, lines)) in
+        files.iter().enumerate().filter(|(_, (p, _))| glob_matches(CRATES_SRC, p))
+    {
+        for (i, line) in lines.iter().enumerate().filter(|(_, l)| l.kind == Kind::Code) {
+            let text = line.text.trim_start();
+            let Some(rest) = text.strip_prefix("pub fn ").or(text.strip_prefix("pub const fn "))
+            else {
+                continue;
+            };
+            let name = &rest[..run(rest, word)];
+            let own_body = |&(g, j): &(usize, usize)| g == f && files[g].1[j].fn_at == Some(i);
+            if named.get(name).is_none_or(|sites| sites.iter().all(own_body)) {
+                failures += &format!("{path}:{}: pub fn {name} has no caller\n", i + 1);
+            }
+        }
+    }
+    assert!(failures.is_empty(), "no_dead_pub failed:\n{failures}");
+}
+
+/// Every file `read` accepts, but this one (which names every needle), with
+/// its classified lines, and a failure line for each `.rs` file whose `impl`
+/// braces never balance.
+fn read_files(read: impl Fn(&str) -> bool) -> (Vec<(String, Vec<Line>)>, String) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut paths, mut files, mut failures) = (vec![], vec![], String::new());
+    walk(root, "", &mut paths);
+    paths.sort();
+    for path in paths.into_iter().filter(|p| p != "tests/architecture.rs" && read(p)) {
+        let (lines, open) =
+            classify(&String::from_utf8_lossy(&fs::read(root.join(&path)).unwrap()));
+        if let (Some(open), true) = (open, path.ends_with(".rs")) {
+            failures += &format!("{path}:{}: an impl block whose braces never balance\n", open + 1);
+        }
+        files.push((path, lines));
+    }
+    (files, failures)
 }
 
 /// Pushes every file under `root/dir` as a `/`-separated path from `root`.
