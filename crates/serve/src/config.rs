@@ -26,7 +26,7 @@ pub struct ServeConfig {
     /// typed [`pipemare_comms::RejectReason::QueueFull`] reject.
     pub queue_cap: usize,
     /// Refresh weights from the weight source every `n` batches
-    /// (`Some(1)` = before every batch). Ignored for static weights.
+    /// (`Some(1)` = before every batch). Ignored without a source.
     pub refresh_every: Option<u64>,
     /// Receive timeout installed on client connections; bounds how
     /// long shutdown waits for reader threads (must not be `None` for

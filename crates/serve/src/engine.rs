@@ -140,16 +140,16 @@ impl StagedEngine {
         self.done_rx.clone()
     }
 
-    /// Replaces the shared parameter vector (between-batch refresh; a
-    /// stage mid-compute finishes on the old weights).
+    /// Swaps `params` in as the shared weights between batches (a stage
+    /// mid-compute finishes on the old ones) and returns the retired vector.
     ///
     /// # Panics
     ///
     /// Panics if the length changes.
-    pub fn update_weights(&self, params: &[f32]) {
+    pub fn swap_weights(&self, params: Vec<f32>) -> Vec<f32> {
         let mut w = self.weights.write().expect("weights lock poisoned");
         assert_eq!(w.len(), params.len(), "parameter vector length mismatch");
-        w.copy_from_slice(params);
+        std::mem::replace(&mut *w, params)
     }
 
     /// Closes the submit side and joins every stage thread. Batches
@@ -230,7 +230,8 @@ mod tests {
         let (_, y0) = engine.completions().recv().unwrap();
         assert_eq!(y0, model.infer(&params, &x));
         let newer: Vec<f32> = params.iter().map(|p| p * 1.5 + 0.01).collect();
-        engine.update_weights(&newer);
+        let retired = engine.swap_weights(newer.clone());
+        assert_eq!(retired, params, "the swap hands back the weights it replaced");
         engine.submit(1, x.clone());
         let (_, y1) = engine.completions().recv().unwrap();
         assert_eq!(y1, model.infer(&newer, &x));

@@ -42,4 +42,4 @@ pub use engine::{DynRecorder, StagedEngine};
 pub use error::{Rejection, ServeError};
 pub use policy::{poissonish_trace, quantile, simulate, SimConfig, SimOutcome, SimRequest};
 pub use server::{ServeStats, Server};
-pub use weights::{ShardWeightSource, StaticWeights, WeightSource};
+pub use weights::{ShardWeightSource, WeightSource};

@@ -588,7 +588,9 @@ fn run_batcher(
     let driver_track = cfg.stages as u32;
     let mut held: Option<QueuedReq> = None;
     let mut batch_id: u64 = 0;
-    let mut refresh_buf = vec![0.0f32; param_len];
+    // The refresh target, made at the first refresh, filled outside the
+    // engine's lock and swapped in: without a source none exists.
+    let mut spare: Option<Vec<f32>> = None;
     loop {
         if inner.paused.load(Ordering::SeqCst) {
             thread::park();
@@ -620,7 +622,8 @@ fn run_batcher(
         // mixes two weight versions.
         if let (Some(src), Some(every)) = (source.as_mut(), cfg.refresh_every) {
             if batch_id.is_multiple_of(every) {
-                if let Err(e) = src.fetch_latest(&mut refresh_buf) {
+                let mut fresh = spare.take().unwrap_or_else(|| vec![0.0; param_len]);
+                if let Err(e) = src.fetch_latest(&mut fresh) {
                     let cause = format!("weight refresh failed: {e}");
                     *inner.poisoned.lock().expect("poison lock poisoned") = Some(cause.clone());
                     for m in members.drain(..) {
@@ -631,7 +634,7 @@ fn run_batcher(
                     }
                     continue;
                 }
-                engine.update_weights(&refresh_buf);
+                spare = Some(engine.swap_weights(fresh));
             }
         }
         let dispatch_us = rec.now_us();

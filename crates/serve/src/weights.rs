@@ -1,7 +1,8 @@
-//! Where serving weights come from: a static snapshot, or live
-//! `PassKind::Latest` fetches from the training stage workers.
+//! Where live serving weights come from: `PassKind::Latest` fetches
+//! from the training stage workers. A server started without a source
+//! serves its start-up snapshot.
 //!
-//! The second mode is the asynchronous-pipeline payoff: the same
+//! This is the asynchronous-pipeline payoff: the same
 //! workers that hold versioned shards for PipeMare training answer
 //! step-free `Latest` fetches, so a serving frontend can refresh its
 //! parameter vector mid-training without pausing either side.
@@ -20,21 +21,15 @@ use pipemare_tensor::StoragePrecision;
 
 /// Supplies the full parameter vector on demand.
 pub trait WeightSource: Send {
-    /// Writes the freshest available parameters into `out`.
+    /// Overwrites every value of `out` with the freshest available
+    /// parameters. `out` arrives holding the weights an earlier refresh
+    /// retired (zeros at the first), so a value left unwritten would be
+    /// served from an older version.
     fn fetch_latest(&mut self, out: &mut [f32]) -> Result<(), CommsError>;
 
     /// Releases whatever backs the source (e.g. tells shard workers to
     /// exit). Best-effort; the default does nothing.
     fn shutdown(self: Box<Self>) {}
-}
-
-/// A frozen snapshot — serving a trained checkpoint.
-pub struct StaticWeights;
-
-impl WeightSource for StaticWeights {
-    fn fetch_latest(&mut self, _out: &mut [f32]) -> Result<(), CommsError> {
-        Ok(())
-    }
 }
 
 /// Live weights assembled from per-stage shard workers over comms
