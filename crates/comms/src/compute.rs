@@ -17,6 +17,13 @@
 //! that reads it ([`pipemare_pipeline::delay`]), so a GPipe or PipeMare
 //! stage keeps one version and at most one finished update, and a
 //! PipeDream stage only the versions its microbatches in flight reread.
+//!
+//! A stage's shard-sized buffers are its versions, δ under T2, its
+//! unapplied updates and the step's gradient sum, reusing the last applied
+//! update's buffer; a read buffer exists once an op reads other than the
+//! latest version untouched (a T2 backward, an older PipeDream version),
+//! a backward scratch once a step has a second microbatch.
+//!
 //! Given the in-process trainer's model, configuration, seed and
 //! microbatches, the stages reproduce its losses and weights bit for bit.
 //! One difference: a stage whose update is not finite reverts only its
@@ -36,7 +43,7 @@ use crate::config::{TrainConfig, TrainMode};
 use crate::driver::RunLayout;
 use crate::error::CommsError;
 use crate::protocol::{PassKind, StageConfig};
-use crate::stage::{all_finite, plan, ShardStage};
+use crate::stage::{all_finite, plan, ReadPlan, ShardStage};
 
 /// A forward's cache, kept for its microbatch's backward.
 struct Stashed {
@@ -59,15 +66,17 @@ pub struct ChainStage<'a> {
     /// its minibatch.
     data: &'a [ImageBatch],
     micro_weights: &'a [f32],
-    /// The weights the current op reads.
+    /// The read buffer, empty until an op reads other than the latest.
     weights: Vec<f32>,
     stash: VecDeque<Stashed>,
-    /// One backward's gradient, and the current step's sum of them.
-    scratch: Vec<f32>,
+    /// The current step's gradient sum, and the gradient of its second
+    /// and later microbatches (empty while N = 1).
     grad: Vec<f32>,
+    scratch: Vec<f32>,
     /// Gradients of finished steps whose updates are not applied yet,
-    /// oldest first.
+    /// oldest first, and the buffer of the last one applied.
     finished: VecDeque<Vec<f32>>,
+    spare: Vec<f32>,
     /// Per step, the weighted sum of its microbatches' losses (last
     /// stage only).
     losses: Vec<f32>,
@@ -132,9 +141,10 @@ impl<'a> ChainStage<'a> {
                 cfg,
                 clock: layout.clock,
                 stage_cfg,
-                weights: vec![0.0; hi - lo],
-                scratch: vec![0.0; hi - lo],
+                weights: Vec::new(),
                 grad: Vec::new(),
+                scratch: Vec::new(),
+                spare: Vec::new(),
                 shard,
                 data,
                 micro_weights,
@@ -176,34 +186,29 @@ impl<'a> ChainStage<'a> {
         self.shard.latest()
     }
 
-    fn is_last(&self) -> bool {
-        self.stage_cfg.stage + 1 == self.stage_cfg.stages
-    }
-
     /// Applies the oldest finished update: the step's optimizer update at
     /// the stage's T1-scaled rate, committed if it and its gradient are
     /// finite and reverted otherwise.
     fn apply_next(&mut self) {
         let grad = self.finished.pop_front().expect("a finished update");
         let step = self.shard.committed_steps();
-        let t = step as usize;
-        let s = self.stage_cfg.stage as usize;
+        let (t, s) = (step as usize, self.stage_cfg.stage as usize);
         let lr = self.cfg.schedule.lr(t) * self.cfg.t1_scale(&self.clock, s, t);
         let finite = all_finite(&grad);
         let staged = self.shard.apply_grad(step, lr, finite, &grad);
         let (_, staged_finite) = staged.expect("a stage stages its own gradient");
         self.shard.commit(step, finite && staged_finite).expect("and commits it");
+        self.spare = grad;
     }
 
-    /// Reads what `op` computes with into `weights`, applying finished
-    /// updates until the stage holds its version: every op reads exactly
-    /// `op.reads`.
+    /// Plans what `op` computes with, applying finished updates until the
+    /// stage holds its version: every op reads exactly `op.reads`.
     ///
     /// # Panics
     ///
     /// If the planned version is not the one the op names, or its update
-    /// has not finished here, or it has left the window.
-    fn read(&mut self, op: &StageOp, pass: PassKind) {
+    /// has not finished here.
+    fn read(&mut self, op: &StageOp, pass: PassKind) -> ReadPlan {
         let n = self.cfg.n_micro;
         let (step, micro) = ((op.micro / n) as u64, (op.micro % n) as u32);
         let stage = self.stage_cfg.stage;
@@ -213,20 +218,19 @@ impl<'a> ChainStage<'a> {
             assert!(!self.finished.is_empty(), "stage {stage}: {op:?} reads an unfinished update");
             self.apply_next();
         }
-        self.shard.read_into(read, &mut self.weights).expect("the window holds the version");
+        read
     }
 
     fn forward(&mut self, op: &StageOp, input: Option<Tensor>) -> Tensor {
-        self.read(op, PassKind::Fwd);
+        let read = self.read(op, PassKind::Fwd);
+        let weights = weights(&self.shard, &mut self.weights, read);
         let batch = &self.data[op.micro];
         let x = input.unwrap_or_else(|| self.model.prepare_input(&batch.x));
-        let (y, cache) = self.model.chain().forward_split(&self.weights, &self.split, &x);
-        let dlogits = self.is_last().then(|| {
+        let (y, cache) = self.model.chain().forward_split(weights, &self.split, &x);
+        let dlogits = (self.stage_cfg.stage + 1 == self.stage_cfg.stages).then(|| {
             let (loss, dlogits) = cross_entropy_logits(&y, &batch.y, CrossEntropyCfg::default());
             let (t, n) = (op.micro / self.cfg.n_micro, op.micro % self.cfg.n_micro);
-            if n == 0 {
-                self.losses.push(0.0);
-            }
+            self.losses.resize(t + 1, 0.0);
             self.losses[t] += self.micro_weights[n] * loss;
             dlogits
         });
@@ -235,18 +239,23 @@ impl<'a> ChainStage<'a> {
     }
 
     fn backward(&mut self, op: &StageOp, input: Option<Tensor>) -> Tensor {
-        self.read(op, PassKind::Bkwd);
+        let read = self.read(op, PassKind::Bkwd);
         let Stashed { micro, cache, dlogits } = self.stash.pop_front().expect("a stashed forward");
         assert_eq!(micro, op.micro, "backwards run in forward order");
         let dy = input.or(dlogits).expect("a gradient from the next stage or the loss");
-        let chain = self.model.chain();
-        let dx = chain.backward_split(&self.weights, &self.split, &cache, &dy, &mut self.scratch);
         let n = op.micro % self.cfg.n_micro;
+        if n == 0 {
+            self.grad = std::mem::take(&mut self.spare);
+        }
+        let out = if n == 0 { &mut self.grad } else { &mut self.scratch };
+        out.resize(self.shard.len(), 0.0);
+        let weights = weights(&self.shard, &mut self.weights, read);
+        let dx = self.model.chain().backward_split(weights, &self.split, &cache, &dy, out);
         let w = self.micro_weights[n];
         // As the step driver: the first microbatch's gradient becomes
         // the sum as `0 + w·g`, the others add `w·g`.
         if n == 0 {
-            self.grad = self.scratch.iter().map(|&g| 0.0 + w * g).collect();
+            self.grad.iter_mut().for_each(|g| *g = 0.0 + w * *g);
         } else {
             self.grad.iter_mut().zip(&self.scratch).for_each(|(acc, &g)| *acc += w * g);
         }
@@ -255,6 +264,17 @@ impl<'a> ChainStage<'a> {
         }
         dx
     }
+}
+
+/// The weights `read` names: the stored latest version in place, and
+/// anything else read into `buf`.
+fn weights<'w>(shard: &'w ShardStage, buf: &'w mut Vec<f32>, read: ReadPlan) -> &'w [f32] {
+    if read.gap.is_none() && read.version as u64 == shard.committed_steps() {
+        return shard.latest();
+    }
+    buf.resize(shard.len(), 0.0);
+    shard.read_into(read, buf).expect("the window holds the version");
+    buf
 }
 
 impl StageWork for ChainStage<'_> {

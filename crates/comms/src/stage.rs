@@ -1,10 +1,10 @@
 //! The one stage state, and the read plan every reader shares.
 //!
 //! A [`ShardStage`] owns one stage's slice of the parameter vector: its
-//! version window, optimizer slice, and T2 velocity buffer δ. Nothing
-//! else in the workspace holds a stage's weights: the in-process trainer
-//! keeps a `Vec<ShardStage>` and calls it, a worker process keeps one and
-//! serves it over the wire ([`ShardStage::read_into`] and
+//! version window, optimizer slice, and under T2 its velocity buffer δ.
+//! Nothing else in the workspace holds a stage's weights: the in-process
+//! trainer keeps a `Vec<ShardStage>` and calls it, a worker process keeps
+//! one and serves it over the wire ([`ShardStage::read_into`] and
 //! [`ShardStage::encode_fetch`] are the same read into two sinks, the
 //! second a chunk at a time), and both apply updates through the same
 //! stage-then-commit pair so a diverged step is reverted on every shard
@@ -200,7 +200,7 @@ pub struct StageState {
     /// The retained versions, oldest first, consecutively numbered
     /// (delayed reads look backwards: the latest alone is not enough).
     pub window: Vec<(usize, Vec<f32>)>,
-    /// T2 EWMA velocity δ.
+    /// T2 EWMA velocity δ, all zero while T2 is off.
     pub delta: Vec<f32>,
     /// Optimizer first-moment buffer (momentum `v` / Adam `m`).
     pub opt_m: Vec<f32>,
@@ -233,7 +233,7 @@ pub struct ShardStage {
     clock: PipelineClock,
     history: WeightHistory,
     opt: Optimizer,
-    /// T2 velocity buffer δ for this shard.
+    /// T2 velocity buffer δ for this shard, empty while T2 is off.
     delta: Vec<f32>,
     /// The step being staged, or staged and awaiting commit.
     staged: Option<Staged>,
@@ -306,7 +306,7 @@ impl ShardStage {
         let history = WeightHistory::with_precision(window, init, cfg.weight_storage);
         let opt = Optimizer::new(cfg.opt, shard_len);
         Ok(ShardStage {
-            delta: vec![0.0; shard_len],
+            delta: if cfg.t2_decay.is_some() { vec![0.0; shard_len] } else { Vec::new() },
             staged: None,
             committed: 0,
             cfg,
@@ -317,8 +317,9 @@ impl ShardStage {
     }
 
     /// A freshly seeded stage keeping `window` versions instead — for a
-    /// caller whose reads [`plan`] does not decide (Hogwild keeps its
-    /// largest drawable delay plus the latest).
+    /// caller whose reads [`plan`] does not decide: Hogwild keeps its
+    /// largest drawable delay plus the latest, a compute stage applying
+    /// its updates lazily only the versions its reads reach back to.
     pub fn with_window(mut self, window: usize) -> Self {
         let init = self.history.latest().to_vec();
         self.history = WeightHistory::with_precision(window, init, self.cfg.weight_storage);
@@ -384,11 +385,12 @@ impl ShardStage {
             return Err(CommsError::Protocol(format!(
                 "stage {}: version {version} is outside the {}-version window ending at {}",
                 self.cfg.stage,
-                self.history.len(),
+                self.history.capacity(),
                 self.committed
             )));
         }
-        let delta = &self.delta[range.clone()];
+        // A gap implies T2: δ is read only then.
+        let delta = if gap.is_some() { &self.delta[range.clone()] } else { &[] };
         match (self.history.stored_bf16(version), gap.map(|g| g as f32)) {
             (Some(bits), None) => sink.bf16(&bits[range]),
             (Some(bits), Some(g)) => sink.dense(
@@ -557,28 +559,27 @@ impl ShardStage {
             pushed.copy_from_slice(old);
             sq_norm = pushed.iter().map(|&x| x as f64 * x as f64).sum::<f64>();
         }
-        if self.cfg.t2_decay.is_some() {
-            let g = self.cfg.gamma as f32;
-            for ((d, &new), &old) in self.delta.iter_mut().zip(&pushed).zip(old) {
-                *d = g * *d + (1.0 - g) * (new - old);
-            }
+        let g = self.cfg.gamma as f32;
+        for ((d, &new), &old) in self.delta.iter_mut().zip(&pushed).zip(old) {
+            *d = g * *d + (1.0 - g) * (new - old);
         }
         self.history.push(step as usize + 1, pushed);
         self.committed = step + 1;
         Ok(sq_norm)
     }
 
-    /// The T2 velocity buffer δ (all zero while T2 is off).
+    /// The T2 velocity buffer δ (empty while T2 is off).
     pub fn delta(&self) -> &[f32] {
         &self.delta
     }
 
-    /// Snapshots everything needed to resume this stage exactly.
+    /// Snapshots everything needed to resume this stage exactly (δ zero
+    /// while T2 is off).
     pub fn state(&self) -> StageState {
         let (m, v, t) = self.opt.state();
         StageState {
             window: self.history.snapshot(),
-            delta: self.delta.clone(),
+            delta: if self.delta.is_empty() { vec![0.0; self.len()] } else { self.delta.clone() },
             opt_m: m.to_vec(),
             opt_v: v.to_vec(),
             opt_steps: t,
@@ -587,7 +588,7 @@ impl ShardStage {
 
     /// Restores a [`ShardStage::state`] snapshot into a stage built from
     /// the same configuration; the stage resumes at the window's newest
-    /// version.
+    /// version, and keeps no δ while T2 is off.
     ///
     /// # Errors
     ///
@@ -615,7 +616,7 @@ impl ShardStage {
             self.cfg.weight_storage,
         );
         self.opt.restore_state(state.opt_m, state.opt_v, state.opt_steps);
-        self.delta = state.delta;
+        self.delta = if self.cfg.t2_decay.is_some() { state.delta } else { Vec::new() };
         self.staged = None;
         self.committed = newest as u64;
         Ok(())
@@ -804,39 +805,49 @@ mod tests {
 
     #[test]
     fn state_round_trips_and_misfits_are_errors() {
-        let mut c = cfg(0, 0);
-        c.t2_decay = Some(0.5);
-        c.gamma = 0.7;
-        c.opt = OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 };
-        let mut st = ShardStage::new(c.clone(), vec![1.0; 4]).unwrap();
-        for step in 0..3 {
-            st.apply_grad(step, 0.5, true, &[1.0, -1.0, 0.5, 0.0]).unwrap();
-            st.commit(step, true).unwrap();
+        // A T2 stage, and a GPipe one that holds no δ but saves a zero
+        // one, so a checkpoint has one format.
+        let mut t2 = cfg(0, 0);
+        (t2.t2_decay, t2.gamma) = (Some(0.5), 0.7);
+        let mut gpipe = cfg(0, 0);
+        gpipe.method = Method::GPipe;
+        for mut c in [t2, gpipe] {
+            c.opt = OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 };
+            let delta_len = if c.t2_decay.is_some() { 4 } else { 0 };
+            let mut st = ShardStage::new(c.clone(), vec![1.0; 4]).unwrap();
+            for step in 0..3 {
+                st.apply_grad(step, 0.5, true, &[1.0, -1.0, 0.5, 0.0]).unwrap();
+                st.commit(step, true).unwrap();
+            }
+            assert_eq!(st.delta().len(), delta_len);
+            let state = st.state();
+            assert_eq!(state.window.last().unwrap().0, 3);
+            assert_eq!(state.delta.len(), 4, "a saved δ is shard-sized");
+            let mut resumed = ShardStage::new(c.clone(), vec![0.0; 4]).unwrap();
+            resumed.restore(state.clone()).unwrap();
+            assert_eq!(resumed.committed_steps(), 3);
+            assert_eq!(resumed.delta().len(), delta_len);
+            assert_eq!(resumed.state(), state);
+            for s in [&mut st, &mut resumed] {
+                s.apply_grad(3, 0.5, true, &[1.0; 4]).unwrap();
+                s.commit(3, true).unwrap();
+            }
+            assert_eq!(st.state(), resumed.state(), "the resumed stage continues bit for bit");
+            // Another shard length, optimizer, or a window with a hole
+            // (GPipe keeps one version: removing any empties it).
+            let mut short = state.clone();
+            short.delta.pop();
+            assert!(matches!(resumed.restore(short), Err(CommsError::Protocol(_))));
+            let mut no_moments = state.clone();
+            no_moments.opt_m.clear();
+            assert!(matches!(resumed.restore(no_moments), Err(CommsError::Protocol(_))));
+            let mut holed = state.clone();
+            holed.window.remove(state.window.len() / 2);
+            assert!(matches!(resumed.restore(holed), Err(CommsError::Protocol(_))));
+            let mut empty = state;
+            empty.window.clear();
+            assert!(matches!(resumed.restore(empty), Err(CommsError::Protocol(_))));
         }
-        let state = st.state();
-        assert_eq!(state.window.last().unwrap().0, 3);
-        let mut resumed = ShardStage::new(c.clone(), vec![0.0; 4]).unwrap();
-        resumed.restore(state.clone()).unwrap();
-        assert_eq!(resumed.committed_steps(), 3);
-        assert_eq!(resumed.state(), state);
-        for s in [&mut st, &mut resumed] {
-            s.apply_grad(3, 0.5, true, &[1.0; 4]).unwrap();
-            s.commit(3, true).unwrap();
-        }
-        assert_eq!(st.state(), resumed.state(), "the resumed stage continues bit for bit");
-        // Another shard length, optimizer, or a window with a hole.
-        let mut short = state.clone();
-        short.delta.pop();
-        assert!(matches!(resumed.restore(short), Err(CommsError::Protocol(_))));
-        let mut no_moments = state.clone();
-        no_moments.opt_m.clear();
-        assert!(matches!(resumed.restore(no_moments), Err(CommsError::Protocol(_))));
-        let mut holed = state.clone();
-        holed.window.remove(1);
-        assert!(matches!(resumed.restore(holed), Err(CommsError::Protocol(_))));
-        let mut empty = state;
-        empty.window.clear();
-        assert!(matches!(resumed.restore(empty), Err(CommsError::Protocol(_))));
     }
 
     #[test]

@@ -209,12 +209,8 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         self.driver.gather_latest();
         if let (Some(m), Some(s)) = (&self.metrics, started) {
             let cfg = self.driver.config();
-            let delta_norm = if cfg.t2_decay.is_some() {
-                let stages = self.driver.access().stages.iter();
-                stages.flat_map(|st| st.delta()).map(|&d| d as f64 * d as f64).sum::<f64>().sqrt()
-            } else {
-                0.0
-            };
+            let delta_norm =
+                norm(self.driver.access().stages.iter().flat_map(|st| st.delta()).copied());
             let stage0_lr = stats.base_lr * cfg.t1_scale(self.clock(), 0, t);
             m.record_step(
                 s,
@@ -267,16 +263,8 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         let monitor = Arc::clone(&hook.monitor);
         let (cfg, layout) = (self.driver.config(), self.driver.layout());
         let fwd = self.driver.fwd_weights();
-        let slice_norm = |v: &[f32], lo: usize, hi: usize| -> f64 {
-            v[lo..hi].iter().map(|&x| x as f64 * x as f64).sum::<f64>().sqrt()
-        };
-        let diff_norm = |a: &[f32], b: &[f32], lo: usize, hi: usize| -> f64 {
-            a[lo..hi]
-                .iter()
-                .zip(b[lo..hi].iter())
-                .map(|(&x, &y)| (x as f64 - y as f64) * (x as f64 - y as f64))
-                .sum::<f64>()
-                .sqrt()
+        let diff_norm = |a: &[f32], b: &[f32], lo: usize, hi: usize| {
+            norm(a[lo..hi].iter().zip(&b[lo..hi]).map(|(&x, &y)| x as f64 - y as f64))
         };
         let mut stages = Vec::with_capacity(cfg.stages);
         for (s, stage) in self.driver.access().stages.iter().enumerate() {
@@ -290,11 +278,11 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
             let (tau_fwd, tau_bkwd) =
                 if sync_phase { (0.0, 0.0) } else { cfg.nominal_taus(&layout.clock, s) };
             stages.push(StageObservation {
-                grad_norm: slice_norm(&grad, lo, hi),
+                grad_norm: norm(grad[lo..hi].iter().copied()),
                 grad_diff_norm,
                 fwd_diff_norm,
-                weight_norm: slice_norm(stage.latest(), 0, hi - lo),
-                delta_norm: slice_norm(stage.delta(), 0, hi - lo),
+                weight_norm: norm(stage.latest().iter().copied()),
+                delta_norm: norm(stage.delta().iter().copied()),
                 // The α applied: the driver's own T1 scale.
                 alpha: base_lr as f64 * cfg.t1_scale(&layout.clock, s, t) as f64,
                 tau_fwd,
@@ -305,7 +293,7 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         let obs = StepObservation {
             step: t,
             loss: loss as f64,
-            grad_norm: slice_norm(&grad, 0, grad.len()),
+            grad_norm: norm(grad.iter().copied()),
             diverged: self.driver.diverged(),
             stages,
         };
@@ -391,6 +379,12 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
             });
         }
     }
+}
+
+/// The L2 norm of `values`, summed in f64 from +0: an empty δ (T2 off)
+/// has norm 0, where `Sum` would start from −0.
+fn norm<X: Into<f64>>(values: impl IntoIterator<Item = X>) -> f64 {
+    values.into_iter().map(Into::into).fold(0.0, |acc, x| acc + x * x).sqrt()
 }
 
 #[cfg(test)]

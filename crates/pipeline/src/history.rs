@@ -13,15 +13,6 @@ enum Stored {
     Bf16(Vec<u16>),
 }
 
-impl Stored {
-    fn bytes(&self) -> usize {
-        match self {
-            Stored::F32(v) => v.len() * 4,
-            Stored::Bf16(v) => v.len() * 2,
-        }
-    }
-}
-
 /// Stores the most recent weight versions, addressed by version number.
 ///
 /// This mirrors the queue-of-weights the paper's simulator keeps per
@@ -74,12 +65,9 @@ impl WeightHistory {
     pub fn push(&mut self, version: usize, params: Vec<f32>) {
         let latest = self.latest_version();
         assert_eq!(version, latest + 1, "pushed version {version}, expected {}", latest + 1);
-        if self.precision == StoragePrecision::Bf16 {
-            if let Some((_, stored @ Stored::F32(_))) = self.versions.back_mut() {
-                if let Stored::F32(full) = stored {
-                    *stored = Stored::Bf16(bf16::encode_slice(full));
-                }
-            }
+        let (_, last) = self.versions.back_mut().expect("history never empty");
+        if let (StoragePrecision::Bf16, Stored::F32(full)) = (self.precision, &*last) {
+            *last = Stored::Bf16(bf16::encode_slice(full));
         }
         self.versions.push_back((version, Stored::F32(params)));
         while self.versions.len() > self.capacity {
@@ -169,15 +157,14 @@ impl WeightHistory {
         &self.versions[v - oldest]
     }
 
-    /// Number of retained versions.
-    pub fn len(&self) -> usize {
-        self.versions.len()
-    }
-
     /// Bytes the retained window occupies (the quantity bf16 storage
     /// halves; reported by benches and memory accounting).
     pub fn storage_bytes(&self) -> usize {
-        self.versions.iter().map(|(_, s)| s.bytes()).sum()
+        let bytes = |s: &Stored| match s {
+            Stored::F32(v) => 4 * v.len(),
+            Stored::Bf16(v) => 2 * v.len(),
+        };
+        self.versions.iter().map(|(_, s)| bytes(s)).sum()
     }
 
     /// All retained versions, oldest first — the checkpointing snapshot.
@@ -233,11 +220,6 @@ impl WeightHistory {
             .collect();
         WeightHistory { versions, capacity, precision }
     }
-
-    /// Whether only the initial version is present.
-    pub fn is_empty(&self) -> bool {
-        false // never empty by construction; kept for API symmetry
-    }
 }
 
 #[cfg(test)]
@@ -261,7 +243,7 @@ mod tests {
         let mut h = WeightHistory::with_precision(2, vec![0.0], StoragePrecision::F32);
         h.push(1, vec![1.0]);
         h.push(2, vec![2.0]); // evicts version 0
-        assert_eq!(h.len(), 2);
+        assert!(!h.holds(0) && h.holds(1));
         assert_eq!(&*h.get(0), &[1.0], "evicted request clamps to oldest");
         assert_eq!(&*h.get(99), &[2.0], "future request clamps to latest");
     }
