@@ -244,10 +244,12 @@ impl<'a> ChainStage<'a> {
         assert_eq!(micro, op.micro, "backwards run in forward order");
         let dy = input.or(dlogits).expect("a gradient from the next stage or the loss");
         let n = op.micro % self.cfg.n_micro;
-        if n == 0 {
+        let out = if n == 0 {
             self.grad = std::mem::take(&mut self.spare);
-        }
-        let out = if n == 0 { &mut self.grad } else { &mut self.scratch };
+            &mut self.grad
+        } else {
+            &mut self.scratch
+        };
         out.resize(self.shard.len(), 0.0);
         let weights = weights(&self.shard, &mut self.weights, read);
         let dx = self.model.chain().backward_split(weights, &self.split, &cache, &dy, out);
