@@ -106,10 +106,10 @@ pub struct RunSpec {
     pub seed: u64,
     /// Instruments attached to the trainer for the whole run.
     pub metrics: Option<TrainerMetrics>,
-    /// Health monitor observing every optimizer step. If its halt policy
-    /// stops the run, the history's `halted` flag is set and the loop
-    /// exits early. Keep an `Arc` clone of the hook's monitor to build
-    /// the [`pipemare_telemetry::RunReport`] afterwards.
+    /// Health monitor and alarms observing every optimizer step. If its
+    /// halt policy stops the run, the history's `halted` flag is set and
+    /// the loop exits early. Keep `Arc` clones of the hook's monitor and
+    /// alert log to read the margins and what fired afterwards.
     pub health: Option<HealthHook>,
 }
 
@@ -253,8 +253,8 @@ fn run_label(cfg: &TrainConfig) -> String {
 /// Trains linear regression for `steps` optimizer steps at full batch,
 /// returning the loss trace and whether the run diverged (used by the
 /// Figure 3(b) heatmap). The loop also exits early when the optional
-/// [`HealthHook`]'s halt policy fires; query its monitor for the
-/// verdicts.
+/// [`HealthHook`]'s halt policy fires; its alert log records what
+/// fired.
 ///
 /// # Errors
 ///

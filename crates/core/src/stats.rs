@@ -24,7 +24,7 @@ pub struct RunHistory {
     pub epochs: Vec<EpochRecord>,
     /// Whether the run diverged.
     pub diverged: bool,
-    /// Whether the run was stopped early by the health monitor's halt
+    /// Whether the run was stopped early by the health hook's halt
     /// policy (see [`crate::HealthHook`]).
     pub halted: bool,
     /// Label for reports.

@@ -1,13 +1,9 @@
 //! The pipeline-parallel trainer.
 
-use std::sync::Arc;
-
 use pipemare_comms::{LocalShards, RunLayout, StepDriver, StepStats, TrainConfig};
 use pipemare_nn::TrainModel;
 use pipemare_pipeline::{PipelineClock, StagePartition};
-use pipemare_telemetry::{
-    HealthEvent, HealthEventKind, Recorder, Severity, SpanKind, StageObservation, StepObservation,
-};
+use pipemare_telemetry::{Recorder, SpanKind, StageObservation};
 
 use crate::checkpoint::{CheckpointError, TrainerState};
 use crate::health::{AnomalyPolicy, HealthHook};
@@ -67,8 +63,9 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
 
     /// Attaches a health hook; every subsequent
     /// [`PipelineTrainer::train_minibatch`] feeds the hook's
-    /// [`pipemare_telemetry::HealthMonitor`] a per-stage [`StepObservation`] and applies the
-    /// hook's snapshot/halt policy to the events that come back.
+    /// [`pipemare_telemetry::HealthMonitor`] a per-stage [`StageObservation`], evaluates the
+    /// hook's rules, and applies its snapshot/halt policy to the rules
+    /// that fire.
     ///
     /// # Panics
     ///
@@ -240,8 +237,8 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
     }
 
     /// Feeds the attached [`pipemare_telemetry::HealthMonitor`] one observation for the step
-    /// just completed and applies the hook's snapshot/halt policy to the
-    /// events it raises.
+    /// just completed, evaluates the hook's rules, and applies its
+    /// snapshot/black-box/halt policy to the rules that fired.
     ///
     /// `grad` is the pre-clip minibatch gradient; with the last
     /// microbatch's forward-version weights, successive differences of
@@ -260,7 +257,6 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         base_lr: f32,
     ) {
         let Some(hook) = &self.health else { return };
-        let monitor = Arc::clone(&hook.monitor);
         let (cfg, layout) = (self.driver.config(), self.driver.layout());
         let fwd = self.driver.fwd_weights();
         let diff_norm = |a: &[f32], b: &[f32], lo: usize, hi: usize| {
@@ -278,7 +274,6 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
             let (tau_fwd, tau_bkwd) =
                 if sync_phase { (0.0, 0.0) } else { cfg.nominal_taus(&layout.clock, s) };
             stages.push(StageObservation {
-                grad_norm: norm(grad[lo..hi].iter().copied()),
                 grad_diff_norm,
                 fwd_diff_norm,
                 weight_norm: norm(stage.latest().iter().copied()),
@@ -290,19 +285,13 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
                 gamma: layout.stage_cfgs[s].gamma,
             });
         }
-        let obs = StepObservation {
-            step: t,
-            loss: loss as f64,
-            grad_norm: norm(grad.iter().copied()),
-            diverged: self.driver.diverged(),
-            stages,
-        };
-        let events = monitor.observe(&obs);
+        hook.monitor.observe(&stages);
+        let grad_norm = norm(grad.iter().copied());
+        let fired = hook.evaluate(t, loss as f64, grad_norm, self.driver.diverged());
         self.prev_fwd = Some(fwd.to_vec());
         self.prev_grad = Some(grad);
 
-        let worst = events.iter().map(|e| e.severity).max();
-        let hook = self.health.as_ref().expect("hook checked above");
+        let worst = fired.iter().filter(|a| a.firing).map(|a| a.severity).max();
         let gate_hit = worst.is_some_and(|w| w >= hook.snapshot_severity);
         let want_snapshot = !hook.snapshot_taken && hook.snapshot_dir.is_some() && gate_hit;
         // Black-box dump rides the same severity gate as the snapshot but
@@ -312,8 +301,10 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
             && hook.flight.is_some()
             && hook.black_box_dir.is_some()
             && gate_hit;
-        let want_halt =
+        self.halted |=
             hook.policy == AnomalyPolicy::Halt && worst.is_some_and(|w| w >= hook.halt_severity);
+        // A write that fails is reported on stderr and leaves its
+        // one-shot armed: the next firing at the gate tries again.
         if want_snapshot {
             // The state already includes this step's update (and, on
             // divergence, the preserved last-finite weights), so resuming
@@ -324,59 +315,25 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
             let saved = std::fs::create_dir_all(&dir)
                 .map_err(crate::checkpoint::CheckpointError::from)
                 .and_then(|()| crate::checkpoint::save_state(&path, &state));
-            match saved {
-                Ok(()) => {
-                    self.health.as_mut().expect("hook checked above").snapshot_taken = true;
-                    monitor.record_snapshot(t, &path.display().to_string());
-                }
-                Err(e) => monitor.record_event(HealthEvent {
-                    step: t,
-                    stage: None,
-                    kind: HealthEventKind::Snapshot,
-                    severity: Severity::Warn,
-                    value: f64::NAN,
-                    threshold: f64::NAN,
-                    message: format!("snapshot-on-anomaly failed: {e}"),
-                }),
+            if let Err(e) = &saved {
+                eprintln!("health: snapshot-on-anomaly to {} failed: {e}", path.display());
             }
+            self.health.as_mut().expect("hook checked above").snapshot_taken = saved.is_ok();
         }
         if want_black_box {
-            let hook = self.health.as_ref().expect("hook checked above");
-            let flight = Arc::clone(hook.flight.as_ref().expect("gated above"));
-            let dir = hook.black_box_dir.clone().expect("gated above");
-            let window_us = hook.black_box_window_us;
+            let hook = self.health.as_mut().expect("hook checked above");
+            let flight = hook.flight.as_ref().expect("gated above");
+            let dir = hook.black_box_dir.as_ref().expect("gated above");
             // Whatever the rings still hold from the trailing window:
             // trainer step spans plus any executor stage spans recorded
             // into the same shared recorder.
-            let dump = flight.recent(window_us);
+            let dump = flight.recent(hook.black_box_window_us);
             let path = dir.join(format!("blackbox_step{t}.jsonl"));
-            match pipemare_telemetry::write_jsonl(&dump, &path) {
-                Ok(()) => {
-                    self.health.as_mut().expect("hook checked above").black_box_taken = true;
-                    monitor.record_black_box(t, &path.display().to_string(), dump.len());
-                }
-                Err(e) => monitor.record_event(HealthEvent {
-                    step: t,
-                    stage: None,
-                    kind: HealthEventKind::BlackBoxDump,
-                    severity: Severity::Warn,
-                    value: f64::NAN,
-                    threshold: f64::NAN,
-                    message: format!("black-box dump failed: {e}"),
-                }),
+            let written = pipemare_telemetry::write_jsonl(&dump, &path);
+            if let Err(e) = &written {
+                eprintln!("health: black-box dump to {} failed: {e}", path.display());
             }
-        }
-        if want_halt && !self.halted {
-            self.halted = true;
-            monitor.record_event(HealthEvent {
-                step: t,
-                stage: None,
-                kind: HealthEventKind::Halt,
-                severity: Severity::Info,
-                value: f64::NAN,
-                threshold: f64::NAN,
-                message: format!("anomaly policy halted training after step {t}"),
-            });
+            hook.black_box_taken = written.is_ok();
         }
     }
 }

@@ -1,27 +1,31 @@
-//! Rule-based alerting over the live plane.
+//! Rule-based alerting: the one place a signal becomes an alarm.
 //!
 //! PipeMare-style async training fails *slowly*: a shrinking Lemma-1
-//! α-margin, creeping τ drift, a starving stage, a shed-rate ramp on
-//! the serving side. An [`AlertEngine`] holds declarative
-//! [`AlertRule`]s and is evaluated against each new [`LiveSample`]
-//! (attach it to a [`crate::LiveStore`] with
-//! [`crate::LiveStore::attach_alerts`] and every ticker sample
-//! evaluates it). Rules have `for`-duration hysteresis: a condition
-//! must hold continuously for [`AlertRule::for_window`] before the rule
-//! *fires*, and resolves on the first sample where it no longer holds.
+//! α-margin, creeping τ drift, a starving stage, a loss creeping away
+//! from its baseline, a shed-rate ramp on the serving side. An
+//! [`AlertEngine`] holds declarative [`AlertRule`]s and is evaluated
+//! against each new [`LiveSample`]: attach it to a [`crate::LiveStore`]
+//! with [`crate::LiveStore::attach_alerts`] and every ticker sample
+//! evaluates it, or evaluate it synchronously, as the trainer's
+//! `HealthHook` does once per optimizer step. Rules have `for`-duration
+//! hysteresis: a condition must hold continuously for
+//! [`AlertRule::for_window`] before the rule *fires*, and resolves on the
+//! first sample where it no longer holds.
 //!
 //! Transitions surface in three places at once:
 //!
 //! * as typed instants ([`SpanKind::AlertFiring`] /
 //!   [`SpanKind::AlertResolved`]) on a flight-recorder track, so black
-//!   boxes and `pm trace` see exactly when an alert flipped;
+//!   boxes and `pm trace` see exactly when an alert flipped — a
+//!   training run's alert log is this track;
 //! * in every stats scrape ([`crate::Scrape::alerts`]), so `pm top`
 //!   renders a live ALERTS pane;
-//! * through an optional firing hook, which is how the serve/training
-//!   paths arm `HealthHook`-style snapshot-on-alert behavior.
+//! * through an optional firing hook.
 //!
-//! [`default_rules`] is the stock pack: α-margin floor, τ-vs-nominal
-//! drift, stage starvation, and shed-rate burn.
+//! Two stock packs: [`default_rules`] for a live store (α-margin floor,
+//! τ-vs-nominal drift, stage starvation, shed-rate burn) and
+//! [`training_rules`] for a trainer (margin breaches, loss and
+//! gradient-norm spikes, non-finite steps).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -30,9 +34,36 @@ use std::time::Duration;
 use pipemare_theory::delay_slots;
 
 use crate::event::{Recorder, SpanKind, TraceEvent, NO_TRACE};
-use crate::health::Severity;
+use crate::health::HealthConfig;
 use crate::metrics::MetricValue;
 use crate::store::LiveSample;
+
+/// EWMA decay of a [`AlertCondition::Spike`] baseline.
+const SPIKE_BETA: f64 = 0.9;
+
+/// How bad an alarm is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Severity {
+    /// Informational.
+    Info,
+    /// The run is still producing numbers but theory or baselines say
+    /// something is off.
+    Warn,
+    /// The run is numerically broken (NaN/Inf, divergence), or a live
+    /// margin no longer covers the configured step size.
+    Critical,
+}
+
+impl Severity {
+    /// Display name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Severity::Info => "info",
+            Severity::Warn => "warn",
+            Severity::Critical => "critical",
+        }
+    }
+}
 
 /// Comparison direction for threshold-like conditions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,6 +128,19 @@ pub enum AlertCondition {
         /// Fires while the ratio exceeds this.
         max_ratio: f64,
     },
+    /// Value vs its own EWMA baseline (decay 0.9), per label: fires when
+    /// a finite value exceeds `factor` × the baseline once `warmup`
+    /// samples have been seen. A spiking value does not move the
+    /// baseline, so a sustained excursion stays one firing; a non-finite
+    /// value is no data.
+    Spike {
+        /// What to read.
+        signal: Signal,
+        /// How far above its baseline a value must be.
+        factor: f64,
+        /// Samples seen before the baseline is armed.
+        warmup: usize,
+    },
 }
 
 /// One declarative alert rule.
@@ -154,9 +198,37 @@ enum RuleState {
     Firing,
 }
 
+/// One spike rule's EWMA baseline for one label.
+struct Baseline {
+    ewma: f64,
+    seen: usize,
+}
+
+impl Baseline {
+    /// Whether `value` spikes; folds it into the baseline if not.
+    fn spikes(&mut self, value: f64, factor: f64, warmup: usize) -> bool {
+        let armed = self.seen >= warmup;
+        self.seen += 1;
+        if !value.is_finite() {
+            return false;
+        }
+        if armed && self.ewma.is_finite() && value > factor * self.ewma.max(1e-12) {
+            return true;
+        }
+        self.ewma = if self.ewma.is_finite() {
+            SPIKE_BETA * self.ewma + (1.0 - SPIKE_BETA) * value
+        } else {
+            value
+        };
+        false
+    }
+}
+
 struct EngineInner {
     /// Per (rule index, label) hysteresis state; absent = idle.
     states: HashMap<(usize, String), RuleState>,
+    /// Per (rule index, label) spike baselines.
+    baselines: HashMap<(usize, String), Baseline>,
     /// Last seen value per counter, for burn-rate deltas.
     counters: HashMap<String, u64>,
     /// Currently firing, in (rule, label) order.
@@ -183,6 +255,7 @@ impl AlertEngine {
             rules,
             inner: Mutex::new(EngineInner {
                 states: HashMap::new(),
+                baselines: HashMap::new(),
                 counters: HashMap::new(),
                 active: Vec::new(),
             }),
@@ -233,12 +306,17 @@ impl AlertEngine {
         }
         for (rule_index, rule) in self.rules.iter().enumerate() {
             for (label, value) in evaluate_signal_values(&rule.condition, sample, &deltas) {
-                let breached = !value.is_nan()
-                    && match &rule.condition {
-                        AlertCondition::Threshold { cmp, limit, .. } => cmp.holds(value, *limit),
-                        AlertCondition::BurnRate { max_ratio, .. } => value > *max_ratio,
-                    };
                 let key = (rule_index, label.clone());
+                // NaN is no data: no comparison holds for it.
+                let breached = match &rule.condition {
+                    AlertCondition::Threshold { cmp, limit, .. } => cmp.holds(value, *limit),
+                    AlertCondition::BurnRate { max_ratio, .. } => value > *max_ratio,
+                    AlertCondition::Spike { factor, warmup, .. } => inner
+                        .baselines
+                        .entry(key.clone())
+                        .or_insert(Baseline { ewma: f64::NAN, seen: 0 })
+                        .spikes(value, *factor, *warmup),
+                };
                 if breached {
                     let since = match inner.states.get(&key).copied() {
                         Some(RuleState::Firing) => {
@@ -336,7 +414,7 @@ fn evaluate_signal_values(
     deltas: &HashMap<&str, u64>,
 ) -> Vec<(String, f64)> {
     let signal = match condition {
-        AlertCondition::Threshold { signal, .. } => signal,
+        AlertCondition::Threshold { signal, .. } | AlertCondition::Spike { signal, .. } => signal,
         AlertCondition::BurnRate { numerator, denominator, .. } => {
             let num = deltas.get(numerator.as_str()).copied();
             let den = deltas.get(denominator.as_str()).copied();
@@ -407,11 +485,12 @@ fn evaluate_signal_values(
     }
 }
 
-/// How many `pattern`-shaped gauges the sample actually carries (so
-/// stage gauges still alert when the sample has no stage rows, e.g. a
-/// health registry without an event source).
+/// How many `pattern`-shaped gauges the sample actually carries, stage 0
+/// up to the first missing one (so stage gauges still alert when the
+/// sample has no stage rows: a health registry without an event source,
+/// or a trainer's per-step sample).
 fn stage_gauge_count(pattern: &str, sample: &LiveSample) -> usize {
-    (0..64)
+    (0..)
         .take_while(|s| sample.metrics.get(&pattern.replace("{stage}", &s.to_string())).is_some())
         .count()
 }
@@ -419,9 +498,9 @@ fn stage_gauge_count(pattern: &str, sample: &LiveSample) -> usize {
 /// The stock rule pack:
 ///
 /// * `alpha_margin_floor` (critical, immediate): any stage's
-///   `health.stage{i}.alpha_margin` below 1.0 — the Lemma-1/T2 bound no
-///   longer covers the configured α (the same floor
-///   `HealthConfig::margin_threshold` uses).
+///   `health.stage{i}.alpha_margin` below 1.0 — the Lemma-1 bound no
+///   longer covers the configured α (the floor [`training_rules`]'
+///   `margin_breach` uses too).
 /// * `tau_drift` (warn, 1 s): measured τ off nominal by more than one
 ///   microbatch slot.
 /// * `stage_starvation` (warn, 1 s): a stage under 5% utilization while
@@ -470,6 +549,50 @@ pub fn default_rules() -> Vec<AlertRule> {
             },
             for_window: Duration::from_millis(500),
         },
+    ]
+}
+
+/// The trainer's pack, evaluated once per optimizer step on a sample of
+/// the health monitor's registry (see `pipemare_core::HealthHook`):
+///
+/// * `margin_breach` / `margin_breach_t2` (warn): a stage's
+///   `health.stage{i}.alpha_margin` / `.alpha_margin_t2` below 1.0;
+/// * `loss_spike` / `grad_norm_spike` (warn): `trainer.loss` /
+///   `trainer.grad_norm` above [`HealthConfig::spike_factor`] × its EWMA
+///   baseline, armed after [`HealthConfig::warmup_steps`] steps;
+/// * `nonfinite` (critical): `trainer.nonfinite_steps` above 0, i.e. a
+///   step whose loss, gradient or weights came back NaN or Inf (the
+///   step that latches divergence is one).
+///
+/// Every rule fires on the first breached sample.
+pub fn training_rules(cfg: &HealthConfig) -> Vec<AlertRule> {
+    let rule = |name: &str, severity, condition| AlertRule {
+        name: name.into(),
+        severity,
+        condition,
+        for_window: Duration::ZERO,
+    };
+    let floor = |pattern: &str| AlertCondition::Threshold {
+        signal: Signal::StageGauge(pattern.into()),
+        cmp: AlertCmp::Below,
+        limit: 1.0,
+    };
+    let spike = |name: &str| AlertCondition::Spike {
+        signal: Signal::Metric(name.into()),
+        factor: cfg.spike_factor,
+        warmup: cfg.warmup_steps,
+    };
+    let nonfinite = AlertCondition::Threshold {
+        signal: Signal::Metric("trainer.nonfinite_steps".into()),
+        cmp: AlertCmp::Above,
+        limit: 0.0,
+    };
+    vec![
+        rule("margin_breach", Severity::Warn, floor("health.stage{stage}.alpha_margin")),
+        rule("margin_breach_t2", Severity::Warn, floor("health.stage{stage}.alpha_margin_t2")),
+        rule("loss_spike", Severity::Warn, spike("trainer.loss")),
+        rule("grad_norm_spike", Severity::Warn, spike("trainer.grad_norm")),
+        rule("nonfinite", Severity::Critical, nonfinite),
     ]
 }
 
@@ -613,6 +736,56 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].label, "stage1");
         assert!(!t[0].firing);
+        // A sample without stage rows still reaches every stage's gauge,
+        // past the first 64 (the paper's ResNet runs reach P = 107).
+        let reg = MetricsRegistry::new();
+        for s in 0..100 {
+            reg.gauge(&format!("health.stage{s}.alpha_margin")).set(if s == 80 {
+                0.5
+            } else {
+                2.0
+            });
+        }
+        let t = engine.evaluate(&sample_at(3_000, reg.snapshot()));
+        assert_eq!(t.len(), 1);
+        assert_eq!((t[0].label.as_str(), t[0].firing), ("stage80", true));
+    }
+
+    #[test]
+    fn spike_needs_an_armed_baseline_and_fires_once_per_excursion() {
+        let spike = |warmup| {
+            AlertEngine::new(vec![AlertRule {
+                name: "loss_spike".into(),
+                severity: Severity::Warn,
+                condition: AlertCondition::Spike {
+                    signal: Signal::Metric("loss".into()),
+                    factor: 10.0,
+                    warmup,
+                },
+                for_window: Duration::ZERO,
+            }])
+        };
+        let fired = |engine: &AlertEngine, t: u64, value: f64| {
+            let t = engine.evaluate(&gauge_sample(t, "loss", value));
+            t.iter().filter(|t| t.firing).count()
+        };
+        // A huge first sample must not fire: the baseline is unarmed.
+        assert_eq!(fired(&spike(3), 0, 1e6), 0);
+
+        let engine = spike(3);
+        for t in 0..6 {
+            assert_eq!(fired(&engine, t, 1.0), 0);
+        }
+        // 100× the 1.0 baseline fires once per excursion, and a spiking
+        // value does not drag the baseline up to meet it.
+        assert_eq!(fired(&engine, 6, 100.0), 1);
+        assert_eq!(fired(&engine, 7, 200.0), 0);
+        assert_eq!(fired(&engine, 8, 1.0), 0);
+        assert_eq!(fired(&engine, 9, 100.0), 1);
+        // Non-finite values are no data: no firing, baseline unmoved.
+        assert_eq!(fired(&engine, 10, f64::INFINITY), 0);
+        assert_eq!(fired(&engine, 11, 1.0), 0);
+        assert_eq!(fired(&engine, 12, 100.0), 1);
     }
 
     #[test]
@@ -685,5 +858,16 @@ mod tests {
         let names: Vec<&str> = rules.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["alpha_margin_floor", "tau_drift", "stage_starvation", "shed_burn"]);
         assert!(matches!(rules[0].severity, Severity::Critical));
+
+        let cfg = HealthConfig { spike_factor: 3.0, warmup_steps: 7, ..HealthConfig::default() };
+        let rules = training_rules(&cfg);
+        let names: Vec<&str> = rules.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["margin_breach", "margin_breach_t2", "loss_spike", "grad_norm_spike", "nonfinite"]
+        );
+        assert!(rules.iter().all(|r| r.for_window.is_zero()));
+        assert!(matches!(rules[2].condition, AlertCondition::Spike { factor: 3.0, warmup: 7, .. }));
+        assert_eq!(rules[4].severity, Severity::Critical);
     }
 }

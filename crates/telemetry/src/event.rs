@@ -180,8 +180,8 @@ pub trait Recorder: Sync {
 /// The read side of an enabled recorder: a point-in-time copy of the
 /// events it currently holds, sorted by `(ts_us, track)`.
 ///
-/// Implemented by both recorder tiers so analysis entry points (the
-/// health monitor's `ingest_events`, black-box dumps, live stats) compose
+/// Implemented by both recorder tiers so analysis entry points (trace
+/// summaries, black-box dumps, live stats, alert logs) compose
 /// with whichever tier the run pays for: [`crate::FlightRecorder`]
 /// returns the retained ring contents, [`NullRecorder`] nothing.
 pub trait EventSource {

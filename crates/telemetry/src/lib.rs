@@ -26,11 +26,10 @@
 //! * [`summary`]: [`PipelineTimelineSummary`] — per-stage utilization,
 //!   bubble fraction, and measured-vs-nominal forward delay derived from
 //!   a recorded trace, through the one per-stage grouping of a trace
-//!   that [`analyze`], [`store`] and [`health`] read too.
-//! * [`health`]: the training [`health::HealthMonitor`] — EWMA anomaly
-//!   baselines, measured delay histograms, online Lemma 1 / T2 stability
-//!   margins from a trajectory curvature estimate λ̂, and end-of-run
-//!   [`health::RunReport`]s.
+//!   that [`analyze`] and [`store`] read too.
+//! * [`health`]: the training [`health::HealthMonitor`] — online Lemma 1
+//!   / T2 stability margins from a trajectory curvature estimate λ̂,
+//!   published as per-stage gauges. It raises no alarm: [`alert`] does.
 //! * [`analyze`]: the `pm trace` trace-analysis engine — per-stage
 //!   utilization and wait breakdown, windowed bubble/τ drift against
 //!   the nominal models, straggler identification, causal-path
@@ -45,10 +44,12 @@
 //!   rollups, and caps total bytes; [`JournalReader`] reads journals
 //!   back crash-tolerantly (a truncated tail frame is clean EOF) for
 //!   `pm query`.
-//! * [`alert`]: the [`AlertEngine`] — declarative [`AlertRule`]s
-//!   (threshold / burn-rate with `for`-duration hysteresis) evaluated
-//!   against each live sample; transitions land on a flight-recorder
-//!   track, in every stats scrape (`pm top`'s ALERTS pane), and on an
+//! * [`alert`]: the [`AlertEngine`], the one code that turns a signal
+//!   into an alarm — declarative [`AlertRule`]s (threshold, burn-rate and
+//!   EWMA spike, with `for`-duration hysteresis) evaluated against each
+//!   live sample or, for a trainer, once per optimizer step;
+//!   transitions land on a flight-recorder track (a training run's alert
+//!   log), in every stats scrape (`pm top`'s ALERTS pane), and on an
 //!   optional firing hook.
 //! * [`scrape`]: the [`Scrape`] — one binary frame holding a live
 //!   process's identity, firing alerts and last samples as journal
@@ -102,8 +103,8 @@ pub mod summary;
 pub mod top;
 
 pub use alert::{
-    default_rules, ActiveAlert, AlertCmp, AlertCondition, AlertEngine, AlertRule, AlertTransition,
-    Signal,
+    default_rules, training_rules, ActiveAlert, AlertCmp, AlertCondition, AlertEngine, AlertRule,
+    AlertTransition, Severity, Signal,
 };
 pub use event::{
     EventSource, NullRecorder, Recorder, SpanKind, TraceEvent, NO_MICROBATCH, NO_TRACE,
@@ -114,10 +115,7 @@ pub use export::{
     write_jsonl,
 };
 pub use flight::{FlightRecorder, Lapped, DEFAULT_CAPACITY as FLIGHT_DEFAULT_CAPACITY};
-pub use health::{
-    HealthConfig, HealthEvent, HealthEventKind, HealthMonitor, RunReport, Severity,
-    StageObservation, StageVerdict, StepObservation,
-};
+pub use health::{HealthConfig, HealthMonitor, StageObservation};
 pub use journal::{
     merge_journals, rollup, JournalConfig, JournalEntry, JournalReader, JournalWriter,
     JOURNAL_APPEND_BOUND_US,

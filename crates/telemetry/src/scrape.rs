@@ -19,8 +19,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::alert::ActiveAlert;
+use crate::alert::Severity;
 use crate::codec::{deframe, frame, frame_len, CodecError, Reader, Writer};
-use crate::health::Severity;
 use crate::journal::{decode_sample, encode_sample};
 use crate::metrics::MetricValue;
 use crate::store::{LiveSample, LiveStore};

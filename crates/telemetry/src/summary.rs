@@ -12,8 +12,7 @@
 //! `delay_slot_samples`, the one definition of measured τ. The summary
 //! reads the whole trace; `pm trace drift` (`analyze`) reads clipped
 //! windows; the live store (`store`) reads the spans that ended since its
-//! last sample; the health monitor (`health`) feeds the whole trace's τ
-//! samples into its histograms.
+//! last sample.
 
 use crate::event::{SpanKind, TraceEvent};
 use crate::json::Value;
@@ -192,9 +191,8 @@ impl StageSpans<'_> {
 }
 
 /// A trace grouped by stage: the one place a trace is split into
-/// per-stage compute, waits and τ. The summary, `pm trace drift`, the
-/// live store and the health monitor's delay histograms all read it;
-/// each chooses only which spans it counts.
+/// per-stage compute, waits and τ. The summary, `pm trace drift` and the
+/// live store all read it; each chooses only which spans it counts.
 pub(crate) struct StageFold<'a> {
     /// Per-stage events, indexed by stage.
     pub(crate) stages: Vec<StageSpans<'a>>,

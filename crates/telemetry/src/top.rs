@@ -300,7 +300,7 @@ pub fn diff(header: &str, base: &LiveSample, cur: &LiveSample) -> (String, Value
 mod tests {
     use super::*;
     use crate::alert::ActiveAlert;
-    use crate::health::Severity;
+    use crate::alert::Severity;
     use crate::metrics::MetricsRegistry;
 
     /// Two samples of a worker that serves and talks on the wire: the

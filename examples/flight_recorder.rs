@@ -5,7 +5,7 @@
 //! attached to every run. This example shares one recorder between the
 //! threaded pipeline executor (per-stage compute/wait spans) and a
 //! training run pushed 30% past its Lemma 1 stability bound; when the
-//! health monitor flags the anomaly, the trainer dumps the recorder's
+//! health hook's margin rule fires, the trainer dumps the recorder's
 //! trailing window as a JSONL black box next to the resumable anomaly
 //! checkpoint, then summarizes the dump with the `pm trace` analysis
 //! engine.
@@ -51,18 +51,14 @@ fn main() {
     );
 
     // Phase 1: the threaded executor records per-stage spans into the
-    // shared rings while the health monitor samples measured delays.
-    let registry = pipemare::telemetry::MetricsRegistry::new();
-    let monitor = Arc::new(HealthMonitor::with_registry(HealthConfig::default(), p, &registry));
+    // shared rings.
     let report = run_pipeline(
         &PipelinePlan::for_method(Method::PipeMare, p, 4, 6),
         &mut vec![Sleep(Duration::from_micros(500)); p],
         flight.as_ref(),
         &ActivationLedger::new(p, 1),
     );
-    let events = flight.snapshot_events();
-    monitor.ingest_events(&events);
-    let timeline = PipelineTimelineSummary::from_events(&events);
+    let timeline = PipelineTimelineSummary::from_events(&flight.snapshot_events());
     println!(
         "\nexecutor: {:.1} microbatches/s, bubble {:.3}, {} events in rings ({} overwritten)",
         report.throughput,
@@ -82,7 +78,7 @@ fn main() {
     // Stale dumps from earlier runs would make the `blackbox_step*`
     // glob in CI ambiguous.
     let _ = std::fs::remove_dir_all(&bb_dir);
-    let hook = HealthHook::new(Arc::clone(&monitor))
+    let hook = HealthHook::new(Arc::new(HealthMonitor::new(HealthConfig::default(), p)))
         .snapshot_on(Severity::Warn, &bb_dir)
         .black_box_on(Arc::clone(&flight), &bb_dir)
         .black_box_window_us(120_000_000);
@@ -97,16 +93,17 @@ fn main() {
     assert!(diverged, "30% above the Lemma 1 bound must diverge");
     println!("diverged after {} steps, as theory predicts", losses.len());
 
-    // Phase 3: post-mortem. The monitor's report lists the dump; read it
-    // back and run the `pm trace summary` engine over it.
-    let rep = monitor.report("flight-recorder black-box demo").with_metrics(&registry.snapshot());
-    let (dump_step, dump_path) =
-        rep.black_boxes.first().cloned().expect("anomaly must have dumped a black box");
-    println!("\nblack box from step {dump_step}: {dump_path}");
+    // Phase 3: post-mortem. The dump is named after the step of the
+    // first warning; read it back and run the `pm trace summary` engine
+    // over it.
+    let dump_path = std::fs::read_dir(&bb_dir)
+        .expect("the black-box directory")
+        .map(|e| e.expect("a directory entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        .expect("anomaly must have dumped a black box");
+    let dump_path = dump_path.display().to_string();
+    println!("\nblack box: {dump_path}");
     let events = read_jsonl(std::path::Path::new(&dump_path)).expect("read black box");
     assert!(!events.is_empty(), "black box must not be empty");
     println!("\n{}", analyze::summary_text(&events, &dump_path, None));
-
-    let (json_path, text_path) = rep.save(&out, "flight_recorder").expect("write run report");
-    println!("wrote {} and {}", json_path.display(), text_path.display());
 }

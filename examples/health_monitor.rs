@@ -1,57 +1,107 @@
 //! Training health monitor demo: theory-backed stability margins,
-//! anomaly detection, snapshot-on-anomaly, and run reports.
+//! alerts, snapshot-on-anomaly, and alert logs.
 //!
-//! Two runs of the same pipelined linear-regression problem, built so
+//! Three runs of the same pipelined linear-regression problem, built so
 //! the MSE Hessian is exactly `diag(λ·I, 2)` and every stage's online
 //! curvature estimate λ̂ lands on the true λ:
 //!
 //! * **Run A** (naive async) sets the step size 30% above the Lemma 1
 //!   bound for the deepest stage (τ₀ = 2(P−1)+1). The monitor's
-//!   `alpha_margin` for stage 0 drops below 1 and raises a warn event
-//!   hundreds of steps *before* the loss blows up; the trainer writes a
-//!   resumable snapshot at the first warn and a divergence event when
-//!   the recurrence finally overflows.
-//! * **Run B** (PipeMare T1 + T2) trains the same problem well inside
-//!   the bound: every margin — including the T2-corrected one — stays
-//!   above 1 and the report comes back clean.
+//!   `alpha_margin` for stage 0 drops below 1 and fires the warn rule
+//!   `margin_breach` hundreds of steps *before* the loss blows up; the
+//!   trainer writes a resumable snapshot at that firing, and the
+//!   critical `nonfinite` rule fires when the recurrence finally
+//!   overflows.
+//! * **Runs B and C** (PipeMare T1 + T2, f32 and bf16 weight history)
+//!   train the same problem well inside the bound: every margin —
+//!   including the T2-corrected one — stays above 1 and nothing fires.
 //!
-//! Both runs also feed a threaded-executor trace into the monitor so
-//! the measured per-stage `tau_fwd` histograms and the pipeline
-//! timeline land in the reports, written as `*.report.{json,txt}` under
-//! `PIPEMARE_EXPERIMENTS_DIR` (default `target/experiments`).
+//! Each run's alert log is written under `PIPEMARE_EXPERIMENTS_DIR`
+//! (default `target/experiments`) as `health_*.alerts.jsonl`, the
+//! `AlertFiring` / `AlertResolved` instants in the one JSONL trace
+//! format, and read back into the text export `health_*.alerts.txt`.
 //!
 //! ```text
 //! cargo run --release --example health_monitor
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use pipemare::core::{run_regression_training, HealthHook, TrainConfig};
 use pipemare::data::isotropic_regression;
 use pipemare::nn::LinearRegression;
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare::pipeline::{run_pipeline, ActivationLedger, Method, PipelinePlan, Sleep};
 use pipemare::telemetry::{
-    default_rules, AlertEngine, FlightRecorder, HealthConfig, HealthEventKind, HealthMonitor,
-    JournalConfig, JournalWriter, LiveStore, MetricsRegistry, PipelineTimelineSummary, Severity,
+    default_rules, read_jsonl, write_jsonl, AlertEngine, EventSource, FlightRecorder, HealthConfig,
+    HealthMonitor, JournalConfig, JournalWriter, LiveStore, MetricValue, MetricsRegistry, Severity,
+    SpanKind,
 };
 use pipemare::tensor::{StoragePrecision, BF16_REL_EPS};
 use pipemare::theory::lemma1_max_alpha_frac;
 
-/// Measured slot delays + timeline from the threaded executor, fed to
-/// the monitor's `pipeline.stage{i}.tau_fwd` histograms. The rings hold
-/// the whole 24-microbatch trace for the report; the flight_recorder
-/// example shows them as a black box that keeps only the latest events.
-fn measured_timeline(p: usize, monitor: &HealthMonitor) -> PipelineTimelineSummary {
-    let recorder = FlightRecorder::for_pipeline(p);
-    let plan = PipelinePlan::for_method(Method::PipeMare, p, 4, 6);
-    let mut work = vec![Sleep(Duration::from_micros(500)); p];
-    run_pipeline(&plan, &mut work, &recorder, &ActivationLedger::new(p, 1));
-    let events = recorder.events();
-    monitor.ingest_events(&events);
-    PipelineTimelineSummary::from_events(&events)
+/// A hook's rules and alert log, kept readable once the hook is handed to
+/// a run.
+type AlertLog = (Arc<AlertEngine>, Arc<FlightRecorder>);
+
+fn alert_log(hook: &HealthHook) -> AlertLog {
+    (Arc::clone(&hook.alerts), Arc::clone(&hook.alert_log))
+}
+
+/// Writes a run's alert log as `<name>.alerts.jsonl`, reads it back and
+/// writes its text export, one transition a line, as `<name>.alerts.txt`;
+/// returns the text.
+fn save_alert_log(out: &Path, name: &str, log: &AlertLog) -> String {
+    let (alerts, log) = log;
+    let jsonl = out.join(format!("{name}.alerts.jsonl"));
+    write_jsonl(&log.snapshot_events(), &jsonl).expect("write alert log");
+    let mut text = format!("== alert log: {name} ==\n");
+    for e in read_jsonl(&jsonl).expect("read alert log") {
+        let rule = &alerts.rules()[e.microbatch as usize];
+        let state = if e.kind == SpanKind::AlertFiring { "FIRING" } else { "resolved" };
+        let severity = rule.severity.name();
+        let stage = if rule.name.starts_with("margin") {
+            format!(" [stage{}]", e.stage)
+        } else {
+            String::new()
+        };
+        text += &format!("step {:>6}  {state:<8} {severity:<8} {}{stage}\n", e.ts_us, rule.name);
+    }
+    if log.is_empty() {
+        text += "(nothing fired)\n";
+    }
+    std::fs::write(out.join(format!("{name}.alerts.txt")), &text).expect("write alert text");
+    text
+}
+
+/// The step of the first firing of `rule` in the alert log, with its
+/// stage.
+fn first_firing(log: &AlertLog, rule: &str) -> Option<(u64, u32)> {
+    let (alerts, log) = log;
+    let index = alerts.rules().iter().position(|r| r.name == rule)?;
+    log.snapshot_events()
+        .iter()
+        .find(|e| e.kind == SpanKind::AlertFiring && e.microbatch as usize == index)
+        .map(|e| (e.ts_us, e.stage))
+}
+
+/// Each stage's final λ̂ and margins, from the monitor's gauges.
+fn margin_table(monitor: &HealthMonitor) -> String {
+    let snap = monitor.registry().snapshot();
+    let gauge = |s: usize, name: &str| match snap.get(&format!("health.stage{s}.{name}")) {
+        Some(MetricValue::Gauge(g)) => *g,
+        _ => f64::NAN,
+    };
+    let mut out = String::from("stage   lambda_hat   alpha_margin   alpha_margin_t2\n");
+    for s in 0..monitor.n_stages() {
+        out += &format!(
+            "{s:>5}   {:>10.4}   {:>12.3}   {:>15.3}\n",
+            gauge(s, "lambda_hat"),
+            gauge(s, "alpha_margin"),
+            gauge(s, "alpha_margin_t2")
+        );
+    }
+    out
 }
 
 fn main() {
@@ -75,38 +125,27 @@ fn main() {
     let alpha_bad = (1.3 * bound) as f32;
     println!("\n=== run A: naive async at α = 1.3 α* = {alpha_bad:.5} ===");
     let registry_a = Arc::new(MetricsRegistry::new());
-    let monitor_a = Arc::new(HealthMonitor::with_registry(HealthConfig::default(), p, &registry_a));
+    let monitor_a =
+        Arc::new(HealthMonitor::with_registry(HealthConfig::default(), p, Arc::clone(&registry_a)));
     let hook = HealthHook::new(Arc::clone(&monitor_a))
         .snapshot_on(Severity::Warn, out.join("health_snapshots"));
+    let log_a = alert_log(&hook);
     let cfg = TrainConfig::naive_async(p, 1, sgd, Box::new(ConstantLr(alpha_bad)));
     let (losses, diverged) = run_regression_training(&model, &ds, cfg, 20_000, 7, Some(hook))
         .expect("the dataset fills N microbatches");
     assert!(diverged, "run A should diverge (it is 30% above the Lemma 1 bound)");
 
-    let events = monitor_a.events();
-    let breach = events
-        .iter()
-        .find(|e| e.kind == HealthEventKind::MarginBreach)
-        .expect("stage-0 margin breach");
-    let diverge =
-        events.iter().find(|e| e.kind == HealthEventKind::Divergence).expect("divergence event");
+    let (breach, stage) = first_firing(&log_a, "margin_breach").expect("stage-0 margin breach");
+    assert_eq!(stage, 0, "the breach is stage 0's");
+    let (nonfinite, _) = first_firing(&log_a, "nonfinite").expect("a non-finite step");
     println!(
-        "margin breach on stage {} at step {} — {} steps of warning before divergence at step {}",
-        breach.stage.map(|s| s.to_string()).unwrap_or_default(),
-        breach.step,
-        diverge.step - breach.step,
-        diverge.step,
+        "margin breach on stage {stage} at step {breach} — {} steps of warning before the first \
+         non-finite step {nonfinite}",
+        nonfinite - breach,
     );
-    println!("({} steps trained before the loss went non-finite)", losses.len());
-
-    let timeline_a = measured_timeline(p, &monitor_a);
-    let report_a = monitor_a
-        .report("naive-async @ 1.3x Lemma-1 bound")
-        .with_metrics(&registry_a.snapshot())
-        .with_timeline(&timeline_a);
-    println!("\n{}", report_a.to_text());
-    let (json_a, text_a) = report_a.save(&out, "health_naive_async").expect("write run A report");
-    println!("wrote {} and {}", json_a.display(), text_a.display());
+    println!("diverged at step {} (the last step trained)", losses.len() - 1);
+    println!("\n{}", margin_table(&monitor_a));
+    println!("{}", save_alert_log(&out, "health_naive_async", &log_a));
 
     // --- The live alert plane over run A's registry ------------------
     // The monitor left stage 0's `health.stage0.alpha_margin` gauge
@@ -137,84 +176,51 @@ fn main() {
         journal_dir.display()
     );
 
-    // --- Run B: PipeMare T1 + T2 at α = 0.3 α* — same problem, same
-    // pipeline shape, but inside the stability envelope.
+    // --- Runs B and C: PipeMare T1 + T2 at α = 0.3 α* — same problem,
+    // same pipeline shape, but inside the stability envelope. Run C
+    // stores the weight-version history in bf16 and tells the monitor
+    // so: the λ̂ estimator sheds the worst-case storage rounding 2·ε·‖w‖
+    // from its secant denominators (see `HealthConfig::with_quant_eps`),
+    // so quantization noise cannot fabricate curvature — the run must
+    // stay inside the same margins as the f32 baseline.
     let alpha_good = (0.3 * bound) as f32;
-    println!("\n=== run B: PipeMare T1+T2 at α = 0.3 α* = {alpha_good:.5} ===");
-    let registry_b = MetricsRegistry::new();
-    let monitor_b = Arc::new(HealthMonitor::with_registry(HealthConfig::default(), p, &registry_b));
-    let hook = HealthHook::new(Arc::clone(&monitor_b))
-        .snapshot_on(Severity::Warn, out.join("health_snapshots"))
-        .halt_on(Severity::Critical);
-    let cfg = TrainConfig::pipemare(
-        p,
-        1,
-        sgd,
-        Box::new(ConstantLr(alpha_good)),
-        T1Rescheduler::new(100),
-        0.135,
-    );
-    let (losses, diverged) = run_regression_training(&model, &ds, cfg, 300, 7, Some(hook))
-        .expect("the dataset fills N microbatches");
-    assert!(!diverged, "run B must not diverge");
-    assert_eq!(monitor_b.anomaly_count(), 0, "run B must be anomaly-free");
-    println!(
-        "trained {} steps, loss {:.3e} → {:.3e}, zero anomalies",
-        losses.len(),
-        losses.first().copied().unwrap_or(f32::NAN),
-        losses.last().copied().unwrap_or(f32::NAN),
-    );
-
-    let timeline_b = measured_timeline(p, &monitor_b);
-    let report_b = monitor_b
-        .report("PipeMare T1+T2 @ 0.3x Lemma-1 bound")
-        .with_metrics(&registry_b.snapshot())
-        .with_timeline(&timeline_b);
-    assert_eq!(report_b.verdict(), "healthy");
-    println!("\n{}", report_b.to_text());
-    let (json_b, text_b) = report_b.save(&out, "health_pipemare").expect("write run B report");
-    println!("wrote {} and {}", json_b.display(), text_b.display());
-
-    // --- Run C: the same stable configuration, but the weight-version
-    // history is stored in bf16 and the monitor is told so: the λ̂
-    // estimator sheds the worst-case storage rounding 2·ε·‖w‖ from its
-    // secant denominators (see `HealthConfig::with_quant_eps`), so
-    // quantization noise cannot fabricate curvature — the run must stay
-    // inside the same margins as the f32 baseline.
-    println!("\n=== run C: PipeMare T1+T2 at α = 0.3 α*, bf16 weight history ===");
-    let registry_c = MetricsRegistry::new();
-    let monitor_c = Arc::new(HealthMonitor::with_registry(
-        HealthConfig::default().with_quant_eps(BF16_REL_EPS as f64),
-        p,
-        &registry_c,
-    ));
-    let hook = HealthHook::new(Arc::clone(&monitor_c))
-        .snapshot_on(Severity::Warn, out.join("health_snapshots"))
-        .halt_on(Severity::Critical);
-    let mut cfg = TrainConfig::pipemare(
-        p,
-        1,
-        sgd,
-        Box::new(ConstantLr(alpha_good)),
-        T1Rescheduler::new(100),
-        0.135,
-    );
-    cfg.weight_storage = StoragePrecision::Bf16;
-    let (losses, diverged) = run_regression_training(&model, &ds, cfg, 300, 7, Some(hook))
-        .expect("the dataset fills N microbatches");
-    assert!(!diverged, "run C must not diverge under bf16 storage");
-    assert_eq!(monitor_c.anomaly_count(), 0, "run C must be anomaly-free");
-    println!(
-        "trained {} steps with bf16 weight history, loss {:.3e} → {:.3e}, zero anomalies",
-        losses.len(),
-        losses.first().copied().unwrap_or(f32::NAN),
-        losses.last().copied().unwrap_or(f32::NAN),
-    );
-    let report_c = monitor_c
-        .report("PipeMare T1+T2 @ 0.3x Lemma-1 bound, bf16 weight history")
-        .with_metrics(&registry_c.snapshot());
-    assert_eq!(report_c.verdict(), "healthy");
-    println!("\n{}", report_c.to_text());
-    let (json_c, text_c) = report_c.save(&out, "health_pipemare_bf16").expect("write run C report");
-    println!("wrote {} and {}", json_c.display(), text_c.display());
+    for (name, storage, health) in [
+        ("health_pipemare", StoragePrecision::F32, HealthConfig::default()),
+        (
+            "health_pipemare_bf16",
+            StoragePrecision::Bf16,
+            HealthConfig::default().with_quant_eps(BF16_REL_EPS as f64),
+        ),
+    ] {
+        println!(
+            "\n=== {name}: PipeMare T1+T2 at α = 0.3 α* = {alpha_good:.5}, {storage:?} weight \
+             history ==="
+        );
+        let monitor = Arc::new(HealthMonitor::new(health, p));
+        let hook = HealthHook::new(Arc::clone(&monitor))
+            .snapshot_on(Severity::Warn, out.join("health_snapshots"))
+            .halt_on(Severity::Critical);
+        let log = alert_log(&hook);
+        let mut cfg = TrainConfig::pipemare(
+            p,
+            1,
+            sgd,
+            Box::new(ConstantLr(alpha_good)),
+            T1Rescheduler::new(100),
+            0.135,
+        );
+        cfg.weight_storage = storage;
+        let (losses, diverged) = run_regression_training(&model, &ds, cfg, 300, 7, Some(hook))
+            .expect("the dataset fills N microbatches");
+        assert!(!diverged, "{name} must not diverge");
+        assert!(log.1.snapshot_events().is_empty(), "{name} must fire nothing");
+        println!(
+            "trained {} steps, loss {:.3e} → {:.3e}, nothing fired",
+            losses.len(),
+            losses.first().copied().unwrap_or(f32::NAN),
+            losses.last().copied().unwrap_or(f32::NAN),
+        );
+        println!("\n{}", margin_table(&monitor));
+        println!("{}", save_alert_log(&out, name, &log));
+    }
 }

@@ -40,7 +40,7 @@ cargo run --release --example trace_pipeline 2>&1 | tee "$out/trace_pipeline.txt
 echo "=== recompute_pipeline (live activation accounting + τ_recomp) ==="
 cargo run --release --example recompute_pipeline 2>&1 | tee "$out/recompute_pipeline.txt"
 
-echo "=== health_monitor (stability margins + run reports) ==="
+echo "=== health_monitor (stability margins + alert logs) ==="
 cargo run --release --example health_monitor 2>&1 | tee "$out/health_monitor.txt"
 
 echo "=== flight_recorder (always-on rings + anomaly black box) ==="

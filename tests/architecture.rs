@@ -188,8 +188,8 @@ const SINGLE_EPOCH_LOOP: &[Rule] = &[
 const RETIRED_RUNNER_NAMES: &str =
     "run_image_training|run_translation_training|run_regression_training_observed";
 
-/// One per-stage fold of a trace. The timeline summary, `pm trace drift`,
-/// the live store's samples and the health monitor's τ histograms all read
+/// One per-stage fold of a trace. The timeline summary, `pm trace drift`
+/// and the live store's samples all read
 /// `StageFold` in crates/telemetry/src/summary.rs, which buckets each
 /// stage's forward, backward and replay spans once and alone calls
 /// `delay_slot_samples`, the one definition of measured τ. That call or a
@@ -300,6 +300,19 @@ const SINGLE_RECORDER: &[Rule] = &[
         .reads(ALL),
 ];
 
+/// One anomaly path. `AlertEngine` in crates/telemetry/src/alert.rs is the
+/// only code that turns a signal into an alarm: a trainer's margin
+/// breaches, loss and gradient-norm spikes and non-finite steps are
+/// `training_rules` over the gauges the health monitor and the trainer
+/// set, evaluated once per step, and a live store's are `default_rules`.
+/// A `severity: Severity::…` field set anywhere else in library code is a
+/// second detector raising its own alarm, with its own hysteresis and its
+/// own record of what fired, that only tests hold to the first. Reading a
+/// severity (`HealthHook`'s `halt_severity` / `snapshot_severity` gates
+/// and their defaults) is not raising one.
+const SINGLE_ALARM: &[Rule] = &[rule(0, Matches("an alarm's severity", raises_alarm), CRATES_SRC)
+    .except("crates/telemetry/src/alert.rs")];
+
 /// Every public function has a caller. Each `pub fn` defined on a code line
 /// of `crates/*/src` must be named on a code line outside its own body (from
 /// its `fn` line to the next line naming a `fn`): in library, integration
@@ -319,7 +332,7 @@ const NO_DEAD_PUB: &[Rule] =
 const CALLER_SRC: &str =
     "crates/*/{src,tests,benches}/**/*.rs|{tests,examples,src,pmbench/src}/**/*.rs";
 
-const GUARDS: [(&str, &[Rule]); 12] = [
+const GUARDS: [(&str, &[Rule]); 13] = [
     ("single_core", SINGLE_CORE),
     ("single_codec", SINGLE_CODEC),
     ("single_executor", SINGLE_EXECUTOR),
@@ -331,6 +344,7 @@ const GUARDS: [(&str, &[Rule]); 12] = [
     ("cache_free_inference", CACHE_FREE_INFERENCE),
     ("in_place_grads", IN_PLACE_GRADS),
     ("single_recorder", SINGLE_RECORDER),
+    ("single_alarm", SINGLE_ALARM),
     ("no_dead_pub", NO_DEAD_PUB),
 ];
 
@@ -553,6 +567,13 @@ impl Site<'_> {
 fn stray_sleep(s: &Site) -> bool {
     s.has("thread::sleep(")
         && !s.impl_header().is_some_and(|h| h.starts_with("impl StageWork for Sleep "))
+}
+
+/// A struct field `severity` set to a `Severity` value: `severity:
+/// Severity::Warn`, or the same through a path. A field whose name only
+/// ends in `severity` is a gate, not an alarm.
+fn raises_alarm(s: &Site) -> bool {
+    s.text().trim_start().starts_with("severity:") && s.has("Severity::")
 }
 
 /// A `const` whose name says frame and a bound (`MAX`, `CAP`, `LIMIT`,

@@ -18,7 +18,10 @@ use pipemare::core::{
 use pipemare::data::isotropic_regression;
 use pipemare::nn::{LinearRegression, RegressionBatch};
 use pipemare::optim::{ConstantLr, LrSchedule, OptimizerKind, T1Rescheduler};
-use pipemare::telemetry::{HealthConfig, HealthEventKind, HealthMonitor, Severity};
+use pipemare::telemetry::{
+    AlertEngine, EventSource, FlightRecorder, HealthConfig, HealthMonitor, MetricValue, Severity,
+    SpanKind,
+};
 use pipemare::theory::lemma1_max_alpha_frac;
 
 const P: usize = 4;
@@ -46,6 +49,35 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("pm_health_{name}_{}", std::process::id()))
 }
 
+/// A hook's engine and alert log, kept readable once the hook is handed
+/// to a run.
+struct View {
+    alerts: Arc<AlertEngine>,
+    log: Arc<FlightRecorder>,
+}
+
+fn view(hook: &HealthHook) -> View {
+    View { alerts: Arc::clone(&hook.alerts), log: Arc::clone(&hook.alert_log) }
+}
+
+/// Every firing of `rule` in the alert log, as (step, stage).
+fn firings(view: &View, rule: &str) -> Vec<(usize, u32)> {
+    let index = view.alerts.rules().iter().position(|r| r.name == rule).expect("a training rule");
+    view.log
+        .snapshot_events()
+        .iter()
+        .filter(|e| e.kind == SpanKind::AlertFiring && e.microbatch as usize == index)
+        .map(|e| (e.ts_us as usize, e.stage))
+        .collect()
+}
+
+fn gauge(monitor: &HealthMonitor, name: &str) -> f64 {
+    match monitor.registry().snapshot().get(name) {
+        Some(MetricValue::Gauge(g)) => *g,
+        other => panic!("{name}: {other:?}"),
+    }
+}
+
 #[test]
 fn unstable_run_warns_before_divergence_then_snapshot_resumes_bit_identically() {
     let ds = isotropic_regression(D, LAMBDA as f32);
@@ -53,60 +85,61 @@ fn unstable_run_warns_before_divergence_then_snapshot_resumes_bit_identically() 
     let monitor = Arc::new(HealthMonitor::new(HealthConfig::default(), P));
     let dir = temp_dir("snap");
     let hook = HealthHook::new(Arc::clone(&monitor)).snapshot_on(Severity::Warn, &dir);
+    let view = view(&hook);
     let cfg = unstable_cfg(Box::new(ConstantLr(alpha_unstable())));
     let (losses, diverged) =
         run_regression_training(&model, &ds, cfg, 20_000, 7, Some(hook)).unwrap();
     assert!(diverged, "α = 1.3× the stage-0 bound must diverge");
 
     // The margin breach (a Warn) must come well before the run is
-    // numerically broken, and be attributed to stage 0.
-    let events = monitor.events();
-    let breach = events
-        .iter()
-        .find(|e| e.kind == HealthEventKind::MarginBreach)
-        .expect("no margin-breach event");
-    assert_eq!(breach.stage, Some(0));
-    assert_eq!(breach.severity, Severity::Warn);
-    // 30% over the bound: the reported margin is 1/1.3 ≈ 0.769.
-    assert!((breach.value - 1.0 / 1.3).abs() < 0.02, "margin {}", breach.value);
-    let diverge =
-        events.iter().find(|e| e.kind == HealthEventKind::Divergence).expect("no divergence event");
+    // numerically broken, and be attributed to stage 0 alone.
+    let breaches = firings(&view, "margin_breach");
+    assert_eq!(breaches.len(), 1, "{breaches:?}");
+    let (breach_step, stage) = breaches[0];
+    assert_eq!(stage, 0);
+    let rule = view.alerts.rules().iter().find(|r| r.name == "margin_breach").unwrap();
+    assert_eq!(rule.severity, Severity::Warn);
+    // Still firing at the end, at the margin 30% over the bound gives:
+    // 1/1.3 ≈ 0.769.
+    let active = view.alerts.active();
+    let firing = active.iter().find(|a| a.rule == "margin_breach").expect("still firing");
+    assert_eq!((firing.label.as_str(), firing.since_ts_us), ("stage0", breach_step as u64));
+    assert!((firing.value - 1.0 / 1.3).abs() < 0.02, "margin {}", firing.value);
+    let nonfinite = firings(&view, "nonfinite");
+    assert_eq!(nonfinite.len(), 1, "{nonfinite:?}");
+    let diverge_step = losses.len() - 1;
     assert!(
-        breach.step + 100 < diverge.step,
-        "warning at step {} should lead divergence at step {}",
-        breach.step,
-        diverge.step
+        breach_step + 100 < nonfinite[0].0 && nonfinite[0].0 <= diverge_step,
+        "warning at step {breach_step} should lead the first non-finite step {} and the \
+         divergence at step {diverge_step}",
+        nonfinite[0].0
     );
 
-    // Report: stage 0 is the (only) offender, everything else healthy.
-    let report = monitor.report("unstable");
-    assert_eq!(report.verdict(), "critical");
-    assert_eq!(report.worst_stage(), Some(0));
-    assert!(report.stages[0].min_margin < 1.0);
-    assert!(!report.stages[0].healthy(1.0));
-    for v in &report.stages[1..] {
-        assert!(v.min_margin > 1.0, "stage {} margin {}", v.stage, v.min_margin);
-        assert!(v.healthy(1.0), "stage {} should be healthy", v.stage);
+    // Stage 0 is the only offender: every other stage ends inside its
+    // bound and never breached it.
+    for s in 1..P {
+        let margin = gauge(&monitor, &format!("health.stage{s}.alpha_margin"));
+        assert!(margin > 1.0, "stage {s} margin {margin}");
     }
     // λ̂ is exact on this problem for the pure-curvature stages.
-    for v in &report.stages[..3] {
-        assert!((v.lambda_hat - LAMBDA).abs() < 1e-6, "λ̂ = {}", v.lambda_hat);
+    for s in 0..3 {
+        let lambda = gauge(&monitor, &format!("health.stage{s}.lambda_hat"));
+        assert!((lambda - LAMBDA).abs() < 1e-6, "λ̂ = {lambda}");
     }
 
     // The snapshot-on-anomaly checkpoint resumes bit-identically: replay
     // the rest of the run on a fresh trainer and compare every loss.
-    assert_eq!(report.snapshots.len(), 1);
-    let (snap_step, snap_path) = &report.snapshots[0];
-    assert_eq!(*snap_step, breach.step);
-    let state = load_state(std::path::Path::new(snap_path)).expect("read snapshot");
     // state() is taken after the step's history push, so it resumes at
     // the step after the breach.
-    assert_eq!(state.step, breach.step + 1);
+    let snap_path = dir.join(format!("anomaly_step{}.ckpt", breach_step + 1));
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "one snapshot per run");
+    let state = load_state(&snap_path).expect("read snapshot");
+    assert_eq!(state.step, breach_step + 1);
     let cfg = unstable_cfg(Box::new(ConstantLr(alpha_unstable())));
     let mut trainer = PipelineTrainer::new(&model, cfg, 999); // seed overwritten by restore
     trainer.restore(state).expect("a snapshot of the same configuration");
     let micro = [RegressionBatch { x: ds.x.clone(), y: ds.y.clone() }];
-    for (t, &want) in losses.iter().enumerate().skip(breach.step + 1) {
+    for (t, &want) in losses.iter().enumerate().skip(breach_step + 1) {
         let stats = trainer.train_minibatch(&micro, &[1.0]);
         assert_eq!(stats.step, t);
         assert_eq!(
@@ -126,6 +159,7 @@ fn halt_policy_stops_the_run_at_the_first_warning() {
     let model = LinearRegression::new(D);
     let monitor = Arc::new(HealthMonitor::new(HealthConfig::default(), P));
     let hook = HealthHook::new(Arc::clone(&monitor)).halt_on(Severity::Warn);
+    let view = view(&hook);
     let cfg = unstable_cfg(Box::new(ConstantLr(alpha_unstable())));
     let (losses, diverged) =
         run_regression_training(&model, &ds, cfg, 20_000, 7, Some(hook)).unwrap();
@@ -133,20 +167,12 @@ fn halt_policy_stops_the_run_at_the_first_warning() {
     // the run is orders of magnitude shorter than the blowup horizon.
     assert!(!diverged);
     assert!(losses.iter().all(|l| l.is_finite()));
-    let breach_step = monitor
-        .events()
-        .iter()
-        .find(|e| e.kind == HealthEventKind::MarginBreach)
-        .expect("margin breach")
-        .step;
-    assert_eq!(losses.len(), breach_step + 1, "run should stop at the breach step");
-    let halt = monitor
-        .events()
-        .iter()
-        .find(|e| e.kind == HealthEventKind::Halt)
-        .cloned()
-        .expect("halt event");
-    assert_eq!(halt.step, breach_step);
+    let breaches = firings(&view, "margin_breach");
+    assert_eq!(breaches.len(), 1, "{breaches:?}");
+    assert_eq!(breaches[0].1, 0);
+    assert_eq!(losses.len(), breaches[0].0 + 1, "run should stop at the breach step");
+    let margin = gauge(&monitor, "health.stage0.alpha_margin");
+    assert!((margin - 1.0 / 1.3).abs() < 0.02, "margin {margin}");
 }
 
 #[test]
@@ -157,6 +183,7 @@ fn stable_t1_t2_run_reports_healthy_margins_everywhere() {
     let hook = HealthHook::new(Arc::clone(&monitor))
         .snapshot_on(Severity::Warn, temp_dir("stable"))
         .halt_on(Severity::Warn);
+    let view = view(&hook);
     // Same problem and pipeline shape, but PipeMare T1+T2 at 0.3× the
     // stage-0 bound — inside every stage's envelope.
     let alpha = (0.3 * lemma1_max_alpha_frac(LAMBDA, TAU0)) as f32;
@@ -168,9 +195,25 @@ fn stable_t1_t2_run_reports_healthy_margins_everywhere() {
         T1Rescheduler::new(100),
         0.135,
     );
-    let (losses, diverged) = run_regression_training(&model, &ds, cfg, 300, 7, Some(hook)).unwrap();
-    assert!(!diverged);
-    assert_eq!(losses.len(), 300, "nothing should halt a stable run");
+    // Step by hand (the runner's loop) to read every step's margins.
+    let mut trainer = PipelineTrainer::new(&model, cfg, 7);
+    trainer.set_health(hook);
+    let micro = [RegressionBatch { x: ds.x.clone(), y: ds.y.clone() }];
+    let mut losses = Vec::new();
+    let mut min_margin = [[f64::INFINITY; 2]; P];
+    for _ in 0..300 {
+        let stats = trainer.train_minibatch(&micro, &[1.0]);
+        assert!(!stats.diverged && !trainer.health_halted(), "nothing should halt a stable run");
+        losses.push(stats.loss);
+        for (s, min) in min_margin.iter_mut().enumerate() {
+            for (m, name) in min.iter_mut().zip(["alpha_margin", "alpha_margin_t2"]) {
+                let margin = gauge(&monitor, &format!("health.stage{s}.{name}"));
+                if margin.is_finite() {
+                    *m = m.min(margin);
+                }
+            }
+        }
+    }
     assert!(
         losses[299] < 1e-6 * losses[0],
         "loss should collapse: {} -> {}",
@@ -178,23 +221,20 @@ fn stable_t1_t2_run_reports_healthy_margins_everywhere() {
         losses[299]
     );
 
-    assert_eq!(monitor.anomaly_count(), 0);
-    assert_eq!(monitor.max_severity(), None);
-    let report = monitor.report("stable");
-    assert_eq!(report.verdict(), "healthy");
-    assert!(report.snapshots.is_empty());
-    for v in &report.stages {
+    let log = view.log.snapshot_events();
+    assert!(log.is_empty(), "a stable run fires nothing: {log:?}");
+    assert!(!temp_dir("stable").exists(), "no snapshot");
+    for (s, [margin, margin_t2]) in min_margin.iter().enumerate() {
         // Margins were actually computed (finite) and stayed ≥ 1 —
         // including the T2-corrected variant, which is live because
         // t2_decay is on.
-        assert!(v.min_margin.is_finite(), "stage {} never produced a margin", v.stage);
-        assert!(v.min_margin >= 1.0, "stage {} margin {}", v.stage, v.min_margin);
-        assert!(v.min_margin_t2.is_finite(), "stage {} has no T2 margin", v.stage);
-        assert!(v.min_margin_t2 >= 1.0, "stage {} T2 margin {}", v.stage, v.min_margin_t2);
-        assert!(v.healthy(1.0));
+        assert!(margin.is_finite(), "stage {s} never produced a margin");
+        assert!(*margin >= 1.0, "stage {s} margin {margin}");
+        assert!(margin_t2.is_finite(), "stage {s} has no T2 margin");
+        assert!(*margin_t2 >= 1.0, "stage {s} T2 margin {margin_t2}");
     }
     // The T1-rescheduled effective step size is below the base LR, so
     // the stage-0 margin must beat the untouched 1/0.3 only after T1's
     // ramp finishes; the minimum over the run is still ≥ 10/3 · ~1.
-    assert!(report.stages[0].min_margin >= 3.0, "{}", report.stages[0].min_margin);
+    assert!(min_margin[0][0] >= 3.0, "{}", min_margin[0][0]);
 }

@@ -156,5 +156,8 @@ fn a_short_last_minibatch_fails_before_the_first_step() {
     let err = run_regression_training(&LinearRegression::new(12), &ds, cfg(4), 10, 1, Some(hook))
         .unwrap_err();
     assert_eq!(err, RunError::ShortMinibatch { len: 3, n_micro: 4 });
-    assert_eq!(monitor.report("refused").steps, 0, "trained before refusing");
+    match monitor.registry().snapshot().get("health.stage0.delta_norm") {
+        Some(MetricValue::Gauge(g)) => assert!(g.is_nan(), "trained before refusing"),
+        other => panic!("health.stage0.delta_norm missing or mistyped: {other:?}"),
+    }
 }
